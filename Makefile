@@ -1,14 +1,18 @@
 GO ?= go
 
-.PHONY: all build vet lint test race chaos fuzz cover bench bench-json bench-compare profile-cluster alloc-check serve-smoke scale-smoke loadgen-smoke clean
+.PHONY: all build vet lint test race chaos fuzz cover bench bench-json bench-compare bench-smoke profile-cluster alloc-check serve-smoke scale-smoke loadgen-smoke clean
 
 all: vet lint test
 
 build:
 	$(GO) build ./...
 
+# vet also fails on unformatted files (testdata holds deliberately
+# broken sources for the lint loader).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go' | grep -v testdata)); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 # lint runs the project's own analyzer suite (internal/lint via
 # cmd/ecolint): determinism, context flow, hot-path I/O, lock scope,
@@ -88,6 +92,13 @@ bench-compare: build
 	$(GO) test -run XXX -bench 'ClusterThroughput|SimSchedule$$|SubmitSteadyState' -benchmem . ./internal/simclock ./internal/slurm | ./bin/benchjson > bin/bench-head.json
 	./bin/benchjson -compare -max-slowdown 0.5 -max-alloc-increase 0.05 $$(ls BENCH_*.json | tail -n1) bin/bench-head.json
 
+# bench-smoke exercises the repository's end-to-end benchmark (the
+# bench/ module, which root `go test ./...` does not reach): its own
+# tests, then all four workloads at smoke sizes with their checks.
+bench-smoke:
+	$(GO) test -C bench ./...
+	bash bench/run.sh -quick
+
 # profile-cluster captures CPU and heap profiles of the cluster-scale
 # throughput benchmark into bin/, then prints the CPU top — the
 # starting point for any simulator-core perf work (inspect further
@@ -97,15 +108,18 @@ profile-cluster:
 		-o bin/ecosched.test -cpuprofile bin/cluster-cpu.out -memprofile bin/cluster-mem.out .
 	$(GO) tool pprof -top -nodecount=20 bin/ecosched.test bin/cluster-cpu.out
 
-# alloc-check guards the zero-allocation guarantees of the simulator
-# hot paths: the telemetry emit path (sharded counter, gauge,
-# bucketed histogram), the simclock schedule+pop cycle on the Action
-# fast path, and the slurm submit→complete cycle (pooled jobs, chunked
-# arena, aggregate accounting). Every row must report 0 allocs/op, or
-# a heap allocation has crept into a per-event path.
+# alloc-check guards the allocation guarantees of the hot paths. The
+# simulator's must report 0 allocs/op, or a heap allocation has crept
+# into a per-event path: the telemetry emit path (sharded counter,
+# gauge, bucketed histogram), the simclock schedule+pop cycle on the
+# Action fast path, and the slurm submit→complete cycle (pooled jobs,
+# chunked arena, aggregate accounting). The paper's budgeted path — a
+# cache-hit job_submit_eco with settings.json on disk — has a fixed
+# ceiling instead: 7 allocs/op as measured (go1.24), all of them
+# os.ReadFile of the settings file and the copy of its model list.
 alloc-check:
-	$(GO) test -run XXX -bench 'ShardedCounterInc|BucketedHistogramObserve|GaugeSet|SimSchedule$$|SubmitSteadyState' -benchtime=1000x -benchmem ./internal/metrics ./internal/simclock ./internal/slurm | \
-	awk '{ print } /allocs\/op$$/ { seen++; if ($$(NF-1) != "0") { bad = 1; print "alloc-check: " $$1 " allocates on the hot path" } } END { if (seen < 5) { print "alloc-check: expected 5 benchmarks, saw " seen+0; exit 1 }; exit bad }'
+	$(GO) test -run XXX -bench 'ShardedCounterInc|BucketedHistogramObserve|GaugeSet|SimSchedule$$|SubmitSteadyState|EcoSubmitCacheHit' -benchtime=1000x -benchmem ./internal/metrics ./internal/simclock ./internal/slurm ./internal/ecoplugin | \
+	awk '{ print } /allocs\/op$$/ { seen++; limit = ($$1 ~ /^BenchmarkEcoSubmitCacheHit/) ? 7 : 0; if ($$(NF-1) + 0 > limit) { bad = 1; print "alloc-check: " $$1 " allocates " $$(NF-1) " times per op, ceiling " limit } } END { if (seen < 6) { print "alloc-check: expected 6 benchmarks, saw " seen+0; exit 1 }; exit bad }'
 
 # serve-smoke boots `chronus serve` against a fresh data directory and
 # fails unless /metrics and /healthz answer 200 with the expected

@@ -505,3 +505,28 @@ func TestParallelismDoesNotChangeResults(t *testing.T) {
 		}
 	}
 }
+
+// The offline sweep's allocation count is a property of the code, not
+// of the host: per configuration one provisioned node/BMC/controller
+// stack, one growing sample slice and one CSV buffer — a few hundred
+// allocations. When every IPMI sample was formatted through
+// encoding/csv and every sampler tick made a closure it was ~9,000.
+func TestSweepAllocationsPerConfig(t *testing.T) {
+	const ceiling = 500
+	configs := PaperSweepConfigs()
+	d := newDeployment(t, Options{Parallelism: 1})
+	var sweepErr error
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := d.BenchmarkConfigs(configs, 3*time.Second); err != nil {
+			sweepErr = err
+		}
+	})
+	if sweepErr != nil {
+		t.Fatal(sweepErr)
+	}
+	per := allocs / float64(len(configs))
+	t.Logf("%.0f allocations per configuration", per)
+	if per > ceiling {
+		t.Fatalf("a %d-configuration sweep allocates %.0f times per configuration, ceiling %d", len(configs), per, ceiling)
+	}
+}

@@ -13,6 +13,7 @@
 package ecoplugin
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -33,8 +34,13 @@ const OptInComment = "chronus"
 
 // SimpleHash is a byte-for-byte port of the paper's C hash (Listing 3):
 // djb2 with the paper's seed 53871.
-func SimpleHash(s string) uint64 {
-	var hash uint64 = 53871
+func SimpleHash(s string) uint64 { return djb2(hashSeed, s) }
+
+const hashSeed uint64 = 53871
+
+// djb2 folds s into a running hash, so hashing a concatenation is
+// hashing its parts in order.
+func djb2[T string | []byte](hash uint64, s T) uint64 {
 	for i := 0; i < len(s); i++ {
 		hash = ((hash << 5) + hash) + uint64(s[i]) // hash × 33 + c
 	}
@@ -45,18 +51,30 @@ func SimpleHash(s string) uint64 {
 func HashString(h uint64) string { return strconv.FormatUint(h, 10) }
 
 // SystemHash reads /proc/cpuinfo and /proc/meminfo through the given
-// file system, concatenates them and hashes the result — the system
-// identifier of §4.2.1, including its error handling.
+// file system and hashes their concatenation — the system identifier
+// of §4.2.1, including its error handling.
 func SystemHash(fs procfs.FileReader) (string, error) {
-	cpuinfo, err := fs.ReadFile(procfs.PathCPUInfo)
+	cpuinfo, meminfo, err := readSystemFiles(fs)
 	if err != nil {
-		return "", fmt.Errorf("ecoplugin: system hash: %w", err)
+		return "", err
 	}
-	meminfo, err := fs.ReadFile(procfs.PathMemInfo)
+	return hashSystemFiles(cpuinfo, meminfo), nil
+}
+
+func readSystemFiles(fs procfs.FileReader) (cpuinfo, meminfo []byte, err error) {
+	cpuinfo, err = fs.ReadFile(procfs.PathCPUInfo)
 	if err != nil {
-		return "", fmt.Errorf("ecoplugin: system hash: %w", err)
+		return nil, nil, fmt.Errorf("ecoplugin: system hash: %w", err)
 	}
-	return HashString(SimpleHash(string(cpuinfo) + string(meminfo))), nil
+	meminfo, err = fs.ReadFile(procfs.PathMemInfo)
+	if err != nil {
+		return nil, nil, fmt.Errorf("ecoplugin: system hash: %w", err)
+	}
+	return cpuinfo, meminfo, nil
+}
+
+func hashSystemFiles(cpuinfo, meminfo []byte) string {
+	return HashString(djb2(djb2(hashSeed, cpuinfo), meminfo))
 }
 
 // BinaryHash identifies the application. The paper's implementation
@@ -134,6 +152,14 @@ type Plugin struct {
 	mPredictLatency *metrics.BucketedHistogram
 	mRewritten      *metrics.Counter
 	mFallback       *metrics.Counter
+	mSource         map[PredictSource]*metrics.Counter // the three declared sources
+
+	// The last system files hashed and their hash. Both files are read
+	// on every submission; the 14 KB hash is recomputed only when the
+	// bytes read differ from these (FileReader's contract lets the
+	// plugin keep them).
+	hashedCPUInfo, hashedMemInfo []byte
+	sysHash                      string
 
 	// Stats for observability and the A2 ablation. Fallbacks counts
 	// submissions that were left unmodified because prediction failed
@@ -182,6 +208,10 @@ func New(fs procfs.FileReader, p Predictor, st settings.Store, opts ...Option) (
 	plugin.mPredictLatency = plugin.metrics.BucketedHistogram(metricPredictLatency)
 	plugin.mRewritten = plugin.metrics.Counter(metricRewritten)
 	plugin.mFallback = plugin.metrics.Counter(metricFallback)
+	plugin.mSource = make(map[PredictSource]*metrics.Counter, 3)
+	for _, src := range []PredictSource{SourcePreloaded, SourceCache, SourceCold} {
+		plugin.mSource[src] = plugin.metrics.Counter(metricSourcePrefix + string(src))
+	}
 	return plugin, nil
 }
 
@@ -268,7 +298,7 @@ func (p *Plugin) jobSubmit(ctx context.Context, desc *slurm.JobDesc, span *trace
 		// Every job is rewritten.
 	}
 
-	sysHash, err := SystemHash(p.fs)
+	sysHash, err := p.systemHash()
 	if err != nil {
 		return hashLatency, p.fallBack(span, err)
 	}
@@ -296,7 +326,7 @@ func (p *Plugin) jobSubmit(ctx context.Context, desc *slurm.JobDesc, span *trace
 	desc.MaxFreqKHz = res.Config.FreqKHz
 	p.Rewritten++
 	p.mRewritten.Inc()
-	p.metrics.Counter(metricSourcePrefix + string(res.Source)).Inc()
+	p.mSource[res.Source].Inc()
 	p.LastErr = nil
 	if span != nil {
 		span.SetAttr("verdict", VerdictRewritten)
@@ -305,6 +335,20 @@ func (p *Plugin) jobSubmit(ctx context.Context, desc *slurm.JobDesc, span *trace
 		span.SetAttr("predict_sim_latency", res.Latency.String())
 	}
 	return total, nil
+}
+
+// systemHash is SystemHash over the plugin's file system, reusing the
+// previous submission's hash when both files read back unchanged.
+func (p *Plugin) systemHash() (string, error) {
+	cpuinfo, meminfo, err := readSystemFiles(p.fs)
+	if err != nil {
+		return "", err
+	}
+	if p.sysHash == "" || !bytes.Equal(cpuinfo, p.hashedCPUInfo) || !bytes.Equal(meminfo, p.hashedMemInfo) {
+		p.hashedCPUInfo, p.hashedMemInfo = cpuinfo, meminfo
+		p.sysHash = hashSystemFiles(cpuinfo, meminfo)
+	}
+	return p.sysHash, nil
 }
 
 // fallBack records a fail-open outcome — the job proceeds unmodified —

@@ -35,7 +35,7 @@ func TestSimpleHashDistinguishesInputs(t *testing.T) {
 	}
 }
 
-func newRig(t *testing.T) (*simclock.Sim, *hw.Node, procfs.FileReader) {
+func newRig(t testing.TB) (*simclock.Sim, *hw.Node, procfs.FileReader) {
 	t.Helper()
 	sim := simclock.New()
 	node := hw.NewNode(sim, hw.DefaultSpec(), perfmodel.Default(), 1)
@@ -92,6 +92,13 @@ func (f *fakePredictor) Predict(ctx context.Context, req PredictRequest) (Predic
 func newPlugin(t *testing.T, pred *fakePredictor, state settings.State) (*Plugin, *settings.MemStore) {
 	t.Helper()
 	_, _, fs := newRig(t)
+	return newPluginOn(t, fs, pred, state)
+}
+
+// newPluginOn is newPlugin over a file system the test keeps a handle
+// on (to reconfigure its node, or to wrap it in fault injection).
+func newPluginOn(t *testing.T, fs procfs.FileReader, pred *fakePredictor, state settings.State) (*Plugin, *settings.MemStore) {
+	t.Helper()
 	st := settings.NewMemStore()
 	s := settings.Defaults()
 	s.State = state

@@ -9,16 +9,24 @@
 package procfs
 
 import (
+	"bytes"
 	"fmt"
 	"io/fs"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"ecosched/internal/hw"
 )
 
 // FileReader is the narrow read interface consumers depend on. The
 // real system's equivalent is os.ReadFile.
+//
+// The returned bytes are read-only. An implementation may hand every
+// caller the same backing array (FS does, and the fault decorators
+// return a prefix of it), so callers must not write to them; and an
+// implementation never changes bytes it has returned, so callers may
+// keep them to compare against a later read.
 type FileReader interface {
 	ReadFile(path string) ([]byte, error)
 }
@@ -26,12 +34,28 @@ type FileReader interface {
 // FS serves virtual /proc and /sys files for one node. Static files
 // are rendered from the node spec; dynamic files (current frequency,
 // governor) reflect the node's live state at read time.
+//
+// Every read consults the node, but text that cannot have changed is
+// not rendered again: /proc/meminfo depends on the spec alone and is
+// rendered in New, and /proc/cpuinfo depends on the spec and the
+// current frequency, so the last rendering is kept with the frequency
+// it was rendered at and replaced when a read finds another.
 type FS struct {
-	node *hw.Node
+	node    *hw.Node
+	meminfo []byte
+	cpuinfo atomic.Pointer[cpuInfoSnapshot]
+}
+
+// cpuInfoSnapshot is one immutable rendering of /proc/cpuinfo.
+type cpuInfoSnapshot struct {
+	freqKHz int
+	text    []byte
 }
 
 // New returns a virtual procfs over the given node.
-func New(node *hw.Node) *FS { return &FS{node: node} }
+func New(node *hw.Node) *FS {
+	return &FS{node: node, meminfo: renderMemInfo(node.Spec())}
+}
 
 // Paths served by FS.
 const (
@@ -48,9 +72,9 @@ const (
 func (f *FS) ReadFile(path string) ([]byte, error) {
 	switch path {
 	case PathCPUInfo:
-		return []byte(f.renderCPUInfo()), nil
+		return f.cpuInfo(), nil
 	case PathMemInfo:
-		return []byte(f.renderMemInfo()), nil
+		return f.meminfo, nil
 	case PathAvailFreqs:
 		return []byte(f.renderAvailFreqs()), nil
 	case PathCurFreq:
@@ -62,11 +86,21 @@ func (f *FS) ReadFile(path string) ([]byte, error) {
 	}
 }
 
-func (f *FS) renderCPUInfo() string {
-	spec := f.node.Spec()
-	var b strings.Builder
+// cpuInfo returns /proc/cpuinfo at the node's current frequency.
+func (f *FS) cpuInfo() []byte {
+	khz := f.node.CurrentFreqKHz()
+	if snap := f.cpuinfo.Load(); snap != nil && snap.freqKHz == khz {
+		return snap.text
+	}
+	snap := &cpuInfoSnapshot{freqKHz: khz, text: renderCPUInfo(f.node.Spec(), khz)}
+	f.cpuinfo.Store(snap)
+	return snap.text
+}
+
+func renderCPUInfo(spec hw.NodeSpec, freqKHz int) []byte {
+	var b bytes.Buffer
 	logical := spec.Cores * spec.ThreadsPerCore
-	mhz := float64(f.node.CurrentFreqKHz()) / 1000
+	mhz := float64(freqKHz) / 1000
 	for cpu := 0; cpu < logical; cpu++ {
 		core := cpu % spec.Cores // Linux enumerates siblings after all cores
 		fmt.Fprintf(&b, "processor\t: %d\n", cpu)
@@ -80,16 +114,16 @@ func (f *FS) renderCPUInfo() string {
 		fmt.Fprintf(&b, "cache size\t: 512 KB\n")
 		b.WriteString("\n")
 	}
-	return b.String()
+	return b.Bytes()
 }
 
-func (f *FS) renderMemInfo() string {
-	totalKB := int64(f.node.Spec().RAMGB) * 1024 * 1024
-	var b strings.Builder
+func renderMemInfo(spec hw.NodeSpec) []byte {
+	totalKB := int64(spec.RAMGB) * 1024 * 1024
+	var b bytes.Buffer
 	fmt.Fprintf(&b, "MemTotal:       %d kB\n", totalKB)
 	fmt.Fprintf(&b, "MemFree:        %d kB\n", totalKB*9/10)
 	fmt.Fprintf(&b, "MemAvailable:   %d kB\n", totalKB*9/10)
-	return b.String()
+	return b.Bytes()
 }
 
 func (f *FS) renderAvailFreqs() string {

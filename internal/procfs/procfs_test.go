@@ -1,9 +1,12 @@
 package procfs
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"io/fs"
 	"strings"
+	"sync"
 	"testing"
 
 	"ecosched/internal/hw"
@@ -97,4 +100,94 @@ func TestUnknownPathIsNotExist(t *testing.T) {
 	if !strings.Contains(err.Error(), "/proc/loadavg") {
 		t.Fatalf("error %v does not name the path", err)
 	}
+}
+
+// /proc/cpuinfo is kept between reads and re-rendered only when the
+// current frequency differs from the one it was rendered at. A fresh
+// FS (which has rendered nothing yet) is the oracle: after every
+// governor change and userspace pin the long-lived FS must serve
+// exactly what a fresh one does, moving back must give the first text
+// again, and bytes already handed out must never change.
+func TestCPUInfoFollowsCurrentFrequency(t *testing.T) {
+	node, f := newFS(t)
+	read := func() []byte {
+		t.Helper()
+		got, err := f.ReadFile(PathCPUInfo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := New(node).ReadFile(PathCPUInfo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("at %d kHz the kept cpuinfo differs from a fresh rendering", node.CurrentFreqKHz())
+		}
+		if mhz := fmt.Sprintf("cpu MHz\t\t: %.3f\n", float64(node.CurrentFreqKHz())/1000); !bytes.Contains(got, []byte(mhz)) {
+			t.Fatalf("cpuinfo does not report %q", mhz)
+		}
+		return got
+	}
+
+	first := read()
+	firstCopy := append([]byte(nil), first...)
+	if again := read(); !bytes.Equal(again, first) {
+		t.Fatal("two reads at one frequency differ")
+	}
+
+	if err := node.SetGovernor(hw.GovernorPowersave); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(read(), first) {
+		t.Fatal("cpuinfo did not change when the governor dropped the frequency")
+	}
+	if err := node.SetGovernor(hw.GovernorUserspace); err != nil {
+		t.Fatal(err)
+	}
+	for _, khz := range node.Spec().FrequenciesKHz {
+		if err := node.SetUserspaceFreq(khz); err != nil {
+			t.Fatal(err)
+		}
+		read()
+	}
+	if err := node.SetGovernor(hw.GovernorPerformance); err != nil {
+		t.Fatal(err)
+	}
+	if back := read(); !bytes.Equal(back, firstCopy) {
+		t.Fatal("cpuinfo after moving back to the first frequency is not the first text")
+	}
+	if !bytes.Equal(first, firstCopy) {
+		t.Fatal("bytes returned by an earlier read were modified by a later one")
+	}
+}
+
+// Readers on several goroutines (the predict-mode load generator, the
+// HTTP handlers) may share one FS over a node nobody is reconfiguring.
+func TestConcurrentReadsShareOneFS(t *testing.T) {
+	node, f := newFS(t)
+	want, err := New(node).ReadFile(PathCPUInfo) // f renders its first text under contention
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				for _, p := range []string{PathCPUInfo, PathMemInfo} {
+					got, err := f.ReadFile(p)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if p == PathCPUInfo && !bytes.Equal(got, want) {
+						t.Error("concurrent cpuinfo read differs")
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -6,10 +6,12 @@
 package settings
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 )
 
@@ -109,9 +111,17 @@ type Store interface {
 // EtcStore persists settings as JSON at a file path (the paper's
 // /etc/chronus/settings.json). Writes are atomic. A missing file loads
 // as Defaults, matching first-run behaviour.
+//
+// Every Load reads the file, so a change made by another process (an
+// admin's `chronus set state`) or a torn file is seen on the very next
+// call; the JSON is decoded again only when the bytes read differ from
+// the last ones that decoded successfully.
 type EtcStore struct {
 	mu   sync.Mutex
 	path string
+
+	decodedFrom []byte   // file contents that produced decoded
+	decoded     Settings // never handed out: Load returns a copy
 }
 
 // NewEtcStore returns a store at path.
@@ -131,16 +141,21 @@ func (e *EtcStore) Load() (Settings, error) {
 	if err != nil {
 		return Settings{}, fmt.Errorf("settings: %w", err)
 	}
-	var s Settings
-	if err := json.Unmarshal(data, &s); err != nil {
-		return Settings{}, fmt.Errorf("settings: parse %s: %w", e.path, err)
+	if e.decodedFrom == nil || !bytes.Equal(data, e.decodedFrom) {
+		var s Settings
+		if err := json.Unmarshal(data, &s); err != nil {
+			return Settings{}, fmt.Errorf("settings: parse %s: %w", e.path, err)
+		}
+		if s.State == "" {
+			s.State = StateUser
+		}
+		if !s.State.Valid() {
+			return Settings{}, fmt.Errorf("settings: invalid state %q in %s", s.State, e.path)
+		}
+		e.decodedFrom, e.decoded = data, s
 	}
-	if s.State == "" {
-		s.State = StateUser
-	}
-	if !s.State.Valid() {
-		return Settings{}, fmt.Errorf("settings: invalid state %q in %s", s.State, e.path)
-	}
+	s := e.decoded
+	s.LocalModels = slices.Clone(s.LocalModels) // the caller may SetModel on it
 	return s, nil
 }
 

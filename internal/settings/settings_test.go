@@ -163,3 +163,100 @@ func TestMemStoreRoundTrip(t *testing.T) {
 		t.Fatalf("MemStore lost state: %+v", got)
 	}
 }
+
+// Load decodes the file only when its bytes differ from the last ones
+// decoded, so everything that can change the file behind the store's
+// back must show on the very next Load.
+func TestLoadSeesChangesMadeBehindTheStore(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "etc", "chronus", "settings.json")
+	st := NewEtcStore(path)
+	s := Defaults()
+	s.SetModel(LocalModel{ModelID: 1, SystemID: 7, SystemHash: "11", AppHash: "22", Path: "/opt/chronus/m1"})
+	if err := st.Save(s); err != nil {
+		t.Fatal(err)
+	}
+	load := func() Settings {
+		t.Helper()
+		got, err := st.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	if got := load(); got.State != StateUser || len(got.LocalModels) != 1 {
+		t.Fatalf("first load = %+v", got)
+	}
+	load() // a second load, of unchanged bytes
+
+	// Another process (`chronus set state`) saves through its own store.
+	s.State = StateDeactivated
+	if err := NewEtcStore(path).Save(s); err != nil {
+		t.Fatal(err)
+	}
+	if got := load(); got.State != StateDeactivated {
+		t.Fatalf("state after an external save = %q, want deactivated", got.State)
+	}
+
+	// An editor rewrites the file in place.
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := strings.Replace(string(clean), `"deactivated"`, `"active"`, 1)
+	if err := os.WriteFile(path, []byte(edited), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := load(); got.State != StateActive {
+		t.Fatalf("state after an in-place edit = %q, want active", got.State)
+	}
+
+	// A torn or invalid file is an error, not the remembered value.
+	for _, bad := range []string{edited[:len(edited)/2], "", `{"state":"bogus"}`} {
+		if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := st.Load(); err == nil {
+			t.Fatalf("file %q loaded as %+v", bad, got)
+		}
+	}
+
+	// Repaired — to the very bytes decoded before the damage.
+	if err := os.WriteFile(path, []byte(edited), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := load(); got.State != StateActive || len(got.LocalModels) != 1 {
+		t.Fatalf("load after repair = %+v", got)
+	}
+
+	// Removed: first-run defaults again.
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if got := load(); got.State != StateUser || len(got.LocalModels) != 0 {
+		t.Fatalf("load of a removed file = %+v, want defaults", got)
+	}
+}
+
+// A loaded value belongs to the caller: PreloadModel-style
+// load → SetModel → (maybe never save) must not alter what the next
+// Load of the unchanged file returns.
+func TestLoadedModelsAreTheCallers(t *testing.T) {
+	st := NewEtcStore(filepath.Join(t.TempDir(), "settings.json"))
+	s := Defaults()
+	s.SetModel(LocalModel{ModelID: 1, SystemID: 7, AppHash: "22", Path: "/opt/chronus/m1"})
+	if err := st.Save(s); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		got, err := st.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.LocalModels) != 1 || got.LocalModels[0].ModelID != 1 || got.LocalModels[0].Path != "/opt/chronus/m1" {
+			t.Fatalf("load %d = %+v, want the saved model untouched", i, got.LocalModels)
+		}
+		got.SetModel(LocalModel{ModelID: 99, SystemID: 7, AppHash: "22", Path: "/tmp/replaced"}) // overwrites element 0
+		got.SetModel(LocalModel{ModelID: 100, SystemID: 8, AppHash: "22"})                       // appends
+		got.State = StateActive
+	}
+}

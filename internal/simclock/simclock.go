@@ -478,6 +478,7 @@ type Ticker struct {
 	sim      *Sim
 	interval time.Duration
 	fn       func(now time.Time)
+	fire     func() // t.tick, bound once so a tick schedules without allocating a closure
 	next     EventID
 	stopped  bool
 }
@@ -489,20 +490,23 @@ func (s *Sim) Tick(interval time.Duration, fn func(now time.Time)) *Ticker {
 		panic("simclock: non-positive tick interval")
 	}
 	t := &Ticker{sim: s, interval: interval, fn: fn}
+	t.fire = t.tick
 	t.schedule()
 	return t
 }
 
 func (t *Ticker) schedule() {
-	t.next = t.sim.After(t.interval, func() {
-		if t.stopped {
-			return
-		}
-		t.fn(t.sim.Now())
-		if !t.stopped {
-			t.schedule()
-		}
-	})
+	t.next = t.sim.After(t.interval, t.fire)
+}
+
+func (t *Ticker) tick() {
+	if t.stopped {
+		return
+	}
+	t.fn(t.sim.Now())
+	if !t.stopped {
+		t.schedule()
+	}
 }
 
 // Stop halts the ticker. It is idempotent.

@@ -171,12 +171,12 @@ type Controller struct {
 	// strictly sequential (plugins cannot submit), so one slot is safe.
 	descScratch JobDesc
 	nextID      int
-	workloads map[string]Workload
-	fallback  Workload
-	acct      *Accounting
-	onDone    []func(*Job)
-	policy    SchedulingPolicy
-	usage     map[uint32]float64 // user id → consumed CPU-seconds
+	workloads   map[string]Workload
+	fallback    Workload
+	acct        *Accounting
+	onDone      []func(*Job)
+	policy      SchedulingPolicy
+	usage       map[uint32]float64 // user id → consumed CPU-seconds
 	// userSlots assigns each user id a dense index into usageBy, the
 	// slice mirror of usage that keyed scheduling passes read: a slice
 	// load per pending job instead of a map probe. Both stores receive

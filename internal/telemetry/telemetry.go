@@ -93,30 +93,45 @@ func (tr *Trace) Aggregate() (Aggregate, error) {
 }
 
 // WriteCSV emits the trace in the layout Chronus's CSV repository
-// uses: one row per sample, seconds-from-start first.
+// uses: one row per sample, seconds-from-start first. No field this
+// layout produces needs CSV quoting, so rows are appended to one
+// buffer directly and written with a single Write.
 func (tr *Trace) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"seconds", "system_w", "cpu_w", "cpu_temp_c", "freq_khz"}); err != nil {
-		return err
-	}
+	const header = "seconds,system_w,cpu_w,cpu_temp_c,freq_khz\n"
+	const typicalRow = len("1234.0,123.00,123.00,45.00,2200000\n")
+	b := make([]byte, 0, len(header)+typicalRow*len(tr.Samples))
+	b = append(b, header...)
 	var t0 time.Time
 	if len(tr.Samples) > 0 {
 		t0 = tr.Samples[0].Time
 	}
 	for _, s := range tr.Samples {
-		rec := []string{
-			strconv.FormatFloat(s.Time.Sub(t0).Seconds(), 'f', 1, 64),
-			strconv.FormatFloat(s.SystemW, 'f', 2, 64),
-			strconv.FormatFloat(s.CPUW, 'f', 2, 64),
-			strconv.FormatFloat(s.CPUTempC, 'f', 2, 64),
-			strconv.Itoa(s.FreqKHz),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
+		b = appendFixed(b, s.Time.Sub(t0).Seconds(), 1)
+		b = append(b, ',')
+		b = appendFixed(b, s.SystemW, 2)
+		b = append(b, ',')
+		b = appendFixed(b, s.CPUW, 2)
+		b = append(b, ',')
+		b = appendFixed(b, s.CPUTempC, 2)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(s.FreqKHz), 10)
+		b = append(b, '\n')
 	}
-	cw.Flush()
-	return cw.Error()
+	_, err := w.Write(b)
+	return err
+}
+
+// appendFixed appends v as strconv.AppendFloat(b, v, 'f', prec, 64)
+// would, for prec ≤ 2. BMC readings are whole watts, degrees and
+// seconds, and strconv formats those through its arbitrary-precision
+// path; a whole number below 2⁵³ is its integer digits and prec zeros.
+func appendFixed(b []byte, v float64, prec int) []byte {
+	const exact = 1 << 53 // every float64 integer below this converts to int64 and back unchanged
+	if iv := int64(v); v > -exact && v < exact && float64(iv) == v && (iv != 0 || !math.Signbit(v)) {
+		b = strconv.AppendInt(b, iv, 10)
+		return append(append(b, '.'), "00"[:prec]...)
+	}
+	return strconv.AppendFloat(b, v, 'f', prec, 64)
 }
 
 // ReadCSV parses a trace written by WriteCSV. The origin time is
