@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race chaos fuzz cover bench bench-json bench-compare bench-smoke profile-cluster alloc-check serve-smoke scale-smoke loadgen-smoke clean
+.PHONY: all build vet lint test race chaos fuzz cover bench bench-smoke profile-cluster alloc-check serve-smoke scale-smoke loadgen-smoke clean
 
 all: vet lint test
 
@@ -8,11 +8,15 @@ build:
 	$(GO) build ./...
 
 # vet also fails on unformatted files (testdata holds deliberately
-# broken sources for the lint loader).
+# broken sources for the lint loader) and on any godoc Deprecated
+# marker: a replacement is landed in place of what it replaces, never
+# beside it.
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l $$(git ls-files '*.go' | grep -v testdata)); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
+	@deprecated=$$(grep -n 'Deprecated[:]' $$(git ls-files '*.go' | grep -v testdata)); \
+	if [ -n "$$deprecated" ]; then echo "Deprecated markers (migrate the callers and delete instead):"; echo "$$deprecated"; exit 1; fi
 
 # lint runs the project's own analyzer suite (internal/lint via
 # cmd/ecolint): determinism, context flow, hot-path I/O, lock scope,
@@ -65,36 +69,22 @@ cover:
 bench:
 	$(GO) test -run XXX -bench . -benchmem ./...
 
-# bench-json runs every benchmark once and records the results as
-# machine-readable JSON (BENCH_<date>.json), committed alongside the
-# code so perf regressions show up in review diffs.
-bench-json:
-	$(GO) test -run XXX -bench . -benchtime=1x -benchmem ./... | $(GO) run ./cmd/benchjson > BENCH_$$(date +%F).json
-
 # scale-smoke exercises the cluster-scale surface: the committed
-# 1,024-node 100k-submission spec through the ecosim CLI, the
+# 1,024-node 100k-submission spec through `chronus simulate`, the
 # power-capped policy spec with its fitness row, then the
 # replay-fidelity suites under the race detector on the reduced specs
 # (the 1M acceptance regression is build-gated out of -race runs and
 # covered by plain `make test`).
 scale-smoke: build
-	$(GO) run ./cmd/ecosim -spec specs/scale-smoke.json
-	$(GO) run ./cmd/ecosim -spec specs/powercap-smoke.json -bench
+	$(GO) run ./cmd/chronus simulate -spec specs/scale-smoke.json
+	$(GO) run ./cmd/chronus simulate -spec specs/powercap-smoke.json
 	$(GO) test -race -run 'ClusterReplayFidelity|ClusterPolicyReplayFidelity|DifferentSeedDiverges|CommittedSpecsParse' -v .
-
-# bench-compare is the perf regression gate: it re-runs the simulator
-# core benchmarks, converts them with benchjson, and diffs the result
-# against the most recent committed BENCH_<date>.json. The ns/op
-# threshold is deliberately loose (shared CI runners are noisy); the
-# allocs/op threshold is tight because allocation counts are exact.
-bench-compare: build
-	$(GO) build -o bin/benchjson ./cmd/benchjson
-	$(GO) test -run XXX -bench 'ClusterThroughput|SimSchedule$$|SubmitSteadyState' -benchmem . ./internal/simclock ./internal/slurm | ./bin/benchjson > bin/bench-head.json
-	./bin/benchjson -compare -max-slowdown 0.5 -max-alloc-increase 0.05 $$(ls BENCH_*.json | tail -n1) bin/bench-head.json
 
 # bench-smoke exercises the repository's end-to-end benchmark (the
 # bench/ module, which root `go test ./...` does not reach): its own
 # tests, then all four workloads at smoke sizes with their checks.
+# bench/ is the one perf trajectory: `bash bench/run.sh -repeat N`
+# records median + quartiles, `-compare a b` exits 1 past a bound.
 bench-smoke:
 	$(GO) test -C bench ./...
 	bash bench/run.sh -quick
@@ -127,10 +117,8 @@ alloc-check:
 serve-smoke:
 	./scripts/serve-smoke.sh
 
-# loadgen-smoke drives the sustained-load harness in both modes,
-# appends the bench rows into a benchjson report and fails if the
-# submit-latency SLO is violated. LOADGEN_REPORT overrides where the
-# rows land (CI points it at the day's BENCH_<date>.json).
+# loadgen-smoke drives the sustained-load harness in both modes and
+# fails if the submit-latency SLO is violated.
 loadgen-smoke:
 	./scripts/loadgen-smoke.sh
 

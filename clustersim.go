@@ -123,19 +123,6 @@ func (r *ClusterReport) WriteText(w io.Writer) {
 	}
 }
 
-// WriteBench renders the policy fitness as Go-benchmark rows the
-// benchjson tool ingests, so policy runs land in BENCH_*.json next to
-// the performance benchmarks and diff across commits. No-op when the
-// run had no policy block.
-func (r *ClusterReport) WriteBench(w io.Writer) {
-	pl := r.Policy
-	if pl == nil {
-		return
-	}
-	fmt.Fprintf(w, "BenchmarkPolicyFitness/%s/%s 1 %.3f energy-kj %.1f makespan-s %.4f wait-s %d violations %.3f score\n",
-		r.Spec, pl.Policies, pl.EnergyKJ, pl.MakespanS, pl.MeanWaitS, pl.CapViolations+pl.DeadlineMisses, pl.Score)
-}
-
 func (r *ClusterReport) meanWaitSeconds() float64 {
 	started := r.Totals.Completed + r.Totals.Failed
 	if started == 0 {

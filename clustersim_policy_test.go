@@ -3,7 +3,6 @@ package ecosched
 import (
 	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -147,47 +146,27 @@ func TestClusterPolicyReplayFidelity(t *testing.T) {
 	}
 }
 
-// TestPolicyReportBench pins the benchjson row the policy fitness
-// emits — the diffable artifact `ecosim -bench` and `chronus simulate
-// -bench` feed into BENCH_*.json comparisons.
-func TestPolicyReportBench(t *testing.T) {
+// TestPolicyReportFitness pins that a policy run reports a non-zero
+// fitness and renders it — the row `chronus simulate` prints for
+// comparing policy settings.
+func TestPolicyReportFitness(t *testing.T) {
 	spec := loadSpec(t, "powercap-smoke.json")
 	spec.MaxSubmissions = 400
 	run, err := RunClusterSpec(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	run.WriteBench(&buf)
-	row := buf.String()
-	if !strings.HasPrefix(row, "BenchmarkPolicyFitness/powercap-smoke/powercap-freqcap+cosched+defer-price 1 ") {
-		t.Fatalf("bench row = %q", row)
-	}
-	for _, unit := range []string{"energy-kj", "makespan-s", "wait-s", "violations", "score"} {
-		if !strings.Contains(row, " "+unit) {
-			t.Fatalf("bench row missing %s: %q", unit, row)
-		}
-	}
 	if run.Policy.Score <= 0 || run.Policy.EnergyKJ <= 0 {
 		t.Fatalf("fitness = %+v", run.Policy)
 	}
-
-	// Without a policy block there is no fitness row: the bench output
-	// stays empty rather than emitting a meaningless comparison point.
-	spec.Policy = nil
-	plain, err := RunClusterSpec(spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	plain.WriteBench(&buf)
-	if buf.Len() != 0 {
-		t.Fatalf("policy-free report emitted bench rows: %q", buf.String())
+	var buf bytes.Buffer
+	run.WriteText(&buf)
+	if !bytes.Contains(buf.Bytes(), []byte("\nfitness     ")) {
+		t.Fatalf("report lacks the fitness row:\n%s", buf.String())
 	}
 }
 
-// TestPolicyFlagsApply covers the CLI override path shared by ecosim
-// and chronus simulate.
+// TestPolicyFlagsApply covers chronus simulate's CLI override path.
 func TestPolicyFlagsApply(t *testing.T) {
 	t.Run("zero value is a no-op", func(t *testing.T) {
 		spec := loadSpec(t, "powercap-smoke.json")

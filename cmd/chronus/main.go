@@ -17,7 +17,7 @@
 //	chronus -data DIR trace JOB_ID
 //	chronus -data DIR events [-since DUR]
 //	chronus -data DIR serve [-addr HOST:PORT] [-pprof]
-//	chronus -data DIR loadgen [-mode submit|predict] [-n COUNT] [-rate R] [-train] [-bench]
+//	chronus -data DIR loadgen [-mode submit|predict] [-n COUNT] [-rate R] [-train]
 //	chronus simulate -spec FILE [-record FILE]
 //	chronus simulate -replay FILE
 package main
@@ -267,8 +267,7 @@ func cmdSlurmConfig(d *ecosched.Deployment, args []string) error {
 // cmdLoadgen runs the sustained-load harness against the deployment:
 // throughput, wall and simulated latency percentiles, and the submit
 // SLO. -train first runs the quick benchmark/train/preload pipeline so
-// predictions hit the warm path; -bench emits a go-bench result line
-// for cmd/benchjson instead of the text report.
+// predictions hit the warm path.
 func cmdLoadgen(d *ecosched.Deployment, args []string) error {
 	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
 	mode := fs.String("mode", ecosched.LoadgenModeSubmit, "submit (drive the controller) or predict (fan out over the prediction service)")
@@ -278,12 +277,11 @@ func cmdLoadgen(d *ecosched.Deployment, args []string) error {
 	budget := fs.Duration("budget", 0, "SLO latency threshold (0 = the deployment's configured budget)")
 	objective := fs.Float64("objective", 0, "SLO objective in (0,1); 0 = the 0.99 default")
 	train := fs.Bool("train", false, "quick-benchmark, train and preload a model first so predictions hit the warm path")
-	bench := fs.Bool("bench", false, "emit a go-bench result line (pipe into benchjson) instead of the text report")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 0 {
-		return fmt.Errorf("usage: chronus loadgen [-mode submit|predict] [-n COUNT] [-rate R] [-concurrency N] [-budget DUR] [-objective FRAC] [-train] [-bench]")
+		return fmt.Errorf("usage: chronus loadgen [-mode submit|predict] [-n COUNT] [-rate R] [-concurrency N] [-budget DUR] [-objective FRAC] [-train]")
 	}
 	if *train {
 		if _, err := d.BenchmarkConfigs(ecosched.QuickSweepConfigs(), 0); err != nil {
@@ -303,10 +301,6 @@ func cmdLoadgen(d *ecosched.Deployment, args []string) error {
 	})
 	if err != nil {
 		return err
-	}
-	if *bench {
-		rep.WriteBench(os.Stdout)
-		return nil
 	}
 	rep.WriteText(os.Stdout)
 	return nil
@@ -424,7 +418,6 @@ func cmdSimulate(args []string) error {
 	recordPath := fs.String("record", "", "record the generated submission stream to this JSONL log")
 	replayPath := fs.String("replay", "", "replay a submission log instead of generating one")
 	lanes := fs.Int("lanes", 0, "max partition lanes advancing concurrently (0 = one per CPU); any setting produces byte-identical output")
-	bench := fs.Bool("bench", false, "append the policy fitness as Go-benchmark rows (for benchjson)")
 	var pf ecosched.PolicyFlags
 	fs.Float64Var(&pf.PowerCapW, "power-cap", 0, "cluster power budget in watts (overrides the spec's policy block)")
 	fs.StringVar(&pf.CapMode, "cap-mode", "", "power-cap mode: wait or freqcap")
@@ -443,6 +436,8 @@ func cmdSimulate(args []string) error {
 		return fmt.Errorf("-spec and -replay are mutually exclusive")
 	case *replayPath != "" && *recordPath != "":
 		return fmt.Errorf("-record only applies to generated runs (-spec)")
+	case *replayPath != "" && pf != (ecosched.PolicyFlags{}):
+		return fmt.Errorf("policy flags only apply to generated runs (-spec); a replay runs under the policy block its log embeds")
 	case *replayPath != "":
 		f, err := os.Open(*replayPath)
 		if err != nil {
@@ -484,9 +479,6 @@ func cmdSimulate(args []string) error {
 		return err
 	}
 	report.WriteText(os.Stdout)
-	if *bench {
-		report.WriteBench(os.Stdout)
-	}
 	if *recordPath != "" {
 		fmt.Printf("recorded     %s (replay with `chronus simulate -replay %s`)\n", *recordPath, *recordPath)
 	}

@@ -149,16 +149,6 @@ func TestCLILoadgenAndSLO(t *testing.T) {
 		t.Fatalf("slo output:\n%s", out)
 	}
 
-	// -bench emits a benchjson-parseable row as the last line.
-	out = captureStdout(t, func() error {
-		return run([]string{"-data", data, "loadgen", "-n", "10", "-rate", "1000", "-bench"})
-	})
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	last := lines[len(lines)-1]
-	if !strings.HasPrefix(last, "BenchmarkLoadgenSubmit 10 ") || !strings.Contains(last, "ns/op") {
-		t.Fatalf("loadgen -bench line = %q", last)
-	}
-
 	if err := run([]string{"-data", data, "loadgen", "-mode", "bogus"}); err == nil {
 		t.Fatal("loadgen -mode bogus accepted")
 	}
@@ -167,6 +157,40 @@ func TestCLILoadgenAndSLO(t *testing.T) {
 	}
 	if err := run([]string{"-data", filepath.Join(t.TempDir(), "empty"), "slo"}); err == nil {
 		t.Fatal("slo with no metrics file accepted")
+	}
+}
+
+// TestCLISimulate drives the one cluster-simulation CLI: a recorded
+// run replays to the same report, and flags that a replay would
+// silently ignore (-record, any policy flag: the log's embedded spec
+// decides the policies) are usage errors rather than a report printed
+// as if they applied.
+func TestCLISimulate(t *testing.T) {
+	spec := filepath.Join("..", "..", "specs", "race-smoke.json")
+	log := filepath.Join(t.TempDir(), "run.jsonl")
+
+	recorded := captureStdout(t, func() error {
+		return run([]string{"simulate", "-spec", spec, "-record", log})
+	})
+	replayed := captureStdout(t, func() error {
+		return run([]string{"simulate", "-replay", log})
+	})
+	if report, _, _ := strings.Cut(recorded, "recorded "); report != replayed {
+		t.Fatalf("replay differs from the recorded run:\n%s\nvs\n%s", report, replayed)
+	}
+
+	for _, args := range [][]string{
+		{"simulate"},
+		{"simulate", "-spec", spec, "-replay", log},
+		{"simulate", "-replay", log, "-record", log + ".2"},
+		{"simulate", "-replay", log, "-power-cap", "5000"},
+		{"simulate", "-replay", log, "-cap-mode", "freqcap"},
+		{"simulate", "-replay", log, "-cosched"},
+		{"simulate", "-replay", log, "-defer-signal", "price", "-defer-threshold", "0.3", "-defer-max", "1h"},
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("chronus %v succeeded, want a usage error", args)
+		}
 	}
 }
 

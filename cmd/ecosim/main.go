@@ -2,114 +2,30 @@
 // simulated cluster: benchmark a sweep, train and pre-load a model,
 // then submit the same HPCG job twice — once plain, once with the
 // `--comment "chronus"` opt-in — and print the energy accounting the
-// eco plugin's rewrite saves.
-//
-// With -spec it instead runs a cluster-scale simulation from a
-// declarative workload spec (optionally recording the submission
-// stream with -record); with -replay it re-runs a recorded stream and
-// reproduces the original accounting byte for byte.
+// eco plugin's rewrite saves. (Cluster-scale simulation from a
+// workload spec is `chronus simulate`.)
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"ecosched"
 	"ecosched/internal/ecoplugin"
 	"ecosched/internal/slurm"
-	"ecosched/internal/workload"
 )
 
 func main() {
 	dataDir := flag.String("data", "", "state directory (default: a temporary directory)")
 	model := flag.String("model", "brute-force", "optimizer to train")
 	full := flag.Bool("full", false, "benchmark the full 138-configuration paper sweep instead of the quick subset")
-	spec := flag.String("spec", "", "cluster-scale mode: run the workload spec at this path instead of the paper story")
-	record := flag.String("record", "", "with -spec: record the generated submission stream to this JSONL log")
-	replay := flag.String("replay", "", "cluster-scale mode: replay a submission log recorded with -record")
-	lanes := flag.Int("lanes", 0, "cluster-scale mode: max partition lanes advancing concurrently (0 = one per CPU); any setting produces byte-identical output")
-	bench := flag.Bool("bench", false, "with -spec: append the policy fitness as Go-benchmark rows (for benchjson)")
-	var pf ecosched.PolicyFlags
-	flag.Float64Var(&pf.PowerCapW, "power-cap", 0, "with -spec: cluster power budget in watts (overrides the spec's policy block)")
-	flag.StringVar(&pf.CapMode, "cap-mode", "", "with -spec: power-cap mode, wait or freqcap")
-	flag.BoolVar(&pf.CoSchedule, "cosched", false, "with -spec: co-schedule complementary job profiles on one node")
-	flag.StringVar(&pf.DeferSignal, "defer-signal", "", "with -spec: deferral signal, price or carbon")
-	flag.Float64Var(&pf.DeferThreshold, "defer-threshold", 0, "with -spec: dispatch deferrable jobs when the signal is at or below this")
-	flag.DurationVar(&pf.DeferMax, "defer-max", 0, "with -spec: longest a deferrable job may be held past submission")
 	flag.Parse()
 
-	var err error
-	switch {
-	case *spec != "" && *replay != "":
-		err = fmt.Errorf("-spec and -replay are mutually exclusive")
-	case *replay != "" && *record != "":
-		err = fmt.Errorf("-record only applies to generated runs (-spec)")
-	case *spec != "":
-		err = runSpec(*spec, *record, *lanes, pf, *bench)
-	case *replay != "":
-		err = runReplay(*replay, *lanes)
-	case *record != "":
-		err = fmt.Errorf("-record requires -spec")
-	default:
-		err = run(*dataDir, *model, *full)
-	}
-	if err != nil {
+	if err := run(*dataDir, *model, *full); err != nil {
 		fmt.Fprintln(os.Stderr, "ecosim:", err)
 		os.Exit(1)
 	}
-}
-
-// runSpec generates the spec's submission stream and runs it through
-// the cluster it describes, optionally recording a replayable log.
-func runSpec(specPath, recordPath string, lanes int, pf ecosched.PolicyFlags, bench bool) error {
-	spec, err := workload.LoadSpec(specPath)
-	if err != nil {
-		return err
-	}
-	if err := pf.Apply(&spec); err != nil {
-		return err
-	}
-	var rec io.Writer
-	var recFile *os.File
-	if recordPath != "" {
-		if recFile, err = os.Create(recordPath); err != nil {
-			return err
-		}
-		rec = recFile
-	}
-	report, err := ecosched.RunClusterSpec(spec, rec, ecosched.WithLanes(lanes))
-	if recFile != nil {
-		if cerr := recFile.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		return err
-	}
-	report.WriteText(os.Stdout)
-	if bench {
-		report.WriteBench(os.Stdout)
-	}
-	if recordPath != "" {
-		fmt.Printf("recorded     %s (replay with `ecosim -replay %s`)\n", recordPath, recordPath)
-	}
-	return nil
-}
-
-func runReplay(logPath string, lanes int) error {
-	f, err := os.Open(logPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	report, err := ecosched.ReplayClusterLog(f, ecosched.WithLanes(lanes))
-	if err != nil {
-		return err
-	}
-	report.WriteText(os.Stdout)
-	return nil
 }
 
 func run(dataDir, model string, full bool) error {

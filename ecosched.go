@@ -7,13 +7,13 @@
 // embedded database, and the optimizer models (brute force, linear
 // regression, random forest, genetic).
 //
-// The entry point is NewDeployment, which wires a complete simulated
-// cluster: hardware nodes, slurmctld with the eco plugin enabled,
-// Chronus with repository/blob/settings storage, and the IPMI
-// telemetry path. From there the paper's whole workflow runs in
+// The entry point is New, which wires a complete simulated cluster for
+// a data directory: hardware nodes, slurmctld with the eco plugin
+// enabled, Chronus with repository/blob/settings storage, and the
+// IPMI telemetry path. From there the paper's whole workflow runs in
 // simulated time:
 //
-//	d, _ := ecosched.NewDeployment(ecosched.Options{DataDir: dir})
+//	d, _ := ecosched.New(dir, ecosched.WithSeed(7))
 //	d.BenchmarkConfigs(ecosched.PaperSweepConfigs(), 0) // chronus benchmark
 //	meta, _ := d.TrainModel("brute-force")              // chronus init-model
 //	d.PreloadModel(meta.ID)                             // chronus load-model
@@ -231,35 +231,25 @@ type Deployment struct {
 	fs      procfs.FileReader
 	dataDir string
 	// closers tear down everything acquired during construction, in
-	// reverse acquisition order. Both the NewDeployment error paths
-	// and Close run the same list, so a store acquired after a failing
+	// reverse acquisition order. Both New's error paths and Close run
+	// the same list, so a store acquired after a failing
 	// step can never leak.
 	closers []func() error
 }
 
-// New builds a deployment for dataDir, configured by functional
-// options — the preferred constructor:
+// New builds the full stack of the paper's Figure 2 in simulation for
+// dataDir — head node (slurmctld + Chronus + eco plugin), compute
+// node(s) with BMCs, and the storage substrate — configured by
+// functional options:
 //
 //	d, err := ecosched.New(dir, ecosched.WithNodes(4), ecosched.WithSeed(7))
-func New(dataDir string, opts ...Option) (*Deployment, error) {
-	o := Options{DataDir: dataDir}
-	for _, opt := range opts {
-		opt(&o)
+func New(dataDir string, options ...Option) (*Deployment, error) {
+	opts := Options{DataDir: dataDir}
+	for _, opt := range options {
+		opt(&opts)
 	}
-	return buildDeployment(o)
-}
-
-// NewDeployment builds the full stack of the paper's Figure 2 in
-// simulation: head node (slurmctld + Chronus + eco plugin), compute
-// node(s) with BMCs, and the storage substrate. It is the
-// struct-options compatibility wrapper around New.
-func NewDeployment(opts Options) (*Deployment, error) {
-	return buildDeployment(opts)
-}
-
-func buildDeployment(opts Options) (*Deployment, error) {
 	if opts.DataDir == "" {
-		return nil, fmt.Errorf("ecosched: Options.DataDir is required")
+		return nil, fmt.Errorf("ecosched: a data directory is required")
 	}
 	if opts.Nodes <= 0 {
 		opts.Nodes = 1
@@ -305,7 +295,7 @@ func buildDeployment(opts Options) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	cluster, err := slurm.NewController(sim, conf, nodes...)
+	cluster, err := slurm.NewCluster(sim, conf, slurm.WithNodes(nodes...))
 	if err != nil {
 		return nil, err
 	}
@@ -399,14 +389,7 @@ func buildDeployment(opts Options) (*Deployment, error) {
 	}
 	settingsStore := fault.Settings(rawSettings, inj)
 
-	headNode := nodes[0]
-	fs := fault.FileReader(procfs.New(headNode), inj)
-	rawSystem, err := core.NewIPMISystemService(sim, bmcs[0], headNode, false)
-	if err != nil {
-		cleanup()
-		return nil, err
-	}
-	var system core.SystemService = fault.System(rawSystem, inj)
+	fs := fault.FileReader(procfs.New(nodes[0]), inj)
 	runner, err := core.NewHPCGRunner(cluster, opts.HPCGPath, calib.JobGFLOP)
 	if err != nil {
 		cleanup()
@@ -430,7 +413,7 @@ func buildDeployment(opts Options) (*Deployment, error) {
 		bnode := hw.NewNode(bsim, hw.DefaultSpec(), calib, seed+uint64(idx)*0x9e3779b9)
 		bbmc := ipmi.NewBMC(bnode)
 		bbmc.ChmodWorldReadable()
-		bcluster, err := slurm.NewController(bsim, benchConf, bnode)
+		bcluster, err := slurm.NewCluster(bsim, benchConf, slurm.WithNodes(bnode))
 		if err != nil {
 			return core.BenchNode{}, err
 		}
@@ -448,7 +431,6 @@ func buildDeployment(opts Options) (*Deployment, error) {
 		SysInfo:  newSysInfo(fs),
 		FS:       fs,
 		Runner:   runner,
-		System:   system,
 		LocalDir: filepath.Join(opts.DataDir, "opt", "chronus", "optimizer"),
 		Now:      sim.Now,
 		LogW:     opts.LogW,

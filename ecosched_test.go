@@ -12,12 +12,9 @@ import (
 	"ecosched/internal/slurm"
 )
 
-func newDeployment(t *testing.T, opts Options) *Deployment {
+func newDeployment(t *testing.T, opts ...Option) *Deployment {
 	t.Helper()
-	if opts.DataDir == "" {
-		opts.DataDir = t.TempDir()
-	}
-	d, err := NewDeployment(opts)
+	d, err := New(t.TempDir(), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,19 +23,19 @@ func newDeployment(t *testing.T, opts Options) *Deployment {
 }
 
 func TestNewDeploymentRequiresDataDir(t *testing.T) {
-	if _, err := NewDeployment(Options{}); err == nil {
+	if _, err := New(""); err == nil {
 		t.Fatal("missing DataDir accepted")
 	}
 }
 
 func TestNewDeploymentUnknownRepo(t *testing.T) {
-	if _, err := NewDeployment(Options{DataDir: t.TempDir(), Repository: "oracle"}); err == nil {
+	if _, err := New(t.TempDir(), WithRepository("oracle")); err == nil {
 		t.Fatal("unknown repository kind accepted")
 	}
 }
 
 func TestDeploymentDefaults(t *testing.T) {
-	d := newDeployment(t, Options{})
+	d := newDeployment(t)
 	if len(d.Nodes) != 1 {
 		t.Fatalf("%d nodes", len(d.Nodes))
 	}
@@ -55,7 +52,7 @@ func TestDeploymentDefaults(t *testing.T) {
 }
 
 func TestCSVRepositoryOption(t *testing.T) {
-	d := newDeployment(t, Options{Repository: RepoCSV})
+	d := newDeployment(t, WithRepository(RepoCSV))
 	if _, err := d.BenchmarkConfigs(QuickSweepConfigs()[:2], 0); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +86,7 @@ func TestQuickSweepContainsBestAndStandard(t *testing.T) {
 
 // TestUserJourney is the README quickstart, verified.
 func TestUserJourney(t *testing.T) {
-	d := newDeployment(t, Options{})
+	d := newDeployment(t)
 	if _, err := d.BenchmarkConfigs(QuickSweepConfigs(), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -121,14 +118,14 @@ func TestUserJourney(t *testing.T) {
 }
 
 func TestTrainModelWithoutBenchmarks(t *testing.T) {
-	d := newDeployment(t, Options{})
+	d := newDeployment(t)
 	if _, err := d.TrainModel("brute-force"); err == nil {
 		t.Fatal("training without benchmarks accepted")
 	}
 }
 
 func TestTraceExperimentMatchesTable2(t *testing.T) {
-	d := newDeployment(t, Options{})
+	d := newDeployment(t)
 	res, err := d.RunTraceExperiment()
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +162,7 @@ func TestTraceExperimentMatchesTable2(t *testing.T) {
 }
 
 func TestPowerAccuracyExperimentMatchesEq1(t *testing.T) {
-	d := newDeployment(t, Options{})
+	d := newDeployment(t)
 	res, err := d.RunPowerAccuracyExperiment()
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +192,7 @@ func TestEq2Reduction(t *testing.T) {
 }
 
 func TestPreloadAblation(t *testing.T) {
-	d := newDeployment(t, Options{})
+	d := newDeployment(t)
 	if _, err := d.BenchmarkConfigs(QuickSweepConfigs(), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +222,7 @@ func TestSweepExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep skipped in -short mode")
 	}
-	d := newDeployment(t, Options{})
+	d := newDeployment(t)
 	res, err := d.RunSweepExperiment()
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +269,7 @@ func TestSweepExperiment(t *testing.T) {
 }
 
 func TestOptimizerAblationAfterQuickSweep(t *testing.T) {
-	d := newDeployment(t, Options{})
+	d := newDeployment(t)
 	if _, err := d.BenchmarkConfigs(QuickSweepConfigs(), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +294,7 @@ func TestOptimizerAblationAfterQuickSweep(t *testing.T) {
 }
 
 func TestComparisonExperiment(t *testing.T) {
-	d := newDeployment(t, Options{})
+	d := newDeployment(t)
 	if _, err := d.BenchmarkConfigs(QuickSweepConfigs(), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +321,7 @@ func TestComparisonExperiment(t *testing.T) {
 }
 
 func TestMultiNodeDeployment(t *testing.T) {
-	d := newDeployment(t, Options{Nodes: 4})
+	d := newDeployment(t, WithNodes(4))
 	if len(d.Nodes) != 4 {
 		t.Fatalf("%d nodes", len(d.Nodes))
 	}
@@ -359,7 +356,7 @@ func TestFmtDuration(t *testing.T) {
 }
 
 func TestHeterogeneousRooflineNodes(t *testing.T) {
-	d := newDeployment(t, Options{Nodes: 1, RooflineNodes: 1})
+	d := newDeployment(t, WithNodes(1), WithRooflineNodes(1))
 	if len(d.Nodes) != 2 {
 		t.Fatalf("%d nodes", len(d.Nodes))
 	}
@@ -395,7 +392,7 @@ func TestHeterogeneousRooflineNodes(t *testing.T) {
 }
 
 func TestGovernorAblation(t *testing.T) {
-	d := newDeployment(t, Options{})
+	d := newDeployment(t)
 	rows, err := d.RunGovernorAblation()
 	if err != nil {
 		t.Fatal(err)
@@ -425,7 +422,7 @@ func TestGovernorAblation(t *testing.T) {
 }
 
 func TestAddStreamApplicationFacade(t *testing.T) {
-	d := newDeployment(t, Options{})
+	d := newDeployment(t)
 	if _, err := d.BenchmarkConfigs(QuickSweepConfigs(), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +480,7 @@ func TestParallelismDoesNotChangeResults(t *testing.T) {
 	configs := QuickSweepConfigs()
 	rows := make([][]repository.Benchmark, 2)
 	for i, p := range []int{1, 4} {
-		d := newDeployment(t, Options{Parallelism: p})
+		d := newDeployment(t, WithParallelism(p))
 		if _, err := d.BenchmarkConfigs(configs, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -514,7 +511,7 @@ func TestParallelismDoesNotChangeResults(t *testing.T) {
 func TestSweepAllocationsPerConfig(t *testing.T) {
 	const ceiling = 500
 	configs := PaperSweepConfigs()
-	d := newDeployment(t, Options{Parallelism: 1})
+	d := newDeployment(t, WithParallelism(1))
 	var sweepErr error
 	allocs := testing.AllocsPerRun(1, func() {
 		if _, err := d.BenchmarkConfigs(configs, 3*time.Second); err != nil {

@@ -120,84 +120,11 @@ func (s *BenchmarkService) run(ctx context.Context, configs []perfmodel.Config, 
 		return 0, err
 	}
 
-	if _, rebinds := s.deps.Runner.(ClusterRebinder); rebinds && s.deps.Provision != nil {
-		// Worker-pool sweep: per-config node stacks, batched writes.
-		if err := s.runPooled(ctx, runID, sysID, sysRec, appHash, configs, interval); err != nil {
-			return runID, err
-		}
-	} else {
-		// Serial in-place sweep on the deployment's own node (the
-		// paper's shape): one configuration at a time, one row per save.
-		for _, cfg := range configs {
-			if err := ctx.Err(); err != nil {
-				return runID, err
-			}
-			if err := cfg.Validate(sysRec.Cores, sysRec.ThreadsPerCore); err != nil {
-				return runID, err
-			}
-			if _, err := s.benchmarkOne(ctx, runID, sysID, appHash, cfg, interval); err != nil {
-				return runID, err
-			}
-		}
+	if err := s.runPooled(ctx, runID, sysID, sysRec, appHash, configs, interval); err != nil {
+		return runID, err
 	}
 	s.log.Printf("Run data has been saved to the repository (run %d).", runID)
 	return runID, nil
-}
-
-// benchmarkOne is steps 1–3 of the paper's benchmarking flow: start
-// the job, sample IPMI until it finishes, save the benchmark.
-func (s *BenchmarkService) benchmarkOne(ctx context.Context, runID, sysID int64, appHash string, cfg perfmodel.Config, interval time.Duration) (_ repository.Benchmark, err error) {
-	_, span := s.deps.Tracer.Start(ctx, spanBenchmarkRun)
-	if span != nil {
-		span.SetAttr("config", cfg.String())
-		defer func() { span.End(err) }()
-	}
-	stop := s.deps.System.StartSampling(interval)
-	result, err := s.deps.Runner.Run(cfg)
-	trace := stop()
-	if err != nil {
-		s.deps.Metrics.Counter(metricBenchmarkFailed).Inc()
-		return repository.Benchmark{}, err
-	}
-	if span != nil {
-		span.SetAttr("gflops", fmt.Sprintf("%.3f", result.GFLOPS))
-		span.SetAttr("sim_runtime", result.Runtime.String())
-	}
-	s.deps.Metrics.Counter(metricBenchmarkRuns).Inc()
-	s.deps.Metrics.Histogram(metricBenchmarkJobRuntime).ObserveDuration(result.Runtime)
-	agg, err := trace.Aggregate()
-	if err != nil {
-		return repository.Benchmark{}, fmt.Errorf("core: benchmark trace: %w", err)
-	}
-	s.log.Printf("GFLOP/s rating found: %.5f", result.GFLOPS)
-
-	// Persist the raw samples next to the aggregate: the "energy usage
-	// over time" the model-building step may consume.
-	traceKey := fmt.Sprintf("traces/run%d/%dc-%dkHz-%dtpc.csv", runID, cfg.Cores, cfg.FreqKHz, cfg.ThreadsPerCore)
-	var csvBuf bytes.Buffer
-	if err := trace.WriteCSV(&csvBuf); err != nil {
-		return repository.Benchmark{}, fmt.Errorf("core: trace CSV: %w", err)
-	}
-	if err := s.deps.Blob.Put(traceKey, csvBuf.Bytes()); err != nil {
-		return repository.Benchmark{}, err
-	}
-
-	b := repository.Benchmark{
-		RunID: runID, SystemID: sysID, AppHash: appHash,
-		Cores: cfg.Cores, FreqKHz: cfg.FreqKHz, ThreadsPerCore: cfg.ThreadsPerCore,
-		GFLOPS:     result.GFLOPS,
-		AvgSystemW: agg.AvgSystemW, AvgCPUW: agg.AvgCPUW,
-		SystemKJ: agg.SystemKJ, CPUKJ: agg.CPUKJ,
-		RuntimeSeconds: result.Runtime.Seconds(),
-		Created:        s.deps.Now(),
-		TraceKey:       traceKey,
-	}
-	id, err := s.deps.Repo.SaveBenchmark(b)
-	if err != nil {
-		return repository.Benchmark{}, err
-	}
-	b.ID = id
-	return b, nil
 }
 
 // registerSystem collects and persists the system identity (idempotent

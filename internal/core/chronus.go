@@ -21,6 +21,7 @@ import (
 	"ecosched/internal/procfs"
 	"ecosched/internal/repository"
 	"ecosched/internal/settings"
+	"ecosched/internal/slurm"
 	"ecosched/internal/sysinfo"
 	"ecosched/internal/telemetry"
 	"ecosched/internal/trace"
@@ -36,6 +37,10 @@ type ApplicationRunner interface {
 	BinaryPath() string
 	// Run blocks (in simulated time) until the job finishes.
 	Run(cfg perfmodel.Config) (RunResult, error)
+	// Rebind returns an equivalent runner — same application, same job
+	// size — bound to a freshly provisioned cluster. The benchmark
+	// sweep measures every configuration through it (see sweep.go).
+	Rebind(c *slurm.Controller) (ApplicationRunner, error)
 }
 
 // RunResult is what one application run reports back.
@@ -46,7 +51,7 @@ type RunResult struct {
 
 // SystemService is the paper's System Service integration interface:
 // telemetry sampling while benchmarks run. The IPMI implementation
-// lives in ipmiservice.go.
+// lives in runner.go.
 type SystemService interface {
 	// StartSampling begins collecting a trace at the given interval;
 	// the returned stop function ends collection and returns the trace.
@@ -61,7 +66,6 @@ type Deps struct {
 	SysInfo  sysinfo.Provider
 	FS       procfs.FileReader // for the plugin-visible system hash
 	Runner   ApplicationRunner
-	System   SystemService
 	LocalDir string           // head-node model directory (paper: /opt/chronus/optimizer)
 	Now      func() time.Time // simulated clock
 	LogW     io.Writer        // nil = discard
@@ -85,13 +89,12 @@ type Deps struct {
 	// runs can tear model reads without touching the real disk.
 	ReadFile func(string) ([]byte, error)
 
-	// Provision, when non-nil, turns the benchmark sweep into a
-	// worker-pool fan-out: each configuration is measured on its own
-	// independently provisioned node stack (see sweep.go). Nil keeps
-	// the paper's serial in-place sweep on Runner/System.
+	// Provision builds the node stack each sweep configuration is
+	// measured on: the benchmark sweep is a worker-pool fan-out over
+	// independently provisioned nodes (see sweep.go).
 	Provision NodeProvisioner
-	// Parallelism caps how many configurations are measured at once
-	// when Provision is set; <= 0 means GOMAXPROCS.
+	// Parallelism caps how many configurations are measured at once;
+	// <= 0 means GOMAXPROCS.
 	Parallelism int
 }
 
@@ -109,8 +112,8 @@ func (d Deps) validate() error {
 		return fmt.Errorf("core: nil file system")
 	case d.Runner == nil:
 		return fmt.Errorf("core: nil application runner")
-	case d.System == nil:
-		return fmt.Errorf("core: nil system service")
+	case d.Provision == nil:
+		return fmt.Errorf("core: nil node provisioner")
 	case d.LocalDir == "":
 		return fmt.Errorf("core: empty local model directory")
 	case d.Now == nil:

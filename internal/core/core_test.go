@@ -44,7 +44,19 @@ type rig struct {
 	plugin     *ecoplugin.Plugin
 }
 
+// newRig is the default rig: the production sweep at parallelism 1,
+// no sampler ledger, no provisioning hook.
 func newRig(t *testing.T) *rig {
+	t.Helper()
+	return newPooledRig(t, 1, nil, nil)
+}
+
+// newPooledRig wires the rig with an explicit sweep parallelism.
+// ledger, when non-nil, counts sampler starts and stops on every
+// provisioned node; hook, when non-nil, runs before each provisioning
+// with the configuration index (used to inject cancellations and
+// failures mid-sweep).
+func newPooledRig(t *testing.T, parallelism int, ledger *samplerLedger, hook func(idx int) error) *rig {
 	t.Helper()
 	sim := simclock.New()
 	calib := perfmodel.Default()
@@ -53,7 +65,7 @@ func newRig(t *testing.T) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	controller, err := slurm.NewController(sim, conf, node)
+	controller, err := slurm.NewCluster(sim, conf, slurm.WithNodes(node))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,28 +77,52 @@ func newRig(t *testing.T) *rig {
 	}
 	t.Cleanup(func() { repo.Close() })
 
-	bmc := ipmi.NewBMC(node)
-	bmc.ChmodWorldReadable()
-	system, err := NewIPMISystemService(sim, bmc, node, false)
-	if err != nil {
-		t.Fatal(err)
-	}
 	runner, err := NewHPCGRunner(controller, hpcgPath, calib.JobGFLOP)
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	benchConf, err := slurm.ParseConf("ClusterName=bench\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	provision := func(idx int) (BenchNode, error) {
+		if hook != nil {
+			if err := hook(idx); err != nil {
+				return BenchNode{}, err
+			}
+		}
+		bsim := simclock.New()
+		bnode := hw.NewNode(bsim, hw.DefaultSpec(), calib, 1+uint64(idx)*0x9e3779b9)
+		bbmc := ipmi.NewBMC(bnode)
+		bbmc.ChmodWorldReadable()
+		bcluster, err := slurm.NewCluster(bsim, benchConf, slurm.WithNodes(bnode))
+		if err != nil {
+			return BenchNode{}, err
+		}
+		bsystem, err := NewIPMISystemService(bsim, bbmc, bnode, false)
+		if err != nil {
+			return BenchNode{}, err
+		}
+		var sys SystemService = bsystem
+		if ledger != nil {
+			sys = ledger.wrap(sys)
+		}
+		return BenchNode{Cluster: bcluster, System: sys}, nil
+	}
+
 	st := settings.NewMemStore()
 	chronus, err := New(Deps{
-		Repo:     repo,
-		Blob:     blob.NewMemory(),
-		Settings: st,
-		SysInfo:  sysinfo.NewLscpu(fs),
-		FS:       fs,
-		Runner:   runner,
-		System:   system,
-		LocalDir: t.TempDir(),
-		Now:      sim.Now,
+		Repo:        repo,
+		Blob:        blob.NewMemory(),
+		Settings:    st,
+		SysInfo:     sysinfo.NewLscpu(fs),
+		FS:          fs,
+		Runner:      runner,
+		LocalDir:    t.TempDir(),
+		Now:         sim.Now,
+		Provision:   provision,
+		Parallelism: parallelism,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -97,10 +133,9 @@ func newRig(t *testing.T) *rig {
 	}
 	controller.RegisterPlugin(plugin)
 
-	r := &rig{sim: sim, node: node, controller: controller, fs: fs,
+	return &rig{sim: sim, node: node, controller: controller, fs: fs,
 		repo: repo, blob: chronus.deps.Blob, settings: st, chronus: chronus,
 		plugin: plugin}
-	return r
 }
 
 func cfg3(cores int, ghz float64, tpc int) perfmodel.Config {

@@ -21,27 +21,36 @@ import (
 // node); the services must surface those errors — and the submit-time
 // path must fail open.
 
-// failingRunner errors after n successful runs.
+// failingRunner errors after n successful runs, counted across every
+// cluster it is rebound to (the rig sweeps at parallelism 1, so the
+// shared counter is only ever touched by one worker).
 type failingRunner struct {
 	inner ApplicationRunner
 	after int
-	runs  int
+	runs  *int
 }
 
 func (f *failingRunner) Name() string       { return f.inner.Name() }
 func (f *failingRunner) BinaryPath() string { return f.inner.BinaryPath() }
 func (f *failingRunner) Run(cfg perfmodel.Config) (RunResult, error) {
-	if f.runs >= f.after {
+	if *f.runs >= f.after {
 		return RunResult{}, fmt.Errorf("injected: node crashed")
 	}
-	f.runs++
+	*f.runs++
 	return f.inner.Run(cfg)
+}
+func (f *failingRunner) Rebind(c *slurm.Controller) (ApplicationRunner, error) {
+	inner, err := f.inner.Rebind(c)
+	if err != nil {
+		return nil, err
+	}
+	return &failingRunner{inner: inner, after: f.after, runs: f.runs}, nil
 }
 
 func TestBenchmarkSurvivesPartialSweepFailure(t *testing.T) {
 	r := newRig(t)
 	inner := r.chronus.deps.Runner
-	r.chronus.deps.Runner = &failingRunner{inner: inner, after: 2}
+	r.chronus.deps.Runner = &failingRunner{inner: inner, after: 2, runs: new(int)}
 	// Rebuild the service bundle with the wrapped runner.
 	chronus, err := New(r.chronus.deps)
 	if err != nil {
@@ -177,8 +186,8 @@ func TestSubmitFailsOpenOnCorruptModel(t *testing.T) {
 // failingRepo errors on benchmark writes.
 type failingRepo struct{ repository.Repository }
 
-func (failingRepo) SaveBenchmark(repository.Benchmark) (int64, error) {
-	return 0, fmt.Errorf("injected: database disk full")
+func (failingRepo) SaveBenchmarks([]repository.Benchmark) ([]int64, error) {
+	return nil, fmt.Errorf("injected: database disk full")
 }
 
 func TestBenchmarkRepoWriteFailure(t *testing.T) {
@@ -208,7 +217,7 @@ func TestSlurmRejectsBudgetBlowingPredictor(t *testing.T) {
 	}
 	// Fresh controller configured with only the slow plugin.
 	conf, _ := slurm.ParseConf("JobSubmitPlugins=eco\nPluginBudget=2s\n")
-	c2, err := slurm.NewController(r.sim, conf, r.node)
+	c2, err := slurm.NewCluster(r.sim, conf, slurm.WithNodes(r.node))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"ecosched/internal/simclock"
 	"ecosched/internal/slurm"
 	"ecosched/internal/telemetry"
+	"ecosched/internal/workload"
 )
 
 // HPCGRunner is the HPCG Application Runner (paper §3.2, §4.2.3): it
@@ -34,11 +35,11 @@ func NewHPCGRunner(c *slurm.Controller, hpcgPath string, jobGFLOP float64) (*HPC
 	if jobGFLOP <= 0 {
 		return nil, fmt.Errorf("core: non-positive job size %v GFLOP", jobGFLOP)
 	}
-	c.RegisterWorkload(hpcgPath, slurm.FixedWorkWorkload{Label: "hpcg", GFLOP: jobGFLOP})
+	c.RegisterWorkload(hpcgPath, workload.FixedWork("hpcg", jobGFLOP))
 	return &HPCGRunner{Controller: c, HPCGPath: hpcgPath, jobGFLOP: jobGFLOP}, nil
 }
 
-// Rebind implements ClusterRebinder: the same HPCG application and job
+// Rebind implements ApplicationRunner: the same HPCG application and job
 // size on a freshly provisioned cluster.
 func (r *HPCGRunner) Rebind(c *slurm.Controller) (ApplicationRunner, error) {
 	return NewHPCGRunner(c, r.HPCGPath, r.jobGFLOP)

@@ -66,7 +66,7 @@ func NewStreamRunner(c *slurm.Controller, streamPath string) (*StreamRunner, err
 	return &StreamRunner{Controller: c, StreamPath: streamPath, model: model}, nil
 }
 
-// Rebind implements ClusterRebinder: the same STREAM application on a
+// Rebind implements ApplicationRunner: the same STREAM application on a
 // freshly provisioned cluster.
 func (r *StreamRunner) Rebind(c *slurm.Controller) (ApplicationRunner, error) {
 	return NewStreamRunner(c, r.StreamPath)

@@ -18,7 +18,8 @@ import (
 // The benchmark worker pool measures each sweep configuration on a
 // fresh BenchNode, so configurations never share mutable simulation
 // state and can run concurrently. The application under benchmark is
-// bound to the node's cluster per measurement via ClusterRebinder.
+// bound to the node's cluster per measurement via
+// ApplicationRunner.Rebind.
 type BenchNode struct {
 	Cluster *slurm.Controller
 	System  SystemService
@@ -34,15 +35,6 @@ type BenchNode struct {
 // seed): that is the determinism guarantee that keeps sweep results —
 // rows, ids, winner — byte-identical at every parallelism level.
 type NodeProvisioner func(idx int) (BenchNode, error)
-
-// ClusterRebinder is the optional ApplicationRunner extension the
-// worker pool needs: produce an equivalent runner — same application,
-// same job size — bound to a freshly provisioned cluster. Runners
-// without it (external processes, say) keep the serial in-place sweep
-// even when a provisioner is wired.
-type ClusterRebinder interface {
-	Rebind(c *slurm.Controller) (ApplicationRunner, error)
-}
 
 // parallelism resolves the effective worker count for n jobs.
 func (s *BenchmarkService) parallelism(n int) int {
@@ -75,15 +67,14 @@ type measured struct {
 // and a coordinator commits completed rows strictly in configuration
 // order through the batched repository write path.
 //
-// Ordering/durability contract (matches the serial sweep): at any
-// moment the persisted rows are exactly the configurations 0..k-1 for
-// some k — a contiguous prefix in sweep order. On the first error (or
-// context cancellation) the prefix already measured keeps flushing,
-// later rows are discarded, and the error for the lowest-index failed
-// configuration is returned.
+// Ordering/durability contract: at any moment the persisted rows are
+// exactly the configurations 0..k-1 for some k — a contiguous prefix
+// in sweep order. On the first error (or context cancellation) the
+// prefix already measured keeps flushing, later rows are discarded,
+// and the error for the lowest-index failed configuration is returned.
 func (s *BenchmarkService) runPooled(ctx context.Context, runID, sysID int64, sysRec repository.System, appHash string, configs []perfmodel.Config, interval time.Duration) error {
 	// Validate up front; an invalid configuration truncates the sweep
-	// exactly where the serial loop would have stopped.
+	// at its index: the rows before it persist, its error comes back.
 	limit := len(configs)
 	var invalidErr error
 	for i, cfg := range configs {
@@ -181,8 +172,9 @@ func (s *BenchmarkService) runPooled(ctx context.Context, runID, sysID int64, sy
 
 // commitBatch persists one contiguous run of measured configurations:
 // per-row trace blobs, then all rows in a single batched repository
-// write. Rows are stamped and logged here so ids, timestamps and log
-// order are identical to the serial sweep.
+// write. Rows are stamped and logged here, on the coordinator, so ids,
+// timestamps and log order follow configuration order at any
+// parallelism.
 func (s *BenchmarkService) commitBatch(batch []measured) error {
 	rows := make([]repository.Benchmark, len(batch))
 	for i, m := range batch {
@@ -193,16 +185,17 @@ func (s *BenchmarkService) commitBatch(batch []measured) error {
 		rows[i] = m.row
 		s.log.Printf("GFLOP/s rating found: %.5f", m.row.GFLOPS)
 		s.deps.Metrics.Counter(metricBenchmarkRuns).Inc()
-		s.deps.Metrics.Histogram(metricBenchmarkJobRuntime).Observe(m.row.RuntimeSeconds)
+		s.deps.Metrics.BucketedHistogram(metricBenchmarkJobRuntime).Observe(m.row.RuntimeSeconds)
 	}
 	if _, err := s.deps.Repo.SaveBenchmarks(rows); err != nil {
 		return err
 	}
-	s.deps.Metrics.Histogram(metricSweepBatchRows).Observe(float64(len(rows)))
+	s.deps.Metrics.BucketedHistogram(metricSweepBatchRows).Observe(float64(len(rows)))
 	return nil
 }
 
-// measureConfig is the worker half of benchmarkOne: provision a node,
+// measureConfig is the worker half of the paper's benchmarking flow
+// (start the job, sample IPMI until it finishes): provision a node,
 // sample it while the application runs, aggregate the trace and render
 // its CSV. Everything persistent is left to the coordinator. A panic
 // anywhere inside (runner, sampler, aggregation) is converted into an
@@ -223,7 +216,7 @@ func (s *BenchmarkService) measureConfig(ctx context.Context, idx int, runID, sy
 	if node.Close != nil {
 		defer node.Close()
 	}
-	runner, err := s.deps.Runner.(ClusterRebinder).Rebind(node.Cluster)
+	runner, err := s.deps.Runner.Rebind(node.Cluster)
 	if err != nil {
 		m.err = fmt.Errorf("core: binding %s to provisioned node for config %s: %w", s.deps.Runner.Name(), cfg, err)
 		return m

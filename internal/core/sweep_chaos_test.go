@@ -53,11 +53,15 @@ func TestPooledSweepTornBatchFault(t *testing.T) {
 
 // TestPooledSweepSaveErrorMidSweep fails the second batch write
 // outright: rows committed before the fault survive as a contiguous
-// prefix and nothing after the failure is persisted.
+// prefix and nothing after the failure is persisted. It runs at
+// parallelism 1 so the batch count is a property of the construction,
+// not of goroutine timing: one worker hands results over in sweep
+// order and the coordinator flushes on every arrival, so every batch
+// is exactly one row and the second write is configuration 1.
 func TestPooledSweepSaveErrorMidSweep(t *testing.T) {
 	configs := sweepConfigs()
 	ledger := &samplerLedger{}
-	r := newPooledRig(t, 4, ledger, nil)
+	r := newPooledRig(t, 1, ledger, nil)
 	inj := fault.New(11)
 	withSweepFaults(t, r, inj)
 	inj.Use(fault.Rule{Op: fault.OpRepoSaveBenchmarks, Mode: fault.ModeError, After: 1})
@@ -66,7 +70,11 @@ func TestPooledSweepSaveErrorMidSweep(t *testing.T) {
 	if !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("err = %v, want the injected save fault", err)
 	}
-	requireContiguousPrefix(t, listSweepRows(t, r), configs)
+	rows := listSweepRows(t, r)
+	requireContiguousPrefix(t, rows, configs)
+	if len(rows) != 1 {
+		t.Fatalf("%d rows persisted, want exactly the one batch committed before the fault", len(rows))
+	}
 	if s, e := ledger.started.Load(), ledger.stopped.Load(); s != e {
 		t.Fatalf("%d samplers started but %d stopped", s, e)
 	}

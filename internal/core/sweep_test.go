@@ -8,16 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"ecosched/internal/blob"
-	"ecosched/internal/hw"
-	"ecosched/internal/ipmi"
 	"ecosched/internal/perfmodel"
-	"ecosched/internal/procfs"
 	"ecosched/internal/repository"
-	"ecosched/internal/settings"
-	"ecosched/internal/simclock"
-	"ecosched/internal/slurm"
-	"ecosched/internal/sysinfo"
 	"ecosched/internal/telemetry"
 )
 
@@ -47,91 +39,6 @@ func (s *ledgeredSystem) StartSampling(interval time.Duration) func() *telemetry
 		}
 		return stop()
 	}
-}
-
-// newPooledRig is newRig plus a NodeProvisioner, so the benchmark
-// sweep takes the worker-pool path. hook, when non-nil, runs before
-// each provisioning with the configuration index (used to inject
-// cancellations and failures mid-sweep).
-func newPooledRig(t *testing.T, parallelism int, ledger *samplerLedger, hook func(idx int) error) *rig {
-	t.Helper()
-	sim := simclock.New()
-	calib := perfmodel.Default()
-	node := hw.NewNode(sim, hw.DefaultSpec(), calib, 1)
-	conf, err := slurm.ParseConf("JobSubmitPlugins=eco\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	controller, err := slurm.NewController(sim, conf, node)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := procfs.New(node)
-
-	repo, err := repository.OpenDB(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { repo.Close() })
-
-	bmc := ipmi.NewBMC(node)
-	bmc.ChmodWorldReadable()
-	system, err := NewIPMISystemService(sim, bmc, node, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner, err := NewHPCGRunner(controller, hpcgPath, calib.JobGFLOP)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	benchConf, err := slurm.ParseConf("ClusterName=bench\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	provision := func(idx int) (BenchNode, error) {
-		if hook != nil {
-			if err := hook(idx); err != nil {
-				return BenchNode{}, err
-			}
-		}
-		bsim := simclock.New()
-		bnode := hw.NewNode(bsim, hw.DefaultSpec(), calib, 1+uint64(idx)*0x9e3779b9)
-		bbmc := ipmi.NewBMC(bnode)
-		bbmc.ChmodWorldReadable()
-		bcluster, err := slurm.NewController(bsim, benchConf, bnode)
-		if err != nil {
-			return BenchNode{}, err
-		}
-		bsystem, err := NewIPMISystemService(bsim, bbmc, bnode, false)
-		if err != nil {
-			return BenchNode{}, err
-		}
-		var sys SystemService = bsystem
-		if ledger != nil {
-			sys = ledger.wrap(sys)
-		}
-		return BenchNode{Cluster: bcluster, System: sys}, nil
-	}
-
-	chronus, err := New(Deps{
-		Repo:        repo,
-		Blob:        blob.NewMemory(),
-		Settings:    settings.NewMemStore(),
-		SysInfo:     sysinfo.NewLscpu(fs),
-		FS:          fs,
-		Runner:      runner,
-		System:      system,
-		LocalDir:    t.TempDir(),
-		Now:         sim.Now,
-		Provision:   provision,
-		Parallelism: parallelism,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &rig{sim: sim, node: node, controller: controller, fs: fs,
-		repo: repo, blob: chronus.deps.Blob, chronus: chronus}
 }
 
 func sweepConfigs() []perfmodel.Config {
@@ -212,6 +119,29 @@ func TestPooledSweepDeterministicAcrossParallelism(t *testing.T) {
 		}
 		if string(b1) != string(b4) {
 			t.Fatalf("trace blob %q differs across parallelism", rows1[i].TraceKey)
+		}
+	}
+}
+
+// TestSweepRowsSameThroughEitherRig pins that there is one sweep
+// engine: the default rig every other core test uses and an explicit
+// parallelism-1 pooled rig persist identical rows.
+func TestSweepRowsSameThroughEitherRig(t *testing.T) {
+	configs := sweepConfigs()
+	plain := newRig(t)
+	pooled := newPooledRig(t, 1, nil, nil)
+	for _, r := range []*rig{plain, pooled} {
+		if _, err := r.chronus.Benchmark.Run(configs, 3*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := listSweepRows(t, plain), listSweepRows(t, pooled)
+	if len(a) != len(configs) || len(b) != len(configs) {
+		t.Fatalf("row counts %d / %d, want %d", len(a), len(b), len(configs))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("row %d differs between rigs:\n  newRig:       %+v\n  newPooledRig: %+v", i, a[i], b[i])
 		}
 	}
 }

@@ -29,7 +29,9 @@ func TestDepsValidationMessages(t *testing.T) {
 		{"system info", func(d *Deps) { d.SysInfo = nil }},
 		{"file system", func(d *Deps) { d.FS = nil }},
 		{"runner", func(d *Deps) { d.Runner = nil }},
-		{"system service", func(d *Deps) { d.System = nil }},
+		// The sweep has one engine: without a node provisioner a
+		// deployment cannot benchmark, and New says so up front.
+		{"provisioner", func(d *Deps) { d.Provision = nil }},
 		{"local model directory", func(d *Deps) { d.LocalDir = "" }},
 		{"clock", func(d *Deps) { d.Now = nil }},
 	}
@@ -53,7 +55,7 @@ func TestDepsValidationMessages(t *testing.T) {
 func TestRunnerConstructorsValidate(t *testing.T) {
 	sim := simclock.New()
 	node := hw.NewNode(sim, hw.DefaultSpec(), perfmodel.Default(), 1)
-	c, err := slurm.NewController(sim, slurm.DefaultConf(), node)
+	c, err := slurm.NewCluster(sim, slurm.DefaultConf(), slurm.WithNodes(node))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +96,7 @@ func TestHPCGRunnerSubmitRejection(t *testing.T) {
 	sim := simclock.New()
 	node := hw.NewNode(sim, hw.DefaultSpec(), perfmodel.Default(), 1)
 	conf, _ := slurm.ParseConf("JobSubmitPlugins=eco\n") // plugin never registered
-	c, err := slurm.NewController(sim, conf, node)
+	c, err := slurm.NewCluster(sim, conf, slurm.WithNodes(node))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +115,7 @@ func TestHPCGRunnerJobFailure(t *testing.T) {
 	node := hw.NewNode(sim, hw.DefaultSpec(), perfmodel.Default(), 1)
 	conf := slurm.DefaultConf()
 	conf.DefaultTimeLimit = 1 // nanosecond — every job times out
-	c, err := slurm.NewController(sim, conf, node)
+	c, err := slurm.NewCluster(sim, conf, slurm.WithNodes(node))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"ecosched/internal/settings"
 	"ecosched/internal/simclock"
 	"ecosched/internal/slurm"
+	"ecosched/internal/workload"
 )
 
 func TestSimpleHashMatchesCReference(t *testing.T) {
@@ -291,13 +292,11 @@ func TestPluginInsideSlurm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := slurm.NewController(sim, conf, node)
+	c, err := slurm.NewCluster(sim, conf, slurm.WithNodes(node))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.RegisterWorkload("/opt/hpcg/xhpcg", slurm.FixedWorkWorkload{
-		Label: "hpcg", GFLOP: perfmodel.Default().JobGFLOP,
-	})
+	c.RegisterWorkload("/opt/hpcg/xhpcg", workload.FixedWork("hpcg", perfmodel.Default().JobGFLOP))
 
 	st := settings.NewMemStore()
 	s := settings.Defaults()

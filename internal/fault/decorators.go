@@ -70,13 +70,6 @@ func (r *faultRepo) ListRuns(systemID int64) ([]repository.Run, error) {
 	return r.inner.ListRuns(systemID)
 }
 
-func (r *faultRepo) SaveBenchmark(b repository.Benchmark) (int64, error) {
-	if err := r.inj.Fail(OpRepoSaveBenchmark); err != nil {
-		return 0, err
-	}
-	return r.inner.SaveBenchmark(b)
-}
-
 // SaveBenchmarks supports torn-batch faults: a torn rule commits only
 // a leading prefix of the rows and then reports failure — the
 // append-only-log analog of a crash mid-transaction. The persisted

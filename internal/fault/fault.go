@@ -53,7 +53,6 @@ const (
 	OpRepoListSystems    = "repo.list_systems"
 	OpRepoSaveRun        = "repo.save_run"
 	OpRepoListRuns       = "repo.list_runs"
-	OpRepoSaveBenchmark  = "repo.save_benchmark"
 	OpRepoSaveBenchmarks = "repo.save_benchmarks"
 	OpRepoListBenchmarks = "repo.list_benchmarks"
 	OpRepoSaveModel      = "repo.save_model"

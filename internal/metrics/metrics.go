@@ -10,7 +10,7 @@
 // with numbers instead of asserted.
 //
 // Every type is safe for concurrent use and nil-safe: methods on a
-// nil *Registry, *Counter, *Gauge or *Histogram are no-ops, so
+// nil *Registry, *Counter, *Gauge or *BucketedHistogram are no-ops, so
 // components can be instrumented unconditionally and wired with a nil
 // registry when observability is not wanted (tests, tiny tools).
 package metrics
@@ -99,140 +99,12 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// histogramWindow bounds the per-histogram sample retention:
-// percentiles are computed over the most recent observations, while
-// count/sum/min/max cover the histogram's whole lifetime.
-const histogramWindow = 4096
-
-// Histogram records a distribution of observations. Percentile
-// queries are exact over a sliding window of the most recent
-// histogramWindow observations; Count, Sum, Min and Max are exact
-// over all observations.
-type Histogram struct {
-	mu       sync.Mutex
-	count    int64
-	sum      float64
-	min, max float64
-	window   []float64 // ring buffer of recent observations
-	next     int       // ring write position
-}
-
-// Observe records one value. The critical section unlocks explicitly —
-// no defer — because this is called on every power sample and every
-// submit, and the defer machinery is measurable there.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if h.count == 0 || v > h.max {
-		h.max = v
-	}
-	h.count++
-	h.sum += v
-	if h.window == nil {
-		// Full-capacity up front: the hot path (every power sample, every
-		// submit) must never pay an append regrowth.
-		h.window = make([]float64, 0, histogramWindow)
-	}
-	if len(h.window) < histogramWindow {
-		h.window = append(h.window, v)
-	} else {
-		h.window[h.next] = v
-		h.next = (h.next + 1) % histogramWindow
-	}
-	h.mu.Unlock()
-}
-
-// ObserveDuration records a latency in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	n := h.count
-	h.mu.Unlock()
-	return n
-}
-
-// Quantile returns the q-quantile (q in [0,1]) over the retained
-// window, or NaN when nothing has been observed. Callers needing
-// several quantiles should use Quantiles, which copies and sorts the
-// window once for the whole batch.
-func (h *Histogram) Quantile(q float64) float64 {
-	return h.Quantiles(q)[0]
-}
-
-// Quantiles returns the q-quantiles over the retained window (NaN per
-// entry when nothing has been observed), locking, copying and sorting
-// the window exactly once — not once per quantile.
-func (h *Histogram) Quantiles(qs ...float64) []float64 {
-	out := make([]float64, len(qs))
-	if h == nil {
-		for i := range out {
-			out[i] = math.NaN()
-		}
-		return out
-	}
-	h.mu.Lock()
-	sorted := append([]float64(nil), h.window...)
-	h.mu.Unlock()
-	sort.Float64s(sorted)
-	for i, q := range qs {
-		out[i] = sortedQuantile(sorted, q)
-	}
-	return out
-}
-
-// sortedQuantile is the nearest-rank quantile over an already-sorted
-// window, so callers needing several quantiles sort once and index.
-func sortedQuantile(samples []float64, q float64) float64 {
-	if len(samples) == 0 {
-		return math.NaN()
-	}
-	if q <= 0 {
-		return samples[0]
-	}
-	if q >= 1 {
-		return samples[len(samples)-1]
-	}
-	// Nearest-rank on the sorted window.
-	idx := int(math.Ceil(q*float64(len(samples)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return samples[idx]
-}
-
-func (h *Histogram) stat() HistogramStat {
-	h.mu.Lock()
-	sorted := append([]float64(nil), h.window...)
-	st := HistogramStat{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
-	h.mu.Unlock()
-	if st.Count > 0 {
-		st.Mean = st.Sum / float64(st.Count)
-	}
-	sort.Float64s(sorted)
-	st.P50 = sortedQuantile(sorted, 0.50)
-	st.P90 = sortedQuantile(sorted, 0.90)
-	st.P99 = sortedQuantile(sorted, 0.99)
-	st.P999 = sortedQuantile(sorted, 0.999)
-	return st
-}
-
 // Registry holds named metrics. The zero value is not usable; call
 // New. A nil *Registry is a valid no-op sink.
 type Registry struct {
 	mu          sync.Mutex
 	counters    map[string]*Counter
 	gauges      map[string]*Gauge
-	histograms  map[string]*Histogram
 	bhistograms map[string]*BucketedHistogram
 }
 
@@ -241,7 +113,6 @@ func New() *Registry {
 	return &Registry{
 		counters:    make(map[string]*Counter),
 		gauges:      make(map[string]*Gauge),
-		histograms:  make(map[string]*Histogram),
 		bhistograms: make(map[string]*BucketedHistogram),
 	}
 }
@@ -278,24 +149,8 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it on first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.histograms[name]
-	if !ok {
-		h = &Histogram{}
-		r.histograms[name] = h
-	}
-	return h
-}
-
 // BucketedHistogram returns the named log-bucketed histogram, creating
-// it on first use. Bucketed and exact histograms share the snapshot
-// namespace, so a name must consistently be one or the other.
+// it on first use.
 func (r *Registry) BucketedHistogram(name string) *BucketedHistogram {
 	if r == nil {
 		return nil
@@ -310,11 +165,9 @@ func (r *Registry) BucketedHistogram(name string) *BucketedHistogram {
 	return h
 }
 
-// HistogramStat is a histogram summarised for a snapshot. For the
-// exact Histogram, percentiles are over the retained window and the
-// other fields are lifetime-exact; for a BucketedHistogram, everything
-// is lifetime and Buckets carries the sparse bucket counts the SLO
-// evaluation consumes.
+// HistogramStat is a histogram summarised for a snapshot: every field
+// covers the histogram's lifetime, and Buckets carries the sparse
+// bucket counts the SLO evaluation consumes.
 type HistogramStat struct {
 	Count int64   `json:"count"`
 	Sum   float64 `json:"sum"`
@@ -325,9 +178,10 @@ type HistogramStat struct {
 	P90   float64 `json:"p90"`
 	P99   float64 `json:"p99"`
 	P999  float64 `json:"p999"`
-	// Buckets, present only for bucketed histograms, lists the
-	// non-empty log buckets in ascending LE order: Count observations
-	// fell at or below LE seconds (and above the previous bucket's LE).
+	// Buckets lists the non-empty log buckets in ascending LE order:
+	// Count observations fell at or below LE seconds (and above the
+	// previous bucket's LE). Snapshot files written before histograms
+	// were bucketed carry none.
 	Buckets []BucketCount `json:"buckets,omitempty"`
 }
 
@@ -364,10 +218,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range r.gauges {
 		gauges[k] = v
 	}
-	histograms := make(map[string]*Histogram, len(r.histograms))
-	for k, v := range r.histograms {
-		histograms[k] = v
-	}
 	bhistograms := make(map[string]*BucketedHistogram, len(r.bhistograms))
 	for k, v := range r.bhistograms {
 		bhistograms[k] = v
@@ -379,9 +229,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for k, v := range gauges {
 		s.Gauges[k] = v.Value()
-	}
-	for k, v := range histograms {
-		s.Histograms[k] = v.stat()
 	}
 	for k, v := range bhistograms {
 		s.Histograms[k] = v.stat()

@@ -36,18 +36,19 @@ func TestGaugeBasics(t *testing.T) {
 
 func TestHistogramStats(t *testing.T) {
 	r := New()
-	h := r.Histogram("predict.latency")
+	h := r.BucketedHistogram("predict.latency")
 	for i := 1; i <= 100; i++ {
 		h.Observe(float64(i))
 	}
 	if h.Count() != 100 {
 		t.Fatalf("count = %d", h.Count())
 	}
-	if q := h.Quantile(0.5); q != 50 {
-		t.Fatalf("p50 = %g, want 50", q)
-	}
-	if q := h.Quantile(0.99); q != 99 {
-		t.Fatalf("p99 = %g, want 99", q)
+	// Quantiles report the holding bucket's upper bound: within one
+	// sub-bucket (1/32) above the exact nearest-rank value.
+	for _, c := range []struct{ q, want float64 }{{0.5, 50}, {0.99, 99}} {
+		if got := h.Quantile(c.q); got < c.want || got > c.want*(1+1.0/32) {
+			t.Fatalf("q%g = %g, want %g within one sub-bucket", c.q, got, c.want)
+		}
 	}
 	if q := h.Quantile(1); q != 100 {
 		t.Fatalf("p100 = %g, want 100", q)
@@ -58,25 +59,8 @@ func TestHistogramStats(t *testing.T) {
 	}
 }
 
-func TestHistogramWindowBoundsMemory(t *testing.T) {
-	h := &Histogram{}
-	for i := 0; i < 3*histogramWindow; i++ {
-		h.Observe(float64(i))
-	}
-	if len(h.window) != histogramWindow {
-		t.Fatalf("window grew to %d", len(h.window))
-	}
-	if h.Count() != int64(3*histogramWindow) {
-		t.Fatalf("lifetime count = %d", h.Count())
-	}
-	// Percentiles reflect the recent window, not ancient history.
-	if q := h.Quantile(0); q < float64(2*histogramWindow) {
-		t.Fatalf("window min %g includes evicted observations", q)
-	}
-}
-
 func TestEmptyHistogramQuantileIsNaN(t *testing.T) {
-	if !math.IsNaN((&Histogram{}).Quantile(0.5)) {
+	if !math.IsNaN(NewBucketedHistogram().Quantile(0.5)) {
 		t.Fatal("empty histogram quantile not NaN")
 	}
 }
@@ -85,12 +69,12 @@ func TestNilSafety(t *testing.T) {
 	var r *Registry
 	r.Counter("x").Inc()
 	r.Gauge("y").Set(1)
-	r.Histogram("z").Observe(1)
-	r.Histogram("z").ObserveDuration(time.Second)
+	r.BucketedHistogram("z").Observe(1)
+	r.BucketedHistogram("z").ObserveDuration(time.Second)
 	if r.Counter("x").Value() != 0 || r.Gauge("y").Value() != 0 {
 		t.Fatal("nil registry retained state")
 	}
-	if !math.IsNaN(r.Histogram("z").Quantile(0.5)) {
+	if !math.IsNaN(r.BucketedHistogram("z").Quantile(0.5)) {
 		t.Fatal("nil histogram quantile not NaN")
 	}
 	s := r.Snapshot()
@@ -108,7 +92,7 @@ func TestConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				r.Counter("c").Inc()
-				r.Histogram("h").Observe(float64(i))
+				r.BucketedHistogram("h").Observe(float64(i))
 				r.Gauge("g").Set(float64(i))
 			}
 		}()
@@ -117,7 +101,7 @@ func TestConcurrentUse(t *testing.T) {
 	if got := r.Counter("c").Value(); got != 8000 {
 		t.Fatalf("counter = %d, want 8000", got)
 	}
-	if got := r.Histogram("h").Count(); got != 8000 {
+	if got := r.BucketedHistogram("h").Count(); got != 8000 {
 		t.Fatalf("histogram count = %d, want 8000", got)
 	}
 }
@@ -125,13 +109,13 @@ func TestConcurrentUse(t *testing.T) {
 func TestSnapshotMergeAddsCounters(t *testing.T) {
 	a := New()
 	a.Counter("predict.hit").Add(3)
-	a.Histogram("lat").Observe(1)
-	a.Histogram("lat").Observe(3)
+	a.BucketedHistogram("lat").Observe(1)
+	a.BucketedHistogram("lat").Observe(3)
 	b := New()
 	b.Counter("predict.hit").Add(2)
 	b.Counter("predict.miss").Inc()
 	b.Gauge("models").Set(7)
-	b.Histogram("lat").Observe(5)
+	b.BucketedHistogram("lat").Observe(5)
 
 	s := a.Snapshot()
 	s.Merge(b.Snapshot())
@@ -147,11 +131,42 @@ func TestSnapshotMergeAddsCounters(t *testing.T) {
 	}
 }
 
+// A metrics.json written before histograms were bucketed carries
+// summaries without "buckets". It is outside input: it must still
+// merge (lifetimes combine, the newer percentiles win) and print.
+func TestSnapshotMergeUnbucketedFile(t *testing.T) {
+	const oldFile = `{"histograms":{"lat":{"count":2,"sum":4,"min":1,"max":3,"mean":2,"p50":1,"p90":3,"p99":3,"p999":3}}}`
+	var acc, again Snapshot
+	if err := json.Unmarshal([]byte(oldFile), &acc); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(oldFile), &again); err != nil {
+		t.Fatal(err)
+	}
+	acc.Merge(again)
+	if h := acc.Histograms["lat"]; h.Count != 4 || h.Sum != 8 || h.Mean != 2 || h.P50 != 1 || len(h.Buckets) != 0 {
+		t.Fatalf("two unbucketed summaries merged to %+v", h)
+	}
+
+	r := New()
+	r.BucketedHistogram("lat").Observe(5)
+	acc.Merge(r.Snapshot())
+	h := acc.Histograms["lat"]
+	if h.Count != 5 || h.Sum != 13 || h.Min != 1 || h.Max != 5 || len(h.Buckets) != 1 {
+		t.Fatalf("unbucketed + bucketed merged to %+v", h)
+	}
+	var buf bytes.Buffer
+	acc.WriteText(&buf)
+	if !strings.Contains(buf.String(), "count=5") {
+		t.Fatalf("merged snapshot did not print:\n%s", buf.String())
+	}
+}
+
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := New()
 	r.Counter("a").Inc()
 	r.Gauge("b").Set(2.5)
-	r.Histogram("c").Observe(0.001)
+	r.BucketedHistogram("c").Observe(0.001)
 	data, err := json.Marshal(r.Snapshot())
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +184,7 @@ func TestWriteTextStableAndReadable(t *testing.T) {
 	r := New()
 	r.Counter("b.count").Inc()
 	r.Counter("a.count").Add(2)
-	r.Histogram("lat").ObserveDuration(2 * time.Millisecond)
+	r.BucketedHistogram("lat").ObserveDuration(2 * time.Millisecond)
 	var buf bytes.Buffer
 	r.Snapshot().WriteText(&buf)
 	out := buf.String()
@@ -186,7 +201,7 @@ func TestWriteTextStableAndReadable(t *testing.T) {
 
 func TestWriteTextRowsHistogramsArePlainNumbers(t *testing.T) {
 	r := New()
-	r.Histogram("sweep.batch_rows").Observe(8)
+	r.BucketedHistogram("sweep.batch_rows").Observe(8)
 	var buf bytes.Buffer
 	r.Snapshot().WriteText(&buf)
 	out := buf.String()

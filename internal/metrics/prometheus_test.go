@@ -10,7 +10,7 @@ func TestWritePrometheus(t *testing.T) {
 	r := New()
 	r.Counter("eco.submit.rewritten").Add(3)
 	r.Gauge("predict.cache.entries").Set(2)
-	h := r.Histogram("predict.latency.seconds")
+	h := r.BucketedHistogram("predict.latency.seconds")
 	for _, d := range []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond} {
 		h.ObserveDuration(d)
 	}
@@ -42,7 +42,7 @@ func TestWritePrometheus(t *testing.T) {
 // but still expose _sum and _count so the series exists.
 func TestWritePrometheusEmptyHistogram(t *testing.T) {
 	r := New()
-	r.Histogram("idle.latency.seconds")
+	r.BucketedHistogram("idle.latency.seconds")
 
 	var b strings.Builder
 	r.Snapshot().WritePrometheus(&b)
@@ -69,10 +69,10 @@ func TestPromName(t *testing.T) {
 	}
 }
 
-// The satellite fix: stat() must sort the window once, and the
-// quantiles it reports must agree with Quantile().
+// stat() and Quantile() read the same merged buckets, so the
+// quantiles a snapshot reports must agree with Quantile().
 func TestStatQuantilesAgree(t *testing.T) {
-	h := &Histogram{}
+	h := NewBucketedHistogram()
 	for i := 100; i >= 1; i-- {
 		h.Observe(float64(i))
 	}
@@ -83,7 +83,9 @@ func TestStatQuantilesAgree(t *testing.T) {
 	if got := h.Quantile(0.99); got != st.P99 {
 		t.Errorf("P99: stat=%g Quantile=%g", st.P99, got)
 	}
-	if st.P50 != 50 || st.P90 != 90 || st.P99 != 99 {
-		t.Errorf("stat = %+v", st)
+	for _, c := range []struct{ got, want float64 }{{st.P50, 50}, {st.P90, 90}, {st.P99, 99}} {
+		if c.got < c.want || c.got > c.want*(1+1.0/32) {
+			t.Errorf("quantile %g, want %g within one sub-bucket: %+v", c.got, c.want, st)
+		}
 	}
 }

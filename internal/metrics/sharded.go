@@ -92,10 +92,7 @@ type bhStripe struct {
 // BucketedHistogram is a log-bucketed latency histogram sharded across
 // cache-line-padded stripes: Observe is lock-free and allocation-free,
 // and p50/p99/p999 come from an O(bhBuckets) merge with no per-query
-// sort. It trades the exact sliding-window percentiles of Histogram
-// for ~3% relative error and lifetime (not windowed) coverage — the
-// right trade for the submit hot path; offline telemetry aggregation
-// keeps the exact Histogram.
+// sort, at ~3% relative quantile error over the histogram's lifetime.
 //
 // The zero value is not usable; call NewBucketedHistogram (or
 // Registry.BucketedHistogram). A nil *BucketedHistogram is a valid

@@ -50,9 +50,9 @@ type SLOReport struct {
 }
 
 // EvalSLO evaluates slo against a snapshot. The named histogram must
-// carry bucket counts (i.e. be a BucketedHistogram) — the exact
-// sliding-window histogram cannot answer "how many observations ever
-// exceeded the threshold" from its summary.
+// carry bucket counts — a summary from an old snapshot file without
+// them cannot answer "how many observations ever exceeded the
+// threshold".
 func EvalSLO(s Snapshot, slo SLO) (SLOReport, error) {
 	r := SLOReport{Metric: slo.Metric, ThresholdS: slo.Threshold.Seconds(), Objective: slo.Objective}
 	if slo.Objective <= 0 || slo.Objective >= 1 {
@@ -67,14 +67,13 @@ func EvalSLO(s Snapshot, slo SLO) (SLOReport, error) {
 	}
 	if len(st.Buckets) == 0 {
 		if st.Count == 0 {
-			// A histogram with no observations snapshots with no buckets
-			// regardless of its kind: an explicit no-data verdict, not an
-			// error. Attainment stays zero and Met stays false so a
+			// A histogram with no observations snapshots with no
+			// buckets: an explicit no-data verdict, not an error. Attainment stays zero and Met stays false so a
 			// careless caller fails safe.
 			r.NoData = true
 			return r, nil
 		}
-		return r, fmt.Errorf("metrics: histogram %q has no bucket counts (not a bucketed histogram?)", slo.Metric)
+		return r, fmt.Errorf("metrics: histogram %q has no bucket counts (snapshot written before histograms were bucketed?)", slo.Metric)
 	}
 	// A bucket is good when its whole range fits the threshold. The
 	// bucket straddling the threshold counts as bad — conservative by

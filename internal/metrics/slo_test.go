@@ -84,11 +84,12 @@ func TestEvalSLOErrors(t *testing.T) {
 			t.Errorf("EvalSLO(%+v) should fail", c)
 		}
 	}
-	// An exact (windowed) histogram has no buckets, so it cannot back
-	// an SLO evaluation.
-	r := New()
-	r.Histogram("chronus.test.exact").Observe(0.001)
-	if _, err := EvalSLO(r.Snapshot(), SLO{Metric: "chronus.test.exact", Threshold: time.Millisecond, Objective: 0.99}); err == nil {
+	// A summary read from an old metrics.json carries no buckets, so it
+	// cannot back an SLO evaluation.
+	old := Snapshot{Histograms: map[string]HistogramStat{
+		"chronus.test.exact": {Count: 1, Sum: 0.001, Min: 0.001, Max: 0.001, Mean: 0.001},
+	}}
+	if _, err := EvalSLO(old, SLO{Metric: "chronus.test.exact", Threshold: time.Millisecond, Objective: 0.99}); err == nil {
 		t.Error("EvalSLO over an unbucketed histogram should fail")
 	}
 }

@@ -13,9 +13,9 @@ import (
 
 // CSVRepo implements Repository as four CSV files in a directory —
 // the paper's "CSV File" Repository implementation. All rows are held
-// in memory; every save rewrites the affected file atomically, which
-// keeps the files valid at all times and is plenty for benchmark-scale
-// data (hundreds of rows).
+// in memory; a system, run or model save rewrites its file atomically,
+// which keeps the files valid at all times and is plenty for
+// hundreds of rows; benchmark batches append (SaveBenchmarks).
 type CSVRepo struct {
 	mu  sync.Mutex
 	dir string
@@ -24,12 +24,6 @@ type CSVRepo struct {
 	runs       []Run
 	benchmarks []Benchmark
 	models     []ModelMeta
-
-	// Write-op accounting for benchmarks.csv: full atomic rewrites
-	// (single saves) vs append-mode batch writes. Exposed via
-	// BenchmarkWriteStats so tests can pin the sweep's I/O complexity.
-	benchRewrites int
-	benchAppends  int
 }
 
 // OpenCSV opens (creating if needed) a CSV repository rooted at dir.
@@ -118,21 +112,9 @@ func (r *CSVRepo) ListRuns(systemID int64) ([]Run, error) {
 	return out, nil
 }
 
-// SaveBenchmark implements Repository.
-func (r *CSVRepo) SaveBenchmark(b Benchmark) (int64, error) {
-	if b.SystemID == 0 {
-		return 0, fmt.Errorf("repository: benchmark without system id")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	b.ID = nextID(len(r.benchmarks), func(i int) int64 { return r.benchmarks[i].ID })
-	r.benchmarks = append(r.benchmarks, b)
-	return b.ID, r.writeBenchmarks()
-}
-
 // SaveBenchmarks implements Repository. The batch is appended to
-// benchmarks.csv in one write instead of rewriting the whole file per
-// row; a missing file is created (header included) atomically.
+// benchmarks.csv in one write; a missing file is created (header
+// included) atomically.
 func (r *CSVRepo) SaveBenchmarks(bs []Benchmark) ([]int64, error) {
 	if len(bs) == 0 {
 		return nil, nil
@@ -156,17 +138,7 @@ func (r *CSVRepo) SaveBenchmarks(bs []Benchmark) ([]int64, error) {
 		return nil, err
 	}
 	r.benchmarks = append(r.benchmarks, bs...)
-	r.benchAppends++
 	return ids, nil
-}
-
-// BenchmarkWriteStats reports how benchmarks.csv has been written
-// since open: full rewrites (per-row saves) and append-mode batch
-// writes.
-func (r *CSVRepo) BenchmarkWriteStats() (rewrites, appends int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.benchRewrites, r.benchAppends
 }
 
 // ListBenchmarks implements Repository.
@@ -438,15 +410,6 @@ func benchmarkRow(b Benchmark) []string {
 		ff(b.GFLOPS), ff(b.AvgSystemW), ff(b.AvgCPUW), ff(b.SystemKJ), ff(b.CPUKJ),
 		ff(b.RuntimeSeconds), strconv.FormatInt(b.Created.Unix(), 10), b.TraceKey,
 	}
-}
-
-func (r *CSVRepo) writeBenchmarks() error {
-	rows := make([][]string, len(r.benchmarks))
-	for i, b := range r.benchmarks {
-		rows[i] = benchmarkRow(b)
-	}
-	r.benchRewrites++
-	return r.writeFile("benchmarks.csv", benchmarkHeader, rows)
 }
 
 // appendRows appends rows to an existing CSV file in one write; when

@@ -133,23 +133,10 @@ func (r *DBRepo) ListRuns(systemID int64) ([]Run, error) {
 	return out, nil
 }
 
-// SaveBenchmark implements Repository.
-func (r *DBRepo) SaveBenchmark(b Benchmark) (int64, error) {
-	if b.SystemID == 0 {
-		return 0, fmt.Errorf("repository: benchmark without system id")
-	}
-	id, err := r.benchmarks.Insert(b)
-	if err != nil {
-		return 0, err
-	}
-	b.ID = id
-	return id, r.benchmarks.Update(id, b)
-}
-
 // SaveBenchmarks implements Repository. The whole batch goes to the
 // log as one contiguous write via filedb.InsertMany, with the final
-// id embedded in each stored row up front — no per-row Insert+Update
-// pair, so a batch of n rows costs n log records and one syscall.
+// id embedded in each stored row up front, so a batch of n rows costs
+// n log records and one syscall.
 func (r *DBRepo) SaveBenchmarks(bs []Benchmark) ([]int64, error) {
 	if len(bs) == 0 {
 		return nil, nil

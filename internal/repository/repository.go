@@ -101,7 +101,6 @@ type Repository interface {
 	ListRuns(systemID int64) ([]Run, error)
 
 	// Benchmarks.
-	SaveBenchmark(Benchmark) (int64, error)
 	// SaveBenchmarks persists a batch of rows in one write: ids are
 	// assigned in slice order and the whole batch is committed
 	// together (append-mode CSV, single filedb transaction), so a

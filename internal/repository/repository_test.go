@@ -2,6 +2,8 @@ package repository
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -127,11 +129,11 @@ func TestBenchmarkFiltering(t *testing.T) {
 			sys  int64
 			hash string
 		}{{sysID, "hpcg"}, {sysID, "hpcg"}, {sysID, "lammps"}, {otherID, "hpcg"}} {
-			_, err := r.SaveBenchmark(Benchmark{
+			_, err := r.SaveBenchmarks([]Benchmark{{
 				SystemID: spec.sys, AppHash: spec.hash,
 				Cores: 32, FreqKHz: 2_200_000, ThreadsPerCore: 1,
 				GFLOPS: 9 + float64(i), AvgSystemW: 190, Created: epoch,
-			})
+			}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,7 +156,7 @@ func TestBenchmarkFiltering(t *testing.T) {
 func TestBenchmarkRequiresSystem(t *testing.T) {
 	forEachImpl(t, func(t *testing.T, open func(t *testing.T) Repository) {
 		r := open(t)
-		if _, err := r.SaveBenchmark(Benchmark{AppHash: "x"}); err == nil {
+		if _, err := r.SaveBenchmarks([]Benchmark{{AppHash: "x"}}); err == nil {
 			t.Fatal("benchmark without system accepted")
 		}
 	})
@@ -240,12 +242,12 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 			}
 			sysID, _ := r.SaveSystem(sampleSystem())
 			runID, _ := r.SaveRun(Run{SystemID: sysID, AppHash: "hpcg", Started: epoch})
-			r.SaveBenchmark(Benchmark{
+			r.SaveBenchmarks([]Benchmark{{
 				RunID: runID, SystemID: sysID, AppHash: "hpcg",
 				Cores: 32, FreqKHz: 2_200_000, ThreadsPerCore: 1,
 				GFLOPS: 9.27, AvgSystemW: 190.1, AvgCPUW: 97.4,
 				SystemKJ: 214.4, CPUKJ: 109.8, RuntimeSeconds: 1127, Created: epoch,
-			})
+			}})
 			r.SaveModel(ModelMeta{SystemID: sysID, Optimizer: "brute-force", BlobKey: "k", Created: epoch})
 			r.Close()
 
@@ -281,15 +283,16 @@ func TestSaveBenchmarksBatch(t *testing.T) {
 	forEachImpl(t, func(t *testing.T, open func(t *testing.T) Repository) {
 		r := open(t)
 		sysID, _ := r.SaveSystem(sampleSystem())
-		// A single save first, so the batch has to continue an existing
-		// id sequence.
-		firstID, err := r.SaveBenchmark(Benchmark{
+		// A one-row batch first, so the batch has to continue an
+		// existing id sequence.
+		first, err := r.SaveBenchmarks([]Benchmark{{
 			SystemID: sysID, AppHash: "hpcg", Cores: 1, FreqKHz: 1_500_000,
 			ThreadsPerCore: 1, GFLOPS: 1, AvgSystemW: 100, Created: epoch,
-		})
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
+		firstID := first[0]
 		batch := make([]Benchmark, 5)
 		for i := range batch {
 			batch[i] = Benchmark{
@@ -374,10 +377,13 @@ func TestSaveBenchmarksPersistAcrossReopen(t *testing.T) {
 	}
 }
 
-// TestCSVBenchmarkWriteCounts pins the sweep I/O fix: per-row saves
-// keep the atomic whole-file rewrite, batches append in one write.
+// TestCSVBenchmarkWriteCounts pins the sweep I/O fix: a batch appends
+// to benchmarks.csv in one write — the file is never replaced (an
+// atomic rewrite would swap the inode), so a sweep of n configurations
+// does O(n) I/O.
 func TestCSVBenchmarkWriteCounts(t *testing.T) {
-	r, err := OpenCSV(t.TempDir())
+	dir := t.TempDir()
+	r, err := OpenCSV(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,27 +393,25 @@ func TestCSVBenchmarkWriteCounts(t *testing.T) {
 		return Benchmark{SystemID: sysID, AppHash: "hpcg", Cores: c,
 			FreqKHz: 2_200_000, ThreadsPerCore: 1, GFLOPS: 1, AvgSystemW: 100, Created: epoch}
 	}
-	if _, err := r.SaveBenchmark(bench(1)); err != nil {
-		t.Fatal(err)
-	}
-	if rw, ap := r.BenchmarkWriteStats(); rw != 1 || ap != 0 {
-		t.Fatalf("after single save: rewrites=%d appends=%d", rw, ap)
-	}
 	batch := make([]Benchmark, 50)
 	for i := range batch {
-		batch[i] = bench(i + 2)
+		batch[i] = bench(i + 1)
 	}
 	if _, err := r.SaveBenchmarks(batch); err != nil {
+		t.Fatal(err)
+	}
+	created, err := os.Stat(filepath.Join(dir, "benchmarks.csv"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.SaveBenchmarks([]Benchmark{bench(60)}); err != nil {
 		t.Fatal(err)
 	}
-	rw, ap := r.BenchmarkWriteStats()
-	if rw != 1 {
-		t.Fatalf("batch path rewrote the file: rewrites=%d", rw)
+	appended, err := os.Stat(filepath.Join(dir, "benchmarks.csv"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ap != 2 {
-		t.Fatalf("appends=%d, want one per batch (2)", ap)
+	if !os.SameFile(created, appended) || appended.Size() <= created.Size() {
+		t.Fatal("second batch replaced benchmarks.csv instead of appending to it")
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"ecosched/internal/hw"
 	"ecosched/internal/metrics"
 	"ecosched/internal/simclock"
-	"ecosched/internal/trace"
+	"ecosched/internal/workload"
 )
 
 // Per-partition metric name prefixes; the partition name is appended
@@ -157,22 +157,14 @@ type partPolicyOpt struct {
 	policy    SchedulingPolicy
 }
 
-type workloadOpt struct {
-	binaryPath string
-	workload   Workload
-}
-
 type clusterConfig struct {
 	shared       []*hw.Node
 	partNodes    []partNodesOpt
 	policy       SchedulingPolicy
 	partPolicies []partPolicyOpt
-	metrics      *metrics.Registry
-	tracer       *trace.Tracer
 	aggregate    bool
 	batched      bool
 	usageSink    func(uid uint32, cpuSeconds float64)
-	workloads    []workloadOpt
 	fallback     Workload
 	policies     []SchedPolicy
 }
@@ -205,16 +197,6 @@ func WithPartitionPolicy(partition string, p SchedulingPolicy) ClusterOption {
 	}
 }
 
-// WithMetrics attaches an observability registry at construction.
-func WithMetrics(r *metrics.Registry) ClusterOption {
-	return func(cfg *clusterConfig) { cfg.metrics = r }
-}
-
-// WithTracer attaches a decision tracer at construction.
-func WithTracer(t *trace.Tracer) ClusterOption {
-	return func(cfg *clusterConfig) { cfg.tracer = t }
-}
-
 // WithAggregateAccounting switches the controller to aggregate-only
 // accounting: finished jobs fold into running totals (Accounting's
 // Totals) and are retired from memory instead of being kept as
@@ -241,14 +223,6 @@ func WithBatchedScheduling() ClusterOption {
 // barriers (AddUsage).
 func WithUsageSink(fn func(uid uint32, cpuSeconds float64)) ClusterOption {
 	return func(cfg *clusterConfig) { cfg.usageSink = fn }
-}
-
-// WithWorkload registers a binary-path → workload-model mapping at
-// construction.
-func WithWorkload(binaryPath string, w Workload) ClusterOption {
-	return func(cfg *clusterConfig) {
-		cfg.workloads = append(cfg.workloads, workloadOpt{binaryPath: binaryPath, workload: w})
-	}
 }
 
 // WithFallbackWorkload sets the workload used for unknown binaries.
@@ -285,7 +259,7 @@ func NewCluster(sim *simclock.Sim, conf Conf, opts ...ClusterOption) (*Controlle
 		conf:       conf,
 		nextID:     1,
 		workloads:  make(map[string]Workload),
-		fallback:   SleepWorkload{Label: "unknown", D: time.Minute},
+		fallback:   workload.Sleep("unknown", time.Minute),
 		acct:       &Accounting{aggregateOnly: cfg.aggregate},
 		policy:     FIFOPolicy{},
 		usage:      make(map[uint32]float64),
@@ -303,9 +277,6 @@ func NewCluster(sim *simclock.Sim, conf Conf, opts ...ClusterOption) (*Controlle
 	}
 	if cfg.fallback != nil {
 		c.fallback = cfg.fallback
-	}
-	for _, w := range cfg.workloads {
-		c.workloads[w.binaryPath] = w.workload
 	}
 
 	for i := range conf.Partitions {
@@ -380,12 +351,8 @@ func NewCluster(sim *simclock.Sim, conf Conf, opts ...ClusterOption) (*Controlle
 			if err := pol.attach(c); err != nil {
 				return nil, err
 			}
-			c.policyNames = append(c.policyNames, pol.Name())
 		}
 	}
 
-	c.metrics = cfg.metrics
-	c.tracer = cfg.tracer
-	c.cacheMetrics()
 	return c, nil
 }

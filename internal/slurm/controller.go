@@ -12,7 +12,6 @@ import (
 	"ecosched/internal/perfmodel"
 	"ecosched/internal/simclock"
 	"ecosched/internal/trace"
-	"ecosched/internal/workload"
 )
 
 // Metric, span, and event names (ecolint/metricname: package-level
@@ -47,41 +46,6 @@ type Workload interface {
 	// Plan returns (runtime, sustained GFLOPS) for the configuration
 	// on the node. A zero GFLOPS is valid for non-compute jobs.
 	Plan(node *hw.Node, cfg perfmodel.Config) (time.Duration, float64)
-}
-
-// FixedWorkWorkload is a job with a fixed FLOP budget — the HPCG
-// evaluation jobs: runtime = work / throughput(config).
-//
-// Deprecated: use workload.FixedWork, the unified job-shape
-// vocabulary. This wrapper delegates to it.
-type FixedWorkWorkload struct {
-	Label string
-	GFLOP float64
-}
-
-// Name implements Workload.
-func (w FixedWorkWorkload) Name() string { return w.Label }
-
-// Plan implements Workload.
-func (w FixedWorkWorkload) Plan(node *hw.Node, cfg perfmodel.Config) (time.Duration, float64) {
-	return workload.FixedWork(w.Label, w.GFLOP).Plan(node, cfg)
-}
-
-// SleepWorkload runs for a fixed duration regardless of configuration.
-//
-// Deprecated: use workload.Sleep, the unified job-shape vocabulary.
-// This wrapper delegates to it.
-type SleepWorkload struct {
-	Label string
-	D     time.Duration
-}
-
-// Name implements Workload.
-func (w SleepWorkload) Name() string { return w.Label }
-
-// Plan implements Workload.
-func (w SleepWorkload) Plan(node *hw.Node, cfg perfmodel.Config) (time.Duration, float64) {
-	return workload.Sleep(w.Label, w.D).Plan(node, cfg)
 }
 
 // NodeInfo is one sinfo row.
@@ -187,8 +151,7 @@ type Controller struct {
 	// (WithUsageSink) — the hook the parallel partition lanes use to
 	// replicate usage across lane controllers at window barriers.
 	usageSink func(uid uint32, cpuSeconds float64)
-	metrics   *metrics.Registry // nil = unobserved
-	tracer    *trace.Tracer     // nil = untraced
+	tracer    *trace.Tracer // nil = untraced
 	// aggregate retires terminal jobs from memory (see
 	// WithAggregateAccounting); retired keeps their final state codes
 	// by id so dependency resolution still works after retirement.
@@ -227,7 +190,6 @@ type Controller struct {
 	deferThreshold float64
 	deferMax       time.Duration
 	deferCheck     time.Duration
-	policyNames    []string
 	ptotals        PolicyTotals
 
 	// activePlug caches the slurm.conf-resolved plugin chain;
@@ -235,8 +197,8 @@ type Controller struct {
 	activePlug   []SubmitPlugin
 	activePlugOK bool
 
-	// Cached metric handles (nil-safe; refreshed by SetMetrics) so the
-	// event loop skips the registry's map lookups.
+	// Metric handles (nil-safe; resolved by SetMetrics) so the event
+	// loop skips the registry's map lookups.
 	mSubmitted    *metrics.Counter
 	mRejected     *metrics.Counter
 	mCompleted    *metrics.Counter
@@ -296,38 +258,6 @@ type flushAction struct{ c *Controller }
 
 func (a *flushAction) Fire(uint64) { a.c.flushScheduling() }
 
-// NewController builds a controller over the given nodes with the
-// given configuration, all partitions sharing the node pool.
-//
-// Deprecated: use NewCluster, which scales to per-partition pools and
-// policies; this wrapper is equivalent to
-// NewCluster(sim, conf, WithNodes(nodes...)).
-func NewController(sim *simclock.Sim, conf Conf, nodes ...*hw.Node) (*Controller, error) {
-	return NewCluster(sim, conf, WithNodes(nodes...))
-}
-
-// cacheMetrics resolves the controller's metric handles against the
-// current registry (all nil when unobserved — the types are nil-safe).
-func (c *Controller) cacheMetrics() {
-	c.mSubmitted = c.metrics.Counter(metricJobsSubmitted)
-	c.mRejected = c.metrics.Counter(metricJobsRejected)
-	c.mCompleted = c.metrics.Counter(metricJobsCompleted)
-	c.mFailed = c.metrics.Counter(metricJobsFailed)
-	c.mCancelled = c.metrics.Counter(metricJobsCancelled)
-	c.mOverruns = c.metrics.Counter(metricBudgetOverruns)
-	c.mChainLatency = c.metrics.BucketedHistogram(MetricChainLatency)
-	c.mCapDenials = c.metrics.Counter(metricCapDenials)
-	c.mFreqCapped = c.metrics.Counter(metricFreqCapped)
-	c.mDeferred = c.metrics.Counter(metricDeferred)
-	c.mCoScheduled = c.metrics.Counter(metricCoScheduled)
-	for _, p := range c.parts {
-		p.queueGauge = c.metrics.Gauge(metricPartQueuePrefix + p.name)
-		p.occGauge = c.metrics.Gauge(metricPartOccPrefix + p.name)
-		p.energyGauge = c.metrics.Gauge(metricPartEnergyPrefix + p.name)
-		p.doneCount = c.metrics.Counter(metricPartDonePrefix + p.name)
-	}
-}
-
 // Conf returns the parsed slurm.conf the controller runs under —
 // read-only configuration for callers that need the budgets (the
 // loadgen SLO evaluation) without re-parsing the file.
@@ -347,24 +277,28 @@ func (c *Controller) RegisterWorkload(binaryPath string, w Workload) {
 	c.workloads[binaryPath] = w
 }
 
-// SetFallbackWorkload sets the workload used for unknown binaries.
-func (c *Controller) SetFallbackWorkload(w Workload) { c.fallback = w }
-
-// SetPolicy selects the scheduling policy for every partition
-// (default FIFO). Use WithPartitionPolicy at construction for
-// per-partition policies.
-func (c *Controller) SetPolicy(p SchedulingPolicy) {
-	c.policy = p
-	for _, part := range c.parts {
-		part.setPolicy(p)
-	}
-}
-
-// SetMetrics attaches an observability registry; nil (the default)
-// disables instrumentation.
+// SetMetrics attaches an observability registry, resolving the
+// controller's metric handles against it once so the event loop skips
+// the registry's map lookups. Nil (the default) leaves every handle
+// nil, which disables instrumentation — the types are nil-safe.
 func (c *Controller) SetMetrics(r *metrics.Registry) {
-	c.metrics = r
-	c.cacheMetrics()
+	c.mSubmitted = r.Counter(metricJobsSubmitted)
+	c.mRejected = r.Counter(metricJobsRejected)
+	c.mCompleted = r.Counter(metricJobsCompleted)
+	c.mFailed = r.Counter(metricJobsFailed)
+	c.mCancelled = r.Counter(metricJobsCancelled)
+	c.mOverruns = r.Counter(metricBudgetOverruns)
+	c.mChainLatency = r.BucketedHistogram(MetricChainLatency)
+	c.mCapDenials = r.Counter(metricCapDenials)
+	c.mFreqCapped = r.Counter(metricFreqCapped)
+	c.mDeferred = r.Counter(metricDeferred)
+	c.mCoScheduled = r.Counter(metricCoScheduled)
+	for _, p := range c.parts {
+		p.queueGauge = r.Gauge(metricPartQueuePrefix + p.name)
+		p.occGauge = r.Gauge(metricPartOccPrefix + p.name)
+		p.energyGauge = r.Gauge(metricPartEnergyPrefix + p.name)
+		p.doneCount = r.Counter(metricPartDonePrefix + p.name)
+	}
 }
 
 // SetTracer attaches a decision tracer; nil (the default) disables

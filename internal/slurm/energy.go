@@ -259,39 +259,6 @@ func (p *DeferralPolicy) attach(c *Controller) error {
 	return nil
 }
 
-// PoliciesFromSpec builds the policy set a workload spec's policy
-// block selects. The deferral signal is injected by the caller (built
-// from internal/energymarket in the cluster driver); it is required
-// exactly when the spec requests deferral.
-func PoliciesFromSpec(ps *workload.PolicySpec, signal DeferralSignal) ([]SchedPolicy, error) {
-	if ps == nil {
-		return nil, nil
-	}
-	var out []SchedPolicy
-	if ps.PowerCapW > 0 || len(ps.PartitionCapsW) > 0 {
-		pc := &PowerCapPolicy{ClusterCapW: ps.PowerCapW, Mode: ps.CapMode}
-		for _, e := range ps.PartitionCapsW {
-			pc.PartitionCapsW = append(pc.PartitionCapsW, PartitionCapW{Partition: e.Name, CapW: e.CapW})
-		}
-		out = append(out, pc)
-	}
-	if ps.CoSchedule {
-		out = append(out, &CoSchedulePolicy{InterferencePenalty: ps.InterferencePenalty})
-	}
-	if ps.Deferral != nil {
-		if signal == nil {
-			return nil, fmt.Errorf("slurm: spec requests deferral but no signal was provided")
-		}
-		out = append(out, &DeferralPolicy{
-			Signal:    signal,
-			Threshold: ps.Deferral.Threshold,
-			MaxDefer:  ps.Deferral.MaxDefer.Std(),
-			Check:     ps.Deferral.Check.Std(),
-		})
-	}
-	return out, nil
-}
-
 // PolicyTotals counts policy decisions over a run — the per-policy
 // fitness inputs beside energy/makespan/wait.
 type PolicyTotals struct {
@@ -316,9 +283,6 @@ type PolicyTotals struct {
 
 // PolicyTotals returns the run's policy decision counts.
 func (c *Controller) PolicyTotals() PolicyTotals { return c.ptotals }
-
-// ActivePolicies lists the attached policy names in attachment order.
-func (c *Controller) ActivePolicies() []string { return c.policyNames }
 
 // PartitionDrawW reports a partition's modelled draw: current,
 // run-peak, and cap (0 = uncapped). All zero when the policy layer is

@@ -12,8 +12,7 @@ import (
 )
 
 // newPolicyCluster builds a single-partition cluster with dedicated
-// nodes and the given energy policies attached. The plain newCluster
-// helper uses NewController, which never activates the policy layer.
+// nodes and the given energy policies attached.
 func newPolicyCluster(t *testing.T, nodeCount int, pols ...SchedPolicy) (*simclock.Sim, *Controller) {
 	t.Helper()
 	sim := simclock.New()
@@ -116,38 +115,6 @@ func TestPolicyAttachValidation(t *testing.T) {
 				t.Fatalf("err = %v, want substring %q", err, tc.want)
 			}
 		})
-	}
-}
-
-func TestPoliciesFromSpec(t *testing.T) {
-	if ps, err := PoliciesFromSpec(nil, nil); err != nil || ps != nil {
-		t.Fatalf("nil spec: %v, %v", ps, err)
-	}
-	spec := &workload.PolicySpec{
-		PowerCapW:      5000,
-		PartitionCapsW: []workload.PartitionCap{{Name: "debug", CapW: 800}},
-		CapMode:        "freqcap",
-		CoSchedule:     true,
-		Deferral:       &workload.DeferralSpec{Signal: workload.SignalPrice, Threshold: 0.3, MaxDefer: workload.Duration(4 * time.Hour)},
-	}
-	if _, err := PoliciesFromSpec(spec, nil); err == nil {
-		t.Fatal("deferral without a signal accepted")
-	}
-	sig := func(time.Time) float64 { return 0 }
-	pols, err := PoliciesFromSpec(spec, sig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, p := range pols {
-		names = append(names, p.Name())
-	}
-	if got := strings.Join(names, "+"); got != "powercap+cosched+deferral" {
-		t.Fatalf("policies = %s", got)
-	}
-	pc := pols[0].(*PowerCapPolicy)
-	if pc.ClusterCapW != 5000 || pc.Mode != CapModeFreqCap || len(pc.PartitionCapsW) != 1 || pc.PartitionCapsW[0].CapW != 800 {
-		t.Fatalf("power cap policy = %+v", pc)
 	}
 }
 
@@ -448,9 +415,6 @@ func TestPolicyAccessors(t *testing.T) {
 		&PowerCapPolicy{ClusterCapW: 2*idle + 500},
 		&CoSchedulePolicy{},
 	)
-	if got := strings.Join(c.ActivePolicies(), "+"); got != "powercap+cosched" {
-		t.Fatalf("ActivePolicies = %s", got)
-	}
 	if d, p, w := c.PartitionDrawW("nope"); d != 0 || p != 0 || w != 0 {
 		t.Fatalf("unknown partition draw = %g/%g/%g", d, p, w)
 	}
@@ -464,9 +428,6 @@ func TestPolicyAccessors(t *testing.T) {
 
 	// Without the policy layer the accessors report inactive zeros.
 	_, plain := newCluster(t, DefaultConf(), 1)
-	if got := plain.ActivePolicies(); len(got) != 0 {
-		t.Fatalf("plain controller policies = %v", got)
-	}
 	if d, p, w := plain.PartitionDrawW("batch"); d != 0 || p != 0 || w != 0 {
 		t.Fatalf("plain controller draw = %g/%g/%g", d, p, w)
 	}

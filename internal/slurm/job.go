@@ -190,26 +190,3 @@ type SubmitPlugin interface {
 	Name() string
 	JobSubmit(ctx context.Context, desc *JobDesc, submitUID uint32) (time.Duration, error)
 }
-
-// LegacySubmitPlugin is the pre-context plugin shape. Wrap one with
-// AdaptLegacyPlugin to register it.
-type LegacySubmitPlugin interface {
-	Name() string
-	JobSubmit(desc *JobDesc, submitUID uint32) (time.Duration, error)
-}
-
-// AdaptLegacyPlugin lifts a context-free plugin into the SubmitPlugin
-// interface, dropping the context.
-func AdaptLegacyPlugin(p LegacySubmitPlugin) SubmitPlugin {
-	return legacyPlugin{p}
-}
-
-type legacyPlugin struct {
-	p LegacySubmitPlugin
-}
-
-func (l legacyPlugin) Name() string { return l.p.Name() }
-
-func (l legacyPlugin) JobSubmit(_ context.Context, desc *JobDesc, submitUID uint32) (time.Duration, error) {
-	return l.p.JobSubmit(desc, submitUID)
-}

@@ -190,13 +190,24 @@ func (aw *asyncWriter) run() {
 func (aw *asyncWriter) flush() {
 	var batch []asyncEntry
 	var taken [asyncShardCount][]asyncEntry
+	// Every ring is swapped under all the shard locks at once, so the
+	// batch is one consistent cut of the sequence: taking the rings one
+	// at a time let a producer slip record n into a ring already taken
+	// and n+1 into one not yet taken, and n+1 reached the journal a
+	// batch before n.
+	for i := range aw.shards {
+		aw.shards[i].mu.Lock()
+	}
 	for i := range aw.shards {
 		s := &aw.shards[i]
-		s.mu.Lock()
 		taken[i] = s.buf
 		s.buf = s.spare[:0]
 		s.spare = nil
-		s.mu.Unlock()
+	}
+	for i := range aw.shards {
+		aw.shards[i].mu.Unlock()
+	}
+	for i := range taken {
 		batch = append(batch, taken[i]...)
 	}
 	if len(batch) > 0 {

@@ -9,8 +9,7 @@
 // The package also owns the unified job-shape vocabulary: Shape
 // describes what a job's executable does (a fixed FLOP budget or a
 // fixed duration), and generated, replayed and hand-built jobs all
-// carry the same Shape type end to end — internal/slurm's legacy
-// FixedWorkWorkload/SleepWorkload are thin wrappers over it.
+// carry the same Shape type end to end.
 //
 // All randomness flows through internal/simclock's seeded RNG, so a
 // (spec, seed) pair fully determines the submission stream: two

@@ -256,26 +256,3 @@ func (r LoadgenReport) WriteText(w io.Writer) {
 		r.SLO.WriteText(w)
 	}
 }
-
-// WriteBench renders the report as one `go test -bench`-format result
-// line, so cmd/benchjson can fold loadgen runs into the committed
-// BENCH_<date>.json next to the micro-benchmarks:
-//
-//	BenchmarkLoadgenSubmit 1000 1234.5 ns/op 810000 ops/s ...
-func (r LoadgenReport) WriteBench(w io.Writer) {
-	name := "BenchmarkLoadgenSubmit"
-	if r.Mode == LoadgenModePredict {
-		name = "BenchmarkLoadgenPredict"
-	}
-	nsPerOp := 0.0
-	if r.Ops > 0 {
-		nsPerOp = r.WallSeconds * 1e9 / float64(r.Ops)
-	}
-	fmt.Fprintf(w, "%s %d %.1f ns/op %.1f ops/s %d p99-ns %d p999-ns %d sim-p99-ns %d trace-drops",
-		name, r.Ops, nsPerOp, r.Throughput, r.P99.Nanoseconds(), r.P999.Nanoseconds(),
-		r.SimP99.Nanoseconds(), r.DroppedTraceEvents)
-	if r.SLO != nil {
-		fmt.Fprintf(w, " %.6f slo-attainment %.4f slo-burn", r.SLO.Attainment, r.SLO.ErrorBudgetBurn)
-	}
-	fmt.Fprintln(w)
-}

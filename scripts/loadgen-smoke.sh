@@ -1,8 +1,7 @@
 #!/bin/sh
 # Smoke test for the sustained-load harness: drive `chronus loadgen` in
-# both modes against a fresh data directory, append the bench rows into
-# a benchjson report, and require the submit-latency SLO to hold. Used
-# by `make loadgen-smoke` and CI.
+# both modes against a fresh data directory and require the
+# submit-latency SLO to hold. Used by `make loadgen-smoke` and CI.
 set -eu
 
 workdir=$(mktemp -d)
@@ -12,37 +11,27 @@ trap cleanup EXIT INT TERM
 fail() { echo "loadgen-smoke: $1"; exit 1; }
 
 go build -o "$workdir/chronus" ./cmd/chronus
-go build -o "$workdir/benchjson" ./cmd/benchjson
 
 data="$workdir/data"
-report="${LOADGEN_REPORT:-$workdir/BENCH_loadgen.json}"
 
 # Submit mode with -train: quick-benchmark, train and preload a model so
-# submissions exercise the warm rewrite path, then emit a bench row.
-# benchjson ignores the training log lines around it.
-"$workdir/chronus" -data "$data" loadgen -train -n 500 -rate 1000 -bench \
+# submissions exercise the warm rewrite path.
+"$workdir/chronus" -data "$data" loadgen -train -n 500 -rate 1000 \
     >"$workdir/submit.out" 2>&1 \
     || { cat "$workdir/submit.out"; fail "submit-mode loadgen failed"; }
-grep -q '^BenchmarkLoadgenSubmit 500 ' "$workdir/submit.out" \
-    || { cat "$workdir/submit.out"; fail "no BenchmarkLoadgenSubmit row"; }
-"$workdir/benchjson" -append "$report" <"$workdir/submit.out" \
-    || fail "benchjson -append (submit)"
+grep -q '^ops         500 ' "$workdir/submit.out" \
+    || { cat "$workdir/submit.out"; fail "submit-mode report lacks its 500 ops"; }
 
 # Predict mode reuses the trained model in the same data directory.
-"$workdir/chronus" -data "$data" loadgen -mode predict -n 200 -concurrency 4 -bench \
+"$workdir/chronus" -data "$data" loadgen -mode predict -n 200 -concurrency 4 \
     >"$workdir/predict.out" 2>&1 \
     || { cat "$workdir/predict.out"; fail "predict-mode loadgen failed"; }
-grep -q '^BenchmarkLoadgenPredict 200 ' "$workdir/predict.out" \
-    || { cat "$workdir/predict.out"; fail "no BenchmarkLoadgenPredict row"; }
-"$workdir/benchjson" -append "$report" <"$workdir/predict.out" \
-    || fail "benchjson -append (predict)"
-
-grep -q '"BenchmarkLoadgenSubmit"' "$report" || fail "submit row missing from $report"
-grep -q '"BenchmarkLoadgenPredict"' "$report" || fail "predict row missing from $report"
+grep -q '^ops         200 ' "$workdir/predict.out" \
+    || { cat "$workdir/predict.out"; fail "predict-mode report lacks its 200 ops"; }
 
 # The persisted chain-latency buckets must satisfy the stock budget.
 slo=$("$workdir/chronus" -data "$data" slo) \
     || { echo "$slo"; fail "chronus slo failed"; }
 echo "$slo" | grep -q 'status      met' || { echo "$slo"; fail "submit SLO violated"; }
 
-echo "loadgen-smoke: ok ($report)"
+echo "loadgen-smoke: ok"

@@ -18,7 +18,7 @@ func serveGet(t *testing.T, h http.Handler, path string) *httptest.ResponseRecor
 }
 
 func TestServeMetricsPrometheus(t *testing.T) {
-	d := newDeployment(t, Options{})
+	d := newDeployment(t)
 	if _, err := d.BenchmarkConfigs(QuickSweepConfigs()[:2], 0); err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestServeMetricsPrometheus(t *testing.T) {
 // Once bucketed latency histograms carry observations, /metrics grows
 // labelled SLO gauges evaluating each against the submit budget.
 func TestServeMetricsSLOGauges(t *testing.T) {
-	d := newDeployment(t, Options{})
+	d := newDeployment(t)
 	if _, err := d.RunLoadgen(LoadgenOptions{Count: 20, Rate: 1000}); err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestServeMetricsSLOGauges(t *testing.T) {
 }
 
 func TestServeTraceJSON(t *testing.T) {
-	d := newDeployment(t, Options{Trace: true})
+	d := newDeployment(t, WithTracing())
 	if _, err := d.BenchmarkConfigs(QuickSweepConfigs(), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestServeTraceJSON(t *testing.T) {
 // An untraced deployment still answers /trace — with an empty JSON
 // array, not null and not a panic on the nil tracer.
 func TestServeTraceUntraced(t *testing.T) {
-	d := newDeployment(t, Options{})
+	d := newDeployment(t)
 	rec := serveGet(t, d.Handler(ServeConfig{}), "/trace")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/trace status %d", rec.Code)
@@ -145,7 +145,7 @@ func TestServeTraceUntraced(t *testing.T) {
 // invocations against the same data directory.
 func TestServeTraceJournalFallback(t *testing.T) {
 	dir := t.TempDir()
-	d1, err := NewDeployment(Options{DataDir: dir, Trace: true})
+	d1, err := New(dir, WithTracing())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,11 @@ func TestServeTraceJournalFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2 := newDeployment(t, Options{DataDir: dir, Trace: true})
+	d2, err := New(dir, WithTracing())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
 	rec := serveGet(t, d2.Handler(ServeConfig{}), "/trace")
 	var events []trace.Event
 	if err := json.Unmarshal(rec.Body.Bytes(), &events); err != nil {
@@ -174,7 +178,7 @@ func TestServeTraceJournalFallback(t *testing.T) {
 // Liveness must not depend on the simulation: /healthz answers 200
 // while a full benchmark sweep is in flight.
 func TestServeHealthzDuringBenchmark(t *testing.T) {
-	d := newDeployment(t, Options{})
+	d := newDeployment(t)
 	h := d.Handler(ServeConfig{})
 
 	done := make(chan error, 1)
@@ -210,7 +214,7 @@ func TestServeHealthzDuringBenchmark(t *testing.T) {
 }
 
 func TestServePprofGated(t *testing.T) {
-	d := newDeployment(t, Options{})
+	d := newDeployment(t)
 	if rec := serveGet(t, d.Handler(ServeConfig{}), "/debug/pprof/"); rec.Code == http.StatusOK {
 		t.Fatal("pprof exposed without opt-in")
 	}
