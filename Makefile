@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race chaos fuzz cover bench bench-smoke profile-cluster alloc-check serve-smoke scale-smoke loadgen-smoke clean
+.PHONY: all build vet lint test race chaos fuzz cover bench bench-smoke profile-cluster alloc-check serve-smoke scale-smoke loadgen-smoke loc clean
 
 all: vet lint test
 
@@ -10,13 +10,17 @@ build:
 # vet also fails on unformatted files (testdata holds deliberately
 # broken sources for the lint loader) and on any godoc Deprecated
 # marker: a replacement is landed in place of what it replaces, never
-# beside it.
+# beside it. The scheduler's dispatch files may not name the energy
+# policies' vocabulary: policy reaches dispatch only through the
+# schedPolicy value's decisions (internal/slurm/energy.go).
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l $$(git ls-files '*.go' | grep -v testdata)); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	@deprecated=$$(grep -n 'Deprecated[:]' $$(git ls-files '*.go' | grep -v testdata)); \
 	if [ -n "$$deprecated" ]; then echo "Deprecated markers (migrate the callers and delete instead):"; echo "$$deprecated"; exit 1; fi
+	@leaked=$$(grep -nE 'reasonPowerCap|reasonEnergyHold|capSlack|coschedPenalty' internal/slurm/controller.go internal/slurm/cluster.go); \
+	if [ -n "$$leaked" ]; then echo "policy vocabulary outside internal/slurm/energy.go (ask the policy value instead):"; echo "$$leaked"; exit 1; fi
 
 # lint runs the project's own analyzer suite (internal/lint via
 # cmd/ecolint): determinism, context flow, hot-path I/O, lock scope,
@@ -121,6 +125,12 @@ serve-smoke:
 # fails if the submit-latency SLO is violated.
 loadgen-smoke:
 	./scripts/loadgen-smoke.sh
+
+# loc prints the non-test Go line count, the number ROADMAP.md and
+# CHANGES.md quote (bench/ is a module of its own; testdata holds lint
+# fixtures).
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^bench/' | grep -v /testdata/ | xargs cat | wc -l
 
 clean:
 	$(GO) clean -testcache

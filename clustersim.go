@@ -627,7 +627,8 @@ func (f PolicyFlags) Apply(spec *workload.Spec) error {
 	if f.CoSchedule {
 		p.CoSchedule = true
 	}
-	if f.DeferSignal != "" {
+	switch {
+	case f.DeferSignal != "":
 		d := workload.DeferralSpec{
 			Signal:    f.DeferSignal,
 			Threshold: f.DeferThreshold,
@@ -635,6 +636,20 @@ func (f PolicyFlags) Apply(spec *workload.Spec) error {
 		}
 		if p.Deferral != nil && d.Check == 0 {
 			d.Check = p.Deferral.Check
+		}
+		p.Deferral = &d
+	case f.DeferThreshold != 0 || f.DeferMax != 0:
+		// No signal named: the bounds override the spec's own deferral
+		// block, which must exist to be overridden.
+		if p.Deferral == nil {
+			return fmt.Errorf("usage: -defer-threshold and -defer-max need -defer-signal, or a spec whose policy block already defers")
+		}
+		d := *p.Deferral
+		if f.DeferThreshold != 0 {
+			d.Threshold = f.DeferThreshold
+		}
+		if f.DeferMax != 0 {
+			d.MaxDefer = workload.Duration(f.DeferMax)
 		}
 		p.Deferral = &d
 	}

@@ -225,12 +225,37 @@ func TestPolicyFlagsApply(t *testing.T) {
 		}
 	})
 
+	t.Run("bounds alone override the spec's deferral block", func(t *testing.T) {
+		spec := loadSpec(t, "powercap-smoke.json")
+		orig := *spec.Policy.Deferral
+		if err := (PolicyFlags{DeferThreshold: 0.1}).Apply(&spec); err != nil {
+			t.Fatal(err)
+		}
+		want := orig
+		want.Threshold = 0.1
+		if got := *spec.Policy.Deferral; got != want {
+			t.Fatalf("threshold-only override: deferral = %+v, want %+v", got, want)
+		}
+		if err := (PolicyFlags{DeferMax: time.Hour}).Apply(&spec); err != nil {
+			t.Fatal(err)
+		}
+		want.MaxDefer = workload.Duration(time.Hour)
+		if got := *spec.Policy.Deferral; got != want {
+			t.Fatalf("max-only override on top: deferral = %+v, want %+v", got, want)
+		}
+		if fresh := loadSpec(t, "powercap-smoke.json"); *fresh.Policy.Deferral != orig {
+			t.Fatalf("original spec mutated: deferral = %+v", fresh.Policy.Deferral)
+		}
+	})
+
 	t.Run("invalid combinations are rejected", func(t *testing.T) {
 		for name, pf := range map[string]PolicyFlags{
 			"cap mode without cap": {CapMode: "wait"},
 			"unknown cap mode":     {PowerCapW: 5000, CapMode: "turbo"},
 			"unknown signal":       {DeferSignal: "moon-phase", DeferThreshold: 1, DeferMax: time.Hour},
 			"deferral no bound":    {DeferSignal: "price", DeferThreshold: 1},
+			// race-smoke has no deferral block for the bounds to override.
+			"bounds without a block": {DeferThreshold: 0.1, DeferMax: time.Hour},
 		} {
 			spec := loadSpec(t, "race-smoke.json")
 			if err := pf.Apply(&spec); err == nil {

@@ -187,6 +187,9 @@ func TestCLISimulate(t *testing.T) {
 		{"simulate", "-replay", log, "-cap-mode", "freqcap"},
 		{"simulate", "-replay", log, "-cosched"},
 		{"simulate", "-replay", log, "-defer-signal", "price", "-defer-threshold", "0.3", "-defer-max", "1h"},
+		// Bounds with no signal override the spec's deferral block;
+		// race-smoke has none, so they would be silently ignored.
+		{"simulate", "-spec", spec, "-defer-threshold", "0.1", "-defer-max", "1h"},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("chronus %v succeeded, want a usage error", args)

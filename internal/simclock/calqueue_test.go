@@ -249,33 +249,6 @@ func FuzzEventQueueDifferential(f *testing.F) {
 
 // --- new-surface unit tests ------------------------------------------
 
-func TestAtOrNowClampsToNow(t *testing.T) {
-	s := New()
-	s.RunFor(time.Minute)
-	var order []int
-	s.At(s.Now(), func() { order = append(order, 1) })
-	// An instant already passed clamps to Now and queues after events
-	// already scheduled at this instant.
-	s.AtOrNow(Epoch, func() { order = append(order, 2) })
-	s.Run()
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Fatalf("order = %v, want [1 2]", order)
-	}
-	if got := s.Now().Sub(Epoch); got != time.Minute {
-		t.Fatalf("clamped event moved the clock: now = Epoch+%v", got)
-	}
-}
-
-func TestAtOrNowFutureBehavesLikeAt(t *testing.T) {
-	s := New()
-	var ran bool
-	s.AtOrNow(Epoch.Add(time.Second), func() { ran = true })
-	s.Run()
-	if !ran || !s.Now().Equal(Epoch.Add(time.Second)) {
-		t.Fatalf("future AtOrNow: ran=%v now=%v", ran, s.Now())
-	}
-}
-
 func TestRunBeforeExcludesBoundary(t *testing.T) {
 	s := New()
 	var fired []time.Duration

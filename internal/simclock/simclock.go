@@ -340,20 +340,6 @@ func (s *Sim) At(t time.Time, fn func()) EventID {
 	return ev.id
 }
 
-// AtOrNow schedules fn at t, clamped to Now: an instant already in the
-// past runs at the current instant (after events already queued there)
-// instead of panicking. It exists for callers racing the clock edge —
-// waking a scheduler for a begin-time that may have just passed,
-// replaying a recorded log whose next entry the clock has already
-// reached — where "no earlier than t, as soon as possible" is the
-// intended semantics.
-func (s *Sim) AtOrNow(t time.Time, fn func()) EventID {
-	if t.Before(s.now) {
-		t = s.now
-	}
-	return s.At(t, fn)
-}
-
 // After schedules fn to run d from now. Negative durations panic.
 func (s *Sim) After(d time.Duration, fn func()) EventID {
 	return s.At(s.now.Add(d), fn)

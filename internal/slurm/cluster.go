@@ -28,7 +28,7 @@ const (
 type partition struct {
 	name string
 	// idx is the partition's position in Controller.parts — the pooled
-	// event argument the deferral wake action carries.
+	// event argument the wake action carries.
 	idx    int
 	conf   Partition
 	policy SchedulingPolicy
@@ -51,28 +51,26 @@ type partition struct {
 	// dirtySched marks a deferred scheduling pass pending for this
 	// partition (batched mode).
 	dirtySched bool
-	// keyed is the policy's priority-function view when it offers one;
-	// orderKeyed then sorts on per-pass cached keys via sorter/prios.
-	// slotKeyed is the further refinement that reads fair-share usage
-	// from the controller's slot-indexed slice instead of the map.
-	keyed     priorityKeyer
-	slotKeyed slotKeyer
-	prios     []float64
-	sorter    prioSorter
+	// prios/sorter are orderKeyed's per-pass key buffer and sorter.
+	prios  []float64
+	sorter prioSorter
 
 	queueGauge  *metrics.Gauge
 	occGauge    *metrics.Gauge
 	energyGauge *metrics.Gauge
 	doneCount   *metrics.Counter
 
-	// Cluster-policy state (energy.go), maintained only when the policy
-	// layer is active: the power budget, the modelled draw (idle floor
-	// included) with its run peak, and the pending deferral wake.
-	capW        float64
-	drawW       float64
-	peakDrawW   float64
-	deferArmed  bool
-	deferWakeAt time.Time
+	// wakeArmed/wakeAt are the partition's pending wake (armWake): the
+	// earliest instant a queued job asked to be looked at again.
+	wakeArmed bool
+	wakeAt    time.Time
+
+	// Cluster-policy state (energy.go), maintained only under a policy:
+	// the power budget and the modelled draw (idle floor included) with
+	// its run peak.
+	capW      float64
+	drawW     float64
+	peakDrawW float64
 }
 
 // takeIdle claims the lowest-slotted idle node that satisfies the
@@ -122,8 +120,6 @@ func unlistFree(n *nodeD) {
 func (p *partition) setPolicy(pol SchedulingPolicy) {
 	p.policy = pol
 	_, p.fifo = pol.(FIFOPolicy)
-	p.keyed, _ = pol.(priorityKeyer)
-	p.slotKeyed, _ = pol.(slotKeyer)
 }
 
 // addNode appends a node to the pool, recording its capability class
@@ -262,7 +258,6 @@ func NewCluster(sim *simclock.Sim, conf Conf, opts ...ClusterOption) (*Controlle
 		fallback:   workload.Sleep("unknown", time.Minute),
 		acct:       &Accounting{aggregateOnly: cfg.aggregate},
 		policy:     FIFOPolicy{},
-		usage:      make(map[uint32]float64),
 		userSlots:  make(map[uint32]int32),
 		usageSink:  cfg.usageSink,
 		aggregate:  cfg.aggregate,
@@ -271,7 +266,7 @@ func NewCluster(sim *simclock.Sim, conf Conf, opts ...ClusterOption) (*Controlle
 	}
 	c.compAct.c = c
 	c.flushAct.c = c
-	c.deferAct.c = c
+	c.wakeAct.c = c
 	if cfg.policy != nil {
 		c.policy = cfg.policy
 	}
@@ -333,26 +328,9 @@ func NewCluster(sim *simclock.Sim, conf Conf, opts ...ClusterOption) (*Controlle
 		}
 	}
 
-	if len(cfg.policies) > 0 {
-		c.epActive = true
-		for _, nd := range c.nodes {
-			nd.pm = NewPowerModel(nd.hw.Calibration())
-			nd.idleDrawW = nd.pm.IdleNodeW()
-		}
-		// Partition draw starts at the idle floor: an empty cluster
-		// still draws power, and the budget is a physical one.
-		for _, p := range c.parts {
-			for _, nd := range p.nodes {
-				p.drawW += nd.idleDrawW
-			}
-			p.peakDrawW = p.drawW
-		}
-		for _, pol := range cfg.policies {
-			if err := pol.attach(c); err != nil {
-				return nil, err
-			}
-		}
+	var err error
+	if c.pol, err = newSchedPolicy(c, cfg.policies); err != nil {
+		return nil, err
 	}
-
 	return c, nil
 }

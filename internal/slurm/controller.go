@@ -140,11 +140,10 @@ type Controller struct {
 	acct        *Accounting
 	onDone      []func(*Job)
 	policy      SchedulingPolicy
-	usage       map[uint32]float64 // user id → consumed CPU-seconds
-	// userSlots assigns each user id a dense index into usageBy, the
-	// slice mirror of usage that keyed scheduling passes read: a slice
-	// load per pending job instead of a map probe. Both stores receive
-	// the same increments in the same order, so they agree bit-exactly.
+	// usageBy is the fair-share store: consumed CPU-seconds per user,
+	// indexed by the dense slot userSlots assigns each user id at first
+	// sight. Jobs carry their slot, so a scheduling pass reads usage
+	// with a slice load per pending job instead of a map probe.
 	userSlots map[uint32]int32
 	usageBy   []float64
 	// usageSink, when set, observes every fair-share usage increment
@@ -171,26 +170,17 @@ type Controller struct {
 
 	// Pre-allocated simclock Actions: job completion and the batched
 	// scheduling flush are the two per-job hot events, fired through
-	// these handles with zero per-event allocation. deferAct wakes a
-	// partition whose energy-deferral hold may have expired.
+	// these handles with zero per-event allocation. wakeAct runs a pass
+	// over a partition at an instant one of its queued jobs is waiting
+	// for (armWake).
 	compAct  completeAction
 	flushAct flushAction
-	deferAct deferAction
+	wakeAct  wakeAction
 
-	// Cluster energy policies (energy.go). epActive gates every policy
-	// hook on the dispatch path; a controller built without
-	// WithSchedPolicies pays one predictable branch per site.
-	epActive       bool
-	capActive      bool
-	freqCap        bool
-	cosched        bool
-	coschedPenalty float64
-	deferral       bool
-	deferSignal    DeferralSignal
-	deferThreshold float64
-	deferMax       time.Duration
-	deferCheck     time.Duration
-	ptotals        PolicyTotals
+	// pol is the cluster energy policy (energy.go); nil = none. The
+	// dispatch path asks it three things — admit (hold, then fit),
+	// place, release — and charges it each started job's draw.
+	pol *schedPolicy
 
 	// activePlug caches the slurm.conf-resolved plugin chain;
 	// invalidated by RegisterPlugin.
@@ -206,10 +196,6 @@ type Controller struct {
 	mCancelled    *metrics.Counter
 	mOverruns     *metrics.Counter
 	mChainLatency *metrics.BucketedHistogram
-	mCapDenials   *metrics.Counter
-	mFreqCapped   *metrics.Counter
-	mDeferred     *metrics.Counter
-	mCoScheduled  *metrics.Counter
 }
 
 // Retired-state codes: one byte per retired job instead of a
@@ -258,6 +244,36 @@ type flushAction struct{ c *Controller }
 
 func (a *flushAction) Fire(uint64) { a.c.flushScheduling() }
 
+// wakeAction runs a scheduling pass over the partition whose index is
+// the pooled event argument, at the instant armWake asked for.
+type wakeAction struct{ c *Controller }
+
+func (a *wakeAction) Fire(arg uint64) {
+	p := a.c.parts[arg]
+	// Wake events cannot be cancelled, so staleness is guarded here: a
+	// duplicate superseded by a re-arm (different wakeAt) must be
+	// dropped, not clear the armed flag — treating a stale fire as live
+	// re-arms another wake per duplicate and the event population grows
+	// geometrically at shared re-check instants.
+	if !p.wakeArmed || !a.c.sim.Now().Equal(p.wakeAt) {
+		return
+	}
+	p.wakeArmed = false
+	a.c.schedulePart(p)
+}
+
+// armWake schedules a pass over the partition at the given future
+// instant, unless one is already armed at or before it: the earliest
+// wake wins, and the pass it runs re-arms for whatever still waits.
+func (c *Controller) armWake(p *partition, at time.Time) {
+	if p.wakeArmed && !at.Before(p.wakeAt) {
+		return
+	}
+	p.wakeArmed = true
+	p.wakeAt = at
+	c.sim.AtAction(at, &c.wakeAct, uint64(p.idx))
+}
+
 // Conf returns the parsed slurm.conf the controller runs under —
 // read-only configuration for callers that need the budgets (the
 // loadgen SLO evaluation) without re-parsing the file.
@@ -289,10 +305,7 @@ func (c *Controller) SetMetrics(r *metrics.Registry) {
 	c.mCancelled = r.Counter(metricJobsCancelled)
 	c.mOverruns = r.Counter(metricBudgetOverruns)
 	c.mChainLatency = r.BucketedHistogram(MetricChainLatency)
-	c.mCapDenials = r.Counter(metricCapDenials)
-	c.mFreqCapped = r.Counter(metricFreqCapped)
-	c.mDeferred = r.Counter(metricDeferred)
-	c.mCoScheduled = r.Counter(metricCoScheduled)
+	c.pol.setMetrics(r)
 	for _, p := range c.parts {
 		p.queueGauge = r.Gauge(metricPartQueuePrefix + p.name)
 		p.occGauge = r.Gauge(metricPartOccPrefix + p.name)
@@ -311,14 +324,19 @@ func (c *Controller) Policy() SchedulingPolicy { return c.policy }
 
 // UserUsageCPUSeconds reports a user's accumulated CPU-seconds, the
 // fair-share input.
-func (c *Controller) UserUsageCPUSeconds(uid uint32) float64 { return c.usage[uid] }
+func (c *Controller) UserUsageCPUSeconds(uid uint32) float64 {
+	if s, ok := c.userSlots[uid]; ok {
+		return c.usageBy[s]
+	}
+	return 0
+}
 
 // AddUsage credits fair-share usage that accrued outside this
 // controller — the lane-barrier replication path. It deliberately does
 // not invoke the usage sink: the delta originated from a sibling
 // controller's sink and echoing it back would double-count.
 func (c *Controller) AddUsage(uid uint32, cpuSeconds float64) {
-	c.addUsage(uid, c.slotFor(uid), cpuSeconds)
+	c.usageBy[c.slotFor(uid)] += cpuSeconds
 }
 
 // Accounting returns the slurmdbd record store.
@@ -711,12 +729,18 @@ func (c *Controller) schedulePart(p *partition) {
 	if len(p.pending) == 0 {
 		return
 	}
-	if p.freeN == 0 && p.busy > 0 && !c.cosched {
+	// What the policy can do this pass, asked once: holds — keep a
+	// Deferrable job queued; pairs — start a job on a busy node (when it
+	// cannot, no idle node means no start).
+	var holds, pairs bool
+	if c.pol != nil {
+		holds, pairs = c.pol.holds(), c.pol.pairs()
+	}
+	if p.freeN == 0 && p.busy > 0 && !pairs {
 		// Hot path at scale: every node busy, so nothing can start
 		// before this partition's next job-end event, which reschedules
 		// it. Tag fresh arrivals with the visible squeue reason and
-		// skip the full pass. (With co-scheduling a busy node may still
-		// accept a complementary secondary, so the pass must run.)
+		// skip the full pass.
 		for i := len(p.pending) - 1; i >= 0 && p.pending[i].Reason == "Priority"; i-- {
 			p.pending[i].Reason = "Resources"
 		}
@@ -732,18 +756,12 @@ func (c *Controller) schedulePart(p *partition) {
 		defer func() { span.End(nil) }()
 	}
 	if !p.fifo {
-		if p.keyed != nil {
-			// Key-cached ordering: compute each job's priority once per
-			// pass, then sort on the cached keys — the policy's Priority
-			// would otherwise be recomputed O(n log n) times per pass.
-			p.orderKeyed(now, c.usage, c.usageBy)
-		} else {
-			p.policy.Order(p.pending, now, c.usage)
-		}
+		p.orderKeyed(now, c.usageBy)
 	}
+	var pr pairing // place's verdict; written only when it pairs
 	remaining := p.pending[:0]
 	for i, job := range p.pending {
-		if p.freeN == 0 && !c.cosched {
+		if p.freeN == 0 && !pairs {
 			// Every node claimed mid-pass: nothing below can start, so
 			// keep the tail queued wholesale instead of probing each
 			// job — the pass cost stays bounded by placements made, not
@@ -786,38 +804,29 @@ func (c *Controller) schedulePart(p *partition) {
 		}
 		if !job.Desc.BeginTime.IsZero() && job.Desc.BeginTime.After(now) {
 			job.Reason = "BeginTime"
-			// Wake this partition up when the job becomes eligible.
-			// AtOrNow: the begin time can land exactly on the current
-			// instant from a caller's perspective yet be "past" by the
-			// time the pass runs.
-			// The wake fires inside the event loop: pass directly.
-			//lint:ignore ecolint/zeroallocproof begin-time deferral — only jobs submitted with a future BeginTime take this branch, never the steady-state backlog
-			c.sim.AtOrNow(job.Desc.BeginTime, func() { c.schedulePart(p) })
+			c.armWake(p, job.Desc.BeginTime)
 			remaining = append(remaining, job)
 			continue
 		}
-		if c.deferral && job.Desc.Deferrable {
-			if hold, wake := c.deferHold(job, now); hold {
-				job.Reason = reasonEnergyHold
-				c.armDeferWake(p, wake)
+		if holds && job.Desc.Deferrable {
+			if wake, held := c.pol.hold(job, now); held {
+				c.armWake(p, wake)
 				remaining = append(remaining, job)
 				continue
 			}
 		}
 		node := p.takeIdle(&job.Desc)
 		if node == nil {
-			if c.cosched && c.tryPair(p, job, now) {
+			if pairs && c.pol.place(p, job, now, &pr) {
+				c.startSecondary(job, pr, now)
 				continue
 			}
 			job.Reason = "Resources"
 			remaining = append(remaining, job)
 			continue
 		}
-		if c.capActive && !c.placeWithinCap(job, node) {
+		if c.pol != nil && !c.pol.fit(job, node) {
 			c.refreeNode(node)
-			job.Reason = reasonPowerCap
-			c.ptotals.CapDenials++
-			c.mCapDenials.Inc()
 			remaining = append(remaining, job)
 			continue
 		}
@@ -836,7 +845,6 @@ func (c *Controller) schedulePart(p *partition) {
 // sharing it.
 func (c *Controller) claimNode(n *nodeD, job *Job) {
 	n.current = job
-	job.node = n
 	for _, p := range n.parts {
 		p.busy++
 		p.occGauge.Set(float64(p.busy) / float64(len(p.nodes)))
@@ -917,25 +925,8 @@ func (c *Controller) start(job *Job, node *nodeD) error {
 		return nil
 	}
 
-	timedOut := duration > job.Desc.TimeLimit
-	if timedOut {
-		duration = job.Desc.TimeLimit
-	}
-
-	job.State = StateRunning
-	job.Reason = ""
-	job.StartTime = now
-	job.startTick = c.sim.NowTick()
-	job.NodeName = node.name
-	job.GFLOPS = gflops
 	c.claimNode(node, job)
 	node.hwJob = hwJob
-	if c.epActive {
-		// Charge the draw of the configuration the job actually runs in
-		// (slurmd resolved the frequency above), so the partition draw
-		// bookkeeping is self-consistent with what is returned at end.
-		c.addDraw(job, node, node.pm.PlacementDeltaW(hwJob.Config))
-	}
 	if c.tracer != nil && c.tracer.SampleKey(uint64(job.ID)) {
 		//lint:ignore ecolint/zeroallocproof sampled start event — allocation gated on SampleKey head sampling, off the unsampled fast path
 		c.tracer.Event(eventJobStart, map[string]string{
@@ -948,9 +939,68 @@ func (c *Controller) start(job *Job, node *nodeD) error {
 	}
 
 	job.sys0, job.cpu0 = node.hw.EnergyJ()
-	job.timedOut = timedOut
-	c.sim.AfterAction(duration, &c.compAct, uint64(job.ID))
+	c.run(job, node, now, hwJob.Config, duration, gflops)
 	return nil
+}
+
+// startSecondary starts the job beside the running primary the policy
+// placed it with. Nothing starts on the hardware — the hw stack models
+// one job per node — so the secondary runs, and is billed, on the
+// pairing's plan.
+func (c *Controller) startSecondary(job *Job, pr pairing, now time.Time) {
+	job.coSecondary = true
+	job.estSysW, job.estCPUW = pr.sysW, pr.cpuW
+	pr.node.coJob = job
+	c.run(job, pr.node, now, pr.cfg, pr.dur, pr.gflops)
+}
+
+// run commits a job to its node — the tail start and startSecondary
+// share: the plan is cut at the time limit, the record turns RUNNING,
+// the policy is charged the draw of the configuration the job actually
+// runs in, and the completion event is armed.
+func (c *Controller) run(job *Job, n *nodeD, now time.Time, cfg perfmodel.Config, dur time.Duration, gflops float64) {
+	job.timedOut = dur > job.Desc.TimeLimit
+	if job.timedOut {
+		dur = job.Desc.TimeLimit
+	}
+	job.State = StateRunning
+	job.Reason = ""
+	job.StartTime = now
+	job.startTick = c.sim.NowTick()
+	job.NodeName = n.name
+	job.GFLOPS = gflops
+	job.node = n
+	if c.pol != nil {
+		c.pol.charge(job, n, cfg)
+	}
+	c.sim.AfterAction(dur, &c.compAct, uint64(job.ID))
+}
+
+// vacate takes a running job off its node — the one path completion
+// and cancellation share. A secondary beside its running primary
+// clears its slot; a primary with a live secondary ends the hardware
+// job and promotes the secondary to the node's occupant (it finishes on
+// its estimates); a sole occupant, or a secondary promoted earlier
+// (whose primary already took the hardware job with it), frees the node.
+func (c *Controller) vacate(job *Job, n *nodeD) {
+	if c.pol != nil {
+		c.pol.release(job, n)
+	}
+	if n.coJob == job {
+		n.coJob = nil
+		job.node = nil
+		return
+	}
+	if n.hwJob != nil {
+		n.hwJob.End()
+		n.unpinFrequency()
+	}
+	if n.coJob != nil {
+		n.current, n.coJob, n.hwJob = n.coJob, nil, nil
+		job.node = nil
+		return
+	}
+	c.releaseNode(n)
 }
 
 // completeJob is the completion event for a running job, fired through
@@ -964,15 +1014,18 @@ func (c *Controller) completeJob(id int) {
 		return // cancelled meanwhile
 	}
 	node := job.node
+	c.vacate(job, node)
 	if job.coSecondary {
-		c.completeSecondary(job, node)
-		return
+		// The hardware ran only the primary: a secondary's energy is its
+		// pairing's power estimate integrated over the runtime.
+		secs := time.Duration(c.sim.NowTick() - job.startTick).Seconds()
+		job.SystemJ = job.estSysW * secs
+		job.CPUJ = job.estCPUW * secs
+	} else {
+		sys1, cpu1 := node.hw.EnergyJ()
+		job.SystemJ = sys1 - job.sys0
+		job.CPUJ = cpu1 - job.cpu0
 	}
-	node.hwJob.End()
-	node.unpinFrequency()
-	sys1, cpu1 := node.hw.EnergyJ()
-	job.SystemJ = sys1 - job.sys0
-	job.CPUJ = cpu1 - job.cpu0
 	job.EndTime = c.sim.Now()
 	job.endTick = c.sim.NowTick()
 	if job.timedOut {
@@ -980,20 +1033,6 @@ func (c *Controller) completeJob(id int) {
 		job.Reason = "TimeLimit"
 	} else {
 		job.State = StateCompleted
-	}
-	if c.epActive {
-		c.dropDraw(job, node)
-	}
-	if co := node.coJob; co != nil {
-		// A co-scheduled secondary is still running: promote it to the
-		// node's occupant instead of freeing the node. The hw job ended
-		// with the primary; the secondary finishes on estimates.
-		node.coJob = nil
-		node.current = co
-		node.hwJob = nil
-		job.node = nil
-	} else {
-		c.releaseNode(node)
 	}
 	c.finish(job)
 	// Completion already runs inside the event loop, so schedule the
@@ -1022,22 +1061,16 @@ func (c *Controller) slotFor(uid uint32) int32 {
 	return s
 }
 
-// addUsage credits consumed CPU-seconds to both fair-share stores.
-func (c *Controller) addUsage(uid uint32, slot int32, delta float64) {
-	c.usage[uid] += delta
-	c.usageBy[slot] += delta
-}
-
 func (c *Controller) finish(job *Job) {
 	if job.startTick != 0 && job.endTick != 0 {
 		delta := float64(job.Desc.NumTasks) * time.Duration(job.endTick-job.startTick).Seconds()
-		c.addUsage(job.Desc.UserID, job.userSlot, delta)
+		c.usageBy[job.userSlot] += delta
 		if c.usageSink != nil {
 			c.usageSink(job.Desc.UserID, delta)
 		}
 	} else if !job.StartTime.IsZero() && !job.EndTime.IsZero() {
 		delta := float64(job.Desc.NumTasks) * job.EndTime.Sub(job.StartTime).Seconds()
-		c.addUsage(job.Desc.UserID, job.userSlot, delta)
+		c.usageBy[job.userSlot] += delta
 		if c.usageSink != nil {
 			c.usageSink(job.Desc.UserID, delta)
 		}
@@ -1130,42 +1163,10 @@ func (c *Controller) Cancel(id int) error {
 	if job.State.Terminal() {
 		return fmt.Errorf("slurm: job %d already %s", id, job.State)
 	}
-	freed := (*nodeD)(nil)
-	var kickParts []*partition
+	var left *nodeD
 	if job.State == StateRunning && job.node != nil {
-		n := job.node
-		if c.epActive {
-			c.dropDraw(job, n)
-		}
-		switch {
-		case job.coSecondary && n.coJob == job:
-			// Co-scheduled secondary with its primary still running:
-			// vacate the slot; the node stays claimed by the primary.
-			n.coJob = nil
-			job.node = nil
-			kickParts = n.parts
-		case job.coSecondary:
-			// Promoted secondary (the primary already ended, taking the
-			// hw job with it): the node frees without an hw job to end.
-			freed = n
-			c.releaseNode(n)
-		case n.coJob != nil:
-			// Primary with a live secondary: end the hw job and promote
-			// the secondary instead of freeing the node.
-			n.hwJob.End()
-			n.unpinFrequency()
-			co := n.coJob
-			n.coJob = nil
-			n.current = co
-			n.hwJob = nil
-			job.node = nil
-			kickParts = n.parts
-		default:
-			freed = n
-			n.hwJob.End()
-			n.unpinFrequency()
-			c.releaseNode(n)
-		}
+		left = job.node
+		c.vacate(job, left)
 	}
 	job.State = StateCancelled
 	job.Reason = "Cancelled by user"
@@ -1174,14 +1175,9 @@ func (c *Controller) Cancel(id int) error {
 	switch {
 	case c.depPending > 0:
 		c.kickAll()
-	case freed != nil:
-		for _, p := range freed.parts {
-			c.kick(p)
-		}
-	case kickParts != nil:
-		// No node freed, but a co-scheduling slot (and power headroom)
-		// opened on the node's partitions.
-		for _, p := range kickParts {
+	case left != nil:
+		// A node, or a slot and power headroom on one, opened up.
+		for _, p := range left.parts {
 			c.kick(p)
 		}
 	case job.part != nil:

@@ -1,23 +1,40 @@
-// Cluster-wide energy policies layered over the dispatch loop: a
-// power model attributing per-node draw from the hardware frequency
-// ladder and the job shape, partition/cluster power budgets enforced
-// at placement (deny-and-wait or frequency-cap), co-scheduling of
-// complementary compute/memory-bound shapes on one node with an
-// interference penalty, and price/carbon-driven deferral of flexible
-// jobs — the cluster-level counterpart of the paper's per-job
-// frequency optimisation, after Zheng et al.'s power-bounded
-// co-scheduling and Kiselev et al.'s cheap/green-window deferral.
+// Cluster-wide energy policies, stated as three decisions the dispatch
+// loop asks of one policy value (schedPolicy; nil = no policy) — the
+// cluster-level counterpart of the paper's job_submit_eco, which also
+// enters Slurm through one narrow hook rather than through the
+// scheduler.
 //
-// Every hook in the hot dispatch path is gated on Controller.epActive
-// (and the per-policy flags), so a controller built without
-// WithSchedPolicies pays one predictable branch per site and
-// allocates nothing new.
+// admit: may this pending job dispatch now, and at what frequency? It
+// has two halves. hold runs before a node is taken and is Kiselev et
+// al.'s cheap/green-window deferral: a deferrable job waits while the
+// price/carbon signal is above the threshold, until its deadline slack
+// or the max-defer bound forces it out. fit runs on the taken node and
+// checks the placement's modelled draw against every power budget the
+// node counts toward: go, go pinned at the fastest ladder rung that
+// fits, or wait. Either half marks a job it keeps queued with the
+// squeue reason.
+//
+// place: with no idle node, which running primary does the job start
+// beside? Zheng et al.'s power-bounded co-scheduling: a compute-bound
+// and a memory-bound shape share one node, the secondary stretched by
+// an interference penalty and charged from the power model.
+//
+// release: a job leaving its node returns its draw to the ledger
+// (charge, its counterpart, books it when the job starts).
+//
+// The policy value owns every controller-wide parameter, the decision
+// counters and their metric handles; per-entity state stays on its
+// entity (budget and draw ledger on partition, power model on nodeD,
+// attributed draw on Job). The decisions are functions of those plain
+// structs — no clock, no hardware, no controller — so they are tested
+// as values (policy_test.go).
 package slurm
 
 import (
 	"fmt"
 	"time"
 
+	"ecosched/internal/metrics"
 	"ecosched/internal/perfmodel"
 	"ecosched/internal/workload"
 )
@@ -85,14 +102,75 @@ func (pm PowerModel) CPUDeltaW(cfg perfmodel.Config) float64 {
 	return d
 }
 
-// SchedPolicy is one cluster energy policy. Implementations configure
-// the controller at construction (attach is deliberately unexported:
-// the pluggable surface is policy selection and parameters — specs,
-// CLI flags, WithSchedPolicies — not arbitrary dispatch callbacks,
-// which could not stay deterministic or zero-alloc).
+// SchedPolicy is one cluster energy policy. Implementations fill in
+// the controller's policy value at construction (attach is deliberately
+// unexported: the pluggable surface is policy selection and parameters
+// — specs, CLI flags, WithSchedPolicies — not arbitrary dispatch
+// callbacks, which could not stay deterministic or zero-alloc).
 type SchedPolicy interface {
-	Name() string
-	attach(c *Controller) error
+	attach(pol *schedPolicy, c *Controller) error
+}
+
+// schedPolicy is the controller's one policy value: the parameters the
+// attached SchedPolicy values set, and the run's decision counters.
+type schedPolicy struct {
+	// freqCap: over a partition's budget (partition.capW), fit pins a
+	// lower rung before it waits.
+	freqCap bool
+	// penalty stretches a co-scheduled secondary's runtime; 0 = no
+	// co-scheduling.
+	penalty float64
+	// signal is the deferral signal; nil = no deferral.
+	signal    DeferralSignal
+	threshold float64
+	maxDefer  time.Duration
+	check     time.Duration
+
+	totals       PolicyTotals
+	mCapDenials  *metrics.Counter
+	mFreqCapped  *metrics.Counter
+	mDeferred    *metrics.Counter
+	mCoScheduled *metrics.Counter
+}
+
+// newSchedPolicy builds the policy value for a constructed controller:
+// seats the power model on every node, opens each partition's draw
+// ledger at its idle floor (an empty cluster still draws power, and
+// the budget is a physical one), then lets each policy fill in its
+// parameters. No policies, no value.
+func newSchedPolicy(c *Controller, ps []SchedPolicy) (*schedPolicy, error) {
+	if len(ps) == 0 {
+		return nil, nil
+	}
+	for _, nd := range c.nodes {
+		nd.pm = NewPowerModel(nd.hw.Calibration())
+		nd.idleDrawW = nd.pm.IdleNodeW()
+	}
+	for _, p := range c.parts {
+		for _, nd := range p.nodes {
+			p.drawW += nd.idleDrawW
+		}
+		p.peakDrawW = p.drawW
+	}
+	pol := &schedPolicy{}
+	for _, sp := range ps {
+		if err := sp.attach(pol, c); err != nil {
+			return nil, err
+		}
+	}
+	return pol, nil
+}
+
+// setMetrics resolves the policy counters' handles (nil-safe, like the
+// handles themselves: no policy, nothing to resolve).
+func (pol *schedPolicy) setMetrics(r *metrics.Registry) {
+	if pol == nil {
+		return
+	}
+	pol.mCapDenials = r.Counter(metricCapDenials)
+	pol.mFreqCapped = r.Counter(metricFreqCapped)
+	pol.mDeferred = r.Counter(metricDeferred)
+	pol.mCoScheduled = r.Counter(metricCoScheduled)
 }
 
 // Power-cap modes: what happens to a job whose placement would exceed
@@ -126,14 +204,11 @@ type PowerCapPolicy struct {
 	Mode           string // CapModeWait (default) or CapModeFreqCap
 }
 
-// Name implements SchedPolicy.
-func (p *PowerCapPolicy) Name() string { return "powercap" }
-
-func (p *PowerCapPolicy) attach(c *Controller) error {
+func (p *PowerCapPolicy) attach(pol *schedPolicy, c *Controller) error {
 	switch p.Mode {
 	case "", CapModeWait:
 	case CapModeFreqCap:
-		c.freqCap = true
+		pol.freqCap = true
 	default:
 		return fmt.Errorf("slurm: power-cap mode %q (want %q or %q)", p.Mode, CapModeWait, CapModeFreqCap)
 	}
@@ -170,7 +245,6 @@ func (p *PowerCapPolicy) attach(c *Controller) error {
 				part.name, part.capW, part.drawW)
 		}
 	}
-	c.capActive = true
 	return nil
 }
 
@@ -191,10 +265,7 @@ type CoSchedulePolicy struct {
 	InterferencePenalty float64
 }
 
-// Name implements SchedPolicy.
-func (p *CoSchedulePolicy) Name() string { return "cosched" }
-
-func (p *CoSchedulePolicy) attach(c *Controller) error {
+func (p *CoSchedulePolicy) attach(pol *schedPolicy, _ *Controller) error {
 	pen := p.InterferencePenalty
 	if pen == 0 {
 		pen = DefaultInterferencePenalty
@@ -202,8 +273,7 @@ func (p *CoSchedulePolicy) attach(c *Controller) error {
 	if pen < 1 {
 		return fmt.Errorf("slurm: interference penalty %g < 1 (a shared node is never faster)", pen)
 	}
-	c.cosched = true
-	c.coschedPenalty = pen
+	pol.penalty = pen
 	return nil
 }
 
@@ -231,10 +301,7 @@ type DeferralPolicy struct {
 	Check time.Duration
 }
 
-// Name implements SchedPolicy.
-func (p *DeferralPolicy) Name() string { return "deferral" }
-
-func (p *DeferralPolicy) attach(c *Controller) error {
+func (p *DeferralPolicy) attach(pol *schedPolicy, _ *Controller) error {
 	if p.Signal == nil {
 		return fmt.Errorf("slurm: deferral policy needs a signal")
 	}
@@ -251,11 +318,10 @@ func (p *DeferralPolicy) attach(c *Controller) error {
 	if check == 0 {
 		check = DefaultDeferCheck
 	}
-	c.deferral = true
-	c.deferSignal = p.Signal
-	c.deferThreshold = p.Threshold
-	c.deferMax = p.MaxDefer
-	c.deferCheck = check
+	pol.signal = p.Signal
+	pol.threshold = p.Threshold
+	pol.maxDefer = p.MaxDefer
+	pol.check = check
 	return nil
 }
 
@@ -282,7 +348,12 @@ type PolicyTotals struct {
 }
 
 // PolicyTotals returns the run's policy decision counts.
-func (c *Controller) PolicyTotals() PolicyTotals { return c.ptotals }
+func (c *Controller) PolicyTotals() PolicyTotals {
+	if c.pol == nil {
+		return PolicyTotals{}
+	}
+	return c.pol.totals
+}
 
 // PartitionDrawW reports a partition's modelled draw: current,
 // run-peak, and cap (0 = uncapped). All zero when the policy layer is
@@ -299,43 +370,14 @@ func (c *Controller) PartitionDrawW(name string) (draw, peak, capW float64) {
 // and a genuine violation overshoots by watts, not ulps.
 const capSlack = 1e-9
 
-// deferAction wakes a partition whose deferral hold may have expired.
-// One pre-allocated action fired with the partition index as the
-// pooled event argument — the same zero-alloc pattern as completion
-// events.
-type deferAction struct{ c *Controller }
-
-func (a *deferAction) Fire(arg uint64) {
-	p := a.c.parts[arg]
-	// Wake events cannot be cancelled, so staleness is guarded here: a
-	// duplicate superseded by a re-arm (different deferWakeAt) must be
-	// dropped, not clear the armed flag — treating a stale fire as live
-	// re-arms another wake per duplicate and the event population grows
-	// geometrically at shared re-check instants.
-	if !p.deferArmed || !a.c.sim.Now().Equal(p.deferWakeAt) {
-		return
-	}
-	p.deferArmed = false
-	a.c.schedulePart(p)
-}
-
-// armDeferWake schedules a scheduling pass for the partition at the
-// given instant, unless one is already armed at or before it.
-func (c *Controller) armDeferWake(p *partition, at time.Time) {
-	if p.deferArmed && !at.Before(p.deferWakeAt) {
-		return
-	}
-	p.deferArmed = true
-	p.deferWakeAt = at
-	c.sim.AtAction(at, &c.deferAct, uint64(p.idx))
-}
-
-// deferHold decides whether the deferral policy holds the job at now,
-// returning the next re-check instant when it does. The release order
-// is: deadline/max-defer bound first (never starve), then a
-// favourable signal.
-func (c *Controller) deferHold(job *Job, now time.Time) (bool, time.Time) {
-	latest := job.SubmitTime.Add(c.deferMax)
+// hold is the first half of admit, asked (when the policy holds() at
+// all) of a Deferrable job before a node is taken: does the deferral
+// signal keep it queued at now? A held job is marked with its squeue
+// reason and must be looked at again at wake. The release order is
+// deadline/max-defer bound first (never starve), then a favourable
+// signal.
+func (pol *schedPolicy) hold(job *Job, now time.Time) (wake time.Time, held bool) {
+	latest := job.SubmitTime.Add(pol.maxDefer)
 	if !job.Desc.Deadline.IsZero() {
 		// Dispatching by Deadline − TimeLimit leaves room for the worst
 		// allowed runtime (the time limit truncates longer plans).
@@ -348,28 +390,64 @@ func (c *Controller) deferHold(job *Job, now time.Time) (bool, time.Time) {
 			// Clear the flag so a forced job that still finds no node is
 			// counted once, not once per scheduling pass.
 			job.deferred = false
-			c.ptotals.ForcedDispatches++
+			pol.totals.ForcedDispatches++
 		}
-		return false, time.Time{}
+		return time.Time{}, false
 	}
-	if c.deferSignal(now) <= c.deferThreshold {
-		return false, time.Time{}
+	if pol.signal(now) <= pol.threshold {
+		return time.Time{}, false
 	}
 	if !job.deferred {
 		job.deferred = true
-		c.ptotals.DeferredJobs++
-		c.mDeferred.Inc()
+		pol.totals.DeferredJobs++
+		pol.mDeferred.Inc()
 	}
-	wake := now.Add(c.deferCheck)
+	job.Reason = reasonEnergyHold
+	wake = now.Add(pol.check)
 	if wake.After(latest) {
 		wake = latest
 	}
-	return true, wake
+	return wake, true
+}
+
+// fit is the second half of admit, asked once a node is taken: does
+// the job's placement on it stay within every power budget the node
+// counts toward? In freq-cap mode a job without an explicit --cpu-freq
+// request that fits only at a lower rung is pinned to the fastest one
+// that does; explicit requests are honoured and wait instead. A job
+// that does not fit is marked with its squeue reason: the release that
+// frees draw reschedules it.
+func (pol *schedPolicy) fit(job *Job, n *nodeD) bool {
+	ladder := n.spec.FrequenciesKHz
+	cfg := job.Desc.Config()
+	if cfg.FreqKHz == 0 && len(ladder) > 0 {
+		// Unpinned jobs run at the governor's pick; charge the ladder
+		// maximum so the estimate never undershoots the started draw.
+		cfg.FreqKHz = ladder[len(ladder)-1]
+	}
+	if capAllows(n, n.pm.PlacementDeltaW(cfg)) {
+		return true
+	}
+	if pol.freqCap && job.Desc.MaxFreqKHz == 0 {
+		for i := len(ladder) - 2; i >= 0; i-- {
+			cfg.FreqKHz = ladder[i]
+			if capAllows(n, n.pm.PlacementDeltaW(cfg)) {
+				job.Desc.MaxFreqKHz, job.Desc.MinFreqKHz = ladder[i], ladder[i]
+				pol.totals.FreqCapped++
+				pol.mFreqCapped.Inc()
+				return true
+			}
+		}
+	}
+	job.Reason = reasonPowerCap
+	pol.totals.CapDenials++
+	pol.mCapDenials.Inc()
+	return false
 }
 
 // capAllows reports whether adding deltaW fits every capped partition
 // sharing the node.
-func (c *Controller) capAllows(n *nodeD, deltaW float64) bool {
+func capAllows(n *nodeD, deltaW float64) bool {
 	for _, p := range n.parts {
 		if p.capW > 0 && p.drawW+deltaW > p.capW {
 			return false
@@ -378,68 +456,36 @@ func (c *Controller) capAllows(n *nodeD, deltaW float64) bool {
 	return true
 }
 
-// placeWithinCap checks the job's placement on the claimed node
-// against the power budget. In freq-cap mode a job without an
-// explicit --cpu-freq request is pinned to the fastest ladder rung
-// whose draw fits; explicit requests are honoured and wait instead.
-func (c *Controller) placeWithinCap(job *Job, n *nodeD) bool {
-	cfg := job.Desc.Config()
-	if cfg.FreqKHz == 0 && len(n.spec.FrequenciesKHz) > 0 {
-		// Unpinned jobs run at the governor's pick; charge the ladder
-		// maximum so the estimate never undershoots the started draw.
-		cfg.FreqKHz = n.spec.FrequenciesKHz[len(n.spec.FrequenciesKHz)-1]
-	}
-	if c.capAllows(n, n.pm.PlacementDeltaW(cfg)) {
-		return true
-	}
-	if c.freqCap && job.Desc.MaxFreqKHz == 0 {
-		for i := len(n.spec.FrequenciesKHz) - 2; i >= 0; i-- {
-			f := n.spec.FrequenciesKHz[i]
-			cfg.FreqKHz = f
-			if c.capAllows(n, n.pm.PlacementDeltaW(cfg)) {
-				job.Desc.MaxFreqKHz = f
-				job.Desc.MinFreqKHz = f
-				c.ptotals.FreqCapped++
-				c.mFreqCapped.Inc()
-				return true
-			}
-		}
-	}
-	return false
+// holds and pairs report whether hold can ever keep a job queued and
+// whether place can ever start one on a busy node. The scheduling pass
+// asks once, not per pending job — and without pairs, "no idle node"
+// still means "nothing can start".
+func (pol *schedPolicy) holds() bool { return pol.signal != nil }
+func (pol *schedPolicy) pairs() bool { return pol.penalty != 0 }
+
+// pairing is place's verdict: the node whose running primary the job
+// starts beside, and the plan it runs on there.
+type pairing struct {
+	node *nodeD
+	// cfg is the job's configuration at the primary's frequency (one
+	// clock per package).
+	cfg    perfmodel.Config
+	dur    time.Duration // planned runtime, interference penalty applied
+	gflops float64
+	// sysW/cpuW are the steady power deltas the secondary's energy is
+	// integrated from (the hw stack models one job per node).
+	sysW, cpuW float64
 }
 
-// addDraw charges a started job's draw delta to every partition
-// sharing its node, tracking the peak and counting violations (which
-// the budget check should make impossible).
-func (c *Controller) addDraw(job *Job, n *nodeD, deltaW float64) {
-	job.drawDeltaW = deltaW
-	for _, p := range n.parts {
-		p.drawW += deltaW
-		if p.drawW > p.peakDrawW {
-			p.peakDrawW = p.drawW
-		}
-		if p.capW > 0 && p.drawW > p.capW*(1+capSlack) {
-			c.ptotals.CapViolations++
-		}
-	}
-}
-
-// dropDraw returns a finished job's draw delta.
-func (c *Controller) dropDraw(job *Job, n *nodeD) {
-	if job.drawDeltaW == 0 {
-		return
-	}
-	for _, p := range n.parts {
-		p.drawW -= job.drawDeltaW
-	}
-	job.drawDeltaW = 0
-}
-
-// tryPair attempts to co-schedule the job as a secondary beside a
-// running primary of the complementary profile, scanning the
-// partition's nodes in slot order (deterministic first-fit, like
-// takeIdle). Returns true when the job started.
-func (c *Controller) tryPair(p *partition, job *Job, now time.Time) bool {
+// place picks the running primary a job with no idle node starts
+// beside: the first node in the partition's slot order (deterministic
+// first-fit, like takeIdle) whose primary has the complementary
+// profile and room left, and on which planBeside accepts the job,
+// writing the verdict to *pr. False — the job stays queued, *pr
+// untouched — when there is none. (An out-parameter on the caller's
+// stack rather than a result: the pass asks this of every queued job,
+// and nearly every answer is "none".)
+func (pol *schedPolicy) place(p *partition, job *Job, now time.Time, pr *pairing) bool {
 	prof := job.shapeProfile()
 	if prof == "" || job.Desc.Exclusive {
 		return false
@@ -465,92 +511,62 @@ func (c *Controller) tryPair(p *partition, job *Job, now time.Time) bool {
 		if job.Desc.MemoryMB > 0 && job.Desc.MemoryMB+pri.Desc.MemoryMB > n.spec.RAMGB*1024 {
 			continue
 		}
-		if c.startSecondary(job, n, now) {
+		if pol.planBeside(job, n, now, pr) {
 			return true
 		}
 	}
 	return false
 }
 
-// startSecondary places the job beside the node's running primary:
-// same frequency domain as the primary (one clock per package),
-// runtime stretched by the interference penalty, draw and energy
-// attributed from the power model. Returns false — job stays queued —
-// when the budget, the deadline, or the plan refuses.
-func (c *Controller) startSecondary(job *Job, n *nodeD, now time.Time) bool {
-	if job.Desc.Shape == nil {
-		return false
-	}
+// planBeside plans the job as the secondary of the node's running
+// primary: same frequency domain as the primary, runtime stretched by
+// the interference penalty, draw from the power model. False, *pr
+// untouched, when the budget, the plan or the deadline refuses.
+func (pol *schedPolicy) planBeside(job *Job, n *nodeD, now time.Time, pr *pairing) bool {
 	cfg := job.Desc.Config()
 	cfg.FreqKHz = n.hwJob.Config.FreqKHz
-	deltaW := n.pm.PlacementDeltaW(cfg)
-	if c.capActive && !c.capAllows(n, deltaW) {
+	sysW := n.pm.PlacementDeltaW(cfg)
+	if !capAllows(n, sysW) {
 		return false
 	}
 	dur, gflops := job.Desc.Shape.Plan(n.hw, cfg)
 	if dur <= 0 {
 		return false
 	}
-	dur = time.Duration(float64(dur) * c.coschedPenalty)
+	dur = time.Duration(float64(dur) * pol.penalty)
 	if !job.Desc.Deadline.IsZero() && now.Add(dur).After(job.Desc.Deadline) {
 		return false
 	}
-	timedOut := dur > job.Desc.TimeLimit
-	if timedOut {
-		dur = job.Desc.TimeLimit
-	}
-	job.State = StateRunning
-	job.Reason = ""
-	job.StartTime = now
-	job.startTick = c.sim.NowTick()
-	job.NodeName = n.name
-	job.GFLOPS = gflops
-	job.timedOut = timedOut
-	job.coSecondary = true
-	job.node = n
-	job.estSysW = deltaW
-	job.estCPUW = n.pm.CPUDeltaW(cfg)
-	n.coJob = job
-	c.addDraw(job, n, deltaW)
-	c.ptotals.CoScheduled++
-	c.mCoScheduled.Inc()
-	c.sim.AfterAction(dur, &c.compAct, uint64(job.ID))
+	pol.totals.CoScheduled++
+	pol.mCoScheduled.Inc()
+	*pr = pairing{node: n, cfg: cfg, dur: dur, gflops: gflops, sysW: sysW, cpuW: n.pm.CPUDeltaW(cfg)}
 	return true
 }
 
-// completeSecondary finishes a co-scheduled secondary: energy is the
-// power-model estimate integrated over the runtime (the hw stack
-// models only the primary). If the primary ended first the secondary
-// was promoted to the node's occupant and its end frees the node.
-func (c *Controller) completeSecondary(job *Job, n *nodeD) {
-	secs := time.Duration(c.sim.NowTick() - job.startTick).Seconds()
-	job.SystemJ = job.estSysW * secs
-	job.CPUJ = job.estCPUW * secs
-	job.EndTime = c.sim.Now()
-	job.endTick = c.sim.NowTick()
-	if job.timedOut {
-		job.State = StateFailed
-		job.Reason = "TimeLimit"
-	} else {
-		job.State = StateCompleted
-	}
-	c.dropDraw(job, n)
-	switch {
-	case n.coJob == job:
-		// Primary still running: vacate the secondary slot.
-		n.coJob = nil
-		job.node = nil
-	case n.current == job:
-		// Promoted (primary ended first): the node is now free. The
-		// primary's completion already ended the hw job.
-		c.releaseNode(n)
-	}
-	c.finish(job)
-	if c.depPending > 0 {
-		c.scheduleAll()
-	} else {
-		for _, p := range n.parts {
-			c.schedulePart(p)
+// charge books a started job's draw — that of the configuration it
+// actually runs in, so the ledger is self-consistent with what release
+// returns — on every partition sharing its node, tracking the peak and
+// counting violations (which fit should make impossible).
+func (pol *schedPolicy) charge(job *Job, n *nodeD, cfg perfmodel.Config) {
+	job.drawDeltaW = n.pm.PlacementDeltaW(cfg)
+	for _, p := range n.parts {
+		p.drawW += job.drawDeltaW
+		if p.drawW > p.peakDrawW {
+			p.peakDrawW = p.drawW
+		}
+		if p.capW > 0 && p.drawW > p.capW*(1+capSlack) {
+			pol.totals.CapViolations++
 		}
 	}
+}
+
+// release returns the draw of a job leaving its node.
+func (pol *schedPolicy) release(job *Job, n *nodeD) {
+	if job.drawDeltaW == 0 {
+		return
+	}
+	for _, p := range n.parts {
+		p.drawW -= job.drawDeltaW
+	}
+	job.drawDeltaW = 0
 }

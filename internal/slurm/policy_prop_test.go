@@ -25,6 +25,10 @@ import (
 //     Exclusive, profiles match, or task counts overflow the cores.
 //  4. Under deferral with guaranteed capacity, no deferrable job ever
 //     finishes past its deadline: the hold must release in time.
+//  5. Operator interference — scancel of a random live job, drain and
+//     resume of a random node, at a per-seed rate between submissions —
+//     breaks none of the above, and once everything drains no node is
+//     left claimed, paired or holding a hardware job.
 //
 // The suite runs the full grid under -race via `make chaos`
 // (propSeeds × the policy-config table ≥ the twenty-seed floor the
@@ -215,6 +219,11 @@ func runPolicyProperty(t *testing.T, cfg propConfig, seed uint64) {
 
 	start := sim.Now()
 	jobs := drawWorkload(rng, 30+rng.Intn(30), start)
+	// The operator has a stream of its own, so the workload and budget
+	// above are the ones the seed always drew.
+	ops := simclock.NewRNG(seed + 5000)
+	opRate := 0.1 + 0.3*ops.Float64()
+	var submitted []*Job
 	for _, pj := range jobs {
 		for at := start.Add(pj.at); sim.Now().Before(at); {
 			if !sim.Step() {
@@ -223,10 +232,23 @@ func runPolicyProperty(t *testing.T, cfg propConfig, seed uint64) {
 			}
 			checkPolicyInvariants(t, c)
 		}
-		if _, err := c.Submit(pj.desc); err != nil {
+		j, err := c.Submit(pj.desc)
+		if err != nil {
 			t.Fatalf("seed %d: submit: %v", seed, err)
 		}
+		submitted = append(submitted, j)
 		checkPolicyInvariants(t, c)
+		if ops.Float64() < opRate {
+			operate(t, c, ops, submitted)
+			checkPolicyInvariants(t, c)
+		}
+	}
+	for _, n := range c.nodes {
+		if n.drained {
+			if err := c.ResumeNode(n.name); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+		}
 	}
 	for sim.Step() {
 		checkPolicyInvariants(t, c)
@@ -247,6 +269,38 @@ func runPolicyProperty(t *testing.T, cfg propConfig, seed uint64) {
 			t.Fatalf("seed %d (%s): residual draw %.9f W, want idle floor %.9f W",
 				seed, cfg.name, p.drawW, want)
 		}
+		if p.busy != 0 || p.freeN != len(p.nodes) {
+			t.Fatalf("seed %d (%s): %q ends with %d busy, %d of %d nodes free",
+				seed, cfg.name, p.name, p.busy, p.freeN, len(p.nodes))
+		}
+	}
+	for _, n := range c.nodes {
+		if n.current != nil || n.coJob != nil || n.hwJob != nil {
+			t.Fatalf("seed %d (%s): node %q still holds current=%v coJob=%v hwJob=%v",
+				seed, cfg.name, n.name, n.current, n.coJob, n.hwJob)
+		}
+	}
+}
+
+// operate is one operator action: scancel a random live job, or flip a
+// random node between drained and in service.
+func operate(t *testing.T, c *Controller, ops *simclock.RNG, submitted []*Job) {
+	t.Helper()
+	if ops.Intn(2) == 0 {
+		if j := submitted[ops.Intn(len(submitted))]; !j.State.Terminal() {
+			if err := c.Cancel(j.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return
+	}
+	n := c.nodes[ops.Intn(len(c.nodes))]
+	flip := c.DrainNode
+	if n.drained {
+		flip = c.ResumeNode
+	}
+	if err := flip(n.name); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -13,9 +13,11 @@ import (
 // (§2.1).
 type SchedulingPolicy interface {
 	Name() string
-	// Order sorts jobs in descending scheduling preference. usage maps
-	// user id → consumed CPU-seconds, maintained by the controller.
-	Order(pending []*Job, now time.Time, usage map[uint32]float64)
+	// prioritySlot is the job's priority at now: a pass schedules in
+	// descending priority, ties broken by submission order. usageBy is
+	// the controller's fair-share store (consumed CPU-seconds), indexed
+	// by the job's userSlot.
+	prioritySlot(j *Job, now time.Time, usageBy []float64) float64
 }
 
 // FIFOPolicy schedules strictly in submission order.
@@ -24,10 +26,10 @@ type FIFOPolicy struct{}
 // Name implements SchedulingPolicy.
 func (FIFOPolicy) Name() string { return "fifo" }
 
-// Order implements SchedulingPolicy: submission order is queue order.
-func (FIFOPolicy) Order(pending []*Job, _ time.Time, _ map[uint32]float64) {
-	sort.SliceStable(pending, func(i, j int) bool { return pending[i].ID < pending[j].ID })
-}
+// prioritySlot implements SchedulingPolicy: every job ties, so the
+// tie-break — submission order — is the order. (A pending queue is
+// already in that order, which is why a FIFO partition never sorts.)
+func (FIFOPolicy) prioritySlot(*Job, time.Time, []float64) float64 { return 0 }
 
 // MultifactorPolicy weights job age, job size and the submitting
 // user's fair share. All factors are normalised to [0, 1]; a job's
@@ -57,45 +59,8 @@ func DefaultMultifactor(maxCores int) MultifactorPolicy {
 // Name implements SchedulingPolicy.
 func (MultifactorPolicy) Name() string { return "multifactor" }
 
-// Priority computes a job's current priority value.
-func (p MultifactorPolicy) Priority(j *Job, now time.Time, usage map[uint32]float64) float64 {
-	age := 0.0
-	if p.MaxAge > 0 {
-		age = float64(now.Sub(j.SubmitTime)) / float64(p.MaxAge)
-		if age > 1 {
-			age = 1
-		}
-	}
-	size := 0.0
-	if p.MaxCores > 0 {
-		size = 1 - float64(j.Desc.NumTasks)/float64(p.MaxCores)
-		if size < 0 {
-			size = 0
-		}
-	}
-	fair := 1.0
-	if p.UsageHalfLife > 0 {
-		fair = p.UsageHalfLife / (p.UsageHalfLife + usage[j.Desc.UserID])
-	}
-	return p.AgeWeight*age + p.SizeWeight*size + p.FairShareWeight*fair
-}
-
-// Order implements SchedulingPolicy.
-func (p MultifactorPolicy) Order(pending []*Job, now time.Time, usage map[uint32]float64) {
-	sort.SliceStable(pending, func(i, j int) bool {
-		pi := p.Priority(pending[i], now, usage)
-		pj := p.Priority(pending[j], now, usage)
-		if pi != pj {
-			return pi > pj
-		}
-		return pending[i].ID < pending[j].ID
-	})
-}
-
-// prioritySlot is Priority with the user's fair-share usage read from
-// the controller's slot-indexed slice (Controller.usageBy) instead of
-// the map — the same arithmetic on the same values, minus a map probe
-// per pending job per scheduling pass.
+// prioritySlot implements SchedulingPolicy: the weighted sum of the
+// age, size and fair-share factors.
 func (p MultifactorPolicy) prioritySlot(j *Job, now time.Time, usageBy []float64) float64 {
 	age := 0.0
 	if p.MaxAge > 0 {
@@ -118,25 +83,9 @@ func (p MultifactorPolicy) prioritySlot(j *Job, now time.Time, usageBy []float64
 	return p.AgeWeight*age + p.SizeWeight*size + p.FairShareWeight*fair
 }
 
-// priorityKeyer is the per-job priority-function view of a policy.
-// When a policy offers it, the scheduling pass computes each job's key
-// once and sorts on the cached values (orderKeyed) instead of calling
-// Order, which recomputes priorities inside every comparison.
-// MultifactorPolicy satisfies it.
-type priorityKeyer interface {
-	Priority(j *Job, now time.Time, usage map[uint32]float64) float64
-}
-
-// slotKeyer is the slot-indexed refinement of priorityKeyer: usage
-// arrives as the controller's dense per-user slice, indexed by the
-// job's userSlot. MultifactorPolicy satisfies it.
-type slotKeyer interface {
-	prioritySlot(j *Job, now time.Time, usageBy []float64) float64
-}
-
 // prioSorter sorts jobs by cached priority key, descending, with the
 // job id as a strict tiebreaker — a total order, so the result is
-// identical to a stable sort by key (and to the policy's Order).
+// identical to a stable sort by key.
 type prioSorter struct {
 	jobs []*Job
 	keys []float64
@@ -156,22 +105,18 @@ func (s *prioSorter) Swap(i, j int) {
 	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
-// orderKeyed orders the partition's pending queue through the keyed
-// policy, reusing the partition's key buffer and sorter.
-func (p *partition) orderKeyed(now time.Time, usage map[uint32]float64, usageBy []float64) {
+// orderKeyed orders the partition's pending queue by its policy:
+// each job's priority is computed once per pass, then the queue sorts
+// on the cached keys (a comparison-time priority would be recomputed
+// O(n log n) times), reusing the partition's key buffer and sorter.
+func (p *partition) orderKeyed(now time.Time, usageBy []float64) {
 	if cap(p.prios) < len(p.pending) {
 		//lint:ignore ecolint/zeroallocproof key-buffer growth — amortized; the capacity persists across scheduling passes
 		p.prios = make([]float64, len(p.pending))
 	}
 	p.prios = p.prios[:len(p.pending)]
-	if p.slotKeyed != nil {
-		for i, j := range p.pending {
-			p.prios[i] = p.slotKeyed.prioritySlot(j, now, usageBy)
-		}
-	} else {
-		for i, j := range p.pending {
-			p.prios[i] = p.keyed.Priority(j, now, usage)
-		}
+	for i, j := range p.pending {
+		p.prios[i] = p.policy.prioritySlot(j, now, usageBy)
 	}
 	p.sorter.jobs = p.pending
 	p.sorter.keys = p.prios

@@ -2,12 +2,61 @@ package slurm
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"ecosched/internal/hw"
+	"ecosched/internal/simclock"
 )
+
+// Order and Priority are the ordering oracles: the comparison-time,
+// map-reading statement of each policy that the production form
+// (prioritySlot keys cached per pass and sorted by orderKeyed) must
+// agree with — TestOrderKeyedMatchesOracle compares them directly.
+
+// Order is the FIFO oracle: submission order is queue order.
+func (FIFOPolicy) Order(pending []*Job, _ time.Time, _ map[uint32]float64) {
+	sort.SliceStable(pending, func(i, j int) bool { return pending[i].ID < pending[j].ID })
+}
+
+// Priority is the multifactor oracle's per-job value. usage maps user
+// id → consumed CPU-seconds.
+func (p MultifactorPolicy) Priority(j *Job, now time.Time, usage map[uint32]float64) float64 {
+	age := 0.0
+	if p.MaxAge > 0 {
+		age = float64(now.Sub(j.SubmitTime)) / float64(p.MaxAge)
+		if age > 1 {
+			age = 1
+		}
+	}
+	size := 0.0
+	if p.MaxCores > 0 {
+		size = 1 - float64(j.Desc.NumTasks)/float64(p.MaxCores)
+		if size < 0 {
+			size = 0
+		}
+	}
+	fair := 1.0
+	if p.UsageHalfLife > 0 {
+		fair = p.UsageHalfLife / (p.UsageHalfLife + usage[j.Desc.UserID])
+	}
+	return p.AgeWeight*age + p.SizeWeight*size + p.FairShareWeight*fair
+}
+
+// Order is the multifactor oracle: descending Priority, ties broken by
+// submission order.
+func (p MultifactorPolicy) Order(pending []*Job, now time.Time, usage map[uint32]float64) {
+	sort.SliceStable(pending, func(i, j int) bool {
+		pi := p.Priority(pending[i], now, usage)
+		pj := p.Priority(pending[j], now, usage)
+		if pi != pj {
+			return pi > pj
+		}
+		return pending[i].ID < pending[j].ID
+	})
+}
 
 func TestFIFOPolicyOrder(t *testing.T) {
 	jobs := []*Job{{ID: 3}, {ID: 1}, {ID: 2}}
@@ -73,6 +122,76 @@ func TestMultifactorTieBreaksBySubmission(t *testing.T) {
 	p.Order(jobs, now, map[uint32]float64{})
 	if jobs[0] != a {
 		t.Fatal("equal priorities should keep submission order")
+	}
+}
+
+// orderOracle is the Order method both policies' oracles share.
+type orderOracle interface {
+	SchedulingPolicy
+	Order(pending []*Job, now time.Time, usage map[uint32]float64)
+}
+
+// TestOrderKeyedMatchesOracle drives the production ordering
+// (orderKeyed over prioritySlot and the slot-indexed usage store)
+// against the Order oracles on random queues: random ages, sizes,
+// users and usage, with duplicated jobs so equal keys occur and the
+// submission-order tie-break is exercised.
+func TestOrderKeyedMatchesOracle(t *testing.T) {
+	now := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	policies := []orderOracle{
+		FIFOPolicy{},
+		DefaultMultifactor(32),
+		MultifactorPolicy{SizeWeight: 1, MaxCores: 4}, // few distinct keys: mostly ties
+		MultifactorPolicy{},                           // every key equal
+	}
+	for seed := uint64(1); seed <= 50; seed++ {
+		rng := simclock.NewRNG(seed)
+		users := 1 + rng.Intn(6)
+		usage := make(map[uint32]float64)
+		usageBy := make([]float64, users)
+		for u := range usageBy {
+			if rng.Intn(3) > 0 {
+				usageBy[u] = 1e6 * rng.Float64()
+				usage[uint32(100+u)] = usageBy[u]
+			}
+		}
+		queue := make([]*Job, 1+rng.Intn(60))
+		for i := range queue {
+			if i > 0 && rng.Intn(4) == 0 {
+				// Same submit time, size and user as an earlier job: an
+				// exactly equal key under every policy.
+				twin := *queue[rng.Intn(i)]
+				queue[i] = &twin
+			} else {
+				u := rng.Intn(users)
+				queue[i] = &Job{
+					SubmitTime: now.Add(-time.Duration(rng.Intn(30*3600)) * time.Second),
+					Desc:       JobDesc{NumTasks: 1 + rng.Intn(40), UserID: uint32(100 + u)},
+					userSlot:   int32(u),
+				}
+			}
+		}
+		// Unique ids, then a shuffle, so neither form can pass by
+		// leaving its input alone.
+		for i, j := range queue {
+			j.ID = i + 1
+		}
+		for i := len(queue) - 1; i > 0; i-- {
+			k := rng.Intn(i + 1)
+			queue[i], queue[k] = queue[k], queue[i]
+		}
+		for _, pol := range policies {
+			want := append([]*Job(nil), queue...)
+			pol.Order(want, now, usage)
+			p := &partition{pending: append([]*Job(nil), queue...)}
+			p.setPolicy(pol)
+			p.orderKeyed(now, usageBy)
+			for i := range want {
+				if p.pending[i] != want[i] {
+					t.Fatalf("seed %d, %s: orderKeyed = %v, oracle = %v", seed, pol.Name(), ids(p.pending), ids(want))
+				}
+			}
+		}
 	}
 }
 
