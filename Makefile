@@ -23,17 +23,16 @@ vet:
 	if [ -n "$$leaked" ]; then echo "policy vocabulary outside internal/slurm/energy.go (ask the policy value instead):"; echo "$$leaked"; exit 1; fi
 
 # lint runs the project's own analyzer suite (internal/lint via
-# cmd/ecolint): determinism, context flow, hot-path I/O, lock scope,
-# metric naming, the simclock event-pool contract, atomic striping
-# shape, lane isolation, goroutine joins, the zero-alloc hot-path
-# proof, and map/select determinism. Whole-module mode is the
-# authoritative gate — it also fails on stale suppressions (directives
-# that no longer absorb a finding; `ecolint -prune .` lists them) and
-# prints the suppression-debt ledger. The same binary speaks the vet
-# protocol (go vet -vettool=bin/ecolint ./...).
+# cmd/ecolint), six analyzers over the whole module: determinism (wall
+# clock, global RNG, map-order and select), context flow, hot-path
+# I/O, lock scope, metric naming and the simclock event-pool contract.
+# It has no flags: a suppression without a reason and a suppression
+# that no longer absorbs a finding are both findings, and the
+# suppression-debt ledger is always printed. TestModuleClean runs the
+# same check, so `make test` and `make lint` agree.
 lint: build
 	$(GO) build -o bin/ecolint ./cmd/ecolint
-	./bin/ecolint -debt .
+	./bin/ecolint .
 
 test: build
 	$(GO) test ./...
@@ -106,14 +105,16 @@ profile-cluster:
 # simulator's must report 0 allocs/op, or a heap allocation has crept
 # into a per-event path: the telemetry emit path (sharded counter,
 # gauge, bucketed histogram), the simclock schedule+pop cycle on the
-# Action fast path, and the slurm submit→complete cycle (pooled jobs,
-# chunked arena, aggregate accounting). The paper's budgeted path — a
-# cache-hit job_submit_eco with settings.json on disk — has a fixed
-# ceiling instead: 7 allocs/op as measured (go1.24), all of them
-# os.ReadFile of the settings file and the copy of its model list.
+# Action fast path, the slurm submit→complete cycle (pooled jobs,
+# chunked arena, aggregate accounting) and PredictService.Predict on a
+# cache hit (untraced; the $$ keeps the traced variant, which allocates
+# spans by design, out). The paper's budgeted path — a cache-hit
+# job_submit_eco with settings.json on disk — has a fixed ceiling
+# instead: 7 allocs/op as measured (go1.24), all of them os.ReadFile
+# of the settings file and the copy of its model list.
 alloc-check:
-	$(GO) test -run XXX -bench 'ShardedCounterInc|BucketedHistogramObserve|GaugeSet|SimSchedule$$|SubmitSteadyState|EcoSubmitCacheHit' -benchtime=1000x -benchmem ./internal/metrics ./internal/simclock ./internal/slurm ./internal/ecoplugin | \
-	awk '{ print } /allocs\/op$$/ { seen++; limit = ($$1 ~ /^BenchmarkEcoSubmitCacheHit/) ? 7 : 0; if ($$(NF-1) + 0 > limit) { bad = 1; print "alloc-check: " $$1 " allocates " $$(NF-1) " times per op, ceiling " limit } } END { if (seen < 6) { print "alloc-check: expected 6 benchmarks, saw " seen+0; exit 1 }; exit bad }'
+	$(GO) test -run XXX -bench 'ShardedCounterInc|BucketedHistogramObserve|GaugeSet|SimSchedule$$|SubmitSteadyState|EcoSubmitCacheHit|PredictCacheHit$$' -benchtime=1000x -benchmem . ./internal/metrics ./internal/simclock ./internal/slurm ./internal/ecoplugin | \
+	awk '{ print } /allocs\/op$$/ { seen++; limit = ($$1 ~ /^BenchmarkEcoSubmitCacheHit/) ? 7 : 0; if ($$(NF-1) + 0 > limit) { bad = 1; print "alloc-check: " $$1 " allocates " $$(NF-1) " times per op, ceiling " limit } } END { if (seen < 7) { print "alloc-check: expected 7 benchmarks, saw " seen+0; exit 1 }; exit bad }'
 
 # serve-smoke boots `chronus serve` against a fresh data directory and
 # fails unless /metrics and /healthz answer 200 with the expected

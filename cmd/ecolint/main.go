@@ -1,352 +1,76 @@
 // Command ecolint runs the project's analyzer suite (internal/lint):
-// nodeterminism, ctxflow, hotpathio, lockscope, metricname, eventpool,
-// atomicshape, laneisolation, goroutinejoin, zeroallocproof, seqdet.
+// nodeterminism, ctxflow, hotpathio, lockscope, metricname, eventpool.
 //
-// Two modes:
+//	ecolint [module-dir]
 //
-//	ecolint [flags] [dir]   whole-module mode: load every package of the
-//	                        module rooted at dir (default ".") and run
-//	                        all analyzers, including the whole-program
-//	                        traversals (hotpathio, zeroallocproof) and
-//	                        the suppression-debt ledger: reasoned
-//	                        lint:ignore directives that no longer
-//	                        suppress anything are themselves findings,
-//	                        so debt can only shrink. This is what
-//	                        `make lint` runs.
-//
-//	go vet -vettool=$(which ecolint) ./...
-//	                        vet-tool mode: speaks the cmd/vet unit
-//	                        checker protocol (-V=full handshake, then a
-//	                        *.cfg file per package). Each package is
-//	                        checked in isolation, so the cross-package
-//	                        half of hotpathio/zeroallocproof/lockscope
-//	                        is reduced to what is visible locally and
-//	                        stale-suppression detection is off (a
-//	                        directive may suppress a finding another
-//	                        package's traversal produces); whole-module
-//	                        mode remains the authoritative gate.
-//
-// Whole-module flags:
-//
-//	-roots f,g   override the zeroallocproof hot roots (suffix-matched
-//	             qualified names, e.g. 'Controller).SubmitDesc')
-//	-debt        print the suppression-debt ledger: how many findings
-//	             each analyzer's directives currently absorb
-//	-prune       print only the stale directives (the ones -debt would
-//	             count at zero) and exit 2 if any exist
-//	-sarif       emit findings as SARIF 2.1.0 JSON on stdout for CI
-//	             annotation instead of the plain-text lines
+// It loads every package of the module rooted at module-dir (default
+// "."), runs every analyzer over the whole program, prints the findings
+// and then the suppression-debt ledger: how many findings each
+// analyzer's lint:ignore directives currently absorb. A directive
+// without a reason, and a reasoned one that no longer suppresses
+// anything, are themselves findings, so debt can only shrink. There are
+// no flags; this is what `make lint` runs and what TestModuleClean
+// checks.
 //
 // Exit status: 0 clean, 1 usage or load failure, 2 diagnostics found.
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"ecosched/internal/lint"
 )
 
 func main() {
-	// The cmd/go tool-ID handshake: `ecolint -V=full` must print
-	// "<name> version <ver> ..." before vet will run us.
-	if len(os.Args) == 2 && strings.HasPrefix(os.Args[1], "-V") {
-		fmt.Printf("ecolint version devel buildID=ecolint-%s\n", version)
-		return
-	}
-	// cmd/go probes `ecolint -flags` for the tool's analyzer flags;
-	// ecolint exposes none, so answer with the empty JSON list.
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
-	if len(os.Args) == 2 && strings.HasSuffix(os.Args[1], ".cfg") {
-		os.Exit(runVetTool(os.Args[1]))
-	}
-
-	list := flag.Bool("list", false, "list the analyzers and exit")
-	roots := flag.String("roots", "", "comma-separated zeroallocproof root overrides (suffix-matched qualified names)")
-	debt := flag.Bool("debt", false, "print the suppression-debt ledger after the findings")
-	prune := flag.Bool("prune", false, "print only stale lint:ignore directives; exit 2 if any exist")
-	sarif := flag.Bool("sarif", false, "emit findings as SARIF 2.1.0 JSON on stdout")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: ecolint [-list] [-roots f,g] [-debt] [-prune] [-sarif] [module-dir]\n\nAnalyzers:\n")
-		for _, a := range lint.All() {
-			fmt.Fprintf(flag.CommandLine.Output(), "  %-14s %s\n", a.Name, a.Doc)
-		}
-	}
-	flag.Parse()
-	if *list {
-		for _, a := range lint.All() {
-			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-	if *roots != "" {
-		var rs []string
-		for _, r := range strings.Split(*roots, ",") {
-			if r = strings.TrimSpace(r); r != "" {
-				rs = append(rs, r)
-			}
-		}
-		lint.ZeroAllocRoots = rs
-	}
 	root := "."
-	if flag.NArg() > 0 {
-		root = flag.Arg(0)
+	if args := os.Args[1:]; len(args) == 1 {
+		root = args[0]
+	} else if len(args) > 1 {
+		usage("too many arguments")
 	}
-	os.Exit(runModule(root, *debt, *prune, *sarif))
+	// There are no flags: anything that is not a module root (-debt, a
+	// vet *.cfg file) is a usage error, not a load failure.
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+		usage(fmt.Sprintf("%s is not a module directory (%v)", root, err))
+	}
+	os.Exit(run(root))
 }
 
-// version feeds the buildID in the -V=full handshake; bump when the
-// analyzer set or configuration changes so vet's result cache misses.
-const version = "3"
+func usage(problem string) {
+	fmt.Fprintf(os.Stderr, "ecolint: %s\nusage: ecolint [module-dir]\n\nAnalyzers:\n", problem)
+	for _, a := range lint.All() {
+		fmt.Fprintf(os.Stderr, "  %-14s %s\n", a.Name, a.Doc)
+	}
+	os.Exit(1)
+}
 
-func runModule(root string, debt, prune, sarif bool) int {
+func run(root string) int {
 	prog, err := lint.LoadModule(root)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ecolint: %v\n", err)
 		return 1
 	}
-	diags, report := lint.RunWithDebt(prog, lint.All())
-	if prune {
-		for _, s := range report.Stale {
-			fmt.Printf("%s: stale suppression for %s — delete it\n", s.Pos, strings.Join(s.Analyzers, ", "))
-		}
-		if len(report.Stale) > 0 {
-			fmt.Fprintf(os.Stderr, "ecolint: %d stale directive(s)\n", len(report.Stale))
-			return 2
-		}
-		return 0
+	diags, debt := lint.Run(prog, lint.All())
+	for _, d := range diags {
+		fmt.Fprintln(os.Stderr, d)
 	}
-	if sarif {
-		if err := writeSARIF(os.Stdout, diags); err != nil {
-			fmt.Fprintf(os.Stderr, "ecolint: %v\n", err)
-			return 1
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Fprintln(os.Stderr, d)
-		}
+	// The ledger: what each analyzer's directives currently absorb.
+	// Zero-hit (stale) directives are findings, so they appear above.
+	fmt.Fprintf(os.Stderr, "suppression debt: %d finding(s) absorbed by lint:ignore directives\n", debt.Total)
+	names := make([]string, 0, len(debt.ByAnalyzer))
+	for name := range debt.ByAnalyzer {
+		names = append(names, name)
 	}
-	if debt {
-		printDebt(os.Stderr, report)
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Fprintf(os.Stderr, "  %-16s %d\n", name, debt.ByAnalyzer[name])
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "ecolint: %d finding(s)\n", len(diags))
 		return 2
 	}
 	return 0
-}
-
-// printDebt renders the suppression ledger: what each analyzer's
-// directives currently absorb. Zero-hit (stale) directives are already
-// diagnostics, so they appear above, not here.
-func printDebt(w io.Writer, report lint.DebtReport) {
-	fmt.Fprintf(w, "suppression debt: %d finding(s) absorbed by lint:ignore directives\n", report.Total)
-	names := make([]string, 0, len(report.ByAnalyzer))
-	for name := range report.ByAnalyzer {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(w, "  %-16s %d\n", name, report.ByAnalyzer[name])
-	}
-}
-
-// sarifLog is the minimal SARIF 2.1.0 shape CI annotators consume.
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name  string      `json:"name"`
-	Rules []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string       `json:"id"`
-	ShortDescription sarifMessage `json:"shortDescription"`
-}
-
-type sarifMessage struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifMessage    `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysical `json:"physicalLocation"`
-}
-
-type sarifPhysical struct {
-	ArtifactLocation sarifArtifact `json:"artifactLocation"`
-	Region           sarifRegion   `json:"region"`
-}
-
-type sarifArtifact struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn,omitempty"`
-}
-
-// writeSARIF emits the diagnostics as one SARIF run.
-func writeSARIF(w io.Writer, diags []lint.Diagnostic) error {
-	ruleSeen := map[string]bool{}
-	var rules []sarifRule
-	for _, a := range lint.All() {
-		rules = append(rules, sarifRule{ID: "ecolint/" + a.Name, ShortDescription: sarifMessage{Text: a.Doc}})
-		ruleSeen[a.Name] = true
-	}
-	results := make([]sarifResult, 0, len(diags))
-	for _, d := range diags {
-		if !ruleSeen[d.Analyzer] {
-			// Framework-produced findings (bare "ignore" directives,
-			// stale suppressions) get rules on first use.
-			ruleSeen[d.Analyzer] = true
-			rules = append(rules, sarifRule{ID: "ecolint/" + d.Analyzer, ShortDescription: sarifMessage{Text: d.Analyzer}})
-		}
-		results = append(results, sarifResult{
-			RuleID:  "ecolint/" + d.Analyzer,
-			Level:   "error",
-			Message: sarifMessage{Text: d.Message},
-			Locations: []sarifLocation{{PhysicalLocation: sarifPhysical{
-				ArtifactLocation: sarifArtifact{URI: filepath.ToSlash(d.Pos.Filename)},
-				Region:           sarifRegion{StartLine: d.Pos.Line, StartColumn: d.Pos.Column},
-			}}},
-		})
-	}
-	log := sarifLog{
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Version: "2.1.0",
-		Runs:    []sarifRun{{Tool: sarifTool{Driver: sarifDriver{Name: "ecolint"}}, Results: results}},
-	}
-	log.Runs[0].Tool.Driver.Rules = rules
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(log)
-}
-
-// vetConfig is the subset of cmd/vet's per-package JSON config file
-// that the unit-checker mode needs.
-type vetConfig struct {
-	ID                        string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-func runVetTool(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ecolint: %v\n", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "ecolint: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-	// vet requires the facts file to exist even though ecolint's
-	// analyzers exchange none.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintf(os.Stderr, "ecolint: %v\n", err)
-			return 1
-		}
-	}
-	// cmd/go runs the tool over every dependency in the build graph to
-	// collect facts; VetxOnly marks those runs. ecolint has no facts to
-	// compute, and the project invariants do not apply to dependency or
-	// standard-library code, so answer without analyzing.
-	if cfg.VetxOnly || cfg.Standard[cfg.ImportPath] {
-		return 0
-	}
-	// Whole-module mode skips test files (tests legitimately use the
-	// wall clock and ad-hoc span names); keep unit mode consistent.
-	var goFiles []string
-	for _, f := range cfg.GoFiles {
-		if !strings.HasSuffix(f, "_test.go") {
-			goFiles = append(goFiles, f)
-		}
-	}
-	if len(goFiles) == 0 {
-		return 0
-	}
-	lookup := func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	prog, err := lint.LoadUnit(cfg.ImportPath, moduleRoot(cfg.Dir), goFiles, lookup)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "ecolint: %v\n", err)
-		return 1
-	}
-	diags := lint.Run(prog, lint.All())
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: [ecolint/%s] %s\n", d.Pos, d.Analyzer, d.Message)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
-}
-
-// moduleRoot walks up from dir to the enclosing go.mod and returns the
-// module path declared there, or "" when none is found.
-func moduleRoot(dir string) string {
-	for d := dir; ; {
-		if data, err := os.ReadFile(filepath.Join(d, "go.mod")); err == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
-					return strings.TrimSpace(rest)
-				}
-			}
-		}
-		parent := filepath.Dir(d)
-		if parent == d {
-			return ""
-		}
-		d = parent
-	}
 }

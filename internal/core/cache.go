@@ -76,7 +76,6 @@ func (c *modelCache) peek(key cacheKey) (*cacheEntry, bool) {
 func (c *modelCache) lookup(key cacheKey) (entry *cacheEntry, isLoader bool) {
 	if c == nil {
 		// Uncached service: every call loads for itself.
-		//lint:ignore ecolint/zeroallocproof loader election runs only on a cache miss; the hit path answers from peek and never reaches lookup
 		return &cacheEntry{done: make(chan struct{})}, true
 	}
 	c.mu.Lock()
@@ -84,7 +83,6 @@ func (c *modelCache) lookup(key cacheKey) (entry *cacheEntry, isLoader bool) {
 	if e, ok := c.entries[key]; ok {
 		return e, false
 	}
-	//lint:ignore ecolint/zeroallocproof one entry per distinct (system, binary) miss; the hit path answers from peek and never reaches lookup
 	e := &cacheEntry{done: make(chan struct{})}
 	c.entries[key] = e
 	return e, true

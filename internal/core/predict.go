@@ -95,7 +95,6 @@ func (s *PredictService) degrade(err error) {
 	}
 	s.deps.Metrics.Counter(metricPredictDegraded).Inc()
 	if s.deps.Tracer != nil {
-		//lint:ignore ecolint/zeroallocproof degradation telemetry — this runs only after the prediction already failed, never on the budgeted path
 		s.deps.Tracer.Event(eventPredictDegraded, map[string]string{"cause": err.Error()})
 	}
 }
@@ -122,7 +121,7 @@ func (s *PredictService) predict(ctx context.Context, req ecoplugin.PredictReque
 	e, isLoader := s.cache.lookup(key)
 	if !isLoader {
 		_, ws := s.deps.Tracer.Start(ctx, spanPredictWait)
-		//lint:ignore ecolint/seqdet waiter wake order is observationally equivalent: both arms converge on the loader's published entry, and cancellation only affects the cancelled caller — never the journal or replay state
+		//lint:ignore ecolint/nodeterminism waiter wake order is observationally equivalent: both arms converge on the loader's published entry, and cancellation only affects the cancelled caller — never the journal or replay state
 		select {
 		case <-ctx.Done():
 			ws.End(ctx.Err())

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ecosched/internal/fault"
+	"ecosched/internal/leakcheck"
 	"ecosched/internal/perfmodel"
 	"ecosched/internal/repository"
 )
@@ -59,6 +60,7 @@ func TestPooledSweepTornBatchFault(t *testing.T) {
 // order and the coordinator flushes on every arrival, so every batch
 // is exactly one row and the second write is configuration 1.
 func TestPooledSweepSaveErrorMidSweep(t *testing.T) {
+	defer leakcheck.Check(t)()
 	configs := sweepConfigs()
 	ledger := &samplerLedger{}
 	r := newPooledRig(t, 1, ledger, nil)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ecosched/internal/leakcheck"
 	"ecosched/internal/perfmodel"
 	"ecosched/internal/repository"
 	"ecosched/internal/telemetry"
@@ -91,6 +92,7 @@ func requireContiguousPrefix(t *testing.T, rows []repository.Benchmark, configs 
 // byte-identical rows (ids, measurements, timestamps) and identical
 // trace blobs.
 func TestPooledSweepDeterministicAcrossParallelism(t *testing.T) {
+	defer leakcheck.Check(t)()
 	configs := sweepConfigs()
 	r1 := newPooledRig(t, 1, nil, nil)
 	r4 := newPooledRig(t, 4, nil, nil)

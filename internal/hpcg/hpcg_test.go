@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ecosched/internal/leakcheck"
 	"ecosched/internal/simclock"
 )
 
@@ -99,6 +100,7 @@ func TestMultigridLevels(t *testing.T) {
 }
 
 func TestParallelKernelsMatchSerial(t *testing.T) {
+	defer leakcheck.Check(t)()
 	p := mustProblem(t, 12, 10, 8)
 	n := p.A.N
 	rng := simclock.NewRNG(3)

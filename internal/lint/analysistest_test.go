@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-// AnalyzerTest is a miniature analysistest: it loads the named fixture
+// analyzerTest is a miniature analysistest: it loads the named fixture
 // packages from testdata/src/<root>/<pkg>, runs the analyzers over
 // them as one program, and matches every diagnostic against
 // `// want "regexp"` comments on the same line. Unexpected diagnostics
@@ -24,14 +24,14 @@ import (
 // the analyzers match their target packages by import-path suffix, so
 // a fixture named "metrics" exercises the same configuration as the
 // real ecosched/internal/metrics.
-func AnalyzerTest(t *testing.T, analyzers []*Analyzer, root string, pkgs ...string) {
+func analyzerTest(t *testing.T, analyzers []*Analyzer, root string, pkgs ...string) {
 	t.Helper()
 	prog, err := loadFixtures(root, pkgs)
 	if err != nil {
 		t.Fatalf("loading fixtures %s/%v: %v", root, pkgs, err)
 	}
 
-	diags := Run(prog, analyzers)
+	diags, _ := Run(prog, analyzers)
 	wants := collectWants(t, prog)
 
 	for _, d := range diags {
@@ -123,7 +123,8 @@ func Diagnostics(t *testing.T, analyzers []*Analyzer, root string, pkgs ...strin
 	if err != nil {
 		t.Fatalf("loading fixtures %s/%v: %v", root, pkgs, err)
 	}
-	return Run(prog, analyzers)
+	diags, _ := Run(prog, analyzers)
+	return diags
 }
 
 func loadFixtures(root string, pkgs []string) (*Program, error) {
@@ -131,5 +132,5 @@ func loadFixtures(root string, pkgs []string) (*Program, error) {
 	for _, p := range pkgs {
 		dirs[p] = filepath.Join("testdata", "src", root, filepath.FromSlash(p))
 	}
-	return LoadDirs("fixture", dirs)
+	return LoadDirs(dirs)
 }

@@ -3,5 +3,5 @@ package lint
 import "testing"
 
 func TestCtxFlow(t *testing.T) {
-	AnalyzerTest(t, []*Analyzer{CtxFlow}, "ctxflow", "ctxpkg")
+	analyzerTest(t, []*Analyzer{CtxFlow}, "ctxflow", "ctxpkg")
 }

@@ -15,7 +15,7 @@ import (
 // reuse-heavy schedule, which is exactly the kind of bug that survives
 // unit tests and surfaces as a nondeterministic cluster run.
 //
-// Two rules, both scoped to EventPoolPackages:
+// Two rules, both scoped to eventPoolPackages:
 //
 //   - use-after-release: once a variable of the pooled event type is
 //     passed to release, any later use of that variable in the same
@@ -33,14 +33,14 @@ var EventPool = &Analyzer{
 
 const eventPoolName = "eventpool"
 
-// EventPoolPackages are the packages whose event pools are checked,
+// eventPoolPackages are the packages whose event pools are checked,
 // matched by import-path suffix (fixtures use the bare name).
-var EventPoolPackages = []string{
+var eventPoolPackages = []string{
 	"internal/simclock",
 }
 
 func isEventPoolPackage(path string) bool {
-	for _, e := range EventPoolPackages {
+	for _, e := range eventPoolPackages {
 		if path == e || strings.HasSuffix(path, "/"+e) || strings.HasSuffix(e, "/"+path) {
 			return true
 		}

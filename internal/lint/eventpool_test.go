@@ -3,5 +3,5 @@ package lint
 import "testing"
 
 func TestEventPool(t *testing.T) {
-	AnalyzerTest(t, []*Analyzer{EventPool}, "eventpool", "simclock", "other")
+	analyzerTest(t, []*Analyzer{EventPool}, "eventpool", "simclock", "other")
 }

@@ -14,8 +14,9 @@ import (
 // lives behind (*PredictService).load — it is budget-gated at runtime
 // by SchedulerParameters=eco_budget — so the traversal stops there;
 // everything else the plugin touches between sbatch and the answer
-// must stay pure CPU plus the pre-opened trace journal (whose bounded
-// append is explicitly suppressed at its declaration).
+// must stay pure CPU. That includes tracing: the tracer's record path
+// only enqueues for the async drainer, so the journal append is not on
+// this call graph and no directive waives anything today.
 //
 // The check walks the static call graph: direct calls and method calls
 // on concrete types, across packages. Calls through function values
@@ -32,12 +33,12 @@ var HotPathIO = &Analyzer{
 
 const hotPathIOName = "hotpathio"
 
-// HotPathRoots and HotPathStops configure the traversal, matched as
+// hotPathRoots and hotPathStops configure the traversal, matched as
 // suffixes of the qualified function name so analysistest fixtures
 // (whose package paths differ) exercise the same defaults.
 var (
-	HotPathRoots = []string{"PredictService).Predict"}
-	HotPathStops = []string{"PredictService).load"}
+	hotPathRoots = []string{"PredictService).Predict"}
+	hotPathStops = []string{"PredictService).load"}
 )
 
 // ioDenyInterfaces are module interfaces whose methods do I/O by
@@ -85,11 +86,11 @@ type funcNode struct {
 }
 
 func runHotPathIO(pass *ProgramPass) error {
-	graph := buildCallGraph(pass.Prog, hotPathIOName)
+	graph := buildCallGraph(pass.Prog)
 
 	var roots []string
 	for key := range graph {
-		if matchesAnySuffix(key, HotPathRoots) {
+		if matchesAnySuffix(key, hotPathRoots) {
 			roots = append(roots, key)
 		}
 	}
@@ -110,7 +111,7 @@ func walkHotPath(pass *ProgramPass, graph map[string]*funcNode, root string) {
 		key := queue[0]
 		queue = queue[1:]
 		node := graph[key]
-		if node == nil || matchesAnySuffix(key, HotPathStops) {
+		if node == nil || matchesAnySuffix(key, hotPathStops) {
 			continue
 		}
 		if node.suppressed {
@@ -150,9 +151,9 @@ func chain(parent map[string]string, key string) string {
 }
 
 // buildCallGraph summarises every function declaration in the program.
-// suppressAnalyzer names the analyzer whose lint:ignore directive
-// makes a function's body opaque to the traversal.
-func buildCallGraph(prog *Program, suppressAnalyzer string) map[string]*funcNode {
+// A hotpathio lint:ignore directive in a function's doc comment makes
+// its body opaque to the traversal.
+func buildCallGraph(prog *Program) map[string]*funcNode {
 	graph := map[string]*funcNode{}
 	for _, pkg := range prog.Packages {
 		for _, file := range pkg.Files {
@@ -168,7 +169,7 @@ func buildCallGraph(prog *Program, suppressAnalyzer string) map[string]*funcNode
 				node := &funcNode{
 					key:        qualifiedName(fn),
 					decl:       fd,
-					suppressed: FuncSuppressed(fd, suppressAnalyzer),
+					suppressed: FuncSuppressed(fd, hotPathIOName),
 				}
 				summarizeBody(prog, pkg, fd, node)
 				graph[node.key] = node

@@ -6,7 +6,7 @@ import (
 )
 
 func TestHotPathIO(t *testing.T) {
-	AnalyzerTest(t, []*Analyzer{HotPathIO}, "hotpathio", "hotpath", "blob")
+	analyzerTest(t, []*Analyzer{HotPathIO}, "hotpathio", "hotpath", "blob")
 }
 
 // TestHotPathIOChain asserts the diagnostic carries the call chain so

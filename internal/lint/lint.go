@@ -2,16 +2,20 @@
 // re-implementation of the golang.org/x/tools/go/analysis surface the
 // project analyzers need. The real x/tools module cannot be
 // vendored here (the build environment is offline), so the framework
-// carries its own package loader (loader.go), driver plumbing, and
-// analysistest harness (analysistest.go) on top of go/ast, go/parser
-// and go/types alone.
+// carries its own whole-module package loader (loader.go) and driver
+// plumbing on top of go/ast, go/build, go/parser and go/types alone;
+// the analysistest harness lives in the package's tests.
 //
-// The analyzers encode invariants the compiler cannot see:
+// The six analyzers encode invariants that neither the compiler nor a
+// cheaper dynamic gate states (DESIGN.md §9 lists what each inspects,
+// and the gates that replaced the analyzers retired from the suite):
 //
 //   - nodeterminism: the deterministic packages (core, ml, optimizer,
-//     hpcg, slurm, …) must not read wall clocks or global randomness —
-//     the parallel sweep's byte-identical-results guarantee depends on
-//     every measurement being a pure function of its inputs.
+//     hpcg, slurm, …) must not read wall clocks or global randomness,
+//     range a map into an ordered sink, or select over several ready
+//     channels — the parallel sweep's byte-identical-results guarantee
+//     and replay fidelity depend on every measurement being a pure
+//     function of its inputs.
 //   - ctxflow: a function that accepts a context.Context must pass it
 //     on to module-internal callees, not context.Background(); this is
 //     what keeps trace span parenting correct end to end.
@@ -28,26 +32,14 @@
 //     used after release, and only alloc/release may touch the free
 //     list — the calendar queue's zero-allocation hot loop depends on
 //     the recycling contract holding everywhere.
-//   - atomicshape: striped structs holding atomics must pad to whole
-//     64-byte cache lines (false sharing), and 64-bit atomic operands
-//     must be 8-aligned under the 32-bit layout.
-//   - laneisolation: goroutine closures over a lane pointer may not
-//     capture shared mutable state — each lane owns its partition.
-//   - goroutinejoin: every go statement in production code needs a
-//     visible join (WaitGroup, channel close/send the package waits
-//     on) or a reasoned suppression.
-//   - zeroallocproof: functions reachable from the declared hot roots
-//     must not allocate; failure exits are exempt, suppressions carry
-//     the escape-analysis reason.
-//   - seqdet: no map-iteration order or multi-case select
-//     nondeterminism in the replayed packages.
 //
 // A diagnostic can be suppressed with a comment on the preceding line
 // (or the same line, or a function's doc comment):
 //
 //	//lint:ignore ecolint/<name> reason
 //
-// The reason is mandatory; bare ignores are themselves reported.
+// The reason is mandatory; bare ignores are themselves reported, and so
+// is a directive that no longer suppresses anything.
 package lint
 
 import (
@@ -119,45 +111,12 @@ func reportf(prog *Program, pkg *PackageInfo, analyzer string, pos token.Pos, si
 }
 
 // Run executes the analyzers over every package of prog and returns
-// the findings sorted by position. Suppression directives without a
-// reason are reported as findings themselves (ecolint/ignore): an
-// unexplained escape hatch is just a violation with extra steps.
-func Run(prog *Program, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := run(prog, analyzers, false)
-	return diags
-}
-
-// RunWithDebt is Run plus the suppression-debt ledger: every
-// lint:ignore directive that actually suppressed a finding is counted
-// per analyzer, and directives that suppressed nothing (stale) are
-// reported as ecolint/stalesuppression findings — suppression debt can
-// only shrink. Whole-module mode uses this; the vet unit-checker mode
-// sticks to Run, because a per-package load cannot see the
-// cross-package findings a directive may exist for.
-func RunWithDebt(prog *Program, analyzers []*Analyzer) ([]Diagnostic, DebtReport) {
-	return run(prog, analyzers, true)
-}
-
-// DebtReport is the suppression ledger of one run.
-type DebtReport struct {
-	// ByAnalyzer counts the active directives — those that suppressed at
-	// least one finding this run — per analyzer they name.
-	ByAnalyzer map[string]int
-	// Total is the number of active directives (a directive naming two
-	// analyzers counts once here).
-	Total int
-	// Stale lists directives that suppressed nothing, in position order.
-	Stale []StaleDirective
-}
-
-// StaleDirective is one lint:ignore directive that no longer
-// suppresses any finding.
-type StaleDirective struct {
-	Pos       token.Position // the directive's own line
-	Analyzers []string       // analyzer names the directive lists
-}
-
-func run(prog *Program, analyzers []*Analyzer, withDebt bool) ([]Diagnostic, DebtReport) {
+// the findings sorted by position, plus the suppression-debt ledger.
+// Two kinds of finding come from the directives themselves: one without
+// a reason (ecolint/ignore — an unexplained escape hatch is just a
+// violation with extra steps) and one that suppressed nothing
+// (ecolint/stalesuppression — suppression debt can only shrink).
+func Run(prog *Program, analyzers []*Analyzer) ([]Diagnostic, DebtReport) {
 	var out []Diagnostic
 	sink := func(d Diagnostic) { out = append(out, d) }
 	for _, pkg := range prog.Packages {
@@ -192,10 +151,7 @@ func run(prog *Program, analyzers []*Analyzer, withDebt bool) ([]Diagnostic, Deb
 			}
 		}
 	}
-	var debt DebtReport
-	if withDebt {
-		debt = collectDebt(prog, ran, sink)
-	}
+	debt := collectDebt(prog, ran, sink)
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -209,11 +165,21 @@ func run(prog *Program, analyzers []*Analyzer, withDebt bool) ([]Diagnostic, Deb
 	return out, debt
 }
 
+// DebtReport is the suppression ledger of one run.
+type DebtReport struct {
+	// ByAnalyzer counts the active directives — those that suppressed at
+	// least one finding this run — per analyzer they name.
+	ByAnalyzer map[string]int
+	// Total is the number of active directives (a directive naming two
+	// analyzers counts once here).
+	Total int
+}
+
 // collectDebt folds the per-directive hit counts recorded during the
 // analyzer runs into the ledger, reporting reasoned directives that hit
 // nothing as stale. Only directives naming at least one analyzer that
-// actually ran are judged — running a subset of the suite must not
-// condemn the rest's directives.
+// actually ran are judged — the fixture tests run one analyzer at a
+// time, and that must not condemn the rest's directives.
 func collectDebt(prog *Program, ran map[string]bool, sink func(Diagnostic)) DebtReport {
 	debt := DebtReport{ByAnalyzer: map[string]int{}}
 	for _, pkg := range prog.Packages {
@@ -240,24 +206,15 @@ func collectDebt(prog *Program, ran map[string]bool, sink func(Diagnostic)) Debt
 					}
 					continue
 				}
-				pos := token.Position{Filename: file, Line: s.line - 1}
-				debt.Stale = append(debt.Stale, StaleDirective{Pos: pos, Analyzers: judged})
 				sink(Diagnostic{
 					Analyzer: "stalesuppression",
-					Pos:      pos,
-					Message: fmt.Sprintf("stale suppression: this directive no longer suppresses any ecolint/%s finding — delete it (`ecolint -prune` lists every stale directive)",
+					Pos:      token.Position{Filename: file, Line: s.line - 1},
+					Message: fmt.Sprintf("stale suppression: this directive no longer suppresses any ecolint/%s finding — delete it",
 						strings.Join(judged, ",ecolint/")),
 				})
 			}
 		}
 	}
-	sort.Slice(debt.Stale, func(i, j int) bool {
-		a, b := debt.Stale[i].Pos, debt.Stale[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		return a.Line < b.Line
-	})
 	return debt
 }
 
@@ -270,11 +227,6 @@ func All() []*Analyzer {
 		LockScope,
 		MetricName,
 		EventPool,
-		AtomicShape,
-		LaneIsolation,
-		GoroutineJoin,
-		ZeroAllocProof,
-		SeqDet,
 	}
 }
 
@@ -345,10 +297,10 @@ func FuncSuppressed(fd *ast.FuncDecl, analyzer string) bool {
 // comment carries a directive: they scan the body anyway and let
 // Reportf's range-based suppression absorb each finding, so the debt
 // ledger records the true hit count and a directive over a clean body
-// is correctly reported stale. Only whole-program analyzers
-// (hotpathio, zeroallocproof) skip-and-mark, because skipping there
-// changes traversal — the suppressed function's callees stay hidden —
-// which is the documented meaning of the directive on a hot path.
+// is correctly reported stale. Only hotpathio's call-graph walk
+// skips-and-marks, because skipping there changes traversal — the
+// suppressed function's callees stay hidden — which is the documented
+// meaning of the directive on a hot path.
 
 // markFuncSuppression records a ledger hit for fd's doc-comment
 // directive covering the named analyzer, if one exists.
@@ -366,15 +318,11 @@ func (pkg *PackageInfo) markFuncSuppression(fd *ast.FuncDecl, analyzer string) {
 }
 
 // isLocalPkg reports whether path names a package of the module under
-// analysis (as opposed to the standard library). In whole-module mode
-// every local package is loaded; in unit-checker mode only one is, so
-// module siblings are recognised by import-path prefix.
+// analysis (as opposed to the standard library): every local package is
+// loaded.
 func (prog *Program) isLocalPkg(path string) bool {
-	if _, ok := prog.ByPath[path]; ok {
-		return true
-	}
-	return prog.ModulePath != "" && prog.ModulePath != "fixture" &&
-		(path == prog.ModulePath || strings.HasPrefix(path, prog.ModulePath+"/"))
+	_, ok := prog.ByPath[path]
+	return ok
 }
 
 // packageAt finds the loaded package whose files contain pos.

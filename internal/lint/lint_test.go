@@ -18,7 +18,7 @@ func TestBareIgnoreReported(t *testing.T) {
 	}
 }
 
-// TestAllStable: the suite is the eleven analyzers, in stable order,
+// TestAllStable: the suite is the six analyzers, in stable order,
 // each runnable.
 func TestAllStable(t *testing.T) {
 	names := []string{}
@@ -32,21 +32,20 @@ func TestAllStable(t *testing.T) {
 		names = append(names, a.Name)
 	}
 	got := strings.Join(names, ",")
-	want := "nodeterminism,ctxflow,hotpathio,lockscope,metricname,eventpool," +
-		"atomicshape,laneisolation,goroutinejoin,zeroallocproof,seqdet"
+	want := "nodeterminism,ctxflow,hotpathio,lockscope,metricname,eventpool"
 	if got != want {
 		t.Fatalf("All() = %s, want %s", got, want)
 	}
 }
 
-// TestDebtLedger: RunWithDebt counts directives that absorbed a
-// finding and reports the ones that absorbed nothing as stale.
+// TestDebtLedger: Run counts directives that absorbed a finding and
+// reports the ones that absorbed nothing as stale.
 func TestDebtLedger(t *testing.T) {
 	prog, err := loadFixtures("framework", []string{"core"})
 	if err != nil {
 		t.Fatalf("loading fixtures: %v", err)
 	}
-	diags, report := RunWithDebt(prog, All())
+	diags, report := Run(prog, All())
 
 	// wall()'s directive absorbs the time.Now() finding: one active
 	// directive, charged to nodeterminism.
@@ -55,39 +54,20 @@ func TestDebtLedger(t *testing.T) {
 			report.Total, report.ByAnalyzer["nodeterminism"])
 	}
 
-	// pure()'s directive suppresses nothing: reported stale, and the
-	// stale report doubles as a finding so `make lint` gates on it.
-	if len(report.Stale) != 1 {
-		t.Fatalf("stale directives = %v, want exactly one", report.Stale)
-	}
+	// pure()'s directive suppresses nothing: the stale report is a
+	// finding, so `make lint` and TestModuleClean both gate on it.
 	var stale []Diagnostic
 	for _, d := range diags {
 		if d.Analyzer == "stalesuppression" {
 			stale = append(stale, d)
 		}
 	}
-	if len(stale) != 1 || stale[0].Pos.Line != report.Stale[0].Pos.Line {
-		t.Errorf("stalesuppression diagnostics = %v, want one at line %d",
-			stale, report.Stale[0].Pos.Line)
+	if len(stale) != 1 || !strings.HasSuffix(stale[0].Pos.Filename, "core.go") || stale[0].Pos.Line != 15 {
+		t.Errorf("stalesuppression diagnostics = %v, want one at core.go:15 (pure's directive)", stale)
 	}
 	for _, d := range diags {
 		if d.Analyzer == "nodeterminism" {
 			t.Errorf("suppressed finding leaked: %s", d)
-		}
-	}
-}
-
-// TestRunHasNoStaleReports: plain Run (the vet unit-checker mode) must
-// not report stale directives — a per-package load cannot see the
-// cross-package findings a directive may exist for.
-func TestRunHasNoStaleReports(t *testing.T) {
-	prog, err := loadFixtures("framework", []string{"core"})
-	if err != nil {
-		t.Fatalf("loading fixtures: %v", err)
-	}
-	for _, d := range Run(prog, All()) {
-		if d.Analyzer == "stalesuppression" {
-			t.Errorf("plain Run reported a stale directive: %s", d)
 		}
 	}
 }
@@ -121,7 +101,8 @@ func TestModuleClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadModule: %v", err)
 	}
-	for _, d := range Run(prog, All()) {
+	diags, _ := Run(prog, All())
+	for _, d := range diags {
 		t.Errorf("%s", d)
 	}
 }

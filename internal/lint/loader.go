@@ -1,18 +1,15 @@
 package lint
 
 import (
-	"bufio"
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 )
@@ -32,10 +29,9 @@ type PackageInfo struct {
 // Program is the loaded module (or fixture set): every package
 // type-checked, in dependency order.
 type Program struct {
-	Fset       *token.FileSet
-	ModulePath string
-	Packages   []*PackageInfo // topological order (dependencies first)
-	ByPath     map[string]*PackageInfo
+	Fset     *token.FileSet
+	Packages []*PackageInfo // topological order (dependencies first)
+	ByPath   map[string]*PackageInfo
 
 	pkgByFile map[string]*PackageInfo
 }
@@ -83,18 +79,17 @@ func LoadModule(root string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return LoadDirs(modPath, dirs)
+	return LoadDirs(dirs)
 }
 
 // LoadDirs parses and type-checks the given packages (import path →
 // directory). Imports are resolved among the given set first; anything
 // else is loaded from the standard library source.
-func LoadDirs(modulePath string, dirs map[string]string) (*Program, error) {
+func LoadDirs(dirs map[string]string) (*Program, error) {
 	prog := &Program{
-		Fset:       token.NewFileSet(),
-		ModulePath: modulePath,
-		ByPath:     map[string]*PackageInfo{},
-		pkgByFile:  map[string]*PackageInfo{},
+		Fset:      token.NewFileSet(),
+		ByPath:    map[string]*PackageInfo{},
+		pkgByFile: map[string]*PackageInfo{},
 	}
 
 	// Parse everything first so the import graph is known.
@@ -142,8 +137,11 @@ func LoadDirs(modulePath string, dirs map[string]string) (*Program, error) {
 	return prog, nil
 }
 
-// parsePackage parses the non-test .go files of one directory. A
-// directory with only test files yields nil.
+// parsePackage parses the non-test .go files of one directory that
+// belong to the build under the host GOOS/GOARCH — go/build applies
+// the _GOOS/_GOARCH filename convention and //go:build lines, so a
+// //go:build ignore tool or a foreign-platform stub never reaches the
+// type-checker. A directory with only test files yields nil.
 func parsePackage(fset *token.FileSet, importPath, dir string) (*PackageInfo, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -155,9 +153,9 @@ func parsePackage(fset *token.FileSet, importPath, dir string) (*PackageInfo, er
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
 			continue
 		}
-		ok, err := fileIncluded(filepath.Join(dir, e.Name()))
+		ok, err := build.Default.MatchFile(dir, e.Name())
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("lint: %w", err)
 		}
 		if !ok {
 			continue
@@ -178,108 +176,6 @@ func parsePackage(fset *token.FileSet, importPath, dir string) (*PackageInfo, er
 		return nil, nil
 	}
 	return pkg, nil
-}
-
-// fileIncluded reports whether a .go file belongs to the build under
-// the host GOOS/GOARCH: both the filename convention (name_linux.go,
-// name_amd64.go, name_linux_amd64.go) and //go:build constraint lines
-// are honoured, so a //go:build ignore tool or a foreign-platform stub
-// never reaches the type-checker.
-func fileIncluded(path string) (bool, error) {
-	base := strings.TrimSuffix(filepath.Base(path), ".go")
-	if !goodOSArchName(base) {
-		return false, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	// Constraints must precede the package clause; scanning stops at
-	// the first non-comment, non-blank line.
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "//") {
-			if constraint.IsGoBuild(line) {
-				expr, err := constraint.Parse(line)
-				if err != nil {
-					return false, fmt.Errorf("lint: %s: %w", path, err)
-				}
-				return expr.Eval(buildTagMatches), nil
-			}
-			continue
-		}
-		if strings.HasPrefix(line, "/*") {
-			// A block comment before the package clause cannot hold a
-			// //go:build line; skip to its end.
-			for !strings.Contains(line, "*/") && sc.Scan() {
-				line = sc.Text()
-			}
-			continue
-		}
-		break
-	}
-	return true, sc.Err()
-}
-
-// buildTagMatches is the tag universe of the analysis build: host OS
-// and architecture, the gc toolchain, and every released go1.N version
-// (the module targets a toolchain at least as new as the one running
-// the linter).
-func buildTagMatches(tag string) bool {
-	switch tag {
-	case runtime.GOOS, runtime.GOARCH, "gc":
-		return true
-	case "unix":
-		switch runtime.GOOS {
-		case "linux", "darwin", "freebsd", "netbsd", "openbsd", "solaris", "aix", "dragonfly":
-			return true
-		}
-	}
-	return strings.HasPrefix(tag, "go1")
-}
-
-// goodOSArchName applies the _GOOS, _GOARCH, and _GOOS_GOARCH filename
-// conventions to a file's base name (extension already stripped).
-func goodOSArchName(base string) bool {
-	parts := strings.Split(base, "_")
-	if len(parts) < 2 {
-		return true
-	}
-	last := parts[len(parts)-1]
-	prev := ""
-	if len(parts) >= 3 {
-		prev = parts[len(parts)-2]
-	}
-	if knownArch[last] {
-		if last != runtime.GOARCH {
-			return false
-		}
-		if knownOS[prev] && prev != runtime.GOOS {
-			return false
-		}
-		return true
-	}
-	if knownOS[last] && last != runtime.GOOS {
-		return false
-	}
-	return true
-}
-
-var knownOS = map[string]bool{
-	"linux": true, "darwin": true, "windows": true, "freebsd": true,
-	"netbsd": true, "openbsd": true, "solaris": true, "aix": true,
-	"dragonfly": true, "plan9": true, "js": true, "wasip1": true,
-	"android": true, "ios": true,
-}
-
-var knownArch = map[string]bool{
-	"amd64": true, "arm64": true, "386": true, "arm": true,
-	"ppc64": true, "ppc64le": true, "mips": true, "mipsle": true,
-	"mips64": true, "mips64le": true, "riscv64": true, "s390x": true,
-	"wasm": true, "loong64": true,
 }
 
 // topoSort orders packages dependencies-first, considering only
@@ -350,47 +246,6 @@ func (c *chainImporter) Import(path string) (*types.Package, error) {
 		return p, nil
 	}
 	return c.std.Import(path)
-}
-
-// LoadUnit parses and type-checks a single package from an explicit
-// file list, resolving every import through compiler export data — the
-// cmd/vet unit-checker protocol. modPath names the enclosing module so
-// module-sibling packages still count as local for the analyzers even
-// though only this one package is loaded.
-func LoadUnit(importPath, modPath string, files []string, lookup func(string) (io.ReadCloser, error)) (*Program, error) {
-	prog := &Program{
-		Fset:       token.NewFileSet(),
-		ModulePath: modPath,
-		ByPath:     map[string]*PackageInfo{},
-		pkgByFile:  map[string]*PackageInfo{},
-	}
-	pkg := &PackageInfo{Path: importPath, suppressions: map[string][]suppression{}}
-	for _, name := range files {
-		f, err := parser.ParseFile(prog.Fset, name, nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("lint: %w", err)
-		}
-		pkg.Files = append(pkg.Files, f)
-		pkg.suppressions[name] = buildSuppressions(prog.Fset, f)
-	}
-	conf := types.Config{Importer: importer.ForCompiler(prog.Fset, "gc", lookup)}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-	}
-	tpkg, err := conf.Check(importPath, prog.Fset, pkg.Files, info)
-	if err != nil {
-		return nil, fmt.Errorf("lint: type-checking %s: %w", importPath, err)
-	}
-	pkg.Pkg, pkg.Info, pkg.fset = tpkg, info, prog.Fset
-	prog.Packages = []*PackageInfo{pkg}
-	prog.ByPath[importPath] = pkg
-	for _, f := range pkg.Files {
-		prog.pkgByFile[prog.Fset.Position(f.Pos()).Filename] = pkg
-	}
-	return prog, nil
 }
 
 // modulePath reads the module directive from a go.mod file.

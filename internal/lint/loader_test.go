@@ -21,7 +21,7 @@ func TestLoaderGenerics(t *testing.T) {
 	if pkg.Pkg.Scope().Lookup("Sum") == nil || pkg.Pkg.Scope().Lookup("Pair") == nil {
 		t.Error("generic declarations missing from the package scope")
 	}
-	if diags := Run(prog, All()); len(diags) != 0 {
+	if diags, _ := Run(prog, All()); len(diags) != 0 {
 		t.Errorf("analyzers over generic code reported: %v", diags)
 	}
 }
@@ -75,39 +75,5 @@ func TestLoaderSyntaxError(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "broken.go") {
 		t.Errorf("error does not name the broken file: %v", err)
-	}
-}
-
-// TestBuildTagMatches pins the tag universe: host platform, toolchain,
-// unix umbrella, and go1.N version tags are in; everything else is out.
-func TestBuildTagMatches(t *testing.T) {
-	for _, tag := range []string{runtime.GOOS, runtime.GOARCH, "gc", "go1.21"} {
-		if !buildTagMatches(tag) {
-			t.Errorf("tag %q should match", tag)
-		}
-	}
-	for _, tag := range []string{"ignore", "integration", "tinygo", "purego"} {
-		if buildTagMatches(tag) {
-			t.Errorf("tag %q should not match", tag)
-		}
-	}
-}
-
-// TestGoodOSArchName pins the filename convention against the host.
-func TestGoodOSArchName(t *testing.T) {
-	cases := map[string]bool{
-		"plain":               true,
-		"deep_copy":           true, // _copy is neither an OS nor an arch
-		"x_" + runtime.GOOS:   true,
-		"x_" + runtime.GOARCH: true,
-		"x_" + runtime.GOOS + "_" + runtime.GOARCH: true,
-		"x_windows":       runtime.GOOS == "windows",
-		"x_plan9_arm":     false,
-		"x_windows_amd64": runtime.GOOS == "windows" && runtime.GOARCH == "amd64",
-	}
-	for base, want := range cases {
-		if got := goodOSArchName(base); got != want {
-			t.Errorf("goodOSArchName(%q) = %v, want %v", base, got, want)
-		}
 	}
 }

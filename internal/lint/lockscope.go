@@ -8,7 +8,7 @@ import (
 )
 
 // LockScope forbids slow or re-entrant work while holding a mutex in
-// the observability packages (matched by LockScopePackages): no file
+// the observability packages (matched by lockScopePackages): no file
 // or network I/O, no channel sends/receives/selects, and no calls to
 // module functions that themselves acquire locks. internal/metrics and
 // internal/trace sit on the sampling hot path — every power sample and
@@ -31,15 +31,15 @@ var LockScope = &Analyzer{
 
 const lockScopeName = "lockscope"
 
-// LockScopePackages are the packages whose critical sections are
+// lockScopePackages are the packages whose critical sections are
 // checked, matched by import-path suffix (fixtures use the bare name).
-var LockScopePackages = []string{
+var lockScopePackages = []string{
 	"internal/metrics",
 	"internal/trace",
 }
 
 func isLockScopePackage(path string) bool {
-	for _, e := range LockScopePackages {
+	for _, e := range lockScopePackages {
 		if path == e || strings.HasSuffix(path, "/"+e) || strings.HasSuffix(e, "/"+path) {
 			return true
 		}

@@ -3,5 +3,5 @@ package lint
 import "testing"
 
 func TestLockScope(t *testing.T) {
-	AnalyzerTest(t, []*Analyzer{LockScope}, "lockscope", "metrics", "other")
+	analyzerTest(t, []*Analyzer{LockScope}, "lockscope", "metrics", "other")
 }

@@ -3,7 +3,14 @@ package lint
 import "testing"
 
 func TestNoDeterminism(t *testing.T) {
-	AnalyzerTest(t, []*Analyzer{NoDeterminism}, "nodeterminism", "core", "webui")
+	analyzerTest(t, []*Analyzer{NoDeterminism}, "nodeterminism", "core", "webui")
+}
+
+// TestNoDeterminismOrder covers the map-range and multi-case select
+// rules (fixture root "seqdet", the name they had as an analyzer of
+// their own).
+func TestNoDeterminismOrder(t *testing.T) {
+	analyzerTest(t, []*Analyzer{NoDeterminism}, "seqdet", "core", "other")
 }
 
 func TestNoDeterminismPositiveCount(t *testing.T) {

@@ -65,7 +65,7 @@ func poll(a chan int) (int, bool) {
 
 // A reasoned suppression on the select is counted, not reported.
 func waitSuppressed(a, b chan int) {
-	//lint:ignore ecolint/seqdet fixture: both arms drain to the same sink
+	//lint:ignore ecolint/nodeterminism fixture: both arms drain to the same sink
 	select {
 	case <-a:
 	case <-b:

@@ -126,7 +126,6 @@ func (r *Registry) Counter(name string) *Counter {
 	defer r.mu.Unlock()
 	c, ok := r.counters[name]
 	if !ok {
-		//lint:ignore ecolint/zeroallocproof one-time registration; steady-state calls return the cached metric
 		c = &Counter{}
 		r.counters[name] = c
 	}
@@ -142,7 +141,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	defer r.mu.Unlock()
 	g, ok := r.gauges[name]
 	if !ok {
-		//lint:ignore ecolint/zeroallocproof one-time registration; steady-state calls return the cached metric
 		g = &Gauge{}
 		r.gauges[name] = g
 	}

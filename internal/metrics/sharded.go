@@ -85,7 +85,7 @@ type bhStripe struct {
 	minNS  atomic.Int64
 	maxNS  atomic.Int64
 	// Pad to a whole number of cache lines so neighbouring stripes
-	// never share one (ecolint/atomicshape checks the arithmetic).
+	// never share one (TestStripesFillCacheLines checks the arithmetic).
 	_ [32]byte
 }
 

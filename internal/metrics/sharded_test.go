@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestBucketIndexRoundTrip(t *testing.T) {
@@ -159,6 +160,24 @@ func TestGaugeAtomic(t *testing.T) {
 	g.Set(-2.5)
 	if got := g.Value(); got != -2.5 {
 		t.Fatalf("Value = %g, want -2.5", got)
+	}
+}
+
+// A striped element must fill whole 64-byte cache lines, or neighbouring
+// stripes in the array share one and writers on different stripes
+// contend again. The pad is hand-computed, so adding a field without
+// re-deriving it fails here.
+func TestStripesFillCacheLines(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		size uintptr
+	}{
+		{"paddedInt64", unsafe.Sizeof(paddedInt64{})},
+		{"bhStripe", unsafe.Sizeof(bhStripe{})},
+	} {
+		if c.size%64 != 0 {
+			t.Errorf("%s is %d bytes, %d past a 64-byte cache line: re-derive its pad", c.name, c.size, c.size%64)
+		}
 	}
 }
 

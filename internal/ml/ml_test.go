@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ecosched/internal/leakcheck"
 	"ecosched/internal/simclock"
 )
 
@@ -199,6 +200,7 @@ func TestTreeJSONRoundTrip(t *testing.T) {
 }
 
 func TestForestDeterministicBySeed(t *testing.T) {
+	defer leakcheck.Check(t)()
 	d := linearData(150, 0.3, 5)
 	f1, err := FitForest(d, ForestOptions{Trees: 10, Seed: 42})
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"ecosched/internal/leakcheck"
 	"ecosched/internal/paperdata"
 	"ecosched/internal/perfmodel"
 	"ecosched/internal/repository"
@@ -183,6 +184,7 @@ func TestLinearNeedsEnoughRows(t *testing.T) {
 }
 
 func TestRandomForestLowRegret(t *testing.T) {
+	defer leakcheck.Check(t)()
 	rf := &RandomForest{}
 	if err := rf.Train(sweepBenchmarks()); err != nil {
 		t.Fatal(err)

@@ -270,7 +270,6 @@ func (c *Calibration) corePowerAt(freqKHz int) float64 {
 	if w, ok := c.CorePowerW[freqKHz]; ok {
 		return w
 	}
-	//lint:ignore ecolint/zeroallocproof uncalibrated-frequency interpolation fallback; hot callers precompute per-frequency tables via CorePowerAt, so per-job starts hit the map lookup above
 	keys := make([]int, 0, len(c.CorePowerW))
 	for k := range c.CorePowerW {
 		keys = append(keys, k)

@@ -194,7 +194,6 @@ func (s *Sim) alloc() *event {
 		s.free = s.free[:n-1]
 		return ev
 	}
-	//lint:ignore ecolint/zeroallocproof pool refill — amortized; the steady state recycles released events (alloc-check proves 0 allocs/op on the schedule+pop cycle)
 	return &event{}
 }
 

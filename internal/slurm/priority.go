@@ -111,7 +111,6 @@ func (s *prioSorter) Swap(i, j int) {
 // O(n log n) times), reusing the partition's key buffer and sorter.
 func (p *partition) orderKeyed(now time.Time, usageBy []float64) {
 	if cap(p.prios) < len(p.pending) {
-		//lint:ignore ecolint/zeroallocproof key-buffer growth — amortized; the capacity persists across scheduling passes
 		p.prios = make([]float64, len(p.pending))
 	}
 	p.prios = p.prios[:len(p.pending)]

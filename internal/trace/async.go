@@ -86,7 +86,7 @@ type asyncShard struct {
 	spare []asyncEntry
 	// Pad to a full cache line: producers hash across shards to avoid
 	// contention, which false sharing would silently reintroduce
-	// (ecolint/atomicshape checks the arithmetic).
+	// (TestAsyncShardFillsCacheLine checks the arithmetic).
 	_ [8]byte
 }
 

@@ -10,7 +10,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
+	"ecosched/internal/leakcheck"
 	"ecosched/internal/metrics"
 )
 
@@ -18,6 +20,7 @@ import (
 // drainer restores the global sequence before writing, so a replayed
 // journal reads exactly like the synchronous one did.
 func TestAsyncJournalPreservesOrder(t *testing.T) {
+	defer leakcheck.Check(t)()
 	path := filepath.Join(t.TempDir(), "events.jsonl")
 	j, err := OpenJournal(path, 0)
 	if err != nil {
@@ -132,6 +135,19 @@ func TestAsyncRingFullDropsAndCounts(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("drain blocked despite drops being accounted")
+	}
+}
+
+// A shard must fill whole 64-byte cache lines, or neighbouring shards
+// share one and producers hashed to different shards contend again. The
+// pad is hand-computed for 64-bit targets (the struct is 40 bytes where
+// pointers are 4), so adding a field without re-deriving it fails here.
+func TestAsyncShardFillsCacheLine(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the pad is sized for 64-bit targets")
+	}
+	if size := unsafe.Sizeof(asyncShard{}); size%64 != 0 {
+		t.Errorf("asyncShard is %d bytes, %d past a 64-byte cache line: re-derive its pad", size, size%64)
 	}
 }
 

@@ -129,17 +129,14 @@ func (t *Tracer) Start(ctx context.Context, name string) (context.Context, *Span
 	if t == nil {
 		return ctx, nil
 	}
-	//lint:ignore ecolint/zeroallocproof spans allocate by design; latency-bounded deployments run a nil tracer, which returns above before this line
 	s := &Span{t: t, name: name, start: t.clock(), sampled: true}
 	if parent := FromContext(ctx); parent != nil {
 		s.traceID = parent.traceID
 		s.parent = parent.spanID
 		s.sampled = parent.sampled
 	} else {
-		//lint:ignore ecolint/zeroallocproof trace-ID mint — once per trace, only with tracing enabled
 		s.traceID = fmt.Sprintf("t%s-%04d", t.idPrefix, t.traceCtr.Add(1))
 	}
-	//lint:ignore ecolint/zeroallocproof span-ID mint — only with tracing enabled; nil-tracer deployments never reach this
 	s.spanID = fmt.Sprintf("s%s-%04d", t.idPrefix, t.spanCtr.Add(1))
 	return context.WithValue(ctx, ctxKey{}, s), s
 }
@@ -157,7 +154,6 @@ func (t *Tracer) Event(name string, attrs map[string]string) {
 func (t *Tracer) record(e Event) {
 	t.mu.Lock()
 	if cap(t.recent) == 0 {
-		//lint:ignore ecolint/zeroallocproof lazy one-time ring allocation on the first recorded event
 		t.recent = make([]Event, 0, 1024)
 	}
 	if len(t.recent) < cap(t.recent) {
@@ -221,7 +217,6 @@ func (s *Span) SetAttr(key, value string) {
 	}
 	s.mu.Lock()
 	if s.attrs == nil {
-		//lint:ignore ecolint/zeroallocproof attribute maps exist only on live spans; a nil span (tracing off) returns above
 		s.attrs = make(map[string]string, 4)
 	}
 	s.attrs[key] = value

@@ -3,6 +3,8 @@ package ecosched
 import (
 	"strings"
 	"testing"
+
+	"ecosched/internal/leakcheck"
 )
 
 func TestLoadgenSubmit(t *testing.T) {
@@ -48,6 +50,7 @@ func TestLoadgenSubmit(t *testing.T) {
 
 func TestLoadgenPredictWarm(t *testing.T) {
 	d := newDeployment(t)
+	defer leakcheck.Check(t)()
 	if _, err := d.BenchmarkConfigs(QuickSweepConfigs(), 0); err != nil {
 		t.Fatal(err)
 	}
