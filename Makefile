@@ -12,9 +12,13 @@ build:
 # marker: a replacement is landed in place of what it replaces, never
 # beside it. The scheduler's dispatch files may not name the energy
 # policies' vocabulary: policy reaches dispatch only through the
-# schedPolicy value's decisions (internal/slurm/energy.go).
+# schedPolicy value's decisions (internal/slurm/energy.go). bench/ is a
+# module of its own that neither `go vet ./...` nor tier-1 compiles, so
+# it is vetted here too: deleting an exported identifier the benchmark
+# imports fails `make vet`, not just `make bench-smoke`.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C bench ./...
 	@unformatted=$$(gofmt -l $$(git ls-files '*.go' | grep -v testdata)); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	@deprecated=$$(grep -n 'Deprecated[:]' $$(git ls-files '*.go' | grep -v testdata)); \

@@ -276,39 +276,6 @@ func BenchmarkPredictCacheHitTraced(b *testing.B) {
 	b.ReportMetric(float64(len(d.Tracer.Recent()))/float64(b.N), "spans/op")
 }
 
-// BenchmarkGPUSweep is extension X3: the GPU DVFS grid sweep plus the
-// constrained tune.
-func BenchmarkGPUSweep(b *testing.B) {
-	b.ReportAllocs()
-	var saving float64
-	for i := 0; i < b.N; i++ {
-		m := DefaultGPU()
-		if pts := m.Sweep(); len(pts) == 0 {
-			b.Fatal("empty sweep")
-		}
-		res, err := m.TuneWithinPerfLoss(0.01)
-		if err != nil {
-			b.Fatal(err)
-		}
-		saving = res.EnergySavingPct
-	}
-	b.ReportMetric(saving, "gpu-saving-%")
-}
-
-// BenchmarkEnergyMarketBestStart is extension X2: a 48-hour start-time
-// search at 15-minute resolution.
-func BenchmarkEnergyMarketBestStart(b *testing.B) {
-	b.ReportAllocs()
-	m := NewEnergyMarket(2023)
-	window := time.Date(2023, 5, 10, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < b.N; i++ {
-		if _, _, err := m.BestStart(window, window.Add(48*time.Hour),
-			19*time.Minute, 190, 15*time.Minute, MinCost); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFullPipeline measures the paper's end-to-end user journey:
 // quick sweep, train, pre-load, one rewritten job.
 func BenchmarkFullPipeline(b *testing.B) {

@@ -594,65 +594,3 @@ func runCluster(start time.Time, spec workload.Spec, src workload.Source, lw *wo
 	}
 	return report, nil
 }
-
-// PolicyFlags carries the CLI's policy overrides. A zero value means
-// "leave the spec alone"; any set field is merged into (or creates) the
-// spec's policy block, and the merged spec is re-validated.
-type PolicyFlags struct {
-	PowerCapW      float64
-	CapMode        string
-	CoSchedule     bool
-	DeferSignal    string
-	DeferThreshold float64
-	DeferMax       time.Duration
-}
-
-// Apply merges the flags into spec.Policy (copy-on-write: the spec's
-// original block is never mutated) and validates the result.
-func (f PolicyFlags) Apply(spec *workload.Spec) error {
-	if f == (PolicyFlags{}) {
-		return nil
-	}
-	p := &workload.PolicySpec{}
-	if spec.Policy != nil {
-		cp := *spec.Policy
-		p = &cp
-	}
-	if f.PowerCapW > 0 {
-		p.PowerCapW = f.PowerCapW
-	}
-	if f.CapMode != "" {
-		p.CapMode = f.CapMode
-	}
-	if f.CoSchedule {
-		p.CoSchedule = true
-	}
-	switch {
-	case f.DeferSignal != "":
-		d := workload.DeferralSpec{
-			Signal:    f.DeferSignal,
-			Threshold: f.DeferThreshold,
-			MaxDefer:  workload.Duration(f.DeferMax),
-		}
-		if p.Deferral != nil && d.Check == 0 {
-			d.Check = p.Deferral.Check
-		}
-		p.Deferral = &d
-	case f.DeferThreshold != 0 || f.DeferMax != 0:
-		// No signal named: the bounds override the spec's own deferral
-		// block, which must exist to be overridden.
-		if p.Deferral == nil {
-			return fmt.Errorf("usage: -defer-threshold and -defer-max need -defer-signal, or a spec whose policy block already defers")
-		}
-		d := *p.Deferral
-		if f.DeferThreshold != 0 {
-			d.Threshold = f.DeferThreshold
-		}
-		if f.DeferMax != 0 {
-			d.MaxDefer = workload.Duration(f.DeferMax)
-		}
-		p.Deferral = &d
-	}
-	spec.Policy = p
-	return spec.Validate()
-}

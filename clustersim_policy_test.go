@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
-	"time"
 
 	"ecosched/internal/workload"
 )
@@ -164,103 +163,4 @@ func TestPolicyReportFitness(t *testing.T) {
 	if !bytes.Contains(buf.Bytes(), []byte("\nfitness     ")) {
 		t.Fatalf("report lacks the fitness row:\n%s", buf.String())
 	}
-}
-
-// TestPolicyFlagsApply covers chronus simulate's CLI override path.
-func TestPolicyFlagsApply(t *testing.T) {
-	t.Run("zero value is a no-op", func(t *testing.T) {
-		spec := loadSpec(t, "powercap-smoke.json")
-		orig := spec.Policy
-		if err := (PolicyFlags{}).Apply(&spec); err != nil {
-			t.Fatal(err)
-		}
-		if spec.Policy != orig {
-			t.Fatal("zero flags replaced the spec's policy block")
-		}
-	})
-
-	t.Run("flags build a block from scratch", func(t *testing.T) {
-		spec := loadSpec(t, "race-smoke.json")
-		if spec.Policy != nil {
-			t.Fatal("race-smoke unexpectedly carries a policy block")
-		}
-		pf := PolicyFlags{
-			PowerCapW: 9000, CapMode: "wait", CoSchedule: true,
-			DeferSignal: "carbon", DeferThreshold: 0.4, DeferMax: 2 * time.Hour,
-		}
-		if err := pf.Apply(&spec); err != nil {
-			t.Fatal(err)
-		}
-		p := spec.Policy
-		if p == nil || p.PowerCapW != 9000 || p.CapMode != "wait" || !p.CoSchedule {
-			t.Fatalf("policy = %+v", p)
-		}
-		if p.Deferral == nil || p.Deferral.Signal != "carbon" || p.Deferral.MaxDefer != workload.Duration(2*time.Hour) {
-			t.Fatalf("deferral = %+v", p.Deferral)
-		}
-		if got := p.Label(); got != "powercap-wait+cosched+defer-carbon" {
-			t.Fatalf("label = %q", got)
-		}
-	})
-
-	t.Run("overrides keep the original block intact", func(t *testing.T) {
-		spec := loadSpec(t, "powercap-smoke.json")
-		origCap := spec.Policy.PowerCapW
-		origCheck := spec.Policy.Deferral.Check
-		pf := PolicyFlags{PowerCapW: 7000, DeferSignal: "carbon", DeferThreshold: 0.3, DeferMax: time.Hour}
-		if err := pf.Apply(&spec); err != nil {
-			t.Fatal(err)
-		}
-		if spec.Policy.PowerCapW != 7000 {
-			t.Fatalf("cap = %g", spec.Policy.PowerCapW)
-		}
-		// The flag-built deferral inherits the spec's re-check cadence.
-		if spec.Policy.Deferral.Check != origCheck {
-			t.Fatalf("check = %v, want inherited %v", spec.Policy.Deferral.Check, origCheck)
-		}
-		// Copy-on-write: reloading shows the file's block untouched.
-		fresh := loadSpec(t, "powercap-smoke.json")
-		if fresh.Policy.PowerCapW != origCap {
-			t.Fatalf("original spec mutated: cap = %g", fresh.Policy.PowerCapW)
-		}
-	})
-
-	t.Run("bounds alone override the spec's deferral block", func(t *testing.T) {
-		spec := loadSpec(t, "powercap-smoke.json")
-		orig := *spec.Policy.Deferral
-		if err := (PolicyFlags{DeferThreshold: 0.1}).Apply(&spec); err != nil {
-			t.Fatal(err)
-		}
-		want := orig
-		want.Threshold = 0.1
-		if got := *spec.Policy.Deferral; got != want {
-			t.Fatalf("threshold-only override: deferral = %+v, want %+v", got, want)
-		}
-		if err := (PolicyFlags{DeferMax: time.Hour}).Apply(&spec); err != nil {
-			t.Fatal(err)
-		}
-		want.MaxDefer = workload.Duration(time.Hour)
-		if got := *spec.Policy.Deferral; got != want {
-			t.Fatalf("max-only override on top: deferral = %+v, want %+v", got, want)
-		}
-		if fresh := loadSpec(t, "powercap-smoke.json"); *fresh.Policy.Deferral != orig {
-			t.Fatalf("original spec mutated: deferral = %+v", fresh.Policy.Deferral)
-		}
-	})
-
-	t.Run("invalid combinations are rejected", func(t *testing.T) {
-		for name, pf := range map[string]PolicyFlags{
-			"cap mode without cap": {CapMode: "wait"},
-			"unknown cap mode":     {PowerCapW: 5000, CapMode: "turbo"},
-			"unknown signal":       {DeferSignal: "moon-phase", DeferThreshold: 1, DeferMax: time.Hour},
-			"deferral no bound":    {DeferSignal: "price", DeferThreshold: 1},
-			// race-smoke has no deferral block for the bounds to override.
-			"bounds without a block": {DeferThreshold: 0.1, DeferMax: time.Hour},
-		} {
-			spec := loadSpec(t, "race-smoke.json")
-			if err := pf.Apply(&spec); err == nil {
-				t.Errorf("%s: accepted", name)
-			}
-		}
-	})
 }

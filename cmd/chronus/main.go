@@ -418,13 +418,6 @@ func cmdSimulate(args []string) error {
 	recordPath := fs.String("record", "", "record the generated submission stream to this JSONL log")
 	replayPath := fs.String("replay", "", "replay a submission log instead of generating one")
 	lanes := fs.Int("lanes", 0, "max partition lanes advancing concurrently (0 = one per CPU); any setting produces byte-identical output")
-	var pf ecosched.PolicyFlags
-	fs.Float64Var(&pf.PowerCapW, "power-cap", 0, "cluster power budget in watts (overrides the spec's policy block)")
-	fs.StringVar(&pf.CapMode, "cap-mode", "", "power-cap mode: wait or freqcap")
-	fs.BoolVar(&pf.CoSchedule, "cosched", false, "co-schedule complementary job profiles on one node")
-	fs.StringVar(&pf.DeferSignal, "defer-signal", "", "deferral signal: price or carbon")
-	fs.Float64Var(&pf.DeferThreshold, "defer-threshold", 0, "dispatch deferrable jobs when the signal is at or below this")
-	fs.DurationVar(&pf.DeferMax, "defer-max", 0, "longest a deferrable job may be held past submission")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -436,8 +429,6 @@ func cmdSimulate(args []string) error {
 		return fmt.Errorf("-spec and -replay are mutually exclusive")
 	case *replayPath != "" && *recordPath != "":
 		return fmt.Errorf("-record only applies to generated runs (-spec)")
-	case *replayPath != "" && pf != (ecosched.PolicyFlags{}):
-		return fmt.Errorf("policy flags only apply to generated runs (-spec); a replay runs under the policy block its log embeds")
 	case *replayPath != "":
 		f, err := os.Open(*replayPath)
 		if err != nil {
@@ -456,9 +447,6 @@ func cmdSimulate(args []string) error {
 
 	spec, err := workload.LoadSpec(*specPath)
 	if err != nil {
-		return err
-	}
-	if err := pf.Apply(&spec); err != nil {
 		return err
 	}
 	var rec io.Writer

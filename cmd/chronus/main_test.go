@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -161,10 +162,10 @@ func TestCLILoadgenAndSLO(t *testing.T) {
 }
 
 // TestCLISimulate drives the one cluster-simulation CLI: a recorded
-// run replays to the same report, and flags that a replay would
-// silently ignore (-record, any policy flag: the log's embedded spec
-// decides the policies) are usage errors rather than a report printed
-// as if they applied.
+// run replays to the same report, a spec's policy block is the one way
+// to state a policy (the retired per-policy flags are rejected for
+// generated and replayed runs alike), and -record on a replay is a
+// usage error rather than a report printed as if it applied.
 func TestCLISimulate(t *testing.T) {
 	spec := filepath.Join("..", "..", "specs", "race-smoke.json")
 	log := filepath.Join(t.TempDir(), "run.jsonl")
@@ -179,18 +180,31 @@ func TestCLISimulate(t *testing.T) {
 		t.Fatalf("replay differs from the recorded run:\n%s\nvs\n%s", report, replayed)
 	}
 
-	for _, args := range [][]string{
+	capped := captureStdout(t, func() error {
+		return run([]string{"simulate", "-spec", filepath.Join("..", "..", "specs", "powercap-smoke.json")})
+	})
+	if want := "\npolicies    powercap-freqcap+cosched+defer-price\n"; !strings.Contains(capped, want) {
+		t.Fatalf("report does not name the spec's own policy block (%q):\n%s", want, capped)
+	}
+
+	usageErrors := [][]string{
 		{"simulate"},
 		{"simulate", "-spec", spec, "-replay", log},
 		{"simulate", "-replay", log, "-record", log + ".2"},
-		{"simulate", "-replay", log, "-power-cap", "5000"},
-		{"simulate", "-replay", log, "-cap-mode", "freqcap"},
-		{"simulate", "-replay", log, "-cosched"},
-		{"simulate", "-replay", log, "-defer-signal", "price", "-defer-threshold", "0.3", "-defer-max", "1h"},
-		// Bounds with no signal override the spec's deferral block;
-		// race-smoke has none, so they would be silently ignored.
-		{"simulate", "-spec", spec, "-defer-threshold", "0.1", "-defer-max", "1h"},
-	} {
+	}
+	for _, source := range [][]string{{"-spec", spec}, {"-replay", log}} {
+		for _, retired := range [][]string{
+			{"-power-cap", "5000"},
+			{"-cap-mode", "wait"},
+			{"-cosched"},
+			{"-defer-signal", "price"},
+			{"-defer-threshold", "0.1"},
+			{"-defer-max", "1h"},
+		} {
+			usageErrors = append(usageErrors, slices.Concat([]string{"simulate"}, source, retired))
+		}
+	}
+	for _, args := range usageErrors {
 		if err := run(args); err == nil {
 			t.Errorf("chronus %v succeeded, want a usage error", args)
 		}

@@ -108,7 +108,6 @@ func run(dataDir, model string, full bool) error {
 
 	pRec, _ := d.Cluster.Accounting().Record(plain.ID)
 	eRec, _ := d.Cluster.Accounting().Record(eco.ID)
-	_ = []slurm.AcctRecord{pRec, eRec}
 	fmt.Printf("\neco plugin rewrote %d of %d submissions\n", d.Plugin.Rewritten, d.Plugin.Submissions)
 	fmt.Printf("decision journal: %s (replay with `chronus -data %s trace %d`)\n",
 		ecosched.EventsFile, dir, eco.ID)

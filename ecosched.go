@@ -26,7 +26,6 @@
 package ecosched
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -79,11 +78,6 @@ const (
 type Options struct {
 	// Nodes is the cluster size (default 1, the paper's setup).
 	Nodes int
-	// RooflineNodes adds this many extra nodes whose throughput comes
-	// from the parametric roofline model instead of the paper's
-	// measured surface — "hardware the paper never measured", for the
-	// multi-node extension (§6.2.3).
-	RooflineNodes int
 	// Seed drives all simulation randomness (default 1).
 	Seed uint64
 	// DataDir is where the repository, blob storage, settings file and
@@ -91,12 +85,6 @@ type Options struct {
 	DataDir string
 	// Repository selects the storage backend (default RepoFileDB).
 	Repository RepositoryKind
-	// HPCGPath is the benchmark binary path (default the paper's
-	// /opt/hpcg/build/bin/xhpcg).
-	HPCGPath string
-	// PluginState is the eco plugin's initial state (default user —
-	// opt-in via the chronus comment).
-	PluginState settings.State
 	// SlurmConf overrides the slurm.conf text (default enables the eco
 	// plugin with the stock budget).
 	SlurmConf string
@@ -107,17 +95,8 @@ type Options struct {
 	// journalled to DataDir/events.jsonl. Off by default so the hot
 	// path stays allocation-free (every trace type is nil-safe).
 	Trace bool
-	// TraceJournalMaxBytes bounds events.jsonl before rotation
-	// (default trace.DefaultJournalMaxBytes).
-	TraceJournalMaxBytes int64
-	// TraceSampleRate head-samples the decision traces: roughly this
-	// fraction of submissions (keyed deterministically by job id and
-	// Seed) journal their spans; errors and degraded outcomes are
-	// always journalled. <= 0 or >= 1 keeps everything — the default.
-	TraceSampleRate float64
 	// Tracer injects an externally-built tracer (tests); when set,
-	// Trace, TraceJournalMaxBytes and TraceSampleRate are ignored and
-	// the deployment does not own a journal.
+	// Trace is ignored and the deployment does not own a journal.
 	Tracer *trace.Tracer
 	// Parallelism is the benchmark sweep's worker-pool width: how many
 	// configurations are measured concurrently, each on its own
@@ -145,20 +124,11 @@ type Option func(*Options)
 // WithNodes sets the cluster size.
 func WithNodes(n int) Option { return func(o *Options) { o.Nodes = n } }
 
-// WithRooflineNodes adds roofline-modelled nodes (§6.2.3).
-func WithRooflineNodes(n int) Option { return func(o *Options) { o.RooflineNodes = n } }
-
 // WithSeed sets the simulation seed.
 func WithSeed(seed uint64) Option { return func(o *Options) { o.Seed = seed } }
 
 // WithRepository selects the storage backend.
 func WithRepository(kind RepositoryKind) Option { return func(o *Options) { o.Repository = kind } }
-
-// WithHPCGPath overrides the benchmark binary path.
-func WithHPCGPath(path string) Option { return func(o *Options) { o.HPCGPath = path } }
-
-// WithPluginState sets the eco plugin's initial state.
-func WithPluginState(state settings.State) Option { return func(o *Options) { o.PluginState = state } }
 
 // WithSlurmConf overrides the slurm.conf text.
 func WithSlurmConf(conf string) Option { return func(o *Options) { o.SlurmConf = conf } }
@@ -170,20 +140,8 @@ func WithLogWriter(w io.Writer) Option { return func(o *Options) { o.LogW = w } 
 // DataDir/events.jsonl.
 func WithTracing() Option { return func(o *Options) { o.Trace = true } }
 
-// WithTraceJournalMaxBytes bounds the event journal's size cap.
-func WithTraceJournalMaxBytes(n int64) Option {
-	return func(o *Options) { o.TraceJournalMaxBytes = n }
-}
-
 // WithTracer injects an externally-built tracer.
 func WithTracer(t *trace.Tracer) Option { return func(o *Options) { o.Tracer = t } }
-
-// WithTraceSampling head-samples decision traces at the given rate
-// (errors are always kept). Implies nothing about tracing being on —
-// combine with WithTracing.
-func WithTraceSampling(rate float64) Option {
-	return func(o *Options) { o.TraceSampleRate = rate }
-}
 
 // WithParallelism sets the benchmark sweep's worker-pool width.
 func WithParallelism(n int) Option { return func(o *Options) { o.Parallelism = n } }
@@ -199,6 +157,9 @@ func WithFaultSeed(seed uint64) Option { return func(o *Options) { o.FaultSeed =
 // WithRetryPolicy enables bounded retry-with-backoff on Chronus's
 // transient load stages.
 func WithRetryPolicy(p core.RetryPolicy) Option { return func(o *Options) { o.Retry = p } }
+
+// hpcgPath is where the paper installs the benchmark binary.
+const hpcgPath = "/opt/hpcg/build/bin/xhpcg"
 
 // Deployment is a wired, running simulated installation.
 type Deployment struct {
@@ -243,7 +204,7 @@ type Deployment struct {
 // functional options:
 //
 //	d, err := ecosched.New(dir, ecosched.WithNodes(4), ecosched.WithSeed(7))
-func New(dataDir string, options ...Option) (*Deployment, error) {
+func New(dataDir string, options ...Option) (_ *Deployment, err error) {
 	opts := Options{DataDir: dataDir}
 	for _, opt := range options {
 		opt(&opts)
@@ -257,14 +218,8 @@ func New(dataDir string, options ...Option) (*Deployment, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	if opts.HPCGPath == "" {
-		opts.HPCGPath = "/opt/hpcg/build/bin/xhpcg"
-	}
 	if opts.Repository == "" {
 		opts.Repository = RepoFileDB
-	}
-	if opts.PluginState == "" {
-		opts.PluginState = settings.StateUser
 	}
 	if opts.SlurmConf == "" {
 		opts.SlurmConf = "ClusterName=ecosched\nJobSubmitPlugins=eco\n"
@@ -273,20 +228,14 @@ func New(dataDir string, options ...Option) (*Deployment, error) {
 	sim := simclock.New()
 	calib := perfmodel.Default()
 
-	total := opts.Nodes + opts.RooflineNodes
-	nodes := make([]*hw.Node, total)
-	bmcs := make([]*ipmi.BMC, total)
-	rooflineCalib := perfmodel.FromRoofline(perfmodel.DefaultRoofline())
+	nodes := make([]*hw.Node, opts.Nodes)
+	bmcs := make([]*ipmi.BMC, opts.Nodes)
 	for i := range nodes {
 		spec := hw.DefaultSpec()
-		nodeCalib := calib
-		if i >= opts.Nodes {
-			nodeCalib = rooflineCalib
-			spec.Name = fmt.Sprintf("rl%02d", i-opts.Nodes+1)
-		} else if total > 1 {
+		if opts.Nodes > 1 {
 			spec.Name = fmt.Sprintf("%s%02d", spec.Name, i+1)
 		}
-		nodes[i] = hw.NewNode(sim, spec, nodeCalib, opts.Seed+uint64(i))
+		nodes[i] = hw.NewNode(sim, spec, calib, opts.Seed+uint64(i))
 		bmcs[i] = ipmi.NewBMC(nodes[i])
 		bmcs[i].ChmodWorldReadable() // the paper's chmod o+r /dev/ipmi0
 	}
@@ -306,26 +255,23 @@ func New(dataDir string, options ...Option) (*Deployment, error) {
 	// construction error the same closers run (in reverse) that Close
 	// would, so no store outlives a failed wiring.
 	var closers []func() error
-	cleanup := func() {
+	defer func() {
+		if err == nil {
+			return
+		}
 		for i := len(closers) - 1; i >= 0; i-- {
 			closers[i]() //nolint:errcheck — construction already failed
 		}
-	}
+	}()
 
 	tracer := opts.Tracer
 	if tracer == nil && opts.Trace {
-		journal, err := trace.OpenJournal(filepath.Join(opts.DataDir, EventsFile), opts.TraceJournalMaxBytes)
+		journal, err := trace.OpenJournal(filepath.Join(opts.DataDir, EventsFile), trace.DefaultJournalMaxBytes)
 		if err != nil {
 			return nil, err
 		}
 		closers = append(closers, journal.Close)
-		rate := opts.TraceSampleRate
-		if rate <= 0 {
-			rate = 1 // unset keeps everything
-		}
-		tracer = trace.New(trace.WithJournal(journal),
-			trace.WithMetrics(reg),
-			trace.WithHeadSampling(rate, opts.Seed))
+		tracer = trace.New(trace.WithJournal(journal), trace.WithMetrics(reg))
 		// Appended after journal.Close so the reversed teardown stops
 		// the async drainer (final flush included) before the journal
 		// file closes underneath it.
@@ -345,7 +291,6 @@ func New(dataDir string, options ...Option) (*Deployment, error) {
 	if opts.FaultSpec != "" {
 		rules, err := fault.ParsePlan(opts.FaultSpec)
 		if err != nil {
-			cleanup()
 			return nil, err
 		}
 		inj.Use(rules...)
@@ -370,29 +315,25 @@ func New(dataDir string, options ...Option) (*Deployment, error) {
 
 	rawBlob, err := blob.NewDir(filepath.Join(opts.DataDir, "blobs"))
 	if err != nil {
-		cleanup()
 		return nil, err
 	}
 	blobStore := fault.Blob(rawBlob, inj)
 	rawSettings := settings.NewEtcStore(filepath.Join(opts.DataDir, "etc", "chronus", "settings.json"))
 	initial, err := rawSettings.Load()
 	if err != nil {
-		cleanup()
 		return nil, err
 	}
-	initial.State = opts.PluginState
+	initial.State = settings.StateUser // opt-in via the chronus comment
 	initial.DatabasePath = filepath.Join(opts.DataDir, "database")
 	initial.BlobStoragePath = filepath.Join(opts.DataDir, "blobs")
 	if err := rawSettings.Save(initial); err != nil {
-		cleanup()
 		return nil, err
 	}
 	settingsStore := fault.Settings(rawSettings, inj)
 
 	fs := fault.FileReader(procfs.New(nodes[0]), inj)
-	runner, err := core.NewHPCGRunner(cluster, opts.HPCGPath, calib.JobGFLOP)
+	runner, err := core.NewHPCGRunner(cluster, hpcgPath, calib.JobGFLOP)
 	if err != nil {
-		cleanup()
 		return nil, err
 	}
 
@@ -404,7 +345,6 @@ func New(dataDir string, options ...Option) (*Deployment, error) {
 	// parallelism.
 	benchConf, err := slurm.ParseConf("ClusterName=bench\n")
 	if err != nil {
-		cleanup()
 		return nil, err
 	}
 	seed := opts.Seed
@@ -443,7 +383,6 @@ func New(dataDir string, options ...Option) (*Deployment, error) {
 		Parallelism: opts.Parallelism,
 	})
 	if err != nil {
-		cleanup()
 		return nil, err
 	}
 
@@ -451,7 +390,6 @@ func New(dataDir string, options ...Option) (*Deployment, error) {
 		ecoplugin.WithBudget(conf.EcoBudget), ecoplugin.WithMetrics(reg),
 		ecoplugin.WithTracer(tracer))
 	if err != nil {
-		cleanup()
 		return nil, err
 	}
 	cluster.RegisterPlugin(plugin)
@@ -460,7 +398,7 @@ func New(dataDir string, options ...Option) (*Deployment, error) {
 		Sim: sim, Cluster: cluster, Nodes: nodes, BMCs: bmcs,
 		Chronus: chronus, Plugin: plugin,
 		Repo: repo, Blob: blobStore, Settings: settingsStore,
-		HPCGPath: opts.HPCGPath, Metrics: reg, Tracer: tracer, Fault: inj,
+		HPCGPath: hpcgPath, Metrics: reg, Tracer: tracer, Fault: inj,
 		fs: fs, dataDir: opts.DataDir,
 	}
 	// Registered last → run first on Close: drain in-flight predictions
@@ -577,7 +515,8 @@ func PaperSweepConfigs() []Config {
 
 // QuickSweepConfigs returns a small representative subset of the sweep
 // that still contains the best and standard configurations — enough to
-// train a useful model in examples.
+// train a useful model in seconds (`chronus benchmark -quick`, the
+// ecosim demo, loadgen's self-provisioning).
 func QuickSweepConfigs() []Config {
 	ghz := func(g float64) int { return int(g * 1e6) }
 	return []Config{
@@ -598,13 +537,6 @@ func QuickSweepConfigs() []Config {
 // A zero interval uses the paper's default sampling rate.
 func (d *Deployment) BenchmarkConfigs(configs []Config, interval time.Duration) (int64, error) {
 	return d.Chronus.Benchmark.Run(configs, interval)
-}
-
-// BenchmarkConfigsContext is BenchmarkConfigs with cancellation: a
-// canceled ctx stops the sweep after the in-flight configurations,
-// keeping the contiguous prefix already persisted.
-func (d *Deployment) BenchmarkConfigsContext(ctx context.Context, configs []Config, interval time.Duration) (int64, error) {
-	return d.Chronus.Benchmark.RunContext(ctx, configs, interval)
 }
 
 // TrainModel runs `chronus init-model` for the deployment's (single)

@@ -3,10 +3,14 @@ package ecosched
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"ecosched/internal/core"
+	"ecosched/internal/leakcheck"
 	"ecosched/internal/paperdata"
 	"ecosched/internal/repository"
 	"ecosched/internal/slurm"
@@ -28,9 +32,26 @@ func TestNewDeploymentRequiresDataDir(t *testing.T) {
 	}
 }
 
+// A repository that fails to open must not leave the tracing New
+// already started behind: the async drainer goroutine and the open
+// events.jsonl handle are torn down on every error return.
 func TestNewDeploymentUnknownRepo(t *testing.T) {
-	if _, err := New(t.TempDir(), WithRepository("oracle")); err == nil {
-		t.Fatal("unknown repository kind accepted")
+	defer leakcheck.Check(t)()
+	fileAsDatabase := t.TempDir()
+	if err := os.WriteFile(filepath.Join(fileAsDatabase, "database"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		dir  string
+		opts []Option
+	}{
+		{"unknown repository kind", t.TempDir(), []Option{WithRepository("oracle"), WithTracing()}},
+		{"database is a regular file", fileAsDatabase, []Option{WithTracing()}},
+	} {
+		if _, err := New(tc.dir, tc.opts...); err == nil {
+			t.Fatalf("%s accepted", tc.name)
+		}
 	}
 }
 
@@ -355,42 +376,6 @@ func TestFmtDuration(t *testing.T) {
 	}
 }
 
-func TestHeterogeneousRooflineNodes(t *testing.T) {
-	d := newDeployment(t, WithNodes(1), WithRooflineNodes(1))
-	if len(d.Nodes) != 2 {
-		t.Fatalf("%d nodes", len(d.Nodes))
-	}
-	if got := d.Nodes[1].Spec().Name; got != "rl01" {
-		t.Fatalf("roofline node named %q", got)
-	}
-	// Occupy the measured head node, then submit a second job that
-	// must land on the roofline node and still behave sensibly.
-	head, err := d.SubmitHPCG(StandardConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := d.SubmitHPCG(BestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.NodeName != "rl01" {
-		t.Fatalf("second job placed on %q", second.NodeName)
-	}
-	done, err := d.Cluster.WaitFor(second.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, _ := d.Cluster.Accounting().Record(done.ID)
-	// The roofline node is "like the paper's" but parametric: its
-	// efficiency should land in the same ballpark, not be exact.
-	if eff := rec.GFLOPSPerWatt(); eff < 0.035 || eff > 0.060 {
-		t.Fatalf("roofline node efficiency %.5f implausible", eff)
-	}
-	if _, err := d.Cluster.WaitFor(head.ID); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestGovernorAblation(t *testing.T) {
 	d := newDeployment(t)
 	rows, err := d.RunGovernorAblation()
@@ -421,7 +406,7 @@ func TestGovernorAblation(t *testing.T) {
 	}
 }
 
-func TestAddStreamApplicationFacade(t *testing.T) {
+func TestStreamApplicationThroughSubmitPath(t *testing.T) {
 	d := newDeployment(t)
 	if _, err := d.BenchmarkConfigs(QuickSweepConfigs(), 0); err != nil {
 		t.Fatal(err)
@@ -434,7 +419,12 @@ func TestAddStreamApplicationFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stream, err := d.AddStreamApplication("/opt/stream/stream_c")
+	const streamPath = "/opt/stream/stream_c"
+	runner, err := core.NewStreamRunner(d.Cluster, streamPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := d.Chronus.WithRunner(runner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,12 +441,18 @@ func TestAddStreamApplicationFacade(t *testing.T) {
 	}
 
 	// The plugin rewrites each binary to its own optimum.
-	hpcgJob, err := d.SubmitBinaryOptIn(d.HPCGPath)
+	hpcgJob, err := d.SubmitHPCGOptIn()
 	if err != nil {
 		t.Fatal(err)
 	}
 	hpcgDone, _ := d.Cluster.WaitFor(hpcgJob.ID)
-	streamJob, err := d.SubmitBinaryOptIn("/opt/stream/stream_c")
+	streamJob, err := d.Cluster.SubmitScript(`#!/bin/bash
+#SBATCH --nodes=1
+#SBATCH --ntasks=32
+#SBATCH --cpu-freq=2500000
+#SBATCH --comment "chronus"
+
+srun --mpi=pmix_v4 --ntasks-per-core=1 ` + streamPath + "\n")
 	if err != nil {
 		t.Fatal(err)
 	}

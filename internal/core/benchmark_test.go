@@ -1,88 +1,14 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"testing"
 	"time"
 
 	"ecosched/internal/ecoplugin"
-	"ecosched/internal/hw"
-	"ecosched/internal/ipmi"
 	"ecosched/internal/perfmodel"
 	"ecosched/internal/repository"
-	"ecosched/internal/simclock"
 )
-
-func clusterRig(t *testing.T, n int) (*simclock.Sim, []*hw.Node, []*ipmi.BMC) {
-	t.Helper()
-	sim := simclock.New()
-	nodes := make([]*hw.Node, n)
-	bmcs := make([]*ipmi.BMC, n)
-	for i := range nodes {
-		spec := hw.DefaultSpec()
-		spec.Name = fmt.Sprintf("n%02d", i)
-		nodes[i] = hw.NewNode(sim, spec, perfmodel.Default(), uint64(i+1))
-		bmcs[i] = ipmi.NewBMC(nodes[i])
-		bmcs[i].ChmodWorldReadable()
-	}
-	return sim, nodes, bmcs
-}
-
-func TestClusterPowerSumsNodes(t *testing.T) {
-	sim, nodes, bmcs := clusterRig(t, 3)
-	svc, err := NewClusterPowerService(sim, bmcs, nodes, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Load two of three nodes.
-	j1, _ := nodes[0].StartJob(perfmodel.StandardConfig())
-	j2, _ := nodes[1].StartJob(perfmodel.BestConfig())
-	defer j1.End()
-	defer j2.End()
-	sim.RunFor(5 * time.Minute)
-
-	stop := svc.StartSampling(3 * time.Second)
-	sim.RunFor(2 * time.Minute)
-	trace := stop()
-	agg, err := trace.Aggregate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Expect ≈ 216.6 + 190.1 + idle (~130) summed.
-	var want float64
-	for _, n := range nodes {
-		want += n.SystemPowerW()
-	}
-	if math.Abs(agg.AvgSystemW-want)/want > 0.05 {
-		t.Fatalf("cluster avg %.1f W, instantaneous sum %.1f W", agg.AvgSystemW, want)
-	}
-	if agg.AvgSystemW < 500 {
-		t.Fatalf("cluster power %.1f W too low for 2 loaded + 1 idle node", agg.AvgSystemW)
-	}
-}
-
-func TestClusterPowerValidation(t *testing.T) {
-	sim, nodes, bmcs := clusterRig(t, 2)
-	if _, err := NewClusterPowerService(sim, nil, nil, false); err == nil {
-		t.Fatal("empty BMC list accepted")
-	}
-	if _, err := NewClusterPowerService(sim, bmcs[:1], nodes, false); err == nil {
-		t.Fatal("mismatched lists accepted")
-	}
-}
-
-func TestClusterPowerPermission(t *testing.T) {
-	sim, nodes, _ := clusterRig(t, 2)
-	// Fresh BMCs without the chmod: non-root open must fail.
-	locked := []*ipmi.BMC{ipmi.NewBMC(nodes[0]), ipmi.NewBMC(nodes[1])}
-	if _, err := NewClusterPowerService(sim, locked, nodes, false); err == nil {
-		t.Fatal("locked /dev/ipmi0 opened without root")
-	}
-	if _, err := NewClusterPowerService(sim, locked, nodes, true); err != nil {
-		t.Fatalf("root open failed: %v", err)
-	}
-}
 
 func TestBenchmarkTracePersisted(t *testing.T) {
 	r := newRig(t)

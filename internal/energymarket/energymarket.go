@@ -1,18 +1,18 @@
-// Package energymarket implements the paper's §6.2.4 future-work
-// extension: scheduling jobs when energy is cheap or renewable — the
-// practice the paper attributes to Vestas and Lancium. It provides a
-// deterministic synthetic electricity market (diurnal demand, solar
-// and wind generation, price coupling) and start-time policies that
-// minimise a job's energy cost or carbon intensity over a window.
+// Package energymarket is the signal behind the paper's §6.2.4
+// future-work extension: scheduling jobs when energy is cheap or
+// renewable — the practice the paper attributes to Vestas and Lancium.
+// It provides a deterministic synthetic electricity market (diurnal
+// demand, solar and wind generation, price coupling) whose Price and
+// CarbonIntensity the scheduler's deferral policy reads; the policy
+// itself lives in internal/slurm.
 //
 // The market is synthetic because spot-price feeds are a proprietary
-// data gate; the generator reproduces the properties the policies
-// depend on: day/night price cycles, a midday solar valley and
+// data gate; the generator reproduces the properties the policy
+// depends on: day/night price cycles, a midday solar valley and
 // multi-hour wind regimes.
 package energymarket
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -104,123 +104,4 @@ func peak(h, at, width float64) float64 {
 // CarbonIntensity returns gCO2/kWh at t.
 func (m *Market) CarbonIntensity(t time.Time) float64 {
 	return m.GridCarbon * (1 - m.RenewableShare(t))
-}
-
-// JobCost integrates price × power over a run starting at start,
-// returning EUR. Sampling is minute-granular.
-func (m *Market) JobCost(start time.Time, d time.Duration, powerW float64) float64 {
-	return m.integrate(start, d, powerW, m.Price)
-}
-
-// JobCarbonG integrates carbon intensity × energy over a run,
-// returning grams of CO2.
-func (m *Market) JobCarbonG(start time.Time, d time.Duration, powerW float64) float64 {
-	return m.integrate(start, d, powerW, m.CarbonIntensity)
-}
-
-func (m *Market) integrate(start time.Time, d time.Duration, powerW float64, rate func(time.Time) float64) float64 {
-	if d <= 0 || powerW <= 0 {
-		return 0
-	}
-	const step = time.Minute
-	var total float64
-	for off := time.Duration(0); off < d; off += step {
-		slice := step
-		if d-off < step {
-			slice = d - off
-		}
-		kwh := powerW / 1000 * slice.Hours()
-		total += rate(start.Add(off)) * kwh
-	}
-	return total
-}
-
-// Objective selects what a start-time search minimises.
-type Objective int
-
-// Objectives.
-const (
-	MinCost Objective = iota
-	MinCarbon
-)
-
-// BestStart scans [windowStart, windowEnd − d] at the given step and
-// returns the start time minimising the objective, with its value.
-func (m *Market) BestStart(windowStart, windowEnd time.Time, d time.Duration, powerW float64, step time.Duration, obj Objective) (time.Time, float64, error) {
-	if step <= 0 {
-		return time.Time{}, 0, fmt.Errorf("energymarket: non-positive step")
-	}
-	latest := windowEnd.Add(-d)
-	if latest.Before(windowStart) {
-		return time.Time{}, 0, fmt.Errorf("energymarket: window %v shorter than job %v", windowEnd.Sub(windowStart), d)
-	}
-	eval := func(s time.Time) float64 {
-		if obj == MinCarbon {
-			return m.JobCarbonG(s, d, powerW)
-		}
-		return m.JobCost(s, d, powerW)
-	}
-	best := windowStart
-	bestVal := eval(windowStart)
-	for s := windowStart.Add(step); !s.After(latest); s = s.Add(step) {
-		if v := eval(s); v < bestVal {
-			best, bestVal = s, v
-		}
-	}
-	return best, bestVal, nil
-}
-
-// ForecastPrice returns the day-ahead forecast for the price at t as
-// seen `horizon` ahead of time: the realised price perturbed by noise
-// that grows with the forecast horizon (errAt24h is the relative
-// standard error at a 24-hour horizon). Deterministic per (market
-// seed, forecast seed, hour).
-func (m *Market) ForecastPrice(t time.Time, horizon time.Duration, errAt24h float64, seed uint64) float64 {
-	p := m.Price(t)
-	if horizon <= 0 || errAt24h <= 0 {
-		return p
-	}
-	scale := errAt24h * math.Sqrt(horizon.Hours()/24)
-	rng := simclock.NewRNG(m.seed ^ seed ^ uint64(t.Unix()/3600)*0x9e3779b97f4a7c15)
-	f := p * (1 + scale*rng.Norm())
-	if f < 0.02 {
-		f = 0.02
-	}
-	return f
-}
-
-// BestStartWithForecast chooses a start time using forecast prices
-// (as a real scheduler must) and returns the chosen start, the cost it
-// *expected*, and the cost actually *realised*. Comparing the realised
-// cost against BestStart's oracle answer measures how much forecast
-// error costs.
-func (m *Market) BestStartWithForecast(windowStart, windowEnd time.Time, d time.Duration, powerW float64, step time.Duration, errAt24h float64, seed uint64) (start time.Time, expected, realised float64, err error) {
-	if step <= 0 {
-		return time.Time{}, 0, 0, fmt.Errorf("energymarket: non-positive step")
-	}
-	latest := windowEnd.Add(-d)
-	if latest.Before(windowStart) {
-		return time.Time{}, 0, 0, fmt.Errorf("energymarket: window %v shorter than job %v", windowEnd.Sub(windowStart), d)
-	}
-	forecastCost := func(s time.Time) float64 {
-		var total float64
-		for off := time.Duration(0); off < d; off += time.Minute {
-			slice := time.Minute
-			if d-off < slice {
-				slice = d - off
-			}
-			at := s.Add(off)
-			kwh := powerW / 1000 * slice.Hours()
-			total += m.ForecastPrice(at, at.Sub(windowStart), errAt24h, seed) * kwh
-		}
-		return total
-	}
-	start = windowStart
-	expected = forecastCost(windowStart)
-	for s := windowStart.Add(step); !s.After(latest); s = s.Add(step) {
-		if v := forecastCost(s); v < expected {
-			start, expected = s, v
-		}
-	}
-	return start, expected, m.JobCost(start, d, powerW), nil
 }

@@ -72,147 +72,3 @@ func TestPriceRespondsToRenewables(t *testing.T) {
 		t.Fatal("carbon intensity not lower when renewables are high")
 	}
 }
-
-func TestJobCostIntegration(t *testing.T) {
-	m := New(1)
-	// 1 kW for 1 hour = 1 kWh → cost equals the mean price; bounded by
-	// min/max over the hour.
-	start := day.Add(10 * time.Hour)
-	cost := m.JobCost(start, time.Hour, 1000)
-	if cost <= 0.02 || cost >= 1 {
-		t.Fatalf("cost = %v", cost)
-	}
-	if m.JobCost(start, 0, 1000) != 0 || m.JobCost(start, time.Hour, 0) != 0 {
-		t.Fatal("zero duration or power should cost nothing")
-	}
-	// Double power → double cost.
-	if c2 := m.JobCost(start, time.Hour, 2000); c2 < cost*1.99 || c2 > cost*2.01 {
-		t.Fatalf("cost not linear in power: %v vs %v", c2, cost)
-	}
-}
-
-func TestBestStartBeatsWorstAndNaive(t *testing.T) {
-	m := New(5)
-	d := 2 * time.Hour
-	const powerW = 190.1                                // the paper's best-config draw
-	naive := m.JobCost(day.Add(8*time.Hour), d, powerW) // submit at morning peak
-	start, best, err := m.BestStart(day, day.Add(24*time.Hour), d, powerW, 15*time.Minute, MinCost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best >= naive {
-		t.Fatalf("best start %v (%.4f EUR) no better than naive (%.4f EUR)", start, best, naive)
-	}
-	// The chosen start must actually cost what BestStart reported.
-	if got := m.JobCost(start, d, powerW); got != best {
-		t.Fatalf("reported %v, recomputed %v", best, got)
-	}
-}
-
-func TestBestStartCarbonObjective(t *testing.T) {
-	m := New(5)
-	d := 3 * time.Hour
-	start, carbon, err := m.BestStart(day, day.Add(24*time.Hour), d, 200, 30*time.Minute, MinCarbon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if carbon <= 0 {
-		t.Fatalf("carbon = %v", carbon)
-	}
-	// Optimal carbon start should sit in a high-renewable region.
-	if m.RenewableShare(start.Add(d/2)) < 0.3 {
-		t.Fatalf("greenest start %v has renewable share %.2f", start, m.RenewableShare(start.Add(d/2)))
-	}
-}
-
-func TestBestStartRespectsWindow(t *testing.T) {
-	m := New(1)
-	start, _, err := m.BestStart(day, day.Add(4*time.Hour), 2*time.Hour, 200, 10*time.Minute, MinCost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if start.Before(day) || start.Add(2*time.Hour).After(day.Add(4*time.Hour)) {
-		t.Fatalf("start %v violates window", start)
-	}
-}
-
-func TestBestStartErrors(t *testing.T) {
-	m := New(1)
-	if _, _, err := m.BestStart(day, day.Add(time.Hour), 2*time.Hour, 200, time.Minute, MinCost); err == nil {
-		t.Fatal("window shorter than job accepted")
-	}
-	if _, _, err := m.BestStart(day, day.Add(4*time.Hour), time.Hour, 200, 0, MinCost); err == nil {
-		t.Fatal("zero step accepted")
-	}
-}
-
-func TestForecastPriceHorizonScaling(t *testing.T) {
-	m := New(4)
-	at := day.Add(30 * time.Hour)
-	if got := m.ForecastPrice(at, 0, 0.1, 1); got != m.Price(at) {
-		t.Fatal("zero-horizon forecast should equal the realised price")
-	}
-	// Error magnitude grows with horizon (statistically, over hours).
-	var nearErr, farErr float64
-	for h := 0; h < 48; h++ {
-		tt := day.Add(time.Duration(h) * time.Hour)
-		p := m.Price(tt)
-		nearErr += relAbs(m.ForecastPrice(tt, 2*time.Hour, 0.15, 7), p)
-		farErr += relAbs(m.ForecastPrice(tt, 40*time.Hour, 0.15, 7), p)
-	}
-	if farErr <= nearErr {
-		t.Fatalf("forecast error did not grow with horizon: near %.3f vs far %.3f", nearErr, farErr)
-	}
-}
-
-func relAbs(a, b float64) float64 {
-	d := (a - b) / b
-	if d < 0 {
-		return -d
-	}
-	return d
-}
-
-func TestForecastSchedulingRegretBounded(t *testing.T) {
-	m := New(6)
-	d := 2 * time.Hour
-	const powerW = 190.1
-	_, oracle, err := m.BestStart(day, day.Add(48*time.Hour), d, powerW, 15*time.Minute, MinCost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	worst := m.JobCost(day.Add(8*time.Hour), d, powerW) // morning peak
-
-	// With moderate forecast error, realised cost sits between the
-	// oracle and the worst naive choice, much closer to the oracle.
-	var totalRegret float64
-	const trials = 10
-	for seed := uint64(0); seed < trials; seed++ {
-		_, expected, realised, err := m.BestStartWithForecast(
-			day, day.Add(48*time.Hour), d, powerW, 15*time.Minute, 0.10, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if expected <= 0 || realised < oracle-1e-9 {
-			t.Fatalf("realised %.4f below oracle %.4f", realised, oracle)
-		}
-		totalRegret += (realised - oracle) / oracle
-	}
-	meanRegret := totalRegret / trials
-	if meanRegret > 0.15 {
-		t.Fatalf("mean forecast regret %.1f%% too high for 10%% day-ahead error", 100*meanRegret)
-	}
-	if oracle >= worst {
-		t.Fatal("oracle no better than the worst naive start — market too flat for the test")
-	}
-}
-
-func TestForecastWindowErrors(t *testing.T) {
-	m := New(1)
-	if _, _, _, err := m.BestStartWithForecast(day, day.Add(time.Hour), 2*time.Hour, 100, time.Minute, 0.1, 1); err == nil {
-		t.Fatal("short window accepted")
-	}
-	if _, _, _, err := m.BestStartWithForecast(day, day.Add(6*time.Hour), time.Hour, 100, 0, 0.1, 1); err == nil {
-		t.Fatal("zero step accepted")
-	}
-}

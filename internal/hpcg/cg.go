@@ -19,12 +19,6 @@ type Options struct {
 	Clock func() time.Time
 }
 
-// DefaultOptions mirrors the reference setup: 50 preconditioned
-// iterations, serial smoother.
-func DefaultOptions() Options {
-	return Options{MaxIters: 50, Tolerance: 0, Workers: 1, Preconditioned: true}
-}
-
 // Result summarises a CG run, including the FLOP accounting the HPCG
 // rating is computed from.
 type Result struct {

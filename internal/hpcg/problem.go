@@ -9,7 +9,7 @@
 // minutes; the simulation path (internal/core's runner) uses the
 // calibrated perfmodel for full-size timings, while this package runs
 // for real at small problem sizes to validate numerics and provide an
-// honest compute kernel for examples, tests and benches.
+// honest compute kernel for cmd/hpcgrun, tests and benches.
 package hpcg
 
 import "fmt"

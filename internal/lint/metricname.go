@@ -48,7 +48,6 @@ var metricNameSinks = []metricNameSink{
 	{"metrics", "Registry", "Histogram", 0},
 	{"metrics", "Registry", "BucketedHistogram", 0},
 	{"trace", "Tracer", "Start", 1},
-	{"trace", "Tracer", "StartKeyed", 1},
 	{"trace", "Tracer", "Event", 0},
 }
 

@@ -44,11 +44,6 @@ func Use(ctx context.Context, r *metrics.Registry, t *trace.Tracer, kind string)
 	defer span.End()
 	t.Event("job.start", nil) // want `must be a package-level constant, not an inline string literal`
 	t.Event(counterRequests, map[string]string{"kind": kind})
-
-	_, keyed := t.StartKeyed(ctx, spanSubmit, 7)
-	defer keyed.End()
-	_, bad := t.StartKeyed(ctx, "chronus.app.keyed", 7) // want `must be a package-level constant, not an inline string literal`
-	defer bad.End()
 	_, _ = ctx, span
 }
 

@@ -21,8 +21,9 @@
 //     62.8 °C / 53.8 °C averages.
 //
 // The package also provides a purely parametric Roofline model (see
-// roofline.go) used by the multi-node and GPU extensions, where no
-// measured surface exists.
+// roofline.go): the throughput model of a second application with no
+// measured surface (core.StreamRunner), whose constants FitRoofline
+// re-derives from the paper's tables.
 package perfmodel
 
 import (
@@ -95,10 +96,6 @@ type Calibration struct {
 	// Workload: total FLOPs of one evaluation HPCG job, fixed so the
 	// standard configuration's runtime matches Table 2's 18:29.
 	JobGFLOP float64
-	// GFLOPSFn overrides the throughput surface. Nil means "the
-	// paper's measured Tables 4–6 surface"; FromRoofline sets a
-	// parametric model for nodes with no measured data.
-	GFLOPSFn func(Config) float64 `json:"-"`
 	// Power-trace shape (Figure 15): relative amplitude of the
 	// compute/memory phase oscillation at each P-state. The paper
 	// observes the 2.5 GHz performance-mode run "increasing and
@@ -208,23 +205,14 @@ func (c *Calibration) WallPowerW(systemW float64) (total, psu1, psu2 float64) {
 }
 
 // GFLOPS returns the sustained HPCG throughput of a configuration:
-// by default the paper's measured efficiency surface times modelled
-// system power; a node with no measured surface (FromRoofline) uses
-// its parametric throughput model instead.
+// the paper's measured efficiency surface times modelled system power.
 func (c *Calibration) GFLOPS(cfg Config) float64 {
-	if c.GFLOPSFn != nil {
-		return c.GFLOPSFn(cfg)
-	}
 	return c.Efficiency(cfg) * c.SteadySystemPowerW(cfg)
 }
 
-// Efficiency returns GFLOPS per system watt. With the default
-// calibration it is interpolated from the paper's Tables 4–6 and exact
-// at measured configurations.
+// Efficiency returns GFLOPS per system watt, interpolated from the
+// paper's Tables 4–6 and exact at measured configurations.
 func (c *Calibration) Efficiency(cfg Config) float64 {
-	if c.GFLOPSFn != nil {
-		return c.GFLOPSFn(cfg) / c.SteadySystemPowerW(cfg)
-	}
 	return interpEfficiency(cfg)
 }
 

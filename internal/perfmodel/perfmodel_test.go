@@ -391,40 +391,6 @@ func TestRooflineHTObservations(t *testing.T) {
 	}
 }
 
-func TestFromRooflineCalibration(t *testing.T) {
-	c := FromRoofline(DefaultRoofline())
-	std := StandardConfig()
-	// Throughput comes from the roofline, near the measured node's.
-	within(t, "roofline-calib G(standard)", c.GFLOPS(std), paperdata.Fig1GFLOPS, 0.06)
-	// Efficiency is consistent: G / W.
-	if got, want := c.Efficiency(std), c.GFLOPS(std)/c.SteadySystemPowerW(std); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("Efficiency = %v, want %v", got, want)
-	}
-	// The qualitative shape survives: 2.2 GHz beats 2.5 GHz at 32 cores.
-	if c.Efficiency(cfg(32, 2.2, false)) <= c.Efficiency(cfg(32, 2.5, false)) {
-		t.Fatal("roofline calibration lost the efficiency knee")
-	}
-	// Fixed work gives a ~18-minute standard run.
-	if rt := c.RuntimeSeconds(std); rt < 1000 || rt > 1250 {
-		t.Fatalf("standard runtime = %.0f s", rt)
-	}
-	// Per-P-state core power recovered from the roofline is positive
-	// and increases with frequency.
-	if !(c.CorePowerW[1_500_000] > 0 && c.CorePowerW[1_500_000] < c.CorePowerW[2_200_000] &&
-		c.CorePowerW[2_200_000] < c.CorePowerW[2_500_000]) {
-		t.Fatalf("core power ladder: %v", c.CorePowerW)
-	}
-}
-
-func TestFromRooflineIndependentOfPaperSurface(t *testing.T) {
-	c := FromRoofline(DefaultRoofline())
-	// At an unmeasured configuration the roofline answers smoothly.
-	odd := Config{Cores: 11, FreqKHz: 1_900_000, ThreadsPerCore: 1}
-	if g := c.GFLOPS(odd); g <= 0 {
-		t.Fatalf("GFLOPS(%v) = %v", odd, g)
-	}
-}
-
 // The roofline fitter must reproduce (or beat) the frozen constants'
 // fit quality — the reproducibility promise in DESIGN.md.
 func TestFitRooflineQuality(t *testing.T) {

@@ -2,9 +2,9 @@ package perfmodel
 
 import "math"
 
-// Roofline is a parametric throughput/power model for nodes where no
-// measured surface exists (the multi-node and heterogeneous-cluster
-// extensions, §6.2.3). It captures the qualitative behaviour the paper
+// Roofline is a parametric throughput/power model for where no
+// measured surface exists (a second application, core.StreamRunner).
+// It captures the qualitative behaviour the paper
 // observes for HPCG: compute throughput grows with cores × frequency
 // until the memory system saturates, after which added frequency only
 // burns power ("driving at higher speeds with reduced fuel
@@ -34,8 +34,7 @@ type Roofline struct {
 }
 
 // DefaultRoofline returns constants loosely matched to the calibrated
-// EPYC 7502P surface, suitable for simulating "another node like the
-// paper's" in multi-node experiments.
+// EPYC 7502P surface (TestFitRooflineQuality is their provenance).
 func DefaultRoofline() *Roofline {
 	return &Roofline{
 		GFLOPSPerCoreGHz: 0.62,
@@ -97,29 +96,4 @@ func (r *Roofline) SystemPowerW(cfg Config) float64 {
 // Efficiency returns GFLOPS per system watt under the roofline model.
 func (r *Roofline) Efficiency(cfg Config) float64 {
 	return r.GFLOPS(cfg) / r.SystemPowerW(cfg)
-}
-
-// FromRoofline derives a node Calibration from a parametric roofline —
-// the path for simulating hardware the paper never measured (the
-// multi-node extension's additional nodes). Power, thermal and PSU
-// behaviour reuse the fitted EPYC constants scaled by the roofline's
-// power parameters; throughput comes from the roofline itself.
-func FromRoofline(r *Roofline) *Calibration {
-	c := Default()
-	c.GFLOPSFn = r.GFLOPS
-	c.UncoreW = r.UncoreW
-	c.CoreIdleW = r.CoreIdleW
-	c.BaseSystemW = r.BaseSystemW
-	c.TotalCores = r.TotalCores
-	for _, khz := range c.PStatesKHz {
-		cfg := Config{Cores: 1, FreqKHz: khz, ThreadsPerCore: 1}
-		// Per-core active power at this P-state from the roofline's
-		// dynamic model (subtract the uncore + idle-core background).
-		c.CorePowerW[khz] = r.CPUPowerW(cfg) - r.UncoreW - float64(r.TotalCores-1)*r.CoreIdleW
-	}
-	// Fixed work so the all-cores max-frequency run matches the
-	// reference runtime.
-	std := Config{Cores: c.TotalCores, FreqKHz: c.PStatesKHz[len(c.PStatesKHz)-1], ThreadsPerCore: 1}
-	c.JobGFLOP = c.GFLOPS(std) * 1109
-	return c
 }

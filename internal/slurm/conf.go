@@ -45,16 +45,6 @@ func (c Conf) DefaultPartition() Partition {
 	return c.Partitions[0]
 }
 
-// FindPartition looks a partition up by name.
-func (c Conf) FindPartition(name string) (Partition, bool) {
-	for _, p := range c.Partitions {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return Partition{}, false
-}
-
 // DefaultConf returns the configuration an unmodified install runs:
 // no submit plugins, a 2-second plugin budget, 24 h time limit.
 func DefaultConf() Conf {

@@ -512,10 +512,8 @@ func (c *Controller) SubmitDesc(desc *JobDesc) (*Job, error) {
 // submitTraced wraps the submission in the root span of the decision
 // trace: plugin spans nest under it and the assigned job id lands in
 // its attributes, which is how `chronus trace <job>` finds the trace.
-// The id the job is about to receive keys head sampling, so a sampled
-// deployment keeps or drops each submission's trace as a whole.
 func (c *Controller) submitTraced(desc *JobDesc) (*Job, error) {
-	ctx, span := c.tracer.StartKeyed(context.Background(), spanSubmit, uint64(c.nextID))
+	ctx, span := c.tracer.Start(context.Background(), spanSubmit)
 	job, err := c.submit(ctx, desc)
 	if span != nil {
 		if job != nil {
@@ -925,7 +923,7 @@ func (c *Controller) start(job *Job, node *nodeD) error {
 
 	c.claimNode(node, job)
 	node.hwJob = hwJob
-	if c.tracer != nil && c.tracer.SampleKey(uint64(job.ID)) {
+	if c.tracer != nil {
 		c.tracer.Event(eventJobStart, map[string]string{
 			trace.AttrJobID: strconv.Itoa(job.ID),
 			"node":          node.name,
@@ -1088,9 +1086,7 @@ func (c *Controller) finish(job *Job) {
 			p.energyGauge.Add(job.SystemJ / 1000)
 		}
 	}
-	// Degraded outcomes (failures, cancellations) are always journaled;
-	// only the healthy completion event is subject to head sampling.
-	if c.tracer != nil && (job.State != StateCompleted || c.tracer.SampleKey(uint64(job.ID))) {
+	if c.tracer != nil {
 		attrs := map[string]string{
 			trace.AttrJobID: strconv.Itoa(job.ID),
 			"state":         string(job.State),
@@ -1307,16 +1303,6 @@ func (c *Controller) Nodes() []*hw.Node {
 		out[i] = n.hw
 	}
 	return out
-}
-
-// NodeByName returns a node's hardware by name.
-func (c *Controller) NodeByName(name string) (*hw.Node, bool) {
-	for _, n := range c.nodes {
-		if n.name == name {
-			return n.hw, true
-		}
-	}
-	return nil, false
 }
 
 // Dependency resolution states.

@@ -27,23 +27,13 @@ const MetricDropped = "chronus.trace.dropped"
 // is an append, and the drainer visits every shard per flush.
 const asyncShardCount = 4
 
-// defaultRingCap bounds each shard's ring (events buffered between
-// drainer flushes) — total buffering is asyncShardCount × ringCap.
-const defaultRingCap = 1024
+// ringCap bounds each shard's ring (events buffered between drainer
+// flushes) — total buffering is asyncShardCount × ringCap.
+const ringCap = 1024
 
 // WithMetrics counts drops into r's chronus.trace.dropped counter.
 func WithMetrics(r *metrics.Registry) Option {
 	return func(t *Tracer) { t.dropped = r.Counter(MetricDropped) }
-}
-
-// WithRingCap sets the per-shard async ring capacity (default 1024).
-// Only meaningful together with WithJournal.
-func WithRingCap(n int) Option {
-	return func(t *Tracer) {
-		if n > 0 {
-			t.ringCap = n
-		}
-	}
 }
 
 // Drain blocks until every record enqueued before the call is either
@@ -111,10 +101,7 @@ type asyncWriter struct {
 	stopped  bool   // drainer exited (final flush done)
 }
 
-func newAsyncWriter(j *Journal, ringCap int, dropped *metrics.Counter) *asyncWriter {
-	if ringCap <= 0 {
-		ringCap = defaultRingCap
-	}
+func newAsyncWriter(j *Journal, dropped *metrics.Counter) *asyncWriter {
 	aw := &asyncWriter{
 		journal: j,
 		dropped: dropped,

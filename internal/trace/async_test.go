@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -291,69 +290,5 @@ func TestAppendBatchAfterCloseFails(t *testing.T) {
 	}
 	if err := j.AppendBatch([]Event{{Name: "late"}}); err == nil {
 		t.Fatal("AppendBatch after close succeeded")
-	}
-}
-
-// Head sampling is deterministic in (seed, key): the same stream keeps
-// the same traces on every run, errors are always kept, and child
-// spans follow their root's decision.
-func TestHeadSamplingDeterministic(t *testing.T) {
-	tr1 := New(WithHeadSampling(0.5, 42))
-	tr2 := New(WithHeadSampling(0.5, 42))
-	kept := 0
-	for key := uint64(0); key < 1000; key++ {
-		if tr1.SampleKey(key) != tr2.SampleKey(key) {
-			t.Fatalf("sampling decision for key %d differs across tracers with one seed", key)
-		}
-		if tr1.SampleKey(key) {
-			kept++
-		}
-	}
-	if kept < 400 || kept > 600 {
-		t.Fatalf("kept %d/1000 at rate 0.5, want roughly half", kept)
-	}
-	// A different seed keeps a different subset.
-	tr3 := New(WithHeadSampling(0.5, 43))
-	same := 0
-	for key := uint64(0); key < 1000; key++ {
-		if tr1.SampleKey(key) == tr3.SampleKey(key) {
-			same++
-		}
-	}
-	if same == 1000 {
-		t.Fatal("seed has no effect on the sampled subset")
-	}
-}
-
-func TestHeadSamplingSpans(t *testing.T) {
-	tr := New(WithHeadSampling(0, 1)) // keep nothing (but errors)
-	ctx, root := tr.StartKeyed(context.Background(), "submit", 7)
-	_, child := tr.StartKeyed(ctx, "predict", 7)
-	child.End(nil)
-	root.End(nil)
-	if got := len(tr.Recent()); got != 0 {
-		t.Fatalf("recorded %d unsampled spans, want 0", got)
-	}
-	// Errors override the sampling decision.
-	_, failed := tr.StartKeyed(context.Background(), "submit", 8)
-	failed.End(errors.New("boom"))
-	if got := len(tr.Recent()); got != 1 {
-		t.Fatalf("recorded %d spans, want the error span", got)
-	}
-
-	// rate >= 1 and unconfigured tracers keep everything; unkeyed
-	// Start is never sampled away.
-	all := New(WithHeadSampling(1, 1))
-	if !all.SampleKey(123) {
-		t.Fatal("rate 1 dropped a key")
-	}
-	_, s := tr.Start(context.Background(), "unkeyed")
-	s.End(nil)
-	if got := len(tr.Recent()); got != 2 {
-		t.Fatalf("unkeyed span not recorded (recent=%d)", got)
-	}
-	var nilT *Tracer
-	if nilT.SampleKey(1) {
-		t.Fatal("nil tracer sampled a key")
 	}
 }

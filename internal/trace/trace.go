@@ -59,12 +59,6 @@ type Tracer struct {
 	// Async journal emission (nil without a journal) and drop metric.
 	aw      *asyncWriter
 	dropped *metrics.Counter
-	ringCap int
-
-	// Head sampling (see sample.go).
-	sampleEnabled   bool
-	sampleSeed      uint64
-	sampleThreshold uint64
 
 	traceCtr atomic.Int64
 	spanCtr  atomic.Int64
@@ -107,7 +101,7 @@ func New(opts ...Option) *Tracer {
 	// (e.g. two ecosim runs into one data directory) distinct.
 	t.idPrefix = strconv.FormatInt(t.clock().UnixNano(), 36)
 	if t.journal != nil {
-		t.aw = newAsyncWriter(t.journal, t.ringCap, t.dropped)
+		t.aw = newAsyncWriter(t.journal, t.dropped)
 	}
 	return t
 }
@@ -129,11 +123,10 @@ func (t *Tracer) Start(ctx context.Context, name string) (context.Context, *Span
 	if t == nil {
 		return ctx, nil
 	}
-	s := &Span{t: t, name: name, start: t.clock(), sampled: true}
+	s := &Span{t: t, name: name, start: t.clock()}
 	if parent := FromContext(ctx); parent != nil {
 		s.traceID = parent.traceID
 		s.parent = parent.spanID
-		s.sampled = parent.sampled
 	} else {
 		s.traceID = fmt.Sprintf("t%s-%04d", t.idPrefix, t.traceCtr.Add(1))
 	}
@@ -195,8 +188,6 @@ type Span struct {
 	name    string
 	start   time.Time
 
-	sampled bool
-
 	mu    sync.Mutex
 	attrs map[string]string
 	ended bool
@@ -224,9 +215,7 @@ func (s *Span) SetAttr(key, value string) {
 }
 
 // End closes the span and records it. err (may be nil) is the stage's
-// outcome. End is idempotent; only the first call records. A span
-// dropped by head sampling is discarded here — unless it ended in an
-// error, which is always recorded.
+// outcome. End is idempotent; only the first call records.
 func (s *Span) End(err error) {
 	if s == nil {
 		return
@@ -238,10 +227,6 @@ func (s *Span) End(err error) {
 		return
 	}
 	s.ended = true
-	if !s.sampled && err == nil {
-		s.mu.Unlock()
-		return
-	}
 	e := Event{
 		Time: s.start, Kind: KindSpan,
 		Trace: s.traceID, Span: s.spanID, Parent: s.parent,
