@@ -342,12 +342,15 @@ func New(dataDir string, options ...Option) (_ *Deployment, err error) {
 	// (never by worker or arrival order) makes each measurement a pure
 	// function of (configuration, calibration, seed), which is what
 	// lets the worker pool promise byte-identical sweep results at any
-	// parallelism.
+	// parallelism. The one thing a stack inherits is the sample slab of
+	// a configuration measured before it — capacity only, handed back
+	// by Close.
 	benchConf, err := slurm.ParseConf("ClusterName=bench\n")
 	if err != nil {
 		return nil, err
 	}
 	seed := opts.Seed
+	slabs := &core.SampleSlabs{}
 	provision := func(idx int) (core.BenchNode, error) {
 		bsim := simclock.New()
 		bnode := hw.NewNode(bsim, hw.DefaultSpec(), calib, seed+uint64(idx)*0x9e3779b9)
@@ -361,7 +364,8 @@ func New(dataDir string, options ...Option) (_ *Deployment, err error) {
 		if err != nil {
 			return core.BenchNode{}, err
 		}
-		return core.BenchNode{Cluster: bcluster, System: fault.System(bsystem, inj)}, nil
+		bsystem.Slabs = slabs
+		return core.BenchNode{Cluster: bcluster, System: fault.System(bsystem, inj), Close: bsystem.Release}, nil
 	}
 
 	chronus, err := core.New(core.Deps{

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -499,19 +500,31 @@ func TestParallelismDoesNotChangeResults(t *testing.T) {
 	}
 }
 
-// The offline sweep's allocation count is a property of the code, not
-// of the host: per configuration one provisioned node/BMC/controller
-// stack, one growing sample slice and one CSV buffer — a few hundred
-// allocations. When every IPMI sample was formatted through
-// encoding/csv and every sampler tick made a closure it was ~9,000.
+// The offline sweep's allocation count and volume are properties of the
+// code, not of the host: per configuration one provisioned
+// node/BMC/controller stack and one CSV buffer, with the sample slab
+// handed on from the configuration before — about ninety allocations
+// and little beyond the CSV's own bytes. It was ~360 and ~290 KB while
+// every stack grew its own sample slice, spent 64 KB on a job table
+// for one job and allocated a backing array per calendar bucket its
+// ticker touched.
 func TestSweepAllocationsPerConfig(t *testing.T) {
-	const ceiling = 500
+	const ceiling, bytesCeiling = 112, 71_000 // measured 89 and 57,010, plus a quarter
 	configs := PaperSweepConfigs()
 	d := newDeployment(t, WithParallelism(1))
 	var sweepErr error
+	var sweepBytes uint64
 	allocs := testing.AllocsPerRun(1, func() {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		if _, err := d.BenchmarkConfigs(configs, 3*time.Second); err != nil {
 			sweepErr = err
+		}
+		runtime.ReadMemStats(&after)
+		if sweepBytes == 0 {
+			// The deployment's first sweep, slab growth included: what a
+			// new (system, application) pair pays.
+			sweepBytes = after.TotalAlloc - before.TotalAlloc
 		}
 	})
 	if sweepErr != nil {
@@ -521,5 +534,10 @@ func TestSweepAllocationsPerConfig(t *testing.T) {
 	t.Logf("%.0f allocations per configuration", per)
 	if per > ceiling {
 		t.Fatalf("a %d-configuration sweep allocates %.0f times per configuration, ceiling %d", len(configs), per, ceiling)
+	}
+	perBytes := sweepBytes / uint64(len(configs))
+	t.Logf("%d bytes allocated per configuration", perBytes)
+	if perBytes > bytesCeiling {
+		t.Fatalf("a %d-configuration sweep allocates %d bytes per configuration, ceiling %d", len(configs), perBytes, bytesCeiling)
 	}
 }

@@ -7,7 +7,9 @@
 package blob
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -70,11 +72,16 @@ func (d *Dir) Put(key string, data []byte) error {
 		return err
 	}
 	p := d.path(key)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return fmt.Errorf("blob: %w", err)
-	}
 	tmp := p + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	err := os.WriteFile(tmp, data, 0o644)
+	if errors.Is(err, fs.ErrNotExist) {
+		// The first blob of its directory, or the directory went away
+		// underneath: only then pay for MkdirAll, not on every put.
+		if err = os.MkdirAll(filepath.Dir(p), 0o755); err == nil {
+			err = os.WriteFile(tmp, data, 0o644)
+		}
+	}
+	if err != nil {
 		return fmt.Errorf("blob: %w", err)
 	}
 	if err := os.Rename(tmp, p); err != nil {

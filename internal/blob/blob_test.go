@@ -3,6 +3,9 @@ package blob
 import (
 	"bytes"
 	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"testing"
 	"testing/quick"
 	"time"
@@ -130,6 +133,50 @@ func TestDirPersistence(t *testing.T) {
 	got, err := d2.Get("persist/me")
 	if err != nil || string(got) != "survived" {
 		t.Fatalf("reopen: %q, %v", got, err)
+	}
+}
+
+// Put makes a key's directory only when the write finds it missing:
+// the first blob of a run directory, and any later one whose directory
+// was removed underneath the store, must still land.
+func TestDirPutRecreatesMissingDirectory(t *testing.T) {
+	root := t.TempDir()
+	d, _ := NewDir(root)
+	for _, key := range []string{"traces/run1/a.csv", "traces/run1/b.csv"} {
+		if err := d.Put(key, []byte(key)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.RemoveAll(filepath.Join(root, "traces")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Put("traces/run1/c.csv", []byte("after")); err != nil {
+		t.Fatalf("Put after its directory was removed: %v", err)
+	}
+	if got, err := d.Get("traces/run1/c.csv"); err != nil || string(got) != "after" {
+		t.Fatalf("Get = %q, %v", got, err)
+	}
+	if keys, _ := d.List(); len(keys) != 1 {
+		t.Fatalf("keys after recreate = %v, want only c.csv", keys)
+	}
+}
+
+// A put whose rename fails (the key names a non-empty directory) must
+// report the error, leave no .tmp file behind and leave what was there.
+func TestDirPutFailedRenameLeavesNoTemp(t *testing.T) {
+	root := t.TempDir()
+	d, _ := NewDir(root)
+	if err := d.Put("models/v1/weights", []byte("w")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Put("models/v1", []byte("clobber")); err == nil {
+		t.Fatal("Put over a non-empty directory succeeded")
+	}
+	if _, err := os.Stat(filepath.Join(root, "models", "v1.tmp")); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("temp file survived the failed rename: stat err = %v", err)
+	}
+	if got, err := d.Get("models/v1/weights"); err != nil || string(got) != "w" {
+		t.Fatalf("existing blob after the failed put = %q, %v", got, err)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ecosched/internal/ecoplugin"
+	"ecosched/internal/metrics"
 	"ecosched/internal/perfmodel"
 	"ecosched/internal/repository"
 	"ecosched/internal/telemetry"
@@ -25,6 +26,23 @@ const DefaultSampleInterval = 2 * time.Second
 type BenchmarkService struct {
 	deps Deps
 	log  *log.Logger
+	// Handles of the metrics the serial coordinator touches per row and
+	// per batch, resolved once so a commit takes no registry lock. All
+	// nil-safe when deps.Metrics is nil.
+	mRuns       *metrics.Counter
+	mFailed     *metrics.Counter
+	mJobRuntime *metrics.BucketedHistogram
+	mBatchRows  *metrics.BucketedHistogram
+}
+
+func newBenchmarkService(deps Deps, logger *log.Logger) *BenchmarkService {
+	return &BenchmarkService{
+		deps: deps, log: logger,
+		mRuns:       deps.Metrics.Counter(metricBenchmarkRuns),
+		mFailed:     deps.Metrics.Counter(metricBenchmarkFailed),
+		mJobRuntime: deps.Metrics.BucketedHistogram(metricBenchmarkJobRuntime),
+		mBatchRows:  deps.Metrics.BucketedHistogram(metricSweepBatchRows),
+	}
 }
 
 // ConfigJSON is the paper's benchmark configuration JSON shape (§3.3):

@@ -203,7 +203,7 @@ func newWithCache(deps Deps, cache *modelCache) (*Chronus, error) {
 	}
 	logger := log.New(w, "chronus ", 0)
 	c := &Chronus{deps: deps, log: logger, cache: cache, inflight: newInflight()}
-	c.Benchmark = &BenchmarkService{deps: deps, log: logger}
+	c.Benchmark = newBenchmarkService(deps, logger)
 	c.InitModel = &InitModelService{deps: deps, log: logger}
 	c.LoadModel = &LoadModelService{deps: deps, log: logger, cache: cache}
 	c.Predict = &PredictService{

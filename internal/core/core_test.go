@@ -42,6 +42,7 @@ type rig struct {
 	settings   settings.Store
 	chronus    *Chronus
 	plugin     *ecoplugin.Plugin
+	slabs      *SampleSlabs // shared by every node the rig provisions
 }
 
 // newRig is the default rig: the production sweep at parallelism 1,
@@ -86,6 +87,7 @@ func newPooledRig(t *testing.T, parallelism int, ledger *samplerLedger, hook fun
 	if err != nil {
 		t.Fatal(err)
 	}
+	slabs := &SampleSlabs{}
 	provision := func(idx int) (BenchNode, error) {
 		if hook != nil {
 			if err := hook(idx); err != nil {
@@ -104,11 +106,12 @@ func newPooledRig(t *testing.T, parallelism int, ledger *samplerLedger, hook fun
 		if err != nil {
 			return BenchNode{}, err
 		}
+		bsystem.Slabs = slabs
 		var sys SystemService = bsystem
 		if ledger != nil {
 			sys = ledger.wrap(sys)
 		}
-		return BenchNode{Cluster: bcluster, System: sys}, nil
+		return BenchNode{Cluster: bcluster, System: sys, Close: bsystem.Release}, nil
 	}
 
 	st := settings.NewMemStore()
@@ -135,7 +138,7 @@ func newPooledRig(t *testing.T, parallelism int, ledger *samplerLedger, hook fun
 
 	return &rig{sim: sim, node: node, controller: controller, fs: fs,
 		repo: repo, blob: chronus.deps.Blob, settings: st, chronus: chronus,
-		plugin: plugin}
+		plugin: plugin, slabs: slabs}
 }
 
 func cfg3(cores int, ghz float64, tpc int) perfmodel.Config {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"ecosched/internal/hw"
@@ -79,6 +80,12 @@ type IPMISystemService struct {
 	Sim  *simclock.Sim
 	Conn *ipmi.Conn
 	Node *hw.Node
+	// Slabs, when set, lends the trace its sample storage; Release
+	// hands it back. The sweep provisioner shares one across the node
+	// stacks it builds, so consecutive configurations fill the same
+	// slab instead of each growing its own.
+	Slabs *SampleSlabs
+	trace *telemetry.Trace // the trace being (or last) filled, until Release
 }
 
 // NewIPMISystemService opens the BMC connection (needing root or the
@@ -93,11 +100,58 @@ func NewIPMISystemService(sim *simclock.Sim, bmc *ipmi.BMC, node *hw.Node, asRoo
 
 // StartSampling implements SystemService.
 func (s *IPMISystemService) StartSampling(interval time.Duration) func() *telemetry.Trace {
-	trace := &telemetry.Trace{}
+	trace := &telemetry.Trace{Samples: s.Slabs.take()}
+	s.trace = trace
 	sampler := ipmi.NewSampler(s.Sim, s.Conn, s.Node, trace)
 	sampler.Start(interval)
 	return func() *telemetry.Trace {
 		sampler.Stop()
 		return trace
 	}
+}
+
+// Release ends the life of the trace StartSampling returned: its
+// sample storage goes back to Slabs, so the caller must be done
+// reading it. It is BenchNode.Close for a provisioned stack.
+func (s *IPMISystemService) Release() {
+	if s.trace != nil {
+		s.Slabs.give(s.trace.Samples)
+		s.trace = nil
+	}
+}
+
+// SampleSlabs passes the sample storage of a finished trace on to the
+// next one. A slab is only ever capacity: it is lent out empty and
+// every sample in a trace was appended by that trace's own sampler, so
+// which slab a measurement happens to get cannot show in its result.
+// At most one slab is out per sweep worker, and each grows to the
+// longest trace that worker has met. Safe for concurrent use; the nil
+// value lends nothing.
+type SampleSlabs struct {
+	mu   sync.Mutex
+	free [][]telemetry.Sample
+}
+
+func (p *SampleSlabs) take() []telemetry.Sample {
+	if p == nil {
+		return nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.free)
+	if n == 0 {
+		return nil
+	}
+	slab := p.free[n-1]
+	p.free = p.free[:n-1]
+	return slab
+}
+
+func (p *SampleSlabs) give(slab []telemetry.Sample) {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	p.free = append(p.free, slab[:0])
+	p.mu.Unlock()
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"runtime"
@@ -23,8 +22,10 @@ import (
 type BenchNode struct {
 	Cluster *slurm.Controller
 	System  SystemService
-	// Close releases the stack after its configuration is measured
-	// (optional).
+	// Close releases the stack once its configuration is measured: the
+	// trace has been aggregated and encoded by then and nothing handed
+	// to the coordinator refers to it, so the provisioner may reuse
+	// the trace's storage for a later configuration (optional).
 	Close func()
 }
 
@@ -136,7 +137,7 @@ func (s *BenchmarkService) runPooled(ctx context.Context, runID, sysID int64, sy
 	var batch []measured
 	for m := range results {
 		if m.err != nil {
-			s.deps.Metrics.Counter(metricBenchmarkFailed).Inc()
+			s.mFailed.Inc()
 			fail(m.idx, m.err)
 		} else {
 			pending[m.idx] = m
@@ -184,13 +185,13 @@ func (s *BenchmarkService) commitBatch(batch []measured) error {
 		m.row.Created = s.deps.Now()
 		rows[i] = m.row
 		s.log.Printf("GFLOP/s rating found: %.5f", m.row.GFLOPS)
-		s.deps.Metrics.Counter(metricBenchmarkRuns).Inc()
-		s.deps.Metrics.BucketedHistogram(metricBenchmarkJobRuntime).Observe(m.row.RuntimeSeconds)
+		s.mRuns.Inc()
+		s.mJobRuntime.Observe(m.row.RuntimeSeconds)
 	}
 	if _, err := s.deps.Repo.SaveBenchmarks(rows); err != nil {
 		return err
 	}
-	s.deps.Metrics.BucketedHistogram(metricSweepBatchRows).Observe(float64(len(rows)))
+	s.mBatchRows.Observe(float64(len(rows)))
 	return nil
 }
 
@@ -252,11 +253,6 @@ func (s *BenchmarkService) measureConfig(ctx context.Context, idx int, runID, sy
 		return m
 	}
 	traceKey := fmt.Sprintf("traces/run%d/%dc-%dkHz-%dtpc.csv", runID, cfg.Cores, cfg.FreqKHz, cfg.ThreadsPerCore)
-	var csvBuf bytes.Buffer
-	if err := trace.WriteCSV(&csvBuf); err != nil {
-		m.err = fmt.Errorf("core: trace CSV: %w", err)
-		return m
-	}
 	m.row = repository.Benchmark{
 		RunID: runID, SystemID: sysID, AppHash: appHash,
 		Cores: cfg.Cores, FreqKHz: cfg.FreqKHz, ThreadsPerCore: cfg.ThreadsPerCore,
@@ -266,6 +262,6 @@ func (s *BenchmarkService) measureConfig(ctx context.Context, idx int, runID, sy
 		RuntimeSeconds: result.Runtime.Seconds(),
 		TraceKey:       traceKey,
 	}
-	m.traceCSV = csvBuf.Bytes()
+	m.traceCSV = trace.CSV()
 	return m
 }

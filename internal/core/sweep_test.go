@@ -125,6 +125,50 @@ func TestPooledSweepDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
+// TestReusedSampleSlabLeaksNothing: one worker measures a long
+// configuration (1 core at the lowest frequency — the longest trace of
+// the sweep) and then a short one on the slab the long one grew. The
+// short one's row and CSV must be what measuring it alone gives, at
+// the same configuration index: the slab is capacity, never content.
+func TestReusedSampleSlabLeaksNothing(t *testing.T) {
+	long, short := cfg3(1, 1.5, 1), cfg3(32, 2.5, 1)
+	measure := func(r *rig, idx int, cfg perfmodel.Config) measured {
+		t.Helper()
+		m := r.chronus.Benchmark.measureConfig(context.Background(), idx, 1, 1, "app", cfg, 3*time.Second)
+		if m.err != nil {
+			t.Fatal(m.err)
+		}
+		return m
+	}
+
+	alone := measure(newRig(t), 1, short)
+
+	r := newRig(t)
+	first := measure(r, 0, long)
+	if len(r.slabs.free) != 1 {
+		t.Fatalf("%d slabs handed back after one measurement, want 1", len(r.slabs.free))
+	}
+	slab := r.slabs.free[0]
+	longSamples := strings.Count(string(first.traceCSV), "\n") - 1
+	if len(slab) != 0 || cap(slab) < longSamples {
+		t.Fatalf("slab handed back with len %d cap %d after a %d-sample trace", len(slab), cap(slab), longSamples)
+	}
+	after := measure(r, 1, short)
+	if len(r.slabs.free) != 1 || &r.slabs.free[0][:1][0] != &slab[:1][0] {
+		t.Fatal("the short configuration did not run on the long one's slab")
+	}
+
+	if after.row != alone.row {
+		t.Fatalf("row differs after slab reuse:\n  alone: %+v\n  after: %+v", alone.row, after.row)
+	}
+	if string(after.traceCSV) != string(alone.traceCSV) {
+		t.Fatalf("trace CSV differs after slab reuse: %d bytes alone, %d after", len(alone.traceCSV), len(after.traceCSV))
+	}
+	if shortSamples := strings.Count(string(after.traceCSV), "\n") - 1; shortSamples >= longSamples {
+		t.Fatalf("short trace has %d samples, long %d: the test does not cover stale samples past the end", shortSamples, longSamples)
+	}
+}
+
 // TestSweepRowsSameThroughEitherRig pins that there is one sweep
 // engine: the default rig every other core test uses and an explicit
 // parallelism-1 pooled rig persist identical rows.

@@ -360,10 +360,20 @@ func (n *Node) advance() {
 	n.lastTick = nowTick
 }
 
+// Sensors returns what the BMC's three sensors see at this instant —
+// DC-side chassis power (Total_Power), CPU package power and CPU
+// temperature — from one accounting step and one evaluation of the
+// power model.
+func (n *Node) Sensors() (systemW, cpuW, tempC float64) {
+	n.advance()
+	cpuW = n.cpuPowerAt(n.sim.NowTick())
+	return n.calib.SystemPowerW(cpuW, n.tempC), cpuW, n.tempC
+}
+
 // CPUPowerW returns the instantaneous CPU package power.
 func (n *Node) CPUPowerW() float64 {
-	n.advance()
-	return n.cpuPowerAt(n.sim.NowTick())
+	_, cpuW, _ := n.Sensors()
+	return cpuW
 }
 
 // CPUTempC returns the instantaneous CPU temperature.
@@ -375,8 +385,8 @@ func (n *Node) CPUTempC() float64 {
 // SystemPowerW returns the instantaneous DC-side chassis power — what
 // the BMC's Total_Power sensor reports.
 func (n *Node) SystemPowerW() float64 {
-	n.advance()
-	return n.calib.SystemPowerW(n.cpuPowerAt(n.sim.NowTick()), n.tempC)
+	systemW, _, _ := n.Sensors()
+	return systemW
 }
 
 // WallPowerW returns what a wattmeter on the PSU inputs reads: total

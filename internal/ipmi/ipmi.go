@@ -76,36 +76,33 @@ func (b *BMC) Open(asRoot bool) (*Conn, error) {
 	return &Conn{bmc: b}, nil
 }
 
+// readings evaluates the node once and returns its three sensors in
+// SDR order: every reading of one call describes the same instant of
+// the same power model, and a sampler tick costs one evaluation.
+func (c *Conn) readings() [3]Reading {
+	b := c.bmc
+	systemW, cpuW, tempC := b.node.Sensors()
+	return [3]Reading{
+		{SensorTotalPower, quantize(systemW, b.powerStepW), "Watts"},
+		{SensorCPUPower, quantize(cpuW, b.powerStepW), "Watts"},
+		{SensorCPUTemp, quantize(tempC, b.tempStepC), "degrees C"},
+	}
+}
+
 // SDRList returns all sensor readings, like `ipmitool sdr list`.
 func (c *Conn) SDRList() []Reading {
-	return []Reading{
-		c.mustRead(SensorTotalPower),
-		c.mustRead(SensorCPUPower),
-		c.mustRead(SensorCPUTemp),
-	}
+	r := c.readings()
+	return r[:]
 }
 
 // Read returns a single sensor reading by name.
 func (c *Conn) Read(name string) (Reading, error) {
-	b := c.bmc
-	switch name {
-	case SensorTotalPower:
-		return Reading{name, quantize(b.node.SystemPowerW(), b.powerStepW), "Watts"}, nil
-	case SensorCPUPower:
-		return Reading{name, quantize(b.node.CPUPowerW(), b.powerStepW), "Watts"}, nil
-	case SensorCPUTemp:
-		return Reading{name, quantize(b.node.CPUTempC(), b.tempStepC), "degrees C"}, nil
-	default:
-		return Reading{}, fmt.Errorf("ipmi: unknown sensor %q", name)
+	for _, r := range c.readings() {
+		if r.Name == name {
+			return r, nil
+		}
 	}
-}
-
-func (c *Conn) mustRead(name string) Reading {
-	r, err := c.Read(name)
-	if err != nil {
-		panic(err) // only reachable with a bad constant above
-	}
-	return r
+	return Reading{}, fmt.Errorf("ipmi: unknown sensor %q", name)
 }
 
 func quantize(v, step float64) float64 {
@@ -151,15 +148,13 @@ func (s *Sampler) Stop() {
 func (s *Sampler) Trace() *telemetry.Trace { return s.trace }
 
 func (s *Sampler) sampleNow(now time.Time) {
-	sys, _ := s.conn.Read(SensorTotalPower)
-	cpu, _ := s.conn.Read(SensorCPUPower)
-	temp, _ := s.conn.Read(SensorCPUTemp)
+	r := s.conn.readings()
 	// Append never fails here: the ticker produces monotone times.
 	_ = s.trace.Append(telemetry.Sample{
 		Time:     now,
-		SystemW:  sys.Value,
-		CPUW:     cpu.Value,
-		CPUTempC: temp.Value,
+		SystemW:  r[0].Value,
+		CPUW:     r[1].Value,
+		CPUTempC: r[2].Value,
 		FreqKHz:  s.node.CurrentFreqKHz(),
 	})
 }

@@ -53,6 +53,34 @@ func TestSDRListSensors(t *testing.T) {
 	}
 }
 
+// One node evaluation feeds all three sensors; each must read what the
+// node's own per-quantity accessor reports at that instant, mid-job
+// where the phase oscillation makes the instant matter.
+func TestSensorsShareOneEvaluation(t *testing.T) {
+	sim, node, bmc := newRig(t)
+	conn, _ := bmc.Open(true)
+	j, _ := node.StartJob(perfmodel.StandardConfig())
+	defer j.End()
+	for step := 0; step < 50; step++ {
+		sim.RunFor(1700 * time.Millisecond)
+		want := []Reading{
+			{SensorTotalPower, quantize(node.Calibration().SystemPowerW(node.CPUPowerW(), node.CPUTempC()), 2), "Watts"},
+			{SensorCPUPower, quantize(node.CPUPowerW(), 2), "Watts"},
+			{SensorCPUTemp, quantize(node.CPUTempC(), 1), "degrees C"},
+		}
+		list := conn.SDRList()
+		for i, w := range want {
+			one, err := conn.Read(w.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if list[i] != w || one != w {
+				t.Fatalf("step %d: SDR row %v, Read %v, node says %v", step, list[i], one, w)
+			}
+		}
+	}
+}
+
 func TestUnknownSensor(t *testing.T) {
 	_, _, bmc := newRig(t)
 	conn, _ := bmc.Open(true)

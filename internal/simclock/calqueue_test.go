@@ -350,6 +350,75 @@ func TestFarBandRebuild(t *testing.T) {
 	}
 }
 
+// TestFreshSimFirstEventPerBucketDoesNotAllocate pins the inline bucket
+// slots: on a fresh Sim, one event into each of the 256 buckets and a
+// full drain allocate nothing beyond the event records (pre-filled into
+// the pool here, so the expected count is exactly zero). A provisioned
+// sweep node lives for one configuration, so its ticker meets every
+// bucket for the first time.
+func TestFreshSimFirstEventPerBucketDoesNotAllocate(t *testing.T) {
+	const runs = 10
+	sims := make([]*Sim, runs+1) // AllocsPerRun adds one warm-up call
+	for i := range sims {
+		s := New()
+		for j := 0; j < nbuckets; j++ {
+			s.free = append(s.free, &event{})
+		}
+		sims[i] = s
+	}
+	act := &benchAction{}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		s := sims[next]
+		next++
+		for b := 0; b < nbuckets; b++ {
+			s.AtAction(Epoch.Add(time.Duration(int64(b)*defaultWidth)), act, uint64(b))
+		}
+		for b := range s.q.buckets {
+			if len(s.q.buckets[b]) != 1 {
+				t.Fatalf("bucket %d holds %d events, want one each", b, len(s.q.buckets[b]))
+			}
+		}
+		s.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("first event per bucket on a fresh Sim allocates %.0f times, want 0", allocs)
+	}
+	if want := (runs + 1) * nbuckets; act.fired != want {
+		t.Fatalf("fired %d events, want %d", act.fired, want)
+	}
+}
+
+// TestBucketSlotOutgrownMatchesOracle drives the differential driver
+// with buckets that hold several events at once — the inline slot is
+// outgrown onto the heap, drained, and the grown backing reused — and
+// requires the reference queue's trace.
+func TestBucketSlotOutgrownMatchesOracle(t *testing.T) {
+	// opDurations[7] = 1 s, [6] = 50 ms, [0] = same instant: all land in
+	// the first ≈2.1 s bucket of a fresh band.
+	data := []byte{
+		0, 7, 0, 7, 0, 6, 0, 0, 0, 7, // five events, one bucket; 0,0 spawns a child
+		2, 1, // cancel one of the 1 s events while it sits mid-heap
+		3, 0, 3, 0, // pop two
+		0, 6, 0, 7, // refill the grown bucket
+		4, 7, // run 1 s on
+		0, 0, 0, 0, 0, 5, // same-instant ties after a drain
+	}
+	s := New()
+	got := interpret(data, &simUnderTest{s: s, start: Epoch})
+	outgrown := false
+	for _, b := range s.q.buckets {
+		outgrown = outgrown || cap(b) > 1
+	}
+	if !outgrown {
+		t.Fatal("no bucket outgrew its inline slot")
+	}
+	want := interpret(data, &refUnderTest{r: &refSim{}})
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("trace diverged:\ncalendar:  %v\nreference: %v", got, want)
+	}
+}
+
 // --- benchmarks -------------------------------------------------------
 
 type benchAction struct{ fired int }

@@ -41,9 +41,10 @@ import (
 var Epoch = time.Date(2023, time.May, 10, 3, 0, 0, 0, time.UTC)
 
 // Calendar-queue shape. 256 buckets keeps the whole bucket array
-// (256 slice headers ≈ 6 KB) cache-resident; the width floor stops a
-// degenerate rebuild (two events a nanosecond apart) from producing a
-// band too narrow to absorb follow-up scheduling.
+// (256 slice headers plus one inline slot each ≈ 8 KB) cache-resident;
+// the width floor stops a degenerate rebuild (two events a nanosecond
+// apart) from producing a band too narrow to absorb follow-up
+// scheduling.
 const (
 	nbuckets     = 256
 	minWidth     = int64(1 << 10) // 1.024 µs
@@ -131,14 +132,19 @@ func (b *bucket) pop() *event {
 // an unsorted far band for everything at or beyond top.
 type calQueue struct {
 	buckets [nbuckets]bucket
-	n       int   // events in the near band
-	base    int64 // tick at the start of bucket 0
-	width   int64 // bucket width, ns
-	top     int64 // base + nbuckets*width, exclusive near bound
-	cur     int   // lowest possibly-nonempty bucket
-	far     []*event
-	farMin  int64
-	farMax  int64
+	// slots is each bucket's first backing array, carved from the Sim:
+	// a sampling ticker walks the band one event per bucket, so a
+	// bucket's first event must not cost an allocation. A bucket that
+	// holds two events at once outgrows its slot onto the heap.
+	slots  [nbuckets][1]*event
+	n      int   // events in the near band
+	base   int64 // tick at the start of bucket 0
+	width  int64 // bucket width, ns
+	top    int64 // base + nbuckets*width, exclusive near bound
+	cur    int   // lowest possibly-nonempty bucket
+	far    []*event
+	farMin int64
+	farMax int64
 }
 
 // Sim is a discrete-event simulator: a virtual clock plus an ordered
@@ -168,6 +174,9 @@ func NewAt(start time.Time) *Sim {
 	s.q.width = defaultWidth
 	s.q.base = start.UnixNano()
 	s.q.top = s.q.base + nbuckets*s.q.width
+	for i := range s.q.buckets {
+		s.q.buckets[i] = s.q.slots[i][:0]
+	}
 	return s
 }
 

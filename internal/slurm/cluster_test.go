@@ -1,6 +1,7 @@
 package slurm
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -240,5 +241,82 @@ func TestConstructionOptionsWiring(t *testing.T) {
 	}
 	if done.Runtime() != 2*time.Minute {
 		t.Fatalf("fallback runtime = %v, want 2m", done.Runtime())
+	}
+}
+
+// TestJobTableGrowthMatchesMapOracle pins the arena's chunk-0 rule:
+// jobChunkSize+1 submissions on a one-node controller take chunk 0
+// from firstChunkLen(1) through every doubling to jobChunkSize and
+// open chunk 1, with jobs retiring on the way. At every one of those
+// boundaries Job, Squeue and the retired-state lookup must agree with
+// a plain map of the live jobs.
+func TestJobTableGrowthMatchesMapOracle(t *testing.T) {
+	sim := simclock.New()
+	c, err := NewCluster(sim, DefaultConf(), WithNodes(clusterNodes(sim, 1)...), WithAggregateAccounting())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RegisterWorkload("/bin/app", workload.Sleep("app", time.Minute))
+	live := map[int]*Job{}
+	c.OnCompletion(func(j *Job) { delete(live, j.ID) })
+
+	check := func(when string) {
+		t.Helper()
+		for id := 0; id <= c.nextID+1; id++ {
+			got, ok := c.Job(id)
+			if want := live[id]; got != want || ok != (want != nil) {
+				t.Fatalf("%s: Job(%d) = %p, %v; oracle %p", when, id, got, ok, want)
+			}
+			if _, isLive := live[id]; !isLive && id >= 1 && id < c.nextID {
+				if st, ok := c.jobState(id); !ok || st != StateCompleted {
+					t.Fatalf("%s: retired job %d resolves to %q, %v", when, id, st, ok)
+				}
+			}
+		}
+		queue := c.Squeue()
+		if len(queue) != len(live) {
+			t.Fatalf("%s: Squeue lists %d jobs, oracle holds %d", when, len(queue), len(live))
+		}
+		for i, j := range queue {
+			if live[j.ID] != j {
+				t.Fatalf("%s: Squeue[%d] is job %d, not the oracle's record", when, i, j.ID)
+			}
+		}
+	}
+
+	boundaries := 0
+	chunk0, chunks := 0, 0
+	for i := 0; i <= jobChunkSize; i++ {
+		job, err := c.Submit(JobDesc{Name: "j", BinaryPath: "/bin/app", TimeLimit: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		live[job.ID] = job
+		if i%61 == 60 {
+			sim.RunFor(3 * time.Minute) // three jobs finish and retire
+		}
+		if len(c.jobs[0]) != chunk0 || len(c.jobs) != chunks {
+			chunk0, chunks = len(c.jobs[0]), len(c.jobs)
+			boundaries++
+			check(fmt.Sprintf("after job %d (chunk 0 = %d slots, %d chunks)", job.ID, chunk0, chunks))
+		}
+	}
+	check("at the end")
+
+	// 64 → 8192 is the first allocation plus seven doublings; chunk 1 is one more.
+	if want := 1 + 7 + 1; boundaries != want || firstChunkLen(1) != 64 {
+		t.Fatalf("%d growth boundaries from a %d-slot start, want %d from 64", boundaries, firstChunkLen(1), want)
+	}
+	if len(c.jobs) != 2 || len(c.jobs[0]) != jobChunkSize || len(c.jobs[1]) != jobChunkSize {
+		t.Fatalf("table shape %d chunks, chunk 0 %d slots", len(c.jobs), len(c.jobs[0]))
+	}
+	if len(live) == jobChunkSize+1 || len(live) == 0 {
+		t.Fatalf("%d jobs live at the end: nothing retired, or everything", len(live))
+	}
+	// A cluster large enough to fill a chunk gets it whole, in one allocation.
+	for nodes, want := range map[int]int{1: 64, 2: 128, 24: 2048, 127: jobChunkSize, 128: jobChunkSize, 512: jobChunkSize} {
+		if got := firstChunkLen(nodes); got != want {
+			t.Errorf("firstChunkLen(%d) = %d, want %d", nodes, got, want)
+		}
 	}
 }

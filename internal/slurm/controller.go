@@ -121,10 +121,12 @@ type Controller struct {
 	// jobs[(i-1)>>jobChunkBits][(i-1)&jobChunkMask]. Ids are assigned
 	// monotonically and never reused, so the hot dispatch path resolves
 	// a job with a bounds check and two slice loads instead of a map
-	// probe. Fixed-size chunks grow the table without ever copying or
-	// re-scanning the pointers already placed — at millions of jobs the
-	// doubling slice was half the simulator's allocation volume.
-	// Retired slots are nil.
+	// probe. A full chunk is never copied or re-scanned when the table
+	// grows — at millions of jobs the doubling slice was half the
+	// simulator's allocation volume. Only chunk 0 is ever shorter than
+	// jobChunkSize: it starts at firstChunkLen and doubles in place, so
+	// a one-node controller that runs one job does not pay 64 KB for
+	// it. Retired slots are nil.
 	jobs [][]*Job
 	// jobPool recycles retired Job records in aggregate mode, where no
 	// caller retains them past the completion hooks.
@@ -400,11 +402,26 @@ func (c *Controller) newJob() *Job {
 }
 
 // Job-table chunk geometry: 8192 ids per chunk ≈ 64 KB of pointers.
+// jobSlotsPerNode sizes chunk 0 at construction: a cluster of 128 or
+// more nodes gets the full chunk in one allocation, a benchmark
+// sweep's one-node controller 64 slots.
 const (
-	jobChunkBits = 13
-	jobChunkSize = 1 << jobChunkBits
-	jobChunkMask = jobChunkSize - 1
+	jobChunkBits    = 13
+	jobChunkSize    = 1 << jobChunkBits
+	jobChunkMask    = jobChunkSize - 1
+	jobSlotsPerNode = 64
 )
+
+// firstChunkLen is the length chunk 0 starts with on a cluster of the
+// given node count: jobSlotsPerNode a node, as a power of two so that
+// doubling lands exactly on jobChunkSize.
+func firstChunkLen(nodes int) int {
+	n := jobSlotsPerNode
+	for n < nodes*jobSlotsPerNode && n < jobChunkSize {
+		n *= 2
+	}
+	return n
+}
 
 // jobByID resolves a live job from the arena, or nil (unknown id or
 // retired).
@@ -620,11 +637,22 @@ func (c *Controller) submit(ctx context.Context, desc *JobDesc) (*Job, error) {
 	}
 	c.nextID++
 	idx := job.ID - 1
-	if ci := idx >> jobChunkBits; ci == len(c.jobs) {
+	ci, slot := idx>>jobChunkBits, idx&jobChunkMask
+	if ci == len(c.jobs) {
 		// Arena growth: one chunk per 8192 job ids, amortized to ~0 per submission.
-		c.jobs = append(c.jobs, make([]*Job, jobChunkSize))
+		n := jobChunkSize
+		if ci == 0 {
+			n = firstChunkLen(len(c.nodes))
+		}
+		c.jobs = append(c.jobs, make([]*Job, n))
+	} else if slot == len(c.jobs[ci]) {
+		// Chunk 0 outgrown below jobChunkSize (later chunks are born
+		// full, so slot never reaches their length): double it in place.
+		grown := make([]*Job, 2*slot)
+		copy(grown, c.jobs[ci])
+		c.jobs[ci] = grown
 	}
-	c.jobs[idx>>jobChunkBits][idx&jobChunkMask] = job
+	c.jobs[ci][slot] = job
 	part.pending = append(part.pending, job)
 	if len(desc.AfterOK) > 0 {
 		c.depPending++

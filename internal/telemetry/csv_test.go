@@ -11,9 +11,9 @@ import (
 	"time"
 )
 
-// referenceWriteCSV is WriteCSV as it was before the append encoder:
-// encoding/csv over strconv.FormatFloat fields. It defines the layout;
-// WriteCSV must match it byte for byte.
+// referenceWriteCSV is the trace encoder as it was before the append
+// encoder: encoding/csv over strconv.FormatFloat fields. It defines the
+// layout; Trace.CSV must match it byte for byte.
 func referenceWriteCSV(tr *Trace, w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"seconds", "system_w", "cpu_w", "cpu_temp_c", "freq_khz"}); err != nil {
@@ -41,14 +41,11 @@ func referenceWriteCSV(tr *Trace, w io.Writer) error {
 
 func encodeBoth(t *testing.T, tr *Trace) (got, want []byte) {
 	t.Helper()
-	var g, w bytes.Buffer
-	if err := tr.WriteCSV(&g); err != nil {
-		t.Fatal(err)
-	}
+	var w bytes.Buffer
 	if err := referenceWriteCSV(tr, &w); err != nil {
 		t.Fatal(err)
 	}
-	return g.Bytes(), w.Bytes()
+	return tr.CSV(), w.Bytes()
 }
 
 // edgeFloats are the values where a hand-rolled fixed-point formatter
@@ -125,7 +122,7 @@ func TestWriteCSVMatchesReferenceEncoder(t *testing.T) {
 }
 
 // Reading a written trace and writing it again must reproduce the
-// file: ReadCSV accepts everything WriteCSV emits (NaN and ±Inf
+// file: ReadCSV accepts everything Trace.CSV emits (NaN and ±Inf
 // included) and loses nothing the layout keeps.
 func TestWriteCSVReadCSVRoundTripIsIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(138))
@@ -134,17 +131,13 @@ func TestWriteCSVReadCSVRoundTripIsIdempotent(t *testing.T) {
 		first, _ := encodeBoth(t, tr)
 		back, err := ReadCSV(bytes.NewReader(first), tr.Name, epoch)
 		if err != nil {
-			t.Fatalf("trace %d: ReadCSV rejected WriteCSV output: %v\n%s", i, err, first)
+			t.Fatalf("trace %d: ReadCSV rejected Trace.CSV output: %v\n%s", i, err, first)
 		}
 		if back.Len() != tr.Len() {
 			t.Fatalf("trace %d: %d samples read back, %d written", i, back.Len(), tr.Len())
 		}
-		var second bytes.Buffer
-		if err := back.WriteCSV(&second); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(first, second.Bytes()) {
-			t.Fatalf("trace %d changed over a round trip:\nfirst  %q\nsecond %q", i, first, second.Bytes())
+		if second := back.CSV(); !bytes.Equal(first, second) {
+			t.Fatalf("trace %d changed over a round trip:\nfirst  %q\nsecond %q", i, first, second)
 		}
 	}
 }

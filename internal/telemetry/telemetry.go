@@ -92,11 +92,11 @@ func (tr *Trace) Aggregate() (Aggregate, error) {
 	return agg, nil
 }
 
-// WriteCSV emits the trace in the layout Chronus's CSV repository
-// uses: one row per sample, seconds-from-start first. No field this
-// layout produces needs CSV quoting, so rows are appended to one
-// buffer directly and written with a single Write.
-func (tr *Trace) WriteCSV(w io.Writer) error {
+// CSV encodes the trace in the layout Chronus's CSV repository uses:
+// one row per sample, seconds-from-start first. No field this layout
+// produces needs CSV quoting, so rows are appended to one pre-sized
+// buffer directly; the result shares nothing with the trace.
+func (tr *Trace) CSV() []byte {
 	const header = "seconds,system_w,cpu_w,cpu_temp_c,freq_khz\n"
 	const typicalRow = len("1234.0,123.00,123.00,45.00,2200000\n")
 	b := make([]byte, 0, len(header)+typicalRow*len(tr.Samples))
@@ -117,8 +117,7 @@ func (tr *Trace) WriteCSV(w io.Writer) error {
 		b = strconv.AppendInt(b, int64(s.FreqKHz), 10)
 		b = append(b, '\n')
 	}
-	_, err := w.Write(b)
-	return err
+	return b
 }
 
 // appendFixed appends v as strconv.AppendFloat(b, v, 'f', prec, 64)
@@ -134,7 +133,7 @@ func appendFixed(b []byte, v float64, prec int) []byte {
 	return strconv.AppendFloat(b, v, 'f', prec, 64)
 }
 
-// ReadCSV parses a trace written by WriteCSV. The origin time is
+// ReadCSV parses a trace encoded by CSV. The origin time is
 // synthetic (samples are offsets); pass the epoch the offsets should
 // hang from.
 func ReadCSV(r io.Reader, name string, epoch time.Time) (*Trace, error) {

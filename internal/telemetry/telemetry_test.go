@@ -90,11 +90,7 @@ func TestTrapezoidalIntegration(t *testing.T) {
 
 func TestCSVRoundTrip(t *testing.T) {
 	tr := rampTrace(50, 3)
-	var buf bytes.Buffer
-	if err := tr.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCSV(&buf, "ramp", epoch)
+	back, err := ReadCSV(bytes.NewReader(tr.CSV()), "ramp", epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,12 +108,8 @@ func TestCSVRoundTrip(t *testing.T) {
 }
 
 func TestCSVHeaderPresent(t *testing.T) {
-	var buf bytes.Buffer
-	if err := rampTrace(2, 1).WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), "seconds,system_w,cpu_w,cpu_temp_c,freq_khz") {
-		t.Fatalf("CSV header missing: %q", buf.String()[:40])
+	if got := string(rampTrace(2, 1).CSV()); !strings.HasPrefix(got, "seconds,system_w,cpu_w,cpu_temp_c,freq_khz") {
+		t.Fatalf("CSV header missing: %q", got[:40])
 	}
 }
 
