@@ -110,15 +110,17 @@ profile-cluster:
 # into a per-event path: the telemetry emit path (sharded counter,
 # gauge, bucketed histogram), the simclock schedule+pop cycle on the
 # Action fast path, the slurm submit→complete cycle (pooled jobs,
-# chunked arena, aggregate accounting) and PredictService.Predict on a
+# chunked arena, aggregate accounting), a scheduling pass that starts
+# nothing on a saturated cluster under all three energy policies (hold,
+# place and their maintained state) and PredictService.Predict on a
 # cache hit (untraced; the $$ keeps the traced variant, which allocates
 # spans by design, out). The paper's budgeted path — a cache-hit
 # job_submit_eco with settings.json on disk — has a fixed ceiling
 # instead: 7 allocs/op as measured (go1.24), all of them os.ReadFile
 # of the settings file and the copy of its model list.
 alloc-check:
-	$(GO) test -run XXX -bench 'ShardedCounterInc|BucketedHistogramObserve|GaugeSet|SimSchedule$$|SubmitSteadyState|EcoSubmitCacheHit|PredictCacheHit$$' -benchtime=1000x -benchmem . ./internal/metrics ./internal/simclock ./internal/slurm ./internal/ecoplugin | \
-	awk '{ print } /allocs\/op$$/ { seen++; limit = ($$1 ~ /^BenchmarkEcoSubmitCacheHit/) ? 7 : 0; if ($$(NF-1) + 0 > limit) { bad = 1; print "alloc-check: " $$1 " allocates " $$(NF-1) " times per op, ceiling " limit } } END { if (seen < 7) { print "alloc-check: expected 7 benchmarks, saw " seen+0; exit 1 }; exit bad }'
+	$(GO) test -run XXX -bench 'ShardedCounterInc|BucketedHistogramObserve|GaugeSet|SimSchedule$$|SubmitSteadyState|PolicyPassSaturated|EcoSubmitCacheHit|PredictCacheHit$$' -benchtime=1000x -benchmem . ./internal/metrics ./internal/simclock ./internal/slurm ./internal/ecoplugin | \
+	awk '{ print } /allocs\/op$$/ { seen++; limit = ($$1 ~ /^BenchmarkEcoSubmitCacheHit/) ? 7 : 0; if ($$(NF-1) + 0 > limit) { bad = 1; print "alloc-check: " $$1 " allocates " $$(NF-1) " times per op, ceiling " limit } } END { if (seen < 8) { print "alloc-check: expected 8 benchmarks, saw " seen+0; exit 1 }; exit bad }'
 
 # serve-smoke boots `chronus serve` against a fresh data directory and
 # fails unless /metrics and /healthz answer 200 with the expected

@@ -71,6 +71,10 @@ type partition struct {
 	capW      float64
 	drawW     float64
 	peakDrawW float64
+	// pairable is the pairable-primary index place walks: per primary
+	// profile, a bitmap over the freeBits slots (nil unless the policy
+	// pairs).
+	pairable [2][]uint64
 }
 
 // takeIdle claims the lowest-slotted idle node that satisfies the

@@ -734,6 +734,17 @@ func (p *partition) fits(desc *JobDesc) error {
 		desc.NumTasks, desc.ThreadsPerCPU, desc.MemoryMB)
 }
 
+// unqueue removes a job from the pending window, keeping the order of
+// the rest.
+func (p *partition) unqueue(job *Job) {
+	for i, q := range p.pending {
+		if q == job {
+			p.pending = append(p.pending[:i], p.pending[i+1:]...)
+			return
+		}
+	}
+}
+
 func nodeSatisfies(n *nodeD, desc *JobDesc) bool {
 	return desc.NumTasks <= n.spec.Cores &&
 		desc.ThreadsPerCPU <= n.spec.ThreadsPerCore &&
@@ -772,7 +783,7 @@ func (c *Controller) schedulePart(p *partition) {
 		p.queueGauge.Set(float64(len(p.pending)))
 		return
 	}
-	now := c.sim.Now()
+	now, tick := c.sim.Now(), c.sim.NowTick()
 	_, span := c.tracer.Start(context.Background(), spanSchedule)
 	if span != nil {
 		span.SetAttr("partition", p.name)
@@ -809,9 +820,6 @@ func (c *Controller) schedulePart(p *partition) {
 			remaining = append(remaining, rest...)
 			break
 		}
-		if job.State != StatePending {
-			continue
-		}
 		if len(job.Desc.AfterOK) > 0 {
 			switch c.dependencyState(job) {
 			case depFailed:
@@ -833,7 +841,7 @@ func (c *Controller) schedulePart(p *partition) {
 			continue
 		}
 		if holds && job.Desc.Deferrable {
-			if wake, held := c.pol.hold(job, now); held {
+			if wake, held := c.pol.hold(job, now, tick); held {
 				c.armWake(p, wake)
 				remaining = append(remaining, job)
 				continue
@@ -1005,25 +1013,26 @@ func (c *Controller) run(job *Job, n *nodeD, now time.Time, cfg perfmodel.Config
 // job and promotes the secondary to the node's occupant (it finishes on
 // its estimates); a sole occupant, or a secondary promoted earlier
 // (whose primary already took the hardware job with it), frees the node.
+// The policy is told once the node is in its new state.
 func (c *Controller) vacate(job *Job, n *nodeD) {
-	if c.pol != nil {
-		c.pol.release(job, n)
-	}
 	if n.coJob == job {
 		n.coJob = nil
 		job.node = nil
-		return
+	} else {
+		if n.hwJob != nil {
+			n.hwJob.End()
+			n.unpinFrequency()
+		}
+		if n.coJob != nil {
+			n.current, n.coJob, n.hwJob = n.coJob, nil, nil
+			job.node = nil
+		} else {
+			c.releaseNode(n)
+		}
 	}
-	if n.hwJob != nil {
-		n.hwJob.End()
-		n.unpinFrequency()
+	if c.pol != nil {
+		c.pol.release(job, n)
 	}
-	if n.coJob != nil {
-		n.current, n.coJob, n.hwJob = n.coJob, nil, nil
-		job.node = nil
-		return
-	}
-	c.releaseNode(n)
 }
 
 // completeJob is the completion event for a running job, fired through
@@ -1182,9 +1191,16 @@ func (c *Controller) Cancel(id int) error {
 		return fmt.Errorf("slurm: job %d already %s", id, job.State)
 	}
 	var left *nodeD
-	if job.State == StateRunning && job.node != nil {
+	switch {
+	case job.State == StateRunning && job.node != nil:
 		left = job.node
 		c.vacate(job, left)
+	case job.State == StatePending && job.part != nil:
+		// Out of the pending window before the record can be retired to
+		// the pool and handed to the next submission, which would then be
+		// queued twice. The window holds pending jobs only; a pass relies
+		// on it.
+		job.part.unqueue(job)
 	}
 	job.State = StateCancelled
 	job.Reason = "Cancelled by user"
@@ -1281,6 +1297,7 @@ func (c *Controller) setDrain(name string, drained bool) error {
 		} else {
 			c.refreeNode(n)
 		}
+		c.pol.reindex(n)
 		return nil
 	}
 	return fmt.Errorf("slurm: no node %q", name)

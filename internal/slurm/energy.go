@@ -22,6 +22,12 @@
 // release: a job leaving its node returns its draw to the ledger
 // (charge, its counterpart, books it when the job starts).
 //
+// A decision costs what it decides, not what it scans (both papers
+// describe theirs as a lookup against maintained state): hold reads the
+// signal once per instant and derives a job's release bound once per
+// job; place walks an index of pairable primaries that charge, release
+// and a drain keep current (reindex), not the partition's nodes.
+//
 // The policy value owns every controller-wide parameter, the decision
 // counters and their metric handles; per-entity state stays on its
 // entity (budget and draw ledger on partition, power model on nodeD,
@@ -32,6 +38,7 @@ package slurm
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"ecosched/internal/metrics"
@@ -125,6 +132,14 @@ type schedPolicy struct {
 	threshold float64
 	maxDefer  time.Duration
 	check     time.Duration
+	// read memoises the signal at the instant (tick) hold last read it —
+	// a pass asks hold of every queued Deferrable job at one instant: the
+	// verdict signal > threshold, and instant + check as the wake.
+	read struct {
+		ok, high       bool
+		tick, wakeTick int64
+		wake           time.Time
+	}
 
 	totals       PolicyTotals
 	mCapDenials  *metrics.Counter
@@ -156,6 +171,11 @@ func newSchedPolicy(c *Controller, ps []SchedPolicy) (*schedPolicy, error) {
 	for _, sp := range ps {
 		if err := sp.attach(pol, c); err != nil {
 			return nil, err
+		}
+	}
+	if pol.pairs() {
+		for _, p := range c.parts {
+			p.indexPairable()
 		}
 	}
 	return pol, nil
@@ -278,9 +298,12 @@ func (p *CoSchedulePolicy) attach(pol *schedPolicy, _ *Controller) error {
 }
 
 // DeferralSignal reports the energy signal (spot price, carbon
-// intensity — any deterministic function of simulated time) the
-// deferral policy compares against its threshold. The indirection
-// keeps this package decoupled from internal/energymarket.
+// intensity) the deferral policy compares against its threshold. It
+// must be a pure function of simulated time — same instant, same value,
+// whoever asks and however often: the scheduler relies on it, reading
+// the signal once per instant and applying that verdict to every job it
+// considers at that instant. The indirection keeps this package
+// decoupled from internal/energymarket.
 type DeferralSignal func(t time.Time) float64
 
 // DefaultDeferCheck is how often a held job re-reads the signal when
@@ -345,6 +368,12 @@ type PolicyTotals struct {
 	// placement instant — always 0 unless the model is broken; the
 	// property suite asserts it.
 	CapViolations int64
+	// SignalReads and PlaceProbes count work, not decisions: evaluations
+	// of the deferral signal, and running primaries place examined as a
+	// secondary's host. Deterministic, so "the policy path does less
+	// work" is a test (reports do not print them).
+	SignalReads int64
+	PlaceProbes int64
 }
 
 // PolicyTotals returns the run's policy decision counts.
@@ -372,20 +401,23 @@ const capSlack = 1e-9
 
 // hold is the first half of admit, asked (when the policy holds() at
 // all) of a Deferrable job before a node is taken: does the deferral
-// signal keep it queued at now? A held job is marked with its squeue
-// reason and must be looked at again at wake. The release order is
-// deadline/max-defer bound first (never starve), then a favourable
-// signal.
-func (pol *schedPolicy) hold(job *Job, now time.Time) (wake time.Time, held bool) {
-	latest := job.SubmitTime.Add(pol.maxDefer)
-	if !job.Desc.Deadline.IsZero() {
-		// Dispatching by Deadline − TimeLimit leaves room for the worst
-		// allowed runtime (the time limit truncates longer plans).
-		if byDeadline := job.Desc.Deadline.Add(-job.Desc.TimeLimit); byDeadline.Before(latest) {
-			latest = byDeadline
+// signal keep it queued at now (tick is now in UnixNano, the clock's own
+// mirror)? A held job is marked with its squeue reason and must be
+// looked at again at wake. The release order is deadline/max-defer bound
+// first (never starve), then a favourable signal. The bound is derived
+// once per job and the signal read once per instant, so a job that stays
+// held costs two integer compares.
+func (pol *schedPolicy) hold(job *Job, now time.Time, tick int64) (wake time.Time, held bool) {
+	if job.releaseTick == 0 {
+		latest := pol.releaseBound(job)
+		if latest.Before(job.SubmitTime) {
+			// A deadline already out of reach at submission releases at
+			// once (and an absurd one cannot wrap the tick).
+			latest = job.SubmitTime
 		}
+		job.releaseTick = latest.UnixNano()
 	}
-	if !now.Before(latest) {
+	if tick >= job.releaseTick {
 		if job.deferred {
 			// Clear the flag so a forced job that still finds no node is
 			// counted once, not once per scheduling pass.
@@ -394,7 +426,14 @@ func (pol *schedPolicy) hold(job *Job, now time.Time) (wake time.Time, held bool
 		}
 		return time.Time{}, false
 	}
-	if pol.signal(now) <= pol.threshold {
+	rd := &pol.read
+	if !rd.ok || rd.tick != tick {
+		rd.ok, rd.tick = true, tick
+		rd.high = pol.signal(now) > pol.threshold
+		rd.wake, rd.wakeTick = now.Add(pol.check), tick+int64(pol.check)
+		pol.totals.SignalReads++
+	}
+	if !rd.high {
 		return time.Time{}, false
 	}
 	if !job.deferred {
@@ -403,11 +442,25 @@ func (pol *schedPolicy) hold(job *Job, now time.Time) (wake time.Time, held bool
 		pol.mDeferred.Inc()
 	}
 	job.Reason = reasonEnergyHold
-	wake = now.Add(pol.check)
-	if wake.After(latest) {
-		wake = latest
+	if rd.wakeTick > job.releaseTick {
+		return pol.releaseBound(job), true
 	}
-	return wake, true
+	return rd.wake, true
+}
+
+// releaseBound is the instant a hold on the job ends whatever the
+// signal says: max defer past submission, or — sooner — the last
+// instant that still leaves the job its time limit before its deadline.
+func (pol *schedPolicy) releaseBound(job *Job) time.Time {
+	latest := job.SubmitTime.Add(pol.maxDefer)
+	if !job.Desc.Deadline.IsZero() {
+		// Dispatching by Deadline − TimeLimit leaves room for the worst
+		// allowed runtime (the time limit truncates longer plans).
+		if byDeadline := job.Desc.Deadline.Add(-job.Desc.TimeLimit); byDeadline.Before(latest) {
+			latest = byDeadline
+		}
+	}
+	return latest
 }
 
 // fit is the second half of admit, asked once a node is taken: does
@@ -477,42 +530,90 @@ type pairing struct {
 	sysW, cpuW float64
 }
 
+// The pairable-primary index: per partition, one bitmap per primary
+// profile over the slots freeBits uses. A node's bit is set in its
+// profile's bitmap iff a secondary could start on it as far as the node
+// alone decides — it runs a primary of that profile on live hardware,
+// has no secondary yet, is not drained, and the primary neither demands
+// the node nor is itself a promoted secondary.
+const (
+	pairCompute = iota // compute-bound primaries: hosts for memory-bound jobs
+	pairMemory
+)
+
+// indexPairable sizes the partition's index, once, when the policy pairs.
+func (p *partition) indexPairable() {
+	for k := range p.pairable {
+		p.pairable[k] = make([]uint64, len(p.freeBits))
+	}
+}
+
+// reindex re-derives the node's bit in every partition sharing it from
+// the node's state. It runs wherever that state changes — charge (a job
+// starts, as primary or secondary), release (a job leaves) and a drain
+// or resume — and only under a policy that pairs.
+func (pol *schedPolicy) reindex(n *nodeD) {
+	if pol == nil || !pol.pairs() {
+		return
+	}
+	in := -1
+	if pri := n.current; pri != nil && n.hwJob != nil && n.coJob == nil && !n.drained &&
+		!pri.Desc.Exclusive && !pri.coSecondary {
+		switch pri.shapeProfile() {
+		case workload.ProfileCompute:
+			in = pairCompute
+		case workload.ProfileMemory:
+			in = pairMemory
+		}
+	}
+	for i, p := range n.parts {
+		w, bit := n.slots[i]>>6, uint64(1)<<uint(n.slots[i]&63)
+		for k := range p.pairable {
+			if k == in {
+				p.pairable[k][w] |= bit
+			} else {
+				p.pairable[k][w] &^= bit
+			}
+		}
+	}
+}
+
 // place picks the running primary a job with no idle node starts
-// beside: the first node in the partition's slot order (deterministic
-// first-fit, like takeIdle) whose primary has the complementary
-// profile and room left, and on which planBeside accepts the job,
-// writing the verdict to *pr. False — the job stays queued, *pr
-// untouched — when there is none. (An out-parameter on the caller's
-// stack rather than a result: the pass asks this of every queued job,
-// and nearly every answer is "none".)
+// beside: the first pairable primary of the complementary profile in
+// the partition's slot order (deterministic first-fit, like takeIdle)
+// that has room left and on which planBeside accepts the job, writing
+// the verdict to *pr. False — the job stays queued, *pr untouched — when
+// there is none. (An out-parameter on the caller's stack rather than a
+// result: the pass asks this of every queued job, and nearly every
+// answer is "none" — a scan of the index's few words.)
 func (pol *schedPolicy) place(p *partition, job *Job, now time.Time, pr *pairing) bool {
 	prof := job.shapeProfile()
 	if prof == "" || job.Desc.Exclusive {
 		return false
 	}
-	want := workload.ProfileCompute
+	want := pairCompute
 	if prof == workload.ProfileCompute {
-		want = workload.ProfileMemory
+		want = pairMemory
 	}
-	for _, n := range p.nodes {
-		pri := n.current
-		if pri == nil || n.coJob != nil || n.drained || n.hwJob == nil {
-			continue
-		}
-		if pri.Desc.Exclusive || pri.coSecondary || pri.shapeProfile() != want {
-			continue
-		}
-		if pri.Desc.NumTasks+job.Desc.NumTasks > n.spec.Cores {
-			continue
-		}
-		if job.Desc.ThreadsPerCPU > n.spec.ThreadsPerCore {
-			continue
-		}
-		if job.Desc.MemoryMB > 0 && job.Desc.MemoryMB+pri.Desc.MemoryMB > n.spec.RAMGB*1024 {
-			continue
-		}
-		if pol.planBeside(job, n, now, pr) {
-			return true
+	for w, word := range p.pairable[want] {
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &^= 1 << uint(b)
+			n := p.nodes[w<<6|b]
+			pri := n.current
+			pol.totals.PlaceProbes++
+			if pri.Desc.NumTasks+job.Desc.NumTasks > n.spec.Cores {
+				continue
+			}
+			if job.Desc.ThreadsPerCPU > n.spec.ThreadsPerCore {
+				continue
+			}
+			if job.Desc.MemoryMB > 0 && job.Desc.MemoryMB+pri.Desc.MemoryMB > n.spec.RAMGB*1024 {
+				continue
+			}
+			if pol.planBeside(job, n, now, pr) {
+				return true
+			}
 		}
 	}
 	return false
@@ -546,7 +647,8 @@ func (pol *schedPolicy) planBeside(job *Job, n *nodeD, now time.Time, pr *pairin
 // charge books a started job's draw — that of the configuration it
 // actually runs in, so the ledger is self-consistent with what release
 // returns — on every partition sharing its node, tracking the peak and
-// counting violations (which fit should make impossible).
+// counting violations (which fit should make impossible). The job is
+// on the node by now: its pairable bit follows.
 func (pol *schedPolicy) charge(job *Job, n *nodeD, cfg perfmodel.Config) {
 	job.drawDeltaW = n.pm.PlacementDeltaW(cfg)
 	for _, p := range n.parts {
@@ -558,15 +660,15 @@ func (pol *schedPolicy) charge(job *Job, n *nodeD, cfg perfmodel.Config) {
 			pol.totals.CapViolations++
 		}
 	}
+	pol.reindex(n)
 }
 
-// release returns the draw of a job leaving its node.
+// release returns the draw of a job that has left its node, whose
+// pairable bit follows.
 func (pol *schedPolicy) release(job *Job, n *nodeD) {
-	if job.drawDeltaW == 0 {
-		return
-	}
 	for _, p := range n.parts {
 		p.drawW -= job.drawDeltaW
 	}
 	job.drawDeltaW = 0
+	pol.reindex(n)
 }

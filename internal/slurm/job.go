@@ -123,18 +123,26 @@ type Job struct {
 	node *nodeD     // allocated node while running
 
 	// Completion bookkeeping stashed at start so the completion event
-	// carries only the job id: energy counters at start, and whether
-	// the plan was truncated by the time limit.
+	// carries only the job id: energy counters at start, and (timedOut,
+	// below) whether the plan was truncated by the time limit.
 	sys0, cpu0 float64
-	timedOut   bool
 	// Tick (UnixNano) mirrors of SubmitTime/StartTime/EndTime set on
 	// the hot submit/start/complete paths; accounting prefers them to
 	// avoid time.Time decoding. Zero on cold paths (cancellation,
 	// failed starts), which fall back to the time.Time fields.
 	submitTick, startTick, endTick int64
+	// releaseTick is the instant the deferral policy's hold on the job
+	// ends whatever the signal says — min(SubmitTime + max defer,
+	// Deadline − TimeLimit) — derived the first time hold sees the job
+	// (0 = not yet; energy.go).
+	releaseTick int64
 	// userSlot indexes the controller's dense fair-share usage slice
 	// (Controller.usageBy) for Desc.UserID, assigned at submission.
 	userSlot int32
+	// The three flags share userSlot's word: Job is one record per
+	// submission, and a word more per job shows in the simulator's
+	// bytes per submission (TestJobSize).
+	timedOut bool
 	// Cluster-policy bookkeeping (energy.go): coSecondary marks a job
 	// running as a node's co-scheduled secondary; drawDeltaW is the
 	// partition draw attributed at start and returned at completion;

@@ -115,9 +115,11 @@ func drawWorkload(rng *simclock.RNG, n int, start time.Time) []propJob {
 }
 
 // checkPolicyInvariants asserts invariants 1–3 over the controller's
-// current state.
+// current state, and that the pairable-primary index place walks says
+// what the nodes' state says.
 func checkPolicyInvariants(t *testing.T, c *Controller) {
 	t.Helper()
+	checkPairableIndex(t, c)
 	for _, p := range c.parts {
 		if p.capW > 0 {
 			if p.drawW > p.capW*(1+capSlack) {
