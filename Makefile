@@ -79,13 +79,14 @@ bench:
 # scale-smoke exercises the cluster-scale surface: the committed
 # 1,024-node 100k-submission spec through `chronus simulate`, the
 # power-capped policy spec with its fitness row, then the
-# replay-fidelity suites under the race detector on the reduced specs
-# (the 1M acceptance regression is build-gated out of -race runs and
-# covered by plain `make test`).
+# replay-fidelity suites, the lane-count equivalence and every exit of
+# the router / lane-worker pipeline under the race detector on the
+# reduced specs (the 1M acceptance regression is build-gated out of
+# -race runs and covered by plain `make test`).
 scale-smoke: build
 	$(GO) run ./cmd/chronus simulate -spec specs/scale-smoke.json
 	$(GO) run ./cmd/chronus simulate -spec specs/powercap-smoke.json
-	$(GO) test -race -run 'ClusterReplayFidelity|ClusterPolicyReplayFidelity|DifferentSeedDiverges|CommittedSpecsParse' -v .
+	$(GO) test -race -run 'ClusterReplayFidelity|ClusterPolicyReplayFidelity|ClusterLanesEquivalence|ClusterPipelineExits|ReplayTornTail|DifferentSeedDiverges|CommittedSpecsParse' -v .
 
 # bench-smoke exercises the repository's end-to-end benchmark (the
 # bench/ module, which root `go test ./...` does not reach): its own

@@ -145,10 +145,12 @@ type runConfig struct {
 }
 
 // WithLanes bounds how many partition lanes advance concurrently.
-// Zero (the default) picks min(partitions, GOMAXPROCS); 1 is fully
-// serial. The report and any recorded log are byte-identical at every
-// setting: lanes only touch lane-local state between window barriers,
-// so the lane count changes wall-clock time, never results.
+// Zero (the default) picks min(partitions, GOMAXPROCS), and no setting
+// exceeds the partition count; 1 runs one lane at a time, in partition
+// order, with the source still read a window ahead on its own
+// goroutine. The report and any recorded log are byte-identical at
+// every setting: lanes only touch lane-local state between window
+// barriers, so the lane count changes wall-clock time, never results.
 func WithLanes(n int) RunOption {
 	return func(cfg *runConfig) { cfg.lanes = n }
 }
@@ -157,6 +159,8 @@ func WithLanes(n int) RunOption {
 // completion. When record is non-nil, every generated submission is
 // written to it as a versioned JSONL log replayable with
 // ReplayClusterLog; the log embeds the spec, so it is self-contained.
+// record is written from another goroutine while the call runs and is
+// never touched after it returns, on any exit.
 func RunClusterSpec(spec workload.Spec, record io.Writer, opts ...RunOption) (*ClusterReport, error) {
 	start := simclock.Epoch
 	gen, err := workload.NewGenerator(spec, start)
@@ -175,7 +179,9 @@ func RunClusterSpec(spec workload.Spec, record io.Writer, opts ...RunOption) (*C
 // ReplayClusterLog replays a recorded submission log through a cluster
 // rebuilt from the spec embedded in the log header. A replay is
 // byte-equivalent to the run that recorded the log: same placement,
-// same accounting totals, same energy.
+// same accounting totals, same energy. r is read from another goroutine
+// while the call runs and is never touched after it returns, on any
+// exit.
 func ReplayClusterLog(r io.Reader, opts ...RunOption) (*ClusterReport, error) {
 	lr, err := workload.NewLogReader(r)
 	if err != nil {
@@ -251,6 +257,102 @@ type usageDelta struct {
 	cpuS float64
 }
 
+// subChunkLen sizes a chunk to fill a Go size class: 18 Submissions of
+// 224 bytes are 4,032 of the class's 4,096.
+const subChunkLen = 18
+
+// subBatch is one lane's arrivals of one window, in stream order, in
+// the idiom of the job-table arena: growth appends a chunk pointer and
+// never copies a Submission, and a drained batch (n = 0) keeps its
+// chunks, so a window no larger than an earlier one allocates nothing.
+type subBatch struct {
+	chunks []*[subChunkLen]workload.Submission
+	n      int
+}
+
+func (b *subBatch) add(s *workload.Submission) {
+	c := b.n / subChunkLen
+	if c == len(b.chunks) {
+		b.chunks = append(b.chunks, new([subChunkLen]workload.Submission))
+	}
+	b.chunks[c][b.n%subChunkLen] = *s
+	b.n++
+}
+
+func (b *subBatch) at(i int) *workload.Submission {
+	return &b.chunks[i/subChunkLen][i%subChunkLen]
+}
+
+// routedWindow is one window's arrivals split by lane. Two exist per
+// run, refilled in turn.
+type routedWindow struct {
+	batches []subBatch // by lane index
+	more    bool       // the source holds arrivals at or past this window's end
+	err     error      // the source or the recorder failed; the run ends with it
+}
+
+// router is the serial half of a run: it pulls the source in arrival
+// order (the stream stays ordered for recording and Seq assignment),
+// records, and splits each window's arrivals by partition. It touches
+// no lane state, so it runs on its own goroutine, a window ahead of the
+// lanes; its counters are read once its last window has been received.
+type router struct {
+	src    workload.Source
+	lw     *workload.LogWriter
+	laneOf map[string]int // partition name ("" = the default) → lane index
+
+	submissions, rejected int
+	lastArrival           time.Time
+}
+
+// route fills each window it is handed on free, in window order from
+// start, and hands it on through filled; it returns after the window
+// that exhausts the source (and flushes the recorder) or fails.
+func (r *router) route(start time.Time, free <-chan *routedWindow, filled chan<- *routedWindow) {
+	// One submission is pulled ahead, to see whether it belongs to the
+	// window being filled; the generator fills pending in place.
+	var pending workload.Submission
+	pullInto, hasInto := r.src.(workload.IntoSource)
+	next := func() (ok bool, err error) {
+		if hasInto {
+			return pullInto.NextInto(&pending)
+		}
+		pending, ok, err = r.src.Next()
+		return ok, err
+	}
+	r.lastArrival = start
+	windowEnd := start
+	ok, err := next()
+	for w := range free {
+		windowEnd = windowEnd.Add(laneWindow)
+		// At < windowEnd, strictly: the boundary instant belongs to the
+		// next window.
+		for err == nil && ok && pending.At.Before(windowEnd) {
+			if r.lw != nil {
+				if err = r.lw.Record(pending); err != nil {
+					break
+				}
+			}
+			r.submissions++
+			r.lastArrival = pending.At
+			if li, known := r.laneOf[pending.Partition]; known {
+				w.batches[li].add(&pending)
+			} else {
+				r.rejected++
+			}
+			ok, err = next()
+		}
+		if err == nil && !ok && r.lw != nil {
+			err = r.lw.Flush()
+		}
+		w.more, w.err = ok, err
+		filled <- w
+		if err != nil || !ok {
+			return
+		}
+	}
+}
+
 // clusterLane is one partition's slice of the cluster: its own
 // simulated clock, a single-partition controller over the partition's
 // dedicated nodes, and the window-local buffers the coordinator
@@ -263,9 +365,11 @@ type clusterLane struct {
 	ctl   *slurm.Controller
 	stats *PartitionReport
 
-	batch    []workload.Submission // this window's arrivals, stream order
-	usage    []usageDelta          // usage accrued this window (sink output)
-	rejected int                   // submissions the controller refused
+	// batch and windowEnd are the window to run, set by the coordinator.
+	batch     *subBatch
+	windowEnd time.Time
+	usage     []usageDelta // usage accrued this window (sink output)
+	rejected  int          // submissions the controller refused
 	// deadlineMisses counts jobs cancelled DeadlineUnsatisfiable (only
 	// tracked under a policy block).
 	deadlineMisses int64
@@ -278,12 +382,14 @@ type clusterLane struct {
 }
 
 // runWindow advances the lane to the window boundary, admitting this
-// window's arrivals at their exact instants. Queue depth is sampled
-// right after each Submit — with batched scheduling the new job is
-// still pending at that point, so the peak includes it.
-func (ln *clusterLane) runWindow(windowEnd time.Time) {
-	for i := range ln.batch {
-		s := &ln.batch[i]
+// window's arrivals at their exact instants and leaving the batch
+// drained. Queue depth is sampled right after each Submit — with
+// batched scheduling the new job is still pending at that point, so
+// the peak includes it.
+func (ln *clusterLane) runWindow() {
+	b := ln.batch
+	for i := 0; i < b.n; i++ {
+		s := b.at(i)
 		ln.sim.RunUntil(s.At)
 		d := &ln.desc
 		d.Name = s.JobName
@@ -307,25 +413,25 @@ func (ln *clusterLane) runWindow(windowEnd time.Time) {
 		}
 		// Run the deferred scheduling pass once per distinct arrival
 		// instant (batched mode queues, Flush places).
-		if i+1 == len(ln.batch) || !ln.batch[i+1].At.Equal(s.At) {
+		if i+1 == b.n || !b.at(i+1).At.Equal(s.At) {
 			ln.ctl.Flush()
 		}
 	}
-	ln.batch = ln.batch[:0]
-	ln.sim.RunBefore(windowEnd)
+	b.n = 0
+	ln.sim.RunBefore(ln.windowEnd)
 }
 
 // runCluster builds one lane per partition and pumps the submission
-// source through them in conservative time windows.
-//
-// The coordinator pulls the source serially — the stream stays in
-// arrival order for recording and Seq assignment — and routes each
-// submission to its partition's lane. Lanes then advance through the
-// window concurrently (bounded by WithLanes) and meet at the barrier,
-// where fair-share usage deltas are replicated into sibling lanes in
-// partition-config order. Every step is deterministic and none depends
-// on the lane count, so a run, its replay, and any -lanes setting
-// produce byte-identical reports and logs.
+// source through them in conservative time windows, in three stages:
+// the router fills one of two routedWindows while the lanes drain the
+// other; the coordinator (this goroutine) hands each filled window's
+// active lanes to the run-long lane workers (bounded by WithLanes) and
+// meets them at the barrier, where fair-share usage deltas are
+// replicated into sibling lanes in partition-config order. A lane sees
+// only its own window's arrivals, in stream order, and no step depends
+// on the lane count or on how far ahead the router is, so a run, its
+// replay, and any -lanes setting produce byte-identical reports and
+// logs. Every goroutine started here has exited when it returns.
 func runCluster(start time.Time, spec workload.Spec, src workload.Source, lw *workload.LogWriter, opts []RunOption) (*ClusterReport, error) {
 	var rcfg runConfig
 	for _, opt := range opts {
@@ -336,15 +442,12 @@ func runCluster(start time.Time, spec workload.Spec, src workload.Source, lw *wo
 	spec0 := hw.DefaultSpec()
 	var nodes []*hw.Node // global construction order: spec order, for energy totals
 	lanes := make([]*clusterLane, 0, len(spec.Cluster.Partitions))
-	laneByName := make(map[string]*clusterLane, len(spec.Cluster.Partitions))
+	rt := &router{src: src, lw: lw, laneOf: make(map[string]int, len(spec.Cluster.Partitions)+1)}
 
 	report := &ClusterReport{Spec: spec.Name, Seed: spec.Seed}
 	report.Partitions = make([]PartitionReport, len(spec.Cluster.Partitions))
 
-	if len(spec.Cluster.Partitions) == 0 {
-		return nil, fmt.Errorf("ecosched: spec %q has no partitions", spec.Name)
-	}
-	defaultPart := spec.Cluster.Partitions[0].Name
+	defaultLane := 0
 	totalNodes := 0
 	for _, ps := range spec.Cluster.Partitions {
 		totalNodes += ps.Nodes
@@ -352,7 +455,7 @@ func runCluster(start time.Time, spec workload.Spec, src workload.Source, lw *wo
 	idx := 0
 	for pi, ps := range spec.Cluster.Partitions {
 		if ps.Default {
-			defaultPart = ps.Name
+			defaultLane = pi
 		}
 		laneSim := simclock.NewAt(start)
 		pool := make([]*hw.Node, ps.Nodes)
@@ -413,104 +516,75 @@ func runCluster(start time.Time, spec workload.Spec, src workload.Source, lw *wo
 			stats.SystemKJ += j.SystemJ / 1000
 		})
 		lanes = append(lanes, ln)
-		laneByName[ps.Name] = ln
+		rt.laneOf[ps.Name] = pi
 	}
+	rt.laneOf[""] = defaultLane
 	report.Nodes = len(nodes)
-
-	// laneFor resolves a partition's lane. With a handful of lanes a
-	// name scan beats hashing the string on every submission.
-	laneFor := func(name string) *clusterLane {
-		if len(lanes) <= 4 {
-			for _, ln := range lanes {
-				if ln.name == name {
-					return ln
-				}
-			}
-			return nil
-		}
-		return laneByName[name]
-	}
 
 	workers := rcfg.lanes
 	if workers <= 0 {
-		workers = len(lanes)
-		if p := runtime.GOMAXPROCS(0); p < workers {
-			workers = p
-		}
+		workers = runtime.GOMAXPROCS(0)
 	}
+	workers = min(workers, len(lanes))
 
-	// Pull one submission ahead so the window loop can see whether the
-	// next arrival belongs to the current window. The generator's
-	// fill-in-place fast path spares a Submission copy per pull.
-	var pending workload.Submission
-	pullInto, hasInto := src.(workload.IntoSource)
-	nextSub := func() (bool, error) {
-		if hasInto {
-			return pullInto.NextInto(&pending)
-		}
-		s, ok, err := src.Next()
-		pending = s
-		return ok, err
+	// Two windows are the whole back-pressure: the router waits on free
+	// once it is a window ahead. No send on either channel can block.
+	free := make(chan *routedWindow, 2)
+	filled := make(chan *routedWindow, 2)
+	for i := 0; i < cap(free); i++ {
+		free <- &routedWindow{batches: make([]subBatch, len(lanes))}
 	}
-	ok, err := nextSub()
-	if err != nil {
-		return nil, err
+	work := make(chan *clusterLane, len(lanes))
+	var stages, window sync.WaitGroup
+	stages.Add(1 + workers)
+	go func() {
+		defer stages.Done()
+		rt.route(start, free, filled)
+	}()
+	for i := 0; i < workers; i++ {
+		go func() {
+			defer stages.Done()
+			for ln := range work {
+				ln.runWindow()
+				window.Done()
+			}
+		}()
 	}
-	lastArrival := start
+	// Both exits below follow the router's last window.
+	defer func() {
+		close(work)
+		stages.Wait()
+	}()
 
 	windowEnd := start
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for {
+	var w *routedWindow
+	for more := true; ; { // more: the router has another window to send
 		windowEnd = windowEnd.Add(laneWindow)
-
-		// Route this window's arrivals (At < windowEnd, strictly: the
-		// boundary instant belongs to the next window).
-		for ok && pending.At.Before(windowEnd) {
-			if lw != nil {
-				if err := lw.Record(pending); err != nil {
-					return nil, err
-				}
+		if more {
+			w = <-filled
+			if w.err != nil {
+				return nil, w.err
 			}
-			report.Submissions++
-			lastArrival = pending.At
-			part := pending.Partition
-			if part == "" {
-				part = defaultPart
-			}
-			if ln := laneFor(part); ln != nil {
-				ln.batch = append(ln.batch, pending)
-			} else {
-				report.Rejected++
-			}
-			if ok, err = nextSub(); err != nil {
-				return nil, err
-			}
+			more = w.more
 		}
 
 		// Advance each active lane through the window; idle lanes (no
-		// arrivals, no pending events) skip it entirely.
+		// arrivals, no pending events) skip it entirely. Past the
+		// source's end w stays the last window, its batches drained.
 		active := 0
-		for _, ln := range lanes {
-			if len(ln.batch) == 0 && ln.sim.Pending() == 0 {
+		for i, ln := range lanes {
+			ln.batch, ln.windowEnd = &w.batches[i], windowEnd
+			if ln.batch.n == 0 && ln.sim.Pending() == 0 {
 				continue
 			}
 			active++
-			if workers == 1 {
-				// One worker degenerates to lane-order serial execution;
-				// running inline skips a goroutine hop per lane per window.
-				ln.runWindow(windowEnd)
-				continue
-			}
-			wg.Add(1)
-			go func(ln *clusterLane) {
-				defer wg.Done()
-				sem <- struct{}{}
-				ln.runWindow(windowEnd)
-				<-sem
-			}(ln)
+			window.Add(1)
+			work <- ln
 		}
-		wg.Wait()
+		window.Wait()
+		if more {
+			free <- w
+		}
 
 		// Barrier: replicate each lane's fair-share deltas into every
 		// sibling, in partition-config order — the one piece of
@@ -530,21 +604,17 @@ func runCluster(start time.Time, spec workload.Spec, src workload.Source, lw *wo
 			ln.usage = ln.usage[:0]
 		}
 
-		if !ok && active == 0 {
+		if !more && active == 0 {
 			break
 		}
 	}
-	if lw != nil {
-		if err := lw.Flush(); err != nil {
-			return nil, err
-		}
-	}
+	report.Submissions, report.Rejected = rt.submissions, rt.rejected
 
 	// Makespan: the last instant anything happened — the last lane
 	// event or the last (possibly rejected) arrival. Advance every lane
 	// clock to it so node energy integrates over the same interval on
 	// all lanes.
-	last := lastArrival
+	last := rt.lastArrival
 	for _, ln := range lanes {
 		if le := ln.sim.LastEventAt(); le.After(last) {
 			last = le

@@ -2,8 +2,6 @@ package ecosched
 
 import (
 	"bytes"
-	"errors"
-	"io"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -85,6 +83,7 @@ func TestClusterReplayFidelity(t *testing.T) {
 // log are byte-identical at every -lanes setting, because lane
 // concurrency only changes which goroutine advances a partition
 // between window barriers, never the order of anything observable.
+// (The error exits are TestClusterPipelineExits'.)
 func TestClusterLanesEquivalence(t *testing.T) {
 	defer leakcheck.Check(t)()
 	spec := loadSpec(t, "race-smoke.json")
@@ -125,14 +124,6 @@ func TestClusterLanesEquivalence(t *testing.T) {
 	}
 	if !reflect.DeepEqual(base.report, replayed) {
 		t.Fatalf("lanes=8 replay diverges from lanes=1 run:\n%+v\nvs\n%+v", base.report, replayed)
-	}
-
-	// An early return mid-run joins its lanes too: the record writer
-	// fails at its first buffer flush, windows into the stream.
-	pr, pw := io.Pipe()
-	pr.Close()
-	if _, err := RunClusterSpec(spec, pw, WithLanes(4)); !errors.Is(err, io.ErrClosedPipe) {
-		t.Fatalf("run recording into a closed pipe: err = %v, want io.ErrClosedPipe", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -219,11 +220,12 @@ func TestMaxSubmissionsCap(t *testing.T) {
 	}
 }
 
-// TestLogRoundTrip: record → read back → identical submissions, and
-// the header carries the spec and start instant.
-func TestLogRoundTrip(t *testing.T) {
+// recordTestLog records the first n submissions of testSpec and
+// returns the spec, the submissions and the log.
+func recordTestLog(t *testing.T, n int) (Spec, []Submission, []byte) {
+	t.Helper()
 	spec := testSpec()
-	spec.MaxSubmissions = 500
+	spec.MaxSubmissions = n
 	gen, err := NewGenerator(spec, simclock.Epoch)
 	if err != nil {
 		t.Fatalf("NewGenerator: %v", err)
@@ -233,8 +235,8 @@ func TestLogRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewLogWriter: %v", err)
 	}
-	want := drain(t, gen)
-	for _, s := range want {
+	subs := drain(t, gen)
+	for _, s := range subs {
 		if err := lw.Record(s); err != nil {
 			t.Fatalf("Record: %v", err)
 		}
@@ -242,8 +244,14 @@ func TestLogRoundTrip(t *testing.T) {
 	if err := lw.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
+	return spec, subs, buf.Bytes()
+}
 
-	lr, err := NewLogReader(bytes.NewReader(buf.Bytes()))
+// TestLogRoundTrip: record → read back → identical submissions, and
+// the header carries the spec and start instant.
+func TestLogRoundTrip(t *testing.T) {
+	spec, want, log := recordTestLog(t, 500)
+	lr, err := NewLogReader(bytes.NewReader(log))
 	if err != nil {
 		t.Fatalf("NewLogReader: %v", err)
 	}
@@ -262,29 +270,8 @@ func TestLogRoundTrip(t *testing.T) {
 // TestLogByteDeterminism: recording the same spec twice produces
 // byte-identical logs.
 func TestLogByteDeterminism(t *testing.T) {
-	record := func() []byte {
-		spec := testSpec()
-		spec.MaxSubmissions = 300
-		gen, err := NewGenerator(spec, simclock.Epoch)
-		if err != nil {
-			t.Fatalf("NewGenerator: %v", err)
-		}
-		var buf bytes.Buffer
-		lw, err := NewLogWriter(&buf, spec, simclock.Epoch)
-		if err != nil {
-			t.Fatalf("NewLogWriter: %v", err)
-		}
-		for _, s := range drain(t, gen) {
-			if err := lw.Record(s); err != nil {
-				t.Fatalf("Record: %v", err)
-			}
-		}
-		if err := lw.Flush(); err != nil {
-			t.Fatalf("Flush: %v", err)
-		}
-		return buf.Bytes()
-	}
-	if a, b := record(), record(); !bytes.Equal(a, b) {
+	_, _, a := recordTestLog(t, 300)
+	if _, _, b := recordTestLog(t, 300); !bytes.Equal(a, b) {
 		t.Fatal("two recordings of the same spec differ byte-wise")
 	}
 }
@@ -299,6 +286,52 @@ func TestLogReaderRejects(t *testing.T) {
 	}
 	if _, err := NewLogReader(strings.NewReader("not json\n")); err == nil {
 		t.Error("garbage header accepted")
+	}
+}
+
+// TestLogReaderRejectsOutOfOrder: a Source is time-ordered; a log whose
+// record arrives before its predecessor (or before the header's start)
+// is an error at that line, not a stream for a simulated clock to
+// choke on.
+func TestLogReaderRejectsOutOfOrder(t *testing.T) {
+	_, _, log := recordTestLog(t, 20)
+	lines := strings.SplitAfter(string(log), "\n") // header, 20 records, ""
+
+	readAll := func(log string) (int, error) {
+		lr, err := NewLogReader(strings.NewReader(log))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; ; n++ {
+			if _, ok, err := lr.Next(); !ok {
+				return n, err
+			}
+		}
+	}
+	if n, err := readAll(strings.Join(lines, "")); n != 20 || err != nil {
+		t.Fatalf("intact log: %d records, err %v", n, err)
+	}
+
+	// Line 16 (record 15) moved to line 4: lines 2-3 read, line 4 is
+	// fine on its own (later than line 3), line 5 is the one out of order.
+	moved := append([]string{}, lines[:3]...)
+	moved = append(moved, lines[15])
+	moved = append(moved, lines[3:15]...)
+	moved = append(moved, lines[16:]...)
+	n, err := readAll(strings.Join(moved, ""))
+	if n != 3 || err == nil || !strings.Contains(err.Error(), "log line 5: arrival") || !strings.HasSuffix(err.Error(), "precedes line 4") {
+		t.Errorf("moved record: read %d records, err = %v; want 3 and a line-5-precedes-line-4 error", n, err)
+	}
+
+	// A first record before the header's start.
+	early := strings.Replace(lines[0], fmt.Sprintf(`"start":%d`, simclock.Epoch.UnixNano()),
+		fmt.Sprintf(`"start":%d`, simclock.Epoch.Add(240*time.Hour).UnixNano()), 1)
+	if early == lines[0] {
+		t.Fatal("header start not found")
+	}
+	n, err = readAll(early + strings.Join(lines[1:], ""))
+	if n != 0 || err == nil || !strings.HasSuffix(err.Error(), "precedes the log's start") {
+		t.Errorf("record before start: read %d records, err = %v", n, err)
 	}
 }
 

@@ -116,6 +116,10 @@ type LogReader struct {
 	spec  Spec
 	start time.Time
 	line  int
+	// lastAt is the previous record's arrival (the header's start before
+	// the first): a Source is time-ordered, and a consumer advancing a
+	// simulated clock to each arrival relies on it.
+	lastAt int64
 }
 
 // NewLogReader reads and checks the header line.
@@ -138,7 +142,7 @@ func NewLogReader(r io.Reader) (*LogReader, error) {
 	if err := h.Spec.Validate(); err != nil {
 		return nil, fmt.Errorf("workload: log header spec: %w", err)
 	}
-	return &LogReader{sc: sc, spec: h.Spec, start: time.Unix(0, h.StartNanos).UTC(), line: 1}, nil
+	return &LogReader{sc: sc, spec: h.Spec, start: time.Unix(0, h.StartNanos).UTC(), line: 1, lastAt: h.StartNanos}, nil
 }
 
 // Spec returns the generating spec embedded in the log header.
@@ -160,6 +164,15 @@ func (lr *LogReader) Next() (Submission, bool, error) {
 	if err := json.Unmarshal(lr.sc.Bytes(), &rec); err != nil {
 		return Submission{}, false, fmt.Errorf("workload: log line %d: %w", lr.line, err)
 	}
+	if rec.AtNanos < lr.lastAt {
+		prev := "the log's start"
+		if lr.line > 2 {
+			prev = fmt.Sprintf("line %d", lr.line-1)
+		}
+		return Submission{}, false, fmt.Errorf("workload: log line %d: arrival %s precedes %s",
+			lr.line, time.Unix(0, rec.AtNanos).UTC().Format(time.RFC3339Nano), prev)
+	}
+	lr.lastAt = rec.AtNanos
 	s := Submission{
 		Seq:           rec.Seq,
 		At:            time.Unix(0, rec.AtNanos).UTC(),
