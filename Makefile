@@ -52,11 +52,14 @@ chaos:
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -run 'Chaos|Fault|Fuzz|PolicyInvariants|NeverStarves' ./...
 
 # fuzz gives each fuzzer a short budget beyond the committed corpus
-# (which plain `go test` always replays).
+# (which plain `go test` always replays): the filedb log, the policy
+# spec and the two slurm text parsers (slurm.conf, sbatch scripts).
 fuzz:
 	$(GO) test -fuzz FuzzTornTail -fuzztime 30s -run FuzzTornTail ./internal/filedb/
 	$(GO) test -fuzz FuzzReplay -fuzztime 30s -run FuzzReplay ./internal/filedb/
 	$(GO) test -fuzz FuzzPolicySpec -fuzztime 30s -run FuzzPolicySpec ./internal/workload/
+	$(GO) test -fuzz FuzzParseConf -fuzztime 30s -run FuzzParseConf ./internal/slurm/
+	$(GO) test -fuzz FuzzParseBatchScript -fuzztime 30s -run FuzzParseBatchScript ./internal/slurm/
 
 # cover enforces a per-package statement-coverage floor on the policy
 # and workload packages (the cluster-policy test harness keeps them

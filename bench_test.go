@@ -1,22 +1,20 @@
 package ecosched
 
-// The benchmark harness: one testing.B benchmark per table and figure
-// of the paper's evaluation, plus the ablations. Each benchmark runs
-// the complete regeneration pipeline (simulated cluster, Chronus
-// benchmarking, IPMI sampling) and reports paper-shape metrics as
-// custom units alongside the usual ns/op:
+// Root benchmarks: the ablations with no experiment test of their own,
+// the hot paths `make alloc-check` gates and the cluster throughput
+// `make profile-cluster` profiles. The paper's tables and figures are
+// regenerated by cmd/experiments and asserted by the experiment tests
+// (EXPERIMENTS.md names one regenerator each):
 //
-//	go test -bench=. -benchmem
+//	go test -run XXX -bench . -benchmem
 import (
 	"context"
 	"fmt"
 	"os"
 	"testing"
-	"time"
 
 	"ecosched/internal/core"
 	"ecosched/internal/ecoplugin"
-	"ecosched/internal/optimizer"
 	"ecosched/internal/paperdata"
 	"ecosched/internal/repository"
 	"ecosched/internal/workload"
@@ -30,132 +28,6 @@ func benchDeployment(b *testing.B) *Deployment {
 	}
 	b.Cleanup(func() { d.Close() })
 	return d
-}
-
-// BenchmarkTable1Sweep regenerates Tables 1 and 4–6: the full
-// 138-configuration GFLOPS/W sweep through the Chronus pipeline.
-func BenchmarkTable1Sweep(b *testing.B) {
-	b.ReportAllocs()
-	var headline float64
-	for i := 0; i < b.N; i++ {
-		d := benchDeployment(b)
-		res, err := d.RunSweepExperiment()
-		if err != nil {
-			b.Fatal(err)
-		}
-		best := res.Best()
-		std, _ := res.Find(32, 2.5, false)
-		headline = best.GFLOPSPerWatt / std.GFLOPSPerWatt
-		if best.Cores != 32 || best.GHz != 2.2 {
-			b.Fatalf("wrong winner: %+v", best)
-		}
-	}
-	b.ReportMetric(100*(headline-1), "headline-%")
-}
-
-// BenchmarkFig14Surface regenerates the Figure 14 surfaces from the
-// sweep (surface extraction itself, on a cached sweep).
-func BenchmarkFig14Surface(b *testing.B) {
-	b.ReportAllocs()
-	d := benchDeployment(b)
-	res, err := d.RunSweepExperiment()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(res.Surface(false))+len(res.Surface(true)) != 138 {
-			b.Fatal("surface size")
-		}
-	}
-}
-
-// BenchmarkFig15Trace regenerates Figure 15 and Table 2: the
-// best-vs-standard full runs with 3-second BMC sampling.
-func BenchmarkFig15Trace(b *testing.B) {
-	b.ReportAllocs()
-	var sysRed float64
-	for i := 0; i < b.N; i++ {
-		d := benchDeployment(b)
-		res, err := d.RunTraceExperiment()
-		if err != nil {
-			b.Fatal(err)
-		}
-		sysRed = res.SystemReductionPct
-	}
-	b.ReportMetric(sysRed, "system-reduction-%")
-}
-
-// BenchmarkTable3Baselines regenerates Table 3, including the GA
-// baseline search.
-func BenchmarkTable3Baselines(b *testing.B) {
-	b.ReportAllocs()
-	d := benchDeployment(b)
-	if _, err := d.BenchmarkConfigs(PaperSweepConfigs(), 3*time.Second); err != nil {
-		b.Fatal(err)
-	}
-	trace, err := d.RunTraceExperiment()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var ecoRed float64
-	for i := 0; i < b.N; i++ {
-		res, err := d.RunComparisonExperiment(trace)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ecoRed = res.Rows[0].SystemReductionPct
-	}
-	b.ReportMetric(ecoRed, "eco-reduction-%")
-}
-
-// BenchmarkEq1PowerAccuracy regenerates the Equation 1 / Figure 13
-// IPMI-vs-wattmeter comparison.
-func BenchmarkEq1PowerAccuracy(b *testing.B) {
-	b.ReportAllocs()
-	var diff float64
-	for i := 0; i < b.N; i++ {
-		d := benchDeployment(b)
-		res, err := d.RunPowerAccuracyExperiment()
-		if err != nil {
-			b.Fatal(err)
-		}
-		diff = res.PercentDiff
-	}
-	b.ReportMetric(diff, "ipmi-diff-%")
-}
-
-// BenchmarkOptimizers is ablation A1: training plus best-configuration
-// search per optimizer, on the full sweep history.
-func BenchmarkOptimizers(b *testing.B) {
-	b.ReportAllocs()
-	d := benchDeployment(b)
-	if _, err := d.BenchmarkConfigs(PaperSweepConfigs(), 3*time.Second); err != nil {
-		b.Fatal(err)
-	}
-	rows, err := d.benchRows()
-	if err != nil {
-		b.Fatal(err)
-	}
-	space := paperSpace()
-	for _, name := range optimizer.Names() {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				opt, err := optimizer.New(name)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := opt.Train(rows); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := opt.BestConfig(space); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkSubmitLatency is ablation A2: the wall-clock cost of one

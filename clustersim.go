@@ -207,11 +207,12 @@ func deferralSignal(seed uint64, d *workload.DeferralSpec) slurm.DeferralSignal 
 }
 
 // lanePolicies instantiates the spec's policy block for one
-// single-partition lane. The cluster-wide cap is prorated by the
-// GLOBAL node count — the lane sees only its own partition, and handing
-// each lane the full cluster budget would multiply the cap by the lane
-// count. An explicit per-partition entry overrides the prorated share
-// downward, mirroring PowerCapPolicy's own min rule.
+// single-partition lane, and is the one place a cluster budget is
+// split: the cluster-wide cap is prorated by the GLOBAL node count —
+// the lane sees only its own partition, and handing each lane the full
+// cluster budget would multiply the cap by the lane count — and an
+// explicit per-partition entry lowers the share, never raises it. A
+// partition left with no budget gets no PowerCapPolicy.
 func lanePolicies(pol *workload.PolicySpec, ps workload.PartitionSpec, totalNodes int, seed uint64) []slurm.SchedPolicy {
 	var out []slurm.SchedPolicy
 	capW := 0.0
@@ -224,10 +225,7 @@ func lanePolicies(pol *workload.PolicySpec, ps workload.PartitionSpec, totalNode
 		}
 	}
 	if capW > 0 {
-		out = append(out, &slurm.PowerCapPolicy{
-			PartitionCapsW: []slurm.PartitionCapW{{Partition: ps.Name, CapW: capW}},
-			Mode:           pol.CapMode,
-		})
+		out = append(out, &slurm.PowerCapPolicy{CapW: capW, Mode: pol.CapMode})
 	}
 	if pol.CoSchedule {
 		out = append(out, &slurm.CoSchedulePolicy{InterferencePenalty: pol.InterferencePenalty})
@@ -354,11 +352,10 @@ func (r *router) route(start time.Time, free <-chan *routedWindow, filled chan<-
 }
 
 // clusterLane is one partition's slice of the cluster: its own
-// simulated clock, a single-partition controller over the partition's
-// dedicated nodes, and the window-local buffers the coordinator
-// exchanges at barriers. Partitions in the committed specs share no
-// nodes, so between barriers a lane's state is touched by exactly one
-// goroutine.
+// simulated clock, a controller over the partition's nodes, and the
+// window-local buffers the coordinator exchanges at barriers.
+// Partitions share no nodes, so between barriers a lane's state is
+// touched by exactly one goroutine.
 type clusterLane struct {
 	name  string
 	sim   *simclock.Sim
@@ -407,7 +404,7 @@ func (ln *clusterLane) runWindow() {
 			ln.rejected++
 		} else {
 			ln.stats.Submitted++
-			if depth := ln.ctl.QueueDepth(ln.name); depth > ln.stats.PeakQueueDepth {
+			if depth := ln.ctl.QueueDepth(); depth > ln.stats.PeakQueueDepth {
 				ln.stats.PeakQueueDepth = depth
 			}
 		}
@@ -469,17 +466,13 @@ func runCluster(start time.Time, spec workload.Spec, src workload.Source, lw *wo
 
 		conf := slurm.DefaultConf()
 		conf.ClusterName = spec.Name
-		conf.Partitions = []slurm.Partition{{
-			Name:    ps.Name,
-			MaxTime: ps.MaxTime.Std(),
-			Default: true,
-		}}
+		conf.Partition = slurm.Partition{Name: ps.Name, MaxTime: ps.MaxTime.Std()}
 
 		report.Partitions[pi] = PartitionReport{Name: ps.Name, Nodes: ps.Nodes}
 		ln := &clusterLane{name: ps.Name, sim: laneSim, stats: &report.Partitions[pi]}
 
 		copts := []slurm.ClusterOption{
-			slurm.WithPartitionNodes(ps.Name, pool...),
+			slurm.WithNodes(pool...),
 			slurm.WithAggregateAccounting(),
 			slurm.WithBatchedScheduling(),
 			slurm.WithUsageSink(func(uid uint32, cpuS float64) {
@@ -487,7 +480,7 @@ func runCluster(start time.Time, spec workload.Spec, src workload.Source, lw *wo
 			}),
 		}
 		if ps.Policy == "multifactor" {
-			copts = append(copts, slurm.WithPartitionPolicy(ps.Name, slurm.DefaultMultifactor(spec0.Cores)))
+			copts = append(copts, slurm.WithPolicy(slurm.DefaultMultifactor(spec0.Cores)))
 		}
 		if spec.Policy != nil {
 			if pols := lanePolicies(spec.Policy, ps, totalNodes, spec.Seed); len(pols) > 0 {
@@ -656,7 +649,7 @@ func runCluster(start time.Time, spec workload.Spec, src workload.Source, lw *wo
 			pl.SignalReads += pt.SignalReads
 			pl.PlaceProbes += pt.PlaceProbes
 			pl.DeadlineMisses += ln.deadlineMisses
-			_, peak, capW := ln.ctl.PartitionDrawW(ln.name)
+			_, peak, capW := ln.ctl.PartitionDrawW()
 			report.Partitions[i].CapW = capW
 			report.Partitions[i].PeakDrawW = peak
 		}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ecosched/internal/slurm"
 	"ecosched/internal/workload"
 )
 
@@ -162,5 +163,47 @@ func TestPolicyReportFitness(t *testing.T) {
 	run.WriteText(&buf)
 	if !bytes.Contains(buf.Bytes(), []byte("\nfitness     ")) {
 		t.Fatalf("report lacks the fitness row:\n%s", buf.String())
+	}
+}
+
+// TestLanePoliciesSplitTheBudget pins the one place a cluster budget
+// is split across partitions, one row per rule, for the 24-node batch
+// partition of a 32-node cluster.
+func TestLanePoliciesSplitTheBudget(t *testing.T) {
+	batch := workload.PartitionSpec{Name: "batch", Nodes: 24}
+	cases := []struct {
+		name string
+		pol  workload.PolicySpec
+		want float64 // the lane's PowerCapPolicy.CapW; 0 = none
+	}{
+		{"cluster cap only: cap·n/N", workload.PolicySpec{PowerCapW: 6000, CapMode: "freqcap"}, 4500},
+		{"entry below the share: the entry",
+			workload.PolicySpec{PowerCapW: 6000, PartitionCapsW: []workload.PartitionCap{{Name: "batch", CapW: 3000}}}, 3000},
+		{"entry above the share: the share",
+			workload.PolicySpec{PowerCapW: 6000, PartitionCapsW: []workload.PartitionCap{{Name: "batch", CapW: 5000}}}, 4500},
+		{"entry only: the entry",
+			workload.PolicySpec{PartitionCapsW: []workload.PartitionCap{{Name: "batch", CapW: 3000}}}, 3000},
+		{"another partition capped, this one not: no cap",
+			workload.PolicySpec{PartitionCapsW: []workload.PartitionCap{{Name: "debug", CapW: 900}}, CoSchedule: true}, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pols := lanePolicies(&tc.pol, batch, 32, 42)
+			var caps []*slurm.PowerCapPolicy
+			for _, p := range pols {
+				if pc, ok := p.(*slurm.PowerCapPolicy); ok {
+					caps = append(caps, pc)
+				}
+			}
+			if tc.want == 0 {
+				if len(caps) != 0 || len(pols) == 0 {
+					t.Fatalf("lane policies %+v: want the co-scheduling policy and no cap", pols)
+				}
+				return
+			}
+			if len(caps) != 1 || caps[0].CapW != tc.want || caps[0].Mode != tc.pol.CapMode {
+				t.Fatalf("lane caps %+v, want one of %g W in mode %q", caps, tc.want, tc.pol.CapMode)
+			}
+		})
 	}
 }

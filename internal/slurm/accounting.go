@@ -87,18 +87,14 @@ func (a *Accounting) record(job *Job) {
 	}
 	a.totals.SystemKJ += job.SystemJ / 1000
 	a.totals.CPUKJ += job.CPUJ / 1000
-	if job.startTick != 0 && job.endTick != 0 {
-		// Hot path: the controller stamped tick mirrors; the duration
-		// arithmetic is identical to Sub on the time.Time fields.
+	if !job.StartTime.IsZero() {
+		// The controller stamps tick mirrors on every path a started job
+		// ends by; the duration arithmetic is identical to Sub on the
+		// time.Time fields.
 		secs := time.Duration(job.endTick - job.startTick).Seconds()
 		a.totals.RuntimeSeconds += secs
 		a.totals.CPUSeconds += float64(job.Desc.NumTasks) * secs
 		a.totals.WaitSeconds += time.Duration(job.startTick - job.submitTick).Seconds()
-	} else if !job.StartTime.IsZero() && !job.EndTime.IsZero() {
-		secs := job.EndTime.Sub(job.StartTime).Seconds()
-		a.totals.RuntimeSeconds += secs
-		a.totals.CPUSeconds += float64(job.Desc.NumTasks) * secs
-		a.totals.WaitSeconds += job.StartTime.Sub(job.SubmitTime).Seconds()
 	}
 	if a.aggregateOnly {
 		return

@@ -71,7 +71,7 @@ func BenchmarkPolicyPassSaturated(b *testing.B) {
 	idle, deltas := testLadderWatts()
 	sim := simclock.New()
 	c, err := tryPolicyCluster(sim, 24,
-		&PowerCapPolicy{ClusterCapW: 24 * (idle + 2*deltas[len(deltas)-1]), Mode: CapModeFreqCap},
+		&PowerCapPolicy{CapW: 24 * (idle + 2*deltas[len(deltas)-1]), Mode: CapModeFreqCap},
 		&CoSchedulePolicy{},
 		&DeferralPolicy{Signal: func(time.Time) float64 { return 1 }, Threshold: 0.5, MaxDefer: 4 * time.Hour, Check: 10 * time.Minute})
 	if err != nil {
@@ -92,7 +92,7 @@ func BenchmarkPolicyPassSaturated(b *testing.B) {
 	submit(128, 8, workload.ProfileMemory, true)
 	submit(16, 8, workload.ProfileCompute, false)
 	submit(16, 8, workload.ProfileMemory, false)
-	p := c.parts[0]
+	p := c.part
 	check := func() {
 		tot := c.PolicyTotals()
 		if len(p.pending) != 160 || p.freeN != 0 || tot.CoScheduled != 22 || tot.DeferredJobs != 128 {

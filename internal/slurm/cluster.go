@@ -20,16 +20,11 @@ const (
 	metricPartDonePrefix   = "chronus.cluster.partition.jobs_completed."
 )
 
-// partition is one scheduling domain: a named pending queue with its
-// own policy and node pool, stepped under the controller's shared
-// clock. Legacy single-pool clusters (WithNodes) share every node
-// across all partitions; dedicated pools (WithPartitionNodes) scope a
-// partition to its own hardware.
+// partition is the controller's one scheduling domain: a named pending
+// queue with its policy and node pool, stepped under the controller's
+// clock. A multi-partition cluster is one controller per partition.
 type partition struct {
-	name string
-	// idx is the partition's position in Controller.parts — the pooled
-	// event argument the wake action carries.
-	idx    int
+	name   string
 	conf   Partition
 	policy SchedulingPolicy
 	fifo   bool // policy is FIFO → pending stays ID-ordered, skip sorting
@@ -37,20 +32,15 @@ type partition struct {
 	// classes are the distinct node capability shapes in the pool, the
 	// O(1)-per-class feasibility check for submissions.
 	classes []hw.NodeSpec
-	// freeBits is a bitmap over the partition-local node slots
-	// (p.nodes order, which follows construction order): bit set =
-	// node idle and undrained. Scanning set bits in slot order
-	// reproduces the first-fit placement order of the original linear
-	// node scan; claims clear the bit in every partition sharing the
-	// node, so there are no stale entries to skip. freeN caches the
+	// freeBits is a bitmap over the node slots (nodeD.idx, p.nodes
+	// order, which is construction order): bit set = node idle and
+	// undrained. Scanning set bits in slot order reproduces the
+	// first-fit placement order of a linear node scan. freeN caches the
 	// population count for the "any node idle?" fast checks.
 	freeBits []uint64
 	freeN    int
 	pending  []*Job
 	busy     int // running jobs occupying this partition's nodes
-	// dirtySched marks a deferred scheduling pass pending for this
-	// partition (batched mode).
-	dirtySched bool
 	// prios/sorter are orderKeyed's per-pass key buffer and sorter.
 	prios  []float64
 	sorter prioSorter
@@ -78,9 +68,8 @@ type partition struct {
 }
 
 // takeIdle claims the lowest-slotted idle node that satisfies the
-// request, or nil. The claimed node is unlisted from every partition
-// sharing it; the caller must hand it back through refreeNode if the
-// start fails.
+// request, or nil. The caller must hand the claimed node back through
+// refreeNode if the start fails.
 func (p *partition) takeIdle(desc *JobDesc) *nodeD {
 	for w, word := range p.freeBits {
 		for word != 0 {
@@ -96,27 +85,21 @@ func (p *partition) takeIdle(desc *JobDesc) *nodeD {
 	return nil
 }
 
-// listFree marks the node idle and sets its bit in every owning
-// partition's free bitmap. Callers guard on !n.free, keeping the
-// bitmaps and freeN counts exactly in sync with the flag.
+// listFree marks the node idle and sets its bit in its partition's
+// free bitmap. Callers guard on !n.free, keeping the bitmap and freeN
+// exactly in sync with the flag.
 func listFree(n *nodeD) {
 	n.free = true
-	for i, p := range n.parts {
-		slot := n.slots[i]
-		p.freeBits[slot>>6] |= 1 << uint(slot&63)
-		p.freeN++
-	}
+	n.part.freeBits[n.idx>>6] |= 1 << uint(n.idx&63)
+	n.part.freeN++
 }
 
-// unlistFree clears the node's free flag and its bit in every owning
-// partition's bitmap. Callers guard on n.free.
+// unlistFree clears the node's free flag and its bitmap bit. Callers
+// guard on n.free.
 func unlistFree(n *nodeD) {
 	n.free = false
-	for i, p := range n.parts {
-		slot := n.slots[i]
-		p.freeBits[slot>>6] &^= 1 << uint(slot&63)
-		p.freeN--
-	}
+	n.part.freeBits[n.idx>>6] &^= 1 << uint(n.idx&63)
+	n.part.freeN--
 }
 
 // setPolicy installs a scheduling policy and refreshes the FIFO fast
@@ -127,11 +110,10 @@ func (p *partition) setPolicy(pol SchedulingPolicy) {
 }
 
 // addNode appends a node to the pool, recording its capability class
-// and its partition-local bitmap slot.
+// and its bitmap slot.
 func (p *partition) addNode(n *nodeD) {
-	n.slots = append(n.slots, len(p.nodes))
+	n.part, n.idx = p, len(p.nodes)
 	p.nodes = append(p.nodes, n)
-	n.parts = append(n.parts, p)
 	if len(p.nodes) > len(p.freeBits)*64 {
 		p.freeBits = append(p.freeBits, 0)
 	}
@@ -147,54 +129,24 @@ func (p *partition) addNode(n *nodeD) {
 // ClusterOption configures NewCluster.
 type ClusterOption func(*clusterConfig)
 
-type partNodesOpt struct {
-	partition string
-	nodes     []*hw.Node
-}
-
-type partPolicyOpt struct {
-	partition string
-	policy    SchedulingPolicy
-}
-
 type clusterConfig struct {
-	shared       []*hw.Node
-	partNodes    []partNodesOpt
-	policy       SchedulingPolicy
-	partPolicies []partPolicyOpt
-	aggregate    bool
-	batched      bool
-	usageSink    func(uid uint32, cpuSeconds float64)
-	fallback     Workload
-	policies     []SchedPolicy
+	nodes     []*hw.Node
+	policy    SchedulingPolicy
+	aggregate bool
+	batched   bool
+	usageSink func(uid uint32, cpuSeconds float64)
+	fallback  Workload
+	policies  []SchedPolicy
 }
 
-// WithNodes adds nodes shared by every partition — the legacy single
-// pool, where any partition's jobs can land on any node.
+// WithNodes adds nodes to the partition's pool, in first-fit order.
 func WithNodes(nodes ...*hw.Node) ClusterOption {
-	return func(cfg *clusterConfig) { cfg.shared = append(cfg.shared, nodes...) }
+	return func(cfg *clusterConfig) { cfg.nodes = append(cfg.nodes, nodes...) }
 }
 
-// WithPartitionNodes dedicates nodes to one named partition, which
-// must exist in the configuration.
-func WithPartitionNodes(partition string, nodes ...*hw.Node) ClusterOption {
-	return func(cfg *clusterConfig) {
-		cfg.partNodes = append(cfg.partNodes, partNodesOpt{partition: partition, nodes: nodes})
-	}
-}
-
-// WithPolicy sets the scheduling policy for every partition (default
-// FIFO).
+// WithPolicy sets the partition's scheduling policy (default FIFO).
 func WithPolicy(p SchedulingPolicy) ClusterOption {
 	return func(cfg *clusterConfig) { cfg.policy = p }
-}
-
-// WithPartitionPolicy overrides the scheduling policy of one named
-// partition.
-func WithPartitionPolicy(partition string, p SchedulingPolicy) ClusterOption {
-	return func(cfg *clusterConfig) {
-		cfg.partPolicies = append(cfg.partPolicies, partPolicyOpt{partition: partition, policy: p})
-	}
 }
 
 // WithAggregateAccounting switches the controller to aggregate-only
@@ -207,12 +159,11 @@ func WithAggregateAccounting() ClusterOption {
 }
 
 // WithBatchedScheduling defers submission-triggered scheduling passes:
-// submissions mark their partitions dirty and the driver runs one pass
-// per dirty partition by calling Flush after it has queued everything
-// arriving at the instant. Throughput mode for the cluster simulator
-// (drivers that never Flush will stall pending jobs); the default
-// remains synchronous scheduling, where a Submit can return an
-// already-running job.
+// submissions mark a pass due and the driver runs it by calling Flush
+// after it has queued everything arriving at the instant. Throughput
+// mode for the cluster simulator (drivers that never Flush will stall
+// pending jobs); the default remains synchronous scheduling, where a
+// Submit can return an already-running job.
 func WithBatchedScheduling() ClusterOption {
 	return func(cfg *clusterConfig) { cfg.batched = true }
 }
@@ -238,8 +189,8 @@ func WithSchedPolicies(ps ...SchedPolicy) ClusterOption {
 	return func(cfg *clusterConfig) { cfg.policies = append(cfg.policies, ps...) }
 }
 
-// NewCluster builds a controller over the configuration's partitions
-// and the node pools the options describe. Submit plugins named in
+// NewCluster builds a controller over the configuration's partition
+// and the nodes WithNodes gives it. Submit plugins named in
 // conf.JobSubmitPlugins must be registered with RegisterPlugin before
 // the first submission.
 func NewCluster(sim *simclock.Sim, conf Conf, opts ...ClusterOption) (*Controller, error) {
@@ -247,89 +198,47 @@ func NewCluster(sim *simclock.Sim, conf Conf, opts ...ClusterOption) (*Controlle
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if len(conf.Partitions) == 0 {
-		return nil, fmt.Errorf("slurm: configuration has no partitions")
+	if conf.Partition.Name == "" {
+		return nil, fmt.Errorf("slurm: configuration has no partition")
 	}
-	if len(cfg.shared) == 0 && len(cfg.partNodes) == 0 {
+	if len(cfg.nodes) == 0 {
 		return nil, fmt.Errorf("slurm: controller needs at least one node")
 	}
 
 	c := &Controller{
-		sim:        sim,
-		conf:       conf,
-		nextID:     1,
-		workloads:  make(map[string]Workload),
-		fallback:   workload.Sleep("unknown", time.Minute),
-		acct:       &Accounting{aggregateOnly: cfg.aggregate},
-		policy:     FIFOPolicy{},
-		userSlots:  make(map[uint32]int32),
-		usageSink:  cfg.usageSink,
-		aggregate:  cfg.aggregate,
-		batched:    cfg.batched,
-		partByName: make(map[string]*partition),
+		sim:       sim,
+		conf:      conf,
+		part:      &partition{name: conf.Partition.Name, conf: conf.Partition},
+		nextID:    1,
+		workloads: make(map[string]Workload),
+		fallback:  workload.Sleep("unknown", time.Minute),
+		acct:      &Accounting{aggregateOnly: cfg.aggregate},
+		userSlots: make(map[uint32]int32),
+		usageSink: cfg.usageSink,
+		aggregate: cfg.aggregate,
+		batched:   cfg.batched,
 	}
 	c.compAct.c = c
 	c.flushAct.c = c
 	c.wakeAct.c = c
-	if cfg.policy != nil {
-		c.policy = cfg.policy
+	if cfg.policy == nil {
+		cfg.policy = FIFOPolicy{}
 	}
+	c.part.setPolicy(cfg.policy)
 	if cfg.fallback != nil {
 		c.fallback = cfg.fallback
 	}
 
-	for i := range conf.Partitions {
-		p := &partition{name: conf.Partitions[i].Name, idx: i, conf: conf.Partitions[i]}
-		p.setPolicy(c.policy)
-		if _, dup := c.partByName[p.name]; dup {
-			return nil, fmt.Errorf("slurm: duplicate partition %q in configuration", p.name)
-		}
-		c.parts = append(c.parts, p)
-		c.partByName[p.name] = p
-	}
-	for _, pp := range cfg.partPolicies {
-		p, ok := c.partByName[pp.partition]
-		if !ok {
-			return nil, fmt.Errorf("slurm: WithPartitionPolicy names unknown partition %q", pp.partition)
-		}
-		p.setPolicy(pp.policy)
-	}
-
-	seen := make(map[string]bool, len(cfg.shared))
-	addNode := func(n *hw.Node, parts []*partition) error {
+	seen := make(map[string]bool, len(cfg.nodes))
+	for _, n := range cfg.nodes {
 		name := n.Spec().Name
 		if seen[name] {
-			return fmt.Errorf("slurm: duplicate node name %q", name)
+			return nil, fmt.Errorf("slurm: duplicate node name %q", name)
 		}
 		seen[name] = true
-		nd := &nodeD{name: name, idx: len(c.nodes), hw: n, spec: n.Spec()}
-		c.nodes = append(c.nodes, nd)
-		for _, p := range parts {
-			p.addNode(nd)
-		}
+		nd := &nodeD{name: name, hw: n, spec: n.Spec()}
+		c.part.addNode(nd)
 		listFree(nd)
-		return nil
-	}
-	for _, n := range cfg.shared {
-		if err := addNode(n, c.parts); err != nil {
-			return nil, err
-		}
-	}
-	for _, pn := range cfg.partNodes {
-		p, ok := c.partByName[pn.partition]
-		if !ok {
-			return nil, fmt.Errorf("slurm: WithPartitionNodes names unknown partition %q", pn.partition)
-		}
-		for _, n := range pn.nodes {
-			if err := addNode(n, []*partition{p}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for _, p := range c.parts {
-		if len(p.nodes) == 0 {
-			return nil, fmt.Errorf("slurm: partition %q has no nodes", p.name)
-		}
 	}
 
 	var err error

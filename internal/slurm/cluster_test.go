@@ -34,100 +34,13 @@ func TestClusterOptionErrors(t *testing.T) {
 		opts []ClusterOption
 	}{
 		{"no nodes", DefaultConf(), nil},
-		{"no partitions", Conf{}, []ClusterOption{WithNodes(nodes...)}},
-		{"unknown partition pool", DefaultConf(), []ClusterOption{WithPartitionNodes("gpu", nodes...)}},
-		{"unknown partition policy", DefaultConf(), []ClusterOption{WithNodes(nodes...), WithPartitionPolicy("gpu", FIFOPolicy{})}},
+		{"no partition", Conf{}, []ClusterOption{WithNodes(nodes...)}},
 		{"duplicate node", DefaultConf(), []ClusterOption{WithNodes(nodes[0], nodes[0])}},
 	}
 	for _, c := range cases {
 		if _, err := NewCluster(sim, c.conf, c.opts...); err == nil {
 			t.Errorf("%s: NewCluster succeeded, want error", c.name)
 		}
-	}
-
-	conf := DefaultConf()
-	conf.Partitions = append(conf.Partitions, Partition{Name: "empty"})
-	if _, err := NewCluster(sim, conf, WithPartitionNodes("batch", nodes...)); err == nil {
-		t.Error("partition without nodes accepted")
-	}
-}
-
-// TestDedicatedPartitionPools verifies WithPartitionNodes isolation: a
-// job in one partition never lands on the other's hardware.
-func TestDedicatedPartitionPools(t *testing.T) {
-	sim := simclock.New()
-	conf := DefaultConf()
-	conf.Partitions = append(conf.Partitions, Partition{Name: "debug", MaxTime: 30 * time.Minute})
-	nodes := clusterNodes(sim, 2)
-	c, err := NewCluster(sim, conf,
-		WithPartitionNodes("batch", nodes[0]),
-		WithPartitionNodes("debug", nodes[1]),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.RegisterWorkload("/bin/app", workload.Sleep("app", 10*time.Minute))
-	a, err := c.Submit(JobDesc{Name: "a", BinaryPath: "/bin/app", Partition: "batch", TimeLimit: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := c.Submit(JobDesc{Name: "b", BinaryPath: "/bin/app", Partition: "debug", TimeLimit: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.Run()
-	if a.NodeName != nodes[0].Spec().Name {
-		t.Errorf("batch job ran on %q, want %q", a.NodeName, nodes[0].Spec().Name)
-	}
-	if b.NodeName != nodes[1].Spec().Name {
-		t.Errorf("debug job ran on %q, want %q", b.NodeName, nodes[1].Spec().Name)
-	}
-	// debug's MaxTime must cap the requested limit.
-	if b.Desc.TimeLimit != 30*time.Minute {
-		t.Errorf("debug TimeLimit = %v, want capped 30m", b.Desc.TimeLimit)
-	}
-	// A request larger than the dedicated pool's one node must queue,
-	// not borrow the other partition's idle node.
-	c2, err := c.Submit(JobDesc{Name: "c", BinaryPath: "/bin/app", Partition: "batch", TimeLimit: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := c.Submit(JobDesc{Name: "d", BinaryPath: "/bin/app", Partition: "batch", TimeLimit: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2.State != StateRunning {
-		t.Fatalf("first batch job %s, want RUNNING", c2.State)
-	}
-	if d.State != StatePending || d.Reason != "Resources" {
-		t.Fatalf("second batch job %s (%s), want PENDING (Resources) — debug's idle node must not leak", d.State, d.Reason)
-	}
-	sim.Run()
-}
-
-// TestPerPartitionPolicies gives each partition its own policy and
-// checks the scheduling order differs accordingly.
-func TestPerPartitionPolicies(t *testing.T) {
-	sim := simclock.New()
-	conf := DefaultConf()
-	conf.Partitions = append(conf.Partitions, Partition{Name: "fair"})
-	nodes := clusterNodes(sim, 2)
-	c, err := NewCluster(sim, conf,
-		WithPartitionNodes("batch", nodes[0]),
-		WithPartitionNodes("fair", nodes[1]),
-		WithPartitionPolicy("fair", DefaultMultifactor(64)),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.partByName["fair"].policy.Name(); got != "multifactor" {
-		t.Fatalf("fair policy = %q, want multifactor", got)
-	}
-	if got := c.partByName["batch"].policy.Name(); got != "fifo" {
-		t.Fatalf("batch policy = %q, want fifo", got)
-	}
-	if c.partByName["batch"].fifo != true || c.partByName["fair"].fifo != false {
-		t.Fatal("fifo fast-path flags wrong")
 	}
 }
 
@@ -257,7 +170,7 @@ func TestCancelPendingDoesNotRecycleQueuedRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := submit() // may be handed b's record
-		if got := ids(c.parts[0].pending); fmt.Sprint(got) != "[3 4]" {
+		if got := ids(c.part.pending); fmt.Sprint(got) != "[3 4]" {
 			t.Fatalf("pending window holds jobs %v after cancelling job 2 and submitting job 4, want [3 4]", got)
 		}
 		sim.RunFor(10 * time.Minute) // a ends: FIFO starts c, not d
@@ -298,7 +211,7 @@ func TestCancelPendingDoesNotRecycleQueuedRecord(t *testing.T) {
 		if err := c.Cancel(b.ID); err != nil {
 			t.Fatal(err)
 		}
-		if n := len(c.parts[0].pending); n != 0 {
+		if n := len(c.part.pending); n != 0 {
 			t.Fatalf("%d records left in the pending window after cancelling its only job", n)
 		}
 		// The next submission is handed the cancelled job's record — zeroed:

@@ -2,17 +2,17 @@ package slurm
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 )
 
-// Partition is a named job queue with its own time cap — the paper's
-// related work weighs "the partition it was submitted to" in priority
-// computation (§2.1).
+// Partition is the controller's named job queue with its own time cap —
+// the paper's related work weighs "the partition it was submitted to"
+// in priority computation (§2.1).
 type Partition struct {
 	Name    string
 	MaxTime time.Duration // 0 = unlimited
-	Default bool
 }
 
 // Conf is the parsed slurm.conf subset the simulation honours.
@@ -21,7 +21,10 @@ type Conf struct {
 	JobSubmitPlugins []string      // the paper's "JobSubmitPlugins=eco"
 	PluginBudget     time.Duration // submit-plugin latency budget
 	DefaultTimeLimit time.Duration
-	Partitions       []Partition
+	// Partition is the one partition the controller schedules. A
+	// multi-partition cluster is one controller per partition, as the
+	// cluster simulator's lanes build it.
+	Partition Partition
 	// SchedulerParameters holds the comma-separated key=value (or
 	// bare-flag) options of the SchedulerParameters line, the
 	// grab-bag Slurm uses for scheduler tuning knobs.
@@ -34,17 +37,6 @@ type Conf struct {
 	EcoBudget time.Duration
 }
 
-// DefaultPartition returns the partition jobs land in when they name
-// none.
-func (c Conf) DefaultPartition() Partition {
-	for _, p := range c.Partitions {
-		if p.Default {
-			return p
-		}
-	}
-	return c.Partitions[0]
-}
-
 // DefaultConf returns the configuration an unmodified install runs:
 // no submit plugins, a 2-second plugin budget, 24 h time limit.
 func DefaultConf() Conf {
@@ -52,14 +44,15 @@ func DefaultConf() Conf {
 		ClusterName:      "cluster",
 		PluginBudget:     2 * time.Second,
 		DefaultTimeLimit: 24 * time.Hour,
-		Partitions:       []Partition{{Name: "batch", Default: true}},
+		Partition:        Partition{Name: "batch"},
 	}
 }
 
 // ParseConf parses slurm.conf text: KEY=VALUE lines, '#' comments,
 // unknown keys ignored (as Slurm tolerates plenty of them). Supported
 // keys: ClusterName, JobSubmitPlugins (comma-separated),
-// PluginBudget (Go duration), DefaultTime (minutes, Slurm-style).
+// PluginBudget (Go duration), DefaultTime (minutes, Slurm-style),
+// SchedulerParameters and one PartitionName line.
 func ParseConf(text string) (Conf, error) {
 	conf := DefaultConf()
 	sawPartition := false
@@ -93,29 +86,30 @@ func ParseConf(text string) (Conf, error) {
 			}
 		case "pluginbudget":
 			d, err := time.ParseDuration(value)
-			if err != nil {
-				return Conf{}, fmt.Errorf("slurm: conf line %d: bad PluginBudget %q: %w", lineNo+1, value, err)
+			if err != nil || d < 0 {
+				return Conf{}, fmt.Errorf("slurm: conf line %d: bad PluginBudget %q (want a duration >= 0)", lineNo+1, value)
 			}
 			conf.PluginBudget = d
 		case "defaulttime":
-			var minutes int
-			if _, err := fmt.Sscanf(value, "%d", &minutes); err != nil {
+			d, err := parseMinutes(value)
+			if err != nil {
 				return Conf{}, fmt.Errorf("slurm: conf line %d: bad DefaultTime %q: %w", lineNo+1, value, err)
 			}
-			conf.DefaultTimeLimit = time.Duration(minutes) * time.Minute
+			conf.DefaultTimeLimit = d
 		case "partitionname":
-			// Slurm style: PartitionName=debug MaxTime=30 Default=YES —
-			// the remaining tokens arrived glued into value by the
-			// KEY=VALUE split, so re-split on whitespace.
+			// Slurm style: PartitionName=debug MaxTime=30 — the remaining
+			// tokens arrived glued into value by the KEY=VALUE split, so
+			// re-split on whitespace. The line replaces the implicit
+			// default; a second one names a partition no controller runs.
+			if sawPartition {
+				return Conf{}, fmt.Errorf("slurm: conf line %d: second PartitionName (a controller schedules one partition)", lineNo+1)
+			}
+			sawPartition = true
 			p, err := parsePartition(value)
 			if err != nil {
 				return Conf{}, fmt.Errorf("slurm: conf line %d: %w", lineNo+1, err)
 			}
-			if !sawPartition {
-				conf.Partitions = nil // replace the implicit default
-				sawPartition = true
-			}
-			conf.Partitions = append(conf.Partitions, p)
+			conf.Partition = p
 		}
 	}
 	return conf, nil
@@ -163,16 +157,26 @@ func parsePartition(value string) (Partition, error) {
 		if !found {
 			return Partition{}, fmt.Errorf("bad partition attribute %q", tok)
 		}
-		switch strings.ToLower(key) {
-		case "maxtime":
-			var minutes int
-			if _, err := fmt.Sscanf(v, "%d", &minutes); err != nil || minutes <= 0 {
+		if strings.EqualFold(key, "maxtime") {
+			d, err := parseMinutes(v)
+			if err != nil || d == 0 {
 				return Partition{}, fmt.Errorf("bad MaxTime %q", v)
 			}
-			p.MaxTime = time.Duration(minutes) * time.Minute
-		case "default":
-			p.Default = strings.EqualFold(v, "yes") || strings.EqualFold(v, "true")
+			p.MaxTime = d
 		}
 	}
 	return p, nil
+}
+
+// parseMinutes reads a Slurm minute count: a non-negative integer that
+// fits a time.Duration.
+func parseMinutes(v string) (time.Duration, error) {
+	var minutes int64
+	if _, err := fmt.Sscanf(v, "%d", &minutes); err != nil {
+		return 0, err
+	}
+	if minutes < 0 || minutes > math.MaxInt64/int64(time.Minute) {
+		return 0, fmt.Errorf("out of range")
+	}
+	return time.Duration(minutes) * time.Minute, nil
 }

@@ -58,8 +58,12 @@ type NodeInfo struct {
 
 // nodeD is a slurmd: the per-node daemon owning the hardware.
 type nodeD struct {
-	name    string
-	idx     int // construction index; the first-fit placement order
+	name string
+	// part is the node's partition and idx its construction index
+	// there: the slot in the partition's bitmaps, so the first-fit
+	// placement order.
+	part    *partition
+	idx     int
 	hw      *hw.Node
 	current *Job
 	hwJob   *hw.Job
@@ -68,12 +72,8 @@ type nodeD struct {
 	coJob   *Job
 	drained bool
 	// free marks the node idle, undrained, and listed in its
-	// partitions' free bitmaps. Claiming a shared node through one
-	// partition clears the bit everywhere (unlistFree).
-	free  bool
-	parts []*partition
-	// slots[i] is the node's bitmap slot in parts[i].
-	slots []int
+	// partition's free bitmap.
+	free bool
 	// spec caches hw.Spec() — read on every placement probe.
 	spec hw.NodeSpec
 	// pm/idleDrawW are the node's power model and idle draw, set only
@@ -111,12 +111,10 @@ func (n *nodeD) unpinFrequency() {
 
 // Controller is the simulated slurmctld.
 type Controller struct {
-	sim        *simclock.Sim
-	conf       Conf
-	nodes      []*nodeD
-	parts      []*partition
-	partByName map[string]*partition
-	plugins    []SubmitPlugin
+	sim     *simclock.Sim
+	conf    Conf
+	part    *partition // the one partition; its pool is the controller's nodes
+	plugins []SubmitPlugin
 	// jobs is the arena-indexed job table: job id i lives at
 	// jobs[(i-1)>>jobChunkBits][(i-1)&jobChunkMask]. Ids are assigned
 	// monotonically and never reused, so the hot dispatch path resolves
@@ -141,7 +139,6 @@ type Controller struct {
 	fallback    Workload
 	acct        *Accounting
 	onDone      []func(*Job)
-	policy      SchedulingPolicy
 	// usageBy is the fair-share store: consumed CPU-seconds per user,
 	// indexed by the dense slot userSlots assigns each user id at first
 	// sight. Jobs carry their slot, so a scheduling pass reads usage
@@ -158,23 +155,18 @@ type Controller struct {
 	// by id so dependency resolution still works after retirement.
 	aggregate bool
 	retired   []uint8
-	// depPending counts queued jobs with afterok dependencies: while
-	// non-zero, any job completion reschedules every partition, since
-	// the dependent may be queued far from the freed node.
-	depPending int
 
 	// batched defers scheduling passes to one flush event per clock
-	// instant (WithBatchedScheduling); dirtyParts counts partitions
-	// awaiting that flush.
+	// instant (WithBatchedScheduling); passDue marks a pass awaiting
+	// that flush.
 	batched    bool
 	flushArmed bool
-	dirtyParts int
+	passDue    bool
 
 	// Pre-allocated simclock Actions: job completion and the batched
 	// scheduling flush are the two per-job hot events, fired through
 	// these handles with zero per-event allocation. wakeAct runs a pass
-	// over a partition at an instant one of its queued jobs is waiting
-	// for (armWake).
+	// at an instant a queued job is waiting for (armWake).
 	compAct  completeAction
 	flushAct flushAction
 	wakeAct  wakeAction
@@ -246,12 +238,11 @@ type flushAction struct{ c *Controller }
 
 func (a *flushAction) Fire(uint64) { a.c.flushScheduling() }
 
-// wakeAction runs a scheduling pass over the partition whose index is
-// the pooled event argument, at the instant armWake asked for.
+// wakeAction runs a scheduling pass at the instant armWake asked for.
 type wakeAction struct{ c *Controller }
 
-func (a *wakeAction) Fire(arg uint64) {
-	p := a.c.parts[arg]
+func (a *wakeAction) Fire(uint64) {
+	p := a.c.part
 	// Wake events cannot be cancelled, so staleness is guarded here: a
 	// duplicate superseded by a re-arm (different wakeAt) must be
 	// dropped, not clear the armed flag — treating a stale fire as live
@@ -273,7 +264,7 @@ func (c *Controller) armWake(p *partition, at time.Time) {
 	}
 	p.wakeArmed = true
 	p.wakeAt = at
-	c.sim.AtAction(at, &c.wakeAct, uint64(p.idx))
+	c.sim.AtAction(at, &c.wakeAct, 0)
 }
 
 // Conf returns the parsed slurm.conf the controller runs under —
@@ -308,12 +299,11 @@ func (c *Controller) SetMetrics(r *metrics.Registry) {
 	c.mOverruns = r.Counter(metricBudgetOverruns)
 	c.mChainLatency = r.BucketedHistogram(MetricChainLatency)
 	c.pol.setMetrics(r)
-	for _, p := range c.parts {
-		p.queueGauge = r.Gauge(metricPartQueuePrefix + p.name)
-		p.occGauge = r.Gauge(metricPartOccPrefix + p.name)
-		p.energyGauge = r.Gauge(metricPartEnergyPrefix + p.name)
-		p.doneCount = r.Counter(metricPartDonePrefix + p.name)
-	}
+	p := c.part
+	p.queueGauge = r.Gauge(metricPartQueuePrefix + p.name)
+	p.occGauge = r.Gauge(metricPartOccPrefix + p.name)
+	p.energyGauge = r.Gauge(metricPartEnergyPrefix + p.name)
+	p.doneCount = r.Counter(metricPartDonePrefix + p.name)
 }
 
 // SetTracer attaches a decision tracer; nil (the default) disables
@@ -321,8 +311,8 @@ func (c *Controller) SetMetrics(r *metrics.Registry) {
 // nests under it) and job lifecycle transitions become journal events.
 func (c *Controller) SetTracer(t *trace.Tracer) { c.tracer = t }
 
-// Policy returns the cluster-default scheduling policy.
-func (c *Controller) Policy() SchedulingPolicy { return c.policy }
+// Policy returns the partition's scheduling policy.
+func (c *Controller) Policy() SchedulingPolicy { return c.part.policy }
 
 // UserUsageCPUSeconds reports a user's accumulated CPU-seconds, the
 // fair-share input.
@@ -350,16 +340,8 @@ func (c *Controller) OnCompletion(fn func(*Job)) {
 	c.onDone = append(c.onDone, fn)
 }
 
-// QueueDepth reports the pending-queue length of one partition.
-func (c *Controller) QueueDepth(partition string) int {
-	if len(c.parts) == 1 && c.parts[0].name == partition {
-		return len(c.parts[0].pending)
-	}
-	if p, ok := c.partByName[partition]; ok {
-		return len(p.pending)
-	}
-	return 0
-}
+// QueueDepth reports the pending-queue length.
+func (c *Controller) QueueDepth() int { return len(c.part.pending) }
 
 // activePlugins returns the registered plugins enabled by slurm.conf,
 // in configuration order. The resolved chain is cached — slurm.conf
@@ -433,51 +415,27 @@ func (c *Controller) jobByID(id int) *Job {
 	return nil
 }
 
-// kick requests a scheduling pass for the partition: immediately in
-// the default mode, or deferred to the instant's flush event in
-// batched mode — many submissions and completions landing on one
-// clock instant then cost one pass per partition instead of one per
-// event.
-func (c *Controller) kick(p *partition) {
-	if !c.batched {
-		c.schedulePart(p)
-		return
+// kick requests a scheduling pass: immediately in the default mode, or
+// deferred to the instant's flush event in batched mode — many
+// submissions and completions landing on one clock instant then cost
+// one pass instead of one per event.
+func (c *Controller) kick() {
+	c.kickSubmit()
+	if c.batched {
+		c.armFlush()
 	}
-	if !p.dirtySched {
-		p.dirtySched = true
-		c.dirtyParts++
-	}
-	c.armFlush()
-}
-
-// kickAll requests a pass over every partition.
-func (c *Controller) kickAll() {
-	if !c.batched {
-		c.scheduleAll()
-		return
-	}
-	for _, p := range c.parts {
-		if !p.dirtySched {
-			p.dirtySched = true
-			c.dirtyParts++
-		}
-	}
-	c.armFlush()
 }
 
 // kickSubmit requests a pass after a submission. In batched mode the
-// partition is only marked dirty — no flush event is armed: the
-// submitting driver calls Flush once the instant's submissions are
-// all queued, which costs one pass and zero queue events per instant.
-func (c *Controller) kickSubmit(p *partition) {
+// pass is only marked due — no flush event is armed: the submitting
+// driver calls Flush once the instant's submissions are all queued,
+// which costs one pass and zero queue events per instant.
+func (c *Controller) kickSubmit() {
 	if !c.batched {
-		c.schedulePart(p)
+		c.schedulePart(c.part)
 		return
 	}
-	if !p.dirtySched {
-		p.dirtySched = true
-		c.dirtyParts++
-	}
+	c.passDue = true
 }
 
 // Flush runs any deferred scheduling passes immediately. Batched-mode
@@ -494,19 +452,12 @@ func (c *Controller) armFlush() {
 	c.sim.AtAction(c.sim.Now(), &c.flushAct, 0)
 }
 
-// flushScheduling runs the deferred passes, in configuration order so
-// the outcome is independent of which partition went dirty first.
+// flushScheduling runs the deferred pass, if one is due.
 func (c *Controller) flushScheduling() {
 	c.flushArmed = false
-	if c.dirtyParts == 0 {
-		return
-	}
-	for _, p := range c.parts {
-		if p.dirtySched {
-			p.dirtySched = false
-			c.dirtyParts--
-			c.schedulePart(p)
-		}
+	if c.passDue {
+		c.passDue = false
+		c.schedulePart(c.part)
 	}
 }
 
@@ -584,26 +535,12 @@ func (c *Controller) submit(ctx context.Context, desc *JobDesc) (*Job, error) {
 	if desc.TimeLimit <= 0 {
 		desc.TimeLimit = c.conf.DefaultTimeLimit
 	}
-	// Partition handling: fill the default, reject unknown names, cap
-	// the time limit to the partition's MaxTime.
+	// Partition handling: fill in the one partition, reject any other
+	// name, cap the time limit to the partition's MaxTime.
+	part := c.part
 	if desc.Partition == "" {
-		desc.Partition = c.conf.DefaultPartition().Name
-	}
-	// Small clusters (a lane is one partition, the reference specs two)
-	// resolve the partition by scanning names — short string compares
-	// beat hashing the name into the map on every submission.
-	var part *partition
-	if len(c.parts) <= 4 {
-		for _, q := range c.parts {
-			if q.name == desc.Partition {
-				part = q
-				break
-			}
-		}
-	} else {
-		part = c.partByName[desc.Partition]
-	}
-	if part == nil {
+		desc.Partition = part.name
+	} else if desc.Partition != part.name {
 		return nil, fmt.Errorf("slurm: invalid partition specified: %s", desc.Partition)
 	}
 	if part.conf.MaxTime > 0 && desc.TimeLimit > part.conf.MaxTime {
@@ -625,7 +562,6 @@ func (c *Controller) submit(ctx context.Context, desc *JobDesc) (*Job, error) {
 	job.Reason = "Priority"
 	job.SubmitTime = c.sim.Now()
 	job.submitTick = c.sim.NowTick()
-	job.part = part
 	job.userSlot = c.slotFor(desc.UserID)
 	if desc.Shape != nil {
 		// Copy the shape into the job-owned buffer: the description's
@@ -642,7 +578,7 @@ func (c *Controller) submit(ctx context.Context, desc *JobDesc) (*Job, error) {
 		// Arena growth: one chunk per 8192 job ids, amortized to ~0 per submission.
 		n := jobChunkSize
 		if ci == 0 {
-			n = firstChunkLen(len(c.nodes))
+			n = firstChunkLen(len(part.nodes))
 		}
 		c.jobs = append(c.jobs, make([]*Job, n))
 	} else if slot == len(c.jobs[ci]) {
@@ -654,10 +590,7 @@ func (c *Controller) submit(ctx context.Context, desc *JobDesc) (*Job, error) {
 	}
 	c.jobs[ci][slot] = job
 	part.pending = append(part.pending, job)
-	if len(desc.AfterOK) > 0 {
-		c.depPending++
-	}
-	c.kickSubmit(part)
+	c.kickSubmit()
 	return job, nil
 }
 
@@ -749,14 +682,6 @@ func nodeSatisfies(n *nodeD, desc *JobDesc) bool {
 	return desc.NumTasks <= n.spec.Cores &&
 		desc.ThreadsPerCPU <= n.spec.ThreadsPerCore &&
 		desc.MemoryMB <= n.spec.RAMGB*1024
-}
-
-// scheduleAll runs a scheduling pass over every partition in
-// configuration order.
-func (c *Controller) scheduleAll() {
-	for _, p := range c.parts {
-		c.schedulePart(p)
-	}
 }
 
 // schedulePart places the partition's pending jobs onto idle nodes in
@@ -873,33 +798,30 @@ func (c *Controller) schedulePart(p *partition) {
 	p.queueGauge.Set(float64(len(p.pending)))
 }
 
-// claimNode books a started job onto the node across every partition
-// sharing it.
+// claimNode books a started job onto the node.
 func (c *Controller) claimNode(n *nodeD, job *Job) {
 	n.current = job
-	for _, p := range n.parts {
-		p.busy++
-		p.occGauge.Set(float64(p.busy) / float64(len(p.nodes)))
-	}
+	p := n.part
+	p.busy++
+	p.occGauge.Set(float64(p.busy) / float64(len(p.nodes)))
 }
 
 // releaseNode frees a node at job end or cancellation and relists it
-// in its partitions' free heaps.
+// in its partition's free bitmap.
 func (c *Controller) releaseNode(n *nodeD) {
 	if n.current != nil {
 		n.current.node = nil
 	}
 	n.current = nil
 	n.hwJob = nil
-	for _, p := range n.parts {
-		p.busy--
-		p.occGauge.Set(float64(p.busy) / float64(len(p.nodes)))
-	}
+	p := n.part
+	p.busy--
+	p.occGauge.Set(float64(p.busy) / float64(len(p.nodes)))
 	c.refreeNode(n)
 }
 
 // refreeNode relists an idle node (claimed but never started, or just
-// released) in its partitions' free bitmaps.
+// released) in its partition's free bitmap.
 func (c *Controller) refreeNode(n *nodeD) {
 	if n.drained || n.free || n.current != nil {
 		return
@@ -1067,18 +989,10 @@ func (c *Controller) completeJob(id int) {
 		job.State = StateCompleted
 	}
 	c.finish(job)
-	// Completion already runs inside the event loop, so schedule the
-	// freed node's partitions directly instead of arming a same-instant
-	// flush event — one fewer queue round-trip per job.
-	if c.depPending > 0 {
-		// A queued dependent may live in any partition; wake them
-		// all so cross-partition dependency chains resolve.
-		c.scheduleAll()
-	} else {
-		for _, p := range node.parts {
-			c.schedulePart(p)
-		}
-	}
+	// Completion already runs inside the event loop, so schedule
+	// directly instead of arming a same-instant flush event — one fewer
+	// queue round-trip per job.
+	c.schedulePart(c.part)
 }
 
 // slotFor returns the user's dense usage slot, assigning one on first
@@ -1094,14 +1008,8 @@ func (c *Controller) slotFor(uid uint32) int32 {
 }
 
 func (c *Controller) finish(job *Job) {
-	if job.startTick != 0 && job.endTick != 0 {
+	if !job.StartTime.IsZero() {
 		delta := float64(job.Desc.NumTasks) * time.Duration(job.endTick-job.startTick).Seconds()
-		c.usageBy[job.userSlot] += delta
-		if c.usageSink != nil {
-			c.usageSink(job.Desc.UserID, delta)
-		}
-	} else if !job.StartTime.IsZero() && !job.EndTime.IsZero() {
-		delta := float64(job.Desc.NumTasks) * job.EndTime.Sub(job.StartTime).Seconds()
 		c.usageBy[job.userSlot] += delta
 		if c.usageSink != nil {
 			c.usageSink(job.Desc.UserID, delta)
@@ -1115,13 +1023,11 @@ func (c *Controller) finish(job *Job) {
 	case StateCancelled:
 		c.mCancelled.Inc()
 	}
-	if p := job.part; p != nil {
-		if job.State == StateCompleted {
-			p.doneCount.Inc()
-		}
-		if job.SystemJ > 0 {
-			p.energyGauge.Add(job.SystemJ / 1000)
-		}
+	if job.State == StateCompleted {
+		c.part.doneCount.Inc()
+	}
+	if job.SystemJ > 0 {
+		c.part.energyGauge.Add(job.SystemJ / 1000)
 	}
 	if c.tracer != nil {
 		attrs := map[string]string{
@@ -1140,9 +1046,6 @@ func (c *Controller) finish(job *Job) {
 	c.acct.record(job)
 	for _, fn := range c.onDone {
 		fn(job)
-	}
-	if len(job.Desc.AfterOK) > 0 {
-		c.depPending--
 	}
 	if c.aggregate {
 		c.retire(job)
@@ -1190,33 +1093,24 @@ func (c *Controller) Cancel(id int) error {
 	if job.State.Terminal() {
 		return fmt.Errorf("slurm: job %d already %s", id, job.State)
 	}
-	var left *nodeD
 	switch {
 	case job.State == StateRunning && job.node != nil:
-		left = job.node
-		c.vacate(job, left)
-	case job.State == StatePending && job.part != nil:
+		c.vacate(job, job.node)
+	case job.State == StatePending:
 		// Out of the pending window before the record can be retired to
 		// the pool and handed to the next submission, which would then be
 		// queued twice. The window holds pending jobs only; a pass relies
 		// on it.
-		job.part.unqueue(job)
+		c.part.unqueue(job)
 	}
 	job.State = StateCancelled
 	job.Reason = "Cancelled by user"
 	job.EndTime = c.sim.Now()
+	job.endTick = c.sim.NowTick()
 	c.finish(job)
-	switch {
-	case c.depPending > 0:
-		c.kickAll()
-	case left != nil:
-		// A node, or a slot and power headroom on one, opened up.
-		for _, p := range left.parts {
-			c.kick(p)
-		}
-	case job.part != nil:
-		c.kick(job.part)
-	}
+	// A node, a slot or power headroom may have opened up, or a
+	// dependent may now never run.
+	c.kick()
 	return nil
 }
 
@@ -1248,8 +1142,8 @@ func (c *Controller) Squeue() []*Job {
 
 // Sinfo reports node states.
 func (c *Controller) Sinfo() []NodeInfo {
-	out := make([]NodeInfo, len(c.nodes))
-	for i, n := range c.nodes {
+	out := make([]NodeInfo, len(c.part.nodes))
+	for i, n := range c.part.nodes {
 		info := NodeInfo{Name: n.name, State: "idle", Cores: n.hw.Spec().Cores}
 		switch {
 		case n.current != nil && n.drained:
@@ -1278,12 +1172,12 @@ func (c *Controller) ResumeNode(name string) error {
 	if err := c.setDrain(name, false); err != nil {
 		return err
 	}
-	c.scheduleAll()
+	c.schedulePart(c.part)
 	return nil
 }
 
 func (c *Controller) setDrain(name string, drained bool) error {
-	for _, n := range c.nodes {
+	for _, n := range c.part.nodes {
 		if n.name != name {
 			continue
 		}
@@ -1343,8 +1237,8 @@ func (c *Controller) Srun(desc JobDesc) (*Job, error) {
 
 // Nodes exposes the hardware for telemetry attachment.
 func (c *Controller) Nodes() []*hw.Node {
-	out := make([]*hw.Node, len(c.nodes))
-	for i, n := range c.nodes {
+	out := make([]*hw.Node, len(c.part.nodes))
+	for i, n := range c.part.nodes {
 		out[i] = n.hw
 	}
 	return out

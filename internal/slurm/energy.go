@@ -9,8 +9,8 @@
 // al.'s cheap/green-window deferral: a deferrable job waits while the
 // price/carbon signal is above the threshold, until its deadline slack
 // or the max-defer bound forces it out. fit runs on the taken node and
-// checks the placement's modelled draw against every power budget the
-// node counts toward: go, go pinned at the fastest ladder rung that
+// checks the placement's modelled draw against the partition's power
+// budget: go, go pinned at the fastest ladder rung that
 // fits, or wait. Either half marks a job it keeps queued with the
 // squeue reason.
 //
@@ -149,7 +149,7 @@ type schedPolicy struct {
 }
 
 // newSchedPolicy builds the policy value for a constructed controller:
-// seats the power model on every node, opens each partition's draw
+// seats the power model on every node, opens the partition's draw
 // ledger at its idle floor (an empty cluster still draws power, and
 // the budget is a physical one), then lets each policy fill in its
 // parameters. No policies, no value.
@@ -157,16 +157,13 @@ func newSchedPolicy(c *Controller, ps []SchedPolicy) (*schedPolicy, error) {
 	if len(ps) == 0 {
 		return nil, nil
 	}
-	for _, nd := range c.nodes {
+	p := c.part
+	for _, nd := range p.nodes {
 		nd.pm = NewPowerModel(nd.hw.Calibration())
 		nd.idleDrawW = nd.pm.IdleNodeW()
+		p.drawW += nd.idleDrawW
 	}
-	for _, p := range c.parts {
-		for _, nd := range p.nodes {
-			p.drawW += nd.idleDrawW
-		}
-		p.peakDrawW = p.drawW
-	}
+	p.peakDrawW = p.drawW
 	pol := &schedPolicy{}
 	for _, sp := range ps {
 		if err := sp.attach(pol, c); err != nil {
@@ -174,9 +171,7 @@ func newSchedPolicy(c *Controller, ps []SchedPolicy) (*schedPolicy, error) {
 		}
 	}
 	if pol.pairs() {
-		for _, p := range c.parts {
-			p.indexPairable()
-		}
+		p.indexPairable()
 	}
 	return pol, nil
 }
@@ -205,23 +200,14 @@ const (
 	CapModeFreqCap = "freqcap"
 )
 
-// PartitionCapW is one named partition's power budget in watts.
-type PartitionCapW struct {
-	Partition string
-	CapW      float64
-}
-
-// PowerCapPolicy enforces power budgets at dispatch: a job places
-// only if every affected partition's post-placement draw (idle floor
-// included) stays within its cap. ClusterCapW is prorated across
-// partitions by node count; explicit PartitionCapsW entries override
-// downward. With shared node pools every partition sees the whole
-// pool's draw, so the prorated caps collapse to one cluster-wide
-// budget.
+// PowerCapPolicy enforces the partition's power budget at dispatch: a
+// job places only if the post-placement draw (idle floor included)
+// stays within CapW. A cluster states one budget per partition
+// controller; the cluster simulator prorates a spec's cluster-wide cap
+// (lanePolicies).
 type PowerCapPolicy struct {
-	ClusterCapW    float64
-	PartitionCapsW []PartitionCapW
-	Mode           string // CapModeWait (default) or CapModeFreqCap
+	CapW float64
+	Mode string // CapModeWait (default) or CapModeFreqCap
 }
 
 func (p *PowerCapPolicy) attach(pol *schedPolicy, c *Controller) error {
@@ -232,39 +218,18 @@ func (p *PowerCapPolicy) attach(pol *schedPolicy, c *Controller) error {
 	default:
 		return fmt.Errorf("slurm: power-cap mode %q (want %q or %q)", p.Mode, CapModeWait, CapModeFreqCap)
 	}
-	if p.ClusterCapW < 0 {
-		return fmt.Errorf("slurm: negative cluster power cap %g W", p.ClusterCapW)
-	}
-	if p.ClusterCapW == 0 && len(p.PartitionCapsW) == 0 {
-		return fmt.Errorf("slurm: power-cap policy needs a cluster or partition budget")
-	}
-	if p.ClusterCapW > 0 {
-		total := float64(len(c.nodes))
-		for _, part := range c.parts {
-			part.capW = p.ClusterCapW * float64(len(part.nodes)) / total
-		}
-	}
-	for _, e := range p.PartitionCapsW {
-		part, ok := c.partByName[e.Partition]
-		if !ok {
-			return fmt.Errorf("slurm: power cap names unknown partition %q", e.Partition)
-		}
-		if e.CapW <= 0 {
-			return fmt.Errorf("slurm: partition %q power cap must be > 0 W, got %g", e.Partition, e.CapW)
-		}
-		if part.capW == 0 || e.CapW < part.capW {
-			part.capW = e.CapW
-		}
+	part := c.part
+	if !(p.CapW > 0) {
+		return fmt.Errorf("slurm: power cap must be > 0 W, got %g", p.CapW)
 	}
 	// A cap at or below the idle floor could never admit a job: reject
-	// it loudly instead of silently starving the queue. (Partition
-	// drawW holds exactly the idle floor at attachment time.)
-	for _, part := range c.parts {
-		if part.capW > 0 && part.capW <= part.drawW {
-			return fmt.Errorf("slurm: partition %q power cap %.0f W is at or below its %.0f W idle floor; no job could ever start",
-				part.name, part.capW, part.drawW)
-		}
+	// it loudly instead of silently starving the queue. (drawW holds
+	// exactly the idle floor at attachment time.)
+	if p.CapW <= part.drawW {
+		return fmt.Errorf("slurm: partition %q power cap %.0f W is at or below its %.0f W idle floor; no job could ever start",
+			part.name, p.CapW, part.drawW)
 	}
+	part.capW = p.CapW
 	return nil
 }
 
@@ -384,14 +349,11 @@ func (c *Controller) PolicyTotals() PolicyTotals {
 	return c.pol.totals
 }
 
-// PartitionDrawW reports a partition's modelled draw: current,
+// PartitionDrawW reports the partition's modelled draw: current,
 // run-peak, and cap (0 = uncapped). All zero when the policy layer is
-// off or the partition is unknown.
-func (c *Controller) PartitionDrawW(name string) (draw, peak, capW float64) {
-	if p, ok := c.partByName[name]; ok {
-		return p.drawW, p.peakDrawW, p.capW
-	}
-	return 0, 0, 0
+// off.
+func (c *Controller) PartitionDrawW() (draw, peak, capW float64) {
+	return c.part.drawW, c.part.peakDrawW, c.part.capW
 }
 
 // capSlack absorbs float accumulation noise in the cap comparison:
@@ -464,12 +426,12 @@ func (pol *schedPolicy) releaseBound(job *Job) time.Time {
 }
 
 // fit is the second half of admit, asked once a node is taken: does
-// the job's placement on it stay within every power budget the node
-// counts toward? In freq-cap mode a job without an explicit --cpu-freq
-// request that fits only at a lower rung is pinned to the fastest one
-// that does; explicit requests are honoured and wait instead. A job
-// that does not fit is marked with its squeue reason: the release that
-// frees draw reschedules it.
+// the job's placement on it stay within the partition's power budget?
+// In freq-cap mode a job without an explicit --cpu-freq request that
+// fits only at a lower rung is pinned to the fastest one that does;
+// explicit requests are honoured and wait instead. A job that does not
+// fit is marked with its squeue reason: the release that frees draw
+// reschedules it.
 func (pol *schedPolicy) fit(job *Job, n *nodeD) bool {
 	ladder := n.spec.FrequenciesKHz
 	cfg := job.Desc.Config()
@@ -498,15 +460,11 @@ func (pol *schedPolicy) fit(job *Job, n *nodeD) bool {
 	return false
 }
 
-// capAllows reports whether adding deltaW fits every capped partition
-// sharing the node.
+// capAllows reports whether adding deltaW to the draw of the node's
+// partition stays within its cap, if it has one.
 func capAllows(n *nodeD, deltaW float64) bool {
-	for _, p := range n.parts {
-		if p.capW > 0 && p.drawW+deltaW > p.capW {
-			return false
-		}
-	}
-	return true
+	p := n.part
+	return !(p.capW > 0 && p.drawW+deltaW > p.capW)
 }
 
 // holds and pairs report whether hold can ever keep a job queued and
@@ -530,12 +488,12 @@ type pairing struct {
 	sysW, cpuW float64
 }
 
-// The pairable-primary index: per partition, one bitmap per primary
-// profile over the slots freeBits uses. A node's bit is set in its
-// profile's bitmap iff a secondary could start on it as far as the node
-// alone decides — it runs a primary of that profile on live hardware,
-// has no secondary yet, is not drained, and the primary neither demands
-// the node nor is itself a promoted secondary.
+// The pairable-primary index: one bitmap per primary profile over the
+// slots freeBits uses. A node's bit is set in its profile's bitmap iff
+// a secondary could start on it as far as the node alone decides — it
+// runs a primary of that profile on live hardware, has no secondary
+// yet, is not drained, and the primary neither demands the node nor is
+// itself a promoted secondary.
 const (
 	pairCompute = iota // compute-bound primaries: hosts for memory-bound jobs
 	pairMemory
@@ -548,10 +506,10 @@ func (p *partition) indexPairable() {
 	}
 }
 
-// reindex re-derives the node's bit in every partition sharing it from
-// the node's state. It runs wherever that state changes — charge (a job
-// starts, as primary or secondary), release (a job leaves) and a drain
-// or resume — and only under a policy that pairs.
+// reindex re-derives the node's bit from the node's state. It runs
+// wherever that state changes — charge (a job starts, as primary or
+// secondary), release (a job leaves) and a drain or resume — and only
+// under a policy that pairs.
 func (pol *schedPolicy) reindex(n *nodeD) {
 	if pol == nil || !pol.pairs() {
 		return
@@ -566,14 +524,12 @@ func (pol *schedPolicy) reindex(n *nodeD) {
 			in = pairMemory
 		}
 	}
-	for i, p := range n.parts {
-		w, bit := n.slots[i]>>6, uint64(1)<<uint(n.slots[i]&63)
-		for k := range p.pairable {
-			if k == in {
-				p.pairable[k][w] |= bit
-			} else {
-				p.pairable[k][w] &^= bit
-			}
+	w, bit := n.idx>>6, uint64(1)<<uint(n.idx&63)
+	for k, index := range n.part.pairable {
+		if k == in {
+			index[w] |= bit
+		} else {
+			index[w] &^= bit
 		}
 	}
 }
@@ -646,19 +602,18 @@ func (pol *schedPolicy) planBeside(job *Job, n *nodeD, now time.Time, pr *pairin
 
 // charge books a started job's draw — that of the configuration it
 // actually runs in, so the ledger is self-consistent with what release
-// returns — on every partition sharing its node, tracking the peak and
-// counting violations (which fit should make impossible). The job is
-// on the node by now: its pairable bit follows.
+// returns — on its node's partition, tracking the peak and counting
+// violations (which fit should make impossible). The job is on the
+// node by now: its pairable bit follows.
 func (pol *schedPolicy) charge(job *Job, n *nodeD, cfg perfmodel.Config) {
 	job.drawDeltaW = n.pm.PlacementDeltaW(cfg)
-	for _, p := range n.parts {
-		p.drawW += job.drawDeltaW
-		if p.drawW > p.peakDrawW {
-			p.peakDrawW = p.drawW
-		}
-		if p.capW > 0 && p.drawW > p.capW*(1+capSlack) {
-			pol.totals.CapViolations++
-		}
+	p := n.part
+	p.drawW += job.drawDeltaW
+	if p.drawW > p.peakDrawW {
+		p.peakDrawW = p.drawW
+	}
+	if p.capW > 0 && p.drawW > p.capW*(1+capSlack) {
+		pol.totals.CapViolations++
 	}
 	pol.reindex(n)
 }
@@ -666,9 +621,7 @@ func (pol *schedPolicy) charge(job *Job, n *nodeD, cfg perfmodel.Config) {
 // release returns the draw of a job that has left its node, whose
 // pairable bit follows.
 func (pol *schedPolicy) release(job *Job, n *nodeD) {
-	for _, p := range n.parts {
-		p.drawW -= job.drawDeltaW
-	}
+	n.part.drawW -= job.drawDeltaW
 	job.drawDeltaW = 0
 	pol.reindex(n)
 }

@@ -11,8 +11,8 @@ import (
 	"ecosched/internal/workload"
 )
 
-// newPolicyCluster builds a single-partition cluster with dedicated
-// nodes and the given energy policies attached.
+// newPolicyCluster builds a cluster of nodeCount nodes with the given
+// energy policies attached.
 func newPolicyCluster(t *testing.T, nodeCount int, pols ...SchedPolicy) (*simclock.Sim, *Controller) {
 	t.Helper()
 	sim := simclock.New()
@@ -31,7 +31,7 @@ func tryPolicyCluster(sim *simclock.Sim, nodeCount int, pols ...SchedPolicy) (*C
 		nodes[i] = hw.NewNode(sim, spec, perfmodel.Default(), uint64(i+1))
 	}
 	return NewCluster(sim, DefaultConf(),
-		WithPartitionNodes("batch", nodes...),
+		WithNodes(nodes...),
 		WithSchedPolicies(pols...))
 }
 
@@ -88,19 +88,17 @@ func TestPolicyAttachValidation(t *testing.T) {
 		pol  SchedPolicy
 		want string // error substring; "" = must attach cleanly
 	}{
-		{"bad cap mode", &PowerCapPolicy{ClusterCapW: 1000, Mode: "turbo"}, `power-cap mode "turbo"`},
-		{"negative cap", &PowerCapPolicy{ClusterCapW: -5}, "negative cluster power cap"},
-		{"no budget", &PowerCapPolicy{}, "needs a cluster or partition budget"},
-		{"unknown partition", &PowerCapPolicy{PartitionCapsW: []PartitionCapW{{Partition: "gpu", CapW: 500}}}, `unknown partition "gpu"`},
-		{"non-positive partition cap", &PowerCapPolicy{PartitionCapsW: []PartitionCapW{{Partition: "batch", CapW: 0}}}, "must be > 0 W"},
-		{"cap below idle floor", &PowerCapPolicy{ClusterCapW: idle * 0.5}, "no job could ever start"},
-		{"cap at idle floor", &PowerCapPolicy{PartitionCapsW: []PartitionCapW{{Partition: "batch", CapW: idle}}}, "no job could ever start"},
+		{"bad cap mode", &PowerCapPolicy{CapW: 1000, Mode: "turbo"}, `power-cap mode "turbo"`},
+		{"negative cap", &PowerCapPolicy{CapW: -5}, "must be > 0 W"},
+		{"no budget", &PowerCapPolicy{}, "must be > 0 W"},
+		{"cap below idle floor", &PowerCapPolicy{CapW: idle * 0.5}, "no job could ever start"},
+		{"cap at idle floor", &PowerCapPolicy{CapW: idle}, "no job could ever start"},
 		{"penalty below one", &CoSchedulePolicy{InterferencePenalty: 0.5}, "interference penalty 0.5 < 1"},
 		{"deferral without signal", &DeferralPolicy{Threshold: 1, MaxDefer: time.Hour}, "needs a signal"},
 		{"deferral without threshold", &DeferralPolicy{Signal: func(time.Time) float64 { return 0 }, MaxDefer: time.Hour}, "threshold must be > 0"},
 		{"deferral without max defer", &DeferralPolicy{Signal: func(time.Time) float64 { return 0 }, Threshold: 1}, "max defer > 0"},
 		{"negative deferral check", &DeferralPolicy{Signal: func(time.Time) float64 { return 0 }, Threshold: 1, MaxDefer: time.Hour, Check: -time.Minute}, "negative deferral check"},
-		{"valid combo", &PowerCapPolicy{ClusterCapW: idle + 200, Mode: CapModeFreqCap}, ""},
+		{"valid combo", &PowerCapPolicy{CapW: idle + 200, Mode: CapModeFreqCap}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -123,7 +121,7 @@ func TestPowerCapWaitDeniesThenReleases(t *testing.T) {
 	maxDelta := deltas[len(deltas)-1]
 	// Two nodes, budget for exactly one full-width job at ladder max.
 	cap := 2*idle + 1.5*maxDelta
-	sim, c := newPolicyCluster(t, 2, &PowerCapPolicy{ClusterCapW: cap})
+	sim, c := newPolicyCluster(t, 2, &PowerCapPolicy{CapW: cap})
 
 	j1, err := c.Submit(sleepDesc(32, 10*time.Minute, ""))
 	if err != nil {
@@ -139,7 +137,7 @@ func TestPowerCapWaitDeniesThenReleases(t *testing.T) {
 	if j2.State != StatePending || j2.Reason != reasonPowerCap {
 		t.Fatalf("job 2 = %s (%q), want PENDING/PowerCap", j2.State, j2.Reason)
 	}
-	draw, peak, capW := c.PartitionDrawW("batch")
+	draw, peak, capW := c.PartitionDrawW()
 	if capW != cap {
 		t.Fatalf("capW = %g, want %g", capW, cap)
 	}
@@ -162,7 +160,7 @@ func TestPowerCapWaitDeniesThenReleases(t *testing.T) {
 	if tot.CapViolations != 0 {
 		t.Fatalf("CapViolations = %d", tot.CapViolations)
 	}
-	if draw, _, _ := c.PartitionDrawW("batch"); draw != 2*idle {
+	if draw, _, _ := c.PartitionDrawW(); draw != 2*idle {
 		t.Fatalf("draw after drain = %g, want idle floor %g", draw, 2*idle)
 	}
 }
@@ -172,7 +170,7 @@ func TestPowerCapFreqCapPinsLadder(t *testing.T) {
 	// Budget between the lowest and middle rung: an unpinned job fits
 	// only at the lowest frequency.
 	cap := idle + (deltas[0]+deltas[1])/2
-	sim, c := newPolicyCluster(t, 1, &PowerCapPolicy{ClusterCapW: cap, Mode: CapModeFreqCap})
+	sim, c := newPolicyCluster(t, 1, &PowerCapPolicy{CapW: cap, Mode: CapModeFreqCap})
 
 	lowest := hw.DefaultSpec().FrequenciesKHz[0]
 	j, err := c.Submit(sleepDesc(32, 10*time.Minute, ""))
@@ -412,13 +410,10 @@ func TestDeferralForcedDispatch(t *testing.T) {
 func TestPolicyAccessors(t *testing.T) {
 	idle, _ := testLadderWatts()
 	_, c := newPolicyCluster(t, 2,
-		&PowerCapPolicy{ClusterCapW: 2*idle + 500},
+		&PowerCapPolicy{CapW: 2*idle + 500},
 		&CoSchedulePolicy{},
 	)
-	if d, p, w := c.PartitionDrawW("nope"); d != 0 || p != 0 || w != 0 {
-		t.Fatalf("unknown partition draw = %g/%g/%g", d, p, w)
-	}
-	draw, peak, capW := c.PartitionDrawW("batch")
+	draw, peak, capW := c.PartitionDrawW()
 	if draw != 2*idle || peak != 2*idle {
 		t.Fatalf("idle cluster draw %g / peak %g, want %g", draw, peak, 2*idle)
 	}
@@ -428,7 +423,7 @@ func TestPolicyAccessors(t *testing.T) {
 
 	// Without the policy layer the accessors report inactive zeros.
 	_, plain := newCluster(t, DefaultConf(), 1)
-	if d, p, w := plain.PartitionDrawW("batch"); d != 0 || p != 0 || w != 0 {
+	if d, p, w := plain.PartitionDrawW(); d != 0 || p != 0 || w != 0 {
 		t.Fatalf("plain controller draw = %g/%g/%g", d, p, w)
 	}
 }

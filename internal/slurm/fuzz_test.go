@@ -32,6 +32,8 @@ func FuzzParseConf(f *testing.F) {
 	f.Add("# comment only\n")
 	f.Add("PluginBudget=2s\nDefaultTime=60\n")
 	f.Add("JobSubmitPlugins=a, b,,c\n")
+	f.Add("DefaultTime=-5\n")
+	f.Add("PluginBudget=-1s\n")
 	f.Fuzz(func(t *testing.T, text string) {
 		conf, err := ParseConf(text)
 		if err != nil {

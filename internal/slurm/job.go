@@ -119,17 +119,16 @@ type Job struct {
 	CPUJ    float64
 	GFLOPS  float64 // sustained application throughput during the run
 
-	part *partition // owning partition queue
-	node *nodeD     // allocated node while running
+	node *nodeD // allocated node while running
 
 	// Completion bookkeeping stashed at start so the completion event
 	// carries only the job id: energy counters at start, and (timedOut,
 	// below) whether the plan was truncated by the time limit.
 	sys0, cpu0 float64
-	// Tick (UnixNano) mirrors of SubmitTime/StartTime/EndTime set on
-	// the hot submit/start/complete paths; accounting prefers them to
-	// avoid time.Time decoding. Zero on cold paths (cancellation,
-	// failed starts), which fall back to the time.Time fields.
+	// Tick (UnixNano) mirrors of SubmitTime/StartTime/EndTime, stamped
+	// wherever those are for a job that starts: submission, start,
+	// completion and cancellation. Accounting and fair share read run
+	// and wait times from them, not from the time.Time fields.
 	submitTick, startTick, endTick int64
 	// releaseTick is the instant the deferral policy's hold on the job
 	// ends whatever the signal says — min(SubmitTime + max defer,

@@ -120,34 +120,31 @@ func drawWorkload(rng *simclock.RNG, n int, start time.Time) []propJob {
 func checkPolicyInvariants(t *testing.T, c *Controller) {
 	t.Helper()
 	checkPairableIndex(t, c)
-	for _, p := range c.parts {
-		if p.capW > 0 {
-			if p.drawW > p.capW*(1+capSlack) {
-				t.Fatalf("partition %q draw %.3f W exceeds cap %.3f W at %v",
-					p.name, p.drawW, p.capW, c.sim.Now())
-			}
-			if p.peakDrawW > p.capW*(1+capSlack) {
-				t.Fatalf("partition %q peak %.3f W exceeds cap %.3f W", p.name, p.peakDrawW, p.capW)
-			}
+	p := c.part
+	if p.capW > 0 {
+		if p.drawW > p.capW*(1+capSlack) {
+			t.Fatalf("draw %.3f W exceeds cap %.3f W at %v", p.drawW, p.capW, c.sim.Now())
 		}
-		// Recompute the draw from scratch: idle floor plus every running
-		// job's attributed delta.
-		want := 0.0
-		for _, n := range p.nodes {
-			want += n.idleDrawW
-			if n.current != nil {
-				want += n.current.drawDeltaW
-			}
-			if n.coJob != nil && n.coJob != n.current {
-				want += n.coJob.drawDeltaW
-			}
-		}
-		if math.Abs(want-p.drawW) > 1e-6 {
-			t.Fatalf("partition %q draw drifted: incremental %.9f W, recomputed %.9f W at %v",
-				p.name, p.drawW, want, c.sim.Now())
+		if p.peakDrawW > p.capW*(1+capSlack) {
+			t.Fatalf("peak %.3f W exceeds cap %.3f W", p.peakDrawW, p.capW)
 		}
 	}
-	for _, n := range c.nodes {
+	// Recompute the draw from scratch: idle floor plus every running
+	// job's attributed delta.
+	want := 0.0
+	for _, n := range p.nodes {
+		want += n.idleDrawW
+		if n.current != nil {
+			want += n.current.drawDeltaW
+		}
+		if n.coJob != nil && n.coJob != n.current {
+			want += n.coJob.drawDeltaW
+		}
+	}
+	if math.Abs(want-p.drawW) > 1e-6 {
+		t.Fatalf("draw drifted: incremental %.9f W, recomputed %.9f W at %v", p.drawW, want, c.sim.Now())
+	}
+	for _, n := range p.nodes {
 		co := n.coJob
 		if co == nil {
 			continue
@@ -201,7 +198,7 @@ func runPolicyProperty(t *testing.T, cfg propConfig, seed uint64) {
 		// headroom floor, up to roomy. Always above the idle-floor attach
 		// check by construction.
 		capW := float64(nodes) * (idle + cfg.headroomW*(1+rng.Float64()))
-		pols = append(pols, &PowerCapPolicy{ClusterCapW: capW, Mode: cfg.mode})
+		pols = append(pols, &PowerCapPolicy{CapW: capW, Mode: cfg.mode})
 	}
 	if cfg.cosched {
 		pols = append(pols, &CoSchedulePolicy{InterferencePenalty: 1 + rng.Float64()/2})
@@ -245,7 +242,8 @@ func runPolicyProperty(t *testing.T, cfg propConfig, seed uint64) {
 			checkPolicyInvariants(t, c)
 		}
 	}
-	for _, n := range c.nodes {
+	p := c.part
+	for _, n := range p.nodes {
 		if n.drained {
 			if err := c.ResumeNode(n.name); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
@@ -263,20 +261,18 @@ func runPolicyProperty(t *testing.T, cfg propConfig, seed uint64) {
 	// Everything drained: the draw is back at the idle floor and no job
 	// is left pending (MaxDefer bounds every hold, caps free up as jobs
 	// end, so the queue must empty).
-	for _, p := range c.parts {
-		if len(p.pending) != 0 {
-			t.Fatalf("seed %d (%s): %d jobs stranded in %q", seed, cfg.name, len(p.pending), p.name)
-		}
-		if want := float64(nodes) * idle; math.Abs(p.drawW-want) > 1e-6 {
-			t.Fatalf("seed %d (%s): residual draw %.9f W, want idle floor %.9f W",
-				seed, cfg.name, p.drawW, want)
-		}
-		if p.busy != 0 || p.freeN != len(p.nodes) {
-			t.Fatalf("seed %d (%s): %q ends with %d busy, %d of %d nodes free",
-				seed, cfg.name, p.name, p.busy, p.freeN, len(p.nodes))
-		}
+	if len(p.pending) != 0 {
+		t.Fatalf("seed %d (%s): %d jobs stranded", seed, cfg.name, len(p.pending))
 	}
-	for _, n := range c.nodes {
+	if want := float64(nodes) * idle; math.Abs(p.drawW-want) > 1e-6 {
+		t.Fatalf("seed %d (%s): residual draw %.9f W, want idle floor %.9f W",
+			seed, cfg.name, p.drawW, want)
+	}
+	if p.busy != 0 || p.freeN != len(p.nodes) {
+		t.Fatalf("seed %d (%s): ends with %d busy, %d of %d nodes free",
+			seed, cfg.name, p.busy, p.freeN, len(p.nodes))
+	}
+	for _, n := range p.nodes {
 		if n.current != nil || n.coJob != nil || n.hwJob != nil {
 			t.Fatalf("seed %d (%s): node %q still holds current=%v coJob=%v hwJob=%v",
 				seed, cfg.name, n.name, n.current, n.coJob, n.hwJob)
@@ -296,7 +292,7 @@ func operate(t *testing.T, c *Controller, ops *simclock.RNG, submitted []*Job) {
 		}
 		return
 	}
-	n := c.nodes[ops.Intn(len(c.nodes))]
+	n := c.part.nodes[ops.Intn(len(c.part.nodes))]
 	flip := c.DrainNode
 	if n.drained {
 		flip = c.ResumeNode

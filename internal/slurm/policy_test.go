@@ -18,33 +18,28 @@ import (
 // energy_test.go's and the property suite's.
 
 // bareNode is a node with a spec and a power model but no hardware
-// behind it, counted toward the given partitions' draw ledgers at its
-// idle floor.
-func bareNode(parts ...*partition) *nodeD {
+// behind it, added to the partition's pool and counted toward its draw
+// ledger at its idle floor.
+func bareNode(p *partition) *nodeD {
 	n := &nodeD{spec: hw.DefaultSpec(), pm: NewPowerModel(perfmodel.Default())}
 	n.idleDrawW = n.pm.IdleNodeW()
-	for _, p := range parts {
-		n.parts = append(n.parts, p)
-		n.slots = append(n.slots, len(p.nodes))
-		p.nodes = append(p.nodes, n)
-		if len(p.nodes) > len(p.freeBits)*64 {
-			p.freeBits = append(p.freeBits, 0)
-		}
-		p.drawW += n.idleDrawW
+	n.part, n.idx = p, len(p.nodes)
+	p.nodes = append(p.nodes, n)
+	if len(p.nodes) > len(p.freeBits)*64 {
+		p.freeBits = append(p.freeBits, 0)
 	}
+	p.drawW += n.idleDrawW
 	return n
 }
 
-// pairingPolicy is a co-scheduling policy value over hand-built
-// partitions, their pairable-primary index sized and every seated
-// node's bit derived — what newSchedPolicy and charge do on a cluster.
-func pairingPolicy(penalty float64, parts ...*partition) *schedPolicy {
+// pairingPolicy is a co-scheduling policy value over a hand-built
+// partition, its pairable-primary index sized and every seated node's
+// bit derived — what newSchedPolicy and charge do on a cluster.
+func pairingPolicy(penalty float64, p *partition) *schedPolicy {
 	pol := &schedPolicy{penalty: penalty}
-	for _, p := range parts {
-		p.indexPairable()
-		for _, n := range p.nodes {
-			pol.reindex(n)
-		}
+	p.indexPairable()
+	for _, n := range p.nodes {
+		pol.reindex(n)
 	}
 	return pol
 }
@@ -292,10 +287,10 @@ func TestPlace(t *testing.T) {
 func TestChargeAndRelease(t *testing.T) {
 	idle, deltas := testLadderWatts()
 	ladder := hw.DefaultSpec().FrequenciesKHz
-	// One node shared by two partitions, one of them capped below the
-	// charge: both ledgers move, the peak sticks, the overshoot counts.
-	a, b := &partition{}, &partition{capW: idle + deltas[0]/2}
-	n := bareNode(a, b)
+	// One node in a partition capped below the charge: the ledger moves,
+	// the peak sticks, the overshoot counts.
+	p := &partition{capW: idle + deltas[0]/2}
+	n := bareNode(p)
 	pol := &schedPolicy{}
 	job := &Job{}
 	cfg := perfmodel.Config{Cores: 32, FreqKHz: ladder[0], ThreadsPerCore: 1}
@@ -304,24 +299,20 @@ func TestChargeAndRelease(t *testing.T) {
 	if job.drawDeltaW != deltas[0] {
 		t.Fatalf("drawDeltaW = %g, want %g", job.drawDeltaW, deltas[0])
 	}
-	for _, p := range []*partition{a, b} {
-		if want := idle + deltas[0]; p.drawW != want || p.peakDrawW != want {
-			t.Fatalf("after charge: draw %g / peak %g, want %g", p.drawW, p.peakDrawW, want)
-		}
+	if want := idle + deltas[0]; p.drawW != want || p.peakDrawW != want {
+		t.Fatalf("after charge: draw %g / peak %g, want %g", p.drawW, p.peakDrawW, want)
 	}
 	if pol.totals.CapViolations != 1 {
-		t.Fatalf("CapViolations = %d, want the capped partition's one", pol.totals.CapViolations)
+		t.Fatalf("CapViolations = %d, want one", pol.totals.CapViolations)
 	}
 
 	pol.release(job, n)
 	pol.release(job, n) // a second release has nothing left to return
-	for _, p := range []*partition{a, b} {
-		if math.Abs(p.drawW-idle) > 1e-9 {
-			t.Fatalf("after release: draw %.12g, want the %.12g idle floor", p.drawW, idle)
-		}
-		if p.peakDrawW != idle+deltas[0] {
-			t.Fatalf("release moved the peak to %g", p.peakDrawW)
-		}
+	if math.Abs(p.drawW-idle) > 1e-9 {
+		t.Fatalf("after release: draw %.12g, want the %.12g idle floor", p.drawW, idle)
+	}
+	if p.peakDrawW != idle+deltas[0] {
+		t.Fatalf("release moved the peak to %g", p.peakDrawW)
 	}
 	if job.drawDeltaW != 0 {
 		t.Fatalf("drawDeltaW = %g after release", job.drawDeltaW)
@@ -406,58 +397,51 @@ func placeScan(pol *schedPolicy, p *partition, job *Job, now time.Time, pr *pair
 	return false
 }
 
-// checkPairableIndex asserts that every partition's pairable-primary
-// index equals the predicate recomputed from each node's state — and
-// that a policy that does not pair keeps none.
+// checkPairableIndex asserts that the pairable-primary index equals
+// the predicate recomputed from each node's state — and that a policy
+// that does not pair keeps none.
 func checkPairableIndex(t *testing.T, c *Controller) {
 	t.Helper()
-	for _, p := range c.parts {
-		if !c.pol.pairs() {
-			if p.pairable[pairCompute] != nil || p.pairable[pairMemory] != nil {
-				t.Fatalf("partition %q keeps a pairable index under a policy that does not pair", p.name)
-			}
-			continue
+	p := c.part
+	if !c.pol.pairs() {
+		if p.pairable[pairCompute] != nil || p.pairable[pairMemory] != nil {
+			t.Fatal("a pairable index kept under a policy that does not pair")
 		}
-		for k, prof := range [...]string{pairCompute: workload.ProfileCompute, pairMemory: workload.ProfileMemory} {
-			for slot, n := range p.nodes {
-				pri := n.current
-				want := pri != nil && n.hwJob != nil && n.coJob == nil && !n.drained &&
-					!pri.Desc.Exclusive && !pri.coSecondary && pri.shapeProfile() == prof
-				if got := p.pairable[k][slot>>6]>>uint(slot&63)&1 == 1; got != want {
-					t.Fatalf("partition %q node %q: %s-primary bit = %v, state says %v (current %v, coJob %v, drained %v) at %v",
-						p.name, n.name, prof, got, want, pri, n.coJob, n.drained, c.sim.Now())
-				}
+		return
+	}
+	for k, prof := range [...]string{pairCompute: workload.ProfileCompute, pairMemory: workload.ProfileMemory} {
+		for slot, n := range p.nodes {
+			pri := n.current
+			want := pri != nil && n.hwJob != nil && n.coJob == nil && !n.drained &&
+				!pri.Desc.Exclusive && !pri.coSecondary && pri.shapeProfile() == prof
+			if got := p.pairable[k][slot>>6]>>uint(slot&63)&1 == 1; got != want {
+				t.Fatalf("node %q: %s-primary bit = %v, state says %v (current %v, coJob %v, drained %v) at %v",
+					n.name, prof, got, want, pri, n.coJob, n.drained, c.sim.Now())
 			}
-			if len(p.pairable[k]) != len(p.freeBits) {
-				t.Fatalf("partition %q: index of %d words over %d free-bitmap words", p.name, len(p.pairable[k]), len(p.freeBits))
-			}
+		}
+		if len(p.pairable[k]) != len(p.freeBits) {
+			t.Fatalf("index of %d words over %d free-bitmap words", len(p.pairable[k]), len(p.freeBits))
 		}
 	}
 }
 
-// TestPlaceIndexMatchesScan drives a two-partition cluster with one
-// shared node through random starts (idle and beside a primary),
-// completions, cancellations of primaries and secondaries, drains and
-// resumes, and after every step checks the index against the node state
-// and place against the node scan it replaced, for a random job in each
-// partition.
+// TestPlaceIndexMatchesScan drives a cluster through random starts
+// (idle and beside a primary), completions, cancellations of primaries
+// and secondaries, drains and resumes, and after every step checks the
+// index against the node state and place against the node scan it
+// replaced, for a random job.
 func TestPlaceIndexMatchesScan(t *testing.T) {
 	idle, deltas := testLadderWatts()
 	for seed := uint64(1); seed <= 12; seed++ {
 		rng := simclock.NewRNG(seed + 9000)
 		sim := simclock.New()
-		conf := DefaultConf()
-		conf.Partitions = append(conf.Partitions, Partition{Name: "debug"})
-		nodes := clusterNodes(sim, 7)
 		// A budget that refuses some pairings, so planBeside's verdict is
 		// part of what must agree.
 		capW := 7 * (idle + deltas[len(deltas)-1]*(1.1+0.4*rng.Float64()))
-		c, err := NewCluster(sim, conf,
-			WithNodes(nodes[0]),
-			WithPartitionNodes("batch", nodes[1:4]...),
-			WithPartitionNodes("debug", nodes[4:]...),
+		c, err := NewCluster(sim, DefaultConf(),
+			WithNodes(clusterNodes(sim, 7)...),
 			WithSchedPolicies(
-				&PowerCapPolicy{ClusterCapW: capW, Mode: CapModeFreqCap},
+				&PowerCapPolicy{CapW: capW, Mode: CapModeFreqCap},
 				&CoSchedulePolicy{InterferencePenalty: 1 + rng.Float64()/2}))
 		if err != nil {
 			t.Fatal(err)
@@ -465,7 +449,6 @@ func TestPlaceIndexMatchesScan(t *testing.T) {
 		randomDesc := func() JobDesc {
 			d := time.Duration(60+rng.Intn(1740)) * time.Second
 			desc := sleepDesc(1+rng.Intn(24), d, [...]string{"", workload.ProfileCompute, workload.ProfileMemory}[rng.Intn(3)])
-			desc.Partition = conf.Partitions[rng.Intn(2)].Name
 			desc.Exclusive = rng.Intn(6) == 0
 			if rng.Intn(4) == 0 {
 				desc.MemoryMB = (1 + rng.Intn(hw.DefaultSpec().RAMGB)) * 1024
@@ -493,18 +476,16 @@ func TestPlaceIndexMatchesScan(t *testing.T) {
 				}
 			}
 			checkPolicyInvariants(t, c) // the index against the node state among them
-			for _, p := range c.parts {
-				probe := &Job{Desc: randomDesc()}
-				var got, want pairing
-				gotOK := c.pol.place(p, probe, sim.Now(), &got)
-				wantOK := placeScan(c.pol, p, probe, sim.Now(), &want)
-				if gotOK != wantOK || got != want {
-					t.Fatalf("seed %d step %d partition %q: place = %+v, %v; the node scan says %+v, %v",
-						seed, step, p.name, got, gotOK, want, wantOK)
-				}
-				if gotOK {
-					paired++
-				}
+			probe := &Job{Desc: randomDesc()}
+			var got, want pairing
+			gotOK := c.pol.place(c.part, probe, sim.Now(), &got)
+			wantOK := placeScan(c.pol, c.part, probe, sim.Now(), &want)
+			if gotOK != wantOK || got != want {
+				t.Fatalf("seed %d step %d: place = %+v, %v; the node scan says %+v, %v",
+					seed, step, got, gotOK, want, wantOK)
+			}
+			if gotOK {
+				paired++
 			}
 		}
 		if paired == 0 || c.PolicyTotals().CoScheduled == 0 {
@@ -544,7 +525,7 @@ func TestHoldReadsSignalOncePerInstant(t *testing.T) {
 	if reads != 1 {
 		t.Fatalf("%d passes over up to %d held jobs at one instant read the signal %d times, want once", held, held, reads)
 	}
-	c.scheduleAll()
+	c.schedulePart(c.part)
 	if reads != 1 {
 		t.Fatalf("a second pass at the same instant read the signal again (%d reads)", reads)
 	}
@@ -648,10 +629,11 @@ func TestHoldReleasesAtOnceOnADeadlineOutOfReach(t *testing.T) {
 // cluster simulator's largest per-submission allocation, and
 // cluster-nopolicy's alloc_bytes_per_op bound (2 % of 47.65 B) is less
 // than one more 8-byte word per job would spend. A new field goes into
-// the padding beside userSlot and the flags, or pays for itself.
+// the padding beside userSlot and the flags, or pays for itself. (552
+// bytes allocate from the 576-byte size class, as 560 did.)
 func TestJobSize(t *testing.T) {
-	if got := unsafe.Sizeof(Job{}); got != 560 {
-		t.Fatalf("unsafe.Sizeof(Job{}) = %d, want 560: a word per job is ~0.9 B per submission on the 1,024-node workload, "+
+	if got := unsafe.Sizeof(Job{}); got != 552 {
+		t.Fatalf("unsafe.Sizeof(Job{}) = %d, want 552: a word per job is ~0.9 B per submission on the 1,024-node workload, "+
 			"most of its 0.95 B/op regression bound — pack the field into existing padding or shrink another", got)
 	}
 }

@@ -485,30 +485,31 @@ func TestSlurmdPinsAndRestoresGovernor(t *testing.T) {
 }
 
 func TestPartitionsParsedAndEnforced(t *testing.T) {
-	conf, err := ParseConf("PartitionName=debug MaxTime=30\nPartitionName=batch Default=YES\n")
+	// A controller schedules one partition: a second line is an error.
+	if _, err := ParseConf("PartitionName=debug MaxTime=30\nPartitionName=batch\n"); err == nil || !strings.Contains(err.Error(), "conf line 2") {
+		t.Fatalf("two partitions: err = %v, want a line-2 error", err)
+	}
+	conf, err := ParseConf("PartitionName=debug MaxTime=30 Default=YES\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(conf.Partitions) != 2 {
-		t.Fatalf("partitions = %+v", conf.Partitions)
-	}
-	if conf.DefaultPartition().Name != "batch" {
-		t.Fatalf("default partition = %q", conf.DefaultPartition().Name)
+	if conf.Partition != (Partition{Name: "debug", MaxTime: 30 * time.Minute}) {
+		t.Fatalf("partition = %+v", conf.Partition)
 	}
 	_, c := newCluster(t, conf, 1)
 
-	// Default partition fills in.
+	// The partition fills in.
 	j, err := c.Submit(hpcgDesc(4, 2_200_000, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Desc.Partition != "batch" {
+	if j.Desc.Partition != "debug" {
 		t.Fatalf("partition = %q", j.Desc.Partition)
 	}
 
-	// Unknown partitions rejected.
+	// Any other partition is rejected.
 	bad := hpcgDesc(4, 2_200_000, 1)
-	bad.Partition = "gpu"
+	bad.Partition = "batch"
 	if _, err := c.Submit(bad); err == nil {
 		t.Fatal("unknown partition accepted")
 	}
@@ -529,7 +530,7 @@ func TestPartitionsParsedAndEnforced(t *testing.T) {
 	if done.State != StateCompleted {
 		t.Fatalf("job %s (%s)", done.State, done.Reason)
 	}
-	// And a 20-minute partition kills it.
+	// And a 15-minute partition kills it.
 	conf2, _ := ParseConf("PartitionName=short MaxTime=15 Default=YES\n")
 	_, c2 := newCluster(t, conf2, 1)
 	killed, _ := c2.Submit(hpcgDesc(32, 2_500_000, 1))

@@ -65,6 +65,13 @@ func TestParseConfErrorsAndDefaults(t *testing.T) {
 	if _, err := ParseConf("PluginBudget=oops"); err == nil {
 		t.Fatal("bad budget accepted")
 	}
+	// Negative durations: DefaultTime=-5 once panicked the controller's
+	// first submission without --time (its end event lay before now).
+	for _, text := range []string{"DefaultTime=-5", "PluginBudget=-1s"} {
+		if _, err := ParseConf("ClusterName=x\n" + text + "\n"); err == nil || !strings.Contains(err.Error(), "slurm: conf line 2:") {
+			t.Fatalf("%s: err = %v, want a line-2 error", text, err)
+		}
+	}
 	conf, err := ParseConf("UnknownKey=whatever\nJobSubmitPlugins=eco, other\nPluginBudget=500ms\n")
 	if err != nil {
 		t.Fatal(err)
