@@ -53,13 +53,15 @@ chaos:
 
 # fuzz gives each fuzzer a short budget beyond the committed corpus
 # (which plain `go test` always replays): the filedb log, the policy
-# spec and the two slurm text parsers (slurm.conf, sbatch scripts).
+# spec, the two slurm text parsers (slurm.conf, sbatch scripts) and the
+# calendar queue against its naive reference.
 fuzz:
 	$(GO) test -fuzz FuzzTornTail -fuzztime 30s -run FuzzTornTail ./internal/filedb/
 	$(GO) test -fuzz FuzzReplay -fuzztime 30s -run FuzzReplay ./internal/filedb/
 	$(GO) test -fuzz FuzzPolicySpec -fuzztime 30s -run FuzzPolicySpec ./internal/workload/
 	$(GO) test -fuzz FuzzParseConf -fuzztime 30s -run FuzzParseConf ./internal/slurm/
 	$(GO) test -fuzz FuzzParseBatchScript -fuzztime 30s -run FuzzParseBatchScript ./internal/slurm/
+	$(GO) test -fuzz FuzzEventQueueDifferential -fuzztime 30s -run FuzzEventQueueDifferential ./internal/simclock/
 
 # cover enforces a per-package statement-coverage floor on the policy
 # and workload packages (the cluster-policy test harness keeps them
@@ -119,9 +121,9 @@ profile-cluster:
 # alloc-check guards the allocation guarantees of the hot paths. The
 # simulator's must report 0 allocs/op, or a heap allocation has crept
 # into a per-event path: the telemetry emit path (sharded counter,
-# gauge, bucketed histogram), the simclock schedule+pop cycle on the
-# Action fast path, the slurm submit→complete cycle (pooled jobs,
-# chunked arena, aggregate accounting), a scheduling pass that starts
+# gauge, bucketed histogram), the simclock schedule+pop cycle, the
+# slurm submit→complete cycle (pooled jobs, chunked arena, aggregate
+# accounting), a scheduling pass that starts
 # nothing on a saturated cluster under all three energy policies (hold,
 # place and their maintained state) and PredictService.Predict on a
 # cache hit (untraced; the $$ keeps the traced variant, which allocates

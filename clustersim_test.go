@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ecosched/internal/leakcheck"
@@ -143,6 +144,51 @@ func TestDifferentSeedDiverges(t *testing.T) {
 	}
 	if reflect.DeepEqual(a.Totals, b.Totals) {
 		t.Fatal("different seeds produced identical accounting totals")
+	}
+}
+
+// TestClusterHostileDurations runs valid specs whose sampled durations
+// do not fit the simulated clock's nanosecond ticks. A gap, sleep, time
+// limit or deadline slack that lands past the last instant the clock
+// can key is an error naming the client and the field; a fixed-work job
+// too long to plan runs to its time limit and fails. None may panic a
+// lane.
+func TestClusterHostileDurations(t *testing.T) {
+	cases := []struct {
+		name    string
+		edit    func(*workload.Spec)
+		wantErr string // "" = the run returns a report with failed jobs
+	}{
+		{"sleep", func(s *workload.Spec) {
+			s.Clients[1].Jobs.Sleep = workload.Dist{Kind: "constant", Value: 1e12}
+		}, `client "interactive": sleep`},
+		{"arrival gap", func(s *workload.Spec) {
+			s.Clients[1].Arrival.RatePerHour = 1e-12
+		}, `client "interactive": arrival gap`},
+		{"fixed work", func(s *workload.Spec) {
+			s.Clients[0].Jobs.Work = workload.Dist{Kind: "constant", Value: 1e30}
+			s.Clients[0].Jobs.SleepFraction = 0
+		}, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := loadSpec(t, "race-smoke.json")
+			spec.MaxSubmissions = 50
+			tc.edit(&spec)
+			rep, err := RunClusterSpec(spec, nil)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("err = %v, want one containing %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Totals.Failed == 0 {
+				t.Fatalf("no job failed: %+v", rep.Totals)
+			}
+		})
 	}
 }
 

@@ -47,12 +47,8 @@ func newModelCache() *modelCache {
 }
 
 // peek returns the entry only if a load already completed
-// successfully — the pure hit path, no blocking. A nil cache never
-// hits.
+// successfully — the pure hit path, no blocking.
 func (c *modelCache) peek(key cacheKey) (*cacheEntry, bool) {
-	if c == nil {
-		return nil, false
-	}
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	c.mu.Unlock()
@@ -74,10 +70,6 @@ func (c *modelCache) peek(key cacheKey) (*cacheEntry, bool) {
 // loader. The loader must call finish exactly once; everyone else
 // waits on entry.done.
 func (c *modelCache) lookup(key cacheKey) (entry *cacheEntry, isLoader bool) {
-	if c == nil {
-		// Uncached service: every call loads for itself.
-		return &cacheEntry{done: make(chan struct{})}, true
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[key]; ok {
@@ -94,9 +86,6 @@ func (c *modelCache) lookup(key cacheKey) (entry *cacheEntry, isLoader bool) {
 func (c *modelCache) finish(key cacheKey, e *cacheEntry, best perfmodel.Config, opt optimizer.Optimizer, latency time.Duration, source ecoplugin.PredictSource, err error) {
 	e.best, e.opt, e.latency, e.source, e.err = best, opt, latency, source, err
 	close(e.done)
-	if c == nil {
-		return
-	}
 	if err != nil {
 		c.mu.Lock()
 		if c.entries[key] == e {
@@ -109,9 +98,6 @@ func (c *modelCache) finish(key cacheKey, e *cacheEntry, best perfmodel.Config, 
 // invalidate drops the entry for one (system, application) pair —
 // called when `chronus load-model` installs a new model for it.
 func (c *modelCache) invalidate(systemHash, binaryHash string) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	delete(c.entries, cacheKey{systemHash, binaryHash})
 	c.mu.Unlock()
@@ -120,9 +106,6 @@ func (c *modelCache) invalidate(systemHash, binaryHash string) {
 // invalidateAll empties the cache — called on settings changes, whose
 // effect on prediction (state, model registry) is not per-key.
 func (c *modelCache) invalidateAll() {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	c.entries = make(map[cacheKey]*cacheEntry)
 	c.mu.Unlock()
@@ -130,9 +113,6 @@ func (c *modelCache) invalidateAll() {
 
 // size reports the number of cached slots (including in-flight loads).
 func (c *modelCache) size() int {
-	if c == nil {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)

@@ -65,10 +65,8 @@ var _ ecoplugin.Predictor = (*PredictService)(nil)
 // with ecoplugin.ErrBudgetExceeded rather than burning the time — the
 // plugin then submits the job unmodified.
 func (s *PredictService) Predict(ctx context.Context, req ecoplugin.PredictRequest) (ecoplugin.PredictResult, error) {
-	if s.inflight != nil {
-		s.inflight.enter()
-		defer s.inflight.exit()
-	}
+	s.inflight.enter()
+	defer s.inflight.exit()
 	ctx, span := s.deps.Tracer.Start(ctx, spanPredict)
 	res, err := s.predict(ctx, req)
 	if span != nil {

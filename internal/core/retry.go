@@ -105,7 +105,7 @@ func newRetrier(deps Deps) *retrier {
 // error), or the stage's cumulative deadline has passed. The last
 // error is returned verbatim so callers' errors.Is chains still work.
 func (r *retrier) do(ctx context.Context, stage string, fn func() error) error {
-	if r == nil || !r.policy.enabled() {
+	if !r.policy.enabled() {
 		return fn()
 	}
 	start := r.now()

@@ -153,10 +153,6 @@ func TestRetryPolicyDisabledByDefault(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("zero policy made %d attempts, want 1", calls)
 	}
-	var nilRetrier *retrier
-	if err := nilRetrier.do(context.Background(), stageDBQuery, func() error { return nil }); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // flakySettings fails its first `failures` Loads, then delegates.

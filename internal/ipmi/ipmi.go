@@ -114,33 +114,56 @@ func quantize(v, step float64) float64 {
 
 // Sampler polls the BMC at a fixed interval and appends samples to a
 // trace — Chronus's System Service integration ("sampling the energy
-// usage from the BMC ... at a 2-second interval").
+// usage from the BMC ... at a 2-second interval"). A running sampler is
+// one pending event on the simulated clock: each tick samples and arms
+// the next.
 type Sampler struct {
-	sim    *simclock.Sim
-	conn   *Conn
-	node   *hw.Node
-	trace  *telemetry.Trace
-	ticker *simclock.Ticker
+	sim      *simclock.Sim
+	conn     *Conn
+	node     *hw.Node
+	trace    *telemetry.Trace
+	interval time.Duration
+	gen      uint64     // bumped by Start and Stop; a tick armed under an older one is stale
+	tick     sampleTick // the Action every tick fires, bound once
+}
+
+// sampleTick fires a sampler's tick. Clock events cannot be cancelled,
+// so Fire drops a tick whose generation a later Start or Stop has
+// superseded — the one tick still queued when Stop ran fires as a
+// no-op.
+type sampleTick struct{ s *Sampler }
+
+func (a *sampleTick) Fire(gen uint64) {
+	s := a.s
+	if gen != s.gen {
+		return
+	}
+	s.sampleNow(s.sim.Now())
+	s.sim.AfterAction(s.interval, a, gen)
 }
 
 // NewSampler creates a sampler writing into trace.
 func NewSampler(sim *simclock.Sim, conn *Conn, node *hw.Node, trace *telemetry.Trace) *Sampler {
-	return &Sampler{sim: sim, conn: conn, node: node, trace: trace}
+	s := &Sampler{sim: sim, conn: conn, node: node, trace: trace}
+	s.tick.s = s
+	return s
 }
 
-// Start begins sampling every interval. It samples once immediately so
-// the trace covers the full window.
+// Start begins sampling every interval, which must be positive. It
+// samples once immediately so the trace covers the full window.
 func (s *Sampler) Start(interval time.Duration) {
+	if interval <= 0 {
+		panic("ipmi: non-positive sampling interval")
+	}
+	s.interval = interval
+	s.gen++
 	s.sampleNow(s.sim.Now())
-	s.ticker = s.sim.Tick(interval, s.sampleNow)
+	s.sim.AfterAction(interval, &s.tick, s.gen)
 }
 
 // Stop halts sampling and takes one final sample to close the window.
 func (s *Sampler) Stop() {
-	if s.ticker != nil {
-		s.ticker.Stop()
-		s.ticker = nil
-	}
+	s.gen++
 	s.sampleNow(s.sim.Now())
 }
 
@@ -149,7 +172,7 @@ func (s *Sampler) Trace() *telemetry.Trace { return s.trace }
 
 func (s *Sampler) sampleNow(now time.Time) {
 	r := s.conn.readings()
-	// Append never fails here: the ticker produces monotone times.
+	// Append never fails here: the simulated clock only moves forward.
 	_ = s.trace.Append(telemetry.Sample{
 		Time:     now,
 		SystemW:  r[0].Value,

@@ -150,6 +150,88 @@ func TestSamplerInterval(t *testing.T) {
 	}
 }
 
+// Samples land at the start, at every interval, and at the stop.
+func TestSamplerTicksAtInterval(t *testing.T) {
+	sim, node, bmc := newRig(t)
+	conn, _ := bmc.Open(true)
+	tr := &telemetry.Trace{}
+	s := NewSampler(sim, conn, node, tr)
+	s.Start(2 * time.Second)
+	sim.RunFor(7 * time.Second)
+	s.Stop()
+	sim.Run()
+	want := []time.Duration{0, 2 * time.Second, 4 * time.Second, 6 * time.Second, 7 * time.Second}
+	if tr.Len() != len(want) {
+		t.Fatalf("sampled %d times, want %d", tr.Len(), len(want))
+	}
+	for i, w := range want {
+		if got := tr.Samples[i].Time.Sub(simclock.Epoch); got != w {
+			t.Fatalf("sample %d at +%v, want +%v", i, got, w)
+		}
+	}
+}
+
+// A running sampler is one pending event on the clock, and a tick
+// re-arms it from the pooled record and the Action bound in NewSampler,
+// with no allocation: a benchmark sweep ticks ~200,000 times. After
+// Stop, the one tick still queued fires as a no-op.
+func TestSamplerPendingAndSteadyStateAllocs(t *testing.T) {
+	sim, node, bmc := newRig(t)
+	conn, _ := bmc.Open(true)
+	tr := &telemetry.Trace{Samples: make([]telemetry.Sample, 0, 512)}
+	s := NewSampler(sim, conn, node, tr)
+	base := sim.Pending()
+	s.Start(2 * time.Second)
+	if got := sim.Pending() - base; got != 1 {
+		t.Fatalf("a running sampler holds %d pending events, want 1", got)
+	}
+	sim.RunFor(10 * time.Second) // warm the event pool
+	allocs := testing.AllocsPerRun(100, func() { sim.RunFor(2 * time.Second) })
+	if allocs != 0 {
+		t.Fatalf("a tick allocates %.0f times, want 0", allocs)
+	}
+	if got := sim.Pending() - base; got != 1 {
+		t.Fatalf("pending events after %d samples = %d, want 1", tr.Len(), got)
+	}
+	s.Stop()
+	n := tr.Len()
+	sim.Run()
+	if tr.Len() != n {
+		t.Fatalf("sampler appended %d samples after Stop", tr.Len()-n)
+	}
+}
+
+// A stopped sampler restarts cleanly: the tick queued at Stop is stale
+// and never doubles the new run's ticks.
+func TestSamplerRestartAfterStop(t *testing.T) {
+	sim, node, bmc := newRig(t)
+	conn, _ := bmc.Open(true)
+	tr := &telemetry.Trace{}
+	s := NewSampler(sim, conn, node, tr)
+	s.Start(3 * time.Second)
+	sim.RunFor(4 * time.Second)
+	s.Stop()
+	n := tr.Len()
+	s.Start(time.Second)
+	sim.RunFor(10 * time.Second)
+	// One immediate sample plus one a second for 10 s.
+	if got := tr.Len() - n; got != 11 {
+		t.Fatalf("restarted sampler took %d samples over 10 s at 1 s, want 11", got)
+	}
+}
+
+func TestSamplerNonPositiveIntervalPanics(t *testing.T) {
+	sim, node, bmc := newRig(t)
+	conn, _ := bmc.Open(true)
+	s := NewSampler(sim, conn, node, &telemetry.Trace{})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Start(0) did not panic")
+		}
+	}()
+	s.Start(0)
+}
+
 func TestSamplerAggregateMatchesNodeEnergy(t *testing.T) {
 	sim, node, bmc := newRig(t)
 	conn, _ := bmc.Open(true)

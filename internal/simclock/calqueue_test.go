@@ -10,49 +10,31 @@ import (
 //
 // refSim is a deliberately naive event queue — an unsorted slice with
 // linear minimum scans — implementing the same semantics as Sim:
-// (time, scheduling-order) execution, lazy cancellation, RunUntil
-// advancing to the boundary, RunBefore stopping strictly short of it.
-// The differential fuzz test drives both through identical operation
-// sequences and requires identical execution traces.
+// (time, scheduling-order) execution, RunUntil advancing to the
+// boundary, RunBefore stopping strictly short of it. The differential
+// fuzz test drives both through identical operation sequences and
+// requires identical execution traces.
 
 type refEvent struct {
-	at   time.Duration // offset from start
-	seq  uint64
-	id   uint64
-	fn   func()
-	dead bool
+	at  time.Duration // offset from start
+	seq uint64
+	fn  func()
 }
 
 type refSim struct {
 	now time.Duration
 	seq uint64
-	ids uint64
 	evs []*refEvent
 }
 
-func (r *refSim) schedule(d time.Duration, fn func()) uint64 {
-	r.ids++
-	r.evs = append(r.evs, &refEvent{at: r.now + d, seq: r.seq, id: r.ids, fn: fn})
+func (r *refSim) schedule(d time.Duration, fn func()) {
+	r.evs = append(r.evs, &refEvent{at: r.now + d, seq: r.seq, fn: fn})
 	r.seq++
-	return r.ids
-}
-
-func (r *refSim) cancel(id uint64) bool {
-	for _, ev := range r.evs {
-		if ev.id == id && !ev.dead {
-			ev.dead = true
-			return true
-		}
-	}
-	return false
 }
 
 func (r *refSim) min() *refEvent {
 	var best *refEvent
 	for _, ev := range r.evs {
-		if ev.dead {
-			continue
-		}
 		if best == nil || ev.at < best.at || (ev.at == best.at && ev.seq < best.seq) {
 			best = ev
 		}
@@ -101,24 +83,13 @@ func (r *refSim) runBefore(t time.Duration) {
 	}
 }
 
-func (r *refSim) pending() int {
-	n := 0
-	for _, ev := range r.evs {
-		if !ev.dead {
-			n++
-		}
-	}
-	return n
-}
-
 // --- differential driver ---------------------------------------------
 
 // queueOps is the common surface the fuzz driver exercises on both
 // implementations. Durations are relative so the two logs compare on
 // offsets, not absolute instants.
 type queueOps interface {
-	Schedule(d time.Duration, fn func()) uint64
-	Cancel(id uint64) bool
+	Schedule(d time.Duration, fn func())
 	Step() bool
 	RunUntil(d time.Duration) // absolute offset from start
 	RunBefore(d time.Duration)
@@ -126,16 +97,16 @@ type queueOps interface {
 	Pending() int
 }
 
+// simUnderTest schedules through the closure table, so every event the
+// calendar queue holds is an AtAction event.
 type simUnderTest struct {
 	s     *Sim
 	start time.Time
+	fns   funcs
 }
 
-func (u *simUnderTest) Schedule(d time.Duration, fn func()) uint64 {
-	return uint64(u.s.After(d, fn))
-}
-func (u *simUnderTest) Cancel(id uint64) bool { return u.s.Cancel(EventID(id)) }
-func (u *simUnderTest) Step() bool            { return u.s.Step() }
+func (u *simUnderTest) Schedule(d time.Duration, fn func()) { u.fns.after(u.s, d, fn) }
+func (u *simUnderTest) Step() bool                          { return u.s.Step() }
 func (u *simUnderTest) RunUntil(d time.Duration) {
 	if t := u.start.Add(d); !t.Before(u.s.Now()) {
 		u.s.RunUntil(t)
@@ -147,9 +118,8 @@ func (u *simUnderTest) Pending() int              { return u.s.Pending() }
 
 type refUnderTest struct{ r *refSim }
 
-func (u *refUnderTest) Schedule(d time.Duration, fn func()) uint64 { return u.r.schedule(d, fn) }
-func (u *refUnderTest) Cancel(id uint64) bool                      { return u.r.cancel(id) }
-func (u *refUnderTest) Step() bool                                 { return u.r.step() }
+func (u *refUnderTest) Schedule(d time.Duration, fn func()) { u.r.schedule(d, fn) }
+func (u *refUnderTest) Step() bool                          { return u.r.step() }
 func (u *refUnderTest) RunUntil(d time.Duration) {
 	if d >= u.r.now {
 		u.r.runUntil(d)
@@ -157,7 +127,7 @@ func (u *refUnderTest) RunUntil(d time.Duration) {
 }
 func (u *refUnderTest) RunBefore(d time.Duration) { u.r.runBefore(d) }
 func (u *refUnderTest) NowOffset() time.Duration  { return u.r.now }
-func (u *refUnderTest) Pending() int              { return u.r.pending() }
+func (u *refUnderTest) Pending() int              { return len(u.r.evs) }
 
 // opDurations mixes magnitudes so schedules land in the current
 // bucket, across the near band, in the far band, and — repeatedly — at
@@ -186,7 +156,6 @@ func interpret(data []byte, q queueOps) []string {
 			}
 		}
 	}
-	var ids []uint64
 	for i := 0; i+1 < len(data); i += 2 {
 		op, val := data[i], int(data[i+1])
 		switch op % 6 {
@@ -196,12 +165,9 @@ func interpret(data []byte, q queueOps) []string {
 			if val%5 == 0 {
 				child = opDurations[(val/3)%len(opDurations)]
 			}
-			ids = append(ids, q.Schedule(d, fire(i, child)))
-		case 2: // cancel a previously issued id (possibly already fired)
-			if len(ids) > 0 {
-				got := q.Cancel(ids[val%len(ids)])
-				log = append(log, fmt.Sprintf("cancel %v", got))
-			}
+			q.Schedule(d, fire(i, child))
+		case 2:
+			log = append(log, fmt.Sprintf("pend %d @%d", q.Pending(), q.NowOffset()))
 		case 3:
 			log = append(log, fmt.Sprintf("step %v @%d", q.Step(), q.NowOffset()))
 		case 4:
@@ -219,11 +185,11 @@ func interpret(data []byte, q queueOps) []string {
 }
 
 // FuzzEventQueueDifferential drives the calendar queue and the
-// reference queue through the same randomized schedule / cancel /
-// step / window interleavings and requires byte-identical execution
-// traces — the same events, in the same order, at the same instants,
-// including same-instant FIFO ties and cancellations collected from
-// the pool.
+// reference queue through the same randomized schedule / step / window
+// interleavings and requires byte-identical execution traces — the
+// same events, in the same order, at the same instants, including
+// same-instant FIFO ties and events scheduled from inside Fire into
+// records the pool just recycled.
 func FuzzEventQueueDifferential(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 6, 2, 3, 0})
 	f.Add([]byte{0, 10, 0, 10, 0, 10, 2, 1, 3, 0, 3, 0, 3, 0})
@@ -251,10 +217,10 @@ func FuzzEventQueueDifferential(f *testing.F) {
 
 func TestRunBeforeExcludesBoundary(t *testing.T) {
 	s := New()
+	var fns funcs
 	var fired []time.Duration
 	for _, d := range []time.Duration{time.Second, 2 * time.Second, 3 * time.Second} {
-		d := d
-		s.After(d, func() { fired = append(fired, d) })
+		fns.after(s, d, func() { fired = append(fired, d) })
 	}
 	s.RunBefore(Epoch.Add(2 * time.Second))
 	if len(fired) != 1 || fired[0] != time.Second {
@@ -280,7 +246,7 @@ func TestLastEventAt(t *testing.T) {
 	if !s.LastEventAt().Equal(Epoch) {
 		t.Fatalf("LastEventAt before any event = %v, want start", s.LastEventAt())
 	}
-	s.After(3*time.Second, func() {})
+	s.AfterAction(3*time.Second, &benchAction{}, 0)
 	s.Run()
 	s.RunUntil(Epoch.Add(time.Hour)) // advances Now, not LastEventAt
 	if got := s.LastEventAt().Sub(Epoch); got != 3*time.Second {
@@ -291,44 +257,11 @@ func TestLastEventAt(t *testing.T) {
 	}
 }
 
-// TestCancelledEventPoolReuse covers the pooled-record lifecycle: a
-// cancelled event's record is collected lazily and recycled into later
-// schedules without resurrecting the cancelled callback. Runs under
-// -race in the chaos suite.
-func TestCancelledEventPoolReuse(t *testing.T) {
-	s := New()
-	var cancelled, kept int
-	var ids []EventID
-	for round := 0; round < 50; round++ {
-		for i := 0; i < 20; i++ {
-			ids = append(ids, s.After(time.Duration(i+1)*time.Millisecond, func() { cancelled++ }))
-		}
-		for _, id := range ids {
-			s.Cancel(id)
-		}
-		ids = ids[:0]
-		// Records from the cancelled batch are reused here; the old
-		// callbacks must not leak through.
-		for i := 0; i < 20; i++ {
-			s.After(time.Duration(i+1)*time.Millisecond, func() { kept++ })
-		}
-		s.RunFor(time.Second)
-	}
-	if cancelled != 0 {
-		t.Fatalf("%d cancelled callbacks ran", cancelled)
-	}
-	if kept != 50*20 {
-		t.Fatalf("kept = %d, want %d", kept, 50*20)
-	}
-	if s.Pending() != 0 {
-		t.Fatalf("pending = %d after drain", s.Pending())
-	}
-}
-
 func TestFarBandRebuild(t *testing.T) {
 	// Schedule a spread far beyond the initial near band so pops force
 	// far-band rebuilds, including a very distant outlier.
 	s := New()
+	var fns funcs
 	var fired []time.Duration
 	spread := []time.Duration{
 		time.Millisecond, 8 * time.Minute, 9 * time.Minute, // near band (≈9 min wide initially)
@@ -337,7 +270,7 @@ func TestFarBandRebuild(t *testing.T) {
 	}
 	for i := len(spread) - 1; i >= 0; i-- {
 		d := spread[i]
-		s.After(d, func() { fired = append(fired, d) })
+		fns.after(s, d, func() { fired = append(fired, d) })
 	}
 	s.Run()
 	if len(fired) != len(spread) {
@@ -354,8 +287,8 @@ func TestFarBandRebuild(t *testing.T) {
 // slots: on a fresh Sim, one event into each of the 256 buckets and a
 // full drain allocate nothing beyond the event records (pre-filled into
 // the pool here, so the expected count is exactly zero). A provisioned
-// sweep node lives for one configuration, so its ticker meets every
-// bucket for the first time.
+// sweep node lives for one configuration, so its sampler's ticks meet
+// every bucket for the first time.
 func TestFreshSimFirstEventPerBucketDoesNotAllocate(t *testing.T) {
 	const runs = 10
 	sims := make([]*Sim, runs+1) // AllocsPerRun adds one warm-up call
@@ -398,7 +331,7 @@ func TestBucketSlotOutgrownMatchesOracle(t *testing.T) {
 	// the first ≈2.1 s bucket of a fresh band.
 	data := []byte{
 		0, 7, 0, 7, 0, 6, 0, 0, 0, 7, // five events, one bucket; 0,0 spawns a child
-		2, 1, // cancel one of the 1 s events while it sits mid-heap
+		2, 1, // observe the queue depth with the bucket outgrown
 		3, 0, 3, 0, // pop two
 		0, 6, 0, 7, // refill the grown bucket
 		4, 7, // run 1 s on
@@ -425,11 +358,11 @@ type benchAction struct{ fired int }
 
 func (a *benchAction) Fire(uint64) { a.fired++ }
 
-// BenchmarkSimSchedule measures the steady-state schedule+pop cycle on
-// the Action fast path with a standing population of ~1k events (the
-// cluster simulator's working set: one completion per busy node). The
-// alloc-check make target pins it at 0 allocs/op — the event pool and
-// the closure-free Action path make the hot loop allocation-free.
+// BenchmarkSimSchedule measures the steady-state schedule+pop cycle
+// with a standing population of ~1k events (the cluster simulator's
+// working set: one completion per busy node). The alloc-check make
+// target pins it at 0 allocs/op — the event pool and the pre-allocated
+// Action make the hot loop allocation-free.
 func BenchmarkSimSchedule(b *testing.B) {
 	s := New()
 	act := &benchAction{}
@@ -446,21 +379,5 @@ func BenchmarkSimSchedule(b *testing.B) {
 	b.StopTimer()
 	if act.fired != b.N {
 		b.Fatalf("fired %d, want %d", act.fired, b.N)
-	}
-}
-
-// BenchmarkSimScheduleClosure is the closure (At/After) path for
-// comparison: one closure allocation per event is expected.
-func BenchmarkSimScheduleClosure(b *testing.B) {
-	s := New()
-	n := 0
-	for i := 0; i < 1024; i++ {
-		s.After(time.Duration(1+(i*7919)%100000)*time.Microsecond, func() { n++ })
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.After(time.Duration(1+(i*7919)%100000)*time.Microsecond, func() { n++ })
-		s.Step()
 	}
 }

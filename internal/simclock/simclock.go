@@ -4,10 +4,14 @@
 // simulated timeline, so a "20-minute" HPCG run completes in
 // microseconds of wall time and every experiment is reproducible.
 //
-// The zero value is not usable; create a simulator with New. Events are
-// callbacks scheduled at absolute or relative simulated times and are
-// executed in time order. Events scheduled for the same instant run in
-// scheduling order (FIFO), which keeps the simulation deterministic.
+// The zero value is not usable; create a simulator with New. An event
+// is an Action fired with a caller-chosen argument at an absolute or
+// relative simulated time; events execute in time order, and events
+// scheduled for the same instant run in scheduling order (FIFO), which
+// keeps the simulation deterministic. An event cannot be cancelled: a
+// scheduler whose event may go stale (a cancelled job's completion, a
+// stopped sampler's tick) checks its own state in Fire and does
+// nothing.
 //
 // # Event queue
 //
@@ -26,8 +30,8 @@
 // pool has one invariant, enforced by the ecolint eventpool analyzer:
 // once an event is released back to the free list it must not be
 // touched again — its fields are copied out before release, and the
-// callback runs from the copies, so callbacks are free to schedule
-// (and thereby reuse) events.
+// Action fires from the copies, so Fire is free to schedule (and
+// thereby reuse) events.
 package simclock
 
 import (
@@ -51,30 +55,25 @@ const (
 	defaultWidth = int64(1 << 31) // ≈ 2.1 s per bucket, ≈ 9 min band
 )
 
-// Action is the allocation-free event callback: a pre-allocated
-// handler object invoked with a caller-chosen argument. Hot schedulers
-// (the Slurm controller's job-completion and scheduling-flush events)
-// implement Action once on a long-lived struct and pass job ids as
-// arg, where a closure per event would allocate and capture.
+// Action is the event callback: a pre-allocated handler object
+// invoked with a caller-chosen argument. Schedulers (the Slurm
+// controller's job-completion and scheduling-flush events, the IPMI
+// sampler's tick) implement Action once on a long-lived struct and pass
+// a job id or generation as arg, so scheduling an event allocates
+// nothing.
 type Action interface {
 	Fire(arg uint64)
 }
 
-// EventID identifies a scheduled event so it can be cancelled.
-type EventID uint64
-
 // event is one pending queue entry. Events are pooled: the struct is
-// recycled after it fires or its cancellation is collected, so no
-// caller may retain a reference past Step.
+// recycled after it fires, so no caller may retain a reference past
+// Step.
 type event struct {
 	at   time.Time // the caller's instant, preserved exactly
 	tick int64     // at.UnixNano(), the comparison key
 	seq  uint64    // tie-breaker for same-instant events
-	id   EventID   // 0 for fast-path (uncancellable) events
-	fn   func()    // exactly one of fn/act is set
 	act  Action
 	arg  uint64
-	dead bool // cancelled; collected lazily on pop
 }
 
 // less orders events by (tick, seq): time order, FIFO within an
@@ -133,7 +132,7 @@ func (b *bucket) pop() *event {
 type calQueue struct {
 	buckets [nbuckets]bucket
 	// slots is each bucket's first backing array, carved from the Sim:
-	// a sampling ticker walks the band one event per bucket, so a
+	// a sampler's tick walks the band one event per bucket, so a
 	// bucket's first event must not cost an allocation. A bucket that
 	// holds two events at once outgrows its slot onto the heap.
 	slots  [nbuckets][1]*event
@@ -158,11 +157,9 @@ type Sim struct {
 	nowTick   int64     // now.UnixNano(), maintained alongside now
 	lastEvent time.Time // instant of the last executed event
 	seq       uint64    // tie-breaker for same-instant events
-	nextID    EventID
 	pending   int
 	q         calQueue
-	live      map[EventID]*event // cancellable events by id
-	free      []*event           // event pool
+	free      []*event // event pool
 }
 
 // New returns a simulator whose clock starts at Epoch.
@@ -170,7 +167,7 @@ func New() *Sim { return NewAt(Epoch) }
 
 // NewAt returns a simulator whose clock starts at the given instant.
 func NewAt(start time.Time) *Sim {
-	s := &Sim{now: start, nowTick: start.UnixNano(), lastEvent: start, nextID: 1, live: make(map[EventID]*event)}
+	s := &Sim{now: start, nowTick: start.UnixNano(), lastEvent: start}
 	s.q.width = defaultWidth
 	s.q.base = start.UnixNano()
 	s.q.top = s.q.base + nbuckets*s.q.width
@@ -207,29 +204,12 @@ func (s *Sim) alloc() *event {
 }
 
 // release returns an event record to the free list. The record is
-// zeroed first so the pool retains no callback or Action references.
+// zeroed first so the pool retains no Action references.
 // Callers must copy out any field they still need before calling this
 // (the eventpool lint rule rejects uses after the release call).
 func (s *Sim) release(ev *event) {
 	*ev = event{}
 	s.free = append(s.free, ev)
-}
-
-// schedule allocates, keys and enqueues an event at t, panicking on
-// past instants — scheduling before Now would silently reorder the
-// timeline, which is always a bug in the caller.
-func (s *Sim) schedule(t time.Time) *event {
-	if t.Before(s.now) {
-		panic(fmt.Sprintf("simclock: scheduling event at %v before now %v", t, s.now))
-	}
-	ev := s.alloc()
-	ev.at = t
-	ev.tick = t.UnixNano()
-	ev.seq = s.seq
-	s.seq++
-	s.pending++
-	s.push(ev)
-	return ev
 }
 
 // push places an event in its calendar bucket or the far band.
@@ -278,10 +258,10 @@ func (q *calQueue) farPush(ev *event) {
 }
 
 // rebuild re-anchors the near band over the far band's span and
-// re-buckets it. Called only when the near band is empty. Dead events
-// are collected here; live ones past the new top (possible only under
-// the width floor) stay in the far band, with progress guaranteed
-// because the event at farMin always lands in a bucket.
+// re-buckets it. Called only when the near band is empty. Events past
+// the new top (possible only under the width floor) stay in the far
+// band, with progress guaranteed because the event at farMin always
+// lands in a bucket.
 func (s *Sim) rebuild() {
 	q := &s.q
 	w := (q.farMax-q.farMin)/nbuckets + 1
@@ -295,12 +275,9 @@ func (s *Sim) rebuild() {
 	far := q.far
 	q.far = q.far[:0] // in-place filter: write index never passes read index
 	for _, ev := range far {
-		switch {
-		case ev.dead:
-			s.release(ev)
-		case ev.tick >= q.top:
+		if ev.tick >= q.top {
 			q.farPush(ev)
-		default:
+		} else {
 			idx := int((ev.tick - q.base) / q.width)
 			q.buckets[idx].push(ev)
 			q.n++
@@ -308,112 +285,72 @@ func (s *Sim) rebuild() {
 	}
 }
 
-// settle positions cur on the bucket holding the live global-minimum
-// event, rebuilding from the far band and collecting dead events as
-// needed. It reports false when no live event remains.
+// settle positions cur on the bucket holding the global-minimum event,
+// rebuilding the near band from the far band when it has drained. It
+// reports false when no event remains.
 func (s *Sim) settle() bool {
 	q := &s.q
-	for {
-		if q.n == 0 {
-			if len(q.far) == 0 {
-				return false
-			}
-			s.rebuild()
-			continue
+	if q.n == 0 {
+		if len(q.far) == 0 {
+			return false
 		}
-		for len(q.buckets[q.cur]) == 0 {
-			q.cur++
-		}
-		b := &q.buckets[q.cur]
-		if top := (*b)[0]; top.dead {
-			s.release(b.pop())
-			q.n--
-			continue
-		}
-		return true
+		s.rebuild()
 	}
-}
-
-// At schedules fn to run at the absolute simulated time t. Scheduling
-// in the past (before Now) panics.
-func (s *Sim) At(t time.Time, fn func()) EventID {
-	if fn == nil {
-		panic("simclock: nil event func")
+	for len(q.buckets[q.cur]) == 0 {
+		q.cur++
 	}
-	ev := s.schedule(t)
-	ev.fn = fn
-	ev.id = s.nextID
-	s.nextID++
-	s.live[ev.id] = ev
-	return ev.id
-}
-
-// After schedules fn to run d from now. Negative durations panic.
-func (s *Sim) After(d time.Duration, fn func()) EventID {
-	return s.At(s.now.Add(d), fn)
+	return true
 }
 
 // AtAction schedules act.Fire(arg) at the absolute simulated time t.
-// This is the allocation-free fast path: no closure, no cancellation
-// id — the event cannot be cancelled, so callers guard staleness in
-// Fire (the controller checks the job's state). Scheduling in the past
-// panics, as with At.
+// Scheduling allocates nothing once the event pool is warm. The event
+// cannot be cancelled, so a caller whose event may go stale guards in
+// Fire (the controller checks the job's state, the sampler its
+// generation). Scheduling in the past panics: an event before Now would
+// silently reorder the timeline, which is always a bug in the caller.
 func (s *Sim) AtAction(t time.Time, act Action, arg uint64) {
 	if act == nil {
 		panic("simclock: nil event action")
 	}
-	ev := s.schedule(t)
+	if t.Before(s.now) {
+		panic(fmt.Sprintf("simclock: scheduling event at %v before now %v", t, s.now))
+	}
+	ev := s.alloc()
+	ev.at = t
+	ev.tick = t.UnixNano()
+	ev.seq = s.seq
 	ev.act = act
 	ev.arg = arg
+	s.seq++
+	s.pending++
+	s.push(ev)
 }
 
-// AfterAction schedules act.Fire(arg) to run d from now — After's
-// allocation-free counterpart. Negative durations panic.
+// AfterAction schedules act.Fire(arg) to run d from now. Negative
+// durations panic.
 func (s *Sim) AfterAction(d time.Duration, act Action, arg uint64) {
 	s.AtAction(s.now.Add(d), act, arg)
 }
 
-// Cancel removes a pending event. It reports whether the event was
-// still pending (false if it already ran, was cancelled, or never
-// existed). The queue entry is collected lazily when it surfaces.
-func (s *Sim) Cancel(id EventID) bool {
-	ev, ok := s.live[id]
-	if !ok {
-		return false
-	}
-	delete(s.live, id)
-	ev.dead = true
-	ev.fn = nil // drop the callback now; the record pops later
-	s.pending--
-	return true
-}
-
-// Pending reports how many events are scheduled and not cancelled.
+// Pending reports how many events are scheduled and have not fired.
 func (s *Sim) Pending() int { return s.pending }
 
-// stepSettled pops and fires the event settle just reported: the live
+// stepSettled pops and fires the event settle just reported: the
 // global minimum at buckets[cur][0]. Callers must have called settle
 // (and received true) with no queue mutation in between.
 func (s *Sim) stepSettled() {
 	q := &s.q
 	ev := q.buckets[q.cur].pop()
 	q.n--
-	if ev.id != 0 {
-		delete(s.live, ev.id)
-	}
-	// Copy out and release before firing: the callback may schedule new
-	// events, which may legitimately reuse this very record.
-	at, tick, fn, act, arg := ev.at, ev.tick, ev.fn, ev.act, ev.arg
+	// Copy out and release before firing: Fire may schedule new events,
+	// which may legitimately reuse this very record.
+	at, tick, act, arg := ev.at, ev.tick, ev.act, ev.arg
 	s.release(ev)
 	s.pending--
 	s.now = at
 	s.nowTick = tick
 	s.lastEvent = at
-	if fn != nil {
-		fn()
-	} else {
-		act.Fire(arg)
-	}
+	act.Fire(arg)
 }
 
 // Step runs the single earliest pending event, advancing the clock to
@@ -464,50 +401,3 @@ func (s *Sim) RunBefore(t time.Time) {
 
 // RunFor advances the simulation by d. See RunUntil.
 func (s *Sim) RunFor(d time.Duration) { s.RunUntil(s.now.Add(d)) }
-
-// Ticker invokes fn every interval until Stop is called. It mirrors the
-// sampling loops the paper runs ("sampling the energy usage ... at a
-// 2-second interval").
-type Ticker struct {
-	sim      *Sim
-	interval time.Duration
-	fn       func(now time.Time)
-	fire     func() // t.tick, bound once so a tick schedules without allocating a closure
-	next     EventID
-	stopped  bool
-}
-
-// Tick starts a repeating event. The first invocation happens one full
-// interval from now. The interval must be positive.
-func (s *Sim) Tick(interval time.Duration, fn func(now time.Time)) *Ticker {
-	if interval <= 0 {
-		panic("simclock: non-positive tick interval")
-	}
-	t := &Ticker{sim: s, interval: interval, fn: fn}
-	t.fire = t.tick
-	t.schedule()
-	return t
-}
-
-func (t *Ticker) schedule() {
-	t.next = t.sim.After(t.interval, t.fire)
-}
-
-func (t *Ticker) tick() {
-	if t.stopped {
-		return
-	}
-	t.fn(t.sim.Now())
-	if !t.stopped {
-		t.schedule()
-	}
-}
-
-// Stop halts the ticker. It is idempotent.
-func (t *Ticker) Stop() {
-	if t.stopped {
-		return
-	}
-	t.stopped = true
-	t.sim.Cancel(t.next)
-}

@@ -4,7 +4,24 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
+
+// funcs is a test-local closure table: an Action whose Fire(i) runs
+// closure i, so a test can schedule arbitrary behaviour through the one
+// kind of event the clock has.
+type funcs []func()
+
+func (f *funcs) Fire(i uint64) { (*f)[i]() }
+
+// at schedules fn at t.
+func (f *funcs) at(s *Sim, t time.Time, fn func()) {
+	*f = append(*f, fn)
+	s.AtAction(t, f, uint64(len(*f)-1))
+}
+
+// after schedules fn d from now.
+func (f *funcs) after(s *Sim, d time.Duration, fn func()) { f.at(s, s.Now().Add(d), fn) }
 
 func TestNowStartsAtEpoch(t *testing.T) {
 	s := New()
@@ -13,10 +30,20 @@ func TestNowStartsAtEpoch(t *testing.T) {
 	}
 }
 
+// An event record is one cache line: the instant, its tick key, the
+// FIFO sequence number and the Action with its argument. A field added
+// here costs every scheduled event a second line.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 64 {
+		t.Fatalf("event is %d bytes, want 64 (one cache line)", got)
+	}
+}
+
 func TestAfterAdvancesClock(t *testing.T) {
 	s := New()
+	var fns funcs
 	var ran bool
-	s.After(5*time.Second, func() { ran = true })
+	fns.after(s, 5*time.Second, func() { ran = true })
 	s.Run()
 	if !ran {
 		t.Fatal("event did not run")
@@ -28,10 +55,11 @@ func TestAfterAdvancesClock(t *testing.T) {
 
 func TestEventsRunInTimeOrder(t *testing.T) {
 	s := New()
+	var fns funcs
 	var order []int
-	s.After(3*time.Second, func() { order = append(order, 3) })
-	s.After(1*time.Second, func() { order = append(order, 1) })
-	s.After(2*time.Second, func() { order = append(order, 2) })
+	fns.after(s, 3*time.Second, func() { order = append(order, 3) })
+	fns.after(s, 1*time.Second, func() { order = append(order, 1) })
+	fns.after(s, 2*time.Second, func() { order = append(order, 2) })
 	s.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -43,11 +71,11 @@ func TestEventsRunInTimeOrder(t *testing.T) {
 
 func TestSameInstantFIFO(t *testing.T) {
 	s := New()
+	var fns funcs
 	var order []int
 	at := s.Now().Add(time.Second)
 	for i := 0; i < 10; i++ {
-		i := i
-		s.At(at, func() { order = append(order, i) })
+		fns.at(s, at, func() { order = append(order, i) })
 	}
 	s.Run()
 	for i, v := range order {
@@ -64,48 +92,25 @@ func TestSchedulingInPastPanics(t *testing.T) {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	s.At(Epoch.Add(-time.Second), func() {})
+	s.AtAction(Epoch.Add(-time.Second), &benchAction{}, 0)
 }
 
-func TestNilFuncPanics(t *testing.T) {
+func TestNilActionPanics(t *testing.T) {
 	s := New()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("nil event func did not panic")
+			t.Fatal("nil event action did not panic")
 		}
 	}()
-	s.After(time.Second, nil)
-}
-
-func TestCancel(t *testing.T) {
-	s := New()
-	var ran bool
-	id := s.After(time.Second, func() { ran = true })
-	if !s.Cancel(id) {
-		t.Fatal("Cancel returned false for pending event")
-	}
-	if s.Cancel(id) {
-		t.Fatal("Cancel returned true for already-cancelled event")
-	}
-	s.Run()
-	if ran {
-		t.Fatal("cancelled event ran")
-	}
-}
-
-func TestCancelUnknownID(t *testing.T) {
-	s := New()
-	if s.Cancel(12345) {
-		t.Fatal("Cancel of unknown id returned true")
-	}
+	s.AfterAction(time.Second, nil, 0)
 }
 
 func TestRunUntilStopsAtBoundary(t *testing.T) {
 	s := New()
+	var fns funcs
 	var ran []time.Duration
 	for _, d := range []time.Duration{time.Second, 3 * time.Second, 10 * time.Second} {
-		d := d
-		s.After(d, func() { ran = append(ran, d) })
+		fns.after(s, d, func() { ran = append(ran, d) })
 	}
 	s.RunUntil(Epoch.Add(3 * time.Second))
 	if len(ran) != 2 {
@@ -122,10 +127,11 @@ func TestRunUntilStopsAtBoundary(t *testing.T) {
 
 func TestRunUntilHonoursEventsScheduledDuringRun(t *testing.T) {
 	s := New()
+	var fns funcs
 	var count int
-	s.After(time.Second, func() {
+	fns.after(s, time.Second, func() {
 		count++
-		s.After(time.Second, func() { count++ })
+		fns.after(s, time.Second, func() { count++ })
 	})
 	s.RunFor(2 * time.Second)
 	if count != 2 {
@@ -146,103 +152,16 @@ func TestRunUntilPastPanics(t *testing.T) {
 
 func TestPending(t *testing.T) {
 	s := New()
-	a := s.After(time.Second, func() {})
-	s.After(2*time.Second, func() {})
+	act := &benchAction{}
+	s.AfterAction(time.Second, act, 0)
+	s.AfterAction(2*time.Second, act, 1)
 	if got := s.Pending(); got != 2 {
 		t.Fatalf("Pending = %d, want 2", got)
 	}
-	s.Cancel(a)
+	s.Step()
 	if got := s.Pending(); got != 1 {
-		t.Fatalf("Pending after cancel = %d, want 1", got)
+		t.Fatalf("Pending after one step = %d, want 1", got)
 	}
-}
-
-func TestTickerFiresAtInterval(t *testing.T) {
-	s := New()
-	var stamps []time.Duration
-	tk := s.Tick(2*time.Second, func(now time.Time) {
-		stamps = append(stamps, now.Sub(Epoch))
-	})
-	s.RunFor(7 * time.Second)
-	tk.Stop()
-	s.Run()
-	want := []time.Duration{2 * time.Second, 4 * time.Second, 6 * time.Second}
-	if len(stamps) != len(want) {
-		t.Fatalf("ticks = %v, want %v", stamps, want)
-	}
-	for i := range want {
-		if stamps[i] != want[i] {
-			t.Fatalf("ticks = %v, want %v", stamps, want)
-		}
-	}
-}
-
-func TestTickerStopIsIdempotent(t *testing.T) {
-	s := New()
-	tk := s.Tick(time.Second, func(time.Time) {})
-	tk.Stop()
-	tk.Stop()
-	if s.Step() {
-		// The pending cancelled event may still pop as dead; Step must
-		// report false because nothing runs.
-		t.Fatal("Step ran an event after ticker stop")
-	}
-}
-
-func TestTickerStopFromWithinCallback(t *testing.T) {
-	s := New()
-	var n int
-	var tk *Ticker
-	tk = s.Tick(time.Second, func(time.Time) {
-		n++
-		if n == 3 {
-			tk.Stop()
-		}
-	})
-	s.Run()
-	if n != 3 {
-		t.Fatalf("ticker fired %d times, want 3", n)
-	}
-}
-
-// A running ticker is exactly one pending, cancellable event, and a
-// tick re-arms it from the pooled event and the callback bound in
-// Tick, with no allocation: the IPMI sampler ticks ~200,000 times in
-// one benchmark sweep.
-func TestTickerPendingAndSteadyStateAllocs(t *testing.T) {
-	s := New()
-	var fired int
-	tk := s.Tick(2*time.Second, func(time.Time) { fired++ })
-	if got := s.Pending(); got != 1 {
-		t.Fatalf("Pending with one ticker = %d, want 1", got)
-	}
-	s.RunFor(10 * time.Second) // warm the event pool
-	allocs := testing.AllocsPerRun(100, func() { s.RunFor(2 * time.Second) })
-	if allocs != 0 {
-		t.Fatalf("a tick allocates %.0f times, want 0", allocs)
-	}
-	if got := s.Pending(); got != 1 {
-		t.Fatalf("Pending after %d ticks = %d, want 1", fired, got)
-	}
-	tk.Stop()
-	if got := s.Pending(); got != 0 {
-		t.Fatalf("Pending after Stop = %d, want 0", got)
-	}
-	before := fired
-	s.Run()
-	if fired != before {
-		t.Fatalf("ticker fired %d more times after Stop", fired-before)
-	}
-}
-
-func TestNonPositiveTickPanics(t *testing.T) {
-	s := New()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Tick(0) did not panic")
-		}
-	}()
-	s.Tick(0, func(time.Time) {})
 }
 
 func TestRNGDeterministic(t *testing.T) {
@@ -329,10 +248,11 @@ func TestClockMonotonicProperty(t *testing.T) {
 	// execution times never decrease.
 	if err := quick.Check(func(ds []uint8) bool {
 		s := New()
+		var fns funcs
 		last := s.Now()
 		ok := true
 		for _, d := range ds {
-			s.After(time.Duration(d)*time.Millisecond, func() {
+			fns.after(s, time.Duration(d)*time.Millisecond, func() {
 				if s.Now().Before(last) {
 					ok = false
 				}

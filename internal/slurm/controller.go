@@ -223,10 +223,10 @@ func retiredState(code uint8) JobState {
 	return ""
 }
 
-// completeAction fires a job's scheduled completion. The event is
-// uncancellable (simclock fast path), so Fire re-validates against the
-// arena: a job cancelled meanwhile is terminal (or retired to a nil
-// slot) and the stale event is dropped.
+// completeAction fires a job's scheduled completion. Clock events
+// cannot be cancelled, so Fire re-validates against the arena: a job
+// cancelled meanwhile is terminal (or retired to a nil slot) and the
+// stale event is dropped.
 type completeAction struct{ c *Controller }
 
 func (a *completeAction) Fire(arg uint64) { a.c.completeJob(int(arg)) }
@@ -946,8 +946,8 @@ func (c *Controller) vacate(job *Job, n *nodeD) {
 }
 
 // completeJob is the completion event for a running job, fired through
-// the controller's pre-allocated Action. The event is uncancellable,
-// so it re-validates: a job cancelled (and possibly retired or even
+// the controller's pre-allocated Action. Clock events cannot be
+// cancelled, so it re-validates: a job cancelled (and possibly retired or even
 // recycled) meanwhile no longer matches a running arena entry and the
 // stale event is dropped.
 func (c *Controller) completeJob(id int) {

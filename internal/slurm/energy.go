@@ -38,6 +38,7 @@ package slurm
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"time"
 
@@ -590,7 +591,11 @@ func (pol *schedPolicy) planBeside(job *Job, n *nodeD, now time.Time, pr *pairin
 	if dur <= 0 {
 		return false
 	}
-	dur = time.Duration(float64(dur) * pol.penalty)
+	if ns := float64(dur) * pol.penalty; ns < math.MaxInt64 {
+		dur = time.Duration(ns)
+	} else {
+		dur = math.MaxInt64 // saturate, as Plan does; the time limit cuts it
+	}
 	if !job.Desc.Deadline.IsZero() && now.Add(dur).After(job.Desc.Deadline) {
 		return false
 	}

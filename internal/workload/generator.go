@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"strconv"
 	"time"
@@ -75,6 +76,7 @@ type clientState struct {
 	rng  *simclock.RNG
 	next time.Time
 	done bool
+	err  error // the first duration seconds refused; it ends the stream
 	// interMeanS is the flat mean interarrival gap in seconds.
 	interMeanS float64
 	// scale is the precomputed gamma/weibull scale parameter that
@@ -145,6 +147,9 @@ func NewGenerator(spec Spec, start time.Time) (*Generator, error) {
 			st.scale = st.interMeanS / math.Gamma(1+1/cs.Arrival.Shape)
 		}
 		st.next = start.Add(st.gap(start))
+		if st.err != nil {
+			return nil, st.err
+		}
 		if !st.next.Before(g.horizon) {
 			st.done = true
 		}
@@ -166,7 +171,8 @@ func (g *Generator) Next() (Submission, bool, error) {
 
 // NextInto implements IntoSource: like Next, but filling the caller's
 // record in place, sparing the hot pump loop a per-submission copy of
-// the ~200-byte Submission.
+// the ~200-byte Submission. A sampled duration the simulated clock
+// cannot represent (see seconds) is an error.
 func (g *Generator) NextInto(s *Submission) (bool, error) {
 	if g.spec.MaxSubmissions > 0 && g.seq >= g.spec.MaxSubmissions {
 		return false, nil
@@ -187,6 +193,9 @@ func (g *Generator) NextInto(s *Submission) (bool, error) {
 	g.seq++
 	// Advance the client to its next arrival.
 	pick.next = pick.next.Add(pick.gap(pick.next))
+	if pick.err != nil {
+		return false, pick.err
+	}
 	if !pick.next.Before(g.horizon) {
 		pick.done = true
 	}
@@ -218,7 +227,26 @@ func (st *clientState) gap(now time.Time) time.Duration {
 	if raw < 1e-6 {
 		raw = 1e-6 // keep the stream strictly advancing
 	}
-	return time.Duration(raw * float64(time.Second))
+	return st.seconds(now, raw, "arrival gap")
+}
+
+// seconds converts a sampled number of seconds into a Duration from
+// base. The simulated clock keys events by nanoseconds since the Unix
+// epoch, so an instant past time.Unix(0, math.MaxInt64) cannot be
+// scheduled, and seconds × 1e9 past the int64 range would wrap negative
+// into the past. Such a value yields 0 and records an error naming the
+// client and the spec field; NextInto returns it.
+func (st *clientState) seconds(base time.Time, sec float64, field string) time.Duration {
+	// Any float below the (rounded) bound converts to at most
+	// MaxInt64 − base; NaN fails the comparison.
+	if ns := sec * float64(time.Second); ns < float64(math.MaxInt64-base.UnixNano()) {
+		return time.Duration(ns)
+	}
+	if st.err == nil {
+		st.err = fmt.Errorf("workload: client %q: %s of %gs from %s lands past the simulated clock's last instant",
+			st.spec.Name, field, sec, base.Format(time.RFC3339))
+	}
+	return 0
 }
 
 func (st *clientState) weight(hour int) float64 {
@@ -262,7 +290,7 @@ func (st *clientState) sampleInto(s *Submission, seq int) {
 		if d < 0.001 {
 			d = 0.001
 		}
-		s.Shape = Sleep(st.sleepName, time.Duration(d*float64(time.Second)))
+		s.Shape = Sleep(st.sleepName, st.seconds(s.At, d, "sleep"))
 	} else {
 		w := j.Work.Sample(st.rng)
 		if w < 0.001 {
@@ -281,7 +309,7 @@ func (st *clientState) sampleInto(s *Submission, seq int) {
 	// 4. time limit
 	if !j.TimeLimit.IsZero() {
 		if tl := j.TimeLimit.Sample(st.rng); tl > 0 {
-			s.TimeLimit = time.Duration(tl * float64(time.Second))
+			s.TimeLimit = st.seconds(s.At, tl, "time_limit")
 		}
 	}
 	// 5. partition
@@ -318,7 +346,8 @@ func (st *clientState) sampleInto(s *Submission, seq int) {
 		if slack < 0 {
 			slack = 0
 		}
-		s.Deadline = s.At.Add(s.TimeLimit + time.Duration(slack*float64(time.Second)))
+		base := s.At.Add(s.TimeLimit)
+		s.Deadline = base.Add(st.seconds(base, slack, "deadline_slack"))
 	}
 	st.jobSeq++
 	st.nameBuf = append(st.nameBuf[:0], st.spec.Name...)

@@ -19,6 +19,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"ecosched/internal/hw"
@@ -83,7 +84,8 @@ func (s Shape) Name() string {
 
 // Plan implements the slurm Workload contract: (runtime, sustained
 // GFLOPS) for the configuration on the node. A zero GFLOPS is valid
-// for non-compute jobs.
+// for non-compute jobs. A runtime past the Duration range saturates
+// rather than wrapping negative, so the job's time limit cuts it.
 func (s Shape) Plan(node *hw.Node, cfg perfmodel.Config) (time.Duration, float64) {
 	switch s.Kind {
 	case ShapeFixedWork:
@@ -91,7 +93,11 @@ func (s Shape) Plan(node *hw.Node, cfg perfmodel.Config) (time.Duration, float64
 		if g <= 0 {
 			return 0, 0
 		}
-		return time.Duration(s.GFLOP / g * float64(time.Second)), g
+		ns := s.GFLOP / g * float64(time.Second)
+		if ns >= math.MaxInt64 {
+			return math.MaxInt64, g
+		}
+		return time.Duration(ns), g
 	case ShapeSleep:
 		return s.Duration, 0
 	}
