@@ -191,6 +191,9 @@ type Deployment struct {
 
 	fs      procfs.FileReader
 	dataDir string
+	// optInScript is the last script SubmitHPCGOptIn rendered, for the
+	// HPCGPath in optInPath.
+	optInScript, optInPath string
 	// closers tear down everything acquired during construction, in
 	// reverse acquisition order. Both New's error paths and Close run
 	// the same list, so a store acquired after a failing
@@ -564,7 +567,9 @@ func (d *Deployment) PreloadModel(modelID int64) (settings.LocalModel, error) {
 // SubmitHPCGOptIn submits the paper's user journey: an HPCG batch job
 // with the standard (wasteful) request and the chronus opt-in comment.
 func (d *Deployment) SubmitHPCGOptIn() (*slurm.Job, error) {
-	script := fmt.Sprintf(`#!/bin/bash
+	if d.optInScript == "" || d.optInPath != d.HPCGPath {
+		d.optInPath = d.HPCGPath
+		d.optInScript = fmt.Sprintf(`#!/bin/bash
 #SBATCH --nodes=1
 #SBATCH --ntasks=%d
 #SBATCH --cpu-freq=2500000
@@ -572,7 +577,8 @@ func (d *Deployment) SubmitHPCGOptIn() (*slurm.Job, error) {
 
 srun --mpi=pmix_v4 --ntasks-per-core=1 %s
 `, paperdata.CPUCores, d.HPCGPath)
-	return d.Cluster.SubmitScript(script)
+	}
+	return d.Cluster.SubmitScript(d.optInScript)
 }
 
 // SubmitHPCG submits an HPCG job in an explicit configuration without

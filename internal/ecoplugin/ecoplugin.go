@@ -160,6 +160,9 @@ type Plugin struct {
 	// plugin keep them).
 	hashedCPUInfo, hashedMemInfo []byte
 	sysHash                      string
+	// The last binary path hashed and its hash: BinaryHash is a pure
+	// function of the path, and formatting it allocates.
+	hashedBinary, binHash string
 
 	// Stats for observability and the A2 ablation. Fallbacks counts
 	// submissions that were left unmodified because prediction failed
@@ -302,9 +305,11 @@ func (p *Plugin) jobSubmit(ctx context.Context, desc *slurm.JobDesc, span *trace
 	if err != nil {
 		return hashLatency, p.fallBack(span, err)
 	}
-	binHash := BinaryHash(desc.BinaryPath)
+	if p.binHash == "" || desc.BinaryPath != p.hashedBinary {
+		p.hashedBinary, p.binHash = desc.BinaryPath, BinaryHash(desc.BinaryPath)
+	}
 
-	req := PredictRequest{SystemHash: sysHash, BinaryHash: binHash}
+	req := PredictRequest{SystemHash: sysHash, BinaryHash: p.binHash}
 	if p.budget > 0 {
 		// The hashes above already spent part of the budget.
 		req.Budget = p.budget - hashLatency

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
+	"syscall"
 )
 
 // State is the plugin activation state, set with `chronus set state`:
@@ -81,15 +82,19 @@ func (s *Settings) FindModelByHash(systemHash, appHash string) (LocalModel, bool
 // SetModel registers a pre-loaded model, replacing any previous model
 // for the same (system, application) pair — one model per application,
 // as "the best energy efficiency configuration changes for each
-// application" (§3.2).
+// application" (§3.2). It copies on write: a loaded Settings shares its
+// LocalModels with the store that loaded it, so the list it was given
+// is never written.
 func (s *Settings) SetModel(m LocalModel) {
-	for i := range s.LocalModels {
-		if s.LocalModels[i].SystemID == m.SystemID && s.LocalModels[i].AppHash == m.AppHash {
-			s.LocalModels[i] = m
-			return
-		}
+	i := slices.IndexFunc(s.LocalModels, func(old LocalModel) bool {
+		return old.SystemID == m.SystemID && old.AppHash == m.AppHash
+	})
+	if i < 0 {
+		s.LocalModels = append(slices.Clip(s.LocalModels), m)
+		return
 	}
-	s.LocalModels = append(s.LocalModels, m)
+	s.LocalModels = slices.Clone(s.LocalModels)
+	s.LocalModels[i] = m
 }
 
 // Store is the Local Storage interface the application layer uses.
@@ -110,8 +115,9 @@ type EtcStore struct {
 	mu   sync.Mutex
 	path string
 
-	decodedFrom []byte   // file contents that produced decoded
-	decoded     Settings // never handed out: Load returns a copy
+	buf         []byte   // the last read; reused by the next, only grows
+	decodedFrom []byte   // a copy of the file contents that produced decoded
+	decoded     Settings // LocalModels is shared with every Load: read-only
 }
 
 // NewEtcStore returns a store at path.
@@ -120,11 +126,12 @@ func NewEtcStore(path string) *EtcStore { return &EtcStore{path: path} }
 // Path returns the settings file location.
 func (e *EtcStore) Path() string { return e.path }
 
-// Load implements Store.
+// Load implements Store. The returned LocalModels is the store's own
+// list, clipped: read it, or change it through SetModel, which copies.
 func (e *EtcStore) Load() (Settings, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	data, err := os.ReadFile(e.path)
+	data, err := e.read()
 	if os.IsNotExist(err) {
 		return Defaults(), nil
 	}
@@ -142,11 +149,49 @@ func (e *EtcStore) Load() (Settings, error) {
 		if !s.State.Valid() {
 			return Settings{}, fmt.Errorf("settings: invalid state %q in %s", s.State, e.path)
 		}
-		e.decodedFrom, e.decoded = data, s
+		e.decodedFrom, e.decoded = append(e.decodedFrom[:0], data...), s
 	}
 	s := e.decoded
-	s.LocalModels = slices.Clone(s.LocalModels) // the caller may SetModel on it
+	s.LocalModels = slices.Clip(s.LocalModels)
 	return s, nil
+}
+
+// initialReadSize is the read buffer's first capacity; a settings file
+// with a handful of models fits.
+const initialReadSize = 2048
+
+// read reads the whole file into e.buf, which it returns. It is
+// os.ReadFile without the *os.File: on a regular file os.Open also pays
+// an fcntl, a poller registration and a finalizer on every call. Errors
+// are *os.PathError with op "open" or "read", as os.ReadFile's are, and
+// EINTR is retried as os retries it.
+func (e *EtcStore) read() ([]byte, error) {
+	fd, err := syscall.Open(e.path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+	for err == syscall.EINTR {
+		fd, err = syscall.Open(e.path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+	}
+	if err != nil {
+		return nil, &os.PathError{Op: "open", Path: e.path, Err: err}
+	}
+	defer syscall.Close(fd)
+	data := e.buf[:0]
+	for {
+		if len(data) == cap(data) {
+			data = slices.Grow(data, max(initialReadSize, len(data)))
+			e.buf = data
+		}
+		n, err := syscall.Read(fd, data[len(data):cap(data)])
+		if err == syscall.EINTR {
+			continue
+		}
+		if err != nil {
+			return nil, &os.PathError{Op: "read", Path: e.path, Err: err}
+		}
+		if n == 0 {
+			return data, nil
+		}
+		data = data[:len(data)+n]
+	}
 }
 
 // Save implements Store.

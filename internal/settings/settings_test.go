@@ -1,8 +1,11 @@
 package settings
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -258,5 +261,78 @@ func TestLoadedModelsAreTheCallers(t *testing.T) {
 		got.SetModel(LocalModel{ModelID: 99, SystemID: 7, AppHash: "22", Path: "/tmp/replaced"}) // overwrites element 0
 		got.SetModel(LocalModel{ModelID: 100, SystemID: 8, AppHash: "22"})                       // appends
 		got.State = StateActive
+	}
+}
+
+// A file several times the read buffer's first capacity loads as
+// json.Unmarshal of os.ReadFile decodes it, and so do the smaller files
+// read after it into the grown buffer — the last one the same length
+// as the one before, so a remembered decode that aliased the buffer
+// would compare equal to it.
+func TestLoadMatchesReadFileBeyondInitialBuffer(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "settings.json")
+	st := NewEtcStore(path)
+	for _, c := range []struct {
+		models int
+		dir    string
+	}{{200, "a"}, {3, "a"}, {3, "b"}} {
+		s := Defaults()
+		for i := 0; i < c.models; i++ {
+			s.SetModel(LocalModel{ModelID: int64(i), SystemID: int64(i % 7), SystemHash: fmt.Sprint(i * 31), AppHash: fmt.Sprint(i), Optimizer: "random-forest", Path: fmt.Sprintf("/opt/chronus/%s/%d.json", c.dir, i)})
+		}
+		if err := st.Save(s); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.models == 200 && len(data) <= 4*initialReadSize {
+			t.Fatalf("%d-model file is %d bytes, want several times the %d-byte first buffer", c.models, len(data), initialReadSize)
+		}
+		var want Settings
+		if err := json.Unmarshal(data, &want); err != nil {
+			t.Fatal(err)
+		}
+		got, err := st.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d models in %s: Load = %+v, want %+v", c.models, c.dir, got, want)
+		}
+	}
+}
+
+// A directory where the file should be is an error, not defaults.
+func TestLoadOfADirectoryIsAnError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "settings.json")
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := NewEtcStore(path).Load(); err == nil {
+		t.Fatalf("directory loaded as %+v", got)
+	}
+}
+
+// Loading an unchanged file still opens and reads it, but allocates
+// at most the path conversion the open system call needs.
+func TestLoadOfUnchangedFileAllocatesAtMostOnce(t *testing.T) {
+	st := NewEtcStore(filepath.Join(t.TempDir(), "settings.json"))
+	s := Defaults()
+	s.SetModel(LocalModel{ModelID: 1, SystemID: 7, SystemHash: "11", AppHash: "22", Path: "/opt/chronus/m1"})
+	if err := st.Save(s); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Load(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := st.Load(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("Load of an unchanged file allocates %.1f times, want at most 1", allocs)
 	}
 }

@@ -69,11 +69,20 @@ type AcctTotals struct {
 // one row per job; in aggregate-only mode (WithAggregateAccounting)
 // it keeps only the running totals, bounding memory for runs with
 // millions of submissions.
+//
+// Rows are kept in chunks that are never copied once full, the job
+// arena's rule (Controller.jobs): chunk 0 doubles in place up to
+// acctChunkSize rows, so a controller that runs one job pays for one
+// row, and every later chunk is born full.
 type Accounting struct {
-	records       []AcctRecord
+	chunk0        []AcctRecord
+	chunks        [][]AcctRecord // chunks 1…, each acctChunkSize rows when full
 	totals        AcctTotals
 	aggregateOnly bool
 }
+
+// acctChunkSize is the row capacity of a full chunk (about 88 KB).
+const acctChunkSize = 512
 
 func (a *Accounting) record(job *Job) {
 	a.totals.Jobs++
@@ -99,7 +108,7 @@ func (a *Accounting) record(job *Job) {
 	if a.aggregateOnly {
 		return
 	}
-	a.records = append(a.records, AcctRecord{
+	a.appendRow(AcctRecord{
 		JobID:      job.ID,
 		Name:       job.Desc.Name,
 		State:      job.State,
@@ -116,18 +125,45 @@ func (a *Accounting) record(job *Job) {
 	})
 }
 
+// appendRow adds a row to the last chunk, growing chunk 0 or opening a
+// full-size chunk when it has no room.
+func (a *Accounting) appendRow(r AcctRecord) {
+	if n := len(a.chunk0); n < acctChunkSize {
+		if n == cap(a.chunk0) {
+			a.chunk0 = append(make([]AcctRecord, 0, min(max(2*n, 1), acctChunkSize)), a.chunk0...)
+		}
+		a.chunk0 = append(a.chunk0, r)
+		return
+	}
+	if last := len(a.chunks) - 1; last < 0 || len(a.chunks[last]) == acctChunkSize {
+		a.chunks = append(a.chunks, make([]AcctRecord, 0, acctChunkSize))
+	}
+	last := &a.chunks[len(a.chunks)-1]
+	*last = append(*last, r)
+}
+
 // Records returns all accounting rows ordered by job id.
 func (a *Accounting) Records() []AcctRecord {
-	out := append([]AcctRecord(nil), a.records...)
+	out := append([]AcctRecord(nil), a.chunk0...)
+	for _, c := range a.chunks {
+		out = append(out, c...)
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].JobID < out[j].JobID })
 	return out
 }
 
 // Record returns the accounting row for one job.
 func (a *Accounting) Record(jobID int) (AcctRecord, bool) {
-	for _, r := range a.records {
+	for _, r := range a.chunk0 {
 		if r.JobID == jobID {
 			return r, true
+		}
+	}
+	for _, c := range a.chunks {
+		for _, r := range c {
+			if r.JobID == jobID {
+				return r, true
+			}
 		}
 	}
 	return AcctRecord{}, false

@@ -3,6 +3,8 @@ package slurm
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -333,5 +335,46 @@ func TestJobTableGrowthMatchesMapOracle(t *testing.T) {
 		if got := firstChunkLen(nodes); got != want {
 			t.Errorf("firstChunkLen(%d) = %d, want %d", nodes, got, want)
 		}
+	}
+}
+
+// TestAccountingChunksMatchOneSlice pins the accounting table's chunk
+// rule against the single slice it replaced: rows finishing out of id
+// order, through chunk 0's doublings and two full chunks, read back
+// the same through Records and Record; a full chunk is never moved;
+// and one job's row is one allocation, as it was.
+func TestAccountingChunksMatchOneSlice(t *testing.T) {
+	var a Accounting
+	var oracle []AcctRecord
+	n := 2*acctChunkSize + 3
+	var full *AcctRecord // chunk 0's first row once chunk 0 is full
+	for i := 0; i < n; i++ {
+		r := AcctRecord{JobID: (i*7919)%n + 1, Name: fmt.Sprint("j", i), SystemKJ: float64(i)}
+		a.appendRow(r)
+		oracle = append(oracle, r)
+		if len(a.chunk0) == acctChunkSize && full == nil {
+			full = &a.chunk0[0]
+		}
+	}
+	if full != &a.chunk0[0] || cap(a.chunk0) != acctChunkSize || len(a.chunks) != 2 || cap(a.chunks[0]) != acctChunkSize || len(a.chunks[1]) != 3 {
+		t.Fatalf("table shape: chunk 0 %d/%d rows (moved: %v), %d more chunks", len(a.chunk0), cap(a.chunk0), full != &a.chunk0[0], len(a.chunks))
+	}
+	sort.Slice(oracle, func(i, j int) bool { return oracle[i].JobID < oracle[j].JobID })
+	if got := a.Records(); !reflect.DeepEqual(got, oracle) {
+		t.Fatalf("Records differs from the one-slice table (%d rows, want %d)", len(got), len(oracle))
+	}
+	for _, want := range oracle {
+		if got, ok := a.Record(want.JobID); !ok || got != want {
+			t.Fatalf("Record(%d) = %+v, %v; want %+v", want.JobID, got, ok, want)
+		}
+	}
+	if _, ok := a.Record(n + 1); ok {
+		t.Fatal("Record found a job that never ran")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		var one Accounting
+		one.appendRow(AcctRecord{JobID: 1})
+	}); allocs != 1 {
+		t.Fatalf("one job's row allocates %.0f times, want 1", allocs)
 	}
 }

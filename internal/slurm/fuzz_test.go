@@ -1,10 +1,20 @@
 package slurm
 
-import "testing"
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+)
 
 // Fuzz targets: the two text surfaces that parse untrusted input — the
 // sbatch script and slurm.conf. Neither may panic, and accepted
-// scripts must produce internally consistent descriptions.
+// scripts must produce internally consistent descriptions. The script
+// parser must also agree with refParseBatchScript, its earlier
+// strings.Split / strings.Fields form, on every input.
 
 func FuzzParseBatchScript(f *testing.F) {
 	f.Add(RenderBatchScript("/opt/hpcg/xhpcg", 32, 2_200_000, 1))
@@ -13,8 +23,22 @@ func FuzzParseBatchScript(f *testing.F) {
 	f.Add("#SBATCH --cpu-freq=1500000-2500000\nsrun /a\n")
 	f.Add("#SBATCH\nsrun\n")
 	f.Add("")
+	f.Add("#SBATCH --time=400000000\nsrun /a\n")
+	f.Add("#SBATCH --time=200000000\nsrun /a\n")
+	f.Add("#SBATCH --time=-5\nsrun /a\n")
+	f.Add("#SBATCH --ntasks=8\r\n#SBATCH --comment chronus\r\nsrun /a\r\n")
+	f.Add("#SBATCH\t--ntasks=8\t--comment\t\"chronus\"\nsrun\t/a\n")
+	f.Add("#SBATCH --comment\u0085chronus\u00a0--ntasks=4\nsrun /a\u00a0/b\n")
+	f.Add("#SBATCH --dependency=afterok:1:2:3\nsrun /a")
 	f.Fuzz(func(t *testing.T, script string) {
 		desc, err := ParseBatchScript(script)
+		ref, refErr := refParseBatchScript(script)
+		if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
+			t.Fatalf("%q: error %v, reference %v", script, err, refErr)
+		}
+		if !reflect.DeepEqual(desc, ref) {
+			t.Fatalf("%q: parsed %+v, reference %+v", script, desc, ref)
+		}
 		if err != nil {
 			return
 		}
@@ -24,7 +48,170 @@ func FuzzParseBatchScript(f *testing.F) {
 		if desc.MinFreqKHz > desc.MaxFreqKHz && desc.MaxFreqKHz != 0 {
 			t.Fatalf("accepted inverted frequency range: %+v", desc)
 		}
+		if desc.TimeLimit < 0 {
+			t.Fatalf("accepted negative time limit: %+v", desc)
+		}
 	})
+}
+
+// refParseBatchScript is ParseBatchScript as it was before it parsed in
+// place: split the script into lines and each line into fields, and
+// glue a long option to a value that follows it as a field. Only the
+// --time range check is new. It is FuzzParseBatchScript's oracle.
+func refParseBatchScript(script string) (JobDesc, error) {
+	desc := JobDesc{Script: script, ThreadsPerCPU: 1}
+	for lineNo, raw := range strings.Split(script, "\n") {
+		line := strings.TrimSpace(raw)
+		switch {
+		case strings.HasPrefix(line, "#SBATCH"):
+			if err := refParseDirective(&desc, strings.TrimSpace(strings.TrimPrefix(line, "#SBATCH"))); err != nil {
+				return JobDesc{}, fmt.Errorf("slurm: script line %d: %w", lineNo+1, err)
+			}
+		case strings.HasPrefix(line, "srun "):
+			if err := refParseSrunLine(&desc, line); err != nil {
+				return JobDesc{}, fmt.Errorf("slurm: script line %d: %w", lineNo+1, err)
+			}
+		}
+	}
+	return desc, nil
+}
+
+func refParseDirective(desc *JobDesc, directive string) error {
+	for _, tok := range refSplitOptions(directive) {
+		key, value, _ := strings.Cut(tok, "=")
+		switch key {
+		case "--ntasks", "-n":
+			n, err := strconv.Atoi(value)
+			if err != nil {
+				return fmt.Errorf("bad %s value %q", key, value)
+			}
+			desc.NumTasks = n
+		case "--cpu-freq":
+			lo, hi, found := strings.Cut(value, "-")
+			loKHz, err := strconv.Atoi(lo)
+			if err != nil {
+				return fmt.Errorf("bad --cpu-freq value %q", value)
+			}
+			desc.MinFreqKHz = loKHz
+			desc.MaxFreqKHz = loKHz
+			if found {
+				hiKHz, err := strconv.Atoi(hi)
+				if err != nil {
+					return fmt.Errorf("bad --cpu-freq value %q", value)
+				}
+				desc.MaxFreqKHz = hiKHz
+			}
+			if desc.MinFreqKHz <= 0 || desc.MaxFreqKHz < desc.MinFreqKHz {
+				return fmt.Errorf("bad --cpu-freq range %q", value)
+			}
+		case "--comment":
+			desc.Comment = strings.Trim(value, `"'`)
+		case "--job-name", "-J":
+			desc.Name = value
+		case "--partition", "-p":
+			desc.Partition = value
+		case "--time", "-t":
+			minutes, err := strconv.Atoi(value)
+			if err != nil || minutes < 0 || int64(minutes) > math.MaxInt64/int64(time.Minute) {
+				return fmt.Errorf("bad --time value %q", value)
+			}
+			desc.TimeLimit = time.Duration(minutes) * time.Minute
+		case "--deadline":
+			t, err := time.Parse(time.RFC3339, value)
+			if err != nil {
+				return fmt.Errorf("bad --deadline value %q", value)
+			}
+			desc.Deadline = t
+		case "--begin":
+			t, err := time.Parse(time.RFC3339, value)
+			if err != nil {
+				return fmt.Errorf("bad --begin value %q", value)
+			}
+			desc.BeginTime = t
+		case "--dependency", "-d":
+			spec, found := strings.CutPrefix(value, "afterok:")
+			if !found {
+				return fmt.Errorf("unsupported --dependency %q (only afterok:)", value)
+			}
+			for _, idStr := range strings.Split(spec, ":") {
+				id, err := strconv.Atoi(idStr)
+				if err != nil || id <= 0 {
+					return fmt.Errorf("bad --dependency job id %q", idStr)
+				}
+				desc.AfterOK = append(desc.AfterOK, id)
+			}
+		case "--mem":
+			mb, err := parseMemoryMB(value)
+			if err != nil {
+				return err
+			}
+			desc.MemoryMB = mb
+		case "--array", "-a":
+			lo, hi, found := strings.Cut(value, "-")
+			loN, err := strconv.Atoi(lo)
+			if err != nil {
+				return fmt.Errorf("bad --array value %q", value)
+			}
+			hiN := loN
+			if found {
+				if hiN, err = strconv.Atoi(hi); err != nil {
+					return fmt.Errorf("bad --array value %q", value)
+				}
+			}
+			if hiN < loN || loN < 0 {
+				return fmt.Errorf("bad --array range %q", value)
+			}
+			desc.ArrayLo, desc.ArrayHi = loN, hiN
+		case "--nodes", "-N":
+			if value != "1" {
+				return fmt.Errorf("only --nodes=1 supported, got %q", value)
+			}
+		}
+	}
+	return nil
+}
+
+func refParseSrunLine(desc *JobDesc, line string) error {
+	fields := strings.Fields(line)
+	for _, tok := range fields[1:] {
+		key, value, hasValue := strings.Cut(tok, "=")
+		switch key {
+		case "--ntasks-per-core":
+			if !hasValue {
+				return fmt.Errorf("--ntasks-per-core needs a value")
+			}
+			n, err := strconv.Atoi(value)
+			if err != nil {
+				return fmt.Errorf("bad --ntasks-per-core value %q", value)
+			}
+			desc.ThreadsPerCPU = n
+		case "--mpi":
+		default:
+			if !strings.HasPrefix(tok, "-") {
+				desc.BinaryPath = tok
+			}
+		}
+	}
+	if desc.BinaryPath == "" {
+		return fmt.Errorf("srun line has no executable")
+	}
+	return nil
+}
+
+// refSplitOptions splits a directive like `--ntasks=32 --comment
+// "chronus"` into tokens, gluing a space-separated value to its flag.
+func refSplitOptions(s string) []string {
+	fields := strings.Fields(s)
+	var out []string
+	for i := 0; i < len(fields); i++ {
+		tok := fields[i]
+		if strings.HasPrefix(tok, "--") && !strings.Contains(tok, "=") && i+1 < len(fields) && !strings.HasPrefix(fields[i+1], "-") {
+			tok = tok + "=" + fields[i+1]
+			i++
+		}
+		out = append(out, tok)
+	}
+	return out
 }
 
 func FuzzParseConf(f *testing.F) {

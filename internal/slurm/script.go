@@ -2,9 +2,12 @@ package slurm
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 )
 
 // ParseBatchScript extracts job parameters from an sbatch script: the
@@ -18,28 +21,41 @@ import (
 //	srun --mpi=pmix_v4 --ntasks-per-core=1 /path/to/xhpcg
 //
 // The returned JobDesc carries Script verbatim; unknown directives are
-// ignored, malformed values are errors.
+// ignored, malformed values are errors. Lines and fields are slices of
+// script, so parsing allocates nothing but the result.
 func ParseBatchScript(script string) (JobDesc, error) {
 	desc := JobDesc{Script: script, ThreadsPerCPU: 1}
-	for lineNo, raw := range strings.Split(script, "\n") {
+	for lineNo, rest, more := 1, script, true; more; lineNo++ {
+		var raw string
+		raw, rest, more = strings.Cut(rest, "\n")
 		line := strings.TrimSpace(raw)
 		switch {
 		case strings.HasPrefix(line, "#SBATCH"):
-			if err := parseDirective(&desc, strings.TrimSpace(strings.TrimPrefix(line, "#SBATCH"))); err != nil {
-				return JobDesc{}, fmt.Errorf("slurm: script line %d: %w", lineNo+1, err)
+			if err := parseDirective(&desc, line[len("#SBATCH"):]); err != nil {
+				return JobDesc{}, fmt.Errorf("slurm: script line %d: %w", lineNo, err)
 			}
 		case strings.HasPrefix(line, "srun "):
-			if err := parseSrunLine(&desc, line); err != nil {
-				return JobDesc{}, fmt.Errorf("slurm: script line %d: %w", lineNo+1, err)
+			if err := parseSrunLine(&desc, line[len("srun "):]); err != nil {
+				return JobDesc{}, fmt.Errorf("slurm: script line %d: %w", lineNo, err)
 			}
 		}
 	}
 	return desc, nil
 }
 
+// parseDirective applies the options of one #SBATCH line. An option is
+// `key=value`, or a long option followed by its value as the next field
+// when that field is not itself an option: `--comment "chronus"`.
 func parseDirective(desc *JobDesc, directive string) error {
-	for _, tok := range splitOptions(directive) {
-		key, value, _ := strings.Cut(tok, "=")
+	tok, rest := nextField(directive)
+	for tok != "" {
+		key, value, hasValue := strings.Cut(tok, "=")
+		next, after := nextField(rest)
+		if !hasValue && strings.HasPrefix(key, "--") && next != "" && !strings.HasPrefix(next, "-") {
+			value = next
+			next, after = nextField(after)
+		}
+		tok, rest = next, after
 		switch key {
 		case "--ntasks", "-n":
 			n, err := strconv.Atoi(value)
@@ -74,7 +90,7 @@ func parseDirective(desc *JobDesc, directive string) error {
 			desc.Partition = value
 		case "--time", "-t":
 			minutes, err := strconv.Atoi(value)
-			if err != nil {
+			if err != nil || minutes < 0 || int64(minutes) > math.MaxInt64/int64(time.Minute) {
 				return fmt.Errorf("bad --time value %q", value)
 			}
 			desc.TimeLimit = time.Duration(minutes) * time.Minute
@@ -95,7 +111,9 @@ func parseDirective(desc *JobDesc, directive string) error {
 			if !found {
 				return fmt.Errorf("unsupported --dependency %q (only afterok:)", value)
 			}
-			for _, idStr := range strings.Split(spec, ":") {
+			for more := true; more; {
+				var idStr string
+				idStr, spec, more = strings.Cut(spec, ":")
 				id, err := strconv.Atoi(idStr)
 				if err != nil || id <= 0 {
 					return fmt.Errorf("bad --dependency job id %q", idStr)
@@ -134,9 +152,10 @@ func parseDirective(desc *JobDesc, directive string) error {
 	return nil
 }
 
-func parseSrunLine(desc *JobDesc, line string) error {
-	fields := strings.Fields(line)
-	for _, tok := range fields[1:] {
+// parseSrunLine applies the options of an srun line, given without
+// its leading "srun ".
+func parseSrunLine(desc *JobDesc, args string) error {
+	for tok, rest := nextField(args); tok != ""; tok, rest = nextField(rest) {
 		key, value, hasValue := strings.Cut(tok, "=")
 		switch key {
 		case "--ntasks-per-core":
@@ -162,21 +181,34 @@ func parseSrunLine(desc *JobDesc, line string) error {
 	return nil
 }
 
-// splitOptions splits a directive like `--ntasks=32 --comment "chronus"`
-// into tokens, gluing quoted values to their flag.
-func splitOptions(s string) []string {
-	fields := strings.Fields(s)
-	var out []string
-	for i := 0; i < len(fields); i++ {
-		tok := fields[i]
-		// `--comment "chronus"` (space-separated value) → one token.
-		if strings.HasPrefix(tok, "--") && !strings.Contains(tok, "=") && i+1 < len(fields) && !strings.HasPrefix(fields[i+1], "-") {
-			tok = tok + "=" + fields[i+1]
-			i++
+// nextField returns the first field of s and the rest of s after it,
+// splitting exactly as strings.Fields does: at ASCII white space, and
+// at unicode.IsSpace runes in the rest of UTF-8 (invalid bytes are not
+// space). Both are empty when s holds no field.
+func nextField(s string) (field, rest string) {
+	start := -1
+	for i := 0; i < len(s); {
+		space, width := spaceAt(s, i)
+		if start < 0 && !space {
+			start = i
+		} else if start >= 0 && space {
+			return s[start:i], s[i:]
 		}
-		out = append(out, tok)
+		i += width
 	}
-	return out
+	if start < 0 {
+		return "", ""
+	}
+	return s[start:], ""
+}
+
+// spaceAt reports whether the rune at s[i] is white space, and its width.
+func spaceAt(s string, i int) (bool, int) {
+	if c := s[i]; c < utf8.RuneSelf {
+		return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r', 1
+	}
+	r, width := utf8.DecodeRuneInString(s[i:])
+	return unicode.IsSpace(r), width
 }
 
 // RenderBatchScript generates the sbatch file Chronus submits for a

@@ -178,11 +178,30 @@ func TestBatchScriptErrors(t *testing.T) {
 		"#SBATCH --time=soon\nsrun /bin/app\n",
 		"srun --mpi=pmix_v4\n", // no executable
 		"#SBATCH --deadline=tomorrow\nsrun /bin/app\n",
+		// Minute counts outside time.Duration: 761 years once parsed as
+		// 1,542,571 h, and 380 years as a negative limit.
+		"#SBATCH --time=400000000\nsrun /bin/app\n",
+		"#SBATCH --time=200000000\nsrun /bin/app\n",
+		"#SBATCH --time=-5\nsrun /bin/app\n",
 	}
 	for _, script := range bad {
 		if _, err := ParseBatchScript(script); err == nil {
 			t.Errorf("accepted bad script %q", script)
 		}
+	}
+}
+
+// Lines and fields are slices of the script: parsing the opted-in
+// submission allocates nothing.
+func TestParseBatchScriptAllocatesNothing(t *testing.T) {
+	script := "#!/bin/bash\n#SBATCH --nodes=1\n#SBATCH --ntasks=64\n#SBATCH --cpu-freq=2500000\n#SBATCH --comment \"chronus\"\n\nsrun --mpi=pmix_v4 --ntasks-per-core=1 /opt/hpcg/xhpcg\n"
+	allocs := testing.AllocsPerRun(100, func() {
+		if desc, err := ParseBatchScript(script); err != nil || desc.Comment != "chronus" {
+			t.Fatalf("desc %+v, err %v", desc, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ParseBatchScript allocates %.1f times, want 0", allocs)
 	}
 }
 
