@@ -11,6 +11,7 @@ import (
 	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ecosched/internal/energymarket"
@@ -144,13 +145,15 @@ type runConfig struct {
 	lanes int
 }
 
-// WithLanes bounds how many partition lanes advance concurrently.
-// Zero (the default) picks min(partitions, GOMAXPROCS), and no setting
-// exceeds the partition count; 1 runs one lane at a time, in partition
-// order, with the source still read a window ahead on its own
-// goroutine. The report and any recorded log are byte-identical at
-// every setting: lanes only touch lane-local state between window
-// barriers, so the lane count changes wall-clock time, never results.
+// WithLanes bounds how many partition lanes run a window at once. Every
+// partition has a lane goroutine for the whole run; n caps how many of
+// them are inside a window at the same instant (a lane waiting for its
+// next window or for a sibling's usage holds no share of n). Zero or
+// less (the default) means GOMAXPROCS; 1 runs one lane's window at a
+// time, with the source still read ahead on its own goroutine. The
+// report and any recorded log are byte-identical at every setting: a
+// lane touches only lane-local state and the usage its siblings hand
+// it, so n changes wall-clock time, never results.
 func WithLanes(n int) RunOption {
 	return func(cfg *runConfig) { cfg.lanes = n }
 }
@@ -242,14 +245,27 @@ func lanePolicies(pol *workload.PolicySpec, ps workload.PartitionSpec, totalNode
 }
 
 // laneWindow is the conservative lookahead of the parallel partition
-// lanes: within one window, every lane advances independently; at the
-// barrier, cross-lane state (fair-share usage) is exchanged. The value
+// lanes: within one window, every lane advances independently; between
+// windows, cross-lane state (fair-share usage) is handed on. The value
 // is a fixed property of the run semantics — it must never depend on
 // the lane count, or results would too.
 const laneWindow = 5 * time.Minute
 
-// usageDelta is one fair-share usage increment exported by a lane for
-// replication into its siblings at the next barrier.
+// windowsInFlight is how many routedWindows a run owns: the router
+// fills one while the lanes, each at its own pace, drain the others.
+// With two, lanes freed from each other wait on the router instead;
+// past three, each window buys less time than the arrivals it keeps
+// resident cost in memory.
+const windowsInFlight = 3
+
+// usageRing is how many windows of one lane's usage deltas the exchange
+// holds. One more than windowsInFlight, so while the source lasts no
+// lane ever waits for a reader to make room; past its end it bounds how
+// far a lane runs ahead of the slowest lane that reads its usage.
+const usageRing = windowsInFlight + 1
+
+// usageDelta is one fair-share usage increment a lane hands to the
+// sibling lanes that read usage.
 type usageDelta struct {
 	uid  uint32
 	cpuS float64
@@ -259,19 +275,53 @@ type usageDelta struct {
 // 224 bytes are 4,032 of the class's 4,096.
 const subChunkLen = 18
 
+type subChunk = [subChunkLen]workload.Submission
+
+// chunkPool is the run's one free list of submission chunks: the router
+// takes them as it fills windows and each lane returns a window's
+// chunks once it has run it, so the chunks a run allocates follow the
+// submissions in flight, not windows × the largest window.
+type chunkPool struct {
+	mu   sync.Mutex
+	free []*subChunk
+}
+
+// get takes a chunk off the list, or allocates one; a nil pool always
+// allocates.
+func (p *chunkPool) get() *subChunk {
+	if p == nil {
+		return new(subChunk)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.free); n > 0 {
+		c := p.free[n-1]
+		p.free = p.free[:n-1]
+		return c
+	}
+	return new(subChunk)
+}
+
+func (p *chunkPool) put(chunks []*subChunk) {
+	p.mu.Lock()
+	p.free = append(p.free, chunks...)
+	p.mu.Unlock()
+}
+
 // subBatch is one lane's arrivals of one window, in stream order, in
 // the idiom of the job-table arena: growth appends a chunk pointer and
-// never copies a Submission, and a drained batch (n = 0) keeps its
-// chunks, so a window no larger than an earlier one allocates nothing.
+// never copies a Submission. A batch reset by n = 0 keeps its chunks,
+// so refilling it allocates nothing; release hands them to the pool.
 type subBatch struct {
-	chunks []*[subChunkLen]workload.Submission
+	chunks []*subChunk
 	n      int
+	pool   *chunkPool // where add takes chunks; nil = allocate
 }
 
 func (b *subBatch) add(s *workload.Submission) {
 	c := b.n / subChunkLen
 	if c == len(b.chunks) {
-		b.chunks = append(b.chunks, new([subChunkLen]workload.Submission))
+		b.chunks = append(b.chunks, b.pool.get())
 	}
 	b.chunks[c][b.n%subChunkLen] = *s
 	b.n++
@@ -281,19 +331,31 @@ func (b *subBatch) at(i int) *workload.Submission {
 	return &b.chunks[i/subChunkLen][i%subChunkLen]
 }
 
-// routedWindow is one window's arrivals split by lane. Two exist per
-// run, refilled in turn.
+// release empties the batch and returns its chunks to the pool.
+func (b *subBatch) release() {
+	if len(b.chunks) > 0 {
+		b.pool.put(b.chunks)
+		clear(b.chunks)
+		b.chunks = b.chunks[:0]
+	}
+	b.n = 0
+}
+
+// routedWindow is one window's arrivals split by lane. windowsInFlight
+// exist per run; the last lane done with one hands it back to the
+// router.
 type routedWindow struct {
-	batches []subBatch // by lane index
-	more    bool       // the source holds arrivals at or past this window's end
-	err     error      // the source or the recorder failed; the run ends with it
+	batches []subBatch   // by lane index
+	more    bool         // the source holds arrivals at or past this window's end
+	err     error        // the source or the recorder failed; the run ends with it
+	left    atomic.Int32 // lanes that have not yet run this window
 }
 
 // router is the serial half of a run: it pulls the source in arrival
 // order (the stream stays ordered for recording and Seq assignment),
 // records, and splits each window's arrivals by partition. It touches
-// no lane state, so it runs on its own goroutine, a window ahead of the
-// lanes; its counters are read once its last window has been received.
+// no lane state, so it runs on its own goroutine, ahead of the lanes;
+// its fields are read once it has returned.
 type router struct {
 	src    workload.Source
 	lw     *workload.LogWriter
@@ -301,12 +363,13 @@ type router struct {
 
 	submissions, rejected int
 	lastArrival           time.Time
+	err                   error // the source or recorder error the run ends with
 }
 
 // route fills each window it is handed on free, in window order from
-// start, and hands it on through filled; it returns after the window
-// that exhausts the source (and flushes the recorder) or fails.
-func (r *router) route(start time.Time, free <-chan *routedWindow, filled chan<- *routedWindow) {
+// start, and sends it to every lane; it returns after the window that
+// exhausts the source (and flushes the recorder) or fails.
+func (r *router) route(start time.Time, free <-chan *routedWindow, lanes []*clusterLane) {
 	// One submission is pulled ahead, to see whether it belongs to the
 	// window being filled; the generator fills pending in place.
 	var pending workload.Submission
@@ -343,30 +406,129 @@ func (r *router) route(start time.Time, free <-chan *routedWindow, filled chan<-
 		if err == nil && !ok && r.lw != nil {
 			err = r.lw.Flush()
 		}
-		w.more, w.err = ok, err
-		filled <- w
+		w.more, w.err, r.err = ok, err, err
+		w.left.Store(int32(len(lanes)))
+		for _, ln := range lanes {
+			ln.in <- w
+		}
 		if err != nil || !ok {
 			return
 		}
 	}
 }
 
+// usageExchange hands fair-share usage from every lane to the sibling
+// lanes whose scheduling policy reads it, window by window. A reading
+// lane applies every sibling's window k−1 deltas, in partition-config
+// order, before it runs window k: the same additions, in the same
+// order, that an all-lane barrier after window k−1 would make. A lane
+// whose policy never reads usage (FIFO) is handed nothing and waits for
+// no sibling. One mutex guards it all; a lane refills a ring slot only
+// once every reader still running has applied the window it held.
+type usageExchange struct {
+	mu    sync.Mutex
+	cond  sync.Cond
+	lanes []laneUsage // by lane index
+}
+
+type laneUsage struct {
+	reads     bool // the lane's policy reads usage: it applies its siblings' deltas
+	published int  // windows whose deltas are in ring (window k in ring[k%usageRing])
+	applied   int  // windows of sibling deltas applied, if the lane reads
+	// done: the lane runs no more windows. It publishes nothing more
+	// (its usage stops growing) and no sibling waits for it to read.
+	done bool
+	ring [usageRing][]usageDelta
+}
+
+// publish hands lane i's window-k deltas to its readers and takes back
+// an emptied buffer for window k+1, once every reader has applied
+// window k−usageRing.
+func (x *usageExchange) publish(i, k int, usage *[]usageDelta) {
+	x.mu.Lock()
+	for x.unread(i, k-usageRing) {
+		x.cond.Wait()
+	}
+	me := &x.lanes[i]
+	slot := &me.ring[k%usageRing]
+	*slot, *usage = *usage, (*slot)[:0]
+	me.published = k
+	x.cond.Broadcast()
+	x.mu.Unlock()
+}
+
+// unread reports whether a reading sibling of lane i that still runs
+// has not yet applied window k.
+func (x *usageExchange) unread(i, k int) bool {
+	for j := range x.lanes {
+		if r := &x.lanes[j]; j != i && r.reads && !r.done && r.applied < k {
+			return true
+		}
+	}
+	return false
+}
+
+// apply waits until every sibling of lane i has published window k or
+// is done, then credits their window-k deltas to ctl in partition-config
+// order.
+func (x *usageExchange) apply(i, k int, ctl *slurm.Controller) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	for x.unpublished(i, k) {
+		x.cond.Wait()
+	}
+	for j := range x.lanes {
+		// A sibling done before window k had no usage in it.
+		if s := &x.lanes[j]; j != i && s.published >= k {
+			for _, d := range s.ring[k%usageRing] {
+				ctl.AddUsage(d.uid, d.cpuS)
+			}
+		}
+	}
+	x.lanes[i].applied = k
+	x.cond.Broadcast()
+}
+
+// unpublished reports whether a sibling of lane i that still runs has
+// not yet published window k.
+func (x *usageExchange) unpublished(i, k int) bool {
+	for j := range x.lanes {
+		if s := &x.lanes[j]; j != i && !s.done && s.published < k {
+			return true
+		}
+	}
+	return false
+}
+
+// done marks lane i finished and releases any sibling waiting on it.
+func (x *usageExchange) done(i int) {
+	x.mu.Lock()
+	x.lanes[i].done = true
+	x.cond.Broadcast()
+	x.mu.Unlock()
+}
+
 // clusterLane is one partition's slice of the cluster: its own
 // simulated clock, a controller over the partition's nodes, and the
-// window-local buffers the coordinator exchanges at barriers.
-// Partitions share no nodes, so between barriers a lane's state is
-// touched by exactly one goroutine.
+// goroutine that runs its windows in order. Partitions share no nodes,
+// so a lane's state is touched by exactly one goroutine; fair-share
+// usage crosses lanes only through the usageExchange.
 type clusterLane struct {
+	idx   int // lane index = partition-config order
 	name  string
 	sim   *simclock.Sim
 	ctl   *slurm.Controller
 	stats *PartitionReport
 
-	// batch and windowEnd are the window to run, set by the coordinator.
-	batch     *subBatch
-	windowEnd time.Time
-	usage     []usageDelta // usage accrued this window (sink output)
-	rejected  int          // submissions the controller refused
+	// in carries the router's windows, in order, with room for every
+	// window in flight, so the router never blocks sending one.
+	in chan *routedWindow
+	// reads: the lane's policy orders by fair share, so it applies its
+	// siblings' usage; feeds: a sibling reads usage, so the lane
+	// publishes its own.
+	reads, feeds bool
+	usage        []usageDelta // usage accrued this window (sink output)
+	rejected     int          // submissions the controller refused
 	// deadlineMisses counts jobs cancelled DeadlineUnsatisfiable (only
 	// tracked under a policy block).
 	deadlineMisses int64
@@ -378,13 +540,60 @@ type clusterLane struct {
 	desc slurm.JobDesc
 }
 
-// runWindow advances the lane to the window boundary, admitting this
-// window's arrivals at their exact instants and leaving the batch
-// drained. Queue depth is sampled right after each Submit — with
-// batched scheduling the new job is still pending at that point, so
-// the peak includes it.
-func (ln *clusterLane) runWindow() {
-	b := ln.batch
+// run drives the lane through its windows in order: it takes each
+// routed window, applies its siblings' usage of the window before if it
+// reads usage, runs the window (or skips it: no arrivals, no pending
+// event), hands the window back, and publishes its own usage if a
+// sibling reads it. Past the source's end it keeps running windows
+// while it has pending events. It returns on the router's error too.
+func (ln *clusterLane) run(start time.Time, free chan<- *routedWindow, slots chan struct{}, x *usageExchange) {
+	if x != nil {
+		defer x.done(ln.idx)
+	}
+	var idle subBatch // each window's arrivals once the source is exhausted
+	routed := true
+	windowEnd := start
+	for k := 1; ; k++ {
+		windowEnd = windowEnd.Add(laneWindow)
+		var w *routedWindow
+		b := &idle
+		if routed {
+			w = <-ln.in
+			if w.err != nil {
+				return
+			}
+			routed, b = w.more, &w.batches[ln.idx]
+		}
+		if ln.reads && k > 1 {
+			x.apply(ln.idx, k-1, ln.ctl)
+		}
+		if b.n > 0 || ln.sim.Pending() > 0 {
+			if slots != nil {
+				slots <- struct{}{}
+			}
+			ln.runWindow(b, windowEnd)
+			if slots != nil {
+				<-slots
+			}
+		}
+		if w != nil && w.left.Add(-1) == 0 {
+			free <- w
+		}
+		if ln.feeds {
+			x.publish(ln.idx, k, &ln.usage)
+		}
+		if !routed && ln.sim.Pending() == 0 {
+			return
+		}
+	}
+}
+
+// runWindow advances the lane to the window boundary, admitting the
+// window's arrivals at their exact instants, and releases the batch.
+// Queue depth is sampled right after each Submit — with batched
+// scheduling the new job is still pending at that point, so the peak
+// includes it.
+func (ln *clusterLane) runWindow(b *subBatch, windowEnd time.Time) {
 	for i := 0; i < b.n; i++ {
 		s := b.at(i)
 		ln.sim.RunUntil(s.At)
@@ -414,21 +623,21 @@ func (ln *clusterLane) runWindow() {
 			ln.ctl.Flush()
 		}
 	}
-	b.n = 0
-	ln.sim.RunBefore(ln.windowEnd)
+	b.release()
+	ln.sim.RunBefore(windowEnd)
 }
 
 // runCluster builds one lane per partition and pumps the submission
-// source through them in conservative time windows, in three stages:
-// the router fills one of two routedWindows while the lanes drain the
-// other; the coordinator (this goroutine) hands each filled window's
-// active lanes to the run-long lane workers (bounded by WithLanes) and
-// meets them at the barrier, where fair-share usage deltas are
-// replicated into sibling lanes in partition-config order. A lane sees
-// only its own window's arrivals, in stream order, and no step depends
-// on the lane count or on how far ahead the router is, so a run, its
-// replay, and any -lanes setting produce byte-identical reports and
-// logs. Every goroutine started here has exited when it returns.
+// source through them in conservative time windows: the router fills
+// windowsInFlight routedWindows in turn, and every lane runs on its own
+// goroutine through its windows in order, at most WithLanes of them
+// inside a window at once. No lane waits at a barrier; a lane whose
+// policy reads fair-share usage waits only for its siblings' usage of
+// the window before (usageExchange). A lane sees only its own window's
+// arrivals, in stream order, and no step depends on the lane count or
+// on how far ahead the router or a sibling is, so a run, its replay,
+// and any -lanes setting produce byte-identical reports and logs.
+// Every goroutine started here has exited when it returns.
 func runCluster(start time.Time, spec workload.Spec, src workload.Source, lw *workload.LogWriter, opts []RunOption) (*ClusterReport, error) {
 	var rcfg runConfig
 	for _, opt := range opts {
@@ -445,9 +654,12 @@ func runCluster(start time.Time, spec workload.Spec, src workload.Source, lw *wo
 	report.Partitions = make([]PartitionReport, len(spec.Cluster.Partitions))
 
 	defaultLane := 0
-	totalNodes := 0
+	totalNodes, readers := 0, 0
 	for _, ps := range spec.Cluster.Partitions {
 		totalNodes += ps.Nodes
+		if ps.Policy == "multifactor" {
+			readers++
+		}
 	}
 	idx := 0
 	for pi, ps := range spec.Cluster.Partitions {
@@ -469,17 +681,28 @@ func runCluster(start time.Time, spec workload.Spec, src workload.Source, lw *wo
 		conf.Partition = slurm.Partition{Name: ps.Name, MaxTime: ps.MaxTime.Std()}
 
 		report.Partitions[pi] = PartitionReport{Name: ps.Name, Nodes: ps.Nodes}
-		ln := &clusterLane{name: ps.Name, sim: laneSim, stats: &report.Partitions[pi]}
+		// The multifactor policy is the one that reads fair-share usage;
+		// FIFO never does. A lane with siblings reads theirs, and publishes
+		// its own if a sibling reads.
+		multifactor := ps.Policy == "multifactor"
+		ln := &clusterLane{
+			idx: pi, name: ps.Name, sim: laneSim, stats: &report.Partitions[pi],
+			in:    make(chan *routedWindow, windowsInFlight),
+			reads: multifactor && len(spec.Cluster.Partitions) > 1,
+			feeds: readers > 1 || readers == 1 && !multifactor,
+		}
 
 		copts := []slurm.ClusterOption{
 			slurm.WithNodes(pool...),
 			slurm.WithAggregateAccounting(),
 			slurm.WithBatchedScheduling(),
-			slurm.WithUsageSink(func(uid uint32, cpuS float64) {
-				ln.usage = append(ln.usage, usageDelta{uid: uid, cpuS: cpuS})
-			}),
 		}
-		if ps.Policy == "multifactor" {
+		if ln.feeds {
+			copts = append(copts, slurm.WithUsageSink(func(uid uint32, cpuS float64) {
+				ln.usage = append(ln.usage, usageDelta{uid: uid, cpuS: cpuS})
+			}))
+		}
+		if multifactor {
 			copts = append(copts, slurm.WithPolicy(slurm.DefaultMultifactor(spec0.Cores)))
 		}
 		if spec.Policy != nil {
@@ -505,92 +728,52 @@ func runCluster(start time.Time, spec workload.Spec, src workload.Source, lw *wo
 	rt.laneOf[""] = defaultLane
 	report.Nodes = len(nodes)
 
+	// A lane holds a slot only while it runs a window, never while it
+	// waits, so no slot holder can wait on a lane without one.
 	workers := rcfg.lanes
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = min(workers, len(lanes))
-
-	// Two windows are the whole back-pressure: the router waits on free
-	// once it is a window ahead. No send on either channel can block.
-	free := make(chan *routedWindow, 2)
-	filled := make(chan *routedWindow, 2)
-	for i := 0; i < cap(free); i++ {
-		free <- &routedWindow{batches: make([]subBatch, len(lanes))}
+	var slots chan struct{}
+	if workers < len(lanes) {
+		slots = make(chan struct{}, workers)
 	}
-	work := make(chan *clusterLane, len(lanes))
-	var stages, window sync.WaitGroup
-	stages.Add(1 + workers)
+	var x *usageExchange
+	if readers > 0 && len(lanes) > 1 {
+		x = &usageExchange{lanes: make([]laneUsage, len(lanes))}
+		x.cond.L = &x.mu
+		for i, ln := range lanes {
+			x.lanes[i].reads = ln.reads
+		}
+	}
+
+	// The routedWindows are the router's whole back-pressure: it waits on
+	// free once every window is ahead of some lane. Neither a send on free
+	// nor one on a lane's in channel can block.
+	free := make(chan *routedWindow, windowsInFlight)
+	chunks := new(chunkPool)
+	for range windowsInFlight {
+		w := &routedWindow{batches: make([]subBatch, len(lanes))}
+		for i := range w.batches {
+			w.batches[i].pool = chunks
+		}
+		free <- w
+	}
+	var stages sync.WaitGroup
+	stages.Add(1 + len(lanes))
 	go func() {
 		defer stages.Done()
-		rt.route(start, free, filled)
+		rt.route(start, free, lanes)
 	}()
-	for i := 0; i < workers; i++ {
+	for _, ln := range lanes {
 		go func() {
 			defer stages.Done()
-			for ln := range work {
-				ln.runWindow()
-				window.Done()
-			}
+			ln.run(start, free, slots, x)
 		}()
 	}
-	// Both exits below follow the router's last window.
-	defer func() {
-		close(work)
-		stages.Wait()
-	}()
-
-	windowEnd := start
-	var w *routedWindow
-	for more := true; ; { // more: the router has another window to send
-		windowEnd = windowEnd.Add(laneWindow)
-		if more {
-			w = <-filled
-			if w.err != nil {
-				return nil, w.err
-			}
-			more = w.more
-		}
-
-		// Advance each active lane through the window; idle lanes (no
-		// arrivals, no pending events) skip it entirely. Past the
-		// source's end w stays the last window, its batches drained.
-		active := 0
-		for i, ln := range lanes {
-			ln.batch, ln.windowEnd = &w.batches[i], windowEnd
-			if ln.batch.n == 0 && ln.sim.Pending() == 0 {
-				continue
-			}
-			active++
-			window.Add(1)
-			work <- ln
-		}
-		window.Wait()
-		if more {
-			free <- w
-		}
-
-		// Barrier: replicate each lane's fair-share deltas into every
-		// sibling, in partition-config order — the one piece of
-		// cross-partition state.
-		for _, ln := range lanes {
-			if len(ln.usage) == 0 {
-				continue
-			}
-			for _, other := range lanes {
-				if other == ln {
-					continue
-				}
-				for _, d := range ln.usage {
-					other.ctl.AddUsage(d.uid, d.cpuS)
-				}
-			}
-			ln.usage = ln.usage[:0]
-		}
-
-		if !more && active == 0 {
-			break
-		}
+	stages.Wait()
+	if rt.err != nil {
+		return nil, rt.err
 	}
 	report.Submissions, report.Rejected = rt.submissions, rt.rejected
 

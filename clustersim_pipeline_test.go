@@ -3,6 +3,7 @@ package ecosched
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"sync/atomic"
@@ -10,7 +11,10 @@ import (
 	"time"
 	"unsafe"
 
+	"ecosched/internal/hw"
 	"ecosched/internal/leakcheck"
+	"ecosched/internal/simclock"
+	"ecosched/internal/slurm"
 	"ecosched/internal/workload"
 )
 
@@ -99,6 +103,18 @@ func TestClusterPipelineExits(t *testing.T) {
 	moved = append(moved, lines[5:300]...)
 	moved = append(moved, lines[301:]...)
 
+	// Two lanes that read each other's usage: a corrupt line in a late
+	// window ends the run while either may be waiting for the other's
+	// deltas.
+	var readersLog bytes.Buffer
+	if _, err := RunClusterSpec(loadSpec(t, "mutual-readers.json"), &readersLog); err != nil {
+		t.Fatal(err)
+	}
+	rl := bytes.SplitAfter(readersLog.Bytes(), []byte("\n"))
+	at := 3 * len(rl) / 4
+	readersCorrupt := bytes.Join([][]byte{bytes.Join(rl[:at], nil), []byte("{\"q\":\n"), bytes.Join(rl[at:], nil)}, nil)
+	wantReaders := fmt.Sprintf("log line %d", at+1)
+
 	for _, lanes := range []int{1, 2, 4} {
 		run := func(name string, wantErr string, body func(*watchedIO) (*ClusterReport, error), w *watchedIO) *ClusterReport {
 			t.Helper()
@@ -136,6 +152,7 @@ func TestClusterPipelineExits(t *testing.T) {
 		// (c) A source error in a late window is returned as it is.
 		run("corrupt line", wantCorrupt.Error(), replay, &watchedIO{r: bytes.NewReader(corrupt)})
 		run("out-of-order record", "precedes line 6", replay, &watchedIO{r: bytes.NewReader(bytes.Join(moved, nil))})
+		run("corrupt line, two usage readers", wantReaders, replay, &watchedIO{r: bytes.NewReader(readersCorrupt)})
 		// (d) An empty source: an empty report, no hang.
 		if rep := run("header-only log", "", replay, &watchedIO{r: bytes.NewReader(lines[0])}); rep != nil &&
 			(rep.Submissions != 0 || rep.Totals.Jobs != 0 || rep.Makespan != 0) {
@@ -224,10 +241,13 @@ func TestSubBatchRefillAllocatesNothing(t *testing.T) {
 // TestClusterWindowsAllocateNothing is the whole-run half: the same six
 // sleep jobs held for one day and for ten keep both lanes busy (a
 // pending end event each) through 288 and 2,880 windows, and the 2,592
-// extra windows may not allocate. Measured at d1105c2, 1 day → 10 days:
-// 1,344 → 11,712 allocations at two lanes (four per window: a closure
-// and its goroutine start per active lane; 190 → 190 on the inline
-// one-lane branch); here 203 → 203, and 202 → 202 at one lane.
+// extra windows may not allocate. Lane a is multifactor, so every
+// window also hands b's usage deltas to it through recycled buffers.
+// Measured at d1105c2, 1 day → 10 days: 1,344 → 11,712 allocations at
+// two lanes (four per window: a closure and its goroutine start per
+// active lane; 190 → 190 on the inline one-lane branch); at 49c8ec1
+// 203 → 203, and 202 → 202 at one lane; with a goroutine per lane and
+// the exchange, 169 → 168 at two lanes and 170 → 168 at one.
 func TestClusterWindowsAllocateNothing(t *testing.T) {
 	held := func(days int) workload.Spec {
 		d := time.Duration(days) * 24 * time.Hour
@@ -243,7 +263,7 @@ func TestClusterWindowsAllocateNothing(t *testing.T) {
 			Version: workload.SpecVersion, Name: "held", Seed: 3,
 			Horizon: workload.Duration(time.Hour), MaxSubmissions: 6,
 			Cluster: workload.ClusterSpec{Partitions: []workload.PartitionSpec{
-				{Name: "a", Nodes: 4, Default: true}, {Name: "b", Nodes: 4},
+				{Name: "a", Nodes: 4, Default: true, Policy: "multifactor"}, {Name: "b", Nodes: 4},
 			}},
 			Clients: []workload.Client{
 				{Name: "ca", Arrival: workload.ArrivalSpec{Process: workload.ArrivalPoisson, RatePerHour: 60}, Jobs: jobs("a")},
@@ -266,5 +286,52 @@ func TestClusterWindowsAllocateNothing(t *testing.T) {
 		if extra := ten - one; extra > 8 {
 			t.Errorf("lanes=%d: 2,592 more windows cost %.0f more allocations (1 day %.0f, 10 days %.0f), want a small constant", lanes, extra, one, ten)
 		}
+	}
+}
+
+// TestUsageExchangeAppliesSiblingsInPartitionOrder: a reading lane
+// credits its siblings' deltas of a window in partition-config order,
+// whichever sibling publishes first — the order the all-lane barrier
+// added them in. The deltas are chosen so float addition tells the
+// orders apart.
+func TestUsageExchangeAppliesSiblingsInPartitionOrder(t *testing.T) {
+	sim := simclock.New()
+	ctl, err := slurm.NewCluster(sim, slurm.DefaultConf(),
+		slurm.WithNodes(hw.NewNode(sim, hw.DefaultSpec(), nil, 1)),
+		slurm.WithPolicy(slurm.DefaultMultifactor(32)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := &usageExchange{lanes: make([]laneUsage, 3)}
+	x.cond.L = &x.mu
+	x.lanes[1].reads = true
+	const uid = 7
+	first := []usageDelta{{uid, 0.1}}
+	last := []usageDelta{{uid, 0.2}, {uid, 0.3}}
+	// Lane 2 publishes before lane 0, and lane 0 only once lane 1 waits.
+	x.publish(2, 1, &last)
+	go func() {
+		x.mu.Lock()
+		for x.lanes[2].published != 1 {
+			x.cond.Wait()
+		}
+		x.mu.Unlock()
+		x.publish(0, 1, &first)
+	}()
+	x.apply(1, 1, ctl)
+	want := 0.1
+	want += 0.2
+	want += 0.3
+	reverse := 0.2
+	reverse += 0.3
+	reverse += 0.1
+	if want == reverse {
+		t.Fatal("the deltas add up the same in either order: the test cannot tell them apart")
+	}
+	if got := ctl.UserUsageCPUSeconds(uid); got != want {
+		t.Fatalf("usage %v after applying window 1, want %v (lane 0's deltas, then lane 2's)", got, want)
+	}
+	if len(first) != 0 || len(last) != 0 {
+		t.Fatalf("publish handed back buffers holding %d and %d deltas, want emptied ones", len(first), len(last))
 	}
 }

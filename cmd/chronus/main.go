@@ -417,7 +417,7 @@ func cmdSimulate(args []string) error {
 	specPath := fs.String("spec", "", "workload spec (JSON) describing the cluster and its clients")
 	recordPath := fs.String("record", "", "record the generated submission stream to this JSONL log")
 	replayPath := fs.String("replay", "", "replay a submission log instead of generating one")
-	lanes := fs.Int("lanes", 0, "max partition lanes advancing concurrently (0 = one per CPU); any setting produces byte-identical output")
+	lanes := fs.Int("lanes", 0, "max partition lanes running a window at once (0 = one per CPU); any setting produces byte-identical output")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -425,6 +425,8 @@ func cmdSimulate(args []string) error {
 		return fmt.Errorf("usage: chronus simulate (-spec FILE [-record FILE] | -replay FILE)")
 	}
 	switch {
+	case *lanes < 0:
+		return fmt.Errorf("-lanes %d: want 0 (one per CPU) or a positive lane count", *lanes)
 	case *specPath != "" && *replayPath != "":
 		return fmt.Errorf("-spec and -replay are mutually exclusive")
 	case *replayPath != "" && *recordPath != "":

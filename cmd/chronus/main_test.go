@@ -191,6 +191,8 @@ func TestCLISimulate(t *testing.T) {
 		{"simulate"},
 		{"simulate", "-spec", spec, "-replay", log},
 		{"simulate", "-replay", log, "-record", log + ".2"},
+		{"simulate", "-spec", spec, "-lanes", "-3"},
+		{"simulate", "-replay", log, "-lanes", "-1"},
 	}
 	for _, source := range [][]string{{"-spec", spec}, {"-replay", log}} {
 		for _, retired := range [][]string{

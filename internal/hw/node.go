@@ -20,6 +20,8 @@ package hw
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"ecosched/internal/paperdata"
@@ -85,7 +87,8 @@ type Node struct {
 	// amplitude for every frequency a job can resolve to (the spec
 	// ladder plus the calibrated P-states), so the per-start cache fill
 	// is a short scan instead of map probes and a nearest-P-state
-	// search.
+	// search. Shared read-only with every node of the same calibration
+	// and spec ladder (ladderFor).
 	ladder     []ladderEntry
 	tempC      float64
 	lastTick   int64 // simulated tick of the last accounting step (simclock.NowTick)
@@ -118,13 +121,7 @@ func NewNode(sim *simclock.Sim, spec NodeSpec, calib *perfmodel.Calibration, see
 		lastTick: sim.NowTick(),
 	}
 	n.tempC = calib.SteadyTempC(calib.IdleCPUPowerW())
-	n.ladder = make([]ladderEntry, 0, len(spec.FrequenciesKHz)+len(calib.PStatesKHz))
-	for _, f := range spec.FrequenciesKHz {
-		n.addLadderEntry(f)
-	}
-	for _, f := range calib.PStatesKHz {
-		n.addLadderEntry(f)
-	}
+	n.ladder = ladderFor(calib, spec.FrequenciesKHz)
 	return n
 }
 
@@ -135,17 +132,47 @@ type ladderEntry struct {
 	amp   float64
 }
 
-func (n *Node) addLadderEntry(freqKHz int) {
-	for i := range n.ladder {
-		if n.ladder[i].khz == freqKHz {
-			return
-		}
+// ladderTable is the per-frequency power table of one (calibration,
+// spec ladder) pair. It is a pure function of the pair, so once built
+// it is shared read-only by every node built from the same pair.
+type ladderTable struct {
+	calib *perfmodel.Calibration
+	freqs []int
+	rows  []ladderEntry
+}
+
+// lastLadder is the most recently built table. Nodes are built in runs
+// over one calibration (a cluster's partitions, a sweep's stacks), so
+// one remembered table serves a whole run; another pair replaces it.
+// It is a package-level memo because NewNode's callers pass nothing a
+// table could ride on; what it returns is a pure function of its key,
+// so callers that share it cannot tell, apart from the sharing. The
+// calibration's address is a sound key: a node reads its calibration
+// live, so none is modified once a node is built from it, and the table
+// holds its calibration, so the address cannot be reused for another.
+var lastLadder atomic.Pointer[ladderTable]
+
+// ladderFor returns the shared table for calib and the spec ladder
+// freqs: a row for every frequency a job can resolve to, the spec
+// ladder plus the calibrated P-states, each once.
+func ladderFor(calib *perfmodel.Calibration, freqs []int) []ladderEntry {
+	if t := lastLadder.Load(); t != nil && t.calib == calib && slices.Equal(t.freqs, freqs) {
+		return t.rows
 	}
-	n.ladder = append(n.ladder, ladderEntry{
-		khz:   freqKHz,
-		coreW: n.calib.CorePowerAt(freqKHz),
-		amp:   n.calib.PhaseAmplitude[n.calib.NearestPState(freqKHz)],
-	})
+	t := &ladderTable{calib: calib, freqs: slices.Clone(freqs)}
+	t.rows = make([]ladderEntry, 0, len(freqs)+len(calib.PStatesKHz))
+	for _, f := range slices.Concat(freqs, calib.PStatesKHz) {
+		if slices.ContainsFunc(t.rows, func(e ladderEntry) bool { return e.khz == f }) {
+			continue
+		}
+		t.rows = append(t.rows, ladderEntry{
+			khz:   f,
+			coreW: calib.CorePowerAt(f),
+			amp:   calib.PhaseAmplitude[calib.NearestPState(f)],
+		})
+	}
+	lastLadder.Store(t)
+	return t.rows
 }
 
 // Spec returns the node's hardware description.

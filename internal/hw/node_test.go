@@ -2,6 +2,7 @@ package hw
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -291,5 +292,53 @@ func TestGFLOPSReportsConfigThroughput(t *testing.T) {
 	defer j.End()
 	if got := n.GFLOPS(); math.Abs(got-paperdata.Fig1GFLOPS)/paperdata.Fig1GFLOPS > 0.001 {
 		t.Fatalf("GFLOPS = %.4f, want ≈%.4f", got, paperdata.Fig1GFLOPS)
+	}
+}
+
+// TestNodesShareOneLadderTable: nodes built from one calibration and
+// spec ladder share one per-frequency power table, and run jobs to the
+// same configuration and joules, bit for bit, as a node that built a
+// table of its own from an equal calibration.
+func TestNodesShareOneLadderTable(t *testing.T) {
+	sim := simclock.New()
+	calib := perfmodel.Default()
+	a := NewNode(sim, DefaultSpec(), calib, 1)
+	b := NewNode(sim, DefaultSpec(), calib, 2)
+	if &a.ladder[0] != &b.ladder[0] {
+		t.Fatal("two nodes of one calibration built two tables")
+	}
+	own := NewNode(sim, DefaultSpec(), perfmodel.Default(), 2)
+	if &own.ladder[0] == &b.ladder[0] {
+		t.Fatal("a node of another calibration reused the first one's table")
+	}
+	if !slices.Equal(own.ladder, b.ladder) || len(b.ladder) != 3 {
+		t.Fatalf("tables differ: %v vs %v", own.ladder, b.ladder)
+	}
+	for _, cfg := range []perfmodel.Config{
+		{Cores: 32, FreqKHz: 2_200_000, ThreadsPerCore: 1},
+		{Cores: 16, FreqKHz: 2_500_000, ThreadsPerCore: 2},
+		{Cores: 8, FreqKHz: 1_500_000, ThreadsPerCore: 1},
+		{Cores: 4, ThreadsPerCore: 1}, // the governor's frequency
+	} {
+		jb, err := b.StartJob(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jo, err := own.StartJob(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if jb.Config != jo.Config {
+			t.Fatalf("%+v resolves to %+v on a shared table, %+v on its own", cfg, jb.Config, jo.Config)
+		}
+		sim.RunFor(7*time.Minute + 3*time.Second)
+		jb.End()
+		jo.End()
+		sim.RunFor(time.Minute)
+		bs, bc := b.EnergyJ()
+		ownS, ownC := own.EnergyJ()
+		if bs != ownS || bc != ownC || bs == 0 {
+			t.Fatalf("after %+v: shared table %v J system, %v J cpu; own table %v, %v", cfg, bs, bc, ownS, ownC)
+		}
 	}
 }

@@ -173,8 +173,8 @@ func WithBatchedScheduling() ClusterOption {
 
 // WithUsageSink observes every fair-share usage increment the moment
 // accounting applies it. The parallel partition lanes use it to
-// replicate usage deltas into sibling lane controllers at window
-// barriers (AddUsage).
+// replicate usage deltas into sibling lane controllers between
+// windows (AddUsage).
 func WithUsageSink(fn func(uid uint32, cpuSeconds float64)) ClusterOption {
 	return func(cfg *clusterConfig) { cfg.usageSink = fn }
 }

@@ -338,6 +338,58 @@ func TestJobTableGrowthMatchesMapOracle(t *testing.T) {
 	}
 }
 
+// TestRetiredStatesFollowArenaChunks: the retired-state codes live in
+// chunks shaped like the arena's, so the ids either side of a chunk
+// boundary (8192 ends chunk 0, 8193 opens chunk 1, 16385 opens chunk 2)
+// resolve once retired, and an afterok on a job retired in chunk 0
+// still resolves after chunk 2 exists.
+func TestRetiredStatesFollowArenaChunks(t *testing.T) {
+	sim := simclock.New()
+	c, err := NewCluster(sim, DefaultConf(), WithNodes(clusterNodes(sim, 1)...), WithAggregateAccounting())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RegisterWorkload("/bin/app", workload.Sleep("app", time.Minute))
+	completed := map[int]bool{}
+	c.OnCompletion(func(j *Job) { completed[j.ID] = j.State == StateCompleted })
+	desc := JobDesc{Name: "j", BinaryPath: "/bin/app", TimeLimit: time.Hour}
+	last := 2*jobChunkSize + 1
+	for id := 1; id <= last; id++ {
+		j, err := c.Submit(desc)
+		if err != nil || j.ID != id {
+			t.Fatalf("submission %d: job %v, err %v", id, j, err)
+		}
+		sim.Run()
+	}
+	if len(c.retired) != 3 || len(c.retired[0]) != len(c.jobs[0]) || len(c.retired[2]) != jobChunkSize {
+		t.Fatalf("retired table has %d chunks (chunk 0: %d codes), want 3 shaped like the arena", len(c.retired), len(c.retired[0]))
+	}
+	for _, id := range []int{1, jobChunkSize, jobChunkSize + 1, last} {
+		if _, live := c.Job(id); live {
+			t.Fatalf("job %d still live after it ended", id)
+		}
+		if st, ok := c.jobState(id); !ok || st != StateCompleted {
+			t.Errorf("retired job %d resolves to %q, %v", id, st, ok)
+		}
+	}
+	for _, id := range []int{0, last + 1, 3 * jobChunkSize} {
+		if st, ok := c.jobState(id); ok {
+			t.Errorf("job %d was never submitted but resolves to %q", id, st)
+		}
+	}
+
+	dep := desc
+	dep.AfterOK = []int{5}
+	j, err := c.Submit(dep)
+	if err != nil {
+		t.Fatalf("afterok on job 5, retired in chunk 0: %v", err)
+	}
+	sim.Run()
+	if !completed[j.ID] {
+		t.Fatalf("job %d (afterok:5) did not complete", j.ID)
+	}
+}
+
 // TestAccountingChunksMatchOneSlice pins the accounting table's chunk
 // rule against the single slice it replaced: rows finishing out of id
 // order, through chunk 0's doublings and two full chunks, read back

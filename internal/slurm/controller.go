@@ -146,14 +146,16 @@ type Controller struct {
 	usageBy   []float64
 	// usageSink, when set, observes every fair-share usage increment
 	// (WithUsageSink) — the hook the parallel partition lanes use to
-	// replicate usage across lane controllers at window barriers.
+	// replicate usage across lane controllers between windows.
 	usageSink func(uid uint32, cpuSeconds float64)
 	tracer    *trace.Tracer // nil = untraced
 	// aggregate retires terminal jobs from memory (see
 	// WithAggregateAccounting); retired keeps their final state codes
-	// by id so dependency resolution still works after retirement.
+	// by id so dependency resolution still works after retirement. It
+	// mirrors the arena's chunks: the code of job id i sits where jobs
+	// holds its pointer, and a chunk is as long as the arena's.
 	aggregate bool
-	retired   []uint8
+	retired   [][]uint8
 
 	// batched defers scheduling passes to one flush event per clock
 	// instant (WithBatchedScheduling); passDue marks a pass awaiting
@@ -323,7 +325,7 @@ func (c *Controller) UserUsageCPUSeconds(uid uint32) float64 {
 }
 
 // AddUsage credits fair-share usage that accrued outside this
-// controller — the lane-barrier replication path. It deliberately does
+// controller — the lanes' replication path. It deliberately does
 // not invoke the usage sink: the delta originated from a sibling
 // controller's sink and echoing it back would double-count.
 func (c *Controller) AddUsage(uid uint32, cpuSeconds float64) {
@@ -1046,15 +1048,21 @@ func (c *Controller) finish(job *Job) {
 // the pool for the next submission: in aggregate mode nothing retains
 // a job past its completion hooks.
 func (c *Controller) retire(job *Job) {
-	id := job.ID
-	if id >= 1 && id < c.nextID {
+	if id := job.ID; id >= 1 && id < c.nextID {
 		idx := id - 1
-		c.jobs[idx>>jobChunkBits][idx&jobChunkMask] = nil
+		ci, slot := idx>>jobChunkBits, idx&jobChunkMask
+		c.jobs[ci][slot] = nil
+		for k := len(c.retired); k <= ci; k++ {
+			c.retired = append(c.retired, make([]uint8, len(c.jobs[k])))
+		}
+		if r := c.retired[ci]; slot >= len(r) {
+			// Chunk 0 doubled since (later chunks are born full).
+			grown := make([]uint8, len(c.jobs[ci]))
+			copy(grown, r)
+			c.retired[ci] = grown
+		}
+		c.retired[ci][slot] = retireCode(job.State)
 	}
-	for len(c.retired) <= id {
-		c.retired = append(c.retired, retiredNone)
-	}
-	c.retired[id] = retireCode(job.State)
 	if job.node == nil {
 		c.jobPool = append(c.jobPool, job)
 	}
@@ -1066,8 +1074,11 @@ func (c *Controller) jobState(id int) (JobState, bool) {
 	if j := c.jobByID(id); j != nil {
 		return j.State, true
 	}
-	if id > 0 && id < len(c.retired) && c.retired[id] != retiredNone {
-		return retiredState(c.retired[id]), true
+	if id >= 1 && id < c.nextID {
+		idx := id - 1
+		if ci, slot := idx>>jobChunkBits, idx&jobChunkMask; ci < len(c.retired) && slot < len(c.retired[ci]) && c.retired[ci][slot] != retiredNone {
+			return retiredState(c.retired[ci][slot]), true
+		}
 	}
 	return "", false
 }
