@@ -53,7 +53,8 @@ chaos:
 
 # fuzz gives each fuzzer a short budget beyond the committed corpus
 # (which plain `go test` always replays): the filedb log, the policy
-# spec, the two slurm text parsers (slurm.conf, sbatch scripts) and the
+# spec, the two slurm text parsers (slurm.conf, sbatch scripts), the
+# controller's memo of the last sbatch parse against the parser, and the
 # calendar queue against its naive reference.
 fuzz:
 	$(GO) test -fuzz FuzzTornTail -fuzztime 30s -run FuzzTornTail ./internal/filedb/
@@ -61,6 +62,7 @@ fuzz:
 	$(GO) test -fuzz FuzzPolicySpec -fuzztime 30s -run FuzzPolicySpec ./internal/workload/
 	$(GO) test -fuzz FuzzParseConf -fuzztime 30s -run FuzzParseConf ./internal/slurm/
 	$(GO) test -fuzz FuzzParseBatchScript -fuzztime 30s -run FuzzParseBatchScript ./internal/slurm/
+	$(GO) test -fuzz FuzzSubmitScriptMemo -fuzztime 30s -run FuzzSubmitScriptMemo ./internal/slurm/
 	$(GO) test -fuzz FuzzEventQueueDifferential -fuzztime 30s -run FuzzEventQueueDifferential ./internal/simclock/
 
 # cover enforces a per-package statement-coverage floor on the policy

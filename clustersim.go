@@ -838,5 +838,47 @@ func runCluster(start time.Time, spec workload.Spec, src workload.Source, lw *wo
 			(1 + float64(pl.CapViolations+pl.DeadlineMisses))
 		report.Policy = pl
 	}
+	if err := report.checkLedgers(); err != nil {
+		return nil, err
+	}
 	return report, nil
+}
+
+// ledgerCapSlack is the slack internal/slurm's charge allows a
+// partition's draw over its cap before it counts a violation: float
+// accumulation noise, not watts.
+const ledgerCapSlack = 1e-9
+
+// checkLedgers checks the identities a finished run's own totals must
+// satisfy, so a broken scheduler or lane pipeline fails the run instead
+// of reporting a wrong total:
+//
+//   - per partition, every accepted job ended: submitted = completed +
+//     failed + cancelled (a run drains, so nothing is left pending);
+//   - every submission is counted once: submissions = Σ submitted +
+//     rejected;
+//   - under a policy block, no cap was exceeded: no violation counted,
+//     and every capped partition's peak draw within its cap.
+//
+// It reads only sums the run already keeps and prints nothing.
+func (r *ClusterReport) checkLedgers() error {
+	submitted := 0
+	for _, p := range r.Partitions {
+		if ended := p.Completed + p.Failed + p.Cancelled; p.Submitted != ended {
+			return fmt.Errorf("cluster ledger: partition %s: %d submitted, but %d completed + %d failed + %d cancelled = %d",
+				p.Name, p.Submitted, p.Completed, p.Failed, p.Cancelled, ended)
+		}
+		if r.Policy != nil && p.CapW > 0 && p.PeakDrawW > p.CapW*(1+ledgerCapSlack) {
+			return fmt.Errorf("cluster ledger: partition %s: peak draw %.3f W over its %.3f W cap", p.Name, p.PeakDrawW, p.CapW)
+		}
+		submitted += p.Submitted
+	}
+	if r.Submissions != submitted+r.Rejected {
+		return fmt.Errorf("cluster ledger: %d submissions, but %d submitted + %d rejected = %d",
+			r.Submissions, submitted, r.Rejected, submitted+r.Rejected)
+	}
+	if r.Policy != nil && r.Policy.CapViolations != 0 {
+		return fmt.Errorf("cluster ledger: %d power-cap violations", r.Policy.CapViolations)
+	}
+	return nil
 }

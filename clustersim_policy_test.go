@@ -2,7 +2,10 @@ package ecosched
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"ecosched/internal/slurm"
@@ -163,6 +166,58 @@ func TestPolicyReportFitness(t *testing.T) {
 	run.WriteText(&buf)
 	if !bytes.Contains(buf.Bytes(), []byte("\nfitness     ")) {
 		t.Fatalf("report lacks the fitness row:\n%s", buf.String())
+	}
+}
+
+// TestClusterLedgerChecks: every run checks its own job and cap ledgers
+// (a run that fails one returns its error, so every cluster test holds
+// them). Here each identity is broken on a real report in turn, and the
+// error must name the partition and the identity.
+func TestClusterLedgerChecks(t *testing.T) {
+	spec := loadSpec(t, "powercap-smoke.json")
+	spec.MaxSubmissions = 400
+	run, err := RunClusterSpec(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := run.Partitions[0]
+	if batch.Name != "batch" || batch.CapW == 0 || batch.Completed == 0 {
+		t.Fatalf("want a capped batch partition that completed jobs: %+v", batch)
+	}
+	jobs := "completed + %d failed + %d cancelled"
+	cases := []struct {
+		name  string
+		apply func(r *ClusterReport)
+		want  string // "" = the ledgers still close
+	}{
+		{"unchanged", func(*ClusterReport) {}, ""},
+		{"a completion dropped", func(r *ClusterReport) { r.Partitions[0].Completed-- },
+			fmt.Sprintf("partition batch: %d submitted, but %d "+jobs, batch.Submitted, batch.Completed-1, batch.Failed, batch.Cancelled)},
+		{"a cancellation added", func(r *ClusterReport) { r.Partitions[1].Cancelled++ },
+			"partition debug: "},
+		{"a submission lost", func(r *ClusterReport) { r.Submissions++ },
+			fmt.Sprintf("%d submissions, but", run.Submissions+1)},
+		{"a rejection double-counted", func(r *ClusterReport) { r.Rejected++ },
+			fmt.Sprintf("+ %d rejected", run.Rejected+1)},
+		{"peak within the slack", func(r *ClusterReport) { r.Partitions[0].PeakDrawW = r.Partitions[0].CapW * (1 + 1e-12) }, ""},
+		{"peak over the cap", func(r *ClusterReport) { r.Partitions[0].PeakDrawW = r.Partitions[0].CapW + 1 },
+			"partition batch: peak draw"},
+		{"a cap violation", func(r *ClusterReport) { r.Policy.CapViolations = 1 },
+			"1 power-cap violations"},
+	}
+	for _, c := range cases {
+		r := *run
+		r.Partitions = slices.Clone(run.Partitions)
+		pl := *run.Policy
+		r.Policy = &pl
+		c.apply(&r)
+		err := r.checkLedgers()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
+		}
 	}
 }
 

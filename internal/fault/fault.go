@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ecosched/internal/metrics"
@@ -175,6 +176,10 @@ type Injector struct {
 	mu    sync.Mutex
 	rules []*boundRule
 	log   []Injection
+	// nrules mirrors len(rules), stored under mu by Use and Reset, so a
+	// call with no rule installed — every call of a deployment run
+	// without -fault — passes through on one atomic load, lock-free.
+	nrules atomic.Int32
 }
 
 // boundRule is a rule plus its call counters.
@@ -233,6 +238,7 @@ func (i *Injector) Use(rules ...Rule) {
 		r := r.normalized()
 		i.rules = append(i.rules, &boundRule{Rule: r})
 	}
+	i.nrules.Store(int32(len(i.rules)))
 }
 
 // Reset discards all rules and counters, keeping the seed and hooks.
@@ -244,6 +250,7 @@ func (i *Injector) Reset() {
 	defer i.mu.Unlock()
 	i.rules = nil
 	i.log = nil
+	i.nrules.Store(0)
 }
 
 // Injected returns per-operation injection counts.
@@ -286,9 +293,11 @@ type outcome struct {
 // decide evaluates every rule against op, updating counters and the
 // log under the lock, and returns the merged outcome. The latency
 // sleep and trace emission happen in the caller, outside the lock.
+// With no rule installed nothing is counted, so the pass-through
+// outcome needs no lock.
 func (i *Injector) decide(op string) outcome {
 	out := outcome{fraction: 1}
-	if i == nil {
+	if i == nil || i.nrules.Load() == 0 {
 		return out
 	}
 	var fired []Injection

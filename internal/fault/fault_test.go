@@ -2,6 +2,9 @@ package fault
 
 import (
 	"errors"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -126,6 +129,59 @@ func TestInterleavingIndependence(t *testing.T) {
 		if quiet[i] != noisy[i] {
 			t.Fatalf("blob.get schedule changed with interleaved repo calls (call %d)", i)
 		}
+	}
+}
+
+// TestUseVisibleToLockFreeCalls: calls made with no rule installed skip
+// the injector's lock, so Use and Reset run here against concurrent Fail
+// and ReadBytes callers (run it under -race). The first call after Use
+// returns fires the new rule, the first after Reset passes through, and
+// the pass-through calls counted nothing: After still skips exactly the
+// first matching call made once a rule exists.
+func TestUseVisibleToLockFreeCalls(t *testing.T) {
+	inj := New(1)
+	data := []byte("cpu MHz : 2200.000\n")
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for range 3 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				inj.Fail(OpSettingsLoad)
+				inj.ReadBytes(OpProcRead, data)
+			}
+		}()
+	}
+	for round := range 200 {
+		inj.Use(Rule{Op: OpSettingsLoad, Mode: ModeError}, Rule{Op: OpProcRead, Mode: ModePartial})
+		if err := inj.Fail(OpSettingsLoad); !errors.Is(err, ErrInjected) {
+			t.Fatalf("round %d: Fail after Use = %v, want ErrInjected", round, err)
+		}
+		if got, err := inj.ReadBytes(OpProcRead, data); err != nil || len(got) >= len(data) {
+			t.Fatalf("round %d: ReadBytes after Use kept %d of %d bytes (err %v)", round, len(got), len(data), err)
+		}
+		inj.Reset()
+		if err := inj.Fail(OpSettingsLoad); err != nil {
+			t.Fatalf("round %d: Fail after Reset = %v", round, err)
+		}
+		if got, err := inj.ReadBytes(OpProcRead, data); err != nil || len(got) != len(data) {
+			t.Fatalf("round %d: ReadBytes after Reset kept %d of %d bytes (err %v)", round, len(got), len(data), err)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+
+	quiet := New(1)
+	for range 5 {
+		quiet.Fail(OpBlobGet)
+	}
+	quiet.Use(Rule{Op: OpBlobGet, Mode: ModeError, After: 1})
+	if err := quiet.Fail(OpBlobGet); err != nil {
+		t.Fatalf("call 1 after Use faulted: %v", err)
+	}
+	if err := quiet.Fail(OpBlobGet); err == nil || !strings.Contains(err.Error(), "(call 2)") {
+		t.Fatalf("call 2 after Use = %v, want the injected failure on call 2", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package slurm
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -138,6 +139,18 @@ type Controller struct {
 	workloads   map[string]Workload
 	acct        *Accounting
 	onDone      []func(*Job)
+
+	// The parse memo: the last script SubmitScript parsed and what
+	// ParseBatchScript returned for it. The parse is a pure function of
+	// the text, so an equal script (a pointer check when the caller
+	// reuses the string) reuses the result; the memo is only ever copied
+	// out, never handed to a plugin. Same one-submitter contract as
+	// descScratch.
+	lastScript   string
+	lastParse    JobDesc
+	lastParseErr error
+	parsedOnce   bool
+
 	// usageBy is the fair-share store: consumed CPU-seconds per user,
 	// indexed by the dense slot userSlots assigns each user id at first
 	// sight. Jobs carry their slot, so a scheduling pass reads usage
@@ -597,20 +610,29 @@ func (c *Controller) submit(ctx context.Context, desc *JobDesc) (*Job, error) {
 
 // SubmitScript parses an sbatch script and submits it. Array requests
 // expand into independent tasks; the first task is returned, as
-// sbatch prints one job id for the whole array.
+// sbatch prints one job id for the whole array. A script equal to the
+// last one submitted is not parsed again: its description (or its
+// error) is reused.
 func (c *Controller) SubmitScript(script string) (*Job, error) {
-	desc, err := ParseBatchScript(script)
-	if err != nil {
-		return nil, err
+	if !c.parsedOnce || script != c.lastScript {
+		c.lastParse, c.lastParseErr = ParseBatchScript(script)
+		c.lastScript, c.parsedOnce = script, true
 	}
-	if desc.IsArray() {
-		tasks, err := c.SubmitArray(desc)
+	if c.lastParseErr != nil {
+		return nil, c.lastParseErr
+	}
+	// Plugins rewrite the description and the job keeps it: the copy
+	// gets its own dependency list, so neither can reach the memo.
+	c.descScratch = c.lastParse
+	c.descScratch.AfterOK = slices.Clone(c.descScratch.AfterOK)
+	if c.descScratch.IsArray() {
+		tasks, err := c.SubmitArray(c.descScratch)
 		if err != nil {
 			return nil, err
 		}
 		return tasks[0], nil
 	}
-	return c.Submit(desc)
+	return c.submitTraced(&c.descScratch)
 }
 
 // SubmitArray expands an --array request into independent tasks

@@ -1,6 +1,7 @@
 package slurm
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -14,7 +15,8 @@ import (
 // sbatch script and slurm.conf. Neither may panic, and accepted
 // scripts must produce internally consistent descriptions. The script
 // parser must also agree with refParseBatchScript, its earlier
-// strings.Split / strings.Fields form, on every input.
+// strings.Split / strings.Fields form, on every input, and
+// SubmitScript's memo of the last parse with the parser itself.
 
 func FuzzParseBatchScript(f *testing.F) {
 	f.Add(RenderBatchScript("/opt/hpcg/xhpcg", 32, 2_200_000, 1))
@@ -30,6 +32,9 @@ func FuzzParseBatchScript(f *testing.F) {
 	f.Add("#SBATCH\t--ntasks=8\t--comment\t\"chronus\"\nsrun\t/a\n")
 	f.Add("#SBATCH --comment\u0085chronus\u00a0--ntasks=4\nsrun /a\u00a0/b\n")
 	f.Add("#SBATCH --dependency=afterok:1:2:3\nsrun /a")
+	f.Add("#SBATCH --mem=9999999999999T\nsrun /a\n")
+	f.Add("#SBATCH --mem=8796093022207T\nsrun /a\n")
+	f.Add("#SBATCH --mem=512K\nsrun /a\n")
 	f.Fuzz(func(t *testing.T, script string) {
 		desc, err := ParseBatchScript(script)
 		ref, refErr := refParseBatchScript(script)
@@ -50,6 +55,67 @@ func FuzzParseBatchScript(f *testing.F) {
 		}
 		if desc.TimeLimit < 0 {
 			t.Fatalf("accepted negative time limit: %+v", desc)
+		}
+		if desc.MemoryMB < 0 {
+			t.Fatalf("accepted negative memory request: %+v", desc)
+		}
+	})
+}
+
+// rejectPlugin is scribblePlugin that then refuses the job, so every
+// submission reaches it at most once (an array stops at its first task)
+// and nothing is queued.
+type rejectPlugin struct{ scribblePlugin }
+
+func (p *rejectPlugin) JobSubmit(ctx context.Context, desc *JobDesc, uid uint32) (time.Duration, error) {
+	p.scribblePlugin.JobSubmit(ctx, desc, uid)
+	return 0, errFail
+}
+
+// FuzzSubmitScriptMemo holds SubmitScript's parse memo to the parser:
+// the sequence A, A, B, A through one controller hands the plugin chain
+// exactly ParseBatchScript's description on every submission — whatever
+// the plugin did to the one before — or returns exactly its error.
+func FuzzSubmitScriptMemo(f *testing.F) {
+	hpcg := RenderBatchScript("/opt/hpcg/xhpcg", 32, 2_200_000, 1)
+	f.Add(hpcg, RenderBatchScript("/opt/hpcg/xhpcg", 16, 1_500_000, 2))
+	f.Add(hpcg, hpcg)
+	f.Add("#SBATCH --dependency=afterok:1:2\n#SBATCH -J dep\nsrun /a\n", hpcg)
+	f.Add("#SBATCH --array=2-5\n#SBATCH --job-name=sweep\nsrun /a\n", "#SBATCH --array=3\nsrun /a\n")
+	f.Add("#SBATCH --ntasks=lots\nsrun /a\n", hpcg)
+	f.Add("#SBATCH --mem=9999999999999T\nsrun /a\n", "#SBATCH --mem=512K\nsrun /a\n")
+	f.Add("#SBATCH --array=0-20000\nsrun /a\n", "")
+	f.Add("", "srun\n")
+	f.Fuzz(func(t *testing.T, a, b string) {
+		_, c := newCluster(t, ecoConf(), 1)
+		p := &rejectPlugin{}
+		c.RegisterPlugin(p)
+		for i, script := range []string{a, a, b, a} {
+			want, wantErr := ParseBatchScript(script)
+			p.seen = p.seen[:0]
+			_, err := c.SubmitScript(script)
+			if wantErr != nil {
+				if err == nil || err.Error() != wantErr.Error() || len(p.seen) != 0 {
+					t.Fatalf("submission %d of %q: error %v, plugin saw %d; want the parse error %v", i+1, script, err, len(p.seen), wantErr)
+				}
+				continue
+			}
+			if want.IsArray() {
+				if want.ArrayHi-want.ArrayLo+1 > 10000 {
+					if len(p.seen) != 0 {
+						t.Fatalf("submission %d of %q: an oversize array reached the plugin", i+1, script)
+					}
+					continue
+				}
+				// The plugin sees the array's first task.
+				want.ArrayIndex, want.ArrayLo, want.ArrayHi = want.ArrayLo, 0, 0
+				if want.Name != "" {
+					want.Name = fmt.Sprintf("%s_%d", want.Name, want.ArrayIndex)
+				}
+			}
+			if err == nil || len(p.seen) != 1 || !reflect.DeepEqual(p.seen[0], want) {
+				t.Fatalf("submission %d of %q: error %v, plugin saw %+v; want %+v", i+1, script, err, p.seen, want)
+			}
 		}
 	})
 }

@@ -2,6 +2,7 @@ package slurm
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -517,6 +518,10 @@ func TestMemoryRequests(t *testing.T) {
 		"#SBATCH --mem=lots\nsrun /a\n",
 		"#SBATCH --mem=-4G\nsrun /a\n",
 		"#SBATCH --mem=\nsrun /a\n",
+		// Past int's range in MB: used to wrap to a negative request
+		// that fit every node.
+		"#SBATCH --mem=9999999999999T\nsrun /a\n",
+		"#SBATCH --mem=9007199254740993G\nsrun /a\n",
 	} {
 		if _, err := ParseBatchScript(bad); err == nil {
 			t.Errorf("accepted %q", bad)
@@ -539,11 +544,23 @@ func TestMemoryRequests(t *testing.T) {
 }
 
 func TestParseMemorySuffixes(t *testing.T) {
-	cases := map[string]int{"512": 512, "2048K": 2, "1G": 1024, "1T": 1024 * 1024, "300M": 300}
+	cases := map[string]int{
+		"512": 512, "2048K": 2, "1G": 1024, "1T": 1024 * 1024, "300M": 300,
+		// K rounds up to whole MB, as Slurm does: never down to 0, which
+		// reads as "no constraint".
+		"512K": 1, "1536K": 2, "1k": 1, "1025K": 2,
+		"8796093022207T":       8796093022207 * 1024 * 1024, // the largest T that fits an int
+		"9223372036854775807K": math.MaxInt/1024 + 1,
+	}
 	for in, want := range cases {
 		got, err := parseMemoryMB(in)
 		if err != nil || got != want {
 			t.Errorf("parseMemoryMB(%q) = %d, %v; want %d", in, got, err, want)
+		}
+	}
+	for _, bad := range []string{"8796093022208T", "9007199254740992G", "9999999999999T", "0K", "-1K", "1.5G", "G"} {
+		if got, err := parseMemoryMB(bad); err == nil {
+			t.Errorf("parseMemoryMB(%q) = %d, want an error", bad, got)
 		}
 	}
 }

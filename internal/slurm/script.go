@@ -223,27 +223,31 @@ srun --mpi=pmix_v4 --ntasks-per-core=%d %s
 `, cores, freqKHz, threadsPerCore, binaryPath)
 }
 
-// parseMemoryMB parses Slurm's --mem syntax: a number with an optional
-// K/M/G/T suffix (MB when bare).
+// parseMemoryMB parses Slurm's --mem syntax: a positive number with an
+// optional K/M/G/T suffix (MB when bare). K rounds up to whole MB, as
+// Slurm does, so a small request never reads as 0 ("no constraint"); a
+// count of MB past int's range is an error, not a wrapped value.
 func parseMemoryMB(value string) (int, error) {
 	if value == "" {
 		return 0, fmt.Errorf("empty --mem value")
 	}
-	mult := 1.0
-	num := value
+	num, kb, mbPer := value, false, 1
 	switch value[len(value)-1] {
 	case 'K', 'k':
-		mult, num = 1.0/1024, value[:len(value)-1]
+		num, kb = value[:len(value)-1], true
 	case 'M', 'm':
-		mult, num = 1, value[:len(value)-1]
+		num = value[:len(value)-1]
 	case 'G', 'g':
-		mult, num = 1024, value[:len(value)-1]
+		num, mbPer = value[:len(value)-1], 1024
 	case 'T', 't':
-		mult, num = 1024*1024, value[:len(value)-1]
+		num, mbPer = value[:len(value)-1], 1024*1024
 	}
 	n, err := strconv.Atoi(num)
-	if err != nil || n <= 0 {
+	if err != nil || n <= 0 || n > math.MaxInt/mbPer {
 		return 0, fmt.Errorf("bad --mem value %q", value)
 	}
-	return int(float64(n) * mult), nil
+	if kb {
+		return (n-1)/1024 + 1, nil // ⌈n/1024⌉ without overflow: n ≥ 1
+	}
+	return n * mbPer, nil
 }

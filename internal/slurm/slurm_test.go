@@ -3,6 +3,8 @@ package slurm
 import (
 	"context"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -571,5 +573,68 @@ func TestSubmitScript(t *testing.T) {
 	done, _ := c.WaitFor(job.ID)
 	if done.State != StateCompleted {
 		t.Fatalf("state = %s", done.State)
+	}
+}
+
+// scribblePlugin records the description it is handed, then rewrites
+// it the way a plugin may: the task count and frequencies, a dependency
+// overwritten in place and one appended.
+type scribblePlugin struct{ seen []JobDesc }
+
+func (*scribblePlugin) Name() string { return "eco" }
+
+func (p *scribblePlugin) JobSubmit(_ context.Context, desc *JobDesc, _ uint32) (time.Duration, error) {
+	seen := *desc
+	seen.AfterOK = slices.Clone(desc.AfterOK)
+	p.seen = append(p.seen, seen)
+	desc.NumTasks = 32
+	desc.MinFreqKHz, desc.MaxFreqKHz = 2_200_000, 2_200_000
+	if len(desc.AfterOK) > 0 {
+		desc.AfterOK[0] = 2
+		desc.AfterOK = append(desc.AfterOK, 1)
+	}
+	return 0, nil
+}
+
+// TestSubmitScriptMemoIsolatesPlugins: resubmitting a script reuses its
+// parse, and what a plugin did to the first submission's description
+// reaches neither the second submission nor the parse it reuses.
+func TestSubmitScriptMemoIsolatesPlugins(t *testing.T) {
+	_, c := newCluster(t, ecoConf(), 4)
+	p := &scribblePlugin{}
+	c.RegisterPlugin(p)
+	for range 2 {
+		if _, err := c.Submit(hpcgDesc(32, 2_500_000, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	script := "#SBATCH --ntasks=4\n#SBATCH --cpu-freq=1500000\n#SBATCH --dependency=afterok:1\nsrun /opt/hpcg/xhpcg\n"
+	want, err := ParseBatchScript(script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := c.SubmitScript(script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := c.SubmitScript(script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.seen) != 4 {
+		t.Fatalf("plugin called %d times, want 4", len(p.seen))
+	}
+	for i, seen := range p.seen[2:] { // after the two plain jobs
+		if !reflect.DeepEqual(seen, want) {
+			t.Fatalf("submission %d: plugin saw %+v, want the parse %+v", i+1, seen, want)
+		}
+	}
+	for _, job := range []*Job{first, second} {
+		if job.Desc.NumTasks != 32 || !slices.Equal(job.Desc.AfterOK, []int{2, 1}) {
+			t.Fatalf("job %d kept %d tasks, afterok %v; want the rewrite", job.ID, job.Desc.NumTasks, job.Desc.AfterOK)
+		}
+	}
+	if &first.Desc.AfterOK[0] == &second.Desc.AfterOK[0] {
+		t.Fatal("two jobs share one dependency list")
 	}
 }
