@@ -116,7 +116,7 @@ func requireFailOpen(t *testing.T, d *Deployment, desc slurm.JobDesc) (slurm.Job
 // trace event recorded.
 func TestChaosTotalStorageFaultFailsOpen(t *testing.T) {
 	tracer := trace.New()
-	d := newDeployment(t, WithSlurmConf(chaosConf), WithRetryPolicy(core.DefaultRetryPolicy()), WithTracer(tracer))
+	d := newDeployment(t, func(o *Options) { o.SlurmConf = chaosConf }, WithRetryPolicy(core.DefaultRetryPolicy()), func(o *Options) { o.Tracer = tracer })
 	if d.Plugin.Budget() != chaosBudget {
 		t.Fatalf("plugin budget = %v, conf not threaded", d.Plugin.Budget())
 	}
@@ -180,7 +180,7 @@ func TestChaosTotalStorageFaultFailsOpen(t *testing.T) {
 	if !degradedEvent {
 		t.Fatal("no chronus.predict.degraded trace event recorded")
 	}
-	if len(d.Fault.Injected()) == 0 {
+	if len(d.Fault.Log()) == 0 {
 		t.Fatal("injector reports no faults fired")
 	}
 }
@@ -189,7 +189,7 @@ func TestChaosTotalStorageFaultFailsOpen(t *testing.T) {
 // degradation story: a fault schedule that clears after two hits is
 // absorbed by the retry policy and the submission is still rewritten.
 func TestChaosRetryRescuesTransientFault(t *testing.T) {
-	d := newDeployment(t, WithSlurmConf(chaosConf), WithRetryPolicy(core.DefaultRetryPolicy()))
+	d := newDeployment(t, func(o *Options) { o.SlurmConf = chaosConf }, WithRetryPolicy(core.DefaultRetryPolicy()))
 	preloadHealthy(t, d)
 	// The first two model reads fail; the third attempt (within the
 	// retry policy's three) succeeds.
@@ -217,7 +217,7 @@ func TestChaosRetryRescuesTransientFault(t *testing.T) {
 // partially-rewritten job.
 func TestChaosSubmitInvariantsUnderRandomSchedules(t *testing.T) {
 	seed := chaosSeed(t)
-	d := newDeployment(t, WithSlurmConf(chaosConf), WithRetryPolicy(core.DefaultRetryPolicy()), WithSeed(seed))
+	d := newDeployment(t, func(o *Options) { o.SlurmConf = chaosConf }, WithRetryPolicy(core.DefaultRetryPolicy()), WithSeed(seed))
 	preloadHealthy(t, d)
 
 	ops := []string{

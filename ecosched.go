@@ -121,17 +121,8 @@ type Options struct {
 // Option mutates Options — the functional configuration of New.
 type Option func(*Options)
 
-// WithNodes sets the cluster size.
-func WithNodes(n int) Option { return func(o *Options) { o.Nodes = n } }
-
 // WithSeed sets the simulation seed.
 func WithSeed(seed uint64) Option { return func(o *Options) { o.Seed = seed } }
-
-// WithRepository selects the storage backend.
-func WithRepository(kind RepositoryKind) Option { return func(o *Options) { o.Repository = kind } }
-
-// WithSlurmConf overrides the slurm.conf text.
-func WithSlurmConf(conf string) Option { return func(o *Options) { o.SlurmConf = conf } }
 
 // WithLogWriter directs Chronus log output.
 func WithLogWriter(w io.Writer) Option { return func(o *Options) { o.LogW = w } }
@@ -139,9 +130,6 @@ func WithLogWriter(w io.Writer) Option { return func(o *Options) { o.LogW = w } 
 // WithTracing enables decision tracing with a journal at
 // DataDir/events.jsonl.
 func WithTracing() Option { return func(o *Options) { o.Trace = true } }
-
-// WithTracer injects an externally-built tracer.
-func WithTracer(t *trace.Tracer) Option { return func(o *Options) { o.Tracer = t } }
 
 // WithParallelism sets the benchmark sweep's worker-pool width.
 func WithParallelism(n int) Option { return func(o *Options) { o.Parallelism = n } }
@@ -206,7 +194,7 @@ type Deployment struct {
 // node(s) with BMCs, and the storage substrate — configured by
 // functional options:
 //
-//	d, err := ecosched.New(dir, ecosched.WithNodes(4), ecosched.WithSeed(7))
+//	d, err := ecosched.New(dir, ecosched.WithSeed(7))
 func New(dataDir string, options ...Option) (_ *Deployment, err error) {
 	opts := Options{DataDir: dataDir}
 	for _, opt := range options {

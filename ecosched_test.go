@@ -11,9 +11,13 @@ import (
 	"time"
 
 	"ecosched/internal/core"
+	"ecosched/internal/hw"
+	"ecosched/internal/ipmi"
 	"ecosched/internal/leakcheck"
 	"ecosched/internal/paperdata"
+	"ecosched/internal/perfmodel"
 	"ecosched/internal/repository"
+	"ecosched/internal/simclock"
 	"ecosched/internal/slurm"
 )
 
@@ -47,7 +51,7 @@ func TestNewDeploymentUnknownRepo(t *testing.T) {
 		dir  string
 		opts []Option
 	}{
-		{"unknown repository kind", t.TempDir(), []Option{WithRepository("oracle"), WithTracing()}},
+		{"unknown repository kind", t.TempDir(), []Option{func(o *Options) { o.Repository = "oracle" }, WithTracing()}},
 		{"database is a regular file", fileAsDatabase, []Option{WithTracing()}},
 	} {
 		if _, err := New(tc.dir, tc.opts...); err == nil {
@@ -74,7 +78,7 @@ func TestDeploymentDefaults(t *testing.T) {
 }
 
 func TestCSVRepositoryOption(t *testing.T) {
-	d := newDeployment(t, WithRepository(RepoCSV))
+	d := newDeployment(t, func(o *Options) { o.Repository = RepoCSV })
 	if _, err := d.BenchmarkConfigs(QuickSweepConfigs()[:2], 0); err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +347,7 @@ func TestComparisonExperiment(t *testing.T) {
 }
 
 func TestMultiNodeDeployment(t *testing.T) {
-	d := newDeployment(t, WithNodes(4))
+	d := newDeployment(t, func(o *Options) { o.Nodes = 4 })
 	if len(d.Nodes) != 4 {
 		t.Fatalf("%d nodes", len(d.Nodes))
 	}
@@ -407,6 +411,47 @@ func TestGovernorAblation(t *testing.T) {
 	}
 }
 
+// bandwidthWork plans a bandwidth-bound code in closed form: past a
+// couple of cores the memory roof binds at every frequency, so the run
+// takes as long at 1.5 GHz as at 2.5 GHz and frequency only costs
+// energy.
+type bandwidthWork struct{}
+
+const (
+	bandwidthRoofGFLOPS = 11.0
+	bandwidthJobGFLOP   = bandwidthRoofGFLOPS * 600 // ~10 minutes at the roof
+)
+
+func (bandwidthWork) Name() string { return "stream" }
+
+func (bandwidthWork) Plan(_ *hw.Node, cfg perfmodel.Config) (time.Duration, float64) {
+	g := math.Min(4*float64(cfg.Cores)*float64(cfg.FreqKHz)/1e6, bandwidthRoofGFLOPS)
+	return time.Duration(bandwidthJobGFLOP / g * float64(time.Second)), g
+}
+
+// bandwidthRunner is a second application: HPCGRunner's sbatch
+// submission over bandwidthWork under its own binary path.
+type bandwidthRunner struct{ *core.HPCGRunner }
+
+func newBandwidthRunner(c *slurm.Controller, path string) (core.ApplicationRunner, error) {
+	r, err := core.NewHPCGRunner(c, path, bandwidthJobGFLOP)
+	if err != nil {
+		return nil, err
+	}
+	c.RegisterWorkload(path, bandwidthWork{})
+	return bandwidthRunner{r}, nil
+}
+
+func (r bandwidthRunner) Name() string { return "stream" }
+
+func (r bandwidthRunner) Rebind(c *slurm.Controller) (core.ApplicationRunner, error) {
+	return newBandwidthRunner(c, r.HPCGPath)
+}
+
+// TestStreamApplicationThroughSubmitPath: a second application,
+// benchmarked and trained through a second Chronus over the
+// deployment's repository, blob store and settings, is rewritten by the
+// plugin to its own optimum while HPCG keeps its own.
 func TestStreamApplicationThroughSubmitPath(t *testing.T) {
 	d := newDeployment(t)
 	if _, err := d.BenchmarkConfigs(QuickSweepConfigs(), 0); err != nil {
@@ -421,15 +466,48 @@ func TestStreamApplicationThroughSubmitPath(t *testing.T) {
 	}
 
 	const streamPath = "/opt/stream/stream_c"
-	runner, err := core.NewStreamRunner(d.Cluster, streamPath)
+	runner, err := newBandwidthRunner(d.Cluster, streamPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := d.Chronus.WithRunner(runner)
+	benchConf, err := slurm.ParseConf("ClusterName=bench\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := stream.Benchmark.Run(QuickSweepConfigs(), 0); err != nil {
+	calib := d.Nodes[0].Calibration()
+	stream, err := core.New(core.Deps{
+		Repo: d.Repo, Blob: d.Blob, Settings: d.Settings,
+		SysInfo: newSysInfo(d.fs), FS: d.fs, Runner: runner,
+		LocalDir: t.TempDir(), Now: d.Sim.Now,
+		Provision: func(idx int) (core.BenchNode, error) {
+			bsim := simclock.New()
+			bnode := hw.NewNode(bsim, hw.DefaultSpec(), calib, uint64(idx)+1)
+			bbmc := ipmi.NewBMC(bnode)
+			bbmc.ChmodWorldReadable()
+			bcluster, err := slurm.NewCluster(bsim, benchConf, slurm.WithNodes(bnode))
+			if err != nil {
+				return core.BenchNode{}, err
+			}
+			bsystem, err := core.NewIPMISystemService(bsim, bbmc, bnode, false)
+			if err != nil {
+				return core.BenchNode{}, err
+			}
+			return core.BenchNode{Cluster: bcluster, System: bsystem, Close: bsystem.Release}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ghz := func(g float64) int { return int(g * 1e6) }
+	configs := []Config{
+		{Cores: 32, FreqKHz: ghz(2.5), ThreadsPerCore: 1},
+		{Cores: 32, FreqKHz: ghz(2.2), ThreadsPerCore: 1},
+		{Cores: 32, FreqKHz: ghz(1.5), ThreadsPerCore: 1},
+		{Cores: 16, FreqKHz: ghz(2.5), ThreadsPerCore: 1},
+		{Cores: 16, FreqKHz: ghz(1.5), ThreadsPerCore: 1},
+		{Cores: 8, FreqKHz: ghz(1.5), ThreadsPerCore: 1},
+	}
+	if _, err := stream.Benchmark.Run(configs, 0); err != nil {
 		t.Fatal(err)
 	}
 	systems, _ := stream.InitModel.Systems()
@@ -437,7 +515,9 @@ func TestStreamApplicationThroughSubmitPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := stream.LoadModel.Run(sMeta.ID); err != nil {
+	// Pre-loaded through the deployment's handle: its PredictService is
+	// the one the plugin asks.
+	if _, err := d.PreloadModel(sMeta.ID); err != nil {
 		t.Fatal(err)
 	}
 

@@ -61,9 +61,6 @@ func NewDir(root string) (*Dir, error) {
 	return &Dir{root: root}, nil
 }
 
-// Root returns the backing directory.
-func (d *Dir) Root() string { return d.root }
-
 func (d *Dir) path(key string) string { return filepath.Join(d.root, filepath.FromSlash(key)) }
 
 // Put implements Store.

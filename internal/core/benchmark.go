@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -13,7 +12,6 @@ import (
 	"ecosched/internal/metrics"
 	"ecosched/internal/perfmodel"
 	"ecosched/internal/repository"
-	"ecosched/internal/telemetry"
 )
 
 // DefaultSampleInterval is the paper's benchmark sampling rate
@@ -172,18 +170,6 @@ func (s *BenchmarkService) registerSystem() (int64, repository.System, error) {
 	rec.ID = id
 	s.log.Printf("Benchmark for %s with %d cores complete registration (system %d)", info, info.Cores, id)
 	return id, rec, nil
-}
-
-// LoadTrace retrieves the raw power samples saved with a benchmark.
-func (s *BenchmarkService) LoadTrace(b repository.Benchmark) (*telemetry.Trace, error) {
-	if b.TraceKey == "" {
-		return nil, fmt.Errorf("core: benchmark %d has no stored trace", b.ID)
-	}
-	data, err := s.deps.Blob.Get(b.TraceKey)
-	if err != nil {
-		return nil, err
-	}
-	return telemetry.ReadCSV(bytes.NewReader(data), b.TraceKey, b.Created.Add(-time.Duration(b.RuntimeSeconds*float64(time.Second))))
 }
 
 // RunResume behaves like Run but skips configurations that already

@@ -1,13 +1,17 @@
 package core
 
 import (
+	"bytes"
+	"encoding/csv"
 	"math"
+	"strconv"
 	"testing"
 	"time"
 
 	"ecosched/internal/ecoplugin"
+	"ecosched/internal/hw"
 	"ecosched/internal/perfmodel"
-	"ecosched/internal/repository"
+	"ecosched/internal/slurm"
 )
 
 func TestBenchmarkTracePersisted(t *testing.T) {
@@ -19,35 +23,30 @@ func TestBenchmarkTracePersisted(t *testing.T) {
 	if len(rows) != 1 || rows[0].TraceKey == "" {
 		t.Fatalf("benchmark rows: %+v", rows)
 	}
-	if !r.blob.Exists(rows[0].TraceKey) {
-		t.Fatalf("trace blob %s missing", rows[0].TraceKey)
+	data, err := r.blob.Get(rows[0].TraceKey)
+	if err != nil {
+		t.Fatalf("trace blob %s: %v", rows[0].TraceKey, err)
 	}
-	trace, err := r.chronus.Benchmark.LoadTrace(rows[0])
+	records, err := csv.NewReader(bytes.NewReader(data)).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if trace.Len() < 100 {
-		t.Fatalf("trace has %d samples for an ~18-minute run at 3 s", trace.Len())
+	samples := records[1:]
+	if len(samples) < 100 {
+		t.Fatalf("trace has %d samples for an ~18-minute run at 3 s", len(samples))
 	}
-	agg, err := trace.Aggregate()
-	if err != nil {
-		t.Fatal(err)
+	// The stored samples must reproduce the row's aggregate power; at
+	// a uniform interval the plain mean is the time-weighted one.
+	var sumW float64
+	for _, rec := range samples {
+		w, err := strconv.ParseFloat(rec[1], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sumW += w
 	}
-	// The stored samples must reproduce the row's aggregate power.
-	if math.Abs(agg.AvgSystemW-rows[0].AvgSystemW)/rows[0].AvgSystemW > 0.01 {
-		t.Fatalf("trace avg %.1f vs stored %.1f", agg.AvgSystemW, rows[0].AvgSystemW)
-	}
-}
-
-func TestLoadTraceMissing(t *testing.T) {
-	r := newRig(t)
-	// A row without a key errors cleanly.
-	if _, err := r.chronus.Benchmark.LoadTrace(repository.Benchmark{ID: 7}); err == nil {
-		t.Fatal("benchmark without trace key accepted")
-	}
-	// A row whose blob vanished errors cleanly.
-	if _, err := r.chronus.Benchmark.LoadTrace(repository.Benchmark{ID: 8, TraceKey: "traces/gone.csv"}); err == nil {
-		t.Fatal("missing trace blob accepted")
+	if avg := sumW / float64(len(samples)); math.Abs(avg-rows[0].AvgSystemW)/rows[0].AvgSystemW > 0.01 {
+		t.Fatalf("trace avg %.1f vs stored %.1f", avg, rows[0].AvgSystemW)
 	}
 }
 
@@ -84,9 +83,47 @@ func TestBenchmarkRunResume(t *testing.T) {
 	}
 }
 
+// bandwidthWork plans a bandwidth-bound code in closed form: past a
+// couple of cores the memory roof binds at every frequency, so the run
+// takes as long at 1.5 GHz as at 2.5 GHz and frequency only costs
+// energy.
+type bandwidthWork struct{}
+
+const (
+	bandwidthRoofGFLOPS = 11.0
+	bandwidthJobGFLOP   = bandwidthRoofGFLOPS * 600 // ~10 minutes at the roof
+)
+
+func (bandwidthWork) Name() string { return "stream" }
+
+func (bandwidthWork) Plan(_ *hw.Node, cfg perfmodel.Config) (time.Duration, float64) {
+	g := math.Min(4*float64(cfg.Cores)*float64(cfg.FreqKHz)/1e6, bandwidthRoofGFLOPS)
+	return time.Duration(bandwidthJobGFLOP / g * float64(time.Second)), g
+}
+
+// bandwidthRunner is a second application: HPCGRunner's sbatch
+// submission over bandwidthWork under its own binary path.
+type bandwidthRunner struct{ *HPCGRunner }
+
+func newBandwidthRunner(c *slurm.Controller, path string) (ApplicationRunner, error) {
+	r, err := NewHPCGRunner(c, path, bandwidthJobGFLOP)
+	if err != nil {
+		return nil, err
+	}
+	c.RegisterWorkload(path, bandwidthWork{})
+	return bandwidthRunner{r}, nil
+}
+
+func (r bandwidthRunner) Name() string { return "stream" }
+
+func (r bandwidthRunner) Rebind(c *slurm.Controller) (ApplicationRunner, error) {
+	return newBandwidthRunner(c, r.HPCGPath)
+}
+
 // TestMultiApplicationModels is the multi-application story: one
 // deployment, two binaries, two models — each application gets its own
-// energy-efficient configuration, and STREAM's differs from HPCG's.
+// energy-efficient configuration, the bandwidth-bound one's differs
+// from HPCG's, and the submit path rewrites each binary to its own.
 func TestMultiApplicationModels(t *testing.T) {
 	r := newRig(t)
 
@@ -97,17 +134,17 @@ func TestMultiApplicationModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.chronus.LoadModel.Run(hpcgMeta.ID); err != nil {
-		t.Fatal(err)
-	}
 
-	// Benchmark STREAM (pure bandwidth) through the same deployment.
+	// Benchmark the second application through a second Chronus over
+	// the same repository, blob store and settings.
 	const streamPath = "/opt/stream/stream_c"
-	streamRunner, err := NewStreamRunner(r.controller, streamPath)
+	runner, err := newBandwidthRunner(r.controller, streamPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamChronus, err := r.chronus.WithRunner(streamRunner)
+	deps := r.chronus.deps
+	deps.Runner = runner
+	stream, err := New(deps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,21 +152,23 @@ func TestMultiApplicationModels(t *testing.T) {
 		cfg3(32, 2.5, 1), cfg3(32, 2.2, 1), cfg3(32, 1.5, 1),
 		cfg3(16, 2.5, 1), cfg3(16, 1.5, 1), cfg3(8, 1.5, 1),
 	}
-	if _, err := streamChronus.Benchmark.Run(configs, 0); err != nil {
+	if _, err := stream.Benchmark.Run(configs, 0); err != nil {
 		t.Fatal(err)
 	}
-	streamMeta, err := streamChronus.InitModel.Run("brute-force", systems[0].ID)
+	streamMeta, err := stream.InitModel.Run("brute-force", systems[0].ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if streamMeta.AppHash == hpcgMeta.AppHash {
 		t.Fatal("both applications share an app hash")
 	}
-	if _, err := streamChronus.LoadModel.Run(streamMeta.ID); err != nil {
-		t.Fatal(err)
-	}
 
 	// Both models are pre-loaded simultaneously; predictions diverge.
+	for _, id := range []int64{hpcgMeta.ID, streamMeta.ID} {
+		if _, err := r.chronus.LoadModel.Run(id); err != nil {
+			t.Fatal(err)
+		}
+	}
 	sysHash, _ := ecoplugin.SystemHash(r.fs)
 	hpcgCfg, _, err := doPredict(r.chronus.Predict, sysHash, hpcgMeta.AppHash)
 	if err != nil {
@@ -143,6 +182,27 @@ func TestMultiApplicationModels(t *testing.T) {
 		t.Fatalf("HPCG best = %v, want 2.2 GHz", hpcgCfg)
 	}
 	if streamCfg.FreqKHz != 1_500_000 {
-		t.Fatalf("STREAM best = %v — a bandwidth-bound code should drop to 1.5 GHz", streamCfg)
+		t.Fatalf("bandwidth-bound best = %v, want 1.5 GHz", streamCfg)
+	}
+
+	// The plugin rewrites each opted-in binary to its own optimum.
+	for path, want := range map[string]int{hpcgPath: 2_200_000, streamPath: 1_500_000} {
+		job, err := r.controller.SubmitScript("#!/bin/bash\n" +
+			"#SBATCH --nodes=1\n" +
+			"#SBATCH --ntasks=32\n" +
+			"#SBATCH --cpu-freq=2500000\n" +
+			"#SBATCH --comment \"chronus\"\n" +
+			"srun --mpi=pmix_v4 --ntasks-per-core=1 " + path + "\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		done, err := r.controller.WaitFor(job.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, _ := r.controller.Accounting().Record(done.ID)
+		if rec.FreqKHz != want {
+			t.Errorf("%s rewritten to %d kHz, want %d", path, rec.FreqKHz, want)
+		}
 	}
 }

@@ -186,17 +186,10 @@ func (i *inflight) drain() {
 
 // New validates the wiring and constructs the service bundle.
 func New(deps Deps) (*Chronus, error) {
-	return newWithCache(deps, newModelCache())
-}
-
-// newWithCache builds the bundle around an existing prediction cache,
-// so rewires (WithRunner) keep the warmed entries and, crucially, the
-// invalidation hooks of the new handle still reach the cache the old
-// handle's PredictService serves from.
-func newWithCache(deps Deps, cache *modelCache) (*Chronus, error) {
 	if err := deps.validate(); err != nil {
 		return nil, err
 	}
+	cache := newModelCache()
 	w := deps.LogW
 	if w == nil {
 		w = io.Discard

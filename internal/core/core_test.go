@@ -406,7 +406,7 @@ func TestSetService(t *testing.T) {
 	if err := set.SetState("active"); err != nil {
 		t.Fatal(err)
 	}
-	cur, _ := set.Current()
+	cur, _ := r.settings.Load()
 	if cur.DatabasePath != "/var/lib/chronus/db" || cur.State != settings.StateActive {
 		t.Fatalf("settings = %+v", cur)
 	}

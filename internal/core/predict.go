@@ -52,7 +52,7 @@ type PredictService struct {
 	// off.
 	AllowColdLoad bool
 
-	// Cached hot-path metric handles (see newWithCache); nil-safe.
+	// Cached hot-path metric handles (see New); nil-safe.
 	mCacheHit  *metrics.Counter
 	mCacheMiss *metrics.Counter
 	mLatency   *metrics.BucketedHistogram

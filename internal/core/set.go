@@ -39,11 +39,6 @@ func (s *SetService) SetState(state string) error {
 	return s.mutate(func(cfg *settings.Settings) { cfg.State = st })
 }
 
-// Current returns the loaded settings.
-func (s *SetService) Current() (settings.Settings, error) {
-	return s.deps.Settings.Load()
-}
-
 func (s *SetService) mutate(fn func(*settings.Settings)) error {
 	cfg, err := s.deps.Settings.Load()
 	if err != nil {

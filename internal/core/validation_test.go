@@ -68,25 +68,12 @@ func TestRunnerConstructorsValidate(t *testing.T) {
 	if _, err := NewHPCGRunner(c, "/bin/x", 0); err == nil {
 		t.Error("zero work accepted")
 	}
-	if _, err := NewStreamRunner(nil, "/bin/x"); err == nil {
-		t.Error("stream: nil controller accepted")
-	}
-	if _, err := NewStreamRunner(c, ""); err == nil {
-		t.Error("stream: empty path accepted")
-	}
 	r, err := NewHPCGRunner(c, "/bin/x", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Name() != "hpcg" || r.BinaryPath() != "/bin/x" {
 		t.Fatalf("runner identity: %s %s", r.Name(), r.BinaryPath())
-	}
-	s, err := NewStreamRunner(c, "/bin/s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Name() != "stream" || s.BinaryPath() != "/bin/s" {
-		t.Fatalf("stream identity: %s %s", s.Name(), s.BinaryPath())
 	}
 }
 

@@ -119,8 +119,8 @@ func TestPluginHashSeesPartialRead(t *testing.T) {
 	if after := submitHash(t, p, pred); after != clean {
 		t.Fatalf("hash after the fault cleared = %s, want the original %s", after, clean)
 	}
-	if got := inj.Injected()[fault.OpProcRead]; got != 1 {
-		t.Fatalf("%d procfs faults injected, want 1", got)
+	if log := inj.Log(); len(log) != 1 || log[0].Op != fault.OpProcRead {
+		t.Fatalf("injections = %+v, want one procfs fault", log)
 	}
 
 	// An unreadable file still fails open, remembered hash or not.

@@ -7,7 +7,6 @@ import (
 	"ecosched/internal/procfs"
 	"ecosched/internal/repository"
 	"ecosched/internal/settings"
-	"ecosched/internal/sysinfo"
 	"ecosched/internal/telemetry"
 )
 
@@ -190,23 +189,6 @@ func (s *faultSettings) Save(v settings.Settings) error {
 		return err
 	}
 	return s.inner.Save(v)
-}
-
-// SysInfo wraps a system-info provider with fault injection.
-func SysInfo(inner sysinfo.Provider, inj *Injector) sysinfo.Provider {
-	return &faultSysInfo{inner: inner, inj: inj}
-}
-
-type faultSysInfo struct {
-	inner sysinfo.Provider
-	inj   *Injector
-}
-
-func (p *faultSysInfo) Collect() (sysinfo.SystemInfo, error) {
-	if err := p.inj.Fail(OpSysInfoCollect); err != nil {
-		return sysinfo.SystemInfo{}, err
-	}
-	return p.inner.Collect()
 }
 
 // FileReader wraps a procfs reader with fault injection: errors model

@@ -59,7 +59,6 @@ const (
 	OpRepoSaveModel      = "repo.save_model"
 	OpRepoGetModel       = "repo.get_model"
 	OpRepoListModels     = "repo.list_models"
-	OpRepoClose          = "repo.close"
 
 	OpBlobPut    = "blob.put"
 	OpBlobGet    = "blob.get"
@@ -69,11 +68,22 @@ const (
 	OpSettingsLoad = "settings.load"
 	OpSettingsSave = "settings.save"
 
-	OpSysInfoCollect = "sysinfo.collect"
-	OpProcRead       = "procfs.read_file"
-	OpIPMISample     = "ipmi.sample"
-	OpModelRead      = "model.read_file"
+	OpProcRead   = "procfs.read_file"
+	OpIPMISample = "ipmi.sample"
+	OpModelRead  = "model.read_file"
 )
+
+// ops lists every operation a decorator reports. ParsePlan rejects a
+// rule that matches none of them: a typo or a retired name would
+// otherwise parse and then inject nothing.
+var ops = [...]string{
+	OpRepoSaveSystem, OpRepoGetSystem, OpRepoFindSystem, OpRepoListSystems,
+	OpRepoSaveRun, OpRepoListRuns, OpRepoSaveBenchmarks, OpRepoListBenchmarks,
+	OpRepoSaveModel, OpRepoGetModel, OpRepoListModels,
+	OpBlobPut, OpBlobGet, OpBlobDelete, OpBlobList,
+	OpSettingsLoad, OpSettingsSave,
+	OpProcRead, OpIPMISample, OpModelRead,
+}
 
 // Mode is a fault class.
 type Mode string
@@ -251,24 +261,6 @@ func (i *Injector) Reset() {
 	i.rules = nil
 	i.log = nil
 	i.nrules.Store(0)
-}
-
-// Injected returns per-operation injection counts.
-func (i *Injector) Injected() map[string]int {
-	if i == nil {
-		return nil
-	}
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	out := make(map[string]int)
-	for _, r := range i.rules {
-		if r.injected > 0 {
-			// Glob rules count under their pattern; exact log entries
-			// carry the concrete op.
-			out[r.Op] += r.injected
-		}
-	}
-	return out
 }
 
 // Log returns the recorded injections, oldest first (bounded at

@@ -2,6 +2,11 @@ package fault
 
 import (
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,7 +18,6 @@ import (
 	"ecosched/internal/repository"
 	"ecosched/internal/settings"
 	"ecosched/internal/simclock"
-	"ecosched/internal/sysinfo"
 	"ecosched/internal/telemetry"
 	"ecosched/internal/trace"
 )
@@ -260,9 +264,6 @@ func TestInjectorObservability(t *testing.T) {
 	if len(events) != 2 || events[0].Name != eventFaultInjected {
 		t.Fatalf("trace events = %+v", events)
 	}
-	if n := inj.Injected()[OpSettingsLoad]; n != 2 {
-		t.Fatalf("Injected() = %d, want 2", n)
-	}
 	log := inj.Log()
 	if len(log) != 2 || log[0].Op != OpSettingsLoad || log[0].Call != 1 || log[1].Call != 2 {
 		t.Fatalf("Log() = %+v", log)
@@ -313,10 +314,44 @@ func TestParsePlan(t *testing.T) {
 	for _, bad := range []string{
 		"", "blob.get", "blob.get:explode", "blob.get:error:rate=2",
 		"blob.get:latency", "blob.get:error:nonsense", "blob.get:error:depth=3",
+		"repo.close:error", "sysinfo.collect:error", "blob.gett:error", "blob*:error",
 	} {
 		if _, err := ParsePlan(bad); err == nil {
 			t.Errorf("ParsePlan(%q) accepted", bad)
 		}
+	}
+}
+
+// TestOpsListsEveryOp: ParsePlan accepts exactly the declared Op*
+// constants, so a constant added without its ops entry would be an
+// operation no -fault plan can name.
+func TestOpsListsEveryOp(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "fault.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := 0
+	for _, d := range f.Decls {
+		gd, ok := d.(*ast.GenDecl)
+		if !ok || gd.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs := spec.(*ast.ValueSpec)
+			for i, name := range vs.Names {
+				if !strings.HasPrefix(name.Name, "Op") {
+					continue
+				}
+				declared++
+				op, _ := strconv.Unquote(vs.Values[i].(*ast.BasicLit).Value)
+				if !slices.Contains(ops[:], op) {
+					t.Errorf("%s = %q is missing from ops", name.Name, op)
+				}
+			}
+		}
+	}
+	if declared != len(ops) {
+		t.Errorf("%d Op constants, %d ops entries", declared, len(ops))
 	}
 }
 
@@ -417,7 +452,7 @@ func TestBlobDecorator(t *testing.T) {
 
 func TestSettingsAndSysInfoDecorators(t *testing.T) {
 	inj := New(1)
-	inj.Use(Rule{Op: "settings.*", Mode: ModeError}, Rule{Op: OpSysInfoCollect, Mode: ModeError})
+	inj.Use(Rule{Op: "settings.*", Mode: ModeError})
 	st := Settings(settings.NewMemStore(), inj)
 	if _, err := st.Load(); !errors.Is(err, ErrInjected) {
 		t.Fatalf("Load err = %v", err)
@@ -425,15 +460,7 @@ func TestSettingsAndSysInfoDecorators(t *testing.T) {
 	if err := st.Save(settings.Defaults()); !errors.Is(err, ErrInjected) {
 		t.Fatalf("Save err = %v", err)
 	}
-	si := SysInfo(stubSysInfo{}, inj)
-	if _, err := si.Collect(); !errors.Is(err, ErrInjected) {
-		t.Fatalf("Collect err = %v", err)
-	}
 }
-
-type stubSysInfo struct{}
-
-func (stubSysInfo) Collect() (sysinfo.SystemInfo, error) { return sysinfo.SystemInfo{}, nil }
 
 func TestReadFileDecorator(t *testing.T) {
 	inj := New(1)

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -14,8 +15,9 @@ import (
 //	op:mode[:key=value...]
 //
 // op is an operation name ("blob.get"), a prefix glob ("repo.*") or
-// "*". mode is error, latency, torn or partial. The optional
-// key=value segments tune the rule:
+// "*", and must match at least one operation a decorator reports. mode
+// is error, latency, torn or partial. The optional key=value segments
+// tune the rule:
 //
 //	rate=0.5     injection probability per matching call (default 1)
 //	after=3      skip the first 3 matching calls
@@ -56,6 +58,9 @@ func parseRule(s string) (Rule, error) {
 	r := Rule{Op: strings.TrimSpace(fields[0])}
 	if r.Op == "" {
 		return Rule{}, fmt.Errorf("fault: rule %q: empty operation", s)
+	}
+	if !slices.ContainsFunc(ops[:], r.matches) {
+		return Rule{}, fmt.Errorf("fault: rule %q: operation %q matches no reported operation", s, r.Op)
 	}
 	switch m := Mode(strings.TrimSpace(fields[1])); m {
 	case ModeError, ModeLatency, ModeTorn, ModePartial:

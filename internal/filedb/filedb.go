@@ -287,18 +287,6 @@ func (t *Table) Len() int {
 	return len(t.index)
 }
 
-// IDs returns the live ids in ascending order.
-func (t *Table) IDs() []int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	ids := make([]int64, 0, len(t.index))
-	for id := range t.index {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
 // Each calls fn for every live record in ascending id order, stopping
 // early if fn returns false. fn receives the raw JSON; callers
 // unmarshal into their own types.
@@ -319,13 +307,6 @@ func (t *Table) Each(fn func(id int64, data json.RawMessage) bool) {
 			return
 		}
 	}
-}
-
-// Sync flushes the log to stable storage.
-func (t *Table) Sync() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.f.Sync()
 }
 
 func (t *Table) close() error {

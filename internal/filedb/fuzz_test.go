@@ -146,7 +146,7 @@ func FuzzTornTail(f *testing.F) {
 		if err != nil {
 			t.Fatalf("torn tail rejected instead of truncated: %v", err)
 		}
-		ids := tbl2.IDs()
+		ids := liveIDs(tbl2)
 		if int64(cut) >= int64(len(data)) && len(ids) != n {
 			t.Fatalf("untorn log recovered %d of %d records", len(ids), n)
 		}

@@ -120,23 +120,6 @@ func TestWriteReportFormat(t *testing.T) {
 	}
 }
 
-func TestMemoryEstimates(t *testing.T) {
-	p := mustProblem(t, 16, 16, 16)
-	got := p.MemoryBytes()
-	// Fine level alone: 4096 rows × (27×12 + 5 + 16) bytes ≈ 1.4 MB.
-	if got < 1<<20 || got > 3<<20 {
-		t.Fatalf("MemoryBytes(16³) = %d", got)
-	}
-	// The paper: x=y=z=104 "used 32GB" of the 256 GB node. With one
-	// local 104³ grid per rank on 32 ranks, the estimate lands in the
-	// same tens-of-gigabytes regime.
-	run := EstimateRunBytes(104, 104, 104, 32)
-	gb := float64(run) / (1 << 30)
-	if gb < 12 || gb > 48 {
-		t.Fatalf("estimated run footprint %.1f GB, paper reports 32 GB", gb)
-	}
-}
-
 // TestRunBenchmarkInjectedClock pins the timing side of the report to
 // an injected clock: with a 250 ms tick and a 1 s target, the call
 // sequence (setup start/stop, timed start, per-set CG start/stop, loop

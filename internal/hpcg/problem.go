@@ -159,33 +159,3 @@ func buildF2C(nx, ny, nz int) []int32 {
 	}
 	return f2c
 }
-
-// MemoryBytes estimates the resident footprint of the problem
-// hierarchy: matrix storage (values, columns, counts, diagonal index)
-// plus the right-hand side and solution vectors at every level. The
-// paper reports the default 104³ problem using 32 GB across the
-// node's 32 ranks; EstimateRunBytes cross-checks that claim.
-func (p *Problem) MemoryBytes() int64 {
-	var total int64
-	for q := p; q != nil; q = q.coarse {
-		n := int64(q.A.N)
-		total += n * MaxRowNNZ * (8 + 4) // vals + cols
-		total += n * (1 + 4)             // nnz + diagIdx
-		total += n * 8 * 2               // B + Xexact
-		total += int64(len(q.f2c)) * 4
-	}
-	return total
-}
-
-// EstimateRunBytes estimates a full benchmark run's footprint: `ranks`
-// MPI processes each owning a local nx×ny×nz problem plus the CG work
-// vectors (x, p, Ap, r, z).
-func EstimateRunBytes(nx, ny, nz, ranks int) int64 {
-	n := int64(nx) * int64(ny) * int64(nz)
-	perRank := n * MaxRowNNZ * (8 + 4) // fine-level matrix
-	perRank += n * (1 + 4)
-	perRank += n * 8 * 7 // b, xexact, x, p, Ap, r, z
-	// Coarse levels add a convergent 1/8 + 1/64 + … ≈ 1/7 of the fine level.
-	perRank += perRank / 7
-	return perRank * int64(ranks)
-}

@@ -385,18 +385,6 @@ func (n *Node) Sensors() (systemW, cpuW, tempC float64) {
 	return n.calib.SystemPowerW(cpuW, n.tempC), cpuW, n.tempC
 }
 
-// CPUPowerW returns the instantaneous CPU package power.
-func (n *Node) CPUPowerW() float64 {
-	_, cpuW, _ := n.Sensors()
-	return cpuW
-}
-
-// CPUTempC returns the instantaneous CPU temperature.
-func (n *Node) CPUTempC() float64 {
-	n.advance()
-	return n.tempC
-}
-
 // SystemPowerW returns the instantaneous DC-side chassis power — what
 // the BMC's Total_Power sensor reports.
 func (n *Node) SystemPowerW() float64 {
@@ -421,13 +409,4 @@ func (n *Node) EnergyJ() (sysJ, cpuJ float64) {
 func (n *Node) ResetEnergy() {
 	n.advance()
 	n.sysJ, n.cpuJ = 0, 0
-}
-
-// GFLOPS reports the sustained throughput of the configuration the
-// node is currently running, or 0 when idle.
-func (n *Node) GFLOPS() float64 {
-	if n.job == nil {
-		return 0
-	}
-	return n.calib.GFLOPS(n.job.Config)
 }

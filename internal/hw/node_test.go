@@ -31,11 +31,8 @@ func TestIdleNodeSensors(t *testing.T) {
 	if n.job != nil {
 		t.Fatal("fresh node has an active job")
 	}
-	if got := n.CPUPowerW(); math.Abs(got-n.Calibration().IdleCPUPowerW()) > 1e-9 {
+	if _, got, _ := n.Sensors(); math.Abs(got-n.Calibration().IdleCPUPowerW()) > 1e-9 {
 		t.Fatalf("idle CPU power = %v", got)
-	}
-	if n.GFLOPS() != 0 {
-		t.Fatal("idle node reports nonzero GFLOPS")
 	}
 	sys := n.SystemPowerW()
 	if sys < 100 || sys > 170 {
@@ -149,7 +146,8 @@ func TestLoadedPowerMatchesCalibration(t *testing.T) {
 	const steps = 1000
 	for i := 0; i < steps; i++ {
 		sim.RunFor(period / steps)
-		sum += n.CPUPowerW()
+		_, w, _ := n.Sensors()
+		sum += w
 	}
 	avg := sum / steps
 	want := n.Calibration().CPUPowerW(perfmodel.StandardConfig(), 1)
@@ -213,13 +211,13 @@ func TestEnergyAccountingMatchesTable2(t *testing.T) {
 
 func TestTemperatureApproachesSteadyState(t *testing.T) {
 	sim, n := newTestNode()
-	t0 := n.CPUTempC()
+	_, _, t0 := n.Sensors()
 	j, _ := n.StartJob(perfmodel.StandardConfig())
 	defer j.End()
 	sim.RunFor(10 * time.Second)
-	t1 := n.CPUTempC()
+	_, _, t1 := n.Sensors()
 	sim.RunFor(10 * time.Minute)
-	t2 := n.CPUTempC()
+	_, _, t2 := n.Sensors()
 	want := n.Calibration().SteadyTempC(n.Calibration().CPUPowerW(perfmodel.StandardConfig(), 1))
 	if !(t0 < t1 && t1 < t2) {
 		t.Fatalf("temperature not rising: %.1f → %.1f → %.1f", t0, t1, t2)
@@ -233,10 +231,10 @@ func TestTemperatureCoolsAfterJob(t *testing.T) {
 	sim, n := newTestNode()
 	j, _ := n.StartJob(perfmodel.StandardConfig())
 	sim.RunFor(10 * time.Minute)
-	hot := n.CPUTempC()
+	_, _, hot := n.Sensors()
 	j.End()
 	sim.RunFor(10 * time.Minute)
-	cool := n.CPUTempC()
+	_, _, cool := n.Sensors()
 	if cool >= hot {
 		t.Fatalf("node did not cool after job: %.1f → %.1f", hot, cool)
 	}
@@ -283,15 +281,6 @@ func TestEnergyIsMonotone(t *testing.T) {
 			t.Fatal("CPU energy exceeds system energy")
 		}
 		prevSys = sysJ
-	}
-}
-
-func TestGFLOPSReportsConfigThroughput(t *testing.T) {
-	_, n := newTestNode()
-	j, _ := n.StartJob(perfmodel.StandardConfig())
-	defer j.End()
-	if got := n.GFLOPS(); math.Abs(got-paperdata.Fig1GFLOPS)/paperdata.Fig1GFLOPS > 0.001 {
-		t.Fatalf("GFLOPS = %.4f, want ≈%.4f", got, paperdata.Fig1GFLOPS)
 	}
 }
 

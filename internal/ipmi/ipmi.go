@@ -89,12 +89,6 @@ func (c *Conn) readings() [3]Reading {
 	}
 }
 
-// SDRList returns all sensor readings, like `ipmitool sdr list`.
-func (c *Conn) SDRList() []Reading {
-	r := c.readings()
-	return r[:]
-}
-
 // Read returns a single sensor reading by name.
 func (c *Conn) Read(name string) (Reading, error) {
 	for _, r := range c.readings() {
@@ -167,9 +161,6 @@ func (s *Sampler) Stop() {
 	s.sampleNow(s.sim.Now())
 }
 
-// Trace returns the trace being filled.
-func (s *Sampler) Trace() *telemetry.Trace { return s.trace }
-
 func (s *Sampler) sampleNow(now time.Time) {
 	r := s.conn.readings()
 	// Append never fails here: the simulated clock only moves forward.
@@ -193,10 +184,4 @@ func NewWattmeter(node *hw.Node) *Wattmeter { return &Wattmeter{node: node} }
 func (w *Wattmeter) Read() (psu1, psu2 float64) {
 	_, p1, p2 := w.node.WallPowerW()
 	return p1, p2
-}
-
-// Total returns the summed AC draw.
-func (w *Wattmeter) Total() float64 {
-	p1, p2 := w.Read()
-	return p1 + p2
 }

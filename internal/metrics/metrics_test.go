@@ -40,8 +40,8 @@ func TestHistogramStats(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		h.Observe(float64(i))
 	}
-	if h.Count() != 100 {
-		t.Fatalf("count = %d", h.Count())
+	if h.stat().Count != 100 {
+		t.Fatalf("count = %d", h.stat().Count)
 	}
 	// Quantiles report the holding bucket's upper bound: within one
 	// sub-bucket (1/32) above the exact nearest-rank value.
@@ -101,7 +101,7 @@ func TestConcurrentUse(t *testing.T) {
 	if got := r.Counter("c").Value(); got != 8000 {
 		t.Fatalf("counter = %d, want 8000", got)
 	}
-	if got := r.BucketedHistogram("h").Count(); got != 8000 {
+	if got := r.BucketedHistogram("h").stat().Count; got != 8000 {
 		t.Fatalf("histogram count = %d, want 8000", got)
 	}
 }

@@ -164,18 +164,6 @@ func (h *BucketedHistogram) observeNS(ns int64) {
 	}
 }
 
-// Count returns the lifetime observation count.
-func (h *BucketedHistogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	var total int64
-	for i := range h.stripes {
-		total += h.stripes[i].count.Load()
-	}
-	return total
-}
-
 // bhMerged is the read-side fold of every stripe.
 type bhMerged struct {
 	counts       []int64

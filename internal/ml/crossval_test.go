@@ -68,41 +68,3 @@ func NewNoise(i uint64) float64 {
 	i ^= i >> 33
 	return float64(i%1000)/500 - 1
 }
-
-func TestNelderMeadQuadratic(t *testing.T) {
-	f := func(x []float64) float64 {
-		dx, dy := x[0]-3, x[1]+1.5
-		return dx*dx + 2*dy*dy + 7
-	}
-	x, fx, err := NelderMead(f, []float64{0, 0}, NelderMeadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fx > 7+1e-6 {
-		t.Fatalf("minimum value %v, want ≈7", fx)
-	}
-	if x[0] < 2.99 || x[0] > 3.01 || x[1] < -1.51 || x[1] > -1.49 {
-		t.Fatalf("minimiser %v, want (3, −1.5)", x)
-	}
-}
-
-func TestNelderMeadRosenbrock(t *testing.T) {
-	f := func(x []float64) float64 {
-		a := 1 - x[0]
-		b := x[1] - x[0]*x[0]
-		return a*a + 100*b*b
-	}
-	x, fx, err := NelderMead(f, []float64{-1.2, 1}, NelderMeadOptions{MaxIters: 10000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fx > 1e-6 {
-		t.Fatalf("Rosenbrock minimum %v at %v", fx, x)
-	}
-}
-
-func TestNelderMeadEmptyStart(t *testing.T) {
-	if _, _, err := NelderMead(func([]float64) float64 { return 0 }, nil, NelderMeadOptions{}); err == nil {
-		t.Fatal("empty start accepted")
-	}
-}

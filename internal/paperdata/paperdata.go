@@ -60,19 +60,14 @@ const (
 	Eq1PercentDiff    = 5.96
 
 	// Table 3 headline numbers.
-	Table3EcoCPUReductionPct      = 18.0
-	Table3EcoSystemReductionPct   = 11.0
-	Table3RelatedWorkReductionPct = 5.66
+	Table3EcoCPUReductionPct    = 18.0
+	Table3EcoSystemReductionPct = 11.0
 
-	// HPCG problem parameters used throughout the evaluation.
-	HPCGProblemDim   = 104 // x = y = z = 104
-	HPCGProblemRAMGB = 32  // reported working-set size
-	SystemRAMGB      = 256 // Lenovo SR650 under test
-	SampleSeconds    = 3   // telemetry sample interval in §5.2
-	JobMinutes       = 20  // nominal per-configuration job length
-	CPUModel         = "AMD EPYC 7502P 32-Core Processor"
-	CPUCores         = 32
-	CPUThreadsPer    = 2
+	// The node under evaluation.
+	SystemRAMGB   = 256 // Lenovo SR650 under test
+	CPUModel      = "AMD EPYC 7502P 32-Core Processor"
+	CPUCores      = 32
+	CPUThreadsPer = 2
 )
 
 // FrequenciesKHz is the DVFS ladder of the evaluation node as reported

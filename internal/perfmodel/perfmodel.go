@@ -19,11 +19,6 @@
 //     within 0.03 %.
 //   - Temperature follows T = T0 + Rth·P_cpu, calibrated to Table 2's
 //     62.8 °C / 53.8 °C averages.
-//
-// The package also provides a purely parametric Roofline model (see
-// roofline.go): the throughput model of a second application with no
-// measured surface (core.StreamRunner), whose constants FitRoofline
-// re-derives from the paper's tables.
 package perfmodel
 
 import (

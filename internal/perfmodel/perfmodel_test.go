@@ -320,98 +320,3 @@ func TestWallPowerAboveDCPower(t *testing.T) {
 		t.Fatal("PSU split does not sum to total")
 	}
 }
-
-// ---- Roofline model ----
-
-func TestRooflineMatchesCalibratedStandardPoint(t *testing.T) {
-	r := DefaultRoofline()
-	within(t, "roofline G(standard)", r.GFLOPS(StandardConfig()), paperdata.Fig1GFLOPS, 0.05)
-	within(t, "roofline sysW(standard)", r.SystemPowerW(StandardConfig()),
-		paperdata.Table2Standard.AvgSystemWatts, 0.05)
-}
-
-func TestRooflinePrefersReducedFrequencyAtFullCores(t *testing.T) {
-	r := DefaultRoofline()
-	if r.Efficiency(cfg(32, 2.2, false)) <= r.Efficiency(cfg(32, 2.5, false)) {
-		t.Fatal("roofline does not reproduce the paper's 2.2 GHz efficiency win at 32 cores")
-	}
-}
-
-func TestRooflineGFLOPSMonotoneInCores(t *testing.T) {
-	r := DefaultRoofline()
-	for _, f := range []float64{1.5, 2.2, 2.5} {
-		prev := 0.0
-		for n := 1; n <= 32; n++ {
-			g := r.GFLOPS(cfg(n, f, false))
-			if g <= prev {
-				t.Fatalf("roofline GFLOPS not increasing at %d cores, %.1f GHz", n, f)
-			}
-			prev = g
-		}
-	}
-}
-
-func TestRooflineMemoryBoundAtHighCores(t *testing.T) {
-	r := DefaultRoofline()
-	// At 32 cores a 14 % frequency drop must cost far less than 14 %
-	// performance (memory-bound), while at 1 core it is nearly
-	// proportional (compute-bound).
-	rel32 := r.GFLOPS(cfg(32, 2.2, false)) / r.GFLOPS(cfg(32, 2.5, false))
-	rel1 := r.GFLOPS(cfg(1, 2.2, false)) / r.GFLOPS(cfg(1, 2.5, false))
-	if rel32 < 0.97 {
-		t.Fatalf("32-core frequency sensitivity %.3f too high for memory-bound roofline", rel32)
-	}
-	if rel1 > 0.93 {
-		t.Fatalf("1-core frequency sensitivity %.3f too low for compute-bound regime", rel1)
-	}
-}
-
-func TestRooflineSoftminBounds(t *testing.T) {
-	if err := quick.Check(func(a, b uint16) bool {
-		x, y := float64(a)+1, float64(b)+1
-		s := softmin(x, y)
-		return s > 0 && s <= math.Min(x, y)+1e-9
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if softmin(0, 5) != 0 || softmin(5, 0) != 0 {
-		t.Fatal("softmin with zero operand must be zero")
-	}
-}
-
-func TestRooflineHTObservations(t *testing.T) {
-	r := DefaultRoofline()
-	// Observation (2): at 32 cores HT does not improve efficiency.
-	if r.Efficiency(cfg(32, 2.2, true)) > r.Efficiency(cfg(32, 2.2, false)) {
-		t.Fatal("roofline: HT should not win at 32 cores")
-	}
-	// Observation (3): at low core counts HT helps throughput.
-	if r.GFLOPS(cfg(4, 2.5, true)) <= r.GFLOPS(cfg(4, 2.5, false)) {
-		t.Fatal("roofline: HT should boost throughput at 4 cores")
-	}
-}
-
-// The roofline fitter must reproduce (or beat) the frozen constants'
-// fit quality — the reproducibility promise in DESIGN.md.
-func TestFitRooflineQuality(t *testing.T) {
-	defaultErr := RooflineSurfaceError(DefaultRoofline())
-	fitted, fittedErr := FitRoofline()
-	if fittedErr > defaultErr+1e-12 {
-		t.Fatalf("fitter (%.6f) worse than frozen constants (%.6f)", fittedErr, defaultErr)
-	}
-	// A 5-parameter roofline explains the noisy measured surface to
-	// ~20 % RMS in log-efficiency — the empirical surface is exact, the
-	// parametric one is the generalising approximation.
-	if fittedErr > 0.05 {
-		t.Fatalf("fitted surface error %.4f too high", fittedErr)
-	}
-	// The fitted model keeps the paper's qualitative shape.
-	if fitted.Efficiency(cfg(32, 2.2, false)) <= fitted.Efficiency(cfg(32, 2.5, false)) {
-		t.Fatal("fitted roofline lost the 2.2 GHz efficiency win")
-	}
-	for n := 2; n <= 32; n *= 2 {
-		if fitted.GFLOPS(cfg(n, 2.2, false)) <= fitted.GFLOPS(cfg(n/2, 2.2, false)) {
-			t.Fatalf("fitted roofline not monotone in cores at %d", n)
-		}
-	}
-}

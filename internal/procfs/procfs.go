@@ -64,7 +64,6 @@ const (
 	PathAvailFreqs = "/sys/devices/system/cpu/cpu0/cpufreq/scaling_available_frequencies"
 	PathCurFreq    = "/sys/devices/system/cpu/cpu0/cpufreq/scaling_cur_freq"
 	PathGovernor   = "/sys/devices/system/cpu/cpu0/cpufreq/scaling_governor"
-	PathIPMIDev    = "/dev/ipmi0"
 )
 
 // ReadFile implements FileReader for the supported paths. Unknown

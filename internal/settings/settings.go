@@ -123,9 +123,6 @@ type EtcStore struct {
 // NewEtcStore returns a store at path.
 func NewEtcStore(path string) *EtcStore { return &EtcStore{path: path} }
 
-// Path returns the settings file location.
-func (e *EtcStore) Path() string { return e.path }
-
 // Load implements Store. The returned LocalModels is the store's own
 // list, clipped: read it, or change it through SetModel, which copies.
 func (e *EtcStore) Load() (Settings, error) {

@@ -66,16 +66,6 @@ func (r *RNG) Norm() float64 {
 	return boxMuller(u1, u2)
 }
 
-// Jitter returns a multiplicative noise factor 1 + scale*N(0,1),
-// clamped to stay positive.
-func (r *RNG) Jitter(scale float64) float64 {
-	f := 1 + scale*r.Norm()
-	if f < 0.01 {
-		f = 0.01
-	}
-	return f
-}
-
 func boxMuller(u1, u2 float64) float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }

@@ -234,15 +234,6 @@ func TestRNGNormMoments(t *testing.T) {
 	}
 }
 
-func TestJitterPositive(t *testing.T) {
-	r := NewRNG(3)
-	for i := 0; i < 10000; i++ {
-		if f := r.Jitter(2.0); f <= 0 {
-			t.Fatalf("Jitter returned non-positive %v", f)
-		}
-	}
-}
-
 func TestClockMonotonicProperty(t *testing.T) {
 	// Property: regardless of the (duration, order) schedule, observed
 	// execution times never decrease.

@@ -256,8 +256,8 @@ func TestConstructionOptionsWiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if done.Runtime() != time.Minute {
-		t.Fatalf("fallback runtime = %v, want 1m", done.Runtime())
+	if done.EndTime.Sub(done.StartTime) != time.Minute {
+		t.Fatalf("fallback runtime = %v, want 1m", done.EndTime.Sub(done.StartTime))
 	}
 }
 

@@ -171,15 +171,6 @@ func (j *Job) shapeProfile() string {
 	return ""
 }
 
-// Runtime returns how long the job ran (so far, if still running is
-// not supported — terminal jobs only).
-func (j *Job) Runtime() time.Duration {
-	if j.StartTime.IsZero() || j.EndTime.IsZero() {
-		return 0
-	}
-	return j.EndTime.Sub(j.StartTime)
-}
-
 func (j *Job) String() string {
 	return fmt.Sprintf("job %d (%s) %s", j.ID, j.Desc.Name, j.State)
 }

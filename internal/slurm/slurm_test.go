@@ -227,7 +227,7 @@ func TestJobLifecycleAndAccounting(t *testing.T) {
 	}
 	// Table 2: the standard configuration runs 18:29 and uses ~240 kJ.
 	wantRuntime := float64(paperdata.Table2Standard.RuntimeSeconds)
-	if got := done.Runtime().Seconds(); math.Abs(got-wantRuntime) > 2 {
+	if got := done.EndTime.Sub(done.StartTime).Seconds(); math.Abs(got-wantRuntime) > 2 {
 		t.Fatalf("runtime = %.0f s, want ≈%.0f", got, wantRuntime)
 	}
 	rec, ok := c.Accounting().Record(job.ID)
@@ -333,7 +333,7 @@ func TestTimeLimitKillsJob(t *testing.T) {
 	if done.State != StateFailed || done.Reason != "TimeLimit" {
 		t.Fatalf("state = %s (%s), want FAILED TimeLimit", done.State, done.Reason)
 	}
-	if got := done.Runtime(); got != time.Minute {
+	if got := done.EndTime.Sub(done.StartTime); got != time.Minute {
 		t.Fatalf("runtime = %v, want the 1-minute limit", got)
 	}
 }
@@ -355,8 +355,8 @@ func TestUnknownBinaryUsesFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if done.Runtime() != time.Minute {
-		t.Fatalf("fallback runtime = %v, want the 1m default", done.Runtime())
+	if done.EndTime.Sub(done.StartTime) != time.Minute {
+		t.Fatalf("fallback runtime = %v, want the 1m default", done.EndTime.Sub(done.StartTime))
 	}
 }
 
@@ -366,7 +366,7 @@ func TestJobWithoutFreqRunsGovernorDefault(t *testing.T) {
 	done, _ := c.WaitFor(job.ID)
 	// Performance governor → max frequency → the standard 18:29 runtime.
 	want := float64(paperdata.Table2Standard.RuntimeSeconds)
-	if got := done.Runtime().Seconds(); math.Abs(got-want) > 2 {
+	if got := done.EndTime.Sub(done.StartTime).Seconds(); math.Abs(got-want) > 2 {
 		t.Fatalf("governor-default runtime = %.0f s, want ≈%.0f", got, want)
 	}
 }

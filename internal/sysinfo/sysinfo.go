@@ -163,22 +163,3 @@ func (s SystemInfo) String() string {
 func (s SystemInfo) Key() string {
 	return fmt.Sprintf("%s/%dc/%dt/%dMB", s.CPUName, s.Cores, s.ThreadsPerCore, s.RAMMB)
 }
-
-// Lscpu renders the collected information in lscpu's classic key-value
-// layout — the tool the paper's System Info integration shells out to.
-func (s SystemInfo) Lscpu() string {
-	var b strings.Builder
-	logical := s.Cores * s.ThreadsPerCore
-	fmt.Fprintf(&b, "Architecture:        x86_64\n")
-	fmt.Fprintf(&b, "CPU(s):              %d\n", logical)
-	fmt.Fprintf(&b, "Thread(s) per core:  %d\n", s.ThreadsPerCore)
-	fmt.Fprintf(&b, "Core(s) per socket:  %d\n", s.Cores)
-	fmt.Fprintf(&b, "Socket(s):           1\n")
-	fmt.Fprintf(&b, "Model name:          %s\n", s.CPUName)
-	if n := len(s.FrequenciesKHz); n > 0 {
-		fmt.Fprintf(&b, "CPU max MHz:         %.4f\n", float64(s.FrequenciesKHz[n-1])/1000)
-		fmt.Fprintf(&b, "CPU min MHz:         %.4f\n", float64(s.FrequenciesKHz[0])/1000)
-	}
-	fmt.Fprintf(&b, "Mem:                 %d MB\n", s.RAMMB)
-	return b.String()
-}

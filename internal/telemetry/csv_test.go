@@ -120,24 +120,3 @@ func TestWriteCSVMatchesReferenceEncoder(t *testing.T) {
 		}
 	})
 }
-
-// Reading a written trace and writing it again must reproduce the
-// file: ReadCSV accepts everything Trace.CSV emits (NaN and ±Inf
-// included) and loses nothing the layout keeps.
-func TestWriteCSVReadCSVRoundTripIsIdempotent(t *testing.T) {
-	rng := rand.New(rand.NewSource(138))
-	for i := 0; i < 100; i++ {
-		tr := randomTrace(rng, 1+rng.Intn(40))
-		first, _ := encodeBoth(t, tr)
-		back, err := ReadCSV(bytes.NewReader(first), tr.Name, epoch)
-		if err != nil {
-			t.Fatalf("trace %d: ReadCSV rejected Trace.CSV output: %v\n%s", i, err, first)
-		}
-		if back.Len() != tr.Len() {
-			t.Fatalf("trace %d: %d samples read back, %d written", i, back.Len(), tr.Len())
-		}
-		if second := back.CSV(); !bytes.Equal(first, second) {
-			t.Fatalf("trace %d changed over a round trip:\nfirst  %q\nsecond %q", i, first, second)
-		}
-	}
-}

@@ -5,9 +5,7 @@
 package telemetry
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strconv"
@@ -131,53 +129,6 @@ func appendFixed(b []byte, v float64, prec int) []byte {
 		return append(append(b, '.'), "00"[:prec]...)
 	}
 	return strconv.AppendFloat(b, v, 'f', prec, 64)
-}
-
-// ReadCSV parses a trace encoded by CSV. The origin time is
-// synthetic (samples are offsets); pass the epoch the offsets should
-// hang from.
-func ReadCSV(r io.Reader, name string, epoch time.Time) (*Trace, error) {
-	cr := csv.NewReader(r)
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("telemetry: %w", err)
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("telemetry: empty CSV")
-	}
-	tr := &Trace{Name: name}
-	for i, rec := range records[1:] {
-		if len(rec) != 5 {
-			return nil, fmt.Errorf("telemetry: row %d has %d fields, want 5", i+1, len(rec))
-		}
-		secs, err := strconv.ParseFloat(rec[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("telemetry: row %d seconds: %w", i+1, err)
-		}
-		sysW, err := strconv.ParseFloat(rec[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("telemetry: row %d system_w: %w", i+1, err)
-		}
-		cpuW, err := strconv.ParseFloat(rec[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("telemetry: row %d cpu_w: %w", i+1, err)
-		}
-		temp, err := strconv.ParseFloat(rec[3], 64)
-		if err != nil {
-			return nil, fmt.Errorf("telemetry: row %d cpu_temp_c: %w", i+1, err)
-		}
-		freq, err := strconv.Atoi(rec[4])
-		if err != nil {
-			return nil, fmt.Errorf("telemetry: row %d freq_khz: %w", i+1, err)
-		}
-		if err := tr.Append(Sample{
-			Time:    epoch.Add(time.Duration(secs * float64(time.Second))),
-			SystemW: sysW, CPUW: cpuW, CPUTempC: temp, FreqKHz: freq,
-		}); err != nil {
-			return nil, err
-		}
-	}
-	return tr, nil
 }
 
 // PowerSpread returns max−min system power — the stability measure the

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -88,42 +87,9 @@ func TestTrapezoidalIntegration(t *testing.T) {
 	}
 }
 
-func TestCSVRoundTrip(t *testing.T) {
-	tr := rampTrace(50, 3)
-	back, err := ReadCSV(bytes.NewReader(tr.CSV()), "ramp", epoch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != tr.Len() {
-		t.Fatalf("round trip lost samples: %d vs %d", back.Len(), tr.Len())
-	}
-	a1, _ := tr.Aggregate()
-	a2, _ := back.Aggregate()
-	if math.Abs(a1.SystemKJ-a2.SystemKJ) > 0.01 {
-		t.Fatalf("energy changed over round trip: %v vs %v", a1.SystemKJ, a2.SystemKJ)
-	}
-	if back.Samples[3].FreqKHz != 2_500_000 {
-		t.Fatal("frequency column lost")
-	}
-}
-
 func TestCSVHeaderPresent(t *testing.T) {
 	if got := string(rampTrace(2, 1).CSV()); !strings.HasPrefix(got, "seconds,system_w,cpu_w,cpu_temp_c,freq_khz") {
 		t.Fatalf("CSV header missing: %q", got[:40])
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	cases := map[string]string{
-		"empty":      "",
-		"bad number": "seconds,system_w,cpu_w,cpu_temp_c,freq_khz\nxx,1,2,3,4\n",
-		"bad freq":   "seconds,system_w,cpu_w,cpu_temp_c,freq_khz\n0,1,2,3,fast\n",
-		"bad system": "seconds,system_w,cpu_w,cpu_temp_c,freq_khz\n0,watts,2,3,4\n",
-	}
-	for name, csvText := range cases {
-		if _, err := ReadCSV(strings.NewReader(csvText), "x", epoch); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
 	}
 }
 

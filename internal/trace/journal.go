@@ -154,21 +154,6 @@ func (j *Journal) rotateLocked() error {
 	return nil
 }
 
-// Sync flushes the journal to stable storage.
-//
-//lint:ignore ecolint/lockscope fsync must see a quiescent file; holding j.mu is the point
-func (j *Journal) Sync() error {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	return j.f.Sync()
-}
-
 // Close syncs and closes the journal. Further appends fail.
 //
 //lint:ignore ecolint/lockscope close races with concurrent appends unless serialized under j.mu

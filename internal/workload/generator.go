@@ -158,9 +158,6 @@ func NewGenerator(spec Spec, start time.Time) (*Generator, error) {
 	return g, nil
 }
 
-// Spec returns the generating spec.
-func (g *Generator) Spec() Spec { return g.spec }
-
 // Next implements Source: the earliest pending client arrival, ties
 // broken by client order.
 func (g *Generator) Next() (Submission, bool, error) {

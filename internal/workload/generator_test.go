@@ -361,8 +361,8 @@ func TestSpecParse(t *testing.T) {
 	if got := spec.Cluster.Partitions[0].MaxTime.Std(); got != time.Hour {
 		t.Errorf("max_time = %v, want 1h (bare seconds)", got)
 	}
-	if spec.TotalNodes() != 8 {
-		t.Errorf("TotalNodes = %d", spec.TotalNodes())
+	if n := spec.Cluster.Partitions[0].Nodes; n != 8 {
+		t.Errorf("nodes = %d", n)
 	}
 }
 

@@ -463,12 +463,3 @@ func (c Client) validate(parts map[string]bool) error {
 	}
 	return nil
 }
-
-// TotalNodes is the cluster size the spec describes.
-func (s Spec) TotalNodes() int {
-	n := 0
-	for _, p := range s.Cluster.Partitions {
-		n += p.Nodes
-	}
-	return n
-}

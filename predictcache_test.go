@@ -142,7 +142,7 @@ func TestPredictCacheInvalidatedBySettingsChange(t *testing.T) {
 // blob route. The job must still go through — unmodified.
 func TestBudgetOverrunSubmitsUnmodified(t *testing.T) {
 	conf := "ClusterName=ecosched\nJobSubmitPlugins=eco\nSchedulerParameters=eco_budget=50ms\n"
-	d := newDeployment(t, WithSlurmConf(conf))
+	d := newDeployment(t, func(o *Options) { o.SlurmConf = conf })
 	if _, err := d.BenchmarkConfigs(QuickSweepConfigs(), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestBudgetOverrunSubmitsUnmodified(t *testing.T) {
 // budget, so the rewrite happens as usual.
 func TestBudgetFitsPreloadedPath(t *testing.T) {
 	conf := "ClusterName=ecosched\nJobSubmitPlugins=eco\nSchedulerParameters=eco_budget=50ms\n"
-	d, _, _ := warmDeployment(t, WithSlurmConf(conf))
+	d, _, _ := warmDeployment(t, func(o *Options) { o.SlurmConf = conf })
 	job, err := d.SubmitHPCGOptIn()
 	if err != nil {
 		t.Fatal(err)
