@@ -125,9 +125,11 @@ profile-cluster:
 # into a per-event path: the telemetry emit path (sharded counter,
 # gauge, bucketed histogram), the simclock schedule+pop cycle, the
 # slurm submit→complete cycle (pooled jobs, chunked arena, aggregate
-# accounting), a scheduling pass that starts
-# nothing on a saturated cluster under all three energy policies (hold,
-# place and their maintained state) and PredictService.Predict on a
+# accounting), a scheduling pass that walks a
+# saturated cluster's whole window under all three energy policies and
+# starts nothing (hold, place and their maintained state), the pass one
+# arrival costs on that window once the rest is settled, and
+# PredictService.Predict on a
 # cache hit (untraced; the $$ keeps the traced variant, which allocates
 # spans by design, out). The paper's budgeted path has fixed ceilings
 # instead, as measured (go1.24): a cache-hit job_submit_eco with
@@ -135,8 +137,8 @@ profile-cluster:
 # settings file's open(2); the whole opted-in sbatch + WaitFor twice,
 # that and the Job record.
 alloc-check:
-	$(GO) test -run XXX -bench 'ShardedCounterInc|BucketedHistogramObserve|GaugeSet|SimSchedule$$|SubmitSteadyState|PolicyPassSaturated|EcoSubmitCacheHit|PredictCacheHit$$|SubmitLatency$$' -benchtime=1000x -benchmem . ./internal/metrics ./internal/simclock ./internal/slurm ./internal/ecoplugin | \
-	awk '{ print } /allocs\/op$$/ { seen++; limit = ($$1 ~ /^BenchmarkEcoSubmitCacheHit/) ? 1 : ($$1 ~ /^BenchmarkSubmitLatency/) ? 2 : 0; if ($$(NF-1) + 0 > limit) { bad = 1; print "alloc-check: " $$1 " allocates " $$(NF-1) " times per op, ceiling " limit } } END { if (seen < 9) { print "alloc-check: expected 9 benchmarks, saw " seen+0; exit 1 }; exit bad }'
+	$(GO) test -run XXX -bench 'ShardedCounterInc|BucketedHistogramObserve|GaugeSet|SimSchedule$$|SubmitSteadyState|PolicyPassSaturated|PolicyPassArrival|EcoSubmitCacheHit|PredictCacheHit$$|SubmitLatency$$' -benchtime=1000x -benchmem . ./internal/metrics ./internal/simclock ./internal/slurm ./internal/ecoplugin | \
+	awk '{ print } /allocs\/op$$/ { seen++; limit = ($$1 ~ /^BenchmarkEcoSubmitCacheHit/) ? 1 : ($$1 ~ /^BenchmarkSubmitLatency/) ? 2 : 0; if ($$(NF-1) + 0 > limit) { bad = 1; print "alloc-check: " $$1 " allocates " $$(NF-1) " times per op, ceiling " limit } } END { if (seen < 10) { print "alloc-check: expected 10 benchmarks, saw " seen+0; exit 1 }; exit bad }'
 
 # serve-smoke boots `chronus serve` against a fresh data directory and
 # fails unless /metrics and /healthz answer 200 with the expected

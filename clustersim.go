@@ -66,11 +66,12 @@ type PolicyReport struct {
 	CapViolations int64
 	// DeadlineMisses counts jobs cancelled DeadlineUnsatisfiable.
 	DeadlineMisses int64
-	// SignalReads and PlaceProbes count the policies' work rather than
-	// their decisions (slurm.PolicyTotals). Deterministic like the rest,
-	// but not rendered: WriteText prints outcomes.
+	// SignalReads, PlaceProbes and QueueVisits count the policies' work
+	// rather than their decisions (slurm.PolicyTotals). Deterministic like
+	// the rest, but not rendered: WriteText prints outcomes.
 	SignalReads int64
 	PlaceProbes int64
+	QueueVisits int64
 	// Fitness: job-attributed energy, makespan, mean wait, and a single
 	// comparable score (lower is better) that charges energy, stretches
 	// with waiting, and is heavily penalised by violations and misses.
@@ -824,6 +825,7 @@ func runCluster(start time.Time, spec workload.Spec, src workload.Source, lw *wo
 			pl.CapViolations += pt.CapViolations
 			pl.SignalReads += pt.SignalReads
 			pl.PlaceProbes += pt.PlaceProbes
+			pl.QueueVisits += pt.QueueVisits
 			pl.DeadlineMisses += ln.deadlineMisses
 			_, peak, capW := ln.ctl.PartitionDrawW()
 			report.Partitions[i].CapW = capW

@@ -268,14 +268,52 @@ var Sweep = []SweepRow{
 	{2, 1.5, 0.007150, true},
 }
 
-// Lookup returns the sweep row for a configuration, if present.
+// Lookup returns the sweep row for a configuration, if present. It reads
+// sweepIndex rather than scanning: the efficiency surface calls it up to
+// four times for every fixed-work runtime plan.
 func Lookup(cores int, ghz float64, ht bool) (SweepRow, bool) {
-	for _, r := range Sweep {
-		if r.Cores == cores && r.GHz == ghz && r.HyperThread == ht {
-			return r, true
-		}
+	if s := sweepSlot(cores, ghz, ht); s >= 0 && sweepIndex[s] > 0 {
+		return Sweep[sweepIndex[s]-1], true
 	}
 	return SweepRow{}, false
+}
+
+// sweepIndex holds, per configuration slot (sweepSlot), the position
+// in Sweep of the configuration's first row plus one — 0 = not
+// measured — so a lookup returns the row a scan would find.
+var sweepIndex = indexSweep()
+
+func indexSweep() []int {
+	idx := make([]int, (CPUCores+1)*len(FrequenciesGHz)*2)
+	for i, r := range Sweep {
+		s := sweepSlot(r.Cores, r.GHz, r.HyperThread)
+		if s < 0 {
+			panic("paperdata: a Sweep row outside 0..CPUCores cores or the FrequenciesGHz ladder")
+		}
+		if idx[s] == 0 {
+			idx[s] = i + 1
+		}
+	}
+	return idx
+}
+
+// sweepSlot is a configuration's slot in sweepIndex, or -1 when no
+// sweep row could have it: cores within 0..CPUCores, a frequency on the
+// FrequenciesGHz ladder (compared exactly, as the scan did).
+func sweepSlot(cores int, ghz float64, ht bool) int {
+	if cores < 0 || cores > CPUCores {
+		return -1
+	}
+	for f, g := range FrequenciesGHz {
+		if g == ghz {
+			s := (cores*len(FrequenciesGHz) + f) * 2
+			if ht {
+				s++
+			}
+			return s
+		}
+	}
+	return -1
 }
 
 // BestRow returns the sweep row with the highest GFLOPS per watt.

@@ -152,6 +152,52 @@ func TestLookupMiss(t *testing.T) {
 	}
 }
 
+// lookupScan is Lookup as it was before the index: the first row of
+// Sweep with the configuration.
+func lookupScan(cores int, ghz float64, ht bool) (SweepRow, bool) {
+	for _, r := range Sweep {
+		if r.Cores == cores && r.GHz == ghz && r.HyperThread == ht {
+			return r, true
+		}
+	}
+	return SweepRow{}, false
+}
+
+// TestLookupMatchesScan: the indexed Lookup returns the row the scan
+// returns — same floats — for every sweep row, and misses where the scan
+// misses: core counts between, below and past the measured ones, and
+// frequencies off the ladder.
+func TestLookupMatchesScan(t *testing.T) {
+	check := func(cores int, ghz float64, ht bool) {
+		t.Helper()
+		got, gotOK := Lookup(cores, ghz, ht)
+		want, wantOK := lookupScan(cores, ghz, ht)
+		if got != want || gotOK != wantOK {
+			t.Fatalf("Lookup(%d, %v, %v) = %+v, %v; the scan says %+v, %v", cores, ghz, ht, got, gotOK, want, wantOK)
+		}
+	}
+	for _, r := range Sweep {
+		if got, ok := Lookup(r.Cores, r.GHz, r.HyperThread); !ok || got != r {
+			t.Fatalf("Lookup(%+v) = %+v, %v", r, got, ok)
+		}
+	}
+	ghzs := append([]float64{0, 1.4999999, 2.0, 2.2000001, 3.0, -1.5, math.NaN(), math.Inf(1)}, FrequenciesGHz...)
+	hits := 0
+	for cores := -2; cores <= CPUCores+3; cores++ {
+		for _, ghz := range ghzs {
+			for _, ht := range []bool{false, true} {
+				check(cores, ghz, ht)
+				if _, ok := Lookup(cores, ghz, ht); ok {
+					hits++
+				}
+			}
+		}
+	}
+	if hits != len(Sweep) {
+		t.Fatalf("%d keys hit over the grid, want the %d sweep rows", hits, len(Sweep))
+	}
+}
+
 func TestFrequencyLaddersAgree(t *testing.T) {
 	if len(FrequenciesKHz) != len(FrequenciesGHz) {
 		t.Fatal("frequency ladders differ in length")

@@ -58,16 +58,14 @@ func BenchmarkSubmitSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkPolicyPassSaturated measures what the policy decisions cost
-// a scheduling pass that can start nothing — the steady state of a
-// saturated capped cluster: one schedulePart over a full 24-node
-// partition (22 nodes already paired, two with primaries too wide to
-// share) and a 160-job window under all three policies — 128 Deferrable
-// jobs the signal holds, 16 compute-bound jobs with no memory-bound
-// primary to start beside, 16 memory-bound jobs with two candidates and
-// room beside neither. The alloc-check make target pins it at 0
-// allocs/op; DESIGN §14 quotes its ns/op.
-func BenchmarkPolicyPassSaturated(b *testing.B) {
+// policyPassQueue builds the steady state of a saturated capped
+// cluster the pass benchmarks time: a full 24-node partition (22 nodes
+// already paired, two with primaries too wide to share) and a 160-job
+// window under all three policies — 128 Deferrable jobs the signal
+// holds, 16 compute-bound jobs with no memory-bound primary to start
+// beside, 16 memory-bound jobs with two candidates and room beside
+// neither. check fails the benchmark unless the window is still that.
+func policyPassQueue(b *testing.B) (c *Controller, check func()) {
 	idle, deltas := testLadderWatts()
 	sim := simclock.New()
 	c, err := tryPolicyCluster(sim, 24,
@@ -93,19 +91,65 @@ func BenchmarkPolicyPassSaturated(b *testing.B) {
 	submit(16, 8, workload.ProfileCompute, false)
 	submit(16, 8, workload.ProfileMemory, false)
 	p := c.part
-	check := func() {
+	return c, func() {
 		tot := c.PolicyTotals()
 		if len(p.pending) != 160 || p.freeN != 0 || tot.CoScheduled != 22 || tot.DeferredJobs != 128 {
 			b.Fatalf("%d queued, %d nodes free, totals %+v; want 160 queued behind 24 busy nodes, 22 paired, 128 held",
 				len(p.pending), p.freeN, tot)
 		}
 	}
+}
+
+// BenchmarkPolicyPassSaturated measures what the policy decisions cost
+// a scheduling pass that walks the whole window and starts nothing: one
+// schedulePart over policyPassQueue's 160 jobs, the partition's epoch
+// moved first so the pass cannot keep the settled prefix. The
+// alloc-check make target pins it at 0 allocs/op; DESIGN §14 quotes its
+// ns/op.
+func BenchmarkPolicyPassSaturated(b *testing.B) {
+	c, check := policyPassQueue(b)
+	p := c.part
 	check()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		p.epoch++
 		c.schedulePart(p)
 	}
 	b.StopTimer()
 	check()
+}
+
+// BenchmarkPolicyPassArrival measures the pass one arrival costs on
+// that window: a memory-bound job (place probes the two wide primaries
+// and refuses) queued behind the 160 settled jobs, which the pass does
+// not look at. Each iteration takes the arrival back off the window and
+// the settled record, so every pass is the same. alloc-check pins it at
+// 0 allocs/op.
+func BenchmarkPolicyPassArrival(b *testing.B) {
+	c, check := policyPassQueue(b)
+	p := c.part
+	arrival, err := c.Submit(sleepDesc(8, 3*time.Hour, workload.ProfileMemory))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if arrival.State != StatePending || p.settled.n != 161 {
+		b.Fatalf("arrival %s, %d jobs settled; want it queued behind 160 settled", arrival.State, p.settled.n)
+	}
+	p.pending, p.settled.n = p.pending[:160], 160
+	check()
+	visits := c.PolicyTotals().QueueVisits
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		arrival.Reason = "Priority"
+		p.pending = append(p.pending, arrival)
+		c.schedulePart(p)
+		p.pending, p.settled.n = p.pending[:160], 160
+	}
+	b.StopTimer()
+	check()
+	if got := c.PolicyTotals().QueueVisits - visits; got != int64(b.N) {
+		b.Fatalf("%d passes looked at %d queued jobs, want the arrival alone", b.N, got)
+	}
 }

@@ -65,6 +65,25 @@ type partition struct {
 	// profile, a bitmap over the freeBits slots (nil unless the policy
 	// pairs).
 	pairable [2][]uint64
+
+	// epoch counts changes to what takeIdle, fit and place read and to
+	// the window's membership: reindex (so charge, release, drain and
+	// resume — every change to the free nodes, the draw ledger or the
+	// pairable index) and unqueue bump it. settled is schedulePart's
+	// record of the queue it left on a FIFO partition under a policy that
+	// pairs (DESIGN §14, "The settled prefix"): its first n jobs were each
+	// kept by a verdict no later pass can change while the epoch stands,
+	// tick stays before release (the earliest release bound among them
+	// that hold still waits for; math.MaxInt64 = none) and the deferral
+	// signal stays on the side of its threshold it was on (high). denied
+	// of them were refused by fit. n = 0 is no record.
+	epoch   uint64
+	settled struct {
+		n, denied int
+		epoch     uint64
+		release   int64
+		high      bool
+	}
 }
 
 // takeIdle claims the lowest-slotted idle node that satisfies the

@@ -3,6 +3,7 @@ package slurm
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -266,6 +267,9 @@ func (a *wakeAction) Fire(uint64) {
 		return
 	}
 	p.wakeArmed = false
+	// The settled prefix assumes its held jobs' wake is armed; this pass
+	// re-arms it, so it walks them all.
+	p.settled.n = 0
 	a.c.schedulePart(p)
 }
 
@@ -680,11 +684,12 @@ func (p *partition) fits(desc *JobDesc) error {
 }
 
 // unqueue removes a job from the pending window, keeping the order of
-// the rest.
+// the rest. The window's prefix moves, so the epoch does.
 func (p *partition) unqueue(job *Job) {
 	for i, q := range p.pending {
 		if q == job {
 			p.pending = append(p.pending[:i], p.pending[i+1:]...)
+			p.epoch++
 			return
 		}
 	}
@@ -730,9 +735,28 @@ func (c *Controller) schedulePart(p *partition) {
 	if !p.fifo {
 		p.orderKeyed(now, c.usageBy)
 	}
+	// The settled prefix (DESIGN §14): on a FIFO partition under a policy
+	// that pairs, the jobs the last pass left queued keep their verdicts
+	// while the epoch stands and hold would answer as it did — takeIdle
+	// takes the node it took (or none), fit and place refuse again, and a
+	// held job's wake is no earlier than the one armed. The pass then
+	// looks only at the jobs queued since. Its own record stands unless it
+	// keeps a job for a dependency or a begin time, or starts a primary —
+	// a new host for place, one free node fewer for takeIdle — after
+	// keeping a job fit or place refused.
+	settles := pairs && p.fifo
+	from := 0
+	if settles && p.settled.n > 0 && p.settled.epoch == p.epoch && c.pol.settledStands(p, now, tick) {
+		from = p.settled.n
+	}
+	release, denied, refused := int64(math.MaxInt64), 0, from > 0
+	if from > 0 {
+		release, denied = p.settled.release, p.settled.denied
+	}
 	var pr pairing // place's verdict; written only when it pairs
-	remaining := p.pending[:0]
-	for i, job := range p.pending {
+	remaining, queued := p.pending[:from], len(p.pending)
+	for i := from; i < queued; i++ {
+		job := p.pending[i]
 		if p.freeN == 0 && !pairs {
 			// Every node claimed mid-pass: nothing below can start, so
 			// keep the tail queued wholesale instead of probing each
@@ -743,6 +767,7 @@ func (c *Controller) schedulePart(p *partition) {
 			for k := len(rest) - 1; k >= 0 && rest[k].Reason == "Priority"; k-- {
 				rest[k].Reason = "Resources"
 			}
+			queued = i // the jobs looked at; the tail is kept unseen
 			if len(remaining) == 0 {
 				// Everything ahead of i started: the tail is already in
 				// place, so slide the window forward instead of copying
@@ -752,6 +777,7 @@ func (c *Controller) schedulePart(p *partition) {
 				// backing array's cap runs out.)
 				p.pending = rest
 				p.queueGauge.Set(float64(len(p.pending)))
+				c.countVisits(queued)
 				return
 			}
 			remaining = append(remaining, rest...)
@@ -767,6 +793,7 @@ func (c *Controller) schedulePart(p *partition) {
 				continue
 			case depWaiting:
 				job.Reason = "Dependency"
+				settles = false
 				remaining = append(remaining, job)
 				continue
 			}
@@ -774,40 +801,63 @@ func (c *Controller) schedulePart(p *partition) {
 		if !job.Desc.BeginTime.IsZero() && job.Desc.BeginTime.After(now) {
 			job.Reason = "BeginTime"
 			c.armWake(p, job.Desc.BeginTime)
+			settles = false
 			remaining = append(remaining, job)
 			continue
 		}
 		if holds && job.Desc.Deferrable {
 			if wake, held := c.pol.hold(job, now, tick); held {
 				c.armWake(p, wake)
+				release = min(release, job.releaseTick)
 				remaining = append(remaining, job)
 				continue
 			}
 		}
 		node := p.takeIdle(&job.Desc)
-		if node == nil {
-			if pairs && c.pol.place(p, job, now, &pr) {
-				c.startSecondary(job, pr, now)
-				continue
+		switch {
+		case node != nil && (c.pol == nil || c.pol.fit(job, node)):
+			if refused {
+				settles = false
 			}
-			job.Reason = "Resources"
-			remaining = append(remaining, job)
+			if err := c.start(job, node); err != nil {
+				job.State = StateFailed
+				job.Reason = err.Error()
+				job.EndTime = now
+				c.finish(job)
+			}
 			continue
-		}
-		if c.pol != nil && !c.pol.fit(job, node) {
+		case node != nil:
 			c.refreeNode(node)
-			remaining = append(remaining, job)
+			denied++
+		case pairs && c.pol.place(p, job, now, &pr):
+			c.startSecondary(job, pr, now)
 			continue
+		default:
+			job.Reason = "Resources"
 		}
-		if err := c.start(job, node); err != nil {
-			job.State = StateFailed
-			job.Reason = err.Error()
-			job.EndTime = now
-			c.finish(job)
+		// Kept on fit's or place's refusal.
+		refused = true
+		if holds && job.Desc.Deferrable && job.releaseTick > tick {
+			release = min(release, job.releaseTick)
 		}
+		remaining = append(remaining, job)
 	}
 	p.pending = remaining
 	p.queueGauge.Set(float64(len(p.pending)))
+	c.countVisits(queued - from)
+	if settles {
+		c.pol.settle(p, len(remaining), release, denied)
+	} else {
+		p.settled.n = 0
+	}
+}
+
+// countVisits adds the queued jobs a pass looked at to the policy's
+// work counters.
+func (c *Controller) countVisits(n int) {
+	if c.pol != nil {
+		c.pol.totals.QueueVisits += int64(n)
+	}
 }
 
 // claimNode books a started job onto the node.
@@ -947,7 +997,8 @@ func (c *Controller) run(job *Job, n *nodeD, now time.Time, cfg perfmodel.Config
 // job and promotes the secondary to the node's occupant (it finishes on
 // its estimates); a sole occupant, or a secondary promoted earlier
 // (whose primary already took the hardware job with it), frees the node.
-// The policy is told once the node is in its new state.
+// The policy is told once the node is in its new state, and the job is
+// billed.
 func (c *Controller) vacate(job *Job, n *nodeD) {
 	if n.coJob == job {
 		n.coJob = nil
@@ -967,6 +1018,23 @@ func (c *Controller) vacate(job *Job, n *nodeD) {
 	if c.pol != nil {
 		c.pol.release(job, n)
 	}
+	c.bill(job, n)
+}
+
+// bill sets the energy of a job leaving its node now, completed or
+// cancelled: a primary's is the node's measured energy since its start;
+// a co-scheduled secondary's — the hardware ran only the primary — is
+// its pairing's power estimate integrated over its runtime.
+func (c *Controller) bill(job *Job, n *nodeD) {
+	if job.coSecondary {
+		secs := time.Duration(c.sim.NowTick() - job.startTick).Seconds()
+		job.SystemJ = job.estSysW * secs
+		job.CPUJ = job.estCPUW * secs
+		return
+	}
+	sys1, cpu1 := n.hw.EnergyJ()
+	job.SystemJ = sys1 - job.sys0
+	job.CPUJ = cpu1 - job.cpu0
 }
 
 // completeJob is the completion event for a running job, fired through
@@ -979,19 +1047,7 @@ func (c *Controller) completeJob(id int) {
 	if job == nil || job.ID != id || job.State != StateRunning || job.node == nil {
 		return // cancelled meanwhile
 	}
-	node := job.node
-	c.vacate(job, node)
-	if job.coSecondary {
-		// The hardware ran only the primary: a secondary's energy is its
-		// pairing's power estimate integrated over the runtime.
-		secs := time.Duration(c.sim.NowTick() - job.startTick).Seconds()
-		job.SystemJ = job.estSysW * secs
-		job.CPUJ = job.estCPUW * secs
-	} else {
-		sys1, cpu1 := node.hw.EnergyJ()
-		job.SystemJ = sys1 - job.sys0
-		job.CPUJ = cpu1 - job.cpu0
-	}
+	c.vacate(job, job.node)
 	job.EndTime = c.sim.Now()
 	job.endTick = c.sim.NowTick()
 	if job.timedOut {

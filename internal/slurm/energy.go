@@ -334,12 +334,14 @@ type PolicyTotals struct {
 	// placement instant — always 0 unless the model is broken; the
 	// property suite asserts it.
 	CapViolations int64
-	// SignalReads and PlaceProbes count work, not decisions: evaluations
-	// of the deferral signal, and running primaries place examined as a
-	// secondary's host. Deterministic, so "the policy path does less
-	// work" is a test (reports do not print them).
+	// SignalReads, PlaceProbes and QueueVisits count work, not
+	// decisions: evaluations of the deferral signal, running primaries
+	// place examined as a secondary's host, and queued jobs a scheduling
+	// pass looked at. Deterministic, so "the policy path does less work"
+	// is a test (reports do not print them).
 	SignalReads int64
 	PlaceProbes int64
+	QueueVisits int64
 }
 
 // PolicyTotals returns the run's policy decision counts.
@@ -389,16 +391,10 @@ func (pol *schedPolicy) hold(job *Job, now time.Time, tick int64) (wake time.Tim
 		}
 		return time.Time{}, false
 	}
-	rd := &pol.read
-	if !rd.ok || rd.tick != tick {
-		rd.ok, rd.tick = true, tick
-		rd.high = pol.signal(now) > pol.threshold
-		rd.wake, rd.wakeTick = now.Add(pol.check), tick+int64(pol.check)
-		pol.totals.SignalReads++
-	}
-	if !rd.high {
+	if !pol.high(now, tick) {
 		return time.Time{}, false
 	}
+	rd := &pol.read
 	if !job.deferred {
 		job.deferred = true
 		pol.totals.DeferredJobs++
@@ -409,6 +405,51 @@ func (pol *schedPolicy) hold(job *Job, now time.Time, tick int64) (wake time.Tim
 		return pol.releaseBound(job), true
 	}
 	return rd.wake, true
+}
+
+// high is the deferral signal's verdict at now (tick its UnixNano),
+// read once per instant: signal(now) > threshold.
+func (pol *schedPolicy) high(now time.Time, tick int64) bool {
+	rd := &pol.read
+	if !rd.ok || rd.tick != tick {
+		rd.ok, rd.tick = true, tick
+		rd.high = pol.signal(now) > pol.threshold
+		rd.wake, rd.wakeTick = now.Add(pol.check), tick+int64(pol.check)
+		pol.totals.SignalReads++
+	}
+	return rd.high
+}
+
+// settledStands is the policy's half of the settled-prefix test, asked
+// once per pass like holds and pairs, once the caller has found the
+// epoch unchanged: would the policy answer every job the partition's
+// last pass settled as it did? fit and place would — they read only the
+// free nodes, the draw ledger and the pairable index, which the epoch
+// covers, and a deadline that only gets closer. hold would while none of
+// the jobs has reached the release bound the pass recorded and the
+// signal is on the same side of the threshold: a held job stays held,
+// its wake no earlier than the one armed; a released one goes on to fit
+// or place. (With no bound recorded the signal is not read.) When the
+// answers stand, fit's refusals of them are counted again, as the walk
+// would count them.
+func (pol *schedPolicy) settledStands(p *partition, now time.Time, tick int64) bool {
+	s := &p.settled
+	if s.release != math.MaxInt64 && (tick >= s.release || pol.high(now, tick) != s.high) {
+		return false
+	}
+	pol.totals.CapDenials += int64(s.denied)
+	pol.mCapDenials.Add(int64(s.denied))
+	return true
+}
+
+// settle records the pass's settled prefix: n kept jobs, denied of them
+// refused by fit, the partition epoch the pass ended at, and release,
+// the earliest release bound among them that hold still waits for. The
+// signal's verdict of the instant goes with it: when release is set, a
+// kept job read it this instant.
+func (pol *schedPolicy) settle(p *partition, n int, release int64, denied int) {
+	p.settled.n, p.settled.epoch, p.settled.release, p.settled.denied = n, p.epoch, release, denied
+	p.settled.high = pol.read.high
 }
 
 // releaseBound is the instant a hold on the job ends whatever the
@@ -510,11 +551,14 @@ func (p *partition) indexPairable() {
 // reindex re-derives the node's bit from the node's state. It runs
 // wherever that state changes — charge (a job starts, as primary or
 // secondary), release (a job leaves) and a drain or resume — and only
-// under a policy that pairs.
+// under a policy that pairs. Each call moves the partition's epoch: the
+// settled prefix stands only while nothing takeIdle, fit or place reads
+// — the free nodes, the draw ledger, this index — has changed.
 func (pol *schedPolicy) reindex(n *nodeD) {
 	if pol == nil || !pol.pairs() {
 		return
 	}
+	n.part.epoch++
 	in := -1
 	if pri := n.current; pri != nil && n.hwJob != nil && n.coJob == nil && !n.drained &&
 		!pri.Desc.Exclusive && !pri.coSecondary {

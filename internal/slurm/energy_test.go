@@ -427,3 +427,55 @@ func TestPolicyAccessors(t *testing.T) {
 		t.Fatalf("plain controller draw = %g/%g/%g", d, p, w)
 	}
 }
+
+// TestCancelBillsRunningJob: scancel of a running job halfway through
+// bills it as its completion would have, in either role — a primary the
+// node's measured energy since its start, a co-scheduled secondary its
+// pairing's power estimate over the time it ran — into the job, its
+// accounting row and the totals.
+func TestCancelBillsRunningJob(t *testing.T) {
+	for _, role := range []string{"primary", "secondary"} {
+		t.Run(role, func(t *testing.T) {
+			sim, c := newPolicyCluster(t, 1, &CoSchedulePolicy{})
+			node := c.Nodes()[0]
+			pri, err := c.Submit(sleepDesc(16, 20*time.Minute, workload.ProfileCompute))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys0, cpu0 := node.EnergyJ()
+			sec, err := c.Submit(sleepDesc(8, 20*time.Minute, workload.ProfileMemory))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pri.State != StateRunning || sec.State != StateRunning || !sec.coSecondary {
+				t.Fatalf("primary %s, secondary %s (paired %v): want both running, paired", pri.State, sec.State, sec.coSecondary)
+			}
+			sim.RunFor(10 * time.Minute)
+			victim := pri
+			if role == "secondary" {
+				victim = sec
+			}
+			if err := c.Cancel(victim.ID); err != nil {
+				t.Fatal(err)
+			}
+			wantSys, wantCPU := sec.estSysW*600, sec.estCPUW*600
+			if role == "primary" {
+				sys1, cpu1 := node.EnergyJ()
+				wantSys, wantCPU = sys1-sys0, cpu1-cpu0
+			}
+			if wantSys <= 0 || wantCPU <= 0 {
+				t.Fatalf("expected energy %g J system / %g J CPU: the test measures nothing", wantSys, wantCPU)
+			}
+			if victim.SystemJ != wantSys || victim.CPUJ != wantCPU {
+				t.Fatalf("cancelled %s billed %g J system / %g J CPU, want %g / %g", role, victim.SystemJ, victim.CPUJ, wantSys, wantCPU)
+			}
+			rec, ok := c.Accounting().Record(victim.ID)
+			if !ok || rec.State != StateCancelled || rec.SystemKJ != wantSys/1000 || rec.CPUKJ != wantCPU/1000 {
+				t.Fatalf("accounting row %+v (found %v), want CANCELLED with %g kJ / %g kJ", rec, ok, wantSys/1000, wantCPU/1000)
+			}
+			if tot := c.Accounting().Totals(); tot.SystemKJ != rec.SystemKJ || tot.CPUKJ != rec.CPUKJ {
+				t.Fatalf("totals %g kJ / %g kJ, want the cancelled job's %g / %g", tot.SystemKJ, tot.CPUKJ, rec.SystemKJ, rec.CPUKJ)
+			}
+		})
+	}
+}
