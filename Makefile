@@ -54,8 +54,9 @@ chaos:
 # fuzz gives each fuzzer a short budget beyond the committed corpus
 # (which plain `go test` always replays): the filedb log, the policy
 # spec, the two slurm text parsers (slurm.conf, sbatch scripts), the
-# controller's memo of the last sbatch parse against the parser, and the
-# calendar queue against its naive reference.
+# controller's memo of the last sbatch parse against the parser, the
+# settled prefix against the full scheduling walk, and the calendar
+# queue against its naive reference.
 fuzz:
 	$(GO) test -fuzz FuzzTornTail -fuzztime 30s -run FuzzTornTail ./internal/filedb/
 	$(GO) test -fuzz FuzzReplay -fuzztime 30s -run FuzzReplay ./internal/filedb/
@@ -63,6 +64,7 @@ fuzz:
 	$(GO) test -fuzz FuzzParseConf -fuzztime 30s -run FuzzParseConf ./internal/slurm/
 	$(GO) test -fuzz FuzzParseBatchScript -fuzztime 30s -run FuzzParseBatchScript ./internal/slurm/
 	$(GO) test -fuzz FuzzSubmitScriptMemo -fuzztime 30s -run FuzzSubmitScriptMemo ./internal/slurm/
+	$(GO) test -fuzz FuzzSettledPrefix -fuzztime 30s -run FuzzSettledPrefix ./internal/slurm/
 	$(GO) test -fuzz FuzzEventQueueDifferential -fuzztime 30s -run FuzzEventQueueDifferential ./internal/simclock/
 
 # cover enforces a per-package statement-coverage floor on the policy
@@ -128,8 +130,8 @@ profile-cluster:
 # accounting), a scheduling pass that walks a
 # saturated cluster's whole window under all three energy policies and
 # starts nothing (hold, place and their maintained state), the pass one
-# arrival costs on that window once the rest is settled, and
-# PredictService.Predict on a
+# arrival costs on that window once the rest is settled, the pass one
+# primary's completion costs on it, and PredictService.Predict on a
 # cache hit (untraced; the $$ keeps the traced variant, which allocates
 # spans by design, out). The paper's budgeted path has fixed ceilings
 # instead, as measured (go1.24): a cache-hit job_submit_eco with
@@ -137,8 +139,8 @@ profile-cluster:
 # settings file's open(2); the whole opted-in sbatch + WaitFor twice,
 # that and the Job record.
 alloc-check:
-	$(GO) test -run XXX -bench 'ShardedCounterInc|BucketedHistogramObserve|GaugeSet|SimSchedule$$|SubmitSteadyState|PolicyPassSaturated|PolicyPassArrival|EcoSubmitCacheHit|PredictCacheHit$$|SubmitLatency$$' -benchtime=1000x -benchmem . ./internal/metrics ./internal/simclock ./internal/slurm ./internal/ecoplugin | \
-	awk '{ print } /allocs\/op$$/ { seen++; limit = ($$1 ~ /^BenchmarkEcoSubmitCacheHit/) ? 1 : ($$1 ~ /^BenchmarkSubmitLatency/) ? 2 : 0; if ($$(NF-1) + 0 > limit) { bad = 1; print "alloc-check: " $$1 " allocates " $$(NF-1) " times per op, ceiling " limit } } END { if (seen < 10) { print "alloc-check: expected 10 benchmarks, saw " seen+0; exit 1 }; exit bad }'
+	$(GO) test -run XXX -bench 'ShardedCounterInc|BucketedHistogramObserve|GaugeSet|SimSchedule$$|SubmitSteadyState|PolicyPassSaturated|PolicyPassArrival|PolicyPassCompletion|EcoSubmitCacheHit|PredictCacheHit$$|SubmitLatency$$' -benchtime=1000x -benchmem . ./internal/metrics ./internal/simclock ./internal/slurm ./internal/ecoplugin | \
+	awk '{ print } /allocs\/op$$/ { seen++; limit = ($$1 ~ /^BenchmarkEcoSubmitCacheHit/) ? 1 : ($$1 ~ /^BenchmarkSubmitLatency/) ? 2 : 0; if ($$(NF-1) + 0 > limit) { bad = 1; print "alloc-check: " $$1 " allocates " $$(NF-1) " times per op, ceiling " limit } } END { if (seen < 11) { print "alloc-check: expected 11 benchmarks, saw " seen+0; exit 1 }; exit bad }'
 
 # serve-smoke boots `chronus serve` against a fresh data directory and
 # fails unless /metrics and /healthz answer 200 with the expected

@@ -75,10 +75,12 @@ func TestClusterPolicyPinnedOutputs(t *testing.T) {
 // lane) the deferral signal is read at most once per scheduling pass —
 // 3,941 of them at 43b1a84, which read it 518,001 times for its 3,783
 // distinct instants — place examines pairable primaries only (57,999;
-// 43b1a84 walked 2,189,445 nodes to find them), and a pass looks only at
-// the jobs its settled prefix does not cover: 327,991 queued-job visits,
-// where walking every pass's whole window makes 548,993. Skipped jobs
-// are not probed either: place examines 48,212 primaries.
+// 43b1a84 walked 2,189,445 nodes to find them), and a pass skips every
+// job of the settled record whose verdict the live state repeats:
+// 25,484 queued-job visits, where walking every pass's whole window
+// makes 548,993 and skipping only on an unchanged epoch 327,991.
+// Skipped jobs are not probed either: place examines 26,747 primaries
+// (48,212 with the epoch skip alone).
 func TestClusterPolicyWorkCounters(t *testing.T) {
 	spec, err := workload.LoadSpec(filepath.FromSlash("bench/specs/cluster-policy.json"))
 	if err != nil {
@@ -90,14 +92,14 @@ func TestClusterPolicyWorkCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl := rep.Policy
-	if pl.SignalReads == 0 || pl.SignalReads > 3941 {
-		t.Errorf("SignalReads = %d, want 1..3941 (one per pass that asks)", pl.SignalReads)
+	if pl.SignalReads != 3783 {
+		t.Errorf("SignalReads = %d, want 3783 (one per instant a pass asks, as the full walk reads it)", pl.SignalReads)
 	}
-	if pl.PlaceProbes == 0 || pl.PlaceProbes > 50000 {
-		t.Errorf("PlaceProbes = %d, want 1..50000", pl.PlaceProbes)
+	if pl.PlaceProbes == 0 || pl.PlaceProbes > 30000 {
+		t.Errorf("PlaceProbes = %d, want 1..30000", pl.PlaceProbes)
 	}
-	if pl.QueueVisits == 0 || pl.QueueVisits > 330000 {
-		t.Errorf("QueueVisits = %d, want 1..330000 (the full walk makes 548,993)", pl.QueueVisits)
+	if pl.QueueVisits == 0 || pl.QueueVisits > 30000 {
+		t.Errorf("QueueVisits = %d, want 1..30000 (the full walk makes 548,993)", pl.QueueVisits)
 	}
 	if pl.DeferredJobs == 0 || pl.CoScheduled == 0 {
 		t.Errorf("nothing deferred or nothing paired (%+v): the bounds are vacuous", pl)

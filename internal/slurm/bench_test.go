@@ -102,8 +102,8 @@ func policyPassQueue(b *testing.B) (c *Controller, check func()) {
 
 // BenchmarkPolicyPassSaturated measures what the policy decisions cost
 // a scheduling pass that walks the whole window and starts nothing: one
-// schedulePart over policyPassQueue's 160 jobs, the partition's epoch
-// moved first so the pass cannot keep the settled prefix. The
+// schedulePart over policyPassQueue's 160 jobs, the partition's settled
+// record dropped first so the pass asks every job again. The
 // alloc-check make target pins it at 0 allocs/op; DESIGN §14 quotes its
 // ns/op.
 func BenchmarkPolicyPassSaturated(b *testing.B) {
@@ -113,11 +113,45 @@ func BenchmarkPolicyPassSaturated(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		p.settled.n = 0
+		c.schedulePart(p)
+	}
+	b.StopTimer()
+	check()
+}
+
+// BenchmarkPolicyPassCompletion measures the pass a completion leaves
+// on that window: one paired primary ends (its secondary takes the
+// node, so none is free), which moves the partition's epoch, and its
+// pass finds every verdict of the settled record standing — held jobs
+// on the signal, the rest on no free node and no fresh host — so it
+// skips all 160 by kind. Each iteration moves the epoch as that
+// completion did and runs the pass again. alloc-check pins it at 0
+// allocs/op.
+func BenchmarkPolicyPassCompletion(b *testing.B) {
+	c, check := policyPassQueue(b)
+	p := c.part
+	primary := p.nodes[0].current
+	if primary == nil || p.nodes[0].coJob == nil {
+		b.Fatal("node 0 does not run a paired primary")
+	}
+	visits := c.PolicyTotals().QueueVisits
+	c.completeJob(primary.ID)
+	if primary.State != StateCompleted || p.settled.n != 160 || p.settled.epoch != p.epoch {
+		b.Fatalf("primary %s, %d jobs settled; want it completed and the window settled after its pass", primary.State, p.settled.n)
+	}
+	check()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		p.epoch++
 		c.schedulePart(p)
 	}
 	b.StopTimer()
 	check()
+	if got := c.PolicyTotals().QueueVisits - visits; got != 0 {
+		b.Fatalf("the completion and %d passes looked at %d queued jobs, want none", b.N, got)
+	}
 }
 
 // BenchmarkPolicyPassArrival measures the pass one arrival costs on

@@ -63,26 +63,33 @@ type partition struct {
 	peakDrawW float64
 	// pairable is the pairable-primary index place walks: per primary
 	// profile, a bitmap over the freeBits slots (nil unless the policy
-	// pairs).
-	pairable [2][]uint64
+	// pairs). stable is the settled record's part of it: pairable as the
+	// last pass that recorded left it, less every bit reindex has cleared
+	// since — the hosts each job that record kept on place's refusal
+	// would still be refused by.
+	pairable, stable [2][]uint64
 
-	// epoch counts changes to what takeIdle, fit and place read and to
-	// the window's membership: reindex (so charge, release, drain and
-	// resume — every change to the free nodes, the draw ledger or the
-	// pairable index) and unqueue bump it. settled is schedulePart's
-	// record of the queue it left on a FIFO partition under a policy that
-	// pairs (DESIGN §14, "The settled prefix"): its first n jobs were each
-	// kept by a verdict no later pass can change while the epoch stands,
+	// epoch counts changes to what takeIdle, fit and place read: reindex
+	// (so charge, release, drain and resume — every change to the free
+	// nodes, the draw ledger or the pairable index) bumps it. settled is
+	// schedulePart's record of the queue it left on a FIFO partition under
+	// a policy that pairs (DESIGN §14, "The settled prefix"): its first n
+	// jobs, each with the kind of verdict that kept it (Job.kept). While
 	// tick stays before release (the earliest release bound among them
 	// that hold still waits for; math.MaxInt64 = none) and the deferral
-	// signal stays on the side of its threshold it was on (high). denied
-	// of them were refused by fit. n = 0 is no record.
+	// signal on the side of its threshold it was on (high), a later pass
+	// skips those whose verdict the live state repeats; with the epoch
+	// unchanged and the record clean (no primary started behind a fit
+	// refusal), all of them. denied of them were refused by fit; minCapW
+	// is the smallest placement delta the budget refused any of them
+	// beside a stable host (+Inf: none). n = 0 is no record.
 	epoch   uint64
 	settled struct {
-		n, denied int
-		epoch     uint64
-		release   int64
-		high      bool
+		n, denied   int
+		epoch       uint64
+		release     int64
+		minCapW     float64
+		high, clean bool
 	}
 }
 

@@ -550,6 +550,11 @@ func (c *Controller) submit(ctx context.Context, desc *JobDesc) (*Job, error) {
 	if desc.ThreadsPerCPU <= 0 {
 		desc.ThreadsPerCPU = 1
 	}
+	if desc.MemoryMB < 0 {
+		// No constraint, as 0 is: a negative request would let a
+		// secondary beside it claim more memory than the node has.
+		desc.MemoryMB = 0
+	}
 	if desc.TimeLimit <= 0 {
 		desc.TimeLimit = c.conf.DefaultTimeLimit
 	}
@@ -684,12 +689,13 @@ func (p *partition) fits(desc *JobDesc) error {
 }
 
 // unqueue removes a job from the pending window, keeping the order of
-// the rest. The window's prefix moves, so the epoch does.
+// the rest. The settled record goes: its prefix and its release bound
+// may count the job.
 func (p *partition) unqueue(job *Job) {
 	for i, q := range p.pending {
 		if q == job {
 			p.pending = append(p.pending[:i], p.pending[i+1:]...)
-			p.epoch++
+			p.settled.n = 0
 			return
 		}
 	}
@@ -736,27 +742,50 @@ func (c *Controller) schedulePart(p *partition) {
 		p.orderKeyed(now, c.usageBy)
 	}
 	// The settled prefix (DESIGN §14): on a FIFO partition under a policy
-	// that pairs, the jobs the last pass left queued keep their verdicts
-	// while the epoch stands and hold would answer as it did — takeIdle
-	// takes the node it took (or none), fit and place refuse again, and a
-	// held job's wake is no earlier than the one armed. The pass then
-	// looks only at the jobs queued since. Its own record stands unless it
-	// keeps a job for a dependency or a begin time, or starts a primary —
-	// a new host for place, one free node fewer for takeIdle — after
-	// keeping a job fit or place refused.
+	// that pairs, the jobs the last pass left queued are its settled
+	// record, each with the kind of verdict that kept it. While hold
+	// would answer them as it did, a pass skips each whose verdict the
+	// live state repeats (skipMask) and asks the rest — fit's refusals
+	// always. With the epoch unchanged and the record clean, it repeats
+	// them all and looks only at the jobs queued since. Its own record
+	// stands unless it keeps a job for a dependency or a begin time.
 	settles := pairs && p.fifo
-	from := 0
-	if settles && p.settled.n > 0 && p.settled.epoch == p.epoch && c.pol.settledStands(p, now, tick) {
-		from = p.settled.n
+	s := &p.settled
+	from, through := 0, 0 // skip pending[:from]; pending[from:through] by kind
+	var skip uint8
+	if settles && s.n > 0 && c.pol.settledStands(p, now, tick) {
+		if s.epoch == p.epoch && s.clean {
+			from = s.n
+		} else {
+			through, skip = s.n, c.pol.skipMask(p)
+		}
 	}
-	release, denied, refused := int64(math.MaxInt64), 0, from > 0
+	release, denied, clean := int64(math.MaxInt64), 0, true
+	if settles {
+		c.pol.minCapW = math.Inf(1)
+	}
 	if from > 0 {
-		release, denied = p.settled.release, p.settled.denied
+		release, denied, c.pol.minCapW = s.release, s.denied, s.minCapW
+		c.pol.countDenials(denied)
 	}
+	var skipped [verdictKinds]int64
 	var pr pairing // place's verdict; written only when it pairs
 	remaining, queued := p.pending[:from], len(p.pending)
 	for i := from; i < queued; i++ {
 		job := p.pending[i]
+		if i < through && skip>>job.kept&1 != 0 {
+			// The verdict stands: keep the job unasked. Its release bound
+			// and its refusals' smallest delta stay in the record.
+			skipped[job.kept]++
+			if holds && job.Desc.Deferrable && job.releaseTick > tick {
+				release = min(release, job.releaseTick)
+			}
+			if job.kept >= keptCompute {
+				c.pol.minCapW = min(c.pol.minCapW, s.minCapW)
+			}
+			remaining = append(remaining, job)
+			continue
+		}
 		if p.freeN == 0 && !pairs {
 			// Every node claimed mid-pass: nothing below can start, so
 			// keep the tail queued wholesale instead of probing each
@@ -777,7 +806,7 @@ func (c *Controller) schedulePart(p *partition) {
 				// backing array's cap runs out.)
 				p.pending = rest
 				p.queueGauge.Set(float64(len(p.pending)))
-				c.countVisits(queued)
+				c.countVisits(int64(queued))
 				return
 			}
 			remaining = append(remaining, rest...)
@@ -809,6 +838,7 @@ func (c *Controller) schedulePart(p *partition) {
 			if wake, held := c.pol.hold(job, now, tick); held {
 				c.armWake(p, wake)
 				release = min(release, job.releaseTick)
+				job.kept = keptHeld
 				remaining = append(remaining, job)
 				continue
 			}
@@ -816,27 +846,35 @@ func (c *Controller) schedulePart(p *partition) {
 		node := p.takeIdle(&job.Desc)
 		switch {
 		case node != nil && (c.pol == nil || c.pol.fit(job, node)):
-			if refused {
-				settles = false
-			}
+			// A primary behind a fit refusal may take the node fit
+			// refused, or the last free one: the record is no longer one
+			// to repeat whole.
+			clean = clean && denied == 0
 			if err := c.start(job, node); err != nil {
 				job.State = StateFailed
 				job.Reason = err.Error()
 				job.EndTime = now
 				c.finish(job)
 			}
+			if i+1 < through {
+				skip = c.pol.skipMask(p)
+			}
 			continue
 		case node != nil:
 			c.refreeNode(node)
 			denied++
+			job.kept = keptFit
 		case pairs && c.pol.place(p, job, now, &pr):
 			c.startSecondary(job, pr, now)
+			if i+1 < through {
+				skip = c.pol.skipMask(p)
+			}
 			continue
 		default:
 			job.Reason = "Resources"
+			job.kept = refusedKind(job)
 		}
 		// Kept on fit's or place's refusal.
-		refused = true
 		if holds && job.Desc.Deferrable && job.releaseTick > tick {
 			release = min(release, job.releaseTick)
 		}
@@ -844,19 +882,26 @@ func (c *Controller) schedulePart(p *partition) {
 	}
 	p.pending = remaining
 	p.queueGauge.Set(float64(len(p.pending)))
-	c.countVisits(queued - from)
+	visits := int64(queued - from)
+	if through > 0 {
+		for k, n := range skipped {
+			visits -= n
+			c.pol.skips[k] += n
+		}
+	}
+	c.countVisits(visits)
 	if settles {
-		c.pol.settle(p, len(remaining), release, denied)
+		c.pol.settle(p, len(remaining), release, denied, clean)
 	} else {
-		p.settled.n = 0
+		s.n = 0
 	}
 }
 
 // countVisits adds the queued jobs a pass looked at to the policy's
 // work counters.
-func (c *Controller) countVisits(n int) {
+func (c *Controller) countVisits(n int64) {
 	if c.pol != nil {
-		c.pol.totals.QueueVisits += int64(n)
+		c.pol.totals.QueueVisits += n
 	}
 }
 

@@ -141,6 +141,12 @@ type schedPolicy struct {
 		tick, wakeTick int64
 		wake           time.Time
 	}
+	// minCapW is the smallest placement delta planBeside's budget check
+	// has refused since the scheduling pass began it (settle records it).
+	minCapW float64
+	// skips counts the jobs the passes skipped per verdict kind on a
+	// settled record whose epoch had moved.
+	skips [verdictKinds]int64
 
 	totals       PolicyTotals
 	mCapDenials  *metrics.Counter
@@ -420,36 +426,96 @@ func (pol *schedPolicy) high(now time.Time, tick int64) bool {
 	return rd.high
 }
 
-// settledStands is the policy's half of the settled-prefix test, asked
-// once per pass like holds and pairs, once the caller has found the
-// epoch unchanged: would the policy answer every job the partition's
-// last pass settled as it did? fit and place would — they read only the
-// free nodes, the draw ledger and the pairable index, which the epoch
-// covers, and a deadline that only gets closer. hold would while none of
-// the jobs has reached the release bound the pass recorded and the
-// signal is on the same side of the threshold: a held job stays held,
-// its wake no earlier than the one armed; a released one goes on to fit
-// or place. (With no bound recorded the signal is not read.) When the
-// answers stand, fit's refusals of them are counted again, as the walk
-// would count them.
+// verdict is the kind of answer that kept a queued job on a pass that
+// left a settled record (Job.kept, DESIGN §14): what a later pass must
+// find unchanged to skip the job instead of asking again.
+type verdict uint8
+
+const (
+	keptHeld    verdict = iota // hold: the deferral signal keeps it
+	keptFit                    // fit: the budget refused the node takeIdle took
+	keptNoNode                 // no idle node, and place never pairs the job
+	keptCompute                // no idle node; place refused a compute-bound job
+	keptMemory                 // no idle node; place refused a memory-bound job
+	verdictKinds
+)
+
+// settledStands is hold's half of the settled-prefix test, asked once
+// per pass like holds and pairs: would hold answer every job the
+// partition's settled record holds as it did? It would while none of
+// them has reached the release bound the record keeps and the signal is
+// on the same side of the threshold: a held job stays held, its wake no
+// earlier than the one armed; a released one goes on to takeIdle again.
+// (With no bound recorded the signal is not read: no job in the record
+// would read it.)
 func (pol *schedPolicy) settledStands(p *partition, now time.Time, tick int64) bool {
 	s := &p.settled
-	if s.release != math.MaxInt64 && (tick >= s.release || pol.high(now, tick) != s.high) {
-		return false
+	return s.release == math.MaxInt64 || tick < s.release && pol.high(now, tick) == s.high
+}
+
+// countDenials counts n fit refusals a pass repeats without asking fit,
+// as fit would have counted them.
+func (pol *schedPolicy) countDenials(n int) {
+	pol.totals.CapDenials += int64(n)
+	pol.mCapDenials.Add(int64(n))
+}
+
+// skipMask is the set of verdict kinds (bit k for kind k) a pass over a
+// record whose hold half stands may skip on the partition's live state:
+// held jobs always; jobs kept for no node while no node is free (takeIdle
+// finds none, place never pairs them); compute- and memory-bound jobs
+// place refused while no node is free, the complementary index holds
+// only stable hosts, and the draw ledger still refuses minCapW — each
+// stable host refuses the job for a reason its unchanged primary keeps,
+// for a deadline that only gets closer, or for the budget on a delta no
+// smaller than minCapW. fit refusals are never skipped: fit asks again.
+// The pass asks at its start and again after every start.
+func (pol *schedPolicy) skipMask(p *partition) uint8 {
+	mask := uint8(1) << keptHeld
+	if p.freeN > 0 {
+		return mask
 	}
-	pol.totals.CapDenials += int64(s.denied)
-	pol.mCapDenials.Add(int64(s.denied))
-	return true
+	mask |= 1 << keptNoNode
+	capRefuses := p.drawW+p.settled.minCapW > p.capW
+	if p.refusesAgain(pairMemory, capRefuses) {
+		mask |= 1 << keptCompute
+	}
+	if p.refusesAgain(pairCompute, capRefuses) {
+		mask |= 1 << keptMemory
+	}
+	return mask
+}
+
+// refusesAgain reports whether place, walking the pairable index k,
+// would refuse every job the settled record kept on its refusal there:
+// the index is empty, or it holds only stable hosts and the budget
+// still refuses the record's smallest refused delta (capRefuses).
+func (p *partition) refusesAgain(k int, capRefuses bool) bool {
+	stable, empty := p.stable[k], true
+	for w, word := range p.pairable[k] {
+		if word&^stable[w] != 0 {
+			return false
+		}
+		empty = empty && word == 0
+	}
+	return empty || capRefuses
 }
 
 // settle records the pass's settled prefix: n kept jobs, denied of them
-// refused by fit, the partition epoch the pass ended at, and release,
-// the earliest release bound among them that hold still waits for. The
-// signal's verdict of the instant goes with it: when release is set, a
-// kept job read it this instant.
-func (pol *schedPolicy) settle(p *partition, n int, release int64, denied int) {
-	p.settled.n, p.settled.epoch, p.settled.release, p.settled.denied = n, p.epoch, release, denied
-	p.settled.high = pol.read.high
+// refused by fit, release, the earliest release bound among them that
+// hold still waits for, and clean, whether no primary started behind a
+// fit refusal. The partition epoch the pass ended at, the smallest delta
+// the budget refused beside a host (minCapW, gathered by planBeside and
+// carried over skipped jobs) and the pairable index, as the stable
+// hosts, go with them. So does the signal's verdict of the instant: when
+// release is set, the pass read it this instant.
+func (pol *schedPolicy) settle(p *partition, n int, release int64, denied int, clean bool) {
+	s := &p.settled
+	s.n, s.epoch, s.release, s.denied, s.clean = n, p.epoch, release, denied, clean
+	s.minCapW, s.high = pol.minCapW, pol.read.high
+	for k := range p.pairable {
+		copy(p.stable[k], p.pairable[k])
+	}
 }
 
 // releaseBound is the instant a hold on the job ends whatever the
@@ -541,24 +607,30 @@ const (
 	pairMemory
 )
 
-// indexPairable sizes the partition's index, once, when the policy pairs.
+// indexPairable sizes the partition's index and its stable hosts, once,
+// in one allocation, when the policy pairs.
 func (p *partition) indexPairable() {
+	words := len(p.freeBits)
+	buf := make([]uint64, 4*words)
 	for k := range p.pairable {
-		p.pairable[k] = make([]uint64, len(p.freeBits))
+		p.pairable[k] = buf[2*k*words : (2*k+1)*words : (2*k+1)*words]
+		p.stable[k] = buf[(2*k+1)*words : (2*k+2)*words : (2*k+2)*words]
 	}
 }
 
 // reindex re-derives the node's bit from the node's state. It runs
 // wherever that state changes — charge (a job starts, as primary or
 // secondary), release (a job leaves) and a drain or resume — and only
-// under a policy that pairs. Each call moves the partition's epoch: the
-// settled prefix stands only while nothing takeIdle, fit or place reads
-// — the free nodes, the draw ledger, this index — has changed.
+// under a policy that pairs. Each call moves the partition's epoch, and
+// a cleared bit leaves the stable hosts too: a host set again later runs
+// another primary, or has room again beside the one it had, and is
+// fresh to every job the settled record kept.
 func (pol *schedPolicy) reindex(n *nodeD) {
 	if pol == nil || !pol.pairs() {
 		return
 	}
-	n.part.epoch++
+	p := n.part
+	p.epoch++
 	in := -1
 	if pri := n.current; pri != nil && n.hwJob != nil && n.coJob == nil && !n.drained &&
 		!pri.Desc.Exclusive && !pri.coSecondary {
@@ -570,13 +642,39 @@ func (pol *schedPolicy) reindex(n *nodeD) {
 		}
 	}
 	w, bit := n.idx>>6, uint64(1)<<uint(n.idx&63)
-	for k, index := range n.part.pairable {
+	for k, index := range p.pairable {
 		if k == in {
 			index[w] |= bit
 		} else {
 			index[w] &^= bit
+			p.stable[k][w] &^= bit
 		}
 	}
+}
+
+// complement is the pairable index place walks for the job — the
+// primaries of the other profile — or -1 for a job place never pairs
+// (no profile, or Exclusive).
+func complement(job *Job) int {
+	switch prof := job.shapeProfile(); {
+	case prof == "" || job.Desc.Exclusive:
+		return -1
+	case prof == workload.ProfileCompute:
+		return pairMemory
+	}
+	return pairCompute
+}
+
+// refusedKind is the verdict kind of a job kept with no idle node once
+// place has refused it.
+func refusedKind(job *Job) verdict {
+	switch complement(job) {
+	case pairMemory:
+		return keptCompute
+	case pairCompute:
+		return keptMemory
+	}
+	return keptNoNode
 }
 
 // place picks the running primary a job with no idle node starts
@@ -588,13 +686,9 @@ func (pol *schedPolicy) reindex(n *nodeD) {
 // result: the pass asks this of every queued job, and nearly every
 // answer is "none" — a scan of the index's few words.)
 func (pol *schedPolicy) place(p *partition, job *Job, now time.Time, pr *pairing) bool {
-	prof := job.shapeProfile()
-	if prof == "" || job.Desc.Exclusive {
+	want := complement(job)
+	if want < 0 {
 		return false
-	}
-	want := pairCompute
-	if prof == workload.ProfileCompute {
-		want = pairMemory
 	}
 	for w, word := range p.pairable[want] {
 		for word != 0 {
@@ -623,12 +717,14 @@ func (pol *schedPolicy) place(p *partition, job *Job, now time.Time, pr *pairing
 // planBeside plans the job as the secondary of the node's running
 // primary: same frequency domain as the primary, runtime stretched by
 // the interference penalty, draw from the power model. False, *pr
-// untouched, when the budget, the plan or the deadline refuses.
+// untouched, when the budget, the plan or the deadline refuses. A
+// budget refusal lowers pol.minCapW to the delta it refused.
 func (pol *schedPolicy) planBeside(job *Job, n *nodeD, now time.Time, pr *pairing) bool {
 	cfg := job.Desc.Config()
 	cfg.FreqKHz = n.hwJob.Config.FreqKHz
 	sysW := n.pm.PlacementDeltaW(cfg)
 	if !capAllows(n, sysW) {
+		pol.minCapW = min(pol.minCapW, sysW)
 		return false
 	}
 	dur, gflops := job.Desc.Shape.Plan(n.hw, cfg)

@@ -140,8 +140,8 @@ type Job struct {
 	// userSlot indexes the controller's dense fair-share usage slice
 	// (Controller.usageBy) for Desc.UserID, assigned at submission.
 	userSlot int32
-	// The three flags share userSlot's word: Job is one record per
-	// submission, and a word more per job shows in the simulator's
+	// The three flags and kept share userSlot's word: Job is one record
+	// per submission, and a word more per job shows in the simulator's
 	// bytes per submission (TestJobSize).
 	timedOut bool
 	// Cluster-policy bookkeeping (energy.go): coSecondary marks a job
@@ -153,9 +153,12 @@ type Job struct {
 	// deferral policy held the job at least once.
 	coSecondary bool
 	deferred    bool
-	drawDeltaW  float64
-	estSysW     float64
-	estCPUW     float64
+	// kept is the kind of verdict that kept the job queued on the last
+	// pass that left it in its partition's settled record (energy.go).
+	kept       verdict
+	drawDeltaW float64
+	estSysW    float64
+	estCPUW    float64
 	// shape is the job-owned copy of Desc.Shape, so descriptions built
 	// in caller-reused buffers survive past Submit without a per-job
 	// heap allocation.

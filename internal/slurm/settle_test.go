@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"ecosched/internal/hw"
+	"ecosched/internal/perfmodel"
 	"ecosched/internal/simclock"
 	"ecosched/internal/workload"
 )
@@ -16,124 +18,36 @@ import (
 // submissions (some deferrable, some with a dependency or a begin time),
 // clock advances one event at a time, cancellations of pending and
 // running jobs, drains and resumes, batched flushes — while the
-// deferral signal crosses its threshold. One controller has its settled
-// record cleared before everything that may run a pass, so every one of
-// its passes walks the whole window. After every step the two must agree
-// on squeue (id, state, reason), the accounting rows, the policy totals
-// but for the two work counters that measure the walk, the armed wake,
-// and the clock's queue.
+// deferral signal crosses its threshold. One node has half the cores,
+// so a job can be kept for no node while a node is free. One controller
+// has its settled record cleared before everything that may run a pass,
+// so every one of its passes walks the whole window. After every step
+// the two must agree on squeue (id, state, reason), the accounting rows,
+// the policy totals but for the two work counters that measure the
+// walk, the armed wake, and the clock's queue. Every verdict kind a pass
+// may skip on a moved epoch must be skipped somewhere in the 40 seeds,
+// and fit's refusals never.
 func TestSettledPrefixMatchesFullWalk(t *testing.T) {
-	idle, deltas := testLadderWatts()
 	var fastVisits, fullVisits int64
 	var sum PolicyTotals
+	var skips [verdictKinds]int64
 	for seed := uint64(1); seed <= 40; seed++ {
 		rng := simclock.NewRNG(seed + 11000)
-		nodes := 2 + rng.Intn(4)
-		// From a budget that refuses most placements to one that refuses
-		// few, so fit refuses, freqcap pins and smaller jobs start past
-		// refused ones.
-		capW := float64(nodes) * (idle + deltas[len(deltas)-1]*(0.2+rng.Float64()))
-		minute := func(lo, n int) time.Duration { return time.Duration(lo+rng.Intn(n)) * time.Minute }
-		period, maxDefer, check := minute(15, 60), minute(20, 150), minute(5, 20)
-		batched := seed%2 == 0
-		build := func() (*simclock.Sim, *Controller) {
-			sim := simclock.New()
-			start := sim.Now()
-			opts := []ClusterOption{
-				WithNodes(clusterNodes(sim, nodes)...),
-				WithSchedPolicies(
-					&PowerCapPolicy{CapW: capW, Mode: CapModeFreqCap},
-					&CoSchedulePolicy{},
-					&DeferralPolicy{
-						// A square wave: high for one period, low for the next.
-						Signal: func(t time.Time) float64 {
-							if t.Sub(start)/period%2 == 0 {
-								return 1
-							}
-							return 0.1
-						},
-						Threshold: 0.5, MaxDefer: maxDefer, Check: check,
-					}),
-			}
-			if batched {
-				opts = append(opts, WithBatchedScheduling())
-			}
-			c, err := NewCluster(sim, DefaultConf(), opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return sim, c
-		}
-		fastSim, fast := build()
-		fullSim, full := build()
-		walkAll := func() { full.part.settled.n = 0 }
-		compare := func(step int, op string) {
-			t.Helper()
-			if msg := settleDiff(fast, full); msg != "" {
-				t.Fatalf("seed %d step %d (%s) at %v: %s", seed, step, op, fastSim.Now(), msg)
-			}
-		}
-		both := func(step int, op string, f func(c *Controller) error) {
-			t.Helper()
-			walkAll()
-			errFast, errFull := f(fast), f(full)
-			if (errFast == nil) != (errFull == nil) {
-				t.Fatalf("seed %d step %d (%s): errors differ: %v / %v", seed, step, op, errFast, errFull)
-			}
-			compare(step, op)
-		}
-		var ids []int
+		h := newSettleHarness(t, rng)
 		for step := 0; step < 250; step++ {
-			switch op := rng.Intn(12); {
-			case op < 5:
-				desc := settleDesc(rng, fastSim.Now(), ids)
-				both(step, "submit", func(c *Controller) error {
-					j, err := c.Submit(desc)
-					if err == nil && c == fast {
-						ids = append(ids, j.ID)
-					}
-					return err
-				})
-			case op < 8:
-				at := fastSim.Now().Add(time.Duration(1+rng.Intn(40)) * time.Minute)
-				for fastSim.Now().Before(at) {
-					walkAll()
-					stepped := fastSim.Step()
-					if fullSim.Step() != stepped {
-						t.Fatalf("seed %d step %d: one clock ran out of events, the other did not", seed, step)
-					}
-					if !stepped {
-						fastSim.RunUntil(at)
-						fullSim.RunUntil(at)
-					}
-					compare(step, "advance")
-				}
-			case op < 10:
-				if len(ids) > 0 {
-					id := ids[rng.Intn(len(ids))]
-					if j, ok := fast.Job(id); ok && !j.State.Terminal() {
-						both(step, "cancel "+string(j.State), func(c *Controller) error { return c.Cancel(id) })
-					}
-				}
-			case op < 11:
-				n := fast.part.nodes[rng.Intn(nodes)]
-				if n.drained {
-					both(step, "resume", func(c *Controller) error { return c.ResumeNode(n.name) })
-				} else {
-					both(step, "drain", func(c *Controller) error { return c.DrainNode(n.name) })
-				}
-			default:
-				both(step, "flush", func(c *Controller) error { c.Flush(); return nil })
-			}
+			h.step(t, rng, fmt.Sprintf("seed %d step %d", seed, step))
 		}
-		fastVisits += fast.PolicyTotals().QueueVisits
-		fullVisits += full.PolicyTotals().QueueVisits
-		tot := fast.PolicyTotals()
+		fastVisits += h.fast.PolicyTotals().QueueVisits
+		fullVisits += h.full.PolicyTotals().QueueVisits
+		tot := h.fast.PolicyTotals()
 		sum.DeferredJobs += tot.DeferredJobs
 		sum.ForcedDispatches += tot.ForcedDispatches
 		sum.CoScheduled += tot.CoScheduled
 		sum.CapDenials += tot.CapDenials
 		sum.FreqCapped += tot.FreqCapped
+		for k, n := range h.fast.pol.skips {
+			skips[k] += n
+		}
 	}
 	if fastVisits >= fullVisits {
 		t.Fatalf("the settled prefix saved nothing: %d queued-job visits, the full walk %d", fastVisits, fullVisits)
@@ -141,35 +55,213 @@ func TestSettledPrefixMatchesFullWalk(t *testing.T) {
 	if sum.DeferredJobs == 0 || sum.ForcedDispatches == 0 || sum.CoScheduled == 0 || sum.CapDenials == 0 || sum.FreqCapped == 0 {
 		t.Fatalf("a decision never happened (%+v): the comparison is vacuous there", sum)
 	}
-	t.Logf("%d queued-job visits against the full walk's %d; totals %+v", fastVisits, fullVisits, sum)
+	names := [verdictKinds]string{"held", "fit-refused", "no-node", "compute", "memory"}
+	for k, n := range skips {
+		if (n == 0) != (verdict(k) == keptFit) {
+			t.Errorf("%s jobs skipped %d times on a moved epoch; want fit refusals never skipped, every other kind somewhere", names[k], n)
+		}
+	}
+	t.Logf("%d queued-job visits against the full walk's %d; skips per kind %v; totals %+v", fastVisits, fullVisits, skips, sum)
+}
+
+// FuzzSettledPrefix drives the differential test's controller pair
+// from the fuzzer's bytes: the cluster, then one operator a step —
+// submit (profile, exclusive, deferrable, deadline, dependency, begin
+// time), advance, cancel, drain or resume, flush — comparing the two
+// controllers after each.
+func FuzzSettledPrefix(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 200, 0, 40, 5, 1, 0, 3, 1, 0, 0, 0, 0, 0, 9, 30, 6, 12, 7, 0, 11, 5, 4, 0, 3, 2, 1, 0, 0, 0, 0, 6, 3, 7, 4, 8, 8, 10, 2})
+	for seed := uint64(1); seed <= 4; seed++ {
+		rng := simclock.NewRNG(seed)
+		data := make([]byte, 400)
+		for i := range data {
+			data[i] = byte(rng.Intn(256))
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := &fuzzChoices{data: data}
+		h := newSettleHarness(t, in)
+		for step := 0; step < 300 && in.i < len(in.data); step++ {
+			h.step(t, in, fmt.Sprintf("step %d", step))
+		}
+	})
+}
+
+// choices is where the harness draws its decisions from: a seeded
+// simclock.RNG in the test, the fuzzer's bytes in the fuzz target.
+type choices interface {
+	Intn(n int) int
+	Float64() float64
+}
+
+// fuzzChoices reads one byte a decision; past the end, every decision
+// is 0.
+type fuzzChoices struct {
+	data []byte
+	i    int
+}
+
+func (f *fuzzChoices) next() int {
+	if f.i >= len(f.data) {
+		return 0
+	}
+	f.i++
+	return int(f.data[f.i-1])
+}
+
+func (f *fuzzChoices) Intn(n int) int   { return f.next() % n }
+func (f *fuzzChoices) Float64() float64 { return float64(f.next()) / 256 }
+
+// settleHarness is the differential pair: fast keeps its settled record,
+// full has it cleared before every call that may run a pass.
+type settleHarness struct {
+	fastSim, fullSim *simclock.Sim
+	fast, full       *Controller
+	ids              []int
+}
+
+// newSettleHarness draws a cluster — two to five nodes, the last with
+// half the cores; a freqcap budget from one that refuses most
+// placements to one that refuses few, so fit refuses, freqcap pins and
+// smaller jobs start past refused ones; a square-wave deferral signal;
+// batched scheduling or not — and builds it twice.
+func newSettleHarness(tb testing.TB, ch choices) *settleHarness {
+	idle, deltas := testLadderWatts()
+	nodes := 2 + ch.Intn(4)
+	capW := float64(nodes) * (idle + deltas[len(deltas)-1]*(0.2+ch.Float64()))
+	minute := func(lo, n int) time.Duration { return time.Duration(lo+ch.Intn(n)) * time.Minute }
+	period, maxDefer, check := minute(15, 60), minute(20, 150), minute(5, 20)
+	batched := ch.Intn(2) == 0
+	build := func() (*simclock.Sim, *Controller) {
+		sim := simclock.New()
+		start := sim.Now()
+		hwNodes := clusterNodes(sim, nodes)
+		spec := hwNodes[nodes-1].Spec()
+		spec.Cores /= 2
+		hwNodes[nodes-1] = hw.NewNode(sim, spec, perfmodel.Default(), uint64(nodes))
+		opts := []ClusterOption{
+			WithNodes(hwNodes...),
+			WithSchedPolicies(
+				&PowerCapPolicy{CapW: capW, Mode: CapModeFreqCap},
+				&CoSchedulePolicy{},
+				&DeferralPolicy{
+					// A square wave: high for one period, low for the next.
+					Signal: func(t time.Time) float64 {
+						if t.Sub(start)/period%2 == 0 {
+							return 1
+						}
+						return 0.1
+					},
+					Threshold: 0.5, MaxDefer: maxDefer, Check: check,
+				}),
+		}
+		if batched {
+			opts = append(opts, WithBatchedScheduling())
+		}
+		c, err := NewCluster(sim, DefaultConf(), opts...)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return sim, c
+	}
+	h := &settleHarness{}
+	h.fastSim, h.fast = build()
+	h.fullSim, h.full = build()
+	return h
+}
+
+// step draws one operator, applies it to both controllers and compares
+// them after it (after every event, for an advance).
+func (h *settleHarness) step(tb testing.TB, ch choices, at string) {
+	tb.Helper()
+	walkAll := func() { h.full.part.settled.n = 0 }
+	compare := func(op string) {
+		tb.Helper()
+		if msg := settleDiff(h.fast, h.full); msg != "" {
+			tb.Fatalf("%s (%s) at %v: %s", at, op, h.fastSim.Now(), msg)
+		}
+	}
+	both := func(op string, f func(c *Controller) error) {
+		tb.Helper()
+		walkAll()
+		errFast, errFull := f(h.fast), f(h.full)
+		if (errFast == nil) != (errFull == nil) {
+			tb.Fatalf("%s (%s): errors differ: %v / %v", at, op, errFast, errFull)
+		}
+		compare(op)
+	}
+	switch op := ch.Intn(12); {
+	case op < 5:
+		desc := settleDesc(ch, h.fastSim.Now(), h.ids)
+		both("submit", func(c *Controller) error {
+			j, err := c.Submit(desc)
+			if err == nil && c == h.fast {
+				h.ids = append(h.ids, j.ID)
+			}
+			return err
+		})
+	case op < 8:
+		until := h.fastSim.Now().Add(time.Duration(1+ch.Intn(40)) * time.Minute)
+		for h.fastSim.Now().Before(until) {
+			walkAll()
+			stepped := h.fastSim.Step()
+			if h.fullSim.Step() != stepped {
+				tb.Fatalf("%s: one clock ran out of events, the other did not", at)
+			}
+			if !stepped {
+				h.fastSim.RunUntil(until)
+				h.fullSim.RunUntil(until)
+			}
+			compare("advance")
+		}
+	case op < 10:
+		if len(h.ids) > 0 {
+			id := h.ids[ch.Intn(len(h.ids))]
+			if j, ok := h.fast.Job(id); ok && !j.State.Terminal() {
+				both("cancel "+string(j.State), func(c *Controller) error { return c.Cancel(id) })
+			}
+		}
+	case op < 11:
+		nodes := h.fast.part.nodes
+		n := nodes[ch.Intn(len(nodes))]
+		if n.drained {
+			both("resume", func(c *Controller) error { return c.ResumeNode(n.name) })
+		} else {
+			both("drain", func(c *Controller) error { return c.DrainNode(n.name) })
+		}
+	default:
+		both("flush", func(c *Controller) error { c.Flush(); return nil })
+	}
 }
 
 // settleDesc draws a submission on the minute grid, so that arrivals,
 // completions, wakes, release bounds and signal flips share instants.
-func settleDesc(rng *simclock.RNG, now time.Time, ids []int) JobDesc {
-	d := time.Duration(1+rng.Intn(60)) * time.Minute
-	profile := [...]string{"", workload.ProfileCompute, workload.ProfileMemory, workload.ProfileMemory}[rng.Intn(4)]
-	desc := sleepDesc(1+rng.Intn(32), d, profile)
-	if profile == workload.ProfileCompute && rng.Intn(3) == 0 {
+func settleDesc(ch choices, now time.Time, ids []int) JobDesc {
+	d := time.Duration(1+ch.Intn(60)) * time.Minute
+	profile := [...]string{"", workload.ProfileCompute, workload.ProfileMemory, workload.ProfileMemory}[ch.Intn(4)]
+	desc := sleepDesc(1+ch.Intn(32), d, profile)
+	if profile == workload.ProfileCompute && ch.Intn(3) == 0 {
 		// A FLOP budget, so the cap's pinned rung changes the runtime.
-		shape := workload.FixedWork("settle-work", 200+800*rng.Float64())
+		shape := workload.FixedWork("settle-work", 200+800*ch.Float64())
 		shape.Profile = profile
 		desc.Shape, desc.TimeLimit = &shape, 4*time.Hour
 	}
-	desc.Exclusive = rng.Intn(8) == 0
-	if rng.Intn(3) == 0 {
+	desc.Exclusive = ch.Intn(8) == 0
+	if ch.Intn(3) == 0 {
 		desc.Deferrable = true
-		if rng.Intn(2) == 0 {
-			desc.Deadline = now.Add(desc.TimeLimit + time.Duration(rng.Intn(180))*time.Minute)
+		if ch.Intn(2) == 0 {
+			desc.Deadline = now.Add(desc.TimeLimit + time.Duration(ch.Intn(180))*time.Minute)
 		}
 	}
-	switch rng.Intn(16) {
+	switch ch.Intn(16) {
 	case 0:
 		if len(ids) > 0 {
-			desc.AfterOK = []int{ids[rng.Intn(len(ids))]}
+			desc.AfterOK = []int{ids[ch.Intn(len(ids))]}
 		}
 	case 1:
-		desc.BeginTime = now.Add(time.Duration(1+rng.Intn(30)) * time.Minute)
+		desc.BeginTime = now.Add(time.Duration(1+ch.Intn(30)) * time.Minute)
 	}
 	return desc
 }
@@ -237,5 +329,24 @@ func TestSettledPrefixReleasesABeginTimeBeforeItsWake(t *testing.T) {
 	if waiting.State != StateRunning || arrival.State != StatePending {
 		t.Fatalf("at its begin time the waiting job is %s (%s) and the arrival %s; want the waiting job started first",
 			waiting.State, waiting.Reason, arrival.State)
+	}
+}
+
+// TestNegativeMemoryRequestIsNoConstraint: a negative --mem is read as
+// 0, no constraint. Kept negative, it would let a secondary beside the
+// job claim more memory than the node has — and the settled prefix's
+// argument that a primary started behind a place refusal is no host for
+// the refused job (place's capacity checks imply takeIdle's) would not
+// hold.
+func TestNegativeMemoryRequestIsNoConstraint(t *testing.T) {
+	_, c := newPolicyCluster(t, 1, &CoSchedulePolicy{})
+	desc := sleepDesc(8, time.Hour, workload.ProfileCompute)
+	desc.MemoryMB = -4096
+	j, err := c.Submit(desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.Desc.MemoryMB != 0 {
+		t.Fatalf("MemoryMB = %d, want 0", j.Desc.MemoryMB)
 	}
 }
