@@ -310,6 +310,7 @@ func New(dataDir string, options ...Option) (_ *Deployment, err error) {
 	}
 	blobStore := fault.Blob(rawBlob, inj)
 	rawSettings := settings.NewEtcStore(filepath.Join(opts.DataDir, "etc", "chronus", "settings.json"))
+	closers = append(closers, rawSettings.Close)
 	initial, err := rawSettings.Load()
 	if err != nil {
 		return nil, err

@@ -622,3 +622,52 @@ func TestSweepAllocationsPerConfig(t *testing.T) {
 		t.Fatalf("a %d-configuration sweep allocates %d bytes per configuration, ceiling %d", len(configs), perBytes, bytesCeiling)
 	}
 }
+
+// A deployment's settings store holds an inotify instance once its
+// watch arms, and Close releases it: opening and closing more
+// deployments than the default max_user_instances (128) in one process
+// leaves its inotify descriptors as they were.
+func TestCloseReleasesTheSettingsWatch(t *testing.T) {
+	if _, err := os.Stat("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd to count descriptors in")
+	}
+	before := inotifyInstances(t)
+	for i := 0; i < 300; i++ {
+		d, err := New(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Decode, read back (which arms the watch), read with it armed.
+		for j := 0; j < 3; j++ {
+			if _, err := d.Settings.Load(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i == 0 && inotifyInstances(t) != before+1 {
+			d.Close()
+			t.Skip("the settings watch does not arm on this file system")
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := inotifyInstances(t); after != before {
+		t.Fatalf("%d inotify instances open after 300 deployments were opened and closed, %d before", after, before)
+	}
+}
+
+// inotifyInstances counts the process's open inotify descriptors.
+func inotifyInstances(t *testing.T) int {
+	t.Helper()
+	entries, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, e := range entries {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", e.Name())); err == nil && target == "anon_inode:inotify" {
+			n++
+		}
+	}
+	return n
+}

@@ -153,6 +153,9 @@ type Plugin struct {
 	mRewritten      *metrics.Counter
 	mFallback       *metrics.Counter
 	mSource         map[PredictSource]*metrics.Counter // the three declared sources
+	// mBudgetViolations is resolved on the first violation, so a
+	// snapshot shows no zero row for it before one happens.
+	mBudgetViolations *metrics.Counter
 
 	// The last system files hashed and their hash. Both files are read
 	// on every submission; the 14 KB hash is recomputed only when the
@@ -364,7 +367,10 @@ func (p *Plugin) fallBack(span *trace.Span, err error) error {
 	p.Fallbacks++
 	p.mFallback.Inc()
 	if errors.Is(err, ErrBudgetExceeded) {
-		p.metrics.Counter(metricBudgetViolations).Inc()
+		if p.mBudgetViolations == nil {
+			p.mBudgetViolations = p.metrics.Counter(metricBudgetViolations)
+		}
+		p.mBudgetViolations.Inc()
 	}
 	if span != nil {
 		span.SetAttr("verdict", VerdictFallback)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ecosched/internal/hw"
+	"ecosched/internal/metrics"
 	"ecosched/internal/perfmodel"
 	"ecosched/internal/procfs"
 	"ecosched/internal/settings"
@@ -230,6 +231,38 @@ func TestBudgetExceededFallsBackUnmodified(t *testing.T) {
 	}
 	if p.Fallbacks != 1 {
 		t.Fatalf("Fallbacks = %d, want 1", p.Fallbacks)
+	}
+}
+
+// The budget-violation counter is resolved on the first violation and
+// kept: no zero row before one, and later violations count on the same
+// handle instead of looking the name up in the registry.
+func TestBudgetViolationCounterResolvedOnFirstViolation(t *testing.T) {
+	pred := &fakePredictor{err: fmt.Errorf("sweep too slow: %w", ErrBudgetExceeded)}
+	_, _, fs := newRig(t)
+	st := settings.NewMemStore()
+	s := settings.Defaults()
+	s.State = settings.StateActive
+	if err := st.Save(s); err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.New()
+	p, err := New(fs, pred, st, WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := reg.Snapshot().Counters[metricBudgetViolations]; ok || p.mBudgetViolations != nil {
+		t.Fatal("budget-violation counter registered before any violation")
+	}
+	for i := 0; i < 3; i++ {
+		desc := slurm.JobDesc{BinaryPath: "/bin/app"}
+		p.JobSubmit(context.Background(), &desc, 1000)
+	}
+	if p.mBudgetViolations != reg.Counter(metricBudgetViolations) {
+		t.Fatal("the plugin does not keep the registry's budget-violation handle")
+	}
+	if got := reg.Snapshot().Counters[metricBudgetViolations]; got != 3 {
+		t.Fatalf("%s = %d after three violations, want 3", metricBudgetViolations, got)
 	}
 }
 

@@ -145,11 +145,13 @@ func (c cacheHitPredictor) Predict(context.Context, PredictRequest) (PredictResu
 
 // BenchmarkEcoSubmitCacheHit is the paper's budgeted path at its
 // cheapest: an opted-in job, settings in a real file, the prediction
-// already cached. What remains per call is reading the settings file
-// and the two /proc files; `make alloc-check` pins the allocation count.
+// already cached. What remains per call is asking the settings store's
+// watch whether the file changed and reading the two /proc files;
+// `make alloc-check` pins the allocation count.
 func BenchmarkEcoSubmitCacheHit(b *testing.B) {
 	_, _, fs := newRig(b)
 	st := settings.NewEtcStore(filepath.Join(b.TempDir(), "etc", "chronus", "settings.json"))
+	b.Cleanup(func() { st.Close() })
 	s := settings.Defaults()
 	s.SetModel(settings.LocalModel{ModelID: 1, SystemID: 1, SystemHash: "1", AppHash: "2", Optimizer: "brute-force", Path: "/var/chronus/model.json"})
 	if err := st.Save(s); err != nil {

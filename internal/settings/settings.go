@@ -107,10 +107,13 @@ type Store interface {
 // /etc/chronus/settings.json). Writes are atomic. A missing file loads
 // as Defaults, matching first-run behaviour.
 //
-// Every Load reads the file, so a change made by another process (an
-// admin's `chronus set state`) or a torn file is seen on the very next
-// call; the JSON is decoded again only when the bytes read differ from
-// the last ones that decoded successfully.
+// Load asks whether the file changed and reads whenever it may have, so
+// a change made by another process (an admin's `chronus set state`) or
+// a torn file is seen on the very next call. While an inotify watch
+// (watcher) reports that nothing on the path moved since the last read,
+// Load answers from that read; the JSON is decoded again only when the
+// bytes read differ from the last ones that decoded successfully.
+// Close releases the watch.
 type EtcStore struct {
 	mu   sync.Mutex
 	path string
@@ -118,6 +121,10 @@ type EtcStore struct {
 	buf         []byte   // the last read; reused by the next, only grows
 	decodedFrom []byte   // a copy of the file contents that produced decoded
 	decoded     Settings // LocalModels is shared with every Load: read-only
+
+	watch    watcher
+	fresh    bool // the last read began with the watch armed and returned decodedFrom
+	readBack bool // a read has returned decodedFrom again: the watch has been tried
 }
 
 // NewEtcStore returns a store at path.
@@ -125,9 +132,18 @@ func NewEtcStore(path string) *EtcStore { return &EtcStore{path: path} }
 
 // Load implements Store. The returned LocalModels is the store's own
 // list, clipped: read it, or change it through SetModel, which copies.
+//
+// The watch arms on the first Load that reads back the bytes it last
+// decoded, after that read, so a store loaded once never arms. A read
+// counts towards freshness only if the watch was armed before it began.
 func (e *EtcStore) Load() (Settings, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if e.fresh && e.watch.quiet() {
+		return e.last(), nil
+	}
+	counts := e.watch.settle(e.path)
+	e.fresh = false
 	data, err := e.read()
 	if os.IsNotExist(err) {
 		return Defaults(), nil
@@ -135,7 +151,12 @@ func (e *EtcStore) Load() (Settings, error) {
 	if err != nil {
 		return Settings{}, fmt.Errorf("settings: %w", err)
 	}
-	if e.decodedFrom == nil || !bytes.Equal(data, e.decodedFrom) {
+	if e.decodedFrom != nil && bytes.Equal(data, e.decodedFrom) {
+		if !counts && !e.readBack {
+			e.watch.arm(e.path)
+		}
+		e.readBack = true
+	} else {
 		var s Settings
 		if err := json.Unmarshal(data, &s); err != nil {
 			return Settings{}, fmt.Errorf("settings: parse %s: %w", e.path, err)
@@ -146,11 +167,29 @@ func (e *EtcStore) Load() (Settings, error) {
 		if !s.State.Valid() {
 			return Settings{}, fmt.Errorf("settings: invalid state %q in %s", s.State, e.path)
 		}
-		e.decodedFrom, e.decoded = append(e.decodedFrom[:0], data...), s
+		e.decodedFrom, e.decoded, e.readBack = append(e.decodedFrom[:0], data...), s, false
 	}
+	e.fresh = counts
+	return e.last(), nil
+}
+
+// last is the last decoded value, as Load returns it.
+func (e *EtcStore) last() Settings {
 	s := e.decoded
 	s.LocalModels = slices.Clip(s.LocalModels)
-	return s, nil
+	return s
+}
+
+// Close releases the store's inotify watch. A closed store still
+// loads and saves; it reads the file on every Load.
+func (e *EtcStore) Close() error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.fresh = false
+	if err := e.watch.close(); err != nil {
+		return fmt.Errorf("settings: %w", err)
+	}
+	return nil
 }
 
 // initialReadSize is the read buffer's first capacity; a settings file

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -315,24 +317,45 @@ func TestLoadOfADirectoryIsAnError(t *testing.T) {
 	}
 }
 
-// Loading an unchanged file still opens and reads it, but allocates
-// at most the path conversion the open system call needs.
-func TestLoadOfUnchangedFileAllocatesAtMostOnce(t *testing.T) {
-	st := NewEtcStore(filepath.Join(t.TempDir(), "settings.json"))
-	s := Defaults()
-	s.SetModel(LocalModel{ModelID: 1, SystemID: 7, SystemHash: "11", AppHash: "22", Path: "/opt/chronus/m1"})
-	if err := st.Save(s); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Load(); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := st.Load(); err != nil {
-			t.Fatal(err)
+// Loads from several goroutines while another store saves: saves are
+// atomic renames, so every Load returns one of the saved values, and
+// once the saves are done every Load returns the last one.
+func TestConcurrentLoadsSeeSaves(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "settings.json")
+	st := NewEtcStore(path)
+	t.Cleanup(func() { st.Close() })
+	writer := NewEtcStore(path)
+	save := func(i int) {
+		s := Defaults()
+		s.DatabasePath = fmt.Sprintf("/db%d", i)
+		if err := writer.Save(s); err != nil {
+			t.Error(err)
 		}
-	})
-	if allocs > 1 {
-		t.Fatalf("Load of an unchanged file allocates %.1f times, want at most 1", allocs)
+	}
+	save(0)
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !done.Load() {
+				s, err := st.Load()
+				if err != nil || !strings.HasPrefix(s.DatabasePath, "/db") {
+					t.Errorf("concurrent Load = %+v, %v", s, err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 1; i <= 200; i++ {
+		save(i)
+	}
+	done.Store(true)
+	wg.Wait()
+	for i := 0; i < 3; i++ {
+		if s, err := st.Load(); err != nil || s.DatabasePath != "/db200" {
+			t.Fatalf("Load after the last save = %+v, %v; want /db200", s, err)
+		}
 	}
 }
