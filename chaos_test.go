@@ -115,8 +115,7 @@ func requireFailOpen(t *testing.T, d *Deployment, desc slurm.JobDesc) (slurm.Job
 // configured budget, with chronus.predict.degraded incremented and a
 // trace event recorded.
 func TestChaosTotalStorageFaultFailsOpen(t *testing.T) {
-	tracer := trace.New()
-	d := newDeployment(t, func(o *Options) { o.SlurmConf = chaosConf }, WithRetryPolicy(core.DefaultRetryPolicy()), func(o *Options) { o.Tracer = tracer })
+	d := newDeployment(t, func(o *Options) { o.SlurmConf = chaosConf }, WithRetryPolicy(core.DefaultRetryPolicy()), WithTracing())
 	if d.Plugin.Budget() != chaosBudget {
 		t.Fatalf("plugin budget = %v, conf not threaded", d.Plugin.Budget())
 	}
@@ -169,7 +168,7 @@ func TestChaosTotalStorageFaultFailsOpen(t *testing.T) {
 		t.Fatalf("chronus.predict.degraded = %d, want >= 1", got)
 	}
 	var degradedEvent bool
-	for _, ev := range tracer.Recent() {
+	for _, ev := range d.Tracer.Recent() {
 		if ev.Kind == trace.KindEvent && ev.Name == "chronus.predict.degraded" {
 			if ev.Attrs["cause"] == "" {
 				t.Fatalf("degraded event missing cause: %+v", ev)

@@ -372,19 +372,11 @@ type router struct {
 // exhausts the source (and flushes the recorder) or fails.
 func (r *router) route(start time.Time, free <-chan *routedWindow, lanes []*clusterLane) {
 	// One submission is pulled ahead, to see whether it belongs to the
-	// window being filled; the generator fills pending in place.
+	// window being filled; the source fills pending in place.
 	var pending workload.Submission
-	pullInto, hasInto := r.src.(workload.IntoSource)
-	next := func() (ok bool, err error) {
-		if hasInto {
-			return pullInto.NextInto(&pending)
-		}
-		pending, ok, err = r.src.Next()
-		return ok, err
-	}
 	r.lastArrival = start
 	windowEnd := start
-	ok, err := next()
+	ok, err := r.src.NextInto(&pending)
 	for w := range free {
 		windowEnd = windowEnd.Add(laneWindow)
 		// At < windowEnd, strictly: the boundary instant belongs to the
@@ -402,7 +394,7 @@ func (r *router) route(start time.Time, free <-chan *routedWindow, lanes []*clus
 			} else {
 				r.rejected++
 			}
-			ok, err = next()
+			ok, err = r.src.NextInto(&pending)
 		}
 		if err == nil && !ok && r.lw != nil {
 			err = r.lw.Flush()

@@ -65,28 +65,16 @@ var (
 	BestConfig = perfmodel.BestConfig
 )
 
-// RepositoryKind selects the Chronus repository implementation.
-type RepositoryKind string
-
-// Repository implementations, mirroring the paper's SQLite and CSV.
-const (
-	RepoFileDB RepositoryKind = "filedb"
-	RepoCSV    RepositoryKind = "csv"
-)
-
 // Options configure a simulated deployment.
 type Options struct {
-	// Nodes is the cluster size (default 1, the paper's setup).
-	Nodes int
 	// Seed drives all simulation randomness (default 1).
 	Seed uint64
 	// DataDir is where the repository, blob storage, settings file and
 	// pre-loaded models live. Required.
 	DataDir string
-	// Repository selects the storage backend (default RepoFileDB).
-	Repository RepositoryKind
-	// SlurmConf overrides the slurm.conf text (default enables the eco
-	// plugin with the stock budget).
+	// SlurmConf overrides the slurm.conf text. The default enables the
+	// eco plugin and sets no eco_budget, so the plugin's budget is
+	// unenforced.
 	SlurmConf string
 	// LogW receives Chronus log output (default discard).
 	LogW io.Writer
@@ -95,9 +83,6 @@ type Options struct {
 	// journalled to DataDir/events.jsonl. Off by default so the hot
 	// path stays allocation-free (every trace type is nil-safe).
 	Trace bool
-	// Tracer injects an externally-built tracer (tests); when set,
-	// Trace is ignored and the deployment does not own a journal.
-	Tracer *trace.Tracer
 	// Parallelism is the benchmark sweep's worker-pool width: how many
 	// configurations are measured concurrently, each on its own
 	// deterministically seeded simulated node. <= 0 means GOMAXPROCS.
@@ -203,14 +188,8 @@ func New(dataDir string, options ...Option) (_ *Deployment, err error) {
 	if opts.DataDir == "" {
 		return nil, fmt.Errorf("ecosched: a data directory is required")
 	}
-	if opts.Nodes <= 0 {
-		opts.Nodes = 1
-	}
 	if opts.Seed == 0 {
 		opts.Seed = 1
-	}
-	if opts.Repository == "" {
-		opts.Repository = RepoFileDB
 	}
 	if opts.SlurmConf == "" {
 		opts.SlurmConf = "ClusterName=ecosched\nJobSubmitPlugins=eco\n"
@@ -219,23 +198,15 @@ func New(dataDir string, options ...Option) (_ *Deployment, err error) {
 	sim := simclock.New()
 	calib := perfmodel.Default()
 
-	nodes := make([]*hw.Node, opts.Nodes)
-	bmcs := make([]*ipmi.BMC, opts.Nodes)
-	for i := range nodes {
-		spec := hw.DefaultSpec()
-		if opts.Nodes > 1 {
-			spec.Name = fmt.Sprintf("%s%02d", spec.Name, i+1)
-		}
-		nodes[i] = hw.NewNode(sim, spec, calib, opts.Seed+uint64(i))
-		bmcs[i] = ipmi.NewBMC(nodes[i])
-		bmcs[i].ChmodWorldReadable() // the paper's chmod o+r /dev/ipmi0
-	}
+	node := hw.NewNode(sim, hw.DefaultSpec(), calib, opts.Seed)
+	bmc := ipmi.NewBMC(node)
+	bmc.ChmodWorldReadable() // the paper's chmod o+r /dev/ipmi0
 
 	conf, err := slurm.ParseConf(opts.SlurmConf)
 	if err != nil {
 		return nil, err
 	}
-	cluster, err := slurm.NewCluster(sim, conf, slurm.WithNodes(nodes...))
+	cluster, err := slurm.NewCluster(sim, conf, slurm.WithNodes(node))
 	if err != nil {
 		return nil, err
 	}
@@ -255,8 +226,8 @@ func New(dataDir string, options ...Option) (_ *Deployment, err error) {
 		}
 	}()
 
-	tracer := opts.Tracer
-	if tracer == nil && opts.Trace {
+	var tracer *trace.Tracer
+	if opts.Trace {
 		journal, err := trace.OpenJournal(filepath.Join(opts.DataDir, EventsFile), trace.DefaultJournalMaxBytes)
 		if err != nil {
 			return nil, err
@@ -287,22 +258,14 @@ func New(dataDir string, options ...Option) (_ *Deployment, err error) {
 		inj.Use(rules...)
 	}
 
-	var repo repository.Repository
-	switch opts.Repository {
-	case RepoFileDB:
-		repo, err = repository.OpenDB(filepath.Join(opts.DataDir, "database"))
-	case RepoCSV:
-		repo, err = repository.OpenCSV(filepath.Join(opts.DataDir, "database"))
-	default:
-		return nil, fmt.Errorf("ecosched: unknown repository kind %q", opts.Repository)
-	}
+	rawRepo, err := repository.OpenDB(filepath.Join(opts.DataDir, "database"))
 	if err != nil {
 		return nil, err
 	}
-	closers = append(closers, repo.Close)
+	closers = append(closers, rawRepo.Close)
 	// The decorators consult the injector before every operation; the
 	// closers above keep the raw handles, so teardown is never faulted.
-	repo = fault.Repository(repo, inj)
+	repo := fault.Repository(rawRepo, inj)
 
 	rawBlob, err := blob.NewDir(filepath.Join(opts.DataDir, "blobs"))
 	if err != nil {
@@ -323,7 +286,7 @@ func New(dataDir string, options ...Option) (_ *Deployment, err error) {
 	}
 	settingsStore := fault.Settings(rawSettings, inj)
 
-	fs := fault.FileReader(procfs.New(nodes[0]), inj)
+	fs := fault.FileReader(procfs.New(node), inj)
 	runner, err := core.NewHPCGRunner(cluster, hpcgPath, calib.JobGFLOP)
 	if err != nil {
 		return nil, err
@@ -391,7 +354,7 @@ func New(dataDir string, options ...Option) (_ *Deployment, err error) {
 	cluster.RegisterPlugin(plugin)
 
 	d := &Deployment{
-		Sim: sim, Cluster: cluster, Nodes: nodes, BMCs: bmcs,
+		Sim: sim, Cluster: cluster, Nodes: []*hw.Node{node}, BMCs: []*ipmi.BMC{bmc},
 		Chronus: chronus, Plugin: plugin,
 		Repo: repo, Blob: blobStore, Settings: settingsStore,
 		HPCGPath: hpcgPath, Metrics: reg, Tracer: tracer, Fault: inj,

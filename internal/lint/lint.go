@@ -7,7 +7,7 @@
 // the analysistest harness lives in the package's tests.
 //
 // The six analyzers encode invariants that neither the compiler nor a
-// cheaper dynamic gate states (DESIGN.md §9 lists what each inspects,
+// cheaper dynamic gate states (DESIGN.md §11 lists what each enforces,
 // and the gates that replaced the analyzers retired from the suite):
 //
 //   - nodeterminism: the deterministic packages (core, ml, optimizer,

@@ -8,7 +8,7 @@ import (
 
 // deterministicPackages lists the packages (matched by import-path
 // suffix) whose behaviour must be a pure function of their inputs: the
-// parallel sweep's byte-identical-results guarantee (DESIGN.md §7) and
+// parallel sweep's byte-identical-results guarantee (DESIGN.md §4) and
 // the simulated timeline both break the moment one of them reads a
 // wall clock or the global RNG. Clocks are injected (core.Deps.Now,
 // simclock.Sim, trace.WithClock) and randomness is seeded per

@@ -212,7 +212,7 @@ func TestUnreachableFixture(t *testing.T) {
 //	(d) a read-only accessor a test needs to observe state no product path exposes.
 var reachAllow = map[string]string{
 	"blob.NewMemory":                        "(a) the in-memory blob store fake of the blob, core and fault tests",
-	"settings.NewMemStore":                  "(a) the in-memory settings fake of the core, ecoplugin, fault and settings tests; (c) ROADMAP item 1 wires it as the cluster plugin's store",
+	"settings.NewMemStore":                  "(a) the in-memory settings fake of the core, ecoplugin, fault and settings tests; (c) the ROADMAP item \"The paper's hook at cluster scale\" wires it as the cluster plugin's store",
 	"leakcheck.Check":                       "(a) the goroutine-leak assertion of the root, core, hpcg, ml, optimizer and trace tests",
 	"fault.WithSleep":                       "(a) makes latency faults cost wall time in the fault and core sweep chaos tests",
 	"trace.WithClock":                       "(a) pins span timestamps in the trace, fault and core tests",
@@ -230,9 +230,9 @@ var reachAllow = map[string]string{
 	"workload.Dist.Expectation":             "(b) the closed-form mean the sampled distributions are checked against",
 	"workload.Dist.Variance":                "(b) the closed-form variance the sampled distributions are checked against",
 	"trace.Journal.Append":                  "(b) the sequential writer AppendBatch is checked against byte for byte",
-	"slurm.Controller.Cancel":               "(c) scancel, which ROADMAP item 7 wires as cluster-scale failure vocabulary",
-	"slurm.Controller.DrainNode":            "(c) scontrol drain, which ROADMAP item 7 wires as cluster-scale failure vocabulary",
-	"slurm.Controller.ResumeNode":           "(c) scontrol resume, which ROADMAP item 7 wires as cluster-scale failure vocabulary",
+	"slurm.Controller.Cancel":               "(c) scancel, which the ROADMAP item \"Failure at cluster scale\" wires as node-loss vocabulary",
+	"slurm.Controller.DrainNode":            "(c) scontrol drain, which the ROADMAP item \"Failure at cluster scale\" wires as node-loss vocabulary",
+	"slurm.Controller.ResumeNode":           "(c) scontrol resume, which the ROADMAP item \"Failure at cluster scale\" wires as node-loss vocabulary",
 	"slurm.Controller.Job":                  "(d) a live job's record by id, which the slurm tests observe mid-run",
 	"slurm.Controller.Squeue":               "(d) the pending and running jobs, which the slurm tests observe mid-run",
 	"slurm.Controller.Nodes":                "(d) the controller's hardware nodes, whose energy the slurm tests read",

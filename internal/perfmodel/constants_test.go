@@ -2,7 +2,7 @@ package perfmodel
 
 // This file re-derives every calibrated constant in Default() from the
 // paper's published anchors, so the provenance of each number is
-// executable documentation (see DESIGN.md §5). If someone edits a
+// executable documentation (see DESIGN.md §4). If someone edits a
 // constant, the derivation here says exactly which paper measurement
 // it came from and by how much the edit diverges.
 

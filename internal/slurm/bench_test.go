@@ -104,7 +104,7 @@ func policyPassQueue(b *testing.B) (c *Controller, check func()) {
 // a scheduling pass that walks the whole window and starts nothing: one
 // schedulePart over policyPassQueue's 160 jobs, the partition's settled
 // record dropped first so the pass asks every job again. The
-// alloc-check make target pins it at 0 allocs/op; DESIGN §14 quotes its
+// alloc-check make target pins it at 0 allocs/op; DESIGN §7 quotes its
 // ns/op.
 func BenchmarkPolicyPassSaturated(b *testing.B) {
 	c, check := policyPassQueue(b)

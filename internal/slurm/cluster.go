@@ -73,7 +73,7 @@ type partition struct {
 	// (so charge, release, drain and resume — every change to the free
 	// nodes, the draw ledger or the pairable index) bumps it. settled is
 	// schedulePart's record of the queue it left on a FIFO partition under
-	// a policy that pairs (DESIGN §14, "The settled prefix"): its first n
+	// a policy that pairs (DESIGN §7, "The settled prefix"): its first n
 	// jobs, each with the kind of verdict that kept it (Job.kept). While
 	// tick stays before release (the earliest release bound among them
 	// that hold still waits for; math.MaxInt64 = none) and the deferral

@@ -741,7 +741,7 @@ func (c *Controller) schedulePart(p *partition) {
 	if !p.fifo {
 		p.orderKeyed(now, c.usageBy)
 	}
-	// The settled prefix (DESIGN §14): on a FIFO partition under a policy
+	// The settled prefix (DESIGN §7): on a FIFO partition under a policy
 	// that pairs, the jobs the last pass left queued are its settled
 	// record, each with the kind of verdict that kept it. While hold
 	// would answer them as it did, a pass skips each whose verdict the

@@ -427,7 +427,7 @@ func (pol *schedPolicy) high(now time.Time, tick int64) bool {
 }
 
 // verdict is the kind of answer that kept a queued job on a pass that
-// left a settled record (Job.kept, DESIGN §14): what a later pass must
+// left a settled record (Job.kept, DESIGN §7): what a later pass must
 // find unchanged to skip the job instead of asking again.
 type verdict uint8
 

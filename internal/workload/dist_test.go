@@ -101,9 +101,10 @@ func TestArrivalProcessMeans(t *testing.T) {
 			var sum float64
 			n := 0
 			for {
-				s, ok, err := gen.Next()
+				var s Submission
+				ok, err := gen.NextInto(&s)
 				if err != nil {
-					t.Fatalf("Next: %v", err)
+					t.Fatalf("NextInto: %v", err)
 				}
 				if !ok {
 					break
@@ -146,9 +147,10 @@ func TestDiurnalWindows(t *testing.T) {
 	}
 	var peak, offPeak int
 	for {
-		s, ok, err := gen.Next()
+		var s Submission
+		ok, err := gen.NextInto(&s)
 		if err != nil {
-			t.Fatalf("Next: %v", err)
+			t.Fatalf("NextInto: %v", err)
 		}
 		if !ok {
 			break

@@ -43,16 +43,10 @@ type Submission struct {
 // Source is a stream of time-ordered submissions: the generator for
 // fresh runs, the log reader for replays.
 type Source interface {
-	// Next returns the next submission. ok reports whether one was
-	// produced; err is only non-nil for corrupt replay logs.
-	Next() (s Submission, ok bool, err error)
-}
-
-// IntoSource is an optional Source refinement: NextInto fills the
-// caller's record in place instead of returning it by value. Pump
-// loops that reuse one Submission per pull avoid a large struct copy
-// per submission; the Generator implements it.
-type IntoSource interface {
+	// NextInto fills s with the next submission, in place, so a pump
+	// loop that reuses one Submission per pull copies no large struct.
+	// ok reports whether one was produced; err is non-nil for a corrupt
+	// replay log or a sampled duration the clock cannot represent.
 	NextInto(s *Submission) (ok bool, err error)
 }
 
@@ -63,7 +57,7 @@ const OptInComment = "chronus"
 
 // Generator merges the spec's client streams into one time-ordered,
 // fully deterministic submission sequence. It is pull-based and O(1)
-// in memory: each Next() samples exactly one submission.
+// in memory: each NextInto samples exactly one submission.
 type Generator struct {
 	spec    Spec
 	horizon time.Time
@@ -158,17 +152,8 @@ func NewGenerator(spec Spec, start time.Time) (*Generator, error) {
 	return g, nil
 }
 
-// Next implements Source: the earliest pending client arrival, ties
-// broken by client order.
-func (g *Generator) Next() (Submission, bool, error) {
-	var s Submission
-	ok, err := g.NextInto(&s)
-	return s, ok, err
-}
-
-// NextInto implements IntoSource: like Next, but filling the caller's
-// record in place, sparing the hot pump loop a per-submission copy of
-// the ~200-byte Submission. A sampled duration the simulated clock
+// NextInto implements Source: the earliest pending client arrival, ties
+// broken by client order. A sampled duration the simulated clock
 // cannot represent (see seconds) is an error.
 func (g *Generator) NextInto(s *Submission) (bool, error) {
 	if g.spec.MaxSubmissions > 0 && g.seq >= g.spec.MaxSubmissions {

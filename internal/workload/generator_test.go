@@ -52,9 +52,10 @@ func drain(t *testing.T, src Source) []Submission {
 	t.Helper()
 	var out []Submission
 	for {
-		s, ok, err := src.Next()
+		var s Submission
+		ok, err := src.NextInto(&s)
 		if err != nil {
-			t.Fatalf("Next: %v", err)
+			t.Fatalf("NextInto: %v", err)
 		}
 		if !ok {
 			return out

@@ -151,29 +151,39 @@ func (lr *LogReader) Spec() Spec { return lr.spec }
 // Start returns the simulated start instant the log was recorded at.
 func (lr *LogReader) Start() time.Time { return lr.start }
 
-// Next implements Source, streaming the recorded submissions in order.
+// Next returns the next recorded submission by value; see NextInto.
 func (lr *LogReader) Next() (Submission, bool, error) {
+	var s Submission
+	if ok, err := lr.NextInto(&s); !ok {
+		return Submission{}, false, err
+	}
+	return s, true, nil
+}
+
+// NextInto implements Source, streaming the recorded submissions in
+// order.
+func (lr *LogReader) NextInto(s *Submission) (bool, error) {
 	if !lr.sc.Scan() {
 		if err := lr.sc.Err(); err != nil {
-			return Submission{}, false, fmt.Errorf("workload: reading log after line %d: %w", lr.line, err)
+			return false, fmt.Errorf("workload: reading log after line %d: %w", lr.line, err)
 		}
-		return Submission{}, false, nil
+		return false, nil
 	}
 	lr.line++
 	var rec logRecord
 	if err := json.Unmarshal(lr.sc.Bytes(), &rec); err != nil {
-		return Submission{}, false, fmt.Errorf("workload: log line %d: %w", lr.line, err)
+		return false, fmt.Errorf("workload: log line %d: %w", lr.line, err)
 	}
 	if rec.AtNanos < lr.lastAt {
 		prev := "the log's start"
 		if lr.line > 2 {
 			prev = fmt.Sprintf("line %d", lr.line-1)
 		}
-		return Submission{}, false, fmt.Errorf("workload: log line %d: arrival %s precedes %s",
+		return false, fmt.Errorf("workload: log line %d: arrival %s precedes %s",
 			lr.line, time.Unix(0, rec.AtNanos).UTC().Format(time.RFC3339Nano), prev)
 	}
 	lr.lastAt = rec.AtNanos
-	s := Submission{
+	*s = Submission{
 		Seq:           rec.Seq,
 		At:            time.Unix(0, rec.AtNanos).UTC(),
 		Client:        rec.Client,
@@ -198,7 +208,7 @@ func (lr *LogReader) Next() (Submission, bool, error) {
 		s.Deadline = time.Unix(0, rec.Deadline).UTC()
 	}
 	if err := s.Shape.Validate(); err != nil {
-		return Submission{}, false, fmt.Errorf("workload: log line %d: %w", lr.line, err)
+		return false, fmt.Errorf("workload: log line %d: %w", lr.line, err)
 	}
-	return s, true, nil
+	return true, nil
 }
