@@ -124,7 +124,7 @@ profile-cluster:
 
 # alloc-check guards the allocation guarantees of the hot paths. The
 # simulator's must report 0 allocs/op, or a heap allocation has crept
-# into a per-event path: the telemetry emit path (sharded counter,
+# into a per-event path: the telemetry emit path (counter,
 # gauge, bucketed histogram), the simclock schedule+pop cycle, the
 # slurm submit→complete cycle (pooled jobs, chunked arena, aggregate
 # accounting), a scheduling pass that walks a
@@ -139,7 +139,7 @@ profile-cluster:
 # from its last read while its inotify watch is quiet); the whole
 # opted-in sbatch + WaitFor once, the Job record.
 alloc-check:
-	$(GO) test -run XXX -bench 'ShardedCounterInc|BucketedHistogramObserve|GaugeSet|SimSchedule$$|SubmitSteadyState|PolicyPassSaturated|PolicyPassArrival|PolicyPassCompletion|EcoSubmitCacheHit|PredictCacheHit$$|SubmitLatency$$' -benchtime=1000x -benchmem . ./internal/metrics ./internal/simclock ./internal/slurm ./internal/ecoplugin | \
+	$(GO) test -run XXX -bench 'CounterInc|BucketedHistogramObserve|GaugeSet|SimSchedule$$|SubmitSteadyState|PolicyPassSaturated|PolicyPassArrival|PolicyPassCompletion|EcoSubmitCacheHit|PredictCacheHit$$|SubmitLatency$$' -benchtime=1000x -benchmem . ./internal/metrics ./internal/simclock ./internal/slurm ./internal/ecoplugin | \
 	awk '{ print } /allocs\/op$$/ { seen++; limit = ($$1 ~ /^BenchmarkSubmitLatency/) ? 1 : 0; if ($$(NF-1) + 0 > limit) { bad = 1; print "alloc-check: " $$1 " allocates " $$(NF-1) " times per op, ceiling " limit } } END { if (seen < 11) { print "alloc-check: expected 11 benchmarks, saw " seen+0; exit 1 }; exit bad }'
 
 # serve-smoke boots `chronus serve` against a fresh data directory and

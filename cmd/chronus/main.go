@@ -81,7 +81,7 @@ func run(args []string) error {
 		return cmdSimulate(rest[1:])
 	}
 
-	// Every stateful command traces into DataDir/events.jsonl, so a
+	// Every stateful command traces into <data>/events.jsonl, so a
 	// later `chronus trace <job>` can replay its decisions.
 	buildOpts := []ecosched.Option{
 		ecosched.WithLogWriter(os.Stdout), ecosched.WithTracing(),

@@ -69,9 +69,6 @@ var (
 type Options struct {
 	// Seed drives all simulation randomness (default 1).
 	Seed uint64
-	// DataDir is where the repository, blob storage, settings file and
-	// pre-loaded models live. Required.
-	DataDir string
 	// SlurmConf overrides the slurm.conf text. The default enables the
 	// eco plugin and sets no eco_budget, so the plugin's budget is
 	// unenforced.
@@ -80,7 +77,7 @@ type Options struct {
 	LogW io.Writer
 	// Trace enables end-to-end decision tracing: every submission
 	// produces spans covering plugin → predict → (cache|load|optimize),
-	// journalled to DataDir/events.jsonl. Off by default so the hot
+	// journalled to <data>/events.jsonl. Off by default so the hot
 	// path stays allocation-free (every trace type is nil-safe).
 	Trace bool
 	// Parallelism is the benchmark sweep's worker-pool width: how many
@@ -113,7 +110,7 @@ func WithSeed(seed uint64) Option { return func(o *Options) { o.Seed = seed } }
 func WithLogWriter(w io.Writer) Option { return func(o *Options) { o.LogW = w } }
 
 // WithTracing enables decision tracing with a journal at
-// DataDir/events.jsonl.
+// <data>/events.jsonl.
 func WithTracing() Option { return func(o *Options) { o.Trace = true } }
 
 // WithParallelism sets the benchmark sweep's worker-pool width.
@@ -148,12 +145,12 @@ type Deployment struct {
 	HPCGPath string
 	// Metrics is the deployment-wide observability registry shared by
 	// the controller, the plugin and Chronus. Close merges its
-	// snapshot into DataDir/metrics.json so counters accumulate across
+	// snapshot into <data>/metrics.json so counters accumulate across
 	// CLI invocations (`chronus metrics` reads that file).
 	Metrics *metrics.Registry
 	// Tracer is the deployment-wide decision tracer (nil unless
 	// tracing was enabled). Completed spans land in its in-memory ring
-	// and, via the journal, in DataDir/events.jsonl.
+	// and, via the journal, in <data>/events.jsonl.
 	Tracer *trace.Tracer
 	// Fault is the deployment-wide fault injector, always wired across
 	// every storage, procfs and IPMI integration point. With no rules
@@ -181,11 +178,11 @@ type Deployment struct {
 //
 //	d, err := ecosched.New(dir, ecosched.WithSeed(7))
 func New(dataDir string, options ...Option) (_ *Deployment, err error) {
-	opts := Options{DataDir: dataDir}
+	var opts Options
 	for _, opt := range options {
 		opt(&opts)
 	}
-	if opts.DataDir == "" {
+	if dataDir == "" {
 		return nil, fmt.Errorf("ecosched: a data directory is required")
 	}
 	if opts.Seed == 0 {
@@ -228,7 +225,7 @@ func New(dataDir string, options ...Option) (_ *Deployment, err error) {
 
 	var tracer *trace.Tracer
 	if opts.Trace {
-		journal, err := trace.OpenJournal(filepath.Join(opts.DataDir, EventsFile), trace.DefaultJournalMaxBytes)
+		journal, err := trace.OpenJournal(filepath.Join(dataDir, EventsFile), trace.DefaultJournalMaxBytes)
 		if err != nil {
 			return nil, err
 		}
@@ -258,7 +255,7 @@ func New(dataDir string, options ...Option) (_ *Deployment, err error) {
 		inj.Use(rules...)
 	}
 
-	rawRepo, err := repository.OpenDB(filepath.Join(opts.DataDir, "database"))
+	rawRepo, err := repository.OpenDB(filepath.Join(dataDir, "database"))
 	if err != nil {
 		return nil, err
 	}
@@ -267,20 +264,20 @@ func New(dataDir string, options ...Option) (_ *Deployment, err error) {
 	// closers above keep the raw handles, so teardown is never faulted.
 	repo := fault.Repository(rawRepo, inj)
 
-	rawBlob, err := blob.NewDir(filepath.Join(opts.DataDir, "blobs"))
+	rawBlob, err := blob.NewDir(filepath.Join(dataDir, "blobs"))
 	if err != nil {
 		return nil, err
 	}
 	blobStore := fault.Blob(rawBlob, inj)
-	rawSettings := settings.NewEtcStore(filepath.Join(opts.DataDir, "etc", "chronus", "settings.json"))
+	rawSettings := settings.NewEtcStore(filepath.Join(dataDir, "etc", "chronus", "settings.json"))
 	closers = append(closers, rawSettings.Close)
 	initial, err := rawSettings.Load()
 	if err != nil {
 		return nil, err
 	}
 	initial.State = settings.StateUser // opt-in via the chronus comment
-	initial.DatabasePath = filepath.Join(opts.DataDir, "database")
-	initial.BlobStoragePath = filepath.Join(opts.DataDir, "blobs")
+	initial.DatabasePath = filepath.Join(dataDir, "database")
+	initial.BlobStoragePath = filepath.Join(dataDir, "blobs")
 	if err := rawSettings.Save(initial); err != nil {
 		return nil, err
 	}
@@ -330,7 +327,7 @@ func New(dataDir string, options ...Option) (_ *Deployment, err error) {
 		SysInfo:  newSysInfo(fs),
 		FS:       fs,
 		Runner:   runner,
-		LocalDir: filepath.Join(opts.DataDir, "opt", "chronus", "optimizer"),
+		LocalDir: filepath.Join(dataDir, "opt", "chronus", "optimizer"),
 		Now:      sim.Now,
 		LogW:     opts.LogW,
 		Metrics:  reg,
@@ -358,7 +355,7 @@ func New(dataDir string, options ...Option) (_ *Deployment, err error) {
 		Chronus: chronus, Plugin: plugin,
 		Repo: repo, Blob: blobStore, Settings: settingsStore,
 		HPCGPath: hpcgPath, Metrics: reg, Tracer: tracer, Fault: inj,
-		fs: fs, dataDir: opts.DataDir,
+		fs: fs, dataDir: dataDir,
 	}
 	// Registered last → run first on Close: drain in-flight predictions
 	// (and the retry backoffs inside them) before anything persists or
@@ -380,7 +377,7 @@ func retryPolicy(opts Options) core.RetryPolicy {
 
 // Close tears down everything the deployment acquired, in reverse
 // acquisition order, and reports every failure (not just the first).
-// It also flushes the metrics registry to DataDir/metrics.json.
+// It also flushes the metrics registry to <data>/metrics.json.
 func (d *Deployment) Close() error {
 	var errs []error
 	for i := len(d.closers) - 1; i >= 0; i-- {
@@ -392,16 +389,16 @@ func (d *Deployment) Close() error {
 	return errors.Join(errs...)
 }
 
-// MetricsFile is the DataDir-relative file metric snapshots accumulate
+// MetricsFile is the data-directory-relative file metric snapshots accumulate
 // in across CLI invocations.
 const MetricsFile = "metrics.json"
 
-// EventsFile is the DataDir-relative decision-trace journal (plus a
+// EventsFile is the data-directory-relative decision-trace journal (plus a
 // rotated EventsFile.old generation once the size cap is hit).
 const EventsFile = "events.jsonl"
 
 // persistMetrics merges the registry's snapshot into
-// DataDir/metrics.json: counters add up across invocations, gauges
+// <data>/metrics.json: counters add up across invocations, gauges
 // and percentiles keep the most recent run's values. The merged file
 // is written to a temp file and renamed so a crash mid-flush can
 // never truncate the accumulated counters.

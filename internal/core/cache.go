@@ -5,35 +5,33 @@ import (
 	"time"
 
 	"ecosched/internal/ecoplugin"
-	"ecosched/internal/optimizer"
 	"ecosched/internal/perfmodel"
 )
 
-// cacheKey identifies a decoded model by the pair of hashes the plugin
+// cacheKey identifies a model by the pair of hashes the plugin
 // submits with every prediction.
 type cacheKey struct {
 	systemHash string
 	binaryHash string
 }
 
-// cacheEntry is one decoded model plus its precomputed best
-// configuration. Entries double as singleflight slots: a loader
-// publishes the entry with done still open, fills it, then closes
-// done; waiters block on done instead of re-reading and re-decoding
-// the same model concurrently.
+// cacheEntry is one model's precomputed best configuration; the
+// decoded model is not kept once swept. Entries double as singleflight
+// slots: a loader publishes the entry with done still open, fills it,
+// then closes done; waiters block on done instead of re-reading and
+// re-decoding the same model concurrently.
 type cacheEntry struct {
 	done chan struct{}
 
 	// Valid once done is closed.
 	best    perfmodel.Config
-	opt     optimizer.Optimizer
 	latency time.Duration // what the loading path cost, for waiters
 	source  ecoplugin.PredictSource
 	err     error
 }
 
-// modelCache keeps decoded optimizers keyed by (systemHash,
-// binaryHash) so repeated submissions of the same application skip the
+// modelCache keeps each model's best configuration keyed by
+// (systemHash, binaryHash) so repeated submissions of the same application skip the
 // file read, the JSON decode and the optimizer sweep entirely. A cache
 // hit costs only LatencyLocalRead (the settings check the real CLI
 // cannot avoid).
@@ -83,8 +81,8 @@ func (c *modelCache) lookup(key cacheKey) (entry *cacheEntry, isLoader bool) {
 // finish publishes the loader's result. Failed loads are evicted so a
 // later call retries (guarded: only if the slot still holds this
 // entry — an invalidation may have raced and replaced it).
-func (c *modelCache) finish(key cacheKey, e *cacheEntry, best perfmodel.Config, opt optimizer.Optimizer, latency time.Duration, source ecoplugin.PredictSource, err error) {
-	e.best, e.opt, e.latency, e.source, e.err = best, opt, latency, source, err
+func (c *modelCache) finish(key cacheKey, e *cacheEntry, best perfmodel.Config, latency time.Duration, source ecoplugin.PredictSource, err error) {
+	e.best, e.latency, e.source, e.err = best, latency, source, err
 	close(e.done)
 	if err != nil {
 		c.mu.Lock()

@@ -35,8 +35,8 @@ const (
 // implements ecoplugin.Predictor.
 //
 // Repeated predictions for the same (system, application) pair are
-// answered from an in-memory cache of the decoded optimizer and its
-// precomputed best configuration: a hit costs only LatencyLocalRead —
+// answered from an in-memory cache of each model's precomputed best
+// configuration: a hit costs only LatencyLocalRead —
 // no file read, no JSON decode, no optimizer sweep. Concurrent cold
 // lookups for the same pair are deduplicated (singleflight), and
 // `chronus load-model` / `chronus set` invalidate the affected
@@ -128,8 +128,8 @@ func (s *PredictService) predict(ctx context.Context, req ecoplugin.PredictReque
 			ws.End(nil)
 		}
 	} else {
-		best, opt, latency, source, err := s.load(ctx, req)
-		s.cache.finish(key, e, best, opt, latency, source, err)
+		best, latency, source, err := s.load(ctx, req)
+		s.cache.finish(key, e, best, latency, source, err)
 		m.Gauge(metricPredictCacheEntries).Set(float64(s.cache.size()))
 	}
 
@@ -151,7 +151,7 @@ func (s *PredictService) predict(ctx context.Context, req ecoplugin.PredictReque
 // path cost, including the portion spent before an error. Each stage
 // (model read, database query, blob fetch, optimizer sweep) gets its
 // own child span carrying its simulated cost.
-func (s *PredictService) load(ctx context.Context, req ecoplugin.PredictRequest) (_ perfmodel.Config, _ optimizer.Optimizer, _ time.Duration, src ecoplugin.PredictSource, err error) {
+func (s *PredictService) load(ctx context.Context, req ecoplugin.PredictRequest) (_ perfmodel.Config, _ time.Duration, src ecoplugin.PredictSource, err error) {
 	var span *trace.Span
 	ctx, span = s.deps.Tracer.Start(ctx, spanPredictLoad)
 	defer func() {
@@ -169,12 +169,12 @@ func (s *PredictService) load(ctx context.Context, req ecoplugin.PredictRequest)
 		return lerr
 	})
 	if err != nil {
-		return perfmodel.Config{}, nil, latency, ecoplugin.SourcePreloaded, err
+		return perfmodel.Config{}, latency, ecoplugin.SourcePreloaded, err
 	}
 	if local, ok := cfg.FindModelByHash(req.SystemHash, req.BinaryHash); ok {
 		projected := latency + LatencyLocalRead + LatencyPredict
 		if req.Budget > 0 && projected > req.Budget {
-			return perfmodel.Config{}, nil, latency, ecoplugin.SourcePreloaded, fmt.Errorf(
+			return perfmodel.Config{}, latency, ecoplugin.SourcePreloaded, fmt.Errorf(
 				"core: pre-loaded path needs %v of a %v budget: %w", projected, req.Budget, ecoplugin.ErrBudgetExceeded)
 		}
 		_, rs := s.deps.Tracer.Start(ctx, spanPredictReadModel)
@@ -190,7 +190,7 @@ func (s *PredictService) load(ctx context.Context, req ecoplugin.PredictRequest)
 		})
 		if err != nil {
 			rs.End(err)
-			return perfmodel.Config{}, nil, latency, ecoplugin.SourcePreloaded, fmt.Errorf("core: pre-loaded model: %w", err)
+			return perfmodel.Config{}, latency, ecoplugin.SourcePreloaded, fmt.Errorf("core: pre-loaded model: %w", err)
 		}
 		latency += LatencyLocalRead
 		if rs != nil {
@@ -198,20 +198,20 @@ func (s *PredictService) load(ctx context.Context, req ecoplugin.PredictRequest)
 			rs.SetAttr("path", local.Path)
 		}
 		rs.End(nil)
-		best, opt, err := s.decodeAndSweepTraced(ctx, data)
+		best, err := s.decodeAndSweepTraced(ctx, data)
 		latency += LatencyPredict
-		return best, opt, latency, ecoplugin.SourcePreloaded, err
+		return best, latency, ecoplugin.SourcePreloaded, err
 	}
 
 	if !s.AllowColdLoad {
-		return perfmodel.Config{}, nil, latency, ecoplugin.SourceCold, fmt.Errorf(
+		return perfmodel.Config{}, latency, ecoplugin.SourceCold, fmt.Errorf(
 			"core: no pre-loaded model for system %s application %s", req.SystemHash, req.BinaryHash)
 	}
 	s.deps.Metrics.Counter(metricPredictCold).Inc()
 
 	projected := latency + LatencyDBQuery + LatencyBlobFetch + LatencyPredict
 	if req.Budget > 0 && projected > req.Budget {
-		return perfmodel.Config{}, nil, latency, ecoplugin.SourceCold, fmt.Errorf(
+		return perfmodel.Config{}, latency, ecoplugin.SourceCold, fmt.Errorf(
 			"core: cold path needs %v of a %v budget: %w", projected, req.Budget, ecoplugin.ErrBudgetExceeded)
 	}
 
@@ -229,7 +229,7 @@ func (s *PredictService) load(ctx context.Context, req ecoplugin.PredictRequest)
 	})
 	if err != nil {
 		dbs.End(err)
-		return perfmodel.Config{}, nil, latency, ecoplugin.SourceCold, err
+		return perfmodel.Config{}, latency, ecoplugin.SourceCold, err
 	}
 	var sysID int64 = -1
 	for _, sys := range systems {
@@ -241,7 +241,7 @@ func (s *PredictService) load(ctx context.Context, req ecoplugin.PredictRequest)
 	if sysID < 0 {
 		err = fmt.Errorf("core: unknown system %s", req.SystemHash)
 		dbs.End(err)
-		return perfmodel.Config{}, nil, latency, ecoplugin.SourceCold, err
+		return perfmodel.Config{}, latency, ecoplugin.SourceCold, err
 	}
 	var models []repository.ModelMeta
 	err = s.retry.do(ctx, stageDBQuery, func() error {
@@ -251,7 +251,7 @@ func (s *PredictService) load(ctx context.Context, req ecoplugin.PredictRequest)
 	})
 	if err != nil {
 		dbs.End(err)
-		return perfmodel.Config{}, nil, latency, ecoplugin.SourceCold, err
+		return perfmodel.Config{}, latency, ecoplugin.SourceCold, err
 	}
 	var blobKey string
 	for _, m := range models {
@@ -262,7 +262,7 @@ func (s *PredictService) load(ctx context.Context, req ecoplugin.PredictRequest)
 	if blobKey == "" {
 		err = fmt.Errorf("core: no model for system %s application %s", req.SystemHash, req.BinaryHash)
 		dbs.End(err)
-		return perfmodel.Config{}, nil, latency, ecoplugin.SourceCold, err
+		return perfmodel.Config{}, latency, ecoplugin.SourceCold, err
 	}
 	dbs.End(nil)
 	_, bs := s.deps.Tracer.Start(ctx, spanPredictBlobFetch)
@@ -278,19 +278,19 @@ func (s *PredictService) load(ctx context.Context, req ecoplugin.PredictRequest)
 	})
 	bs.End(err)
 	if err != nil {
-		return perfmodel.Config{}, nil, latency, ecoplugin.SourceCold, err
+		return perfmodel.Config{}, latency, ecoplugin.SourceCold, err
 	}
 	latency += LatencyBlobFetch
-	best, opt, err := s.decodeAndSweepTraced(ctx, data)
+	best, err := s.decodeAndSweepTraced(ctx, data)
 	latency += LatencyPredict
-	return best, opt, latency, ecoplugin.SourceCold, err
+	return best, latency, ecoplugin.SourceCold, err
 }
 
 // decodeAndSweepTraced wraps decodeAndSweep in the predict.optimize
 // span — the stage the decoded-model cache exists to skip.
-func (s *PredictService) decodeAndSweepTraced(ctx context.Context, data []byte) (perfmodel.Config, optimizer.Optimizer, error) {
+func (s *PredictService) decodeAndSweepTraced(ctx context.Context, data []byte) (perfmodel.Config, error) {
 	_, span := s.deps.Tracer.Start(ctx, spanPredictOptimize)
-	best, opt, err := decodeAndSweep(data)
+	best, err := decodeAndSweep(data)
 	if span != nil {
 		span.SetAttr("sim_latency", LatencyPredict.String())
 		if err == nil {
@@ -298,26 +298,22 @@ func (s *PredictService) decodeAndSweepTraced(ctx context.Context, data []byte) 
 		}
 	}
 	span.End(err)
-	return best, opt, err
+	return best, err
 }
 
 // decodeAndSweep unmarshals a model file, decodes its optimizer and
 // sweeps the configuration space — the expensive work the cache
 // exists to amortise.
-func decodeAndSweep(data []byte) (perfmodel.Config, optimizer.Optimizer, error) {
+func decodeAndSweep(data []byte) (perfmodel.Config, error) {
 	var file LocalModelFile
 	if err := json.Unmarshal(data, &file); err != nil {
-		return perfmodel.Config{}, nil, fmt.Errorf("core: model file: %w", err)
+		return perfmodel.Config{}, fmt.Errorf("core: model file: %w", err)
 	}
 	opt, err := optimizer.Decode(file.Optimizer)
 	if err != nil {
-		return perfmodel.Config{}, nil, err
+		return perfmodel.Config{}, err
 	}
-	best, err := opt.BestConfig(file.Space)
-	if err != nil {
-		return perfmodel.Config{}, nil, err
-	}
-	return best, opt, nil
+	return opt.BestConfig(file.Space)
 }
 
 // ConfigJSONOutput renders the configuration the way `chronus

@@ -1,40 +1,15 @@
-// Sharded hot-path primitives: cache-line-padded counter stripes and a
-// fixed log-bucketed (HDR-style) histogram. At fleet rates (~160k
-// submissions/s across many goroutines) a single atomic word — let
-// alone a mutex — becomes a coherence hotspot: every increment bounces
-// one cache line between cores. Striping spreads writers over
-// stripeCount independent lines and folds them back together only on
-// the read side (Value/Snapshot), which runs orders of magnitude less
-// often than the write side.
+// The log-bucketed (HDR-style) latency histogram: one fixed array of
+// atomic bucket counts plus lifetime count/sum/min/max, so Observe is
+// a handful of atomic adds with no lock and no allocation.
+
 package metrics
 
 import (
 	"math"
 	"math/bits"
-	"math/rand/v2"
 	"sync/atomic"
 	"time"
 )
-
-// stripeCount is the number of independent cache-line-padded stripes a
-// sharded metric spreads its writers over. Must be a power of two so
-// stripe selection is a mask, not a modulo.
-const stripeCount = 8
-
-// paddedInt64 is an atomic counter alone on its cache line, so two
-// stripes never share a line and increments on different stripes never
-// contend.
-type paddedInt64 struct {
-	v atomic.Int64
-	_ [56]byte // pad to 64 bytes
-}
-
-// stripeIndex picks a stripe. rand/v2's global generator is backed by
-// a per-thread source (no lock, no allocation), so concurrent writers
-// scatter across stripes instead of convoying on one.
-func stripeIndex() int {
-	return int(rand.Uint64() & (stripeCount - 1))
-}
 
 // Log-bucketed histogram layout: an observation is a non-negative
 // int64 of nanoseconds. Values below bhSubBuckets get exact unit
@@ -76,38 +51,27 @@ func bucketUpperNS(idx int) int64 {
 	return lower + (int64(1)<<shift - 1)
 }
 
-// bhStripe is one writer stripe: per-bucket counts plus lifetime
-// count/sum/min/max, all plain atomics.
-type bhStripe struct {
-	counts [bhBuckets]atomic.Int64
-	count  atomic.Int64
-	sumNS  atomic.Int64
-	minNS  atomic.Int64
-	maxNS  atomic.Int64
-	// Pad to a whole number of cache lines so neighbouring stripes
-	// never share one (TestStripesFillCacheLines checks the arithmetic).
-	_ [32]byte
-}
-
-// BucketedHistogram is a log-bucketed latency histogram sharded across
-// cache-line-padded stripes: Observe is lock-free and allocation-free,
-// and p50/p99/p999 come from an O(bhBuckets) merge with no per-query
-// sort, at ~3% relative quantile error over the histogram's lifetime.
+// BucketedHistogram is a log-bucketed latency histogram: Observe is
+// lock-free and allocation-free, and p50/p99/p999 come from an
+// O(bhBuckets) scan with no per-query sort, at ~3% relative quantile
+// error over the histogram's lifetime.
 //
 // The zero value is not usable; call NewBucketedHistogram (or
 // Registry.BucketedHistogram). A nil *BucketedHistogram is a valid
 // no-op, like every other metric type here.
 type BucketedHistogram struct {
-	stripes [stripeCount]bhStripe
+	counts [bhBuckets]atomic.Int64
+	count  atomic.Int64
+	sumNS  atomic.Int64
+	minNS  atomic.Int64
+	maxNS  atomic.Int64
 }
 
 // NewBucketedHistogram returns an empty bucketed histogram.
 func NewBucketedHistogram() *BucketedHistogram {
 	h := &BucketedHistogram{}
-	for i := range h.stripes {
-		h.stripes[i].minNS.Store(math.MaxInt64)
-		h.stripes[i].maxNS.Store(math.MinInt64)
-	}
+	h.minNS.Store(math.MaxInt64)
+	h.maxNS.Store(math.MinInt64)
 	return h
 }
 
@@ -146,25 +110,24 @@ func (h *BucketedHistogram) ObserveDuration(d time.Duration) {
 }
 
 func (h *BucketedHistogram) observeNS(ns int64) {
-	st := &h.stripes[stripeIndex()]
-	st.counts[bucketIndex(ns)].Add(1)
-	st.count.Add(1)
-	st.sumNS.Add(ns)
+	h.counts[bucketIndex(ns)].Add(1)
+	h.count.Add(1)
+	h.sumNS.Add(ns)
 	for {
-		old := st.minNS.Load()
-		if ns >= old || st.minNS.CompareAndSwap(old, ns) {
+		old := h.minNS.Load()
+		if ns >= old || h.minNS.CompareAndSwap(old, ns) {
 			break
 		}
 	}
 	for {
-		old := st.maxNS.Load()
-		if ns <= old || st.maxNS.CompareAndSwap(old, ns) {
+		old := h.maxNS.Load()
+		if ns <= old || h.maxNS.CompareAndSwap(old, ns) {
 			break
 		}
 	}
 }
 
-// bhMerged is the read-side fold of every stripe.
+// bhMerged is a read-side copy of the histogram's atomics.
 type bhMerged struct {
 	counts       []int64
 	total, sumNS int64
@@ -172,20 +135,15 @@ type bhMerged struct {
 }
 
 func (h *BucketedHistogram) merge() bhMerged {
-	m := bhMerged{counts: make([]int64, bhBuckets), minNS: math.MaxInt64, maxNS: math.MinInt64}
-	for i := range h.stripes {
-		st := &h.stripes[i]
-		m.total += st.count.Load()
-		m.sumNS += st.sumNS.Load()
-		if v := st.minNS.Load(); v < m.minNS {
-			m.minNS = v
-		}
-		if v := st.maxNS.Load(); v > m.maxNS {
-			m.maxNS = v
-		}
-		for b := range st.counts {
-			m.counts[b] += st.counts[b].Load()
-		}
+	m := bhMerged{
+		counts: make([]int64, bhBuckets),
+		total:  h.count.Load(),
+		sumNS:  h.sumNS.Load(),
+		minNS:  h.minNS.Load(),
+		maxNS:  h.maxNS.Load(),
+	}
+	for b := range h.counts {
+		m.counts[b] = h.counts[b].Load()
 	}
 	return m
 }
@@ -222,7 +180,7 @@ func (m *bhMerged) quantileNS(q float64) int64 {
 }
 
 // Quantiles returns the q-quantiles (each q in [0,1]) in seconds,
-// merging the stripes once for the whole batch; a quantile is NaN when
+// reading the buckets once for the whole batch; a quantile is NaN when
 // nothing has been observed.
 func (h *BucketedHistogram) Quantiles(qs ...float64) []float64 {
 	out := make([]float64, len(qs))

@@ -119,25 +119,6 @@ func TestBucketedHistogramConcurrent(t *testing.T) {
 	}
 }
 
-func TestCounterStripesFold(t *testing.T) {
-	c := &Counter{}
-	const goroutines, per = 8, 10000
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				c.Inc()
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Value(); got != goroutines*per {
-		t.Fatalf("Value = %d, want %d", got, goroutines*per)
-	}
-}
-
 func TestGaugeAtomic(t *testing.T) {
 	g := &Gauge{}
 	var wg sync.WaitGroup
@@ -160,21 +141,15 @@ func TestGaugeAtomic(t *testing.T) {
 	}
 }
 
-// A striped element must fill whole 64-byte cache lines, or neighbouring
-// stripes in the array share one and writers on different stripes
-// contend again. The pad is hand-computed, so adding a field without
-// re-deriving it fails here.
-func TestStripesFillCacheLines(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		size uintptr
-	}{
-		{"paddedInt64", unsafe.Sizeof(paddedInt64{})},
-		{"bhStripe", unsafe.Sizeof(bhStripe{})},
-	} {
-		if c.size%64 != 0 {
-			t.Errorf("%s is %d bytes, %d past a 64-byte cache line: re-derive its pad", c.name, c.size, c.size%64)
-		}
+// The plain forms stay plain: a counter is one atomic word, and a
+// histogram is its bucket array plus four lifetime words, with no
+// per-writer copies.
+func TestMetricSizes(t *testing.T) {
+	if size := unsafe.Sizeof(Counter{}); size != 8 {
+		t.Errorf("Counter is %d bytes, want 8", size)
+	}
+	if size, limit := unsafe.Sizeof(BucketedHistogram{}), uintptr(bhBuckets*8+64); size > limit {
+		t.Errorf("BucketedHistogram is %d bytes, over %d", size, limit)
 	}
 }
 
@@ -200,7 +175,7 @@ func TestEmitPathsDoNotAllocate(t *testing.T) {
 	}
 }
 
-func BenchmarkShardedCounterInc(b *testing.B) {
+func BenchmarkCounterInc(b *testing.B) {
 	c := &Counter{}
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {

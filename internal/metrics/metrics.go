@@ -13,6 +13,10 @@
 // nil *Registry, *Counter, *Gauge or *BucketedHistogram are no-ops, so
 // components can be instrumented unconditionally and wired with a nil
 // registry when observability is not wanted (tests, tiny tools).
+// Each metric is its plain form: a counter or gauge is one atomic
+// word, a histogram one array of atomic bucket counts. The controller,
+// like slurmctld, submits on one goroutine, so nothing here is striped
+// across cache lines.
 package metrics
 
 import (
@@ -28,11 +32,10 @@ import (
 	"time"
 )
 
-// Counter is a monotonically increasing integer metric, striped across
-// cache-line-padded atomic shards (see sharded.go) so fleet-rate
-// increments from many goroutines never convoy on one cache line.
+// Counter is a monotonically increasing integer metric: one atomic
+// word.
 type Counter struct {
-	stripes [stripeCount]paddedInt64
+	v atomic.Int64
 }
 
 // Inc adds one.
@@ -43,29 +46,22 @@ func (c *Counter) Add(delta int64) {
 	if c == nil || delta < 0 {
 		return
 	}
-	c.stripes[stripeIndex()].v.Add(delta)
+	c.v.Add(delta)
 }
 
-// Value returns the current count, folding the stripes. Concurrent
-// increments may or may not be included — the usual counter-read
-// semantics — but the value never decreases across calls.
+// Value returns the current count. Concurrent increments may or may
+// not be included — the usual counter-read semantics — but the value
+// never decreases across calls.
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	var total int64
-	for i := range c.stripes {
-		total += c.stripes[i].v.Load()
-	}
-	return total
+	return c.v.Load()
 }
 
 // Gauge is a point-in-time float metric (queue depth, cache size),
 // stored as atomic float bits: Set is a plain store, Add a CAS loop,
-// and neither locks nor allocates. Gauges are last-write-wins
-// point-in-time data, so unlike counters they gain nothing from
-// striping — one atomic word is already contention-free for the
-// set-dominated access pattern.
+// and neither locks nor allocates.
 type Gauge struct {
 	bits atomic.Uint64
 }

@@ -9,15 +9,14 @@ import (
 	"sync"
 	"testing"
 	"time"
-	"unsafe"
 
 	"ecosched/internal/leakcheck"
 	"ecosched/internal/metrics"
 )
 
-// Emission order through the async path must match program order: the
-// drainer restores the global sequence before writing, so a replayed
-// journal reads exactly like the synchronous one did.
+// Emission order through the async path must match program order:
+// records enter the pending buffer in the order they are recorded, so a
+// replayed journal reads exactly like the synchronous one did.
 func TestAsyncJournalPreservesOrder(t *testing.T) {
 	defer leakcheck.Check(t)()
 	path := filepath.Join(t.TempDir(), "events.jsonl")
@@ -91,43 +90,44 @@ func TestDrainFlushesBeforeClose(t *testing.T) {
 	}
 }
 
-// A full ring drops the record — never blocks — and every drop is
+// A full buffer drops the record — never blocks — and every drop is
 // counted, both in the barrier bookkeeping and the drop metric. The
-// writer here has no running drainer, so the rings fill
-// deterministically.
+// tracer here has a one-record buffer and no running drainer, so the
+// buffer fills deterministically.
 func TestAsyncRingFullDropsAndCounts(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	j, err := OpenJournal(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
 	r := metrics.New()
-	aw := &asyncWriter{
+	tr := &Tracer{
+		clock:   time.Now,
+		recent:  make([]Event, 0, recentCap),
+		journal: j,
 		dropped: r.Counter(MetricDropped),
+		pending: make([]Event, 0, 1),
+		spare:   make([]Event, 0, 1),
 		wake:    make(chan struct{}, 1),
-		quit:    make(chan struct{}),
-		done:    make(chan struct{}),
 	}
-	aw.cond.L = &aw.mu
-	for i := range aw.shards {
-		aw.shards[i].buf = make([]asyncEntry, 0, 1)
-		aw.shards[i].spare = make([]asyncEntry, 0, 1)
-	}
+	tr.drained.L = &tr.mu
 	const total = 100
 	for i := 0; i < total; i++ {
-		aw.enqueue(Event{Kind: KindEvent, Name: "tick"})
+		tr.Event("tick", nil)
 	}
-	buffered := 0
-	for i := range aw.shards {
-		buffered += len(aw.shards[i].buf)
+	if buffered := len(tr.pending); buffered != 1 {
+		t.Fatalf("buffered %d, want 1", buffered)
 	}
-	if buffered != asyncShardCount {
-		t.Fatalf("buffered %d, want one per shard (%d)", buffered, asyncShardCount)
-	}
-	if got := r.Snapshot().Counters[MetricDropped]; got != total-asyncShardCount {
-		t.Fatalf("drop metric = %d, want %d", got, total-asyncShardCount)
+	if got := r.Snapshot().Counters[MetricDropped]; got != total-1 {
+		t.Fatalf("drop metric = %d, want %d", got, total-1)
 	}
 	// The barrier must account for drops: after one manual flush,
-	// written + dropped covers every sequence number and drain returns.
-	aw.flush()
+	// written + dropped covers every enqueued record and Drain returns.
+	tr.flush()
 	done := make(chan struct{})
 	go func() {
-		aw.drain()
+		tr.Drain()
 		close(done)
 	}()
 	select {
@@ -135,18 +135,57 @@ func TestAsyncRingFullDropsAndCounts(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("drain blocked despite drops being accounted")
 	}
+	events, err := ReadJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 1 {
+		t.Fatalf("journal has %d events, want the 1 buffered", len(events))
+	}
 }
 
-// A shard must fill whole 64-byte cache lines, or neighbouring shards
-// share one and producers hashed to different shards contend again. The
-// pad is hand-computed for 64-bit targets (the struct is 40 bytes where
-// pointers are 4), so adding a field without re-deriving it fails here.
-func TestAsyncShardFillsCacheLine(t *testing.T) {
-	if unsafe.Sizeof(uintptr(0)) != 8 {
-		t.Skip("the pad is sized for 64-bit targets")
+// The journal and the in-memory ring see records in one order, even
+// under concurrent emitters: both are appended in one critical section.
+func TestJournalOrderMatchesRing(t *testing.T) {
+	defer leakcheck.Check(t)()
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	j, err := OpenJournal(path, 1<<30)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if size := unsafe.Sizeof(asyncShard{}); size%64 != 0 {
-		t.Errorf("asyncShard is %d bytes, %d past a 64-byte cache line: re-derive its pad", size, size%64)
+	tr := New(WithJournal(j))
+	const goroutines, per = 8, 128 // 1,024 in all: the ring keeps every one
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				_, s := tr.Start(context.Background(), "work")
+				s.End(nil)
+			}
+		}()
+	}
+	wg.Wait()
+	tr.Drain()
+	journal, err := ReadJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := tr.Recent()
+	if len(ring) != goroutines*per || len(journal) != len(ring) {
+		t.Fatalf("journal has %d records, ring %d, want %d each", len(journal), len(ring), goroutines*per)
+	}
+	for i := range ring {
+		if journal[i].Span != ring[i].Span || !journal[i].Time.Equal(ring[i].Time) {
+			t.Fatalf("record %d: journal has span %s, ring has %s", i, journal[i].Span, ring[i].Span)
+		}
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

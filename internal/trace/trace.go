@@ -56,9 +56,7 @@ type Tracer struct {
 	journal  *Journal
 	idPrefix string // per-process uniqueness for IDs sharing a journal
 
-	// Async journal emission (nil without a journal) and drop metric.
-	aw      *asyncWriter
-	dropped *metrics.Counter
+	dropped *metrics.Counter // nil-safe
 
 	traceCtr atomic.Int64
 	spanCtr  atomic.Int64
@@ -67,6 +65,18 @@ type Tracer struct {
 	recent []Event // ring buffer of completed records
 	next   int
 	filled bool
+
+	// Async journal emission (async.go), all guarded by mu and unused
+	// without a journal. pending holds records the drainer has not yet
+	// taken; spare is the drainer's last batch, handed back empty.
+	// Drain waits on drained until written + droppedN reaches the
+	// enqueued count it saw.
+	pending, spare              []Event
+	enqueued, written, droppedN uint64
+	closed, stopped             bool
+	drained                     sync.Cond
+	wake                        chan struct{} // cap 1: coalesced flush signal
+	quit, done                  chan struct{} // stop the drainer; it exited
 }
 
 // Option configures a Tracer.
@@ -95,7 +105,7 @@ func New(opts ...Option) *Tracer {
 	// (e.g. two ecosim runs into one data directory) distinct.
 	t.idPrefix = strconv.FormatInt(t.clock().UnixNano(), 36)
 	if t.journal != nil {
-		t.aw = newAsyncWriter(t.journal, t.dropped)
+		t.startJournal()
 	}
 	return t
 }
@@ -136,8 +146,9 @@ func (t *Tracer) Event(name string, attrs map[string]string) {
 	t.record(Event{Time: t.clock(), Kind: KindEvent, Name: name, Attrs: attrs})
 }
 
-// record appends to the ring and enqueues for the async journal
-// drainer. The calling goroutine never performs journal I/O.
+// record appends to the ring and, in the same critical section, to the
+// async journal's pending buffer, so the journal's order is the ring's.
+// The calling goroutine never performs journal I/O.
 func (t *Tracer) record(e Event) {
 	t.mu.Lock()
 	if len(t.recent) < cap(t.recent) {
@@ -147,11 +158,17 @@ func (t *Tracer) record(e Event) {
 		t.next = (t.next + 1) % cap(t.recent)
 		t.filled = true
 	}
-	aw := t.aw
-	t.mu.Unlock()
-	if aw != nil {
-		aw.enqueue(e)
+	if t.journal == nil {
+		t.mu.Unlock()
+		return
 	}
+	dropped := t.enqueueLocked(e)
+	t.mu.Unlock()
+	if dropped {
+		t.dropped.Inc()
+		return
+	}
+	t.nudge()
 }
 
 // Recent returns the retained completed records, oldest first.

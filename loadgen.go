@@ -1,11 +1,11 @@
-// Loadgen is the fleet-rate sustained-load harness: it drives the
+// Loadgen is the sustained-load harness: it drives the
 // simulated cluster controller (or the prediction service directly) at
 // a configurable rate and reports what the telemetry pipeline saw —
 // throughput, wall-clock p50/p99/p999 of the submit hot path, the
 // simulated decision-latency percentiles, and a submit-latency SLO
 // evaluation against the slurm.conf eco_budget. The wall-clock numbers
-// measure the *host* cost of a submission (sharded metric updates,
-// async trace enqueue — the pieces this harness exists to regress),
+// measure the *host* cost of a submission (metric updates, async
+// trace enqueue — the pieces this harness exists to regress),
 // while the simulated numbers measure the *modelled* decision latency
 // the paper's budget argument is about.
 package ecosched
@@ -28,7 +28,7 @@ import (
 
 // MetricLoadgenLatency is the bucketed histogram of the harness's
 // wall-clock per-operation latency — the host-side cost of one submit
-// (plugin chain, sharded metrics, async trace enqueue), not the
+// (plugin chain, metrics, async trace enqueue), not the
 // simulated decision latency.
 const MetricLoadgenLatency = "chronus.loadgen.submit_latency"
 
@@ -41,8 +41,8 @@ const (
 	LoadgenModeSubmit = "submit"
 	// LoadgenModePredict fans Concurrency goroutines out over the
 	// thread-safe prediction service — the plugin's hot path without
-	// the controller serialization, where sharded metrics and async
-	// trace emission earn their keep.
+	// the controller serialization, and the one place metrics and
+	// the trace queue see concurrent writers.
 	LoadgenModePredict = "predict"
 )
 
