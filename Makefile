@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race chaos fuzz cover bench bench-smoke profile-cluster alloc-check serve-smoke scale-smoke loadgen-smoke loc clean
+.PHONY: all build vet lint test race chaos fuzz cover bench bench-smoke profile-cluster profile-sweep alloc-check serve-smoke scale-smoke loadgen-smoke loc clean
 
 all: vet lint test
 
@@ -121,6 +121,18 @@ profile-cluster:
 	$(GO) test -run XXX -bench ClusterThroughput -benchtime=10x -benchmem \
 		-o bin/ecosched.test -cpuprofile bin/cluster-cpu.out -memprofile bin/cluster-mem.out .
 	$(GO) tool pprof -top -nodecount=20 bin/ecosched.test bin/cluster-cpu.out
+
+# profile-sweep does the same for the paper's 138-configuration
+# benchmark sweep on one worker (New + sweep + Close per op), the
+# starting point for per-sample perf work in the sampler, the node
+# model, the trace encoder and the sweep's commit path (inspect further
+# with `go tool pprof bin/ecosched.test bin/sweep-{cpu,mem}.out`). Its
+# deployments go under RAM-backed /dev/shm where it is writable, as the
+# benchmark's do, so that disk latency is not what the profile shows.
+profile-sweep:
+	TMPDIR=$$([ -w /dev/shm ] && echo /dev/shm || echo $${TMPDIR:-/tmp}) $(GO) test -run XXX -bench 'ParallelSweep/parallelism-1$$' -benchtime=50x -benchmem \
+		-o bin/ecosched.test -cpuprofile bin/sweep-cpu.out -memprofile bin/sweep-mem.out .
+	$(GO) tool pprof -top -nodecount=20 bin/ecosched.test bin/sweep-cpu.out
 
 # alloc-check guards the allocation guarantees of the hot paths. The
 # simulator's must report 0 allocs/op, or a heap allocation has crept

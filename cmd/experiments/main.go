@@ -109,11 +109,11 @@ func run(exp string) error {
 		if best.Len() < n {
 			n = best.Len()
 		}
-		start := std.Samples[0].Time
+		start := std.Samples[0].Tick
 		for i := 0; i < n; i++ {
 			s, b := std.Samples[i], best.Samples[i]
 			fmt.Printf("%.0f %.0f %.0f %.0f %.0f %.0f %.0f\n",
-				s.Time.Sub(start).Seconds(), s.SystemW, s.CPUW, s.CPUTempC,
+				time.Duration(s.Tick-start).Seconds(), s.SystemW, s.CPUW, s.CPUTempC,
 				b.SystemW, b.CPUW, b.CPUTempC)
 		}
 		fmt.Printf("p05/p95 system power: standard %.0f/%.0f W, best %.0f/%.0f W\n",

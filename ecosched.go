@@ -302,8 +302,7 @@ func New(dataDir string, options ...Option) (_ *Deployment, err error) {
 		return nil, err
 	}
 	seed := opts.Seed
-	slabs := &core.SampleSlabs{}
-	provision := func(idx int) (core.BenchNode, error) {
+	provision := func(idx int, slabs *core.Slabs) (core.BenchNode, error) {
 		bsim := simclock.New()
 		bnode := hw.NewNode(bsim, hw.DefaultSpec(), calib, seed+uint64(idx)*0x9e3779b9)
 		bbmc := ipmi.NewBMC(bnode)

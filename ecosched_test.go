@@ -433,7 +433,7 @@ func TestStreamApplicationThroughSubmitPath(t *testing.T) {
 		Repo: d.Repo, Blob: d.Blob, Settings: d.Settings,
 		SysInfo: newSysInfo(d.fs), FS: d.fs, Runner: runner,
 		LocalDir: t.TempDir(), Now: d.Sim.Now,
-		Provision: func(idx int) (core.BenchNode, error) {
+		Provision: func(idx int, slabs *core.Slabs) (core.BenchNode, error) {
 			bsim := simclock.New()
 			bnode := hw.NewNode(bsim, hw.DefaultSpec(), calib, uint64(idx)+1)
 			bbmc := ipmi.NewBMC(bnode)
@@ -446,6 +446,7 @@ func TestStreamApplicationThroughSubmitPath(t *testing.T) {
 			if err != nil {
 				return core.BenchNode{}, err
 			}
+			bsystem.Slabs = slabs
 			return core.BenchNode{Cluster: bcluster, System: bsystem, Close: bsystem.Release}, nil
 		},
 	})
@@ -536,15 +537,16 @@ func TestParallelismDoesNotChangeResults(t *testing.T) {
 
 // The offline sweep's allocation count and volume are properties of the
 // code, not of the host: per configuration one provisioned
-// node/BMC/controller stack and one CSV buffer, with the sample slab
-// handed on from the configuration before — about eighty allocations
-// and little beyond the CSV's own bytes. It was ~360 and ~290 KB while
-// every stack grew its own sample slice, spent 64 KB on a job table
-// for one job and allocated a backing array per calendar bucket its
-// sampler touched, and 82 while the sampler ticked through a closure
-// event with a cancellation map.
+// node/BMC/controller stack, with the sample slab and the CSV buffer
+// handed on from the configurations before — under seventy allocations
+// and about 28 KB. It was ~360 and ~290 KB while every stack grew its
+// own sample slice, spent 64 KB on a job table for one job and
+// allocated a backing array per calendar bucket its sampler touched,
+// 82 while the sampler ticked through a closure event with a
+// cancellation map, and 56 KB while every configuration encoded its
+// CSV into a buffer of its own.
 func TestSweepAllocationsPerConfig(t *testing.T) {
-	const ceiling, bytesCeiling = 96, 71_000 // measured 77 and 56,001, plus a quarter
+	const ceiling, bytesCeiling = 85, 35_500 // measured 68 and 26,862–28,413, plus a quarter
 	configs := PaperSweepConfigs()
 	d := newDeployment(t, WithParallelism(1))
 	var sweepErr error

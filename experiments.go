@@ -238,7 +238,8 @@ func (d *Deployment) traceRun(name string, cfg Config) (*telemetry.Trace, error)
 	// The closing sample lands after the completion event has idled
 	// the node; drop anything sampled at or past job end so the trace
 	// covers exactly the run, as the paper's Figure 15 does.
-	for len(trace.Samples) > 0 && !trace.Samples[len(trace.Samples)-1].Time.Before(done.EndTime) {
+	end := done.EndTime.UnixNano()
+	for len(trace.Samples) > 0 && trace.Samples[len(trace.Samples)-1].Tick >= end {
 		trace.Samples = trace.Samples[:len(trace.Samples)-1]
 	}
 	return trace, nil

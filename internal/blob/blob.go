@@ -20,7 +20,10 @@ import (
 
 // Store is the File Repository interface.
 type Store interface {
-	// Put stores data under key, overwriting any previous value.
+	// Put stores data under key, overwriting any previous value. It
+	// does not retain data after it returns, torn or failed writes
+	// included: the caller may overwrite the slice at once, and the
+	// benchmark sweep does, encoding the next trace into the buffer.
 	Put(key string, data []byte) error
 	// Get returns the data stored under key.
 	Get(key string) ([]byte, error)

@@ -108,6 +108,26 @@ func TestInvalidKeysRejected(t *testing.T) {
 	}
 }
 
+// TestPutRetainsNothing is the Put contract the sweep's buffer reuse
+// rests on: once Put returns, overwriting the caller's slice changes
+// nothing Get returns.
+func TestPutRetainsNothing(t *testing.T) {
+	for name, s := range stores(t) {
+		data := []byte("0123456789")
+		if err := s.Put("traces/k.csv", data); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		copy(data, "XXXXXXXXXX")
+		got, err := s.Get("traces/k.csv")
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if string(got) != "0123456789" {
+			t.Fatalf("%s: Get after the caller reused its buffer = %q", name, got)
+		}
+	}
+}
+
 func TestMemoryIsolation(t *testing.T) {
 	m := NewMemory()
 	data := []byte("mutable")

@@ -24,6 +24,9 @@ const DefaultSampleInterval = 2 * time.Second
 type BenchmarkService struct {
 	deps Deps
 	log  *log.Logger
+	// slabs lends each configuration its sample slab (through the
+	// provisioner) and the buffer its trace CSV is encoded into.
+	slabs *Slabs
 	// Handles of the metrics the serial coordinator touches per row and
 	// per batch, resolved once so a commit takes no registry lock. All
 	// nil-safe when deps.Metrics is nil.
@@ -35,7 +38,7 @@ type BenchmarkService struct {
 
 func newBenchmarkService(deps Deps, logger *log.Logger) *BenchmarkService {
 	return &BenchmarkService{
-		deps: deps, log: logger,
+		deps: deps, log: logger, slabs: &Slabs{},
 		mRuns:       deps.Metrics.Counter(metricBenchmarkRuns),
 		mFailed:     deps.Metrics.Counter(metricBenchmarkFailed),
 		mJobRuntime: deps.Metrics.BucketedHistogram(metricBenchmarkJobRuntime),

@@ -42,7 +42,7 @@ type rig struct {
 	settings   settings.Store
 	chronus    *Chronus
 	plugin     *ecoplugin.Plugin
-	slabs      *SampleSlabs // shared by every node the rig provisions
+	slabs      *Slabs // the sweep's free list, lent to every node the rig provisions
 }
 
 // newRig is the default rig: the production sweep at parallelism 1,
@@ -87,8 +87,7 @@ func newPooledRig(t *testing.T, parallelism int, ledger *samplerLedger, hook fun
 	if err != nil {
 		t.Fatal(err)
 	}
-	slabs := &SampleSlabs{}
-	provision := func(idx int) (BenchNode, error) {
+	provision := func(idx int, slabs *Slabs) (BenchNode, error) {
 		if hook != nil {
 			if err := hook(idx); err != nil {
 				return BenchNode{}, err
@@ -138,7 +137,7 @@ func newPooledRig(t *testing.T, parallelism int, ledger *samplerLedger, hook fun
 
 	return &rig{sim: sim, node: node, controller: controller, fs: fs,
 		repo: repo, blob: chronus.deps.Blob, settings: st, chronus: chronus,
-		plugin: plugin, slabs: slabs}
+		plugin: plugin, slabs: chronus.Benchmark.slabs}
 }
 
 func cfg3(cores int, ghz float64, tpc int) perfmodel.Config {

@@ -84,7 +84,7 @@ type IPMISystemService struct {
 	// hands it back. The sweep provisioner shares one across the node
 	// stacks it builds, so consecutive configurations fill the same
 	// slab instead of each growing its own.
-	Slabs *SampleSlabs
+	Slabs *Slabs
 	trace *telemetry.Trace // the trace being (or last) filled, until Release
 }
 
@@ -100,7 +100,7 @@ func NewIPMISystemService(sim *simclock.Sim, bmc *ipmi.BMC, node *hw.Node, asRoo
 
 // StartSampling implements SystemService.
 func (s *IPMISystemService) StartSampling(interval time.Duration) func() *telemetry.Trace {
-	trace := &telemetry.Trace{Samples: s.Slabs.take()}
+	trace := &telemetry.Trace{Samples: s.Slabs.takeSamples()}
 	s.trace = trace
 	sampler := ipmi.NewSampler(s.Sim, s.Conn, s.Node, trace)
 	sampler.Start(interval)
@@ -115,43 +115,60 @@ func (s *IPMISystemService) StartSampling(interval time.Duration) func() *teleme
 // reading it. It is BenchNode.Close for a provisioned stack.
 func (s *IPMISystemService) Release() {
 	if s.trace != nil {
-		s.Slabs.give(s.trace.Samples)
+		s.Slabs.giveSamples(s.trace.Samples)
 		s.trace = nil
 	}
 }
 
-// SampleSlabs passes the sample storage of a finished trace on to the
-// next one. A slab is only ever capacity: it is lent out empty and
-// every sample in a trace was appended by that trace's own sampler, so
-// which slab a measurement happens to get cannot show in its result.
-// At most one slab is out per sweep worker, and each grows to the
-// longest trace that worker has met. Safe for concurrent use; the nil
-// value lends nothing.
-type SampleSlabs struct {
-	mu   sync.Mutex
-	free [][]telemetry.Sample
+// Slabs is the sweep's one free list of per-configuration storage: the
+// sample slab a trace fills and the buffer its CSV is encoded into,
+// each passed on from a configuration already measured to the next. A
+// slab is only ever capacity: it is lent out empty, and everything in
+// it was written by the measurement holding it, so which slab a
+// measurement happens to get cannot show in its result. A sample slab
+// comes back when its node stack closes; a CSV buffer once the blob
+// store's Put of it has returned (Put retains nothing). At most one of
+// each is out per sweep worker plus the results waiting to commit, and
+// each grows to the longest trace it has met. Safe for concurrent use.
+// A nil *Slabs lends no sample slab: an IPMISystemService built outside
+// a sweep grows its own.
+type Slabs struct {
+	mu      sync.Mutex
+	samples [][]telemetry.Sample
+	csv     [][]byte
 }
 
-func (p *SampleSlabs) take() []telemetry.Sample {
+func (p *Slabs) takeSamples() []telemetry.Sample {
 	if p == nil {
 		return nil
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := len(p.free)
+	return take(&p.mu, &p.samples)
+}
+
+func (p *Slabs) giveSamples(slab []telemetry.Sample) {
+	if p != nil {
+		give(&p.mu, &p.samples, slab)
+	}
+}
+
+func (p *Slabs) takeCSV() []byte { return take(&p.mu, &p.csv) }
+
+func (p *Slabs) giveCSV(buf []byte) { give(&p.mu, &p.csv, buf) }
+
+func take[T any](mu *sync.Mutex, free *[][]T) []T {
+	mu.Lock()
+	defer mu.Unlock()
+	n := len(*free)
 	if n == 0 {
 		return nil
 	}
-	slab := p.free[n-1]
-	p.free = p.free[:n-1]
+	slab := (*free)[n-1]
+	*free = (*free)[:n-1]
 	return slab
 }
 
-func (p *SampleSlabs) give(slab []telemetry.Sample) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.free = append(p.free, slab[:0])
-	p.mu.Unlock()
+func give[T any](mu *sync.Mutex, free *[][]T, slab []T) {
+	mu.Lock()
+	*free = append(*free, slab[:0])
+	mu.Unlock()
 }

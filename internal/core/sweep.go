@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"time"
 
+	"ecosched/internal/blob"
 	"ecosched/internal/perfmodel"
 	"ecosched/internal/repository"
 	"ecosched/internal/slurm"
@@ -35,7 +37,10 @@ type BenchNode struct {
 // measurement is a pure function of (configuration, calibration,
 // seed): that is the determinism guarantee that keeps sweep results —
 // rows, ids, winner — byte-identical at every parallelism level.
-type NodeProvisioner func(idx int) (BenchNode, error)
+// slabs is the sweep's free list; a stack whose System is an
+// IPMISystemService sets its Slabs to it, so the sample slabs and the
+// CSV buffers circulate through the one list.
+type NodeProvisioner func(idx int, slabs *Slabs) (BenchNode, error)
 
 // parallelism resolves the effective worker count for n jobs.
 func (s *BenchmarkService) parallelism(n int) int {
@@ -175,13 +180,17 @@ func (s *BenchmarkService) runPooled(ctx context.Context, runID, sysID int64, sy
 // per-row trace blobs, then all rows in a single batched repository
 // write. Rows are stamped and logged here, on the coordinator, so ids,
 // timestamps and log order follow configuration order at any
-// parallelism.
+// parallelism. Each CSV buffer goes back to the free list once its
+// Put returns. A trace blob exists exactly when its row persisted: a
+// failed commit deletes the blobs it stored for rows that did not land.
 func (s *BenchmarkService) commitBatch(batch []measured) error {
 	rows := make([]repository.Benchmark, len(batch))
 	for i, m := range batch {
 		if err := s.deps.Blob.Put(m.row.TraceKey, m.traceCSV); err != nil {
-			return err
+			// A torn Put may have left a prefix under its key.
+			return s.dropTraces(batch[:i+1], nil, err)
 		}
+		s.slabs.giveCSV(m.traceCSV)
 		m.row.Created = s.deps.Now()
 		rows[i] = m.row
 		s.log.Printf("GFLOP/s rating found: %.5f", m.row.GFLOPS)
@@ -189,10 +198,36 @@ func (s *BenchmarkService) commitBatch(batch []measured) error {
 		s.mJobRuntime.Observe(m.row.RuntimeSeconds)
 	}
 	if _, err := s.deps.Repo.SaveBenchmarks(rows); err != nil {
-		return err
+		// A torn batch persists a prefix of its rows; ask the
+		// repository which. If it cannot say, the blobs stay: a blob
+		// without a row is the side to err on, never a row without one.
+		persisted, lerr := s.deps.Repo.ListBenchmarks(rows[0].SystemID, rows[0].AppHash)
+		if lerr != nil {
+			return errors.Join(err, lerr)
+		}
+		return s.dropTraces(batch, persisted, err)
 	}
 	s.mBatchRows.Observe(float64(len(rows)))
 	return nil
+}
+
+// dropTraces deletes the trace blobs of the batch rows missing from
+// persisted after a commit failed with err, and returns err joined with
+// any deletion failure.
+func (s *BenchmarkService) dropTraces(batch []measured, persisted []repository.Benchmark, err error) error {
+	kept := make(map[string]bool, len(persisted))
+	for _, row := range persisted {
+		kept[row.TraceKey] = true
+	}
+	for _, m := range batch {
+		if kept[m.row.TraceKey] {
+			continue
+		}
+		if derr := s.deps.Blob.Delete(m.row.TraceKey); derr != nil && !errors.Is(derr, blob.ErrNotFound) {
+			err = errors.Join(err, derr)
+		}
+	}
+	return err
 }
 
 // measureConfig is the worker half of the paper's benchmarking flow
@@ -209,7 +244,7 @@ func (s *BenchmarkService) measureConfig(ctx context.Context, idx int, runID, sy
 		}
 	}()
 
-	node, err := s.deps.Provision(idx)
+	node, err := s.deps.Provision(idx, s.slabs)
 	if err != nil {
 		m.err = fmt.Errorf("core: provisioning node for config %s: %w", cfg, err)
 		return m
@@ -262,6 +297,6 @@ func (s *BenchmarkService) measureConfig(ctx context.Context, idx int, runID, sy
 		RuntimeSeconds: result.Runtime.Seconds(),
 		TraceKey:       traceKey,
 	}
-	m.traceCSV = trace.CSV()
+	m.traceCSV = trace.AppendCSV(s.slabs.takeCSV())
 	return m
 }

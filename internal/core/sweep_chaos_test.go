@@ -2,6 +2,9 @@ package core
 
 import (
 	"errors"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -26,6 +29,31 @@ func withSweepFaults(t *testing.T, r *rig, inj *fault.Injector) {
 	r.chronus = c
 }
 
+// requireTracesMatchRows asserts that a trace blob exists exactly for
+// the persisted rows: a failed commit leaves no blob without its row
+// and no row without its blob.
+func requireTracesMatchRows(t *testing.T, r *rig, rows []repository.Benchmark) {
+	t.Helper()
+	keys, err := r.blob.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var traces []string
+	for _, k := range keys {
+		if strings.HasPrefix(k, "traces/") {
+			traces = append(traces, k)
+		}
+	}
+	want := make([]string, len(rows))
+	for i, row := range rows {
+		want[i] = row.TraceKey
+	}
+	sort.Strings(want)
+	if !slices.Equal(traces, want) {
+		t.Fatalf("trace blobs %q, want exactly the persisted rows' %q", traces, want)
+	}
+}
+
 // TestPooledSweepTornBatchFault tears a repository batch write in
 // half mid-sweep: the sweep must report the failure, the persisted
 // rows must still be a contiguous prefix of the sweep order, and no
@@ -47,6 +75,7 @@ func TestPooledSweepTornBatchFault(t *testing.T) {
 		t.Fatal("torn batch persisted the whole sweep")
 	}
 	requireContiguousPrefix(t, rows, configs)
+	requireTracesMatchRows(t, r, rows)
 	if s, e := ledger.started.Load(), ledger.stopped.Load(); s != e {
 		t.Fatalf("%d samplers started but %d stopped", s, e)
 	}
@@ -77,6 +106,7 @@ func TestPooledSweepSaveErrorMidSweep(t *testing.T) {
 	if len(rows) != 1 {
 		t.Fatalf("%d rows persisted, want exactly the one batch committed before the fault", len(rows))
 	}
+	requireTracesMatchRows(t, r, rows)
 	if s, e := ledger.started.Load(), ledger.stopped.Load(); s != e {
 		t.Fatalf("%d samplers started but %d stopped", s, e)
 	}
@@ -99,12 +129,14 @@ func TestPooledSweepBlobFaultKeepsPrefix(t *testing.T) {
 	rows := listSweepRows(t, r)
 	requireContiguousPrefix(t, rows, configs)
 	// Every persisted row's trace blob must exist intact — no row may
-	// commit with its blob missing.
+	// commit with its blob missing — and the blobs the failed batch
+	// stored before the fault must be gone.
 	for _, row := range rows {
 		if _, err := r.blob.Get(row.TraceKey); err != nil {
 			t.Fatalf("row %d persisted without its trace blob: %v", row.ID, err)
 		}
 	}
+	requireTracesMatchRows(t, r, rows)
 }
 
 // TestPooledSweepDeterministicUnderLatencyFaults is the regression

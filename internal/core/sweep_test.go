@@ -127,9 +127,11 @@ func TestPooledSweepDeterministicAcrossParallelism(t *testing.T) {
 
 // TestReusedSampleSlabLeaksNothing: one worker measures a long
 // configuration (1 core at the lowest frequency — the longest trace of
-// the sweep) and then a short one on the slab the long one grew. The
-// short one's row and CSV must be what measuring it alone gives, at
-// the same configuration index: the slab is capacity, never content.
+// the sweep) and then a short one on the sample slab and the CSV buffer
+// the long one grew, the buffer handed back as commitBatch hands it
+// back once stored. The short one's row and CSV must be what measuring
+// it alone gives, at the same configuration index: a slab is capacity,
+// never content.
 func TestReusedSampleSlabLeaksNothing(t *testing.T) {
 	long, short := cfg3(1, 1.5, 1), cfg3(32, 2.5, 1)
 	measure := func(r *rig, idx int, cfg perfmodel.Config) measured {
@@ -145,17 +147,22 @@ func TestReusedSampleSlabLeaksNothing(t *testing.T) {
 
 	r := newRig(t)
 	first := measure(r, 0, long)
-	if len(r.slabs.free) != 1 {
-		t.Fatalf("%d slabs handed back after one measurement, want 1", len(r.slabs.free))
+	if len(r.slabs.samples) != 1 {
+		t.Fatalf("%d slabs handed back after one measurement, want 1", len(r.slabs.samples))
 	}
-	slab := r.slabs.free[0]
+	slab := r.slabs.samples[0]
 	longSamples := strings.Count(string(first.traceCSV), "\n") - 1
 	if len(slab) != 0 || cap(slab) < longSamples {
 		t.Fatalf("slab handed back with len %d cap %d after a %d-sample trace", len(slab), cap(slab), longSamples)
 	}
+	buf, longBytes := first.traceCSV, len(first.traceCSV)
+	r.slabs.giveCSV(buf)
 	after := measure(r, 1, short)
-	if len(r.slabs.free) != 1 || &r.slabs.free[0][:1][0] != &slab[:1][0] {
+	if len(r.slabs.samples) != 1 || &r.slabs.samples[0][:1][0] != &slab[:1][0] {
 		t.Fatal("the short configuration did not run on the long one's slab")
+	}
+	if len(r.slabs.csv) != 0 || &after.traceCSV[0] != &buf[0] {
+		t.Fatal("the short configuration's CSV was not encoded into the long one's buffer")
 	}
 
 	if after.row != alone.row {
@@ -164,8 +171,9 @@ func TestReusedSampleSlabLeaksNothing(t *testing.T) {
 	if string(after.traceCSV) != string(alone.traceCSV) {
 		t.Fatalf("trace CSV differs after slab reuse: %d bytes alone, %d after", len(alone.traceCSV), len(after.traceCSV))
 	}
-	if shortSamples := strings.Count(string(after.traceCSV), "\n") - 1; shortSamples >= longSamples {
-		t.Fatalf("short trace has %d samples, long %d: the test does not cover stale samples past the end", shortSamples, longSamples)
+	if shortSamples := strings.Count(string(after.traceCSV), "\n") - 1; shortSamples >= longSamples || len(after.traceCSV) >= longBytes {
+		t.Fatalf("short trace has %d samples (%d bytes), long %d (%d): the test does not cover stale content past the end",
+			shortSamples, len(after.traceCSV), longSamples, longBytes)
 	}
 }
 

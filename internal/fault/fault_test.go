@@ -450,6 +450,40 @@ func TestBlobDecorator(t *testing.T) {
 	}
 }
 
+// TestBlobDecoratorPutRetainsNothing holds the decorator to the
+// blob.Store Put contract over both stores, a torn Put included: once
+// Put returns, overwriting the caller's slice changes nothing stored.
+func TestBlobDecoratorPutRetainsNothing(t *testing.T) {
+	dir, err := blob.NewDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, inner := range map[string]blob.Store{"dir": dir, "memory": blob.NewMemory()} {
+		inj := New(1)
+		store := Blob(inner, inj)
+		data := []byte("0123456789")
+		if err := store.Put("whole", data); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		copy(data, "XXXXXXXXXX")
+		inj.Use(Rule{Op: OpBlobPut, Mode: ModeTorn, Fraction: 0.3})
+		data = []byte("0123456789")
+		if err := store.Put("torn", data); !errors.Is(err, ErrInjected) {
+			t.Fatalf("%s: torn Put err = %v", name, err)
+		}
+		copy(data, "XXXXXXXXXX")
+		for key, want := range map[string]string{"whole": "0123456789", "torn": "012"} {
+			got, err := store.Get(key)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if string(got) != want {
+				t.Fatalf("%s: Get(%q) after the caller reused its buffer = %q, want %q", name, key, got, want)
+			}
+		}
+	}
+}
+
 func TestSettingsAndSysInfoDecorators(t *testing.T) {
 	inj := New(1)
 	inj.Use(Rule{Op: "settings.*", Mode: ModeError})

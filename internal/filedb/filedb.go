@@ -5,15 +5,18 @@
 // records with an in-memory primary-key index rebuilt on open.
 //
 // The store survives process restarts, detects corruption and
-// tolerates a torn final record (crash during append). Records are
-// only ever put (inserted or replaced); the log is never rewritten. It
-// is safe for concurrent use by multiple goroutines.
+// tolerates a torn final record (crash during append). A write that
+// fails is cut back off the log, so a table shows what a reopen would
+// load. Records are only ever put (inserted or replaced); the log is
+// never rewritten. It is safe for concurrent use by multiple
+// goroutines.
 package filedb
 
 import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -85,8 +88,13 @@ type Table struct {
 	mu     sync.Mutex
 	path   string
 	f      *os.File
+	size   int64            // length of the log: the end of its last record
 	index  map[int64]record // id → latest live record
 	nextID int64
+	// broken, once set, fails every write: a failed write could not be
+	// cut back off the log, and a record appended after its torn tail
+	// would be lost to replay.
+	broken error
 }
 
 type record struct {
@@ -157,6 +165,7 @@ func (t *Table) replay() error {
 	if _, err := t.f.Seek(0, io.SeekEnd); err != nil {
 		return fmt.Errorf("filedb: %w", err)
 	}
+	t.size = int64(validEnd)
 	return nil
 }
 
@@ -176,10 +185,45 @@ func (t *Table) appendRecord(rec record) error {
 	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
 	buf := append(hdr[:], payload...)
-	if _, err := t.f.Write(buf); err != nil {
-		return fmt.Errorf("filedb: append %s: %w", t.path, err)
+	return t.write(buf, []record{rec})
+}
+
+// write appends buf to the log and applies recs to the index; buf is
+// recs framed back to back. A failed write
+// (a full disk stops one short) is cut back off the log, so the index
+// and a later replay agree that none of recs landed. Should the cut
+// fail too, the log keeps what the write got out, replay will load the
+// records it completed, and so the index takes exactly those; the
+// table then fails every later write.
+func (t *Table) write(buf []byte, recs []record) error {
+	if t.broken != nil {
+		return t.broken
 	}
-	return nil
+	n, err := t.f.Write(buf)
+	if err == nil {
+		t.size += int64(n)
+		for _, rec := range recs {
+			t.apply(rec)
+		}
+		return nil
+	}
+	err = fmt.Errorf("filedb: append %s: %w", t.path, err)
+	if terr := t.f.Truncate(t.size); terr != nil {
+		end := 0
+		for _, rec := range recs {
+			if end += 8 + int(binary.LittleEndian.Uint32(buf[end:])); end > n {
+				break
+			}
+			t.apply(rec)
+		}
+		t.broken = fmt.Errorf("filedb: %s keeps a torn tail: %w", t.path, terr)
+	} else if _, serr := t.f.Seek(t.size, io.SeekStart); serr != nil {
+		t.broken = fmt.Errorf("filedb: %s: %w", t.path, serr)
+	}
+	if t.broken != nil {
+		return errors.Join(err, t.broken)
+	}
+	return err
 }
 
 // Insert stores v under a fresh auto-increment id and returns the id.
@@ -191,11 +235,9 @@ func (t *Table) Insert(v any) (int64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	id := t.nextID
-	rec := record{Op: "put", ID: id, Data: data}
-	if err := t.appendRecord(rec); err != nil {
+	if err := t.appendRecord(record{Op: "put", ID: id, Data: data}); err != nil {
 		return 0, err
 	}
-	t.apply(rec)
 	return id, nil
 }
 
@@ -204,9 +246,9 @@ func (t *Table) Insert(v any) (int64, error) {
 // transaction. value is called with each slot index and the id that
 // slot will receive, so callers can embed the final id in the stored
 // payload (no follow-up Update records). The batch is laid out
-// front-to-back in one Write; a crash mid-write leaves a torn tail
-// that replay truncates, so the surviving records are always a
-// contiguous id-prefix of the batch.
+// front-to-back in one Write. A failed write stores none of it; a
+// crash mid-write leaves a torn tail that replay truncates, so the
+// surviving records are always a contiguous id-prefix of the batch.
 func (t *Table) InsertMany(n int, value func(i int, id int64) (any, error)) ([]int64, error) {
 	if n <= 0 {
 		return nil, nil
@@ -238,11 +280,8 @@ func (t *Table) InsertMany(n int, value func(i int, id int64) (any, error)) ([]i
 		buf.Write(payload)
 		ids[i], recs[i] = id, rec
 	}
-	if _, err := t.f.Write(buf.Bytes()); err != nil {
-		return nil, fmt.Errorf("filedb: append %s: %w", t.path, err)
-	}
-	for _, rec := range recs {
-		t.apply(rec)
+	if err := t.write(buf.Bytes(), recs); err != nil {
+		return nil, err
 	}
 	return ids, nil
 }
@@ -258,12 +297,7 @@ func (t *Table) Update(id int64, v any) error {
 	if _, ok := t.index[id]; !ok {
 		return fmt.Errorf("%w: id %d", ErrNotFound, id)
 	}
-	rec := record{Op: "put", ID: id, Data: data}
-	if err := t.appendRecord(rec); err != nil {
-		return err
-	}
-	t.apply(rec)
-	return nil
+	return t.appendRecord(record{Op: "put", ID: id, Data: data})
 }
 
 // Get unmarshals the record stored under id into v.

@@ -93,12 +93,24 @@ type Node struct {
 	tempC      float64
 	lastTick   int64 // simulated tick of the last accounting step (simclock.NowTick)
 	sysJ, cpuJ float64
+	// cosTick/cosVal memo the closing boundary term of the last
+	// meanCPUPower, cos(w·t+φ) at cosTick, for the running job
+	// (StartJob resets cosTick to noTick). advance integrates
+	// back-to-back intervals, so one interval's closing term is the
+	// next one's opening term: the same inputs, so the same float, at
+	// one cosine per step.
+	cosTick int64
+	cosVal  float64
 	// jobSlot is the reusable Job record handed out by StartJob —
 	// exclusive allocation means at most one is live, so the node owns
 	// a single slot instead of allocating per start (the controller's
 	// dispatch path runs millions of starts per cluster run).
 	jobSlot Job
 }
+
+// noTick is a tick no accounting step starts at: the cosine memo's
+// empty key.
+const noTick = math.MinInt64
 
 // Job is an active occupancy of the node.
 type Job struct {
@@ -285,6 +297,7 @@ func (n *Node) StartJob(cfg perfmodel.Config) (*Job, error) {
 		n.jobAmp = n.calib.PhaseAmplitude[n.calib.NearestPState(j.Config.FreqKHz)]
 	}
 	n.jobPhase = n.rng.Float64() * 2 * math.Pi
+	n.cosTick = noTick
 	return j, nil
 }
 
@@ -321,9 +334,9 @@ func (n *Node) cpuPowerAt(at int64) float64 {
 	return n.jobBaseW * (1 + n.jobAmp*osc)
 }
 
-// meanCPUPower integrates cpuPowerAt over the tick interval [a, b] in
-// closed form.
-func (n *Node) meanCPUPower(a, b int64) float64 {
+// meanCPUPower integrates cpuPowerAt over the tick interval [a, b], dt
+// seconds long, in closed form.
+func (n *Node) meanCPUPower(a, b int64, dt float64) float64 {
 	if b <= a {
 		return n.cpuPowerAt(a)
 	}
@@ -333,12 +346,17 @@ func (n *Node) meanCPUPower(a, b int64) float64 {
 	if n.jobAmp == 0 {
 		return n.jobBaseW
 	}
-	dt := time.Duration(b - a).Seconds()
 	w := 2 * math.Pi / n.calib.PhasePeriodS
-	t0 := time.Duration(a - n.jobStartTick).Seconds()
 	t1 := time.Duration(b - n.jobStartTick).Seconds()
 	// ∫ sin(w·t+φ) dt = (cos(w·t0+φ) − cos(w·t1+φ)) / w
-	integral := (math.Cos(w*t0+n.jobPhase) - math.Cos(w*t1+n.jobPhase)) / w
+	c0 := n.cosVal
+	if n.cosTick != a {
+		t0 := time.Duration(a - n.jobStartTick).Seconds()
+		c0 = math.Cos(w*t0 + n.jobPhase)
+	}
+	c1 := math.Cos(w*t1 + n.jobPhase)
+	n.cosTick, n.cosVal = b, c1
+	integral := (c0 - c1) / w
 	return n.jobBaseW * (1 + n.jobAmp*integral/dt)
 }
 
@@ -351,7 +369,7 @@ func (n *Node) advance() {
 		return
 	}
 	dt := time.Duration(nowTick - n.lastTick).Seconds()
-	meanCPU := n.meanCPUPower(n.lastTick, nowTick)
+	meanCPU := n.meanCPUPower(n.lastTick, nowTick, dt)
 	tss := n.calib.SteadyTempC(meanCPU)
 	tau := n.calib.ThermalTauS
 

@@ -76,16 +76,23 @@ func (b *BMC) Open(asRoot bool) (*Conn, error) {
 	return &Conn{bmc: b}, nil
 }
 
-// readings evaluates the node once and returns its three sensors in
-// SDR order: every reading of one call describes the same instant of
-// the same power model, and a sampler tick costs one evaluation.
-func (c *Conn) readings() [3]Reading {
+// values evaluates the node once and returns its three sensors'
+// quantised values in SDR order: every value of one call describes the
+// same instant of the same power model, and a sampler tick costs one
+// evaluation.
+func (c *Conn) values() (systemW, cpuW, tempC float64) {
 	b := c.bmc
-	systemW, cpuW, tempC := b.node.Sensors()
+	systemW, cpuW, tempC = b.node.Sensors()
+	return quantize(systemW, b.powerStepW), quantize(cpuW, b.powerStepW), quantize(tempC, b.tempStepC)
+}
+
+// readings returns the three sensors of one evaluation as SDR rows.
+func (c *Conn) readings() [3]Reading {
+	systemW, cpuW, tempC := c.values()
 	return [3]Reading{
-		{SensorTotalPower, quantize(systemW, b.powerStepW), "Watts"},
-		{SensorCPUPower, quantize(cpuW, b.powerStepW), "Watts"},
-		{SensorCPUTemp, quantize(tempC, b.tempStepC), "degrees C"},
+		{SensorTotalPower, systemW, "Watts"},
+		{SensorCPUPower, cpuW, "Watts"},
+		{SensorCPUTemp, tempC, "degrees C"},
 	}
 }
 
@@ -132,7 +139,7 @@ func (a *sampleTick) Fire(gen uint64) {
 	if gen != s.gen {
 		return
 	}
-	s.sampleNow(s.sim.Now())
+	s.sampleNow(s.sim.NowTick())
 	s.sim.AfterAction(s.interval, a, gen)
 }
 
@@ -151,24 +158,24 @@ func (s *Sampler) Start(interval time.Duration) {
 	}
 	s.interval = interval
 	s.gen++
-	s.sampleNow(s.sim.Now())
+	s.sampleNow(s.sim.NowTick())
 	s.sim.AfterAction(interval, &s.tick, s.gen)
 }
 
 // Stop halts sampling and takes one final sample to close the window.
 func (s *Sampler) Stop() {
 	s.gen++
-	s.sampleNow(s.sim.Now())
+	s.sampleNow(s.sim.NowTick())
 }
 
-func (s *Sampler) sampleNow(now time.Time) {
-	r := s.conn.readings()
+func (s *Sampler) sampleNow(tick int64) {
+	systemW, cpuW, tempC := s.conn.values()
 	// Append never fails here: the simulated clock only moves forward.
 	_ = s.trace.Append(telemetry.Sample{
-		Time:     now,
-		SystemW:  r[0].Value,
-		CPUW:     r[1].Value,
-		CPUTempC: r[2].Value,
+		Tick:     tick,
+		SystemW:  systemW,
+		CPUW:     cpuW,
+		CPUTempC: tempC,
 		FreqKHz:  s.node.CurrentFreqKHz(),
 	})
 }

@@ -166,7 +166,7 @@ func TestSamplerTicksAtInterval(t *testing.T) {
 		t.Fatalf("sampled %d times, want %d", tr.Len(), len(want))
 	}
 	for i, w := range want {
-		if got := tr.Samples[i].Time.Sub(simclock.Epoch); got != w {
+		if got := time.Duration(tr.Samples[i].Tick - simclock.Epoch.UnixNano()); got != w {
 			t.Fatalf("sample %d at +%v, want +%v", i, got, w)
 		}
 	}

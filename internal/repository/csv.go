@@ -1,7 +1,9 @@
 package repository
 
 import (
+	"bytes"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -24,6 +26,10 @@ type CSVRepo struct {
 	runs       []Run
 	benchmarks []Benchmark
 	models     []ModelMeta
+	// broken, once set, fails every write: a failed append could not
+	// be cut back off benchmarks.csv, and a row appended after its torn
+	// tail would be lost to the next open.
+	broken error
 }
 
 // OpenCSV opens (creating if needed) a CSV repository rooted at dir.
@@ -134,10 +140,11 @@ func (r *CSVRepo) SaveBenchmarks(bs []Benchmark) ([]int64, error) {
 		ids[i] = bs[i].ID
 		rows[i] = benchmarkRow(bs[i])
 	}
-	if err := r.appendRows("benchmarks.csv", benchmarkHeader, rows); err != nil {
+	whole, err := r.appendRows("benchmarks.csv", benchmarkHeader, rows)
+	r.benchmarks = append(r.benchmarks, bs[:whole]...)
+	if err != nil {
 		return nil, err
 	}
-	r.benchmarks = append(r.benchmarks, bs...)
 	return ids, nil
 }
 
@@ -345,6 +352,9 @@ func (r *CSVRepo) loadFile(name string, fields int, row func([]string) error) er
 }
 
 func (r *CSVRepo) writeFile(name string, header []string, rows [][]string) error {
+	if r.broken != nil {
+		return r.broken
+	}
 	path := filepath.Join(r.dir, name)
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -414,25 +424,59 @@ func benchmarkRow(b Benchmark) []string {
 
 // appendRows appends rows to an existing CSV file in one write; when
 // the file does not exist yet it is created atomically with header +
-// rows. Unlike writeFile this is O(len(rows)), not O(total rows).
-func (r *CSVRepo) appendRows(name string, header []string, rows [][]string) error {
+// rows. Unlike writeFile this is O(len(rows)), not O(total rows). It
+// returns how many of rows are on the file whole. A failed write (a
+// full disk stops one short) is cut back off the file, which then
+// holds none of rows; a torn row left behind would fail every later
+// open. Should the cut fail too, the rows the write completed stay, and
+// the repository fails every later write.
+func (r *CSVRepo) appendRows(name string, header []string, rows [][]string) (whole int, err error) {
+	if r.broken != nil {
+		return 0, r.broken
+	}
 	path := filepath.Join(r.dir, name)
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if os.IsNotExist(err) {
-		return r.writeFile(name, header, rows)
+		if err := r.writeFile(name, header, rows); err != nil {
+			return 0, err
+		}
+		return len(rows), nil
 	}
 	if err != nil {
-		return fmt.Errorf("repository: %w", err)
+		return 0, fmt.Errorf("repository: %w", err)
 	}
-	w := csv.NewWriter(f)
-	werr := w.WriteAll(rows) // WriteAll flushes
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
+	var buf bytes.Buffer
+	ends := make([]int, len(rows)) // rows[i] ends at ends[i] in buf
+	w := csv.NewWriter(&buf)
+	for i, row := range rows {
+		w.Write(row)
+		w.Flush()
+		ends[i] = buf.Len()
 	}
-	if werr != nil {
-		return fmt.Errorf("repository: %w", werr)
+	err = w.Error()
+	var st os.FileInfo
+	if err == nil {
+		st, err = f.Stat()
 	}
-	return nil
+	if err == nil {
+		var n int
+		if n, err = f.Write(buf.Bytes()); err == nil {
+			whole = len(rows)
+		} else if terr := f.Truncate(st.Size()); terr != nil {
+			r.broken = fmt.Errorf("repository: %s keeps a torn tail: %w", path, terr)
+			for whole < len(rows) && ends[whole] <= n {
+				whole++
+			}
+			err = errors.Join(err, r.broken)
+		}
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return whole, fmt.Errorf("repository: %w", err)
+	}
+	return whole, nil
 }
 
 func (r *CSVRepo) writeModels() error {

@@ -13,19 +13,19 @@ import (
 
 // referenceWriteCSV is the trace encoder as it was before the append
 // encoder: encoding/csv over strconv.FormatFloat fields. It defines the
-// layout; Trace.CSV must match it byte for byte.
+// layout; Trace.AppendCSV must match it byte for byte.
 func referenceWriteCSV(tr *Trace, w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"seconds", "system_w", "cpu_w", "cpu_temp_c", "freq_khz"}); err != nil {
 		return err
 	}
-	var t0 time.Time
+	var t0 int64
 	if len(tr.Samples) > 0 {
-		t0 = tr.Samples[0].Time
+		t0 = tr.Samples[0].Tick
 	}
 	for _, s := range tr.Samples {
 		rec := []string{
-			strconv.FormatFloat(s.Time.Sub(t0).Seconds(), 'f', 1, 64),
+			strconv.FormatFloat(time.Duration(s.Tick-t0).Seconds(), 'f', 1, 64),
 			strconv.FormatFloat(s.SystemW, 'f', 2, 64),
 			strconv.FormatFloat(s.CPUW, 'f', 2, 64),
 			strconv.FormatFloat(s.CPUTempC, 'f', 2, 64),
@@ -45,7 +45,7 @@ func encodeBoth(t *testing.T, tr *Trace) (got, want []byte) {
 	if err := referenceWriteCSV(tr, &w); err != nil {
 		t.Fatal(err)
 	}
-	return tr.CSV(), w.Bytes()
+	return tr.AppendCSV(nil), w.Bytes()
 }
 
 // edgeFloats are the values where a hand-rolled fixed-point formatter
@@ -78,16 +78,16 @@ func randomTrace(rng *rand.Rand, n int) *Trace {
 	at := epoch
 	for i := 0; i < n; i++ {
 		tr.Samples = append(tr.Samples, Sample{
-			Time: at, SystemW: randomFloat(rng), CPUW: randomFloat(rng), CPUTempC: randomFloat(rng),
+			Tick: at, SystemW: randomFloat(rng), CPUW: randomFloat(rng), CPUTempC: randomFloat(rng),
 			FreqKHz: rng.Intn(5_000_000) - 1000,
 		})
 		switch rng.Intn(3) {
 		case 0:
-			at = at.Add(time.Duration(rng.Intn(4)) * time.Second)
+			at += int64(time.Duration(rng.Intn(4)) * time.Second)
 		case 1: // multiples of 50 ms land on the ties of the one-decimal seconds column
-			at = at.Add(time.Duration(rng.Intn(100)) * 50 * time.Millisecond)
+			at += int64(time.Duration(rng.Intn(100)) * 50 * time.Millisecond)
 		default:
-			at = at.Add(time.Duration(rng.Int63n(int64(time.Hour))))
+			at += rng.Int63n(int64(time.Hour))
 		}
 	}
 	return tr
@@ -102,7 +102,7 @@ func TestWriteCSVMatchesReferenceEncoder(t *testing.T) {
 	})
 	t.Run("edges", func(t *testing.T) {
 		for _, v := range edgeFloats {
-			tr := &Trace{Samples: []Sample{{Time: epoch, SystemW: v, CPUW: -v, CPUTempC: v / 3, FreqKHz: -1}}}
+			tr := &Trace{Samples: []Sample{{Tick: epoch, SystemW: v, CPUW: -v, CPUTempC: v / 3, FreqKHz: -1}}}
 			got, want := encodeBoth(t, tr)
 			if !bytes.Equal(got, want) {
 				t.Errorf("value %v:\n got %q\nwant %q", v, got, want)
@@ -117,6 +117,22 @@ func TestWriteCSVMatchesReferenceEncoder(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("trace %d (%d samples):\n got %q\nwant %q", i, tr.Len(), got, want)
 			}
+		}
+	})
+	t.Run("appends", func(t *testing.T) {
+		// A buffer handed back by an earlier, longer trace: the result
+		// is the prefix plus exactly this trace's encoding, whatever the
+		// spare capacity still holds.
+		rng := rand.New(rand.NewSource(7))
+		buf := randomTrace(rng, 40).AppendCSV(nil)
+		short := randomTrace(rng, 5)
+		_, want := encodeBoth(t, short)
+		got := short.AppendCSV(append(buf[:0], "prefix"...))
+		if &got[0] != &buf[0] {
+			t.Fatal("AppendCSV reallocated a buffer with room to spare")
+		}
+		if string(got) != "prefix"+string(want) {
+			t.Fatalf("reused buffer:\n got %q\nwant prefix + %q", got, want)
 		}
 	})
 }

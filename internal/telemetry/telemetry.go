@@ -13,9 +13,12 @@ import (
 )
 
 // Sample is one telemetry observation — what Chronus records from the
-// BMC every 2–3 seconds during a benchmark (paper §3.1.2, §5.2).
+// BMC every 2–3 seconds during a benchmark (paper §3.1.2, §5.2). Its
+// instant is a simulated-clock tick, not a time.Time: a sample holds no
+// pointer, so a trace's slab is plain memory the garbage collector
+// never scans, and every interval is an integer difference.
 type Sample struct {
-	Time     time.Time
+	Tick     int64 // nanoseconds since the Unix epoch (simclock.Sim.NowTick)
 	SystemW  float64
 	CPUW     float64
 	CPUTempC float64
@@ -30,11 +33,24 @@ type Trace struct {
 
 // Append adds a sample. Samples must be appended in time order.
 func (tr *Trace) Append(s Sample) error {
-	if n := len(tr.Samples); n > 0 && s.Time.Before(tr.Samples[n-1].Time) {
-		return fmt.Errorf("telemetry: sample at %v before previous %v", s.Time, tr.Samples[n-1].Time)
+	if n := len(tr.Samples); n > 0 && s.Tick < tr.Samples[n-1].Tick {
+		return fmt.Errorf("telemetry: sample at tick %d before previous %d", s.Tick, tr.Samples[n-1].Tick)
 	}
-	tr.Samples = append(tr.Samples, s)
+	tr.Samples = append(grow(tr.Samples, 1), s)
 	return nil
+}
+
+// grow returns s with room for n more elements. A reallocation at
+// least doubles the capacity, where append adds only a quarter once a
+// slice is large: a sweep hands one sample slab and one CSV buffer on
+// from trace to trace, and its traces lengthen in small steps (the
+// paper sweep sets a new longest trace 63 times), so doubling keeps the
+// copies to a few per sweep.
+func grow[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make([]T, 0, max(len(s)+n, 2*cap(s))), s...)
 }
 
 // Len returns the number of samples.
@@ -45,7 +61,7 @@ func (tr *Trace) Duration() time.Duration {
 	if len(tr.Samples) < 2 {
 		return 0
 	}
-	return tr.Samples[len(tr.Samples)-1].Time.Sub(tr.Samples[0].Time)
+	return time.Duration(tr.Samples[len(tr.Samples)-1].Tick - tr.Samples[0].Tick)
 }
 
 // Aggregate summarises a trace the way Table 2 does.
@@ -83,28 +99,31 @@ func (tr *Trace) Aggregate() (Aggregate, error) {
 	agg.AvgCPUTempC = tempSum / n
 
 	for i := 1; i < len(tr.Samples); i++ {
-		dt := tr.Samples[i].Time.Sub(tr.Samples[i-1].Time).Seconds()
+		dt := time.Duration(tr.Samples[i].Tick - tr.Samples[i-1].Tick).Seconds()
 		agg.SystemKJ += (tr.Samples[i].SystemW + tr.Samples[i-1].SystemW) / 2 * dt / 1000
 		agg.CPUKJ += (tr.Samples[i].CPUW + tr.Samples[i-1].CPUW) / 2 * dt / 1000
 	}
 	return agg, nil
 }
 
-// CSV encodes the trace in the layout Chronus's CSV repository uses:
-// one row per sample, seconds-from-start first. No field this layout
-// produces needs CSV quoting, so rows are appended to one pre-sized
-// buffer directly; the result shares nothing with the trace.
-func (tr *Trace) CSV() []byte {
+// AppendCSV appends the trace, encoded in the layout Chronus's CSV
+// repository uses, to dst and returns the extended buffer: one row per
+// sample, seconds-from-start first. No field this layout produces needs
+// CSV quoting, so rows go straight into the buffer; a caller that
+// hands in the buffer of an earlier trace (truncated to zero length)
+// reuses its capacity. The result shares nothing with the trace.
+func (tr *Trace) AppendCSV(dst []byte) []byte {
 	const header = "seconds,system_w,cpu_w,cpu_temp_c,freq_khz\n"
 	const typicalRow = len("1234.0,123.00,123.00,45.00,2200000\n")
-	b := make([]byte, 0, len(header)+typicalRow*len(tr.Samples))
+	b := grow(dst, len(header)+typicalRow*len(tr.Samples))
 	b = append(b, header...)
-	var t0 time.Time
+	var t0 int64
 	if len(tr.Samples) > 0 {
-		t0 = tr.Samples[0].Time
+		t0 = tr.Samples[0].Tick
 	}
-	for _, s := range tr.Samples {
-		b = appendFixed(b, s.Time.Sub(t0).Seconds(), 1)
+	for i := range tr.Samples {
+		s := &tr.Samples[i]
+		b = appendFixed(b, time.Duration(s.Tick-t0).Seconds(), 1)
 		b = append(b, ',')
 		b = appendFixed(b, s.SystemW, 2)
 		b = append(b, ',')

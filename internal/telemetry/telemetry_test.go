@@ -8,13 +8,13 @@ import (
 	"time"
 )
 
-var epoch = time.Date(2023, 5, 10, 3, 0, 0, 0, time.UTC)
+var epoch = time.Date(2023, 5, 10, 3, 0, 0, 0, time.UTC).UnixNano()
 
 func rampTrace(n int, stepSeconds float64) *Trace {
 	tr := &Trace{Name: "ramp"}
 	for i := 0; i < n; i++ {
 		tr.Samples = append(tr.Samples, Sample{
-			Time:     epoch.Add(time.Duration(float64(i) * stepSeconds * float64(time.Second))),
+			Tick:     epoch + int64(float64(i)*stepSeconds*float64(time.Second)),
 			SystemW:  200 + float64(i%10),
 			CPUW:     100 + float64(i%10)/2,
 			CPUTempC: 60,
@@ -26,13 +26,13 @@ func rampTrace(n int, stepSeconds float64) *Trace {
 
 func TestAppendRejectsOutOfOrder(t *testing.T) {
 	tr := &Trace{}
-	if err := tr.Append(Sample{Time: epoch.Add(time.Second)}); err != nil {
+	if err := tr.Append(Sample{Tick: epoch + int64(time.Second)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Append(Sample{Time: epoch}); err == nil {
+	if err := tr.Append(Sample{Tick: epoch}); err == nil {
 		t.Fatal("out-of-order sample accepted")
 	}
-	if err := tr.Append(Sample{Time: epoch.Add(time.Second)}); err != nil {
+	if err := tr.Append(Sample{Tick: epoch + int64(time.Second)}); err != nil {
 		t.Fatalf("equal-time sample rejected: %v", err)
 	}
 }
@@ -40,7 +40,7 @@ func TestAppendRejectsOutOfOrder(t *testing.T) {
 func TestAggregateConstantPower(t *testing.T) {
 	tr := &Trace{Name: "const"}
 	for i := 0; i <= 100; i++ {
-		tr.Append(Sample{Time: epoch.Add(time.Duration(i) * 3 * time.Second), SystemW: 216.6, CPUW: 120.4, CPUTempC: 62.8})
+		tr.Append(Sample{Tick: epoch + int64(time.Duration(i)*3*time.Second), SystemW: 216.6, CPUW: 120.4, CPUTempC: 62.8})
 	}
 	agg, err := tr.Aggregate()
 	if err != nil {
@@ -63,7 +63,7 @@ func TestAggregateNeedsTwoSamples(t *testing.T) {
 	if _, err := tr.Aggregate(); err == nil {
 		t.Fatal("empty trace aggregated")
 	}
-	tr.Append(Sample{Time: epoch})
+	tr.Append(Sample{Tick: epoch})
 	if _, err := tr.Aggregate(); err == nil {
 		t.Fatal("single-sample trace aggregated")
 	}
@@ -73,7 +73,7 @@ func TestTrapezoidalIntegration(t *testing.T) {
 	// Linear ramp 0→100 W over 100 s = 5 kJ exactly under trapezoid.
 	tr := &Trace{}
 	for i := 0; i <= 100; i++ {
-		tr.Append(Sample{Time: epoch.Add(time.Duration(i) * time.Second), SystemW: float64(i), CPUW: float64(i) / 2})
+		tr.Append(Sample{Tick: epoch + int64(time.Duration(i)*time.Second), SystemW: float64(i), CPUW: float64(i) / 2})
 	}
 	agg, err := tr.Aggregate()
 	if err != nil {
@@ -88,7 +88,7 @@ func TestTrapezoidalIntegration(t *testing.T) {
 }
 
 func TestCSVHeaderPresent(t *testing.T) {
-	if got := string(rampTrace(2, 1).CSV()); !strings.HasPrefix(got, "seconds,system_w,cpu_w,cpu_temp_c,freq_khz") {
+	if got := string(rampTrace(2, 1).AppendCSV(nil)); !strings.HasPrefix(got, "seconds,system_w,cpu_w,cpu_temp_c,freq_khz") {
 		t.Fatalf("CSV header missing: %q", got[:40])
 	}
 }
@@ -99,7 +99,7 @@ func TestPowerSpread(t *testing.T) {
 		t.Fatal("empty trace has nonzero spread")
 	}
 	for i, w := range []float64{200, 250, 190, 240} {
-		tr.Append(Sample{Time: epoch.Add(time.Duration(i) * time.Second), SystemW: w})
+		tr.Append(Sample{Tick: epoch + int64(time.Duration(i)*time.Second), SystemW: w})
 	}
 	if got := tr.PowerSpread(); got != 60 {
 		t.Fatalf("PowerSpread = %v, want 60", got)
@@ -111,7 +111,7 @@ func TestDurationEmptyAndSingle(t *testing.T) {
 	if tr.Duration() != 0 {
 		t.Fatal("empty trace duration nonzero")
 	}
-	tr.Append(Sample{Time: epoch})
+	tr.Append(Sample{Tick: epoch})
 	if tr.Duration() != 0 {
 		t.Fatal("single-sample duration nonzero")
 	}
@@ -129,7 +129,7 @@ func TestAggregateEnergyBounds(t *testing.T) {
 		for i, v := range raw {
 			w := 100 + float64(v)
 			lo, hi = math.Min(lo, w), math.Max(hi, w)
-			tr.Append(Sample{Time: epoch.Add(time.Duration(i) * time.Second), SystemW: w})
+			tr.Append(Sample{Tick: epoch + int64(time.Duration(i)*time.Second), SystemW: w})
 		}
 		agg, err := tr.Aggregate()
 		if err != nil {
@@ -148,7 +148,7 @@ func TestDownsample(t *testing.T) {
 	if ds.Len() != 3 {
 		t.Fatalf("downsampled to %d samples, want 3", ds.Len())
 	}
-	if ds.Samples[1].Time != tr.Samples[10].Time {
+	if ds.Samples[1].Tick != tr.Samples[10].Tick {
 		t.Fatal("downsample did not keep every 10th sample")
 	}
 	// n ≤ 1 copies.
@@ -168,7 +168,7 @@ func TestPercentile(t *testing.T) {
 		t.Fatal("empty trace percentile nonzero")
 	}
 	for i, w := range []float64{100, 200, 300, 400} {
-		tr.Append(Sample{Time: epoch.Add(time.Duration(i) * time.Second), SystemW: w})
+		tr.Append(Sample{Tick: epoch + int64(time.Duration(i)*time.Second), SystemW: w})
 	}
 	if got := tr.Percentile(0); got != 100 {
 		t.Fatalf("p0 = %v", got)
