@@ -154,9 +154,10 @@ alloc-check:
 	$(GO) test -run XXX -bench 'CounterInc|BucketedHistogramObserve|GaugeSet|SimSchedule$$|SubmitSteadyState|PolicyPassSaturated|PolicyPassArrival|PolicyPassCompletion|EcoSubmitCacheHit|PredictCacheHit$$|SubmitLatency$$' -benchtime=1000x -benchmem . ./internal/metrics ./internal/simclock ./internal/slurm ./internal/ecoplugin | \
 	awk '{ print } /allocs\/op$$/ { seen++; limit = ($$1 ~ /^BenchmarkSubmitLatency/) ? 1 : 0; if ($$(NF-1) + 0 > limit) { bad = 1; print "alloc-check: " $$1 " allocates " $$(NF-1) " times per op, ceiling " limit } } END { if (seen < 11) { print "alloc-check: expected 11 benchmarks, saw " seen+0; exit 1 }; exit bad }'
 
-# serve-smoke boots `chronus serve` against a fresh data directory and
-# fails unless /metrics and /healthz answer 200 with the expected
-# content types.
+# serve-smoke journals a quick benchmark into a fresh data directory,
+# boots `chronus serve` on it, and fails unless /metrics, /healthz and
+# /trace answer 200 with the expected content, /trace holding the
+# benchmark's journalled span.
 serve-smoke:
 	./scripts/serve-smoke.sh
 

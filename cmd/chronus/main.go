@@ -88,11 +88,7 @@ func run(args []string) error {
 		ecosched.WithParallelism(*parallelism),
 	}
 	if *faultSpec != "" {
-		// A chaos run: inject the schedule and arm the retry policy the
-		// degraded-mode design pairs with it.
-		buildOpts = append(buildOpts,
-			ecosched.WithFault(*faultSpec),
-			ecosched.WithRetryPolicy(core.DefaultRetryPolicy()))
+		buildOpts = append(buildOpts, ecosched.WithFault(*faultSpec))
 	}
 	if *faultSeed != 0 {
 		buildOpts = append(buildOpts, ecosched.WithFaultSeed(*faultSeed))

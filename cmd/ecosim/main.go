@@ -140,7 +140,8 @@ func printDecision(d *ecosched.Deployment, jobID int) {
 		fmt.Println(line)
 		return
 	}
-	// An untraced or unmatched submission (e.g. the trace aged out of
-	// the ring) still gets a line, so the output stays parseable.
+	// An untraced or unmatched submission (e.g. its records were
+	// dropped from a full trace buffer) still gets a line, so the
+	// output stays parseable.
 	fmt.Printf("decision job=%d verdict=unknown\n", jobID)
 }

@@ -94,10 +94,6 @@ type Options struct {
 	// FaultSeed seeds the fault injector's deterministic schedule
 	// (default Seed), so a chaos run reproduces from its seed alone.
 	FaultSeed uint64
-	// Retry tunes Chronus's bounded retry-with-backoff on transient
-	// load stages (core.DefaultRetryPolicy is the chaos tuning). The
-	// zero value disables retrying.
-	Retry core.RetryPolicy
 }
 
 // Option mutates Options — the functional configuration of New.
@@ -124,10 +120,6 @@ func WithFault(spec string) Option { return func(o *Options) { o.FaultSpec = spe
 // simulation seed.
 func WithFaultSeed(seed uint64) Option { return func(o *Options) { o.FaultSeed = seed } }
 
-// WithRetryPolicy enables bounded retry-with-backoff on Chronus's
-// transient load stages.
-func WithRetryPolicy(p core.RetryPolicy) Option { return func(o *Options) { o.Retry = p } }
-
 // hpcgPath is where the paper installs the benchmark binary.
 const hpcgPath = "/opt/hpcg/build/bin/xhpcg"
 
@@ -149,8 +141,8 @@ type Deployment struct {
 	// CLI invocations (`chronus metrics` reads that file).
 	Metrics *metrics.Registry
 	// Tracer is the deployment-wide decision tracer (nil unless
-	// tracing was enabled). Completed spans land in its in-memory ring
-	// and, via the journal, in <data>/events.jsonl.
+	// tracing was enabled). Completed spans land in its journal,
+	// <data>/events.jsonl.
 	Tracer *trace.Tracer
 	// Fault is the deployment-wide fault injector, always wired across
 	// every storage, procfs and IPMI integration point. With no rules
@@ -230,7 +222,7 @@ func New(dataDir string, options ...Option) (_ *Deployment, err error) {
 			return nil, err
 		}
 		closers = append(closers, journal.Close)
-		tracer = trace.New(trace.WithJournal(journal), trace.WithMetrics(reg))
+		tracer = trace.New(journal, trace.WithMetrics(reg))
 		// Appended after journal.Close so the reversed teardown stops
 		// the async drainer (final flush included) before the journal
 		// file closes underneath it.
@@ -246,7 +238,7 @@ func New(dataDir string, options ...Option) (_ *Deployment, err error) {
 	if faultSeed == 0 {
 		faultSeed = opts.Seed
 	}
-	inj := fault.New(faultSeed, fault.WithClock(sim.Now), fault.WithMetrics(reg), fault.WithTracer(tracer))
+	inj := fault.New(faultSeed, fault.WithMetrics(reg), fault.WithTracer(tracer))
 	if opts.FaultSpec != "" {
 		rules, err := fault.ParsePlan(opts.FaultSpec)
 		if err != nil {
@@ -331,7 +323,6 @@ func New(dataDir string, options ...Option) (_ *Deployment, err error) {
 		LogW:     opts.LogW,
 		Metrics:  reg,
 		Tracer:   tracer,
-		Retry:    retryPolicy(opts),
 		ReadFile: fault.ReadFile(os.ReadFile, inj),
 
 		Provision:   provision,
@@ -357,21 +348,11 @@ func New(dataDir string, options ...Option) (_ *Deployment, err error) {
 		fs: fs, dataDir: dataDir,
 	}
 	// Registered last → run first on Close: drain in-flight predictions
-	// (and the retry backoffs inside them) before anything persists or
+	// (and the retries inside them) before anything persists or
 	// closes, then flush metrics while the stores are still alive.
 	closers = append(closers, d.persistMetrics, func() error { chronus.Drain(); return nil })
 	d.closers = closers
 	return d, nil
-}
-
-// retryPolicy resolves the deployment's retry policy, defaulting its
-// jitter seed to the simulation seed so one seed reproduces the run.
-func retryPolicy(opts Options) core.RetryPolicy {
-	p := opts.Retry
-	if p.Seed == 0 {
-		p.Seed = opts.Seed
-	}
-	return p
 }
 
 // Close tears down everything the deployment acquired, in reverse
@@ -433,12 +414,17 @@ func (d *Deployment) persistMetrics() error {
 	return nil
 }
 
-// DecisionTrace returns the completed spans of the submission trace
-// for a job, from the tracer's in-memory ring — the live counterpart
-// of `chronus trace <job>`, which replays the journal. It returns nil
-// when tracing is off or the job's trace has aged out of the ring.
+// DecisionTrace returns the completed spans of the latest submission
+// trace for a job: it drains the tracer and replays the journal, as
+// `chronus trace <job>` does. It returns nil when tracing is off or
+// the journal holds no trace for the job.
 func (d *Deployment) DecisionTrace(jobID int) []trace.Event {
-	return trace.TraceFor(d.Tracer.Recent(), fmt.Sprint(jobID))
+	if d.Tracer == nil {
+		return nil
+	}
+	d.Tracer.Drain()
+	events, _ := trace.ReadJournal(filepath.Join(d.dataDir, EventsFile))
+	return trace.TraceFor(events, fmt.Sprint(jobID))
 }
 
 // ReadMetrics loads the accumulated metrics snapshot for a data

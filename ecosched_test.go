@@ -19,6 +19,7 @@ import (
 	"ecosched/internal/repository"
 	"ecosched/internal/simclock"
 	"ecosched/internal/slurm"
+	"ecosched/internal/workload"
 )
 
 func newDeployment(t *testing.T, opts ...Option) *Deployment {
@@ -365,38 +366,36 @@ func TestGovernorAblation(t *testing.T) {
 	}
 }
 
-// bandwidthWork plans a bandwidth-bound code in closed form: past a
-// couple of cores the memory roof binds at every frequency, so the run
-// takes as long at 1.5 GHz as at 2.5 GHz and frequency only costs
-// energy.
-type bandwidthWork struct{}
+// bandwidthRunner is a second application: a bandwidth-bound code
+// planned in closed form. Past a couple of cores the memory roof binds
+// at every frequency, so the run takes as long at 1.5 GHz as at
+// 2.5 GHz and frequency only costs energy. It is HPCGRunner's sbatch
+// submission under its own binary path, running that runtime as a
+// sleep shape and reporting the roof-bound throughput.
+type bandwidthRunner struct{ *core.HPCGRunner }
 
 const (
 	bandwidthRoofGFLOPS = 11.0
 	bandwidthJobGFLOP   = bandwidthRoofGFLOPS * 600 // ~10 minutes at the roof
 )
 
-func (bandwidthWork) Name() string { return "stream" }
-
-func (bandwidthWork) Plan(_ *hw.Node, cfg perfmodel.Config) (time.Duration, float64) {
-	g := math.Min(4*float64(cfg.Cores)*float64(cfg.FreqKHz)/1e6, bandwidthRoofGFLOPS)
-	return time.Duration(bandwidthJobGFLOP / g * float64(time.Second)), g
-}
-
-// bandwidthRunner is a second application: HPCGRunner's sbatch
-// submission over bandwidthWork under its own binary path.
-type bandwidthRunner struct{ *core.HPCGRunner }
-
 func newBandwidthRunner(c *slurm.Controller, path string) (core.ApplicationRunner, error) {
 	r, err := core.NewHPCGRunner(c, path, bandwidthJobGFLOP)
 	if err != nil {
 		return nil, err
 	}
-	c.RegisterWorkload(path, bandwidthWork{})
 	return bandwidthRunner{r}, nil
 }
 
 func (r bandwidthRunner) Name() string { return "stream" }
+
+func (r bandwidthRunner) Run(cfg perfmodel.Config) (core.RunResult, error) {
+	g := math.Min(4*float64(cfg.Cores)*float64(cfg.FreqKHz)/1e6, bandwidthRoofGFLOPS)
+	r.Controller.RegisterWorkload(r.HPCGPath, workload.Sleep("stream", time.Duration(bandwidthJobGFLOP/g*float64(time.Second))))
+	res, err := r.HPCGRunner.Run(cfg)
+	res.GFLOPS = g
+	return res, err
+}
 
 func (r bandwidthRunner) Rebind(c *slurm.Controller) (core.ApplicationRunner, error) {
 	return newBandwidthRunner(c, r.HPCGPath)

@@ -76,14 +76,6 @@ type Deps struct {
 	// trace type is nil-safe, so the hot path carries no overhead).
 	Tracer *trace.Tracer
 
-	// Retry tunes bounded retry-with-backoff on the transient load
-	// stages (settings load, model read, db query, blob fetch). The
-	// zero value disables retrying — the seed behavior.
-	Retry RetryPolicy
-	// Sleep is the backoff hook; nil skips the wait (simulated
-	// deployments advance no real time during backoff, and internal/core
-	// is a deterministic package — time.Sleep is lint-forbidden here).
-	Sleep func(time.Duration)
 	// ReadFile reads pre-loaded model files; nil means os.ReadFile.
 	// The composition root swaps in a fault-injecting reader so chaos
 	// runs can tear model reads without touching the real disk.
@@ -138,11 +130,11 @@ type Chronus struct {
 }
 
 // Drain blocks until every in-flight prediction — including any
-// backoff retries it is sleeping through — has returned, then flushes
-// the async trace journal. Deployment teardown calls this first, so
-// closing the repository never races a retry loop that would otherwise
-// keep poking a half-closed store, and every span those predictions
-// emitted is on disk before the journal closes.
+// retries of its load stages — has returned, then flushes the async
+// trace journal. Deployment teardown calls this first, so closing the
+// repository never races a retry loop that would otherwise keep poking
+// a half-closed store, and every span those predictions emitted is on
+// disk before the journal closes.
 func (c *Chronus) Drain() {
 	c.inflight.drain()
 	c.deps.Tracer.Drain()
@@ -200,7 +192,7 @@ func New(deps Deps) (*Chronus, error) {
 	c.InitModel = &InitModelService{deps: deps, log: logger}
 	c.LoadModel = &LoadModelService{deps: deps, log: logger, cache: cache}
 	c.Predict = &PredictService{
-		deps: deps, cache: cache, retry: newRetrier(deps), inflight: c.inflight,
+		deps: deps, cache: cache, inflight: c.inflight,
 		// Hot-path handles resolved once: the cache-hit path must not
 		// take the registry map lock per submit. All nil-safe when
 		// deps.Metrics is nil.

@@ -32,7 +32,7 @@ const (
 	// same name doubles as the degradation trace event.
 	metricPredictDegraded = "chronus.predict.degraded"
 	eventPredictDegraded  = "chronus.predict.degraded"
-	// metricRetryPrefix + stage counts backoff retries per load stage.
+	// metricRetryPrefix + stage counts retries per load stage.
 	metricRetryPrefix     = "chronus.retry."
 	eventRetryBackoff     = "chronus.retry.backoff"
 	metricSweepWorkers    = "chronus.sweep.workers"

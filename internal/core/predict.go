@@ -44,7 +44,6 @@ const (
 type PredictService struct {
 	deps     Deps
 	cache    *modelCache
-	retry    *retrier
 	inflight *inflight
 	// AllowColdLoad permits falling back to the database + blob
 	// storage when no model is pre-loaded. The A2 ablation enables it
@@ -163,7 +162,7 @@ func (s *PredictService) load(ctx context.Context, req ecoplugin.PredictRequest)
 
 	latency := LatencyLocalRead // the settings lookup below
 	var cfg settings.Settings
-	err = s.retry.do(ctx, stageSettingsLoad, func() error {
+	err = s.retry(ctx, stageSettingsLoad, func() error {
 		var lerr error
 		cfg, lerr = s.deps.Settings.Load()
 		return lerr
@@ -183,7 +182,7 @@ func (s *PredictService) load(ctx context.Context, req ecoplugin.PredictRequest)
 			read = os.ReadFile
 		}
 		var data []byte
-		err = s.retry.do(ctx, stageModelRead, func() error {
+		err = s.retry(ctx, stageModelRead, func() error {
 			var rerr error
 			data, rerr = read(local.Path)
 			return rerr
@@ -222,7 +221,7 @@ func (s *PredictService) load(ctx context.Context, req ecoplugin.PredictRequest)
 		dbs.SetAttr("sim_latency", LatencyDBQuery.String())
 	}
 	var systems []repository.System
-	err = s.retry.do(ctx, stageDBQuery, func() error {
+	err = s.retry(ctx, stageDBQuery, func() error {
 		var qerr error
 		systems, qerr = s.deps.Repo.ListSystems()
 		return qerr
@@ -244,7 +243,7 @@ func (s *PredictService) load(ctx context.Context, req ecoplugin.PredictRequest)
 		return perfmodel.Config{}, latency, ecoplugin.SourceCold, err
 	}
 	var models []repository.ModelMeta
-	err = s.retry.do(ctx, stageDBQuery, func() error {
+	err = s.retry(ctx, stageDBQuery, func() error {
 		var qerr error
 		models, qerr = s.deps.Repo.ListModels()
 		return qerr
@@ -271,7 +270,7 @@ func (s *PredictService) load(ctx context.Context, req ecoplugin.PredictRequest)
 		bs.SetAttr("key", blobKey)
 	}
 	var data []byte
-	err = s.retry.do(ctx, stageBlobFetch, func() error {
+	err = s.retry(ctx, stageBlobFetch, func() error {
 		var gerr error
 		data, gerr = s.deps.Blob.Get(blobKey)
 		return gerr

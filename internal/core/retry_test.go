@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -12,28 +13,19 @@ import (
 	"ecosched/internal/ecoplugin"
 	"ecosched/internal/metrics"
 	"ecosched/internal/settings"
-	"ecosched/internal/simclock"
 	"ecosched/internal/trace"
 )
 
-// testRetrier builds a retrier on a simulated clock whose sleep hook
-// advances the clock and records each backoff delay.
-func testRetrier(policy RetryPolicy) (*retrier, *simclock.Sim, *[]time.Duration) {
-	sim := simclock.New()
-	var delays []time.Duration
-	r := newRetrier(Deps{
-		Retry:   policy,
-		Now:     sim.Now,
-		Sleep:   func(d time.Duration) { delays = append(delays, d); sim.RunFor(d) },
-		Metrics: metrics.New(),
-	})
-	return r, sim, &delays
+// testRetrier builds a prediction service whose only wiring is a
+// metrics registry — all retry needs.
+func testRetrier() *PredictService {
+	return &PredictService{deps: Deps{Metrics: metrics.New()}}
 }
 
 func TestRetrierRescuesTransientFailure(t *testing.T) {
-	r, _, delays := testRetrier(RetryPolicy{Attempts: 3, BaseDelay: 2 * time.Millisecond, Multiplier: 2})
+	r := testRetrier()
 	calls := 0
-	err := r.do(context.Background(), stageBlobFetch, func() error {
+	err := r.retry(context.Background(), stageBlobFetch, func() error {
 		calls++
 		if calls < 3 {
 			return fmt.Errorf("transient %d", calls)
@@ -46,22 +38,16 @@ func TestRetrierRescuesTransientFailure(t *testing.T) {
 	if calls != 3 {
 		t.Fatalf("calls = %d, want 3", calls)
 	}
-	if len(*delays) != 2 {
-		t.Fatalf("backoffs = %v, want 2 sleeps", *delays)
-	}
-	if (*delays)[1] != 2*(*delays)[0] {
-		t.Fatalf("backoff did not double: %v", *delays)
-	}
-	if got := r.metrics.Counter(metricRetryPrefix + stageBlobFetch).Value(); got != 2 {
+	if got := r.deps.Metrics.Counter(metricRetryPrefix + stageBlobFetch).Value(); got != 2 {
 		t.Fatalf("retry counter = %d, want 2", got)
 	}
 }
 
 func TestRetrierExhaustsAttempts(t *testing.T) {
-	r, _, _ := testRetrier(RetryPolicy{Attempts: 3, BaseDelay: time.Millisecond})
+	r := testRetrier()
 	calls := 0
 	wantErr := errors.New("persistent")
-	err := r.do(context.Background(), stageDBQuery, func() error { calls++; return wantErr })
+	err := r.retry(context.Background(), stageDBQuery, func() error { calls++; return wantErr })
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v", err)
 	}
@@ -75,9 +61,9 @@ func TestRetrierPermanentErrorsNotRetried(t *testing.T) {
 		fmt.Errorf("over: %w", ecoplugin.ErrBudgetExceeded),
 		context.Canceled,
 	} {
-		r, _, _ := testRetrier(RetryPolicy{Attempts: 5, BaseDelay: time.Millisecond})
+		r := testRetrier()
 		calls := 0
-		err := r.do(context.Background(), stageModelRead, func() error { calls++; return perm })
+		err := r.retry(context.Background(), stageModelRead, func() error { calls++; return perm })
 		if !errors.Is(err, perm) && !errors.Is(perm, err) {
 			t.Fatalf("err = %v, want %v", err, perm)
 		}
@@ -88,70 +74,16 @@ func TestRetrierPermanentErrorsNotRetried(t *testing.T) {
 }
 
 func TestRetrierHonorsCancelledContext(t *testing.T) {
-	r, _, _ := testRetrier(RetryPolicy{Attempts: 5, BaseDelay: time.Millisecond})
+	r := testRetrier()
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	err := r.do(ctx, stageDBQuery, func() error {
+	err := r.retry(ctx, stageDBQuery, func() error {
 		calls++
 		cancel()
 		return errors.New("boom")
 	})
 	if err == nil || calls != 1 {
 		t.Fatalf("err = %v after %d calls, want 1 call", err, calls)
-	}
-}
-
-// TestRetrierStageTimeout: the cumulative per-stage deadline stops the
-// retry loop even when attempts remain.
-func TestRetrierStageTimeout(t *testing.T) {
-	r, _, _ := testRetrier(RetryPolicy{
-		Attempts:     10,
-		BaseDelay:    10 * time.Millisecond,
-		StageTimeout: 15 * time.Millisecond,
-	})
-	calls := 0
-	err := r.do(context.Background(), stageSettingsLoad, func() error { calls++; return errors.New("slow store") })
-	if err == nil {
-		t.Fatal("nil error")
-	}
-	// Attempt 1 at t=0, sleep 10ms, attempt 2 at t=10ms, sleep 10ms,
-	// attempt 3 at t=20ms >= 15ms deadline → stop.
-	if calls != 3 {
-		t.Fatalf("calls = %d, want 3 (deadline should cut 10 attempts short)", calls)
-	}
-}
-
-// TestRetrierJitterDeterministic: the jittered backoff schedule is a
-// pure function of the policy seed.
-func TestRetrierJitterDeterministic(t *testing.T) {
-	policy := RetryPolicy{Attempts: 4, BaseDelay: 10 * time.Millisecond, Multiplier: 2, Jitter: 0.2, Seed: 42}
-	run := func() []time.Duration {
-		r, _, delays := testRetrier(policy)
-		r.do(context.Background(), stageBlobFetch, func() error { return errors.New("x") }) //nolint:errcheck
-		return *delays
-	}
-	a, b := run(), run()
-	if len(a) != 3 {
-		t.Fatalf("delays = %v", a)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged: %v vs %v", a, b)
-		}
-		base := 10 * time.Millisecond << i
-		lo, hi := time.Duration(float64(base)*0.8), time.Duration(float64(base)*1.2)
-		if a[i] < lo || a[i] > hi {
-			t.Fatalf("delay %d = %v outside ±20%% of %v", i, a[i], base)
-		}
-	}
-}
-
-func TestRetryPolicyDisabledByDefault(t *testing.T) {
-	r := newRetrier(Deps{Now: simclock.New().Now})
-	calls := 0
-	r.do(context.Background(), stageDBQuery, func() error { calls++; return errors.New("x") }) //nolint:errcheck
-	if calls != 1 {
-		t.Fatalf("zero policy made %d attempts, want 1", calls)
 	}
 }
 
@@ -174,27 +106,26 @@ func (f *flakySettings) Load() (settings.Settings, error) {
 
 func (f *flakySettings) Save(v settings.Settings) error { return f.inner.Save(v) }
 
-// TestPredictRetryRescuesFlakySettings: with a retry policy, a
-// settings store that fails twice no longer fails the prediction at
-// the settings stage — the load proceeds to the (missing-model) stage
-// beyond it.
+// TestPredictRetryRescuesFlakySettings: a settings store that fails
+// twice no longer fails the prediction at the settings stage — the
+// load proceeds to the (missing-model) stage beyond it.
 func TestPredictRetryRescuesFlakySettings(t *testing.T) {
 	r := newRig(t)
 	deps := r.chronus.deps
-	deps.Settings = &flakySettings{inner: deps.Settings, failures: 2}
+	deps.Settings = &flakySettings{inner: deps.Settings, failures: retryAttempts}
 	deps.Metrics = metrics.New()
 
-	// Without retries the transient failure surfaces directly.
+	// A failure on every attempt surfaces directly.
 	c1, err := New(deps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := doPredict(c1.Predict, "sys", "app"); err == nil || !strings.Contains(err.Error(), "transient settings failure") {
-		t.Fatalf("no-retry err = %v, want the transient failure", err)
+		t.Fatalf("exhausted err = %v, want the transient failure", err)
 	}
 
 	deps.Settings = &flakySettings{inner: settings.NewMemStore(), failures: 2}
-	deps.Retry = DefaultRetryPolicy()
+	deps.Metrics = metrics.New()
 	c2, err := New(deps)
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +146,14 @@ func TestPredictDegradedObservability(t *testing.T) {
 	r := newRig(t)
 	deps := r.chronus.deps
 	deps.Metrics = metrics.New()
-	deps.Tracer = trace.New(trace.WithClock(deps.Now))
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	j, err := trace.OpenJournal(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	deps.Tracer = trace.New(j, trace.WithClock(deps.Now))
+	defer deps.Tracer.Close()
 	c, err := New(deps)
 	if err != nil {
 		t.Fatal(err)
@@ -226,14 +164,19 @@ func TestPredictDegradedObservability(t *testing.T) {
 	if got := deps.Metrics.Counter(metricPredictDegraded).Value(); got != 1 {
 		t.Fatalf("degraded counter = %d, want 1", got)
 	}
+	deps.Tracer.Drain()
+	events, err := trace.ReadJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var found bool
-	for _, e := range deps.Tracer.Recent() {
+	for _, e := range events {
 		if e.Name == eventPredictDegraded && strings.Contains(e.Attrs["cause"], "no pre-loaded model") {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("no %s event with cause in %+v", eventPredictDegraded, deps.Tracer.Recent())
+		t.Fatalf("no %s event with cause in %+v", eventPredictDegraded, events)
 	}
 
 	// Caller cancellation is not a degradation.
@@ -263,7 +206,7 @@ func (g *gateSettings) Load() (settings.Settings, error) {
 func (g *gateSettings) Save(v settings.Settings) error { return g.inner.Save(v) }
 
 // TestDrainWaitsForInflightPredictions: Drain must block until every
-// in-flight prediction (and any retry backoff inside it) finishes —
+// in-flight prediction (and any retry inside it) finishes —
 // the guarantee Deployment.Close relies on before closing stores.
 func TestDrainWaitsForInflightPredictions(t *testing.T) {
 	r := newRig(t)

@@ -7,6 +7,7 @@ import (
 
 	"ecosched/internal/fault"
 	"ecosched/internal/hw"
+	"ecosched/internal/metrics"
 	"ecosched/internal/perfmodel"
 	"ecosched/internal/procfs"
 	"ecosched/internal/settings"
@@ -107,7 +108,8 @@ func TestPluginHashFollowsFrequencyChanges(t *testing.T) {
 // original hash, with both files still read on every submission.
 func TestPluginHashSeesPartialRead(t *testing.T) {
 	_, _, raw := newRig(t)
-	inj := fault.New(7)
+	reg := metrics.New()
+	inj := fault.New(7, fault.WithMetrics(reg))
 	p, pred := activePlugin(t, fault.FileReader(raw, inj))
 
 	clean := submitHash(t, p, pred)
@@ -119,8 +121,8 @@ func TestPluginHashSeesPartialRead(t *testing.T) {
 	if after := submitHash(t, p, pred); after != clean {
 		t.Fatalf("hash after the fault cleared = %s, want the original %s", after, clean)
 	}
-	if log := inj.Log(); len(log) != 1 || log[0].Op != fault.OpProcRead {
-		t.Fatalf("injections = %+v, want one procfs fault", log)
+	if got := reg.Snapshot().Counters; len(got) != 1 || got["chronus.fault.injected."+fault.OpProcRead] != 1 {
+		t.Fatalf("counters = %v, want one procfs fault", got)
 	}
 
 	// An unreadable file still fails open, remembered hash or not.

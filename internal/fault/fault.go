@@ -28,9 +28,11 @@
 //   - ModePartial: a read returns only a prefix of the data (torn
 //     model blob, short read).
 //
+// Every injection is counted (chronus.fault.injected.<op>) and traced
+// as a chronus.fault.injected event carrying its op, mode and call.
+//
 // The package is ecolint-clean: no wall clock, no global RNG — the
-// clock is injected and the per-decision randomness derives from the
-// seed by hashing.
+// per-decision randomness derives from the seed by hashing.
 package fault
 
 import (
@@ -152,19 +154,6 @@ func (r Rule) matches(op string) bool {
 	return false
 }
 
-// Injection is one recorded fault, for test assertions and chaos-run
-// reproduction output.
-type Injection struct {
-	Time time.Time
-	Op   string
-	Mode Mode
-	Call int // 1-based index of the matching call that faulted
-}
-
-// injectionLogCap bounds the injection log so an unbounded chaos run
-// cannot grow memory without limit.
-const injectionLogCap = 4096
-
 // Metric and trace names (ecolint/metricname: package-level constants
 // in the chronus.* namespace; the injected counter uses the
 // sanctioned constant-prefix + expression dynamic form).
@@ -173,19 +162,17 @@ const (
 	eventFaultInjected = "chronus.fault.injected"
 )
 
-// Injector evaluates rules and records injections. It is safe for
+// Injector evaluates rules and reports injections. It is safe for
 // concurrent use; decisions are deterministic per (seed, rule, call
 // index) regardless of goroutine interleaving across operations.
 type Injector struct {
 	seed    uint64
-	clock   func() time.Time
 	sleep   func(time.Duration)
 	metrics *metrics.Registry
 	tracer  *trace.Tracer
 
 	mu    sync.Mutex
 	rules []*boundRule
-	log   []Injection
 	// nrules mirrors len(rules), stored under mu by Use and Reset, so a
 	// call with no rule installed — every call of a deployment run
 	// without -fault — passes through on one atomic load, lock-free.
@@ -201,12 +188,6 @@ type boundRule struct {
 
 // Option configures an Injector.
 type Option func(*Injector)
-
-// WithClock injects the clock stamping the injection log (tests wire
-// the simulated clock; the default leaves timestamps zero).
-func WithClock(now func() time.Time) Option {
-	return func(i *Injector) { i.clock = now }
-}
 
 // WithSleep wires the sleeper ModeLatency delays through. Unset,
 // latency faults are recorded but cost nothing in wall time.
@@ -259,19 +240,7 @@ func (i *Injector) Reset() {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	i.rules = nil
-	i.log = nil
 	i.nrules.Store(0)
-}
-
-// Log returns the recorded injections, oldest first (bounded at
-// injectionLogCap).
-func (i *Injector) Log() []Injection {
-	if i == nil {
-		return nil
-	}
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return append([]Injection(nil), i.log...)
 }
 
 // outcome is the aggregate verdict for one operation call.
@@ -282,8 +251,8 @@ type outcome struct {
 	mutate   bool
 }
 
-// decide evaluates every rule against op, updating counters and the
-// log under the lock, and returns the merged outcome. The latency
+// decide evaluates every rule against op, updating counters under the
+// lock, and returns the merged outcome. The latency
 // sleep and trace emission happen in the caller, outside the lock.
 // With no rule installed nothing is counted, so the pass-through
 // outcome needs no lock.
@@ -292,7 +261,12 @@ func (i *Injector) decide(op string) outcome {
 	if i == nil || i.nrules.Load() == 0 {
 		return out
 	}
-	var fired []Injection
+	// fired holds the mode and call index of each rule that injected.
+	type injection struct {
+		mode Mode
+		call int
+	}
+	var fired []injection
 	i.mu.Lock()
 	for idx, r := range i.rules {
 		if !r.matches(op) {
@@ -310,7 +284,7 @@ func (i *Injector) decide(op string) outcome {
 			continue
 		}
 		r.injected++
-		fired = append(fired, Injection{Op: op, Mode: r.Mode, Call: n})
+		fired = append(fired, injection{r.Mode, n})
 		switch r.Mode {
 		case ModeError:
 			if out.err == nil {
@@ -329,25 +303,13 @@ func (i *Injector) decide(op string) outcome {
 			}
 		}
 	}
-	if len(fired) > 0 {
-		now := time.Time{}
-		if i.clock != nil {
-			now = i.clock()
-		}
-		for f := range fired {
-			fired[f].Time = now
-			if len(i.log) < injectionLogCap {
-				i.log = append(i.log, fired[f])
-			}
-		}
-	}
 	i.mu.Unlock()
 
 	for _, f := range fired {
-		i.metrics.Counter(metricFaultPrefix + f.Op).Inc()
+		i.metrics.Counter(metricFaultPrefix + op).Inc()
 		if i.tracer != nil {
 			i.tracer.Event(eventFaultInjected, map[string]string{
-				"op": f.Op, "mode": string(f.Mode), "call": fmt.Sprint(f.Call),
+				"op": op, "mode": string(f.mode), "call": fmt.Sprint(f.call),
 			})
 		}
 	}

@@ -2,9 +2,12 @@ package fault
 
 import (
 	"errors"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"path/filepath"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -252,21 +255,34 @@ func TestPartitionTornBatch(t *testing.T) {
 
 func TestInjectorObservability(t *testing.T) {
 	reg := metrics.New()
-	tr := trace.New(trace.WithClock(simclock.New().Now))
-	inj := New(1, WithMetrics(reg), WithTracer(tr), WithClock(simclock.New().Now))
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	j, err := trace.OpenJournal(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	tr := trace.New(j, trace.WithClock(simclock.New().Now))
+	defer tr.Close()
+	inj := New(1, WithMetrics(reg), WithTracer(tr))
 	inj.Use(Rule{Op: OpSettingsLoad, Mode: ModeError})
 	inj.Fail(OpSettingsLoad)
 	inj.Fail(OpSettingsLoad)
 	if got := reg.Counter("chronus.fault.injected." + OpSettingsLoad).Value(); got != 2 {
 		t.Fatalf("injected counter = %d, want 2", got)
 	}
-	events := tr.Recent()
-	if len(events) != 2 || events[0].Name != eventFaultInjected {
+	tr.Drain()
+	events, err := trace.ReadJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 2 {
 		t.Fatalf("trace events = %+v", events)
 	}
-	log := inj.Log()
-	if len(log) != 2 || log[0].Op != OpSettingsLoad || log[0].Call != 1 || log[1].Call != 2 {
-		t.Fatalf("Log() = %+v", log)
+	for n, e := range events {
+		want := map[string]string{"op": OpSettingsLoad, "mode": string(ModeError), "call": fmt.Sprint(n + 1)}
+		if e.Name != eventFaultInjected || !reflect.DeepEqual(e.Attrs, want) {
+			t.Fatalf("event %d = %+v, want %s with %v", n, e, eventFaultInjected, want)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package leakcheck is a test helper asserting that a test leaves no
 // goroutines behind — the guard the chaos suite puts around
 // Deployment.Close, whose contract is to drain in-flight predictions
-// (and the retry backoffs inside them) before tearing stores down.
+// (and the retries inside them) before tearing stores down.
 package leakcheck
 
 import (

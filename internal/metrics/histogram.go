@@ -127,76 +127,30 @@ func (h *BucketedHistogram) observeNS(ns int64) {
 	}
 }
 
-// bhMerged is a read-side copy of the histogram's atomics.
-type bhMerged struct {
-	counts       []int64
-	total, sumNS int64
-	minNS, maxNS int64
-}
-
-func (h *BucketedHistogram) merge() bhMerged {
-	m := bhMerged{
-		counts: make([]int64, bhBuckets),
-		total:  h.count.Load(),
-		sumNS:  h.sumNS.Load(),
-		minNS:  h.minNS.Load(),
-		maxNS:  h.maxNS.Load(),
-	}
-	for b := range h.counts {
-		m.counts[b] = h.counts[b].Load()
-	}
-	return m
-}
-
-// quantileNS returns the nearest-rank q-quantile as the holding
-// bucket's upper bound, clamped into the observed [min, max] so
-// degenerate distributions (one value) answer exactly.
-func (m *bhMerged) quantileNS(q float64) int64 {
-	rank := int64(math.Ceil(q * float64(m.total)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > m.total {
-		rank = m.total
-	}
-	var cum int64
-	for i, c := range m.counts {
-		if c == 0 {
-			continue
-		}
-		cum += c
-		if cum >= rank {
-			ns := bucketUpperNS(i)
-			if ns < m.minNS {
-				ns = m.minNS
-			}
-			if ns > m.maxNS {
-				ns = m.maxNS
-			}
-			return ns
+// buckets returns the non-empty buckets in ascending LE order.
+func (h *BucketedHistogram) buckets() []BucketCount {
+	var out []BucketCount
+	for i := range h.counts {
+		if c := h.counts[i].Load(); c != 0 {
+			out = append(out, BucketCount{LE: float64(bucketUpperNS(i)) / 1e9, Count: c})
 		}
 	}
-	return m.maxNS
+	return out
 }
 
 // Quantiles returns the q-quantiles (each q in [0,1]) in seconds,
 // reading the buckets once for the whole batch; a quantile is NaN when
 // nothing has been observed.
 func (h *BucketedHistogram) Quantiles(qs ...float64) []float64 {
-	out := make([]float64, len(qs))
-	if h == nil {
-		for i := range out {
-			out[i] = math.NaN()
-		}
-		return out
+	var b []BucketCount
+	var lo, hi float64
+	if h != nil {
+		b = h.buckets()
+		lo, hi = float64(h.minNS.Load())/1e9, float64(h.maxNS.Load())/1e9
 	}
-	m := h.merge()
+	out := make([]float64, len(qs))
 	for i, q := range qs {
-		if m.total == 0 {
-			out[i] = math.NaN()
-			continue
-		}
-		out[i] = float64(m.quantileNS(q)) / 1e9
+		out[i] = nearestRank(b, q, lo, hi)
 	}
 	return out
 }
@@ -204,24 +158,46 @@ func (h *BucketedHistogram) Quantiles(qs ...float64) []float64 {
 // stat summarises the histogram for a snapshot, including the sparse
 // bucket CDF the SLO evaluation consumes.
 func (h *BucketedHistogram) stat() HistogramStat {
-	m := h.merge()
-	st := HistogramStat{Count: m.total, Sum: float64(m.sumNS) / 1e9}
-	if m.total == 0 {
+	st := HistogramStat{Count: h.count.Load(), Sum: float64(h.sumNS.Load()) / 1e9}
+	if st.Count == 0 {
 		st.P50, st.P90, st.P99, st.P999 = math.NaN(), math.NaN(), math.NaN(), math.NaN()
 		return st
 	}
-	st.Min = float64(m.minNS) / 1e9
-	st.Max = float64(m.maxNS) / 1e9
+	st.Min = float64(h.minNS.Load()) / 1e9
+	st.Max = float64(h.maxNS.Load()) / 1e9
 	st.Mean = st.Sum / float64(st.Count)
-	st.P50 = float64(m.quantileNS(0.50)) / 1e9
-	st.P90 = float64(m.quantileNS(0.90)) / 1e9
-	st.P99 = float64(m.quantileNS(0.99)) / 1e9
-	st.P999 = float64(m.quantileNS(0.999)) / 1e9
-	for i, c := range m.counts {
-		if c == 0 {
-			continue
-		}
-		st.Buckets = append(st.Buckets, BucketCount{LE: float64(bucketUpperNS(i)) / 1e9, Count: c})
-	}
+	st.Buckets = h.buckets()
+	st.rankPercentiles()
 	return st
+}
+
+// rankPercentiles sets the stat's percentiles from its bucket CDF.
+func (st *HistogramStat) rankPercentiles() {
+	st.P50 = nearestRank(st.Buckets, 0.50, st.Min, st.Max)
+	st.P90 = nearestRank(st.Buckets, 0.90, st.Min, st.Max)
+	st.P99 = nearestRank(st.Buckets, 0.99, st.Min, st.Max)
+	st.P999 = nearestRank(st.Buckets, 0.999, st.Min, st.Max)
+}
+
+// nearestRank is the nearest-rank q-quantile of the observations a
+// sparse bucket CDF holds: the upper bound of the bucket holding rank
+// ⌈q·n⌉ of the buckets' n observations, clamped into [lo, hi] so
+// degenerate distributions (one value) answer exactly. It is NaN when
+// the buckets hold nothing.
+func nearestRank(buckets []BucketCount, q, lo, hi float64) float64 {
+	var n int64
+	for _, b := range buckets {
+		n += b.Count
+	}
+	if n == 0 {
+		return math.NaN()
+	}
+	rank := min(max(int64(math.Ceil(q*float64(n))), 1), n)
+	var cum int64
+	for _, b := range buckets {
+		if cum += b.Count; cum >= rank {
+			return math.Min(math.Max(b.LE, lo), hi)
+		}
+	}
+	return hi // unreachable: the buckets sum to n >= rank
 }

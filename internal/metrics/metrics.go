@@ -287,11 +287,11 @@ func (s *Snapshot) Merge(other Snapshot) {
 		if len(cur.Buckets) > 0 || len(v.Buckets) > 0 {
 			// Bucketed histograms CAN combine exactly: bucket counts
 			// add, and the percentiles recompute from the merged CDF.
+			// A summary from a file written before histograms were
+			// bucketed adds to Count but not to the CDF, so the ranks
+			// are taken over the bucketed observations alone.
 			merged.Buckets = mergeBuckets(cur.Buckets, v.Buckets)
-			merged.P50 = bucketQuantile(merged, 0.50)
-			merged.P90 = bucketQuantile(merged, 0.90)
-			merged.P99 = bucketQuantile(merged, 0.99)
-			merged.P999 = bucketQuantile(merged, 0.999)
+			merged.rankPercentiles()
 		}
 		s.Histograms[k] = merged
 	}
@@ -319,31 +319,6 @@ func mergeBuckets(a, b []BucketCount) []BucketCount {
 	out = append(out, a[i:]...)
 	out = append(out, b[j:]...)
 	return out
-}
-
-// bucketQuantile is the nearest-rank quantile over a stat's sparse
-// bucket CDF, clamped into [Min, Max] like the live histogram's.
-func bucketQuantile(st HistogramStat, q float64) float64 {
-	if st.Count == 0 || len(st.Buckets) == 0 {
-		return math.NaN()
-	}
-	rank := int64(math.Ceil(q * float64(st.Count)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > st.Count {
-		rank = st.Count
-	}
-	var cum int64
-	v := st.Buckets[len(st.Buckets)-1].LE
-	for _, b := range st.Buckets {
-		cum += b.Count
-		if cum >= rank {
-			v = b.LE
-			break
-		}
-	}
-	return math.Min(math.Max(v, st.Min), st.Max)
 }
 
 // MarshalJSON renders the snapshot with deterministic key order (Go

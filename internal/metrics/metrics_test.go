@@ -162,6 +162,72 @@ func TestSnapshotMergeUnbucketedFile(t *testing.T) {
 	}
 }
 
+// Merging an unbucketed summary into a bucketed histogram must rank
+// percentiles over the bucketed observations alone: the summary's
+// count has no place in the CDF. Either merge order gives the same.
+func TestSnapshotMergeUnbucketedPercentiles(t *testing.T) {
+	const oldFile = `{"histograms":{"lat":{"count":1000,"sum":1,"min":0.001,"max":0.001,"mean":0.001,"p50":0.001,"p90":0.001,"p99":0.001,"p999":0.001}}}`
+	fresh := func() Snapshot {
+		r := New()
+		h := r.BucketedHistogram("lat")
+		for i := 0; i < 100; i++ {
+			h.ObserveDuration(time.Millisecond)
+		}
+		h.ObserveDuration(time.Second)
+		return r.Snapshot()
+	}
+	old := func() Snapshot {
+		var s Snapshot
+		if err := json.Unmarshal([]byte(oldFile), &s); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	oldFirst, newFirst := old(), fresh()
+	oldFirst.Merge(fresh())
+	newFirst.Merge(old())
+	for order, s := range map[string]Snapshot{"old+new": oldFirst, "new+old": newFirst} {
+		h := s.Histograms["lat"]
+		if h.Count != 1101 || h.Min != 0.001 || h.Max != 1 {
+			t.Fatalf("%s: merged lifetime %+v", order, h)
+		}
+		if h.P50 < 0.001 || h.P50 > 0.001*(1+1.0/32) || h.P99 > 0.001*(1+1.0/32) {
+			t.Errorf("%s: p50 = %g, p99 = %g, want ≈ 1 ms", order, h.P50, h.P99)
+		}
+		if h.P999 != 1 {
+			t.Errorf("%s: p999 = %g, want the 1 s observation", order, h.P999)
+		}
+	}
+}
+
+// Two bucketed snapshots merge to exactly the snapshot of one
+// histogram that saw both sets of observations.
+func TestSnapshotMergeBucketedExact(t *testing.T) {
+	a, b, both := New(), New(), New()
+	for i := 1; i <= 300; i++ {
+		d := time.Duration(i*i%97+1) * time.Second
+		if i%3 == 0 {
+			a.BucketedHistogram("lat").ObserveDuration(d)
+		} else {
+			b.BucketedHistogram("lat").ObserveDuration(d)
+		}
+		both.BucketedHistogram("lat").ObserveDuration(d)
+	}
+	merged := a.Snapshot()
+	merged.Merge(b.Snapshot())
+	got, err := json.Marshal(merged.Histograms["lat"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(both.Snapshot().Histograms["lat"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("merged:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := New()
 	r.Counter("a").Inc()

@@ -157,7 +157,7 @@ type ClusterOption func(*clusterConfig)
 
 // unknownWorkload runs a job whose description has neither a Shape nor
 // a registered binary.
-var unknownWorkload Workload = workload.Sleep("unknown", time.Minute)
+var unknownWorkload = workload.Sleep("unknown", time.Minute)
 
 type clusterConfig struct {
 	nodes     []*hw.Node
@@ -234,7 +234,7 @@ func NewCluster(sim *simclock.Sim, conf Conf, opts ...ClusterOption) (*Controlle
 		conf:      conf,
 		part:      &partition{name: conf.Partition.Name, conf: conf.Partition},
 		nextID:    1,
-		workloads: make(map[string]Workload),
+		workloads: make(map[string]workload.Shape),
 		acct:      &Accounting{aggregateOnly: cfg.aggregate},
 		userSlots: make(map[uint32]int32),
 		usageSink: cfg.usageSink,

@@ -14,6 +14,7 @@ import (
 	"ecosched/internal/perfmodel"
 	"ecosched/internal/simclock"
 	"ecosched/internal/trace"
+	"ecosched/internal/workload"
 )
 
 // Metric, span, and event names (ecolint/metricname: package-level
@@ -36,19 +37,6 @@ const (
 // latency histogram. Exported so the root package's loadgen harness
 // and SLO evaluation can find it in a snapshot by name.
 const MetricChainLatency = "chronus.slurm.plugin.chain_latency"
-
-// Workload models what a job's executable does on a node: how long it
-// runs in a given configuration and at what sustained throughput. The
-// controller resolves workloads from the description's Shape when set,
-// falling back to the registry keyed by the job's binary path.
-// workload.Shape satisfies this contract, and is the one description
-// type generated, replayed and hand-built jobs share.
-type Workload interface {
-	Name() string
-	// Plan returns (runtime, sustained GFLOPS) for the configuration
-	// on the node. A zero GFLOPS is valid for non-compute jobs.
-	Plan(node *hw.Node, cfg perfmodel.Config) (time.Duration, float64)
-}
 
 // NodeInfo is one sinfo row.
 type NodeInfo struct {
@@ -137,7 +125,7 @@ type Controller struct {
 	// strictly sequential (plugins cannot submit), so one slot is safe.
 	descScratch JobDesc
 	nextID      int
-	workloads   map[string]Workload
+	workloads   map[string]workload.Shape
 	acct        *Accounting
 	onDone      []func(*Job)
 
@@ -299,9 +287,10 @@ func (c *Controller) RegisterPlugin(p SubmitPlugin) {
 	c.activePlugOK = false
 }
 
-// RegisterWorkload maps a binary path to its workload model.
-func (c *Controller) RegisterWorkload(binaryPath string, w Workload) {
-	c.workloads[binaryPath] = w
+// RegisterWorkload maps a binary path to the shape its jobs run. A job
+// whose description carries a Shape runs that instead.
+func (c *Controller) RegisterWorkload(binaryPath string, s workload.Shape) {
+	c.workloads[binaryPath] = s
 }
 
 // SetMetrics attaches an observability registry, resolving the
@@ -938,16 +927,11 @@ func (c *Controller) refreeNode(n *nodeD) {
 
 func (c *Controller) start(job *Job, node *nodeD) error {
 	cfg := job.Desc.Config()
-	var w Workload
-	switch {
-	case job.Desc.Shape != nil:
-		// The pointer satisfies Workload (value receivers); using it
-		// directly avoids boxing a Shape copy per start.
-		w = job.Desc.Shape
-	default:
-		var ok bool
-		if w, ok = c.workloads[job.Desc.BinaryPath]; !ok {
-			w = unknownWorkload
+	w := job.Desc.Shape
+	if w == nil {
+		w = &unknownWorkload
+		if s, ok := c.workloads[job.Desc.BinaryPath]; ok {
+			w = &s
 		}
 	}
 

@@ -1,9 +1,9 @@
 // Async trace emission: the hot path appends each completed record to
-// one bounded pending buffer, under the same lock that orders the
-// in-memory ring, and returns; a background drainer swaps the buffer
-// out and hands it to the journal in one batch. The submit goroutine
-// therefore never touches the filesystem, and the journal's order is
-// the ring's order. The buffer is bounded: when it is full the record
+// one bounded pending buffer under the tracer's lock and returns; a
+// background drainer swaps the buffer out and hands it to the journal
+// in one batch. The submit goroutine therefore never touches the
+// filesystem, and the journal's order is the order records were
+// recorded in. The buffer is bounded: when it is full the record
 // is dropped and counted (chronus.trace.dropped), never blocked on —
 // tracing must not apply backpressure to scheduling.
 package trace
@@ -58,9 +58,9 @@ func (t *Tracer) enqueueLocked(e Event) (dropped bool) {
 // written to the journal or counted as dropped. It is the read
 // barrier for journal consumers (`chronus events`, tests, shutdown):
 // after Drain returns, ReadJournal sees everything that happened
-// before it. Nil-safe and a no-op without a journal.
+// before it. Nil-safe.
 func (t *Tracer) Drain() {
-	if t == nil || t.journal == nil {
+	if t == nil {
 		return
 	}
 	t.nudge() // flush even if nothing new arrives
@@ -77,7 +77,7 @@ func (t *Tracer) Drain() {
 // Idempotent and nil-safe; records emitted after Close are counted as
 // dropped.
 func (t *Tracer) Close() error {
-	if t == nil || t.journal == nil {
+	if t == nil {
 		return nil
 	}
 	t.mu.Lock()

@@ -48,9 +48,9 @@ const (
 	KindEvent = "event"
 )
 
-// Tracer creates spans and records completed ones into an in-memory
-// ring (for live exposition at /trace) and, when configured, a
-// persistent Journal. A nil *Tracer is a valid no-op.
+// Tracer creates spans and records completed ones into its Journal,
+// the one store every reader (`chronus trace`, /trace, the ecosim
+// decision line) replays. A nil *Tracer is a valid no-op.
 type Tracer struct {
 	clock    func() time.Time
 	journal  *Journal
@@ -61,16 +61,11 @@ type Tracer struct {
 	traceCtr atomic.Int64
 	spanCtr  atomic.Int64
 
-	mu     sync.Mutex
-	recent []Event // ring buffer of completed records
-	next   int
-	filled bool
-
-	// Async journal emission (async.go), all guarded by mu and unused
-	// without a journal. pending holds records the drainer has not yet
-	// taken; spare is the drainer's last batch, handed back empty.
-	// Drain waits on drained until written + droppedN reaches the
-	// enqueued count it saw.
+	// Async journal emission (async.go), all guarded by mu. pending
+	// holds records the drainer has not yet taken; spare is the
+	// drainer's last batch, handed back empty. Drain waits on drained
+	// until written + droppedN reaches the enqueued count it saw.
+	mu                          sync.Mutex
 	pending, spare              []Event
 	enqueued, written, droppedN uint64
 	closed, stopped             bool
@@ -82,18 +77,13 @@ type Tracer struct {
 // Option configures a Tracer.
 type Option func(*Tracer)
 
-// WithJournal persists every completed span and event to j.
-func WithJournal(j *Journal) Option { return func(t *Tracer) { t.journal = j } }
-
 // WithClock overrides the wall clock (tests, simulated time).
 func WithClock(now func() time.Time) Option { return func(t *Tracer) { t.clock = now } }
 
-// recentCap is the size of the in-memory ring Recent reads.
-const recentCap = 1024
-
-// New builds a tracer.
-func New(opts ...Option) *Tracer {
-	t := &Tracer{clock: time.Now, recent: make([]Event, 0, recentCap)}
+// New builds a tracer that persists every completed span and event to
+// j, and starts its drainer; Close stops it.
+func New(j *Journal, opts ...Option) *Tracer {
+	t := &Tracer{clock: time.Now, journal: j}
 	for _, opt := range opts {
 		opt(t)
 	}
@@ -104,9 +94,7 @@ func New(opts ...Option) *Tracer {
 	// it; a clock-derived prefix keeps IDs from different processes
 	// (e.g. two ecosim runs into one data directory) distinct.
 	t.idPrefix = strconv.FormatInt(t.clock().UnixNano(), 36)
-	if t.journal != nil {
-		t.startJournal()
-	}
+	t.startJournal()
 	return t
 }
 
@@ -146,22 +134,10 @@ func (t *Tracer) Event(name string, attrs map[string]string) {
 	t.record(Event{Time: t.clock(), Kind: KindEvent, Name: name, Attrs: attrs})
 }
 
-// record appends to the ring and, in the same critical section, to the
-// async journal's pending buffer, so the journal's order is the ring's.
-// The calling goroutine never performs journal I/O.
+// record appends e to the async journal's pending buffer. The calling
+// goroutine never performs journal I/O.
 func (t *Tracer) record(e Event) {
 	t.mu.Lock()
-	if len(t.recent) < cap(t.recent) {
-		t.recent = append(t.recent, e)
-	} else {
-		t.recent[t.next] = e
-		t.next = (t.next + 1) % cap(t.recent)
-		t.filled = true
-	}
-	if t.journal == nil {
-		t.mu.Unlock()
-		return
-	}
 	dropped := t.enqueueLocked(e)
 	t.mu.Unlock()
 	if dropped {
@@ -169,22 +145,6 @@ func (t *Tracer) record(e Event) {
 		return
 	}
 	t.nudge()
-}
-
-// Recent returns the retained completed records, oldest first.
-func (t *Tracer) Recent() []Event {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.filled {
-		return append([]Event(nil), t.recent...)
-	}
-	out := make([]Event, 0, len(t.recent))
-	out = append(out, t.recent[t.next:]...)
-	out = append(out, t.recent[:t.next]...)
-	return out
 }
 
 // Span is one timed stage of a trace. A nil *Span is a valid no-op.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -30,13 +29,38 @@ func TestNilTracerNoOps(t *testing.T) {
 		t.Fatalf("nil span TraceID = %q", got)
 	}
 	tr.Event("e", nil)
-	if got := tr.Recent(); got != nil {
-		t.Fatalf("nil tracer Recent = %v", got)
+	tr.Drain()
+	if err := tr.Close(); err != nil {
+		t.Fatalf("nil tracer Close = %v", err)
+	}
+}
+
+// newTestTracer builds a tracer on a journal in a temporary directory.
+// read drains the tracer and replays the journal.
+func newTestTracer(t *testing.T, opts ...Option) (tr *Tracer, read func() []Event) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	j, err := OpenJournal(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr = New(j, opts...)
+	t.Cleanup(func() {
+		tr.Close()
+		j.Close()
+	})
+	return tr, func() []Event {
+		tr.Drain()
+		events, err := ReadJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return events
 	}
 }
 
 func TestSpanNesting(t *testing.T) {
-	tr := New()
+	tr, read := newTestTracer(t)
 	ctx, root := tr.Start(context.Background(), "root")
 	if FromContext(ctx) != root {
 		t.Fatal("context does not carry the root span")
@@ -52,7 +76,7 @@ func TestSpanNesting(t *testing.T) {
 	child.End(nil)
 	root.End(nil)
 
-	recent := tr.Recent()
+	recent := read()
 	if len(recent) != 2 {
 		t.Fatalf("recent = %d records, want 2", len(recent))
 	}
@@ -75,36 +99,21 @@ func TestSpanNesting(t *testing.T) {
 }
 
 func TestSpanEndIdempotent(t *testing.T) {
-	tr := New()
+	tr, read := newTestTracer(t)
 	_, span := tr.Start(context.Background(), "once")
 	span.End(nil)
 	span.End(errors.New("again"))
-	if got := len(tr.Recent()); got != 1 {
+	if got := len(read()); got != 1 {
 		t.Fatalf("recorded %d times, want 1", got)
 	}
 }
 
 func TestSpanError(t *testing.T) {
-	tr := New()
+	tr, read := newTestTracer(t)
 	_, span := tr.Start(context.Background(), "fails")
 	span.End(errors.New("model missing"))
-	if got := tr.Recent()[0].Err; got != "model missing" {
+	if got := read()[0].Err; got != "model missing" {
 		t.Fatalf("err = %q", got)
-	}
-}
-
-func TestRecentRingWraps(t *testing.T) {
-	tr := New()
-	for i := 0; i < recentCap+6; i++ {
-		tr.Event("e", map[string]string{"i": strconv.Itoa(i)})
-	}
-	recent := tr.Recent()
-	if len(recent) != recentCap {
-		t.Fatalf("ring kept %d, want %d", len(recent), recentCap)
-	}
-	// Oldest first: events 6..recentCap+5.
-	if recent[0].Attrs["i"] != "6" || recent[recentCap-1].Attrs["i"] != strconv.Itoa(recentCap+5) {
-		t.Fatalf("ring order: %v ... %v", recent[0].Attrs, recent[recentCap-1].Attrs)
 	}
 }
 
@@ -114,7 +123,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := New(WithJournal(j))
+	tr := New(j)
 	ctx, root := tr.Start(context.Background(), "root")
 	_, child := tr.Start(ctx, "child")
 	child.End(nil)
@@ -287,8 +296,8 @@ func TestSince(t *testing.T) {
 // the same data directory) must not produce colliding trace IDs, or
 // TraceFor would merge unrelated runs.
 func TestTraceIDsUniqueAcrossTracers(t *testing.T) {
-	t1 := New(WithClock(func() time.Time { return time.Unix(1, 0) }))
-	t2 := New(WithClock(func() time.Time { return time.Unix(2, 0) }))
+	t1, _ := newTestTracer(t, WithClock(func() time.Time { return time.Unix(1, 0) }))
+	t2, _ := newTestTracer(t, WithClock(func() time.Time { return time.Unix(2, 0) }))
 	_, s1 := t1.Start(context.Background(), "run1")
 	_, s2 := t2.Start(context.Background(), "run2")
 	if s1.TraceID() == s2.TraceID() {
@@ -311,11 +320,11 @@ func TestTraceForLatestWins(t *testing.T) {
 
 func TestWithClock(t *testing.T) {
 	now := time.Unix(42, 0)
-	tr := New(WithClock(func() time.Time { return now }))
+	tr, read := newTestTracer(t, WithClock(func() time.Time { return now }))
 	_, span := tr.Start(context.Background(), "timed")
 	now = now.Add(3 * time.Second)
 	span.End(nil)
-	e := tr.Recent()[0]
+	e := read()[0]
 	if !e.Time.Equal(time.Unix(42, 0)) || e.Duration() != 3*time.Second {
 		t.Fatalf("time=%v dur=%v", e.Time, e.Duration())
 	}

@@ -47,9 +47,9 @@ const (
 )
 
 // Shape is the unified job-shape description shared by generated,
-// replayed and hand-built jobs. It satisfies internal/slurm's
-// Workload contract (Name + Plan), so a Shape can be registered as a
-// workload or attached directly to a job description.
+// replayed and hand-built jobs: the slurm controller runs every job by
+// its Shape's Plan, whether the shape is registered for a binary path
+// or attached directly to a job description.
 type Shape struct {
 	Kind  ShapeKind `json:"kind"`
 	Label string    `json:"label,omitempty"`
@@ -74,16 +74,8 @@ func Sleep(label string, d time.Duration) Shape {
 	return Shape{Kind: ShapeSleep, Label: label, Duration: d}
 }
 
-// Name implements the slurm Workload contract.
-func (s Shape) Name() string {
-	if s.Label != "" {
-		return s.Label
-	}
-	return string(s.Kind)
-}
-
-// Plan implements the slurm Workload contract: (runtime, sustained
-// GFLOPS) for the configuration on the node. A zero GFLOPS is valid
+// Plan returns (runtime, sustained GFLOPS) for the configuration on
+// the node — what the controller runs a job by. A zero GFLOPS is valid
 // for non-compute jobs. A runtime past the Duration range saturates
 // rather than wrapping negative, so the job's time limit cuts it.
 func (s Shape) Plan(node *hw.Node, cfg perfmodel.Config) (time.Duration, float64) {

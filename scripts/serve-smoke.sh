@@ -1,7 +1,9 @@
 #!/bin/sh
-# Smoke test for `chronus serve`: boot the exposition server against a
-# fresh data directory and require /metrics, /healthz and /trace to
-# answer 200 with the expected shapes. Used by `make serve-smoke` and CI.
+# Smoke test for `chronus serve`: journal a quick benchmark into a fresh
+# data directory, boot the exposition server on it, and require
+# /metrics, /healthz and /trace to answer 200 with the expected shapes,
+# /trace replaying the benchmark's span from the journal. Used by
+# `make serve-smoke` and CI.
 set -eu
 
 workdir=$(mktemp -d)
@@ -15,7 +17,12 @@ cleanup() {
 }
 trap cleanup EXIT INT TERM
 
+fail() { echo "serve-smoke: $1"; exit 1; }
+
 go build -o "$workdir/chronus" ./cmd/chronus
+
+"$workdir/chronus" -data "$workdir/data" benchmark -quick >"$workdir/benchmark.log" 2>&1 \
+    || { cat "$workdir/benchmark.log"; fail "chronus benchmark -quick failed"; }
 
 # Port 0 lets the kernel pick; the server prints the resolved address.
 "$workdir/chronus" -data "$workdir/data" serve -addr 127.0.0.1:0 >"$logfile" 2>&1 &
@@ -30,8 +37,6 @@ for _ in $(seq 1 50); do
 done
 [ -n "$base" ] || { echo "serve-smoke: server never announced its address:"; cat "$logfile"; exit 1; }
 
-fail() { echo "serve-smoke: $1"; exit 1; }
-
 health=$(curl -fsS "$base/healthz") || fail "/healthz not 200"
 echo "$health" | grep -q '"status":"ok"' || fail "/healthz body: $health"
 
@@ -42,6 +47,9 @@ case "$ct" in
     *) fail "/metrics content type: $ct" ;;
 esac
 
-curl -fsS "$base/trace" | grep -q '^\[' || fail "/trace is not a JSON array"
+curl -fsS -o "$workdir/trace.json" "$base/trace" || fail "/trace not 200"
+grep -q '^\[' "$workdir/trace.json" || fail "/trace is not a JSON array"
+grep -q '"name":"chronus.benchmark.run"' "$workdir/trace.json" \
+    || fail "/trace does not replay the journalled chronus.benchmark.run span"
 
 echo "serve-smoke: ok ($base)"

@@ -27,7 +27,8 @@ type ServeConfig struct {
 //
 //	/metrics  Prometheus text exposition of the accumulated +
 //	          live metrics registry
-//	/trace    recent decision-trace events as JSON (?n= caps the count)
+//	/trace    the journal's last decision-trace events as JSON (at
+//	          most traceLimit; ?n= sets the count)
 //	/healthz  liveness: 200 {"status":"ok"} — independent of the
 //	          simulation, so it answers during an in-flight benchmark
 //
@@ -93,24 +94,26 @@ func (d *Deployment) writeSLOGauges(w io.Writer, snap metrics.Snapshot) {
 	}
 }
 
-// handleTrace serves recent completed trace records, newest last, as
-// a JSON array: this process's in-memory ring when it has traced
-// anything, otherwise the persisted journal — so a `chronus serve`
-// started after an ecosim run still shows the decisions it journaled.
+// traceLimit caps the events /trace returns when no n is given.
+const traceLimit = 1024
+
+// handleTrace serves the last completed trace records of the journal,
+// newest last, as a JSON array — so a `chronus serve` started after an
+// ecosim run shows the decisions it journaled. This process's own
+// records are drained to the journal first.
 func (d *Deployment) handleTrace(w http.ResponseWriter, r *http.Request) {
-	events := d.Tracer.Recent()
-	if len(events) == 0 {
-		events, _ = trace.ReadJournal(filepath.Join(d.dataDir, EventsFile))
-	}
+	n := traceLimit
 	if s := r.URL.Query().Get("n"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 0 {
+		var err error
+		if n, err = strconv.Atoi(s); err != nil || n < 0 {
 			http.Error(w, "invalid n", http.StatusBadRequest)
 			return
 		}
-		if n < len(events) {
-			events = events[len(events)-n:]
-		}
+	}
+	d.Tracer.Drain()
+	events, _ := trace.ReadJournal(filepath.Join(d.dataDir, EventsFile))
+	if n < len(events) {
+		events = events[len(events)-n:]
 	}
 	if events == nil {
 		events = []trace.Event{}
