@@ -220,10 +220,37 @@ func TestChaosRetryRescuesTransientFault(t *testing.T) {
 		t.Fatalf("Rewritten = %d, want 1", d.Plugin.Rewritten)
 	}
 	if got := d.Metrics.Counter("chronus.retry.model_read").Value(); got != 2 {
-		t.Fatalf("chronus.retry.model_read = %d, want 2 backoffs", got)
+		t.Fatalf("chronus.retry.model_read = %d, want 2 retries", got)
 	}
 	if got := d.Metrics.Counter("chronus.predict.degraded").Value(); got != 0 {
 		t.Fatalf("rescued prediction counted as degraded (%d)", got)
+	}
+}
+
+// TestChaosRetryOverBudgetFailsOpen is the same transient fault under
+// a budget that covers the healthy warm path (1 ms of hashing plus
+// 9 ms of prediction) and not the two extra model reads the rescue
+// would cost: the first retry is refused, and the job goes through
+// unmodified as one counted budget violation.
+func TestChaosRetryOverBudgetFailsOpen(t *testing.T) {
+	d := newDeployment(t, func(o *Options) {
+		o.SlurmConf = "ClusterName=ecosched\nJobSubmitPlugins=eco\nSchedulerParameters=eco_budget=10ms\n"
+	})
+	preloadHealthy(t, d)
+	d.Fault.Use(fault.Rule{Op: fault.OpModelRead, Mode: fault.ModeError, Times: 2})
+
+	desc, lat := requireFailOpen(t, d, optInDesc(d, ""))
+	if !reflect.DeepEqual(desc, optInDesc(d, "")) {
+		t.Fatalf("over-budget retry rewrote the job: %+v", desc)
+	}
+	if lat > 10*time.Millisecond {
+		t.Fatalf("submit latency %v exceeds the 10ms budget", lat)
+	}
+	if got := d.Metrics.Counter("chronus.eco.plugin.budget_violations").Value(); got != 1 {
+		t.Fatalf("chronus.eco.plugin.budget_violations = %d, want 1", got)
+	}
+	if got := d.Metrics.Counter("chronus.retry.model_read").Value(); got != 0 {
+		t.Fatalf("chronus.retry.model_read = %d, want no retry taken", got)
 	}
 }
 

@@ -3,9 +3,9 @@
 // 2023): the eco plugin (job_submit_eco) and the Chronus service, plus
 // every substrate the paper's evaluation rests on — a discrete-event
 // Slurm simulator, a calibrated node model of the paper's EPYC 7502P
-// server with DVFS/power/thermal/IPMI simulation, an HPCG solver, an
-// embedded database, and the optimizer models (brute force, linear
-// regression, random forest, genetic).
+// server with DVFS/power/thermal/IPMI simulation, HPCG runs priced by
+// that model, an embedded database, and the optimizer models (brute
+// force, linear regression, random forest, genetic).
 //
 // The entry point is New, which wires a complete simulated cluster for
 // a data directory: hardware nodes, slurmctld with the eco plugin
@@ -48,6 +48,7 @@ import (
 	"ecosched/internal/settings"
 	"ecosched/internal/simclock"
 	"ecosched/internal/slurm"
+	"ecosched/internal/sysinfo"
 	"ecosched/internal/trace"
 )
 
@@ -315,7 +316,7 @@ func New(dataDir string, options ...Option) (_ *Deployment, err error) {
 		Repo:     repo,
 		Blob:     blobStore,
 		Settings: settingsStore,
-		SysInfo:  newSysInfo(fs),
+		SysInfo:  sysinfo.NewLscpu(fs),
 		FS:       fs,
 		Runner:   runner,
 		LocalDir: filepath.Join(dataDir, "opt", "chronus", "optimizer"),

@@ -10,16 +10,10 @@ import (
 	"testing"
 	"time"
 
-	"ecosched/internal/core"
-	"ecosched/internal/hw"
-	"ecosched/internal/ipmi"
 	"ecosched/internal/leakcheck"
 	"ecosched/internal/paperdata"
-	"ecosched/internal/perfmodel"
 	"ecosched/internal/repository"
-	"ecosched/internal/simclock"
 	"ecosched/internal/slurm"
-	"ecosched/internal/workload"
 )
 
 func newDeployment(t *testing.T, opts ...Option) *Deployment {
@@ -363,143 +357,6 @@ func TestGovernorAblation(t *testing.T) {
 		if powersave.Runtime <= r.Runtime {
 			t.Fatalf("powersave runtime %v not the slowest (vs %v)", powersave.Runtime, r.Runtime)
 		}
-	}
-}
-
-// bandwidthRunner is a second application: a bandwidth-bound code
-// planned in closed form. Past a couple of cores the memory roof binds
-// at every frequency, so the run takes as long at 1.5 GHz as at
-// 2.5 GHz and frequency only costs energy. It is HPCGRunner's sbatch
-// submission under its own binary path, running that runtime as a
-// sleep shape and reporting the roof-bound throughput.
-type bandwidthRunner struct{ *core.HPCGRunner }
-
-const (
-	bandwidthRoofGFLOPS = 11.0
-	bandwidthJobGFLOP   = bandwidthRoofGFLOPS * 600 // ~10 minutes at the roof
-)
-
-func newBandwidthRunner(c *slurm.Controller, path string) (core.ApplicationRunner, error) {
-	r, err := core.NewHPCGRunner(c, path, bandwidthJobGFLOP)
-	if err != nil {
-		return nil, err
-	}
-	return bandwidthRunner{r}, nil
-}
-
-func (r bandwidthRunner) Name() string { return "stream" }
-
-func (r bandwidthRunner) Run(cfg perfmodel.Config) (core.RunResult, error) {
-	g := math.Min(4*float64(cfg.Cores)*float64(cfg.FreqKHz)/1e6, bandwidthRoofGFLOPS)
-	r.Controller.RegisterWorkload(r.HPCGPath, workload.Sleep("stream", time.Duration(bandwidthJobGFLOP/g*float64(time.Second))))
-	res, err := r.HPCGRunner.Run(cfg)
-	res.GFLOPS = g
-	return res, err
-}
-
-func (r bandwidthRunner) Rebind(c *slurm.Controller) (core.ApplicationRunner, error) {
-	return newBandwidthRunner(c, r.HPCGPath)
-}
-
-// TestStreamApplicationThroughSubmitPath: a second application,
-// benchmarked and trained through a second Chronus over the
-// deployment's repository, blob store and settings, is rewritten by the
-// plugin to its own optimum while HPCG keeps its own.
-func TestStreamApplicationThroughSubmitPath(t *testing.T) {
-	d := newDeployment(t)
-	if _, err := d.BenchmarkConfigs(QuickSweepConfigs(), 0); err != nil {
-		t.Fatal(err)
-	}
-	meta, err := d.TrainModel("brute-force")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.PreloadModel(meta.ID); err != nil {
-		t.Fatal(err)
-	}
-
-	const streamPath = "/opt/stream/stream_c"
-	runner, err := newBandwidthRunner(d.Cluster, streamPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	benchConf, err := slurm.ParseConf("ClusterName=bench\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	calib := d.Nodes[0].Calibration()
-	stream, err := core.New(core.Deps{
-		Repo: d.Repo, Blob: d.Blob, Settings: d.Settings,
-		SysInfo: newSysInfo(d.fs), FS: d.fs, Runner: runner,
-		LocalDir: t.TempDir(), Now: d.Sim.Now,
-		Provision: func(idx int, slabs *core.Slabs) (core.BenchNode, error) {
-			bsim := simclock.New()
-			bnode := hw.NewNode(bsim, hw.DefaultSpec(), calib, uint64(idx)+1)
-			bbmc := ipmi.NewBMC(bnode)
-			bbmc.ChmodWorldReadable()
-			bcluster, err := slurm.NewCluster(bsim, benchConf, slurm.WithNodes(bnode))
-			if err != nil {
-				return core.BenchNode{}, err
-			}
-			bsystem, err := core.NewIPMISystemService(bsim, bbmc, bnode, false)
-			if err != nil {
-				return core.BenchNode{}, err
-			}
-			bsystem.Slabs = slabs
-			return core.BenchNode{Cluster: bcluster, System: bsystem, Close: bsystem.Release}, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ghz := func(g float64) int { return int(g * 1e6) }
-	configs := []Config{
-		{Cores: 32, FreqKHz: ghz(2.5), ThreadsPerCore: 1},
-		{Cores: 32, FreqKHz: ghz(2.2), ThreadsPerCore: 1},
-		{Cores: 32, FreqKHz: ghz(1.5), ThreadsPerCore: 1},
-		{Cores: 16, FreqKHz: ghz(2.5), ThreadsPerCore: 1},
-		{Cores: 16, FreqKHz: ghz(1.5), ThreadsPerCore: 1},
-		{Cores: 8, FreqKHz: ghz(1.5), ThreadsPerCore: 1},
-	}
-	if _, err := stream.Benchmark.Run(configs, 0); err != nil {
-		t.Fatal(err)
-	}
-	systems, _ := stream.InitModel.Systems()
-	sMeta, err := stream.InitModel.Run("brute-force", systems[0].ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pre-loaded through the deployment's handle: its PredictService is
-	// the one the plugin asks.
-	if _, err := d.PreloadModel(sMeta.ID); err != nil {
-		t.Fatal(err)
-	}
-
-	// The plugin rewrites each binary to its own optimum.
-	hpcgJob, err := d.SubmitHPCGOptIn()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hpcgDone, _ := d.Cluster.WaitFor(hpcgJob.ID)
-	streamJob, err := d.Cluster.SubmitScript(`#!/bin/bash
-#SBATCH --nodes=1
-#SBATCH --ntasks=32
-#SBATCH --cpu-freq=2500000
-#SBATCH --comment "chronus"
-
-srun --mpi=pmix_v4 --ntasks-per-core=1 ` + streamPath + "\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamDone, _ := d.Cluster.WaitFor(streamJob.ID)
-
-	hRec, _ := d.Cluster.Accounting().Record(hpcgDone.ID)
-	sRec, _ := d.Cluster.Accounting().Record(streamDone.ID)
-	if hRec.FreqKHz != 2_200_000 {
-		t.Fatalf("HPCG rewritten to %d kHz, want 2.2 GHz", hRec.FreqKHz)
-	}
-	if sRec.FreqKHz != 1_500_000 {
-		t.Fatalf("STREAM rewritten to %d kHz, want 1.5 GHz (bandwidth-bound)", sRec.FreqKHz)
 	}
 }
 

@@ -437,7 +437,7 @@ func (d *Deployment) RunPreloadAblation(modelID int64) (*PreloadAblationResult, 
 		return nil, fmt.Errorf("ecosched: no system registered: %v", err)
 	}
 	sysHash := systems[0].ProcHash
-	binHash := binaryHashFor(d.HPCGPath)
+	binHash := ecoplugin.BinaryHash(d.HPCGPath)
 
 	req := ecoplugin.PredictRequest{SystemHash: sysHash, BinaryHash: binHash}
 

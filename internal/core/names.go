@@ -34,7 +34,7 @@ const (
 	eventPredictDegraded  = "chronus.predict.degraded"
 	// metricRetryPrefix + stage counts retries per load stage.
 	metricRetryPrefix     = "chronus.retry."
-	eventRetryBackoff     = "chronus.retry.backoff"
+	eventRetryAttempt     = "chronus.retry.attempt"
 	metricSweepWorkers    = "chronus.sweep.workers"
 	metricSweepQueueDepth = "chronus.sweep.queue_depth"
 	metricSweepBatchRows  = "chronus.sweep.batch_rows"

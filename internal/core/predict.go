@@ -147,9 +147,10 @@ func (s *PredictService) predict(ctx context.Context, req ecoplugin.PredictReque
 // load performs one uncached prediction: the pre-loaded local-disk
 // path when the model registry knows the pair, the cold database +
 // blob path otherwise (A2 only). The returned latency is what the
-// path cost, including the portion spent before an error. Each stage
-// (model read, database query, blob fetch, optimizer sweep) gets its
-// own child span carrying its simulated cost.
+// path cost, every attempt of a retried stage and the portion spent
+// before an error included. Each stage (model read, database query,
+// blob fetch, optimizer sweep) gets its own child span carrying the
+// simulated cost of one attempt.
 func (s *PredictService) load(ctx context.Context, req ecoplugin.PredictRequest) (_ perfmodel.Config, _ time.Duration, src ecoplugin.PredictSource, err error) {
 	var span *trace.Span
 	ctx, span = s.deps.Tracer.Start(ctx, spanPredictLoad)
@@ -160,20 +161,21 @@ func (s *PredictService) load(ctx context.Context, req ecoplugin.PredictRequest)
 		span.End(err)
 	}()
 
-	latency := LatencyLocalRead // the settings lookup below
+	c := charge{spent: stageSettingsLoad.cost, budget: req.Budget}
 	var cfg settings.Settings
-	err = s.retry(ctx, stageSettingsLoad, func() error {
+	// A settings retry leaves at least the pre-loaded path to pay for.
+	err = s.retry(ctx, stageSettingsLoad, &c, stageModelRead.cost+LatencyPredict, func() error {
 		var lerr error
 		cfg, lerr = s.deps.Settings.Load()
 		return lerr
 	})
 	if err != nil {
-		return perfmodel.Config{}, latency, ecoplugin.SourcePreloaded, err
+		return perfmodel.Config{}, c.spent, ecoplugin.SourcePreloaded, err
 	}
 	if local, ok := cfg.FindModelByHash(req.SystemHash, req.BinaryHash); ok {
-		projected := latency + LatencyLocalRead + LatencyPredict
+		projected := c.spent + stageModelRead.cost + LatencyPredict
 		if req.Budget > 0 && projected > req.Budget {
-			return perfmodel.Config{}, latency, ecoplugin.SourcePreloaded, fmt.Errorf(
+			return perfmodel.Config{}, c.spent, ecoplugin.SourcePreloaded, fmt.Errorf(
 				"core: pre-loaded path needs %v of a %v budget: %w", projected, req.Budget, ecoplugin.ErrBudgetExceeded)
 		}
 		_, rs := s.deps.Tracer.Start(ctx, spanPredictReadModel)
@@ -182,53 +184,56 @@ func (s *PredictService) load(ctx context.Context, req ecoplugin.PredictRequest)
 			read = os.ReadFile
 		}
 		var data []byte
-		err = s.retry(ctx, stageModelRead, func() error {
+		c.spent += stageModelRead.cost
+		err = s.retry(ctx, stageModelRead, &c, LatencyPredict, func() error {
 			var rerr error
 			data, rerr = read(local.Path)
 			return rerr
 		})
 		if err != nil {
 			rs.End(err)
-			return perfmodel.Config{}, latency, ecoplugin.SourcePreloaded, fmt.Errorf("core: pre-loaded model: %w", err)
+			return perfmodel.Config{}, c.spent, ecoplugin.SourcePreloaded, fmt.Errorf("core: pre-loaded model: %w", err)
 		}
-		latency += LatencyLocalRead
 		if rs != nil {
 			rs.SetAttr("sim_latency", LatencyLocalRead.String())
 			rs.SetAttr("path", local.Path)
 		}
 		rs.End(nil)
 		best, err := s.decodeAndSweepTraced(ctx, data)
-		latency += LatencyPredict
-		return best, latency, ecoplugin.SourcePreloaded, err
+		c.spent += LatencyPredict
+		return best, c.spent, ecoplugin.SourcePreloaded, err
 	}
 
 	if !s.AllowColdLoad {
-		return perfmodel.Config{}, latency, ecoplugin.SourceCold, fmt.Errorf(
+		return perfmodel.Config{}, c.spent, ecoplugin.SourceCold, fmt.Errorf(
 			"core: no pre-loaded model for system %s application %s", req.SystemHash, req.BinaryHash)
 	}
 	s.deps.Metrics.Counter(metricPredictCold).Inc()
 
-	projected := latency + LatencyDBQuery + LatencyBlobFetch + LatencyPredict
+	projected := c.spent + stageDBQuery.cost + stageBlobFetch.cost + LatencyPredict
 	if req.Budget > 0 && projected > req.Budget {
-		return perfmodel.Config{}, latency, ecoplugin.SourceCold, fmt.Errorf(
+		return perfmodel.Config{}, c.spent, ecoplugin.SourceCold, fmt.Errorf(
 			"core: cold path needs %v of a %v budget: %w", projected, req.Budget, ecoplugin.ErrBudgetExceeded)
 	}
 
-	// Cold path: find the system, its newest model, fetch the blob.
-	latency += LatencyDBQuery
+	// Cold path: find the system, its newest model, fetch the blob. The
+	// two queries are one database stage; each retry of either is
+	// charged as another query.
+	c.spent += stageDBQuery.cost
+	afterDB := stageBlobFetch.cost + LatencyPredict
 	_, dbs := s.deps.Tracer.Start(ctx, spanPredictDBQuery)
 	if dbs != nil {
 		dbs.SetAttr("sim_latency", LatencyDBQuery.String())
 	}
 	var systems []repository.System
-	err = s.retry(ctx, stageDBQuery, func() error {
+	err = s.retry(ctx, stageDBQuery, &c, afterDB, func() error {
 		var qerr error
 		systems, qerr = s.deps.Repo.ListSystems()
 		return qerr
 	})
 	if err != nil {
 		dbs.End(err)
-		return perfmodel.Config{}, latency, ecoplugin.SourceCold, err
+		return perfmodel.Config{}, c.spent, ecoplugin.SourceCold, err
 	}
 	var sysID int64 = -1
 	for _, sys := range systems {
@@ -240,17 +245,17 @@ func (s *PredictService) load(ctx context.Context, req ecoplugin.PredictRequest)
 	if sysID < 0 {
 		err = fmt.Errorf("core: unknown system %s", req.SystemHash)
 		dbs.End(err)
-		return perfmodel.Config{}, latency, ecoplugin.SourceCold, err
+		return perfmodel.Config{}, c.spent, ecoplugin.SourceCold, err
 	}
 	var models []repository.ModelMeta
-	err = s.retry(ctx, stageDBQuery, func() error {
+	err = s.retry(ctx, stageDBQuery, &c, afterDB, func() error {
 		var qerr error
 		models, qerr = s.deps.Repo.ListModels()
 		return qerr
 	})
 	if err != nil {
 		dbs.End(err)
-		return perfmodel.Config{}, latency, ecoplugin.SourceCold, err
+		return perfmodel.Config{}, c.spent, ecoplugin.SourceCold, err
 	}
 	var blobKey string
 	for _, m := range models {
@@ -261,7 +266,7 @@ func (s *PredictService) load(ctx context.Context, req ecoplugin.PredictRequest)
 	if blobKey == "" {
 		err = fmt.Errorf("core: no model for system %s application %s", req.SystemHash, req.BinaryHash)
 		dbs.End(err)
-		return perfmodel.Config{}, latency, ecoplugin.SourceCold, err
+		return perfmodel.Config{}, c.spent, ecoplugin.SourceCold, err
 	}
 	dbs.End(nil)
 	_, bs := s.deps.Tracer.Start(ctx, spanPredictBlobFetch)
@@ -270,19 +275,19 @@ func (s *PredictService) load(ctx context.Context, req ecoplugin.PredictRequest)
 		bs.SetAttr("key", blobKey)
 	}
 	var data []byte
-	err = s.retry(ctx, stageBlobFetch, func() error {
+	c.spent += stageBlobFetch.cost
+	err = s.retry(ctx, stageBlobFetch, &c, LatencyPredict, func() error {
 		var gerr error
 		data, gerr = s.deps.Blob.Get(blobKey)
 		return gerr
 	})
 	bs.End(err)
 	if err != nil {
-		return perfmodel.Config{}, latency, ecoplugin.SourceCold, err
+		return perfmodel.Config{}, c.spent, ecoplugin.SourceCold, err
 	}
-	latency += LatencyBlobFetch
 	best, err := s.decodeAndSweepTraced(ctx, data)
-	latency += LatencyPredict
-	return best, latency, ecoplugin.SourceCold, err
+	c.spent += LatencyPredict
+	return best, c.spent, ecoplugin.SourceCold, err
 }
 
 // decodeAndSweepTraced wraps decodeAndSweep in the predict.optimize

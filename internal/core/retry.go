@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strconv"
+	"time"
 
 	"ecosched/internal/ecoplugin"
 )
@@ -19,29 +21,48 @@ import (
 // prediction, so a backoff would wait on nothing.
 const retryAttempts = 3
 
-// Stage labels for retry metrics (metricRetryPrefix + stage) and
-// retry trace events.
-const (
-	stageSettingsLoad = "settings_load"
-	stageModelRead    = "model_read"
-	stageDBQuery      = "db_query"
-	stageBlobFetch    = "blob_fetch"
+// stage is one transient step of a prediction load.
+type stage struct {
+	name string        // label for retry metrics (metricRetryPrefix + name) and trace events
+	cost time.Duration // simulated cost of one attempt
+}
+
+var (
+	stageSettingsLoad = stage{"settings_load", LatencyLocalRead}
+	stageModelRead    = stage{"model_read", LatencyLocalRead}
+	stageDBQuery      = stage{"db_query", LatencyDBQuery}
+	stageBlobFetch    = stage{"blob_fetch", LatencyBlobFetch}
 )
 
+// charge is what a prediction load has spent so far against its
+// submit budget (zero budget: unenforced).
+type charge struct {
+	spent, budget time.Duration
+}
+
 // retry runs fn up to retryAttempts times, counting and tracing every
-// retry. Retries stop early when the context is done or the error is
-// permanent (budget refusal, context error). The last error is
-// returned verbatim so callers' errors.Is chains still work.
-func (s *PredictService) retry(ctx context.Context, stage string, fn func() error) error {
+// retry. The caller has charged the first attempt to c; each retry
+// charges st.cost again, and is taken only while a set budget still
+// covers it plus rest, the path's projected cost after this stage —
+// otherwise retry refuses with ecoplugin.ErrBudgetExceeded. Retries
+// also stop early when the context is done or the error is permanent
+// (budget refusal, context error); that last error is returned
+// verbatim so callers' errors.Is chains still work.
+func (s *PredictService) retry(ctx context.Context, st stage, c *charge, rest time.Duration, fn func() error) error {
 	for attempt := 1; ; attempt++ {
 		err := fn()
 		if err == nil || attempt >= retryAttempts || !retryable(ctx, err) {
 			return err
 		}
-		s.deps.Metrics.Counter(metricRetryPrefix + stage).Inc()
+		if need := c.spent + st.cost + rest; c.budget > 0 && need > c.budget {
+			return fmt.Errorf("core: %s retry after %v needs %v of a %v budget: %w",
+				st.name, err, need, c.budget, ecoplugin.ErrBudgetExceeded)
+		}
+		c.spent += st.cost
+		s.deps.Metrics.Counter(metricRetryPrefix + st.name).Inc()
 		if s.deps.Tracer != nil {
-			s.deps.Tracer.Event(eventRetryBackoff, map[string]string{
-				"stage":   stage,
+			s.deps.Tracer.Event(eventRetryAttempt, map[string]string{
+				"stage":   st.name,
 				"attempt": strconv.Itoa(attempt),
 				"cause":   err.Error(),
 			})

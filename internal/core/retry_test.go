@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -25,7 +26,7 @@ func testRetrier() *PredictService {
 func TestRetrierRescuesTransientFailure(t *testing.T) {
 	r := testRetrier()
 	calls := 0
-	err := r.retry(context.Background(), stageBlobFetch, func() error {
+	err := r.retry(context.Background(), stageBlobFetch, &charge{}, 0, func() error {
 		calls++
 		if calls < 3 {
 			return fmt.Errorf("transient %d", calls)
@@ -38,7 +39,7 @@ func TestRetrierRescuesTransientFailure(t *testing.T) {
 	if calls != 3 {
 		t.Fatalf("calls = %d, want 3", calls)
 	}
-	if got := r.deps.Metrics.Counter(metricRetryPrefix + stageBlobFetch).Value(); got != 2 {
+	if got := r.deps.Metrics.Counter(metricRetryPrefix + stageBlobFetch.name).Value(); got != 2 {
 		t.Fatalf("retry counter = %d, want 2", got)
 	}
 }
@@ -47,7 +48,7 @@ func TestRetrierExhaustsAttempts(t *testing.T) {
 	r := testRetrier()
 	calls := 0
 	wantErr := errors.New("persistent")
-	err := r.retry(context.Background(), stageDBQuery, func() error { calls++; return wantErr })
+	err := r.retry(context.Background(), stageDBQuery, &charge{}, 0, func() error { calls++; return wantErr })
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v", err)
 	}
@@ -63,7 +64,7 @@ func TestRetrierPermanentErrorsNotRetried(t *testing.T) {
 	} {
 		r := testRetrier()
 		calls := 0
-		err := r.retry(context.Background(), stageModelRead, func() error { calls++; return perm })
+		err := r.retry(context.Background(), stageModelRead, &charge{}, 0, func() error { calls++; return perm })
 		if !errors.Is(err, perm) && !errors.Is(perm, err) {
 			t.Fatalf("err = %v, want %v", err, perm)
 		}
@@ -77,7 +78,7 @@ func TestRetrierHonorsCancelledContext(t *testing.T) {
 	r := testRetrier()
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	err := r.retry(ctx, stageDBQuery, func() error {
+	err := r.retry(ctx, stageDBQuery, &charge{}, 0, func() error {
 		calls++
 		cancel()
 		return errors.New("boom")
@@ -134,7 +135,7 @@ func TestPredictRetryRescuesFlakySettings(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "no pre-loaded model") {
 		t.Fatalf("retry err = %v, want to get past settings to the no-model stage", err)
 	}
-	if got := deps.Metrics.Counter(metricRetryPrefix + stageSettingsLoad).Value(); got != 2 {
+	if got := deps.Metrics.Counter(metricRetryPrefix + stageSettingsLoad.name).Value(); got != 2 {
 		t.Fatalf("settings_load retry counter = %d, want 2", got)
 	}
 }
@@ -244,4 +245,62 @@ func TestDrainWaitsForInflightPredictions(t *testing.T) {
 	}
 	// Idle drains return immediately.
 	c.Drain()
+}
+
+// TestRetriedAttemptsSpendTheBudget: two torn reads of a pre-loaded
+// model cost two more model reads than the healthy 9 ms path. With no
+// budget the prediction reports all 13 ms; with a 9 ms budget the
+// first retry no longer fits and the prediction is refused as a
+// budget violation instead of being admitted at a 9 ms it did not
+// cost.
+func TestRetriedAttemptsSpendTheBudget(t *testing.T) {
+	r := newRig(t)
+	benchmarkSweep(t, r)
+	systems, _ := r.chronus.InitModel.Systems()
+	meta, err := r.chronus.InitModel.Run("brute-force", systems[0].ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.chronus.LoadModel.Run(meta.ID); err != nil {
+		t.Fatal(err)
+	}
+	req := ecoplugin.PredictRequest{SystemHash: systems[0].ProcHash, BinaryHash: meta.AppHash}
+
+	predict := func(budget time.Duration) (ecoplugin.PredictResult, int, *metrics.Registry, error) {
+		deps := r.chronus.deps
+		deps.Metrics = metrics.New()
+		reads := 0
+		deps.ReadFile = func(path string) ([]byte, error) {
+			if reads++; reads <= 2 {
+				return nil, errors.New("torn read")
+			}
+			return os.ReadFile(path)
+		}
+		c, err := New(deps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Budget = budget
+		res, err := c.Predict.Predict(context.Background(), req)
+		return res, reads, deps.Metrics, err
+	}
+
+	res, reads, _, err := predict(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := LatencyLocalRead + 3*LatencyLocalRead + LatencyPredict; reads != 3 || res.Latency != want {
+		t.Fatalf("unbudgeted: %d reads, Latency %v; want 3 reads, %v", reads, res.Latency, want)
+	}
+
+	res, reads, m, err := predict(9 * time.Millisecond)
+	if !errors.Is(err, ecoplugin.ErrBudgetExceeded) {
+		t.Fatalf("9 ms budget: err = %v (Latency %v after %d reads), want ErrBudgetExceeded", err, res.Latency, reads)
+	}
+	if res.Latency > 9*time.Millisecond {
+		t.Fatalf("refused prediction reports %v, over its 9 ms budget", res.Latency)
+	}
+	if got := m.Counter(metricPredictBudgetViolations).Value(); got != 1 {
+		t.Fatalf("budget violations = %d, want 1", got)
+	}
 }

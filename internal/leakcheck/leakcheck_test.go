@@ -2,6 +2,7 @@ package leakcheck
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -39,6 +40,11 @@ func TestCheckReportsLeakedGoroutine(t *testing.T) {
 	grace = 50 * time.Millisecond
 	defer func() { grace = old }()
 
+	// Let goroutines of earlier tests finish unwinding first: one that
+	// exits after the snapshot would offset the leak in the count.
+	for n := -1; n != runtime.NumGoroutine(); time.Sleep(10 * time.Millisecond) {
+		n = runtime.NumGoroutine()
+	}
 	rec := &recorder{}
 	check := Check(rec)
 	block := make(chan struct{})

@@ -11,7 +11,7 @@
 // and the gates that replaced the analyzers retired from the suite):
 //
 //   - nodeterminism: the deterministic packages (core, ml, optimizer,
-//     hpcg, slurm, …) must not read wall clocks or global randomness,
+//     slurm, …) must not read wall clocks or global randomness,
 //     range a map into an ordered sink, or select over several ready
 //     channels — the parallel sweep's byte-identical-results guarantee
 //     and replay fidelity depend on every measurement being a pure

@@ -18,7 +18,6 @@ var deterministicPackages = []string{
 	"internal/ml",
 	"internal/optimizer",
 	"internal/simclock",
-	"internal/hpcg",
 	"internal/perfmodel",
 	"internal/slurm",
 	"internal/telemetry",
@@ -127,7 +126,7 @@ func checkClockAndRand(pass *Pass, sel *ast.SelectorExpr) {
 			return
 		}
 		if why, bad := forbiddenTimeFuncs[obj.Name()]; bad {
-			pass.Reportf(sel.Pos(), "time.%s %s; %s is a deterministic package — inject a clock (core.Deps.Now, simclock.Sim, hpcg Options.Clock)",
+			pass.Reportf(sel.Pos(), "time.%s %s; %s is a deterministic package — inject a clock (core.Deps.Now, simclock.Sim, trace.WithClock)",
 				obj.Name(), why, pass.Pkg.Pkg.Name())
 		}
 	case "math/rand", "math/rand/v2":

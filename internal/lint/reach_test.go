@@ -213,7 +213,7 @@ func TestUnreachableFixture(t *testing.T) {
 var reachAllow = map[string]string{
 	"blob.NewMemory":                        "(a) the in-memory blob store fake of the blob, core and fault tests",
 	"settings.NewMemStore":                  "(a) the in-memory settings fake of the core, ecoplugin, fault and settings tests; (c) the ROADMAP item \"The paper's hook at cluster scale\" wires it as the cluster plugin's store",
-	"leakcheck.Check":                       "(a) the goroutine-leak assertion of the root, core, hpcg, ml, optimizer and trace tests",
+	"leakcheck.Check":                       "(a) the goroutine-leak assertion of the root, core, ml, optimizer and trace tests",
 	"fault.WithSleep":                       "(a) makes latency faults cost wall time in the fault and core sweep chaos tests",
 	"trace.WithClock":                       "(a) pins span timestamps in the trace, fault and core tests",
 	"hw.Node.ResetEnergy":                   "(a) starts a measured window in the hw, ipmi and slurm energy tests",
@@ -238,8 +238,6 @@ var reachAllow = map[string]string{
 	"slurm.Controller.Nodes":                "(d) the controller's hardware nodes, whose energy the slurm tests read",
 	"slurm.Controller.Policy":               "(d) the partition's parsed scheduling policy, which the slurm tests check",
 	"slurm.Controller.UserUsageCPUSeconds":  "(d) a user's fair-share usage, which the slurm and root pipeline tests check",
-	"hpcg.Matrix.Row":                       "(d) one row of the assembled operator, which the hpcg tests check",
-	"hpcg.Matrix.Diag":                      "(d) one diagonal entry of the assembled operator, which the hpcg tests check",
 	"trace.Span.TraceID":                    "(d) a span's trace id, which the trace tests check is shared and unique",
 }
 

@@ -150,8 +150,8 @@ type calQueue struct {
 // queue of pending events. Sim is not safe for concurrent use; the
 // simulation is single-threaded by design (determinism). Parallelism
 // lives above it — the cluster simulator runs one Sim per partition
-// lane — or inside leaf computations such as the HPCG solver, never in
-// one event loop.
+// lane, the benchmark sweep one per provisioned stack — never in one
+// event loop.
 type Sim struct {
 	now       time.Time
 	nowTick   int64     // now.UnixNano(), maintained alongside now
