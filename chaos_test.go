@@ -3,6 +3,7 @@ package ecosched
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -67,11 +68,9 @@ func optInDesc(d *Deployment, binary string) slurm.JobDesc {
 	}
 	return slurm.JobDesc{
 		Name:       "hpcg",
-		Script:     "#!/bin/bash\n",
 		BinaryPath: binary,
 		Comment:    ecoplugin.OptInComment,
 		NumTasks:   64,
-		MemoryMB:   4096,
 		MinFreqKHz: 2_500_000,
 		MaxFreqKHz: 2_500_000,
 		TimeLimit:  time.Hour,
@@ -79,9 +78,9 @@ func optInDesc(d *Deployment, binary string) slurm.JobDesc {
 }
 
 // requireFailOpen submits desc through the plugin and enforces the
-// chaos invariants: submit never errors, never exceeds the budget, and
-// never yields a partially-rewritten job — the description is either
-// untouched or carries the full, coherent Listing 4 rewrite.
+// chaos invariants: submit never errors, never exceeds the deployment's
+// budget, and never yields a partially-rewritten job — the description
+// is either untouched or carries the full, coherent Listing 4 rewrite.
 func requireFailOpen(t *testing.T, d *Deployment, desc slurm.JobDesc) (slurm.JobDesc, time.Duration) {
 	t.Helper()
 	orig := desc
@@ -89,8 +88,8 @@ func requireFailOpen(t *testing.T, d *Deployment, desc slurm.JobDesc) (slurm.Job
 	if err != nil {
 		t.Fatalf("submit errored under faults: %v", err)
 	}
-	if lat > chaosBudget {
-		t.Fatalf("submit latency %v exceeds the %v budget", lat, chaosBudget)
+	if budget := d.Plugin.Budget(); lat > budget {
+		t.Fatalf("submit latency %v exceeds the %v budget", lat, budget)
 	}
 	if reflect.DeepEqual(desc, orig) {
 		return desc, lat
@@ -258,12 +257,14 @@ func TestChaosRetryOverBudgetFailsOpen(t *testing.T) {
 // through seed-derived random fault schedules (every injector, every
 // mode, random rates) and holds the three invariants of the issue on
 // every single submission: never an error, never over budget, never a
-// partially-rewritten job.
+// partially-rewritten job. Each round is a deployment of its own under
+// an eco_budget drawn log-uniformly from [9 ms, 2 s], so budgets that
+// cover a healthy path but not its retries — 9–17 ms on the pre-loaded
+// path, 557 ms–1.66 s on the cold one, which the unknown binaries take —
+// come up; a submission that counts a budget violation must leave its
+// job unmodified.
 func TestChaosSubmitInvariantsUnderRandomSchedules(t *testing.T) {
 	seed := chaosSeed(t)
-	d := newDeployment(t, func(o *Options) { o.SlurmConf = chaosConf }, WithSeed(seed))
-	preloadHealthy(t, d)
-
 	ops := []string{
 		"repo.*", "blob.*",
 		fault.OpIPMISample, fault.OpModelRead,
@@ -274,7 +275,25 @@ func TestChaosSubmitInvariantsUnderRandomSchedules(t *testing.T) {
 
 	const rounds = 8
 	for round := 0; round < rounds; round++ {
-		d.Fault.Reset()
+		budget := time.Duration(float64(9*time.Millisecond) * math.Pow(2*float64(time.Second)/float64(9*time.Millisecond), rng.Float64()))
+		d := newDeployment(t, func(o *Options) {
+			o.SlurmConf = fmt.Sprintf("ClusterName=ecosched\nJobSubmitPlugins=eco\nSchedulerParameters=eco_budget=%v\n", budget)
+		}, WithSeed(seed))
+		if d.Plugin.Budget() != budget {
+			t.Fatalf("round %d: plugin budget %v, want the drawn %v", round, d.Plugin.Budget(), budget)
+		}
+		preloadHealthy(t, d)
+		d.Chronus.Predict.AllowColdLoad = true
+		violations := d.Metrics.Counter("chronus.eco.plugin.budget_violations")
+		submit := func(bin string) slurm.JobDesc {
+			t.Helper()
+			before := violations.Value()
+			desc, _ := requireFailOpen(t, d, optInDesc(d, bin))
+			if violations.Value() > before && !reflect.DeepEqual(desc, optInDesc(d, bin)) {
+				t.Fatalf("round %d (budget %v): a counted budget violation rewrote the job: %+v", round, budget, desc)
+			}
+			return desc
+		}
 		rules := make([]fault.Rule, 1+rng.Intn(4))
 		for i := range rules {
 			r := fault.Rule{
@@ -295,18 +314,17 @@ func TestChaosSubmitInvariantsUnderRandomSchedules(t *testing.T) {
 		// Three submissions per schedule: the preloaded binary (may be
 		// rewritten or degrade, depending on what fires) and two
 		// unknown binaries (always fall back, exercising the cold path
-		// refusal under faults).
-		requireFailOpen(t, d, optInDesc(d, ""))
+		// and its refusal under faults).
+		submit("")
 		for i := 0; i < 2; i++ {
 			bin := fmt.Sprintf("/opt/apps/unknown-%d-%d", round, i)
-			desc, _ := requireFailOpen(t, d, optInDesc(d, bin))
-			if !reflect.DeepEqual(desc, optInDesc(d, bin)) {
+			if desc := submit(bin); !reflect.DeepEqual(desc, optInDesc(d, bin)) {
 				t.Fatalf("round %d: unknown binary was rewritten: %+v", round, desc)
 			}
 		}
-	}
-	if d.Plugin.Submissions != rounds*3 {
-		t.Fatalf("Submissions = %d, want %d", d.Plugin.Submissions, rounds*3)
+		if d.Plugin.Submissions != 3 {
+			t.Fatalf("round %d: Submissions = %d, want 3", round, d.Plugin.Submissions)
+		}
 	}
 }
 

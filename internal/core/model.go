@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strconv"
 
+	"ecosched/internal/ecoplugin"
 	"ecosched/internal/optimizer"
 	"ecosched/internal/repository"
 	"ecosched/internal/settings"
@@ -186,5 +187,5 @@ func (s *LoadModelService) Run(modelID int64) (_ settings.LocalModel, err error)
 }
 
 func binaryHashOf(deps Deps) string {
-	return binaryHash(deps.Runner.BinaryPath())
+	return ecoplugin.BinaryHash(deps.Runner.BinaryPath())
 }

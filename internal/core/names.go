@@ -6,17 +6,18 @@ package core
 // exposition surface is greppable from this one block and renames are
 // single-line diffs.
 const (
-	spanPredict          = "chronus.predict"
-	spanPredictCacheHit  = "chronus.predict.cache_hit"
-	spanPredictWait      = "chronus.predict.singleflight_wait"
-	spanPredictLoad      = "chronus.predict.load"
-	spanPredictReadModel = "chronus.predict.read_model"
-	spanPredictDBQuery   = "chronus.predict.db_query"
-	spanPredictBlobFetch = "chronus.predict.blob_fetch"
-	spanPredictOptimize  = "chronus.predict.optimize"
-	spanBenchmark        = "chronus.benchmark"
-	spanBenchmarkRun     = "chronus.benchmark.run"
-	spanLoadModel        = "chronus.load_model"
+	spanPredict             = "chronus.predict"
+	spanPredictCacheHit     = "chronus.predict.cache_hit"
+	spanPredictWait         = "chronus.predict.singleflight_wait"
+	spanPredictLoad         = "chronus.predict.load"
+	spanPredictSettingsLoad = "chronus.predict.settings_load"
+	spanPredictReadModel    = "chronus.predict.read_model"
+	spanPredictDBQuery      = "chronus.predict.db_query"
+	spanPredictBlobFetch    = "chronus.predict.blob_fetch"
+	spanPredictOptimize     = "chronus.predict.optimize"
+	spanBenchmark           = "chronus.benchmark"
+	spanBenchmarkRun        = "chronus.benchmark.run"
+	spanLoadModel           = "chronus.load_model"
 
 	metricPredictCacheHit         = "chronus.predict.cache_hit"
 	metricPredictCacheMiss        = "chronus.predict.cache_miss"

@@ -148,9 +148,9 @@ func (s *PredictService) predict(ctx context.Context, req ecoplugin.PredictReque
 // path when the model registry knows the pair, the cold database +
 // blob path otherwise (A2 only). The returned latency is what the
 // path cost, every attempt of a retried stage and the portion spent
-// before an error included. Each stage (model read, database query,
-// blob fetch, optimizer sweep) gets its own child span carrying the
-// simulated cost of one attempt.
+// before an error included. Each stage (settings load, model read,
+// database query, blob fetch, optimizer sweep) gets its own child span
+// carrying the simulated cost of one attempt.
 func (s *PredictService) load(ctx context.Context, req ecoplugin.PredictRequest) (_ perfmodel.Config, _ time.Duration, src ecoplugin.PredictSource, err error) {
 	var span *trace.Span
 	ctx, span = s.deps.Tracer.Start(ctx, spanPredictLoad)
@@ -162,6 +162,10 @@ func (s *PredictService) load(ctx context.Context, req ecoplugin.PredictRequest)
 	}()
 
 	c := charge{spent: stageSettingsLoad.cost, budget: req.Budget}
+	_, ss := s.deps.Tracer.Start(ctx, spanPredictSettingsLoad)
+	if ss != nil {
+		ss.SetAttr("sim_latency", LatencyLocalRead.String())
+	}
 	var cfg settings.Settings
 	// A settings retry leaves at least the pre-loaded path to pay for.
 	err = s.retry(ctx, stageSettingsLoad, &c, stageModelRead.cost+LatencyPredict, func() error {
@@ -169,6 +173,7 @@ func (s *PredictService) load(ctx context.Context, req ecoplugin.PredictRequest)
 		cfg, lerr = s.deps.Settings.Load()
 		return lerr
 	})
+	ss.End(err)
 	if err != nil {
 		return perfmodel.Config{}, c.spent, ecoplugin.SourcePreloaded, err
 	}
@@ -330,6 +335,3 @@ func ConfigJSONOutput(cfg perfmodel.Config) string {
 	})
 	return string(out)
 }
-
-// binaryHash is the application identifier shared with the plugin.
-func binaryHash(path string) string { return ecoplugin.BinaryHash(path) }

@@ -6,13 +6,16 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"ecosched/internal/blob"
 	"ecosched/internal/ecoplugin"
 	"ecosched/internal/metrics"
+	"ecosched/internal/repository"
 	"ecosched/internal/settings"
 	"ecosched/internal/trace"
 )
@@ -303,4 +306,140 @@ func TestRetriedAttemptsSpendTheBudget(t *testing.T) {
 	if got := m.Counter(metricPredictBudgetViolations).Value(); got != 1 {
 		t.Fatalf("budget violations = %d, want 1", got)
 	}
+}
+
+// flakyRepo fails its first `failures` ListSystems and ListModels calls
+// each, then delegates.
+type flakyRepo struct {
+	repository.Repository
+	systems, models int
+}
+
+func (f *flakyRepo) ListSystems() ([]repository.System, error) {
+	if f.systems > 0 {
+		f.systems--
+		return nil, errors.New("transient query failure")
+	}
+	return f.Repository.ListSystems()
+}
+
+func (f *flakyRepo) ListModels() ([]repository.ModelMeta, error) {
+	if f.models > 0 {
+		f.models--
+		return nil, errors.New("transient query failure")
+	}
+	return f.Repository.ListModels()
+}
+
+// flakyBlob fails its first `failures` Gets, then delegates.
+type flakyBlob struct {
+	blob.Store
+	failures int
+}
+
+func (f *flakyBlob) Get(key string) ([]byte, error) {
+	if f.failures > 0 {
+		f.failures--
+		return nil, errors.New("transient fetch failure")
+	}
+	return f.Store.Get(key)
+}
+
+// TestPredictLatencyMatchesItsTrace: the latency a traced prediction
+// reports is the one its trace accounts for — the sum of the load's
+// stage spans' sim_latency plus one stage cost per
+// chronus.retry.attempt event — on the cold path and on the pre-loaded
+// path, with every transient stage of each retried.
+func TestPredictLatencyMatchesItsTrace(t *testing.T) {
+	r := newRig(t)
+	benchmarkSweep(t, r)
+	systems, _ := r.chronus.InitModel.Systems()
+	meta, err := r.chronus.InitModel.Run("brute-force", systems[0].ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := ecoplugin.PredictRequest{SystemHash: systems[0].ProcHash, BinaryHash: meta.AppHash}
+	stageCost := map[string]time.Duration{}
+	for _, st := range []stage{stageSettingsLoad, stageModelRead, stageDBQuery, stageBlobFetch} {
+		stageCost[st.name] = st.cost
+	}
+
+	check := func(t *testing.T, source ecoplugin.PredictSource, flaky func(*Deps), retried map[string]int) {
+		deps := r.chronus.deps
+		deps.Metrics = metrics.New()
+		path := filepath.Join(t.TempDir(), "events.jsonl")
+		j, err := trace.OpenJournal(path, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		deps.Tracer = trace.New(j, trace.WithClock(deps.Now))
+		defer deps.Tracer.Close()
+		deps.Settings = &flakySettings{inner: deps.Settings, failures: 1}
+		flaky(&deps)
+		c, err := New(deps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Predict.AllowColdLoad = source == ecoplugin.SourceCold
+		res, err := c.Predict.Predict(context.Background(), req)
+		if err != nil || res.Source != source {
+			t.Fatalf("predict: source %q, err %v; want %q", res.Source, err, source)
+		}
+		deps.Tracer.Drain()
+		events, err := trace.ReadJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		load := ""
+		for _, e := range events {
+			if e.Kind == trace.KindSpan && e.Name == spanPredictLoad {
+				load = e.Span
+			}
+		}
+		var traced time.Duration
+		stages := 0
+		got := map[string]int{}
+		for _, e := range events {
+			switch {
+			case e.Kind == trace.KindSpan && load != "" && e.Parent == load:
+				d, err := time.ParseDuration(e.Attrs["sim_latency"])
+				if err != nil {
+					t.Fatalf("stage span %s: sim_latency %q: %v", e.Name, e.Attrs["sim_latency"], err)
+				}
+				traced += d
+				stages++
+			case e.Kind == trace.KindEvent && e.Name == eventRetryAttempt:
+				traced += stageCost[e.Attrs["stage"]]
+				got[e.Attrs["stage"]]++
+			}
+		}
+		if !reflect.DeepEqual(got, retried) {
+			t.Fatalf("retries per stage %v, want %v", got, retried)
+		}
+		if res.Latency != traced {
+			t.Fatalf("reported Latency %v, the trace accounts for %v (%d stage spans, retries %v)", res.Latency, traced, stages, got)
+		}
+	}
+
+	t.Run("cold", func(t *testing.T) {
+		check(t, ecoplugin.SourceCold, func(d *Deps) {
+			d.Repo = &flakyRepo{Repository: d.Repo, systems: 1, models: 1}
+			d.Blob = &flakyBlob{Store: d.Blob, failures: 2}
+		}, map[string]int{stageSettingsLoad.name: 1, stageDBQuery.name: 2, stageBlobFetch.name: 2})
+	})
+	if _, err := r.chronus.LoadModel.Run(meta.ID); err != nil {
+		t.Fatal(err)
+	}
+	t.Run("preloaded", func(t *testing.T) {
+		check(t, ecoplugin.SourcePreloaded, func(d *Deps) {
+			reads := 0
+			d.ReadFile = func(path string) ([]byte, error) {
+				if reads++; reads <= 2 {
+					return nil, errors.New("torn read")
+				}
+				return os.ReadFile(path)
+			}
+		}, map[string]int{stageSettingsLoad.name: 1, stageModelRead.name: 2})
+	})
 }

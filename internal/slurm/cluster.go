@@ -145,7 +145,7 @@ func (p *partition) addNode(n *nodeD) {
 	}
 	spec := n.hw.Spec()
 	for _, cl := range p.classes {
-		if cl.Cores == spec.Cores && cl.ThreadsPerCore == spec.ThreadsPerCore && cl.RAMGB == spec.RAMGB {
+		if cl.Cores == spec.Cores && cl.ThreadsPerCore == spec.ThreadsPerCore {
 			return
 		}
 	}

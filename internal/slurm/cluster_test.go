@@ -94,7 +94,8 @@ func TestShapeDrivenSubmission(t *testing.T) {
 }
 
 // TestAggregateAccounting checks WithAggregateAccounting keeps totals,
-// drops rows, and retires jobs without breaking dependencies.
+// drops rows, and retires jobs: WaitFor no longer finds one, and its
+// record serves the next submission.
 func TestAggregateAccounting(t *testing.T) {
 	sim := simclock.New()
 	c, err := NewCluster(sim, DefaultConf(), WithNodes(clusterNodes(sim, 1)...),
@@ -111,9 +112,10 @@ func TestAggregateAccounting(t *testing.T) {
 	if _, live := c.Job(first.ID); live {
 		t.Fatal("terminal job not retired in aggregate mode")
 	}
-	// A dependency on the retired job must still resolve.
-	dep, err := c.Submit(JobDesc{Name: "b", BinaryPath: "/bin/app", TimeLimit: time.Hour, AfterOK: []int{first.ID}})
-	if err != nil {
+	if _, err := c.WaitFor(first.ID); err == nil {
+		t.Fatal("WaitFor found a retired job")
+	}
+	if _, err := c.Submit(JobDesc{Name: "b", BinaryPath: "/bin/app", TimeLimit: time.Hour}); err != nil {
 		t.Fatal(err)
 	}
 	sim.Run()
@@ -130,7 +132,6 @@ func TestAggregateAccounting(t *testing.T) {
 	if tot.SystemKJ <= 0 {
 		t.Fatal("no energy accounted")
 	}
-	_ = dep
 }
 
 // TestCancelPendingDoesNotRecycleQueuedRecord: in aggregate mode a
@@ -265,8 +266,8 @@ func TestConstructionOptionsWiring(t *testing.T) {
 // jobChunkSize+1 submissions on a one-node controller take chunk 0
 // from firstChunkLen(1) through every doubling to jobChunkSize and
 // open chunk 1, with jobs retiring on the way. At every one of those
-// boundaries Job, Squeue and the retired-state lookup must agree with
-// a plain map of the live jobs.
+// boundaries Job and Squeue must agree with a plain map of the live
+// jobs.
 func TestJobTableGrowthMatchesMapOracle(t *testing.T) {
 	sim := simclock.New()
 	c, err := NewCluster(sim, DefaultConf(), WithNodes(clusterNodes(sim, 1)...), WithAggregateAccounting())
@@ -283,11 +284,6 @@ func TestJobTableGrowthMatchesMapOracle(t *testing.T) {
 			got, ok := c.Job(id)
 			if want := live[id]; got != want || ok != (want != nil) {
 				t.Fatalf("%s: Job(%d) = %p, %v; oracle %p", when, id, got, ok, want)
-			}
-			if _, isLive := live[id]; !isLive && id >= 1 && id < c.nextID {
-				if st, ok := c.jobState(id); !ok || st != StateCompleted {
-					t.Fatalf("%s: retired job %d resolves to %q, %v", when, id, st, ok)
-				}
 			}
 		}
 		queue := c.Squeue()
@@ -335,58 +331,6 @@ func TestJobTableGrowthMatchesMapOracle(t *testing.T) {
 		if got := firstChunkLen(nodes); got != want {
 			t.Errorf("firstChunkLen(%d) = %d, want %d", nodes, got, want)
 		}
-	}
-}
-
-// TestRetiredStatesFollowArenaChunks: the retired-state codes live in
-// chunks shaped like the arena's, so the ids either side of a chunk
-// boundary (8192 ends chunk 0, 8193 opens chunk 1, 16385 opens chunk 2)
-// resolve once retired, and an afterok on a job retired in chunk 0
-// still resolves after chunk 2 exists.
-func TestRetiredStatesFollowArenaChunks(t *testing.T) {
-	sim := simclock.New()
-	c, err := NewCluster(sim, DefaultConf(), WithNodes(clusterNodes(sim, 1)...), WithAggregateAccounting())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.RegisterWorkload("/bin/app", workload.Sleep("app", time.Minute))
-	completed := map[int]bool{}
-	c.OnCompletion(func(j *Job) { completed[j.ID] = j.State == StateCompleted })
-	desc := JobDesc{Name: "j", BinaryPath: "/bin/app", TimeLimit: time.Hour}
-	last := 2*jobChunkSize + 1
-	for id := 1; id <= last; id++ {
-		j, err := c.Submit(desc)
-		if err != nil || j.ID != id {
-			t.Fatalf("submission %d: job %v, err %v", id, j, err)
-		}
-		sim.Run()
-	}
-	if len(c.retired) != 3 || len(c.retired[0]) != len(c.jobs[0]) || len(c.retired[2]) != jobChunkSize {
-		t.Fatalf("retired table has %d chunks (chunk 0: %d codes), want 3 shaped like the arena", len(c.retired), len(c.retired[0]))
-	}
-	for _, id := range []int{1, jobChunkSize, jobChunkSize + 1, last} {
-		if _, live := c.Job(id); live {
-			t.Fatalf("job %d still live after it ended", id)
-		}
-		if st, ok := c.jobState(id); !ok || st != StateCompleted {
-			t.Errorf("retired job %d resolves to %q, %v", id, st, ok)
-		}
-	}
-	for _, id := range []int{0, last + 1, 3 * jobChunkSize} {
-		if st, ok := c.jobState(id); ok {
-			t.Errorf("job %d was never submitted but resolves to %q", id, st)
-		}
-	}
-
-	dep := desc
-	dep.AfterOK = []int{5}
-	j, err := c.Submit(dep)
-	if err != nil {
-		t.Fatalf("afterok on job 5, retired in chunk 0: %v", err)
-	}
-	sim.Run()
-	if !completed[j.ID] {
-		t.Fatalf("job %d (afterok:5) did not complete", j.ID)
 	}
 }
 

@@ -3,6 +3,7 @@ package slurm
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -25,10 +26,6 @@ type Conf struct {
 	// multi-partition cluster is one controller per partition, as the
 	// cluster simulator's lanes build it.
 	Partition Partition
-	// SchedulerParameters holds the comma-separated key=value (or
-	// bare-flag) options of the SchedulerParameters line, the
-	// grab-bag Slurm uses for scheduler tuning knobs.
-	SchedulerParameters map[string]string
 	// EcoBudget is the eco plugin's own predicted-latency budget,
 	// parsed from SchedulerParameters=eco_budget=<duration>. When a
 	// prediction's simulated decision latency would exceed it, the
@@ -52,7 +49,8 @@ func DefaultConf() Conf {
 // unknown keys ignored (as Slurm tolerates plenty of them). Supported
 // keys: ClusterName, JobSubmitPlugins (comma-separated),
 // PluginBudget (Go duration), DefaultTime (minutes, Slurm-style),
-// SchedulerParameters and one PartitionName line.
+// SchedulerParameters (its eco_budget option) and one PartitionName
+// line.
 func ParseConf(text string) (Conf, error) {
 	conf := DefaultConf()
 	sawPartition := false
@@ -116,23 +114,13 @@ func ParseConf(text string) (Conf, error) {
 }
 
 // parseSchedulerParameters splits the Slurm-style comma-separated
-// option list and extracts the knobs the simulation understands
-// (currently eco_budget); unknown options are retained verbatim, as
-// Slurm passes them through to whichever plugin asks.
+// option list and reads the one option the simulation understands,
+// eco_budget; other options are skipped, as unknown keys are.
 func (c *Conf) parseSchedulerParameters(value string) error {
-	if c.SchedulerParameters == nil {
-		c.SchedulerParameters = make(map[string]string)
-	}
 	for _, opt := range strings.Split(value, ",") {
-		opt = strings.TrimSpace(opt)
-		if opt == "" {
-			continue
-		}
 		key, v, _ := strings.Cut(opt, "=")
-		key = strings.TrimSpace(key)
-		v = strings.TrimSpace(v)
-		c.SchedulerParameters[key] = v
-		if strings.EqualFold(key, "eco_budget") {
+		if strings.EqualFold(strings.TrimSpace(key), "eco_budget") {
+			v = strings.TrimSpace(v)
 			d, err := time.ParseDuration(v)
 			if err != nil {
 				return fmt.Errorf("bad eco_budget %q: %w", v, err)
@@ -168,11 +156,11 @@ func parsePartition(value string) (Partition, error) {
 	return p, nil
 }
 
-// parseMinutes reads a Slurm minute count: a non-negative integer that
-// fits a time.Duration.
+// parseMinutes reads a Slurm minute count: a non-negative decimal
+// integer, nothing after its digits, that fits a time.Duration.
 func parseMinutes(v string) (time.Duration, error) {
-	var minutes int64
-	if _, err := fmt.Sscanf(v, "%d", &minutes); err != nil {
+	minutes, err := strconv.ParseInt(v, 10, 64)
+	if err != nil {
 		return 0, err
 	}
 	if minutes < 0 || minutes > math.MaxInt64/int64(time.Minute) {

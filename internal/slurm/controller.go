@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -152,12 +151,8 @@ type Controller struct {
 	usageSink func(uid uint32, cpuSeconds float64)
 	tracer    *trace.Tracer // nil = untraced
 	// aggregate retires terminal jobs from memory (see
-	// WithAggregateAccounting); retired keeps their final state codes
-	// by id so dependency resolution still works after retirement. It
-	// mirrors the arena's chunks: the code of job id i sits where jobs
-	// holds its pointer, and a chunk is as long as the arena's.
+	// WithAggregateAccounting).
 	aggregate bool
-	retired   [][]uint8
 
 	// batched defers scheduling passes to one flush event per clock
 	// instant (WithBatchedScheduling); passDue marks a pass awaiting
@@ -193,38 +188,6 @@ type Controller struct {
 	mCancelled    *metrics.Counter
 	mOverruns     *metrics.Counter
 	mChainLatency *metrics.BucketedHistogram
-}
-
-// Retired-state codes: one byte per retired job instead of a
-// JobState string header.
-const (
-	retiredNone uint8 = iota
-	retiredCompleted
-	retiredFailed
-	retiredCancelled
-)
-
-func retireCode(s JobState) uint8 {
-	switch s {
-	case StateCompleted:
-		return retiredCompleted
-	case StateFailed:
-		return retiredFailed
-	default:
-		return retiredCancelled
-	}
-}
-
-func retiredState(code uint8) JobState {
-	switch code {
-	case retiredCompleted:
-		return StateCompleted
-	case retiredFailed:
-		return StateFailed
-	case retiredCancelled:
-		return StateCancelled
-	}
-	return ""
 }
 
 // completeAction fires a job's scheduled completion. Clock events
@@ -469,7 +432,6 @@ func (c *Controller) flushScheduling() {
 }
 
 // Submit is sbatch: run the submit-plugin chain, validate, and queue.
-// Array descriptions must go through SubmitArray.
 func (c *Controller) Submit(desc JobDesc) (*Job, error) {
 	c.descScratch = desc
 	return c.submitTraced(&c.descScratch)
@@ -503,9 +465,6 @@ func (c *Controller) submitTraced(desc *JobDesc) (*Job, error) {
 }
 
 func (c *Controller) submit(ctx context.Context, desc *JobDesc) (*Job, error) {
-	if desc.IsArray() {
-		return nil, fmt.Errorf("slurm: array description submitted directly; use SubmitArray")
-	}
 	c.mSubmitted.Inc()
 	plugins, err := c.activePlugins()
 	if err != nil {
@@ -539,11 +498,6 @@ func (c *Controller) submit(ctx context.Context, desc *JobDesc) (*Job, error) {
 	if desc.ThreadsPerCPU <= 0 {
 		desc.ThreadsPerCPU = 1
 	}
-	if desc.MemoryMB < 0 {
-		// No constraint, as 0 is: a negative request would let a
-		// secondary beside it claim more memory than the node has.
-		desc.MemoryMB = 0
-	}
 	if desc.TimeLimit <= 0 {
 		desc.TimeLimit = c.conf.DefaultTimeLimit
 	}
@@ -560,11 +514,6 @@ func (c *Controller) submit(ctx context.Context, desc *JobDesc) (*Job, error) {
 	}
 	if err := part.fits(desc); err != nil {
 		return nil, err
-	}
-	for _, dep := range desc.AfterOK {
-		if _, ok := c.jobState(dep); !ok {
-			return nil, fmt.Errorf("slurm: dependency on unknown job %d", dep)
-		}
 	}
 
 	job := c.newJob()
@@ -606,11 +555,9 @@ func (c *Controller) submit(ctx context.Context, desc *JobDesc) (*Job, error) {
 	return job, nil
 }
 
-// SubmitScript parses an sbatch script and submits it. Array requests
-// expand into independent tasks; the first task is returned, as
-// sbatch prints one job id for the whole array. A script equal to the
-// last one submitted is not parsed again: its description (or its
-// error) is reused.
+// SubmitScript parses an sbatch script and submits it. A script equal
+// to the last one submitted is not parsed again: its description (or
+// its error) is reused.
 func (c *Controller) SubmitScript(script string) (*Job, error) {
 	if !c.parsedOnce || script != c.lastScript {
 		c.lastParse, c.lastParseErr = ParseBatchScript(script)
@@ -619,46 +566,10 @@ func (c *Controller) SubmitScript(script string) (*Job, error) {
 	if c.lastParseErr != nil {
 		return nil, c.lastParseErr
 	}
-	// Plugins rewrite the description and the job keeps it: the copy
-	// gets its own dependency list, so neither can reach the memo.
+	// Plugins rewrite the description and the job keeps it: they work on
+	// a copy, never on the memo.
 	c.descScratch = c.lastParse
-	c.descScratch.AfterOK = slices.Clone(c.descScratch.AfterOK)
-	if c.descScratch.IsArray() {
-		tasks, err := c.SubmitArray(c.descScratch)
-		if err != nil {
-			return nil, err
-		}
-		return tasks[0], nil
-	}
 	return c.submitTraced(&c.descScratch)
-}
-
-// SubmitArray expands an --array request into independent tasks
-// (name_[index]) and submits each through the normal path — plugins
-// included, as Slurm invokes job_submit per array task.
-func (c *Controller) SubmitArray(desc JobDesc) ([]*Job, error) {
-	if !desc.IsArray() {
-		return nil, fmt.Errorf("slurm: SubmitArray on a non-array description")
-	}
-	if n := desc.ArrayHi - desc.ArrayLo + 1; n > 10000 {
-		return nil, fmt.Errorf("slurm: array of %d tasks exceeds MaxArraySize", n)
-	}
-	base := desc.Name
-	var tasks []*Job
-	for idx := desc.ArrayLo; idx <= desc.ArrayHi; idx++ {
-		task := desc
-		task.ArrayLo, task.ArrayHi = 0, 0
-		task.ArrayIndex = idx
-		if base != "" {
-			task.Name = fmt.Sprintf("%s_%d", base, idx)
-		}
-		job, err := c.Submit(task)
-		if err != nil {
-			return tasks, fmt.Errorf("slurm: array task %d: %w", idx, err)
-		}
-		tasks = append(tasks, job)
-	}
-	return tasks, nil
 }
 
 // fits checks the request against the partition's node capability
@@ -667,14 +578,12 @@ func (c *Controller) SubmitArray(desc JobDesc) ([]*Job, error) {
 func (p *partition) fits(desc *JobDesc) error {
 	for i := range p.classes {
 		spec := &p.classes[i]
-		if desc.NumTasks <= spec.Cores &&
-			desc.ThreadsPerCPU <= spec.ThreadsPerCore &&
-			desc.MemoryMB <= spec.RAMGB*1024 {
+		if desc.NumTasks <= spec.Cores && desc.ThreadsPerCPU <= spec.ThreadsPerCore {
 			return nil
 		}
 	}
-	return fmt.Errorf("slurm: no node can satisfy %d tasks × %d threads × %d MB",
-		desc.NumTasks, desc.ThreadsPerCPU, desc.MemoryMB)
+	return fmt.Errorf("slurm: no node can satisfy %d tasks × %d threads",
+		desc.NumTasks, desc.ThreadsPerCPU)
 }
 
 // unqueue removes a job from the pending window, keeping the order of
@@ -691,9 +600,7 @@ func (p *partition) unqueue(job *Job) {
 }
 
 func nodeSatisfies(n *nodeD, desc *JobDesc) bool {
-	return desc.NumTasks <= n.spec.Cores &&
-		desc.ThreadsPerCPU <= n.spec.ThreadsPerCore &&
-		desc.MemoryMB <= n.spec.RAMGB*1024
+	return desc.NumTasks <= n.spec.Cores && desc.ThreadsPerCPU <= n.spec.ThreadsPerCore
 }
 
 // schedulePart places the partition's pending jobs onto idle nodes in
@@ -736,8 +643,7 @@ func (c *Controller) schedulePart(p *partition) {
 	// would answer them as it did, a pass skips each whose verdict the
 	// live state repeats (skipMask) and asks the rest — fit's refusals
 	// always. With the epoch unchanged and the record clean, it repeats
-	// them all and looks only at the jobs queued since. Its own record
-	// stands unless it keeps a job for a dependency or a begin time.
+	// them all and looks only at the jobs queued since.
 	settles := pairs && p.fifo
 	s := &p.settled
 	from, through := 0, 0 // skip pending[:from]; pending[from:through] by kind
@@ -779,8 +685,7 @@ func (c *Controller) schedulePart(p *partition) {
 			// Every node claimed mid-pass: nothing below can start, so
 			// keep the tail queued wholesale instead of probing each
 			// job — the pass cost stays bounded by placements made, not
-			// by backlog depth. Deferred dependency/begin-time handling
-			// happens when the next node frees.
+			// by backlog depth.
 			rest := p.pending[i:]
 			for k := len(rest) - 1; k >= 0 && rest[k].Reason == "Priority"; k-- {
 				rest[k].Reason = "Resources"
@@ -800,28 +705,6 @@ func (c *Controller) schedulePart(p *partition) {
 			}
 			remaining = append(remaining, rest...)
 			break
-		}
-		if len(job.Desc.AfterOK) > 0 {
-			switch c.dependencyState(job) {
-			case depFailed:
-				job.State = StateCancelled
-				job.Reason = "DependencyNeverSatisfied"
-				job.EndTime = now
-				c.finish(job)
-				continue
-			case depWaiting:
-				job.Reason = "Dependency"
-				settles = false
-				remaining = append(remaining, job)
-				continue
-			}
-		}
-		if !job.Desc.BeginTime.IsZero() && job.Desc.BeginTime.After(now) {
-			job.Reason = "BeginTime"
-			c.armWake(p, job.Desc.BeginTime)
-			settles = false
-			remaining = append(remaining, job)
-			continue
 		}
 		if holds && job.Desc.Deferrable {
 			if wake, held := c.pol.hold(job, now, tick); held {
@@ -881,8 +764,6 @@ func (c *Controller) schedulePart(p *partition) {
 	c.countVisits(visits)
 	if settles {
 		c.pol.settle(p, len(remaining), release, denied, clean)
-	} else {
-		s.n = 0
 	}
 }
 
@@ -1149,45 +1030,18 @@ func (c *Controller) finish(job *Job) {
 	}
 }
 
-// retire drops a terminal job from the arena, keeping only its final
-// state code for dependency resolution — the memory bound that lets a
-// run absorb millions of submissions. The record itself goes back to
+// retire drops a terminal job from the arena — the memory bound that
+// lets a run absorb millions of submissions. The record itself goes back to
 // the pool for the next submission: in aggregate mode nothing retains
 // a job past its completion hooks.
 func (c *Controller) retire(job *Job) {
 	if id := job.ID; id >= 1 && id < c.nextID {
 		idx := id - 1
-		ci, slot := idx>>jobChunkBits, idx&jobChunkMask
-		c.jobs[ci][slot] = nil
-		for k := len(c.retired); k <= ci; k++ {
-			c.retired = append(c.retired, make([]uint8, len(c.jobs[k])))
-		}
-		if r := c.retired[ci]; slot >= len(r) {
-			// Chunk 0 doubled since (later chunks are born full).
-			grown := make([]uint8, len(c.jobs[ci]))
-			copy(grown, r)
-			c.retired[ci] = grown
-		}
-		c.retired[ci][slot] = retireCode(job.State)
+		c.jobs[idx>>jobChunkBits][idx&jobChunkMask] = nil
 	}
 	if job.node == nil {
 		c.jobPool = append(c.jobPool, job)
 	}
-}
-
-// jobState resolves a job's current state by id, consulting retired
-// jobs as well as live ones.
-func (c *Controller) jobState(id int) (JobState, bool) {
-	if j := c.jobByID(id); j != nil {
-		return j.State, true
-	}
-	if id >= 1 && id < c.nextID {
-		idx := id - 1
-		if ci, slot := idx>>jobChunkBits, idx&jobChunkMask; ci < len(c.retired) && slot < len(c.retired[ci]) && c.retired[ci][slot] != retiredNone {
-			return retiredState(c.retired[ci][slot]), true
-		}
-	}
-	return "", false
 }
 
 // Cancel is scancel: terminate a pending or running job.
@@ -1214,8 +1068,7 @@ func (c *Controller) Cancel(id int) error {
 	job.EndTime = c.sim.Now()
 	job.endTick = c.sim.NowTick()
 	c.finish(job)
-	// A node, a slot or power headroom may have opened up, or a
-	// dependent may now never run.
+	// A node, a slot or power headroom may have opened up.
 	c.kick()
 	return nil
 }
@@ -1304,30 +1157,24 @@ func (c *Controller) setDrain(name string, drained bool) error {
 }
 
 // WaitFor advances simulated time until the job is terminal. It fails
-// if the simulation runs out of events first (a scheduling deadlock).
-// In aggregate mode the returned record may be a synthesized snapshot
-// (id + final state): the live record is recycled at retirement.
+// if the simulation runs out of events first (a scheduling deadlock),
+// and on an id the arena does not hold: unknown, or retired in
+// aggregate mode.
 func (c *Controller) WaitFor(id int) (*Job, error) {
-	if st, ok := c.jobState(id); ok && st.Terminal() {
-		if j := c.jobByID(id); j != nil {
-			return j, nil
-		}
-		return &Job{ID: id, State: st}, nil
-	}
 	job := c.jobByID(id)
 	if job == nil {
 		return nil, fmt.Errorf("slurm: no job %d", id)
 	}
-	// The record can be retired and recycled for a different job while
-	// we step; guard on the identity, not just the state.
+	// In aggregate mode the record can be retired and recycled for a
+	// different job while we step; guard on the identity, not just the
+	// state.
 	for job.ID == id && !job.State.Terminal() {
 		if !c.sim.Step() {
 			return job, fmt.Errorf("slurm: job %d stuck in %s with no pending events", id, job.State)
 		}
 	}
 	if job.ID != id {
-		st, _ := c.jobState(id)
-		return &Job{ID: id, State: st}, nil
+		return nil, fmt.Errorf("slurm: job %d retired", id)
 	}
 	return job, nil
 }
@@ -1339,33 +1186,4 @@ func (c *Controller) Nodes() []*hw.Node {
 		out[i] = n.hw
 	}
 	return out
-}
-
-// Dependency resolution states.
-type depState int
-
-const (
-	depReady depState = iota
-	depWaiting
-	depFailed
-)
-
-// dependencyState inspects a job's afterok list.
-func (c *Controller) dependencyState(job *Job) depState {
-	state := depReady
-	for _, dep := range job.Desc.AfterOK {
-		st, ok := c.jobState(dep)
-		if !ok {
-			return depFailed
-		}
-		switch {
-		case st == StateCompleted:
-			// satisfied
-		case st.Terminal():
-			return depFailed
-		default:
-			state = depWaiting
-		}
-	}
-	return state
 }

@@ -703,9 +703,6 @@ func (pol *schedPolicy) place(p *partition, job *Job, now time.Time, pr *pairing
 			if job.Desc.ThreadsPerCPU > n.spec.ThreadsPerCore {
 				continue
 			}
-			if job.Desc.MemoryMB > 0 && job.Desc.MemoryMB+pri.Desc.MemoryMB > n.spec.RAMGB*1024 {
-				continue
-			}
 			if pol.planBeside(job, n, now, pr) {
 				return true
 			}

@@ -47,24 +47,17 @@ func FuzzParseBatchScript(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if desc.ArrayHi < desc.ArrayLo {
-			t.Fatalf("accepted inverted array range: %+v", desc)
-		}
 		if desc.MinFreqKHz > desc.MaxFreqKHz && desc.MaxFreqKHz != 0 {
 			t.Fatalf("accepted inverted frequency range: %+v", desc)
 		}
 		if desc.TimeLimit < 0 {
 			t.Fatalf("accepted negative time limit: %+v", desc)
 		}
-		if desc.MemoryMB < 0 {
-			t.Fatalf("accepted negative memory request: %+v", desc)
-		}
 	})
 }
 
 // rejectPlugin is scribblePlugin that then refuses the job, so every
-// submission reaches it at most once (an array stops at its first task)
-// and nothing is queued.
+// submission reaches it at most once and nothing is queued.
 type rejectPlugin struct{ scribblePlugin }
 
 func (p *rejectPlugin) JobSubmit(ctx context.Context, desc *JobDesc, uid uint32) (time.Duration, error) {
@@ -100,19 +93,6 @@ func FuzzSubmitScriptMemo(f *testing.F) {
 				}
 				continue
 			}
-			if want.IsArray() {
-				if want.ArrayHi-want.ArrayLo+1 > 10000 {
-					if len(p.seen) != 0 {
-						t.Fatalf("submission %d of %q: an oversize array reached the plugin", i+1, script)
-					}
-					continue
-				}
-				// The plugin sees the array's first task.
-				want.ArrayIndex, want.ArrayLo, want.ArrayHi = want.ArrayLo, 0, 0
-				if want.Name != "" {
-					want.Name = fmt.Sprintf("%s_%d", want.Name, want.ArrayIndex)
-				}
-			}
 			if err == nil || len(p.seen) != 1 || !reflect.DeepEqual(p.seen[0], want) {
 				t.Fatalf("submission %d of %q: error %v, plugin saw %+v; want %+v", i+1, script, err, p.seen, want)
 			}
@@ -125,7 +105,7 @@ func FuzzSubmitScriptMemo(f *testing.F) {
 // glue a long option to a value that follows it as a field. Only the
 // --time range check is new. It is FuzzParseBatchScript's oracle.
 func refParseBatchScript(script string) (JobDesc, error) {
-	desc := JobDesc{Script: script, ThreadsPerCPU: 1}
+	desc := JobDesc{ThreadsPerCPU: 1}
 	for lineNo, raw := range strings.Split(script, "\n") {
 		line := strings.TrimSpace(raw)
 		switch {
@@ -188,46 +168,8 @@ func refParseDirective(desc *JobDesc, directive string) error {
 				return fmt.Errorf("bad --deadline value %q", value)
 			}
 			desc.Deadline = t
-		case "--begin":
-			t, err := time.Parse(time.RFC3339, value)
-			if err != nil {
-				return fmt.Errorf("bad --begin value %q", value)
-			}
-			desc.BeginTime = t
-		case "--dependency", "-d":
-			spec, found := strings.CutPrefix(value, "afterok:")
-			if !found {
-				return fmt.Errorf("unsupported --dependency %q (only afterok:)", value)
-			}
-			for _, idStr := range strings.Split(spec, ":") {
-				id, err := strconv.Atoi(idStr)
-				if err != nil || id <= 0 {
-					return fmt.Errorf("bad --dependency job id %q", idStr)
-				}
-				desc.AfterOK = append(desc.AfterOK, id)
-			}
-		case "--mem":
-			mb, err := parseMemoryMB(value)
-			if err != nil {
-				return err
-			}
-			desc.MemoryMB = mb
-		case "--array", "-a":
-			lo, hi, found := strings.Cut(value, "-")
-			loN, err := strconv.Atoi(lo)
-			if err != nil {
-				return fmt.Errorf("bad --array value %q", value)
-			}
-			hiN := loN
-			if found {
-				if hiN, err = strconv.Atoi(hi); err != nil {
-					return fmt.Errorf("bad --array value %q", value)
-				}
-			}
-			if hiN < loN || loN < 0 {
-				return fmt.Errorf("bad --array range %q", value)
-			}
-			desc.ArrayLo, desc.ArrayHi = loN, hiN
+		case "--array", "-a", "--dependency", "-d", "--begin", "--mem":
+			return fmt.Errorf("unsupported %s", key)
 		case "--nodes", "-N":
 			if value != "1" {
 				return fmt.Errorf("only --nodes=1 supported, got %q", value)
@@ -287,6 +229,7 @@ func FuzzParseConf(f *testing.F) {
 	f.Add("JobSubmitPlugins=a, b,,c\n")
 	f.Add("DefaultTime=-5\n")
 	f.Add("PluginBudget=-1s\n")
+	f.Add("DefaultTime=1e3\n")
 	f.Fuzz(func(t *testing.T, text string) {
 		conf, err := ParseConf(text)
 		if err != nil {

@@ -4,7 +4,7 @@
 // hardware, the job-submit plugin chain with its latency budget, a
 // slurm.conf parser for the JobSubmitPlugins line, an #SBATCH batch
 // script parser, accounting (slurmdbd), and the user commands the
-// paper exercises: sbatch (Submit, SubmitScript, SubmitArray), squeue
+// paper exercises: sbatch (Submit, SubmitScript), squeue
 // (Squeue), scontrol show job (Job), scancel (Cancel), sinfo (Sinfo,
 // FormatSinfo) and sacct (FormatSacct).
 //
@@ -48,12 +48,10 @@ func (s JobState) Terminal() bool {
 // the plugin keys on (comment, binary path).
 type JobDesc struct {
 	Name          string
-	Script        string // batch script contents (sbatch jobs)
 	BinaryPath    string // executable the job runs
 	Comment       string // --comment; "chronus" opts in to the eco plugin
 	NumTasks      int    // cores to schedule
 	ThreadsPerCPU int    // threads per core (hyper-threading when 2)
-	MemoryMB      int    // --mem request; 0 = no constraint
 	MinFreqKHz    int    // --cpu-freq lower bound
 	MaxFreqKHz    int    // --cpu-freq upper bound
 	TimeLimit     time.Duration
@@ -62,21 +60,6 @@ type JobDesc struct {
 	// Deadline is the §6.2.1 extension: the job must finish by this
 	// time (zero = none).
 	Deadline time.Time
-	// BeginTime is the §6.2.4 extension: do not start before this
-	// time (zero = as soon as possible).
-	BeginTime time.Time
-	// ArrayLo/ArrayHi describe an sbatch --array=lo-hi request (both
-	// zero = not an array job). Slurm expands arrays into independent
-	// tasks; so does the controller.
-	ArrayLo, ArrayHi int
-	// ArrayIndex is this task's index within its array (meaningful
-	// only on expanded tasks).
-	ArrayIndex int
-	// AfterOK lists job ids that must COMPLETE successfully before
-	// this job may start (sbatch --dependency=afterok:ID[:ID...]).
-	// If any listed job fails or is cancelled, this job is cancelled
-	// with reason DependencyNeverSatisfied, as Slurm does.
-	AfterOK []int
 	// Exclusive demands the whole node (sbatch --exclusive): the job is
 	// never co-scheduled, as primary or secondary.
 	Exclusive bool
@@ -89,11 +72,6 @@ type JobDesc struct {
 	// workload vocabulary and takes precedence over the BinaryPath
 	// workload registry. Generated and replayed submissions carry one.
 	Shape *workload.Shape
-}
-
-// IsArray reports whether the description requests an array job.
-func (d *JobDesc) IsArray() bool {
-	return d.ArrayHi > d.ArrayLo || (d.ArrayHi == d.ArrayLo && d.ArrayHi > 0)
 }
 
 // Config extracts the hardware configuration the job asks for. Zero

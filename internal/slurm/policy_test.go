@@ -203,11 +203,10 @@ func TestPlace(t *testing.T) {
 		{name: "same-profile primary", job: memory(8), seat: func(n *nodeD) { runningOn(n, memory(8), freq) }},
 		{name: "unprofiled primary", job: memory(8), seat: func(n *nodeD) { runningOn(n, sleepDesc(8, time.Hour, ""), freq) }},
 		{name: "over the cores", job: memory(8), seat: func(n *nodeD) { runningOn(n, compute(30), freq) }},
-		{name: "over the memory", seat: func(n *nodeD) {
-			d := compute(8)
-			d.MemoryMB = 200 * 1024
-			runningOn(n, d, freq)
-		}, job: func() JobDesc { d := memory(8); d.MemoryMB = 100 * 1024; return d }()},
+		{name: "over the threads", seat: func(n *nodeD) {
+			runningOn(n, compute(8), freq)
+			n.spec.ThreadsPerCore = 1
+		}, job: func() JobDesc { d := memory(8); d.ThreadsPerCPU = 2; return d }()},
 		{name: "drained node", job: memory(8), seat: func(n *nodeD) { runningOn(n, compute(8), freq); n.drained = true }},
 		{name: "already paired", job: memory(8), seat: func(n *nodeD) { runningOn(n, compute(8), freq); n.coJob = &Job{} }},
 		{name: "promoted secondary as occupant", job: memory(8), seat: func(n *nodeD) {
@@ -387,9 +386,6 @@ func placeScan(pol *schedPolicy, p *partition, job *Job, now time.Time, pr *pair
 		if job.Desc.ThreadsPerCPU > n.spec.ThreadsPerCore {
 			continue
 		}
-		if job.Desc.MemoryMB > 0 && job.Desc.MemoryMB+pri.Desc.MemoryMB > n.spec.RAMGB*1024 {
-			continue
-		}
 		if pol.planBeside(job, n, now, pr) {
 			return true
 		}
@@ -450,9 +446,6 @@ func TestPlaceIndexMatchesScan(t *testing.T) {
 			d := time.Duration(60+rng.Intn(1740)) * time.Second
 			desc := sleepDesc(1+rng.Intn(24), d, [...]string{"", workload.ProfileCompute, workload.ProfileMemory}[rng.Intn(3)])
 			desc.Exclusive = rng.Intn(6) == 0
-			if rng.Intn(4) == 0 {
-				desc.MemoryMB = (1 + rng.Intn(hw.DefaultSpec().RAMGB)) * 1024
-			}
 			if rng.Intn(8) == 0 {
 				desc.Deadline = sim.Now().Add(desc.TimeLimit)
 			}
@@ -629,11 +622,11 @@ func TestHoldReleasesAtOnceOnADeadlineOutOfReach(t *testing.T) {
 // cluster simulator's largest per-submission allocation, and
 // cluster-nopolicy's alloc_bytes_per_op bound (2 % of 47.65 B) is less
 // than one more 8-byte word per job would spend. A new field goes into
-// the padding beside userSlot and the flags, or pays for itself. (552
-// bytes allocate from the 576-byte size class, as 560 did.)
+// the padding beside userSlot and the flags, or pays for itself. (456
+// bytes allocate from the 480-byte size class.)
 func TestJobSize(t *testing.T) {
-	if got := unsafe.Sizeof(Job{}); got != 552 {
-		t.Fatalf("unsafe.Sizeof(Job{}) = %d, want 552: a word per job is ~0.9 B per submission on the 1,024-node workload, "+
+	if got := unsafe.Sizeof(Job{}); got != 456 {
+		t.Fatalf("unsafe.Sizeof(Job{}) = %d, want 456: a word per job is ~0.9 B per submission on the 1,024-node workload, "+
 			"most of its 0.95 B/op regression bound — pack the field into existing padding or shrink another", got)
 	}
 }

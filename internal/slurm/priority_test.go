@@ -1,8 +1,6 @@
 package slurm
 
 import (
-	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -261,99 +259,6 @@ func TestClockFormat(t *testing.T) {
 	}
 }
 
-func TestJobArrayExpansion(t *testing.T) {
-	_, c := newCluster(t, DefaultConf(), 2)
-	desc := hpcgDesc(32, 2_200_000, 1)
-	desc.Name = "sweep"
-	desc.ArrayLo, desc.ArrayHi = 0, 3
-	tasks, err := c.SubmitArray(desc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tasks) != 4 {
-		t.Fatalf("%d tasks", len(tasks))
-	}
-	for i, task := range tasks {
-		if task.Desc.ArrayIndex != i {
-			t.Fatalf("task %d has index %d", i, task.Desc.ArrayIndex)
-		}
-		if want := fmt.Sprintf("sweep_%d", i); task.Desc.Name != want {
-			t.Fatalf("task name %q, want %q", task.Desc.Name, want)
-		}
-	}
-	// Two run at once (2 nodes), two queue.
-	running := 0
-	for _, task := range tasks {
-		if task.State == StateRunning {
-			running++
-		}
-	}
-	if running != 2 {
-		t.Fatalf("%d tasks running on 2 nodes", running)
-	}
-	for _, task := range tasks {
-		done, err := c.WaitFor(task.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done.State != StateCompleted {
-			t.Fatalf("task %d ended %s", done.ID, done.State)
-		}
-	}
-}
-
-func TestArrayScriptParsing(t *testing.T) {
-	desc, err := ParseBatchScript("#SBATCH --array=0-15\n#SBATCH --ntasks=4\nsrun /bin/app\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !desc.IsArray() || desc.ArrayLo != 0 || desc.ArrayHi != 15 {
-		t.Fatalf("desc = %+v", desc)
-	}
-	for _, bad := range []string{
-		"#SBATCH --array=5-2\nsrun /bin/app\n",
-		"#SBATCH --array=x-2\nsrun /bin/app\n",
-		"#SBATCH --array=1-y\nsrun /bin/app\n",
-	} {
-		if _, err := ParseBatchScript(bad); err == nil {
-			t.Errorf("accepted %q", bad)
-		}
-	}
-}
-
-func TestArrayViaSubmitScript(t *testing.T) {
-	_, c := newCluster(t, DefaultConf(), 1)
-	first, err := c.SubmitScript(
-		"#SBATCH --job-name=arr\n#SBATCH --array=1-3\n#SBATCH --ntasks=32\nsrun /opt/hpcg/xhpcg\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Desc.Name != "arr_1" {
-		t.Fatalf("first task name %q", first.Desc.Name)
-	}
-	if len(c.Squeue()) != 3 {
-		t.Fatalf("%d queued tasks", len(c.Squeue()))
-	}
-}
-
-func TestArrayDirectSubmitRejected(t *testing.T) {
-	_, c := newCluster(t, DefaultConf(), 1)
-	desc := hpcgDesc(4, 2_200_000, 1)
-	desc.ArrayLo, desc.ArrayHi = 0, 2
-	if _, err := c.Submit(desc); err == nil {
-		t.Fatal("array description accepted by Submit")
-	}
-}
-
-func TestArraySizeCap(t *testing.T) {
-	_, c := newCluster(t, DefaultConf(), 1)
-	desc := hpcgDesc(4, 2_200_000, 1)
-	desc.ArrayLo, desc.ArrayHi = 0, 20000
-	if _, err := c.SubmitArray(desc); err == nil {
-		t.Fatal("20001-task array accepted")
-	}
-}
-
 func TestFormatSacct(t *testing.T) {
 	_, c := newCluster(t, DefaultConf(), 1)
 	job, _ := c.Submit(hpcgDesc(32, 2_200_000, 1))
@@ -503,137 +408,5 @@ func TestBadPartitionConf(t *testing.T) {
 	}
 	if _, err := ParseConf("PartitionName=debug Oops\n"); err == nil {
 		t.Fatal("bad attribute accepted")
-	}
-}
-
-func TestMemoryRequests(t *testing.T) {
-	desc, err := ParseBatchScript("#SBATCH --mem=32G\n#SBATCH --ntasks=32\nsrun /opt/hpcg/xhpcg\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if desc.MemoryMB != 32*1024 {
-		t.Fatalf("MemoryMB = %d", desc.MemoryMB)
-	}
-	for _, bad := range []string{
-		"#SBATCH --mem=lots\nsrun /a\n",
-		"#SBATCH --mem=-4G\nsrun /a\n",
-		"#SBATCH --mem=\nsrun /a\n",
-		// Past int's range in MB: used to wrap to a negative request
-		// that fit every node.
-		"#SBATCH --mem=9999999999999T\nsrun /a\n",
-		"#SBATCH --mem=9007199254740993G\nsrun /a\n",
-	} {
-		if _, err := ParseBatchScript(bad); err == nil {
-			t.Errorf("accepted %q", bad)
-		}
-	}
-
-	// The paper's problem uses 32 GB of the node's 256 GB — fits; a
-	// 512 GB request does not.
-	_, c := newCluster(t, DefaultConf(), 1)
-	ok := hpcgDesc(32, 2_500_000, 1)
-	ok.MemoryMB = 32 * 1024
-	if _, err := c.Submit(ok); err != nil {
-		t.Fatal(err)
-	}
-	huge := hpcgDesc(32, 2_500_000, 1)
-	huge.MemoryMB = 512 * 1024
-	if _, err := c.Submit(huge); err == nil {
-		t.Fatal("512 GB request accepted on a 256 GB node")
-	}
-}
-
-func TestParseMemorySuffixes(t *testing.T) {
-	cases := map[string]int{
-		"512": 512, "2048K": 2, "1G": 1024, "1T": 1024 * 1024, "300M": 300,
-		// K rounds up to whole MB, as Slurm does: never down to 0, which
-		// reads as "no constraint".
-		"512K": 1, "1536K": 2, "1k": 1, "1025K": 2,
-		"8796093022207T":       8796093022207 * 1024 * 1024, // the largest T that fits an int
-		"9223372036854775807K": math.MaxInt/1024 + 1,
-	}
-	for in, want := range cases {
-		got, err := parseMemoryMB(in)
-		if err != nil || got != want {
-			t.Errorf("parseMemoryMB(%q) = %d, %v; want %d", in, got, err, want)
-		}
-	}
-	for _, bad := range []string{"8796093022208T", "9007199254740992G", "9999999999999T", "0K", "-1K", "1.5G", "G"} {
-		if got, err := parseMemoryMB(bad); err == nil {
-			t.Errorf("parseMemoryMB(%q) = %d, want an error", bad, got)
-		}
-	}
-}
-
-func TestDependencyAfterOK(t *testing.T) {
-	_, c := newCluster(t, DefaultConf(), 2)
-	first, _ := c.Submit(hpcgDesc(32, 2_500_000, 1))
-	dep := hpcgDesc(32, 2_200_000, 1)
-	dep.AfterOK = []int{first.ID}
-	second, err := c.Submit(dep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two nodes are free, but the dependent job must hold.
-	if second.State != StatePending || second.Reason != "Dependency" {
-		t.Fatalf("dependent job: %s (%s)", second.State, second.Reason)
-	}
-	done, err := c.WaitFor(second.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done.State != StateCompleted {
-		t.Fatalf("dependent job ended %s", done.State)
-	}
-	if done.StartTime.Before(first.EndTime) {
-		t.Fatal("dependent job started before its dependency completed")
-	}
-}
-
-func TestDependencyNeverSatisfied(t *testing.T) {
-	_, c := newCluster(t, DefaultConf(), 1)
-	doomed := hpcgDesc(32, 2_500_000, 1)
-	doomed.TimeLimit = time.Minute // will hit TimeLimit → FAILED
-	first, _ := c.Submit(doomed)
-	dep := hpcgDesc(32, 2_200_000, 1)
-	dep.AfterOK = []int{first.ID}
-	second, _ := c.Submit(dep)
-	if _, err := c.WaitFor(first.ID); err != nil {
-		t.Fatal(err)
-	}
-	done, err := c.WaitFor(second.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done.State != StateCancelled || done.Reason != "DependencyNeverSatisfied" {
-		t.Fatalf("dependent on failed job: %s (%s)", done.State, done.Reason)
-	}
-}
-
-func TestDependencyValidation(t *testing.T) {
-	_, c := newCluster(t, DefaultConf(), 1)
-	dep := hpcgDesc(4, 2_200_000, 1)
-	dep.AfterOK = []int{42}
-	if _, err := c.Submit(dep); err == nil {
-		t.Fatal("dependency on unknown job accepted")
-	}
-}
-
-func TestDependencyScriptParsing(t *testing.T) {
-	desc, err := ParseBatchScript("#SBATCH --dependency=afterok:3:7\nsrun /bin/app\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(desc.AfterOK) != 2 || desc.AfterOK[0] != 3 || desc.AfterOK[1] != 7 {
-		t.Fatalf("AfterOK = %v", desc.AfterOK)
-	}
-	for _, bad := range []string{
-		"#SBATCH --dependency=after:3\nsrun /a\n",
-		"#SBATCH --dependency=afterok:x\nsrun /a\n",
-		"#SBATCH --dependency=afterok:0\nsrun /a\n",
-	} {
-		if _, err := ParseBatchScript(bad); err == nil {
-			t.Errorf("accepted %q", bad)
-		}
 	}
 }

@@ -20,11 +20,12 @@ import (
 //	#SBATCH --cpu-freq=2200000
 //	srun --mpi=pmix_v4 --ntasks-per-core=1 /path/to/xhpcg
 //
-// The returned JobDesc carries Script verbatim; unknown directives are
-// ignored, malformed values are errors. Lines and fields are slices of
-// script, so parsing allocates nothing but the result.
+// Unknown directives are ignored and malformed values are errors, as
+// are the directives of features the simulator does not run (--array,
+// --dependency, --begin, --mem). Lines and fields are slices of script,
+// so parsing allocates nothing but the result.
 func ParseBatchScript(script string) (JobDesc, error) {
-	desc := JobDesc{Script: script, ThreadsPerCPU: 1}
+	desc := JobDesc{ThreadsPerCPU: 1}
 	for lineNo, rest, more := 1, script, true; more; lineNo++ {
 		var raw string
 		raw, rest, more = strings.Cut(rest, "\n")
@@ -100,48 +101,10 @@ func parseDirective(desc *JobDesc, directive string) error {
 				return fmt.Errorf("bad --deadline value %q", value)
 			}
 			desc.Deadline = t
-		case "--begin":
-			t, err := time.Parse(time.RFC3339, value)
-			if err != nil {
-				return fmt.Errorf("bad --begin value %q", value)
-			}
-			desc.BeginTime = t
-		case "--dependency", "-d":
-			spec, found := strings.CutPrefix(value, "afterok:")
-			if !found {
-				return fmt.Errorf("unsupported --dependency %q (only afterok:)", value)
-			}
-			for more := true; more; {
-				var idStr string
-				idStr, spec, more = strings.Cut(spec, ":")
-				id, err := strconv.Atoi(idStr)
-				if err != nil || id <= 0 {
-					return fmt.Errorf("bad --dependency job id %q", idStr)
-				}
-				desc.AfterOK = append(desc.AfterOK, id)
-			}
-		case "--mem":
-			mb, err := parseMemoryMB(value)
-			if err != nil {
-				return err
-			}
-			desc.MemoryMB = mb
-		case "--array", "-a":
-			lo, hi, found := strings.Cut(value, "-")
-			loN, err := strconv.Atoi(lo)
-			if err != nil {
-				return fmt.Errorf("bad --array value %q", value)
-			}
-			hiN := loN
-			if found {
-				if hiN, err = strconv.Atoi(hi); err != nil {
-					return fmt.Errorf("bad --array value %q", value)
-				}
-			}
-			if hiN < loN || loN < 0 {
-				return fmt.Errorf("bad --array range %q", value)
-			}
-			desc.ArrayLo, desc.ArrayHi = loN, hiN
+		case "--array", "-a", "--dependency", "-d", "--begin", "--mem":
+			// Rejected, not ignored like other unknown directives: an
+			// array must not run as one job, nor a dependency be dropped.
+			return fmt.Errorf("unsupported %s", key)
 		case "--nodes", "-N":
 			// Single-node simulation: accept and require 1.
 			if value != "1" {
@@ -221,33 +184,4 @@ func RenderBatchScript(binaryPath string, cores, freqKHz, threadsPerCore int) st
 
 srun --mpi=pmix_v4 --ntasks-per-core=%d %s
 `, cores, freqKHz, threadsPerCore, binaryPath)
-}
-
-// parseMemoryMB parses Slurm's --mem syntax: a positive number with an
-// optional K/M/G/T suffix (MB when bare). K rounds up to whole MB, as
-// Slurm does, so a small request never reads as 0 ("no constraint"); a
-// count of MB past int's range is an error, not a wrapped value.
-func parseMemoryMB(value string) (int, error) {
-	if value == "" {
-		return 0, fmt.Errorf("empty --mem value")
-	}
-	num, kb, mbPer := value, false, 1
-	switch value[len(value)-1] {
-	case 'K', 'k':
-		num, kb = value[:len(value)-1], true
-	case 'M', 'm':
-		num = value[:len(value)-1]
-	case 'G', 'g':
-		num, mbPer = value[:len(value)-1], 1024
-	case 'T', 't':
-		num, mbPer = value[:len(value)-1], 1024*1024
-	}
-	n, err := strconv.Atoi(num)
-	if err != nil || n <= 0 || n > math.MaxInt/mbPer {
-		return 0, fmt.Errorf("bad --mem value %q", value)
-	}
-	if kb {
-		return (n-1)/1024 + 1, nil // ⌈n/1024⌉ without overflow: n ≥ 1
-	}
-	return n * mbPer, nil
 }

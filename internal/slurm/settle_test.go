@@ -15,8 +15,7 @@ import (
 // TestSettledPrefixMatchesFullWalk is the settled prefix's differential
 // test, with the full walk as its oracle: two controllers under cap +
 // co-scheduling + deferral are driven by one random operator sequence —
-// submissions (some deferrable, some with a dependency or a begin time),
-// clock advances one event at a time, cancellations of pending and
+// submissions (some deferrable), clock advances one event at a time, cancellations of pending and
 // running jobs, drains and resumes, batched flushes — while the
 // deferral signal crosses its threshold. One node has half the cores,
 // so a job can be kept for no node while a node is free. One controller
@@ -66,9 +65,8 @@ func TestSettledPrefixMatchesFullWalk(t *testing.T) {
 
 // FuzzSettledPrefix drives the differential test's controller pair
 // from the fuzzer's bytes: the cluster, then one operator a step —
-// submit (profile, exclusive, deferrable, deadline, dependency, begin
-// time), advance, cancel, drain or resume, flush — comparing the two
-// controllers after each.
+// submit (profile, exclusive, deferrable, deadline), advance, cancel,
+// drain or resume, flush — comparing the two controllers after each.
 func FuzzSettledPrefix(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 200, 0, 40, 5, 1, 0, 3, 1, 0, 0, 0, 0, 0, 9, 30, 6, 12, 7, 0, 11, 5, 4, 0, 3, 2, 1, 0, 0, 0, 0, 6, 3, 7, 4, 8, 8, 10, 2})
@@ -194,7 +192,7 @@ func (h *settleHarness) step(tb testing.TB, ch choices, at string) {
 	}
 	switch op := ch.Intn(12); {
 	case op < 5:
-		desc := settleDesc(ch, h.fastSim.Now(), h.ids)
+		desc := settleDesc(ch, h.fastSim.Now())
 		both("submit", func(c *Controller) error {
 			j, err := c.Submit(desc)
 			if err == nil && c == h.fast {
@@ -238,7 +236,7 @@ func (h *settleHarness) step(tb testing.TB, ch choices, at string) {
 
 // settleDesc draws a submission on the minute grid, so that arrivals,
 // completions, wakes, release bounds and signal flips share instants.
-func settleDesc(ch choices, now time.Time, ids []int) JobDesc {
+func settleDesc(ch choices, now time.Time) JobDesc {
 	d := time.Duration(1+ch.Intn(60)) * time.Minute
 	profile := [...]string{"", workload.ProfileCompute, workload.ProfileMemory, workload.ProfileMemory}[ch.Intn(4)]
 	desc := sleepDesc(1+ch.Intn(32), d, profile)
@@ -254,14 +252,6 @@ func settleDesc(ch choices, now time.Time, ids []int) JobDesc {
 		if ch.Intn(2) == 0 {
 			desc.Deadline = now.Add(desc.TimeLimit + time.Duration(ch.Intn(180))*time.Minute)
 		}
-	}
-	switch ch.Intn(16) {
-	case 0:
-		if len(ids) > 0 {
-			desc.AfterOK = []int{ids[ch.Intn(len(ids))]}
-		}
-	case 1:
-		desc.BeginTime = now.Add(time.Duration(1+ch.Intn(30)) * time.Minute)
 	}
 	return desc
 }
@@ -296,57 +286,4 @@ func settleDiff(a, b *Controller) string {
 			a.sim.Pending(), a.sim.LastEventAt(), b.sim.Pending(), b.sim.LastEventAt())
 	}
 	return ""
-}
-
-// TestSettledPrefixReleasesABeginTimeBeforeItsWake: a job kept for its
-// begin time is never settled. Its wake is armed at that instant, but a
-// pass can run there first — here an arrival after a cancelled job's
-// stale completion event — and that pass must start the job whose time
-// has come, not the arrival behind it.
-func TestSettledPrefixReleasesABeginTimeBeforeItsWake(t *testing.T) {
-	sim, c := newPolicyCluster(t, 1, &CoSchedulePolicy{})
-	begin := sim.Now().Add(10 * time.Minute)
-	first, err := c.Submit(sleepDesc(32, 10*time.Minute, "")) // its completion event is due at begin
-	if err != nil {
-		t.Fatal(err)
-	}
-	desc := sleepDesc(32, time.Hour, "")
-	desc.BeginTime = begin // its wake is armed at begin, behind that completion
-	waiting, err := c.Submit(desc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Cancel(first.ID); err != nil { // the pass keeps waiting for its begin time
-		t.Fatal(err)
-	}
-	if !sim.Step() || !sim.Now().Equal(begin) || waiting.State != StatePending { // the stale completion: no pass
-		t.Fatalf("at %v: job %s (%s), want the stale completion at %v to leave it pending", sim.Now(), waiting.State, waiting.Reason, begin)
-	}
-	arrival, err := c.Submit(sleepDesc(32, time.Hour, ""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if waiting.State != StateRunning || arrival.State != StatePending {
-		t.Fatalf("at its begin time the waiting job is %s (%s) and the arrival %s; want the waiting job started first",
-			waiting.State, waiting.Reason, arrival.State)
-	}
-}
-
-// TestNegativeMemoryRequestIsNoConstraint: a negative --mem is read as
-// 0, no constraint. Kept negative, it would let a secondary beside the
-// job claim more memory than the node has — and the settled prefix's
-// argument that a primary started behind a place refusal is no host for
-// the refused job (place's capacity checks imply takeIdle's) would not
-// hold.
-func TestNegativeMemoryRequestIsNoConstraint(t *testing.T) {
-	_, c := newPolicyCluster(t, 1, &CoSchedulePolicy{})
-	desc := sleepDesc(8, time.Hour, workload.ProfileCompute)
-	desc.MemoryMB = -4096
-	j, err := c.Submit(desc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.Desc.MemoryMB != 0 {
-		t.Fatalf("MemoryMB = %d, want 0", j.Desc.MemoryMB)
-	}
 }
