@@ -21,9 +21,9 @@ import (
 	"ecosched/internal/trace"
 )
 
-// chaosBudget is the submit budget every chaos deployment runs under:
-// comfortably above the preloaded path's simulated cost, far below the
-// cold path's, so a degraded prediction must stay cheap to fit.
+// chaosBudget is the submit budget chaosConf sets: comfortably above
+// the preloaded path's simulated cost, far below the cold path's, so a
+// degraded prediction must stay cheap to fit.
 const chaosBudget = 100 * time.Millisecond
 
 const chaosConf = "ClusterName=ecosched\nJobSubmitPlugins=eco\n" +
