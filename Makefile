@@ -113,14 +113,20 @@ bench-smoke:
 	$(GO) test -C bench ./...
 	bash bench/run.sh -quick
 
-# profile-cluster captures CPU and heap profiles of the cluster-scale
-# throughput benchmark into bin/, then prints the CPU top — the
-# starting point for any simulator-core perf work (inspect further
-# with `go tool pprof bin/ecosched.test bin/cluster-{cpu,mem}.out`).
+# profile-cluster captures CPU and heap profiles of the two cluster
+# throughput benchmarks into bin/ and prints each CPU top: the no-policy
+# 1,024-node run (bin/cluster-{cpu,mem}.out), the starting point for
+# simulator-core perf work, and the capped policy run of
+# bench/specs/cluster-policy.json, 200 seeds (bin/policy-{cpu,mem}.out),
+# the starting point for policy-path perf work. Inspect further with
+# `go tool pprof bin/ecosched.test bin/policy-cpu.out`.
 profile-cluster:
-	$(GO) test -run XXX -bench ClusterThroughput -benchtime=10x -benchmem \
+	$(GO) test -run XXX -bench 'ClusterThroughput$$' -benchtime=10x -benchmem \
 		-o bin/ecosched.test -cpuprofile bin/cluster-cpu.out -memprofile bin/cluster-mem.out .
 	$(GO) tool pprof -top -nodecount=20 bin/ecosched.test bin/cluster-cpu.out
+	$(GO) test -run XXX -bench 'ClusterPolicyThroughput$$' -benchtime=20x -benchmem \
+		-o bin/ecosched.test -cpuprofile bin/policy-cpu.out -memprofile bin/policy-mem.out .
+	$(GO) tool pprof -top -nodecount=20 bin/ecosched.test bin/policy-cpu.out
 
 # profile-sweep does the same for the paper's 138-configuration
 # benchmark sweep on one worker (New + sweep + Close per op), the

@@ -287,3 +287,31 @@ func BenchmarkClusterThroughput(b *testing.B) {
 	b.ReportMetric(float64(report.Submissions)*float64(b.N)/b.Elapsed().Seconds(), "submissions/s")
 	b.ReportMetric(float64(report.Totals.Completed), "jobs-completed")
 }
+
+// BenchmarkClusterPolicyThroughput measures the capped cluster the
+// energy-policy checks dominate: bench/specs/cluster-policy.json (24+8
+// nodes, freqcap budget, co-scheduling, price deferral, 2,000
+// submissions a run) run end to end under ten seeds an op, the i-th op
+// taking seeds 10i+1 to 10i+10, reporting wall-clock submission
+// throughput. `make profile-cluster` profiles it beside
+// BenchmarkClusterThroughput.
+func BenchmarkClusterPolicyThroughput(b *testing.B) {
+	b.ReportAllocs()
+	spec, err := workload.LoadSpec("bench/specs/cluster-policy.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var subs int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for s := 1; s <= 10; s++ {
+			spec.Seed = uint64(10*i + s)
+			report, err := RunClusterSpec(spec, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			subs += int64(report.Submissions)
+		}
+	}
+	b.ReportMetric(float64(subs)/b.Elapsed().Seconds(), "submissions/s")
+}

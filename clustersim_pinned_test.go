@@ -80,7 +80,9 @@ func TestClusterPolicyPinnedOutputs(t *testing.T) {
 // 25,484 queued-job visits, where walking every pass's whole window
 // makes 548,993 and skipping only on an unchanged epoch 327,991.
 // Skipped jobs are not probed either: place examines 26,747 primaries
-// (48,212 with the epoch skip alone).
+// (48,212 with the epoch skip alone). All three are pinned exactly: a
+// pass that skips more than the full walk would, or counts a skip
+// twice, moves them.
 func TestClusterPolicyWorkCounters(t *testing.T) {
 	spec, err := workload.LoadSpec(filepath.FromSlash("bench/specs/cluster-policy.json"))
 	if err != nil {
@@ -95,11 +97,11 @@ func TestClusterPolicyWorkCounters(t *testing.T) {
 	if pl.SignalReads != 3783 {
 		t.Errorf("SignalReads = %d, want 3783 (one per instant a pass asks, as the full walk reads it)", pl.SignalReads)
 	}
-	if pl.PlaceProbes == 0 || pl.PlaceProbes > 30000 {
-		t.Errorf("PlaceProbes = %d, want 1..30000", pl.PlaceProbes)
+	if pl.PlaceProbes != 26747 {
+		t.Errorf("PlaceProbes = %d, want 26747 (skipped jobs are not probed)", pl.PlaceProbes)
 	}
-	if pl.QueueVisits == 0 || pl.QueueVisits > 30000 {
-		t.Errorf("QueueVisits = %d, want 1..30000 (the full walk makes 548,993)", pl.QueueVisits)
+	if pl.QueueVisits != 25484 {
+		t.Errorf("QueueVisits = %d, want 25484 (the full walk makes 548,993)", pl.QueueVisits)
 	}
 	if pl.DeferredJobs == 0 || pl.CoScheduled == 0 {
 		t.Errorf("nothing deferred or nothing paired (%+v): the bounds are vacuous", pl)

@@ -125,7 +125,8 @@ func BenchmarkPolicyPassSaturated(b *testing.B) {
 // node, so none is free), which moves the partition's epoch, and its
 // pass finds every verdict of the settled record standing — held jobs
 // on the signal, the rest on no free node and no fresh host — so it
-// skips all 160 by kind. Each iteration moves the epoch as that
+// skips all 160 at once, every kind in the record being one skipMask
+// repeats (skipStanding). Each iteration moves the epoch as that
 // completion did and runs the pass again. alloc-check pins it at 0
 // allocs/op.
 func BenchmarkPolicyPassCompletion(b *testing.B) {
@@ -141,6 +142,7 @@ func BenchmarkPolicyPassCompletion(b *testing.B) {
 		b.Fatalf("primary %s, %d jobs settled; want it completed and the window settled after its pass", primary.State, p.settled.n)
 	}
 	check()
+	skips, kinds := c.pol.skips, p.settled.kinds
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -152,14 +154,19 @@ func BenchmarkPolicyPassCompletion(b *testing.B) {
 	if got := c.PolicyTotals().QueueVisits - visits; got != 0 {
 		b.Fatalf("the completion and %d passes looked at %d queued jobs, want none", b.N, got)
 	}
+	for k, n := range kinds {
+		if got, want := c.pol.skips[k]-skips[k], int64(b.N)*int64(n); got != want {
+			b.Fatalf("%d passes skipped %d jobs of kind %d, want the record's %d each", b.N, got, k, n)
+		}
+	}
 }
 
 // BenchmarkPolicyPassArrival measures the pass one arrival costs on
 // that window: a memory-bound job (place probes the two wide primaries
 // and refuses) queued behind the 160 settled jobs, which the pass does
 // not look at. Each iteration takes the arrival back off the window and
-// the settled record, so every pass is the same. alloc-check pins it at
-// 0 allocs/op.
+// the settled record (its length and its kind's count), so every pass is
+// the same. alloc-check pins it at 0 allocs/op.
 func BenchmarkPolicyPassArrival(b *testing.B) {
 	c, check := policyPassQueue(b)
 	p := c.part
@@ -167,10 +174,12 @@ func BenchmarkPolicyPassArrival(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if arrival.State != StatePending || p.settled.n != 161 {
-		b.Fatalf("arrival %s, %d jobs settled; want it queued behind 160 settled", arrival.State, p.settled.n)
+	if arrival.State != StatePending || p.settled.n != 161 || arrival.kept != keptMemory {
+		b.Fatalf("arrival %s, %d jobs settled; want it queued behind 160 settled, refused by place", arrival.State, p.settled.n)
 	}
 	p.pending, p.settled.n = p.pending[:160], 160
+	p.settled.kinds[keptMemory]--
+	record := p.settled
 	check()
 	visits := c.PolicyTotals().QueueVisits
 	b.ReportAllocs()
@@ -180,9 +189,13 @@ func BenchmarkPolicyPassArrival(b *testing.B) {
 		p.pending = append(p.pending, arrival)
 		c.schedulePart(p)
 		p.pending, p.settled.n = p.pending[:160], 160
+		p.settled.kinds[keptMemory]--
 	}
 	b.StopTimer()
 	check()
+	if p.settled != record {
+		b.Fatalf("settled record %+v after the passes, want %+v", p.settled, record)
+	}
 	if got := c.PolicyTotals().QueueVisits - visits; got != int64(b.N) {
 		b.Fatalf("%d passes looked at %d queued jobs, want the arrival alone", b.N, got)
 	}

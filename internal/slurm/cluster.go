@@ -80,12 +80,14 @@ type partition struct {
 	// signal on the side of its threshold it was on (high), a later pass
 	// skips those whose verdict the live state repeats; with the epoch
 	// unchanged and the record clean (no primary started behind a fit
-	// refusal), all of them. denied of them were refused by fit; minCapW
-	// is the smallest placement delta the budget refused any of them
-	// beside a stable host (+Inf: none). n = 0 is no record.
+	// refusal), or with every kind in the record repeated, all of them.
+	// kinds counts them per verdict kind (kinds[keptFit] were refused by
+	// fit); minCapW is the smallest placement delta the budget refused
+	// any of them beside a stable host (+Inf: none). n = 0 is no record.
 	epoch   uint64
 	settled struct {
-		n, denied   int
+		n           int
+		kinds       [verdictKinds]int
 		epoch       uint64
 		release     int64
 		minCapW     float64

@@ -642,26 +642,34 @@ func (c *Controller) schedulePart(p *partition) {
 	// record, each with the kind of verdict that kept it. While hold
 	// would answer them as it did, a pass skips each whose verdict the
 	// live state repeats (skipMask) and asks the rest — fit's refusals
-	// always. With the epoch unchanged and the record clean, it repeats
-	// them all and looks only at the jobs queued since.
+	// always. With the epoch unchanged and the record clean, or with
+	// every kind in the record repeated, it keeps them all and looks only
+	// at the jobs queued since.
 	settles := pairs && p.fifo
 	s := &p.settled
 	from, through := 0, 0 // skip pending[:from]; pending[from:through] by kind
 	var skip uint8
+	standing := false
 	if settles && s.n > 0 && c.pol.settledStands(p, now, tick) {
 		if s.epoch == p.epoch && s.clean {
 			from = s.n
+		} else if skip = c.pol.skipMask(p); p.standsWhole(skip) {
+			from, standing = s.n, true
 		} else {
-			through, skip = s.n, c.pol.skipMask(p)
+			through = s.n
 		}
 	}
-	release, denied, clean := int64(math.MaxInt64), 0, true
+	release, clean := int64(math.MaxInt64), true
+	var kinds [verdictKinds]int // the kept jobs per verdict kind
 	if settles {
 		c.pol.minCapW = math.Inf(1)
 	}
 	if from > 0 {
-		release, denied, c.pol.minCapW = s.release, s.denied, s.minCapW
-		c.pol.countDenials(denied)
+		release, kinds, c.pol.minCapW = s.release, s.kinds, s.minCapW
+		c.pol.countDenials(kinds[keptFit])
+		if standing {
+			c.pol.skipStanding(p)
+		}
 	}
 	var skipped [verdictKinds]int64
 	var pr pairing // place's verdict; written only when it pairs
@@ -711,6 +719,7 @@ func (c *Controller) schedulePart(p *partition) {
 				c.armWake(p, wake)
 				release = min(release, job.releaseTick)
 				job.kept = keptHeld
+				kinds[keptHeld]++
 				remaining = append(remaining, job)
 				continue
 			}
@@ -721,7 +730,7 @@ func (c *Controller) schedulePart(p *partition) {
 			// A primary behind a fit refusal may take the node fit
 			// refused, or the last free one: the record is no longer one
 			// to repeat whole.
-			clean = clean && denied == 0
+			clean = clean && kinds[keptFit] == 0
 			if err := c.start(job, node); err != nil {
 				job.State = StateFailed
 				job.Reason = err.Error()
@@ -734,8 +743,8 @@ func (c *Controller) schedulePart(p *partition) {
 			continue
 		case node != nil:
 			c.refreeNode(node)
-			denied++
 			job.kept = keptFit
+			kinds[keptFit]++
 		case pairs && c.pol.place(p, job, now, &pr):
 			c.startSecondary(job, pr, now)
 			if i+1 < through {
@@ -744,7 +753,10 @@ func (c *Controller) schedulePart(p *partition) {
 			continue
 		default:
 			job.Reason = "Resources"
-			job.kept = refusedKind(job)
+			if settles {
+				job.kept = refusedKind(job)
+				kinds[job.kept]++
+			}
 		}
 		// Kept on fit's or place's refusal.
 		if holds && job.Desc.Deferrable && job.releaseTick > tick {
@@ -759,11 +771,12 @@ func (c *Controller) schedulePart(p *partition) {
 		for k, n := range skipped {
 			visits -= n
 			c.pol.skips[k] += n
+			kinds[k] += int(n)
 		}
 	}
 	c.countVisits(visits)
 	if settles {
-		c.pol.settle(p, len(remaining), release, denied, clean)
+		c.pol.settle(p, len(remaining), kinds, release, clean)
 	}
 }
 

@@ -145,8 +145,17 @@ type schedPolicy struct {
 	// has refused since the scheduling pass began it (settle records it).
 	minCapW float64
 	// skips counts the jobs the passes skipped per verdict kind on a
-	// settled record whose epoch had moved.
-	skips [verdictKinds]int64
+	// settled record whose epoch had moved; standing counts the passes
+	// that skipped such a record whole (skipStanding).
+	skips    [verdictKinds]int64
+	standing int64
+	// delta is placementDeltaW's one-entry memo: w is the placement delta
+	// of cfg under calib (nil calib: none yet).
+	delta struct {
+		calib *perfmodel.Calibration
+		cfg   perfmodel.Config
+		w     float64
+	}
 
 	totals       PolicyTotals
 	mCapDenials  *metrics.Counter
@@ -486,6 +495,36 @@ func (pol *schedPolicy) skipMask(p *partition) uint8 {
 	return mask
 }
 
+// standsWhole reports whether skipMask's skip lets a pass skip every job
+// of the partition's settled record: each kind the record counts is in
+// it. (A fit refusal never is.)
+func (p *partition) standsWhole(skip uint8) bool {
+	for k, n := range p.settled.kinds {
+		if n > 0 && skip>>k&1 == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// skipStanding takes, for a pass that skips the partition's whole
+// settled record (standsWhole), what walking it would have left, and
+// counts the skips. The walk would keep every job unasked: the release
+// bound stays the record's (a bound the record holds is at or past it,
+// and settledStands keeps the tick before it, or was reached before the
+// record was made); minCapW is the record's if it holds a job place
+// refused, else +Inf; no fit refusal is counted, there being none.
+func (pol *schedPolicy) skipStanding(p *partition) {
+	s := &p.settled
+	for k, n := range s.kinds {
+		pol.skips[k] += int64(n)
+	}
+	pol.standing++
+	if s.kinds[keptCompute]+s.kinds[keptMemory] == 0 {
+		pol.minCapW = math.Inf(1)
+	}
+}
+
 // refusesAgain reports whether place, walking the pairable index k,
 // would refuse every job the settled record kept on its refusal there:
 // the index is empty, or it holds only stable hosts and the budget
@@ -501,17 +540,17 @@ func (p *partition) refusesAgain(k int, capRefuses bool) bool {
 	return empty || capRefuses
 }
 
-// settle records the pass's settled prefix: n kept jobs, denied of them
-// refused by fit, release, the earliest release bound among them that
+// settle records the pass's settled prefix: n kept jobs, kinds of them
+// per verdict kind, release, the earliest release bound among them that
 // hold still waits for, and clean, whether no primary started behind a
 // fit refusal. The partition epoch the pass ended at, the smallest delta
 // the budget refused beside a host (minCapW, gathered by planBeside and
 // carried over skipped jobs) and the pairable index, as the stable
 // hosts, go with them. So does the signal's verdict of the instant: when
 // release is set, the pass read it this instant.
-func (pol *schedPolicy) settle(p *partition, n int, release int64, denied int, clean bool) {
+func (pol *schedPolicy) settle(p *partition, n int, kinds [verdictKinds]int, release int64, clean bool) {
 	s := &p.settled
-	s.n, s.epoch, s.release, s.denied, s.clean = n, p.epoch, release, denied, clean
+	s.n, s.kinds, s.epoch, s.release, s.clean = n, kinds, p.epoch, release, clean
 	s.minCapW, s.high = pol.minCapW, pol.read.high
 	for k := range p.pairable {
 		copy(p.stable[k], p.pairable[k])
@@ -548,13 +587,13 @@ func (pol *schedPolicy) fit(job *Job, n *nodeD) bool {
 		// maximum so the estimate never undershoots the started draw.
 		cfg.FreqKHz = ladder[len(ladder)-1]
 	}
-	if capAllows(n, n.pm.PlacementDeltaW(cfg)) {
+	if capAllows(n, pol.placementDeltaW(n, cfg)) {
 		return true
 	}
 	if pol.freqCap && job.Desc.MaxFreqKHz == 0 {
 		for i := len(ladder) - 2; i >= 0; i-- {
 			cfg.FreqKHz = ladder[i]
-			if capAllows(n, n.pm.PlacementDeltaW(cfg)) {
+			if capAllows(n, pol.placementDeltaW(n, cfg)) {
 				job.Desc.MaxFreqKHz, job.Desc.MinFreqKHz = ladder[i], ladder[i]
 				pol.totals.FreqCapped++
 				pol.mFreqCapped.Inc()
@@ -566,6 +605,21 @@ func (pol *schedPolicy) fit(job *Job, n *nodeD) bool {
 	pol.totals.CapDenials++
 	pol.mCapDenials.Inc()
 	return false
+}
+
+// placementDeltaW is n.pm.PlacementDeltaW(cfg), remembered for the last
+// (calibration, configuration) asked: within a pass a job's
+// configuration at a host's frequency takes one value per rung, and a
+// partition's nodes share one calibration, so place's probes of one job
+// and the charge of the configuration fit or planBeside accepted find
+// it. A calibration is frozen once a node is built from it, so its
+// address is a sound key.
+func (pol *schedPolicy) placementDeltaW(n *nodeD, cfg perfmodel.Config) float64 {
+	d := &pol.delta
+	if d.calib != n.pm.calib || d.cfg != cfg {
+		d.calib, d.cfg, d.w = n.pm.calib, cfg, n.pm.PlacementDeltaW(cfg)
+	}
+	return d.w
 }
 
 // capAllows reports whether adding deltaW to the draw of the node's
@@ -719,7 +773,7 @@ func (pol *schedPolicy) place(p *partition, job *Job, now time.Time, pr *pairing
 func (pol *schedPolicy) planBeside(job *Job, n *nodeD, now time.Time, pr *pairing) bool {
 	cfg := job.Desc.Config()
 	cfg.FreqKHz = n.hwJob.Config.FreqKHz
-	sysW := n.pm.PlacementDeltaW(cfg)
+	sysW := pol.placementDeltaW(n, cfg)
 	if !capAllows(n, sysW) {
 		pol.minCapW = min(pol.minCapW, sysW)
 		return false
@@ -748,7 +802,7 @@ func (pol *schedPolicy) planBeside(job *Job, n *nodeD, now time.Time, pr *pairin
 // violations (which fit should make impossible). The job is on the
 // node by now: its pairable bit follows.
 func (pol *schedPolicy) charge(job *Job, n *nodeD, cfg perfmodel.Config) {
-	job.drawDeltaW = n.pm.PlacementDeltaW(cfg)
+	job.drawDeltaW = pol.placementDeltaW(n, cfg)
 	p := n.part
 	p.drawW += job.drawDeltaW
 	if p.drawW > p.peakDrawW {

@@ -2,7 +2,12 @@ package slurm
 
 import (
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,11 +28,14 @@ import (
 // so every one of its passes walks the whole window. After every step
 // the two must agree on squeue (id, state, reason), the accounting rows,
 // the policy totals but for the two work counters that measure the
-// walk, the armed wake, and the clock's queue. Every verdict kind a pass
+// walk, the armed wake, the clock's queue, and — when the full walk's
+// last pass left a record — the record's length, per-kind counts and
+// release bound. Every verdict kind a pass
 // may skip on a moved epoch must be skipped somewhere in the 40 seeds,
-// and fit's refusals never.
+// and fit's refusals never, and some pass must skip a whole record that
+// way (skipStanding).
 func TestSettledPrefixMatchesFullWalk(t *testing.T) {
-	var fastVisits, fullVisits int64
+	var fastVisits, fullVisits, standing int64
 	var sum PolicyTotals
 	var skips [verdictKinds]int64
 	for seed := uint64(1); seed <= 40; seed++ {
@@ -47,6 +55,7 @@ func TestSettledPrefixMatchesFullWalk(t *testing.T) {
 		for k, n := range h.fast.pol.skips {
 			skips[k] += n
 		}
+		standing += h.fast.pol.standing
 	}
 	if fastVisits >= fullVisits {
 		t.Fatalf("the settled prefix saved nothing: %d queued-job visits, the full walk %d", fastVisits, fullVisits)
@@ -60,7 +69,41 @@ func TestSettledPrefixMatchesFullWalk(t *testing.T) {
 			t.Errorf("%s jobs skipped %d times on a moved epoch; want fit refusals never skipped, every other kind somewhere", names[k], n)
 		}
 	}
-	t.Logf("%d queued-job visits against the full walk's %d; skips per kind %v; totals %+v", fastVisits, fullVisits, skips, sum)
+	if standing == 0 {
+		t.Error("no pass skipped a whole settled record on a moved epoch: that path is untested")
+	}
+	t.Logf("%d queued-job visits against the full walk's %d; skips per kind %v, %d passes skipping a whole record; totals %+v",
+		fastVisits, fullVisits, skips, standing, sum)
+}
+
+// TestSkipStandingTakesWhatTheWalkLeaves states skipStanding's result as
+// values: a walk that skips every job of a record keeps the record's
+// smallest refused delta only when it holds a job place refused (the
+// walk carries minCapW over those alone), and counts each job's skip
+// under its kind.
+func TestSkipStandingTakesWhatTheWalkLeaves(t *testing.T) {
+	for _, tc := range []struct {
+		kinds [verdictKinds]int
+		want  float64
+	}{
+		{[verdictKinds]int{keptHeld: 3, keptNoNode: 2}, math.Inf(1)},
+		{[verdictKinds]int{keptHeld: 3, keptCompute: 1}, 42},
+		{[verdictKinds]int{keptMemory: 4}, 42},
+	} {
+		p := &partition{}
+		p.settled.kinds, p.settled.minCapW = tc.kinds, 42
+		pol := &schedPolicy{minCapW: 42}
+		pol.skipStanding(p)
+		pol.skipStanding(p)
+		if pol.minCapW != tc.want || pol.standing != 2 {
+			t.Errorf("record %v: minCapW %v after %d passes, want %v after 2", tc.kinds, pol.minCapW, pol.standing, tc.want)
+		}
+		for k, n := range tc.kinds {
+			if pol.skips[k] != 2*int64(n) {
+				t.Errorf("record %v: %d skips of kind %d, want %d", tc.kinds, pol.skips[k], k, 2*n)
+			}
+		}
+	}
 }
 
 // FuzzSettledPrefix drives the differential test's controller pair
@@ -78,13 +121,39 @@ func FuzzSettledPrefix(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		in := &fuzzChoices{data: data}
-		h := newSettleHarness(t, in)
-		for step := 0; step < 300 && in.i < len(in.data); step++ {
-			h.step(t, in, fmt.Sprintf("step %d", step))
-		}
-	})
+	f.Fuzz(func(t *testing.T, data []byte) { fuzzSettle(t, data) })
+}
+
+// fuzzSettle runs FuzzSettledPrefix's body on one input.
+func fuzzSettle(tb testing.TB, data []byte) *settleHarness {
+	in := &fuzzChoices{data: data}
+	h := newSettleHarness(tb, in)
+	for step := 0; step < 300 && in.i < len(in.data); step++ {
+		h.step(tb, in, fmt.Sprintf("step %d", step))
+	}
+	return h
+}
+
+// TestSettledPrefixCorpusSkipsStanding replays the committed
+// FuzzSettledPrefix corpus entry named standing-record, which must keep
+// reaching a pass that skips a whole settled record on a moved epoch
+// (skipStanding), so that the fuzzer's seed corpus covers that path.
+func TestSettledPrefixCorpusSkipsStanding(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzSettledPrefix", "standing-record"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+	if !ok {
+		t.Fatalf("corpus entry %q is not one []byte value", raw)
+	}
+	data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := fuzzSettle(t, []byte(data)); h.fast.pol.standing == 0 {
+		t.Fatal("the standing-record corpus entry no longer skips a whole settled record")
+	}
 }
 
 // choices is where the harness draws its decisions from: a seeded
@@ -280,6 +349,10 @@ func settleDiff(a, b *Controller) string {
 	pa, pb := a.part, b.part
 	if pa.wakeArmed != pb.wakeArmed || !pa.wakeAt.Equal(pb.wakeAt) {
 		return fmt.Sprintf("wake armed %v at %v, the full walk's %v at %v", pa.wakeArmed, pa.wakeAt, pb.wakeArmed, pb.wakeAt)
+	}
+	if sa, sb := pa.settled, pb.settled; sb.n > 0 && (sa.n != sb.n || sa.kinds != sb.kinds || sa.release != sb.release) {
+		return fmt.Sprintf("settled record of %d jobs %v, release %d; the full walk's %d jobs %v, release %d",
+			sa.n, sa.kinds, sa.release, sb.n, sb.kinds, sb.release)
 	}
 	if a.sim.Pending() != b.sim.Pending() || !a.sim.LastEventAt().Equal(b.sim.LastEventAt()) {
 		return fmt.Sprintf("%d events pending, last at %v; the full walk's %d, last at %v",
