@@ -56,7 +56,7 @@ chaos:
 # spec, the two slurm text parsers (slurm.conf, sbatch scripts), the
 # controller's memo of the last sbatch parse against the parser, the
 # settled prefix against the full scheduling walk, and the calendar
-# queue against its naive reference.
+# queue against its naive reference. CI's fuzz job runs it.
 fuzz:
 	$(GO) test -fuzz FuzzTornTail -fuzztime 30s -run FuzzTornTail ./internal/filedb/
 	$(GO) test -fuzz FuzzReplay -fuzztime 30s -run FuzzReplay ./internal/filedb/

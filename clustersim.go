@@ -620,6 +620,12 @@ func (ln *clusterLane) runWindow(b *subBatch, windowEnd time.Time) {
 	ln.sim.RunBefore(windowEnd)
 }
 
+// clusterCalib is the one calibration every cluster run's nodes share.
+// Nothing writes a calibration's fields once it is built (DESIGN §8), so
+// the tables built from it — the hw ladder, the policy's placement
+// deltas — are built once per process, not once per run.
+var clusterCalib = perfmodel.Default()
+
 // runCluster builds one lane per partition and pumps the submission
 // source through them in conservative time windows: the router fills
 // windowsInFlight routedWindows in turn, and every lane runs on its own
@@ -637,7 +643,6 @@ func runCluster(start time.Time, spec workload.Spec, src workload.Source, lw *wo
 		opt(&rcfg)
 	}
 
-	calib := perfmodel.Default()
 	spec0 := hw.DefaultSpec()
 	var nodes []*hw.Node // global construction order: spec order, for energy totals
 	lanes := make([]*clusterLane, 0, len(spec.Cluster.Partitions))
@@ -664,7 +669,7 @@ func runCluster(start time.Time, spec workload.Spec, src workload.Source, lw *wo
 		for i := range pool {
 			ns := spec0
 			ns.Name = fmt.Sprintf("%s-%04d", ps.Name, i+1)
-			pool[i] = hw.NewNode(laneSim, ns, calib, spec.Seed+uint64(idx)*clusterSeedStride+1)
+			pool[i] = hw.NewNode(laneSim, ns, clusterCalib, spec.Seed+uint64(idx)*clusterSeedStride+1)
 			idx++
 		}
 		nodes = append(nodes, pool...)

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 // The CLI is exercised through run(), with state persisting in a data
@@ -209,6 +210,50 @@ func TestCLISimulate(t *testing.T) {
 	for _, args := range usageErrors {
 		if err := run(args); err == nil {
 			t.Errorf("chronus %v succeeded, want a usage error", args)
+		}
+	}
+}
+
+// TestCLISimulateRejectsTinyDeferCheck: a deferral check under a minute
+// is an error, at once, from a spec and from a recorded log's header
+// alike. (At "1ns" a held job re-armed its wake every nanosecond of
+// simulated time, and the run never finished.)
+func TestCLISimulateRejectsTinyDeferCheck(t *testing.T) {
+	dir := t.TempDir()
+	raw, err := os.ReadFile(filepath.Join("..", "..", "specs", "powercap-smoke.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostile := filepath.Join(dir, "hostile.json")
+	if err := os.WriteFile(hostile, []byte(strings.Replace(string(raw), `"check": "10m"`, `"check": "1ns"`, 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	log := filepath.Join(dir, "run.jsonl")
+	captureStdout(t, func() error {
+		return run([]string{"simulate", "-spec", filepath.Join("..", "..", "specs", "powercap-smoke.json"), "-record", log})
+	})
+	recorded, err := os.ReadFile(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, rest, _ := strings.Cut(string(recorded), "\n")
+	if !strings.Contains(header, `"check":"10m0s"`) {
+		t.Fatalf("log header does not carry the spec's check: %s", header)
+	}
+	tampered := filepath.Join(dir, "tampered.jsonl")
+	if err := os.WriteFile(tampered, []byte(strings.Replace(header, `"check":"10m0s"`, `"check":"1ns"`, 1)+"\n"+rest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"simulate", "-spec", hostile}, {"simulate", "-replay", tampered}} {
+		done := make(chan error, 1)
+		go func() { done <- run(args) }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "deferral check 1ns is under 1m0s") {
+				t.Errorf("chronus %v: %v, want the check rejected", args, err)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("chronus %v still running after 20 s", args)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package slurm
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -103,7 +104,8 @@ func policyPassQueue(b *testing.B) (c *Controller, check func()) {
 // BenchmarkPolicyPassSaturated measures what the policy decisions cost
 // a scheduling pass that walks the whole window and starts nothing: one
 // schedulePart over policyPassQueue's 160 jobs, the partition's settled
-// record dropped first so the pass asks every job again. The
+// record dropped first (its length: the dense kinds and ticks are
+// buffers the pass writes again) so the pass asks every job again. The
 // alloc-check make target pins it at 0 allocs/op; DESIGN §7 quotes its
 // ns/op.
 func BenchmarkPolicyPassSaturated(b *testing.B) {
@@ -165,8 +167,10 @@ func BenchmarkPolicyPassCompletion(b *testing.B) {
 // that window: a memory-bound job (place probes the two wide primaries
 // and refuses) queued behind the 160 settled jobs, which the pass does
 // not look at. Each iteration takes the arrival back off the window and
-// the settled record (its length and its kind's count), so every pass is
-// the same. alloc-check pins it at 0 allocs/op.
+// the settled record (its length, which rewinds the dense kinds and
+// ticks, and its kind's count), so every pass is the same; the 160
+// settled jobs' kinds and ticks must come through untouched.
+// alloc-check pins it at 0 allocs/op.
 func BenchmarkPolicyPassArrival(b *testing.B) {
 	c, check := policyPassQueue(b)
 	p := c.part
@@ -174,12 +178,13 @@ func BenchmarkPolicyPassArrival(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if arrival.State != StatePending || p.settled.n != 161 || arrival.kept != keptMemory {
+	if arrival.State != StatePending || p.settled.n != 161 || verdict(p.settled.kind[160]) != keptMemory {
 		b.Fatalf("arrival %s, %d jobs settled; want it queued behind 160 settled, refused by place", arrival.State, p.settled.n)
 	}
 	p.pending, p.settled.n = p.pending[:160], 160
 	p.settled.kinds[keptMemory]--
 	record := p.settled
+	kind, rel := slices.Clone(p.settled.kind[:160]), slices.Clone(p.settled.rel[:160])
 	check()
 	visits := c.PolicyTotals().QueueVisits
 	b.ReportAllocs()
@@ -193,8 +198,10 @@ func BenchmarkPolicyPassArrival(b *testing.B) {
 	}
 	b.StopTimer()
 	check()
-	if p.settled != record {
-		b.Fatalf("settled record %+v after the passes, want %+v", p.settled, record)
+	if s := p.settled; s.n != record.n || s.kinds != record.kinds || s.epoch != record.epoch || s.release != record.release ||
+		s.minCapW != record.minCapW || s.high != record.high || s.clean != record.clean ||
+		!slices.Equal(s.kind[:160], kind) || !slices.Equal(s.rel[:160], rel) {
+		b.Fatalf("settled record %+v after the passes, want %+v and its 160 kinds and ticks unchanged", s, record)
 	}
 	if got := c.PolicyTotals().QueueVisits - visits; got != int64(b.N) {
 		b.Fatalf("%d passes looked at %d queued jobs, want the arrival alone", b.N, got)

@@ -74,25 +74,37 @@ type partition struct {
 	// nodes, the draw ledger or the pairable index) bumps it. settled is
 	// schedulePart's record of the queue it left on a FIFO partition under
 	// a policy that pairs (DESIGN §7, "The settled prefix"): its first n
-	// jobs, each with the kind of verdict that kept it (Job.kept). While
-	// tick stays before release (the earliest release bound among them
-	// that hold still waits for; math.MaxInt64 = none) and the deferral
-	// signal on the side of its threshold it was on (high), a later pass
-	// skips those whose verdict the live state repeats; with the epoch
-	// unchanged and the record clean (no primary started behind a fit
-	// refusal), or with every kind in the record repeated, all of them.
-	// kinds counts them per verdict kind (kinds[keptFit] were refused by
-	// fit); minCapW is the smallest placement delta the budget refused
-	// any of them beside a stable host (+Inf: none). n = 0 is no record.
+	// jobs, pending[:n], with kind[i] the kind of verdict that kept
+	// pending[i] and rel[i] its release tick (math.MaxInt64 unless hold
+	// derived one for it), dense beside the queue so that a pass reads
+	// them without touching the jobs. While tick stays before release
+	// (the earliest release tick among them that hold still waits for;
+	// math.MaxInt64 = none) and the deferral signal on the side of its
+	// threshold it was on (high), a later pass skips those whose verdict
+	// the live state repeats; with the epoch unchanged and the record
+	// clean (no primary started behind a fit refusal), or with every kind
+	// in the record repeated, all of them. kinds counts them per verdict
+	// kind (kinds[keptFit] were refused by fit); minCapW is the smallest
+	// placement delta the budget refused any of them beside a stable host
+	// (+Inf: none). n = 0 is no record; kind and rel are buffers as long
+	// as the longest queue a pass has recorded from. next and asked are a
+	// pass by kind's (byKind): its search positions and the record jobs it
+	// asked per recorded kind.
 	epoch   uint64
-	settled struct {
-		n           int
-		kinds       [verdictKinds]int
-		epoch       uint64
-		release     int64
-		minCapW     float64
-		high, clean bool
-	}
+	settled settledRecord
+}
+
+// settledRecord is a partition's settled record (partition.settled).
+type settledRecord struct {
+	n           int
+	kinds       [verdictKinds]int
+	epoch       uint64
+	release     int64
+	minCapW     float64
+	high, clean bool
+	kind        []byte
+	rel         []int64
+	next, asked [verdictKinds]int
 }
 
 // takeIdle claims the lowest-slotted idle node that satisfies the

@@ -65,9 +65,10 @@ type nodeD struct {
 	free bool
 	// spec caches hw.Spec() — read on every placement probe.
 	spec hw.NodeSpec
-	// pm/idleDrawW are the node's power model and idle draw, set only
-	// when the cluster-policy layer is active (energy.go).
-	pm        PowerModel
+	// deltas/idleDrawW are the node's power model, its placement deltas
+	// tabulated, and its idle draw, set only when the cluster-policy
+	// layer is active (energy.go).
+	deltas    *deltaTable
 	idleDrawW float64
 	// Governor state saved while a --cpu-freq job pins userspace.
 	savedGovernor hw.GovernorKind
@@ -659,6 +660,9 @@ func (c *Controller) schedulePart(p *partition) {
 			through = s.n
 		}
 	}
+	if settles && len(s.kind) < len(p.pending) {
+		s.grow(len(p.pending))
+	}
 	release, clean := int64(math.MaxInt64), true
 	var kinds [verdictKinds]int // the kept jobs per verdict kind
 	if settles {
@@ -671,24 +675,28 @@ func (c *Controller) schedulePart(p *partition) {
 			c.pol.skipStanding(p)
 		}
 	}
-	var skipped [verdictKinds]int64
+	// A pass by kind reads the record's dense kinds, never a job it
+	// skips; lost is set when a record job it started held the record's
+	// release bound.
+	lost := false
+	if through > 0 {
+		s.byKind()
+	}
 	var pr pairing // place's verdict; written only when it pairs
 	remaining, queued := p.pending[:from], len(p.pending)
 	for i := from; i < queued; i++ {
-		job := p.pending[i]
-		if i < through && skip>>job.kept&1 != 0 {
-			// The verdict stands: keep the job unasked. Its release bound
-			// and its refusals' smallest delta stay in the record.
-			skipped[job.kept]++
-			if holds && job.Desc.Deferrable && job.releaseTick > tick {
-				release = min(release, job.releaseTick)
+		if i < through {
+			if skip>>s.kind[i]&1 != 0 {
+				// The verdicts stand up to the next job of a kind skip
+				// lacks: keep the run unasked.
+				j := s.nextAsked(i+1, through, skip)
+				remaining = s.keepRun(p.pending, remaining, i, j)
+				i = j - 1
+				continue
 			}
-			if job.kept >= keptCompute {
-				c.pol.minCapW = min(c.pol.minCapW, s.minCapW)
-			}
-			remaining = append(remaining, job)
-			continue
+			s.asked[s.kind[i]]++
 		}
+		job := p.pending[i]
 		if p.freeN == 0 && !pairs {
 			// Every node claimed mid-pass: nothing below can start, so
 			// keep the tail queued wholesale instead of probing each
@@ -718,13 +726,17 @@ func (c *Controller) schedulePart(p *partition) {
 			if wake, held := c.pol.hold(job, now, tick); held {
 				c.armWake(p, wake)
 				release = min(release, job.releaseTick)
-				job.kept = keptHeld
-				kinds[keptHeld]++
+				if settles {
+					kinds[keptHeld]++
+					s.kind[len(remaining)], s.rel[len(remaining)] = byte(keptHeld), job.releaseTick
+				}
 				remaining = append(remaining, job)
 				continue
 			}
 		}
 		node := p.takeIdle(&job.Desc)
+		var kept verdict
+		left := true // the job started, or failed to
 		switch {
 		case node != nil && (c.pol == nil || c.pol.fit(job, node)):
 			// A primary behind a fit refusal may take the node fit
@@ -737,30 +749,38 @@ func (c *Controller) schedulePart(p *partition) {
 				job.EndTime = now
 				c.finish(job)
 			}
-			if i+1 < through {
-				skip = c.pol.skipMask(p)
-			}
-			continue
 		case node != nil:
 			c.refreeNode(node)
-			job.kept = keptFit
-			kinds[keptFit]++
+			kept, left = keptFit, false
 		case pairs && c.pol.place(p, job, now, &pr):
 			c.startSecondary(job, pr, now)
-			if i+1 < through {
-				skip = c.pol.skipMask(p)
-			}
-			continue
 		default:
 			job.Reason = "Resources"
+			left = false
 			if settles {
-				job.kept = refusedKind(job)
-				kinds[job.kept]++
+				kept = refusedKind(job)
 			}
 		}
+		if left {
+			if i < through {
+				lost = lost || s.rel[i] == s.release
+				if i+1 < through {
+					skip = c.pol.reskip(p, skip)
+				}
+			}
+			continue
+		}
 		// Kept on fit's or place's refusal.
-		if holds && job.Desc.Deferrable && job.releaseTick > tick {
-			release = min(release, job.releaseTick)
+		rel := int64(math.MaxInt64)
+		if holds && job.Desc.Deferrable {
+			rel = job.releaseTick
+			if rel > tick {
+				release = min(release, rel)
+			}
+		}
+		if settles {
+			kinds[kept]++
+			s.kind[len(remaining)], s.rel[len(remaining)] = byte(kept), rel
 		}
 		remaining = append(remaining, job)
 	}
@@ -768,11 +788,17 @@ func (c *Controller) schedulePart(p *partition) {
 	p.queueGauge.Set(float64(len(p.pending)))
 	visits := int64(queued - from)
 	if through > 0 {
-		for k, n := range skipped {
-			visits -= n
-			c.pol.skips[k] += n
-			kinds[k] += int(n)
+		// Every record job not asked was skipped under its recorded kind.
+		for k, n := range s.kinds {
+			n -= s.asked[k]
+			visits -= int64(n)
+			c.pol.skips[k] += int64(n)
+			kinds[k] += n
 		}
+		if s.kinds[keptCompute]+s.kinds[keptMemory] > s.asked[keptCompute]+s.asked[keptMemory] {
+			c.pol.minCapW = min(c.pol.minCapW, s.minCapW)
+		}
+		release = c.pol.rebound(s, len(remaining), release, tick, lost)
 	}
 	c.countVisits(visits)
 	if settles {

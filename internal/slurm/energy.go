@@ -37,9 +37,12 @@
 package slurm
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"ecosched/internal/metrics"
@@ -146,16 +149,12 @@ type schedPolicy struct {
 	minCapW float64
 	// skips counts the jobs the passes skipped per verdict kind on a
 	// settled record whose epoch had moved; standing counts the passes
-	// that skipped such a record whole (skipStanding).
-	skips    [verdictKinds]int64
-	standing int64
-	// delta is placementDeltaW's one-entry memo: w is the placement delta
-	// of cfg under calib (nil calib: none yet).
-	delta struct {
-		calib *perfmodel.Calibration
-		cfg   perfmodel.Config
-		w     float64
-	}
+	// that skipped such a record whole (skipStanding); widened counts the
+	// starts after which a pass skipped a kind it had asked before them;
+	// rebounds counts the passes that recomputed the release bound
+	// because a record job they started held it (rebound).
+	skips                       [verdictKinds]int64
+	standing, widened, rebounds int64
 
 	totals       PolicyTotals
 	mCapDenials  *metrics.Counter
@@ -175,8 +174,8 @@ func newSchedPolicy(c *Controller, ps []SchedPolicy) (*schedPolicy, error) {
 	}
 	p := c.part
 	for _, nd := range p.nodes {
-		nd.pm = NewPowerModel(nd.hw.Calibration())
-		nd.idleDrawW = nd.pm.IdleNodeW()
+		nd.deltas = deltaTableFor(nd.hw.Calibration(), nd.spec.FrequenciesKHz)
+		nd.idleDrawW = nd.deltas.pm.IdleNodeW()
 		p.drawW += nd.idleDrawW
 	}
 	p.peakDrawW = p.drawW
@@ -301,7 +300,7 @@ type DeferralPolicy struct {
 	Threshold float64
 	MaxDefer  time.Duration
 	// Check is the signal re-evaluation cadence for held jobs (0 =
-	// DefaultDeferCheck).
+	// DefaultDeferCheck; else at least workload.MinDeferCheck).
 	Check time.Duration
 }
 
@@ -318,6 +317,9 @@ func (p *DeferralPolicy) attach(pol *schedPolicy, _ *Controller) error {
 	check := p.Check
 	if check < 0 {
 		return fmt.Errorf("slurm: negative deferral check interval %v", p.Check)
+	}
+	if check != 0 && check < workload.MinDeferCheck {
+		return fmt.Errorf("slurm: deferral check interval %v is under %v", p.Check, workload.MinDeferCheck)
 	}
 	if check == 0 {
 		check = DefaultDeferCheck
@@ -436,8 +438,8 @@ func (pol *schedPolicy) high(now time.Time, tick int64) bool {
 }
 
 // verdict is the kind of answer that kept a queued job on a pass that
-// left a settled record (Job.kept, DESIGN §7): what a later pass must
-// find unchanged to skip the job instead of asking again.
+// left a settled record (settledRecord.kind, DESIGN §7): what a later
+// pass must find unchanged to skip the job instead of asking again.
 type verdict uint8
 
 const (
@@ -525,6 +527,96 @@ func (pol *schedPolicy) skipStanding(p *partition) {
 	}
 }
 
+// reskip is skipMask asked again after a start, counting a mask that
+// gained a kind (a start that took the last free node, or a secondary
+// that took the last fresh host).
+func (pol *schedPolicy) reskip(p *partition, was uint8) uint8 {
+	skip := pol.skipMask(p)
+	if skip&^was != 0 {
+		pol.widened++
+	}
+	return skip
+}
+
+// grow makes the record's buffers hold n jobs, keeping the record.
+func (s *settledRecord) grow(n int) {
+	n = max(n, 2*len(s.kind), 64)
+	kind, rel := make([]byte, n), make([]int64, n)
+	copy(kind, s.kind[:s.n])
+	copy(rel, s.rel[:s.n])
+	s.kind, s.rel = kind, rel
+}
+
+// byKind starts a pass by kind over the record: no job asked yet, and
+// nextAsked's search positions, none known yet for a kind the record
+// holds and none to find for a kind it does not.
+func (s *settledRecord) byKind() {
+	s.asked = [verdictKinds]int{}
+	for k, n := range s.kinds {
+		s.next[k] = -1
+		if n == 0 {
+			s.next[k] = s.n
+		}
+	}
+}
+
+// nextAsked is the first record position in [i, through) whose kind
+// skip lacks, or through. next[k] is, per kind, the first position of
+// kind k at or past where its last search began (through: none); one at
+// or past i still stands, since a pass writes the record only below the
+// job it is at. So each search starts where the last one of its kind
+// ended, and a pass scans each kind's bytes once, whatever masks it
+// asks with.
+func (s *settledRecord) nextAsked(i, through int, skip uint8) int {
+	j, next := through, &s.next
+	for k := range next {
+		if skip>>k&1 != 0 {
+			continue
+		}
+		if next[k] < i {
+			next[k] = through
+			if d := bytes.IndexByte(s.kind[i:through], byte(k)); d >= 0 {
+				next[k] = i + d
+			}
+		}
+		j = min(j, next[k])
+	}
+	return j
+}
+
+// keepRun keeps the record's jobs pending[i:j], unasked, behind the
+// remaining ones: where they are while no job ahead of them has left,
+// else moved down with their kinds and ticks.
+func (s *settledRecord) keepRun(pending, remaining []*Job, i, j int) []*Job {
+	w := len(remaining)
+	if w != i {
+		copy(pending[w:], pending[i:j])
+		copy(s.kind[w:], s.kind[i:j])
+		copy(s.rel[w:], s.rel[i:j])
+	}
+	return pending[:w+j-i]
+}
+
+// rebound is the release bound a pass by kind leaves over the n jobs it
+// kept, given release, the least over the jobs it asked and kept. The
+// record's jobs with a tick past now all have one at or past the
+// record's bound (settledStands keeps now before it), so the bound
+// stands unless every job holding it started (lost); then it is the
+// least tick past now the kept jobs hold.
+func (pol *schedPolicy) rebound(s *settledRecord, n int, release, tick int64, lost bool) int64 {
+	if !lost || s.release == math.MaxInt64 {
+		return min(release, s.release)
+	}
+	pol.rebounds++
+	release = math.MaxInt64
+	for _, r := range s.rel[:n] {
+		if r > tick {
+			release = min(release, r)
+		}
+	}
+	return release
+}
+
 // refusesAgain reports whether place, walking the pairable index k,
 // would refuse every job the settled record kept on its refusal there:
 // the index is empty, or it holds only stable hosts and the budget
@@ -587,13 +679,13 @@ func (pol *schedPolicy) fit(job *Job, n *nodeD) bool {
 		// maximum so the estimate never undershoots the started draw.
 		cfg.FreqKHz = ladder[len(ladder)-1]
 	}
-	if capAllows(n, pol.placementDeltaW(n, cfg)) {
+	if capAllows(n, n.deltas.deltaW(cfg)) {
 		return true
 	}
 	if pol.freqCap && job.Desc.MaxFreqKHz == 0 {
 		for i := len(ladder) - 2; i >= 0; i-- {
 			cfg.FreqKHz = ladder[i]
-			if capAllows(n, pol.placementDeltaW(n, cfg)) {
+			if capAllows(n, n.deltas.deltaW(cfg)) {
 				job.Desc.MaxFreqKHz, job.Desc.MinFreqKHz = ladder[i], ladder[i]
 				pol.totals.FreqCapped++
 				pol.mFreqCapped.Inc()
@@ -607,19 +699,62 @@ func (pol *schedPolicy) fit(job *Job, n *nodeD) bool {
 	return false
 }
 
-// placementDeltaW is n.pm.PlacementDeltaW(cfg), remembered for the last
-// (calibration, configuration) asked: within a pass a job's
-// configuration at a host's frequency takes one value per rung, and a
-// partition's nodes share one calibration, so place's probes of one job
-// and the charge of the configuration fit or planBeside accepted find
-// it. A calibration is frozen once a node is built from it, so its
-// address is a sound key.
-func (pol *schedPolicy) placementDeltaW(n *nodeD, cfg perfmodel.Config) float64 {
-	d := &pol.delta
-	if d.calib != n.pm.calib || d.cfg != cfg {
-		d.calib, d.cfg, d.w = n.pm.calib, cfg, n.pm.PlacementDeltaW(cfg)
+// deltaTable is the power model of the nodes built from one calibration
+// and spec ladder, with PowerModel.PlacementDeltaW tabulated over every
+// configuration fit, planBeside and charge ask there: cores
+// 0..TotalCores, a ladder or P-state frequency, one or two threads a
+// core. The value is a pure function of (calibration, configuration),
+// so one table serves every node of the pair (deltaTableFor).
+type deltaTable struct {
+	pm     PowerModel
+	ladder []int // the spec ladder it was built for
+	freqs  []int // its rows: the ladder and the P-states, each once
+	cores  int   // TotalCores
+	// w holds the delta of (freqs[r], c cores, t threads) at
+	// (r*(cores+1)+c)*2 + t-1.
+	w []float64
+}
+
+// lastDeltas is the most recently built table, shared the way
+// hw.ladderFor shares its ladder: the nodes of a run share one
+// calibration and ladder, so one table serves the run, and a process
+// whose runs share a calibration builds it once.
+var lastDeltas atomic.Pointer[deltaTable]
+
+// deltaTableFor returns the shared table for calib and the spec ladder.
+func deltaTableFor(calib *perfmodel.Calibration, ladder []int) *deltaTable {
+	if t := lastDeltas.Load(); t != nil && t.pm.calib == calib && slices.Equal(t.ladder, ladder) {
+		return t
 	}
-	return d.w
+	t := &deltaTable{pm: NewPowerModel(calib), ladder: slices.Clone(ladder), cores: calib.TotalCores}
+	for _, f := range slices.Concat(ladder, calib.PStatesKHz) {
+		if !slices.Contains(t.freqs, f) {
+			t.freqs = append(t.freqs, f)
+		}
+	}
+	t.w = make([]float64, 0, len(t.freqs)*(t.cores+1)*2)
+	for _, f := range t.freqs {
+		for c := 0; c <= t.cores; c++ {
+			for threads := 1; threads <= 2; threads++ {
+				t.w = append(t.w, t.pm.PlacementDeltaW(perfmodel.Config{Cores: c, FreqKHz: f, ThreadsPerCore: threads}))
+			}
+		}
+	}
+	lastDeltas.Store(t)
+	return t
+}
+
+// deltaW is the placement delta of cfg: the table's entry, or the
+// power model's for a configuration outside the table.
+func (t *deltaTable) deltaW(cfg perfmodel.Config) float64 {
+	if uint(cfg.Cores) <= uint(t.cores) && uint(cfg.ThreadsPerCore-1) < 2 {
+		for r, f := range t.freqs {
+			if f == cfg.FreqKHz {
+				return t.w[(r*(t.cores+1)+cfg.Cores)*2+cfg.ThreadsPerCore-1]
+			}
+		}
+	}
+	return t.pm.PlacementDeltaW(cfg)
 }
 
 // capAllows reports whether adding deltaW to the draw of the node's
@@ -773,7 +908,7 @@ func (pol *schedPolicy) place(p *partition, job *Job, now time.Time, pr *pairing
 func (pol *schedPolicy) planBeside(job *Job, n *nodeD, now time.Time, pr *pairing) bool {
 	cfg := job.Desc.Config()
 	cfg.FreqKHz = n.hwJob.Config.FreqKHz
-	sysW := pol.placementDeltaW(n, cfg)
+	sysW := n.deltas.deltaW(cfg)
 	if !capAllows(n, sysW) {
 		pol.minCapW = min(pol.minCapW, sysW)
 		return false
@@ -792,7 +927,7 @@ func (pol *schedPolicy) planBeside(job *Job, n *nodeD, now time.Time, pr *pairin
 	}
 	pol.totals.CoScheduled++
 	pol.mCoScheduled.Inc()
-	*pr = pairing{node: n, cfg: cfg, dur: dur, gflops: gflops, sysW: sysW, cpuW: n.pm.CPUDeltaW(cfg)}
+	*pr = pairing{node: n, cfg: cfg, dur: dur, gflops: gflops, sysW: sysW, cpuW: n.deltas.pm.CPUDeltaW(cfg)}
 	return true
 }
 
@@ -802,7 +937,7 @@ func (pol *schedPolicy) planBeside(job *Job, n *nodeD, now time.Time, pr *pairin
 // violations (which fit should make impossible). The job is on the
 // node by now: its pairable bit follows.
 func (pol *schedPolicy) charge(job *Job, n *nodeD, cfg perfmodel.Config) {
-	job.drawDeltaW = pol.placementDeltaW(n, cfg)
+	job.drawDeltaW = n.deltas.deltaW(cfg)
 	p := n.part
 	p.drawW += job.drawDeltaW
 	if p.drawW > p.peakDrawW {

@@ -1,6 +1,8 @@
 package slurm
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -81,6 +83,58 @@ func TestPowerModelLadderMonotone(t *testing.T) {
 	}
 }
 
+// TestDeltaTableIsTheModel: the placement-delta table a node reads is
+// its power model, bit for bit, at every configuration it holds — cores
+// 0..TotalCores, each rung of the ladder (one of them off the
+// calibrated P-states) and each P-state, one or two threads — and a
+// configuration outside it falls through to the model. A second
+// calibration gets a table of its own values, and the first one's comes
+// back with its own.
+func TestDeltaTableIsTheModel(t *testing.T) {
+	ladder := []int{1_500_000, 1_800_000, 2_500_000}
+	first, second := perfmodel.Default(), perfmodel.Default()
+	second.UncoreW *= 1.5
+	check := func(calib *perfmodel.Calibration) {
+		t.Helper()
+		tab, pm := deltaTableFor(calib, ladder), NewPowerModel(calib)
+		if tab.pm != pm || !slices.Equal(tab.freqs, []int{1_500_000, 1_800_000, 2_500_000, 2_200_000}) {
+			t.Fatalf("table over %v for %p, want the ladder then the other P-states for %p", tab.freqs, tab.pm.calib, calib)
+		}
+		for _, f := range tab.freqs {
+			for c := 0; c <= calib.TotalCores; c++ {
+				for threads := 1; threads <= 2; threads++ {
+					cfg := perfmodel.Config{Cores: c, FreqKHz: f, ThreadsPerCore: threads}
+					if got, want := tab.deltaW(cfg), pm.PlacementDeltaW(cfg); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%v: table %v W, model %v W", cfg, got, want)
+					}
+				}
+			}
+		}
+		for _, cfg := range []perfmodel.Config{
+			{Cores: 16, FreqKHz: 2_000_000, ThreadsPerCore: 1}, // off the ladder and the P-states
+			{Cores: 16, FreqKHz: 0, ThreadsPerCore: 1},
+			{Cores: calib.TotalCores + 1, FreqKHz: 2_500_000, ThreadsPerCore: 1},
+			{Cores: -1, FreqKHz: 2_500_000, ThreadsPerCore: 1},
+			{Cores: 16, FreqKHz: 2_500_000, ThreadsPerCore: 3},
+			{Cores: 16, FreqKHz: 2_500_000, ThreadsPerCore: 0},
+		} {
+			if got, want := tab.deltaW(cfg), pm.PlacementDeltaW(cfg); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%v, outside the table: %v W, the model %v W", cfg, got, want)
+			}
+		}
+	}
+	check(first)
+	check(second)
+	full := perfmodel.Config{Cores: 32, FreqKHz: 2_500_000, ThreadsPerCore: 1}
+	if deltaTableFor(first, ladder).deltaW(full) == deltaTableFor(second, ladder).deltaW(full) {
+		t.Fatal("two calibrations with different uncore power share a placement delta")
+	}
+	check(first)
+	if a, b := deltaTableFor(first, ladder), deltaTableFor(first, ladder); a != b {
+		t.Fatal("asking again for the same calibration and ladder built a second table")
+	}
+}
+
 func TestPolicyAttachValidation(t *testing.T) {
 	idle, _ := testLadderWatts()
 	cases := []struct {
@@ -98,6 +152,8 @@ func TestPolicyAttachValidation(t *testing.T) {
 		{"deferral without threshold", &DeferralPolicy{Signal: func(time.Time) float64 { return 0 }, MaxDefer: time.Hour}, "threshold must be > 0"},
 		{"deferral without max defer", &DeferralPolicy{Signal: func(time.Time) float64 { return 0 }, Threshold: 1}, "max defer > 0"},
 		{"negative deferral check", &DeferralPolicy{Signal: func(time.Time) float64 { return 0 }, Threshold: 1, MaxDefer: time.Hour, Check: -time.Minute}, "negative deferral check"},
+		{"deferral check under a minute", &DeferralPolicy{Signal: func(time.Time) float64 { return 0 }, Threshold: 1, MaxDefer: time.Hour, Check: time.Nanosecond}, "is under 1m0s"},
+		{"deferral check of a minute", &DeferralPolicy{Signal: func(time.Time) float64 { return 0 }, Threshold: 1, MaxDefer: time.Hour, Check: time.Minute}, ""},
 		{"valid combo", &PowerCapPolicy{CapW: idle + 200, Mode: CapModeFreqCap}, ""},
 	}
 	for _, tc := range cases {

@@ -56,10 +56,11 @@ type JobDesc struct {
 	MaxFreqKHz    int    // --cpu-freq upper bound
 	TimeLimit     time.Duration
 	Partition     string
-	UserID        uint32
 	// Deadline is the §6.2.1 extension: the job must finish by this
 	// time (zero = none).
 	Deadline time.Time
+	// UserID shares a word with the two flags below (TestJobSize).
+	UserID uint32
 	// Exclusive demands the whole node (sbatch --exclusive): the job is
 	// never co-scheduled, as primary or secondary.
 	Exclusive bool
@@ -118,9 +119,9 @@ type Job struct {
 	// userSlot indexes the controller's dense fair-share usage slice
 	// (Controller.usageBy) for Desc.UserID, assigned at submission.
 	userSlot int32
-	// The three flags and kept share userSlot's word: Job is one record
-	// per submission, and a word more per job shows in the simulator's
-	// bytes per submission (TestJobSize).
+	// The three flags share userSlot's word: Job is one record per
+	// submission, and a word more per job shows in the simulator's bytes
+	// per submission (TestJobSize).
 	timedOut bool
 	// Cluster-policy bookkeeping (energy.go): coSecondary marks a job
 	// running as a node's co-scheduled secondary; drawDeltaW is the
@@ -131,12 +132,9 @@ type Job struct {
 	// deferral policy held the job at least once.
 	coSecondary bool
 	deferred    bool
-	// kept is the kind of verdict that kept the job queued on the last
-	// pass that left it in its partition's settled record (energy.go).
-	kept       verdict
-	drawDeltaW float64
-	estSysW    float64
-	estCPUW    float64
+	drawDeltaW  float64
+	estSysW     float64
+	estCPUW     float64
 	// shape is the job-owned copy of Desc.Shape, so descriptions built
 	// in caller-reused buffers survive past Submit without a per-job
 	// heap allocation.

@@ -17,12 +17,13 @@ import (
 // controller. The cluster-level behaviour of the same decisions is
 // energy_test.go's and the property suite's.
 
-// bareNode is a node with a spec and a power model but no hardware
-// behind it, added to the partition's pool and counted toward its draw
+// bareNode is a node with a spec, a power model and its delta table but
+// no hardware behind it, added to the partition's pool and counted toward its draw
 // ledger at its idle floor.
 func bareNode(p *partition) *nodeD {
-	n := &nodeD{spec: hw.DefaultSpec(), pm: NewPowerModel(perfmodel.Default())}
-	n.idleDrawW = n.pm.IdleNodeW()
+	n := &nodeD{spec: hw.DefaultSpec()}
+	n.deltas = deltaTableFor(perfmodel.Default(), n.spec.FrequenciesKHz)
+	n.idleDrawW = n.deltas.pm.IdleNodeW()
 	n.part, n.idx = p, len(p.nodes)
 	p.nodes = append(p.nodes, n)
 	if len(p.nodes) > len(p.freeBits)*64 {
@@ -235,7 +236,7 @@ func TestPlace(t *testing.T) {
 			if pr.dur != 15*time.Minute {
 				t.Fatalf("dur = %v, want 10m × 1.5", pr.dur)
 			}
-			if want := second.pm.PlacementDeltaW(pr.cfg); pr.sysW != want || pr.cpuW <= 0 || pr.cpuW >= pr.sysW {
+			if want := second.deltas.pm.PlacementDeltaW(pr.cfg); pr.sysW != want || pr.cpuW <= 0 || pr.cpuW >= pr.sysW {
 				t.Fatalf("sysW = %g (want %g), cpuW = %g", pr.sysW, want, pr.cpuW)
 			}
 			if pol.totals.CoScheduled != 1 {
@@ -622,11 +623,11 @@ func TestHoldReleasesAtOnceOnADeadlineOutOfReach(t *testing.T) {
 // cluster simulator's largest per-submission allocation, and
 // cluster-nopolicy's alloc_bytes_per_op bound (2 % of 47.65 B) is less
 // than one more 8-byte word per job would spend. A new field goes into
-// the padding beside userSlot and the flags, or pays for itself. (456
-// bytes allocate from the 480-byte size class.)
+// the padding beside userSlot and the flags, or pays for itself. (448
+// bytes is a size class; 456 allocated from the 480-byte one.)
 func TestJobSize(t *testing.T) {
-	if got := unsafe.Sizeof(Job{}); got != 456 {
-		t.Fatalf("unsafe.Sizeof(Job{}) = %d, want 456: a word per job is ~0.9 B per submission on the 1,024-node workload, "+
+	if got := unsafe.Sizeof(Job{}); got != 448 {
+		t.Fatalf("unsafe.Sizeof(Job{}) = %d, want 448: a word per job is ~0.9 B per submission on the 1,024-node workload, "+
 			"most of its 0.95 B/op regression bound — pack the field into existing padding or shrink another", got)
 	}
 }

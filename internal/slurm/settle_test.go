@@ -1,6 +1,7 @@
 package slurm
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"os"
@@ -29,13 +30,16 @@ import (
 // the two must agree on squeue (id, state, reason), the accounting rows,
 // the policy totals but for the two work counters that measure the
 // walk, the armed wake, the clock's queue, and — when the full walk's
-// last pass left a record — the record's length, per-kind counts and
-// release bound. Every verdict kind a pass
+// last pass left a record — the record's length, per-kind counts,
+// release bound and dense kinds; each controller's dense kinds and ticks
+// must also match its jobs (recordDiff). Every verdict kind a pass
 // may skip on a moved epoch must be skipped somewhere in the 40 seeds,
-// and fit's refusals never, and some pass must skip a whole record that
-// way (skipStanding).
+// and fit's refusals never; some pass must skip a whole record that
+// way (skipStanding), some pass by kind must skip a kind after a start
+// that it asked before it, and some must recompute the release bound
+// because a record job it started held it (rebound).
 func TestSettledPrefixMatchesFullWalk(t *testing.T) {
-	var fastVisits, fullVisits, standing int64
+	var fastVisits, fullVisits, standing, widened, rebounds int64
 	var sum PolicyTotals
 	var skips [verdictKinds]int64
 	for seed := uint64(1); seed <= 40; seed++ {
@@ -56,6 +60,8 @@ func TestSettledPrefixMatchesFullWalk(t *testing.T) {
 			skips[k] += n
 		}
 		standing += h.fast.pol.standing
+		widened += h.fast.pol.widened
+		rebounds += h.fast.pol.rebounds
 	}
 	if fastVisits >= fullVisits {
 		t.Fatalf("the settled prefix saved nothing: %d queued-job visits, the full walk %d", fastVisits, fullVisits)
@@ -72,8 +78,11 @@ func TestSettledPrefixMatchesFullWalk(t *testing.T) {
 	if standing == 0 {
 		t.Error("no pass skipped a whole settled record on a moved epoch: that path is untested")
 	}
-	t.Logf("%d queued-job visits against the full walk's %d; skips per kind %v, %d passes skipping a whole record; totals %+v",
-		fastVisits, fullVisits, skips, standing, sum)
+	if widened == 0 || rebounds == 0 {
+		t.Errorf("%d starts widened a pass's mask, %d passes recomputed the release bound: want both somewhere", widened, rebounds)
+	}
+	t.Logf("%d queued-job visits against the full walk's %d; skips per kind %v, %d passes skipping a whole record, %d widened masks, %d recomputed bounds; totals %+v",
+		fastVisits, fullVisits, skips, standing, widened, rebounds, sum)
 }
 
 // TestSkipStandingTakesWhatTheWalkLeaves states skipStanding's result as
@@ -139,7 +148,27 @@ func fuzzSettle(tb testing.TB, data []byte) *settleHarness {
 // reaching a pass that skips a whole settled record on a moved epoch
 // (skipStanding), so that the fuzzer's seed corpus covers that path.
 func TestSettledPrefixCorpusSkipsStanding(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzSettledPrefix", "standing-record"))
+	if h := replayCorpusEntry(t, "standing-record"); h.fast.pol.standing == 0 {
+		t.Fatal("the standing-record corpus entry no longer skips a whole settled record")
+	}
+}
+
+// TestSettledPrefixCorpusWidensAndRebounds replays the corpus entry
+// named widen-rebound, which must keep reaching a pass by kind that
+// skips a kind after a start that it asked before it, and one that
+// recomputes the release bound because a record job it started held it.
+func TestSettledPrefixCorpusWidensAndRebounds(t *testing.T) {
+	if h := replayCorpusEntry(t, "widen-rebound"); h.fast.pol.widened == 0 || h.fast.pol.rebounds == 0 {
+		t.Fatalf("the widen-rebound corpus entry widens %d masks and recomputes %d bounds, want both",
+			h.fast.pol.widened, h.fast.pol.rebounds)
+	}
+}
+
+// replayCorpusEntry runs FuzzSettledPrefix's body on its committed
+// corpus entry of that name.
+func replayCorpusEntry(t *testing.T, name string) *settleHarness {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzSettledPrefix", name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,9 +180,7 @@ func TestSettledPrefixCorpusSkipsStanding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h := fuzzSettle(t, []byte(data)); h.fast.pol.standing == 0 {
-		t.Fatal("the standing-record corpus entry no longer skips a whole settled record")
-	}
+	return fuzzSettle(t, []byte(data))
 }
 
 // choices is where the harness draws its decisions from: a seeded
@@ -325,6 +352,44 @@ func settleDesc(ch choices, now time.Time) JobDesc {
 	return desc
 }
 
+// recordDiff describes the first way the controller's settled record
+// disagrees with its jobs, or returns "": pending[:n] each carry the
+// kind that kept them — held jobs are held deferrable ones, fit
+// refusals wait on the cap, the rest are of refusedKind — and their
+// release ticks, math.MaxInt64 for a job hold never bounds; the
+// per-kind counts are the kinds'.
+func recordDiff(c *Controller) string {
+	p := c.part
+	s := &p.settled
+	if s.n == 0 {
+		return "" // no record: its counts are the last one's
+	}
+	var kinds [verdictKinds]int
+	for i, job := range p.pending[:s.n] {
+		k, rel := verdict(s.kind[i]), int64(math.MaxInt64)
+		if c.pol.holds() && job.Desc.Deferrable {
+			rel = job.releaseTick
+		}
+		var ok bool
+		switch k {
+		case keptHeld:
+			ok = job.Desc.Deferrable && job.Reason == reasonEnergyHold
+		case keptFit:
+			ok = job.Reason == reasonPowerCap
+		default:
+			ok = k < verdictKinds && k == refusedKind(job) && job.Reason == "Resources"
+		}
+		if !ok || s.rel[i] != rel {
+			return fmt.Sprintf("record job %d (%s, %s) has kind %d and tick %d; its tick is %d", i, job, job.Reason, k, s.rel[i], rel)
+		}
+		kinds[k]++
+	}
+	if kinds != s.kinds {
+		return fmt.Sprintf("record counts %v, its kinds %v", s.kinds, kinds)
+	}
+	return ""
+}
+
 // settleDiff describes the first difference between two controllers'
 // observable state, or returns "".
 func settleDiff(a, b *Controller) string {
@@ -350,9 +415,16 @@ func settleDiff(a, b *Controller) string {
 	if pa.wakeArmed != pb.wakeArmed || !pa.wakeAt.Equal(pb.wakeAt) {
 		return fmt.Sprintf("wake armed %v at %v, the full walk's %v at %v", pa.wakeArmed, pa.wakeAt, pb.wakeArmed, pb.wakeAt)
 	}
-	if sa, sb := pa.settled, pb.settled; sb.n > 0 && (sa.n != sb.n || sa.kinds != sb.kinds || sa.release != sb.release) {
-		return fmt.Sprintf("settled record of %d jobs %v, release %d; the full walk's %d jobs %v, release %d",
-			sa.n, sa.kinds, sa.release, sb.n, sb.kinds, sb.release)
+	if sa, sb := pa.settled, pb.settled; sb.n > 0 && (sa.n != sb.n || sa.kinds != sb.kinds || sa.release != sb.release ||
+		!bytes.Equal(sa.kind[:sa.n], sb.kind[:sb.n])) {
+		return fmt.Sprintf("settled record of %d jobs %v, release %d, kinds %v; the full walk's %d jobs %v, release %d, kinds %v",
+			sa.n, sa.kinds, sa.release, sa.kind[:sa.n], sb.n, sb.kinds, sb.release, sb.kind[:sb.n])
+	}
+	if msg := recordDiff(a); msg != "" {
+		return msg
+	}
+	if msg := recordDiff(b); msg != "" {
+		return "the full walk's " + msg
 	}
 	if a.sim.Pending() != b.sim.Pending() || !a.sim.LastEventAt().Equal(b.sim.LastEventAt()) {
 		return fmt.Sprintf("%d events pending, last at %v; the full walk's %d, last at %v",

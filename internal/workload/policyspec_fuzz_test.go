@@ -55,6 +55,8 @@ func FuzzPolicySpec(f *testing.F) {
 		`{"deferral": {"signal": "carbon", "threshold": -1, "max_defer": "1h"}}`,
 		`{"deferral": {"signal": "carbon", "threshold": 0.3, "max_defer": "-1h"}}`,
 		`{"deferral": {"signal": "carbon", "threshold": 0.3, "max_defer": "1h", "check": "-5m"}}`,
+		`{"deferral": {"signal": "price", "threshold": 0.3, "max_defer": "1h", "check": "1ns"}}`,
+		`{"deferral": {"signal": "price", "threshold": 0.3, "max_defer": "1h", "check": "1m"}}`,
 		`{}`,
 		`{"power_cap_w": "not a number"}`,
 		`{"deferral": {"max_defer": 17}}`,
@@ -113,8 +115,10 @@ func FuzzPolicySpec(f *testing.F) {
 				// The no-starvation property hinges on this bound.
 				t.Fatalf("unbounded deferral survived validation: max_defer = %v", d.MaxDefer)
 			}
-			if d.Check < 0 {
-				t.Fatalf("negative re-check cadence survived validation: %v", d.Check)
+			if d.Check != 0 && d.Check.Std() < MinDeferCheck {
+				// A held job re-reads the signal every check: a tiny one
+				// never lets the run finish.
+				t.Fatalf("re-check cadence %v, neither 0 nor at least %v, survived validation", d.Check.Std(), MinDeferCheck)
 			}
 		}
 	})

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -51,6 +52,7 @@ func TestPolicySpecValidateErrors(t *testing.T) {
 		"non-positive threshold":      func(s *Spec) { s.Policy.Deferral.Threshold = 0 },
 		"unbounded deferral":          func(s *Spec) { s.Policy.Deferral.MaxDefer = 0 },
 		"negative check":              func(s *Spec) { s.Policy.Deferral.Check = Duration(-time.Minute) },
+		"check under a minute":        func(s *Spec) { s.Policy.Deferral.Check = Duration(59 * time.Second) },
 		"unknown profile":             func(s *Spec) { s.Clients[0].Jobs.Profile = "disk" },
 		"exclusive fraction above 1":  func(s *Spec) { s.Clients[0].Jobs.ExclusiveFraction = 1.5 },
 		"negative exclusive fraction": func(s *Spec) { s.Clients[0].Jobs.ExclusiveFraction = -0.1 },
@@ -67,6 +69,19 @@ func TestPolicySpecValidateErrors(t *testing.T) {
 	}
 	if err := policyTestSpec().Validate(); err != nil {
 		t.Fatalf("baseline policy spec invalid: %v", err)
+	}
+}
+
+// TestParseSpecDeferralCheck: a deferral check is 0 (the simulator's
+// default) or at least MinDeferCheck. A nanosecond check once hung
+// `chronus simulate`: every held job re-armed its wake each check.
+func TestParseSpecDeferralCheck(t *testing.T) {
+	for check, ok := range map[string]bool{"1ns": false, "59s": false, "-1m": false, "0s": true, "1m": true, "10m": true} {
+		block := fmt.Sprintf(`{"deferral": {"signal": "price", "threshold": 0.3, "max_defer": "1h", "check": %q}}`, check)
+		_, err := ParseSpec([]byte(fmt.Sprintf(policySpecSkeleton, block)))
+		if (err == nil) != ok {
+			t.Errorf("check %s: ParseSpec error %v, want accepted %v", check, err, ok)
+		}
 	}
 }
 

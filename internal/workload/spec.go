@@ -218,9 +218,16 @@ type DeferralSpec struct {
 	Threshold float64 `json:"threshold"` // dispatch when signal <= threshold
 	// MaxDefer bounds how long past submission a job may be held.
 	MaxDefer Duration `json:"max_defer"`
-	// Check is the signal re-evaluation cadence (0 = simulator default).
+	// Check is the signal re-evaluation cadence (0 = simulator default;
+	// else at least MinDeferCheck).
 	Check Duration `json:"check,omitempty"`
 }
+
+// MinDeferCheck is the shortest deferral check cadence: the price's
+// demand and solar terms resolve to the minute, so a shorter one reads
+// the same signal again, and a held job re-armed every few nanoseconds
+// never lets a run finish.
+const MinDeferCheck = time.Minute
 
 // Label is the policy set's stable display name ("powercap-wait",
 // "powercap-freqcap+cosched+defer-price", ... or "none"), used in
@@ -307,6 +314,9 @@ func (p *PolicySpec) validate(parts map[string]bool) error {
 		}
 		if d.Check < 0 {
 			return fmt.Errorf("negative deferral check %v", d.Check.Std())
+		}
+		if d.Check != 0 && d.Check.Std() < MinDeferCheck {
+			return fmt.Errorf("deferral check %v is under %v", d.Check.Std(), MinDeferCheck)
 		}
 	}
 	return nil
