@@ -53,14 +53,16 @@ chaos:
 
 # fuzz gives each fuzzer a short budget beyond the committed corpus
 # (which plain `go test` always replays): the filedb log, the policy
-# spec, the two slurm text parsers (slurm.conf, sbatch scripts), the
-# controller's memo of the last sbatch parse against the parser, the
-# settled prefix against the full scheduling walk, and the calendar
-# queue against its naive reference. CI's fuzz job runs it.
+# spec, the generator's sampled fields under hostile distributions, the
+# two slurm text parsers (slurm.conf, sbatch scripts), the controller's
+# memo of the last sbatch parse against the parser, the settled prefix
+# against the full scheduling walk, and the calendar queue against its
+# naive reference. CI's fuzz job runs it.
 fuzz:
 	$(GO) test -fuzz FuzzTornTail -fuzztime 30s -run FuzzTornTail ./internal/filedb/
 	$(GO) test -fuzz FuzzReplay -fuzztime 30s -run FuzzReplay ./internal/filedb/
 	$(GO) test -fuzz FuzzPolicySpec -fuzztime 30s -run FuzzPolicySpec ./internal/workload/
+	$(GO) test -fuzz FuzzGeneratorSamples -fuzztime 30s -run FuzzGeneratorSamples ./internal/workload/
 	$(GO) test -fuzz FuzzParseConf -fuzztime 30s -run FuzzParseConf ./internal/slurm/
 	$(GO) test -fuzz FuzzParseBatchScript -fuzztime 30s -run FuzzParseBatchScript ./internal/slurm/
 	$(GO) test -fuzz FuzzSubmitScriptMemo -fuzztime 30s -run FuzzSubmitScriptMemo ./internal/slurm/

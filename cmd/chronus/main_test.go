@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"io"
 	"os"
@@ -254,6 +255,46 @@ func TestCLISimulateRejectsTinyDeferCheck(t *testing.T) {
 			}
 		case <-time.After(20 * time.Second):
 			t.Fatalf("chronus %v still running after 20 s", args)
+		}
+	}
+}
+
+// TestCLISimulateRejectsHugeTasks runs powercap-smoke.json cut to 200
+// submissions with every client's tasks a constant: 64 tasks fit no
+// node, so every job is rejected on its own, while a count no int holds
+// fails the run instead of converting to a 1-task job.
+func TestCLISimulateRejectsHugeTasks(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "specs", "powercap-smoke.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	withTasks := func(value string) string {
+		var spec map[string]any
+		if err := json.Unmarshal(raw, &spec); err != nil {
+			t.Fatal(err)
+		}
+		spec["max_submissions"] = 200
+		for _, c := range spec["clients"].([]any) {
+			c.(map[string]any)["jobs"].(map[string]any)["tasks"] = json.RawMessage(`{"kind": "constant", "value": ` + value + `}`)
+		}
+		out, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "tasks.json")
+		if err := os.WriteFile(path, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	out := captureStdout(t, func() error { return run([]string{"simulate", "-spec", withTasks("64")}) })
+	if !strings.Contains(out, "submissions 200 (200 rejected)") {
+		t.Errorf("64 tasks: want every submission rejected, got:\n%s", out)
+	}
+	for _, value := range []string{"1e19", "1e300"} {
+		err := run([]string{"simulate", "-spec", withTasks(value)})
+		if err == nil || !strings.Contains(err.Error(), "tasks sample") || !strings.Contains(err.Error(), "does not fit an int") {
+			t.Errorf("%s tasks: %v, want the run refused for its tasks sample", value, err)
 		}
 	}
 }

@@ -126,11 +126,11 @@ func BenchmarkPolicyPassSaturated(b *testing.B) {
 // on that window: one paired primary ends (its secondary takes the
 // node, so none is free), which moves the partition's epoch, and its
 // pass finds every verdict of the settled record standing — held jobs
-// on the signal, the rest on no free node and no fresh host — so it
-// skips all 160 at once, every kind in the record being one skipMask
-// repeats (skipStanding). Each iteration moves the epoch as that
-// completion did and runs the pass again. alloc-check pins it at 0
-// allocs/op.
+// on the signal, the rest on no free node and no fresh host — so its
+// pass by kind starts past all 160: every kind in the record is one
+// skipMask repeats, and nextAsked finds no job to ask. Each iteration
+// moves the epoch as that completion did and runs the pass again.
+// alloc-check pins it at 0 allocs/op.
 func BenchmarkPolicyPassCompletion(b *testing.B) {
 	c, check := policyPassQueue(b)
 	p := c.part

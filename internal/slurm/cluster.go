@@ -81,10 +81,11 @@ type partition struct {
 	// (the earliest release tick among them that hold still waits for;
 	// math.MaxInt64 = none) and the deferral signal on the side of its
 	// threshold it was on (high), a later pass skips those whose verdict
-	// the live state repeats; with the epoch unchanged and the record
-	// clean (no primary started behind a fit refusal), or with every kind
-	// in the record repeated, all of them. kinds counts them per verdict
-	// kind (kinds[keptFit] were refused by fit); minCapW is the smallest
+	// the live state repeats (skipMask: every kind while the epoch is
+	// unchanged and the record clean, that is, no primary started behind
+	// a fit refusal) and asks the rest. kinds counts them per verdict
+	// kind (kinds[keptFit] were refused by fit), present is the set of
+	// kinds it counts (bit k while kinds[k] > 0); minCapW is the smallest
 	// placement delta the budget refused any of them beside a stable host
 	// (+Inf: none). n = 0 is no record; kind and rel are buffers as long
 	// as the longest queue a pass has recorded from. next and asked are a
@@ -102,6 +103,7 @@ type settledRecord struct {
 	release     int64
 	minCapW     float64
 	high, clean bool
+	present     uint8
 	kind        []byte
 	rel         []int64
 	next, asked [verdictKinds]int

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strconv"
 	"time"
@@ -641,24 +642,20 @@ func (c *Controller) schedulePart(p *partition) {
 	// The settled prefix (DESIGN §7): on a FIFO partition under a policy
 	// that pairs, the jobs the last pass left queued are its settled
 	// record, each with the kind of verdict that kept it. While hold
-	// would answer them as it did, a pass skips each whose verdict the
-	// live state repeats (skipMask) and asks the rest — fit's refusals
-	// always. With the epoch unchanged and the record clean, or with
-	// every kind in the record repeated, it keeps them all and looks only
-	// at the jobs queued since.
+	// would answer them as it did, a pass goes over the record by kind: it
+	// skips each job whose verdict the live state repeats (skipMask) and
+	// asks the rest, reading the record's dense kinds, never a job it
+	// skips. It starts at the first job it must ask, the ones ahead of it
+	// staying where they are — past the whole record when every verdict
+	// stands. lost is set when a record job it started held the record's
+	// release bound.
 	settles := pairs && p.fifo
 	s := &p.settled
-	from, through := 0, 0 // skip pending[:from]; pending[from:through] by kind
+	from, through := 0, 0 // keep pending[:from] unasked; pending[from:through] by kind
 	var skip uint8
-	standing := false
 	if settles && s.n > 0 && c.pol.settledStands(p, now, tick) {
-		if s.epoch == p.epoch && s.clean {
-			from = s.n
-		} else if skip = c.pol.skipMask(p); p.standsWhole(skip) {
-			from, standing = s.n, true
-		} else {
-			through = s.n
-		}
+		skip, through = c.pol.skipMask(p), s.n
+		from = s.byKind(skip)
 	}
 	if settles && len(s.kind) < len(p.pending) {
 		s.grow(len(p.pending))
@@ -668,20 +665,7 @@ func (c *Controller) schedulePart(p *partition) {
 	if settles {
 		c.pol.minCapW = math.Inf(1)
 	}
-	if from > 0 {
-		release, kinds, c.pol.minCapW = s.release, s.kinds, s.minCapW
-		c.pol.countDenials(kinds[keptFit])
-		if standing {
-			c.pol.skipStanding(p)
-		}
-	}
-	// A pass by kind reads the record's dense kinds, never a job it
-	// skips; lost is set when a record job it started held the record's
-	// release bound.
 	lost := false
-	if through > 0 {
-		s.byKind()
-	}
 	var pr pairing // place's verdict; written only when it pairs
 	remaining, queued := p.pending[:from], len(p.pending)
 	for i := from; i < queued; i++ {
@@ -739,10 +723,11 @@ func (c *Controller) schedulePart(p *partition) {
 		left := true // the job started, or failed to
 		switch {
 		case node != nil && (c.pol == nil || c.pol.fit(job, node)):
-			// A primary behind a fit refusal may take the node fit
+			// A primary behind a fit refusal — asked again, or kept
+			// unasked with the whole record — may take the node fit
 			// refused, or the last free one: the record is no longer one
 			// to repeat whole.
-			clean = clean && kinds[keptFit] == 0
+			clean = clean && kinds[keptFit] == 0 && (skip>>keptFit&1 == 0 || s.kinds[keptFit] == 0)
 			if err := c.start(job, node); err != nil {
 				job.State = StateFailed
 				job.Reason = err.Error()
@@ -786,17 +771,26 @@ func (c *Controller) schedulePart(p *partition) {
 	}
 	p.pending = remaining
 	p.queueGauge.Set(float64(len(p.pending)))
-	visits := int64(queued - from)
+	visits := int64(queued)
 	if through > 0 {
 		// Every record job not asked was skipped under its recorded kind.
-		for k, n := range s.kinds {
-			n -= s.asked[k]
+		// A fit refusal is skipped only under the whole mask, whose skips
+		// schedPolicy.skips leaves out; fit would count it as a denial.
+		counted := skip>>keptFit&1 == 0
+		for m := s.present; m != 0; m &= m - 1 {
+			k := bits.TrailingZeros8(m)
+			n := s.kinds[k] - s.asked[k]
 			visits -= int64(n)
-			c.pol.skips[k] += int64(n)
 			kinds[k] += n
+			if counted {
+				c.pol.skips[k] += int64(n)
+			}
 		}
-		if s.kinds[keptCompute]+s.kinds[keptMemory] > s.asked[keptCompute]+s.asked[keptMemory] {
-			c.pol.minCapW = min(c.pol.minCapW, s.minCapW)
+		if n := s.kinds[keptFit] - s.asked[keptFit]; n > 0 {
+			c.pol.countDenials(n)
+		}
+		if s.kinds[keptCompute]+s.kinds[keptMemory] > s.asked[keptCompute]+s.asked[keptMemory] && s.minCapW < c.pol.minCapW {
+			c.pol.minCapW = s.minCapW
 		}
 		release = c.pol.rebound(s, len(remaining), release, tick, lost)
 	}

@@ -148,13 +148,13 @@ type schedPolicy struct {
 	// has refused since the scheduling pass began it (settle records it).
 	minCapW float64
 	// skips counts the jobs the passes skipped per verdict kind on a
-	// settled record whose epoch had moved; standing counts the passes
-	// that skipped such a record whole (skipStanding); widened counts the
-	// starts after which a pass skipped a kind it had asked before them;
-	// rebounds counts the passes that recomputed the release bound
-	// because a record job they started held it (rebound).
-	skips                       [verdictKinds]int64
-	standing, widened, rebounds int64
+	// mask that asks fit again (a settled record whose epoch had moved,
+	// or one left unclean); widened counts the starts after which a pass
+	// skipped a kind it had asked before them; rebounds counts the passes
+	// that recomputed the release bound because a record job they started
+	// held it (rebound).
+	skips             [verdictKinds]int64
+	widened, rebounds int64
 
 	totals       PolicyTotals
 	mCapDenials  *metrics.Counter
@@ -472,16 +472,21 @@ func (pol *schedPolicy) countDenials(n int) {
 }
 
 // skipMask is the set of verdict kinds (bit k for kind k) a pass over a
-// record whose hold half stands may skip on the partition's live state:
-// held jobs always; jobs kept for no node while no node is free (takeIdle
+// record whose hold half stands may skip on the partition's live state.
+// With the epoch unchanged and the record clean, every kind: takeIdle,
+// fit and place read what they read when they answered. Otherwise held
+// jobs always; jobs kept for no node while no node is free (takeIdle
 // finds none, place never pairs them); compute- and memory-bound jobs
 // place refused while no node is free, the complementary index holds
 // only stable hosts, and the draw ledger still refuses minCapW — each
 // stable host refuses the job for a reason its unchanged primary keeps,
 // for a deadline that only gets closer, or for the budget on a delta no
-// smaller than minCapW. fit refusals are never skipped: fit asks again.
-// The pass asks at its start and again after every start.
+// smaller than minCapW. fit refusals are not skipped then: fit asks
+// again. The pass asks at its start and again after every start.
 func (pol *schedPolicy) skipMask(p *partition) uint8 {
+	if s := &p.settled; s.epoch == p.epoch && s.clean {
+		return 1<<verdictKinds - 1
+	}
 	mask := uint8(1) << keptHeld
 	if p.freeN > 0 {
 		return mask
@@ -495,36 +500,6 @@ func (pol *schedPolicy) skipMask(p *partition) uint8 {
 		mask |= 1 << keptMemory
 	}
 	return mask
-}
-
-// standsWhole reports whether skipMask's skip lets a pass skip every job
-// of the partition's settled record: each kind the record counts is in
-// it. (A fit refusal never is.)
-func (p *partition) standsWhole(skip uint8) bool {
-	for k, n := range p.settled.kinds {
-		if n > 0 && skip>>k&1 == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// skipStanding takes, for a pass that skips the partition's whole
-// settled record (standsWhole), what walking it would have left, and
-// counts the skips. The walk would keep every job unasked: the release
-// bound stays the record's (a bound the record holds is at or past it,
-// and settledStands keeps the tick before it, or was reached before the
-// record was made); minCapW is the record's if it holds a job place
-// refused, else +Inf; no fit refusal is counted, there being none.
-func (pol *schedPolicy) skipStanding(p *partition) {
-	s := &p.settled
-	for k, n := range s.kinds {
-		pol.skips[k] += int64(n)
-	}
-	pol.standing++
-	if s.kinds[keptCompute]+s.kinds[keptMemory] == 0 {
-		pol.minCapW = math.Inf(1)
-	}
 }
 
 // reskip is skipMask asked again after a start, counting a mask that
@@ -547,32 +522,29 @@ func (s *settledRecord) grow(n int) {
 	s.kind, s.rel = kind, rel
 }
 
-// byKind starts a pass by kind over the record: no job asked yet, and
-// nextAsked's search positions, none known yet for a kind the record
-// holds and none to find for a kind it does not.
-func (s *settledRecord) byKind() {
+// byKind starts a pass by kind over the record under the mask skip: no
+// job asked yet, no search position known yet for a kind. It returns
+// the first job the pass must ask (nextAsked): n when skip holds every
+// kind the record does.
+func (s *settledRecord) byKind(skip uint8) int {
 	s.asked = [verdictKinds]int{}
-	for k, n := range s.kinds {
+	for k := range s.next {
 		s.next[k] = -1
-		if n == 0 {
-			s.next[k] = s.n
-		}
 	}
+	return s.nextAsked(0, s.n, skip)
 }
 
 // nextAsked is the first record position in [i, through) whose kind
-// skip lacks, or through. next[k] is, per kind, the first position of
-// kind k at or past where its last search began (through: none); one at
-// or past i still stands, since a pass writes the record only below the
-// job it is at. So each search starts where the last one of its kind
-// ended, and a pass scans each kind's bytes once, whatever masks it
-// asks with.
+// skip lacks, or through; only the kinds the record holds are searched.
+// next[k] is, per kind, the first position of kind k at or past where
+// its last search began (through: none); one at or past i still stands,
+// since a pass writes the record only below the job it is at. So each
+// search starts where the last one of its kind ended, and a pass scans
+// each kind's bytes once, whatever masks it asks with.
 func (s *settledRecord) nextAsked(i, through int, skip uint8) int {
 	j, next := through, &s.next
-	for k := range next {
-		if skip>>k&1 != 0 {
-			continue
-		}
+	for m := s.present &^ skip; m != 0; m &= m - 1 {
+		k := bits.TrailingZeros8(m)
 		if next[k] < i {
 			next[k] = through
 			if d := bytes.IndexByte(s.kind[i:through], byte(k)); d >= 0 {
@@ -633,16 +605,24 @@ func (p *partition) refusesAgain(k int, capRefuses bool) bool {
 }
 
 // settle records the pass's settled prefix: n kept jobs, kinds of them
-// per verdict kind, release, the earliest release bound among them that
-// hold still waits for, and clean, whether no primary started behind a
-// fit refusal. The partition epoch the pass ended at, the smallest delta
-// the budget refused beside a host (minCapW, gathered by planBeside and
-// carried over skipped jobs) and the pairable index, as the stable
-// hosts, go with them. So does the signal's verdict of the instant: when
-// release is set, the pass read it this instant.
+// per verdict kind (and the set of kinds present), release, the
+// earliest release bound among them that hold still waits for, and
+// clean, whether no primary started behind a fit refusal. The partition
+// epoch the pass ended at, the smallest delta the budget refused beside
+// a host (minCapW, gathered by planBeside and carried over skipped jobs)
+// and the pairable index, as the stable hosts, go with them. So does
+// the signal's verdict of the instant: when release is set, the pass
+// read it this instant.
 func (pol *schedPolicy) settle(p *partition, n int, kinds [verdictKinds]int, release int64, clean bool) {
 	s := &p.settled
 	s.n, s.kinds, s.epoch, s.release, s.clean = n, kinds, p.epoch, release, clean
+	var present uint8
+	for k, n := range kinds {
+		if n > 0 {
+			present |= 1 << k
+		}
+	}
+	s.present = present
 	s.minCapW, s.high = pol.minCapW, pol.read.high
 	for k := range p.pairable {
 		copy(p.stable[k], p.pairable[k])

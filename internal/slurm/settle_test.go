@@ -33,13 +33,14 @@ import (
 // last pass left a record — the record's length, per-kind counts,
 // release bound and dense kinds; each controller's dense kinds and ticks
 // must also match its jobs (recordDiff). Every verdict kind a pass
-// may skip on a moved epoch must be skipped somewhere in the 40 seeds,
-// and fit's refusals never; some pass must skip a whole record that
-// way (skipStanding), some pass by kind must skip a kind after a start
+// may skip on a moved epoch or an unclean record (the skips
+// schedPolicy.skips counts) must be skipped somewhere in the 40 seeds,
+// and fit's refusals never: a mask that skipped one there fails the
+// comparison itself. Some pass by kind must skip a kind after a start
 // that it asked before it, and some must recompute the release bound
 // because a record job it started held it (rebound).
 func TestSettledPrefixMatchesFullWalk(t *testing.T) {
-	var fastVisits, fullVisits, standing, widened, rebounds int64
+	var fastVisits, fullVisits, widened, rebounds int64
 	var sum PolicyTotals
 	var skips [verdictKinds]int64
 	for seed := uint64(1); seed <= 40; seed++ {
@@ -59,7 +60,6 @@ func TestSettledPrefixMatchesFullWalk(t *testing.T) {
 		for k, n := range h.fast.pol.skips {
 			skips[k] += n
 		}
-		standing += h.fast.pol.standing
 		widened += h.fast.pol.widened
 		rebounds += h.fast.pol.rebounds
 	}
@@ -75,44 +75,11 @@ func TestSettledPrefixMatchesFullWalk(t *testing.T) {
 			t.Errorf("%s jobs skipped %d times on a moved epoch; want fit refusals never skipped, every other kind somewhere", names[k], n)
 		}
 	}
-	if standing == 0 {
-		t.Error("no pass skipped a whole settled record on a moved epoch: that path is untested")
-	}
 	if widened == 0 || rebounds == 0 {
 		t.Errorf("%d starts widened a pass's mask, %d passes recomputed the release bound: want both somewhere", widened, rebounds)
 	}
-	t.Logf("%d queued-job visits against the full walk's %d; skips per kind %v, %d passes skipping a whole record, %d widened masks, %d recomputed bounds; totals %+v",
-		fastVisits, fullVisits, skips, standing, widened, rebounds, sum)
-}
-
-// TestSkipStandingTakesWhatTheWalkLeaves states skipStanding's result as
-// values: a walk that skips every job of a record keeps the record's
-// smallest refused delta only when it holds a job place refused (the
-// walk carries minCapW over those alone), and counts each job's skip
-// under its kind.
-func TestSkipStandingTakesWhatTheWalkLeaves(t *testing.T) {
-	for _, tc := range []struct {
-		kinds [verdictKinds]int
-		want  float64
-	}{
-		{[verdictKinds]int{keptHeld: 3, keptNoNode: 2}, math.Inf(1)},
-		{[verdictKinds]int{keptHeld: 3, keptCompute: 1}, 42},
-		{[verdictKinds]int{keptMemory: 4}, 42},
-	} {
-		p := &partition{}
-		p.settled.kinds, p.settled.minCapW = tc.kinds, 42
-		pol := &schedPolicy{minCapW: 42}
-		pol.skipStanding(p)
-		pol.skipStanding(p)
-		if pol.minCapW != tc.want || pol.standing != 2 {
-			t.Errorf("record %v: minCapW %v after %d passes, want %v after 2", tc.kinds, pol.minCapW, pol.standing, tc.want)
-		}
-		for k, n := range tc.kinds {
-			if pol.skips[k] != 2*int64(n) {
-				t.Errorf("record %v: %d skips of kind %d, want %d", tc.kinds, pol.skips[k], k, 2*n)
-			}
-		}
-	}
+	t.Logf("%d queued-job visits against the full walk's %d; skips per kind %v, %d widened masks, %d recomputed bounds; totals %+v",
+		fastVisits, fullVisits, skips, widened, rebounds, sum)
 }
 
 // FuzzSettledPrefix drives the differential test's controller pair
@@ -141,16 +108,6 @@ func fuzzSettle(tb testing.TB, data []byte) *settleHarness {
 		h.step(tb, in, fmt.Sprintf("step %d", step))
 	}
 	return h
-}
-
-// TestSettledPrefixCorpusSkipsStanding replays the committed
-// FuzzSettledPrefix corpus entry named standing-record, which must keep
-// reaching a pass that skips a whole settled record on a moved epoch
-// (skipStanding), so that the fuzzer's seed corpus covers that path.
-func TestSettledPrefixCorpusSkipsStanding(t *testing.T) {
-	if h := replayCorpusEntry(t, "standing-record"); h.fast.pol.standing == 0 {
-		t.Fatal("the standing-record corpus entry no longer skips a whole settled record")
-	}
 }
 
 // TestSettledPrefixCorpusWidensAndRebounds replays the corpus entry

@@ -154,7 +154,8 @@ func NewGenerator(spec Spec, start time.Time) (*Generator, error) {
 
 // NextInto implements Source: the earliest pending client arrival, ties
 // broken by client order. A sampled duration the simulated clock
-// cannot represent (see seconds) is an error.
+// cannot represent (see seconds), or a task count no int holds (see
+// tasks), is an error.
 func (g *Generator) NextInto(s *Submission) (bool, error) {
 	if g.spec.MaxSubmissions > 0 && g.seq >= g.spec.MaxSubmissions {
 		return false, nil
@@ -231,6 +232,22 @@ func (st *clientState) seconds(base time.Time, sec float64, field string) time.D
 	return 0
 }
 
+// tasks rounds a sampled task count to the nearest int, at least 1. A
+// count that is not finite or does not fit an int, whose conversion Go
+// leaves to the platform (on amd64, 1e19 converts to math.MinInt64),
+// yields 1 and records an error naming the client; NextInto returns it.
+func (st *clientState) tasks(n float64) int {
+	// Both bounds are exact or round up to a power of two, so every
+	// float between them converts; NaN fails the comparison.
+	if r := n + 0.5; r >= math.MinInt && r < math.MaxInt {
+		return max(int(r), 1)
+	}
+	if st.err == nil {
+		st.err = fmt.Errorf("workload: client %q: tasks sample %g does not fit an int", st.spec.Name, n)
+	}
+	return 1
+}
+
 func (st *clientState) weight(hour int) float64 {
 	for _, w := range st.spec.Windows {
 		if hour >= w.FromHour && hour < w.ToHour {
@@ -284,9 +301,7 @@ func (st *clientState) sampleInto(s *Submission, seq int) {
 	// 3. tasks
 	s.Tasks = 1
 	if !j.Tasks.IsZero() {
-		if t := int(j.Tasks.Sample(st.rng) + 0.5); t > 1 {
-			s.Tasks = t
-		}
+		s.Tasks = st.tasks(j.Tasks.Sample(st.rng))
 	}
 	// 4. time limit
 	if !j.TimeLimit.IsZero() {
