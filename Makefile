@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race chaos fuzz cover bench bench-smoke profile-cluster profile-sweep alloc-check serve-smoke scale-smoke loadgen-smoke loc clean
+.PHONY: all build vet lint test race chaos fuzz cover bench bench-smoke profile-cluster profile-sweep alloc-check serve-smoke scale-smoke loadgen-smoke mutants loc clean
 
 all: vet lint test
 
@@ -173,6 +173,14 @@ serve-smoke:
 # fails if the submit-latency SLO is violated.
 loadgen-smoke:
 	./scripts/loadgen-smoke.sh
+
+# mutants runs the mutation matrix (scripts/mutants.sh): each one-hunk
+# patch under scripts/mutants/ is applied to a temporary copy of the
+# tree, the patched package's tests and the root package's run, and the
+# tests that kill it are printed. A mutant that survives fails the
+# target. CI's fuzz job runs it; tier-1 does not.
+mutants:
+	./scripts/mutants.sh
 
 # loc prints the non-test Go line count, the number ROADMAP.md and
 # CHANGES.md quote (bench/ is a module of its own; testdata holds lint

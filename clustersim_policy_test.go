@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"ecosched/internal/slurm"
 	"ecosched/internal/workload"
@@ -218,6 +219,37 @@ func TestClusterLedgerChecks(t *testing.T) {
 		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
 			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
 		}
+	}
+}
+
+// TestClusterRejectsJobsNoCapAdmits: one node under a 170 W freqcap
+// cap, above its 129 W idle floor, and 40 32-task compute jobs, each of
+// which draws 174.1 W even at the ladder's lowest rung. No job could
+// ever start, so the controller refuses each at submission and the run
+// reports 40 rejected instead of failing its job ledger.
+func TestClusterRejectsJobsNoCapAdmits(t *testing.T) {
+	spec := workload.Spec{
+		Version: workload.SpecVersion, Name: "one-node-170w", Seed: 1,
+		Horizon: workload.Duration(24 * time.Hour), MaxSubmissions: 40,
+		Cluster: workload.ClusterSpec{Partitions: []workload.PartitionSpec{{Name: "batch", Nodes: 1, Default: true}}},
+		Policy:  &workload.PolicySpec{PowerCapW: 170, CapMode: "freqcap"},
+		Clients: []workload.Client{{
+			Name:    "hpcg",
+			Arrival: workload.ArrivalSpec{Process: workload.ArrivalPoisson, RatePerHour: 10},
+			Jobs: workload.JobSpec{
+				Work:      workload.Dist{Kind: workload.DistConstant, Value: 36000},
+				Tasks:     workload.Dist{Kind: workload.DistConstant, Value: 32},
+				TimeLimit: workload.Dist{Kind: workload.DistConstant, Value: 7200},
+				Profile:   workload.ProfileCompute,
+			},
+		}},
+	}
+	rep, err := RunClusterSpec(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Submissions != 40 || rep.Rejected != 40 || rep.Totals.Jobs != 0 {
+		t.Fatalf("%d submissions, %d rejected, %d jobs accounted; want all 40 rejected", rep.Submissions, rep.Rejected, rep.Totals.Jobs)
 	}
 }
 

@@ -230,9 +230,6 @@ var reachAllow = map[string]string{
 	"workload.Dist.Expectation":             "(b) the closed-form mean the sampled distributions are checked against",
 	"workload.Dist.Variance":                "(b) the closed-form variance the sampled distributions are checked against",
 	"trace.Journal.Append":                  "(b) the sequential writer AppendBatch is checked against byte for byte",
-	"slurm.Controller.Cancel":               "(c) scancel, which the ROADMAP item \"Failure at cluster scale\" wires as node-loss vocabulary",
-	"slurm.Controller.DrainNode":            "(c) scontrol drain, which the ROADMAP item \"Failure at cluster scale\" wires as node-loss vocabulary",
-	"slurm.Controller.ResumeNode":           "(c) scontrol resume, which the ROADMAP item \"Failure at cluster scale\" wires as node-loss vocabulary",
 	"slurm.Controller.Job":                  "(d) a live job's record by id, which the slurm tests observe mid-run",
 	"slurm.Controller.Squeue":               "(d) the pending and running jobs, which the slurm tests observe mid-run",
 	"slurm.Controller.Nodes":                "(d) the controller's hardware nodes, whose energy the slurm tests read",

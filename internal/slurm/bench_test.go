@@ -12,7 +12,7 @@ import (
 // BenchmarkSubmitSteadyState measures the cluster simulator's inner
 // loop from the controller's side: one pooled submission through
 // SubmitDesc, batched scheduling, job execution and aggregate
-// accounting, with the simulator drained to idle each iteration. The
+// accounting, with the simulator run to idle each iteration. The
 // alloc-check make target pins it at 0 allocs/op — the job pool, the
 // chunked job arena, the event pool and the aggregate-only accounting
 // keep the whole submit→complete cycle off the heap. (A fresh 8 KiB

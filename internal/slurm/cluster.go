@@ -33,10 +33,10 @@ type partition struct {
 	// O(1)-per-class feasibility check for submissions.
 	classes []hw.NodeSpec
 	// freeBits is a bitmap over the node slots (nodeD.idx, p.nodes
-	// order, which is construction order): bit set = node idle and
-	// undrained. Scanning set bits in slot order reproduces the
-	// first-fit placement order of a linear node scan. freeN caches the
-	// population count for the "any node idle?" fast checks.
+	// order, which is construction order): bit set = node idle. Scanning
+	// set bits in slot order reproduces the first-fit placement order of
+	// a linear node scan. freeN caches the population count for the "any
+	// node idle?" fast checks.
 	freeBits []uint64
 	freeN    int
 	pending  []*Job
@@ -70,10 +70,10 @@ type partition struct {
 	pairable, stable [2][]uint64
 
 	// epoch counts changes to what takeIdle, fit and place read: reindex
-	// (so charge, release, drain and resume — every change to the free
-	// nodes, the draw ledger or the pairable index) bumps it. settled is
-	// schedulePart's record of the queue it left on a FIFO partition under
-	// a policy that pairs (DESIGN §7, "The settled prefix"): its first n
+	// (so charge and release — every change to the free nodes, the draw
+	// ledger or the pairable index) bumps it. settled is schedulePart's
+	// record of the queue it left on a FIFO partition under a policy that
+	// pairs (DESIGN §7, "The settled prefix"): its first n
 	// jobs, pending[:n], with kind[i] the kind of verdict that kept
 	// pending[i] and rel[i] its release tick (math.MaxInt64 unless hold
 	// derived one for it), dense beside the queue so that a pass reads
@@ -110,8 +110,9 @@ type settledRecord struct {
 }
 
 // takeIdle claims the lowest-slotted idle node that satisfies the
-// request, or nil. The caller must hand the claimed node back through
-// refreeNode if the start fails.
+// request, clearing its bit, or returns nil. The caller hands the
+// claimed node back through refreeNode unless a job starts on it, and
+// again when that job leaves.
 func (p *partition) takeIdle(desc *JobDesc) *nodeD {
 	for w, word := range p.freeBits {
 		for word != 0 {
@@ -119,29 +120,13 @@ func (p *partition) takeIdle(desc *JobDesc) *nodeD {
 			word &^= 1 << uint(b)
 			n := p.nodes[w<<6|b]
 			if nodeSatisfies(n, desc) {
-				unlistFree(n)
+				p.freeBits[w] &^= 1 << uint(b)
+				p.freeN--
 				return n
 			}
 		}
 	}
 	return nil
-}
-
-// listFree marks the node idle and sets its bit in its partition's
-// free bitmap. Callers guard on !n.free, keeping the bitmap and freeN
-// exactly in sync with the flag.
-func listFree(n *nodeD) {
-	n.free = true
-	n.part.freeBits[n.idx>>6] |= 1 << uint(n.idx&63)
-	n.part.freeN++
-}
-
-// unlistFree clears the node's free flag and its bitmap bit. Callers
-// guard on n.free.
-func unlistFree(n *nodeD) {
-	n.free = false
-	n.part.freeBits[n.idx>>6] &^= 1 << uint(n.idx&63)
-	n.part.freeN--
 }
 
 // setPolicy installs a scheduling policy and refreshes the FIFO fast
@@ -258,7 +243,6 @@ func NewCluster(sim *simclock.Sim, conf Conf, opts ...ClusterOption) (*Controlle
 		batched:   cfg.batched,
 	}
 	c.compAct.c = c
-	c.flushAct.c = c
 	c.wakeAct.c = c
 	if cfg.policy == nil {
 		cfg.policy = FIFOPolicy{}
@@ -274,7 +258,7 @@ func NewCluster(sim *simclock.Sim, conf Conf, opts ...ClusterOption) (*Controlle
 		seen[name] = true
 		nd := &nodeD{name: name, hw: n, spec: n.Spec()}
 		c.part.addNode(nd)
-		listFree(nd)
+		c.refreeNode(nd)
 	}
 
 	var err error

@@ -95,7 +95,7 @@ func TestShapeDrivenSubmission(t *testing.T) {
 
 // TestAggregateAccounting checks WithAggregateAccounting keeps totals,
 // drops rows, and retires jobs: WaitFor no longer finds one, and its
-// record serves the next submission.
+// record serves the next submission, zeroed.
 func TestAggregateAccounting(t *testing.T) {
 	sim := simclock.New()
 	c, err := NewCluster(sim, DefaultConf(), WithNodes(clusterNodes(sim, 1)...),
@@ -132,61 +132,11 @@ func TestAggregateAccounting(t *testing.T) {
 	if tot.SystemKJ <= 0 {
 		t.Fatal("no energy accounted")
 	}
-}
 
-// TestCancelPendingDoesNotRecycleQueuedRecord: in aggregate mode a
-// cancelled job's record goes back to the pool, so it must leave its
-// partition's pending window first — otherwise the next submission,
-// handed the same record, is queued twice and overtakes every job
-// between the two slots. Once for a plain queued job (the every-node-
-// busy fast path never purges the window) and once for a job the
-// deferral policy holds, whose policy state must not reach the
-// record's next owner.
-func TestCancelPendingDoesNotRecycleQueuedRecord(t *testing.T) {
-	app := workload.Sleep("app", 10*time.Minute)
-	desc := JobDesc{Name: "j", NumTasks: 4, TimeLimit: time.Hour, Shape: &app}
-
-	t.Run("queued", func(t *testing.T) {
-		sim := simclock.New()
-		c, err := NewCluster(sim, DefaultConf(), WithNodes(clusterNodes(sim, 1)...), WithAggregateAccounting())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var order []int
-		c.OnCompletion(func(j *Job) {
-			if j.State == StateCompleted {
-				order = append(order, j.ID)
-			}
-		})
-		submit := func() *Job {
-			j, err := c.Submit(desc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return j
-		}
-		a, b, cc := submit(), submit(), submit()
-		if a.State != StateRunning || b.State != StatePending || cc.State != StatePending {
-			t.Fatalf("a, b, c = %s, %s, %s; want one running, two queued", a.State, b.State, cc.State)
-		}
-		if err := c.Cancel(b.ID); err != nil {
-			t.Fatal(err)
-		}
-		d := submit() // may be handed b's record
-		if got := ids(c.part.pending); fmt.Sprint(got) != "[3 4]" {
-			t.Fatalf("pending window holds jobs %v after cancelling job 2 and submitting job 4, want [3 4]", got)
-		}
-		sim.RunFor(10 * time.Minute) // a ends: FIFO starts c, not d
-		if cc.ID != 3 || cc.State != StateRunning || d.ID != 4 || d.State != StatePending {
-			t.Fatalf("after job 1 ended: job %d %s, job %d %s; want job 3 RUNNING, job 4 PENDING", cc.ID, cc.State, d.ID, d.State)
-		}
-		sim.Run()
-		if fmt.Sprint(order) != "[1 3 4]" {
-			t.Fatalf("completion order %v, want [1 3 4]", order)
-		}
-	})
-
-	t.Run("held", func(t *testing.T) {
+	// A record the deferral policy held comes back zeroed: the next
+	// submission handed it is not deferred and carries its own release
+	// bound, not one from another job's submit time.
+	t.Run("held record recycled", func(t *testing.T) {
 		sim := simclock.New()
 		high := true
 		c, err := NewCluster(sim, DefaultConf(), WithNodes(clusterNodes(sim, 1)...), WithAggregateAccounting(),
@@ -202,26 +152,21 @@ func TestCancelPendingDoesNotRecycleQueuedRecord(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		deferrable := desc
-		deferrable.Deferrable = true
-		b, err := c.Submit(deferrable)
+		app := workload.Sleep("app", 10*time.Minute)
+		desc := JobDesc{Name: "j", NumTasks: 4, TimeLimit: time.Hour, Shape: &app, Deferrable: true}
+		b, err := c.Submit(desc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if b.Reason != reasonEnergyHold || !b.deferred || b.releaseTick == 0 {
 			t.Fatalf("job 1 = %s (%q), deferred %v, release bound %d; want held with its bound cached", b.State, b.Reason, b.deferred, b.releaseTick)
 		}
-		if err := c.Cancel(b.ID); err != nil {
-			t.Fatal(err)
-		}
-		if n := len(c.part.pending); n != 0 {
-			t.Fatalf("%d records left in the pending window after cancelling its only job", n)
-		}
-		// The next submission is handed the cancelled job's record — zeroed:
-		// not deferred, no release bound from another job's submit time.
-		sim.RunFor(30 * time.Minute)
 		high = false
-		d, err := c.Submit(deferrable)
+		sim.Run() // the wake releases it; it runs, completes and is retired
+		if _, live := c.Job(1); live || c.Accounting().Totals().Completed != 1 {
+			t.Fatalf("job 1 live %v, totals %+v; want it completed and retired", live, c.Accounting().Totals())
+		}
+		d, err := c.Submit(desc)
 		if err != nil {
 			t.Fatal(err)
 		}

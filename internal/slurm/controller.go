@@ -59,11 +59,7 @@ type nodeD struct {
 	hwJob   *hw.Job
 	// coJob is the co-scheduled secondary running beside current, when
 	// the co-scheduling policy paired one (energy.go).
-	coJob   *Job
-	drained bool
-	// free marks the node idle, undrained, and listed in its
-	// partition's free bitmap.
-	free bool
+	coJob *Job
 	// spec caches hw.Spec() — read on every placement probe.
 	spec hw.NodeSpec
 	// deltas/idleDrawW are the node's power model, its placement deltas
@@ -156,20 +152,18 @@ type Controller struct {
 	// WithAggregateAccounting).
 	aggregate bool
 
-	// batched defers scheduling passes to one flush event per clock
-	// instant (WithBatchedScheduling); passDue marks a pass awaiting
-	// that flush.
-	batched    bool
-	flushArmed bool
-	passDue    bool
+	// batched defers submission-triggered scheduling passes to the
+	// driver's Flush (WithBatchedScheduling); passDue marks a pass
+	// awaiting it.
+	batched bool
+	passDue bool
 
-	// Pre-allocated simclock Actions: job completion and the batched
-	// scheduling flush are the two per-job hot events, fired through
-	// these handles with zero per-event allocation. wakeAct runs a pass
-	// at an instant a queued job is waiting for (armWake).
-	compAct  completeAction
-	flushAct flushAction
-	wakeAct  wakeAction
+	// Pre-allocated simclock Actions: job completion is the per-job hot
+	// event, fired through this handle with zero per-event allocation.
+	// wakeAct runs a pass at an instant a queued job is waiting for
+	// (armWake).
+	compAct completeAction
+	wakeAct wakeAction
 
 	// pol is the cluster energy policy (energy.go); nil = none. The
 	// dispatch path asks it three things — admit (hold, then fit),
@@ -193,18 +187,11 @@ type Controller struct {
 }
 
 // completeAction fires a job's scheduled completion. Clock events
-// cannot be cancelled, so Fire re-validates against the arena: a job
-// cancelled meanwhile is terminal (or retired to a nil slot) and the
-// stale event is dropped.
+// cannot be cancelled, so completeJob re-validates against the arena
+// and drops an event whose id no longer names a running job.
 type completeAction struct{ c *Controller }
 
 func (a *completeAction) Fire(arg uint64) { a.c.completeJob(int(arg)) }
-
-// flushAction runs the deferred scheduling passes of the current
-// instant (batched mode).
-type flushAction struct{ c *Controller }
-
-func (a *flushAction) Fire(uint64) { a.c.flushScheduling() }
 
 // wakeAction runs a scheduling pass at the instant armWake asked for.
 type wakeAction struct{ c *Controller }
@@ -387,21 +374,10 @@ func (c *Controller) jobByID(id int) *Job {
 	return nil
 }
 
-// kick requests a scheduling pass: immediately in the default mode, or
-// deferred to the instant's flush event in batched mode — many
-// submissions and completions landing on one clock instant then cost
-// one pass instead of one per event.
-func (c *Controller) kick() {
-	c.kickSubmit()
-	if c.batched {
-		c.armFlush()
-	}
-}
-
 // kickSubmit requests a pass after a submission. In batched mode the
-// pass is only marked due — no flush event is armed: the submitting
-// driver calls Flush once the instant's submissions are all queued,
-// which costs one pass and zero queue events per instant.
+// pass is only marked due: the submitting driver calls Flush once the
+// instant's submissions are all queued, which costs one pass and zero
+// queue events per instant.
 func (c *Controller) kickSubmit() {
 	if !c.batched {
 		c.schedulePart(c.part)
@@ -410,23 +386,9 @@ func (c *Controller) kickSubmit() {
 	c.passDue = true
 }
 
-// Flush runs any deferred scheduling passes immediately. Batched-mode
-// drivers must call it after queueing an instant's submissions; other
-// deferred wakes (Cancel, drain) arm their own flush event and need no
-// help.
-func (c *Controller) Flush() { c.flushScheduling() }
-
-func (c *Controller) armFlush() {
-	if c.flushArmed {
-		return
-	}
-	c.flushArmed = true
-	c.sim.AtAction(c.sim.Now(), &c.flushAct, 0)
-}
-
-// flushScheduling runs the deferred pass, if one is due.
-func (c *Controller) flushScheduling() {
-	c.flushArmed = false
+// Flush runs the deferred scheduling pass, if one is due. Batched-mode
+// drivers must call it after queueing an instant's submissions.
+func (c *Controller) Flush() {
 	if c.passDue {
 		c.passDue = false
 		c.schedulePart(c.part)
@@ -517,6 +479,9 @@ func (c *Controller) submit(ctx context.Context, desc *JobDesc) (*Job, error) {
 	if err := part.fits(desc); err != nil {
 		return nil, err
 	}
+	if err := c.pol.fitsBudget(part, desc); err != nil {
+		return nil, err
+	}
 
 	job := c.newJob()
 	job.ID = c.nextID
@@ -586,19 +551,6 @@ func (p *partition) fits(desc *JobDesc) error {
 	}
 	return fmt.Errorf("slurm: no node can satisfy %d tasks × %d threads",
 		desc.NumTasks, desc.ThreadsPerCPU)
-}
-
-// unqueue removes a job from the pending window, keeping the order of
-// the rest. The settled record goes: its prefix and its release bound
-// may count the job.
-func (p *partition) unqueue(job *Job) {
-	for i, q := range p.pending {
-		if q == job {
-			p.pending = append(p.pending[:i], p.pending[i+1:]...)
-			p.settled.n = 0
-			return
-		}
-	}
 }
 
 func nodeSatisfies(n *nodeD, desc *JobDesc) bool {
@@ -816,8 +768,8 @@ func (c *Controller) claimNode(n *nodeD, job *Job) {
 	p.occGauge.Set(float64(p.busy) / float64(len(p.nodes)))
 }
 
-// releaseNode frees a node at job end or cancellation and relists it
-// in its partition's free bitmap.
+// releaseNode frees a node at job end and relists it in its
+// partition's free bitmap.
 func (c *Controller) releaseNode(n *nodeD) {
 	if n.current != nil {
 		n.current.node = nil
@@ -830,13 +782,13 @@ func (c *Controller) releaseNode(n *nodeD) {
 	c.refreeNode(n)
 }
 
-// refreeNode relists an idle node (claimed but never started, or just
-// released) in its partition's free bitmap.
+// refreeNode lists an idle node in its partition's free bitmap: each
+// node once at construction, and each node takeIdle claimed once when
+// it is handed back — never started, or just released — so the bitmap
+// and freeN hold exactly the unclaimed nodes.
 func (c *Controller) refreeNode(n *nodeD) {
-	if n.drained || n.free || n.current != nil {
-		return
-	}
-	listFree(n)
+	n.part.freeBits[n.idx>>6] |= 1 << uint(n.idx&63)
+	n.part.freeN++
 }
 
 func (c *Controller) start(job *Job, node *nodeD) error {
@@ -934,9 +886,8 @@ func (c *Controller) run(job *Job, n *nodeD, now time.Time, cfg perfmodel.Config
 	c.sim.AfterAction(dur, &c.compAct, uint64(job.ID))
 }
 
-// vacate takes a running job off its node — the one path completion
-// and cancellation share. A secondary beside its running primary
-// clears its slot; a primary with a live secondary ends the hardware
+// vacate takes a completed job off its node. A secondary beside its
+// running primary clears its slot; a primary with a live secondary ends the hardware
 // job and promotes the secondary to the node's occupant (it finishes on
 // its estimates); a sole occupant, or a secondary promoted earlier
 // (whose primary already took the hardware job with it), frees the node.
@@ -964,8 +915,7 @@ func (c *Controller) vacate(job *Job, n *nodeD) {
 	c.bill(job, n)
 }
 
-// bill sets the energy of a job leaving its node now, completed or
-// cancelled: a primary's is the node's measured energy since its start;
+// bill sets the energy of a job leaving its node now: a primary's is the node's measured energy since its start;
 // a co-scheduled secondary's — the hardware ran only the primary — is
 // its pairing's power estimate integrated over its runtime.
 func (c *Controller) bill(job *Job, n *nodeD) {
@@ -982,13 +932,13 @@ func (c *Controller) bill(job *Job, n *nodeD) {
 
 // completeJob is the completion event for a running job, fired through
 // the controller's pre-allocated Action. Clock events cannot be
-// cancelled, so it re-validates: a job cancelled (and possibly retired or even
-// recycled) meanwhile no longer matches a running arena entry and the
-// stale event is dropped.
+// cancelled, so it re-validates: an event whose id no longer matches a
+// running arena entry (a retired slot, or a record recycled for another
+// job) is stale and dropped.
 func (c *Controller) completeJob(id int) {
 	job := c.jobByID(id)
 	if job == nil || job.ID != id || job.State != StateRunning || job.node == nil {
-		return // cancelled meanwhile
+		return // stale
 	}
 	c.vacate(job, job.node)
 	job.EndTime = c.sim.Now()
@@ -1001,8 +951,7 @@ func (c *Controller) completeJob(id int) {
 	}
 	c.finish(job)
 	// Completion already runs inside the event loop, so schedule
-	// directly instead of arming a same-instant flush event — one fewer
-	// queue round-trip per job.
+	// directly.
 	c.schedulePart(c.part)
 }
 
@@ -1077,35 +1026,6 @@ func (c *Controller) retire(job *Job) {
 	}
 }
 
-// Cancel is scancel: terminate a pending or running job.
-func (c *Controller) Cancel(id int) error {
-	job := c.jobByID(id)
-	if job == nil {
-		return fmt.Errorf("slurm: no job %d", id)
-	}
-	if job.State.Terminal() {
-		return fmt.Errorf("slurm: job %d already %s", id, job.State)
-	}
-	switch {
-	case job.State == StateRunning && job.node != nil:
-		c.vacate(job, job.node)
-	case job.State == StatePending:
-		// Out of the pending window before the record can be retired to
-		// the pool and handed to the next submission, which would then be
-		// queued twice. The window holds pending jobs only; a pass relies
-		// on it.
-		c.part.unqueue(job)
-	}
-	job.State = StateCancelled
-	job.Reason = "Cancelled by user"
-	job.EndTime = c.sim.Now()
-	job.endTick = c.sim.NowTick()
-	c.finish(job)
-	// A node, a slot or power headroom may have opened up.
-	c.kick()
-	return nil
-}
-
 // Job returns a job by id. Retired jobs (aggregate accounting) are
 // not returned.
 func (c *Controller) Job(id int) (*Job, bool) {
@@ -1137,56 +1057,13 @@ func (c *Controller) Sinfo() []NodeInfo {
 	out := make([]NodeInfo, len(c.part.nodes))
 	for i, n := range c.part.nodes {
 		info := NodeInfo{Name: n.name, State: "idle", Cores: n.hw.Spec().Cores}
-		switch {
-		case n.current != nil && n.drained:
-			info.State = "drng" // draining: finishing its job, accepting nothing
-			info.JobID = n.current.ID
-		case n.current != nil:
+		if n.current != nil {
 			info.State = "alloc"
 			info.JobID = n.current.ID
-		case n.drained:
-			info.State = "drain"
 		}
 		out[i] = info
 	}
 	return out
-}
-
-// DrainNode marks a node unavailable for new jobs (the `scontrol
-// update nodename=X state=drain` admin operation). A running job
-// finishes; nothing new is placed.
-func (c *Controller) DrainNode(name string) error {
-	return c.setDrain(name, true)
-}
-
-// ResumeNode returns a drained node to service.
-func (c *Controller) ResumeNode(name string) error {
-	if err := c.setDrain(name, false); err != nil {
-		return err
-	}
-	c.schedulePart(c.part)
-	return nil
-}
-
-func (c *Controller) setDrain(name string, drained bool) error {
-	for _, n := range c.part.nodes {
-		if n.name != name {
-			continue
-		}
-		n.drained = drained
-		if drained {
-			// Idle drained nodes leave the free pool; busy ones stay
-			// claimed and simply never return to it while drained.
-			if n.free {
-				unlistFree(n)
-			}
-		} else {
-			c.refreeNode(n)
-		}
-		c.pol.reindex(n)
-		return nil
-	}
-	return fmt.Errorf("slurm: no node %q", name)
 }
 
 // WaitFor advances simulated time until the job is terminal. It fails

@@ -25,8 +25,8 @@
 // A decision costs what it decides, not what it scans (both papers
 // describe theirs as a lookup against maintained state): hold reads the
 // signal once per instant and derives a job's release bound once per
-// job; place walks an index of pairable primaries that charge, release
-// and a drain keep current (reindex), not the partition's nodes.
+// job; place walks an index of pairable primaries that charge and
+// release keep current (reindex), not the partition's nodes.
 //
 // The policy value owns every controller-wide parameter, the decision
 // counters and their metric handles; per-entity state stays on its
@@ -147,6 +147,10 @@ type schedPolicy struct {
 	// minCapW is the smallest placement delta planBeside's budget check
 	// has refused since the scheduling pass began it (settle records it).
 	minCapW float64
+	// headroomW (the cap less the idle floor; 0 = uncapped) and the
+	// nodes' distinct delta tables are what fitsBudget asks.
+	headroomW float64
+	tables    []*deltaTable
 	// skips counts the jobs the passes skipped per verdict kind on a
 	// mask that asks fit again (a settled record whose epoch had moved,
 	// or one left unclean); widened counts the starts after which a pass
@@ -173,13 +177,16 @@ func newSchedPolicy(c *Controller, ps []SchedPolicy) (*schedPolicy, error) {
 		return nil, nil
 	}
 	p := c.part
+	pol := &schedPolicy{}
 	for _, nd := range p.nodes {
 		nd.deltas = deltaTableFor(nd.hw.Calibration(), nd.spec.FrequenciesKHz)
 		nd.idleDrawW = nd.deltas.pm.IdleNodeW()
 		p.drawW += nd.idleDrawW
+		if !slices.Contains(pol.tables, nd.deltas) {
+			pol.tables = append(pol.tables, nd.deltas)
+		}
 	}
 	p.peakDrawW = p.drawW
-	pol := &schedPolicy{}
 	for _, sp := range ps {
 		if err := sp.attach(pol, c); err != nil {
 			return nil, err
@@ -245,6 +252,7 @@ func (p *PowerCapPolicy) attach(pol *schedPolicy, c *Controller) error {
 			part.name, p.CapW, part.drawW)
 	}
 	part.capW = p.CapW
+	pol.headroomW = p.CapW - part.drawW
 	return nil
 }
 
@@ -737,6 +745,31 @@ func (t *deltaTable) deltaW(cfg perfmodel.Config) float64 {
 	return t.pm.PlacementDeltaW(cfg)
 }
 
+// fitsBudget refuses at submission a job no placement could ever start
+// under the partition's power cap (nil-safe): its least placement delta
+// over the frequencies of every node table with its cores — the ladder
+// rungs fit may pin, the P-states a --cpu-freq request or planBeside's
+// primary clock may run at — exceeds the cap less the idle floor.
+func (pol *schedPolicy) fitsBudget(p *partition, desc *JobDesc) error {
+	if pol == nil || pol.headroomW == 0 {
+		return nil
+	}
+	least := math.Inf(1)
+	for _, t := range pol.tables {
+		if desc.NumTasks > t.cores {
+			continue
+		}
+		for _, f := range t.freqs {
+			least = min(least, t.deltaW(perfmodel.Config{Cores: desc.NumTasks, FreqKHz: f, ThreadsPerCore: desc.ThreadsPerCPU}))
+		}
+	}
+	if least <= pol.headroomW {
+		return nil
+	}
+	return fmt.Errorf("slurm: %d tasks × %d threads draw at least %.1f W over idle, above the %.1f W partition %q's power cap leaves over its idle floor; no placement could ever start",
+		desc.NumTasks, desc.ThreadsPerCPU, least, pol.headroomW, p.name)
+}
+
 // capAllows reports whether adding deltaW to the draw of the node's
 // partition stays within its cap, if it has one.
 func capAllows(n *nodeD, deltaW float64) bool {
@@ -769,8 +802,8 @@ type pairing struct {
 // slots freeBits uses. A node's bit is set in its profile's bitmap iff
 // a secondary could start on it as far as the node alone decides — it
 // runs a primary of that profile on live hardware, has no secondary
-// yet, is not drained, and the primary neither demands the node nor is
-// itself a promoted secondary.
+// yet, and the primary neither demands the node nor is itself a
+// promoted secondary.
 const (
 	pairCompute = iota // compute-bound primaries: hosts for memory-bound jobs
 	pairMemory
@@ -789,19 +822,19 @@ func (p *partition) indexPairable() {
 
 // reindex re-derives the node's bit from the node's state. It runs
 // wherever that state changes — charge (a job starts, as primary or
-// secondary), release (a job leaves) and a drain or resume — and only
-// under a policy that pairs. Each call moves the partition's epoch, and
-// a cleared bit leaves the stable hosts too: a host set again later runs
-// another primary, or has room again beside the one it had, and is
-// fresh to every job the settled record kept.
+// secondary) and release (a job leaves) — and only under a policy that
+// pairs. Each call moves the partition's epoch, and a cleared bit
+// leaves the stable hosts too: a host set again later runs another
+// primary, or has room again beside the one it had, and is fresh to
+// every job the settled record kept.
 func (pol *schedPolicy) reindex(n *nodeD) {
-	if pol == nil || !pol.pairs() {
+	if !pol.pairs() {
 		return
 	}
 	p := n.part
 	p.epoch++
 	in := -1
-	if pri := n.current; pri != nil && n.hwJob != nil && n.coJob == nil && !n.drained &&
+	if pri := n.current; pri != nil && n.hwJob != nil && n.coJob == nil &&
 		!pri.Desc.Exclusive && !pri.coSecondary {
 		switch pri.shapeProfile() {
 		case workload.ProfileCompute:

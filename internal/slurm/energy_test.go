@@ -1,6 +1,7 @@
 package slurm
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -261,6 +262,36 @@ func TestPowerCapFreqCapPinsLadder(t *testing.T) {
 	}
 }
 
+// TestPowerCapRefusesUnfittableJobAtSubmit: a 170 W cap on one node is
+// above its idle floor, so the policy attaches, but below the draw of a
+// 32-task job at the ladder's lowest rung. Such a job could never
+// start, in any mode: it is refused at submission, the error naming its
+// least draw and the cap's headroom. A 16-task job fits at a lower rung
+// and is accepted.
+func TestPowerCapRefusesUnfittableJobAtSubmit(t *testing.T) {
+	idle, deltas := testLadderWatts()
+	const capW = 170
+	if !(idle < capW && capW < idle+deltas[0]) {
+		t.Fatalf("idle floor %.1f W and lowest-rung draw %.1f W no longer straddle the %d W cap", idle, idle+deltas[0], capW)
+	}
+	_, c := newPolicyCluster(t, 1, &PowerCapPolicy{CapW: capW, Mode: CapModeFreqCap})
+	_, err := c.Submit(sleepDesc(32, 10*time.Minute, ""))
+	least, headroom := fmt.Sprintf("%.1f W", deltas[0]), fmt.Sprintf("%.1f W", capW-idle)
+	if err == nil || !strings.Contains(err.Error(), least) || !strings.Contains(err.Error(), headroom) {
+		t.Fatalf("32-task submit err = %v, want a refusal naming %s and %s", err, least, headroom)
+	}
+	if n := len(c.part.pending); n != 0 || c.nextID != 1 {
+		t.Fatalf("a refused job left %d queued, next id %d", n, c.nextID)
+	}
+	j, err := c.Submit(sleepDesc(16, 10*time.Minute, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.State != StateRunning {
+		t.Fatalf("16-task job = %s (%q), want RUNNING", j.State, j.Reason)
+	}
+}
+
 func TestCoSchedulePairsComplementaryProfiles(t *testing.T) {
 	sim, c := newPolicyCluster(t, 1, &CoSchedulePolicy{})
 
@@ -484,35 +515,48 @@ func TestPolicyAccessors(t *testing.T) {
 	}
 }
 
-// TestCancelBillsRunningJob: scancel of a running job halfway through
-// bills it as its completion would have, in either role — a primary the
-// node's measured energy since its start, a co-scheduled secondary its
-// pairing's power estimate over the time it ran — into the job, its
-// accounting row and the totals.
-func TestCancelBillsRunningJob(t *testing.T) {
+// TestCompletionBillsRunningJob: a paired job's completion bills it in
+// either role — a primary the node's measured energy since its start,
+// a co-scheduled secondary its pairing's power estimate over the time
+// it ran — into the job, its accounting row and the totals. Once with
+// the primary ending first, promoting the secondary to the node's
+// occupant, and once with the secondary ending first beside its
+// running primary.
+func TestCompletionBillsRunningJob(t *testing.T) {
 	for _, role := range []string{"primary", "secondary"} {
 		t.Run(role, func(t *testing.T) {
-			sim, c := newPolicyCluster(t, 1, &CoSchedulePolicy{})
+			_, c := newPolicyCluster(t, 1, &CoSchedulePolicy{})
 			node := c.Nodes()[0]
 			pri, err := c.Submit(sleepDesc(16, 20*time.Minute, workload.ProfileCompute))
 			if err != nil {
 				t.Fatal(err)
 			}
 			sys0, cpu0 := node.EnergyJ()
-			sec, err := c.Submit(sleepDesc(8, 20*time.Minute, workload.ProfileMemory))
+			// The secondary's plan is stretched by the default 1.25 penalty:
+			// 25 minutes, after the primary; 10 minutes, before it.
+			secFor := 20 * time.Minute
+			if role == "secondary" {
+				secFor = 8 * time.Minute
+			}
+			sec, err := c.Submit(sleepDesc(8, secFor, workload.ProfileMemory))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if pri.State != StateRunning || sec.State != StateRunning || !sec.coSecondary {
 				t.Fatalf("primary %s, secondary %s (paired %v): want both running, paired", pri.State, sec.State, sec.coSecondary)
 			}
-			sim.RunFor(10 * time.Minute)
-			victim := pri
+			done, other := pri, sec
 			if role == "secondary" {
-				victim = sec
+				done, other = sec, pri
 			}
-			if err := c.Cancel(victim.ID); err != nil {
+			if _, err := c.WaitFor(done.ID); err != nil {
 				t.Fatal(err)
+			}
+			if other.State != StateRunning {
+				t.Fatalf("the %s ended first but its partner is %s", role, other.State)
+			}
+			if role == "primary" && c.part.nodes[0].current != sec {
+				t.Fatal("the primary's completion did not promote the secondary to the node's occupant")
 			}
 			wantSys, wantCPU := sec.estSysW*600, sec.estCPUW*600
 			if role == "primary" {
@@ -522,15 +566,15 @@ func TestCancelBillsRunningJob(t *testing.T) {
 			if wantSys <= 0 || wantCPU <= 0 {
 				t.Fatalf("expected energy %g J system / %g J CPU: the test measures nothing", wantSys, wantCPU)
 			}
-			if victim.SystemJ != wantSys || victim.CPUJ != wantCPU {
-				t.Fatalf("cancelled %s billed %g J system / %g J CPU, want %g / %g", role, victim.SystemJ, victim.CPUJ, wantSys, wantCPU)
+			if done.SystemJ != wantSys || done.CPUJ != wantCPU {
+				t.Fatalf("completed %s billed %g J system / %g J CPU, want %g / %g", role, done.SystemJ, done.CPUJ, wantSys, wantCPU)
 			}
-			rec, ok := c.Accounting().Record(victim.ID)
-			if !ok || rec.State != StateCancelled || rec.SystemKJ != wantSys/1000 || rec.CPUKJ != wantCPU/1000 {
-				t.Fatalf("accounting row %+v (found %v), want CANCELLED with %g kJ / %g kJ", rec, ok, wantSys/1000, wantCPU/1000)
+			rec, ok := c.Accounting().Record(done.ID)
+			if !ok || rec.State != StateCompleted || rec.SystemKJ != wantSys/1000 || rec.CPUKJ != wantCPU/1000 {
+				t.Fatalf("accounting row %+v (found %v), want COMPLETED with %g kJ / %g kJ", rec, ok, wantSys/1000, wantCPU/1000)
 			}
 			if tot := c.Accounting().Totals(); tot.SystemKJ != rec.SystemKJ || tot.CPUKJ != rec.CPUKJ {
-				t.Fatalf("totals %g kJ / %g kJ, want the cancelled job's %g / %g", tot.SystemKJ, tot.CPUKJ, rec.SystemKJ, rec.CPUKJ)
+				t.Fatalf("totals %g kJ / %g kJ, want the completed job's %g / %g", tot.SystemKJ, tot.CPUKJ, rec.SystemKJ, rec.CPUKJ)
 			}
 		})
 	}

@@ -5,8 +5,8 @@
 // slurm.conf parser for the JobSubmitPlugins line, an #SBATCH batch
 // script parser, accounting (slurmdbd), and the user commands the
 // paper exercises: sbatch (Submit, SubmitScript), squeue
-// (Squeue), scontrol show job (Job), scancel (Cancel), sinfo (Sinfo,
-// FormatSinfo) and sacct (FormatSacct).
+// (Squeue), scontrol show job (Job), sinfo (Sinfo, FormatSinfo) and
+// sacct (FormatSacct).
 //
 // The simulator is single-threaded over internal/simclock: submitting
 // is immediate, and callers advance simulated time to let jobs run.
@@ -107,9 +107,9 @@ type Job struct {
 	// below) whether the plan was truncated by the time limit.
 	sys0, cpu0 float64
 	// Tick (UnixNano) mirrors of SubmitTime/StartTime/EndTime, stamped
-	// wherever those are for a job that starts: submission, start,
-	// completion and cancellation. Accounting and fair share read run
-	// and wait times from them, not from the time.Time fields.
+	// wherever those are for a job that starts: submission, start and
+	// completion. Accounting and fair share read run and wait times from
+	// them, not from the time.Time fields.
 	submitTick, startTick, endTick int64
 	// releaseTick is the instant the deferral policy's hold on the job
 	// ends whatever the signal says — min(SubmitTime + max defer,

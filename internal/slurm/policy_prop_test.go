@@ -20,15 +20,15 @@ import (
 //     at any step, and not in the recorded peak.
 //  2. The incrementally-maintained draw always equals the draw
 //     recomputed from scratch off the running jobs (no leaks across
-//     start/finish/cancel/co-schedule paths).
+//     start/finish/co-schedule paths).
 //  3. A node never hosts a co-scheduled pair where either side is
 //     Exclusive, profiles match, or task counts overflow the cores.
 //  4. Under deferral with guaranteed capacity, no deferrable job ever
 //     finishes past its deadline: the hold must release in time.
-//  5. Operator interference — scancel of a random live job, drain and
-//     resume of a random node, at a per-seed rate between submissions —
-//     breaks none of the above, and once everything drains no node is
-//     left claimed, paired or holding a hardware job.
+//
+// Once every event has fired, the queue is empty, the draw is back at
+// the idle floor, and no node is left claimed, paired or holding a
+// hardware job.
 //
 // The suite runs the full grid under -race via `make chaos`
 // (propSeeds × the policy-config table ≥ the twenty-seed floor the
@@ -218,11 +218,6 @@ func runPolicyProperty(t *testing.T, cfg propConfig, seed uint64) {
 
 	start := sim.Now()
 	jobs := drawWorkload(rng, 30+rng.Intn(30), start)
-	// The operator has a stream of its own, so the workload and budget
-	// above are the ones the seed always drew.
-	ops := simclock.NewRNG(seed + 5000)
-	opRate := 0.1 + 0.3*ops.Float64()
-	var submitted []*Job
 	for _, pj := range jobs {
 		for at := start.Add(pj.at); sim.Now().Before(at); {
 			if !sim.Step() {
@@ -231,25 +226,12 @@ func runPolicyProperty(t *testing.T, cfg propConfig, seed uint64) {
 			}
 			checkPolicyInvariants(t, c)
 		}
-		j, err := c.Submit(pj.desc)
-		if err != nil {
+		if _, err := c.Submit(pj.desc); err != nil {
 			t.Fatalf("seed %d: submit: %v", seed, err)
 		}
-		submitted = append(submitted, j)
 		checkPolicyInvariants(t, c)
-		if ops.Float64() < opRate {
-			operate(t, c, ops, submitted)
-			checkPolicyInvariants(t, c)
-		}
 	}
 	p := c.part
-	for _, n := range p.nodes {
-		if n.drained {
-			if err := c.ResumeNode(n.name); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-		}
-	}
 	for sim.Step() {
 		checkPolicyInvariants(t, c)
 	}
@@ -258,7 +240,7 @@ func runPolicyProperty(t *testing.T, cfg propConfig, seed uint64) {
 	if tot.CapViolations != 0 {
 		t.Fatalf("seed %d (%s): %d cap violations", seed, cfg.name, tot.CapViolations)
 	}
-	// Everything drained: the draw is back at the idle floor and no job
+	// Everything ran out: the draw is back at the idle floor and no job
 	// is left pending (MaxDefer bounds every hold, caps free up as jobs
 	// end, so the queue must empty).
 	if len(p.pending) != 0 {
@@ -277,28 +259,6 @@ func runPolicyProperty(t *testing.T, cfg propConfig, seed uint64) {
 			t.Fatalf("seed %d (%s): node %q still holds current=%v coJob=%v hwJob=%v",
 				seed, cfg.name, n.name, n.current, n.coJob, n.hwJob)
 		}
-	}
-}
-
-// operate is one operator action: scancel a random live job, or flip a
-// random node between drained and in service.
-func operate(t *testing.T, c *Controller, ops *simclock.RNG, submitted []*Job) {
-	t.Helper()
-	if ops.Intn(2) == 0 {
-		if j := submitted[ops.Intn(len(submitted))]; !j.State.Terminal() {
-			if err := c.Cancel(j.ID); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return
-	}
-	n := c.part.nodes[ops.Intn(len(c.part.nodes))]
-	flip := c.DrainNode
-	if n.drained {
-		flip = c.ResumeNode
-	}
-	if err := flip(n.name); err != nil {
-		t.Fatal(err)
 	}
 }
 

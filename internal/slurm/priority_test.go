@@ -269,58 +269,6 @@ func TestFormatSacct(t *testing.T) {
 	}
 }
 
-func TestDrainAndResume(t *testing.T) {
-	_, c := newCluster(t, DefaultConf(), 2)
-	nodes := c.Sinfo()
-	if err := c.DrainNode(nodes[0].Name); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.DrainNode("ghost"); err == nil {
-		t.Fatal("draining unknown node accepted")
-	}
-	// New jobs avoid the drained node.
-	a, _ := c.Submit(hpcgDesc(32, 2_500_000, 1))
-	if a.NodeName != nodes[1].Name {
-		t.Fatalf("job placed on %q, drained node was %q", a.NodeName, nodes[0].Name)
-	}
-	b, _ := c.Submit(hpcgDesc(32, 2_500_000, 1))
-	if b.State != StatePending {
-		t.Fatalf("second job state %s with one node drained", b.State)
-	}
-	for _, n := range c.Sinfo() {
-		if n.Name == nodes[0].Name && n.State != "drain" {
-			t.Fatalf("drained node state %q", n.State)
-		}
-	}
-	if err := c.ResumeNode(nodes[0].Name); err != nil {
-		t.Fatal(err)
-	}
-	if b.State != StateRunning {
-		t.Fatalf("queued job state %s after resume", b.State)
-	}
-}
-
-func TestDrainingNodeFinishesItsJob(t *testing.T) {
-	_, c := newCluster(t, DefaultConf(), 1)
-	job, _ := c.Submit(hpcgDesc(32, 2_500_000, 1))
-	c.DrainNode(c.Sinfo()[0].Name)
-	if got := c.Sinfo()[0].State; got != "drng" {
-		t.Fatalf("state = %q, want draining", got)
-	}
-	done, err := c.WaitFor(job.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done.State != StateCompleted {
-		t.Fatalf("job on draining node ended %s", done.State)
-	}
-	// Still drained after the job ends: nothing new starts.
-	queued, _ := c.Submit(hpcgDesc(32, 2_500_000, 1))
-	if queued.State != StatePending {
-		t.Fatalf("job started on drained node: %s", queued.State)
-	}
-}
-
 func TestSlurmdPinsAndRestoresGovernor(t *testing.T) {
 	_, c := newCluster(t, DefaultConf(), 1)
 	node := c.Nodes()[0]
@@ -334,15 +282,6 @@ func TestSlurmdPinsAndRestoresGovernor(t *testing.T) {
 	c.WaitFor(job.ID)
 	if node.Governor() != hw.GovernorPerformance {
 		t.Fatalf("governor not restored: %s", node.Governor())
-	}
-	// Cancellation restores too.
-	job2, _ := c.Submit(hpcgDesc(32, 1_500_000, 1))
-	if node.CurrentFreqKHz() != 1_500_000 {
-		t.Fatalf("freq during second job: %d", node.CurrentFreqKHz())
-	}
-	c.Cancel(job2.ID)
-	if node.Governor() != hw.GovernorPerformance {
-		t.Fatalf("governor not restored after cancel: %s", node.Governor())
 	}
 }
 

@@ -21,9 +21,8 @@ import (
 // TestSettledPrefixMatchesFullWalk is the settled prefix's differential
 // test, with the full walk as its oracle: two controllers under cap +
 // co-scheduling + deferral are driven by one random operator sequence —
-// submissions (some deferrable), clock advances one event at a time, cancellations of pending and
-// running jobs, drains and resumes, batched flushes — while the
-// deferral signal crosses its threshold. One node has half the cores,
+// submissions (some deferrable), clock advances one event at a time,
+// batched flushes — while the deferral signal crosses its threshold. One node has half the cores,
 // so a job can be kept for no node while a node is free. One controller
 // has its settled record cleared before everything that may run a pass,
 // so every one of its passes walks the whole window. After every step
@@ -84,8 +83,8 @@ func TestSettledPrefixMatchesFullWalk(t *testing.T) {
 
 // FuzzSettledPrefix drives the differential test's controller pair
 // from the fuzzer's bytes: the cluster, then one operator a step —
-// submit (profile, exclusive, deferrable, deadline), advance, cancel,
-// drain or resume, flush — comparing the two controllers after each.
+// submit (profile, exclusive, deferrable, deadline), advance, flush —
+// comparing the two controllers after each.
 func FuzzSettledPrefix(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 200, 0, 40, 5, 1, 0, 3, 1, 0, 0, 0, 0, 0, 9, 30, 6, 12, 7, 0, 11, 5, 4, 0, 3, 2, 1, 0, 0, 0, 0, 6, 3, 7, 4, 8, 8, 10, 2})
@@ -170,7 +169,6 @@ func (f *fuzzChoices) Float64() float64 { return float64(f.next()) / 256 }
 type settleHarness struct {
 	fastSim, fullSim *simclock.Sim
 	fast, full       *Controller
-	ids              []int
 }
 
 // newSettleHarness draws a cluster — two to five nodes, the last with
@@ -243,14 +241,11 @@ func (h *settleHarness) step(tb testing.TB, ch choices, at string) {
 		}
 		compare(op)
 	}
-	switch op := ch.Intn(12); {
+	switch op := ch.Intn(9); {
 	case op < 5:
 		desc := settleDesc(ch, h.fastSim.Now())
 		both("submit", func(c *Controller) error {
-			j, err := c.Submit(desc)
-			if err == nil && c == h.fast {
-				h.ids = append(h.ids, j.ID)
-			}
+			_, err := c.Submit(desc)
 			return err
 		})
 	case op < 8:
@@ -266,21 +261,6 @@ func (h *settleHarness) step(tb testing.TB, ch choices, at string) {
 				h.fullSim.RunUntil(until)
 			}
 			compare("advance")
-		}
-	case op < 10:
-		if len(h.ids) > 0 {
-			id := h.ids[ch.Intn(len(h.ids))]
-			if j, ok := h.fast.Job(id); ok && !j.State.Terminal() {
-				both("cancel "+string(j.State), func(c *Controller) error { return c.Cancel(id) })
-			}
-		}
-	case op < 11:
-		nodes := h.fast.part.nodes
-		n := nodes[ch.Intn(len(nodes))]
-		if n.drained {
-			both("resume", func(c *Controller) error { return c.ResumeNode(n.name) })
-		} else {
-			both("drain", func(c *Controller) error { return c.DrainNode(n.name) })
 		}
 	default:
 		both("flush", func(c *Controller) error { c.Flush(); return nil })

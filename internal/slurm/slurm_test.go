@@ -316,33 +316,6 @@ func TestSinfoIdle(t *testing.T) {
 	}
 }
 
-func TestCancelPendingAndRunning(t *testing.T) {
-	_, c := newCluster(t, DefaultConf(), 1)
-	running, _ := c.Submit(hpcgDesc(32, 2_500_000, 1))
-	pending, _ := c.Submit(hpcgDesc(32, 2_500_000, 1))
-	if err := c.Cancel(pending.ID); err != nil {
-		t.Fatal(err)
-	}
-	if pending.State != StateCancelled {
-		t.Fatalf("pending job state = %s", pending.State)
-	}
-	if err := c.Cancel(running.ID); err != nil {
-		t.Fatal(err)
-	}
-	if running.State != StateCancelled {
-		t.Fatalf("running job state = %s", running.State)
-	}
-	if c.Sinfo()[0].State != "idle" {
-		t.Fatal("node not freed after cancelling running job")
-	}
-	if err := c.Cancel(running.ID); err == nil {
-		t.Fatal("double cancel accepted")
-	}
-	if err := c.Cancel(404); err == nil {
-		t.Fatal("cancel of unknown job accepted")
-	}
-}
-
 func TestTimeLimitKillsJob(t *testing.T) {
 	_, c := newCluster(t, DefaultConf(), 1)
 	desc := hpcgDesc(32, 2_500_000, 1)
