@@ -3,6 +3,7 @@ package slurm
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"ecosched/internal/hw"
@@ -29,9 +30,10 @@ type partition struct {
 	policy SchedulingPolicy
 	fifo   bool // policy is FIFO → pending stays ID-ordered, skip sorting
 	nodes  []*nodeD
-	// classes are the distinct node capability shapes in the pool, the
-	// O(1)-per-class feasibility check for submissions.
-	classes []hw.NodeSpec
+	// classes holds one node of each distinct shape in the pool (cores,
+	// threads a core, calibration, ladder), for the O(1)-per-class
+	// submission checks fits and fitsBudget.
+	classes []*nodeD
 	// freeBits is a bitmap over the node slots (nodeD.idx, p.nodes
 	// order, which is construction order): bit set = node idle. Scanning
 	// set bits in slot order reproduces the first-fit placement order of
@@ -144,13 +146,13 @@ func (p *partition) addNode(n *nodeD) {
 	if len(p.nodes) > len(p.freeBits)*64 {
 		p.freeBits = append(p.freeBits, 0)
 	}
-	spec := n.hw.Spec()
 	for _, cl := range p.classes {
-		if cl.Cores == spec.Cores && cl.ThreadsPerCore == spec.ThreadsPerCore {
+		if cl.spec.Cores == n.spec.Cores && cl.spec.ThreadsPerCore == n.spec.ThreadsPerCore &&
+			cl.hw.Calibration() == n.hw.Calibration() && slices.Equal(cl.spec.FrequenciesKHz, n.spec.FrequenciesKHz) {
 			return
 		}
 	}
-	p.classes = append(p.classes, spec)
+	p.classes = append(p.classes, n)
 }
 
 // ClusterOption configures NewCluster.

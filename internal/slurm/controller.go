@@ -543,9 +543,8 @@ func (c *Controller) SubmitScript(script string) (*Job, error) {
 // classes (one entry per distinct node shape, so the common
 // homogeneous pool checks one).
 func (p *partition) fits(desc *JobDesc) error {
-	for i := range p.classes {
-		spec := &p.classes[i]
-		if desc.NumTasks <= spec.Cores && desc.ThreadsPerCPU <= spec.ThreadsPerCore {
+	for _, n := range p.classes {
+		if nodeSatisfies(n, desc) {
 			return nil
 		}
 	}
@@ -887,12 +886,12 @@ func (c *Controller) run(job *Job, n *nodeD, now time.Time, cfg perfmodel.Config
 }
 
 // vacate takes a completed job off its node. A secondary beside its
-// running primary clears its slot; a primary with a live secondary ends the hardware
-// job and promotes the secondary to the node's occupant (it finishes on
-// its estimates); a sole occupant, or a secondary promoted earlier
-// (whose primary already took the hardware job with it), frees the node.
-// The policy is told once the node is in its new state, and the job is
-// billed.
+// running primary clears its slot; a primary with a live secondary
+// ends the hardware job and promotes the secondary to the node's
+// occupant (it finishes on its estimates); a sole occupant, or a
+// secondary promoted earlier (whose primary already took the hardware
+// job with it), frees the node. The policy is told once the node is in
+// its new state, and the job is billed.
 func (c *Controller) vacate(job *Job, n *nodeD) {
 	if n.coJob == job {
 		n.coJob = nil
@@ -915,9 +914,10 @@ func (c *Controller) vacate(job *Job, n *nodeD) {
 	c.bill(job, n)
 }
 
-// bill sets the energy of a job leaving its node now: a primary's is the node's measured energy since its start;
-// a co-scheduled secondary's — the hardware ran only the primary — is
-// its pairing's power estimate integrated over its runtime.
+// bill sets the energy of a job leaving its node now: a primary's is
+// the node's measured energy since its start; a co-scheduled
+// secondary's — the hardware ran only the primary — is its pairing's
+// power estimate integrated over its runtime.
 func (c *Controller) bill(job *Job, n *nodeD) {
 	if job.coSecondary {
 		secs := time.Duration(c.sim.NowTick() - job.startTick).Seconds()

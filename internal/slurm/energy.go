@@ -147,10 +147,9 @@ type schedPolicy struct {
 	// minCapW is the smallest placement delta planBeside's budget check
 	// has refused since the scheduling pass began it (settle records it).
 	minCapW float64
-	// headroomW (the cap less the idle floor; 0 = uncapped) and the
-	// nodes' distinct delta tables are what fitsBudget asks.
+	// headroomW is the cap less the idle floor (0 = uncapped), which
+	// fitsBudget asks.
 	headroomW float64
-	tables    []*deltaTable
 	// skips counts the jobs the passes skipped per verdict kind on a
 	// mask that asks fit again (a settled record whose epoch had moved,
 	// or one left unclean); widened counts the starts after which a pass
@@ -177,16 +176,13 @@ func newSchedPolicy(c *Controller, ps []SchedPolicy) (*schedPolicy, error) {
 		return nil, nil
 	}
 	p := c.part
-	pol := &schedPolicy{}
 	for _, nd := range p.nodes {
 		nd.deltas = deltaTableFor(nd.hw.Calibration(), nd.spec.FrequenciesKHz)
 		nd.idleDrawW = nd.deltas.pm.IdleNodeW()
 		p.drawW += nd.idleDrawW
-		if !slices.Contains(pol.tables, nd.deltas) {
-			pol.tables = append(pol.tables, nd.deltas)
-		}
 	}
 	p.peakDrawW = p.drawW
+	pol := &schedPolicy{}
 	for _, sp := range ps {
 		if err := sp.attach(pol, c); err != nil {
 			return nil, err
@@ -698,6 +694,9 @@ type deltaTable struct {
 	ladder []int // the spec ladder it was built for
 	freqs  []int // its rows: the ladder and the P-states, each once
 	cores  int   // TotalCores
+	// The ladder fills rows 0..rungs-1, its maximum row top (-1: the
+	// spec has no ladder).
+	rungs, top int
 	// w holds the delta of (freqs[r], c cores, t threads) at
 	// (r*(cores+1)+c)*2 + t-1.
 	w []float64
@@ -714,10 +713,13 @@ func deltaTableFor(calib *perfmodel.Calibration, ladder []int) *deltaTable {
 	if t := lastDeltas.Load(); t != nil && t.pm.calib == calib && slices.Equal(t.ladder, ladder) {
 		return t
 	}
-	t := &deltaTable{pm: NewPowerModel(calib), ladder: slices.Clone(ladder), cores: calib.TotalCores}
-	for _, f := range slices.Concat(ladder, calib.PStatesKHz) {
+	t := &deltaTable{pm: NewPowerModel(calib), ladder: slices.Clone(ladder), cores: calib.TotalCores, top: -1}
+	for i, f := range slices.Concat(ladder, calib.PStatesKHz) {
 		if !slices.Contains(t.freqs, f) {
 			t.freqs = append(t.freqs, f)
+		}
+		if i == len(ladder)-1 {
+			t.rungs, t.top = len(t.freqs), slices.Index(t.freqs, f)
 		}
 	}
 	t.w = make([]float64, 0, len(t.freqs)*(t.cores+1)*2)
@@ -745,23 +747,52 @@ func (t *deltaTable) deltaW(cfg perfmodel.Config) float64 {
 	return t.pm.PlacementDeltaW(cfg)
 }
 
+// leastW is the least delta of cfg's cores and threads over the rows
+// lo..hi-1; 0, which refuses nothing, for a shape outside the table or
+// a table without a ladder (fit charges such a node the model's delta
+// at frequency 0, which is no row).
+func (t *deltaTable) leastW(cfg perfmodel.Config, lo, hi int) float64 {
+	if t.top < 0 || uint(cfg.Cores) > uint(t.cores) || uint(cfg.ThreadsPerCore-1) >= 2 {
+		return 0
+	}
+	least := math.Inf(1)
+	for r := lo; r < hi; r++ {
+		least = min(least, t.w[(r*(t.cores+1)+cfg.Cores)*2+cfg.ThreadsPerCore-1])
+	}
+	return least
+}
+
 // fitsBudget refuses at submission a job no placement could ever start
-// under the partition's power cap (nil-safe): its least placement delta
-// over the frequencies of every node table with its cores — the ladder
-// rungs fit may pin, the P-states a --cpu-freq request or planBeside's
-// primary clock may run at — exceeds the cap less the idle floor.
+// under the partition's power cap (nil-safe): the least delta it could
+// be charged on a node class that holds it exceeds the cap less the
+// idle floor. fit charges a --cpu-freq job its clock, an unpinned one
+// the ladder maximum, or in freqcap mode any rung; planBeside charges
+// a secondary its primary's clock.
 func (pol *schedPolicy) fitsBudget(p *partition, desc *JobDesc) error {
 	if pol == nil || pol.headroomW == 0 {
 		return nil
 	}
+	cfg := desc.Config()
 	least := math.Inf(1)
-	for _, t := range pol.tables {
-		if desc.NumTasks > t.cores {
+	for _, n := range p.classes {
+		if !nodeSatisfies(n, desc) {
 			continue
 		}
-		for _, f := range t.freqs {
-			least = min(least, t.deltaW(perfmodel.Config{Cores: desc.NumTasks, FreqKHz: f, ThreadsPerCore: desc.ThreadsPerCPU}))
+		t := n.deltas
+		if cfg.FreqKHz != 0 {
+			least = min(least, t.deltaW(cfg))
+			if !pol.pairs() {
+				continue
+			}
 		}
+		lo, hi := t.top, t.top+1
+		if pol.freqCap {
+			lo, hi = 0, t.rungs
+		}
+		if pol.pairs() {
+			lo, hi = 0, len(t.freqs)
+		}
+		least = min(least, t.leastW(cfg, lo, hi))
 	}
 	if least <= pol.headroomW {
 		return nil

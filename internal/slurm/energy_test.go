@@ -246,16 +246,13 @@ func TestPowerCapFreqCapPinsLadder(t *testing.T) {
 	sim.Run()
 
 	// An explicit --cpu-freq request is honoured, never silently
-	// down-pinned: over budget it waits instead.
+	// down-pinned: over what the budget leaves above the idle floor it
+	// could never start, so it is refused at submission.
 	top := hw.DefaultSpec().FrequenciesKHz[len(hw.DefaultSpec().FrequenciesKHz)-1]
 	desc := sleepDesc(32, 10*time.Minute, "")
 	desc.MaxFreqKHz, desc.MinFreqKHz = top, top
-	j2, err := c.Submit(desc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j2.State != StatePending || j2.Reason != reasonPowerCap {
-		t.Fatalf("pinned job = %s (%q), want PENDING/PowerCap", j2.State, j2.Reason)
+	if _, err := c.Submit(desc); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%.1f W over idle", deltas[len(deltas)-1])) {
+		t.Fatalf("pinned submit err = %v, want a refusal at its requested clock's %.1f W", err, deltas[len(deltas)-1])
 	}
 	if tot := c.PolicyTotals(); tot.FreqCapped != 1 {
 		t.Fatalf("FreqCapped grew to %d on an explicit request", tot.FreqCapped)
@@ -264,31 +261,62 @@ func TestPowerCapFreqCapPinsLadder(t *testing.T) {
 
 // TestPowerCapRefusesUnfittableJobAtSubmit: a 170 W cap on one node is
 // above its idle floor, so the policy attaches, but below the draw of a
-// 32-task job at the ladder's lowest rung. Such a job could never
-// start, in any mode: it is refused at submission, the error naming its
-// least draw and the cap's headroom. A 16-task job fits at a lower rung
-// and is accepted.
+// 32-task job at the ladder's lowest rung. A job is refused at
+// submission when the least delta fit could charge it exceeds the cap's
+// headroom, the error naming both figures: the lowest rung for an
+// unpinned job in freqcap mode, the ladder maximum in wait mode, the
+// requested clock for a --cpu-freq job in either. Every other job is
+// accepted and starts.
 func TestPowerCapRefusesUnfittableJobAtSubmit(t *testing.T) {
-	idle, deltas := testLadderWatts()
 	const capW = 170
-	if !(idle < capW && capW < idle+deltas[0]) {
-		t.Fatalf("idle floor %.1f W and lowest-rung draw %.1f W no longer straddle the %d W cap", idle, idle+deltas[0], capW)
+	spec := hw.DefaultSpec()
+	ladder := spec.FrequenciesKHz
+	lowest, top := ladder[0], ladder[len(ladder)-1]
+	pm := NewPowerModel(perfmodel.Default())
+	idle := pm.IdleNodeW()
+	delta := func(tasks, freq int) float64 {
+		return pm.PlacementDeltaW(perfmodel.Config{Cores: tasks, FreqKHz: freq, ThreadsPerCore: 1})
 	}
-	_, c := newPolicyCluster(t, 1, &PowerCapPolicy{CapW: capW, Mode: CapModeFreqCap})
-	_, err := c.Submit(sleepDesc(32, 10*time.Minute, ""))
-	least, headroom := fmt.Sprintf("%.1f W", deltas[0]), fmt.Sprintf("%.1f W", capW-idle)
-	if err == nil || !strings.Contains(err.Error(), least) || !strings.Contains(err.Error(), headroom) {
-		t.Fatalf("32-task submit err = %v, want a refusal naming %s and %s", err, least, headroom)
+	// The cases need: 32 tasks exceed the headroom at every rung; 16
+	// tasks fit it at the lowest rung but not at the top one.
+	if !(idle < capW && delta(32, lowest) > capW-idle && delta(16, lowest) <= capW-idle && delta(16, top) > capW-idle) {
+		t.Fatalf("idle floor %.1f W and deltas %.1f/%.1f/%.1f W no longer straddle the %d W cap",
+			idle, delta(32, lowest), delta(16, lowest), delta(16, top), capW)
 	}
-	if n := len(c.part.pending); n != 0 || c.nextID != 1 {
-		t.Fatalf("a refused job left %d queued, next id %d", n, c.nextID)
-	}
-	j, err := c.Submit(sleepDesc(16, 10*time.Minute, ""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.State != StateRunning {
-		t.Fatalf("16-task job = %s (%q), want RUNNING", j.State, j.Reason)
+	for _, tc := range []struct {
+		name         string
+		mode         string
+		tasks, freq  int // freq 0: no --cpu-freq request
+		refusedLeast float64
+	}{
+		{"freqcap/32 tasks", CapModeFreqCap, 32, 0, delta(32, lowest)},
+		{"freqcap/16 tasks", CapModeFreqCap, 16, 0, 0},
+		{"freqcap/16 tasks pinned top", CapModeFreqCap, 16, top, delta(16, top)},
+		{"wait/16 tasks", CapModeWait, 16, 0, delta(16, top)},
+		{"wait/16 tasks pinned lowest", CapModeWait, 16, lowest, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, c := newPolicyCluster(t, 1, &PowerCapPolicy{CapW: capW, Mode: tc.mode})
+			desc := sleepDesc(tc.tasks, 10*time.Minute, "")
+			desc.MaxFreqKHz, desc.MinFreqKHz = tc.freq, tc.freq
+			j, err := c.Submit(desc)
+			if tc.refusedLeast == 0 {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if j.State != StateRunning {
+					t.Fatalf("job = %s (%q), want RUNNING", j.State, j.Reason)
+				}
+				return
+			}
+			least, headroom := fmt.Sprintf("%.1f W", tc.refusedLeast), fmt.Sprintf("%.1f W", capW-idle)
+			if err == nil || !strings.Contains(err.Error(), least) || !strings.Contains(err.Error(), headroom) {
+				t.Fatalf("submit err = %v, want a refusal naming %s and %s", err, least, headroom)
+			}
+			if n := len(c.part.pending); n != 0 || c.nextID != 1 {
+				t.Fatalf("a refused job left %d queued, next id %d", n, c.nextID)
+			}
+		})
 	}
 }
 

@@ -21,8 +21,9 @@ import (
 // TestSettledPrefixMatchesFullWalk is the settled prefix's differential
 // test, with the full walk as its oracle: two controllers under cap +
 // co-scheduling + deferral are driven by one random operator sequence —
-// submissions (some deferrable), clock advances one event at a time,
-// batched flushes — while the deferral signal crosses its threshold. One node has half the cores,
+// submissions (some deferrable), clock advances one event at a time
+// and batched flushes, interleaved at random — while the
+// deferral signal crosses its threshold. One node has half the cores,
 // so a job can be kept for no node while a node is free. One controller
 // has its settled record cleared before everything that may run a pass,
 // so every one of its passes walks the whole window. After every step
