@@ -56,8 +56,9 @@ chaos:
 # spec, the generator's sampled fields under hostile distributions, the
 # two slurm text parsers (slurm.conf, sbatch scripts), the controller's
 # memo of the last sbatch parse against the parser, the settled prefix
-# against the full scheduling walk, and the calendar queue against its
-# naive reference. CI's fuzz job runs it.
+# against the full scheduling walk, the calendar queue against its
+# naive reference, and the trace CSV encoder against the encoding/csv
+# encoder it replaced. CI's fuzz job runs it.
 fuzz:
 	$(GO) test -fuzz FuzzTornTail -fuzztime 30s -run FuzzTornTail ./internal/filedb/
 	$(GO) test -fuzz FuzzReplay -fuzztime 30s -run FuzzReplay ./internal/filedb/
@@ -68,6 +69,7 @@ fuzz:
 	$(GO) test -fuzz FuzzSubmitScriptMemo -fuzztime 30s -run FuzzSubmitScriptMemo ./internal/slurm/
 	$(GO) test -fuzz FuzzSettledPrefix -fuzztime 30s -run FuzzSettledPrefix ./internal/slurm/
 	$(GO) test -fuzz FuzzEventQueueDifferential -fuzztime 30s -run FuzzEventQueueDifferential ./internal/simclock/
+	$(GO) test -fuzz FuzzAppendCSV -fuzztime 30s -run FuzzAppendCSV ./internal/telemetry/
 
 # cover enforces a per-package statement-coverage floor on the policy
 # and workload packages (the cluster-policy test harness keeps them
@@ -147,7 +149,8 @@ profile-sweep:
 # into a per-event path: the telemetry emit path (counter,
 # gauge, bucketed histogram), the simclock schedule+pop cycle, the
 # slurm submit→complete cycle (pooled jobs, chunked arena, aggregate
-# accounting), a scheduling pass that walks a
+# accounting), the sweep's trace CSV encoder on a reused buffer, a
+# scheduling pass that walks a
 # saturated cluster's whole window under all three energy policies and
 # starts nothing (hold, place and their maintained state), the pass one
 # arrival costs on that window once the rest is settled, the pass one
@@ -159,8 +162,8 @@ profile-sweep:
 # from its last read while its inotify watch is quiet); the whole
 # opted-in sbatch + WaitFor once, the Job record.
 alloc-check:
-	$(GO) test -run XXX -bench 'CounterInc|BucketedHistogramObserve|GaugeSet|SimSchedule$$|SubmitSteadyState|PolicyPassSaturated|PolicyPassArrival|PolicyPassCompletion|EcoSubmitCacheHit|PredictCacheHit$$|SubmitLatency$$' -benchtime=1000x -benchmem . ./internal/metrics ./internal/simclock ./internal/slurm ./internal/ecoplugin | \
-	awk '{ print } /allocs\/op$$/ { seen++; limit = ($$1 ~ /^BenchmarkSubmitLatency/) ? 1 : 0; if ($$(NF-1) + 0 > limit) { bad = 1; print "alloc-check: " $$1 " allocates " $$(NF-1) " times per op, ceiling " limit } } END { if (seen < 11) { print "alloc-check: expected 11 benchmarks, saw " seen+0; exit 1 }; exit bad }'
+	$(GO) test -run XXX -bench 'CounterInc|BucketedHistogramObserve|GaugeSet|SimSchedule$$|SubmitSteadyState|TraceAppendCSV|PolicyPassSaturated|PolicyPassArrival|PolicyPassCompletion|EcoSubmitCacheHit|PredictCacheHit$$|SubmitLatency$$' -benchtime=1000x -benchmem . ./internal/metrics ./internal/simclock ./internal/telemetry ./internal/slurm ./internal/ecoplugin | \
+	awk '{ print } /allocs\/op$$/ { seen++; limit = ($$1 ~ /^BenchmarkSubmitLatency/) ? 1 : 0; if ($$(NF-1) + 0 > limit) { bad = 1; print "alloc-check: " $$1 " allocates " $$(NF-1) " times per op, ceiling " limit } } END { if (seen < 12) { print "alloc-check: expected 12 benchmarks, saw " seen+0; exit 1 }; exit bad }'
 
 # serve-smoke journals a quick benchmark into a fresh data directory,
 # boots `chronus serve` on it, and fails unless /metrics, /healthz and

@@ -81,10 +81,13 @@ func (d *Dir) Put(key string, data []byte) error {
 			err = os.WriteFile(tmp, data, 0o644)
 		}
 	}
-	if err != nil {
-		return fmt.Errorf("blob: %w", err)
+	if err == nil {
+		err = os.Rename(tmp, p)
 	}
-	if err := os.Rename(tmp, p); err != nil {
+	if err != nil {
+		// A write cut short (a full disk, a file-size limit) leaves a
+		// partial temp file, as does a failed rename; nothing would
+		// ever delete it.
 		os.Remove(tmp)
 		return fmt.Errorf("blob: %w", err)
 	}

@@ -187,7 +187,10 @@ func (s *BenchmarkService) commitBatch(batch []measured) error {
 	rows := make([]repository.Benchmark, len(batch))
 	for i, m := range batch {
 		if err := s.deps.Blob.Put(m.row.TraceKey, m.traceCSV); err != nil {
-			// A torn Put may have left a prefix under its key.
+			// blob.Dir writes a temp file and renames it, so a failed
+			// Put leaves nothing under its key; a store that tears a
+			// write in place (fault injection's torn Put does) may
+			// leave a prefix there, so the key is dropped with the rest.
 			return s.dropTraces(batch[:i+1], nil, err)
 		}
 		s.slabs.giveCSV(m.traceCSV)

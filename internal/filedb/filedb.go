@@ -91,6 +91,10 @@ type Table struct {
 	size   int64            // length of the log: the end of its last record
 	index  map[int64]record // id → latest live record
 	nextID int64
+	// version counts the records apply has put into the index, so a
+	// reader that decoded the table at one version knows the index
+	// has not changed while the version stays the same.
+	version uint64
 	// broken, once set, fails every write: a failed write could not be
 	// cut back off the log, and a record appended after its torn tail
 	// would be lost to replay.
@@ -169,8 +173,10 @@ func (t *Table) replay() error {
 	return nil
 }
 
+// apply is the one place a record enters the index.
 func (t *Table) apply(rec record) {
 	t.index[rec.ID] = rec
+	t.version++
 	if rec.ID >= t.nextID {
 		t.nextID = rec.ID + 1
 	}
@@ -319,6 +325,17 @@ func (t *Table) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.index)
+}
+
+// Version returns the number of records put into the index since the
+// table opened, replayed ones included: it changes with every change
+// to what Each reads. A reader caching decoded rows takes the version
+// before Each, so a put racing the read can only make the cache look
+// older than it is.
+func (t *Table) Version() uint64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.version
 }
 
 // Each calls fn for every live record in ascending id order, stopping

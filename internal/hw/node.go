@@ -88,8 +88,9 @@ type Node struct {
 	// ladder plus the calibrated P-states), so the per-start cache fill
 	// is a short scan instead of map probes and a nearest-P-state
 	// search. Shared read-only with every node of the same calibration
-	// and spec ladder (ladderFor).
-	ladder     []ladderEntry
+	// and spec ladder (ladderFor); a pointer rather than the rows' slice
+	// header, which keeps the node in its allocation size class.
+	ladder     *ladderTable
 	tempC      float64
 	lastTick   int64 // simulated tick of the last accounting step (simclock.NowTick)
 	sysJ, cpuJ float64
@@ -101,6 +102,15 @@ type Node struct {
 	// one cosine per step.
 	cosTick int64
 	cosVal  float64
+	// jobW is the running job's angular frequency 2π/PhasePeriodS,
+	// computed once by StartJob.
+	jobW float64
+	// decayGap/decay memo the thermal step's exp(−dt/τ) for the last
+	// tick gap: a sampler steps a node at one interval, so most steps
+	// repeat the gap, and the same inputs give the same float. A gap
+	// is never 0, the empty key.
+	decayGap int64
+	decay    float64
 	// jobSlot is the reusable Job record handed out by StartJob —
 	// exclusive allocation means at most one is live, so the node owns
 	// a single slot instead of allocating per start (the controller's
@@ -167,9 +177,9 @@ var lastLadder atomic.Pointer[ladderTable]
 // ladderFor returns the shared table for calib and the spec ladder
 // freqs: a row for every frequency a job can resolve to, the spec
 // ladder plus the calibrated P-states, each once.
-func ladderFor(calib *perfmodel.Calibration, freqs []int) []ladderEntry {
+func ladderFor(calib *perfmodel.Calibration, freqs []int) *ladderTable {
 	if t := lastLadder.Load(); t != nil && t.calib == calib && slices.Equal(t.freqs, freqs) {
-		return t.rows
+		return t
 	}
 	t := &ladderTable{calib: calib, freqs: slices.Clone(freqs)}
 	t.rows = make([]ladderEntry, 0, len(freqs)+len(calib.PStatesKHz))
@@ -184,7 +194,7 @@ func ladderFor(calib *perfmodel.Calibration, freqs []int) []ladderEntry {
 		})
 	}
 	lastLadder.Store(t)
-	return t.rows
+	return t
 }
 
 // Spec returns the node's hardware description.
@@ -297,14 +307,16 @@ func (n *Node) StartJob(cfg perfmodel.Config) (*Job, error) {
 		n.jobAmp = n.calib.PhaseAmplitude[n.calib.NearestPState(j.Config.FreqKHz)]
 	}
 	n.jobPhase = n.rng.Float64() * 2 * math.Pi
+	n.jobW = 2 * math.Pi / n.calib.PhasePeriodS
 	n.cosTick = noTick
 	return j, nil
 }
 
 func (n *Node) ladderEntryFor(freqKHz int) *ladderEntry {
-	for i := range n.ladder {
-		if n.ladder[i].khz == freqKHz {
-			return &n.ladder[i]
+	rows := n.ladder.rows
+	for i := range rows {
+		if rows[i].khz == freqKHz {
+			return &rows[i]
 		}
 	}
 	return nil
@@ -346,7 +358,7 @@ func (n *Node) meanCPUPower(a, b int64, dt float64) float64 {
 	if n.jobAmp == 0 {
 		return n.jobBaseW
 	}
-	w := 2 * math.Pi / n.calib.PhasePeriodS
+	w := n.jobW
 	t1 := time.Duration(b - n.jobStartTick).Seconds()
 	// ∫ sin(w·t+φ) dt = (cos(w·t0+φ) − cos(w·t1+φ)) / w
 	c0 := n.cosVal
@@ -368,7 +380,8 @@ func (n *Node) advance() {
 	if nowTick <= n.lastTick {
 		return
 	}
-	dt := time.Duration(nowTick - n.lastTick).Seconds()
+	gap := nowTick - n.lastTick
+	dt := time.Duration(gap).Seconds()
 	meanCPU := n.meanCPUPower(n.lastTick, nowTick, dt)
 	tss := n.calib.SteadyTempC(meanCPU)
 	tau := n.calib.ThermalTauS
@@ -376,7 +389,10 @@ func (n *Node) advance() {
 	// Exact integral of the first-order thermal response over dt for
 	// the fan-energy term: ∫(T(t)−T0)dt with T(t) = tss −
 	// (tss−T_start)·exp(−t/τ).
-	decay := math.Exp(-dt / tau)
+	if gap != n.decayGap {
+		n.decayGap, n.decay = gap, math.Exp(-dt/tau)
+	}
+	decay := n.decay
 	tStart := n.tempC
 	tempIntegral := (tss-n.calib.ThermalT0C)*dt - (tss-tStart)*tau*(1-decay)
 	if tempIntegral < 0 {

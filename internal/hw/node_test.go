@@ -293,15 +293,15 @@ func TestNodesShareOneLadderTable(t *testing.T) {
 	calib := perfmodel.Default()
 	a := NewNode(sim, DefaultSpec(), calib, 1)
 	b := NewNode(sim, DefaultSpec(), calib, 2)
-	if &a.ladder[0] != &b.ladder[0] {
+	if a.ladder != b.ladder {
 		t.Fatal("two nodes of one calibration built two tables")
 	}
 	own := NewNode(sim, DefaultSpec(), perfmodel.Default(), 2)
-	if &own.ladder[0] == &b.ladder[0] {
+	if own.ladder == b.ladder {
 		t.Fatal("a node of another calibration reused the first one's table")
 	}
-	if !slices.Equal(own.ladder, b.ladder) || len(b.ladder) != 3 {
-		t.Fatalf("tables differ: %v vs %v", own.ladder, b.ladder)
+	if !slices.Equal(own.ladder.rows, b.ladder.rows) || len(b.ladder.rows) != 3 {
+		t.Fatalf("tables differ: %v vs %v", own.ladder.rows, b.ladder.rows)
 	}
 	for _, cfg := range []perfmodel.Config{
 		{Cores: 32, FreqKHz: 2_200_000, ThreadsPerCore: 1},

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 
 	"ecosched/internal/filedb"
 )
@@ -16,6 +17,13 @@ type DBRepo struct {
 	runs       *filedb.Table
 	benchmarks *filedb.Table
 	models     *filedb.Table
+
+	// benchRows caches the benchmarks table decoded, in id order, as
+	// of its filedb version benchVer; ListBenchmarks filters copies of
+	// it. Version 0 is the empty table, so the zero cache is valid.
+	benchMu   sync.Mutex
+	benchVer  uint64
+	benchRows []Benchmark
 }
 
 // OpenDB opens (creating if needed) a filedb-backed repository rooted
@@ -152,19 +160,50 @@ func (r *DBRepo) SaveBenchmarks(bs []Benchmark) ([]int64, error) {
 	})
 }
 
-// ListBenchmarks implements Repository.
+// ListBenchmarks implements Repository. The table is decoded once per
+// filedb version, so a sweep's reads of its own rows after the last
+// write (the experiment's row list, then training) decode them once. A
+// row that does not decode is an error naming its id: a caller such as
+// the sweep's torn-batch recovery must see every row in the index.
 func (r *DBRepo) ListBenchmarks(systemID int64, appHash string) ([]Benchmark, error) {
-	var out []Benchmark
-	r.benchmarks.Each(func(id int64, data json.RawMessage) bool {
-		var b Benchmark
-		if json.Unmarshal(data, &b) == nil &&
-			(systemID == 0 || b.SystemID == systemID) &&
-			(appHash == "" || b.AppHash == appHash) {
+	r.benchMu.Lock()
+	defer r.benchMu.Unlock()
+	if ver := r.benchmarks.Version(); ver != r.benchVer {
+		rows := make([]Benchmark, 0, r.benchmarks.Len())
+		var err error
+		r.benchmarks.Each(func(id int64, data json.RawMessage) bool {
+			var b Benchmark
+			if err = json.Unmarshal(data, &b); err != nil {
+				err = fmt.Errorf("repository: benchmark %d: %w", id, err)
+				return false
+			}
 			b.ID = id
-			out = append(out, b)
+			rows = append(rows, b)
+			return true
+		})
+		if err != nil {
+			return nil, err
 		}
-		return true
-	})
+		r.benchVer, r.benchRows = ver, rows
+	}
+	match := func(b *Benchmark) bool {
+		return (systemID == 0 || b.SystemID == systemID) && (appHash == "" || b.AppHash == appHash)
+	}
+	n := 0
+	for i := range r.benchRows {
+		if match(&r.benchRows[i]) {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	out := make([]Benchmark, 0, n)
+	for i := range r.benchRows {
+		if match(&r.benchRows[i]) {
+			out = append(out, r.benchRows[i])
+		}
+	}
 	return out, nil
 }
 

@@ -2,10 +2,14 @@ package repository
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"ecosched/internal/filedb"
 )
 
 var epoch = time.Date(2023, 5, 10, 3, 0, 0, 0, time.UTC)
@@ -329,6 +333,94 @@ func TestSaveBenchmarksBatch(t *testing.T) {
 			t.Fatal("batch row without system id accepted")
 		}
 	})
+}
+
+// TestListBenchmarksSeesWritesAndOwnsItsRows: a SaveBenchmarks between
+// two ListBenchmarks calls is in the second call's result, and a caller
+// that overwrites the rows it was given changes nothing the next call
+// returns. The filedb repository answers repeated calls from rows it
+// decoded once per table version.
+func TestListBenchmarksSeesWritesAndOwnsItsRows(t *testing.T) {
+	forEachImpl(t, func(t *testing.T, open func(t *testing.T) Repository) {
+		r := open(t)
+		sysID, _ := r.SaveSystem(sampleSystem())
+		row := func(cores int) Benchmark {
+			return Benchmark{SystemID: sysID, AppHash: "hpcg", Cores: cores, FreqKHz: 2_200_000,
+				ThreadsPerCore: 1, GFLOPS: float64(cores), AvgSystemW: 150, Created: epoch}
+		}
+		list := func() []Benchmark {
+			t.Helper()
+			rows, err := r.ListBenchmarks(sysID, "hpcg")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rows
+		}
+		if _, err := r.SaveBenchmarks([]Benchmark{row(1), row(2)}); err != nil {
+			t.Fatal(err)
+		}
+		if got := list(); len(got) != 2 {
+			t.Fatalf("first list: %d rows, want 2", len(got))
+		}
+		if _, err := r.SaveBenchmarks([]Benchmark{row(3)}); err != nil {
+			t.Fatal(err)
+		}
+		got := list()
+		if len(got) != 3 || got[2].Cores != 3 {
+			t.Fatalf("list after a second save: %+v, want the third row too", got)
+		}
+		want := append([]Benchmark(nil), got...)
+		for i := range got {
+			got[i].Cores, got[i].AppHash, got[i].GFLOPS = -1, "mutated", -1
+		}
+		again := list()
+		if len(again) != len(want) {
+			t.Fatalf("list after mutating a result: %d rows, want %d", len(again), len(want))
+		}
+		for i := range want {
+			if again[i].Cores != want[i].Cores || again[i].AppHash != want[i].AppHash || again[i].GFLOPS != want[i].GFLOPS {
+				t.Fatalf("row %d after mutating a result: %+v, want %+v", i, again[i], want[i])
+			}
+		}
+	})
+}
+
+// TestListBenchmarksReportsUndecodableRow: a benchmarks record that
+// does not decode fails ListBenchmarks with its id rather than being
+// left out, since the sweep's torn-batch recovery deletes the trace of
+// every row the list does not show.
+func TestListBenchmarksReportsUndecodableRow(t *testing.T) {
+	dir := t.TempDir()
+	db, err := filedb.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.Table("benchmarks")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tbl.Insert(Benchmark{SystemID: 1, AppHash: "hpcg", Cores: 32}); err != nil {
+		t.Fatal(err)
+	}
+	bad, err := tbl.Insert(map[string]any{"system_id": 1, "app_hash": "hpcg", "cores": "thirty-two"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenDB(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	rows, err := r.ListBenchmarks(1, "")
+	if err == nil {
+		t.Fatalf("ListBenchmarks = %+v, want an error for record %d", rows, bad)
+	}
+	if want := fmt.Sprintf("benchmark %d:", bad); !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want it to name the record (%q)", err, want)
+	}
 }
 
 func TestSaveBenchmarksPersistAcrossReopen(t *testing.T) {

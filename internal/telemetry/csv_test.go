@@ -136,3 +136,66 @@ func TestWriteCSVMatchesReferenceEncoder(t *testing.T) {
 		}
 	})
 }
+
+// FuzzAppendCSV holds AppendCSV to the reference encoder on a random
+// trace followed by a sweep-shaped tail: whole-watt rows at a steady
+// 3 s and one frequency, then a row carrying v in every float column
+// at frequency freq, then a last row gap ticks later back at the
+// sweep's frequency. Both a fresh buffer and one handed back by a
+// longer trace must get the reference bytes.
+func FuzzAppendCSV(f *testing.F) {
+	f.Add(int64(1), uint8(0), math.Copysign(0, -1), int64(3*time.Second), 2200000)
+	f.Add(int64(2), uint8(5), 999.0, int64(3*time.Second), 2200000)
+	f.Add(int64(3), uint8(5), 1000.0, int64(3*time.Second), 2200000)
+	f.Add(int64(4), uint8(2), 250.0, int64(1234567891), 2200000)
+	f.Add(int64(5), uint8(3), 312.0, int64(3*time.Second), 1500000)
+	f.Fuzz(func(t *testing.T, seed int64, n uint8, v float64, gap int64, freq int) {
+		rng := rand.New(rand.NewSource(seed))
+		tr := randomTrace(rng, int(n%32))
+		at := epoch
+		if k := tr.Len(); k > 0 {
+			at = tr.Samples[k-1].Tick
+		}
+		const sweepKHz = 2200000
+		for i := 0; i < 4; i++ {
+			at += int64(3 * time.Second)
+			tr.Samples = append(tr.Samples, Sample{Tick: at, SystemW: float64(rng.Intn(1100)),
+				CPUW: float64(rng.Intn(300)), CPUTempC: float64(rng.Intn(90)), FreqKHz: sweepKHz})
+		}
+		at += int64(3 * time.Second)
+		tr.Samples = append(tr.Samples, Sample{Tick: at, SystemW: v, CPUW: v, CPUTempC: v, FreqKHz: freq})
+		tr.Samples = append(tr.Samples, Sample{Tick: at + gap, SystemW: 300, CPUW: 150, CPUTempC: 55, FreqKHz: sweepKHz})
+
+		got, want := encodeBoth(t, tr)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("fresh buffer:\n got %q\nwant %q", got, want)
+		}
+		buf := randomTrace(rng, 40).AppendCSV(nil)
+		if got := tr.AppendCSV(buf[:0]); !bytes.Equal(got, want) {
+			t.Fatalf("reused buffer:\n got %q\nwant %q", got, want)
+		}
+	})
+}
+
+// BenchmarkTraceAppendCSV encodes a 900-sample trace, 45 minutes of
+// the sampler's 3 s interval with whole-watt readings at one
+// frequency, into a reused buffer, the way the sweep encodes each
+// configuration's trace. make alloc-check holds it at 0 allocs/op.
+func BenchmarkTraceAppendCSV(b *testing.B) {
+	rng := rand.New(rand.NewSource(42))
+	tr := &Trace{Name: "sweep"}
+	for i := 0; i < 900; i++ {
+		tr.Samples = append(tr.Samples, Sample{
+			Tick:    epoch + int64(time.Duration(i)*3*time.Second),
+			SystemW: float64(200 + 2*rng.Intn(100)), CPUW: float64(90 + rng.Intn(80)),
+			CPUTempC: float64(40 + rng.Intn(30)), FreqKHz: 2200000,
+		})
+	}
+	buf := tr.AppendCSV(nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = tr.AppendCSV(buf[:0])
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tr.Len()), "ns/row")
+}

@@ -112,42 +112,122 @@ func (tr *Trace) Aggregate() (Aggregate, error) {
 // CSV quoting, so rows go straight into the buffer; a caller that
 // hands in the buffer of an earlier trace (truncated to zero length)
 // reuses its capacity. The result shares nothing with the trace.
+//
+// Each row reserves rowRoom bytes of capacity once and its fields are
+// written by index into it: a whole-number reading from a digit table,
+// the frequency (constant over a run) from its text formatted when it
+// last changed. Anything outside the tables goes through
+// strconv.AppendFloat, which reserves the room again.
 func (tr *Trace) AppendCSV(dst []byte) []byte {
 	const header = "seconds,system_w,cpu_w,cpu_temp_c,freq_khz\n"
 	const typicalRow = len("1234.0,123.00,123.00,45.00,2200000\n")
-	b := grow(dst, len(header)+typicalRow*len(tr.Samples))
+	// The trailing rowRoom keeps the last rows' reservations from
+	// reallocating while rows stay typical.
+	b := grow(dst, len(header)+typicalRow*len(tr.Samples)+rowRoom)
 	b = append(b, header...)
 	var t0 int64
 	if len(tr.Samples) > 0 {
 		t0 = tr.Samples[0].Tick
 	}
+	var freqBuf [24]byte // the freq_khz field and its newline
+	var freq []byte
 	for i := range tr.Samples {
 		s := &tr.Samples[i]
-		b = appendFixed(b, time.Duration(s.Tick-t0).Seconds(), 1)
-		b = append(b, ',')
-		b = appendFixed(b, s.SystemW, 2)
-		b = append(b, ',')
-		b = appendFixed(b, s.CPUW, 2)
-		b = append(b, ',')
-		b = appendFixed(b, s.CPUTempC, 2)
-		b = append(b, ',')
-		b = strconv.AppendInt(b, int64(s.FreqKHz), 10)
-		b = append(b, '\n')
+		if i == 0 || s.FreqKHz != tr.Samples[i-1].FreqKHz {
+			freq = append(strconv.AppendInt(freqBuf[:0], int64(s.FreqKHz), 10), '\n')
+		}
+		b = grow(b, rowRoom)
+		b = appendSeconds(b, s.Tick-t0)
+		b = appendFixed(b, s.SystemW)
+		b = appendFixed(b, s.CPUW)
+		b = appendFixed(b, s.CPUTempC)
+		b = append(b, freq...)
 	}
 	return b
 }
 
-// appendFixed appends v as strconv.AppendFloat(b, v, 'f', prec, 64)
-// would, for prec ≤ 2. BMC readings are whole watts, degrees and
-// seconds, and strconv formats those through its arbitrary-precision
-// path; a whole number below 2⁵³ is its integer digits and prec zeros.
-func appendFixed(b []byte, v float64, prec int) []byte {
-	const exact = 1 << 53 // every float64 integer below this converts to int64 and back unchanged
-	if iv := int64(v); v > -exact && v < exact && float64(iv) == v && (iv != 0 || !math.Signbit(v)) {
-		b = strconv.AppendInt(b, iv, 10)
-		return append(append(b, '.'), "00"[:prec]...)
+// rowRoom bounds what one row's table-written fields take: 11 bytes of
+// seconds, three 8-byte watt stores of which the row keeps up to 7
+// bytes each, and a frequency of up to 20 characters and its newline.
+const rowRoom = 64
+
+// centiText[v] is the whole number v formatted with two decimals and
+// the field's comma, as strconv.AppendFloat would write it, padded to
+// 8 bytes; its last byte holds the text's length. appendFixed stores
+// all 8 bytes at once and keeps the length.
+var centiText = func() (t [1000][8]byte) {
+	for v := range t {
+		n := copy(t[v][:], strconv.Itoa(v)+".00,")
+		t[v][7] = byte(n)
 	}
-	return strconv.AppendFloat(b, v, 'f', prec, 64)
+	return t
+}()
+
+// digitPairs holds "00" to "99" back to back, the whole seconds'
+// digits two at a time.
+const digitPairs = "00010203040506070809101112131415161718192021222324252627282930313233343536373839" +
+	"40414243444546474849505152535455565758596061626364656667686970717273747576777879" +
+	"8081828384858687888990919293949596979899"
+
+// appendFixed appends v with two decimals and a comma, as
+// strconv.AppendFloat(b, v, 'f', 2, 64) would. BMC readings are whole
+// watts and degrees, which strconv formats through its
+// arbitrary-precision path; a whole number from 0 to 999 is a table
+// entry instead. Negative zero is whole but keeps its sign, so it
+// takes the strconv branch with NaN, the infinities and fractions.
+// b needs 8 bytes of spare capacity.
+func appendFixed(b []byte, v float64) []byte {
+	if v >= 0 && v < float64(len(centiText)) {
+		if iv := int(v); float64(iv) == v && !math.Signbit(v) {
+			n := len(b)
+			e := &centiText[iv]
+			*(*[8]byte)(b[n : n+8]) = *e
+			return b[:n+int(e[7])]
+		}
+	}
+	return appendFloat(b, v, 2)
+}
+
+// appendSeconds appends the offset of d ticks with one decimal and a
+// comma, as strconv.AppendFloat(b, time.Duration(d).Seconds(), 'f', 1,
+// 64) would. A whole number of seconds below 10⁸ (a sampler's 3 s
+// steps) converts exactly, so its digits come two at a time from
+// digitPairs; a negative or fractional offset (a run's last sample
+// rarely lands on a whole second) takes the strconv branch. b needs
+// 11 bytes of spare capacity.
+func appendSeconds(b []byte, d int64) []byte {
+	const second = int64(time.Second)
+	if d < 0 || d%second != 0 || d >= 1e8*second {
+		return appendFloat(b, time.Duration(d).Seconds(), 1)
+	}
+	u := uint(d / second)
+	digits := 1
+	for p := uint(10); u >= p; p *= 10 {
+		digits++
+	}
+	n := len(b) + digits
+	b = append(b[:n], ".0,"...)
+	for u >= 100 {
+		q := u / 100
+		r := 2 * (u - 100*q)
+		n -= 2
+		b[n], b[n+1] = digitPairs[r], digitPairs[r+1]
+		u = q
+	}
+	if u >= 10 {
+		b[n-2], b[n-1] = digitPairs[2*u], digitPairs[2*u+1]
+	} else {
+		b[n-1] = byte('0' + u)
+	}
+	return b
+}
+
+// appendFloat is the general branch of appendFixed and appendSeconds:
+// v through strconv.AppendFloat with the verb and precision of the
+// encoding/csv encoder AppendCSV replaced, the comma, and the row's
+// reserved room again.
+func appendFloat(b []byte, v float64, prec int) []byte {
+	return grow(append(strconv.AppendFloat(b, v, 'f', prec, 64), ','), rowRoom)
 }
 
 // PowerSpread returns max−min system power — the stability measure the
