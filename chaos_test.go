@@ -369,3 +369,23 @@ func TestChaosCloseDrainsWithoutLeak(t *testing.T) {
 	closed = true
 	wg.Wait()
 }
+
+// TestChaosLatencyFaultSleeps: a deployment's -fault latency rule
+// delays the faulted operation in wall time, as the flag's help text
+// promises, rather than only counting the injection.
+func TestChaosLatencyFaultSleeps(t *testing.T) {
+	const lat = 20 * time.Millisecond
+	d := newDeployment(t, WithFault(fmt.Sprintf("%s:latency:lat=%v", fault.OpSettingsLoad, lat)))
+	injected := d.Metrics.Counter("chronus.fault.injected." + fault.OpSettingsLoad)
+	before := injected.Value()
+	start := time.Now()
+	if _, err := d.Settings.Load(); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took < lat {
+		t.Fatalf("settings.Load took %v under a %v latency fault", took, lat)
+	}
+	if n := injected.Value() - before; n != 1 {
+		t.Fatalf("counted %d injections, want 1", n)
+	}
+}

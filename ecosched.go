@@ -234,12 +234,12 @@ func New(dataDir string, options ...Option) (_ *Deployment, err error) {
 	// The fault injector is always wired — with no rules every decorated
 	// operation passes straight through — so chaos tests can flip faults
 	// on mid-flight (Deployment.Fault.Use) and the -fault flag can replay
-	// a schedule from its seed.
+	// a schedule from its seed. A latency fault sleeps in wall time.
 	faultSeed := opts.FaultSeed
 	if faultSeed == 0 {
 		faultSeed = opts.Seed
 	}
-	inj := fault.New(faultSeed, fault.WithMetrics(reg), fault.WithTracer(tracer))
+	inj := fault.New(faultSeed, fault.WithMetrics(reg), fault.WithTracer(tracer), fault.WithSleep(time.Sleep))
 	if opts.FaultSpec != "" {
 		rules, err := fault.ParsePlan(opts.FaultSpec)
 		if err != nil {

@@ -21,8 +21,9 @@
 //   - ModeError: the operation fails outright (ENOSPC, unreachable
 //     store, crashed BMC).
 //   - ModeLatency: the operation is delayed through the injected
-//     sleep hook (slow NFS, saturated database) — a no-op unless a
-//     sleeper is wired, so simulations stay fast.
+//     sleep hook (slow NFS, saturated database). Every deployment
+//     wires the wall clock's sleep (ecosched.New); an injector built
+//     without WithSleep counts the fault and delays nothing.
 //   - ModeTorn: a write persists only a prefix of its payload (crash
 //     mid-append, torn batch).
 //   - ModePartial: a read returns only a prefix of the data (torn

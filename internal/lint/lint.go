@@ -6,7 +6,7 @@
 // plumbing on top of go/ast, go/build, go/parser and go/types alone;
 // the analysistest harness lives in the package's tests.
 //
-// The six analyzers encode invariants that neither the compiler nor a
+// The five analyzers encode invariants that neither the compiler nor a
 // cheaper dynamic gate states (DESIGN.md §11 lists what each enforces,
 // and the gates that replaced the analyzers retired from the suite):
 //
@@ -28,10 +28,6 @@
 //   - metricname: metric and span names are package-level constants in
 //     the chronus.* namespace, so the Prometheus exposition surface is
 //     greppable and stable.
-//   - eventpool: internal/simclock's pooled event records must not be
-//     used after release, and only alloc/release may touch the free
-//     list — the calendar queue's zero-allocation hot loop depends on
-//     the recycling contract holding everywhere.
 //
 // A diagnostic can be suppressed with a comment on the preceding line
 // (or the same line, or a function's doc comment):
@@ -226,7 +222,6 @@ func All() []*Analyzer {
 		HotPathIO,
 		LockScope,
 		MetricName,
-		EventPool,
 	}
 }
 

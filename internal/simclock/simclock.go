@@ -27,11 +27,11 @@
 //
 // Event records are pooled on a free list and recycled after they
 // fire, so a steady-state simulation allocates nothing per event. The
-// pool has one invariant, enforced by the ecolint eventpool analyzer:
-// once an event is released back to the free list it must not be
-// touched again — its fields are copied out before release, and the
-// Action fires from the copies, so Fire is free to schedule (and
-// thereby reuse) events.
+// pool has one invariant: once an event is released back to the free
+// list it must not be touched again — its fields are copied out before
+// release, and the Action fires from the copies, so Fire is free to
+// schedule (and thereby reuse) events. release zeroes the record, so a
+// read after it sees a nil Action and tick 0 and fails at once.
 package simclock
 
 import (
@@ -204,9 +204,9 @@ func (s *Sim) alloc() *event {
 }
 
 // release returns an event record to the free list. The record is
-// zeroed first so the pool retains no Action references.
-// Callers must copy out any field they still need before calling this
-// (the eventpool lint rule rejects uses after the release call).
+// zeroed first so the pool retains no Action references, and so a
+// caller that reads a field after this call gets a nil Action and
+// tick 0, not a plausible stale value: copy out first.
 func (s *Sim) release(ev *event) {
 	*ev = event{}
 	s.free = append(s.free, ev)
