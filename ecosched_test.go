@@ -118,6 +118,51 @@ func TestUserJourney(t *testing.T) {
 	}
 }
 
+// TestSubmitRetainsOnlyTheAccountingRow bounds what a long-lived
+// deployment keeps of each opted-in job once it has ended: the
+// controller drops the record from its job table, so what remains is
+// about the accounting row (176 B). Keeping every terminal Job in the
+// table retained about 635 B a job.
+func TestSubmitRetainsOnlyTheAccountingRow(t *testing.T) {
+	d := newDeployment(t)
+	if _, err := d.BenchmarkConfigs(QuickSweepConfigs(), 0); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := d.TrainModel("brute-force")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.PreloadModel(meta.ID); err != nil {
+		t.Fatal(err)
+	}
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			job, err := d.SubmitHPCGOptIn()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.Cluster.WaitFor(job.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const jobs, maxBytesPerJob = 40_000, 256
+	var before, after runtime.MemStats
+	run(1_000)
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	run(jobs)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perJob := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / jobs
+	if perJob > maxBytesPerJob {
+		t.Fatalf("%.1f B of heap retained per completed job, want at most %d", perJob, maxBytesPerJob)
+	}
+	if n := d.Cluster.Accounting().Totals().Completed; n != 1_000+jobs {
+		t.Fatalf("%d jobs completed, want %d", n, 1_000+jobs)
+	}
+}
+
 func TestTrainModelWithoutBenchmarks(t *testing.T) {
 	d := newDeployment(t)
 	if _, err := d.TrainModel("brute-force"); err == nil {

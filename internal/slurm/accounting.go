@@ -152,17 +152,18 @@ func (a *Accounting) Records() []AcctRecord {
 	return out
 }
 
-// Record returns the accounting row for one job.
+// Record returns the accounting row for one job. It is the only lookup
+// by id once a job has ended, and the row asked for is usually the one
+// just written, so the search runs newest first; a job has one row.
 func (a *Accounting) Record(jobID int) (AcctRecord, bool) {
-	for _, r := range a.chunk0 {
-		if r.JobID == jobID {
-			return r, true
+	for ci := len(a.chunks) - 1; ci >= -1; ci-- {
+		rows := a.chunk0
+		if ci >= 0 {
+			rows = a.chunks[ci]
 		}
-	}
-	for _, c := range a.chunks {
-		for _, r := range c {
-			if r.JobID == jobID {
-				return r, true
+		for i := len(rows) - 1; i >= 0; i-- {
+			if rows[i].JobID == jobID {
+				return rows[i], true
 			}
 		}
 	}

@@ -15,9 +15,9 @@ import (
 // accounting, with the simulator run to idle each iteration. The
 // alloc-check make target pins it at 0 allocs/op — the job pool, the
 // chunked job arena, the event pool and the aggregate-only accounting
-// keep the whole submit→complete cycle off the heap. (A fresh 8 KiB
-// arena chunk every 8192 job ids is the one amortised allocation;
-// it rounds to zero at any benchtime.)
+// keep the whole submit→complete cycle off the heap. (A 64 KiB arena
+// chunk for each of the first two runs of 8192 job ids is the one
+// amortised allocation; from then on an emptied chunk is reused.)
 func BenchmarkSubmitSteadyState(b *testing.B) {
 	sim := simclock.New()
 	ctl, err := NewCluster(sim, DefaultConf(),
@@ -205,5 +205,23 @@ func BenchmarkPolicyPassArrival(b *testing.B) {
 	}
 	if got := c.PolicyTotals().QueueVisits - visits; got != int64(b.N) {
 		b.Fatalf("%d passes looked at %d queued jobs, want the arrival alone", b.N, got)
+	}
+}
+
+// BenchmarkAccountingRecordNewest looks up the row of the job that
+// ended last among 100,000: the lookup a submitter makes right after
+// WaitFor, on a long-lived controller.
+func BenchmarkAccountingRecordNewest(b *testing.B) {
+	const rows = 100_000
+	var a Accounting
+	for id := 1; id <= rows; id++ {
+		a.appendRow(AcctRecord{JobID: id})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r, ok := a.Record(rows); !ok || r.JobID != rows {
+			b.Fatalf("Record(%d) = %+v, %v", rows, r, ok)
+		}
 	}
 }

@@ -207,69 +207,115 @@ func TestConstructionOptionsWiring(t *testing.T) {
 	}
 }
 
-// TestJobTableGrowthMatchesMapOracle pins the arena's chunk-0 rule:
-// jobChunkSize+1 submissions on a one-node controller take chunk 0
-// from firstChunkLen(1) through every doubling to jobChunkSize and
-// open chunk 1, with jobs retiring on the way. At every one of those
-// boundaries Job and Squeue must agree with a plain map of the live
-// jobs.
+// TestJobTableGrowthMatchesMapOracle pins the arena's chunk rules in
+// both accounting modes: 3·jobChunkSize+1 submissions on a four-node
+// controller take chunk 0 from firstChunkLen(4) through every doubling
+// to jobChunkSize and open three more chunks, while jobs of mixed
+// lengths end out of id order across chunks. At every growth boundary
+// and every 1,024 submissions, Job and Squeue must agree with a plain
+// map of the live jobs; a full chunk whose jobs have all ended must be
+// released and reused as a later tail chunk.
 func TestJobTableGrowthMatchesMapOracle(t *testing.T) {
-	sim := simclock.New()
-	c, err := NewCluster(sim, DefaultConf(), WithNodes(clusterNodes(sim, 1)...), WithAggregateAccounting())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.RegisterWorkload("/bin/app", workload.Sleep("app", time.Minute))
-	live := map[int]*Job{}
-	c.OnCompletion(func(j *Job) { delete(live, j.ID) })
-
-	check := func(when string) {
-		t.Helper()
-		for id := 0; id <= c.nextID+1; id++ {
-			got, ok := c.Job(id)
-			if want := live[id]; got != want || ok != (want != nil) {
-				t.Fatalf("%s: Job(%d) = %p, %v; oracle %p", when, id, got, ok, want)
+	for _, mode := range []struct {
+		name string
+		opts []ClusterOption
+	}{{"paper", nil}, {"aggregate", []ClusterOption{WithAggregateAccounting()}}} {
+		t.Run(mode.name, func(t *testing.T) {
+			sim := simclock.New()
+			c, err := NewCluster(sim, DefaultConf(), append([]ClusterOption{WithNodes(clusterNodes(sim, 4)...)}, mode.opts...)...)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		queue := c.Squeue()
-		if len(queue) != len(live) {
-			t.Fatalf("%s: Squeue lists %d jobs, oracle holds %d", when, len(queue), len(live))
-		}
-		for i, j := range queue {
-			if live[j.ID] != j {
-				t.Fatalf("%s: Squeue[%d] is job %d, not the oracle's record", when, i, j.ID)
+			// Mostly short jobs, now and then one that pins its chunk
+			// for hours: retirements interleave across chunks.
+			lengths := []time.Duration{30 * time.Second, time.Minute, 3 * time.Minute, 4 * time.Minute, 6 * time.Hour}
+			for i, d := range lengths {
+				c.RegisterWorkload(fmt.Sprintf("/bin/app%d", i), workload.Sleep("app", d))
 			}
-		}
-	}
+			live := map[int]*Job{}
+			// late: jobs ending after a job with a larger id; crossed:
+			// after a job of a later chunk.
+			newest, late, crossed := 0, 0, 0
+			c.OnCompletion(func(j *Job) {
+				delete(live, j.ID)
+				if j.ID < newest {
+					late++
+				}
+				if (j.ID-1)>>jobChunkBits < (newest-1)>>jobChunkBits {
+					crossed++
+				}
+				newest = max(newest, j.ID)
+			})
 
-	boundaries := 0
-	chunk0, chunks := 0, 0
-	for i := 0; i <= jobChunkSize; i++ {
-		job, err := c.Submit(JobDesc{Name: "j", BinaryPath: "/bin/app", TimeLimit: time.Hour})
-		if err != nil {
-			t.Fatal(err)
-		}
-		live[job.ID] = job
-		if i%61 == 60 {
-			sim.RunFor(3 * time.Minute) // three jobs finish and retire
-		}
-		if len(c.jobs[0]) != chunk0 || len(c.jobs) != chunks {
-			chunk0, chunks = len(c.jobs[0]), len(c.jobs)
-			boundaries++
-			check(fmt.Sprintf("after job %d (chunk 0 = %d slots, %d chunks)", job.ID, chunk0, chunks))
-		}
-	}
-	check("at the end")
+			check := func(when string) {
+				t.Helper()
+				for id := 0; id <= c.nextID+1; id++ {
+					got, ok := c.Job(id)
+					if want := live[id]; got != want || ok != (want != nil) {
+						t.Fatalf("%s: Job(%d) = %p, %v; oracle %p", when, id, got, ok, want)
+					}
+				}
+				queue := c.Squeue()
+				if len(queue) != len(live) {
+					t.Fatalf("%s: Squeue lists %d jobs, oracle holds %d", when, len(queue), len(live))
+				}
+				for i, j := range queue {
+					if live[j.ID] != j {
+						t.Fatalf("%s: Squeue[%d] is job %d, not the oracle's record", when, i, j.ID)
+					}
+				}
+			}
 
-	// 64 → 8192 is the first allocation plus seven doublings; chunk 1 is one more.
-	if want := 1 + 7 + 1; boundaries != want || firstChunkLen(1) != 64 {
-		t.Fatalf("%d growth boundaries from a %d-slot start, want %d from 64", boundaries, firstChunkLen(1), want)
-	}
-	if len(c.jobs) != 2 || len(c.jobs[0]) != jobChunkSize || len(c.jobs[1]) != jobChunkSize {
-		t.Fatalf("table shape %d chunks, chunk 0 %d slots", len(c.jobs), len(c.jobs[0]))
-	}
-	if len(live) == jobChunkSize+1 || len(live) == 0 {
-		t.Fatalf("%d jobs live at the end: nothing retired, or everything", len(live))
+			rng := simclock.NewRNG(7)
+			boundaries, reused := 0, 0
+			chunk0 := 0
+			arrays := map[**Job]bool{} // every chunk array the table has held, by its first slot
+			for i := 0; i <= 3*jobChunkSize; i++ {
+				app := rng.Intn(len(lengths) - 1)
+				if rng.Intn(400) == 0 {
+					app = len(lengths) - 1
+				}
+				job, err := c.Submit(JobDesc{Name: "j", BinaryPath: fmt.Sprintf("/bin/app%d", app), TimeLimit: 8 * time.Hour})
+				if err != nil {
+					t.Fatal(err)
+				}
+				live[job.ID] = job
+				opened := (job.ID-1)&jobChunkMask == 0
+				grown := job.ID-1 < jobChunkSize && len(c.jobs[0].slots) != chunk0
+				if opened || grown {
+					tail := &c.jobs[len(c.jobs)-1].slots[0]
+					if opened && arrays[tail] {
+						reused++
+					}
+					arrays[tail] = true
+					chunk0 = len(c.jobs[0].slots)
+					boundaries++
+					check(fmt.Sprintf("after job %d (chunk 0 = %d slots, %d chunks)", job.ID, chunk0, len(c.jobs)))
+				} else if i%1024 == 0 {
+					check(fmt.Sprintf("after job %d", job.ID))
+				}
+				sim.RunFor(time.Minute)
+			}
+			check("at the last submission")
+			sim.Run()
+			check("drained")
+
+			// 256 → 8192 is the first allocation plus five doublings;
+			// chunks 1–3 are three more.
+			if want := 1 + 5 + 3; boundaries != want || firstChunkLen(4) != 256 {
+				t.Fatalf("%d growth boundaries from a %d-slot start, want %d from 256", boundaries, firstChunkLen(4), want)
+			}
+			// Chunks 2 and 3 open after chunks 0 and 1 have emptied.
+			if reused != 2 || late == 0 || crossed == 0 {
+				t.Fatalf("%d of 3 later chunks reused a released array, want 2; %d jobs ended out of id order, %d after a later chunk's",
+					reused, late, crossed)
+			}
+			for ci, ch := range c.jobs[:len(c.jobs)-1] {
+				if ch.slots != nil || ch.live != 0 {
+					t.Fatalf("drained table: full chunk %d holds %d slots, %d live", ci, len(ch.slots), ch.live)
+				}
+			}
+		})
 	}
 	// A cluster large enough to fill a chunk gets it whole, in one allocation.
 	for nodes, want := range map[int]int{1: 64, 2: 128, 24: 2048, 127: jobChunkSize, 128: jobChunkSize, 512: jobChunkSize} {

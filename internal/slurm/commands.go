@@ -8,7 +8,8 @@ import (
 
 // Text renderings of the user commands cmd/ecosim prints: sinfo's node
 // states and sacct's energy accounting. squeue and scontrol show job
-// are the Squeue and Job accessors.
+// are the Squeue and Job accessors; like slurmctld's, they show live
+// jobs only, and an ended job is read back through sacct (Accounting).
 
 // FormatSinfo renders node states in sinfo's layout.
 func (c *Controller) FormatSinfo() string {

@@ -102,17 +102,20 @@ type Controller struct {
 	conf    Conf
 	part    *partition // the one partition; its pool is the controller's nodes
 	plugins []SubmitPlugin
-	// jobs is the arena-indexed job table: job id i lives at
-	// jobs[(i-1)>>jobChunkBits][(i-1)&jobChunkMask]. Ids are assigned
-	// monotonically and never reused, so the hot dispatch path resolves
-	// a job with a bounds check and two slice loads instead of a map
-	// probe. A full chunk is never copied or re-scanned when the table
-	// grows — at millions of jobs the doubling slice was half the
-	// simulator's allocation volume. Only chunk 0 is ever shorter than
-	// jobChunkSize: it starts at firstChunkLen and doubles in place, so
-	// a one-node controller that runs one job does not pay 64 KB for
-	// it. Retired slots are nil.
-	jobs [][]*Job
+	// jobs is the arena-indexed job table of pending and running jobs:
+	// job id i lives at jobs[(i-1)>>jobChunkBits].slots[(i-1)&jobChunkMask].
+	// Ids are assigned monotonically and never reused, so the hot
+	// dispatch path resolves a job with a bounds check and two slice
+	// loads instead of a map probe. A full chunk is never copied or
+	// re-scanned when the table grows — at millions of jobs the doubling
+	// slice was half the simulator's allocation volume. Only chunk 0 is
+	// ever shorter than jobChunkSize: it starts at firstChunkLen and
+	// doubles in place, so a one-node controller that runs one job does
+	// not pay 64 KB for it. A job's slot goes nil when it ends (retire);
+	// a full chunk whose jobs have all ended is released to freeChunks
+	// and becomes the next tail chunk, so the table holds O(live) slots.
+	jobs       []jobChunk
+	freeChunks [][]*Job
 	// jobPool recycles retired Job records in aggregate mode, where no
 	// caller retains them past the completion hooks.
 	jobPool []*Job
@@ -331,7 +334,9 @@ func (c *Controller) activePlugins() ([]SubmitPlugin, error) {
 
 // newJob takes a Job record off the pool (aggregate mode recycles
 // retired ones) or allocates a fresh one. The record comes back
-// zeroed.
+// zeroed. On the paper path the pool stays empty: a submitter keeps
+// the record Submit returned past the job's end, so a recycled one
+// would alias two jobs.
 func (c *Controller) newJob() *Job {
 	if n := len(c.jobPool); n > 0 {
 		j := c.jobPool[n-1]
@@ -353,6 +358,13 @@ const (
 	jobSlotsPerNode = 64
 )
 
+// jobChunk is one jobChunkSize run of job ids: its slots (nil once
+// released) and how many of them hold a job.
+type jobChunk struct {
+	slots []*Job
+	live  int32
+}
+
 // firstChunkLen is the length chunk 0 starts with on a cluster of the
 // given node count: jobSlotsPerNode a node, as a power of two so that
 // doubling lands exactly on jobChunkSize.
@@ -364,12 +376,14 @@ func firstChunkLen(nodes int) int {
 	return n
 }
 
-// jobByID resolves a live job from the arena, or nil (unknown id or
-// retired).
+// jobByID resolves a live job from the arena, or nil (unknown id,
+// ended, or in a released chunk).
 func (c *Controller) jobByID(id int) *Job {
 	if id >= 1 && id < c.nextID {
 		idx := id - 1
-		return c.jobs[idx>>jobChunkBits][idx&jobChunkMask]
+		if slots := c.jobs[idx>>jobChunkBits].slots; idx&jobChunkMask < len(slots) {
+			return slots[idx&jobChunkMask]
+		}
 	}
 	return nil
 }
@@ -503,20 +517,26 @@ func (c *Controller) submit(ctx context.Context, desc *JobDesc) (*Job, error) {
 	idx := job.ID - 1
 	ci, slot := idx>>jobChunkBits, idx&jobChunkMask
 	if ci == len(c.jobs) {
-		// Arena growth: one chunk per 8192 job ids, amortized to ~0 per submission.
-		n := jobChunkSize
-		if ci == 0 {
-			n = firstChunkLen(len(part.nodes))
+		// Arena growth: one chunk per 8192 job ids, a released one when
+		// there is one, amortized to ~0 per submission.
+		var slots []*Job
+		if n := len(c.freeChunks); n > 0 {
+			slots, c.freeChunks = c.freeChunks[n-1], c.freeChunks[:n-1]
+		} else if ci == 0 {
+			slots = make([]*Job, firstChunkLen(len(part.nodes)))
+		} else {
+			slots = make([]*Job, jobChunkSize)
 		}
-		c.jobs = append(c.jobs, make([]*Job, n))
-	} else if slot == len(c.jobs[ci]) {
+		c.jobs = append(c.jobs, jobChunk{slots: slots})
+	} else if slot == len(c.jobs[ci].slots) {
 		// Chunk 0 outgrown below jobChunkSize (later chunks are born
 		// full, so slot never reaches their length): double it in place.
 		grown := make([]*Job, 2*slot)
-		copy(grown, c.jobs[ci])
-		c.jobs[ci] = grown
+		copy(grown, c.jobs[ci].slots)
+		c.jobs[ci].slots = grown
 	}
-	c.jobs[ci][slot] = job
+	c.jobs[ci].slots[slot] = job
+	c.jobs[ci].live++
 	part.pending = append(part.pending, job)
 	c.kickSubmit()
 	return job, nil
@@ -1007,37 +1027,41 @@ func (c *Controller) finish(job *Job) {
 	for _, fn := range c.onDone {
 		fn(job)
 	}
-	if c.aggregate {
-		c.retire(job)
-	}
+	c.retire(job)
 }
 
-// retire drops a terminal job from the arena — the memory bound that
-// lets a run absorb millions of submissions. The record itself goes back to
-// the pool for the next submission: in aggregate mode nothing retains
-// a job past its completion hooks.
+// retire drops a terminal job from the arena, in every accounting
+// mode: its history is its accounting row and the record its
+// submitter holds. A full chunk left with no live job is released for
+// reuse as the next tail chunk. In aggregate mode the record goes back
+// to the pool for the next submission, since nothing retains a job
+// past its completion hooks.
 func (c *Controller) retire(job *Job) {
-	if id := job.ID; id >= 1 && id < c.nextID {
-		idx := id - 1
-		c.jobs[idx>>jobChunkBits][idx&jobChunkMask] = nil
+	idx := job.ID - 1
+	ch := &c.jobs[idx>>jobChunkBits]
+	ch.slots[idx&jobChunkMask] = nil
+	if ch.live--; ch.live == 0 && idx|jobChunkMask < c.nextID-1 {
+		c.freeChunks = append(c.freeChunks, ch.slots)
+		ch.slots = nil
 	}
-	if job.node == nil {
+	if c.aggregate && job.node == nil {
 		c.jobPool = append(c.jobPool, job)
 	}
 }
 
-// Job returns a job by id. Retired jobs (aggregate accounting) are
-// not returned.
+// Job returns a pending or running job by id (scontrol show job); a
+// job that has ended is found in Accounting.
 func (c *Controller) Job(id int) (*Job, bool) {
 	j := c.jobByID(id)
 	return j, j != nil
 }
 
-// Squeue lists pending and running jobs, pending first, by id.
+// Squeue lists the table's pending and running jobs, pending first, by
+// id; ended jobs are in Accounting.
 func (c *Controller) Squeue() []*Job {
 	var out []*Job
 	for _, chunk := range c.jobs {
-		for _, j := range chunk {
+		for _, j := range chunk.slots {
 			if j != nil && !j.State.Terminal() {
 				out = append(out, j)
 			}
@@ -1066,13 +1090,16 @@ func (c *Controller) Sinfo() []NodeInfo {
 	return out
 }
 
-// WaitFor advances simulated time until the job is terminal. It fails
-// if the simulation runs out of events first (a scheduling deadlock),
-// and on an id the arena does not hold: unknown, or retired in
-// aggregate mode.
+// WaitFor advances simulated time until the job is terminal and
+// returns its record. It fails if the simulation runs out of events
+// first (a scheduling deadlock), and on an id the table does not hold:
+// unknown, or a job that has already ended (read its accounting row).
 func (c *Controller) WaitFor(id int) (*Job, error) {
 	job := c.jobByID(id)
 	if job == nil {
+		if id >= 1 && id < c.nextID {
+			return nil, fmt.Errorf("slurm: job %d has already ended", id)
+		}
 		return nil, fmt.Errorf("slurm: no job %d", id)
 	}
 	// In aggregate mode the record can be retired and recycled for a

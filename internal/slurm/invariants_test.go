@@ -9,13 +9,15 @@ import (
 )
 
 // Randomised operation sequences must preserve the scheduler's
-// invariants: exclusive node allocation, complete accounting, and a
-// queue that contains exactly the non-terminal jobs.
+// invariants: exclusive node allocation, a job table and a queue that
+// hold exactly the non-terminal jobs, and exactly one accounting row
+// per terminal job. The test keeps the records Submit returned, as a
+// submitter does: the table drops a job when it ends.
 func TestSchedulerInvariantsUnderRandomOps(t *testing.T) {
 	check := func(seed uint16, ops []uint8) bool {
 		rng := simclock.NewRNG(uint64(seed))
 		sim, c := newCluster(t, DefaultConf(), 2)
-		var submitted []int
+		var submitted []*Job
 
 		for _, op := range ops {
 			switch op % 3 {
@@ -28,7 +30,7 @@ func TestSchedulerInvariantsUnderRandomOps(t *testing.T) {
 				if err != nil {
 					return false
 				}
-				submitted = append(submitted, job.ID)
+				submitted = append(submitted, job)
 			case 1: // advance time
 				sim.RunFor(time.Duration(1+rng.Intn(600)) * time.Second)
 			case 2: // long advance: let things finish
@@ -41,10 +43,9 @@ func TestSchedulerInvariantsUnderRandomOps(t *testing.T) {
 		}
 		// Drain: everything terminal by the end.
 		sim.Run()
-		for _, id := range submitted {
-			j, _ := c.Job(id)
+		for _, j := range submitted {
 			if !j.State.Terminal() {
-				t.Logf("job %d stuck in %s (%s)", id, j.State, j.Reason)
+				t.Logf("job %d stuck in %s (%s)", j.ID, j.State, j.Reason)
 				return false
 			}
 		}
@@ -55,7 +56,7 @@ func TestSchedulerInvariantsUnderRandomOps(t *testing.T) {
 	}
 }
 
-func invariantsHold(t *testing.T, c *Controller, submitted []int) bool {
+func invariantsHold(t *testing.T, c *Controller, submitted []*Job) bool {
 	t.Helper()
 	// Exclusive allocation: each node hosts at most one running job,
 	// and every running job is on exactly one node.
@@ -81,10 +82,14 @@ func invariantsHold(t *testing.T, c *Controller, submitted []int) bool {
 	for _, j := range c.Squeue() {
 		queue[j.ID] = true
 	}
-	for _, id := range submitted {
-		j, ok := c.Job(id)
-		if !ok {
-			t.Logf("job %d vanished", id)
+	rows := map[int]int{}
+	for _, r := range c.Accounting().Records() {
+		rows[r.JobID]++
+	}
+	for _, j := range submitted {
+		id := j.ID
+		if got, ok := c.Job(id); ok != !j.State.Terminal() || (ok && got != j) {
+			t.Logf("Job(%d) = %p, %v for a job in %s", id, got, ok, j.State)
 			return false
 		}
 		if j.State.Terminal() {
@@ -94,8 +99,8 @@ func invariantsHold(t *testing.T, c *Controller, submitted []int) bool {
 			}
 			// Exactly one accounting record with sane bounds.
 			rec, ok := c.Accounting().Record(id)
-			if !ok {
-				t.Logf("terminal job %d missing from accounting", id)
+			if !ok || rows[id] != 1 {
+				t.Logf("terminal job %d has %d accounting rows", id, rows[id])
 				return false
 			}
 			if rec.State == StateCompleted {
@@ -104,8 +109,8 @@ func invariantsHold(t *testing.T, c *Controller, submitted []int) bool {
 					return false
 				}
 			}
-		} else if !queue[id] && j.State == StatePending {
-			t.Logf("pending job %d missing from squeue", id)
+		} else if !queue[id] || rows[id] != 0 {
+			t.Logf("live job %d: in squeue %v, %d accounting rows", id, queue[id], rows[id])
 			return false
 		}
 	}

@@ -247,6 +247,17 @@ func TestJobLifecycleAndAccounting(t *testing.T) {
 	if done.State != StateCompleted {
 		t.Fatalf("state = %s (%s)", done.State, done.Reason)
 	}
+	// The ended job has left the table: its history is the record
+	// WaitFor returned and its accounting row.
+	if _, live := c.Job(job.ID); live {
+		t.Fatal("Job finds a completed job")
+	}
+	if _, err := c.WaitFor(job.ID); err == nil || err.Error() != "slurm: job 1 has already ended" {
+		t.Fatalf("WaitFor on the ended job: %v", err)
+	}
+	if _, err := c.WaitFor(job.ID + 1); err == nil || err.Error() != "slurm: no job 2" {
+		t.Fatalf("WaitFor on an unassigned id: %v", err)
+	}
 	// Table 2: the standard configuration runs 18:29 and uses ~240 kJ.
 	wantRuntime := float64(paperdata.Table2Standard.RuntimeSeconds)
 	if got := done.EndTime.Sub(done.StartTime).Seconds(); math.Abs(got-wantRuntime) > 2 {

@@ -143,5 +143,12 @@ func WriteGovernorAblation(w io.Writer, rows []GovernorRow) {
 // what the software did, not just what the hardware measured.
 func (d *Deployment) WriteMetrics(w io.Writer) {
 	fmt.Fprintln(w, "Deployment metrics:")
-	d.Metrics.Snapshot().WriteText(w)
+	snap := d.Metrics.Snapshot()
+	// The parallel sweep's commit batches follow goroutine timing: this
+	// series would make two runs of one experiment print different bytes.
+	delete(snap.Histograms, metricSweepBatchRows)
+	snap.WriteText(w)
 }
+
+// metricSweepBatchRows is internal/core's commit-batch size histogram.
+const metricSweepBatchRows = "chronus.sweep.batch_rows"
