@@ -148,8 +148,8 @@ profile-sweep:
 # simulator's must report 0 allocs/op, or a heap allocation has crept
 # into a per-event path: the telemetry emit path (counter,
 # gauge, bucketed histogram), the simclock schedule+pop cycle, the
-# slurm submit→complete cycle (pooled jobs, chunked arena, aggregate
-# accounting), the sweep's trace CSV encoder on a reused buffer, a
+# slurm submit→complete cycle (pooled jobs, the job as its own
+# completion event, aggregate accounting), the sweep's trace CSV encoder on a reused buffer, a
 # scheduling pass that walks a
 # saturated cluster's whole window under all three energy policies and
 # starts nothing (hold, place and their maintained state), the pass one

@@ -310,8 +310,8 @@ func (p *chunkPool) put(chunks []*subChunk) {
 }
 
 // subBatch is one lane's arrivals of one window, in stream order, in
-// the idiom of the job-table arena: growth appends a chunk pointer and
-// never copies a Submission. A batch reset by n = 0 keeps its chunks,
+// chunks: growth appends a chunk pointer and never copies a
+// Submission. A batch reset by n = 0 keeps its chunks,
 // so refilling it allocates nothing; release hands them to the pool.
 type subBatch struct {
 	chunks []*subChunk

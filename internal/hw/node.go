@@ -212,9 +212,6 @@ func (n *Node) SetGovernor(g GovernorKind) error {
 	}
 	n.advance()
 	n.governor = g
-	if g == GovernorUserspace && n.userspaceKHz == 0 {
-		n.userspaceKHz = n.spec.FrequenciesKHz[len(n.spec.FrequenciesKHz)-1]
-	}
 	return nil
 }
 

@@ -83,6 +83,18 @@ func TestUserspaceGovernorSnapsToPState(t *testing.T) {
 	}
 }
 
+// A node switched to userspace before any frequency is set runs at the
+// ladder top. Kills scripts/mutants/userspace-default-ladder-bottom.patch.
+func TestUserspaceGovernorWithoutFreqRunsLadderTop(t *testing.T) {
+	_, n := newTestNode()
+	if err := n.SetGovernor(GovernorUserspace); err != nil {
+		t.Fatal(err)
+	}
+	if f := n.CurrentFreqKHz(); f != 2_500_000 {
+		t.Fatalf("userspace governor with no frequency set runs %d kHz, want the ladder top", f)
+	}
+}
+
 func TestUnknownGovernorRejected(t *testing.T) {
 	_, n := newTestNode()
 	if err := n.SetGovernor("turbo"); err == nil {

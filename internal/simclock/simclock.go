@@ -9,9 +9,8 @@
 // relative simulated time; events execute in time order, and events
 // scheduled for the same instant run in scheduling order (FIFO), which
 // keeps the simulation deterministic. An event cannot be cancelled: a
-// scheduler whose event may go stale (a cancelled job's completion, a
-// stopped sampler's tick) checks its own state in Fire and does
-// nothing.
+// scheduler whose event may go stale (a superseded wake, a stopped
+// sampler's tick) checks its own state in Fire and does nothing.
 //
 // # Event queue
 //
@@ -56,11 +55,10 @@ const (
 )
 
 // Action is the event callback: a pre-allocated handler object
-// invoked with a caller-chosen argument. Schedulers (the Slurm
-// controller's job-completion and scheduling-flush events, the IPMI
-// sampler's tick) implement Action once on a long-lived struct and pass
-// a job id or generation as arg, so scheduling an event allocates
-// nothing.
+// invoked with a caller-chosen argument. Schedulers implement Action
+// on a long-lived object — the Slurm controller's running job (its
+// completion) and wake, the IPMI sampler's tick — and may pass a
+// generation as arg, so scheduling an event allocates nothing.
 type Action interface {
 	Fire(arg uint64)
 }
@@ -305,7 +303,7 @@ func (s *Sim) settle() bool {
 // AtAction schedules act.Fire(arg) at the absolute simulated time t.
 // Scheduling allocates nothing once the event pool is warm. The event
 // cannot be cancelled, so a caller whose event may go stale guards in
-// Fire (the controller checks the job's state, the sampler its
+// Fire (the controller's wake checks its instant, the sampler its
 // generation). Scheduling in the past panics: an event before Now would
 // silently reorder the timeline, which is always a bug in the caller.
 func (s *Sim) AtAction(t time.Time, act Action, arg uint64) {

@@ -70,10 +70,9 @@ type AcctTotals struct {
 // it keeps only the running totals, bounding memory for runs with
 // millions of submissions.
 //
-// Rows are kept in chunks that are never copied once full, the job
-// arena's rule (Controller.jobs): chunk 0 doubles in place up to
-// acctChunkSize rows, so a controller that runs one job pays for one
-// row, and every later chunk is born full.
+// Rows are kept in chunks that are never copied once full: chunk 0
+// doubles in place up to acctChunkSize rows, so a controller that runs
+// one job pays for one row, and every later chunk is born full.
 type Accounting struct {
 	chunk0        []AcctRecord
 	chunks        [][]AcctRecord // chunks 1…, each acctChunkSize rows when full

@@ -14,10 +14,9 @@ import (
 // SubmitDesc, batched scheduling, job execution and aggregate
 // accounting, with the simulator run to idle each iteration. The
 // alloc-check make target pins it at 0 allocs/op — the job pool, the
-// chunked job arena, the event pool and the aggregate-only accounting
-// keep the whole submit→complete cycle off the heap. (A 64 KiB arena
-// chunk for each of the first two runs of 8192 job ids is the one
-// amortised allocation; from then on an emptied chunk is reused.)
+// event pool and the aggregate-only accounting keep the whole
+// submit→complete cycle off the heap, and a job is its own completion
+// event.
 func BenchmarkSubmitSteadyState(b *testing.B) {
 	sim := simclock.New()
 	ctl, err := NewCluster(sim, DefaultConf(),
@@ -43,8 +42,7 @@ func BenchmarkSubmitSteadyState(b *testing.B) {
 		ctl.Flush() // batched mode: the driver flushes the instant's submissions
 		sim.Run()
 	}
-	// Warm the job pool, event pool, usage slots and the first arena
-	// chunk before measuring.
+	// Warm the job pool, event pool and usage slots before measuring.
 	for i := 0; i < 512; i++ {
 		run()
 	}
@@ -139,7 +137,7 @@ func BenchmarkPolicyPassCompletion(b *testing.B) {
 		b.Fatal("node 0 does not run a paired primary")
 	}
 	visits := c.PolicyTotals().QueueVisits
-	c.completeJob(primary.ID)
+	c.completeJob(primary)
 	if primary.State != StateCompleted || p.settled.n != 160 || p.settled.epoch != p.epoch {
 		b.Fatalf("primary %s, %d jobs settled; want it completed and the window settled after its pass", primary.State, p.settled.n)
 	}

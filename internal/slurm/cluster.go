@@ -52,6 +52,10 @@ type partition struct {
 	energyGauge *metrics.Gauge
 	doneCount   *metrics.Counter
 
+	// ctl is the controller the partition belongs to: a job's completion
+	// event reaches it through the job's node (completion).
+	ctl *Controller
+
 	// wakeArmed/wakeAt are the partition's pending wake (armWake): the
 	// earliest instant a queued job asked to be looked at again.
 	wakeArmed bool
@@ -244,7 +248,7 @@ func NewCluster(sim *simclock.Sim, conf Conf, opts ...ClusterOption) (*Controlle
 		aggregate: cfg.aggregate,
 		batched:   cfg.batched,
 	}
-	c.compAct.c = c
+	c.part.ctl = c
 	c.wakeAct.c = c
 	if cfg.policy == nil {
 		cfg.policy = FIFOPolicy{}

@@ -207,14 +207,11 @@ func TestConstructionOptionsWiring(t *testing.T) {
 	}
 }
 
-// TestJobTableGrowthMatchesMapOracle pins the arena's chunk rules in
-// both accounting modes: 3·jobChunkSize+1 submissions on a four-node
-// controller take chunk 0 from firstChunkLen(4) through every doubling
-// to jobChunkSize and open three more chunks, while jobs of mixed
-// lengths end out of id order across chunks. At every growth boundary
-// and every 1,024 submissions, Job and Squeue must agree with a plain
-// map of the live jobs; a full chunk whose jobs have all ended must be
-// released and reused as a later tail chunk.
+// TestJobTableGrowthMatchesMapOracle holds the live-job lookup against
+// a plain map of the live jobs in both accounting modes: as thousands
+// of submissions on a four-node controller queue, run and end out of
+// id order, Job and Squeue must agree with the map every 512
+// submissions and once the queue has drained.
 func TestJobTableGrowthMatchesMapOracle(t *testing.T) {
 	for _, mode := range []struct {
 		name string
@@ -226,23 +223,18 @@ func TestJobTableGrowthMatchesMapOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Mostly short jobs, now and then one that pins its chunk
-			// for hours: retirements interleave across chunks.
+			// Mostly short jobs, now and then one that pins its node
+			// for hours: jobs end out of id order.
 			lengths := []time.Duration{30 * time.Second, time.Minute, 3 * time.Minute, 4 * time.Minute, 6 * time.Hour}
 			for i, d := range lengths {
 				c.RegisterWorkload(fmt.Sprintf("/bin/app%d", i), workload.Sleep("app", d))
 			}
 			live := map[int]*Job{}
-			// late: jobs ending after a job with a larger id; crossed:
-			// after a job of a later chunk.
-			newest, late, crossed := 0, 0, 0
+			newest, late := 0, 0 // late: jobs ending after a job with a larger id
 			c.OnCompletion(func(j *Job) {
 				delete(live, j.ID)
 				if j.ID < newest {
 					late++
-				}
-				if (j.ID-1)>>jobChunkBits < (newest-1)>>jobChunkBits {
-					crossed++
 				}
 				newest = max(newest, j.ID)
 			})
@@ -267,10 +259,7 @@ func TestJobTableGrowthMatchesMapOracle(t *testing.T) {
 			}
 
 			rng := simclock.NewRNG(7)
-			boundaries, reused := 0, 0
-			chunk0 := 0
-			arrays := map[**Job]bool{} // every chunk array the table has held, by its first slot
-			for i := 0; i <= 3*jobChunkSize; i++ {
+			for i := 0; i < 8192; i++ {
 				app := rng.Intn(len(lengths) - 1)
 				if rng.Intn(400) == 0 {
 					app = len(lengths) - 1
@@ -280,18 +269,7 @@ func TestJobTableGrowthMatchesMapOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 				live[job.ID] = job
-				opened := (job.ID-1)&jobChunkMask == 0
-				grown := job.ID-1 < jobChunkSize && len(c.jobs[0].slots) != chunk0
-				if opened || grown {
-					tail := &c.jobs[len(c.jobs)-1].slots[0]
-					if opened && arrays[tail] {
-						reused++
-					}
-					arrays[tail] = true
-					chunk0 = len(c.jobs[0].slots)
-					boundaries++
-					check(fmt.Sprintf("after job %d (chunk 0 = %d slots, %d chunks)", job.ID, chunk0, len(c.jobs)))
-				} else if i%1024 == 0 {
+				if i%512 == 0 {
 					check(fmt.Sprintf("after job %d", job.ID))
 				}
 				sim.RunFor(time.Minute)
@@ -299,29 +277,66 @@ func TestJobTableGrowthMatchesMapOracle(t *testing.T) {
 			check("at the last submission")
 			sim.Run()
 			check("drained")
-
-			// 256 → 8192 is the first allocation plus five doublings;
-			// chunks 1–3 are three more.
-			if want := 1 + 5 + 3; boundaries != want || firstChunkLen(4) != 256 {
-				t.Fatalf("%d growth boundaries from a %d-slot start, want %d from 256", boundaries, firstChunkLen(4), want)
-			}
-			// Chunks 2 and 3 open after chunks 0 and 1 have emptied.
-			if reused != 2 || late == 0 || crossed == 0 {
-				t.Fatalf("%d of 3 later chunks reused a released array, want 2; %d jobs ended out of id order, %d after a later chunk's",
-					reused, late, crossed)
-			}
-			for ci, ch := range c.jobs[:len(c.jobs)-1] {
-				if ch.slots != nil || ch.live != 0 {
-					t.Fatalf("drained table: full chunk %d holds %d slots, %d live", ci, len(ch.slots), ch.live)
-				}
+			if late == 0 || len(live) != 0 {
+				t.Fatalf("%d jobs ended out of id order, %d left live; want some and none", late, len(live))
 			}
 		})
 	}
-	// A cluster large enough to fill a chunk gets it whole, in one allocation.
-	for nodes, want := range map[int]int{1: 64, 2: 128, 24: 2048, 127: jobChunkSize, 128: jobChunkSize, 512: jobChunkSize} {
-		if got := firstChunkLen(nodes); got != want {
-			t.Errorf("firstChunkLen(%d) = %d, want %d", nodes, got, want)
+}
+
+// TestLiveJobLookupFindsCoScheduledJobs: a co-scheduled secondary is
+// live while it runs beside its primary, and still live once the
+// primary ends and it takes the node: Job and Squeue find it in both
+// places, and WaitFor waits it out. Kills
+// scripts/mutants/live-job-walk-skips-cojob.patch.
+func TestLiveJobLookupFindsCoScheduledJobs(t *testing.T) {
+	_, c := newPolicyCluster(t, 1, &CoSchedulePolicy{})
+	pri, err := c.Submit(sleepDesc(16, 10*time.Minute, workload.ProfileCompute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sec, err := c.Submit(sleepDesc(8, 30*time.Minute, workload.ProfileMemory))
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, err := c.Submit(sleepDesc(16, time.Minute, workload.ProfileCompute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := c.part.nodes[0]
+	if n.current != pri || n.coJob != sec || queued.State != StatePending {
+		t.Fatalf("node runs %v beside %v, third job %s; want the pair running and the third queued", n.current, n.coJob, queued.State)
+	}
+	lookup := func(when string, want ...*Job) {
+		t.Helper()
+		for _, j := range want {
+			if got, ok := c.Job(j.ID); !ok || got != j {
+				t.Fatalf("%s: Job(%d) = %v, %v; want %v", when, j.ID, got, ok, j)
+			}
 		}
+		if q := c.Squeue(); !reflect.DeepEqual(q, want) {
+			t.Fatalf("%s: Squeue = %v, want %v", when, q, want)
+		}
+	}
+	lookup("paired", queued, pri, sec)
+
+	if _, err := c.WaitFor(pri.ID); err != nil {
+		t.Fatal(err)
+	}
+	// The primary's end promoted the secondary to the node's occupant.
+	// A promoted secondary runs no hardware job to pair beside, so the
+	// third job stays queued.
+	if n.current != sec || n.coJob != nil {
+		t.Fatalf("after the primary: node runs %v beside %v, want the promoted secondary alone", n.current, n.coJob)
+	}
+	if _, ok := c.Job(pri.ID); ok {
+		t.Fatal("the ended primary is still live")
+	}
+	lookup("promoted", queued, sec)
+
+	done, err := c.WaitFor(sec.ID)
+	if err != nil || done != sec || sec.State != StateCompleted {
+		t.Fatalf("WaitFor(secondary) = %v, %v; want it completed", done, err)
 	}
 }
 

@@ -102,21 +102,7 @@ type Controller struct {
 	conf    Conf
 	part    *partition // the one partition; its pool is the controller's nodes
 	plugins []SubmitPlugin
-	// jobs is the arena-indexed job table of pending and running jobs:
-	// job id i lives at jobs[(i-1)>>jobChunkBits].slots[(i-1)&jobChunkMask].
-	// Ids are assigned monotonically and never reused, so the hot
-	// dispatch path resolves a job with a bounds check and two slice
-	// loads instead of a map probe. A full chunk is never copied or
-	// re-scanned when the table grows — at millions of jobs the doubling
-	// slice was half the simulator's allocation volume. Only chunk 0 is
-	// ever shorter than jobChunkSize: it starts at firstChunkLen and
-	// doubles in place, so a one-node controller that runs one job does
-	// not pay 64 KB for it. A job's slot goes nil when it ends (retire);
-	// a full chunk whose jobs have all ended is released to freeChunks
-	// and becomes the next tail chunk, so the table holds O(live) slots.
-	jobs       []jobChunk
-	freeChunks [][]*Job
-	// jobPool recycles retired Job records in aggregate mode, where no
+	// jobPool recycles ended Job records in aggregate mode, where no
 	// caller retains them past the completion hooks.
 	jobPool []*Job
 	// descScratch is the submission description the plugin chain and
@@ -161,11 +147,8 @@ type Controller struct {
 	batched bool
 	passDue bool
 
-	// Pre-allocated simclock Actions: job completion is the per-job hot
-	// event, fired through this handle with zero per-event allocation.
 	// wakeAct runs a pass at an instant a queued job is waiting for
-	// (armWake).
-	compAct completeAction
+	// (armWake). A job's completion event is the job itself (completion).
 	wakeAct wakeAction
 
 	// pol is the cluster energy policy (energy.go); nil = none. The
@@ -189,12 +172,16 @@ type Controller struct {
 	mChainLatency *metrics.BucketedHistogram
 }
 
-// completeAction fires a job's scheduled completion. Clock events
-// cannot be cancelled, so completeJob re-validates against the arena
-// and drops an event whose id no longer names a running job.
-type completeAction struct{ c *Controller }
+// completion is a running job as the clock event that ends it: run
+// arms it once, at the start, and it reaches the controller through
+// the node the job runs on. It is the one way a job leaves its node,
+// so it never goes stale.
+type completion Job
 
-func (a *completeAction) Fire(arg uint64) { a.c.completeJob(int(arg)) }
+func (j *completion) Fire(uint64) {
+	job := (*Job)(j)
+	job.node.part.ctl.completeJob(job)
+}
 
 // wakeAction runs a scheduling pass at the instant armWake asked for.
 type wakeAction struct{ c *Controller }
@@ -333,7 +320,7 @@ func (c *Controller) activePlugins() ([]SubmitPlugin, error) {
 }
 
 // newJob takes a Job record off the pool (aggregate mode recycles
-// retired ones) or allocates a fresh one. The record comes back
+// ended ones) or allocates a fresh one. The record comes back
 // zeroed. On the paper path the pool stays empty: a submitter keeps
 // the record Submit returned past the job's end, so a recycled one
 // would alias two jobs.
@@ -347,42 +334,21 @@ func (c *Controller) newJob() *Job {
 	return &Job{}
 }
 
-// Job-table chunk geometry: 8192 ids per chunk ≈ 64 KB of pointers.
-// jobSlotsPerNode sizes chunk 0 at construction: a cluster of 128 or
-// more nodes gets the full chunk in one allocation, a benchmark
-// sweep's one-node controller 64 slots.
-const (
-	jobChunkBits    = 13
-	jobChunkSize    = 1 << jobChunkBits
-	jobChunkMask    = jobChunkSize - 1
-	jobSlotsPerNode = 64
-)
-
-// jobChunk is one jobChunkSize run of job ids: its slots (nil once
-// released) and how many of them hold a job.
-type jobChunk struct {
-	slots []*Job
-	live  int32
-}
-
-// firstChunkLen is the length chunk 0 starts with on a cluster of the
-// given node count: jobSlotsPerNode a node, as a power of two so that
-// doubling lands exactly on jobChunkSize.
-func firstChunkLen(nodes int) int {
-	n := jobSlotsPerNode
-	for n < nodes*jobSlotsPerNode && n < jobChunkSize {
-		n *= 2
+// liveJob finds a pending or running job by id where the controller
+// holds it: in the partition's queue, or on a node as its occupant or
+// co-scheduled secondary. nil for an unknown or ended id.
+func (c *Controller) liveJob(id int) *Job {
+	for _, j := range c.part.pending {
+		if j.ID == id {
+			return j
+		}
 	}
-	return n
-}
-
-// jobByID resolves a live job from the arena, or nil (unknown id,
-// ended, or in a released chunk).
-func (c *Controller) jobByID(id int) *Job {
-	if id >= 1 && id < c.nextID {
-		idx := id - 1
-		if slots := c.jobs[idx>>jobChunkBits].slots; idx&jobChunkMask < len(slots) {
-			return slots[idx&jobChunkMask]
+	for _, n := range c.part.nodes {
+		if n.current != nil && n.current.ID == id {
+			return n.current
+		}
+		if n.coJob != nil && n.coJob.ID == id {
+			return n.coJob
 		}
 	}
 	return nil
@@ -514,29 +480,6 @@ func (c *Controller) submit(ctx context.Context, desc *JobDesc) (*Job, error) {
 		job.Desc.Shape = &job.shape
 	}
 	c.nextID++
-	idx := job.ID - 1
-	ci, slot := idx>>jobChunkBits, idx&jobChunkMask
-	if ci == len(c.jobs) {
-		// Arena growth: one chunk per 8192 job ids, a released one when
-		// there is one, amortized to ~0 per submission.
-		var slots []*Job
-		if n := len(c.freeChunks); n > 0 {
-			slots, c.freeChunks = c.freeChunks[n-1], c.freeChunks[:n-1]
-		} else if ci == 0 {
-			slots = make([]*Job, firstChunkLen(len(part.nodes)))
-		} else {
-			slots = make([]*Job, jobChunkSize)
-		}
-		c.jobs = append(c.jobs, jobChunk{slots: slots})
-	} else if slot == len(c.jobs[ci].slots) {
-		// Chunk 0 outgrown below jobChunkSize (later chunks are born
-		// full, so slot never reaches their length): double it in place.
-		grown := make([]*Job, 2*slot)
-		copy(grown, c.jobs[ci].slots)
-		c.jobs[ci].slots = grown
-	}
-	c.jobs[ci].slots[slot] = job
-	c.jobs[ci].live++
 	part.pending = append(part.pending, job)
 	c.kickSubmit()
 	return job, nil
@@ -790,9 +733,6 @@ func (c *Controller) claimNode(n *nodeD, job *Job) {
 // releaseNode frees a node at job end and relists it in its
 // partition's free bitmap.
 func (c *Controller) releaseNode(n *nodeD) {
-	if n.current != nil {
-		n.current.node = nil
-	}
 	n.current = nil
 	n.hwJob = nil
 	p := n.part
@@ -902,7 +842,7 @@ func (c *Controller) run(job *Job, n *nodeD, now time.Time, cfg perfmodel.Config
 	if c.pol != nil {
 		c.pol.charge(job, n, cfg)
 	}
-	c.sim.AfterAction(dur, &c.compAct, uint64(job.ID))
+	c.sim.AfterAction(dur, (*completion)(job), 0)
 }
 
 // vacate takes a completed job off its node. A secondary beside its
@@ -913,9 +853,9 @@ func (c *Controller) run(job *Job, n *nodeD, now time.Time, cfg perfmodel.Config
 // job with it), frees the node. The policy is told once the node is in
 // its new state, and the job is billed.
 func (c *Controller) vacate(job *Job, n *nodeD) {
+	job.node = nil
 	if n.coJob == job {
 		n.coJob = nil
-		job.node = nil
 	} else {
 		if n.hwJob != nil {
 			n.hwJob.End()
@@ -923,7 +863,6 @@ func (c *Controller) vacate(job *Job, n *nodeD) {
 		}
 		if n.coJob != nil {
 			n.current, n.coJob, n.hwJob = n.coJob, nil, nil
-			job.node = nil
 		} else {
 			c.releaseNode(n)
 		}
@@ -950,16 +889,8 @@ func (c *Controller) bill(job *Job, n *nodeD) {
 	job.CPUJ = cpu1 - job.cpu0
 }
 
-// completeJob is the completion event for a running job, fired through
-// the controller's pre-allocated Action. Clock events cannot be
-// cancelled, so it re-validates: an event whose id no longer matches a
-// running arena entry (a retired slot, or a record recycled for another
-// job) is stale and dropped.
-func (c *Controller) completeJob(id int) {
-	job := c.jobByID(id)
-	if job == nil || job.ID != id || job.State != StateRunning || job.node == nil {
-		return // stale
-	}
+// completeJob ends a running job at its completion event.
+func (c *Controller) completeJob(job *Job) {
 	c.vacate(job, job.node)
 	job.EndTime = c.sim.Now()
 	job.endTick = c.sim.NowTick()
@@ -1027,24 +958,10 @@ func (c *Controller) finish(job *Job) {
 	for _, fn := range c.onDone {
 		fn(job)
 	}
-	c.retire(job)
-}
-
-// retire drops a terminal job from the arena, in every accounting
-// mode: its history is its accounting row and the record its
-// submitter holds. A full chunk left with no live job is released for
-// reuse as the next tail chunk. In aggregate mode the record goes back
-// to the pool for the next submission, since nothing retains a job
-// past its completion hooks.
-func (c *Controller) retire(job *Job) {
-	idx := job.ID - 1
-	ch := &c.jobs[idx>>jobChunkBits]
-	ch.slots[idx&jobChunkMask] = nil
-	if ch.live--; ch.live == 0 && idx|jobChunkMask < c.nextID-1 {
-		c.freeChunks = append(c.freeChunks, ch.slots)
-		ch.slots = nil
-	}
-	if c.aggregate && job.node == nil {
+	// An ended job's history is its accounting row and the record its
+	// submitter holds. In aggregate mode nothing retains a job past its
+	// completion hooks, so the record goes back to the pool.
+	if c.aggregate {
 		c.jobPool = append(c.jobPool, job)
 	}
 }
@@ -1052,19 +969,20 @@ func (c *Controller) retire(job *Job) {
 // Job returns a pending or running job by id (scontrol show job); a
 // job that has ended is found in Accounting.
 func (c *Controller) Job(id int) (*Job, bool) {
-	j := c.jobByID(id)
+	j := c.liveJob(id)
 	return j, j != nil
 }
 
-// Squeue lists the table's pending and running jobs, pending first, by
-// id; ended jobs are in Accounting.
+// Squeue lists the pending and running jobs, pending first, by id;
+// ended jobs are in Accounting.
 func (c *Controller) Squeue() []*Job {
-	var out []*Job
-	for _, chunk := range c.jobs {
-		for _, j := range chunk.slots {
-			if j != nil && !j.State.Terminal() {
-				out = append(out, j)
-			}
+	out := append([]*Job(nil), c.part.pending...)
+	for _, n := range c.part.nodes {
+		if n.current != nil {
+			out = append(out, n.current)
+		}
+		if n.coJob != nil {
+			out = append(out, n.coJob)
 		}
 	}
 	sort.Slice(out, func(a, b int) bool {
@@ -1092,10 +1010,13 @@ func (c *Controller) Sinfo() []NodeInfo {
 
 // WaitFor advances simulated time until the job is terminal and
 // returns its record. It fails if the simulation runs out of events
-// first (a scheduling deadlock), and on an id the table does not hold:
-// unknown, or a job that has already ended (read its accounting row).
+// first (a scheduling deadlock), and on an id that names no pending or
+// running job: unknown, or a job that has already ended (read its
+// accounting row). It finds the job by walking the queue and the
+// nodes (liveJob): a few loads on the one-node controllers that wait
+// on their jobs one at a time.
 func (c *Controller) WaitFor(id int) (*Job, error) {
-	job := c.jobByID(id)
+	job := c.liveJob(id)
 	if job == nil {
 		if id >= 1 && id < c.nextID {
 			return nil, fmt.Errorf("slurm: job %d has already ended", id)

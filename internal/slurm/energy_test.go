@@ -149,6 +149,7 @@ func TestPolicyAttachValidation(t *testing.T) {
 		{"cap below idle floor", &PowerCapPolicy{CapW: idle * 0.5}, "no job could ever start"},
 		{"cap at idle floor", &PowerCapPolicy{CapW: idle}, "no job could ever start"},
 		{"penalty below one", &CoSchedulePolicy{InterferencePenalty: 0.5}, "interference penalty 0.5 < 1"},
+		{"penalty of one", &CoSchedulePolicy{InterferencePenalty: 1}, ""}, // scripts/mutants/cosched-penalty-of-one-rejected.patch
 		{"deferral without signal", &DeferralPolicy{Threshold: 1, MaxDefer: time.Hour}, "needs a signal"},
 		{"deferral without threshold", &DeferralPolicy{Signal: func(time.Time) float64 { return 0 }, MaxDefer: time.Hour}, "threshold must be > 0"},
 		{"deferral without max defer", &DeferralPolicy{Signal: func(time.Time) float64 { return 0 }, Threshold: 1}, "max defer > 0"},

@@ -100,11 +100,14 @@ type Job struct {
 	CPUJ    float64
 	GFLOPS  float64 // sustained application throughput during the run
 
-	node *nodeD // allocated node while running
+	// node is the node the job runs on, from its start to its end: the
+	// job's completion event (completion) reaches the controller
+	// through it.
+	node *nodeD
 
-	// Completion bookkeeping stashed at start so the completion event
-	// carries only the job id: energy counters at start, and (timedOut,
-	// below) whether the plan was truncated by the time limit.
+	// Completion bookkeeping stashed at start for the completion event:
+	// energy counters at start, and (timedOut, below) whether the plan
+	// was truncated by the time limit.
 	sys0, cpu0 float64
 	// Tick (UnixNano) mirrors of SubmitTime/StartTime/EndTime, stamped
 	// wherever those are for a job that starts: submission, start and

@@ -215,6 +215,14 @@ func runPolicyProperty(t *testing.T, cfg propConfig, seed uint64) {
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
+	// Every job reaches its completion hooks off its node — a primary,
+	// a secondary, a promoted secondary — so aggregate mode may pool any
+	// ended record.
+	c.OnCompletion(func(j *Job) {
+		if j.node != nil {
+			t.Fatalf("seed %d: job %d ended %s still on node %q", seed, j.ID, j.State, j.node.name)
+		}
+	})
 
 	start := sim.Now()
 	jobs := drawWorkload(rng, 30+rng.Intn(30), start)

@@ -486,8 +486,8 @@ func TestDeadlineUnsatisfiableCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.State != StateCancelled || job.Reason != "DeadlineUnsatisfiable" {
-		t.Fatalf("state = %s (%s)", job.State, job.Reason)
+	if job.State != StateCancelled || job.Reason != "DeadlineUnsatisfiable" || job.node != nil {
+		t.Fatalf("state = %s (%s), node %v", job.State, job.Reason, job.node)
 	}
 }
 

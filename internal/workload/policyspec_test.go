@@ -70,6 +70,13 @@ func TestPolicySpecValidateErrors(t *testing.T) {
 	if err := policyTestSpec().Validate(); err != nil {
 		t.Fatalf("baseline policy spec invalid: %v", err)
 	}
+	// A penalty of exactly 1, no slowdown, is valid
+	// (scripts/mutants/spec-penalty-of-one-rejected.patch).
+	spec := policyTestSpec()
+	spec.Policy.InterferencePenalty = 1
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("interference_penalty 1: %v", err)
+	}
 }
 
 // TestParseSpecDeferralCheck: a deferral check is 0 (the simulator's
