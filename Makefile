@@ -147,8 +147,8 @@ profile-sweep:
 # alloc-check guards the allocation guarantees of the hot paths. The
 # simulator's must report 0 allocs/op, or a heap allocation has crept
 # into a per-event path: the telemetry emit path (counter,
-# gauge, bucketed histogram), the simclock schedule+pop cycle, the
-# slurm submit→complete cycle (pooled jobs, the job as its own
+# gauge, bucketed histogram), the simclock schedule+pop cycle, the IPMI
+# sampler's run-ahead over a running job, the slurm submit→complete cycle (pooled jobs, the job as its own
 # completion event, aggregate accounting), the sweep's trace CSV encoder on a reused buffer, a
 # scheduling pass that walks a
 # saturated cluster's whole window under all three energy policies and
@@ -162,8 +162,8 @@ profile-sweep:
 # from its last read while its inotify watch is quiet); the whole
 # opted-in sbatch + WaitFor once, the Job record.
 alloc-check:
-	$(GO) test -run XXX -bench 'CounterInc|BucketedHistogramObserve|GaugeSet|SimSchedule$$|SubmitSteadyState|TraceAppendCSV|PolicyPassSaturated|PolicyPassArrival|PolicyPassCompletion|EcoSubmitCacheHit|PredictCacheHit$$|SubmitLatency$$' -benchtime=1000x -benchmem . ./internal/metrics ./internal/simclock ./internal/telemetry ./internal/slurm ./internal/ecoplugin | \
-	awk '{ print } /allocs\/op$$/ { seen++; limit = ($$1 ~ /^BenchmarkSubmitLatency/) ? 1 : 0; if ($$(NF-1) + 0 > limit) { bad = 1; print "alloc-check: " $$1 " allocates " $$(NF-1) " times per op, ceiling " limit } } END { if (seen < 12) { print "alloc-check: expected 12 benchmarks, saw " seen+0; exit 1 }; exit bad }'
+	$(GO) test -run XXX -bench 'CounterInc|BucketedHistogramObserve|GaugeSet|SimSchedule$$|SamplerRunAhead|SubmitSteadyState|TraceAppendCSV|PolicyPassSaturated|PolicyPassArrival|PolicyPassCompletion|EcoSubmitCacheHit|PredictCacheHit$$|SubmitLatency$$' -benchtime=1000x -benchmem . ./internal/metrics ./internal/simclock ./internal/ipmi ./internal/telemetry ./internal/slurm ./internal/ecoplugin | \
+	awk '{ print } /allocs\/op$$/ { seen++; limit = ($$1 ~ /^BenchmarkSubmitLatency/) ? 1 : 0; if ($$(NF-1) + 0 > limit) { bad = 1; print "alloc-check: " $$1 " allocates " $$(NF-1) " times per op, ceiling " limit } } END { if (seen < 13) { print "alloc-check: expected 13 benchmarks, saw " seen+0; exit 1 }; exit bad }'
 
 # serve-smoke journals a quick benchmark into a fresh data directory,
 # boots `chronus serve` on it, and fails unless /metrics, /healthz and

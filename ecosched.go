@@ -287,16 +287,16 @@ func New(dataDir string, options ...Option) (_ *Deployment, err error) {
 	// (never by worker or arrival order) makes each measurement a pure
 	// function of (configuration, calibration, seed), which is what
 	// lets the worker pool promise byte-identical sweep results at any
-	// parallelism. The one thing a stack inherits is the sample slab of
-	// a configuration measured before it — capacity only, handed back
-	// by Close.
+	// parallelism. What a stack inherits from a configuration measured
+	// before it is capacity only, handed back by Close: the simulator,
+	// reset, and the sample slab.
 	benchConf, err := slurm.ParseConf("ClusterName=bench\n")
 	if err != nil {
 		return nil, err
 	}
 	seed := opts.Seed
 	provision := func(idx int, slabs *core.Slabs) (core.BenchNode, error) {
-		bsim := simclock.New()
+		bsim := slabs.TakeSim()
 		bnode := hw.NewNode(bsim, hw.DefaultSpec(), calib, seed+uint64(idx)*0x9e3779b9)
 		bbmc := ipmi.NewBMC(bnode)
 		bbmc.ChmodWorldReadable()
@@ -309,7 +309,11 @@ func New(dataDir string, options ...Option) (_ *Deployment, err error) {
 			return core.BenchNode{}, err
 		}
 		bsystem.Slabs = slabs
-		return core.BenchNode{Cluster: bcluster, System: fault.System(bsystem, inj), Close: bsystem.Release}, nil
+		closeStack := func() {
+			bsystem.Release()
+			slabs.GiveSim(bsim)
+		}
+		return core.BenchNode{Cluster: bcluster, System: fault.System(bsystem, inj), Close: closeStack}, nil
 	}
 
 	chronus, err := core.New(core.Deps{

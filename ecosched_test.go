@@ -438,16 +438,17 @@ func TestParallelismDoesNotChangeResults(t *testing.T) {
 
 // The offline sweep's allocation count and volume are properties of the
 // code, not of the host: per configuration one provisioned
-// node/BMC/controller stack, with the sample slab and the CSV buffer
-// handed on from the configurations before — under seventy allocations
-// and about 28 KB. It was ~360 and ~290 KB while every stack grew its
-// own sample slice, spent 64 KB on a job table for one job and
-// allocated a backing array per calendar bucket its sampler touched,
-// 82 while the sampler ticked through a closure event with a
-// cancellation map, and 56 KB while every configuration encoded its
-// CSV into a buffer of its own.
+// node/BMC/controller stack, with the simulator, the sample slab and the
+// CSV buffer handed on from the configurations before — under sixty
+// allocations and about 18 KB. It was ~360 and ~290 KB while every
+// stack grew its own sample slice, spent 64 KB on a job table for one
+// job and allocated a backing array per calendar bucket its sampler
+// touched, 82 while the sampler ticked through a closure event with a
+// cancellation map, 56 KB while every configuration encoded its CSV
+// into a buffer of its own, and 64 and 28 KB while every stack built
+// its own simulator.
 func TestSweepAllocationsPerConfig(t *testing.T) {
-	const ceiling, bytesCeiling = 85, 35_500 // 68 and 28,413 measured once, plus a quarter; now 64 and 26,353–27,895
+	const ceiling, bytesCeiling = 71, 22_900 // 57 and 18,315–18,321 measured, plus a quarter
 	configs := PaperSweepConfigs()
 	d := newDeployment(t, WithParallelism(1))
 	var sweepErr error

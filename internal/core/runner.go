@@ -121,21 +121,44 @@ func (s *IPMISystemService) Release() {
 }
 
 // Slabs is the sweep's one free list of per-configuration storage: the
-// sample slab a trace fills and the buffer its CSV is encoded into,
-// each passed on from a configuration already measured to the next. A
-// slab is only ever capacity: it is lent out empty, and everything in
-// it was written by the measurement holding it, so which slab a
-// measurement happens to get cannot show in its result. A sample slab
-// comes back when its node stack closes; a CSV buffer once the blob
-// store's Put of it has returned (Put retains nothing). At most one of
-// each is out per sweep worker plus the results waiting to commit, and
-// each grows to the longest trace it has met. Safe for concurrent use.
-// A nil *Slabs lends no sample slab: an IPMISystemService built outside
-// a sweep grows its own.
+// simulator a node stack runs on, the sample slab its trace fills and
+// the buffer its CSV is encoded into, each passed on from a
+// configuration already measured to the next. A slab is only ever
+// capacity: it is lent out empty (a simulator reset to Epoch), and
+// everything in it was written by the measurement holding it, so which
+// slab a measurement happens to get cannot show in its result. A
+// simulator and a sample slab come back when their node stack closes;
+// a CSV buffer once the blob store's Put of it has returned (Put
+// retains nothing). At most one of each is out per sweep worker plus
+// the results waiting to commit, and each grows to the longest trace
+// it has met. Safe for concurrent use. A nil *Slabs lends nothing: a
+// stack built outside a sweep makes its own.
 type Slabs struct {
 	mu      sync.Mutex
+	sims    []*simclock.Sim
 	samples [][]telemetry.Sample
 	csv     [][]byte
+}
+
+// TakeSim lends a simulator whose clock starts at Epoch with nothing
+// pending: one a closed stack handed back, or a new one.
+func (p *Slabs) TakeSim() *simclock.Sim {
+	if p != nil {
+		if sim := take(&p.mu, &p.sims); sim != nil {
+			return sim
+		}
+	}
+	return simclock.New()
+}
+
+// GiveSim hands back a simulator that nothing will run again. Its
+// pending events are dropped here, so it holds no reference into the
+// stack it ran.
+func (p *Slabs) GiveSim(sim *simclock.Sim) {
+	if p != nil {
+		sim.Reset(simclock.Epoch)
+		give(&p.mu, &p.sims, sim)
+	}
 }
 
 func (p *Slabs) takeSamples() []telemetry.Sample {
@@ -147,28 +170,27 @@ func (p *Slabs) takeSamples() []telemetry.Sample {
 
 func (p *Slabs) giveSamples(slab []telemetry.Sample) {
 	if p != nil {
-		give(&p.mu, &p.samples, slab)
+		give(&p.mu, &p.samples, slab[:0])
 	}
 }
 
 func (p *Slabs) takeCSV() []byte { return take(&p.mu, &p.csv) }
 
-func (p *Slabs) giveCSV(buf []byte) { give(&p.mu, &p.csv, buf) }
+func (p *Slabs) giveCSV(buf []byte) { give(&p.mu, &p.csv, buf[:0]) }
 
-func take[T any](mu *sync.Mutex, free *[][]T) []T {
+func take[T any](mu *sync.Mutex, free *[]T) T {
 	mu.Lock()
 	defer mu.Unlock()
-	n := len(*free)
-	if n == 0 {
-		return nil
+	var slab T
+	if n := len(*free); n > 0 {
+		slab = (*free)[n-1]
+		*free = (*free)[:n-1]
 	}
-	slab := (*free)[n-1]
-	*free = (*free)[:n-1]
 	return slab
 }
 
-func give[T any](mu *sync.Mutex, free *[][]T, slab []T) {
+func give[T any](mu *sync.Mutex, free *[]T, slab T) {
 	mu.Lock()
-	*free = append(*free, slab[:0])
+	*free = append(*free, slab)
 	mu.Unlock()
 }

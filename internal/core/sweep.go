@@ -27,7 +27,8 @@ type BenchNode struct {
 	// Close releases the stack once its configuration is measured: the
 	// trace has been aggregated and encoded by then and nothing handed
 	// to the coordinator refers to it, so the provisioner may reuse
-	// the trace's storage for a later configuration (optional).
+	// the stack's simulator and the trace's storage for a later
+	// configuration (optional).
 	Close func()
 }
 
@@ -37,9 +38,10 @@ type BenchNode struct {
 // measurement is a pure function of (configuration, calibration,
 // seed): that is the determinism guarantee that keeps sweep results —
 // rows, ids, winner — byte-identical at every parallelism level.
-// slabs is the sweep's free list; a stack whose System is an
-// IPMISystemService sets its Slabs to it, so the sample slabs and the
-// CSV buffers circulate through the one list.
+// slabs is the sweep's free list; a stack takes its simulator from it,
+// and a stack whose System is an IPMISystemService sets its Slabs to
+// it, so the simulators, the sample slabs and the CSV buffers
+// circulate through the one list.
 type NodeProvisioner func(idx int, slabs *Slabs) (BenchNode, error)
 
 // parallelism resolves the effective worker count for n jobs.

@@ -66,10 +66,9 @@ func DefaultSpec() NodeSpec {
 
 // Node is a simulated compute node.
 type Node struct {
-	spec  NodeSpec
-	calib *perfmodel.Calibration
-	sim   *simclock.Sim
-	rng   *simclock.RNG
+	spec NodeSpec
+	sim  *simclock.Sim
+	rng  *simclock.RNG
 
 	governor     GovernorKind
 	userspaceKHz int
@@ -89,7 +88,8 @@ type Node struct {
 	// is a short scan instead of map probes and a nearest-P-state
 	// search. Shared read-only with every node of the same calibration
 	// and spec ladder (ladderFor); a pointer rather than the rows' slice
-	// header, which keeps the node in its allocation size class.
+	// header, which keeps the node in its allocation size class. The
+	// node reaches its calibration through it.
 	ladder     *ladderTable
 	tempC      float64
 	lastTick   int64 // simulated tick of the last accounting step (simclock.NowTick)
@@ -99,17 +99,18 @@ type Node struct {
 	// (StartJob resets cosTick to noTick). advance integrates
 	// back-to-back intervals, so one interval's closing term is the
 	// next one's opening term: the same inputs, so the same float, at
-	// one cosine per step.
+	// one cosine per step. cosT is t at cosTick, the job's seconds
+	// since start, which the sensor read at the same tick (cpuPowerAt)
+	// shares.
 	cosTick int64
 	cosVal  float64
-	// jobW is the running job's angular frequency 2π/PhasePeriodS,
-	// computed once by StartJob.
-	jobW float64
-	// decayGap/decay memo the thermal step's exp(−dt/τ) for the last
-	// tick gap: a sampler steps a node at one interval, so most steps
-	// repeat the gap, and the same inputs give the same float. A gap
-	// is never 0, the empty key.
+	cosT    float64
+	// decayGap/gapS/decay memo the thermal step's dt in seconds and
+	// exp(−dt/τ) for the last tick gap: a sampler steps a node at one
+	// interval, so most steps repeat the gap, and the same inputs give
+	// the same floats. A gap is never 0, the empty key.
 	decayGap int64
+	gapS     float64
 	decay    float64
 	// jobSlot is the reusable Job record handed out by StartJob —
 	// exclusive allocation means at most one is live, so the node owns
@@ -136,7 +137,6 @@ func NewNode(sim *simclock.Sim, spec NodeSpec, calib *perfmodel.Calibration, see
 	}
 	n := &Node{
 		spec:     spec,
-		calib:    calib,
 		sim:      sim,
 		rng:      simclock.NewRNG(seed),
 		governor: GovernorPerformance,
@@ -161,6 +161,9 @@ type ladderTable struct {
 	calib *perfmodel.Calibration
 	freqs []int
 	rows  []ladderEntry
+	// w is the phase oscillation's angular frequency 2π/PhasePeriodS,
+	// the calibration's constant.
+	w float64
 }
 
 // lastLadder is the most recently built table. Nodes are built in runs
@@ -181,7 +184,7 @@ func ladderFor(calib *perfmodel.Calibration, freqs []int) *ladderTable {
 	if t := lastLadder.Load(); t != nil && t.calib == calib && slices.Equal(t.freqs, freqs) {
 		return t
 	}
-	t := &ladderTable{calib: calib, freqs: slices.Clone(freqs)}
+	t := &ladderTable{calib: calib, freqs: slices.Clone(freqs), w: 2 * math.Pi / calib.PhasePeriodS}
 	t.rows = make([]ladderEntry, 0, len(freqs)+len(calib.PStatesKHz))
 	for _, f := range slices.Concat(freqs, calib.PStatesKHz) {
 		if slices.ContainsFunc(t.rows, func(e ladderEntry) bool { return e.khz == f }) {
@@ -201,7 +204,7 @@ func ladderFor(calib *perfmodel.Calibration, freqs []int) *ladderTable {
 func (n *Node) Spec() NodeSpec { return n.spec }
 
 // Calibration exposes the node's power/throughput model.
-func (n *Node) Calibration() *perfmodel.Calibration { return n.calib }
+func (n *Node) Calibration() *perfmodel.Calibration { return n.ladder.calib }
 
 // SetGovernor selects a cpufreq governor.
 func (n *Node) SetGovernor(g GovernorKind) error {
@@ -225,7 +228,7 @@ func (n *Node) SetUserspaceFreq(khz int) error {
 		return fmt.Errorf("hw: non-positive frequency %d", khz)
 	}
 	n.advance()
-	n.userspaceKHz = n.calib.NearestPState(khz)
+	n.userspaceKHz = n.ladder.calib.NearestPState(khz)
 	return nil
 }
 
@@ -264,7 +267,7 @@ func (n *Node) StartJob(cfg perfmodel.Config) (*Job, error) {
 		return nil, fmt.Errorf("hw: node %s busy", n.spec.Name)
 	}
 	if cfg.FreqKHz != 0 {
-		cfg.FreqKHz = n.calib.NearestPState(cfg.FreqKHz)
+		cfg.FreqKHz = n.ladder.calib.NearestPState(cfg.FreqKHz)
 	}
 	probe := cfg
 	if probe.FreqKHz == 0 {
@@ -289,7 +292,7 @@ func (n *Node) StartJob(cfg perfmodel.Config) (*Job, error) {
 		// Tabulated path, float-identical to CPUPowerW(cfg, 1): the
 		// activity-1 terms are written out with the same operation
 		// order so cached and uncached starts integrate identically.
-		c := n.calib
+		c := n.ladder.calib
 		perCore := e.coreW
 		if j.Config.HyperThread() {
 			perCore *= c.HTPowerBump
@@ -300,11 +303,10 @@ func (n *Node) StartJob(cfg perfmodel.Config) (*Job, error) {
 		n.jobBaseW = uncore + active + idle
 		n.jobAmp = e.amp
 	} else {
-		n.jobBaseW = n.calib.CPUPowerW(j.Config, 1)
-		n.jobAmp = n.calib.PhaseAmplitude[n.calib.NearestPState(j.Config.FreqKHz)]
+		n.jobBaseW = n.ladder.calib.CPUPowerW(j.Config, 1)
+		n.jobAmp = n.ladder.calib.PhaseAmplitude[n.ladder.calib.NearestPState(j.Config.FreqKHz)]
 	}
 	n.jobPhase = n.rng.Float64() * 2 * math.Pi
-	n.jobW = 2 * math.Pi / n.calib.PhasePeriodS
 	n.cosTick = noTick
 	return j, nil
 }
@@ -333,13 +335,16 @@ func (j *Job) End() {
 // simulated tick (nanoseconds, simclock.NowTick domain).
 func (n *Node) cpuPowerAt(at int64) float64 {
 	if n.job == nil {
-		return n.calib.IdleCPUPowerW()
+		return n.ladder.calib.IdleCPUPowerW()
 	}
 	if n.jobAmp == 0 {
 		return n.jobBaseW
 	}
-	t := time.Duration(at - n.jobStartTick).Seconds()
-	osc := math.Sin(2*math.Pi*t/n.calib.PhasePeriodS + n.jobPhase)
+	t := n.cosT
+	if at != n.cosTick {
+		t = time.Duration(at - n.jobStartTick).Seconds()
+	}
+	osc := math.Sin(2*math.Pi*t/n.ladder.calib.PhasePeriodS + n.jobPhase)
 	return n.jobBaseW * (1 + n.jobAmp*osc)
 }
 
@@ -350,12 +355,12 @@ func (n *Node) meanCPUPower(a, b int64, dt float64) float64 {
 		return n.cpuPowerAt(a)
 	}
 	if n.job == nil {
-		return n.calib.IdleCPUPowerW()
+		return n.ladder.calib.IdleCPUPowerW()
 	}
 	if n.jobAmp == 0 {
 		return n.jobBaseW
 	}
-	w := n.jobW
+	w := n.ladder.w
 	t1 := time.Duration(b - n.jobStartTick).Seconds()
 	// ∫ sin(w·t+φ) dt = (cos(w·t0+φ) − cos(w·t1+φ)) / w
 	c0 := n.cosVal
@@ -364,7 +369,7 @@ func (n *Node) meanCPUPower(a, b int64, dt float64) float64 {
 		c0 = math.Cos(w*t0 + n.jobPhase)
 	}
 	c1 := math.Cos(w*t1 + n.jobPhase)
-	n.cosTick, n.cosVal = b, c1
+	n.cosTick, n.cosVal, n.cosT = b, c1, t1
 	integral := (c0 - c1) / w
 	return n.jobBaseW * (1 + n.jobAmp*integral/dt)
 }
@@ -377,28 +382,28 @@ func (n *Node) advance() {
 	if nowTick <= n.lastTick {
 		return
 	}
-	gap := nowTick - n.lastTick
-	dt := time.Duration(gap).Seconds()
+	c := n.ladder.calib
+	tau := c.ThermalTauS
+	if gap := nowTick - n.lastTick; gap != n.decayGap {
+		dt := time.Duration(gap).Seconds()
+		n.decayGap, n.gapS, n.decay = gap, dt, math.Exp(-dt/tau)
+	}
+	dt, decay := n.gapS, n.decay
 	meanCPU := n.meanCPUPower(n.lastTick, nowTick, dt)
-	tss := n.calib.SteadyTempC(meanCPU)
-	tau := n.calib.ThermalTauS
+	tss := c.SteadyTempC(meanCPU)
 
 	// Exact integral of the first-order thermal response over dt for
 	// the fan-energy term: ∫(T(t)−T0)dt with T(t) = tss −
 	// (tss−T_start)·exp(−t/τ).
-	if gap != n.decayGap {
-		n.decayGap, n.decay = gap, math.Exp(-dt/tau)
-	}
-	decay := n.decay
 	tStart := n.tempC
-	tempIntegral := (tss-n.calib.ThermalT0C)*dt - (tss-tStart)*tau*(1-decay)
+	tempIntegral := (tss-c.ThermalT0C)*dt - (tss-tStart)*tau*(1-decay)
 	if tempIntegral < 0 {
 		tempIntegral = 0
 	}
-	fanJ := n.calib.FanCoefWPerC * tempIntegral
+	fanJ := c.FanCoefWPerC * tempIntegral
 
 	cpuJ := meanCPU * dt
-	sysJ := n.calib.BaseSystemW*dt + cpuJ + fanJ
+	sysJ := c.BaseSystemW*dt + cpuJ + fanJ
 
 	n.cpuJ += cpuJ
 	n.sysJ += sysJ
@@ -413,7 +418,7 @@ func (n *Node) advance() {
 func (n *Node) Sensors() (systemW, cpuW, tempC float64) {
 	n.advance()
 	cpuW = n.cpuPowerAt(n.sim.NowTick())
-	return n.calib.SystemPowerW(cpuW, n.tempC), cpuW, n.tempC
+	return n.ladder.calib.SystemPowerW(cpuW, n.tempC), cpuW, n.tempC
 }
 
 // SystemPowerW returns the instantaneous DC-side chassis power — what
@@ -426,7 +431,7 @@ func (n *Node) SystemPowerW() float64 {
 // WallPowerW returns what a wattmeter on the PSU inputs reads: total
 // AC draw and the per-PSU split. This is the Eq. 1 reference meter.
 func (n *Node) WallPowerW() (total, psu1, psu2 float64) {
-	return n.calib.WallPowerW(n.SystemPowerW())
+	return n.ladder.calib.WallPowerW(n.SystemPowerW())
 }
 
 // EnergyJ returns accumulated (system, CPU) energy in joules since the

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ecosched/internal/paperdata"
 	"ecosched/internal/perfmodel"
@@ -341,5 +342,36 @@ func TestNodesShareOneLadderTable(t *testing.T) {
 		if bs != ownS || bc != ownC || bs == 0 {
 			t.Fatalf("after %+v: shared table %v J system, %v J cpu; own table %v, %v", cfg, bs, bc, ownS, ownC)
 		}
+	}
+}
+
+// TestNodeSize pins the node at 288 bytes, an allocation size class: a
+// cluster builds one per node and a sweep one per configuration, and a
+// field added here takes every one into the next class.
+func TestNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(Node{}); got != 288 {
+		t.Fatalf("unsafe.Sizeof(Node{}) = %d, want 288", got)
+	}
+}
+
+// A job that starts on the tick its predecessor ended, read at that
+// tick, runs at its own phase's opening power: the per-tick memo of
+// seconds since the job's start belongs to one job.
+func TestJobStartedOnPredecessorsEndTick(t *testing.T) {
+	sim, n := newTestNode()
+	a, err := n.StartJob(perfmodel.StandardConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.RunFor(7*time.Minute + 300*time.Millisecond)
+	n.Sensors()
+	a.End()
+	if _, err := n.StartJob(perfmodel.StandardConfig()); err != nil {
+		t.Fatal(err)
+	}
+	_, cpuW, _ := n.Sensors()
+	want := n.jobBaseW * (1 + n.jobAmp*math.Sin(n.jobPhase))
+	if n.jobAmp == 0 || cpuW != want {
+		t.Fatalf("CPU power at the new job's first tick = %v W, want %v W (amplitude %v)", cpuW, want, n.jobAmp)
 	}
 }

@@ -116,8 +116,12 @@ func quantize(v, step float64) float64 {
 // Sampler polls the BMC at a fixed interval and appends samples to a
 // trace — Chronus's System Service integration ("sampling the energy
 // usage from the BMC ... at a 2-second interval"). A running sampler is
-// one pending event on the simulated clock: each tick samples and arms
-// the next.
+// one pending event on the simulated clock. Between two events nothing
+// changes the node but time, so a tick takes every sample the clock
+// lets it reach (simclock.Sim.Horizon) and arms one event for the
+// first sample it could not: the samples, and the order of the
+// sampler's event against every other, are those of a sampler that
+// arms an event per sample.
 type Sampler struct {
 	sim      *simclock.Sim
 	conn     *Conn
@@ -139,8 +143,19 @@ func (a *sampleTick) Fire(gen uint64) {
 	if gen != s.gen {
 		return
 	}
-	s.sampleNow(s.sim.NowTick())
-	s.sim.AfterAction(s.interval, a, gen)
+	sim := s.sim
+	// No event fires before the horizon, so the governor's frequency
+	// holds for the whole run-ahead.
+	freq := s.node.CurrentFreqKHz()
+	s.sample(sim.NowTick(), freq)
+	horizon := sim.Horizon()
+	next := sim.Now().Add(s.interval)
+	for tick := next.UnixNano(); tick <= horizon; tick = next.UnixNano() {
+		sim.SkipTo(next)
+		s.sample(tick, freq)
+		next = next.Add(s.interval)
+	}
+	sim.AtAction(next, a, gen)
 }
 
 // NewSampler creates a sampler writing into trace.
@@ -158,17 +173,19 @@ func (s *Sampler) Start(interval time.Duration) {
 	}
 	s.interval = interval
 	s.gen++
-	s.sampleNow(s.sim.NowTick())
+	s.sample(s.sim.NowTick(), s.node.CurrentFreqKHz())
 	s.sim.AfterAction(interval, &s.tick, s.gen)
 }
 
 // Stop halts sampling and takes one final sample to close the window.
 func (s *Sampler) Stop() {
 	s.gen++
-	s.sampleNow(s.sim.NowTick())
+	s.sample(s.sim.NowTick(), s.node.CurrentFreqKHz())
 }
 
-func (s *Sampler) sampleNow(tick int64) {
+// sample appends the BMC's readings at tick, the clock's current
+// instant, with the frequency the governor runs.
+func (s *Sampler) sample(tick int64, freqKHz int) {
 	systemW, cpuW, tempC := s.conn.values()
 	// Append never fails here: the simulated clock only moves forward.
 	_ = s.trace.Append(telemetry.Sample{
@@ -176,7 +193,7 @@ func (s *Sampler) sampleNow(tick int64) {
 		SystemW:  systemW,
 		CPUW:     cpuW,
 		CPUTempC: tempC,
-		FreqKHz:  s.node.CurrentFreqKHz(),
+		FreqKHz:  freqKHz,
 	})
 }
 

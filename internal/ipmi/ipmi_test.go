@@ -174,8 +174,8 @@ func TestSamplerTicksAtInterval(t *testing.T) {
 
 // A running sampler is one pending event on the clock, and a tick
 // re-arms it from the pooled record and the Action bound in NewSampler,
-// with no allocation: a benchmark sweep ticks ~200,000 times. After
-// Stop, the one tick still queued fires as a no-op.
+// with no allocation. After Stop, the one tick still queued fires as a
+// no-op.
 func TestSamplerPendingAndSteadyStateAllocs(t *testing.T) {
 	sim, node, bmc := newRig(t)
 	conn, _ := bmc.Open(true)

@@ -286,9 +286,9 @@ func TestFarBandRebuild(t *testing.T) {
 // TestFreshSimFirstEventPerBucketDoesNotAllocate pins the inline bucket
 // slots: on a fresh Sim, one event into each of the 256 buckets and a
 // full drain allocate nothing beyond the event records (pre-filled into
-// the pool here, so the expected count is exactly zero). A provisioned
-// sweep node lives for one configuration, so its sampler's ticks meet
-// every bucket for the first time.
+// the pool here, so the expected count is exactly zero). A cluster
+// lane's completions spread over the whole band, so its first event
+// into most buckets is the first ever.
 func TestFreshSimFirstEventPerBucketDoesNotAllocate(t *testing.T) {
 	const runs = 10
 	sims := make([]*Sim, runs+1) // AllocsPerRun adds one warm-up call

@@ -12,6 +12,13 @@
 // scheduler whose event may go stale (a superseded wake, a stopped
 // sampler's tick) checks its own state in Fire and does nothing.
 //
+// An action may also move the clock forward itself, without an event:
+// Horizon says how far it may go — below the next pending event and
+// within the bound of the run call that fired it — and SkipTo goes
+// there. Nothing else can happen in between, so a periodic scheduler
+// (the IPMI sampler) takes every period up to the horizon in one Fire
+// and arms one event for the first period it could not reach.
+//
 // # Event queue
 //
 // The pending-event set is a two-tier calendar queue (a ladder queue
@@ -35,6 +42,7 @@ package simclock
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -130,7 +138,7 @@ func (b *bucket) pop() *event {
 type calQueue struct {
 	buckets [nbuckets]bucket
 	// slots is each bucket's first backing array, carved from the Sim:
-	// a sampler's tick walks the band one event per bucket, so a
+	// a cluster lane's completions spread over the whole band, so a
 	// bucket's first event must not cost an allocation. A bucket that
 	// holds two events at once outgrows its slot onto the heap.
 	slots  [nbuckets][1]*event
@@ -156,23 +164,56 @@ type Sim struct {
 	lastEvent time.Time // instant of the last executed event
 	seq       uint64    // tie-breaker for same-instant events
 	pending   int
-	q         calQueue
-	free      []*event // event pool
+	// limit is the latest tick the running call lets an action skip the
+	// clock to (Horizon): t under RunUntil(t), t−1 under RunBefore(t),
+	// unbounded under Step and Run.
+	limit int64
+	q     calQueue
+	free  []*event // event pool
 }
+
+// unbounded is the limit of Step and Run: only the next pending event
+// bounds a skip.
+const unbounded = math.MaxInt64
 
 // New returns a simulator whose clock starts at Epoch.
 func New() *Sim { return NewAt(Epoch) }
 
 // NewAt returns a simulator whose clock starts at the given instant.
 func NewAt(start time.Time) *Sim {
-	s := &Sim{now: start, nowTick: start.UnixNano(), lastEvent: start}
-	s.q.width = defaultWidth
-	s.q.base = start.UnixNano()
-	s.q.top = s.q.base + nbuckets*s.q.width
+	s := &Sim{}
 	for i := range s.q.buckets {
 		s.q.buckets[i] = s.q.slots[i][:0]
 	}
+	s.Reset(start)
 	return s
+}
+
+// Reset returns the simulator to the state NewAt(start) gives: its
+// pending events are dropped unfired and their records go back to the
+// pool, whose capacity, like the buckets', is kept for the next run. A
+// sweep builds one node stack per configuration, each on a Sim of about
+// 9 KB, so it hands its Sims on rather than building one per stack.
+func (s *Sim) Reset(start time.Time) {
+	q := &s.q
+	for i := range q.buckets {
+		for _, ev := range q.buckets[i] {
+			s.release(ev)
+		}
+		clear(q.buckets[i])
+		q.buckets[i] = q.buckets[i][:0]
+	}
+	for _, ev := range q.far {
+		s.release(ev)
+	}
+	clear(q.far)
+	q.far = q.far[:0]
+	q.n, q.cur, q.farMin, q.farMax = 0, 0, 0, 0
+	q.width = defaultWidth
+	q.base = start.UnixNano()
+	q.top = q.base + nbuckets*q.width
+	s.now, s.nowTick, s.lastEvent = start, start.UnixNano(), start
+	s.seq, s.pending, s.limit = 0, 0, unbounded
 }
 
 // Now returns the current simulated time.
@@ -352,17 +393,22 @@ func (s *Sim) stepSettled() {
 }
 
 // Step runs the single earliest pending event, advancing the clock to
-// its deadline. It reports whether an event ran.
+// its deadline. It reports whether an event ran. The action it fires
+// may leave the clock anywhere before the next pending event (see
+// Horizon), so a caller of Step reads the state the event changed, not
+// the instant it left.
 func (s *Sim) Step() bool {
 	if !s.settle() {
 		return false
 	}
+	s.limit = unbounded
 	s.stepSettled()
 	return true
 }
 
 // Run executes events until the queue is empty.
 func (s *Sim) Run() {
+	s.limit = unbounded
 	for s.settle() {
 		s.stepSettled()
 	}
@@ -376,6 +422,7 @@ func (s *Sim) RunUntil(t time.Time) {
 		panic(fmt.Sprintf("simclock: RunUntil(%v) is before now %v", t, s.now))
 	}
 	tick := t.UnixNano()
+	s.limit = tick
 	for s.settle() && s.q.buckets[s.q.cur][0].tick <= tick {
 		s.stepSettled()
 	}
@@ -384,17 +431,48 @@ func (s *Sim) RunUntil(t time.Time) {
 }
 
 // RunBefore executes events with deadlines strictly before t, leaving
-// the clock at the last event executed (or unchanged if none ran). It
-// is the windowed variant the parallel partition lanes use: a lane
-// drains its band up to a barrier instant without claiming to have
-// reached it, so an event at exactly the barrier still runs — in the
-// next window, identically at any lane count. A t at or before Now is
-// a no-op.
+// the clock at the last event executed, or where that event's action
+// skipped it (or unchanged if none ran). It is the windowed variant
+// the parallel partition lanes use: a lane drains its band up to a
+// barrier instant without claiming to have reached it, so an event at
+// exactly the barrier still runs — in the next window, identically at
+// any lane count. A t at or before Now is a no-op.
 func (s *Sim) RunBefore(t time.Time) {
 	tick := t.UnixNano()
+	s.limit = tick - 1
 	for s.settle() && s.q.buckets[s.q.cur][0].tick < tick {
 		s.stepSettled()
 	}
+}
+
+// Horizon returns the latest tick the action firing now may move the
+// clock to with SkipTo: below the next pending event, and within the
+// bound of the call that fired it — up to t under RunUntil(t), below t
+// under RunBefore(t), and under Step and Run just below the next
+// pending event, or nowhere when no other event is pending. An event
+// at the horizon's next tick was armed before anything the skipping
+// action arms, so it still fires first. Outside an action's Fire the
+// result means nothing.
+func (s *Sim) Horizon() int64 {
+	h := s.limit
+	if s.settle() {
+		h = min(h, s.q.buckets[s.q.cur][0].tick-1)
+	} else if h == unbounded {
+		return s.nowTick
+	}
+	return h
+}
+
+// SkipTo moves the clock forward to t, firing nothing; LastEventAt
+// still reports the last event. t must not lie past Horizon; one
+// before Now panics.
+func (s *Sim) SkipTo(t time.Time) {
+	tick := t.UnixNano()
+	if tick < s.nowTick {
+		panic(fmt.Sprintf("simclock: skipping to %v before now %v", t, s.now))
+	}
+	s.now = t
+	s.nowTick = tick
 }
 
 // RunFor advances the simulation by d. See RunUntil.

@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -254,5 +255,113 @@ func TestClockMonotonicProperty(t *testing.T) {
 		return ok
 	}, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHorizon pins how far an action may skip the clock under each run
+// call: below the next pending event, within the call's bound, and
+// nowhere under Step and Run when nothing else is pending.
+func TestHorizon(t *testing.T) {
+	at := func(d time.Duration) int64 { return Epoch.Add(d).UnixNano() }
+	for _, tc := range []struct {
+		name  string
+		other time.Duration // a second pending event, 0 for none
+		run   func(*Sim)
+		want  int64
+	}{
+		{"step", 10 * time.Second, func(s *Sim) { s.Step() }, at(10*time.Second) - 1},
+		{"step-alone", 0, func(s *Sim) { s.Step() }, at(time.Second)},
+		{"run", 10 * time.Second, func(s *Sim) { s.Run() }, at(10*time.Second) - 1},
+		{"run-alone", 0, func(s *Sim) { s.Run() }, at(time.Second)},
+		{"until-bound", 10 * time.Second, func(s *Sim) { s.RunUntil(Epoch.Add(5 * time.Second)) }, at(5 * time.Second)},
+		{"until-event", 10 * time.Second, func(s *Sim) { s.RunUntil(Epoch.Add(time.Minute)) }, at(10*time.Second) - 1},
+		{"until-alone", 0, func(s *Sim) { s.RunUntil(Epoch.Add(time.Minute)) }, at(time.Minute)},
+		{"before-bound", 10 * time.Second, func(s *Sim) { s.RunBefore(Epoch.Add(5 * time.Second)) }, at(5*time.Second) - 1},
+		{"before-event", 10 * time.Second, func(s *Sim) { s.RunBefore(Epoch.Add(time.Minute)) }, at(10*time.Second) - 1},
+		{"before-alone", 0, func(s *Sim) { s.RunBefore(Epoch.Add(time.Minute)) }, at(time.Minute) - 1},
+	} {
+		s := New()
+		var fns funcs
+		got := int64(-1)
+		fns.after(s, time.Second, func() { got = s.Horizon() })
+		if tc.other != 0 {
+			fns.after(s, tc.other, func() {})
+		}
+		tc.run(s)
+		if got != tc.want {
+			t.Errorf("%s: Horizon = Epoch+%v, want Epoch+%v", tc.name, time.Duration(got-Epoch.UnixNano()), time.Duration(tc.want-Epoch.UnixNano()))
+		}
+	}
+}
+
+// An action that skips to its horizon leaves the clock there; the next
+// event still fires at its own instant, and LastEventAt counts events
+// only.
+func TestSkipTo(t *testing.T) {
+	s := New()
+	var fns funcs
+	var firedAt time.Time
+	fns.after(s, time.Second, func() {
+		s.SkipTo(time.Unix(0, s.Horizon()).In(Epoch.Location()))
+	})
+	fns.after(s, 10*time.Second, func() { firedAt = s.Now() })
+	s.Step()
+	if got := s.Now().Sub(Epoch); got != 10*time.Second-1 {
+		t.Fatalf("after the skipping step now = Epoch+%v, want Epoch+10s−1ns", got)
+	}
+	if got := s.LastEventAt().Sub(Epoch); got != time.Second {
+		t.Fatalf("LastEventAt = Epoch+%v after a skip, want the event's Epoch+1s", got)
+	}
+	s.Step()
+	if got := firedAt.Sub(Epoch); got != 10*time.Second {
+		t.Fatalf("the next event fired at Epoch+%v, want Epoch+10s", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("skipping into the past did not panic")
+		}
+	}()
+	s.SkipTo(Epoch)
+}
+
+// TestResetMatchesFreshSim: a Sim reset with events pending in the near
+// band, in an outgrown bucket and in the far band fires none of them,
+// and then runs any schedule exactly as a fresh Sim and the reference
+// queue do.
+func TestResetMatchesFreshSim(t *testing.T) {
+	start := Epoch.Add(time.Hour)
+	corpus := [][]byte{
+		{0, 0, 0, 0, 6, 2, 3, 0},
+		{0, 10, 0, 10, 0, 10, 2, 1, 3, 0, 3, 0, 3, 0},
+		{0, 8, 0, 9, 4, 7, 0, 5, 5, 6, 2, 0, 3, 0},
+		{0, 7, 0, 7, 0, 6, 0, 0, 0, 7, 2, 1, 3, 0, 4, 7, 0, 0, 5, 5},
+	}
+	for i, data := range corpus {
+		s := New()
+		var fns funcs
+		stale := 0
+		for _, d := range []time.Duration{time.Second, time.Second, 2 * time.Second, 8 * time.Minute, 7 * time.Hour, 40 * 24 * time.Hour} {
+			fns.after(s, d, func() { stale++ })
+		}
+		s.Step()
+		stale = 0
+		s.Reset(start)
+		fresh := NewAt(start)
+		if s.Now() != fresh.Now() || s.NowTick() != fresh.NowTick() || s.LastEventAt() != fresh.LastEventAt() || s.Pending() != 0 {
+			t.Fatalf("input %d: reset Sim at %v (tick %d, last event %v) with %d pending, fresh at %v",
+				i, s.Now(), s.NowTick(), s.LastEventAt(), s.Pending(), fresh.Now())
+		}
+		if s.q.n != 0 || len(s.q.far) != 0 || s.q.base != fresh.q.base || s.q.width != fresh.q.width || s.q.top != fresh.q.top || s.q.cur != 0 || s.seq != 0 {
+			t.Fatalf("input %d: reset queue %+v differs from a fresh one", i, s.q)
+		}
+		got := interpret(data, &simUnderTest{s: s, start: start})
+		want := interpret(data, &simUnderTest{s: fresh, start: start})
+		ref := interpret(data, &refUnderTest{r: &refSim{}})
+		if stale != 0 {
+			t.Fatalf("input %d: %d events pending at Reset fired after it", i, stale)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(got) != fmt.Sprint(ref) {
+			t.Fatalf("input %d: trace diverged:\nreset:     %v\nfresh:     %v\nreference: %v", i, got, want, ref)
+		}
 	}
 }
