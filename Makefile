@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race chaos fuzz cover bench bench-smoke profile-cluster profile-sweep alloc-check serve-smoke scale-smoke loadgen-smoke mutants loc clean
+.PHONY: all build vet lint test race chaos fuzz cover bench bench-smoke profile-cluster profile-sweep profile-submit alloc-check serve-smoke scale-smoke loadgen-smoke mutants loc clean
 
 all: vet lint test
 
@@ -143,6 +143,21 @@ profile-sweep:
 	TMPDIR=$$([ -w /dev/shm ] && echo /dev/shm || echo $${TMPDIR:-/tmp}) $(GO) test -run XXX -bench 'ParallelSweep/parallelism-1$$' -benchtime=50x -benchmem \
 		-o bin/ecosched.test -cpuprofile bin/sweep-cpu.out -memprofile bin/sweep-mem.out .
 	$(GO) tool pprof -top -nodecount=20 bin/ecosched.test bin/sweep-cpu.out
+
+# profile-submit does the same for the paper's budgeted path: an
+# opted-in sbatch plus WaitFor on a preloaded deployment
+# (BenchmarkSubmitLatency), five runs of 500,000 on a deployment each,
+# so that the accounting rows the finished jobs leave make up most of
+# the live heap (about 50 MB at the end of a run). It is the
+# starting point for submit-path and retained-heap work. The profiles
+# are written once every deployment has closed, so what the jobs keep
+# is the Accounting.appendRow line of `go tool pprof
+# -sample_index=alloc_space bin/ecosched.test bin/submit-mem.out`; the
+# gcBgMarkWorker line of the CPU top is the collector's share.
+profile-submit:
+	TMPDIR=$$([ -w /dev/shm ] && echo /dev/shm || echo $${TMPDIR:-/tmp}) $(GO) test -run XXX -bench 'SubmitLatency$$' -benchtime=500000x -count=5 -benchmem \
+		-o bin/ecosched.test -cpuprofile bin/submit-cpu.out -memprofile bin/submit-mem.out .
+	$(GO) tool pprof -top -nodecount=20 bin/ecosched.test bin/submit-cpu.out
 
 # alloc-check guards the allocation guarantees of the hot paths. The
 # simulator's must report 0 allocs/op, or a heap allocation has crept

@@ -121,8 +121,9 @@ func TestUserJourney(t *testing.T) {
 // TestSubmitRetainsOnlyTheAccountingRow bounds what a long-lived
 // deployment keeps of each opted-in job once it has ended: the
 // controller drops the record from its job table, so what remains is
-// about the accounting row (176 B). Keeping every terminal Job in the
-// table retained about 635 B a job.
+// about the accounting row (104 B). Keeping every terminal Job in the
+// table retained about 635 B a job, and a row that held an AcctRecord
+// about 179 B.
 func TestSubmitRetainsOnlyTheAccountingRow(t *testing.T) {
 	d := newDeployment(t)
 	if _, err := d.BenchmarkConfigs(QuickSweepConfigs(), 0); err != nil {
@@ -146,7 +147,7 @@ func TestSubmitRetainsOnlyTheAccountingRow(t *testing.T) {
 			}
 		}
 	}
-	const jobs, maxBytesPerJob = 40_000, 256
+	const jobs, maxBytesPerJob = 40_000, 128
 	var before, after runtime.MemStats
 	run(1_000)
 	runtime.GC()

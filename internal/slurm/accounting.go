@@ -1,8 +1,10 @@
 package slurm
 
 import (
+	"math"
 	"sort"
 	"time"
+	"unsafe"
 )
 
 // AcctRecord is one slurmdbd accounting row: what the cluster knows
@@ -74,14 +76,46 @@ type AcctTotals struct {
 // doubles in place up to acctChunkSize rows, so a controller that runs
 // one job pays for one row, and every later chunk is born full.
 type Accounting struct {
-	chunk0        []AcctRecord
-	chunks        [][]AcctRecord // chunks 1…, each acctChunkSize rows when full
+	chunk0 []acctRow
+	chunks [][]acctRow // chunks 1…, each acctChunkSize rows when full
+	// loc is the location the controller's clock stamped the first
+	// row's times in, and every row reads back in it (nil: no row yet).
+	// A clock moved to an instant in another location part-way through
+	// a run (RunUntil, or an event armed at such a time) would read
+	// back at the same instants in the first location.
+	loc           *time.Location
 	totals        AcctTotals
 	aggregateOnly bool
 }
 
-// acctChunkSize is the row capacity of a full chunk (about 88 KB).
-const acctChunkSize = 512
+// acctRow is the stored form of an AcctRecord, rebuilt on read (rec).
+// A long-lived controller keeps one per finished job, so it holds the
+// times as the job's ticks and the state as a code: 104 B, where the
+// record's three time.Time values and state string take it to 176.
+// Cores and threads fit 16 bits because NewCluster accepts no node
+// wider (maxNodeWidth) and submission caps both at the node's.
+type acctRow struct {
+	name, nodeName     string
+	submit, start, end int64 // UnixNano; start is noStart for a job that never started
+	systemKJ, cpuKJ    float64
+	gflops             float64
+	jobID, freqKHz     int
+	cores, threadsPer  uint16
+	state              uint8 // index in acctStates
+}
+
+// noStart is the start tick of a job that never started, read back as
+// the zero time: a clock instant (in 1677) no simulation runs at.
+const noStart = math.MinInt64
+
+// acctStates decodes a row's state code, the state's index here;
+// completion first, the state almost every row has.
+var acctStates = [...]JobState{StateCompleted, StateFailed, StateCancelled, StatePending, StateRunning}
+
+// acctChunkSize is the row capacity of a full chunk: as many rows as
+// fit 64 KB, eight whole pages, since a chunk is past the largest size
+// class (630 rows; 512 would leave 16 B a row of a seventh page idle).
+const acctChunkSize = 64 << 10 / int(unsafe.Sizeof(acctRow{}))
 
 func (a *Accounting) record(job *Job) {
 	a.totals.Jobs++
@@ -95,7 +129,8 @@ func (a *Accounting) record(job *Job) {
 	}
 	a.totals.SystemKJ += job.SystemJ / 1000
 	a.totals.CPUKJ += job.CPUJ / 1000
-	if !job.StartTime.IsZero() {
+	started := !job.StartTime.IsZero()
+	if started {
 		// The controller stamps tick mirrors on every path a started job
 		// ends by; the duration arithmetic is identical to Sub on the
 		// time.Time fields.
@@ -107,35 +142,82 @@ func (a *Accounting) record(job *Job) {
 	if a.aggregateOnly {
 		return
 	}
-	a.appendRow(AcctRecord{
-		JobID:      job.ID,
-		Name:       job.Desc.Name,
-		State:      job.State,
-		NodeName:   job.NodeName,
-		Cores:      job.Desc.NumTasks,
-		FreqKHz:    job.Desc.MaxFreqKHz,
-		ThreadsPer: job.Desc.ThreadsPerCPU,
-		Submit:     job.SubmitTime,
-		Start:      job.StartTime,
-		End:        job.EndTime,
-		SystemKJ:   job.SystemJ / 1000,
-		CPUKJ:      job.CPUJ / 1000,
-		GFLOPS:     job.GFLOPS,
-	})
+	if a.loc == nil {
+		a.loc = job.SubmitTime.Location()
+	}
+	// A job that never started ends where it is refused, which stamps
+	// EndTime alone.
+	r := acctRow{
+		name:       job.Desc.Name,
+		nodeName:   job.NodeName,
+		submit:     job.submitTick,
+		start:      noStart,
+		end:        job.EndTime.UnixNano(),
+		systemKJ:   job.SystemJ / 1000,
+		cpuKJ:      job.CPUJ / 1000,
+		gflops:     job.GFLOPS,
+		jobID:      job.ID,
+		freqKHz:    job.Desc.MaxFreqKHz,
+		cores:      uint16(job.Desc.NumTasks),
+		threadsPer: uint16(job.Desc.ThreadsPerCPU),
+		state:      acctStateCode(job.State),
+	}
+	if started {
+		r.start, r.end = job.startTick, job.endTick
+	}
+	a.appendRow(r)
+}
+
+// acctStateCode is the state's index in acctStates; the controller
+// records a job only in a state listed there.
+func acctStateCode(s JobState) uint8 {
+	for i, v := range acctStates {
+		if v == s {
+			return uint8(i)
+		}
+	}
+	panic("slurm: accounting a job in unknown state " + string(s))
+}
+
+// rec rebuilds the record a row stores, its times in the clock's
+// location.
+func (a *Accounting) rec(r *acctRow) AcctRecord {
+	loc := a.loc
+	if loc == nil {
+		loc = time.UTC
+	}
+	out := AcctRecord{
+		JobID:      r.jobID,
+		Name:       r.name,
+		State:      acctStates[r.state],
+		NodeName:   r.nodeName,
+		Cores:      int(r.cores),
+		FreqKHz:    r.freqKHz,
+		ThreadsPer: int(r.threadsPer),
+		Submit:     time.Unix(0, r.submit).In(loc),
+		End:        time.Unix(0, r.end).In(loc),
+		SystemKJ:   r.systemKJ,
+		CPUKJ:      r.cpuKJ,
+		GFLOPS:     r.gflops,
+	}
+	if r.start != noStart {
+		out.Start = time.Unix(0, r.start).In(loc)
+	}
+	return out
 }
 
 // appendRow adds a row to the last chunk, growing chunk 0 or opening a
 // full-size chunk when it has no room.
-func (a *Accounting) appendRow(r AcctRecord) {
+func (a *Accounting) appendRow(r acctRow) {
 	if n := len(a.chunk0); n < acctChunkSize {
 		if n == cap(a.chunk0) {
-			a.chunk0 = append(make([]AcctRecord, 0, min(max(2*n, 1), acctChunkSize)), a.chunk0...)
+			a.chunk0 = append(make([]acctRow, 0, min(max(2*n, 1), acctChunkSize)), a.chunk0...)
 		}
 		a.chunk0 = append(a.chunk0, r)
 		return
 	}
 	if last := len(a.chunks) - 1; last < 0 || len(a.chunks[last]) == acctChunkSize {
-		a.chunks = append(a.chunks, make([]AcctRecord, 0, acctChunkSize))
+		a.chunks = append(a.chunks, make([]acctRow, 0, acctChunkSize))
 	}
 	last := &a.chunks[len(a.chunks)-1]
 	*last = append(*last, r)
@@ -143,9 +225,21 @@ func (a *Accounting) appendRow(r AcctRecord) {
 
 // Records returns all accounting rows ordered by job id.
 func (a *Accounting) Records() []AcctRecord {
-	out := append([]AcctRecord(nil), a.chunk0...)
+	n := len(a.chunk0)
 	for _, c := range a.chunks {
-		out = append(out, c...)
+		n += len(c)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]AcctRecord, 0, n)
+	for i := range a.chunk0 {
+		out = append(out, a.rec(&a.chunk0[i]))
+	}
+	for _, c := range a.chunks {
+		for i := range c {
+			out = append(out, a.rec(&c[i]))
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].JobID < out[j].JobID })
 	return out
@@ -161,8 +255,8 @@ func (a *Accounting) Record(jobID int) (AcctRecord, bool) {
 			rows = a.chunks[ci]
 		}
 		for i := len(rows) - 1; i >= 0; i-- {
-			if rows[i].JobID == jobID {
-				return rows[i], true
+			if rows[i].jobID == jobID {
+				return a.rec(&rows[i]), true
 			}
 		}
 	}

@@ -213,7 +213,7 @@ func BenchmarkAccountingRecordNewest(b *testing.B) {
 	const rows = 100_000
 	var a Accounting
 	for id := 1; id <= rows; id++ {
-		a.appendRow(AcctRecord{JobID: id})
+		a.appendRow(acctRow{jobID: id})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

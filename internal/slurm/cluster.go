@@ -2,6 +2,7 @@ package slurm
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"time"
@@ -220,6 +221,12 @@ func WithSchedPolicies(ps ...SchedPolicy) ClusterOption {
 	return func(cfg *clusterConfig) { cfg.policies = append(cfg.policies, ps...) }
 }
 
+// maxNodeWidth bounds a node's cores and its threads per core, both 16
+// bits wide in slurmctld's node record. Submission caps a job's tasks
+// and threads per CPU at its node's, so accounting stores them in 16
+// bits too (acctRow).
+const maxNodeWidth = math.MaxUint16
+
 // NewCluster builds a controller over the configuration's partition
 // and the nodes WithNodes gives it. Submit plugins named in
 // conf.JobSubmitPlugins must be registered with RegisterPlugin before
@@ -241,7 +248,6 @@ func NewCluster(sim *simclock.Sim, conf Conf, opts ...ClusterOption) (*Controlle
 		conf:      conf,
 		part:      &partition{name: conf.Partition.Name, conf: conf.Partition},
 		nextID:    1,
-		workloads: make(map[string]workload.Shape),
 		acct:      &Accounting{aggregateOnly: cfg.aggregate},
 		userSlots: make(map[uint32]int32),
 		usageSink: cfg.usageSink,
@@ -257,12 +263,17 @@ func NewCluster(sim *simclock.Sim, conf Conf, opts ...ClusterOption) (*Controlle
 
 	seen := make(map[string]bool, len(cfg.nodes))
 	for _, n := range cfg.nodes {
-		name := n.Spec().Name
+		spec := n.Spec()
+		name := spec.Name
 		if seen[name] {
 			return nil, fmt.Errorf("slurm: duplicate node name %q", name)
 		}
+		if spec.Cores > maxNodeWidth || spec.ThreadsPerCore > maxNodeWidth {
+			return nil, fmt.Errorf("slurm: node %q has %d cores × %d threads per core, more than %d",
+				name, spec.Cores, spec.ThreadsPerCore, maxNodeWidth)
+		}
 		seen[name] = true
-		nd := &nodeD{name: name, hw: n, spec: n.Spec()}
+		nd := &nodeD{name: name, hw: n, spec: spec}
 		c.part.addNode(nd)
 		c.refreeNode(nd)
 	}

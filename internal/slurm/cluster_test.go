@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ecosched/internal/hw"
 	"ecosched/internal/perfmodel"
@@ -38,11 +39,57 @@ func TestClusterOptionErrors(t *testing.T) {
 		{"no nodes", DefaultConf(), nil},
 		{"no partition", Conf{}, []ClusterOption{WithNodes(nodes...)}},
 		{"duplicate node", DefaultConf(), []ClusterOption{WithNodes(nodes[0], nodes[0])}},
+		{"node too wide", DefaultConf(), []ClusterOption{WithNodes(wideNode(sim, maxNodeWidth+1, 1))}},
+		{"threads too wide", DefaultConf(), []ClusterOption{WithNodes(wideNode(sim, 1, maxNodeWidth+1))}},
 	}
 	for _, c := range cases {
 		if _, err := NewCluster(sim, c.conf, c.opts...); err == nil {
 			t.Errorf("%s: NewCluster succeeded, want error", c.name)
 		}
+	}
+}
+
+// wideNode is a node with the given cores and threads per core.
+func wideNode(sim *simclock.Sim, cores, threads int) *hw.Node {
+	spec := hw.DefaultSpec()
+	spec.Cores, spec.ThreadsPerCore = cores, threads
+	return hw.NewNode(sim, spec, perfmodel.Default(), 1)
+}
+
+// TestRegisterWorkloadPaths runs jobs on registered binaries: the first
+// path, held inline, and later ones, in the map, each registered again
+// with another shape; a path never registered runs the unknown
+// workload. Registering the first path allocates nothing, so a sweep
+// stack that registers the one HPCG shape pays for no map.
+func TestRegisterWorkloadPaths(t *testing.T) {
+	sim := simclock.New()
+	c, err := NewCluster(sim, DefaultConf(), WithNodes(clusterNodes(sim, 1)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, path := range []string{"/bin/a", "/bin/b", "/bin/c", "/bin/a", "/bin/b"} {
+		c.RegisterWorkload(path, workload.Sleep("app", time.Duration(i+1)*time.Minute))
+	}
+	for _, tc := range []struct {
+		path string
+		want time.Duration
+	}{{"/bin/a", 4 * time.Minute}, {"/bin/b", 5 * time.Minute}, {"/bin/c", 3 * time.Minute}, {"/bin/none", unknownWorkload.Duration}} {
+		job, err := c.Submit(JobDesc{BinaryPath: tc.path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.WaitFor(job.ID); err != nil {
+			t.Fatal(err)
+		}
+		if rec, _ := c.Accounting().Record(job.ID); rec.Runtime() != tc.want {
+			t.Errorf("%s ran %v, want %v", tc.path, rec.Runtime(), tc.want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		var fresh Controller
+		fresh.RegisterWorkload("/opt/hpcg/xhpcg", workload.FixedWork("hpcg", 24000))
+	}); allocs != 0 {
+		t.Fatalf("registering a controller's first workload allocates %.0f times, want 0", allocs)
 	}
 }
 
@@ -347,11 +394,11 @@ func TestLiveJobLookupFindsCoScheduledJobs(t *testing.T) {
 // and one job's row is one allocation, as it was.
 func TestAccountingChunksMatchOneSlice(t *testing.T) {
 	var a Accounting
-	var oracle []AcctRecord
+	var oracle []acctRow
 	n := 2*acctChunkSize + 3
-	var full *AcctRecord // chunk 0's first row once chunk 0 is full
+	var full *acctRow // chunk 0's first row once chunk 0 is full
 	for i := 0; i < n; i++ {
-		r := AcctRecord{JobID: (i*7919)%n + 1, Name: fmt.Sprint("j", i), SystemKJ: float64(i)}
+		r := acctRow{jobID: (i*7919)%n + 1, name: fmt.Sprint("j", i), systemKJ: float64(i)}
 		a.appendRow(r)
 		oracle = append(oracle, r)
 		if len(a.chunk0) == acctChunkSize && full == nil {
@@ -361,13 +408,17 @@ func TestAccountingChunksMatchOneSlice(t *testing.T) {
 	if full != &a.chunk0[0] || cap(a.chunk0) != acctChunkSize || len(a.chunks) != 2 || cap(a.chunks[0]) != acctChunkSize || len(a.chunks[1]) != 3 {
 		t.Fatalf("table shape: chunk 0 %d/%d rows (moved: %v), %d more chunks", len(a.chunk0), cap(a.chunk0), full != &a.chunk0[0], len(a.chunks))
 	}
-	sort.Slice(oracle, func(i, j int) bool { return oracle[i].JobID < oracle[j].JobID })
-	if got := a.Records(); !reflect.DeepEqual(got, oracle) {
-		t.Fatalf("Records differs from the one-slice table (%d rows, want %d)", len(got), len(oracle))
+	sort.Slice(oracle, func(i, j int) bool { return oracle[i].jobID < oracle[j].jobID })
+	want := make([]AcctRecord, len(oracle))
+	for i := range oracle {
+		want[i] = a.rec(&oracle[i])
 	}
-	for _, want := range oracle {
-		if got, ok := a.Record(want.JobID); !ok || got != want {
-			t.Fatalf("Record(%d) = %+v, %v; want %+v", want.JobID, got, ok, want)
+	if got := a.Records(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Records differs from the one-slice table (%d rows, want %d)", len(got), len(want))
+	}
+	for _, w := range want {
+		if got, ok := a.Record(w.JobID); !ok || got != w {
+			t.Fatalf("Record(%d) = %+v, %v; want %+v", w.JobID, got, ok, w)
 		}
 	}
 	if _, ok := a.Record(n + 1); ok {
@@ -375,8 +426,146 @@ func TestAccountingChunksMatchOneSlice(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		var one Accounting
-		one.appendRow(AcctRecord{JobID: 1})
+		one.appendRow(acctRow{jobID: 1})
 	}); allocs != 1 {
 		t.Fatalf("one job's row allocates %.0f times, want 1", allocs)
 	}
+}
+
+// TestAccountingRowSize pins the stored row's size: on the paper path
+// it is all the heap a finished job keeps
+// (TestSubmitRetainsOnlyTheAccountingRow), 176 B while it held an
+// AcctRecord.
+func TestAccountingRowSize(t *testing.T) {
+	if got := unsafe.Sizeof(acctRow{}); got > 104 {
+		t.Fatalf("unsafe.Sizeof(acctRow{}) = %d, want at most 104: a long-lived controller keeps one per finished job", got)
+	}
+}
+
+// TestAccountingRowsMatchOracle is a differential test of the stored
+// row against the AcctRecord rows it replaced, kept in a plain slice:
+// random terminal jobs — completed, failed at their time limit or at
+// start, cancelled before they started — recorded out of id order, in
+// tables from empty through chunk 0's doublings and across full-chunk
+// boundaries, with extreme field values and clocks in and out of UTC,
+// must read back through Records, every Record(id) and FormatSacct
+// exactly as the oracle's, times and their locations included.
+func TestAccountingRowsMatchOracle(t *testing.T) {
+	rng := simclock.NewRNG(53)
+	pick := func(vals ...int) int { return vals[rng.Intn(len(vals))] }
+	floats := []float64{0, math.Copysign(0, -1), 1e-3, 1234.5678, math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+	float := func() float64 {
+		if rng.Intn(2) == 0 {
+			return floats[rng.Intn(len(floats))]
+		}
+		return rng.Float64() * 1e6
+	}
+	locs := []*time.Location{time.UTC, time.FixedZone("CEST", 2*3600), time.FixedZone("west", -(9*3600 + 30*60))}
+	// Clock starts: the simulator's epoch, and the ends of the range a
+	// tick (UnixNano) covers, 1677-09-21 to 2262-04-11.
+	starts := [][6]int{{2023, 5, 10, 3, 0, 0}, {2262, 4, 10, 0, 0, 0}, {1677, 9, 22, 0, 0, 0}}
+	sizes := []int{0, 1, 2, 3, 5, acctChunkSize - 1, acctChunkSize, acctChunkSize + 1, 2 * acctChunkSize, 3*acctChunkSize + 7}
+	for trial := 0; trial < 3*len(sizes); trial++ {
+		n := sizes[trial%len(sizes)]
+		loc := locs[trial%len(locs)]
+		st := starts[(trial/len(locs))%len(starts)]
+		epoch := time.Date(st[0], time.Month(st[1]), st[2], st[3], st[4], st[5], 0, loc)
+
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = i + 1
+		}
+		if n > 0 && trial%2 == 1 {
+			ids[n-1] = math.MaxInt
+		}
+		order := make([]int, n) // the order the jobs end in
+		for i := range order {
+			j := rng.Intn(i + 1)
+			order[i], order[j] = order[j], i
+		}
+		var a Accounting
+		var oracle []AcctRecord
+		for _, k := range order {
+			// Times as the clock stamps them: the epoch advanced by a
+			// duration, in nanoseconds.
+			submit := epoch.Add(time.Duration(rng.Intn(int(12 * time.Hour))))
+			job := &Job{
+				ID:         ids[k],
+				SubmitTime: submit,
+				NodeName:   []string{"", "n0", "node-with-a-long-name-0123456789"}[rng.Intn(3)],
+				SystemJ:    float(),
+				CPUJ:       float(),
+				GFLOPS:     float(),
+				Desc: JobDesc{
+					Name:          []string{"", "HPCG_BENCHMARK", fmt.Sprint("job-", k)}[rng.Intn(3)],
+					NumTasks:      pick(1, 2, 32, maxNodeWidth, 1+rng.Intn(maxNodeWidth)),
+					ThreadsPerCPU: pick(1, 2, maxNodeWidth, 1+rng.Intn(maxNodeWidth)),
+					MaxFreqKHz:    pick(0, 2_200_000, -1, math.MaxInt, math.MinInt, rng.Intn(5_000_000)),
+				},
+				submitTick: submit.UnixNano(),
+			}
+			d := time.Duration(rng.Intn(int(6 * time.Hour)))
+			switch kind := rng.Intn(4); kind {
+			case 0, 1: // completed, or failed at its time limit
+				job.State = []JobState{StateCompleted, StateFailed}[kind]
+				job.StartTime = submit.Add(d)
+				job.EndTime = job.StartTime.Add(time.Duration(rng.Intn(int(6 * time.Hour))))
+				job.startTick, job.endTick = job.StartTime.UnixNano(), job.EndTime.UnixNano()
+			default: // failed at start, or cancelled before it
+				job.State = []JobState{StateFailed, StateCancelled}[kind-2]
+				job.EndTime = submit.Add(d)
+				// A job that never started has no tick mirrors stamped
+				// but its submission's.
+				job.startTick, job.endTick = int64(rng.Uint64()), int64(rng.Uint64())
+			}
+			a.record(job)
+			oracle = append(oracle, AcctRecord{
+				JobID:      job.ID,
+				Name:       job.Desc.Name,
+				State:      job.State,
+				NodeName:   job.NodeName,
+				Cores:      job.Desc.NumTasks,
+				FreqKHz:    job.Desc.MaxFreqKHz,
+				ThreadsPer: job.Desc.ThreadsPerCPU,
+				Submit:     job.SubmitTime,
+				Start:      job.StartTime,
+				End:        job.EndTime,
+				SystemKJ:   job.SystemJ / 1000,
+				CPUKJ:      job.CPUJ / 1000,
+				GFLOPS:     job.GFLOPS,
+			})
+		}
+		sort.Slice(oracle, func(i, j int) bool { return oracle[i].JobID < oracle[j].JobID })
+
+		got := a.Records()
+		if len(got) != len(oracle) || (n == 0) != (got == nil) {
+			t.Fatalf("trial %d: Records holds %d rows (nil: %v), oracle %d", trial, len(got), got == nil, len(oracle))
+		}
+		for i, want := range oracle {
+			if !sameRecord(got[i], want) {
+				t.Fatalf("trial %d: Records()[%d] = %+v, oracle %+v", trial, i, got[i], want)
+			}
+			if r, ok := a.Record(want.JobID); !ok || !sameRecord(r, want) {
+				t.Fatalf("trial %d: Record(%d) = %+v, %v; oracle %+v", trial, want.JobID, r, ok, want)
+			}
+		}
+		if _, ok := a.Record(0); ok {
+			t.Fatalf("trial %d: Record(0) found a row", trial)
+		}
+		if got, want := (&Controller{acct: &a}).FormatSacct(), formatSacct(oracle); got != want {
+			t.Fatalf("trial %d: FormatSacct differs from the oracle's:\n%s\nwant\n%s", trial, got, want)
+		}
+	}
+}
+
+// sameRecord reports whether two records are identical: times in their
+// representation and location, floats bit for bit (NaN and −0
+// included).
+func sameRecord(a, b AcctRecord) bool {
+	bits := func(r *AcctRecord) [3]uint64 {
+		out := [3]uint64{math.Float64bits(r.SystemKJ), math.Float64bits(r.CPUKJ), math.Float64bits(r.GFLOPS)}
+		r.SystemKJ, r.CPUKJ, r.GFLOPS = 0, 0, 0
+		return out
+	}
+	return bits(&a) == bits(&b) && a == b
 }

@@ -53,11 +53,13 @@ func clockFormat(d time.Duration) string {
 // FormatSacct renders the accounting the way `sacct --format=...` with
 // energy fields would: one row per finished job, including the
 // consumed-energy columns the evaluation reads.
-func (c *Controller) FormatSacct() string {
+func (c *Controller) FormatSacct() string { return formatSacct(c.Accounting().Records()) }
+
+func formatSacct(recs []AcctRecord) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%8s %18s %10s %6s %10s %10s %10s %12s\n",
 		"JobID", "JobName", "State", "Cores", "Elapsed", "SysKJ", "CpuKJ", "GFLOPS/W")
-	for _, r := range c.Accounting().Records() {
+	for _, r := range recs {
 		fmt.Fprintf(&b, "%8d %18s %10s %6d %10s %10.1f %10.1f %12.5f\n",
 			r.JobID, truncate(orNull(r.Name), 18), r.State, r.Cores,
 			clockFormat(r.Runtime()), r.SystemKJ, r.CPUKJ, r.GFLOPSPerWatt())

@@ -111,9 +111,14 @@ type Controller struct {
 	// strictly sequential (plugins cannot submit), so one slot is safe.
 	descScratch JobDesc
 	nextID      int
-	workloads   map[string]workload.Shape
-	acct        *Accounting
-	onDone      []func(*Job)
+	// workload0 is the first binary path RegisterWorkload maps, held
+	// inline, and workloads, made for a second path, maps the others:
+	// a sweep stack registers the one HPCG shape, and a map would cost
+	// each stack a bucket.
+	workload0 registeredWorkload
+	workloads map[string]workload.Shape
+	acct      *Accounting
+	onDone    []func(*Job)
 
 	// The parse memo: the last script SubmitScript parsed and what
 	// ParseBatchScript returned for it. The parse is a pure function of
@@ -232,7 +237,21 @@ func (c *Controller) RegisterPlugin(p SubmitPlugin) {
 // RegisterWorkload maps a binary path to the shape its jobs run. A job
 // whose description carries a Shape runs that instead.
 func (c *Controller) RegisterWorkload(binaryPath string, s workload.Shape) {
-	c.workloads[binaryPath] = s
+	switch {
+	case !c.workload0.set || c.workload0.path == binaryPath:
+		c.workload0 = registeredWorkload{path: binaryPath, shape: s, set: true}
+	case c.workloads == nil:
+		c.workloads = map[string]workload.Shape{binaryPath: s}
+	default:
+		c.workloads[binaryPath] = s
+	}
+}
+
+// registeredWorkload is one binary path's shape (RegisterWorkload).
+type registeredWorkload struct {
+	path  string
+	shape workload.Shape
+	set   bool
 }
 
 // SetMetrics attaches an observability registry, resolving the
@@ -755,7 +774,9 @@ func (c *Controller) start(job *Job, node *nodeD) error {
 	w := job.Desc.Shape
 	if w == nil {
 		w = &unknownWorkload
-		if s, ok := c.workloads[job.Desc.BinaryPath]; ok {
+		if c.workload0.set && c.workload0.path == job.Desc.BinaryPath {
+			w = &c.workload0.shape
+		} else if s, ok := c.workloads[job.Desc.BinaryPath]; ok {
 			w = &s
 		}
 	}
