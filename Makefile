@@ -27,9 +27,9 @@ vet:
 	if [ -n "$$leaked" ]; then echo "policy vocabulary outside internal/slurm/energy.go (ask the policy value instead):"; echo "$$leaked"; exit 1; fi
 
 # lint runs the project's own analyzer suite (internal/lint via
-# cmd/ecolint), five analyzers over the whole module: determinism (wall
-# clock, global RNG, map-order and select), context flow, hot-path
-# I/O, lock scope and metric naming.
+# cmd/ecolint), four analyzers over the whole module: determinism (wall
+# clock, global RNG, map-order and select), context flow, lock scope
+# and metric naming.
 # It has no flags: a suppression without a reason and a suppression
 # that no longer absorbs a finding are both findings, and the
 # suppression-debt ledger is always printed. TestModuleClean runs the

@@ -32,9 +32,21 @@ func TestCLIFullWorkflow(t *testing.T) {
 		}
 	}
 
-	// The settings file must exist where the deployment keeps it.
-	if _, err := os.Stat(filepath.Join(data, "etc", "chronus", "settings.json")); err != nil {
+	// The settings file must exist where the deployment keeps it, and a
+	// later stateful command must not undo the plugin state set above.
+	if err := run([]string{"-data", data, "load-model"}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(data, "etc", "chronus", "settings.json"))
+	if err != nil {
 		t.Fatalf("settings not persisted: %v", err)
+	}
+	var saved struct{ State string }
+	if err := json.Unmarshal(raw, &saved); err != nil {
+		t.Fatal(err)
+	}
+	if saved.State != "active" {
+		t.Fatalf("settings.json state = %q after a later command, want active", saved.State)
 	}
 	// The pre-loaded model must exist on "local disk".
 	matches, _ := filepath.Glob(filepath.Join(data, "opt", "chronus", "optimizer", "model-*.json"))

@@ -1,5 +1,5 @@
 // Command ecolint runs the project's analyzer suite (internal/lint):
-// nodeterminism, ctxflow, hotpathio, lockscope, metricname.
+// nodeterminism, ctxflow, lockscope, metricname.
 //
 //	ecolint [module-dir]
 //

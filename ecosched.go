@@ -268,7 +268,8 @@ func New(dataDir string, options ...Option) (_ *Deployment, err error) {
 	if err != nil {
 		return nil, err
 	}
-	initial.State = settings.StateUser // opt-in via the chronus comment
+	// The plugin state is the operator's (`chronus set state`), kept
+	// across deployments; a fresh file loads as opt-in by comment.
 	initial.DatabasePath = filepath.Join(dataDir, "database")
 	initial.BlobStoragePath = filepath.Join(dataDir, "blobs")
 	if err := rawSettings.Save(initial); err != nil {

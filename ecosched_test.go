@@ -63,6 +63,36 @@ func TestDeploymentDefaults(t *testing.T) {
 	}
 }
 
+// TestPluginStatePersistsAcrossDeployments: the plugin state an
+// operator sets (`chronus set state`) survives the next New on the same
+// data directory, so a deactivated plugin stays off. Kills
+// scripts/mutants/new-resets-plugin-state.patch.
+func TestPluginStatePersistsAcrossDeployments(t *testing.T) {
+	dir := t.TempDir()
+	d, err := New(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Chronus.Set.SetState("deactivated"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d, err = New(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	if _, err := d.SubmitHPCGOptIn(); err != nil {
+		t.Fatal(err)
+	}
+	if d.Plugin.Submissions != 1 || d.Plugin.Rewritten != 0 || d.Plugin.Fallbacks != 0 {
+		t.Fatalf("opted-in job under a deactivated plugin: %d submissions, %d rewritten, %d fallbacks (%v)",
+			d.Plugin.Submissions, d.Plugin.Rewritten, d.Plugin.Fallbacks, d.Plugin.LastErr)
+	}
+}
+
 func TestPaperSweepConfigs(t *testing.T) {
 	configs := PaperSweepConfigs()
 	if len(configs) != len(paperdata.Sweep) {

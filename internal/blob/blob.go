@@ -31,8 +31,6 @@ type Store interface {
 	Delete(key string) error
 	// List returns all keys in lexical order.
 	List() ([]string, error)
-	// Exists reports whether key is present.
-	Exists(key string) bool
 }
 
 // ErrNotFound is returned by Get and Delete for missing keys.
@@ -148,15 +146,6 @@ func (d *Dir) List() ([]string, error) {
 	return keys, nil
 }
 
-// Exists implements Store.
-func (d *Dir) Exists(key string) bool {
-	if ValidateKey(key) != nil {
-		return false
-	}
-	_, err := os.Stat(d.path(key))
-	return err == nil
-}
-
 // Memory is an in-memory store, used in tests and to stand in for a
 // remote service (S3 bucket, NFS share) in simulations.
 type Memory struct {
@@ -220,12 +209,4 @@ func (m *Memory) List() ([]string, error) {
 	}
 	sort.Strings(keys)
 	return keys, nil
-}
-
-// Exists implements Store.
-func (m *Memory) Exists(key string) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	_, ok := m.data[key]
-	return ok
 }

@@ -62,8 +62,8 @@ func TestDelete(t *testing.T) {
 		if err := s.Delete("k"); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if s.Exists("k") {
-			t.Fatalf("%s: key survives delete", name)
+		if _, err := s.Get("k"); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("%s: key survives delete (Get err = %v)", name, err)
 		}
 		if err := s.Delete("k"); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("%s: double delete err = %v", name, err)
@@ -98,11 +98,8 @@ func TestInvalidKeysRejected(t *testing.T) {
 			if err := s.Put(key, []byte("x")); err == nil {
 				t.Errorf("%s: Put(%q) accepted", name, key)
 			}
-			if _, err := s.Get(key); err == nil {
-				t.Errorf("%s: Get(%q) accepted", name, key)
-			}
-			if s.Exists(key) {
-				t.Errorf("%s: Exists(%q) true", name, key)
+			if _, err := s.Get(key); err == nil || errors.Is(err, ErrNotFound) {
+				t.Errorf("%s: Get(%q) err = %v, want an invalid-key error", name, key, err)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -266,8 +267,10 @@ func TestInitModelTrainsAndUploads(t *testing.T) {
 	if meta.TrainRows != 8 || meta.Optimizer != "brute-force" {
 		t.Fatalf("meta = %+v", meta)
 	}
-	if !r.blob.Exists(meta.BlobKey) {
+	if _, err := r.blob.Get(meta.BlobKey); errors.Is(err, blob.ErrNotFound) {
 		t.Fatal("model blob not uploaded")
+	} else if err != nil {
+		t.Fatal(err)
 	}
 	models, _ := r.chronus.LoadModel.Models()
 	if len(models) != 1 || models[0].ID != meta.ID {

@@ -165,8 +165,6 @@ func (b *faultBlob) List() ([]string, error) {
 	return b.inner.List()
 }
 
-func (b *faultBlob) Exists(key string) bool { return b.inner.Exists(key) }
-
 // Settings wraps a settings store with fault injection.
 func Settings(inner settings.Store, inj *Injector) settings.Store {
 	return &faultSettings{inner: inner, inj: inj}

@@ -19,8 +19,8 @@ import (
 //
 // Each analyzer owns one root directory, and within it fixture
 // packages import each other by bare directory name (GOPATH-style):
-// testdata/src/hotpathio/hotpath may `import "blob"` and the loader
-// resolves it to testdata/src/hotpathio/blob. The bare names matter:
+// testdata/src/metricname/xpkg may `import "metrics"` and the loader
+// resolves it to testdata/src/metricname/metrics. The bare names matter:
 // the analyzers match their target packages by import-path suffix, so
 // a fixture named "metrics" exercises the same configuration as the
 // real ecosched/internal/metrics.

@@ -6,7 +6,7 @@
 // plumbing on top of go/ast, go/build, go/parser and go/types alone;
 // the analysistest harness lives in the package's tests.
 //
-// The five analyzers encode invariants that neither the compiler nor a
+// The four analyzers encode invariants that neither the compiler nor a
 // cheaper dynamic gate states (DESIGN.md §11 lists what each enforces,
 // and the gates that replaced the analyzers retired from the suite):
 //
@@ -19,9 +19,6 @@
 //   - ctxflow: a function that accepts a context.Context must pass it
 //     on to module-internal callees, not context.Background(); this is
 //     what keeps trace span parenting correct end to end.
-//   - hotpathio: nothing reachable from PredictService.Predict on a
-//     cache hit may perform file or network I/O — the paper's Slurm
-//     submit-latency budget, enforced structurally.
 //   - lockscope: no I/O, channel operations, or lock-acquiring calls
 //     while holding a mutex in internal/metrics or internal/trace (the
 //     sampling hot path).
@@ -219,7 +216,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		NoDeterminism,
 		CtxFlow,
-		HotPathIO,
 		LockScope,
 		MetricName,
 	}
@@ -270,48 +266,6 @@ func buildSuppressions(fset *token.FileSet, file *ast.File) []suppression {
 	return out
 }
 
-// FuncSuppressed reports whether fd's doc comment carries a
-// lint:ignore directive for the named analyzer.
-func FuncSuppressed(fd *ast.FuncDecl, analyzer string) bool {
-	if fd == nil || fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if m := ignoreRx.FindStringSubmatch(c.Text); m != nil {
-			for _, name := range strings.Split(m[1], ",") {
-				if strings.TrimPrefix(strings.TrimSpace(name), "ecolint/") == analyzer {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-// Per-package analyzers deliberately do NOT skip functions whose doc
-// comment carries a directive: they scan the body anyway and let
-// Reportf's range-based suppression absorb each finding, so the debt
-// ledger records the true hit count and a directive over a clean body
-// is correctly reported stale. Only hotpathio's call-graph walk
-// skips-and-marks, because skipping there changes traversal — the
-// suppressed function's callees stay hidden — which is the documented
-// meaning of the directive on a hot path.
-
-// markFuncSuppression records a ledger hit for fd's doc-comment
-// directive covering the named analyzer, if one exists.
-func (pkg *PackageInfo) markFuncSuppression(fd *ast.FuncDecl, analyzer string) {
-	if pkg == nil || fd == nil || fd.Doc == nil {
-		return
-	}
-	file := pkg.fset.Position(fd.Pos()).Filename
-	sups := pkg.suppressions[file]
-	for i := range sups {
-		if sups[i].funcBody == fd && sups[i].analyzers[analyzer] {
-			sups[i].hits++
-		}
-	}
-}
-
 // isLocalPkg reports whether path names a package of the module under
 // analysis (as opposed to the standard library): every local package is
 // loaded.
@@ -360,8 +314,8 @@ func (pkg *PackageInfo) suppressed(analyzer string, pos token.Position) bool {
 	return false
 }
 
-// qualifiedName renders a function the way diagnostics and the
-// hot-path configuration name it: the types.Func full name, e.g.
+// qualifiedName renders a function the way diagnostics and lockscope's
+// call graph name it: the types.Func full name, e.g.
 // "(*ecosched/internal/core.PredictService).Predict".
 func qualifiedName(fn *types.Func) string { return fn.FullName() }
 

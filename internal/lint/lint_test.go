@@ -27,7 +27,7 @@ func TestBareIgnoreReported(t *testing.T) {
 	}
 }
 
-// TestAllStable: the suite is the five analyzers, in stable order,
+// TestAllStable: the suite is the four analyzers, in stable order,
 // each runnable.
 func TestAllStable(t *testing.T) {
 	t.Parallel()
@@ -42,7 +42,7 @@ func TestAllStable(t *testing.T) {
 		names = append(names, a.Name)
 	}
 	got := strings.Join(names, ",")
-	want := "nodeterminism,ctxflow,hotpathio,lockscope,metricname"
+	want := "nodeterminism,ctxflow,lockscope,metricname"
 	if got != want {
 		t.Fatalf("All() = %s, want %s", got, want)
 	}

@@ -38,6 +38,25 @@ var lockScopePackages = []string{
 	"internal/trace",
 }
 
+// ioPackages are the standard-library packages whose functions and
+// methods count as file/network I/O.
+var ioPackages = map[string]bool{
+	"os":           true,
+	"net":          true,
+	"net/http":     true,
+	"os/exec":      true,
+	"syscall":      true,
+	"io/ioutil":    true,
+	"database/sql": true,
+}
+
+// ioAllow are os functions that only inspect process state.
+var ioAllow = map[string]bool{
+	"os.Getenv": true, "os.LookupEnv": true, "os.Environ": true,
+	"os.Getpid": true, "os.Getuid": true, "os.Geteuid": true, "os.Getgid": true,
+	"os.IsNotExist": true, "os.IsExist": true, "os.IsPermission": true, "os.IsTimeout": true,
+}
+
 func isLockScopePackage(path string) bool {
 	for _, e := range lockScopePackages {
 		if path == e || strings.HasSuffix(path, "/"+e) || strings.HasSuffix(e, "/"+path) {

@@ -321,14 +321,6 @@ func mergeBuckets(a, b []BucketCount) []BucketCount {
 	return out
 }
 
-// MarshalJSON renders the snapshot with deterministic key order (Go
-// maps marshal sorted, so the default marshaller suffices; this
-// method exists to keep the wire shape explicit).
-func (s Snapshot) MarshalJSON() ([]byte, error) {
-	type alias Snapshot // avoid recursion
-	return json.Marshal(alias(s))
-}
-
 // WriteText dumps the snapshot in a stable, human-readable layout.
 func (s Snapshot) WriteText(w io.Writer) {
 	names := make([]string, 0, len(s.Counters))

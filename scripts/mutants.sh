@@ -5,7 +5,8 @@
 # tests and the root package's, and print the tests that fail: the ones
 # that kill the mutant. A mutant no test kills survives and fails the
 # run, as does a patch that no longer applies or a mutant that does not
-# build. The first line of a patch file says what the mutant breaks.
+# build. The first line of a patch file says what the mutant breaks; a
+# header line "Also tested in: PKG..." adds packages whose tests run too.
 # Used by `make mutants` and CI's fuzz job.
 set -eu
 
@@ -29,6 +30,7 @@ for patchfile in "$root"/scripts/mutants/*.patch; do
     if [ "$pkg" != "./." ]; then
         pkgs="$pkg ."
     fi
+    pkgs="$pkgs $(sed -n '/^--- /q; s/^Also tested in: //p' "$patchfile")"
     # shellcheck disable=SC2086 # pkgs is a list of package paths
     (cd "$tree" && go test -count=1 -v $pkgs >"$workdir/$name.log" 2>&1) || true
     if grep -q '^FAIL.*\[build failed\]\|^FAIL.*\[setup failed\]' "$workdir/$name.log"; then
