@@ -93,7 +93,8 @@ bench:
 # 1,024-node 100k-submission spec through `chronus simulate`, the
 # power-capped policy spec with its fitness row, the 1M-submission
 # spec recorded, replayed and compared byte for byte against a plain
-# run (`go test` covers a 100k slice of it), then the replay-fidelity
+# run timed with -timing, whose stage table goes to the log (`go test`
+# covers a 100k slice of it), then the replay-fidelity
 # suites, the lane-count equivalence and every exit of the router /
 # lane-worker pipeline under the race detector on the reduced specs.
 scale-smoke: build
@@ -103,7 +104,7 @@ scale-smoke: build
 	$(GO) build -o $$d/chronus ./cmd/chronus && \
 	$$d/chronus simulate -spec specs/cluster-1k-1m.json -record $$d/run.jsonl > /dev/null && \
 	$$d/chronus simulate -replay $$d/run.jsonl > $$d/replayed.txt && \
-	$$d/chronus simulate -spec specs/cluster-1k-1m.json > $$d/plain.txt && \
+	$$d/chronus simulate -timing -spec specs/cluster-1k-1m.json > $$d/plain.txt && \
 	cmp $$d/replayed.txt $$d/plain.txt && \
 	echo "cluster-1k-1m: replayed and plain reports identical"
 	$(GO) test -race -run 'ClusterReplayFidelity|ClusterPolicyReplayFidelity|ClusterLanesEquivalence|ClusterPipelineExits|ReplayTornTail|DifferentSeedDiverges|CommittedSpecsParse' -v .

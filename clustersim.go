@@ -143,7 +143,9 @@ func (r *ClusterReport) meanWaitSeconds() float64 {
 type RunOption func(*runConfig)
 
 type runConfig struct {
-	lanes int
+	lanes  int
+	clock  func() time.Time
+	timing *PipelineTiming
 }
 
 // WithLanes bounds how many partition lanes run a window at once. Every
@@ -157,6 +159,83 @@ type runConfig struct {
 // it, so n changes wall-clock time, never results.
 func WithLanes(n int) RunOption {
 	return func(cfg *runConfig) { cfg.lanes = n }
+}
+
+// WithTiming fills *into, once the run returns, with where its wall
+// clock went, stage by stage (PipelineTiming), reading clock a few times
+// per lane per window. Without it the run reads no clock. Timing changes
+// neither the report nor any recorded log.
+func WithTiming(clock func() time.Time, into *PipelineTiming) RunOption {
+	return func(cfg *runConfig) { cfg.clock, cfg.timing = clock, into }
+}
+
+// PipelineTiming splits a cluster run's wall clock by pipeline stage:
+// the router and one lane per partition.
+type PipelineTiming struct {
+	Router StageTiming
+	Lanes  []StageTiming // in partition-config order
+}
+
+// StageTiming splits one stage's goroutine's lifetime, from its first
+// clock read to its last. Each read closes the interval since the one
+// before and charges it to one part, so Busy + WaitWindow + WaitUsage =
+// Lifetime exactly.
+type StageTiming struct {
+	Name     string // "router", or the lane's partition
+	Lifetime time.Duration
+	// Busy is the router pulling, recording and routing arrivals, or a
+	// lane running its windows.
+	Busy time.Duration
+	// WaitWindow is the router waiting for a lane to hand back a window,
+	// or a lane waiting for the router's next window (and, under
+	// WithLanes below the lane count, for a slot to run it in).
+	WaitWindow time.Duration
+	// WaitUsage is a lane waiting on the usage exchange: for its
+	// siblings' usage of the window before, or for room to publish its
+	// own. Always zero for the router.
+	WaitUsage time.Duration
+}
+
+// WriteText renders the timing as one row per stage.
+func (t *PipelineTiming) WriteText(w io.Writer) {
+	fmt.Fprintf(w, "%-12s %9s %17s %17s %17s\n", "stage", "lifetime", "busy", "wait window", "wait usage")
+	for _, st := range append([]StageTiming{t.Router}, t.Lanes...) {
+		fmt.Fprintf(w, "%-12s %8.3fs", st.Name, st.Lifetime.Seconds())
+		for _, part := range []time.Duration{st.Busy, st.WaitWindow, st.WaitUsage} {
+			share := 0.0
+			if st.Lifetime > 0 {
+				share = 100 * float64(part) / float64(st.Lifetime)
+			}
+			fmt.Fprintf(w, " %8.3fs (%5.1f%%)", part.Seconds(), share)
+		}
+		fmt.Fprintln(w)
+	}
+}
+
+// stopwatch times one stage: lap reads the clock and charges the
+// interval since the previous read to one part of the StageTiming. With
+// no clock it reads nothing.
+type stopwatch struct {
+	clock       func() time.Time
+	first, last time.Time
+	StageTiming
+}
+
+func (sw *stopwatch) start() {
+	if sw.clock != nil {
+		sw.first = sw.clock()
+		sw.last = sw.first
+	}
+}
+
+func (sw *stopwatch) lap(part *time.Duration) {
+	if sw.clock == nil {
+		return
+	}
+	now := sw.clock()
+	*part += now.Sub(sw.last)
+	sw.last = now
+	sw.Lifetime = now.Sub(sw.first)
 }
 
 // RunClusterSpec generates the spec's submission stream and runs it to
@@ -272,8 +351,10 @@ type usageDelta struct {
 	cpuS float64
 }
 
-// subChunkLen sizes a chunk to fill a Go size class: 18 Submissions of
-// 224 bytes are 4,032 of the class's 4,096.
+// subChunkLen sizes a chunk to a Go size class: 18 Submissions of 216
+// bytes are 3,888 of the class's 4,096, the most that fit. (32 would fill
+// the 6,912-byte class exactly, but a window's nearly empty batches would
+// each hold a chunk 69 % larger.)
 const subChunkLen = 18
 
 type subChunk = [subChunkLen]workload.Submission
@@ -358,13 +439,30 @@ type routedWindow struct {
 // no lane state, so it runs on its own goroutine, ahead of the lanes;
 // its fields are read once it has returned.
 type router struct {
-	src    workload.Source
-	lw     *workload.LogWriter
-	laneOf map[string]int // partition name ("" = the default) → lane index
+	src         workload.Source
+	lw          *workload.LogWriter
+	parts       []string // partition names, by lane index
+	defaultLane int
+	sw          stopwatch
 
 	submissions, rejected int
 	lastArrival           time.Time
 	err                   error // the source or recorder error the run ends with
+}
+
+// laneOf returns the lane of a submission's partition, "" meaning the
+// default one. A run has a handful of partitions, so a scan of their
+// names is cheaper than hashing one per submission.
+func (r *router) laneOf(partition string) (int, bool) {
+	if partition == "" {
+		return r.defaultLane, true
+	}
+	for i, name := range r.parts {
+		if name == partition {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // route fills each window it is handed on free, in window order from
@@ -374,10 +472,13 @@ func (r *router) route(start time.Time, free <-chan *routedWindow, lanes []*clus
 	// One submission is pulled ahead, to see whether it belongs to the
 	// window being filled; the source fills pending in place.
 	var pending workload.Submission
+	r.sw.start()
 	r.lastArrival = start
 	windowEnd := start
 	ok, err := r.src.NextInto(&pending)
+	r.sw.lap(&r.sw.Busy)
 	for w := range free {
+		r.sw.lap(&r.sw.WaitWindow)
 		windowEnd = windowEnd.Add(laneWindow)
 		// At < windowEnd, strictly: the boundary instant belongs to the
 		// next window.
@@ -389,7 +490,7 @@ func (r *router) route(start time.Time, free <-chan *routedWindow, lanes []*clus
 			}
 			r.submissions++
 			r.lastArrival = pending.At
-			if li, known := r.laneOf[pending.Partition]; known {
+			if li, known := r.laneOf(pending.Partition); known {
 				w.batches[li].add(&pending)
 			} else {
 				r.rejected++
@@ -404,6 +505,7 @@ func (r *router) route(start time.Time, free <-chan *routedWindow, lanes []*clus
 		for _, ln := range lanes {
 			ln.in <- w
 		}
+		r.sw.lap(&r.sw.Busy)
 		if err != nil || !ok {
 			return
 		}
@@ -529,8 +631,11 @@ type clusterLane struct {
 	// desc is the lane's reusable job description: runWindow rewrites
 	// the per-submission fields in place and submits by pointer, so the
 	// ~250-byte struct is built and copied once per submission instead
-	// of three times. Fields not listed in runWindow stay zero.
+	// of three times. Fields not listed in runWindow stay zero: a
+	// cluster run's jobs are unnamed, since nothing it reports reads a
+	// name (the recorded log derives each from Client and ClientSeq).
 	desc slurm.JobDesc
+	sw   stopwatch
 }
 
 // run drives the lane through its windows in order: it takes each
@@ -543,6 +648,10 @@ func (ln *clusterLane) run(start time.Time, free chan<- *routedWindow, slots cha
 	if x != nil {
 		defer x.done(ln.idx)
 	}
+	// Every blocking step is followed by a lap, so each wait is charged
+	// to what it waited for.
+	sw := &ln.sw
+	sw.start()
 	var idle subBatch // each window's arrivals once the source is exhausted
 	routed := true
 	windowEnd := start
@@ -552,6 +661,7 @@ func (ln *clusterLane) run(start time.Time, free chan<- *routedWindow, slots cha
 		b := &idle
 		if routed {
 			w = <-ln.in
+			sw.lap(&sw.WaitWindow)
 			if w.err != nil {
 				return
 			}
@@ -559,21 +669,25 @@ func (ln *clusterLane) run(start time.Time, free chan<- *routedWindow, slots cha
 		}
 		if ln.reads && k > 1 {
 			x.apply(ln.idx, k-1, ln.ctl)
+			sw.lap(&sw.WaitUsage)
 		}
 		if b.n > 0 || ln.sim.Pending() > 0 {
 			if slots != nil {
 				slots <- struct{}{}
+				sw.lap(&sw.WaitWindow)
 			}
 			ln.runWindow(b, windowEnd)
 			if slots != nil {
 				<-slots
 			}
+			sw.lap(&sw.Busy)
 		}
 		if w != nil && w.left.Add(-1) == 0 {
 			free <- w
 		}
 		if ln.feeds {
 			x.publish(ln.idx, k, &ln.usage)
+			sw.lap(&sw.WaitUsage)
 		}
 		if !routed && ln.sim.Pending() == 0 {
 			return
@@ -591,7 +705,6 @@ func (ln *clusterLane) runWindow(b *subBatch, windowEnd time.Time) {
 		s := b.at(i)
 		ln.sim.RunUntil(s.At)
 		d := &ln.desc
-		d.Name = s.JobName
 		d.Comment = s.Comment
 		d.NumTasks = s.Tasks
 		d.ThreadsPerCPU = s.ThreadsPerCPU
@@ -646,12 +759,11 @@ func runCluster(start time.Time, spec workload.Spec, src workload.Source, lw *wo
 	spec0 := hw.DefaultSpec()
 	var nodes []*hw.Node // global construction order: spec order, for energy totals
 	lanes := make([]*clusterLane, 0, len(spec.Cluster.Partitions))
-	rt := &router{src: src, lw: lw, laneOf: make(map[string]int, len(spec.Cluster.Partitions)+1)}
+	rt := &router{src: src, lw: lw, sw: stopwatch{clock: rcfg.clock}}
 
 	report := &ClusterReport{Spec: spec.Name, Seed: spec.Seed}
 	report.Partitions = make([]PartitionReport, len(spec.Cluster.Partitions))
 
-	defaultLane := 0
 	totalNodes, readers := 0, 0
 	for _, ps := range spec.Cluster.Partitions {
 		totalNodes += ps.Nodes
@@ -662,7 +774,7 @@ func runCluster(start time.Time, spec workload.Spec, src workload.Source, lw *wo
 	idx := 0
 	for pi, ps := range spec.Cluster.Partitions {
 		if ps.Default {
-			defaultLane = pi
+			rt.defaultLane = pi
 		}
 		laneSim := simclock.NewAt(start)
 		pool := make([]*hw.Node, ps.Nodes)
@@ -688,6 +800,7 @@ func runCluster(start time.Time, spec workload.Spec, src workload.Source, lw *wo
 			in:    make(chan *routedWindow, windowsInFlight),
 			reads: multifactor && len(spec.Cluster.Partitions) > 1,
 			feeds: readers > 1 || readers == 1 && !multifactor,
+			sw:    stopwatch{clock: rcfg.clock},
 		}
 
 		copts := []slurm.ClusterOption{
@@ -721,9 +834,8 @@ func runCluster(start time.Time, spec workload.Spec, src workload.Source, lw *wo
 			})
 		}
 		lanes = append(lanes, ln)
-		rt.laneOf[ps.Name] = pi
+		rt.parts = append(rt.parts, ps.Name)
 	}
-	rt.laneOf[""] = defaultLane
 	report.Nodes = len(nodes)
 
 	// A lane holds a slot only while it runs a window, never while it
@@ -770,6 +882,15 @@ func runCluster(start time.Time, spec workload.Spec, src workload.Source, lw *wo
 		}()
 	}
 	stages.Wait()
+	if t := rcfg.timing; t != nil {
+		t.Router = rt.sw.StageTiming
+		t.Router.Name = "router"
+		t.Lanes = make([]StageTiming, len(lanes))
+		for i, ln := range lanes {
+			t.Lanes[i] = ln.sw.StageTiming
+			t.Lanes[i].Name = ln.name
+		}
+	}
 	if rt.err != nil {
 		return nil, rt.err
 	}

@@ -216,12 +216,12 @@ func TestReplayTornTail(t *testing.T) {
 // no-allocation gate: a batch that has held n arrivals takes n again
 // without allocating, and a chunk fills its size class.
 func TestSubBatchRefillAllocatesNothing(t *testing.T) {
-	if got := unsafe.Sizeof(workload.Submission{}); got != 224 {
-		t.Fatalf("workload.Submission is %d bytes, not 224: subChunkLen = %d was chosen so a chunk is 4,032 of a 4,096-byte size class; re-derive it (largest n with n × size ≤ a class)", got, subChunkLen)
+	if got := unsafe.Sizeof(workload.Submission{}); got != 216 {
+		t.Fatalf("workload.Submission is %d bytes, not 216: subChunkLen = %d was chosen so a chunk is 3,888 of a 4,096-byte size class; re-derive it (largest n with n × size ≤ a class)", got, subChunkLen)
 	}
 	const n = 1250 // cluster-nopolicy's arrivals per window
 	var b subBatch
-	s := workload.Submission{JobName: "j", Shape: workload.Sleep("s", time.Second)}
+	s := workload.Submission{Client: "c", ClientSeq: 1, Shape: workload.Sleep("s", time.Second)}
 	fill := func() {
 		for i := 0; i < n; i++ {
 			s.Seq = i
@@ -235,6 +235,50 @@ func TestSubBatchRefillAllocatesNothing(t *testing.T) {
 	fill()
 	if allocs := testing.AllocsPerRun(10, fill); allocs != 0 {
 		t.Errorf("refilling a warmed batch allocates %v times, want 0", allocs)
+	}
+}
+
+// TestPipelineTimingPartsSumToLifetime times mutual-readers.json (two
+// multifactor lanes reading each other's usage beside a FIFO one) with a
+// clock that steps 1 ns a read, at one lane slot and at one per lane.
+// Every interval a stage charges is at least a step, so a dropped one
+// shows: each stage's parts must sum to its lifetime exactly. A stage
+// reads the clock a few times a window, and the report and log match an
+// untimed run byte for byte.
+func TestPipelineTimingPartsSumToLifetime(t *testing.T) {
+	spec := loadSpec(t, "mutual-readers.json")
+	var plainLog, plainText bytes.Buffer
+	plain, err := RunClusterSpec(spec, &plainLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain.WriteText(&plainText)
+	for _, lanes := range []int{1, 0} {
+		var reads atomic.Int64
+		clock := func() time.Time { return simclock.Epoch.Add(time.Duration(reads.Add(1))) }
+		var timing PipelineTiming
+		var log, text bytes.Buffer
+		rep, err := RunClusterSpec(spec, &log, WithLanes(lanes), WithTiming(clock, &timing))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.WriteText(&text); !bytes.Equal(text.Bytes(), plainText.Bytes()) || !bytes.Equal(log.Bytes(), plainLog.Bytes()) {
+			t.Errorf("lanes %d: timing changed the report or the log", lanes)
+		}
+		stages := append([]StageTiming{timing.Router}, timing.Lanes...)
+		if len(stages) != 4 || stages[0].Name != "router" || stages[1].Name != "batch" || stages[3].Name != "right" {
+			t.Fatalf("lanes %d: stages %+v, want router, batch, left, right", lanes, stages)
+		}
+		for _, st := range stages {
+			if sum := st.Busy + st.WaitWindow + st.WaitUsage; st.Lifetime <= 0 || sum != st.Lifetime {
+				t.Errorf("lanes %d: %s: busy %d + wait window %d + wait usage %d = %d, lifetime %d",
+					lanes, st.Name, st.Busy, st.WaitWindow, st.WaitUsage, sum, st.Lifetime)
+			}
+		}
+		windows := int64(rep.Makespan/laneWindow) + 2
+		if limit := 6 * windows * int64(len(stages)); reads.Load() > limit {
+			t.Errorf("lanes %d: %d clock reads over %d windows and %d stages, want at most %d", lanes, reads.Load(), windows, len(stages), limit)
+		}
 	}
 }
 

@@ -18,8 +18,8 @@
 //	chronus -data DIR events [-since DUR]
 //	chronus -data DIR serve [-addr HOST:PORT] [-pprof]
 //	chronus -data DIR loadgen [-mode submit|predict] [-n COUNT] [-rate R] [-train]
-//	chronus simulate -spec FILE [-record FILE]
-//	chronus simulate -replay FILE
+//	chronus simulate -spec FILE [-record FILE] [-lanes N] [-timing]
+//	chronus simulate -replay FILE [-lanes N] [-timing]
 package main
 
 import (
@@ -414,11 +414,17 @@ func cmdSimulate(args []string) error {
 	recordPath := fs.String("record", "", "record the generated submission stream to this JSONL log")
 	replayPath := fs.String("replay", "", "replay a submission log instead of generating one")
 	lanes := fs.Int("lanes", 0, "max partition lanes running a window at once (0 = one per CPU); any setting produces byte-identical output")
+	timing := fs.Bool("timing", false, "print where the run's wall clock went, per pipeline stage, to stderr; output is unchanged")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 0 {
-		return fmt.Errorf("usage: chronus simulate (-spec FILE [-record FILE] | -replay FILE)")
+		return fmt.Errorf("usage: chronus simulate (-spec FILE [-record FILE] | -replay FILE) [-lanes N] [-timing]")
+	}
+	opts := []ecosched.RunOption{ecosched.WithLanes(*lanes)}
+	var stages ecosched.PipelineTiming
+	if *timing {
+		opts = append(opts, ecosched.WithTiming(time.Now, &stages))
 	}
 	switch {
 	case *lanes < 0:
@@ -433,14 +439,17 @@ func cmdSimulate(args []string) error {
 			return err
 		}
 		defer f.Close()
-		report, err := ecosched.ReplayClusterLog(f, ecosched.WithLanes(*lanes))
+		report, err := ecosched.ReplayClusterLog(f, opts...)
 		if err != nil {
 			return err
 		}
 		report.WriteText(os.Stdout)
+		if *timing {
+			stages.WriteText(os.Stderr)
+		}
 		return nil
 	case *specPath == "":
-		return fmt.Errorf("usage: chronus simulate (-spec FILE [-record FILE] | -replay FILE)")
+		return fmt.Errorf("usage: chronus simulate (-spec FILE [-record FILE] | -replay FILE) [-lanes N] [-timing]")
 	}
 
 	spec, err := workload.LoadSpec(*specPath)
@@ -455,7 +464,7 @@ func cmdSimulate(args []string) error {
 		}
 		rec = recFile
 	}
-	report, err := ecosched.RunClusterSpec(spec, rec, ecosched.WithLanes(*lanes))
+	report, err := ecosched.RunClusterSpec(spec, rec, opts...)
 	if recFile != nil {
 		if cerr := recFile.Close(); err == nil {
 			err = cerr
@@ -467,6 +476,9 @@ func cmdSimulate(args []string) error {
 	report.WriteText(os.Stdout)
 	if *recordPath != "" {
 		fmt.Printf("recorded     %s (replay with `chronus simulate -replay %s`)\n", *recordPath, *recordPath)
+	}
+	if *timing {
+		stages.WriteText(os.Stderr)
 	}
 	return nil
 }

@@ -178,8 +178,9 @@ func TestCLILoadgenAndSLO(t *testing.T) {
 // TestCLISimulate drives the one cluster-simulation CLI: a recorded
 // run replays to the same report, a spec's policy block is the one way
 // to state a policy (the retired per-policy flags are rejected for
-// generated and replayed runs alike), and -record on a replay is a
-// usage error rather than a report printed as if it applied.
+// generated and replayed runs alike), -record on a replay is a usage
+// error rather than a report printed as if it applied, and -timing adds
+// the stage table on stderr without changing stdout.
 func TestCLISimulate(t *testing.T) {
 	spec := filepath.Join("..", "..", "specs", "race-smoke.json")
 	log := filepath.Join(t.TempDir(), "run.jsonl")
@@ -192,6 +193,25 @@ func TestCLISimulate(t *testing.T) {
 	})
 	if report, _, _ := strings.Cut(recorded, "recorded "); report != replayed {
 		t.Fatalf("replay differs from the recorded run:\n%s\nvs\n%s", report, replayed)
+	}
+
+	// -timing prints the stage table to stderr and leaves stdout as it was.
+	for _, source := range [][]string{{"-spec", spec}, {"-replay", log}} {
+		var report string
+		stages := capture(t, &os.Stderr, func() error {
+			report = captureStdout(t, func() error {
+				return run(slices.Concat([]string{"simulate", "-timing"}, source))
+			})
+			return nil
+		})
+		if report != replayed {
+			t.Errorf("simulate -timing %v changed the report:\n%s\nvs\n%s", source, report, replayed)
+		}
+		for _, stage := range []string{"router", "batch", "debug"} {
+			if !strings.Contains(stages, "\n"+stage+" ") {
+				t.Errorf("simulate -timing %v: stderr names no %q stage:\n%s", source, stage, stages)
+			}
+		}
 	}
 
 	capped := captureStdout(t, func() error {
@@ -321,15 +341,22 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite golden files")
 // directly, so golden tests intercept it here.
 func captureStdout(t *testing.T, fn func() error) string {
 	t.Helper()
+	return capture(t, &os.Stdout, fn)
+}
+
+// capture runs fn with *f redirected to a pipe and returns what fn wrote
+// to it.
+func capture(t *testing.T, f **os.File, fn func() error) string {
+	t.Helper()
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := os.Stdout
-	os.Stdout = w
+	old := *f
+	*f = w
 	runErr := fn()
 	w.Close()
-	os.Stdout = old
+	*f = old
 	out, err := io.ReadAll(r)
 	r.Close()
 	if err != nil {

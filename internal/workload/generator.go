@@ -5,7 +5,6 @@ import (
 	"math"
 	"strconv"
 	"time"
-	"unsafe"
 
 	"ecosched/internal/simclock"
 )
@@ -19,9 +18,11 @@ type Submission struct {
 	// Seq is the submission's position in the merged stream (0-based).
 	Seq int
 	// At is the absolute simulated arrival instant.
-	At        time.Time
-	Client    string
-	JobName   string
+	At     time.Time
+	Client string
+	// ClientSeq is the submission's 1-based position in its client's
+	// own stream; with Client it names the job (see JobName).
+	ClientSeq int
 	Partition string // "" = the cluster's default partition
 	Tasks     int
 	// ThreadsPerCPU is the hyper-threading request (0 = 1).
@@ -38,6 +39,13 @@ type Submission struct {
 	// Deadline is the latest acceptable completion instant (zero =
 	// none); only set for deferrable jobs with a deadline_slack dist.
 	Deadline time.Time
+}
+
+// JobName returns the job's name, "<client>-<n>" with n the ClientSeq:
+// what a submission log records and what a job name would read. The
+// stream carries the parts, so a run that names no job formats none.
+func (s *Submission) JobName() string {
+	return s.Client + "-" + strconv.Itoa(s.ClientSeq)
 }
 
 // Source is a stream of time-ordered submissions: the generator for
@@ -75,39 +83,14 @@ type clientState struct {
 	interMeanS float64
 	// scale is the precomputed gamma/weibull scale parameter that
 	// yields the requested mean rate at the configured shape.
-	scale   float64
-	userLo  uint32
-	userN   int
-	jobSeq  int
-	nameBuf []byte
+	scale  float64
+	userLo uint32
+	userN  int
+	jobSeq int
 	// sleepName/workName are the client's fixed shape labels,
 	// precomputed so the hot sample path does no string concatenation.
 	sleepName string
 	workName  string
-	// nameChunk is the append-only arena job-name strings are sliced
-	// from: one heap object per chunk instead of one per name, which
-	// at millions of submissions is most of the garbage the collector
-	// would otherwise scan.
-	nameChunk []byte
-}
-
-// nameChunkSize is the arena granularity; a chunk is abandoned (still
-// referenced by its names) when the next name would not fit.
-const nameChunkSize = 16 << 10
-
-// allocName copies b into the arena and returns it as a string. The
-// chunk is never written past its cap and bytes already handed out are
-// never rewritten, so the unsafe.String view is immutable.
-func (st *clientState) allocName(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	if len(st.nameChunk)+len(b) > cap(st.nameChunk) {
-		st.nameChunk = make([]byte, 0, nameChunkSize)
-	}
-	off := len(st.nameChunk)
-	st.nameChunk = append(st.nameChunk, b...)
-	return unsafe.String(&st.nameChunk[off], len(b))
 }
 
 // NewGenerator builds a generator for the spec, with submissions
@@ -347,10 +330,7 @@ func (st *clientState) sampleInto(s *Submission, seq int) {
 		s.Deadline = base.Add(st.seconds(base, slack, "deadline_slack"))
 	}
 	st.jobSeq++
-	st.nameBuf = append(st.nameBuf[:0], st.spec.Name...)
-	st.nameBuf = append(st.nameBuf, '-')
-	st.nameBuf = strconv.AppendInt(st.nameBuf, int64(st.jobSeq), 10)
-	s.JobName = st.allocName(st.nameBuf)
+	s.ClientSeq = st.jobSeq
 }
 
 func choosePartition(r *simclock.RNG, parts []PartitionWeight) string {

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 	"time"
 )
 
@@ -28,7 +30,7 @@ type logRecord struct {
 	Seq       int     `json:"q"`
 	AtNanos   int64   `json:"t"`
 	Client    string  `json:"c"`
-	JobName   string  `json:"n"`
+	JobName   string  `json:"n"` // "<c>-<ClientSeq>"
 	Partition string  `json:"p,omitempty"`
 	Tasks     int     `json:"k,omitempty"`
 	Threads   int     `json:"h,omitempty"`
@@ -76,7 +78,7 @@ func (lw *LogWriter) Record(s Submission) error {
 		Seq:       s.Seq,
 		AtNanos:   s.At.UnixNano(),
 		Client:    s.Client,
-		JobName:   s.JobName,
+		JobName:   s.JobName(),
 		Partition: s.Partition,
 		Tasks:     s.Tasks,
 		Threads:   s.ThreadsPerCPU,
@@ -183,11 +185,15 @@ func (lr *LogReader) NextInto(s *Submission) (bool, error) {
 			lr.line, time.Unix(0, rec.AtNanos).UTC().Format(time.RFC3339Nano), prev)
 	}
 	lr.lastAt = rec.AtNanos
+	clientSeq, ok := parseClientSeq(rec.JobName, rec.Client)
+	if !ok {
+		return false, fmt.Errorf("workload: log line %d: job name %q is not %s-<n> with n ≥ 1", lr.line, rec.JobName, rec.Client)
+	}
 	*s = Submission{
 		Seq:           rec.Seq,
 		At:            time.Unix(0, rec.AtNanos).UTC(),
 		Client:        rec.Client,
-		JobName:       rec.JobName,
+		ClientSeq:     clientSeq,
 		Partition:     rec.Partition,
 		Tasks:         rec.Tasks,
 		ThreadsPerCPU: rec.Threads,
@@ -211,4 +217,20 @@ func (lr *LogReader) NextInto(s *Submission) (bool, error) {
 		return false, fmt.Errorf("workload: log line %d: %w", lr.line, err)
 	}
 	return true, nil
+}
+
+// parseClientSeq returns k for a job name "<client>-<k>", where k is a
+// canonical decimal ≥ 1 (no sign, no leading zero) that fits an int:
+// the one spelling Submission.JobName writes.
+func parseClientSeq(name, client string) (int, bool) {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || name[:i] != client {
+		return 0, false
+	}
+	digits := name[i+1:]
+	if digits == "" || digits[0] < '1' || digits[0] > '9' {
+		return 0, false
+	}
+	k, err := strconv.Atoi(digits)
+	return k, err == nil
 }

@@ -237,7 +237,7 @@ func TestLogRoundTripPolicyFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := lw2.Record(Submission{
-		At: simclock.Epoch.Add(time.Minute), Client: "hpc", JobName: "j0",
+		At: simclock.Epoch.Add(time.Minute), Client: "hpc", ClientSeq: 1,
 		Tasks: 1, Shape: Sleep("s", time.Minute),
 	}); err != nil {
 		t.Fatal(err)
