@@ -334,8 +334,9 @@ const laneWindow = 5 * time.Minute
 // windowsInFlight is how many routedWindows a run owns: the router
 // fills one while the lanes, each at its own pace, drain the others.
 // With two, lanes freed from each other wait on the router instead;
-// past three, each window buys less time than the arrivals it keeps
-// resident cost in memory.
+// more shorten a run but keep more arrivals resident, and DESIGN §9's
+// table of 3, 6 and 12 shows the bytes rising faster than the time
+// falls.
 const windowsInFlight = 3
 
 // usageRing is how many windows of one lane's usage deltas the exchange

@@ -150,26 +150,6 @@ func TestClusterPolicyReplayFidelity(t *testing.T) {
 	}
 }
 
-// TestPolicyReportFitness pins that a policy run reports a non-zero
-// fitness and renders it — the row `chronus simulate` prints for
-// comparing policy settings.
-func TestPolicyReportFitness(t *testing.T) {
-	spec := loadSpec(t, "powercap-smoke.json")
-	spec.MaxSubmissions = 400
-	run, err := RunClusterSpec(spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.Policy.Score <= 0 || run.Policy.EnergyKJ <= 0 {
-		t.Fatalf("fitness = %+v", run.Policy)
-	}
-	var buf bytes.Buffer
-	run.WriteText(&buf)
-	if !bytes.Contains(buf.Bytes(), []byte("\nfitness     ")) {
-		t.Fatalf("report lacks the fitness row:\n%s", buf.String())
-	}
-}
-
 // TestClusterLedgerChecks: every run checks its own job and cap ledgers
 // (a run that fails one returns its error, so every cluster test holds
 // them). Here each identity is broken on a real report in turn, and the

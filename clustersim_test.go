@@ -128,25 +128,6 @@ func TestClusterLanesEquivalence(t *testing.T) {
 	}
 }
 
-// TestDifferentSeedDiverges guards against a generator that ignores
-// its seed.
-func TestDifferentSeedDiverges(t *testing.T) {
-	spec := loadSpec(t, "race-smoke.json")
-	spec.MaxSubmissions = 500
-	a, err := RunClusterSpec(spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Seed++
-	b, err := RunClusterSpec(spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(a.Totals, b.Totals) {
-		t.Fatal("different seeds produced identical accounting totals")
-	}
-}
-
 // TestClusterHostileDurations runs valid specs whose sampled durations
 // do not fit the simulated clock's nanosecond ticks. A gap, sleep, time
 // limit or deadline slack that lands past the last instant the clock

@@ -129,15 +129,13 @@ func (a *Accounting) record(job *Job) {
 	}
 	a.totals.SystemKJ += job.SystemJ / 1000
 	a.totals.CPUKJ += job.CPUJ / 1000
-	started := !job.StartTime.IsZero()
-	if started {
-		// The controller stamps tick mirrors on every path a started job
-		// ends by; the duration arithmetic is identical to Sub on the
-		// time.Time fields.
-		secs := time.Duration(job.endTick - job.startTick).Seconds()
+	submit, start, end := job.SubmitTime.UnixNano(), int64(noStart), job.EndTime.UnixNano()
+	if !job.StartTime.IsZero() {
+		start = job.StartTime.UnixNano()
+		secs := time.Duration(end - start).Seconds()
 		a.totals.RuntimeSeconds += secs
 		a.totals.CPUSeconds += float64(job.Desc.NumTasks) * secs
-		a.totals.WaitSeconds += time.Duration(job.startTick - job.submitTick).Seconds()
+		a.totals.WaitSeconds += time.Duration(start - submit).Seconds()
 	}
 	if a.aggregateOnly {
 		return
@@ -147,12 +145,12 @@ func (a *Accounting) record(job *Job) {
 	}
 	// A job that never started ends where it is refused, which stamps
 	// EndTime alone.
-	r := acctRow{
+	a.appendRow(acctRow{
 		name:       job.Desc.Name,
 		nodeName:   job.NodeName,
-		submit:     job.submitTick,
-		start:      noStart,
-		end:        job.EndTime.UnixNano(),
+		submit:     submit,
+		start:      start,
+		end:        end,
 		systemKJ:   job.SystemJ / 1000,
 		cpuKJ:      job.CPUJ / 1000,
 		gflops:     job.GFLOPS,
@@ -161,11 +159,7 @@ func (a *Accounting) record(job *Job) {
 		cores:      uint16(job.Desc.NumTasks),
 		threadsPer: uint16(job.Desc.ThreadsPerCPU),
 		state:      acctStateCode(job.State),
-	}
-	if started {
-		r.start, r.end = job.startTick, job.endTick
-	}
-	a.appendRow(r)
+	})
 }
 
 // acctStateCode is the state's index in acctStates; the controller

@@ -42,8 +42,12 @@ type partition struct {
 	// node idle?" fast checks.
 	freeBits []uint64
 	freeN    int
-	pending  []*Job
-	busy     int // running jobs occupying this partition's nodes
+	// pending is the queue's live window into queue, its whole backing
+	// array: a pass slides the window forward as jobs start off its
+	// front, and enqueue moves it back to the array's start.
+	pending []*Job
+	queue   []*Job
+	busy    int // running jobs occupying this partition's nodes
 	// prios/sorter are orderKeyed's per-pass key buffer and sorter.
 	prios  []float64
 	sorter prioSorter

@@ -502,7 +502,6 @@ func TestAccountingRowsMatchOracle(t *testing.T) {
 					ThreadsPerCPU: pick(1, 2, maxNodeWidth, 1+rng.Intn(maxNodeWidth)),
 					MaxFreqKHz:    pick(0, 2_200_000, -1, math.MaxInt, math.MinInt, rng.Intn(5_000_000)),
 				},
-				submitTick: submit.UnixNano(),
 			}
 			d := time.Duration(rng.Intn(int(6 * time.Hour)))
 			switch kind := rng.Intn(4); kind {
@@ -510,13 +509,9 @@ func TestAccountingRowsMatchOracle(t *testing.T) {
 				job.State = []JobState{StateCompleted, StateFailed}[kind]
 				job.StartTime = submit.Add(d)
 				job.EndTime = job.StartTime.Add(time.Duration(rng.Intn(int(6 * time.Hour))))
-				job.startTick, job.endTick = job.StartTime.UnixNano(), job.EndTime.UnixNano()
 			default: // failed at start, or cancelled before it
 				job.State = []JobState{StateFailed, StateCancelled}[kind-2]
 				job.EndTime = submit.Add(d)
-				// A job that never started has no tick mirrors stamped
-				// but its submission's.
-				job.startTick, job.endTick = int64(rng.Uint64()), int64(rng.Uint64())
 			}
 			a.record(job)
 			oracle = append(oracle, AcctRecord{
@@ -568,4 +563,57 @@ func sameRecord(a, b AcctRecord) bool {
 		return out
 	}
 	return bits(&a) == bits(&b) && a == b
+}
+
+// TestDeepQueueAllocatesNothing holds a four-node FIFO partition at a
+// standing backlog of 1,000 jobs, so every completion's pass starts one
+// job and slides the pending window forward, and runs 20,000 cycles of
+// one completion and one submission: the window drifts through its
+// backing array twenty times, and compacting it in place must allocate
+// nothing. The slots past the live window must hold no job, so the
+// array keeps none alive that left the queue. A per-op benchmark would
+// round the few reallocations a drifting append makes to 0 allocs/op.
+func TestDeepQueueAllocatesNothing(t *testing.T) {
+	const backlog, cycles = 1000, 20_000
+	sim := simclock.New()
+	c, err := NewCluster(sim, DefaultConf(), WithNodes(clusterNodes(sim, 4)...),
+		WithAggregateAccounting(), WithBatchedScheduling())
+	if err != nil {
+		t.Fatal(err)
+	}
+	desc := sleepDesc(32, time.Hour, "")
+	submit := func() {
+		if _, err := c.SubmitDesc(&desc); err != nil {
+			t.Fatal(err)
+		}
+		c.Flush()
+	}
+	for range backlog + 4 {
+		submit()
+	}
+	p := c.part
+	cycle := func() {
+		for done := c.Accounting().Totals().Jobs; c.Accounting().Totals().Jobs == done; {
+			sim.Step()
+		}
+		submit()
+	}
+	for range 4 * backlog {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(1, func() {
+		for range cycles {
+			cycle()
+			if len(p.pending) != backlog {
+				t.Fatalf("%d jobs queued, want a standing backlog of %d", len(p.pending), backlog)
+			}
+			for i, j := range p.pending[backlog:cap(p.pending)] {
+				if j != nil {
+					t.Fatalf("slot %d past the %d queued jobs holds job %d", i, backlog, j.ID)
+				}
+			}
+		}
+	}); allocs != 0 {
+		t.Fatalf("%d completions and submissions on a %d-job queue allocate %.0f times, want 0", cycles, backlog, allocs)
+	}
 }

@@ -62,6 +62,10 @@ type nodeD struct {
 	coJob *Job
 	// spec caches hw.Spec() — read on every placement probe.
 	spec hw.NodeSpec
+	// sys0/cpu0 are the hardware's energy counters when current started
+	// as a primary, the baseline bill charges it from. A secondary,
+	// promoted or not, is billed by estimate and never reads them.
+	sys0, cpu0 float64
 	// deltas/idleDrawW are the node's power model, its placement deltas
 	// tabulated, and its idle draw, set only when the cluster-policy
 	// layer is active (energy.go).
@@ -488,7 +492,6 @@ func (c *Controller) submit(ctx context.Context, desc *JobDesc) (*Job, error) {
 	job.State = StatePending
 	job.Reason = "Priority"
 	job.SubmitTime = c.sim.Now()
-	job.submitTick = c.sim.NowTick()
 	job.userSlot = c.slotFor(desc.UserID)
 	if desc.Shape != nil {
 		// Copy the shape into the job-owned buffer: the description's
@@ -499,9 +502,31 @@ func (c *Controller) submit(ctx context.Context, desc *JobDesc) (*Job, error) {
 		job.Desc.Shape = &job.shape
 	}
 	c.nextID++
-	part.pending = append(part.pending, job)
+	part.enqueue(job)
 	c.kickSubmit()
 	return job, nil
+}
+
+// enqueue appends a job to the pending queue. When the window has
+// drifted to the end of its backing array, the live jobs move back to
+// the array's start while they fill at most two thirds of it, and to a
+// new array twice their length otherwise; the slots past them are
+// cleared, so the array holds no job that left the queue. Under a deep
+// backlog draining a node at a time the array is sized once, where
+// append would copy the whole backlog each time the drift reached its
+// end.
+func (p *partition) enqueue(job *Job) {
+	if n := len(p.pending); n == cap(p.pending) {
+		if q := p.queue; len(q) > 0 && 3*n <= 2*len(q) {
+			copy(q, p.pending)
+			clear(q[n:])
+			p.pending = q[:n]
+		} else {
+			p.queue = make([]*Job, max(2*n, 1))
+			p.pending = p.queue[:copy(p.queue, p.pending)]
+		}
+	}
+	p.pending = append(p.pending, job)
 }
 
 // SubmitScript parses an sbatch script and submits it. A script equal
@@ -629,8 +654,8 @@ func (c *Controller) schedulePart(p *partition) {
 				// place, so slide the window forward instead of copying
 				// the whole backlog down — under a deep queue draining
 				// one node at a time, that copy is the pass's entire
-				// cost. (Appends reallocate compactly once the drifted
-				// backing array's cap runs out.)
+				// cost. (Submit's enqueue compacts the queue in place
+				// once the window drifts to its backing array's end.)
 				p.pending = rest
 				p.queueGauge.Set(float64(len(p.pending)))
 				c.countVisits(int64(queued))
@@ -828,7 +853,7 @@ func (c *Controller) start(job *Job, node *nodeD) error {
 		})
 	}
 
-	job.sys0, job.cpu0 = node.hw.EnergyJ()
+	node.sys0, node.cpu0 = node.hw.EnergyJ()
 	c.run(job, node, now, hwJob.Config, duration, gflops)
 	return nil
 }
@@ -856,7 +881,6 @@ func (c *Controller) run(job *Job, n *nodeD, now time.Time, cfg perfmodel.Config
 	job.State = StateRunning
 	job.Reason = ""
 	job.StartTime = now
-	job.startTick = c.sim.NowTick()
 	job.NodeName = n.name
 	job.GFLOPS = gflops
 	job.node = n
@@ -900,21 +924,20 @@ func (c *Controller) vacate(job *Job, n *nodeD) {
 // power estimate integrated over its runtime.
 func (c *Controller) bill(job *Job, n *nodeD) {
 	if job.coSecondary {
-		secs := time.Duration(c.sim.NowTick() - job.startTick).Seconds()
+		secs := c.sim.Now().Sub(job.StartTime).Seconds()
 		job.SystemJ = job.estSysW * secs
 		job.CPUJ = job.estCPUW * secs
 		return
 	}
 	sys1, cpu1 := n.hw.EnergyJ()
-	job.SystemJ = sys1 - job.sys0
-	job.CPUJ = cpu1 - job.cpu0
+	job.SystemJ = sys1 - n.sys0
+	job.CPUJ = cpu1 - n.cpu0
 }
 
 // completeJob ends a running job at its completion event.
 func (c *Controller) completeJob(job *Job) {
 	c.vacate(job, job.node)
 	job.EndTime = c.sim.Now()
-	job.endTick = c.sim.NowTick()
 	if job.timedOut {
 		job.State = StateFailed
 		job.Reason = "TimeLimit"
@@ -941,7 +964,7 @@ func (c *Controller) slotFor(uid uint32) int32 {
 
 func (c *Controller) finish(job *Job) {
 	if !job.StartTime.IsZero() {
-		delta := float64(job.Desc.NumTasks) * time.Duration(job.endTick-job.startTick).Seconds()
+		delta := float64(job.Desc.NumTasks) * job.EndTime.Sub(job.StartTime).Seconds()
 		c.usageBy[job.userSlot] += delta
 		if c.usageSink != nil {
 			c.usageSink(job.Desc.UserID, delta)

@@ -105,15 +105,6 @@ type Job struct {
 	// through it.
 	node *nodeD
 
-	// Completion bookkeeping stashed at start for the completion event:
-	// energy counters at start, and (timedOut, below) whether the plan
-	// was truncated by the time limit.
-	sys0, cpu0 float64
-	// Tick (UnixNano) mirrors of SubmitTime/StartTime/EndTime, stamped
-	// wherever those are for a job that starts: submission, start and
-	// completion. Accounting and fair share read run and wait times from
-	// them, not from the time.Time fields.
-	submitTick, startTick, endTick int64
 	// releaseTick is the instant the deferral policy's hold on the job
 	// ends whatever the signal says — min(SubmitTime + max defer,
 	// Deadline − TimeLimit) — derived the first time hold sees the job
@@ -123,8 +114,9 @@ type Job struct {
 	// (Controller.usageBy) for Desc.UserID, assigned at submission.
 	userSlot int32
 	// The three flags share userSlot's word: Job is one record per
-	// submission, and a word more per job shows in the simulator's bytes
-	// per submission (TestJobSize).
+	// submission, queued first, so a word more per job shows in the
+	// simulator's bytes per submission (TestJobSize). timedOut is set at
+	// start: the plan was cut at the time limit.
 	timedOut bool
 	// Cluster-policy bookkeeping (energy.go): coSecondary marks a job
 	// running as a node's co-scheduled secondary; drawDeltaW is the

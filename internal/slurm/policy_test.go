@@ -611,13 +611,14 @@ func TestHoldReleasesAtOnceOnADeadlineOutOfReach(t *testing.T) {
 
 // TestJobSize pins the record's size: one Job per submission is the
 // cluster simulator's largest per-submission allocation, and
-// cluster-nopolicy's alloc_bytes_per_op bound (2 % of 47.65 B) is less
-// than one more 8-byte word per job would spend. A new field goes into
-// the padding beside userSlot and the flags, or pays for itself. (448
-// bytes is a size class; 456 allocated from the 480-byte one.)
+// cluster-nopolicy's alloc_bytes_per_op bound (2 % of 13.1 B) is less
+// than the next size class up would spend. A new field goes into the
+// padding beside userSlot and the flags, or pays for itself. (408 bytes
+// allocates from the 416-byte size class; the 448-byte one measured
+// 0.49 B more a submission.)
 func TestJobSize(t *testing.T) {
-	if got := unsafe.Sizeof(Job{}); got != 448 {
-		t.Fatalf("unsafe.Sizeof(Job{}) = %d, want 448: a word per job is ~0.9 B per submission on the 1,024-node workload, "+
-			"most of its 0.95 B/op regression bound — pack the field into existing padding or shrink another", got)
+	if got := unsafe.Sizeof(Job{}); got != 408 {
+		t.Fatalf("unsafe.Sizeof(Job{}) = %d, want 408: the 448-byte size class costs ~0.49 B per submission on the 1,024-node workload, "+
+			"almost twice its 0.26 B/op regression bound — pack the field into existing padding or shrink another", got)
 	}
 }
