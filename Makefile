@@ -57,8 +57,9 @@ chaos:
 # two slurm text parsers (slurm.conf, sbatch scripts), the controller's
 # memo of the last sbatch parse against the parser, the settled prefix
 # against the full scheduling walk, the calendar queue against its
-# naive reference, and the trace CSV encoder against the encoding/csv
-# encoder it replaced. CI's fuzz job runs it.
+# naive reference, the trace CSV encoder against the encoding/csv
+# encoder it replaced, and FIFO cluster runs against the reference run.
+# CI's fuzz job runs it.
 fuzz:
 	$(GO) test -fuzz FuzzTornTail -fuzztime 30s -run FuzzTornTail ./internal/filedb/
 	$(GO) test -fuzz FuzzReplay -fuzztime 30s -run FuzzReplay ./internal/filedb/
@@ -70,6 +71,7 @@ fuzz:
 	$(GO) test -fuzz FuzzSettledPrefix -fuzztime 30s -run FuzzSettledPrefix ./internal/slurm/
 	$(GO) test -fuzz FuzzEventQueueDifferential -fuzztime 30s -run FuzzEventQueueDifferential ./internal/simclock/
 	$(GO) test -fuzz FuzzAppendCSV -fuzztime 30s -run FuzzAppendCSV ./internal/telemetry/
+	$(GO) test -fuzz FuzzClusterMatchesReference -fuzztime 30s -run FuzzClusterMatchesReference .
 
 # cover enforces a per-package statement-coverage floor on the policy
 # and workload packages (the cluster-policy test harness keeps them

@@ -8,11 +8,12 @@ import (
 	"ecosched/internal/perfmodel"
 )
 
-// cacheKey identifies a model by the pair of hashes the plugin
-// submits with every prediction.
+// cacheKey identifies a model by the pair of hashes the plugin submits
+// and the id of the model its settings name for them (0: none named).
 type cacheKey struct {
 	systemHash string
 	binaryHash string
+	modelID    int64
 }
 
 // cacheEntry is one model's precomputed best configuration; the
@@ -31,10 +32,10 @@ type cacheEntry struct {
 }
 
 // modelCache keeps each model's best configuration keyed by
-// (systemHash, binaryHash) so repeated submissions of the same application skip the
-// file read, the JSON decode and the optimizer sweep entirely. A cache
-// hit costs only LatencyLocalRead (the settings check the real CLI
-// cannot avoid).
+// (systemHash, binaryHash, modelID) so repeated submissions of the same
+// application skip the file read, the JSON decode and the optimizer
+// sweep entirely. A cache hit costs only LatencyLocalRead (the settings
+// check the real CLI cannot avoid).
 type modelCache struct {
 	mu      sync.Mutex
 	entries map[cacheKey]*cacheEntry
@@ -78,13 +79,13 @@ func (c *modelCache) lookup(key cacheKey) (entry *cacheEntry, isLoader bool) {
 	return e, true
 }
 
-// finish publishes the loader's result. Failed loads are evicted so a
-// later call retries (guarded: only if the slot still holds this
-// entry — an invalidation may have raced and replaced it).
-func (c *modelCache) finish(key cacheKey, e *cacheEntry, best perfmodel.Config, latency time.Duration, source ecoplugin.PredictSource, err error) {
+// finish publishes the loader's result. A failed load, or one keep
+// refuses, is evicted so a later call retries, unless dropUnnamed has
+// already let a new loader replace the slot.
+func (c *modelCache) finish(key cacheKey, e *cacheEntry, best perfmodel.Config, latency time.Duration, source ecoplugin.PredictSource, err error, keep bool) {
 	e.best, e.latency, e.source, e.err = best, latency, source, err
 	close(e.done)
-	if err != nil {
+	if err != nil || !keep {
 		c.mu.Lock()
 		if c.entries[key] == e {
 			delete(c.entries, key)
@@ -93,19 +94,12 @@ func (c *modelCache) finish(key cacheKey, e *cacheEntry, best perfmodel.Config, 
 	}
 }
 
-// invalidate drops the entry for one (system, application) pair —
-// called when `chronus load-model` installs a new model for it.
-func (c *modelCache) invalidate(systemHash, binaryHash string) {
+// dropUnnamed drops the pair's entry for requests naming no model,
+// which answers for whatever model the settings named at its load:
+// `chronus load-model` calls it on install.
+func (c *modelCache) dropUnnamed(systemHash, binaryHash string) {
 	c.mu.Lock()
-	delete(c.entries, cacheKey{systemHash, binaryHash})
-	c.mu.Unlock()
-}
-
-// invalidateAll empties the cache — called on settings changes, whose
-// effect on prediction (state, model registry) is not per-key.
-func (c *modelCache) invalidateAll() {
-	c.mu.Lock()
-	c.entries = make(map[cacheKey]*cacheEntry)
+	delete(c.entries, cacheKey{systemHash, binaryHash, 0})
 	c.mu.Unlock()
 }
 

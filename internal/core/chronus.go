@@ -119,7 +119,6 @@ func (d Deps) validate() error {
 type Chronus struct {
 	deps     Deps
 	log      *log.Logger
-	cache    *modelCache
 	inflight *inflight
 
 	Benchmark *BenchmarkService
@@ -187,7 +186,7 @@ func New(deps Deps) (*Chronus, error) {
 		w = io.Discard
 	}
 	logger := log.New(w, "chronus ", 0)
-	c := &Chronus{deps: deps, log: logger, cache: cache, inflight: newInflight()}
+	c := &Chronus{deps: deps, log: logger, inflight: newInflight()}
 	c.Benchmark = newBenchmarkService(deps, logger)
 	c.InitModel = &InitModelService{deps: deps, log: logger}
 	c.LoadModel = &LoadModelService{deps: deps, log: logger, cache: cache}
@@ -200,6 +199,6 @@ func New(deps Deps) (*Chronus, error) {
 		mCacheMiss: deps.Metrics.Counter(metricPredictCacheMiss),
 		mLatency:   deps.Metrics.BucketedHistogram(MetricPredictLatency),
 	}
-	c.Set = &SetService{deps: deps, cache: cache}
+	c.Set = &SetService{deps: deps}
 	return c, nil
 }

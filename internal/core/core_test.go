@@ -345,6 +345,16 @@ func TestPredictFromPreloadedModel(t *testing.T) {
 	if latency > 50*time.Millisecond {
 		t.Fatalf("pre-loaded prediction took %v — outside the submit budget rationale", latency)
 	}
+	// A request naming a model the settings no longer name (another
+	// process installed one after the plugin read them) gets the
+	// settings' model, and its answer is not cached under the old id.
+	req := ecoplugin.PredictRequest{SystemHash: sysHash, BinaryHash: binHash, ModelID: meta.ID + 1}
+	for range 2 {
+		res, err := r.chronus.Predict.Predict(context.Background(), req)
+		if err != nil || res.Config != want || res.Source != ecoplugin.SourcePreloaded {
+			t.Fatalf("stale-id request: %v from %s, err %v; want %v pre-loaded", res.Config, res.Source, err, want)
+		}
+	}
 }
 
 func TestPredictWithoutPreloadErrors(t *testing.T) {

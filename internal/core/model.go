@@ -178,9 +178,7 @@ func (s *LoadModelService) Run(modelID int64) (_ settings.LocalModel, err error)
 	if err := s.deps.Settings.Save(cfg); err != nil {
 		return settings.LocalModel{}, err
 	}
-	// The pair now resolves to a different model; a cached prediction
-	// for it would be stale.
-	s.cache.invalidate(file.SystemHash, meta.AppHash)
+	s.cache.dropUnnamed(file.SystemHash, meta.AppHash)
 	s.deps.Metrics.Counter(metricModelLoads).Inc()
 	s.log.Printf("model %d pre-loaded to %s", meta.ID, path)
 	return local, nil

@@ -34,13 +34,13 @@ const (
 // energy-efficient configuration (paper §3.1.2, purple arrows). It
 // implements ecoplugin.Predictor.
 //
-// Repeated predictions for the same (system, application) pair are
+// Repeated predictions for the same (system, application, model) are
 // answered from an in-memory cache of each model's precomputed best
 // configuration: a hit costs only LatencyLocalRead —
 // no file read, no JSON decode, no optimizer sweep. Concurrent cold
-// lookups for the same pair are deduplicated (singleflight), and
-// `chronus load-model` / `chronus set` invalidate the affected
-// entries.
+// lookups for the same key are deduplicated (singleflight). A request
+// names the model the settings name (PredictRequest.ModelID), so a
+// model installed by any process is a miss.
 type PredictService struct {
 	deps     Deps
 	cache    *modelCache
@@ -101,7 +101,7 @@ func (s *PredictService) predict(ctx context.Context, req ecoplugin.PredictReque
 		return ecoplugin.PredictResult{}, err
 	}
 	m := s.deps.Metrics
-	key := cacheKey{req.SystemHash, req.BinaryHash}
+	key := cacheKey{req.SystemHash, req.BinaryHash, req.ModelID}
 
 	if e, ok := s.cache.peek(key); ok {
 		s.mCacheHit.Inc()
@@ -127,8 +127,9 @@ func (s *PredictService) predict(ctx context.Context, req ecoplugin.PredictReque
 			ws.End(nil)
 		}
 	} else {
-		best, latency, source, err := s.load(ctx, req)
-		s.cache.finish(key, e, best, latency, source, err)
+		best, latency, source, named, err := s.load(ctx, req)
+		// Settings that moved on since the caller read them answer uncached.
+		s.cache.finish(key, e, best, latency, source, err, req.ModelID == 0 || named == req.ModelID)
 		m.Gauge(metricPredictCacheEntries).Set(float64(s.cache.size()))
 	}
 
@@ -146,12 +147,13 @@ func (s *PredictService) predict(ctx context.Context, req ecoplugin.PredictReque
 
 // load performs one uncached prediction: the pre-loaded local-disk
 // path when the model registry knows the pair, the cold database +
-// blob path otherwise (A2 only). The returned latency is what the
+// blob path otherwise (A2 only), and names the pre-loaded model it
+// answered with (0 for the cold path). The returned latency is what the
 // path cost, every attempt of a retried stage and the portion spent
 // before an error included. Each stage (settings load, model read,
 // database query, blob fetch, optimizer sweep) gets its own child span
 // carrying the simulated cost of one attempt.
-func (s *PredictService) load(ctx context.Context, req ecoplugin.PredictRequest) (_ perfmodel.Config, _ time.Duration, src ecoplugin.PredictSource, err error) {
+func (s *PredictService) load(ctx context.Context, req ecoplugin.PredictRequest) (_ perfmodel.Config, _ time.Duration, src ecoplugin.PredictSource, named int64, err error) {
 	var span *trace.Span
 	ctx, span = s.deps.Tracer.Start(ctx, spanPredictLoad)
 	defer func() {
@@ -175,12 +177,12 @@ func (s *PredictService) load(ctx context.Context, req ecoplugin.PredictRequest)
 	})
 	ss.End(err)
 	if err != nil {
-		return perfmodel.Config{}, c.spent, ecoplugin.SourcePreloaded, err
+		return perfmodel.Config{}, c.spent, ecoplugin.SourcePreloaded, 0, err
 	}
 	if local, ok := cfg.FindModelByHash(req.SystemHash, req.BinaryHash); ok {
 		projected := c.spent + stageModelRead.cost + LatencyPredict
 		if req.Budget > 0 && projected > req.Budget {
-			return perfmodel.Config{}, c.spent, ecoplugin.SourcePreloaded, fmt.Errorf(
+			return perfmodel.Config{}, c.spent, ecoplugin.SourcePreloaded, 0, fmt.Errorf(
 				"core: pre-loaded path needs %v of a %v budget: %w", projected, req.Budget, ecoplugin.ErrBudgetExceeded)
 		}
 		_, rs := s.deps.Tracer.Start(ctx, spanPredictReadModel)
@@ -197,7 +199,7 @@ func (s *PredictService) load(ctx context.Context, req ecoplugin.PredictRequest)
 		})
 		if err != nil {
 			rs.End(err)
-			return perfmodel.Config{}, c.spent, ecoplugin.SourcePreloaded, fmt.Errorf("core: pre-loaded model: %w", err)
+			return perfmodel.Config{}, c.spent, ecoplugin.SourcePreloaded, 0, fmt.Errorf("core: pre-loaded model: %w", err)
 		}
 		if rs != nil {
 			rs.SetAttr("sim_latency", LatencyLocalRead.String())
@@ -206,18 +208,18 @@ func (s *PredictService) load(ctx context.Context, req ecoplugin.PredictRequest)
 		rs.End(nil)
 		best, err := s.decodeAndSweepTraced(ctx, data)
 		c.spent += LatencyPredict
-		return best, c.spent, ecoplugin.SourcePreloaded, err
+		return best, c.spent, ecoplugin.SourcePreloaded, local.ModelID, err
 	}
 
 	if !s.AllowColdLoad {
-		return perfmodel.Config{}, c.spent, ecoplugin.SourceCold, fmt.Errorf(
+		return perfmodel.Config{}, c.spent, ecoplugin.SourceCold, 0, fmt.Errorf(
 			"core: no pre-loaded model for system %s application %s", req.SystemHash, req.BinaryHash)
 	}
 	s.deps.Metrics.Counter(metricPredictCold).Inc()
 
 	projected := c.spent + stageDBQuery.cost + stageBlobFetch.cost + LatencyPredict
 	if req.Budget > 0 && projected > req.Budget {
-		return perfmodel.Config{}, c.spent, ecoplugin.SourceCold, fmt.Errorf(
+		return perfmodel.Config{}, c.spent, ecoplugin.SourceCold, 0, fmt.Errorf(
 			"core: cold path needs %v of a %v budget: %w", projected, req.Budget, ecoplugin.ErrBudgetExceeded)
 	}
 
@@ -238,7 +240,7 @@ func (s *PredictService) load(ctx context.Context, req ecoplugin.PredictRequest)
 	})
 	if err != nil {
 		dbs.End(err)
-		return perfmodel.Config{}, c.spent, ecoplugin.SourceCold, err
+		return perfmodel.Config{}, c.spent, ecoplugin.SourceCold, 0, err
 	}
 	var sysID int64 = -1
 	for _, sys := range systems {
@@ -250,7 +252,7 @@ func (s *PredictService) load(ctx context.Context, req ecoplugin.PredictRequest)
 	if sysID < 0 {
 		err = fmt.Errorf("core: unknown system %s", req.SystemHash)
 		dbs.End(err)
-		return perfmodel.Config{}, c.spent, ecoplugin.SourceCold, err
+		return perfmodel.Config{}, c.spent, ecoplugin.SourceCold, 0, err
 	}
 	var models []repository.ModelMeta
 	err = s.retry(ctx, stageDBQuery, &c, afterDB, func() error {
@@ -260,7 +262,7 @@ func (s *PredictService) load(ctx context.Context, req ecoplugin.PredictRequest)
 	})
 	if err != nil {
 		dbs.End(err)
-		return perfmodel.Config{}, c.spent, ecoplugin.SourceCold, err
+		return perfmodel.Config{}, c.spent, ecoplugin.SourceCold, 0, err
 	}
 	var blobKey string
 	for _, m := range models {
@@ -271,7 +273,7 @@ func (s *PredictService) load(ctx context.Context, req ecoplugin.PredictRequest)
 	if blobKey == "" {
 		err = fmt.Errorf("core: no model for system %s application %s", req.SystemHash, req.BinaryHash)
 		dbs.End(err)
-		return perfmodel.Config{}, c.spent, ecoplugin.SourceCold, err
+		return perfmodel.Config{}, c.spent, ecoplugin.SourceCold, 0, err
 	}
 	dbs.End(nil)
 	_, bs := s.deps.Tracer.Start(ctx, spanPredictBlobFetch)
@@ -288,11 +290,11 @@ func (s *PredictService) load(ctx context.Context, req ecoplugin.PredictRequest)
 	})
 	bs.End(err)
 	if err != nil {
-		return perfmodel.Config{}, c.spent, ecoplugin.SourceCold, err
+		return perfmodel.Config{}, c.spent, ecoplugin.SourceCold, 0, err
 	}
 	best, err := s.decodeAndSweepTraced(ctx, data)
 	c.spent += LatencyPredict
-	return best, c.spent, ecoplugin.SourceCold, err
+	return best, c.spent, ecoplugin.SourceCold, 0, err
 }
 
 // decodeAndSweepTraced wraps decodeAndSweep in the predict.optimize

@@ -10,8 +10,7 @@ import (
 // paper's three subcommands are database, blob-storage and state
 // (Figure 10).
 type SetService struct {
-	deps  Deps
-	cache *modelCache
+	deps Deps
 }
 
 // SetDatabase sets the repository path.
@@ -45,11 +44,5 @@ func (s *SetService) mutate(fn func(*settings.Settings)) error {
 		return err
 	}
 	fn(&cfg)
-	if err := s.deps.Settings.Save(cfg); err != nil {
-		return err
-	}
-	// Settings steer prediction (state, model registry); any change
-	// makes every cached answer suspect.
-	s.cache.invalidateAll()
-	return nil
+	return s.deps.Settings.Save(cfg)
 }

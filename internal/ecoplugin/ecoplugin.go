@@ -110,12 +110,23 @@ const (
 )
 
 // PredictRequest identifies one submit-time prediction: the system
-// and application hashes from job_submit_eco, plus the remaining
-// latency budget the answer must fit in (zero = unenforced).
+// and application hashes from job_submit_eco, the model the settings
+// name for them (0: none) and the latency budget left (0: unenforced).
 type PredictRequest struct {
 	SystemHash string
 	BinaryHash string
+	ModelID    int64
 	Budget     time.Duration
+}
+
+// NewPredictRequest names the model st registers for the pair (zero
+// when none does) and leaves the budget unenforced.
+func NewPredictRequest(st *settings.Settings, sysHash, binHash string) PredictRequest {
+	req := PredictRequest{SystemHash: sysHash, BinaryHash: binHash}
+	if m, ok := st.FindModelByHash(sysHash, binHash); ok {
+		req.ModelID = m.ModelID
+	}
+	return req
 }
 
 // PredictResult is the answer: the energy-efficient configuration,
@@ -312,7 +323,7 @@ func (p *Plugin) jobSubmit(ctx context.Context, desc *slurm.JobDesc, span *trace
 		p.hashedBinary, p.binHash = desc.BinaryPath, BinaryHash(desc.BinaryPath)
 	}
 
-	req := PredictRequest{SystemHash: sysHash, BinaryHash: p.binHash}
+	req := NewPredictRequest(&st, sysHash, p.binHash)
 	if p.budget > 0 {
 		// The hashes above already spent part of the budget.
 		req.Budget = p.budget - hashLatency

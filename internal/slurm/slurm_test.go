@@ -275,50 +275,6 @@ func TestJobLifecycleAndAccounting(t *testing.T) {
 	}
 }
 
-func TestFIFOQueueing(t *testing.T) {
-	_, c := newCluster(t, DefaultConf(), 1)
-	first, _ := c.Submit(hpcgDesc(32, 2_500_000, 1))
-	second, err := c.Submit(hpcgDesc(32, 2_200_000, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.State != StatePending {
-		t.Fatalf("second job state = %s, want PENDING behind first", second.State)
-	}
-	q := c.Squeue()
-	if len(q) != 2 {
-		t.Fatalf("squeue has %d entries", len(q))
-	}
-	done2, err := c.WaitFor(second.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done2.State != StateCompleted {
-		t.Fatalf("second job %s (%s)", done2.State, done2.Reason)
-	}
-	if !done2.StartTime.Equal(first.EndTime) && done2.StartTime.Before(first.EndTime) {
-		t.Fatalf("second started %v before first ended %v", done2.StartTime, first.EndTime)
-	}
-}
-
-func TestTwoNodesRunInParallel(t *testing.T) {
-	_, c := newCluster(t, DefaultConf(), 2)
-	a, _ := c.Submit(hpcgDesc(32, 2_500_000, 1))
-	b, _ := c.Submit(hpcgDesc(32, 2_500_000, 1))
-	if a.State != StateRunning || b.State != StateRunning {
-		t.Fatalf("states = %s, %s; want both RUNNING on 2 nodes", a.State, b.State)
-	}
-	if a.NodeName == b.NodeName {
-		t.Fatal("both jobs on the same node")
-	}
-	info := c.Sinfo()
-	for _, n := range info {
-		if n.State != "alloc" {
-			t.Fatalf("sinfo: %+v", n)
-		}
-	}
-}
-
 func TestSinfoIdle(t *testing.T) {
 	_, c := newCluster(t, DefaultConf(), 1)
 	info := c.Sinfo()

@@ -164,11 +164,12 @@ func (d *Deployment) RunLoadgen(opts LoadgenOptions) (LoadgenReport, error) {
 		if err != nil {
 			return rep, err
 		}
-		req := ecoplugin.PredictRequest{
-			SystemHash: sysHash,
-			BinaryHash: ecoplugin.BinaryHash(d.HPCGPath),
-			Budget:     budget,
+		st, err := d.Settings.Load()
+		if err != nil {
+			return rep, err
 		}
+		req := ecoplugin.NewPredictRequest(&st, sysHash, ecoplugin.BinaryHash(d.HPCGPath))
+		req.Budget = budget
 		var issued, errs atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < conc; w++ {

@@ -86,6 +86,9 @@ func TestPredictCacheHitSkipsModelFile(t *testing.T) {
 	}
 }
 
+// TestPredictCacheInvalidatedByLoadModel: a request that names no model
+// (ModelID 0) is answered from the entry cached under no model until
+// this process's load-model drops it.
 func TestPredictCacheInvalidatedByLoadModel(t *testing.T) {
 	d, req, _ := warmDeployment(t)
 	ctx := context.Background()
@@ -116,24 +119,57 @@ func TestPredictCacheInvalidatedByLoadModel(t *testing.T) {
 	}
 }
 
-func TestPredictCacheInvalidatedBySettingsChange(t *testing.T) {
-	d, req, _ := warmDeployment(t)
-	ctx := context.Background()
+// TestPredictionFollowsAModelInstalledElsewhere: deployments A and B
+// share a data directory. A's cache holds the answer of the model A
+// pre-loaded; B installs a model with another answer, and A's next
+// opted-in submission runs B's, with nothing telling A's cache. Kills
+// scripts/mutants/predict-cache-ignores-model.patch.
+func TestPredictionFollowsAModelInstalledElsewhere(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *Deployment {
+		d, err := New(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { d.Close() })
+		return d
+	}
+	install := func(d *Deployment, configs []Config) {
+		if _, err := d.BenchmarkConfigs(configs, 0); err != nil {
+			t.Fatal(err)
+		}
+		meta, err := d.TrainModel("brute-force")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.PreloadModel(meta.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submit := func(d *Deployment) Config {
+		job, err := d.SubmitHPCGOptIn()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Config{Cores: job.Desc.NumTasks, FreqKHz: job.Desc.MaxFreqKHz, ThreadsPerCore: job.Desc.ThreadsPerCPU}
+	}
 
-	d.Chronus.Predict.Predict(ctx, req)
-	res, _ := d.Chronus.Predict.Predict(ctx, req)
-	if res.Source != ecoplugin.SourceCache {
-		t.Fatalf("warm-up did not cache: %s", res.Source)
+	// A measures only the standard configuration, so its model picks it.
+	a := open()
+	standard := QuickSweepConfigs()[0]
+	install(a, []Config{standard})
+	for range 2 {
+		if got := submit(a); got != standard {
+			t.Fatalf("A runs %v, want its model's %v", got, standard)
+		}
 	}
-	if err := d.Chronus.Set.SetState("active"); err != nil {
-		t.Fatal(err)
+	if hits := a.Metrics.Snapshot().Counters["chronus.predict.cache_hit"]; hits != 1 {
+		t.Fatalf("A's second submission made %d cache hits, want 1", hits)
 	}
-	after, err := d.Chronus.Predict.Predict(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Source != ecoplugin.SourcePreloaded {
-		t.Fatalf("prediction after settings change served from %s — cache not flushed", after.Source)
+
+	install(open(), QuickSweepConfigs())
+	if got := submit(a); got != BestConfig() {
+		t.Fatalf("after B's install A runs %v, want B's model's %v", got, BestConfig())
 	}
 }
 
