@@ -58,7 +58,8 @@ chaos:
 # memo of the last sbatch parse against the parser, the settled prefix
 # against the full scheduling walk, the calendar queue against its
 # naive reference, the trace CSV encoder against the encoding/csv
-# encoder it replaced, and FIFO cluster runs against the reference run.
+# encoder it replaced, and cluster runs with FIFO and multifactor
+# partitions against the reference run.
 # CI's fuzz job runs it.
 fuzz:
 	$(GO) test -fuzz FuzzTornTail -fuzztime 30s -run FuzzTornTail ./internal/filedb/

@@ -815,7 +815,7 @@ func runCluster(start time.Time, spec workload.Spec, src workload.Source, lw *wo
 			}))
 		}
 		if multifactor {
-			copts = append(copts, slurm.WithPolicy(slurm.DefaultMultifactor(spec0.Cores)))
+			copts = append(copts, slurm.WithMultifactor())
 		}
 		if spec.Policy != nil {
 			if pols := lanePolicies(spec.Policy, ps, totalNodes, spec.Seed); len(pols) > 0 {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"hash/fnv"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"ecosched/internal/workload"
@@ -107,48 +106,4 @@ func TestClusterPolicyWorkCounters(t *testing.T) {
 		t.Errorf("nothing deferred or nothing paired (%+v): the bounds are vacuous", pl)
 	}
 	t.Logf("SignalReads %d, PlaceProbes %d, QueueVisits %d over %d submissions", pl.SignalReads, pl.PlaceProbes, pl.QueueVisits, rep.Submissions)
-}
-
-// mutualReadersDigest is FNV-64a of the rendered report followed by the
-// recorded log of specs/mutual-readers.json, recorded at 49c8ec1, when
-// every lane met its siblings at a barrier after each window.
-const mutualReadersDigest = 0x7f37e86027024fd0
-
-// TestClusterMutualUsageReaders: two multifactor partitions that share
-// one user population each read the other's fair-share usage, and the
-// usage of a FIFO sibling beside them. Each reading lane must apply both
-// siblings' deltas of a window, in partition order, before it runs the
-// next, so the run is pinned by digest at every lane count. The
-// priority order must matter: with both partitions FIFO the report
-// differs.
-func TestClusterMutualUsageReaders(t *testing.T) {
-	spec := loadSpec(t, "mutual-readers.json")
-	run := func(spec workload.Spec, lanes int) (uint64, []byte) {
-		t.Helper()
-		var log, text bytes.Buffer
-		rep, err := RunClusterSpec(spec, &log, WithLanes(lanes))
-		if err != nil {
-			t.Fatalf("lanes %d: %v", lanes, err)
-		}
-		rep.WriteText(&text)
-		h := fnv.New64a()
-		h.Write(text.Bytes())
-		h.Write(log.Bytes())
-		return h.Sum64(), text.Bytes()
-	}
-	var text []byte
-	for _, lanes := range []int{1, 2, 3, 4} {
-		var got uint64
-		if got, text = run(spec, lanes); got != mutualReadersDigest {
-			t.Errorf("lanes %d: digest %#016x, pinned %#016x", lanes, got, uint64(mutualReadersDigest))
-		}
-	}
-	fifo := spec
-	fifo.Cluster.Partitions = slices.Clone(spec.Cluster.Partitions)
-	for i := range fifo.Cluster.Partitions {
-		fifo.Cluster.Partitions[i].Policy = ""
-	}
-	if _, fifoText := run(fifo, 2); bytes.Equal(text, fifoText) {
-		t.Errorf("the report is the same with both partitions FIFO: fair share decides nothing here\n%s", text)
-	}
 }

@@ -342,7 +342,7 @@ func TestUsageExchangeAppliesSiblingsInPartitionOrder(t *testing.T) {
 	sim := simclock.New()
 	ctl, err := slurm.NewCluster(sim, slurm.DefaultConf(),
 		slurm.WithNodes(hw.NewNode(sim, hw.DefaultSpec(), nil, 1)),
-		slurm.WithPolicy(slurm.DefaultMultifactor(32)))
+		slurm.WithMultifactor())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -232,7 +232,6 @@ var reachAllow = map[string]string{
 	"slurm.Controller.Job":                  "(d) a live job's record by id, which the slurm tests observe mid-run",
 	"slurm.Controller.Squeue":               "(d) the pending and running jobs, which the slurm tests observe mid-run",
 	"slurm.Controller.Nodes":                "(d) the controller's hardware nodes, whose energy the slurm tests read",
-	"slurm.Controller.Policy":               "(d) the partition's parsed scheduling policy, which the slurm tests check",
 	"slurm.Controller.UserUsageCPUSeconds":  "(d) a user's fair-share usage, which the slurm and root pipeline tests check",
 	"trace.Span.TraceID":                    "(d) a span's trace id, which the trace tests check is shared and unique",
 }

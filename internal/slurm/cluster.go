@@ -23,14 +23,17 @@ const (
 )
 
 // partition is the controller's one scheduling domain: a named pending
-// queue with its policy and node pool, stepped under the controller's
+// queue with its order and node pool, stepped under the controller's
 // clock. A multi-partition cluster is one controller per partition.
 type partition struct {
-	name   string
-	conf   Partition
-	policy SchedulingPolicy
-	fifo   bool // policy is FIFO → pending stays ID-ordered, skip sorting
-	nodes  []*nodeD
+	name string
+	conf Partition
+	// multifactor orders the queue by priority each pass; otherwise it
+	// is FIFO: pending stays ID-ordered and never sorts.
+	multifactor bool
+	// maxCores is the widest node in the pool, the size factor's scale.
+	maxCores int
+	nodes    []*nodeD
 	// classes holds one node of each distinct shape in the pool (cores,
 	// threads a core, calibration, ladder), for the O(1)-per-class
 	// submission checks fits and fitsBudget.
@@ -140,18 +143,12 @@ func (p *partition) takeIdle(desc *JobDesc) *nodeD {
 	return nil
 }
 
-// setPolicy installs a scheduling policy and refreshes the FIFO fast
-// path.
-func (p *partition) setPolicy(pol SchedulingPolicy) {
-	p.policy = pol
-	_, p.fifo = pol.(FIFOPolicy)
-}
-
 // addNode appends a node to the pool, recording its capability class
 // and its bitmap slot.
 func (p *partition) addNode(n *nodeD) {
 	n.part, n.idx = p, len(p.nodes)
 	p.nodes = append(p.nodes, n)
+	p.maxCores = max(p.maxCores, n.spec.Cores)
 	if len(p.nodes) > len(p.freeBits)*64 {
 		p.freeBits = append(p.freeBits, 0)
 	}
@@ -172,12 +169,12 @@ type ClusterOption func(*clusterConfig)
 var unknownWorkload = workload.Sleep("unknown", time.Minute)
 
 type clusterConfig struct {
-	nodes     []*hw.Node
-	policy    SchedulingPolicy
-	aggregate bool
-	batched   bool
-	usageSink func(uid uint32, cpuSeconds float64)
-	policies  []SchedPolicy
+	nodes       []*hw.Node
+	multifactor bool
+	aggregate   bool
+	batched     bool
+	usageSink   func(uid uint32, cpuSeconds float64)
+	policies    []SchedPolicy
 }
 
 // WithNodes adds nodes to the partition's pool, in first-fit order.
@@ -185,9 +182,10 @@ func WithNodes(nodes ...*hw.Node) ClusterOption {
 	return func(cfg *clusterConfig) { cfg.nodes = append(cfg.nodes, nodes...) }
 }
 
-// WithPolicy sets the partition's scheduling policy (default FIFO).
-func WithPolicy(p SchedulingPolicy) ClusterOption {
-	return func(cfg *clusterConfig) { cfg.policy = p }
+// WithMultifactor orders the partition's queue by multifactor priority
+// (priority.go) instead of submission order.
+func WithMultifactor() ClusterOption {
+	return func(cfg *clusterConfig) { cfg.multifactor = true }
 }
 
 // WithAggregateAccounting switches the controller to aggregate-only
@@ -250,7 +248,7 @@ func NewCluster(sim *simclock.Sim, conf Conf, opts ...ClusterOption) (*Controlle
 	c := &Controller{
 		sim:       sim,
 		conf:      conf,
-		part:      &partition{name: conf.Partition.Name, conf: conf.Partition},
+		part:      &partition{name: conf.Partition.Name, conf: conf.Partition, multifactor: cfg.multifactor},
 		nextID:    1,
 		acct:      &Accounting{aggregateOnly: cfg.aggregate},
 		userSlots: make(map[uint32]int32),
@@ -260,10 +258,6 @@ func NewCluster(sim *simclock.Sim, conf Conf, opts ...ClusterOption) (*Controlle
 	}
 	c.part.ctl = c
 	c.wakeAct.c = c
-	if cfg.policy == nil {
-		cfg.policy = FIFOPolicy{}
-	}
-	c.part.setPolicy(cfg.policy)
 
 	seen := make(map[string]bool, len(cfg.nodes))
 	for _, n := range cfg.nodes {

@@ -229,17 +229,16 @@ func TestAggregateAccounting(t *testing.T) {
 	})
 }
 
-// TestConstructionOptionsWiring checks WithPolicy takes effect at
+// TestConstructionOptionsWiring checks WithMultifactor takes effect at
 // construction and an unknown binary runs the one-minute default.
 func TestConstructionOptionsWiring(t *testing.T) {
 	sim := simclock.New()
-	c, err := NewCluster(sim, DefaultConf(), WithNodes(clusterNodes(sim, 1)...),
-		WithPolicy(DefaultMultifactor(64)))
+	c, err := NewCluster(sim, DefaultConf(), WithNodes(clusterNodes(sim, 1)...), WithMultifactor())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Policy().Name() != "multifactor" {
-		t.Fatalf("policy = %q", c.Policy().Name())
+	if !c.part.multifactor || c.part.maxCores != 32 {
+		t.Fatalf("multifactor %v over a widest node of %d cores, want true over 32", c.part.multifactor, c.part.maxCores)
 	}
 	job, err := c.Submit(JobDesc{Name: "x", BinaryPath: "/no/such", TimeLimit: time.Hour})
 	if err != nil {

@@ -283,9 +283,6 @@ func (c *Controller) SetMetrics(r *metrics.Registry) {
 // nests under it) and job lifecycle transitions become journal events.
 func (c *Controller) SetTracer(t *trace.Tracer) { c.tracer = t }
 
-// Policy returns the partition's scheduling policy.
-func (c *Controller) Policy() SchedulingPolicy { return c.part.policy }
-
 // UserUsageCPUSeconds reports a user's accumulated CPU-seconds, the
 // fair-share input.
 func (c *Controller) UserUsageCPUSeconds(uid uint32) float64 {
@@ -564,7 +561,7 @@ func nodeSatisfies(n *nodeD, desc *JobDesc) bool {
 }
 
 // schedulePart places the partition's pending jobs onto idle nodes in
-// policy order.
+// queue order (FIFO or multifactor).
 func (c *Controller) schedulePart(p *partition) {
 	if len(p.pending) == 0 {
 		return
@@ -594,7 +591,7 @@ func (c *Controller) schedulePart(p *partition) {
 		span.SetAttr("pending", strconv.Itoa(len(p.pending)))
 		defer func() { span.End(nil) }()
 	}
-	if !p.fifo {
+	if p.multifactor {
 		p.orderKeyed(now, c.usageBy)
 	}
 	// The settled prefix (DESIGN §7): on a FIFO partition under a policy
@@ -607,7 +604,7 @@ func (c *Controller) schedulePart(p *partition) {
 	// staying where they are — past the whole record when every verdict
 	// stands. lost is set when a record job it started held the record's
 	// release bound.
-	settles := pairs && p.fifo
+	settles := pairs && !p.multifactor
 	s := &p.settled
 	from, through := 0, 0 // keep pending[:from] unasked; pending[from:through] by kind
 	var skip uint8

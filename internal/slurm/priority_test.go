@@ -1,206 +1,74 @@
 package slurm
 
 import (
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"ecosched/internal/hw"
-	"ecosched/internal/simclock"
 )
 
-// Order and Priority are the ordering oracles: the comparison-time,
-// map-reading statement of each policy that the production form
-// (prioritySlot keys cached per pass and sorted by orderKeyed) must
-// agree with — TestOrderKeyedMatchesOracle compares them directly.
-
-// Order is the FIFO oracle: submission order is queue order.
-func (FIFOPolicy) Order(pending []*Job, _ time.Time, _ map[uint32]float64) {
-	sort.SliceStable(pending, func(i, j int) bool { return pending[i].ID < pending[j].ID })
+// queuedJob is one job of a hand-built queue: how long it has waited,
+// its size and its user's usage slot.
+type queuedJob struct {
+	waited time.Duration
+	tasks  int
+	user   int32
 }
 
-// Priority is the multifactor oracle's per-job value. usage maps user
-// id → consumed CPU-seconds.
-func (p MultifactorPolicy) Priority(j *Job, now time.Time, usage map[uint32]float64) float64 {
-	age := 0.0
-	if p.MaxAge > 0 {
-		age = float64(now.Sub(j.SubmitTime)) / float64(p.MaxAge)
-		if age > 1 {
-			age = 1
-		}
-	}
-	size := 0.0
-	if p.MaxCores > 0 {
-		size = 1 - float64(j.Desc.NumTasks)/float64(p.MaxCores)
-		if size < 0 {
-			size = 0
-		}
-	}
-	fair := 1.0
-	if p.UsageHalfLife > 0 {
-		fair = p.UsageHalfLife / (p.UsageHalfLife + usage[j.Desc.UserID])
-	}
-	return p.AgeWeight*age + p.SizeWeight*size + p.FairShareWeight*fair
-}
-
-// Order is the multifactor oracle: descending Priority, ties broken by
-// submission order.
-func (p MultifactorPolicy) Order(pending []*Job, now time.Time, usage map[uint32]float64) {
-	sort.SliceStable(pending, func(i, j int) bool {
-		pi := p.Priority(pending[i], now, usage)
-		pj := p.Priority(pending[j], now, usage)
-		if pi != pj {
-			return pi > pj
-		}
-		return pending[i].ID < pending[j].ID
-	})
-}
-
-func TestFIFOPolicyOrder(t *testing.T) {
-	jobs := []*Job{{ID: 3}, {ID: 1}, {ID: 2}}
-	FIFOPolicy{}.Order(jobs, time.Time{}, nil)
-	for i, want := range []int{1, 2, 3} {
-		if jobs[i].ID != want {
-			t.Fatalf("order = %v", ids(jobs))
-		}
-	}
-}
-
-func ids(jobs []*Job) []int {
-	out := make([]int, len(jobs))
+// orderedIDs queues jobs latest-submitted first (job i+1 is jobs[i]),
+// orders them with the production orderKeyed on a 32-core partition and
+// returns the resulting job ids.
+func orderedIDs(jobs []queuedJob, usage []float64) []int {
+	now := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	p := &partition{maxCores: 32}
 	for i, j := range jobs {
-		out[i] = j.ID
+		p.pending = append([]*Job{{ID: i + 1, SubmitTime: now.Add(-j.waited),
+			Desc: JobDesc{NumTasks: j.tasks}, userSlot: j.user}}, p.pending...)
 	}
-	return out
+	p.orderKeyed(now, usage)
+	var got []int
+	for _, j := range p.pending {
+		got = append(got, j.ID)
+	}
+	return got
 }
 
 func TestMultifactorAgeBeatsNewer(t *testing.T) {
-	p := DefaultMultifactor(32)
-	now := time.Now()
-	old := &Job{ID: 2, SubmitTime: now.Add(-20 * time.Hour), Desc: JobDesc{NumTasks: 32, UserID: 1}}
-	young := &Job{ID: 1, SubmitTime: now, Desc: JobDesc{NumTasks: 32, UserID: 1}}
-	jobs := []*Job{young, old}
-	p.Order(jobs, now, map[uint32]float64{})
-	if jobs[0] != old {
-		t.Fatal("aged job did not overtake the newer one")
+	if got := orderedIDs([]queuedJob{{0, 32, 0}, {20 * time.Hour, 32, 0}}, []float64{0}); !slices.Equal(got, []int{2, 1}) {
+		t.Fatalf("order %v: aged job did not overtake the newer one", got)
 	}
 }
 
 func TestMultifactorFairShare(t *testing.T) {
-	p := DefaultMultifactor(32)
-	now := time.Now()
-	heavyUser := &Job{ID: 1, SubmitTime: now, Desc: JobDesc{NumTasks: 32, UserID: 100}}
-	lightUser := &Job{ID: 2, SubmitTime: now, Desc: JobDesc{NumTasks: 32, UserID: 200}}
-	usage := map[uint32]float64{100: 500_000, 200: 0}
-	jobs := []*Job{heavyUser, lightUser}
-	p.Order(jobs, now, usage)
-	if jobs[0] != lightUser {
-		t.Fatal("light user did not get fair-share priority")
+	if got := orderedIDs([]queuedJob{{0, 32, 0}, {0, 32, 1}}, []float64{500_000, 0}); !slices.Equal(got, []int{2, 1}) {
+		t.Fatalf("order %v: light user did not get fair-share priority", got)
 	}
 }
 
 func TestMultifactorSizeFactor(t *testing.T) {
-	p := MultifactorPolicy{SizeWeight: 100, MaxCores: 32}
-	now := time.Now()
-	big := &Job{ID: 1, SubmitTime: now, Desc: JobDesc{NumTasks: 32}}
-	small := &Job{ID: 2, SubmitTime: now, Desc: JobDesc{NumTasks: 2}}
-	jobs := []*Job{big, small}
-	p.Order(jobs, now, map[uint32]float64{})
-	if jobs[0] != small {
-		t.Fatal("small job did not get the size bonus")
+	if got := orderedIDs([]queuedJob{{0, 32, 0}, {0, 2, 0}}, []float64{0}); !slices.Equal(got, []int{2, 1}) {
+		t.Fatalf("order %v: small job did not get the size bonus", got)
 	}
 }
 
 func TestMultifactorTieBreaksBySubmission(t *testing.T) {
-	p := DefaultMultifactor(32)
-	now := time.Now()
-	a := &Job{ID: 1, SubmitTime: now, Desc: JobDesc{NumTasks: 16, UserID: 1}}
-	b := &Job{ID: 2, SubmitTime: now, Desc: JobDesc{NumTasks: 16, UserID: 1}}
-	jobs := []*Job{b, a}
-	p.Order(jobs, now, map[uint32]float64{})
-	if jobs[0] != a {
-		t.Fatal("equal priorities should keep submission order")
+	if got := orderedIDs([]queuedJob{{0, 16, 0}, {0, 16, 0}}, []float64{0}); !slices.Equal(got, []int{1, 2}) {
+		t.Fatalf("order %v: equal priorities should keep submission order", got)
 	}
 }
 
-// orderOracle is the Order method both policies' oracles share.
-type orderOracle interface {
-	SchedulingPolicy
-	Order(pending []*Job, now time.Time, usage map[uint32]float64)
-}
-
-// TestOrderKeyedMatchesOracle drives the production ordering
-// (orderKeyed over prioritySlot and the slot-indexed usage store)
-// against the Order oracles on random queues: random ages, sizes,
-// users and usage, with duplicated jobs so equal keys occur and the
-// submission-order tie-break is exercised.
-func TestOrderKeyedMatchesOracle(t *testing.T) {
-	now := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	policies := []orderOracle{
-		FIFOPolicy{},
-		DefaultMultifactor(32),
-		MultifactorPolicy{SizeWeight: 1, MaxCores: 4}, // few distinct keys: mostly ties
-		MultifactorPolicy{},                           // every key equal
-	}
-	for seed := uint64(1); seed <= 50; seed++ {
-		rng := simclock.NewRNG(seed)
-		users := 1 + rng.Intn(6)
-		usage := make(map[uint32]float64)
-		usageBy := make([]float64, users)
-		for u := range usageBy {
-			if rng.Intn(3) > 0 {
-				usageBy[u] = 1e6 * rng.Float64()
-				usage[uint32(100+u)] = usageBy[u]
-			}
-		}
-		queue := make([]*Job, 1+rng.Intn(60))
-		for i := range queue {
-			if i > 0 && rng.Intn(4) == 0 {
-				// Same submit time, size and user as an earlier job: an
-				// exactly equal key under every policy.
-				twin := *queue[rng.Intn(i)]
-				queue[i] = &twin
-			} else {
-				u := rng.Intn(users)
-				queue[i] = &Job{
-					SubmitTime: now.Add(-time.Duration(rng.Intn(30*3600)) * time.Second),
-					Desc:       JobDesc{NumTasks: 1 + rng.Intn(40), UserID: uint32(100 + u)},
-					userSlot:   int32(u),
-				}
-			}
-		}
-		// Unique ids, then a shuffle, so neither form can pass by
-		// leaving its input alone.
-		for i, j := range queue {
-			j.ID = i + 1
-		}
-		for i := len(queue) - 1; i > 0; i-- {
-			k := rng.Intn(i + 1)
-			queue[i], queue[k] = queue[k], queue[i]
-		}
-		for _, pol := range policies {
-			want := append([]*Job(nil), queue...)
-			pol.Order(want, now, usage)
-			p := &partition{pending: append([]*Job(nil), queue...)}
-			p.setPolicy(pol)
-			p.orderKeyed(now, usageBy)
-			for i := range want {
-				if p.pending[i] != want[i] {
-					t.Fatalf("seed %d, %s: orderKeyed = %v, oracle = %v", seed, pol.Name(), ids(p.pending), ids(want))
-				}
-			}
-		}
+func TestMultifactorAgeSaturatesAtADay(t *testing.T) {
+	if got := orderedIDs([]queuedJob{{25 * time.Hour, 8, 0}, {30 * time.Hour, 8, 0}}, []float64{0}); !slices.Equal(got, []int{1, 2}) {
+		t.Fatalf("order %v: ages past a day should tie and keep submission order", got)
 	}
 }
 
 // Integration: with the multifactor policy, a second user's job jumps
 // ahead of a heavy user's queued backlog.
 func TestMultifactorSchedulingEndToEnd(t *testing.T) {
-	_, c := newCluster(t, DefaultConf(), 1, WithPolicy(DefaultMultifactor(32)))
-	if c.Policy().Name() != "multifactor" {
-		t.Fatal("policy not installed")
-	}
+	_, c := newCluster(t, DefaultConf(), 1, WithMultifactor())
 
 	// User 1 fills the node and queues two more jobs.
 	run1 := hpcgDesc(32, 2_500_000, 1)
