@@ -202,34 +202,48 @@ func TestClusterLedgerChecks(t *testing.T) {
 	}
 }
 
-// TestClusterRejectsJobsNoCapAdmits: one node under a 170 W freqcap
-// cap, above its 129 W idle floor, and 40 32-task compute jobs, each of
-// which draws 174.1 W even at the ladder's lowest rung. No job could
-// ever start, so the controller refuses each at submission and the run
-// reports 40 rejected instead of failing its job ledger.
+// TestClusterRejectsJobsNoCapAdmits: one node and compute jobs that no
+// primary could ever start under its cap. The controller refuses each
+// at submission, and the run reports them rejected instead of failing
+// its job ledger. Rows: a 170 W freqcap cap, above the 129.5 W idle
+// floor, and 32-task jobs, which draw 174.1 W even at the ladder's
+// lowest rung; and a wait cap at idle + 51.2 W under co-scheduling and
+// 16-task jobs, which draw 52.2 W over idle at the ladder top, where a
+// primary runs in wait mode. They would draw 30.9 W at 1.5 GHz, but
+// only beside a primary at that clock, and wait mode has none.
 func TestClusterRejectsJobsNoCapAdmits(t *testing.T) {
-	spec := workload.Spec{
-		Version: workload.SpecVersion, Name: "one-node-170w", Seed: 1,
-		Horizon: workload.Duration(24 * time.Hour), MaxSubmissions: 40,
-		Cluster: workload.ClusterSpec{Partitions: []workload.PartitionSpec{{Name: "batch", Nodes: 1, Default: true}}},
-		Policy:  &workload.PolicySpec{PowerCapW: 170, CapMode: "freqcap"},
-		Clients: []workload.Client{{
-			Name:    "hpcg",
-			Arrival: workload.ArrivalSpec{Process: workload.ArrivalPoisson, RatePerHour: 10},
-			Jobs: workload.JobSpec{
-				Work:      workload.Dist{Kind: workload.DistConstant, Value: 36000},
-				Tasks:     workload.Dist{Kind: workload.DistConstant, Value: 32},
-				TimeLimit: workload.Dist{Kind: workload.DistConstant, Value: 7200},
-				Profile:   workload.ProfileCompute,
-			},
-		}},
-	}
-	rep, err := RunClusterSpec(spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Submissions != 40 || rep.Rejected != 40 || rep.Totals.Jobs != 0 {
-		t.Fatalf("%d submissions, %d rejected, %d jobs accounted; want all 40 rejected", rep.Submissions, rep.Rejected, rep.Totals.Jobs)
+	idle := slurm.NewPowerModel(clusterCalib).IdleNodeW()
+	for _, row := range []struct {
+		name   string
+		policy workload.PolicySpec
+		tasks  float64
+	}{
+		{"freqcap-170w", workload.PolicySpec{PowerCapW: 170, CapMode: "freqcap"}, 32},
+		{"cosched-wait-idle+51.2w", workload.PolicySpec{PowerCapW: idle + 51.2, CapMode: "wait", CoSchedule: true}, 16},
+	} {
+		spec := workload.Spec{
+			Version: workload.SpecVersion, Name: row.name, Seed: 1,
+			Horizon: workload.Duration(24 * time.Hour), MaxSubmissions: 40,
+			Cluster: workload.ClusterSpec{Partitions: []workload.PartitionSpec{{Name: "batch", Nodes: 1, Default: true}}},
+			Policy:  &row.policy,
+			Clients: []workload.Client{{
+				Name:    "hpcg",
+				Arrival: workload.ArrivalSpec{Process: workload.ArrivalPoisson, RatePerHour: 10},
+				Jobs: workload.JobSpec{
+					Work:      workload.Dist{Kind: workload.DistConstant, Value: 36000},
+					Tasks:     workload.Dist{Kind: workload.DistConstant, Value: row.tasks},
+					TimeLimit: workload.Dist{Kind: workload.DistConstant, Value: 7200},
+					Profile:   workload.ProfileCompute,
+				},
+			}},
+		}
+		rep, err := RunClusterSpec(spec, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", row.name, err)
+		}
+		if rep.Submissions != 40 || rep.Rejected != 40 || rep.Totals.Jobs != 0 {
+			t.Fatalf("%s: %d submissions, %d rejected, %d jobs accounted; want all 40 rejected", row.name, rep.Submissions, rep.Rejected, rep.Totals.Jobs)
+		}
 	}
 }
 

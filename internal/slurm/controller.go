@@ -705,7 +705,7 @@ func (c *Controller) schedulePart(p *partition) {
 			if i < through {
 				lost = lost || s.rel[i] == s.release
 				if i+1 < through {
-					skip = c.pol.reskip(p, skip)
+					skip = c.pol.skipMask(p)
 				}
 			}
 			continue
@@ -729,17 +729,12 @@ func (c *Controller) schedulePart(p *partition) {
 	visits := int64(queued)
 	if through > 0 {
 		// Every record job not asked was skipped under its recorded kind.
-		// A fit refusal is skipped only under the whole mask, whose skips
-		// schedPolicy.skips leaves out; fit would count it as a denial.
-		counted := skip>>keptFit&1 == 0
+		// A skipped fit refusal is one fit would count as a denial.
 		for m := s.present; m != 0; m &= m - 1 {
 			k := bits.TrailingZeros8(m)
 			n := s.kinds[k] - s.asked[k]
 			visits -= int64(n)
 			kinds[k] += n
-			if counted {
-				c.pol.skips[k] += int64(n)
-			}
 		}
 		if n := s.kinds[keptFit] - s.asked[keptFit]; n > 0 {
 			c.pol.countDenials(n)

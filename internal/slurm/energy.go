@@ -150,14 +150,6 @@ type schedPolicy struct {
 	// headroomW is the cap less the idle floor (0 = uncapped), which
 	// fitsBudget asks.
 	headroomW float64
-	// skips counts the jobs the passes skipped per verdict kind on a
-	// mask that asks fit again (a settled record whose epoch had moved,
-	// or one left unclean); widened counts the starts after which a pass
-	// skipped a kind it had asked before them; rebounds counts the passes
-	// that recomputed the release bound because a record job they started
-	// held it (rebound).
-	skips             [verdictKinds]int64
-	widened, rebounds int64
 
 	totals       PolicyTotals
 	mCapDenials  *metrics.Counter
@@ -506,17 +498,6 @@ func (pol *schedPolicy) skipMask(p *partition) uint8 {
 	return mask
 }
 
-// reskip is skipMask asked again after a start, counting a mask that
-// gained a kind (a start that took the last free node, or a secondary
-// that took the last fresh host).
-func (pol *schedPolicy) reskip(p *partition, was uint8) uint8 {
-	skip := pol.skipMask(p)
-	if skip&^was != 0 {
-		pol.widened++
-	}
-	return skip
-}
-
 // grow makes the record's buffers hold n jobs, keeping the record.
 func (s *settledRecord) grow(n int) {
 	n = max(n, 2*len(s.kind), 64)
@@ -583,7 +564,6 @@ func (pol *schedPolicy) rebound(s *settledRecord, n int, release, tick int64, lo
 	if !lost || s.release == math.MaxInt64 {
 		return min(release, s.release)
 	}
-	pol.rebounds++
 	release = math.MaxInt64
 	for _, r := range s.rel[:n] {
 		if r > tick {
@@ -762,12 +742,13 @@ func (t *deltaTable) leastW(cfg perfmodel.Config, lo, hi int) float64 {
 	return least
 }
 
-// fitsBudget refuses at submission a job no placement could ever start
-// under the partition's power cap (nil-safe): the least delta it could
-// be charged on a node class that holds it exceeds the cap less the
-// idle floor. fit charges a --cpu-freq job its clock, an unpinned one
-// the ladder maximum, or in freqcap mode any rung; planBeside charges
-// a secondary its primary's clock.
+// fitsBudget refuses at submission a job that could never start as a
+// primary under the partition's power cap (nil-safe): the least delta
+// fit could charge it on a node class that holds it — a --cpu-freq
+// job's clock, an unpinned one's ladder maximum, or in freqcap mode any
+// rung — exceeds the cap less the idle floor. Every job it admits can
+// start once the partition drains; a job that fit only beside a primary
+// could wait for one forever.
 func (pol *schedPolicy) fitsBudget(p *partition, desc *JobDesc) error {
 	if pol == nil || pol.headroomW == 0 {
 		return nil
@@ -781,16 +762,11 @@ func (pol *schedPolicy) fitsBudget(p *partition, desc *JobDesc) error {
 		t := n.deltas
 		if cfg.FreqKHz != 0 {
 			least = min(least, t.deltaW(cfg))
-			if !pol.pairs() {
-				continue
-			}
+			continue
 		}
 		lo, hi := t.top, t.top+1
 		if pol.freqCap {
 			lo, hi = 0, t.rungs
-		}
-		if pol.pairs() {
-			lo, hi = 0, len(t.freqs)
 		}
 		least = min(least, t.leastW(cfg, lo, hi))
 	}
@@ -832,9 +808,9 @@ type pairing struct {
 // The pairable-primary index: one bitmap per primary profile over the
 // slots freeBits uses. A node's bit is set in its profile's bitmap iff
 // a secondary could start on it as far as the node alone decides — it
-// runs a primary of that profile on live hardware, has no secondary
-// yet, and the primary neither demands the node nor is itself a
-// promoted secondary.
+// runs a primary of that profile on live hardware (a promoted secondary
+// runs on none), has no secondary yet, and the primary does not demand
+// the node.
 const (
 	pairCompute = iota // compute-bound primaries: hosts for memory-bound jobs
 	pairMemory
@@ -865,8 +841,7 @@ func (pol *schedPolicy) reindex(n *nodeD) {
 	p := n.part
 	p.epoch++
 	in := -1
-	if pri := n.current; pri != nil && n.hwJob != nil && n.coJob == nil &&
-		!pri.Desc.Exclusive && !pri.coSecondary {
+	if pri := n.current; pri != nil && n.hwJob != nil && n.coJob == nil && !pri.Desc.Exclusive {
 		switch pri.shapeProfile() {
 		case workload.ProfileCompute:
 			in = pairCompute

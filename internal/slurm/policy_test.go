@@ -318,166 +318,6 @@ func TestChargeAndRelease(t *testing.T) {
 	}
 }
 
-// The mechanisms hold and place replaced, kept as oracles: hold
-// re-deriving the release bound and re-reading the signal on every
-// call, place scanning the partition's nodes.
-
-// holdRederiving is hold as it was before the bound was cached on the
-// job and the signal's verdict on the policy value.
-func holdRederiving(pol *schedPolicy, job *Job, now time.Time) (wake time.Time, held bool) {
-	latest := boundRederived(pol, job)
-	if !now.Before(latest) {
-		if job.deferred {
-			job.deferred = false
-			pol.totals.ForcedDispatches++
-		}
-		return time.Time{}, false
-	}
-	if pol.signal(now) <= pol.threshold {
-		return time.Time{}, false
-	}
-	if !job.deferred {
-		job.deferred = true
-		pol.totals.DeferredJobs++
-	}
-	job.Reason = reasonEnergyHold
-	wake = now.Add(pol.check)
-	if wake.After(latest) {
-		wake = latest
-	}
-	return wake, true
-}
-
-// boundRederived is the release bound as holdRederiving derives it on
-// every call, written out apart from releaseBound so the cached tick is
-// checked against something other than its own source.
-func boundRederived(pol *schedPolicy, job *Job) time.Time {
-	latest := job.SubmitTime.Add(pol.maxDefer)
-	if d := job.Desc.Deadline; !d.IsZero() && d.Add(-job.Desc.TimeLimit).Before(latest) {
-		latest = d.Add(-job.Desc.TimeLimit)
-	}
-	return latest
-}
-
-// placeScan is place as it was before the pairable-primary index: the
-// first node in the partition's slot order (deterministic first-fit,
-// like takeIdle) whose primary has the complementary profile and room
-// left, and on which planBeside accepts the job.
-func placeScan(pol *schedPolicy, p *partition, job *Job, now time.Time, pr *pairing) bool {
-	prof := job.shapeProfile()
-	if prof == "" || job.Desc.Exclusive {
-		return false
-	}
-	want := workload.ProfileCompute
-	if prof == workload.ProfileCompute {
-		want = workload.ProfileMemory
-	}
-	for _, n := range p.nodes {
-		pri := n.current
-		if pri == nil || n.coJob != nil || n.hwJob == nil {
-			continue
-		}
-		if pri.Desc.Exclusive || pri.coSecondary || pri.shapeProfile() != want {
-			continue
-		}
-		if pri.Desc.NumTasks+job.Desc.NumTasks > n.spec.Cores {
-			continue
-		}
-		if job.Desc.ThreadsPerCPU > n.spec.ThreadsPerCore {
-			continue
-		}
-		if pol.planBeside(job, n, now, pr) {
-			return true
-		}
-	}
-	return false
-}
-
-// checkPairableIndex asserts that the pairable-primary index equals
-// the predicate recomputed from each node's state — and that a policy
-// that does not pair keeps none.
-func checkPairableIndex(t *testing.T, c *Controller) {
-	t.Helper()
-	p := c.part
-	if !c.pol.pairs() {
-		if p.pairable[pairCompute] != nil || p.pairable[pairMemory] != nil {
-			t.Fatal("a pairable index kept under a policy that does not pair")
-		}
-		return
-	}
-	for k, prof := range [...]string{pairCompute: workload.ProfileCompute, pairMemory: workload.ProfileMemory} {
-		for slot, n := range p.nodes {
-			pri := n.current
-			want := pri != nil && n.hwJob != nil && n.coJob == nil &&
-				!pri.Desc.Exclusive && !pri.coSecondary && pri.shapeProfile() == prof
-			if got := p.pairable[k][slot>>6]>>uint(slot&63)&1 == 1; got != want {
-				t.Fatalf("node %q: %s-primary bit = %v, state says %v (current %v, coJob %v) at %v",
-					n.name, prof, got, want, pri, n.coJob, c.sim.Now())
-			}
-		}
-		if len(p.pairable[k]) != len(p.freeBits) {
-			t.Fatalf("index of %d words over %d free-bitmap words", len(p.pairable[k]), len(p.freeBits))
-		}
-	}
-}
-
-// TestPlaceIndexMatchesScan drives a cluster through random starts
-// (idle and beside a primary) and completions of primaries and
-// secondaries, and after every step checks the index against the node
-// state and place against the node scan it replaced, for a random job.
-func TestPlaceIndexMatchesScan(t *testing.T) {
-	idle, deltas := testLadderWatts()
-	for seed := uint64(1); seed <= 12; seed++ {
-		rng := simclock.NewRNG(seed + 9000)
-		sim := simclock.New()
-		// A budget that refuses some pairings, so planBeside's verdict is
-		// part of what must agree.
-		capW := 7 * (idle + deltas[len(deltas)-1]*(1.1+0.4*rng.Float64()))
-		c, err := NewCluster(sim, DefaultConf(),
-			WithNodes(clusterNodes(sim, 7)...),
-			WithSchedPolicies(
-				&PowerCapPolicy{CapW: capW, Mode: CapModeFreqCap},
-				&CoSchedulePolicy{InterferencePenalty: 1 + rng.Float64()/2}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		randomDesc := func() JobDesc {
-			d := time.Duration(60+rng.Intn(1740)) * time.Second
-			desc := sleepDesc(1+rng.Intn(24), d, [...]string{"", workload.ProfileCompute, workload.ProfileMemory}[rng.Intn(3)])
-			desc.Exclusive = rng.Intn(6) == 0
-			if rng.Intn(8) == 0 {
-				desc.Deadline = sim.Now().Add(desc.TimeLimit)
-			}
-			return desc
-		}
-		paired := 0
-		for step := 0; step < 400; step++ {
-			if rng.Intn(7) < 5 {
-				if _, err := c.Submit(randomDesc()); err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-			} else {
-				sim.RunFor(time.Duration(1+rng.Intn(600)) * time.Second)
-			}
-			checkPolicyInvariants(t, c) // the index against the node state among them
-			probe := &Job{Desc: randomDesc()}
-			var got, want pairing
-			gotOK := c.pol.place(c.part, probe, sim.Now(), &got)
-			wantOK := placeScan(c.pol, c.part, probe, sim.Now(), &want)
-			if gotOK != wantOK || got != want {
-				t.Fatalf("seed %d step %d: place = %+v, %v; the node scan says %+v, %v",
-					seed, step, got, gotOK, want, wantOK)
-			}
-			if gotOK {
-				paired++
-			}
-		}
-		if paired == 0 || c.PolicyTotals().CoScheduled == 0 {
-			t.Fatalf("seed %d: nothing ever paired; the comparison is vacuous", seed)
-		}
-	}
-}
-
 // countingSignal is an always-high deferral signal that counts its
 // evaluations.
 func countingSignal(reads *int) DeferralSignal {
@@ -535,69 +375,10 @@ func TestHoldReadsSignalOncePerInstant(t *testing.T) {
 	}
 }
 
-// TestHoldMatchesRederivation: over random jobs — no deadline, a
-// deadline tighter than max defer, a looser one — asked at random
-// non-decreasing instants under a signal that flips, hold with its
-// cached bound and memoised verdict answers as the re-deriving one does.
-func TestHoldMatchesRederivation(t *testing.T) {
-	t0 := simclock.Epoch
-	for seed := uint64(1); seed <= propSeeds; seed++ {
-		rng := simclock.NewRNG(seed + 7000)
-		mk := func() *schedPolicy {
-			return &schedPolicy{signal: propSignal(t0, seed), threshold: 0.5,
-				maxDefer: time.Duration(1+rng.Intn(4)) * time.Hour, check: time.Duration(5+rng.Intn(20)) * time.Minute}
-		}
-		pol := mk()
-		oracle := *pol
-		type pair struct{ got, want *Job }
-		var jobs []pair
-		for i := 0; i < 40; i++ {
-			j := Job{ID: i + 1, SubmitTime: t0.Add(time.Duration(rng.Intn(7200)) * time.Second)}
-			j.Desc = JobDesc{Deferrable: true, TimeLimit: time.Duration(10+rng.Intn(110)) * time.Minute}
-			switch i % 3 {
-			case 1: // tighter than max defer
-				j.Desc.Deadline = j.SubmitTime.Add(j.Desc.TimeLimit + time.Duration(rng.Intn(int(pol.maxDefer/time.Second)))*time.Second)
-			case 2: // looser
-				j.Desc.Deadline = j.SubmitTime.Add(j.Desc.TimeLimit + pol.maxDefer + time.Duration(1+rng.Intn(7200))*time.Second)
-			}
-			k := j
-			jobs = append(jobs, pair{&j, &k})
-		}
-		now := t0
-		for step := 0; step < 300; step++ {
-			if rng.Intn(3) > 0 { // several asks share an instant, as in a pass
-				now = now.Add(time.Duration(rng.Intn(900)) * time.Second)
-			}
-			pr := jobs[rng.Intn(len(jobs))]
-			if now.Before(pr.got.SubmitTime) {
-				continue
-			}
-			gotWake, gotHeld := holdAt(pol, pr.got, now)
-			wantWake, wantHeld := holdRederiving(&oracle, pr.want, now)
-			if gotHeld != wantHeld || !gotWake.Equal(wantWake) {
-				t.Fatalf("seed %d job %d at %v: hold = %v, %v; re-derived %v, %v", seed, pr.got.ID, now, gotWake, gotHeld, wantWake, wantHeld)
-			}
-			if pr.got.deferred != pr.want.deferred || pr.got.Reason != pr.want.Reason {
-				t.Fatalf("seed %d job %d: deferred %v reason %q, re-derived %v %q",
-					seed, pr.got.ID, pr.got.deferred, pr.got.Reason, pr.want.deferred, pr.want.Reason)
-			}
-			if bound := boundRederived(&oracle, pr.want).UnixNano(); pr.got.releaseTick != bound {
-				t.Fatalf("seed %d job %d: cached release bound %d, recomputed %d", seed, pr.got.ID, pr.got.releaseTick, bound)
-			}
-		}
-		if pol.totals.DeferredJobs != oracle.totals.DeferredJobs || pol.totals.ForcedDispatches != oracle.totals.ForcedDispatches {
-			t.Fatalf("seed %d: totals %+v, re-derived %+v", seed, pol.totals, oracle.totals)
-		}
-		if pol.totals.DeferredJobs == 0 || pol.totals.ForcedDispatches == 0 {
-			t.Fatalf("seed %d: nothing held or nothing forced (%+v); the comparison is vacuous", seed, pol.totals)
-		}
-	}
-}
-
 // TestHoldReleasesAtOnceOnADeadlineOutOfReach: a deadline that left no
 // room for the time limit even at submission — or one so far in the
 // past that its tick would wrap — releases the job the first time hold
-// sees it, as the re-deriving hold did.
+// sees it.
 func TestHoldReleasesAtOnceOnADeadlineOutOfReach(t *testing.T) {
 	t0 := simclock.Epoch
 	for _, deadline := range []time.Time{t0.Add(time.Minute), time.Date(1, 1, 2, 0, 0, 0, 0, time.UTC)} {
