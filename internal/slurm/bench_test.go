@@ -102,8 +102,8 @@ func policyPassQueue(b *testing.B) (c *Controller, check func()) {
 // BenchmarkPolicyPassSaturated measures what the policy decisions cost
 // a scheduling pass that walks the whole window and starts nothing: one
 // schedulePart over policyPassQueue's 160 jobs, the partition's settled
-// record dropped first (its length: the dense kinds and ticks are
-// buffers the pass writes again) so the pass asks every job again. The
+// record dropped first (its length: the dense kinds are a buffer the
+// pass writes again) so the pass asks every job again. The
 // alloc-check make target pins it at 0 allocs/op; DESIGN §7 quotes its
 // ns/op.
 func BenchmarkPolicyPassSaturated(b *testing.B) {
@@ -159,9 +159,9 @@ func BenchmarkPolicyPassCompletion(b *testing.B) {
 // that window: a memory-bound job (place probes the two wide primaries
 // and refuses) queued behind the 160 settled jobs, which the pass does
 // not look at. Each iteration takes the arrival back off the window and
-// the settled record (its length, which rewinds the dense kinds and
-// ticks, and its kind's count), so every pass is the same; the 160
-// settled jobs' kinds and ticks must come through untouched.
+// the settled record (its length, which rewinds the dense kinds, and
+// its kind's count), so every pass is the same; the 160 settled jobs'
+// kinds must come through untouched.
 // alloc-check pins it at 0 allocs/op.
 func BenchmarkPolicyPassArrival(b *testing.B) {
 	c, check := policyPassQueue(b)
@@ -176,7 +176,7 @@ func BenchmarkPolicyPassArrival(b *testing.B) {
 	p.pending, p.settled.n = p.pending[:160], 160
 	p.settled.kinds[keptMemory]--
 	record := p.settled
-	kind, rel := slices.Clone(p.settled.kind[:160]), slices.Clone(p.settled.rel[:160])
+	kind := slices.Clone(p.settled.kind[:160])
 	check()
 	visits := c.PolicyTotals().QueueVisits
 	b.ReportAllocs()
@@ -191,9 +191,8 @@ func BenchmarkPolicyPassArrival(b *testing.B) {
 	b.StopTimer()
 	check()
 	if s := p.settled; s.n != record.n || s.kinds != record.kinds || s.epoch != record.epoch || s.release != record.release ||
-		s.minCapW != record.minCapW || s.high != record.high || s.clean != record.clean ||
-		!slices.Equal(s.kind[:160], kind) || !slices.Equal(s.rel[:160], rel) {
-		b.Fatalf("settled record %+v after the passes, want %+v and its 160 kinds and ticks unchanged", s, record)
+		s.minCapW != record.minCapW || s.high != record.high || !slices.Equal(s.kind[:160], kind) {
+		b.Fatalf("settled record %+v after the passes, want %+v and its 160 kinds unchanged", s, record)
 	}
 	if got := c.PolicyTotals().QueueVisits - visits; got != int64(b.N) {
 		b.Fatalf("%d passes looked at %d queued jobs, want the arrival alone", b.N, got)

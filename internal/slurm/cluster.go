@@ -65,9 +65,10 @@ type partition struct {
 	ctl *Controller
 
 	// wakeArmed/wakeAt are the partition's pending wake (armWake): the
-	// earliest instant a queued job asked to be looked at again.
-	wakeArmed bool
-	wakeAt    time.Time
+	// earliest instant a queued job asked to be looked at again. woken
+	// marks the pass a wake runs (wakeAction, skipMask).
+	wakeArmed, woken bool
+	wakeAt           time.Time
 
 	// Cluster-policy state (energy.go), maintained only under a policy:
 	// the power budget and the modelled draw (idle floor included) with
@@ -89,22 +90,20 @@ type partition struct {
 	// record of the queue it left on a FIFO partition under a policy that
 	// pairs (DESIGN §7, "The settled prefix"): its first n
 	// jobs, pending[:n], with kind[i] the kind of verdict that kept
-	// pending[i] and rel[i] its release tick (math.MaxInt64 unless hold
-	// derived one for it), dense beside the queue so that a pass reads
-	// them without touching the jobs. While tick stays before release
-	// (the earliest release tick among them that hold still waits for;
-	// math.MaxInt64 = none) and the deferral signal on the side of its
-	// threshold it was on (high), a later pass skips those whose verdict
-	// the live state repeats (skipMask: every kind while the epoch is
-	// unchanged and the record clean, that is, no primary started behind
-	// a fit refusal) and asks the rest. kinds counts them per verdict
-	// kind (kinds[keptFit] were refused by fit), present is the set of
-	// kinds it counts (bit k while kinds[k] > 0); minCapW is the smallest
-	// placement delta the budget refused any of them beside a stable host
-	// (+Inf: none). n = 0 is no record; kind and rel are buffers as long
-	// as the longest queue a pass has recorded from. next and asked are a
-	// pass by kind's (byKind): its search positions and the record jobs it
-	// asked per recorded kind.
+	// pending[i], dense beside the queue so that a pass reads them
+	// without touching the jobs. While tick stays before release (no
+	// later than the earliest release tick among them that hold still
+	// waits for; math.MaxInt64 = none) and the deferral signal on the
+	// side of its threshold it was on (high), a later pass skips those
+	// whose verdict the live state repeats (skipMask: every kind while
+	// the epoch is the one the recording pass began at) and asks the
+	// rest. kinds counts them per verdict kind (kinds[keptFit] were
+	// refused by fit), present is the set of kinds it counts (bit k while
+	// kinds[k] > 0); minCapW is the smallest placement delta the budget
+	// refused any of them beside a stable host (+Inf: none). n = 0 is no
+	// record; kind is a buffer as long as the longest queue a pass has
+	// recorded from. next and asked are a pass by kind's (byKind): its
+	// search positions and the record jobs it asked per recorded kind.
 	epoch   uint64
 	settled settledRecord
 }
@@ -116,10 +115,9 @@ type settledRecord struct {
 	epoch       uint64
 	release     int64
 	minCapW     float64
-	high, clean bool
+	high        bool
 	present     uint8
 	kind        []byte
-	rel         []int64
 	next, asked [verdictKinds]int
 }
 

@@ -205,11 +205,9 @@ func (a *wakeAction) Fire(uint64) {
 	if !p.wakeArmed || !a.c.sim.Now().Equal(p.wakeAt) {
 		return
 	}
-	p.wakeArmed = false
-	// The settled prefix assumes its held jobs' wake is armed; this pass
-	// re-arms it, so it walks them all.
-	p.settled.n = 0
+	p.wakeArmed, p.woken = false, true
 	a.c.schedulePart(p)
+	p.woken = false
 }
 
 // armWake schedules a pass over the partition at the given future
@@ -602,12 +600,12 @@ func (c *Controller) schedulePart(p *partition) {
 	// asks the rest, reading the record's dense kinds, never a job it
 	// skips. It starts at the first job it must ask, the ones ahead of it
 	// staying where they are — past the whole record when every verdict
-	// stands. lost is set when a record job it started held the record's
-	// release bound.
+	// stands.
 	settles := pairs && !p.multifactor
 	s := &p.settled
 	from, through := 0, 0 // keep pending[:from] unasked; pending[from:through] by kind
 	var skip uint8
+	epoch := p.epoch // the epoch the pass begins at, which settle records
 	if settles && s.n > 0 && c.pol.settledStands(p, now, tick) {
 		skip, through = c.pol.skipMask(p), s.n
 		from = s.byKind(skip)
@@ -615,12 +613,11 @@ func (c *Controller) schedulePart(p *partition) {
 	if settles && len(s.kind) < len(p.pending) {
 		s.grow(len(p.pending))
 	}
-	release, clean := int64(math.MaxInt64), true
+	release := int64(math.MaxInt64)
 	var kinds [verdictKinds]int // the kept jobs per verdict kind
 	if settles {
 		c.pol.minCapW = math.Inf(1)
 	}
-	lost := false
 	var pr pairing // place's verdict; written only when it pairs
 	remaining, queued := p.pending[:from], len(p.pending)
 	for i := from; i < queued; i++ {
@@ -667,7 +664,7 @@ func (c *Controller) schedulePart(p *partition) {
 				release = min(release, job.releaseTick)
 				if settles {
 					kinds[keptHeld]++
-					s.kind[len(remaining)], s.rel[len(remaining)] = byte(keptHeld), job.releaseTick
+					s.kind[len(remaining)] = byte(keptHeld)
 				}
 				remaining = append(remaining, job)
 				continue
@@ -678,11 +675,6 @@ func (c *Controller) schedulePart(p *partition) {
 		left := true // the job started, or failed to
 		switch {
 		case node != nil && (c.pol == nil || c.pol.fit(job, node)):
-			// A primary behind a fit refusal — asked again, or kept
-			// unasked with the whole record — may take the node fit
-			// refused, or the last free one: the record is no longer one
-			// to repeat whole.
-			clean = clean && kinds[keptFit] == 0 && (skip>>keptFit&1 == 0 || s.kinds[keptFit] == 0)
 			if err := c.start(job, node); err != nil {
 				job.State = StateFailed
 				job.Reason = err.Error()
@@ -702,25 +694,18 @@ func (c *Controller) schedulePart(p *partition) {
 			}
 		}
 		if left {
-			if i < through {
-				lost = lost || s.rel[i] == s.release
-				if i+1 < through {
-					skip = c.pol.skipMask(p)
-				}
+			if i+1 < through {
+				skip = c.pol.skipMask(p)
 			}
 			continue
 		}
 		// Kept on fit's or place's refusal.
-		rel := int64(math.MaxInt64)
-		if holds && job.Desc.Deferrable {
-			rel = job.releaseTick
-			if rel > tick {
-				release = min(release, rel)
-			}
+		if holds && job.Desc.Deferrable && job.releaseTick > tick {
+			release = min(release, job.releaseTick)
 		}
 		if settles {
 			kinds[kept]++
-			s.kind[len(remaining)], s.rel[len(remaining)] = byte(kept), rel
+			s.kind[len(remaining)] = byte(kept)
 		}
 		remaining = append(remaining, job)
 	}
@@ -742,11 +727,14 @@ func (c *Controller) schedulePart(p *partition) {
 		if s.kinds[keptCompute]+s.kinds[keptMemory] > s.asked[keptCompute]+s.asked[keptMemory] && s.minCapW < c.pol.minCapW {
 			c.pol.minCapW = s.minCapW
 		}
-		release = c.pol.rebound(s, len(remaining), release, tick, lost)
+		// Every record job still kept has its release tick, if past
+		// now, at or past the record's bound: the bound may come early
+		// once its holders leave, never late.
+		release = min(release, s.release)
 	}
 	c.countVisits(visits)
 	if settles {
-		c.pol.settle(p, len(remaining), kinds, release, clean)
+		c.pol.settle(p, len(remaining), kinds, release, epoch)
 	}
 }
 

@@ -449,12 +449,12 @@ const (
 
 // settledStands is hold's half of the settled-prefix test, asked once
 // per pass like holds and pairs: would hold answer every job the
-// partition's settled record holds as it did? It would while none of
-// them has reached the release bound the record keeps and the signal is
-// on the same side of the threshold: a held job stays held, its wake no
-// earlier than the one armed; a released one goes on to takeIdle again.
-// (With no bound recorded the signal is not read: no job in the record
-// would read it.)
+// partition's settled record holds as it did? It would while the tick
+// is before the record's release bound, which comes no later than any
+// of theirs, and the signal is on the same side of the threshold: a
+// held job stays held, its wake no earlier than the one armed; a
+// released one goes on to takeIdle again. (With no bound recorded the
+// signal is not read: no job in the record would read it.)
 func (pol *schedPolicy) settledStands(p *partition, now time.Time, tick int64) bool {
 	s := &p.settled
 	return s.release == math.MaxInt64 || tick < s.release && pol.high(now, tick) == s.high
@@ -469,8 +469,9 @@ func (pol *schedPolicy) countDenials(n int) {
 
 // skipMask is the set of verdict kinds (bit k for kind k) a pass over a
 // record whose hold half stands may skip on the partition's live state.
-// With the epoch unchanged and the record clean, every kind: takeIdle,
-// fit and place read what they read when they answered. Otherwise held
+// With the epoch the one the recording pass began at, every kind: that
+// pass started nothing, and nothing has moved since, so takeIdle, fit
+// and place read what they read when they answered. Otherwise held
 // jobs always; jobs kept for no node while no node is free (takeIdle
 // finds none, place never pairs them); compute- and memory-bound jobs
 // place refused while no node is free, the complementary index holds
@@ -478,33 +479,34 @@ func (pol *schedPolicy) countDenials(n int) {
 // stable host refuses the job for a reason its unchanged primary keeps,
 // for a deadline that only gets closer, or for the budget on a delta no
 // smaller than minCapW. fit refusals are not skipped then: fit asks
-// again. The pass asks at its start and again after every start.
+// again. A wake's pass (woken) skips no held job: they re-arm the wake
+// it spent. The pass asks at its start and again after every start.
 func (pol *schedPolicy) skipMask(p *partition) uint8 {
-	if s := &p.settled; s.epoch == p.epoch && s.clean {
-		return 1<<verdictKinds - 1
+	mask := uint8(1<<verdictKinds - 1)
+	if p.settled.epoch != p.epoch {
+		mask = 1 << keptHeld
+		if p.freeN == 0 {
+			mask |= 1 << keptNoNode
+			capRefuses := p.drawW+p.settled.minCapW > p.capW
+			if p.refusesAgain(pairMemory, capRefuses) {
+				mask |= 1 << keptCompute
+			}
+			if p.refusesAgain(pairCompute, capRefuses) {
+				mask |= 1 << keptMemory
+			}
+		}
 	}
-	mask := uint8(1) << keptHeld
-	if p.freeN > 0 {
-		return mask
-	}
-	mask |= 1 << keptNoNode
-	capRefuses := p.drawW+p.settled.minCapW > p.capW
-	if p.refusesAgain(pairMemory, capRefuses) {
-		mask |= 1 << keptCompute
-	}
-	if p.refusesAgain(pairCompute, capRefuses) {
-		mask |= 1 << keptMemory
+	if p.woken {
+		mask &^= 1 << keptHeld
 	}
 	return mask
 }
 
-// grow makes the record's buffers hold n jobs, keeping the record.
+// grow makes the record's buffer hold n jobs, keeping the record.
 func (s *settledRecord) grow(n int) {
-	n = max(n, 2*len(s.kind), 64)
-	kind, rel := make([]byte, n), make([]int64, n)
+	kind := make([]byte, max(n, 2*len(s.kind), 64))
 	copy(kind, s.kind[:s.n])
-	copy(rel, s.rel[:s.n])
-	s.kind, s.rel = kind, rel
+	s.kind = kind
 }
 
 // byKind starts a pass by kind over the record under the mask skip: no
@@ -543,34 +545,14 @@ func (s *settledRecord) nextAsked(i, through int, skip uint8) int {
 
 // keepRun keeps the record's jobs pending[i:j], unasked, behind the
 // remaining ones: where they are while no job ahead of them has left,
-// else moved down with their kinds and ticks.
+// else moved down with their kinds.
 func (s *settledRecord) keepRun(pending, remaining []*Job, i, j int) []*Job {
 	w := len(remaining)
 	if w != i {
 		copy(pending[w:], pending[i:j])
 		copy(s.kind[w:], s.kind[i:j])
-		copy(s.rel[w:], s.rel[i:j])
 	}
 	return pending[:w+j-i]
-}
-
-// rebound is the release bound a pass by kind leaves over the n jobs it
-// kept, given release, the least over the jobs it asked and kept. The
-// record's jobs with a tick past now all have one at or past the
-// record's bound (settledStands keeps now before it), so the bound
-// stands unless every job holding it started (lost); then it is the
-// least tick past now the kept jobs hold.
-func (pol *schedPolicy) rebound(s *settledRecord, n int, release, tick int64, lost bool) int64 {
-	if !lost || s.release == math.MaxInt64 {
-		return min(release, s.release)
-	}
-	release = math.MaxInt64
-	for _, r := range s.rel[:n] {
-		if r > tick {
-			release = min(release, r)
-		}
-	}
-	return release
 }
 
 // refusesAgain reports whether place, walking the pairable index k,
@@ -589,17 +571,16 @@ func (p *partition) refusesAgain(k int, capRefuses bool) bool {
 }
 
 // settle records the pass's settled prefix: n kept jobs, kinds of them
-// per verdict kind (and the set of kinds present), release, the
-// earliest release bound among them that hold still waits for, and
-// clean, whether no primary started behind a fit refusal. The partition
-// epoch the pass ended at, the smallest delta the budget refused beside
-// a host (minCapW, gathered by planBeside and carried over skipped jobs)
-// and the pairable index, as the stable hosts, go with them. So does
-// the signal's verdict of the instant: when release is set, the pass
-// read it this instant.
-func (pol *schedPolicy) settle(p *partition, n int, kinds [verdictKinds]int, release int64, clean bool) {
+// per verdict kind (and the set of kinds present), release, a bound no
+// later than the earliest release tick among them that hold still
+// waits for, and epoch, the partition epoch the pass began at. The
+// smallest delta the budget refused beside a host (minCapW, gathered by
+// planBeside and carried over skipped jobs) and the pairable index, as
+// the stable hosts, go with them. So does the signal's verdict of the
+// instant: when release is set, the pass read it this instant.
+func (pol *schedPolicy) settle(p *partition, n int, kinds [verdictKinds]int, release int64, epoch uint64) {
 	s := &p.settled
-	s.n, s.kinds, s.epoch, s.release, s.clean = n, kinds, p.epoch, release, clean
+	s.n, s.kinds, s.epoch, s.release = n, kinds, epoch, release
 	var present uint8
 	for k, n := range kinds {
 		if n > 0 {
