@@ -352,11 +352,11 @@ type usageDelta struct {
 	cpuS float64
 }
 
-// subChunkLen sizes a chunk to a Go size class: 18 Submissions of 216
-// bytes are 3,888 of the class's 4,096, the most that fit. (32 would fill
-// the 6,912-byte class exactly, but a window's nearly empty batches would
-// each hold a chunk 69 % larger.)
-const subChunkLen = 18
+// subChunkLen sizes a chunk to a Go size class: 22 Submissions of 184
+// bytes are 4,048 of the class's 4,096, the most that fit. (33 would take
+// 6,072 of the 6,144-byte class, but a window's nearly empty batches
+// would each hold a chunk half as large again.)
+const subChunkLen = 22
 
 type subChunk = [subChunkLen]workload.Submission
 
@@ -447,7 +447,7 @@ type router struct {
 	sw          stopwatch
 
 	submissions, rejected int
-	lastArrival           time.Time
+	lastArrival           simclock.Tick
 	err                   error // the source or recorder error the run ends with
 }
 
@@ -469,7 +469,7 @@ func (r *router) laneOf(partition string) (int, bool) {
 // route fills each window it is handed on free, in window order from
 // start, and sends it to every lane; it returns after the window that
 // exhausts the source (and flushes the recorder) or fails.
-func (r *router) route(start time.Time, free <-chan *routedWindow, lanes []*clusterLane) {
+func (r *router) route(start simclock.Tick, free <-chan *routedWindow, lanes []*clusterLane) {
 	// One submission is pulled ahead, to see whether it belongs to the
 	// window being filled; the source fills pending in place.
 	var pending workload.Submission
@@ -480,10 +480,10 @@ func (r *router) route(start time.Time, free <-chan *routedWindow, lanes []*clus
 	r.sw.lap(&r.sw.Busy)
 	for w := range free {
 		r.sw.lap(&r.sw.WaitWindow)
-		windowEnd = windowEnd.Add(laneWindow)
+		windowEnd += simclock.Tick(laneWindow)
 		// At < windowEnd, strictly: the boundary instant belongs to the
 		// next window.
-		for err == nil && ok && pending.At.Before(windowEnd) {
+		for err == nil && ok && pending.At < windowEnd {
 			if r.lw != nil {
 				if err = r.lw.Record(pending); err != nil {
 					break
@@ -645,7 +645,7 @@ type clusterLane struct {
 // event), hands the window back, and publishes its own usage if a
 // sibling reads it. Past the source's end it keeps running windows
 // while it has pending events. It returns on the router's error too.
-func (ln *clusterLane) run(start time.Time, free chan<- *routedWindow, slots chan struct{}, x *usageExchange) {
+func (ln *clusterLane) run(start simclock.Tick, free chan<- *routedWindow, slots chan struct{}, x *usageExchange) {
 	if x != nil {
 		defer x.done(ln.idx)
 	}
@@ -657,7 +657,7 @@ func (ln *clusterLane) run(start time.Time, free chan<- *routedWindow, slots cha
 	routed := true
 	windowEnd := start
 	for k := 1; ; k++ {
-		windowEnd = windowEnd.Add(laneWindow)
+		windowEnd += simclock.Tick(laneWindow)
 		var w *routedWindow
 		b := &idle
 		if routed {
@@ -701,10 +701,10 @@ func (ln *clusterLane) run(start time.Time, free chan<- *routedWindow, slots cha
 // Queue depth is sampled right after each Submit — with batched
 // scheduling the new job is still pending at that point, so the peak
 // includes it.
-func (ln *clusterLane) runWindow(b *subBatch, windowEnd time.Time) {
+func (ln *clusterLane) runWindow(b *subBatch, windowEnd simclock.Tick) {
 	for i := 0; i < b.n; i++ {
 		s := b.at(i)
-		ln.sim.RunUntil(s.At)
+		ln.sim.RunUntilTick(int64(s.At))
 		d := &ln.desc
 		d.Comment = s.Comment
 		d.NumTasks = s.Tasks
@@ -715,7 +715,7 @@ func (ln *clusterLane) runWindow(b *subBatch, windowEnd time.Time) {
 		d.Shape = &s.Shape
 		d.Exclusive = s.Exclusive
 		d.Deferrable = s.Deferrable
-		d.Deadline = s.Deadline
+		d.Deadline = s.Deadline.Time()
 		if _, err := ln.ctl.SubmitDesc(d); err != nil {
 			ln.rejected++
 		} else {
@@ -726,12 +726,12 @@ func (ln *clusterLane) runWindow(b *subBatch, windowEnd time.Time) {
 		}
 		// Run the deferred scheduling pass once per distinct arrival
 		// instant (batched mode queues, Flush places).
-		if i+1 == b.n || !b.at(i+1).At.Equal(s.At) {
+		if i+1 == b.n || b.at(i+1).At != s.At {
 			ln.ctl.Flush()
 		}
 	}
 	b.release()
-	ln.sim.RunBefore(windowEnd)
+	ln.sim.RunBeforeTick(int64(windowEnd))
 }
 
 // clusterCalib is the one calibration every cluster run's nodes share.
@@ -751,7 +751,8 @@ var clusterCalib = perfmodel.Default()
 // on how far ahead the router or a sibling is, so a run, its replay,
 // and any -lanes setting produce byte-identical reports and logs.
 // Every goroutine started here has exited when it returns.
-func runCluster(start time.Time, spec workload.Spec, src workload.Source, lw *workload.LogWriter, opts []RunOption) (*ClusterReport, error) {
+func runCluster(startAt time.Time, spec workload.Spec, src workload.Source, lw *workload.LogWriter, opts []RunOption) (*ClusterReport, error) {
+	start := simclock.Tick(startAt.UnixNano())
 	var rcfg runConfig
 	for _, opt := range opts {
 		opt(&rcfg)
@@ -777,7 +778,7 @@ func runCluster(start time.Time, spec workload.Spec, src workload.Source, lw *wo
 		if ps.Default {
 			rt.defaultLane = pi
 		}
-		laneSim := simclock.NewAt(start)
+		laneSim := simclock.NewAt(startAt)
 		pool := make([]*hw.Node, ps.Nodes)
 		for i := range pool {
 			ns := spec0
@@ -903,14 +904,12 @@ func runCluster(start time.Time, spec workload.Spec, src workload.Source, lw *wo
 	// all lanes.
 	last := rt.lastArrival
 	for _, ln := range lanes {
-		if le := ln.sim.LastEventAt(); le.After(last) {
-			last = le
-		}
+		last = max(last, simclock.Tick(ln.sim.LastEventAt().UnixNano()))
 	}
 	for _, ln := range lanes {
-		ln.sim.RunUntil(last)
+		ln.sim.RunUntilTick(int64(last))
 	}
-	report.Makespan = last.Sub(start)
+	report.Makespan = time.Duration(last - start)
 
 	for _, ln := range lanes {
 		report.Rejected += ln.rejected

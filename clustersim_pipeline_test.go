@@ -97,7 +97,7 @@ func TestClusterPipelineExits(t *testing.T) {
 	}
 
 	// Line 300 moved to position 5: before the reader checked arrival
-	// order this panicked in simclock.RunUntil inside a lane goroutine.
+	// order this panicked in simclock.RunUntilTick inside a lane goroutine.
 	moved := append([][]byte{}, lines[:5]...)
 	moved = append(moved, lines[300])
 	moved = append(moved, lines[5:300]...)
@@ -216,8 +216,8 @@ func TestReplayTornTail(t *testing.T) {
 // no-allocation gate: a batch that has held n arrivals takes n again
 // without allocating, and a chunk fills its size class.
 func TestSubBatchRefillAllocatesNothing(t *testing.T) {
-	if got := unsafe.Sizeof(workload.Submission{}); got != 216 {
-		t.Fatalf("workload.Submission is %d bytes, not 216: subChunkLen = %d was chosen so a chunk is 3,888 of a 4,096-byte size class; re-derive it (largest n with n × size ≤ a class)", got, subChunkLen)
+	if got := unsafe.Sizeof(workload.Submission{}); got != 184 {
+		t.Fatalf("workload.Submission is %d bytes, not 184: subChunkLen = %d was chosen so a chunk is 4,048 of a 4,096-byte size class; re-derive it (largest n with n × size ≤ a class)", got, subChunkLen)
 	}
 	const n = 1250 // cluster-nopolicy's arrivals per window
 	var b subBatch

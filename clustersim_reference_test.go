@@ -28,7 +28,7 @@ import (
 // no lanes, no settled record and no index. It shares only the physics
 // and the inputs with the real run: the workload generator and
 // Shape.Plan, hw.NewNode with runCluster's names and seeds, a
-// simclock.Sim that is nothing but the nodes' clock, moved with SkipTo,
+// simclock.Sim that is nothing but the nodes' clock, moved with SkipToTick,
 // slurm.PowerModel for draws, energymarket for the deferral signal, and
 // laneWindow, the period at which fair-share usage crosses partitions.
 // It never calls the controller, a partition, a policy value,
@@ -250,13 +250,13 @@ func referenceRun(t testing.TB, spec workload.Spec) (*ClusterReport, refCoverage
 
 	last := simclock.Epoch
 	for i := 0; i < len(subs); {
-		at := subs[i].At
+		at := subs[i].At.Time()
 		last = r.fireThrough(at, last)
 		r.enter(at)
-		r.clock.SkipTo(at)
+		r.clock.SkipToTick(at.UnixNano())
 		last = at
 		queued := make([]bool, len(r.parts))
-		for ; i < len(subs) && subs[i].At.Equal(at); i++ {
+		for ; i < len(subs) && subs[i].At.Time().Equal(at); i++ {
 			s := &subs[i]
 			pi := def
 			if s.Partition != "" {
@@ -268,7 +268,7 @@ func referenceRun(t testing.TB, spec workload.Spec) (*ClusterReport, refCoverage
 				}
 			}
 			j := &refJob{id: i, uid: s.UserID, shape: &s.Shape, tasks: max(s.Tasks, 1), tpc: max(s.ThreadsPerCPU, 1),
-				limit: s.TimeLimit, deadline: s.Deadline, exclusive: s.Exclusive, deferrable: s.Deferrable, submit: at}
+				limit: s.TimeLimit, deadline: s.Deadline.Time(), exclusive: s.Exclusive, deferrable: s.Deferrable, submit: at}
 			if pi < 0 || j.tasks > r.node.Cores || j.tpc > r.node.ThreadsPerCore {
 				rep.Rejected++
 				continue
@@ -318,7 +318,7 @@ func referenceRun(t testing.TB, spec workload.Spec) (*ClusterReport, refCoverage
 		rep.Totals.RuntimeSeconds += tot.RuntimeSeconds
 		rep.Totals.WaitSeconds += tot.WaitSeconds
 	}
-	r.clock.SkipTo(last)
+	r.clock.SkipToTick(last.UnixNano())
 	for _, n := range nodes {
 		sysJ, cpuJ := n.EnergyJ()
 		rep.ClusterSystemKJ += sysJ / 1000
@@ -425,7 +425,7 @@ func (r *refRun) fireThrough(t, last time.Time) time.Time {
 	for len(r.events) > 0 && !r.events[0].at.After(t) {
 		ev := heap.Pop(&r.events).(refEvent)
 		r.enter(ev.at)
-		r.clock.SkipTo(ev.at)
+		r.clock.SkipToTick(ev.at.UnixNano())
 		last = ev.at
 		p, j := r.parts[ev.part], ev.job
 		if j == nil {

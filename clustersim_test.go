@@ -150,6 +150,13 @@ func TestClusterHostileDurations(t *testing.T) {
 			s.Clients[0].Jobs.Work = workload.Dist{Kind: "constant", Value: 1e30}
 			s.Clients[0].Jobs.SleepFraction = 0
 		}, ""},
+		{"queued past the clock's end", func(s *workload.Spec) {
+			s.Cluster.Partitions = []workload.PartitionSpec{{Name: "batch", Nodes: 1, Default: true}}
+			s.Clients = s.Clients[:1]
+			s.Clients[0].Jobs.SleepFraction = 1
+			s.Clients[0].Jobs.Sleep = workload.Dist{Kind: "constant", Value: 4e9}
+			s.Clients[0].Jobs.TimeLimit = s.Clients[0].Jobs.Sleep
+		}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

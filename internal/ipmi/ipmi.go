@@ -148,14 +148,13 @@ func (a *sampleTick) Fire(gen uint64) {
 	// holds for the whole run-ahead.
 	freq := s.node.CurrentFreqKHz()
 	s.sample(sim.NowTick(), freq)
-	horizon := sim.Horizon()
-	next := sim.Now().Add(s.interval)
-	for tick := next.UnixNano(); tick <= horizon; tick = next.UnixNano() {
-		sim.SkipTo(next)
-		s.sample(tick, freq)
-		next = next.Add(s.interval)
+	horizon, step := sim.Horizon(), int64(s.interval)
+	next := sim.NowTick() + step
+	for ; next <= horizon; next += step {
+		sim.SkipToTick(next)
+		s.sample(next, freq)
 	}
-	sim.AtAction(next, a, gen)
+	sim.AtTick(next, a, gen)
 }
 
 // NewSampler creates a sampler writing into trace.

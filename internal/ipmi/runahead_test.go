@@ -125,7 +125,7 @@ func (w *world) arm(at time.Time, o op) int {
 	case opStop:
 		w.pendingStops++
 	}
-	w.sim.AtAction(at, w, uint64(id))
+	w.sim.AtTick(at.UnixNano(), w, uint64(id))
 	return id
 }
 
@@ -282,7 +282,7 @@ func randomInstant(r *simclock.RNG, w *world) time.Time {
 // — job starts and ends, governor and frequency changes, stops and
 // restarts, events on grid instants armed before and after the
 // sampler's event for the instant, children armed from inside events —
-// under Step loops, Run, RunUntil and RunBefore. After every call the
+// under Step loops, Run, RunUntilTick and RunBeforeTick. After every call the
 // two must agree bit for bit on the clock, the pending events, the
 // samples, the node's energy and its sensors.
 func TestSamplerMatchesOneEventPerSampleOracle(t *testing.T) {
@@ -330,11 +330,11 @@ func TestSamplerMatchesOneEventPerSampleOracle(t *testing.T) {
 				what = "run"
 			case k < 9:
 				at := randomInstant(r, a)
-				both(func(w *world) { w.sim.RunUntil(at) })
+				both(func(w *world) { w.sim.RunUntilTick(at.UnixNano()) })
 				what = fmt.Sprintf("run until %v", at)
 			default:
 				at := randomInstant(r, a)
-				both(func(w *world) { w.sim.RunBefore(at) })
+				both(func(w *world) { w.sim.RunBeforeTick(at.UnixNano()) })
 				what = fmt.Sprintf("run before %v", at)
 			}
 			if d := diff(a, o); d != "" {

@@ -98,7 +98,7 @@ type queueOps interface {
 }
 
 // simUnderTest schedules through the closure table, so every event the
-// calendar queue holds is an AtAction event.
+// calendar queue holds is an AtTick event.
 type simUnderTest struct {
 	s     *Sim
 	start time.Time
@@ -108,11 +108,11 @@ type simUnderTest struct {
 func (u *simUnderTest) Schedule(d time.Duration, fn func()) { u.fns.after(u.s, d, fn) }
 func (u *simUnderTest) Step() bool                          { return u.s.Step() }
 func (u *simUnderTest) RunUntil(d time.Duration) {
-	if t := u.start.Add(d); !t.Before(u.s.Now()) {
-		u.s.RunUntil(t)
+	if t := u.start.Add(d).UnixNano(); t >= u.s.NowTick() {
+		u.s.RunUntilTick(t)
 	}
 }
-func (u *simUnderTest) RunBefore(d time.Duration) { u.s.RunBefore(u.start.Add(d)) }
+func (u *simUnderTest) RunBefore(d time.Duration) { u.s.RunBeforeTick(u.start.Add(d).UnixNano()) }
 func (u *simUnderTest) NowOffset() time.Duration  { return u.s.Now().Sub(u.start) }
 func (u *simUnderTest) Pending() int              { return u.s.Pending() }
 
@@ -222,18 +222,18 @@ func TestRunBeforeExcludesBoundary(t *testing.T) {
 	for _, d := range []time.Duration{time.Second, 2 * time.Second, 3 * time.Second} {
 		fns.after(s, d, func() { fired = append(fired, d) })
 	}
-	s.RunBefore(Epoch.Add(2 * time.Second))
+	s.RunBeforeTick(Epoch.Add(2 * time.Second).UnixNano())
 	if len(fired) != 1 || fired[0] != time.Second {
-		t.Fatalf("RunBefore ran %v, want just 1s", fired)
+		t.Fatalf("RunBeforeTick ran %v, want just 1s", fired)
 	}
 	// The clock rests at the last executed event, not the barrier.
 	if got := s.Now().Sub(Epoch); got != time.Second {
 		t.Fatalf("now = Epoch+%v, want Epoch+1s", got)
 	}
 	// A barrier at or before now is a no-op.
-	s.RunBefore(Epoch)
+	s.RunBeforeTick(Epoch.UnixNano())
 	if len(fired) != 1 {
-		t.Fatalf("RunBefore(past) fired events: %v", fired)
+		t.Fatalf("RunBeforeTick(past) fired events: %v", fired)
 	}
 	s.Run()
 	if len(fired) != 3 {
@@ -248,7 +248,7 @@ func TestLastEventAt(t *testing.T) {
 	}
 	s.AfterAction(3*time.Second, &benchAction{}, 0)
 	s.Run()
-	s.RunUntil(Epoch.Add(time.Hour)) // advances Now, not LastEventAt
+	s.RunUntilTick(Epoch.Add(time.Hour).UnixNano()) // advances Now, not LastEventAt
 	if got := s.LastEventAt().Sub(Epoch); got != 3*time.Second {
 		t.Fatalf("LastEventAt = Epoch+%v, want Epoch+3s", got)
 	}
@@ -305,7 +305,7 @@ func TestFreshSimFirstEventPerBucketDoesNotAllocate(t *testing.T) {
 		s := sims[next]
 		next++
 		for b := 0; b < nbuckets; b++ {
-			s.AtAction(Epoch.Add(time.Duration(int64(b)*defaultWidth)), act, uint64(b))
+			s.AtTick(Epoch.UnixNano()+int64(b)*defaultWidth, act, uint64(b))
 		}
 		for b := range s.q.buckets {
 			if len(s.q.buckets[b]) != 1 {

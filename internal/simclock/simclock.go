@@ -14,7 +14,7 @@
 //
 // An action may also move the clock forward itself, without an event:
 // Horizon says how far it may go — below the next pending event and
-// within the bound of the run call that fired it — and SkipTo goes
+// within the bound of the run call that fired it — and SkipToTick goes
 // there. Nothing else can happen in between, so a periodic scheduler
 // (the IPMI sampler) takes every period up to the horizon in one Fire
 // and arms one event for the first period it could not reach.
@@ -27,9 +27,9 @@
 // band — and an unsorted far band for events beyond it. When the near
 // band drains, the far band is re-bucketed with a width re-derived
 // from its actual span, so the structure adapts to whatever event
-// horizon the workload produces. Keys are int64 nanosecond ticks, not
-// time.Time values: tick comparison is one integer compare instead of
-// wall/monotonic unpacking, which dominated the old heap's cost.
+// horizon the workload produces. The clock, and every event key, is an
+// int64 nanosecond tick: comparing two is one integer compare, and a
+// time.Time is built only when Now or LastEventAt asks for one.
 //
 // Event records are pooled on a free list and recycled after they
 // fire, so a steady-state simulation allocates nothing per event. The
@@ -50,6 +50,28 @@ import (
 // instant so that runs are reproducible and timestamps in saved
 // benchmarks are stable across test runs.
 var Epoch = time.Date(2023, time.May, 10, 3, 0, 0, 0, time.UTC)
+
+// Tick is a simulated instant as a record keeps it: nanoseconds since
+// the Unix epoch, in UTC — the clock's own form (Sim.NowTick). The zero
+// Tick means none (no deadline, never started): a clock starts after
+// the Unix epoch (Reset refuses one that does not) and only moves
+// forward, so no run reaches it.
+type Tick int64
+
+// UnixNano returns the instant as nanoseconds since the Unix epoch.
+func (t Tick) UnixNano() int64 { return int64(t) }
+
+// IsZero reports whether t is the zero Tick, which means none.
+func (t Tick) IsZero() bool { return t == 0 }
+
+// Time returns the instant as a UTC time.Time, and the zero Tick as the
+// zero time.Time.
+func (t Tick) Time() time.Time {
+	if t == 0 {
+		return time.Time{}
+	}
+	return time.Unix(0, int64(t)).UTC()
+}
 
 // Calendar-queue shape. 256 buckets keeps the whole bucket array
 // (256 slice headers plus one inline slot each ≈ 8 KB) cache-resident;
@@ -75,9 +97,8 @@ type Action interface {
 // recycled after it fires, so no caller may retain a reference past
 // Step.
 type event struct {
-	at   time.Time // the caller's instant, preserved exactly
-	tick int64     // at.UnixNano(), the comparison key
-	seq  uint64    // tie-breaker for same-instant events
+	tick int64  // the event's instant, the comparison key
+	seq  uint64 // tie-breaker for same-instant events
 	act  Action
 	arg  uint64
 }
@@ -159,13 +180,12 @@ type calQueue struct {
 // lane, the benchmark sweep one per provisioned stack — never in one
 // event loop.
 type Sim struct {
-	now       time.Time
-	nowTick   int64     // now.UnixNano(), maintained alongside now
-	lastEvent time.Time // instant of the last executed event
-	seq       uint64    // tie-breaker for same-instant events
+	nowTick   int64  // the clock
+	lastEvent int64  // tick of the last executed event
+	seq       uint64 // tie-breaker for same-instant events
 	pending   int
 	// limit is the latest tick the running call lets an action skip the
-	// clock to (Horizon): t under RunUntil(t), t−1 under RunBefore(t),
+	// clock to (Horizon): t under RunUntilTick(t), t−1 under RunBeforeTick(t),
 	// unbounded under Step and Run.
 	limit int64
 	q     calQueue
@@ -179,7 +199,8 @@ const unbounded = math.MaxInt64
 // New returns a simulator whose clock starts at Epoch.
 func New() *Sim { return NewAt(Epoch) }
 
-// NewAt returns a simulator whose clock starts at the given instant.
+// NewAt returns a simulator whose clock starts at the given instant,
+// which must lie after the Unix epoch (see Tick).
 func NewAt(start time.Time) *Sim {
 	s := &Sim{}
 	for i := range s.q.buckets {
@@ -194,7 +215,13 @@ func NewAt(start time.Time) *Sim {
 // pool, whose capacity, like the buckets', is kept for the next run. A
 // sweep builds one node stack per configuration, each on a Sim of about
 // 9 KB, so it hands its Sims on rather than building one per stack.
+// A start at or before the Unix epoch panics: no clock instant may be
+// the zero Tick.
 func (s *Sim) Reset(start time.Time) {
+	tick := start.UnixNano()
+	if tick <= 0 {
+		panic(fmt.Sprintf("simclock: start %v is not after the Unix epoch", start))
+	}
 	q := &s.q
 	for i := range q.buckets {
 		for _, ev := range q.buckets[i] {
@@ -210,27 +237,25 @@ func (s *Sim) Reset(start time.Time) {
 	q.far = q.far[:0]
 	q.n, q.cur, q.farMin, q.farMax = 0, 0, 0, 0
 	q.width = defaultWidth
-	q.base = start.UnixNano()
+	q.base = tick
 	q.top = q.base + nbuckets*q.width
-	s.now, s.nowTick, s.lastEvent = start, start.UnixNano(), start
+	s.nowTick, s.lastEvent = tick, tick
 	s.seq, s.pending, s.limit = 0, 0, unbounded
 }
 
-// Now returns the current simulated time.
-func (s *Sim) Now() time.Time { return s.now }
+// Now returns the current simulated time, in UTC.
+func (s *Sim) Now() time.Time { return Tick(s.nowTick).Time() }
 
 // NowTick returns the current simulated time as nanoseconds since the
-// Unix epoch — Now().UnixNano() without the wall-clock decode. Hot
-// integrators (the hardware power model) difference ticks instead of
-// time.Time values.
+// Unix epoch, the clock's own form: Now builds a time.Time from it.
 func (s *Sim) NowTick() int64 { return s.nowTick }
 
 // LastEventAt returns the instant of the most recently executed event,
 // or the start time if none has run. The cluster simulator uses it to
-// find the true makespan end across partition lanes: RunUntil advances
-// Now past the last event, but energy should integrate exactly to the
+// find the true makespan end across partition lanes: RunUntilTick
+// advances the clock past the last event, but energy should integrate exactly to the
 // moment the last lane went quiet.
-func (s *Sim) LastEventAt() time.Time { return s.lastEvent }
+func (s *Sim) LastEventAt() time.Time { return Tick(s.lastEvent).Time() }
 
 // alloc takes an event record off the free list, or makes one.
 func (s *Sim) alloc() *event {
@@ -341,22 +366,21 @@ func (s *Sim) settle() bool {
 	return true
 }
 
-// AtAction schedules act.Fire(arg) at the absolute simulated time t.
+// AtTick schedules act.Fire(arg) at the absolute simulated tick t.
 // Scheduling allocates nothing once the event pool is warm. The event
 // cannot be cancelled, so a caller whose event may go stale guards in
 // Fire (the controller's wake checks its instant, the sampler its
-// generation). Scheduling in the past panics: an event before Now would
+// generation). Scheduling in the past panics: an event before now would
 // silently reorder the timeline, which is always a bug in the caller.
-func (s *Sim) AtAction(t time.Time, act Action, arg uint64) {
+func (s *Sim) AtTick(t int64, act Action, arg uint64) {
 	if act == nil {
 		panic("simclock: nil event action")
 	}
-	if t.Before(s.now) {
-		panic(fmt.Sprintf("simclock: scheduling event at %v before now %v", t, s.now))
+	if t < s.nowTick {
+		panic(fmt.Sprintf("simclock: scheduling event at tick %d before now %d", t, s.nowTick))
 	}
 	ev := s.alloc()
-	ev.at = t
-	ev.tick = t.UnixNano()
+	ev.tick = t
 	ev.seq = s.seq
 	ev.act = act
 	ev.arg = arg
@@ -365,10 +389,10 @@ func (s *Sim) AtAction(t time.Time, act Action, arg uint64) {
 	s.push(ev)
 }
 
-// AfterAction schedules act.Fire(arg) to run d from now. Negative
-// durations panic.
+// AfterAction schedules act.Fire(arg) to run d from now. A negative
+// duration, or one that ends past the clock's last instant, panics.
 func (s *Sim) AfterAction(d time.Duration, act Action, arg uint64) {
-	s.AtAction(s.now.Add(d), act, arg)
+	s.AtTick(s.nowTick+int64(d), act, arg)
 }
 
 // Pending reports how many events are scheduled and have not fired.
@@ -383,12 +407,11 @@ func (s *Sim) stepSettled() {
 	q.n--
 	// Copy out and release before firing: Fire may schedule new events,
 	// which may legitimately reuse this very record.
-	at, tick, act, arg := ev.at, ev.tick, ev.act, ev.arg
+	tick, act, arg := ev.tick, ev.act, ev.arg
 	s.release(ev)
 	s.pending--
-	s.now = at
 	s.nowTick = tick
-	s.lastEvent = at
+	s.lastEvent = tick
 	act.Fire(arg)
 }
 
@@ -414,45 +437,42 @@ func (s *Sim) Run() {
 	}
 }
 
-// RunUntil executes events with deadlines at or before t, then advances
-// the clock to exactly t. Events scheduled during execution are honored
-// if they also fall at or before t.
-func (s *Sim) RunUntil(t time.Time) {
-	if t.Before(s.now) {
-		panic(fmt.Sprintf("simclock: RunUntil(%v) is before now %v", t, s.now))
+// RunUntilTick executes events with deadlines at or before tick t, then
+// advances the clock to exactly t. Events scheduled during execution
+// are honored if they also fall at or before t.
+func (s *Sim) RunUntilTick(t int64) {
+	if t < s.nowTick {
+		panic(fmt.Sprintf("simclock: RunUntilTick(%d) is before now %d", t, s.nowTick))
 	}
-	tick := t.UnixNano()
-	s.limit = tick
-	for s.settle() && s.q.buckets[s.q.cur][0].tick <= tick {
+	s.limit = t
+	for s.settle() && s.q.buckets[s.q.cur][0].tick <= t {
 		s.stepSettled()
 	}
-	s.now = t
-	s.nowTick = tick
+	s.nowTick = t
 }
 
-// RunBefore executes events with deadlines strictly before t, leaving
-// the clock at the last event executed, or where that event's action
-// skipped it (or unchanged if none ran). It is the windowed variant
-// the parallel partition lanes use: a lane drains its band up to a
-// barrier instant without claiming to have reached it, so an event at
-// exactly the barrier still runs — in the next window, identically at
-// any lane count. A t at or before Now is a no-op.
-func (s *Sim) RunBefore(t time.Time) {
-	tick := t.UnixNano()
-	s.limit = tick - 1
-	for s.settle() && s.q.buckets[s.q.cur][0].tick < tick {
+// RunBeforeTick executes events with deadlines strictly before tick t,
+// leaving the clock at the last event executed, or where that event's
+// action skipped it (or unchanged if none ran). It is the windowed
+// variant the parallel partition lanes use: a lane drains its band up
+// to a barrier instant without claiming to have reached it, so an event
+// at exactly the barrier still runs — in the next window, identically
+// at any lane count. A t at or before now is a no-op.
+func (s *Sim) RunBeforeTick(t int64) {
+	s.limit = t - 1
+	for s.settle() && s.q.buckets[s.q.cur][0].tick < t {
 		s.stepSettled()
 	}
 }
 
 // Horizon returns the latest tick the action firing now may move the
-// clock to with SkipTo: below the next pending event, and within the
-// bound of the call that fired it — up to t under RunUntil(t), below t
-// under RunBefore(t), and under Step and Run just below the next
-// pending event, or nowhere when no other event is pending. An event
-// at the horizon's next tick was armed before anything the skipping
-// action arms, so it still fires first. Outside an action's Fire the
-// result means nothing.
+// clock to with SkipToTick: below the next pending event, and within
+// the bound of the call that fired it — up to t under RunUntilTick(t),
+// below t under RunBeforeTick(t), and under Step and Run just below the
+// next pending event, or nowhere when no other event is pending. An
+// event at the horizon's next tick was armed before anything the
+// skipping action arms, so it still fires first. Outside an action's
+// Fire the result means nothing.
 func (s *Sim) Horizon() int64 {
 	h := s.limit
 	if s.settle() {
@@ -463,17 +483,15 @@ func (s *Sim) Horizon() int64 {
 	return h
 }
 
-// SkipTo moves the clock forward to t, firing nothing; LastEventAt
-// still reports the last event. t must not lie past Horizon; one
-// before Now panics.
-func (s *Sim) SkipTo(t time.Time) {
-	tick := t.UnixNano()
-	if tick < s.nowTick {
-		panic(fmt.Sprintf("simclock: skipping to %v before now %v", t, s.now))
+// SkipToTick moves the clock forward to tick t, firing nothing;
+// LastEventAt still reports the last event. t must not lie past
+// Horizon; one before now panics.
+func (s *Sim) SkipToTick(t int64) {
+	if t < s.nowTick {
+		panic(fmt.Sprintf("simclock: skipping to tick %d before now %d", t, s.nowTick))
 	}
-	s.now = t
-	s.nowTick = tick
+	s.nowTick = t
 }
 
-// RunFor advances the simulation by d. See RunUntil.
-func (s *Sim) RunFor(d time.Duration) { s.RunUntil(s.now.Add(d)) }
+// RunFor advances the simulation by d. See RunUntilTick.
+func (s *Sim) RunFor(d time.Duration) { s.RunUntilTick(s.nowTick + int64(d)) }

@@ -18,7 +18,7 @@ func (f *funcs) Fire(i uint64) { (*f)[i]() }
 // at schedules fn at t.
 func (f *funcs) at(s *Sim, t time.Time, fn func()) {
 	*f = append(*f, fn)
-	s.AtAction(t, f, uint64(len(*f)-1))
+	s.AtTick(t.UnixNano(), f, uint64(len(*f)-1))
 }
 
 // after schedules fn d from now.
@@ -31,12 +31,30 @@ func TestNowStartsAtEpoch(t *testing.T) {
 	}
 }
 
-// An event record is one cache line: the instant, its tick key, the
-// FIFO sequence number and the Action with its argument. A field added
-// here costs every scheduled event a second line.
+// A clock starts after the Unix epoch, so no instant it reaches is the
+// zero Tick, which reads back as the zero time.Time.
+func TestStartAfterUnixEpoch(t *testing.T) {
+	for _, start := range []time.Time{time.Unix(0, 0), time.Date(1969, 12, 31, 0, 0, 0, 0, time.UTC)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewAt(%v) did not panic", start)
+				}
+			}()
+			NewAt(start)
+		}()
+	}
+	if !Tick(0).Time().IsZero() || !Tick(1).Time().Equal(time.Unix(0, 1)) || NewAt(time.Unix(0, 1)).Now() != Tick(1).Time() {
+		t.Fatal("Tick.Time: zero is not the zero time, or an instant is not its UTC time")
+	}
+}
+
+// An event record is its tick key, the FIFO sequence number and the
+// Action with its argument: 40 bytes, the 48-byte size class. The
+// instant as a time.Time would add 24 and take it to 64.
 func TestEventSize(t *testing.T) {
-	if got := unsafe.Sizeof(event{}); got != 64 {
-		t.Fatalf("event is %d bytes, want 64 (one cache line)", got)
+	if got := unsafe.Sizeof(event{}); got != 40 {
+		t.Fatalf("event is %d bytes, want 40", got)
 	}
 }
 
@@ -93,7 +111,7 @@ func TestSchedulingInPastPanics(t *testing.T) {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	s.AtAction(Epoch.Add(-time.Second), &benchAction{}, 0)
+	s.AtTick(Epoch.Add(-time.Second).UnixNano(), &benchAction{}, 0)
 }
 
 func TestNilActionPanics(t *testing.T) {
@@ -113,12 +131,12 @@ func TestRunUntilStopsAtBoundary(t *testing.T) {
 	for _, d := range []time.Duration{time.Second, 3 * time.Second, 10 * time.Second} {
 		fns.after(s, d, func() { ran = append(ran, d) })
 	}
-	s.RunUntil(Epoch.Add(3 * time.Second))
+	s.RunUntilTick(Epoch.Add(3 * time.Second).UnixNano())
 	if len(ran) != 2 {
 		t.Fatalf("ran %d events, want 2 (1s and 3s)", len(ran))
 	}
 	if !s.Now().Equal(Epoch.Add(3 * time.Second)) {
-		t.Fatalf("Now() = %v after RunUntil", s.Now())
+		t.Fatalf("Now() = %v after RunUntilTick", s.Now())
 	}
 	s.Run()
 	if len(ran) != 3 {
@@ -145,10 +163,10 @@ func TestRunUntilPastPanics(t *testing.T) {
 	s.RunFor(time.Minute)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("RunUntil into the past did not panic")
+			t.Fatal("RunUntilTick into the past did not panic")
 		}
 	}()
-	s.RunUntil(Epoch)
+	s.RunUntilTick(Epoch.UnixNano())
 }
 
 func TestPending(t *testing.T) {
@@ -273,12 +291,12 @@ func TestHorizon(t *testing.T) {
 		{"step-alone", 0, func(s *Sim) { s.Step() }, at(time.Second)},
 		{"run", 10 * time.Second, func(s *Sim) { s.Run() }, at(10*time.Second) - 1},
 		{"run-alone", 0, func(s *Sim) { s.Run() }, at(time.Second)},
-		{"until-bound", 10 * time.Second, func(s *Sim) { s.RunUntil(Epoch.Add(5 * time.Second)) }, at(5 * time.Second)},
-		{"until-event", 10 * time.Second, func(s *Sim) { s.RunUntil(Epoch.Add(time.Minute)) }, at(10*time.Second) - 1},
-		{"until-alone", 0, func(s *Sim) { s.RunUntil(Epoch.Add(time.Minute)) }, at(time.Minute)},
-		{"before-bound", 10 * time.Second, func(s *Sim) { s.RunBefore(Epoch.Add(5 * time.Second)) }, at(5*time.Second) - 1},
-		{"before-event", 10 * time.Second, func(s *Sim) { s.RunBefore(Epoch.Add(time.Minute)) }, at(10*time.Second) - 1},
-		{"before-alone", 0, func(s *Sim) { s.RunBefore(Epoch.Add(time.Minute)) }, at(time.Minute) - 1},
+		{"until-bound", 10 * time.Second, func(s *Sim) { s.RunUntilTick(at(5 * time.Second)) }, at(5 * time.Second)},
+		{"until-event", 10 * time.Second, func(s *Sim) { s.RunUntilTick(at(time.Minute)) }, at(10*time.Second) - 1},
+		{"until-alone", 0, func(s *Sim) { s.RunUntilTick(at(time.Minute)) }, at(time.Minute)},
+		{"before-bound", 10 * time.Second, func(s *Sim) { s.RunBeforeTick(at(5 * time.Second)) }, at(5*time.Second) - 1},
+		{"before-event", 10 * time.Second, func(s *Sim) { s.RunBeforeTick(at(time.Minute)) }, at(10*time.Second) - 1},
+		{"before-alone", 0, func(s *Sim) { s.RunBeforeTick(at(time.Minute)) }, at(time.Minute) - 1},
 	} {
 		s := New()
 		var fns funcs
@@ -302,7 +320,7 @@ func TestSkipTo(t *testing.T) {
 	var fns funcs
 	var firedAt time.Time
 	fns.after(s, time.Second, func() {
-		s.SkipTo(time.Unix(0, s.Horizon()).In(Epoch.Location()))
+		s.SkipToTick(s.Horizon())
 	})
 	fns.after(s, 10*time.Second, func() { firedAt = s.Now() })
 	s.Step()
@@ -321,7 +339,7 @@ func TestSkipTo(t *testing.T) {
 			t.Fatal("skipping into the past did not panic")
 		}
 	}()
-	s.SkipTo(Epoch)
+	s.SkipToTick(Epoch.UnixNano())
 }
 
 // TestResetMatchesFreshSim: a Sim reset with events pending in the near

@@ -1,10 +1,11 @@
 package slurm
 
 import (
-	"math"
 	"sort"
 	"time"
 	"unsafe"
+
+	"ecosched/internal/simclock"
 )
 
 // AcctRecord is one slurmdbd accounting row: what the cluster knows
@@ -76,14 +77,8 @@ type AcctTotals struct {
 // doubles in place up to acctChunkSize rows, so a controller that runs
 // one job pays for one row, and every later chunk is born full.
 type Accounting struct {
-	chunk0 []acctRow
-	chunks [][]acctRow // chunks 1…, each acctChunkSize rows when full
-	// loc is the location the controller's clock stamped the first
-	// row's times in, and every row reads back in it (nil: no row yet).
-	// A clock moved to an instant in another location part-way through
-	// a run (RunUntil, or an event armed at such a time) would read
-	// back at the same instants in the first location.
-	loc           *time.Location
+	chunk0        []acctRow
+	chunks        [][]acctRow // chunks 1…, each acctChunkSize rows when full
 	totals        AcctTotals
 	aggregateOnly bool
 }
@@ -96,17 +91,13 @@ type Accounting struct {
 // wider (maxNodeWidth) and submission caps both at the node's.
 type acctRow struct {
 	name, nodeName     string
-	submit, start, end int64 // UnixNano; start is noStart for a job that never started
+	submit, start, end simclock.Tick // start is zero for a job that never started
 	systemKJ, cpuKJ    float64
 	gflops             float64
 	jobID, freqKHz     int
 	cores, threadsPer  uint16
 	state              uint8 // index in acctStates
 }
-
-// noStart is the start tick of a job that never started, read back as
-// the zero time: a clock instant (in 1677) no simulation runs at.
-const noStart = math.MinInt64
 
 // acctStates decodes a row's state code, the state's index here;
 // completion first, the state almost every row has.
@@ -129,28 +120,23 @@ func (a *Accounting) record(job *Job) {
 	}
 	a.totals.SystemKJ += job.SystemJ / 1000
 	a.totals.CPUKJ += job.CPUJ / 1000
-	submit, start, end := job.SubmitTime.UnixNano(), int64(noStart), job.EndTime.UnixNano()
-	if !job.StartTime.IsZero() {
-		start = job.StartTime.UnixNano()
-		secs := time.Duration(end - start).Seconds()
+	if start := job.StartTime; !start.IsZero() {
+		secs := time.Duration(job.EndTime - start).Seconds()
 		a.totals.RuntimeSeconds += secs
 		a.totals.CPUSeconds += float64(job.Desc.NumTasks) * secs
-		a.totals.WaitSeconds += time.Duration(start - submit).Seconds()
+		a.totals.WaitSeconds += time.Duration(start - job.SubmitTime).Seconds()
 	}
 	if a.aggregateOnly {
 		return
-	}
-	if a.loc == nil {
-		a.loc = job.SubmitTime.Location()
 	}
 	// A job that never started ends where it is refused, which stamps
 	// EndTime alone.
 	a.appendRow(acctRow{
 		name:       job.Desc.Name,
 		nodeName:   job.NodeName,
-		submit:     submit,
-		start:      start,
-		end:        end,
+		submit:     job.SubmitTime,
+		start:      job.StartTime,
+		end:        job.EndTime,
 		systemKJ:   job.SystemJ / 1000,
 		cpuKJ:      job.CPUJ / 1000,
 		gflops:     job.GFLOPS,
@@ -173,14 +159,9 @@ func acctStateCode(s JobState) uint8 {
 	panic("slurm: accounting a job in unknown state " + string(s))
 }
 
-// rec rebuilds the record a row stores, its times in the clock's
-// location.
-func (a *Accounting) rec(r *acctRow) AcctRecord {
-	loc := a.loc
-	if loc == nil {
-		loc = time.UTC
-	}
-	out := AcctRecord{
+// rec rebuilds the record the row stores, its times in UTC.
+func (r *acctRow) rec() AcctRecord {
+	return AcctRecord{
 		JobID:      r.jobID,
 		Name:       r.name,
 		State:      acctStates[r.state],
@@ -188,16 +169,13 @@ func (a *Accounting) rec(r *acctRow) AcctRecord {
 		Cores:      int(r.cores),
 		FreqKHz:    r.freqKHz,
 		ThreadsPer: int(r.threadsPer),
-		Submit:     time.Unix(0, r.submit).In(loc),
-		End:        time.Unix(0, r.end).In(loc),
+		Submit:     r.submit.Time(),
+		Start:      r.start.Time(),
+		End:        r.end.Time(),
 		SystemKJ:   r.systemKJ,
 		CPUKJ:      r.cpuKJ,
 		GFLOPS:     r.gflops,
 	}
-	if r.start != noStart {
-		out.Start = time.Unix(0, r.start).In(loc)
-	}
-	return out
 }
 
 // appendRow adds a row to the last chunk, growing chunk 0 or opening a
@@ -228,11 +206,11 @@ func (a *Accounting) Records() []AcctRecord {
 	}
 	out := make([]AcctRecord, 0, n)
 	for i := range a.chunk0 {
-		out = append(out, a.rec(&a.chunk0[i]))
+		out = append(out, a.chunk0[i].rec())
 	}
 	for _, c := range a.chunks {
 		for i := range c {
-			out = append(out, a.rec(&c[i]))
+			out = append(out, c[i].rec())
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].JobID < out[j].JobID })
@@ -250,7 +228,7 @@ func (a *Accounting) Record(jobID int) (AcctRecord, bool) {
 		}
 		for i := len(rows) - 1; i >= 0; i-- {
 			if rows[i].jobID == jobID {
-				return a.rec(&rows[i]), true
+				return rows[i].rec(), true
 			}
 		}
 	}

@@ -68,7 +68,7 @@ type partition struct {
 	// earliest instant a queued job asked to be looked at again. woken
 	// marks the pass a wake runs (wakeAction, skipMask).
 	wakeArmed, woken bool
-	wakeAt           time.Time
+	wakeAt           int64 // tick
 
 	// Cluster-policy state (energy.go), maintained only under a policy:
 	// the power budget and the modelled draw (idle floor included) with

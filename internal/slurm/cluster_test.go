@@ -220,7 +220,7 @@ func TestAggregateAccounting(t *testing.T) {
 		if d != b {
 			t.Fatal("the pooled record was not reused; the scenario no longer tests recycling")
 		}
-		if d.ID != 2 || d.State != StateRunning || d.deferred || d.releaseTick != d.SubmitTime.Add(2*time.Hour).UnixNano() {
+		if d.ID != 2 || d.State != StateRunning || d.deferred || d.releaseTick != int64(d.SubmitTime)+int64(2*time.Hour) {
 			t.Fatalf("job %d = %s, deferred %v, release bound %d (submitted %v)", d.ID, d.State, d.deferred, d.releaseTick, d.SubmitTime)
 		}
 		if tot := c.PolicyTotals(); tot.DeferredJobs != 1 || tot.ForcedDispatches != 0 {
@@ -248,8 +248,8 @@ func TestConstructionOptionsWiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if done.EndTime.Sub(done.StartTime) != time.Minute {
-		t.Fatalf("fallback runtime = %v, want 1m", done.EndTime.Sub(done.StartTime))
+	if d := time.Duration(done.EndTime - done.StartTime); d != time.Minute {
+		t.Fatalf("fallback runtime = %v, want 1m", d)
 	}
 }
 
@@ -410,7 +410,7 @@ func TestAccountingChunksMatchOneSlice(t *testing.T) {
 	sort.Slice(oracle, func(i, j int) bool { return oracle[i].jobID < oracle[j].jobID })
 	want := make([]AcctRecord, len(oracle))
 	for i := range oracle {
-		want[i] = a.rec(&oracle[i])
+		want[i] = oracle[i].rec()
 	}
 	if got := a.Records(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Records differs from the one-slice table (%d rows, want %d)", len(got), len(want))
@@ -446,9 +446,10 @@ func TestAccountingRowSize(t *testing.T) {
 // random terminal jobs — completed, failed at their time limit or at
 // start, cancelled before they started — recorded out of id order, in
 // tables from empty through chunk 0's doublings and across full-chunk
-// boundaries, with extreme field values and clocks in and out of UTC,
-// must read back through Records, every Record(id) and FormatSacct
-// exactly as the oracle's, times and their locations included.
+// boundaries, with extreme field values and clocks from just after the
+// Unix epoch to the end of the tick range, must read back through
+// Records, every Record(id) and FormatSacct exactly as the oracle's,
+// times in UTC included.
 func TestAccountingRowsMatchOracle(t *testing.T) {
 	rng := simclock.NewRNG(53)
 	pick := func(vals ...int) int { return vals[rng.Intn(len(vals))] }
@@ -459,16 +460,15 @@ func TestAccountingRowsMatchOracle(t *testing.T) {
 		}
 		return rng.Float64() * 1e6
 	}
-	locs := []*time.Location{time.UTC, time.FixedZone("CEST", 2*3600), time.FixedZone("west", -(9*3600 + 30*60))}
 	// Clock starts: the simulator's epoch, and the ends of the range a
-	// tick (UnixNano) covers, 1677-09-21 to 2262-04-11.
-	starts := [][6]int{{2023, 5, 10, 3, 0, 0}, {2262, 4, 10, 0, 0, 0}, {1677, 9, 22, 0, 0, 0}}
+	// clock covers, just after the Unix epoch to 2262-04-11.
+	starts := [][6]int{{2023, 5, 10, 3, 0, 0}, {2262, 4, 10, 0, 0, 0}, {1970, 1, 1, 0, 0, 1}}
 	sizes := []int{0, 1, 2, 3, 5, acctChunkSize - 1, acctChunkSize, acctChunkSize + 1, 2 * acctChunkSize, 3*acctChunkSize + 7}
+	tick := func(t time.Time) simclock.Tick { return simclock.Tick(t.UnixNano()) }
 	for trial := 0; trial < 3*len(sizes); trial++ {
 		n := sizes[trial%len(sizes)]
-		loc := locs[trial%len(locs)]
-		st := starts[(trial/len(locs))%len(starts)]
-		epoch := time.Date(st[0], time.Month(st[1]), st[2], st[3], st[4], st[5], 0, loc)
+		st := starts[trial%len(starts)]
+		epoch := time.Date(st[0], time.Month(st[1]), st[2], st[3], st[4], st[5], 0, time.UTC)
 
 		ids := make([]int, n)
 		for i := range ids {
@@ -490,7 +490,7 @@ func TestAccountingRowsMatchOracle(t *testing.T) {
 			submit := epoch.Add(time.Duration(rng.Intn(int(12 * time.Hour))))
 			job := &Job{
 				ID:         ids[k],
-				SubmitTime: submit,
+				SubmitTime: tick(submit),
 				NodeName:   []string{"", "n0", "node-with-a-long-name-0123456789"}[rng.Intn(3)],
 				SystemJ:    float(),
 				CPUJ:       float(),
@@ -503,15 +503,18 @@ func TestAccountingRowsMatchOracle(t *testing.T) {
 				},
 			}
 			d := time.Duration(rng.Intn(int(6 * time.Hour)))
+			var start, end time.Time
 			switch kind := rng.Intn(4); kind {
 			case 0, 1: // completed, or failed at its time limit
 				job.State = []JobState{StateCompleted, StateFailed}[kind]
-				job.StartTime = submit.Add(d)
-				job.EndTime = job.StartTime.Add(time.Duration(rng.Intn(int(6 * time.Hour))))
+				start = submit.Add(d)
+				end = start.Add(time.Duration(rng.Intn(int(6 * time.Hour))))
+				job.StartTime = tick(start)
 			default: // failed at start, or cancelled before it
 				job.State = []JobState{StateFailed, StateCancelled}[kind-2]
-				job.EndTime = submit.Add(d)
+				end = submit.Add(d)
 			}
+			job.EndTime = tick(end)
 			a.record(job)
 			oracle = append(oracle, AcctRecord{
 				JobID:      job.ID,
@@ -521,9 +524,9 @@ func TestAccountingRowsMatchOracle(t *testing.T) {
 				Cores:      job.Desc.NumTasks,
 				FreqKHz:    job.Desc.MaxFreqKHz,
 				ThreadsPer: job.Desc.ThreadsPerCPU,
-				Submit:     job.SubmitTime,
-				Start:      job.StartTime,
-				End:        job.EndTime,
+				Submit:     submit,
+				Start:      start,
+				End:        end,
 				SystemKJ:   job.SystemJ / 1000,
 				CPUKJ:      job.CPUJ / 1000,
 				GFLOPS:     job.GFLOPS,

@@ -202,7 +202,7 @@ func (a *wakeAction) Fire(uint64) {
 	// dropped, not clear the armed flag — treating a stale fire as live
 	// re-arms another wake per duplicate and the event population grows
 	// geometrically at shared re-check instants.
-	if !p.wakeArmed || !a.c.sim.Now().Equal(p.wakeAt) {
+	if !p.wakeArmed || a.c.sim.NowTick() != p.wakeAt {
 		return
 	}
 	p.wakeArmed, p.woken = false, true
@@ -211,15 +211,15 @@ func (a *wakeAction) Fire(uint64) {
 }
 
 // armWake schedules a pass over the partition at the given future
-// instant, unless one is already armed at or before it: the earliest
-// wake wins, and the pass it runs re-arms for whatever still waits.
-func (c *Controller) armWake(p *partition, at time.Time) {
-	if p.wakeArmed && !at.Before(p.wakeAt) {
+// tick, unless one is already armed at or before it: the earliest wake
+// wins, and the pass it runs re-arms for whatever still waits.
+func (c *Controller) armWake(p *partition, at int64) {
+	if p.wakeArmed && at >= p.wakeAt {
 		return
 	}
 	p.wakeArmed = true
 	p.wakeAt = at
-	c.sim.AtAction(at, &c.wakeAct, 0)
+	c.sim.AtTick(at, &c.wakeAct, 0)
 }
 
 // Conf returns the parsed slurm.conf the controller runs under —
@@ -486,7 +486,7 @@ func (c *Controller) submit(ctx context.Context, desc *JobDesc) (*Job, error) {
 	job.Desc = *desc
 	job.State = StatePending
 	job.Reason = "Priority"
-	job.SubmitTime = c.sim.Now()
+	job.SubmitTime = simclock.Tick(c.sim.NowTick())
 	job.userSlot = c.slotFor(desc.UserID)
 	if desc.Shape != nil {
 		// Copy the shape into the job-owned buffer: the description's
@@ -582,7 +582,7 @@ func (c *Controller) schedulePart(p *partition) {
 		p.queueGauge.Set(float64(len(p.pending)))
 		return
 	}
-	now, tick := c.sim.Now(), c.sim.NowTick()
+	tick := c.sim.NowTick()
 	_, span := c.tracer.Start(context.Background(), spanSchedule)
 	if span != nil {
 		span.SetAttr("partition", p.name)
@@ -590,7 +590,7 @@ func (c *Controller) schedulePart(p *partition) {
 		defer func() { span.End(nil) }()
 	}
 	if p.multifactor {
-		p.orderKeyed(now, c.usageBy)
+		p.orderKeyed(tick, c.usageBy)
 	}
 	// The settled prefix (DESIGN §7): on a FIFO partition under a policy
 	// that pairs, the jobs the last pass left queued are its settled
@@ -606,7 +606,7 @@ func (c *Controller) schedulePart(p *partition) {
 	from, through := 0, 0 // keep pending[:from] unasked; pending[from:through] by kind
 	var skip uint8
 	epoch := p.epoch // the epoch the pass begins at, which settle records
-	if settles && s.n > 0 && c.pol.settledStands(p, now, tick) {
+	if settles && s.n > 0 && c.pol.settledStands(p, tick) {
 		skip, through = c.pol.skipMask(p), s.n
 		from = s.byKind(skip)
 	}
@@ -659,7 +659,7 @@ func (c *Controller) schedulePart(p *partition) {
 			break
 		}
 		if holds && job.Desc.Deferrable {
-			if wake, held := c.pol.hold(job, now, tick); held {
+			if wake, held := c.pol.hold(job, tick); held {
 				c.armWake(p, wake)
 				release = min(release, job.releaseTick)
 				if settles {
@@ -678,14 +678,14 @@ func (c *Controller) schedulePart(p *partition) {
 			if err := c.start(job, node); err != nil {
 				job.State = StateFailed
 				job.Reason = err.Error()
-				job.EndTime = now
+				job.EndTime = simclock.Tick(tick)
 				c.finish(job)
 			}
 		case node != nil:
 			c.refreeNode(node)
 			kept, left = keptFit, false
-		case pairs && c.pol.place(p, job, now, &pr):
-			c.startSecondary(job, pr, now)
+		case pairs && c.pol.place(p, job, tick, &pr):
+			c.startSecondary(job, pr, tick)
 		default:
 			job.Reason = "Resources"
 			left = false
@@ -806,19 +806,27 @@ func (c *Controller) start(job *Job, node *nodeD) error {
 		}
 	}
 	duration, gflops := w.Plan(node.hw, hwJob.Config)
-	now := c.sim.Now()
+	now := c.sim.NowTick()
 
 	// Deadline extension (§6.2.1): a job that cannot finish in time is
 	// cancelled rather than run uselessly.
-	if !job.Desc.Deadline.IsZero() && now.Add(duration).After(job.Desc.Deadline) {
+	if !job.Desc.Deadline.IsZero() && endsAfter(now, duration, job.Desc.Deadline) {
 		hwJob.End()
 		node.unpinFrequency()
 		c.refreeNode(node)
 		job.State = StateCancelled
 		job.Reason = "DeadlineUnsatisfiable"
-		job.EndTime = now
+		job.EndTime = simclock.Tick(now)
 		c.finish(job)
 		return nil
+	}
+	// A run the clock cannot end fails the job, degraded but accounted.
+	if job.endsPastClock(now, duration) {
+		hwJob.End()
+		node.unpinFrequency()
+		c.refreeNode(node)
+		return fmt.Errorf("slurm: job would end past the simulated clock's last instant, %s",
+			simclock.Tick(math.MaxInt64).Time().Format(time.RFC3339Nano))
 	}
 
 	c.claimNode(node, job)
@@ -842,7 +850,7 @@ func (c *Controller) start(job *Job, node *nodeD) error {
 // placed it with. Nothing starts on the hardware — the hw stack models
 // one job per node — so the secondary runs, and is billed, on the
 // pairing's plan.
-func (c *Controller) startSecondary(job *Job, pr pairing, now time.Time) {
+func (c *Controller) startSecondary(job *Job, pr pairing, now int64) {
 	job.coSecondary = true
 	job.estSysW, job.estCPUW = pr.sysW, pr.cpuW
 	pr.node.coJob = job
@@ -853,14 +861,14 @@ func (c *Controller) startSecondary(job *Job, pr pairing, now time.Time) {
 // share: the plan is cut at the time limit, the record turns RUNNING,
 // the policy is charged the draw of the configuration the job actually
 // runs in, and the completion event is armed.
-func (c *Controller) run(job *Job, n *nodeD, now time.Time, cfg perfmodel.Config, dur time.Duration, gflops float64) {
+func (c *Controller) run(job *Job, n *nodeD, now int64, cfg perfmodel.Config, dur time.Duration, gflops float64) {
 	job.timedOut = dur > job.Desc.TimeLimit
 	if job.timedOut {
 		dur = job.Desc.TimeLimit
 	}
 	job.State = StateRunning
 	job.Reason = ""
-	job.StartTime = now
+	job.StartTime = simclock.Tick(now)
 	job.NodeName = n.name
 	job.GFLOPS = gflops
 	job.node = n
@@ -904,7 +912,7 @@ func (c *Controller) vacate(job *Job, n *nodeD) {
 // power estimate integrated over its runtime.
 func (c *Controller) bill(job *Job, n *nodeD) {
 	if job.coSecondary {
-		secs := c.sim.Now().Sub(job.StartTime).Seconds()
+		secs := time.Duration(c.sim.NowTick() - int64(job.StartTime)).Seconds()
 		job.SystemJ = job.estSysW * secs
 		job.CPUJ = job.estCPUW * secs
 		return
@@ -917,7 +925,7 @@ func (c *Controller) bill(job *Job, n *nodeD) {
 // completeJob ends a running job at its completion event.
 func (c *Controller) completeJob(job *Job) {
 	c.vacate(job, job.node)
-	job.EndTime = c.sim.Now()
+	job.EndTime = simclock.Tick(c.sim.NowTick())
 	if job.timedOut {
 		job.State = StateFailed
 		job.Reason = "TimeLimit"
@@ -944,7 +952,7 @@ func (c *Controller) slotFor(uid uint32) int32 {
 
 func (c *Controller) finish(job *Job) {
 	if !job.StartTime.IsZero() {
-		delta := float64(job.Desc.NumTasks) * job.EndTime.Sub(job.StartTime).Seconds()
+		delta := float64(job.Desc.NumTasks) * time.Duration(job.EndTime-job.StartTime).Seconds()
 		c.usageBy[job.userSlot] += delta
 		if c.usageSink != nil {
 			c.usageSink(job.Desc.UserID, delta)

@@ -47,6 +47,7 @@ import (
 
 	"ecosched/internal/metrics"
 	"ecosched/internal/perfmodel"
+	"ecosched/internal/simclock"
 	"ecosched/internal/workload"
 )
 
@@ -136,13 +137,12 @@ type schedPolicy struct {
 	threshold float64
 	maxDefer  time.Duration
 	check     time.Duration
-	// read memoises the signal at the instant (tick) hold last read it —
-	// a pass asks hold of every queued Deferrable job at one instant: the
-	// verdict signal > threshold, and instant + check as the wake.
+	// read memoises the signal at the tick hold last read it — a pass
+	// asks hold of every queued Deferrable job at one instant: the
+	// verdict signal > threshold, and tick + check as the wake.
 	read struct {
-		ok, high       bool
-		tick, wakeTick int64
-		wake           time.Time
+		ok, high   bool
+		tick, wake int64
 	}
 	// minCapW is the smallest placement delta planBeside's budget check
 	// has refused since the scheduling pass began it (settle records it).
@@ -379,21 +379,14 @@ const capSlack = 1e-9
 
 // hold is the first half of admit, asked (when the policy holds() at
 // all) of a Deferrable job before a node is taken: does the deferral
-// signal keep it queued at now (tick is now in UnixNano, the clock's own
-// mirror)? A held job is marked with its squeue reason and must be
-// looked at again at wake. The release order is deadline/max-defer bound
-// first (never starve), then a favourable signal. The bound is derived
-// once per job and the signal read once per instant, so a job that stays
-// held costs two integer compares.
-func (pol *schedPolicy) hold(job *Job, now time.Time, tick int64) (wake time.Time, held bool) {
+// signal keep it queued at tick? A held job is marked with its squeue
+// reason and must be looked at again at the wake tick. The release order
+// is deadline/max-defer bound first (never starve), then a favourable
+// signal. The bound is derived once per job and the signal read once
+// per instant, so a job that stays held costs two integer compares.
+func (pol *schedPolicy) hold(job *Job, tick int64) (wake int64, held bool) {
 	if job.releaseTick == 0 {
-		latest := pol.releaseBound(job)
-		if latest.Before(job.SubmitTime) {
-			// A deadline already out of reach at submission releases at
-			// once (and an absurd one cannot wrap the tick).
-			latest = job.SubmitTime
-		}
-		job.releaseTick = latest.UnixNano()
+		job.releaseTick = pol.releaseBound(job)
 	}
 	if tick >= job.releaseTick {
 		if job.deferred {
@@ -402,10 +395,10 @@ func (pol *schedPolicy) hold(job *Job, now time.Time, tick int64) (wake time.Tim
 			job.deferred = false
 			pol.totals.ForcedDispatches++
 		}
-		return time.Time{}, false
+		return 0, false
 	}
-	if !pol.high(now, tick) {
-		return time.Time{}, false
+	if !pol.high(tick) {
+		return 0, false
 	}
 	rd := &pol.read
 	if !job.deferred {
@@ -414,23 +407,42 @@ func (pol *schedPolicy) hold(job *Job, now time.Time, tick int64) (wake time.Tim
 		pol.mDeferred.Inc()
 	}
 	job.Reason = reasonEnergyHold
-	if rd.wakeTick > job.releaseTick {
-		return pol.releaseBound(job), true
-	}
-	return rd.wake, true
+	return min(rd.wake, job.releaseTick), true
 }
 
-// high is the deferral signal's verdict at now (tick its UnixNano),
-// read once per instant: signal(now) > threshold.
-func (pol *schedPolicy) high(now time.Time, tick int64) bool {
+// high is the deferral signal's verdict at tick, read once per instant:
+// signal(tick) > threshold.
+func (pol *schedPolicy) high(tick int64) bool {
 	rd := &pol.read
 	if !rd.ok || rd.tick != tick {
 		rd.ok, rd.tick = true, tick
-		rd.high = pol.signal(now) > pol.threshold
-		rd.wake, rd.wakeTick = now.Add(pol.check), tick+int64(pol.check)
+		rd.high = pol.signal(simclock.Tick(tick).Time()) > pol.threshold
+		rd.wake = later(tick, pol.check)
 		pol.totals.SignalReads++
 	}
 	return rd.high
+}
+
+// later is tick t plus d, saturated at the clock's last instant.
+func later(t int64, d time.Duration) int64 {
+	if int64(d) > math.MaxInt64-t {
+		return math.MaxInt64
+	}
+	return t + int64(d)
+}
+
+// endsPastClock reports whether the job, run on a plan of d from tick
+// t, would end past the clock's last instant, where its completion tick
+// would wrap into the past. run cuts the plan at the time limit.
+func (j *Job) endsPastClock(t int64, d time.Duration) bool {
+	return min(d, j.Desc.TimeLimit) > time.Duration(math.MaxInt64-t)
+}
+
+// endsAfter reports whether a run of d from tick t ends after the
+// deadline. It compares time.Time values: a deadline is any instant a
+// script names, and t + d may pass the clock's last tick.
+func endsAfter(t int64, d time.Duration, deadline time.Time) bool {
+	return simclock.Tick(t).Time().Add(d).After(deadline)
 }
 
 // verdict is the kind of answer that kept a queued job on a pass that
@@ -455,9 +467,9 @@ const (
 // held job stays held, its wake no earlier than the one armed; a
 // released one goes on to takeIdle again. (With no bound recorded the
 // signal is not read: no job in the record would read it.)
-func (pol *schedPolicy) settledStands(p *partition, now time.Time, tick int64) bool {
+func (pol *schedPolicy) settledStands(p *partition, tick int64) bool {
 	s := &p.settled
-	return s.release == math.MaxInt64 || tick < s.release && pol.high(now, tick) == s.high
+	return s.release == math.MaxInt64 || tick < s.release && pol.high(tick) == s.high
 }
 
 // countDenials counts n fit refusals a pass repeats without asking fit,
@@ -594,19 +606,28 @@ func (pol *schedPolicy) settle(p *partition, n int, kinds [verdictKinds]int, rel
 	}
 }
 
-// releaseBound is the instant a hold on the job ends whatever the
-// signal says: max defer past submission, or — sooner — the last
-// instant that still leaves the job its time limit before its deadline.
-func (pol *schedPolicy) releaseBound(job *Job) time.Time {
-	latest := job.SubmitTime.Add(pol.maxDefer)
+// releaseBound is the tick a hold on the job ends whatever the signal
+// says: max defer past submission, or — sooner — the last instant that
+// still leaves the job its time limit before its deadline, but not
+// before submission: a deadline already out of reach then releases the
+// job at once.
+func (pol *schedPolicy) releaseBound(job *Job) int64 {
+	submit := int64(job.SubmitTime)
+	latest := later(submit, pol.maxDefer)
 	if !job.Desc.Deadline.IsZero() {
 		// Dispatching by Deadline − TimeLimit leaves room for the worst
-		// allowed runtime (the time limit truncates longer plans).
-		if byDeadline := job.Desc.Deadline.Add(-job.Desc.TimeLimit); byDeadline.Before(latest) {
-			latest = byDeadline
+		// allowed runtime (the time limit truncates longer plans). The
+		// deadline is any instant a script names, so it is compared as a
+		// time.Time and read as a tick only once it lies in [submission,
+		// latest).
+		if by := job.Desc.Deadline.Add(-job.Desc.TimeLimit); by.Before(simclock.Tick(latest).Time()) {
+			latest = submit
+			if !by.Before(job.SubmitTime.Time()) {
+				latest = by.UnixNano()
+			}
 		}
 	}
-	return latest
+	return max(latest, submit)
 }
 
 // fit is the second half of admit, asked once a node is taken: does
@@ -874,7 +895,7 @@ func refusedKind(job *Job) verdict {
 // there is none. (An out-parameter on the caller's stack rather than a
 // result: the pass asks this of every queued job, and nearly every
 // answer is "none" — a scan of the index's few words.)
-func (pol *schedPolicy) place(p *partition, job *Job, now time.Time, pr *pairing) bool {
+func (pol *schedPolicy) place(p *partition, job *Job, now int64, pr *pairing) bool {
 	want := complement(job)
 	if want < 0 {
 		return false
@@ -905,7 +926,7 @@ func (pol *schedPolicy) place(p *partition, job *Job, now time.Time, pr *pairing
 // the interference penalty, draw from the power model. False, *pr
 // untouched, when the budget, the plan or the deadline refuses. A
 // budget refusal lowers pol.minCapW to the delta it refused.
-func (pol *schedPolicy) planBeside(job *Job, n *nodeD, now time.Time, pr *pairing) bool {
+func (pol *schedPolicy) planBeside(job *Job, n *nodeD, now int64, pr *pairing) bool {
 	cfg := job.Desc.Config()
 	cfg.FreqKHz = n.hwJob.Config.FreqKHz
 	sysW := n.deltas.deltaW(cfg)
@@ -922,7 +943,10 @@ func (pol *schedPolicy) planBeside(job *Job, n *nodeD, now time.Time, pr *pairin
 	} else {
 		dur = math.MaxInt64 // saturate, as Plan does; the time limit cuts it
 	}
-	if !job.Desc.Deadline.IsZero() && now.Add(dur).After(job.Desc.Deadline) {
+	if !job.Desc.Deadline.IsZero() && endsAfter(now, dur, job.Desc.Deadline) {
+		return false
+	}
+	if job.endsPastClock(now, dur) {
 		return false
 	}
 	pol.totals.CoScheduled++

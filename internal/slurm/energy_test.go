@@ -208,7 +208,7 @@ func TestPowerCapWaitDeniesThenReleases(t *testing.T) {
 		t.Fatalf("end states: %s, %s", j1.State, j2.State)
 	}
 	// The denied job could only start after the first finished.
-	if j2.StartTime.Before(j1.EndTime) {
+	if j2.StartTime < j1.EndTime {
 		t.Fatalf("job 2 started %v before job 1 ended %v", j2.StartTime, j1.EndTime)
 	}
 	tot := c.PolicyTotals()
@@ -449,7 +449,7 @@ func TestDeferralHoldsUntilSignalDrops(t *testing.T) {
 	}
 	// Re-checks run on the 10-minute cadence, so the job starts exactly
 	// when the first check at or past the signal drop fires.
-	if !j.StartTime.Equal(cheapAt) {
+	if !j.StartTime.Time().Equal(cheapAt) {
 		t.Fatalf("started %v, want %v", j.StartTime, cheapAt)
 	}
 	tot := c.PolicyTotals()
@@ -475,12 +475,12 @@ func TestDeferralForcedDispatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		submit := j.SubmitTime
+		submit := j.SubmitTime.Time()
 		sim.Run()
 		if j.State != StateCompleted {
 			t.Fatalf("job ended %s (%s)", j.State, j.Reason)
 		}
-		if want := submit.Add(time.Hour); !j.StartTime.Equal(want) {
+		if want := submit.Add(time.Hour); !j.StartTime.Time().Equal(want) {
 			t.Fatalf("started %v, want max-defer bound %v", j.StartTime, want)
 		}
 		tot := c.PolicyTotals()
@@ -511,10 +511,10 @@ func TestDeferralForcedDispatch(t *testing.T) {
 		}
 		// Released at Deadline − TimeLimit, leaving room for the worst
 		// allowed runtime.
-		if want := desc.Deadline.Add(-desc.TimeLimit); !j.StartTime.Equal(want) {
+		if want := desc.Deadline.Add(-desc.TimeLimit); !j.StartTime.Time().Equal(want) {
 			t.Fatalf("started %v, want deadline slack bound %v", j.StartTime, want)
 		}
-		if j.EndTime.After(desc.Deadline) {
+		if j.EndTime.Time().After(desc.Deadline) {
 			t.Fatalf("job finished %v after its deadline %v", j.EndTime, desc.Deadline)
 		}
 		if tot := c.PolicyTotals(); tot.ForcedDispatches != 1 {

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"ecosched/internal/perfmodel"
+	"ecosched/internal/simclock"
 	"ecosched/internal/workload"
 )
 
@@ -87,13 +88,15 @@ func (d *JobDesc) Config() perfmodel.Config {
 
 // Job is a queued, running or finished job.
 type Job struct {
-	ID         int
-	Desc       JobDesc
-	State      JobState
-	Reason     string // why pending/failed/cancelled
-	SubmitTime time.Time
-	StartTime  time.Time
-	EndTime    time.Time
+	ID     int
+	Desc   JobDesc
+	State  JobState
+	Reason string // why pending/failed/cancelled
+	// SubmitTime, StartTime and EndTime are the clock's ticks; StartTime
+	// is zero for a job that never started.
+	SubmitTime simclock.Tick
+	StartTime  simclock.Tick
+	EndTime    simclock.Tick
 	NodeName   string
 	// Accounting, filled at completion.
 	SystemJ float64

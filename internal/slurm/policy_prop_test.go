@@ -55,7 +55,7 @@ func TestDeferralNeverStarvesPastDeadline(t *testing.T) {
 		var at time.Duration
 		for i := 0; i < nJobs; i++ {
 			at += time.Duration(rng.Intn(1800)) * time.Second
-			sim.RunUntil(start.Add(at))
+			sim.RunUntilTick(start.Add(at).UnixNano())
 			d := time.Duration(300+rng.Intn(1500)) * time.Second
 			desc := JobDesc{
 				Name:       fmt.Sprintf("dl-%d", i),
@@ -79,7 +79,7 @@ func TestDeferralNeverStarvesPastDeadline(t *testing.T) {
 			if j.State != StateCompleted {
 				t.Fatalf("seed %d: job %d ended %s (%s)", seed, j.ID, j.State, j.Reason)
 			}
-			if j.EndTime.After(j.Desc.Deadline) {
+			if j.EndTime.Time().After(j.Desc.Deadline) {
 				t.Fatalf("seed %d: job %d finished %v, past its deadline %v (deferred past the release bound)",
 					seed, j.ID, j.EndTime, j.Desc.Deadline)
 			}

@@ -119,7 +119,7 @@ func TestAdmitHold(t *testing.T) {
 		return &schedPolicy{signal: sig, threshold: 0.5, maxDefer: 2 * time.Hour, check: 10 * time.Minute}
 	}
 	job := func(deadline time.Time) *Job {
-		return &Job{SubmitTime: t0, Desc: JobDesc{Deferrable: true, TimeLimit: 30 * time.Minute, Deadline: deadline}}
+		return &Job{SubmitTime: simclock.Tick(t0.UnixNano()), Desc: JobDesc{Deferrable: true, TimeLimit: 30 * time.Minute, Deadline: deadline}}
 	}
 
 	cases := []struct {
@@ -139,7 +139,7 @@ func TestAdmitHold(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			j := job(tc.deadline)
-			wake, held := pol(tc.signal).hold(j, tc.now, tc.now.UnixNano())
+			wake, held := holdAt(pol(tc.signal), j, tc.now)
 			if held != !tc.wantWake.IsZero() || !wake.Equal(tc.wantWake) {
 				t.Fatalf("hold = %v, %v; want wake %v", wake, held, tc.wantWake)
 			}
@@ -178,7 +178,8 @@ func TestAdmitHold(t *testing.T) {
 // holdAt asks hold at an instant, deriving the tick the scheduling pass
 // takes from the clock.
 func holdAt(pol *schedPolicy, j *Job, now time.Time) (time.Time, bool) {
-	return pol.hold(j, now, now.UnixNano())
+	wake, held := pol.hold(j, now.UnixNano())
+	return simclock.Tick(wake).Time(), held
 }
 
 func TestPlace(t *testing.T) {
@@ -223,7 +224,7 @@ func TestPlace(t *testing.T) {
 			pol := pairingPolicy(1.5, p)
 			job := &Job{Desc: tc.job}
 			var pr pairing
-			ok := pol.place(p, job, t0, &pr)
+			ok := pol.place(p, job, t0.UnixNano(), &pr)
 			if !ok || pr.node != second {
 				t.Fatalf("place = %+v, %v; want the second node", pr, ok)
 			}
@@ -273,7 +274,7 @@ func TestPlace(t *testing.T) {
 				t.Fatalf("the lone primary is not indexed: %b", p.pairable[pairCompute][0])
 			}
 			var pr pairing
-			if pol.place(p, &Job{Desc: tc.job}, t0, &pr) || pr != (pairing{}) {
+			if pol.place(p, &Job{Desc: tc.job}, t0.UnixNano(), &pr) || pr != (pairing{}) {
 				t.Fatalf("place = %+v, want none", pr)
 			}
 			if pol.totals.CoScheduled != 0 {
@@ -383,7 +384,7 @@ func TestHoldReleasesAtOnceOnADeadlineOutOfReach(t *testing.T) {
 	t0 := simclock.Epoch
 	for _, deadline := range []time.Time{t0.Add(time.Minute), time.Date(1, 1, 2, 0, 0, 0, 0, time.UTC)} {
 		pol := &schedPolicy{signal: func(time.Time) float64 { return 1 }, threshold: 0.5, maxDefer: time.Hour, check: time.Minute}
-		j := &Job{SubmitTime: t0, Desc: JobDesc{Deferrable: true, TimeLimit: time.Hour, Deadline: deadline}}
+		j := &Job{SubmitTime: simclock.Tick(t0.UnixNano()), Desc: JobDesc{Deferrable: true, TimeLimit: time.Hour, Deadline: deadline}}
 		if wake, held := holdAt(pol, j, t0); held {
 			t.Fatalf("deadline %v: held until %v", deadline, wake)
 		}
@@ -394,12 +395,13 @@ func TestHoldReleasesAtOnceOnADeadlineOutOfReach(t *testing.T) {
 // cluster simulator's largest per-submission allocation, and
 // cluster-nopolicy's alloc_bytes_per_op bound (2 % of 13.1 B) is less
 // than the next size class up would spend. A new field goes into the
-// padding beside userSlot and the flags, or pays for itself. (408 bytes
-// allocates from the 416-byte size class; the 448-byte one measured
-// 0.49 B more a submission.)
+// padding beside userSlot and the flags, or pays for itself. (360 bytes
+// allocates from the 384-byte size class. Three time.Time instants
+// took it to 408 and the 416-byte class; the 448-byte one measured
+// 0.49 B more a submission than that.)
 func TestJobSize(t *testing.T) {
-	if got := unsafe.Sizeof(Job{}); got != 408 {
-		t.Fatalf("unsafe.Sizeof(Job{}) = %d, want 408: the 448-byte size class costs ~0.49 B per submission on the 1,024-node workload, "+
-			"almost twice its 0.26 B/op regression bound — pack the field into existing padding or shrink another", got)
+	if got := unsafe.Sizeof(Job{}); got != 360 {
+		t.Fatalf("unsafe.Sizeof(Job{}) = %d, want 360: the next size class up costs ~0.5 B per submission on the 1,024-node workload, "+
+			"about twice its 0.26 B/op regression bound — pack the field into existing padding or shrink another", got)
 	}
 }

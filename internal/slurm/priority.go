@@ -19,13 +19,13 @@ const (
 	usageHalfLife   = 32 * 3600      // CPU-seconds at which fair share halves: one node-day
 )
 
-// priority is the job's multifactor priority at now: a pass schedules
+// priority is the job's multifactor priority at tick now: a pass schedules
 // in descending priority, ties broken by submission order. usageBy is
 // the controller's fair-share store (consumed CPU-seconds), indexed by
 // the job's userSlot; the size factor is relative to the widest node in
 // the pool.
-func (p *partition) priority(j *Job, now time.Time, usageBy []float64) float64 {
-	age := float64(now.Sub(j.SubmitTime)) / float64(maxAge)
+func (p *partition) priority(j *Job, now int64, usageBy []float64) float64 {
+	age := float64(now-int64(j.SubmitTime)) / float64(maxAge)
 	if age > 1 {
 		age = 1
 	}
@@ -63,7 +63,7 @@ func (s *prioSorter) Swap(i, j int) {
 // job's priority is computed once per pass, then the queue sorts on the
 // cached keys (a comparison-time priority would be recomputed
 // O(n log n) times), reusing the partition's key buffer and sorter.
-func (p *partition) orderKeyed(now time.Time, usageBy []float64) {
+func (p *partition) orderKeyed(now int64, usageBy []float64) {
 	if cap(p.prios) < len(p.pending) {
 		p.prios = make([]float64, len(p.pending))
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ecosched/internal/hw"
+	"ecosched/internal/simclock"
 )
 
 // queuedJob is one job of a hand-built queue: how long it has waited,
@@ -21,10 +22,10 @@ type queuedJob struct {
 // orders them with the production orderKeyed on a 32-core partition and
 // returns the resulting job ids.
 func orderedIDs(jobs []queuedJob, usage []float64) []int {
-	now := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	now := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC).UnixNano()
 	p := &partition{maxCores: 32}
 	for i, j := range jobs {
-		p.pending = append([]*Job{{ID: i + 1, SubmitTime: now.Add(-j.waited),
+		p.pending = append([]*Job{{ID: i + 1, SubmitTime: simclock.Tick(now - int64(j.waited)),
 			Desc: JobDesc{NumTasks: j.tasks}, userSlot: j.user}}, p.pending...)
 	}
 	p.orderKeyed(now, usage)
@@ -101,10 +102,10 @@ func TestMultifactorSchedulingEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	user1ThirdJob, _ := c.Job(user1Third.ID)
-	if user1ThirdJob.State == StateCompleted && user1ThirdJob.EndTime.Before(done2.StartTime) {
+	if user1ThirdJob.State == StateCompleted && user1ThirdJob.EndTime < done2.StartTime {
 		t.Fatal("heavy user's job ran before the light user's despite fair share")
 	}
-	if done2.StartTime.Before(queued1.EndTime) {
+	if done2.StartTime < queued1.EndTime {
 		t.Fatal("user 2 started before the node was free")
 	}
 }

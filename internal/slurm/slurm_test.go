@@ -260,7 +260,7 @@ func TestJobLifecycleAndAccounting(t *testing.T) {
 	}
 	// Table 2: the standard configuration runs 18:29 and uses ~240 kJ.
 	wantRuntime := float64(paperdata.Table2Standard.RuntimeSeconds)
-	if got := done.EndTime.Sub(done.StartTime).Seconds(); math.Abs(got-wantRuntime) > 2 {
+	if got := done.EndTime.Time().Sub(done.StartTime.Time()).Seconds(); math.Abs(got-wantRuntime) > 2 {
 		t.Fatalf("runtime = %.0f s, want ≈%.0f", got, wantRuntime)
 	}
 	rec, ok := c.Accounting().Record(job.ID)
@@ -295,8 +295,30 @@ func TestTimeLimitKillsJob(t *testing.T) {
 	if done.State != StateFailed || done.Reason != "TimeLimit" {
 		t.Fatalf("state = %s (%s), want FAILED TimeLimit", done.State, done.Reason)
 	}
-	if got := done.EndTime.Sub(done.StartTime); got != time.Minute {
+	if got := done.EndTime.Time().Sub(done.StartTime.Time()); got != time.Minute {
 		t.Fatalf("runtime = %v, want the 1-minute limit", got)
+	}
+}
+
+// TestJobPastTheClockEndFails: a job whose run would end past the
+// clock's last instant fails at start, naming that instant, and hands
+// its node back to the next job.
+func TestJobPastTheClockEndFails(t *testing.T) {
+	sim := simclock.NewAt(time.Unix(0, math.MaxInt64).Add(-time.Hour))
+	c, err := NewCluster(sim, DefaultConf(), WithNodes(clusterNodes(sim, 1)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	long, err := c.Submit(sleepDesc(8, 2*time.Hour, ""))
+	if err != nil || long.State != StateFailed || !strings.Contains(long.Reason, "2262-04-11T23:47:16.854775807Z") {
+		t.Fatalf("job = %v (%q), err %v; want FAILED naming the clock's last instant", long, long.Reason, err)
+	}
+	short, err := c.Submit(sleepDesc(8, time.Minute, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done, err := c.WaitFor(short.ID); err != nil || done.State != StateCompleted {
+		t.Fatalf("next job = %v, err %v; want it COMPLETED on the freed node", done, err)
 	}
 }
 
@@ -317,8 +339,8 @@ func TestUnknownBinaryUsesFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if done.EndTime.Sub(done.StartTime) != time.Minute {
-		t.Fatalf("fallback runtime = %v, want the 1m default", done.EndTime.Sub(done.StartTime))
+	if done.EndTime.Time().Sub(done.StartTime.Time()) != time.Minute {
+		t.Fatalf("fallback runtime = %v, want the 1m default", done.EndTime.Time().Sub(done.StartTime.Time()))
 	}
 }
 
@@ -328,7 +350,7 @@ func TestJobWithoutFreqRunsGovernorDefault(t *testing.T) {
 	done, _ := c.WaitFor(job.ID)
 	// Performance governor → max frequency → the standard 18:29 runtime.
 	want := float64(paperdata.Table2Standard.RuntimeSeconds)
-	if got := done.EndTime.Sub(done.StartTime).Seconds(); math.Abs(got-want) > 2 {
+	if got := done.EndTime.Time().Sub(done.StartTime.Time()).Seconds(); math.Abs(got-want) > 2 {
 		t.Fatalf("governor-default runtime = %.0f s, want ≈%.0f", got, want)
 	}
 }
@@ -459,7 +481,7 @@ func TestDeadlineSatisfiableRuns(t *testing.T) {
 	if done.State != StateCompleted {
 		t.Fatalf("state = %s", done.State)
 	}
-	if done.EndTime.After(desc.Deadline) {
+	if done.EndTime.Time().After(desc.Deadline) {
 		t.Fatal("job finished after its deadline")
 	}
 }

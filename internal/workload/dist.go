@@ -42,10 +42,10 @@ const (
 )
 
 // IsZero reports whether the distribution is unset.
-func (d Dist) IsZero() bool { return d.Kind == "" }
+func (d *Dist) IsZero() bool { return d.Kind == "" }
 
 // Validate checks the parameters for the declared kind.
-func (d Dist) Validate() error {
+func (d *Dist) Validate() error {
 	switch d.Kind {
 	case "":
 		return nil
@@ -75,7 +75,7 @@ func (d Dist) Validate() error {
 }
 
 // Sample draws one value. The zero Dist samples 0.
-func (d Dist) Sample(r *simclock.RNG) float64 {
+func (d *Dist) Sample(r *simclock.RNG) float64 {
 	switch d.Kind {
 	case DistConstant:
 		return d.Value
@@ -95,7 +95,7 @@ func (d Dist) Sample(r *simclock.RNG) float64 {
 
 // Expectation returns the distribution's mean, used by spec
 // validation and the distribution-sanity tests.
-func (d Dist) Expectation() float64 {
+func (d *Dist) Expectation() float64 {
 	switch d.Kind {
 	case DistConstant:
 		return d.Value
@@ -114,7 +114,7 @@ func (d Dist) Expectation() float64 {
 }
 
 // Variance returns the distribution's variance.
-func (d Dist) Variance() float64 {
+func (d *Dist) Variance() float64 {
 	switch d.Kind {
 	case DistConstant:
 		return 0

@@ -109,8 +109,8 @@ func TestArrivalProcessMeans(t *testing.T) {
 				if !ok {
 					break
 				}
-				sum += s.At.Sub(prev).Seconds()
-				prev = s.At
+				sum += s.At.Time().Sub(prev).Seconds()
+				prev = s.At.Time()
 				n++
 			}
 			if n != spec.MaxSubmissions {
@@ -155,7 +155,7 @@ func TestDiurnalWindows(t *testing.T) {
 		if !ok {
 			break
 		}
-		h := s.At.UTC().Hour()
+		h := s.At.Time().Hour()
 		if h >= 9 && h < 17 {
 			peak++
 		} else {
@@ -188,7 +188,7 @@ func TestDistValidate(t *testing.T) {
 			t.Errorf("case %d (%+v): Validate() = nil, want error", i, d)
 		}
 	}
-	if err := (Dist{}).Validate(); err != nil {
+	if err := (&Dist{}).Validate(); err != nil {
 		t.Errorf("zero Dist: Validate() = %v, want nil", err)
 	}
 }

@@ -18,7 +18,7 @@ type Submission struct {
 	// Seq is the submission's position in the merged stream (0-based).
 	Seq int
 	// At is the absolute simulated arrival instant.
-	At     time.Time
+	At     simclock.Tick
 	Client string
 	// ClientSeq is the submission's 1-based position in its client's
 	// own stream; with Client it names the job (see JobName).
@@ -38,7 +38,7 @@ type Submission struct {
 	Deferrable bool
 	// Deadline is the latest acceptable completion instant (zero =
 	// none); only set for deferrable jobs with a deadline_slack dist.
-	Deadline time.Time
+	Deadline simclock.Tick
 }
 
 // JobName returns the job's name, "<client>-<n>" with n the ClientSeq:
@@ -68,7 +68,7 @@ const OptInComment = "chronus"
 // in memory: each NextInto samples exactly one submission.
 type Generator struct {
 	spec    Spec
-	horizon time.Time
+	horizon simclock.Tick
 	clients []*clientState
 	seq     int
 }
@@ -76,7 +76,7 @@ type Generator struct {
 type clientState struct {
 	spec Client
 	rng  *simclock.RNG
-	next time.Time
+	next simclock.Tick
 	done bool
 	err  error // the first duration seconds refused; it ends the stream
 	// interMeanS is the flat mean interarrival gap in seconds.
@@ -100,7 +100,11 @@ func NewGenerator(spec Spec, start time.Time) (*Generator, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	g := &Generator{spec: spec, horizon: start.Add(spec.Horizon.Std())}
+	t0 := simclock.Tick(start.UnixNano())
+	g := &Generator{spec: spec, horizon: math.MaxInt64}
+	if h := int64(spec.Horizon); h < math.MaxInt64-int64(t0) {
+		g.horizon = t0 + simclock.Tick(h)
+	}
 	for i, cs := range spec.Clients {
 		// Each client owns an RNG derived from (seed, client index), so
 		// client streams are independent: editing one client's spec
@@ -123,11 +127,11 @@ func NewGenerator(spec Spec, start time.Time) (*Generator, error) {
 		case ArrivalWeibull:
 			st.scale = st.interMeanS / math.Gamma(1+1/cs.Arrival.Shape)
 		}
-		st.next = start.Add(st.gap(start))
+		st.next = t0 + simclock.Tick(st.gap(t0))
 		if st.err != nil {
 			return nil, st.err
 		}
-		if !st.next.Before(g.horizon) {
+		if st.next >= g.horizon {
 			st.done = true
 		}
 		g.clients = append(g.clients, st)
@@ -148,7 +152,7 @@ func (g *Generator) NextInto(s *Submission) (bool, error) {
 		if st.done {
 			continue
 		}
-		if pick == nil || st.next.Before(pick.next) {
+		if pick == nil || st.next < pick.next {
 			pick = st
 		}
 	}
@@ -158,11 +162,11 @@ func (g *Generator) NextInto(s *Submission) (bool, error) {
 	pick.sampleInto(s, g.seq)
 	g.seq++
 	// Advance the client to its next arrival.
-	pick.next = pick.next.Add(pick.gap(pick.next))
+	pick.next += simclock.Tick(pick.gap(pick.next))
 	if pick.err != nil {
 		return false, pick.err
 	}
-	if !pick.next.Before(g.horizon) {
+	if pick.next >= g.horizon {
 		pick.done = true
 	}
 	return true, nil
@@ -171,7 +175,7 @@ func (g *Generator) NextInto(s *Submission) (bool, error) {
 // gap samples the next interarrival gap at the given instant,
 // applying the diurnal window weight in effect (rate modulation: a
 // 2× window halves the sampled gap).
-func (st *clientState) gap(now time.Time) time.Duration {
+func (st *clientState) gap(now simclock.Tick) time.Duration {
 	var raw float64
 	switch st.spec.Arrival.Process {
 	case ArrivalGamma:
@@ -182,10 +186,10 @@ func (st *clientState) gap(now time.Time) time.Duration {
 		raw = Exponential(st.rng, st.interMeanS)
 	}
 	if len(st.spec.Windows) > 0 {
-		// Unix() is non-negative here (simulated time starts in 2023),
-		// so the modular arithmetic equals now.UTC().Hour() without
+		// A tick is positive (the clock starts after the Unix epoch), so
+		// the modular arithmetic equals now.Time().Hour() without
 		// time.Time's calendar decoding.
-		hour := int(now.Unix()%86400) / 3600
+		hour := int(int64(now)/int64(time.Second)%86400) / 3600
 		if w := st.weight(hour); w != 1 {
 			raw /= w
 		}
@@ -197,20 +201,21 @@ func (st *clientState) gap(now time.Time) time.Duration {
 }
 
 // seconds converts a sampled number of seconds into a Duration from
-// base. The simulated clock keys events by nanoseconds since the Unix
-// epoch, so an instant past time.Unix(0, math.MaxInt64) cannot be
-// scheduled, and seconds × 1e9 past the int64 range would wrap negative
-// into the past. Such a value yields 0 and records an error naming the
-// client and the spec field; NextInto returns it.
-func (st *clientState) seconds(base time.Time, sec float64, field string) time.Duration {
+// base.
+// A tick is nanoseconds since the Unix epoch, so an instant past
+// time.Unix(0, math.MaxInt64) cannot be scheduled, and seconds × 1e9
+// past the int64 range would wrap negative into the past. Such a value
+// yields 0 and records an error naming the client and the spec field;
+// NextInto returns it.
+func (st *clientState) seconds(base simclock.Tick, sec float64, field string) time.Duration {
 	// Any float below the (rounded) bound converts to at most
 	// MaxInt64 − base; NaN fails the comparison.
-	if ns := sec * float64(time.Second); ns < float64(math.MaxInt64-base.UnixNano()) {
+	if ns := sec * float64(time.Second); ns < float64(math.MaxInt64-int64(base)) {
 		return time.Duration(ns)
 	}
 	if st.err == nil {
 		st.err = fmt.Errorf("workload: client %q: %s of %gs from %s lands past the simulated clock's last instant",
-			st.spec.Name, field, sec, base.Format(time.RFC3339))
+			st.spec.Name, field, sec, base.Time().Format(time.RFC3339))
 	}
 	return 0
 }
@@ -257,7 +262,7 @@ func (st *clientState) sampleInto(s *Submission, seq int) {
 	s.TimeLimit = 0
 	s.Exclusive = false
 	s.Deferrable = false
-	s.Deadline = time.Time{}
+	s.Deadline = 0
 	// 1. shape kind
 	sleep := false
 	switch {
@@ -326,8 +331,8 @@ func (st *clientState) sampleInto(s *Submission, seq int) {
 		if slack < 0 {
 			slack = 0
 		}
-		base := s.At.Add(s.TimeLimit)
-		s.Deadline = base.Add(st.seconds(base, slack, "deadline_slack"))
+		base := s.At + simclock.Tick(s.TimeLimit)
+		s.Deadline = base + simclock.Tick(st.seconds(base, slack, "deadline_slack"))
 	}
 	st.jobSeq++
 	s.ClientSeq = st.jobSeq

@@ -99,7 +99,7 @@ func FuzzGeneratorSamples(f *testing.F) {
 			if s.TimeLimit < 0 {
 				t.Fatalf("submission %d has time limit %v", s.Seq, s.TimeLimit)
 			}
-			if !s.Deadline.IsZero() && s.Deadline.Before(s.At) {
+			if !s.Deadline.IsZero() && s.Deadline < s.At {
 				t.Fatalf("submission %d arrives at %v after its deadline %v", s.Seq, s.At, s.Deadline)
 			}
 		}

@@ -113,10 +113,10 @@ func TestGeneratorStreamShape(t *testing.T) {
 		if s.Seq != i {
 			t.Fatalf("submission %d has seq %d", i, s.Seq)
 		}
-		if i > 0 && s.At.Before(subs[i-1].At) {
+		if i > 0 && s.At < subs[i-1].At {
 			t.Fatalf("submission %d at %v precedes predecessor at %v", i, s.At, subs[i-1].At)
 		}
-		if !s.At.Before(horizon) {
+		if !s.At.Time().Before(horizon) {
 			t.Fatalf("submission %d at %v is past the horizon %v", i, s.At, horizon)
 		}
 		if err := s.Shape.Validate(); err != nil {
@@ -308,6 +308,11 @@ func TestLogReaderRejects(t *testing.T) {
 	// sequence number ≥ 1: the one spelling the writer derives.
 	_, subs, log := recordTestLog(t, 1)
 	header, record, _ := strings.Cut(string(log), "\n")
+	// A clock starts after the Unix epoch: the zero tick means none.
+	atEpoch := strings.Replace(header, fmt.Sprintf(`"start":%d`, simclock.Epoch.UnixNano()), `"start":0`, 1)
+	if _, err := NewLogReader(strings.NewReader(atEpoch + "\n")); err == nil || !strings.Contains(err.Error(), "not after the Unix epoch") {
+		t.Errorf("header starting at the Unix epoch: err %v", err)
+	}
 	c := subs[0].Client
 	for _, bad := range []string{"x" + c + "-1", c + "-01", c + "-0", c + "-+1", c + "-", c + "1"} {
 		lr, err := NewLogReader(strings.NewReader(header + "\n" + strings.Replace(record, `"n":"`+c+`-1"`, `"n":"`+bad+`"`, 1)))

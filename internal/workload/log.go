@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"ecosched/internal/simclock"
 )
 
 // LogVersion is the submission-log format version, written in the
@@ -76,7 +78,7 @@ func (lw *LogWriter) Record(s Submission) error {
 	}
 	rec := logRecord{
 		Seq:       s.Seq,
-		AtNanos:   s.At.UnixNano(),
+		AtNanos:   int64(s.At),
 		Client:    s.Client,
 		JobName:   s.JobName(),
 		Partition: s.Partition,
@@ -92,9 +94,7 @@ func (lw *LogWriter) Record(s Submission) error {
 		Profile:   s.Shape.Profile,
 		Exclusive: s.Exclusive,
 		Deferred:  s.Deferrable,
-	}
-	if !s.Deadline.IsZero() {
-		rec.Deadline = s.Deadline.UnixNano()
+		Deadline:  int64(s.Deadline),
 	}
 	if err := lw.enc.Encode(rec); err != nil {
 		lw.err = fmt.Errorf("workload: writing log record %d: %w", s.Seq, err)
@@ -144,6 +144,10 @@ func NewLogReader(r io.Reader) (*LogReader, error) {
 	if err := h.Spec.Validate(); err != nil {
 		return nil, fmt.Errorf("workload: log header spec: %w", err)
 	}
+	if h.StartNanos <= 0 {
+		// A simulated clock starts after the Unix epoch (simclock.Tick).
+		return nil, fmt.Errorf("workload: log header start %d is not after the Unix epoch", h.StartNanos)
+	}
 	return &LogReader{sc: sc, spec: h.Spec, start: time.Unix(0, h.StartNanos).UTC(), line: 1, lastAt: h.StartNanos}, nil
 }
 
@@ -191,7 +195,7 @@ func (lr *LogReader) NextInto(s *Submission) (bool, error) {
 	}
 	*s = Submission{
 		Seq:           rec.Seq,
-		At:            time.Unix(0, rec.AtNanos).UTC(),
+		At:            simclock.Tick(rec.AtNanos),
 		Client:        rec.Client,
 		ClientSeq:     clientSeq,
 		Partition:     rec.Partition,
@@ -209,9 +213,7 @@ func (lr *LogReader) NextInto(s *Submission) (bool, error) {
 		},
 		Exclusive:  rec.Exclusive,
 		Deferrable: rec.Deferred,
-	}
-	if rec.Deadline != 0 {
-		s.Deadline = time.Unix(0, rec.Deadline).UTC()
+		Deadline:   simclock.Tick(rec.Deadline),
 	}
 	if err := s.Shape.Validate(); err != nil {
 		return false, fmt.Errorf("workload: log line %d: %w", lr.line, err)

@@ -151,9 +151,9 @@ func TestGeneratorPolicyFields(t *testing.T) {
 				t.Fatalf("deferrable submission %d has no deadline despite a slack dist", i)
 			}
 			// Deadline = At + TimeLimit + slack, slack in [3600s, 7200s].
-			lo := s.At.Add(s.TimeLimit + time.Hour)
-			hi := s.At.Add(s.TimeLimit + 2*time.Hour)
-			if s.Deadline.Before(lo) || s.Deadline.After(hi) {
+			lo := s.At.Time().Add(s.TimeLimit + time.Hour)
+			hi := s.At.Time().Add(s.TimeLimit + 2*time.Hour)
+			if s.Deadline.Time().Before(lo) || s.Deadline.Time().After(hi) {
 				t.Fatalf("submission %d deadline %v outside [%v, %v]", i, s.Deadline, lo, hi)
 			}
 		} else if !s.Deadline.IsZero() {
@@ -237,7 +237,7 @@ func TestLogRoundTripPolicyFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := lw2.Record(Submission{
-		At: simclock.Epoch.Add(time.Minute), Client: "hpc", ClientSeq: 1,
+		At: simclock.Tick(simclock.Epoch.Add(time.Minute).UnixNano()), Client: "hpc", ClientSeq: 1,
 		Tasks: 1, Shape: Sleep("s", time.Minute),
 	}); err != nil {
 		t.Fatal(err)
