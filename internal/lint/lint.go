@@ -45,15 +45,11 @@ import (
 	"strings"
 )
 
-// Analyzer is one named check. Exactly one of Run (per package) or
-// RunProgram (whole program, for call-graph checks) must be set.
+// Analyzer is one named check.
 type Analyzer struct {
-	Name string // short name; diagnostics print as ecolint/<name>
-	Doc  string // one-line description
-	// Run analyzes a single package.
-	Run func(*Pass) error
-	// RunProgram analyzes the whole loaded program at once.
-	RunProgram func(*ProgramPass) error
+	Name string            // short name; diagnostics print as ecolint/<name>
+	Doc  string            // one-line description
+	Run  func(*Pass) error // analyzes one package; the driver calls it once per package
 }
 
 // Diagnostic is one finding.
@@ -67,7 +63,8 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: [ecolint/%s] %s", d.Pos, d.Analyzer, d.Message)
 }
 
-// Pass carries one package through one analyzer.
+// Pass carries one package through one analyzer. Prog is the whole
+// program, for checks that follow calls out of the package.
 type Pass struct {
 	Analyzer *Analyzer
 	Prog     *Program
@@ -78,29 +75,11 @@ type Pass struct {
 // Reportf records a diagnostic at pos unless a lint:ignore directive
 // suppresses it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	reportf(p.Prog, p.Pkg, p.Analyzer.Name, pos, p.report, format, args...)
-}
-
-// ProgramPass carries the whole program through a program analyzer.
-type ProgramPass struct {
-	Analyzer *Analyzer
-	Prog     *Program
-	report   func(Diagnostic)
-}
-
-// Reportf records a diagnostic at pos (in whichever package owns it)
-// unless suppressed.
-func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
-	pkg := p.Prog.packageAt(pos)
-	reportf(p.Prog, pkg, p.Analyzer.Name, pos, p.report, format, args...)
-}
-
-func reportf(prog *Program, pkg *PackageInfo, analyzer string, pos token.Pos, sink func(Diagnostic), format string, args ...any) {
-	position := prog.Fset.Position(pos)
-	if pkg != nil && pkg.suppressed(analyzer, position) {
+	position := p.Prog.Fset.Position(pos)
+	if p.Pkg.suppressed(p.Prog.Fset, p.Analyzer.Name, position) {
 		return
 	}
-	sink(Diagnostic{Analyzer: analyzer, Pos: position, Message: fmt.Sprintf(format, args...)})
+	p.report(Diagnostic{Analyzer: p.Analyzer.Name, Pos: position, Message: fmt.Sprintf(format, args...)})
 }
 
 // Run executes the analyzers over every package of prog and returns
@@ -129,18 +108,10 @@ func Run(prog *Program, analyzers []*Analyzer) ([]Diagnostic, DebtReport) {
 	ran := map[string]bool{}
 	for _, a := range analyzers {
 		ran[a.Name] = true
-		switch {
-		case a.RunProgram != nil:
-			pp := &ProgramPass{Analyzer: a, Prog: prog, report: sink}
-			if err := a.RunProgram(pp); err != nil {
-				sink(Diagnostic{Analyzer: a.Name, Message: "analyzer error: " + err.Error()})
-			}
-		case a.Run != nil:
-			for _, pkg := range prog.Packages {
-				pass := &Pass{Analyzer: a, Prog: prog, Pkg: pkg, report: sink}
-				if err := a.Run(pass); err != nil {
-					sink(Diagnostic{Analyzer: a.Name, Message: "analyzer error in " + pkg.Path + ": " + err.Error()})
-				}
+		for _, pkg := range prog.Packages {
+			pass := &Pass{Analyzer: a, Prog: prog, Pkg: pkg, report: sink}
+			if err := a.Run(pass); err != nil {
+				sink(Diagnostic{Analyzer: a.Name, Message: "analyzer error in " + pkg.Path + ": " + err.Error()})
 			}
 		}
 	}
@@ -274,22 +245,10 @@ func (prog *Program) isLocalPkg(path string) bool {
 	return ok
 }
 
-// packageAt finds the loaded package whose files contain pos.
-func (prog *Program) packageAt(pos token.Pos) *PackageInfo {
-	if !pos.IsValid() {
-		return nil
-	}
-	f := prog.Fset.File(pos)
-	if f == nil {
-		return nil
-	}
-	return prog.pkgByFile[f.Name()]
-}
-
 // suppressed reports whether a diagnostic of the named analyzer at the
 // given position is covered by a lint:ignore directive, recording the
 // hit in the debt ledger when it is.
-func (pkg *PackageInfo) suppressed(analyzer string, pos token.Position) bool {
+func (pkg *PackageInfo) suppressed(fset *token.FileSet, analyzer string, pos token.Position) bool {
 	sups := pkg.suppressions[pos.Filename]
 	for i := range sups {
 		s := &sups[i]
@@ -297,8 +256,8 @@ func (pkg *PackageInfo) suppressed(analyzer string, pos token.Position) bool {
 			continue
 		}
 		if s.funcBody != nil {
-			start := pkg.fset.Position(s.funcBody.Pos())
-			end := pkg.fset.Position(s.funcBody.End())
+			start := fset.Position(s.funcBody.Pos())
+			end := fset.Position(s.funcBody.End())
 			if pos.Line >= start.Line && pos.Line <= end.Line {
 				s.hits++
 				return true

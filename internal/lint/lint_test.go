@@ -28,14 +28,11 @@ func TestBareIgnoreReported(t *testing.T) {
 }
 
 // TestAllStable: the suite is the four analyzers, in stable order,
-// each runnable.
+// each documented.
 func TestAllStable(t *testing.T) {
 	t.Parallel()
 	names := []string{}
 	for _, a := range All() {
-		if (a.Run == nil) == (a.RunProgram == nil) {
-			t.Errorf("analyzer %s must set exactly one of Run/RunProgram", a.Name)
-		}
 		if a.Doc == "" {
 			t.Errorf("analyzer %s has no Doc", a.Name)
 		}

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // PackageInfo is one loaded, type-checked package.
@@ -22,19 +23,26 @@ type PackageInfo struct {
 	Pkg   *types.Package
 	Info  *types.Info
 
-	fset         *token.FileSet
 	suppressions map[string][]suppression // filename -> directives
 }
 
 // Program is the loaded module (or fixture set): every package
 // type-checked, in dependency order.
 type Program struct {
-	Fset     *token.FileSet
+	Fset     *token.FileSet // the process-wide loadFset
 	Packages []*PackageInfo // topological order (dependencies first)
 	ByPath   map[string]*PackageInfo
-
-	pkgByFile map[string]*PackageInfo
 }
+
+// Every load shares one FileSet and one source importer, so a process
+// type-checks each standard-library package from source once, however
+// many programs it loads. The importer is not safe for concurrent use,
+// so loads take loadMu.
+var (
+	loadMu   sync.Mutex
+	loadFset = token.NewFileSet()
+	stdlib   = importer.ForCompiler(loadFset, "source", nil)
+)
 
 // LoadModule loads every package of the Go module rooted at root
 // (identified by its go.mod), excluding _test.go files and testdata
@@ -86,11 +94,9 @@ func LoadModule(root string) (*Program, error) {
 // directory). Imports are resolved among the given set first; anything
 // else is loaded from the standard library source.
 func LoadDirs(dirs map[string]string) (*Program, error) {
-	prog := &Program{
-		Fset:      token.NewFileSet(),
-		ByPath:    map[string]*PackageInfo{},
-		pkgByFile: map[string]*PackageInfo{},
-	}
+	loadMu.Lock()
+	defer loadMu.Unlock()
+	prog := &Program{Fset: loadFset, ByPath: map[string]*PackageInfo{}}
 
 	// Parse everything first so the import graph is known.
 	parsed := map[string]*PackageInfo{}
@@ -109,8 +115,7 @@ func LoadDirs(dirs map[string]string) (*Program, error) {
 		return nil, err
 	}
 
-	std := importer.ForCompiler(prog.Fset, "source", nil)
-	chained := &chainImporter{local: map[string]*types.Package{}, std: std}
+	chained := chainImporter{}
 	for _, pkg := range order {
 		conf := types.Config{Importer: chained}
 		info := &types.Info{
@@ -123,16 +128,10 @@ func LoadDirs(dirs map[string]string) (*Program, error) {
 		if err != nil {
 			return nil, fmt.Errorf("lint: type-checking %s: %w", pkg.Path, err)
 		}
-		pkg.Pkg, pkg.Info, pkg.fset = tpkg, info, prog.Fset
-		chained.local[pkg.Path] = tpkg
+		pkg.Pkg, pkg.Info = tpkg, info
+		chained[pkg.Path] = tpkg
 		prog.Packages = append(prog.Packages, pkg)
 		prog.ByPath[pkg.Path] = pkg
-		for name := range pkg.suppressions {
-			prog.pkgByFile[name] = pkg
-		}
-		for _, f := range pkg.Files {
-			prog.pkgByFile[prog.Fset.Position(f.Pos()).Filename] = pkg
-		}
 	}
 	return prog, nil
 }
@@ -235,17 +234,14 @@ func topoSort(pkgs map[string]*PackageInfo) ([]*PackageInfo, error) {
 }
 
 // chainImporter resolves module-local packages from the checked set
-// and everything else (the standard library) from source.
-type chainImporter struct {
-	local map[string]*types.Package
-	std   types.Importer
-}
+// and everything else (the standard library) through stdlib.
+type chainImporter map[string]*types.Package
 
-func (c *chainImporter) Import(path string) (*types.Package, error) {
-	if p, ok := c.local[path]; ok {
+func (local chainImporter) Import(path string) (*types.Package, error) {
+	if p, ok := local[path]; ok {
 		return p, nil
 	}
-	return c.std.Import(path)
+	return stdlib.Import(path)
 }
 
 // modulePath reads the module directive from a go.mod file.

@@ -25,6 +25,12 @@ func TestLoaderGenerics(t *testing.T) {
 	if diags, _ := Run(prog, All()); len(diags) != 0 {
 		t.Errorf("analyzers over generic code reported: %v", diags)
 	}
+	// Loads share one importer: two programs see one "time" package.
+	a, errA := loadFixtures("framework", []string{"core"})
+	b, errB := loadFixtures("framework", []string{"core"})
+	if errA != nil || errB != nil || a.ByPath["core"].Pkg.Imports()[0] != b.ByPath["core"].Pkg.Imports()[0] {
+		t.Errorf("two loads type-checked the standard library twice (errors: %v, %v)", errA, errB)
+	}
 }
 
 // TestLoaderBuildTags: files excluded by //go:build lines or by the

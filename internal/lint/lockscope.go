@@ -24,9 +24,9 @@ import (
 // precise). Deferred calls and goroutine bodies are not attributed to
 // the critical section.
 var LockScope = &Analyzer{
-	Name:       lockScopeName,
-	Doc:        "no I/O, channel operations, or lock-acquiring calls while holding a mutex in internal/metrics or internal/trace",
-	RunProgram: runLockScope,
+	Name: lockScopeName,
+	Doc:  "no I/O, channel operations, or lock-acquiring calls while holding a mutex in internal/metrics or internal/trace",
+	Run:  runLockScope,
 }
 
 const lockScopeName = "lockscope"
@@ -66,21 +66,23 @@ func isLockScopePackage(path string) bool {
 	return false
 }
 
-func runLockScope(pass *ProgramPass) error {
+// runLockScope scans the functions of one lock-scope package; the
+// acquirer map spans the whole program, so a call into any package's
+// locking function counts.
+func runLockScope(pass *Pass) error {
+	pkg := pass.Pkg
+	if !isLockScopePackage(pkg.Path) {
+		return nil
+	}
 	acquirers := lockAcquirers(pass.Prog)
-	for _, pkg := range pass.Prog.Packages {
-		if !isLockScopePackage(pkg.Path) {
-			continue
-		}
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				s := &lockScanner{pass: pass, pkg: pkg, acquirers: acquirers, self: funcKey(pkg, fd)}
-				s.block(fd.Body.List, 0)
+	for _, file := range pkg.Files {
+		for _, decl := range file.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
 			}
+			s := &lockScanner{pass: pass, acquirers: acquirers, self: funcKey(pkg, fd)}
+			s.block(fd.Body.List, 0)
 		}
 	}
 	return nil
@@ -150,8 +152,7 @@ func syncLockKind(pkg *PackageInfo, call *ast.CallExpr) lockKind {
 
 // lockScanner walks one function body tracking the held count.
 type lockScanner struct {
-	pass      *ProgramPass
-	pkg       *PackageInfo
+	pass      *Pass
 	acquirers map[string]bool
 	self      string
 }
@@ -170,7 +171,7 @@ func (s *lockScanner) stmt(stmt ast.Stmt, held int) int {
 	switch st := stmt.(type) {
 	case *ast.ExprStmt:
 		if call, ok := st.X.(*ast.CallExpr); ok {
-			switch syncLockKind(s.pkg, call) {
+			switch syncLockKind(s.pass.Pkg, call) {
 			case lockAcquire:
 				return held + 1
 			case lockRelease:
@@ -188,12 +189,12 @@ func (s *lockScanner) stmt(stmt ast.Stmt, held int) int {
 		// The spawned goroutine does not run under this critical section.
 	case *ast.SendStmt:
 		if held > 0 {
-			s.pass.Reportf(st.Pos(), "channel send while holding a lock in %s — move channel traffic outside the critical section", s.pkg.Pkg.Name())
+			s.pass.Reportf(st.Pos(), "channel send while holding a lock in %s — move channel traffic outside the critical section", s.pass.Pkg.Pkg.Name())
 		}
 		s.checkExpr(st.Value, held)
 	case *ast.SelectStmt:
 		if held > 0 {
-			s.pass.Reportf(st.Pos(), "select while holding a lock in %s — move channel traffic outside the critical section", s.pkg.Pkg.Name())
+			s.pass.Reportf(st.Pos(), "select while holding a lock in %s — move channel traffic outside the critical section", s.pass.Pkg.Pkg.Name())
 		}
 	case *ast.BlockStmt:
 		s.block(st.List, held)
@@ -252,7 +253,7 @@ func (s *lockScanner) checkExpr(expr ast.Expr, held int) {
 			return false // runs later, not under this critical section
 		case *ast.UnaryExpr:
 			if e.Op == token.ARROW {
-				s.pass.Reportf(e.Pos(), "channel receive while holding a lock in %s — move channel traffic outside the critical section", s.pkg.Pkg.Name())
+				s.pass.Reportf(e.Pos(), "channel receive while holding a lock in %s — move channel traffic outside the critical section", s.pass.Pkg.Pkg.Name())
 			}
 		case *ast.CallExpr:
 			s.checkCall(e)
@@ -265,9 +266,9 @@ func (s *lockScanner) checkCall(call *ast.CallExpr) {
 	var fn *types.Func
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:
-		fn, _ = s.pkg.Info.Uses[fun].(*types.Func)
+		fn, _ = s.pass.Pkg.Info.Uses[fun].(*types.Func)
 	case *ast.SelectorExpr:
-		fn, _ = s.pkg.Info.Uses[fun.Sel].(*types.Func)
+		fn, _ = s.pass.Pkg.Info.Uses[fun.Sel].(*types.Func)
 	}
 	if fn == nil || fn.Pkg() == nil {
 		return
@@ -275,7 +276,7 @@ func (s *lockScanner) checkCall(call *ast.CallExpr) {
 	path := fn.Pkg().Path()
 	if ioPackages[path] && !ioAllow[path+"."+fn.Name()] {
 		s.pass.Reportf(call.Pos(), "%s called while holding a lock in %s — do I/O outside the critical section (copy under the lock, write after unlock)",
-			shortFuncName(qualifiedName(fn)), s.pkg.Pkg.Name())
+			shortFuncName(qualifiedName(fn)), s.pass.Pkg.Pkg.Name())
 		return
 	}
 	if path == "sync" {
@@ -284,6 +285,6 @@ func (s *lockScanner) checkCall(call *ast.CallExpr) {
 	key := qualifiedName(fn)
 	if key != s.self && s.pass.Prog.isLocalPkg(path) && s.acquirers[key] {
 		s.pass.Reportf(call.Pos(), "%s acquires a lock and is called while %s already holds one — nested critical sections across packages invite deadlock",
-			shortFuncName(key), s.pkg.Pkg.Name())
+			shortFuncName(key), s.pass.Pkg.Pkg.Name())
 	}
 }

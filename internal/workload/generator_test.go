@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -174,6 +176,12 @@ func TestGeneratorAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	var s Submission
+	// AllocsPerRun counts the whole process's mallocs, and the runtime's
+	// background scavenger allocates when it first sleeps on a P's timer
+	// heap. On one P, with the freed memory already returned to the OS,
+	// it cannot be mid-work beside the loop and wakes to nothing.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	debug.FreeOSMemory()
 	allocs := testing.AllocsPerRun(1, func() {
 		for range 100_000 {
 			if ok, err := gen.NextInto(&s); !ok || err != nil {
