@@ -23,7 +23,7 @@ vet:
 	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	@deprecated=$$(grep -n 'Deprecated[:]' $$(git ls-files '*.go' | grep -v testdata)); \
 	if [ -n "$$deprecated" ]; then echo "Deprecated markers (migrate the callers and delete instead):"; echo "$$deprecated"; exit 1; fi
-	@leaked=$$(grep -nE 'reasonPowerCap|reasonEnergyHold|capSlack|coschedPenalty' internal/slurm/controller.go internal/slurm/cluster.go); \
+	@leaked=$$(grep -nE 'reasonPowerCap|reasonEnergyHold|capSlack' internal/slurm/controller.go internal/slurm/cluster.go); \
 	if [ -n "$$leaked" ]; then echo "policy vocabulary outside internal/slurm/energy.go (ask the policy value instead):"; echo "$$leaked"; exit 1; fi
 
 # lint runs the project's own analyzer suite (internal/lint via

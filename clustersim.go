@@ -7,6 +7,7 @@
 package ecosched
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"runtime"
@@ -54,24 +55,13 @@ type ClusterReport struct {
 type PolicyReport struct {
 	// Policies is the stable policy-set label (workload.PolicySpec.Label).
 	Policies string
-	// Counters summed over all partitions.
-	CapDenials       int64
-	FreqCapped       int64
-	DeferredJobs     int64
-	ForcedDispatches int64
-	CoScheduled      int64
-	// CapViolations counts instants a partition's draw exceeded its
-	// budget — always zero unless the enforcement logic is broken; kept
-	// in the report so the property harness and the fitness score see it.
-	CapViolations int64
+	// The policies' decision and work counters, summed over all
+	// partitions. CapViolations is always zero unless the enforcement
+	// logic is broken; the work counters are not rendered: WriteText
+	// prints outcomes.
+	slurm.PolicyTotals
 	// DeadlineMisses counts jobs cancelled DeadlineUnsatisfiable.
 	DeadlineMisses int64
-	// SignalReads, PlaceProbes and QueueVisits count the policies' work
-	// rather than their decisions (slurm.PolicyTotals). Deterministic like
-	// the rest, but not rendered: WriteText prints outcomes.
-	SignalReads int64
-	PlaceProbes int64
-	QueueVisits int64
 	// Fitness: job-attributed energy, makespan, mean wait, and a single
 	// comparable score (lower is better) that charges energy, stretches
 	// with waiting, and is heavily penalised by violations and misses.
@@ -289,39 +279,41 @@ func deferralSignal(seed uint64, d *workload.DeferralSpec) slurm.DeferralSignal 
 	return m.Price
 }
 
-// lanePolicies instantiates the spec's policy block for one
+// Defaults of a spec's policy block: sharing a node costs a
+// co-scheduled secondary ~25% even for complementary profiles, and a
+// held job re-reads the deferral signal every quarter hour.
+const (
+	defaultInterferencePenalty = 1.25
+	defaultDeferCheck          = 15 * time.Minute
+)
+
+// lanePolicies resolves the spec's policy block for one
 // single-partition lane, and is the one place a cluster budget is
-// split: the cluster-wide cap is prorated by the GLOBAL node count —
-// the lane sees only its own partition, and handing each lane the full
-// cluster budget would multiply the cap by the lane count — and an
-// explicit per-partition entry lowers the share, never raises it. A
-// partition left with no budget gets no PowerCapPolicy.
-func lanePolicies(pol *workload.PolicySpec, ps workload.PartitionSpec, totalNodes int, seed uint64) []slurm.SchedPolicy {
-	var out []slurm.SchedPolicy
-	capW := 0.0
+// split and the block's defaults are filled in: the cluster-wide cap is
+// prorated by the GLOBAL node count — the lane sees only its own
+// partition, and handing each lane the full cluster budget would
+// multiply the cap by the lane count — and an explicit per-partition
+// entry lowers the share, never raises it. A partition left with no
+// budget is uncapped.
+func lanePolicies(pol *workload.PolicySpec, ps workload.PartitionSpec, totalNodes int, seed uint64) slurm.EnergyPolicy {
+	ep := slurm.EnergyPolicy{FreqCap: pol.CapMode == "freqcap"}
 	if pol.PowerCapW > 0 && totalNodes > 0 {
-		capW = pol.PowerCapW * float64(ps.Nodes) / float64(totalNodes)
+		ep.CapW = pol.PowerCapW * float64(ps.Nodes) / float64(totalNodes)
 	}
 	for _, e := range pol.PartitionCapsW {
-		if e.Name == ps.Name && (capW == 0 || e.CapW < capW) {
-			capW = e.CapW
+		if e.Name == ps.Name && (ep.CapW == 0 || e.CapW < ep.CapW) {
+			ep.CapW = e.CapW
 		}
 	}
-	if capW > 0 {
-		out = append(out, &slurm.PowerCapPolicy{CapW: capW, Mode: pol.CapMode})
-	}
 	if pol.CoSchedule {
-		out = append(out, &slurm.CoSchedulePolicy{InterferencePenalty: pol.InterferencePenalty})
+		ep.Penalty = cmp.Or(pol.InterferencePenalty, defaultInterferencePenalty)
 	}
 	if d := pol.Deferral; d != nil {
-		out = append(out, &slurm.DeferralPolicy{
-			Signal:    deferralSignal(seed, d),
-			Threshold: d.Threshold,
-			MaxDefer:  d.MaxDefer.Std(),
-			Check:     d.Check.Std(),
-		})
+		ep.Signal = deferralSignal(seed, d)
+		ep.Threshold, ep.MaxDefer = d.Threshold, d.MaxDefer.Std()
+		ep.Check = cmp.Or(d.Check.Std(), defaultDeferCheck)
 	}
-	return out
+	return ep
 }
 
 // laneWindow is the conservative lookahead of the parallel partition
@@ -625,9 +617,6 @@ type clusterLane struct {
 	reads, feeds bool
 	usage        []usageDelta // usage accrued this window (sink output)
 	rejected     int          // submissions the controller refused
-	// deadlineMisses counts jobs cancelled DeadlineUnsatisfiable (only
-	// tracked under a policy block).
-	deadlineMisses int64
 
 	// desc is the lane's reusable job description: runWindow rewrites
 	// the per-submission fields in place and submits by pointer, so the
@@ -819,22 +808,13 @@ func runCluster(startAt time.Time, spec workload.Spec, src workload.Source, lw *
 			copts = append(copts, slurm.WithMultifactor())
 		}
 		if spec.Policy != nil {
-			if pols := lanePolicies(spec.Policy, ps, totalNodes, spec.Seed); len(pols) > 0 {
-				copts = append(copts, slurm.WithSchedPolicies(pols...))
-			}
+			copts = append(copts, slurm.WithEnergyPolicy(lanePolicies(spec.Policy, ps, totalNodes, spec.Seed)))
 		}
 		ctl, err := slurm.NewCluster(laneSim, conf, copts...)
 		if err != nil {
 			return nil, err
 		}
 		ln.ctl = ctl
-		if spec.Policy != nil {
-			ctl.OnCompletion(func(j *slurm.Job) {
-				if j.State == slurm.StateCancelled && j.Reason == "DeadlineUnsatisfiable" {
-					ln.deadlineMisses++
-				}
-			})
-		}
 		lanes = append(lanes, ln)
 		rt.parts = append(rt.parts, ps.Name)
 	}
@@ -932,19 +912,10 @@ func runCluster(startAt time.Time, spec workload.Spec, src workload.Source, lw *
 		report.ClusterCPUKJ += cpuJ / 1000
 	}
 	if spec.Policy != nil {
-		pl := &PolicyReport{Policies: spec.Policy.Label()}
+		// The deadline cancel is the one way a job ends cancelled.
+		pl := &PolicyReport{Policies: spec.Policy.Label(), DeadlineMisses: int64(report.Totals.Cancelled)}
 		for i, ln := range lanes {
-			pt := ln.ctl.PolicyTotals()
-			pl.CapDenials += pt.CapDenials
-			pl.FreqCapped += pt.FreqCapped
-			pl.DeferredJobs += pt.DeferredJobs
-			pl.ForcedDispatches += pt.ForcedDispatches
-			pl.CoScheduled += pt.CoScheduled
-			pl.CapViolations += pt.CapViolations
-			pl.SignalReads += pt.SignalReads
-			pl.PlaceProbes += pt.PlaceProbes
-			pl.QueueVisits += pt.QueueVisits
-			pl.DeadlineMisses += ln.deadlineMisses
+			pl.Add(ln.ctl.PolicyTotals())
 			_, peak, capW := ln.ctl.PartitionDrawW()
 			report.Partitions[i].CapW = capW
 			report.Partitions[i].PeakDrawW = peak

@@ -255,7 +255,7 @@ func TestLanePoliciesSplitTheBudget(t *testing.T) {
 	cases := []struct {
 		name string
 		pol  workload.PolicySpec
-		want float64 // the lane's PowerCapPolicy.CapW; 0 = none
+		want float64 // the lane's EnergyPolicy.CapW; 0 = none
 	}{
 		{"cluster cap only: cap·n/N", workload.PolicySpec{PowerCapW: 6000, CapMode: "freqcap"}, 4500},
 		{"entry below the share: the entry",
@@ -269,21 +269,9 @@ func TestLanePoliciesSplitTheBudget(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			pols := lanePolicies(&tc.pol, batch, 32, 42)
-			var caps []*slurm.PowerCapPolicy
-			for _, p := range pols {
-				if pc, ok := p.(*slurm.PowerCapPolicy); ok {
-					caps = append(caps, pc)
-				}
-			}
-			if tc.want == 0 {
-				if len(caps) != 0 || len(pols) == 0 {
-					t.Fatalf("lane policies %+v: want the co-scheduling policy and no cap", pols)
-				}
-				return
-			}
-			if len(caps) != 1 || caps[0].CapW != tc.want || caps[0].Mode != tc.pol.CapMode {
-				t.Fatalf("lane caps %+v, want one of %g W in mode %q", caps, tc.want, tc.pol.CapMode)
+			ep := lanePolicies(&tc.pol, batch, 32, 42)
+			if ep.CapW != tc.want || ep.FreqCap != (tc.pol.CapMode == "freqcap") || (ep.Penalty == defaultInterferencePenalty) != tc.pol.CoSchedule {
+				t.Fatalf("lane policy %+v, want a cap of %g W in mode %q, co-scheduling %v", ep, tc.want, tc.pol.CapMode, tc.pol.CoSchedule)
 			}
 		})
 	}

@@ -344,11 +344,11 @@ func referenceRun(t testing.TB, spec workload.Spec) (*ClusterReport, refCoverage
 // opened at its nodes' idle floors, in slot order.
 func (r *refRun) setPolicy(spec workload.Spec, totalNodes int) {
 	pol := spec.Policy
-	r.pol.freqCap = pol.CapMode == slurm.CapModeFreqCap
+	r.pol.freqCap = pol.CapMode == "freqcap"
 	if pol.CoSchedule {
 		r.pol.penalty = pol.InterferencePenalty
 		if r.pol.penalty == 0 {
-			r.pol.penalty = slurm.DefaultInterferencePenalty
+			r.pol.penalty = defaultInterferencePenalty
 		}
 	}
 	if d := pol.Deferral; d != nil {
@@ -359,7 +359,7 @@ func (r *refRun) setPolicy(spec workload.Spec, totalNodes int) {
 		}
 		r.pol.threshold, r.pol.maxDefer, r.pol.check = d.Threshold, d.MaxDefer.Std(), d.Check.Std()
 		if r.pol.check == 0 {
-			r.pol.check = slurm.DefaultDeferCheck
+			r.pol.check = defaultDeferCheck
 		}
 	}
 	for _, p := range r.parts {
@@ -835,7 +835,7 @@ func randomPolicy(rng *rand.Rand, spec *workload.Spec) {
 		pol.PartitionCapsW = []workload.PartitionCap{{Name: ps.Name, CapW: float64(ps.Nodes) * (idle + 10 + 80*rng.Float64())}}
 	}
 	if capped != 0 {
-		pol.CapMode = []string{"", slurm.CapModeWait, slurm.CapModeFreqCap}[rng.IntN(3)]
+		pol.CapMode = []string{"", "wait", "freqcap"}[rng.IntN(3)]
 	}
 	if rng.IntN(3) > 0 {
 		pol.CoSchedule = true

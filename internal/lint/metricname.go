@@ -45,7 +45,6 @@ type metricNameSink struct {
 var metricNameSinks = []metricNameSink{
 	{"metrics", "Registry", "Counter", 0},
 	{"metrics", "Registry", "Gauge", 0},
-	{"metrics", "Registry", "Histogram", 0},
 	{"metrics", "Registry", "BucketedHistogram", 0},
 	{"trace", "Tracer", "Start", 1},
 	{"trace", "Tracer", "Event", 0},

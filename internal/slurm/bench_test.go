@@ -67,10 +67,9 @@ func BenchmarkSubmitSteadyState(b *testing.B) {
 func policyPassQueue(b *testing.B) (c *Controller, check func()) {
 	idle, deltas := testLadderWatts()
 	sim := simclock.New()
-	c, err := tryPolicyCluster(sim, 24,
-		&PowerCapPolicy{CapW: 24 * (idle + 2*deltas[len(deltas)-1]), Mode: CapModeFreqCap},
-		&CoSchedulePolicy{},
-		&DeferralPolicy{Signal: func(time.Time) float64 { return 1 }, Threshold: 0.5, MaxDefer: 4 * time.Hour, Check: 10 * time.Minute})
+	c, err := tryPolicyCluster(sim, 24, EnergyPolicy{
+		CapW: 24 * (idle + 2*deltas[len(deltas)-1]), FreqCap: true, Penalty: 1.25,
+		Signal: func(time.Time) float64 { return 1 }, Threshold: 0.5, MaxDefer: 4 * time.Hour, Check: 10 * time.Minute})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -172,7 +172,7 @@ type clusterConfig struct {
 	aggregate   bool
 	batched     bool
 	usageSink   func(uid uint32, cpuSeconds float64)
-	policies    []SchedPolicy
+	policy      EnergyPolicy
 }
 
 // WithNodes adds nodes to the partition's pool, in first-fit order.
@@ -213,12 +213,11 @@ func WithUsageSink(fn func(uid uint32, cpuSeconds float64)) ClusterOption {
 	return func(cfg *clusterConfig) { cfg.usageSink = fn }
 }
 
-// WithSchedPolicies attaches cluster energy policies (PowerCapPolicy,
-// CoSchedulePolicy, DeferralPolicy) at construction. The policy layer
-// activates only through this option; without it the dispatch path is
-// unchanged.
-func WithSchedPolicies(ps ...SchedPolicy) ClusterOption {
-	return func(cfg *clusterConfig) { cfg.policies = append(cfg.policies, ps...) }
+// WithEnergyPolicy gives the controller a cluster energy policy at
+// construction. The policy layer activates only through this option;
+// without it the dispatch path is unchanged.
+func WithEnergyPolicy(p EnergyPolicy) ClusterOption {
+	return func(cfg *clusterConfig) { cfg.policy = p }
 }
 
 // maxNodeWidth bounds a node's cores and its threads per core, both 16
@@ -275,7 +274,7 @@ func NewCluster(sim *simclock.Sim, conf Conf, opts ...ClusterOption) (*Controlle
 	}
 
 	var err error
-	if c.pol, err = newSchedPolicy(c, cfg.policies); err != nil {
+	if c.pol, err = newPolicy(c, cfg.policy); err != nil {
 		return nil, err
 	}
 	return c, nil

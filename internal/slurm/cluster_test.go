@@ -187,7 +187,7 @@ func TestAggregateAccounting(t *testing.T) {
 		sim := simclock.New()
 		high := true
 		c, err := NewCluster(sim, DefaultConf(), WithNodes(clusterNodes(sim, 1)...), WithAggregateAccounting(),
-			WithSchedPolicies(&DeferralPolicy{
+			WithEnergyPolicy(EnergyPolicy{
 				Signal: func(time.Time) float64 {
 					if high {
 						return 1
@@ -275,18 +275,30 @@ func TestJobTableGrowthMatchesMapOracle(t *testing.T) {
 			for i, d := range lengths {
 				c.RegisterWorkload(fmt.Sprintf("/bin/app%d", i), workload.Sleep("app", d))
 			}
+			// An oracle entry is live while its record carries its id (the
+			// aggregate mode recycles ended records) and has not ended.
 			live := map[int]*Job{}
-			newest, late := 0, 0 // late: jobs ending after a job with a larger id
-			c.OnCompletion(func(j *Job) {
-				delete(live, j.ID)
-				if j.ID < newest {
-					late++
+			late := 0 // jobs that ended while a job with a smaller id was live
+			prune := func() {
+				oldest := math.MaxInt
+				for id, j := range live {
+					if j.ID == id && !j.State.Terminal() {
+						oldest = min(oldest, id)
+					}
 				}
-				newest = max(newest, j.ID)
-			})
+				for id, j := range live {
+					if j.ID != id || j.State.Terminal() {
+						delete(live, id)
+						if id > oldest {
+							late++
+						}
+					}
+				}
+			}
 
 			check := func(when string) {
 				t.Helper()
+				prune()
 				for id := 0; id <= c.nextID+1; id++ {
 					got, ok := c.Job(id)
 					if want := live[id]; got != want || ok != (want != nil) {
@@ -319,6 +331,7 @@ func TestJobTableGrowthMatchesMapOracle(t *testing.T) {
 					check(fmt.Sprintf("after job %d", job.ID))
 				}
 				sim.RunFor(time.Minute)
+				prune()
 			}
 			check("at the last submission")
 			sim.Run()
@@ -336,7 +349,7 @@ func TestJobTableGrowthMatchesMapOracle(t *testing.T) {
 // places, and WaitFor waits it out. Kills
 // scripts/mutants/live-job-walk-skips-cojob.patch.
 func TestLiveJobLookupFindsCoScheduledJobs(t *testing.T) {
-	_, c := newPolicyCluster(t, 1, &CoSchedulePolicy{})
+	_, c := newPolicyCluster(t, 1, EnergyPolicy{Penalty: 1.25})
 	pri, err := c.Submit(sleepDesc(16, 10*time.Minute, workload.ProfileCompute))
 	if err != nil {
 		t.Fatal(err)

@@ -107,7 +107,7 @@ type Controller struct {
 	part    *partition // the one partition; its pool is the controller's nodes
 	plugins []SubmitPlugin
 	// jobPool recycles ended Job records in aggregate mode, where no
-	// caller retains them past the completion hooks.
+	// caller retains them past their completion.
 	jobPool []*Job
 	// descScratch is the submission description the plugin chain and
 	// validation operate on. Submit copies its argument here so the
@@ -122,7 +122,6 @@ type Controller struct {
 	workload0 registeredWorkload
 	workloads map[string]workload.Shape
 	acct      *Accounting
-	onDone    []func(*Job)
 
 	// The parse memo: the last script SubmitScript parsed and what
 	// ParseBatchScript returned for it. The parse is a pure function of
@@ -300,12 +299,6 @@ func (c *Controller) AddUsage(uid uint32, cpuSeconds float64) {
 
 // Accounting returns the slurmdbd record store.
 func (c *Controller) Accounting() *Accounting { return c.acct }
-
-// OnCompletion registers a hook invoked when any job reaches a
-// terminal state.
-func (c *Controller) OnCompletion(fn func(*Job)) {
-	c.onDone = append(c.onDone, fn)
-}
 
 // QueueDepth reports the pending-queue length.
 func (c *Controller) QueueDepth() int { return len(c.part.pending) }
@@ -987,12 +980,9 @@ func (c *Controller) finish(job *Job) {
 		c.tracer.Event(eventJobEnd, attrs)
 	}
 	c.acct.record(job)
-	for _, fn := range c.onDone {
-		fn(job)
-	}
 	// An ended job's history is its accounting row and the record its
 	// submitter holds. In aggregate mode nothing retains a job past its
-	// completion hooks, so the record goes back to the pool.
+	// completion, so the record goes back to the pool.
 	if c.aggregate {
 		c.jobPool = append(c.jobPool, job)
 	}

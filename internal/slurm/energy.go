@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"reflect"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -114,29 +115,39 @@ func (pm PowerModel) CPUDeltaW(cfg perfmodel.Config) float64 {
 	return d
 }
 
-// SchedPolicy is one cluster energy policy. Implementations fill in
-// the controller's policy value at construction (attach is deliberately
-// unexported: the pluggable surface is policy selection and parameters
-// — specs, CLI flags, WithSchedPolicies — not arbitrary dispatch
-// callbacks, which could not stay deterministic or zero-alloc).
-type SchedPolicy interface {
-	attach(pol *schedPolicy, c *Controller) error
+// EnergyPolicy is a controller's cluster energy policy, its parameters
+// resolved: the cluster simulator builds one per partition from a spec's
+// policy block (lanePolicies), which has already checked every rule but
+// the one that needs the nodes. The zero value is no policy.
+type EnergyPolicy struct {
+	// CapW is the partition's power budget in watts, idle floor
+	// included (0 = uncapped): a job places only if the post-placement
+	// draw stays within it.
+	CapW float64
+	// FreqCap: over the budget, fit pins the fastest ladder rung that
+	// fits before the job waits with reason PowerCap.
+	FreqCap bool
+	// Penalty stretches a co-scheduled secondary's runtime (0 = no
+	// co-scheduling): with no idle node, a compute-bound and a
+	// memory-bound job share one node, the secondary's energy attributed
+	// from the power model. Jobs without a profile, or marked Exclusive,
+	// are never paired.
+	Penalty float64
+	// Signal is the deferral signal (nil = no deferral): Deferrable jobs
+	// wait while it exceeds Threshold, until it drops, their deadline
+	// leaves just enough slack to run within their time limit, or
+	// MaxDefer past submission passes. A held job re-reads it every
+	// Check.
+	Signal    DeferralSignal
+	Threshold float64
+	MaxDefer  time.Duration
+	Check     time.Duration
 }
 
-// schedPolicy is the controller's one policy value: the parameters the
-// attached SchedPolicy values set, and the run's decision counters.
+// schedPolicy is the controller's one policy value: its parameters and
+// the run's decision counters.
 type schedPolicy struct {
-	// freqCap: over a partition's budget (partition.capW), fit pins a
-	// lower rung before it waits.
-	freqCap bool
-	// penalty stretches a co-scheduled secondary's runtime; 0 = no
-	// co-scheduling.
-	penalty float64
-	// signal is the deferral signal; nil = no deferral.
-	signal    DeferralSignal
-	threshold float64
-	maxDefer  time.Duration
-	check     time.Duration
+	EnergyPolicy
 	// read memoises the signal at the tick hold last read it — a pass
 	// asks hold of every queued Deferrable job at one instant: the
 	// verdict signal > threshold, and tick + check as the wake.
@@ -158,13 +169,12 @@ type schedPolicy struct {
 	mCoScheduled *metrics.Counter
 }
 
-// newSchedPolicy builds the policy value for a constructed controller:
+// newPolicy builds the policy value for a constructed controller:
 // seats the power model on every node, opens the partition's draw
 // ledger at its idle floor (an empty cluster still draws power, and
-// the budget is a physical one), then lets each policy fill in its
-// parameters. No policies, no value.
-func newSchedPolicy(c *Controller, ps []SchedPolicy) (*schedPolicy, error) {
-	if len(ps) == 0 {
+// the budget is a physical one) and sets the cap. No policy, no value.
+func newPolicy(c *Controller, ep EnergyPolicy) (*schedPolicy, error) {
+	if ep.CapW == 0 && ep.Penalty == 0 && ep.Signal == nil {
 		return nil, nil
 	}
 	p := c.part
@@ -174,11 +184,16 @@ func newSchedPolicy(c *Controller, ps []SchedPolicy) (*schedPolicy, error) {
 		p.drawW += nd.idleDrawW
 	}
 	p.peakDrawW = p.drawW
-	pol := &schedPolicy{}
-	for _, sp := range ps {
-		if err := sp.attach(pol, c); err != nil {
-			return nil, err
+	pol := &schedPolicy{EnergyPolicy: ep}
+	if ep.CapW != 0 {
+		// A cap at or below the idle floor could never admit a job:
+		// reject it loudly instead of silently starving the queue.
+		if ep.CapW <= p.drawW {
+			return nil, fmt.Errorf("slurm: partition %q power cap %.0f W is at or below its %.0f W idle floor; no job could ever start",
+				p.name, ep.CapW, p.drawW)
 		}
+		p.capW = ep.CapW
+		pol.headroomW = ep.CapW - p.drawW
 	}
 	if pol.pairs() {
 		p.indexPairable()
@@ -198,81 +213,6 @@ func (pol *schedPolicy) setMetrics(r *metrics.Registry) {
 	pol.mCoScheduled = r.Counter(metricCoScheduled)
 }
 
-// Power-cap modes: what happens to a job whose placement would exceed
-// the budget.
-const (
-	// CapModeWait denies the placement; the job stays queued with
-	// reason PowerCap until draw drops.
-	CapModeWait = "wait"
-	// CapModeFreqCap walks the node's frequency ladder downward and
-	// pins the job to the fastest frequency whose draw fits; only when
-	// no rung fits does the job wait.
-	CapModeFreqCap = "freqcap"
-)
-
-// PowerCapPolicy enforces the partition's power budget at dispatch: a
-// job places only if the post-placement draw (idle floor included)
-// stays within CapW. A cluster states one budget per partition
-// controller; the cluster simulator prorates a spec's cluster-wide cap
-// (lanePolicies).
-type PowerCapPolicy struct {
-	CapW float64
-	Mode string // CapModeWait (default) or CapModeFreqCap
-}
-
-func (p *PowerCapPolicy) attach(pol *schedPolicy, c *Controller) error {
-	switch p.Mode {
-	case "", CapModeWait:
-	case CapModeFreqCap:
-		pol.freqCap = true
-	default:
-		return fmt.Errorf("slurm: power-cap mode %q (want %q or %q)", p.Mode, CapModeWait, CapModeFreqCap)
-	}
-	part := c.part
-	if !(p.CapW > 0) {
-		return fmt.Errorf("slurm: power cap must be > 0 W, got %g", p.CapW)
-	}
-	// A cap at or below the idle floor could never admit a job: reject
-	// it loudly instead of silently starving the queue. (drawW holds
-	// exactly the idle floor at attachment time.)
-	if p.CapW <= part.drawW {
-		return fmt.Errorf("slurm: partition %q power cap %.0f W is at or below its %.0f W idle floor; no job could ever start",
-			part.name, p.CapW, part.drawW)
-	}
-	part.capW = p.CapW
-	pol.headroomW = p.CapW - part.drawW
-	return nil
-}
-
-// DefaultInterferencePenalty is the runtime stretch applied to a
-// co-scheduled secondary when the policy does not set one: sharing a
-// node costs ~25% even for complementary profiles.
-const DefaultInterferencePenalty = 1.25
-
-// CoSchedulePolicy pairs a compute-bound job with a memory-bound one
-// (HPCG + STREAM profiles) on a single node when no idle node exists:
-// the secondary runs alongside the primary, its runtime stretched by
-// the interference penalty, its energy attributed from the power
-// model. Jobs without a profile, or marked Exclusive, are never
-// paired.
-type CoSchedulePolicy struct {
-	// InterferencePenalty multiplies the secondary's planned runtime
-	// (>= 1; 0 selects DefaultInterferencePenalty).
-	InterferencePenalty float64
-}
-
-func (p *CoSchedulePolicy) attach(pol *schedPolicy, _ *Controller) error {
-	pen := p.InterferencePenalty
-	if pen == 0 {
-		pen = DefaultInterferencePenalty
-	}
-	if pen < 1 {
-		return fmt.Errorf("slurm: interference penalty %g < 1 (a shared node is never faster)", pen)
-	}
-	pol.penalty = pen
-	return nil
-}
-
 // DeferralSignal reports the energy signal (spot price, carbon
 // intensity) the deferral policy compares against its threshold. It
 // must be a pure function of simulated time — same instant, same value,
@@ -282,51 +222,6 @@ func (p *CoSchedulePolicy) attach(pol *schedPolicy, _ *Controller) error {
 // decoupled from internal/energymarket.
 type DeferralSignal func(t time.Time) float64
 
-// DefaultDeferCheck is how often a held job re-reads the signal when
-// the policy does not set a cadence.
-const DefaultDeferCheck = 15 * time.Minute
-
-// DeferralPolicy holds Deferrable jobs while Signal(now) exceeds
-// Threshold, releasing each job when the signal drops, when its
-// deadline leaves just enough slack to run within its time limit, or
-// after MaxDefer past submission — whichever comes first. MaxDefer is
-// mandatory: without it a high signal could starve jobs unboundedly.
-type DeferralPolicy struct {
-	Signal    DeferralSignal
-	Threshold float64
-	MaxDefer  time.Duration
-	// Check is the signal re-evaluation cadence for held jobs (0 =
-	// DefaultDeferCheck; else at least workload.MinDeferCheck).
-	Check time.Duration
-}
-
-func (p *DeferralPolicy) attach(pol *schedPolicy, _ *Controller) error {
-	if p.Signal == nil {
-		return fmt.Errorf("slurm: deferral policy needs a signal")
-	}
-	if p.Threshold <= 0 {
-		return fmt.Errorf("slurm: deferral threshold must be > 0, got %g", p.Threshold)
-	}
-	if p.MaxDefer <= 0 {
-		return fmt.Errorf("slurm: deferral needs max defer > 0 (unbounded deferral starves jobs)")
-	}
-	check := p.Check
-	if check < 0 {
-		return fmt.Errorf("slurm: negative deferral check interval %v", p.Check)
-	}
-	if check != 0 && check < workload.MinDeferCheck {
-		return fmt.Errorf("slurm: deferral check interval %v is under %v", p.Check, workload.MinDeferCheck)
-	}
-	if check == 0 {
-		check = DefaultDeferCheck
-	}
-	pol.signal = p.Signal
-	pol.threshold = p.Threshold
-	pol.maxDefer = p.MaxDefer
-	pol.check = check
-	return nil
-}
-
 // PolicyTotals counts policy decisions over a run — the per-policy
 // fitness inputs beside energy/makespan/wait.
 type PolicyTotals struct {
@@ -334,7 +229,7 @@ type PolicyTotals struct {
 	// (the job waited).
 	CapDenials int64
 	// FreqCapped counts placements that fit only after pinning a lower
-	// frequency (CapModeFreqCap).
+	// frequency (FreqCap).
 	FreqCapped int64
 	// DeferredJobs counts jobs the deferral policy held at least once.
 	DeferredJobs int64
@@ -355,6 +250,15 @@ type PolicyTotals struct {
 	SignalReads int64
 	PlaceProbes int64
 	QueueVisits int64
+}
+
+// Add sums u into t, counter by counter: every field of PolicyTotals is
+// an int64 count, so a new counter is summed without an edit here.
+func (t *PolicyTotals) Add(u PolicyTotals) {
+	dst, src := reflect.ValueOf(t).Elem(), reflect.ValueOf(&u).Elem()
+	for i := range dst.NumField() {
+		dst.Field(i).SetInt(dst.Field(i).Int() + src.Field(i).Int())
+	}
 }
 
 // PolicyTotals returns the run's policy decision counts.
@@ -416,8 +320,8 @@ func (pol *schedPolicy) high(tick int64) bool {
 	rd := &pol.read
 	if !rd.ok || rd.tick != tick {
 		rd.ok, rd.tick = true, tick
-		rd.high = pol.signal(simclock.Tick(tick).Time()) > pol.threshold
-		rd.wake = later(tick, pol.check)
+		rd.high = pol.Signal(simclock.Tick(tick).Time()) > pol.Threshold
+		rd.wake = later(tick, pol.Check)
 		pol.totals.SignalReads++
 	}
 	return rd.high
@@ -613,7 +517,7 @@ func (pol *schedPolicy) settle(p *partition, n int, kinds [verdictKinds]int, rel
 // job at once.
 func (pol *schedPolicy) releaseBound(job *Job) int64 {
 	submit := int64(job.SubmitTime)
-	latest := later(submit, pol.maxDefer)
+	latest := later(submit, pol.MaxDefer)
 	if !job.Desc.Deadline.IsZero() {
 		// Dispatching by Deadline − TimeLimit leaves room for the worst
 		// allowed runtime (the time limit truncates longer plans). The
@@ -648,7 +552,7 @@ func (pol *schedPolicy) fit(job *Job, n *nodeD) bool {
 	if capAllows(n, n.deltas.deltaW(cfg)) {
 		return true
 	}
-	if pol.freqCap && job.Desc.MaxFreqKHz == 0 {
+	if pol.FreqCap && job.Desc.MaxFreqKHz == 0 {
 		for i := len(ladder) - 2; i >= 0; i-- {
 			cfg.FreqKHz = ladder[i]
 			if capAllows(n, n.deltas.deltaW(cfg)) {
@@ -767,7 +671,7 @@ func (pol *schedPolicy) fitsBudget(p *partition, desc *JobDesc) error {
 			continue
 		}
 		lo, hi := t.top, t.top+1
-		if pol.freqCap {
+		if pol.FreqCap {
 			lo, hi = 0, t.rungs
 		}
 		least = min(least, t.leastW(cfg, lo, hi))
@@ -790,8 +694,8 @@ func capAllows(n *nodeD, deltaW float64) bool {
 // whether place can ever start one on a busy node. The scheduling pass
 // asks once, not per pending job — and without pairs, "no idle node"
 // still means "nothing can start".
-func (pol *schedPolicy) holds() bool { return pol.signal != nil }
-func (pol *schedPolicy) pairs() bool { return pol.penalty != 0 }
+func (pol *schedPolicy) holds() bool { return pol.Signal != nil }
+func (pol *schedPolicy) pairs() bool { return pol.Penalty != 0 }
 
 // pairing is place's verdict: the node whose running primary the job
 // starts beside, and the plan it runs on there.
@@ -938,7 +842,7 @@ func (pol *schedPolicy) planBeside(job *Job, n *nodeD, now int64, pr *pairing) b
 	if dur <= 0 {
 		return false
 	}
-	if ns := float64(dur) * pol.penalty; ns < math.MaxInt64 {
+	if ns := float64(dur) * pol.Penalty; ns < math.MaxInt64 {
 		dur = time.Duration(ns)
 	} else {
 		dur = math.MaxInt64 // saturate, as Plan does; the time limit cuts it

@@ -14,19 +14,19 @@ import (
 	"ecosched/internal/workload"
 )
 
-// newPolicyCluster builds a cluster of nodeCount nodes with the given
-// energy policies attached.
-func newPolicyCluster(t *testing.T, nodeCount int, pols ...SchedPolicy) (*simclock.Sim, *Controller) {
+// newPolicyCluster builds a cluster of nodeCount nodes under the given
+// energy policy.
+func newPolicyCluster(t *testing.T, nodeCount int, pol EnergyPolicy) (*simclock.Sim, *Controller) {
 	t.Helper()
 	sim := simclock.New()
-	c, err := tryPolicyCluster(sim, nodeCount, pols...)
+	c, err := tryPolicyCluster(sim, nodeCount, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return sim, c
 }
 
-func tryPolicyCluster(sim *simclock.Sim, nodeCount int, pols ...SchedPolicy) (*Controller, error) {
+func tryPolicyCluster(sim *simclock.Sim, nodeCount int, pol EnergyPolicy) (*Controller, error) {
 	nodes := make([]*hw.Node, nodeCount)
 	for i := range nodes {
 		spec := hw.DefaultSpec()
@@ -35,7 +35,7 @@ func tryPolicyCluster(sim *simclock.Sim, nodeCount int, pols ...SchedPolicy) (*C
 	}
 	return NewCluster(sim, DefaultConf(),
 		WithNodes(nodes...),
-		WithSchedPolicies(pols...))
+		WithEnergyPolicy(pol))
 }
 
 // sleepDesc is a fixed-duration job: runtime is independent of the
@@ -140,23 +140,12 @@ func TestPolicyAttachValidation(t *testing.T) {
 	idle, _ := testLadderWatts()
 	cases := []struct {
 		name string
-		pol  SchedPolicy
+		pol  EnergyPolicy
 		want string // error substring; "" = must attach cleanly
 	}{
-		{"bad cap mode", &PowerCapPolicy{CapW: 1000, Mode: "turbo"}, `power-cap mode "turbo"`},
-		{"negative cap", &PowerCapPolicy{CapW: -5}, "must be > 0 W"},
-		{"no budget", &PowerCapPolicy{}, "must be > 0 W"},
-		{"cap below idle floor", &PowerCapPolicy{CapW: idle * 0.5}, "no job could ever start"},
-		{"cap at idle floor", &PowerCapPolicy{CapW: idle}, "no job could ever start"},
-		{"penalty below one", &CoSchedulePolicy{InterferencePenalty: 0.5}, "interference penalty 0.5 < 1"},
-		{"penalty of one", &CoSchedulePolicy{InterferencePenalty: 1}, ""}, // scripts/mutants/cosched-penalty-of-one-rejected.patch
-		{"deferral without signal", &DeferralPolicy{Threshold: 1, MaxDefer: time.Hour}, "needs a signal"},
-		{"deferral without threshold", &DeferralPolicy{Signal: func(time.Time) float64 { return 0 }, MaxDefer: time.Hour}, "threshold must be > 0"},
-		{"deferral without max defer", &DeferralPolicy{Signal: func(time.Time) float64 { return 0 }, Threshold: 1}, "max defer > 0"},
-		{"negative deferral check", &DeferralPolicy{Signal: func(time.Time) float64 { return 0 }, Threshold: 1, MaxDefer: time.Hour, Check: -time.Minute}, "negative deferral check"},
-		{"deferral check under a minute", &DeferralPolicy{Signal: func(time.Time) float64 { return 0 }, Threshold: 1, MaxDefer: time.Hour, Check: time.Nanosecond}, "is under 1m0s"},
-		{"deferral check of a minute", &DeferralPolicy{Signal: func(time.Time) float64 { return 0 }, Threshold: 1, MaxDefer: time.Hour, Check: time.Minute}, ""},
-		{"valid combo", &PowerCapPolicy{CapW: idle + 200, Mode: CapModeFreqCap}, ""},
+		{"cap below idle floor", EnergyPolicy{CapW: idle * 0.5}, "no job could ever start"},
+		{"cap at idle floor", EnergyPolicy{CapW: idle}, "no job could ever start"},
+		{"valid combo", EnergyPolicy{CapW: idle + 200, FreqCap: true}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -179,7 +168,7 @@ func TestPowerCapWaitDeniesThenReleases(t *testing.T) {
 	maxDelta := deltas[len(deltas)-1]
 	// Two nodes, budget for exactly one full-width job at ladder max.
 	cap := 2*idle + 1.5*maxDelta
-	sim, c := newPolicyCluster(t, 2, &PowerCapPolicy{CapW: cap})
+	sim, c := newPolicyCluster(t, 2, EnergyPolicy{CapW: cap})
 
 	j1, err := c.Submit(sleepDesc(32, 10*time.Minute, ""))
 	if err != nil {
@@ -228,7 +217,7 @@ func TestPowerCapFreqCapPinsLadder(t *testing.T) {
 	// Budget between the lowest and middle rung: an unpinned job fits
 	// only at the lowest frequency.
 	cap := idle + (deltas[0]+deltas[1])/2
-	sim, c := newPolicyCluster(t, 1, &PowerCapPolicy{CapW: cap, Mode: CapModeFreqCap})
+	sim, c := newPolicyCluster(t, 1, EnergyPolicy{CapW: cap, FreqCap: true})
 
 	lowest := hw.DefaultSpec().FrequenciesKHz[0]
 	j, err := c.Submit(sleepDesc(32, 10*time.Minute, ""))
@@ -286,18 +275,18 @@ func TestPowerCapRefusesUnfittableJobAtSubmit(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name         string
-		mode         string
+		freqCap      bool
 		tasks, freq  int // freq 0: no --cpu-freq request
 		refusedLeast float64
 	}{
-		{"freqcap/32 tasks", CapModeFreqCap, 32, 0, delta(32, lowest)},
-		{"freqcap/16 tasks", CapModeFreqCap, 16, 0, 0},
-		{"freqcap/16 tasks pinned top", CapModeFreqCap, 16, top, delta(16, top)},
-		{"wait/16 tasks", CapModeWait, 16, 0, delta(16, top)},
-		{"wait/16 tasks pinned lowest", CapModeWait, 16, lowest, 0},
+		{"freqcap/32 tasks", true, 32, 0, delta(32, lowest)},
+		{"freqcap/16 tasks", true, 16, 0, 0},
+		{"freqcap/16 tasks pinned top", true, 16, top, delta(16, top)},
+		{"wait/16 tasks", false, 16, 0, delta(16, top)},
+		{"wait/16 tasks pinned lowest", false, 16, lowest, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, c := newPolicyCluster(t, 1, &PowerCapPolicy{CapW: capW, Mode: tc.mode})
+			_, c := newPolicyCluster(t, 1, EnergyPolicy{CapW: capW, FreqCap: tc.freqCap})
 			desc := sleepDesc(tc.tasks, 10*time.Minute, "")
 			desc.MaxFreqKHz, desc.MinFreqKHz = tc.freq, tc.freq
 			j, err := c.Submit(desc)
@@ -322,7 +311,7 @@ func TestPowerCapRefusesUnfittableJobAtSubmit(t *testing.T) {
 }
 
 func TestCoSchedulePairsComplementaryProfiles(t *testing.T) {
-	sim, c := newPolicyCluster(t, 1, &CoSchedulePolicy{})
+	sim, c := newPolicyCluster(t, 1, EnergyPolicy{Penalty: 1.25})
 
 	pri, err := c.Submit(sleepDesc(16, 20*time.Minute, workload.ProfileCompute))
 	if err != nil {
@@ -389,7 +378,7 @@ func TestCoSchedulePairsComplementaryProfiles(t *testing.T) {
 }
 
 func TestCoScheduleRespectsTaskCapacity(t *testing.T) {
-	_, c := newPolicyCluster(t, 1, &CoSchedulePolicy{})
+	_, c := newPolicyCluster(t, 1, EnergyPolicy{Penalty: 1.25})
 	pri, err := c.Submit(sleepDesc(30, 20*time.Minute, workload.ProfileCompute))
 	if err != nil {
 		t.Fatal(err)
@@ -417,7 +406,7 @@ func TestDeferralHoldsUntilSignalDrops(t *testing.T) {
 		}
 		return 0.1
 	}
-	c, err := tryPolicyCluster(sim, 1, &DeferralPolicy{
+	c, err := tryPolicyCluster(sim, 1, EnergyPolicy{
 		Signal: signal, Threshold: 0.5, MaxDefer: 6 * time.Hour, Check: 10 * time.Minute,
 	})
 	if err != nil {
@@ -463,7 +452,7 @@ func TestDeferralForcedDispatch(t *testing.T) {
 
 	t.Run("max defer bound", func(t *testing.T) {
 		sim := simclock.New()
-		c, err := tryPolicyCluster(sim, 1, &DeferralPolicy{
+		c, err := tryPolicyCluster(sim, 1, EnergyPolicy{
 			Signal: alwaysHigh, Threshold: 0.5, MaxDefer: time.Hour, Check: 10 * time.Minute,
 		})
 		if err != nil {
@@ -491,7 +480,7 @@ func TestDeferralForcedDispatch(t *testing.T) {
 
 	t.Run("deadline bound", func(t *testing.T) {
 		sim := simclock.New()
-		c, err := tryPolicyCluster(sim, 1, &DeferralPolicy{
+		c, err := tryPolicyCluster(sim, 1, EnergyPolicy{
 			Signal: alwaysHigh, Threshold: 0.5, MaxDefer: 6 * time.Hour, Check: 10 * time.Minute,
 		})
 		if err != nil {
@@ -525,10 +514,7 @@ func TestDeferralForcedDispatch(t *testing.T) {
 
 func TestPolicyAccessors(t *testing.T) {
 	idle, _ := testLadderWatts()
-	_, c := newPolicyCluster(t, 2,
-		&PowerCapPolicy{CapW: 2*idle + 500},
-		&CoSchedulePolicy{},
-	)
+	_, c := newPolicyCluster(t, 2, EnergyPolicy{CapW: 2*idle + 500, Penalty: 1.25})
 	draw, peak, capW := c.PartitionDrawW()
 	if draw != 2*idle || peak != 2*idle {
 		t.Fatalf("idle cluster draw %g / peak %g, want %g", draw, peak, 2*idle)
@@ -554,14 +540,14 @@ func TestPolicyAccessors(t *testing.T) {
 func TestCompletionBillsRunningJob(t *testing.T) {
 	for _, role := range []string{"primary", "secondary"} {
 		t.Run(role, func(t *testing.T) {
-			_, c := newPolicyCluster(t, 1, &CoSchedulePolicy{})
+			_, c := newPolicyCluster(t, 1, EnergyPolicy{Penalty: 1.25})
 			node := c.Nodes()[0]
 			pri, err := c.Submit(sleepDesc(16, 20*time.Minute, workload.ProfileCompute))
 			if err != nil {
 				t.Fatal(err)
 			}
 			sys0, cpu0 := node.EnergyJ()
-			// The secondary's plan is stretched by the default 1.25 penalty:
+			// The secondary's plan is stretched by the 1.25 penalty:
 			// 25 minutes, after the primary; 10 minutes, before it.
 			secFor := 20 * time.Minute
 			if role == "secondary" {

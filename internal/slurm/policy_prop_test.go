@@ -40,7 +40,7 @@ func TestDeferralNeverStarvesPastDeadline(t *testing.T) {
 		rng := simclock.NewRNG(seed + 1000)
 		sim := simclock.New()
 		const nJobs = 12
-		c, err := tryPolicyCluster(sim, nJobs, &DeferralPolicy{
+		c, err := tryPolicyCluster(sim, nJobs, EnergyPolicy{
 			Signal:    propSignal(sim.Now(), seed),
 			Threshold: 0.5,
 			MaxDefer:  time.Duration(1+rng.Intn(6)) * time.Hour,

@@ -35,9 +35,9 @@ func bareNode(p *partition) *nodeD {
 
 // pairingPolicy is a co-scheduling policy value over a hand-built
 // partition, its pairable-primary index sized and every seated node's
-// bit derived — what newSchedPolicy and charge do on a cluster.
+// bit derived — what newPolicy and charge do on a cluster.
 func pairingPolicy(penalty float64, p *partition) *schedPolicy {
-	pol := &schedPolicy{penalty: penalty}
+	pol := &schedPolicy{EnergyPolicy: EnergyPolicy{Penalty: penalty}}
 	p.indexPairable()
 	for _, n := range p.nodes {
 		pol.reindex(n)
@@ -87,7 +87,7 @@ func TestAdmitFit(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := &partition{capW: tc.capW}
 			n := bareNode(p)
-			pol := &schedPolicy{freqCap: tc.freqCap}
+			pol := &schedPolicy{EnergyPolicy: EnergyPolicy{FreqCap: tc.freqCap}}
 			job := &Job{Desc: tc.desc}
 			if ok := pol.fit(job, n); ok != (tc.wantWhy == "") || job.Reason != tc.wantWhy {
 				t.Fatalf("fit = %v with reason %q, want reason %q", ok, job.Reason, tc.wantWhy)
@@ -116,7 +116,7 @@ func TestAdmitHold(t *testing.T) {
 	high := func(time.Time) float64 { return 1 }
 	low := func(time.Time) float64 { return 0.5 } // at the threshold: favourable
 	pol := func(sig DeferralSignal) *schedPolicy {
-		return &schedPolicy{signal: sig, threshold: 0.5, maxDefer: 2 * time.Hour, check: 10 * time.Minute}
+		return &schedPolicy{EnergyPolicy: EnergyPolicy{Signal: sig, Threshold: 0.5, MaxDefer: 2 * time.Hour, Check: 10 * time.Minute}}
 	}
 	job := func(deadline time.Time) *Job {
 		return &Job{SubmitTime: simclock.Tick(t0.UnixNano()), Desc: JobDesc{Deferrable: true, TimeLimit: 30 * time.Minute, Deadline: deadline}}
@@ -167,7 +167,7 @@ func TestAdmitHold(t *testing.T) {
 		// A job the signal released was never forced.
 		p, j = pol(high), job(time.Time{})
 		holdAt(p, j, t0)
-		p.signal = low
+		p.Signal = low
 		holdAt(p, j, t0.Add(10*time.Minute))
 		if p.totals.DeferredJobs != 1 || p.totals.ForcedDispatches != 0 {
 			t.Fatalf("signal release: totals = %+v, want 1 deferred / 0 forced", p.totals)
@@ -330,7 +330,7 @@ func countingSignal(reads *int) DeferralSignal {
 func TestHoldReadsSignalOncePerInstant(t *testing.T) {
 	reads := 0
 	lane := func() (*simclock.Sim, *Controller) {
-		return newPolicyCluster(t, 1, &DeferralPolicy{
+		return newPolicyCluster(t, 1, EnergyPolicy{
 			Signal: countingSignal(&reads), Threshold: 0.5, MaxDefer: 6 * time.Hour, Check: 10 * time.Minute,
 		})
 	}
@@ -383,7 +383,7 @@ func TestHoldReadsSignalOncePerInstant(t *testing.T) {
 func TestHoldReleasesAtOnceOnADeadlineOutOfReach(t *testing.T) {
 	t0 := simclock.Epoch
 	for _, deadline := range []time.Time{t0.Add(time.Minute), time.Date(1, 1, 2, 0, 0, 0, 0, time.UTC)} {
-		pol := &schedPolicy{signal: func(time.Time) float64 { return 1 }, threshold: 0.5, maxDefer: time.Hour, check: time.Minute}
+		pol := &schedPolicy{EnergyPolicy: EnergyPolicy{Signal: func(time.Time) float64 { return 1 }, Threshold: 0.5, MaxDefer: time.Hour, Check: time.Minute}}
 		j := &Job{SubmitTime: simclock.Tick(t0.UnixNano()), Desc: JobDesc{Deferrable: true, TimeLimit: time.Hour, Deadline: deadline}}
 		if wake, held := holdAt(pol, j, t0); held {
 			t.Fatalf("deadline %v: held until %v", deadline, wake)
